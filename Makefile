@@ -22,11 +22,15 @@ GO ?= go
 # differential programs, the scatter-gather cancellation tests and the
 # multi-client wire-server stress). The docslint run covers README.md,
 # DESIGN.md, PROTOCOL.md and EXPERIMENTS.md, including the annotated
-# hex frame dumps.
+# hex frame dumps. benchmark/ is a module of its own (`replace bvtree =>
+# ../`), which `go test ./...` at the root silently skips, so its tests
+# run as a separate step: they hold the harness's own checks that a
+# Lookup on point-hot and point-cold touches exactly height+1 nodes.
 verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	cd benchmark && $(GO) test ./...
 	$(GO) run ./cmd/docslint
 	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestBuffered|TestColumnar|TestShard' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard
 

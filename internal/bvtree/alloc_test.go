@@ -106,6 +106,34 @@ func TestRangeQueryAllocs(t *testing.T) {
 	}
 }
 
+// TestRangeTinyWindowAllocs pins the guard-set-pruned descent as
+// allocation-free: a window holding one stored point pays for the epoch
+// pin, the immutable view and the caller's visitor closure, and nothing
+// per node — the guard set and the child buffers live on the walk's
+// stack (expandRange, rangeNode).
+func TestRangeTinyWindowAllocs(t *testing.T) {
+	tr, pts := buildAllocTree(t, 4000)
+	p := pts[3456]
+	rect := geometry.Rect{Min: p, Max: p}
+	count := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		count = 0
+		err := tr.RangeQueryWorkers(rect, func(geometry.Point, uint64) bool {
+			count++
+			return true
+		}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if count != 1 {
+		t.Fatalf("one-point window visited %d items", count)
+	}
+	if allocs > 3 {
+		t.Fatalf("RangeQuery allocates %.1f allocs/op on a one-item window, budget 3", allocs)
+	}
+}
+
 func BenchmarkLookup(b *testing.B) {
 	tr, pts := buildAllocTree(b, 4000)
 	b.ReportAllocs()

@@ -6,6 +6,7 @@ package bvtree
 // verify runs under the race detector.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -417,5 +418,20 @@ func TestConcurrentBackgroundCheckpointer(t *testing.T) {
 	defer re.Close()
 	if re.Len() != len(pts) {
 		t.Fatalf("recovered Len=%d, want %d", re.Len(), len(pts))
+	}
+}
+
+// TestCheckpointerKeepsFirstError pins first-error-wins: once a store
+// poisons, every retry fails with a consequence of the original failure,
+// and CheckpointerStats (like Close) must still report the root cause.
+func TestCheckpointerKeepsFirstError(t *testing.T) {
+	first, second := errors.New("root cause"), errors.New("consequence")
+	d := &DurableTree{cp: &checkpointer{}}
+	d.cp.record(nil)
+	d.cp.record(first)
+	d.cp.record(second)
+	runs, err := d.CheckpointerStats()
+	if runs != 3 || err != first {
+		t.Fatalf("CheckpointerStats = (%d, %v), want (3, %v)", runs, err, first)
 	}
 }

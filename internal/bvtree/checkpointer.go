@@ -35,9 +35,12 @@ type checkpointer struct {
 	stop chan struct{}
 	done chan struct{}
 
-	mu      sync.Mutex
-	lastErr error
-	runs    uint64
+	mu sync.Mutex
+	// firstErr is the first checkpoint failure: once a store poisons,
+	// every retry fails with a consequence of that error, so keeping the
+	// first preserves the root cause for Close and CheckpointerStats.
+	firstErr error
+	runs     uint64
 }
 
 // startCheckpointer launches the background checkpointer when cfg enables
@@ -58,7 +61,7 @@ func (d *DurableTree) startCheckpointer(cfg CheckpointConfig) {
 }
 
 // stopCheckpointer terminates the background checkpointer and returns the
-// last error it encountered, if any. Safe to call when none is running.
+// first error it encountered, if any. Safe to call when none is running.
 // Must be called without holding d.mu: the goroutine may be blocked
 // acquiring it for a checkpoint, and it must be able to finish that
 // checkpoint before it can observe the stop signal.
@@ -72,7 +75,7 @@ func (d *DurableTree) stopCheckpointer() error {
 	<-cp.done
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	return cp.lastErr
+	return cp.firstErr
 }
 
 // kickIfLogFull nudges the checkpointer when the size trigger fires. The
@@ -90,16 +93,18 @@ func (d *DurableTree) kickIfLogFull() {
 }
 
 // CheckpointerStats reports the background checkpointer's progress: how
-// many checkpoints it has run, and the last error it hit (nil when
-// healthy). Zero values when no checkpointer is configured.
-func (d *DurableTree) CheckpointerStats() (runs uint64, lastErr error) {
+// many checkpoints it has run, and the first error it hit (nil while
+// every checkpoint has succeeded; later failures never overwrite it, so
+// the root cause survives the retries it provokes). Zero values when no
+// checkpointer is configured.
+func (d *DurableTree) CheckpointerStats() (runs uint64, firstErr error) {
 	cp := d.cp
 	if cp == nil {
 		return 0, nil
 	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	return cp.runs, cp.lastErr
+	return cp.runs, cp.firstErr
 }
 
 func (cp *checkpointer) run() {
@@ -134,11 +139,16 @@ func (cp *checkpointer) checkpoint(minBytes int64) {
 	if cp.d.LogSize() < minBytes {
 		return
 	}
-	err := cp.d.Checkpoint()
+	cp.record(cp.d.Checkpoint())
+}
+
+// record counts one checkpoint run and keeps its error if it is the
+// first.
+func (cp *checkpointer) record(err error) {
 	cp.mu.Lock()
 	cp.runs++
-	if err != nil {
-		cp.lastErr = err
+	if err != nil && cp.firstErr == nil {
+		cp.firstErr = err
 	}
 	cp.mu.Unlock()
 }

@@ -19,10 +19,11 @@ import (
 // callback contract of the serial walk (single-threaded delivery, early
 // stop on false) is preserved exactly. The serial walk in query.go
 // remains the reference implementation and still serves workers<=1
-// queries; queries whose frontier never reaches the spin-up threshold —
-// point-like windows, and the boundary-straddling lookups that BV-tree
-// guard entries make common — complete during the serial expansion and
-// never pay pool startup.
+// queries; queries whose frontier never reaches the spin-up threshold
+// complete during the serial expansion and never pay pool startup. Both
+// walks and the workers here choose the children to visit through the
+// same guard-set-pruned qualifier (expandRange / qualifyNode in
+// query.go).
 //
 // The engine runs against a pinned epoch view (e.t is the view tree a
 // readView call produced, not the live tree): every worker is joined
@@ -57,9 +58,8 @@ import (
 // descend. full marks the subtree's brick as contained in the query
 // rectangle, which exempts the whole subtree from geometry tests.
 type rangeTask struct {
-	id    page.ID
-	level int
-	full  bool
+	id   page.ID
+	full bool
 }
 
 // rangeScratch is the per-worker reusable state: qualification lists,
@@ -111,13 +111,12 @@ const rangeFlushItems = 512
 // subtree queued the moment it finishes its first; the floor of 16
 // keeps geometry, not the worker count, in charge of the decision for
 // small pools. The expansion loops additionally demand that the
-// frontier outgrow the number of nodes expanded (see parallelRange):
+// frontier outgrow the number of subtrees expanded (see parallelRange):
 // a window with real volume multiplies its frontier at every level —
-// net growth of many subtrees per visited node — while a point-like
-// window only accretes one or two qualifying children per node (its
-// region child plus the odd guard), so its frontier never outruns the
-// pop count and it completes serially, paying nothing for the pool it
-// never needed.
+// net growth of many subtrees per expansion — while a window that
+// merely straddles a few brick faces adds a subtree or two per
+// expansion, never outruns the pop count and completes serially,
+// paying nothing for the pool it never needed.
 func spinUpFanout(workers int) int {
 	const floor = 16
 	if f := 2 * workers; f > floor {
@@ -159,7 +158,7 @@ func newRangeEngine(t *Tree, rect geometry.Rect, workers int, counting bool) *ra
 }
 
 // taskQueueCap bounds the task channel (subject to a floor of the seed
-// count, so seeding never blocks). Tasks are three words, so a few
+// count, so seeding never blocks). Tasks are two words, so a few
 // hundred queued subtrees cost nothing, and workers offload surplus to
 // the queue non-blockingly — a full queue just means the surplus stays
 // on the worker's own stack.
@@ -294,22 +293,21 @@ func (e *rangeEngine) runTaskTree(root rangeTask, w *rangeScratch) {
 	w.local = local[:0]
 }
 
-// runTask qualifies one index node's entries (through splitQualify,
-// the filter shared with the serial walks — batched over the columnar
-// mirror when the node has one), pushes its qualifying index children
-// onto the caller's descent stack, and scans its qualifying data
-// children through the batched read seam.
+// runTask expands one index subtree through expandRange — the
+// guard-set-pruned qualifier shared with the serial walks, which also
+// runs the unbranched part of the descent — pushes the index children
+// it names onto the caller's descent stack, and scans the data children
+// through the batched read seam.
 func (e *rangeEngine) runTask(task rangeTask, w *rangeScratch, local []rangeTask) ([]rangeTask, error) {
-	n, err := e.t.fetchIndex(task.id)
+	e.t.stats.RangeTasks.Inc()
+	lo := len(local)
+	var err error
+	w.dataIDs, w.dataFull, local, err = e.t.expandRange(task, e.rect, w.dataIDs[:0], w.dataFull[:0], local)
 	if err != nil {
 		return local, err
 	}
-	e.t.stats.RangeTasks.Inc()
-	lo := len(local)
-	var nqual int
-	w.dataIDs, w.dataFull, local, nqual = e.t.splitQualify(n, task.full, e.rect, w.dataIDs[:0], w.dataFull[:0], local)
 	if m := e.metrics; m != nil {
-		m.RangeFanout.Observe(int64(nqual))
+		m.RangeFanout.Observe(int64(len(w.dataIDs) + len(local) - lo))
 	}
 	// Hint the pager at the index children first: their I/O warms while
 	// this worker scans the data children below.

@@ -277,6 +277,63 @@ func TestParallelRangeCountMatches(t *testing.T) {
 	})
 }
 
+// TestParallelRangeOneItemWindowSkipsEngine: since the guard-set pruning
+// made a point-like window's frontier one subtree wide, a one-item
+// window asked for at two workers must never build an engine, and must
+// cost what the same point's Lookup costs — through the public calls
+// (which engineWorthwhile keeps off the expansion path altogether) and
+// through parallelRange's breadth-first expansion entered directly, so
+// the claim does not rest on that gate.
+func TestParallelRangeOneItemWindowSkipsEngine(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	pts := make([]geometry.Point, 6000)
+	for i := range pts {
+		pts[i] = clusteredPoint(rng, 2)
+	}
+	rangeBackends(t, pts, Options{Dims: 2, DataCapacity: 8, Fanout: 8}, func(t *testing.T, tr *Tree) {
+		tasks := tr.Stats().RangeTasks
+		for i := 0; i < len(pts); i += 29 {
+			p := pts[i]
+			rect := geometry.Rect{Min: p, Max: p}
+			nodes, _, err := tr.SearchCost(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := tr.Lookup(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, release := tr.readView()
+			runs := map[string]func() (int, error){
+				"RangeQueryWorkers": func() (n int, err error) {
+					return n, tr.RangeQueryWorkers(rect, func(geometry.Point, uint64) bool { n++; return true }, 2)
+				},
+				"CountWorkers": func() (int, error) { return tr.CountWorkers(rect, 2) },
+				"parallelRange": func() (n int, err error) {
+					return n, v.parallelRange(rect, func(geometry.Point, uint64) bool { n++; return true }, 2)
+				},
+			}
+			for name, run := range runs {
+				tr.ResetAccessCount()
+				got, err := run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != len(want) {
+					t.Fatalf("%s at %v: %d items, Lookup returns %d", name, p, got, len(want))
+				}
+				if n := int(tr.ResetAccessCount()); n != nodes {
+					t.Fatalf("%s at %v touched %d nodes, Lookup touches %d", name, p, n, nodes)
+				}
+			}
+			release()
+		}
+		if got := tr.Stats().RangeTasks; got != tasks {
+			t.Fatalf("one-item windows at two workers ran %d engine tasks", got-tasks)
+		}
+	})
+}
+
 // TestConcurrentRangeQueries joins parallel range queries (the engine's
 // worker pool inside each reader) with concurrent inserts and deletes;
 // the TestConcurrent* prefix puts it under the race detector in `make

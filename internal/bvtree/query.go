@@ -22,12 +22,19 @@ type Visitor func(p geometry.Point, payload uint64) bool
 // traversal itself runs on the parallel range engine (see
 // Options.RangeWorkers); returning false stops the query early.
 //
-// Range search needs no guard-set bookkeeping: every entry — promoted or
-// not — whose brick intersects the query rectangle is visited, and since
-// each page is pointed to by exactly one entry, no page is scanned twice.
-// A region's points are a subset of its brick, so brick intersection is a
-// sound and complete pruning test. This also makes the fan-out safe to
-// parallelise: qualifying subtrees are disjoint work.
+// A region's points are a subset of its brick, so only entries —
+// promoted or not — whose brick intersects rect can hold matches, and
+// since each page is pointed to by exactly one entry, no page is scanned
+// twice and the qualifying subtrees are disjoint work, safe to
+// parallelise. Brick intersection is sound but not tight: a guard or an
+// encloser also contains every window that lies in a hole a longer
+// same-level region has cut out of it. The descent therefore carries the
+// §3 guard set, as the exact-match search does, and drops an entry when
+// the window lies wholly inside the brick of a longer key of its own
+// level (see qualifyNode): a window holding one stored point visits
+// height+1 nodes, exactly what Lookup visits for that point, and wider
+// windows pay for the subtrees they overlap, not for the guards above
+// them.
 func (t *Tree) RangeQuery(rect geometry.Rect, visit Visitor) error {
 	return t.RangeQueryWorkers(rect, visit, 0)
 }
@@ -117,14 +124,18 @@ func (t *Tree) rangeQueryRaw(rect geometry.Rect, visit Visitor, workers int) err
 // reports whether that is enough work for the parallel engine to beat
 // the serial walk. The estimate is the classic uniform-density one:
 // rect's fraction of the universe volume times the tree's page count.
-// It exists because frontier shape alone cannot make this call in a
-// BV-tree — guard entries give even a point query a frontier of dozens
-// of qualifying subtrees (each visited node's guards contain the
-// point), so a point-like window fans out in breadth while carrying no
-// data volume, and pool spin-up plus per-task accounting would be pure
-// overhead on it. Skewed data can make the estimate low for a hot
-// window; the failure mode is benign — the query runs serially and
-// correctly, it just forgoes parallelism.
+// Point-like windows do not need it — their frontier is one subtree
+// wide and never reaches the pool
+// (TestParallelRangeOneItemWindowSkipsEngine); it is here for the
+// windows in between (measured with it removed, DESIGN.md §11): the
+// breadth-first expansion allocates its frontier and reads data pages
+// through the batched seam, 7 / 24 / 67 allocations against the serial
+// walk's 3 on windows of 1 / 33 / 513 items, and windows of a few
+// thousand items would engage a pool whose start-up and per-batch
+// delivery cost more than their scan. Skewed data can make the
+// estimate low for a hot window; the
+// failure mode is benign — the query runs serially and correctly, it
+// just forgoes parallelism.
 func (t *Tree) engineWorthwhile(rect geometry.Rect) bool {
 	const minEnginePages = 64
 	const two64 = float64(1 << 64)
@@ -135,56 +146,59 @@ func (t *Tree) engineWorthwhile(rect geometry.Rect) bool {
 	return frac*float64(t.size) >= minEnginePages*float64(t.opt.DataCapacity)
 }
 
-// rangeNode is the serial range walk: a plain recursive descent in
-// entry order with early stop. On nodes carrying a fresh columnar
-// mirror the qualification runs as one batched Intersect64/Within64
-// pass per 64 entries, and subtrees whose brick lies inside rect
-// descend with full set, skipping every further geometry test; the
-// scalar fallback (stale mirror, or Options.ScalarNodeScan) tests
-// entries one at a time exactly as the pre-columnar walk did and never
-// sets full, so a ScalarNodeScan tree remains the trusted reference
-// the differential tests compare the columnar walk (and the engine)
-// against. Visit order and results are identical either way.
+// rangeNode is the serial range walk: a recursive descent with early
+// stop. Which children to visit is expandRange's decision — the
+// guard-set-pruned qualification, which also runs the unbranched part of
+// the descent itself, so a point-like window costs one call here — taken
+// into buffers on this frame's stack, so the walk allocates nothing
+// until a node qualifies more children than the buffers hold. Two cases
+// never reach it: a subtree whose brick lies inside rect (full) visits
+// every entry with no geometry test at all, and a tree running
+// Options.ScalarNodeScan tests entries one at a time by brick
+// intersection alone — unpruned, never setting full, sharing no code
+// with the qualifier — so that a ScalarNodeScan tree remains the trusted
+// reference the differential tests compare the pruned walk (and the
+// engine) against.
+// Results are identical either way; visit order is unspecified.
 func (t *Tree) rangeNode(id page.ID, rect geometry.Rect, visit Visitor, full bool) (bool, error) {
-	n, err := t.fetchIndex(id)
-	if err != nil {
-		return false, err
-	}
-	// Iterating the node in place is safe on a pinned view: a node the
-	// pin can still observe is never mutated — the first write to it
-	// captures it into its version chain and mutates a clone — and cache
-	// eviction only drops map references, never touches node objects.
-	if full {
+	if full || t.opt.ScalarNodeScan {
+		n, err := t.fetchIndex(id)
+		if err != nil {
+			return false, err
+		}
+		// Iterating the node in place is safe on a pinned view: a node the
+		// pin can still observe is never mutated — the first write to it
+		// captures it into its version chain and mutates a clone — and cache
+		// eviction only drops map references, never touches node objects.
 		for i := range n.Entries {
 			e := &n.Entries[i]
-			cont, err := t.rangeChild(e.Child, e.Level, rect, visit, true)
+			if !full && !region.BrickIntersects(e.Key, t.opt.Dims, rect) {
+				continue
+			}
+			cont, err := t.rangeChild(e.Child, e.Level, rect, visit, full)
 			if err != nil || !cont {
 				return cont, err
 			}
 		}
 		return true, nil
 	}
-	if c := n.Cols(); c != nil && !t.opt.ScalarNodeScan {
-		t.stats.BatchTests.Inc()
-		for base := 0; base < c.Len(); base += 64 {
-			m := c.Intersect64(rect, base)
-			fm := c.Within64(rect, base, m)
-			for ; m != 0; m &= m - 1 {
-				i := base + bits.TrailingZeros64(m)
-				cont, err := t.rangeChild(c.Child(i), c.Level(i), rect, visit, fm&(m&-m) != 0)
-				if err != nil || !cont {
-					return cont, err
-				}
-			}
-		}
-		return true, nil
+	var (
+		idBuf   [rangeNodeBuf]page.ID
+		fullBuf [rangeNodeBuf]bool
+		idxBuf  [rangeNodeBuf]rangeTask
+	)
+	dataIDs, dataFull, idx, err := t.expandRange(rangeTask{id: id}, rect, idBuf[:0], fullBuf[:0], idxBuf[:0])
+	if err != nil {
+		return false, err
 	}
-	for i := range n.Entries {
-		e := &n.Entries[i]
-		if !region.BrickIntersects(e.Key, t.opt.Dims, rect) {
-			continue
+	for i, d := range dataIDs {
+		cont, err := t.scanData(d, rect, visit, dataFull[i])
+		if err != nil || !cont {
+			return cont, err
 		}
-		cont, err := t.rangeChild(e.Child, e.Level, rect, visit, false)
+	}
+	for _, k := range idx {
+		cont, err := t.rangeNode(k.id, rect, visit, k.full)
 		if err != nil || !cont {
 			return cont, err
 		}
@@ -192,7 +206,12 @@ func (t *Tree) rangeNode(id page.ID, rect geometry.Rect, visit Visitor, full boo
 	return true, nil
 }
 
-// rangeChild dispatches one qualifying entry of the serial walk.
+// rangeNodeBuf sizes rangeNode's on-stack child buffers: twice the
+// default fan-out, so only nodes of a wider-than-default tree that
+// qualify almost every child spill to the heap.
+const rangeNodeBuf = 32
+
+// rangeChild dispatches one entry of rangeNode's in-place iteration.
 func (t *Tree) rangeChild(id page.ID, level int, rect geometry.Rect, visit Visitor, full bool) (bool, error) {
 	if level == 0 {
 		return t.scanData(id, rect, visit, full)
@@ -255,9 +274,11 @@ func (t *Tree) countDataPage(dp *page.DataPage, rect geometry.Rect) int64 {
 }
 
 // qualifyRange reports whether an entry's subtree can hold matches and
-// whether its brick is fully contained in rect. Containment of the
-// parent implies containment of every child, so parentFull
-// short-circuits both geometry tests.
+// whether its brick is fully contained in rect — the scalar,
+// one-entry-at-a-time form of the test, used where expandRange has no
+// columnar mirror to batch over. Containment of the parent implies
+// containment of every child, so parentFull short-circuits both
+// geometry tests.
 func qualifyRange(en *page.Entry, parentFull bool, dims int, rect geometry.Rect) (qualifies, full bool) {
 	if parentFull {
 		return true, true
@@ -271,93 +292,216 @@ func qualifyRange(en *page.Entry, parentFull bool, dims int, rect geometry.Rect)
 	return true, region.BrickWithin(en.Key, dims, rect)
 }
 
-// splitQualify partitions the qualifying children of n against rect,
-// appending data pages to dataIDs/dataFull and index subtrees (with
-// their containment flags) to idx, and returns the extended slices plus
-// the number of qualifiers. It is the one copy of the entry-filter
-// logic previously repeated by the breadth-first expansions of
-// parallelRange and countRaw, the engine's runTask and the serial
-// count walk: batched Intersect64/Within64 passes over the columnar
-// mirror when the node has one, the scalar qualifyRange test per entry
-// otherwise. Appending to idx is stack-friendly: callers may treat idx
+// maxRangeGuards caps the guard set a range descent carries. The set
+// holds at most one member per partition level below the current node
+// (see qualifyNode), so the cap only binds on trees taller than it; a
+// candidate that finds the set full is descended unpruned, which costs
+// node visits, never answers.
+const maxRangeGuards = 16
+
+// rangeGuard is one member of a range descent's guard set: an entry
+// whose brick covers the whole query window (and is not itself inside
+// it), remembered instead of descended because a longer same-level key
+// further down the path may prove its subtree empty inside the window.
+type rangeGuard struct {
+	id      page.ID
+	level   int32
+	keyBits int32
+}
+
+// rangeGuardSet is the §3 guard set of a range descent: the longest
+// window-covering key seen so far at each partition level, in no
+// particular order. It lives on expandRange's stack.
+type rangeGuardSet struct {
+	n int
+	g [maxRangeGuards]rangeGuard
+}
+
+// merge offers a window-covering candidate to the set and reports
+// whether the set has dealt with it: kept as its level's longest
+// covering key (displacing, and thereby pruning, a shorter member), or
+// pruned itself because the set already holds a longer one. False — the
+// set is full, or holds an equally long key, which the tree's
+// invariants rule out but soundness must not depend on — leaves the
+// candidate to the caller to descend unpruned.
+func (s *rangeGuardSet) merge(c rangeGuard) bool {
+	for i := range s.g[:s.n] {
+		g := &s.g[i]
+		if g.level != c.level {
+			continue
+		}
+		if c.keyBits > g.keyBits {
+			*g = c
+			return true
+		}
+		return c.keyBits < g.keyBits
+	}
+	if s.n == maxRangeGuards {
+		return false
+	}
+	s.g[s.n] = c
+	s.n++
+	return true
+}
+
+// take removes and returns the member of the given level, if any.
+func (s *rangeGuardSet) take(level int32) (rangeGuard, bool) {
+	for i := range s.g[:s.n] {
+		if g := s.g[i]; g.level == level {
+			s.n--
+			s.g[i] = s.g[s.n]
+			return g, true
+		}
+	}
+	return rangeGuard{}, false
+}
+
+// appendRangeChild appends one child a range descent must visit next:
+// a data page (with its containment flag) to dataIDs/dataFull, an index
+// subtree to idx. The slices travel by value, not behind a struct
+// pointer, so that callers' stack-backed buffers stay on the stack.
+func appendRangeChild(dataIDs []page.ID, dataFull []bool, idx []rangeTask,
+	id page.ID, level int, full bool) ([]page.ID, []bool, []rangeTask) {
+	if level == 0 {
+		return append(dataIDs, id), append(dataFull, full), idx
+	}
+	return dataIDs, dataFull, append(idx, rangeTask{id: id, full: full})
+}
+
+// expandRange is how every range traversal finds the children to visit
+// below an index node: the serial walks (rangeNode, countNode), the
+// breadth-first expansions of parallelRange and countRaw and the
+// engine's runTask all call it. It descends from task for as long as
+// qualifyNode reports that the walk has not branched, carrying the guard
+// set from node to node on its own stack, and returns dataIDs/dataFull
+// and idx extended by what must be visited next — data pages and index
+// subtrees. Appending to idx is stack-friendly: callers may treat idx
 // as a shared stack and truncate back to their own watermark.
-func (t *Tree) splitQualify(n *page.IndexNode, parentFull bool, rect geometry.Rect,
-	dataIDs []page.ID, dataFull []bool, idx []rangeTask) ([]page.ID, []bool, []rangeTask, int) {
-	nqual := 0
+func (t *Tree) expandRange(task rangeTask, rect geometry.Rect,
+	dataIDs []page.ID, dataFull []bool, idx []rangeTask) ([]page.ID, []bool, []rangeTask, error) {
+	var gs rangeGuardSet
+	for id, more := task.id, true; more; {
+		n, err := t.fetchIndex(id)
+		if err != nil {
+			return dataIDs, dataFull, idx, err
+		}
+		dataIDs, dataFull, idx, id, more = t.qualifyNode(n, task.full, rect, &gs, dataIDs, dataFull, idx)
+	}
+	return dataIDs, dataFull, idx, nil
+}
+
+// qualifyNode is the one place a range traversal decides which children
+// of an index node to visit. It appends them to dataIDs/dataFull (data
+// pages) and idx (index subtrees) — or, when the walk has not branched
+// at n, returns the single index child to descend next (more = true)
+// with the guard set gs to carry into it.
+//
+// The rule is the range generalisation of the §3 best-match search. The
+// regions of one partition level are nested or disjoint, and an entry's
+// subtree holds only points whose longest-prefix region at that level
+// is the entry's own. So when the window lies wholly inside the bricks
+// of two candidates of one level, every point of the window best-matches
+// the longer key (or something longer still) and the shorter key's
+// subtree holds nothing inside the window: it is dropped. Brick
+// intersection alone is sound but descends every guard and encloser
+// that contains the window.
+//
+// At a node of index level x, with one batched Intersect64 / Within64 /
+// Cover64 pass per 64 entries:
+//
+//   - entries whose brick meets the window without covering it — or
+//     lies inside it, so that nothing below can cover it — can be
+//     neither pruned nor used to prune, and are appended at once;
+//   - entries whose brick covers the window are merged into the guard
+//     set, which keeps the longest covering key per level and so drops
+//     every shorter one, carried in from above or found here;
+//   - if the set then holds a level-(x-1) member and no other
+//     level-(x-1) entry met the window, the walk has not branched: that
+//     member is taken out as the child to descend, and the remaining
+//     members (at most x-1, one per lower level: the paper's bound) ride
+//     along, to be pruned by a longer key below or visited once, at
+//     their own level, exactly as descendPointInner defers its guards;
+//   - otherwise the walk branches here, or has reached the data pages:
+//     the set is flushed, every member appended. Appended children start
+//     from an empty guard set, and every entry is appended once, carried,
+//     or pruned, so no page is reached twice.
+//
+// For a point-like window every candidate covers, so this is the
+// exact-match descent and costs height+1 nodes; for a window wider than
+// the bricks it meets, nothing covers and it is the plain fan-out.
+// Nodes without a fresh columnar mirror, trees running
+// Options.ScalarNodeScan and subtrees already inside the window
+// (parentFull) take the unpruned per-entry test instead — sound, since
+// pruning only ever skips work — which keeps a ScalarNodeScan tree the
+// reference the pruned walk is checked against.
+func (t *Tree) qualifyNode(n *page.IndexNode, parentFull bool, rect geometry.Rect, gs *rangeGuardSet,
+	dataIDs []page.ID, dataFull []bool, idx []rangeTask) (_ []page.ID, _ []bool, _ []rangeTask, next page.ID, more bool) {
 	c := n.Cols()
-	if c == nil || t.opt.ScalarNodeScan {
+	if parentFull || c == nil || t.opt.ScalarNodeScan {
 		for i := range n.Entries {
 			en := &n.Entries[i]
-			q, f := qualifyRange(en, parentFull, t.opt.Dims, rect)
-			if !q {
-				continue
-			}
-			nqual++
-			if en.Level == 0 {
-				dataIDs = append(dataIDs, en.Child)
-				dataFull = append(dataFull, f)
-			} else {
-				idx = append(idx, rangeTask{id: en.Child, level: en.Level, full: f})
+			if q, f := qualifyRange(en, parentFull, t.opt.Dims, rect); q {
+				dataIDs, dataFull, idx = appendRangeChild(dataIDs, dataFull, idx, en.Child, en.Level, f)
 			}
 		}
-		return dataIDs, dataFull, idx, nqual
-	}
-	t.stats.BatchTests.Inc()
-	for base := 0; base < c.Len(); base += 64 {
-		var m, fm uint64
-		if parentFull {
-			cnt := c.Len() - base
-			if cnt > 64 {
-				cnt = 64
+	} else {
+		t.stats.BatchTests.Inc()
+		lim := int32(n.Level - 1)
+		branched := lim == 0 // or a level-(x-1) entry outside the guard set met the window
+		for base := 0; base < c.Len(); base += 64 {
+			m := c.Intersect64(rect, base)
+			fm := c.Within64(rect, base, m)
+			cm := c.Cover64(rect, base, m&^fm)
+			for ; m != 0; m &= m - 1 {
+				i, bit := base+bits.TrailingZeros64(m), m&-m
+				g := rangeGuard{id: c.Child(i), level: int32(c.Level(i)), keyBits: int32(c.KeyBits(i))}
+				if cm&bit != 0 && gs.merge(g) {
+					continue
+				}
+				branched = branched || g.level == lim
+				dataIDs, dataFull, idx = appendRangeChild(dataIDs, dataFull, idx, g.id, int(g.level), fm&bit != 0)
 			}
-			m = ^uint64(0) >> uint(64-cnt)
-			fm = m
-		} else {
-			m = c.Intersect64(rect, base)
-			fm = c.Within64(rect, base, m)
 		}
-		for ; m != 0; m &= m - 1 {
-			i := base + bits.TrailingZeros64(m)
-			f := fm&(m&-m) != 0
-			nqual++
-			if c.Level(i) == 0 {
-				dataIDs = append(dataIDs, c.Child(i))
-				dataFull = append(dataFull, f)
-			} else {
-				idx = append(idx, rangeTask{id: c.Child(i), level: c.Level(i), full: f})
+		if !branched {
+			if g, ok := gs.take(lim); ok {
+				return dataIDs, dataFull, idx, g.id, true
 			}
 		}
 	}
-	return dataIDs, dataFull, idx, nqual
+	for _, g := range gs.g[:gs.n] {
+		dataIDs, dataFull, idx = appendRangeChild(dataIDs, dataFull, idx, g.id, int(g.level), false)
+	}
+	gs.n = 0
+	return dataIDs, dataFull, idx, page.Nil, false
 }
 
 // parallelRange is the engine-path descent. It expands the tree
-// breadth-first on the calling goroutine — scanning qualifying data
-// pages as they surface, through the batched read seam — until the
-// frontier of qualifying index subtrees reaches spinUpFanout(workers),
-// and only then hands the frontier to the worker pool as seeds. Queries
-// without that much independent work (point-like windows, and the
-// boundary-straddling lookups that guard entries make common: two
-// qualifying children is not evidence of real fan-out in a BV-tree)
-// complete during the expansion and never pay pool startup.
+// breadth-first on the calling goroutine — one expandRange call per
+// frontier subtree, scanning qualifying data pages as they surface,
+// through the batched read seam — until the frontier of qualifying index
+// subtrees reaches spinUpFanout(workers), and only then hands the
+// frontier to the worker pool as seeds. Queries without that much
+// independent work complete during the expansion and never pay pool
+// startup; a point-like window is the limiting case, its frontier one
+// subtree wide all the way down.
 func (t *Tree) parallelRange(rect geometry.Rect, visit Visitor, workers int) error {
 	frontier := []rangeTask{{id: t.root}}
 	var dataIDs []page.ID
 	var dataFull []bool
 	// The spin-up condition demands breadth explosion, not mere frontier
-	// size: guard entries let a point-like query accrete ~one extra
-	// subtree per node visited, so a fixed threshold would eventually
-	// trip on queries with no volume at all. Requiring the frontier to
-	// outgrow the pop count admits only windows that multiply their
-	// frontier as they descend.
+	// size: requiring the frontier to outgrow the pop count admits only
+	// windows that multiply their frontier as they descend. A window just
+	// past engineWorthwhile's floor meets about as many level-1 subtrees
+	// as the base threshold, each a handful of pages — seeds too small to
+	// repay a pool (measured with the clause removed: DESIGN.md §11).
 	for pops := 0; len(frontier) > 0 && len(frontier) < spinUpFanout(workers)+pops; pops++ {
 		task := frontier[0]
 		frontier = frontier[:copy(frontier, frontier[1:])]
-		n, err := t.fetchIndex(task.id)
+		var err error
+		dataIDs, dataFull, frontier, err = t.expandRange(task, rect, dataIDs[:0], dataFull[:0], frontier)
 		if err != nil {
 			return err
 		}
-		dataIDs, dataFull, frontier, _ = t.splitQualify(n, task.full, rect, dataIDs[:0], dataFull[:0], frontier)
 		if len(dataIDs) > 0 {
 			cont, err := t.scanDataSet(dataIDs, dataFull, rect, visit)
 			if err != nil || !cont {
@@ -542,11 +686,11 @@ func (t *Tree) countRaw(rect geometry.Rect, workers int) (int64, error) {
 	for pops := 0; len(frontier) > 0 && len(frontier) < spinUpFanout(workers)+pops; pops++ {
 		task := frontier[0]
 		frontier = frontier[:copy(frontier, frontier[1:])]
-		n, err := t.fetchIndex(task.id)
+		var err error
+		cs.dataIDs, cs.dataFull, frontier, err = t.expandRange(task, rect, cs.dataIDs[:0], cs.dataFull[:0], frontier)
 		if err != nil {
 			return 0, err
 		}
-		cs.dataIDs, cs.dataFull, frontier, _ = t.splitQualify(n, task.full, rect, cs.dataIDs[:0], cs.dataFull[:0], frontier)
 		if len(cs.dataIDs) > 0 {
 			sub, err := t.countDataSet(cs.dataIDs, cs.dataFull, rect, &cs)
 			if err != nil {
@@ -563,10 +707,11 @@ func (t *Tree) countRaw(rect geometry.Rect, workers int) (int64, error) {
 	return total + sub, err
 }
 
-// countNode is the serial count-only traversal: the qualifying data
-// children of each node are counted through the batched read seam (a
-// fully contained page costs one item-count decode), then the index
-// children are recursed into. The data scratch is safe to share with
+// countNode is the serial count-only traversal: expandRange names the
+// children to visit below id (after running the unbranched part of the
+// descent itself), the data pages among them are counted through the
+// batched read seam (a fully contained page costs one item-count
+// decode), then the index subtrees are recursed into. The data scratch is safe to share with
 // the recursion because each node finishes its data pass before
 // descending; the subtree stack is shared by watermark — this node
 // re-reads its own stack entries by index after each child returns, and
@@ -574,12 +719,13 @@ func (t *Tree) countRaw(rect geometry.Rect, workers int) (int64, error) {
 // appends (even ones that relocate the backing array) never disturb
 // the pending entries above the watermark.
 func (t *Tree) countNode(id page.ID, full bool, rect geometry.Rect, cs *countScratch) (int64, error) {
-	n, err := t.fetchIndex(id)
+	lo := len(cs.idx)
+	var err error
+	cs.dataIDs, cs.dataFull, cs.idx, err = t.expandRange(rangeTask{id: id, full: full}, rect, cs.dataIDs[:0], cs.dataFull[:0], cs.idx)
 	if err != nil {
+		cs.idx = cs.idx[:lo]
 		return 0, err
 	}
-	lo := len(cs.idx)
-	cs.dataIDs, cs.dataFull, cs.idx, _ = t.splitQualify(n, full, rect, cs.dataIDs[:0], cs.dataFull[:0], cs.idx)
 	total := int64(0)
 	if len(cs.dataIDs) > 0 {
 		total, err = t.countDataSet(cs.dataIDs, cs.dataFull, rect, cs)

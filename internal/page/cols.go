@@ -321,6 +321,33 @@ func (c *NodeCols) Within64(rect geometry.Rect, base int, cand uint64) uint64 {
 	return m
 }
 
+// Cover64 is Within64's converse: it refines an Intersect64 mask to the
+// entries whose bricks contain all of rect (both ends inclusive) — the
+// test the range descent's guard-set pruning rests on: of two same-level
+// bricks that both contain the window, only the longer key's subtree can
+// hold points of it. Only bits set in cand are tested.
+func (c *NodeCols) Cover64(rect geometry.Rect, base int, cand uint64) uint64 {
+	dims := c.dims
+	stride := 2 * dims
+	rmin, rmax := rect.Min, rect.Max
+	var m uint64
+	for w := cand; w != 0; w &= w - 1 {
+		i := bits.TrailingZeros64(w)
+		eb := c.bounds[(base+i)*stride : (base+i)*stride+stride]
+		ok := true
+		for d := 0; d < dims; d++ {
+			if eb[d] > rmin[d] || eb[dims+d] < rmax[d] {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			m |= 1 << uint(i)
+		}
+	}
+	return m
+}
+
 // CheckCols verifies the columnar mirror against the entry slice: every
 // column of every mirrored entry must agree with the entry it mirrors.
 // A nil (absent or stale) mirror passes — readers treat it as absent —

@@ -92,7 +92,7 @@ func TestColsMatch64AgainstIsPrefixOf(t *testing.T) {
 	}
 }
 
-func TestColsIntersectWithinAgainstBrickTests(t *testing.T) {
+func TestColsIntersectWithinCoverAgainstBrickTests(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, dims := range []int{1, 2, 3} {
 		for trial := 0; trial < 50; trial++ {
@@ -101,12 +101,26 @@ func TestColsIntersectWithinAgainstBrickTests(t *testing.T) {
 			c := n.Cols()
 			for q := 0; q < 8; q++ {
 				rect := randRect(rng, dims)
-				if q == 0 {
+				switch {
+				case q == 0:
 					rect = geometry.UniverseRect(dims) // containment-heavy case
+				case q < 4 && len(n.Entries) > 0:
+					// Cover-heavy cases: a random entry's brick itself, then
+					// one of its corners as a point window, then the brick
+					// grown by one on a side (must stop covering) — Cover64
+					// is inclusive on both ends.
+					rect = region.Brick(n.Entries[rng.Intn(len(n.Entries))].Key, dims)
+					if q == 2 {
+						rect.Min = rect.Max.Clone()
+					}
+					if d := rng.Intn(dims); q == 3 && rect.Max[d] != ^uint64(0) {
+						rect.Max[d]++
+					}
 				}
 				for base := 0; base < len(n.Entries); base += 64 {
 					m := c.Intersect64(rect, base)
 					fm := c.Within64(rect, base, m)
+					cm := c.Cover64(rect, base, m)
 					hi := base + 64
 					if hi > len(n.Entries) {
 						hi = len(n.Entries)
@@ -122,6 +136,11 @@ func TestColsIntersectWithinAgainstBrickTests(t *testing.T) {
 						if got := fm&bit != 0; got != wantW {
 							t.Fatalf("dims=%d entry %d: Within64=%v BrickWithin=%v (key %v rect %v)",
 								dims, i, got, wantW, n.Entries[i].Key, rect)
+						}
+						wantC := region.Brick(n.Entries[i].Key, dims).ContainsRect(rect)
+						if got := cm&bit != 0; got != wantC {
+							t.Fatalf("dims=%d entry %d: Cover64=%v, brick contains rect=%v (key %v rect %v)",
+								dims, i, got, wantC, n.Entries[i].Key, rect)
 						}
 					}
 				}

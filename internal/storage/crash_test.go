@@ -248,3 +248,23 @@ func TestFreeListCorruptionDetected(t *testing.T) {
 		t.Fatalf("open with corrupt free list err = %v, want storage.ErrCorrupt", err)
 	}
 }
+
+// TestPoisonedErrorKeepsCause pins the error chain of a poisoned store:
+// every refusal after a failed Sync must match both ErrPoisoned and the
+// failure that poisoned it, so callers (and the background checkpointer's
+// crash sweep) can tell an injected fault from any other cause.
+func TestPoisonedErrorKeepsCause(t *testing.T) {
+	st, ffs, ids, _, _ := crashScenario(t, t.TempDir(), fault.Plan{})
+	defer ffs.CloseAll()
+	ffs.SetPlan(fault.Plan{InjectAt: ffs.Ops() + 1, Mode: fault.ModeError})
+	cause := st.Sync()
+	if !errors.Is(cause, fault.ErrInjected) {
+		t.Fatalf("sync err = %v, want the injected fault", cause)
+	}
+	_, rerr := st.ReadNode(ids[0])
+	for what, err := range map[string]error{"read": rerr, "write": st.WriteNode(ids[0], []byte{1}), "close": st.Close()} {
+		if !errors.Is(err, storage.ErrPoisoned) || !errors.Is(err, cause) {
+			t.Fatalf("%s on poisoned store: err = %v, want ErrPoisoned wrapping %v", what, err, cause)
+		}
+	}
+}

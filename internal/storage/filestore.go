@@ -319,7 +319,7 @@ func (s *FileStore) usable() error {
 	p := s.poisoned
 	s.stateMu.Unlock()
 	if p != nil {
-		return fmt.Errorf("%w: %v", ErrPoisoned, p)
+		return fmt.Errorf("%w: %w", ErrPoisoned, p)
 	}
 	return nil
 }
@@ -952,7 +952,7 @@ func (s *FileStore) Close() error {
 		if s.jf != nil {
 			s.jf.Close()
 		}
-		return fmt.Errorf("%w: %v", ErrPoisoned, poisoned)
+		return fmt.Errorf("%w: %w", ErrPoisoned, poisoned)
 	}
 	err := s.syncLocked()
 	cerr := s.f.Close()
