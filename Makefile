@@ -26,12 +26,17 @@ GO ?= go
 # ../`), which `go test ./...` at the root silently skips, so its tests
 # run as a separate step: they hold the harness's own checks that a
 # Lookup on point-hot and point-cold touches exactly height+1 nodes.
+# The default range worker count is GOMAXPROCS, so which way the range
+# walker is driven (inline, spin-up, pool) in a test that does not pin
+# it depends on the host: the traversal tests run again at GOMAXPROCS=1
+# and 8.
 verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
 	cd benchmark && $(GO) test ./...
 	$(GO) run ./cmd/docslint
+	for p in 1 8; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestParallelRange|TestRange|TestColumnarPruned|TestScanAndCount|TestPartialMatch' ./internal/bvtree || exit 1; done
 	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestBuffered|TestColumnar|TestShard' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard
 
 # Full suite under the race detector, including the reader/writer stress
@@ -64,8 +69,8 @@ bench:
 bench-write:
 	$(GO) run ./cmd/bvbench -writepath
 
-# Range-query engine: serial walk vs the parallel engine at several
-# worker counts across query selectivities, on a file-backed 500k-point
+# Range-query engine: the walker inline (workers=1) vs on the pool at
+# several worker counts across query selectivities, on a file-backed 500k-point
 # tree; regenerates BENCH_rangequery.json. Rows where workers exceed
 # GOMAXPROCS are flagged [saturated]. See DESIGN.md §11.
 bench-range:

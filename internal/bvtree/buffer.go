@@ -614,7 +614,7 @@ func (ov *bufOverlay) mergeLookup(p geometry.Point, out []uint64) []uint64 {
 func (t *Tree) rangeQueryOverlay(ov *bufOverlay, rect geometry.Rect, visit Visitor, workers int) error {
 	sup := ov.suppression()
 	stopped := false
-	err := t.rangeQueryRaw(rect, func(p geometry.Point, payload uint64) bool {
+	_, err := t.rangeRaw(rect, func(p geometry.Point, payload uint64) bool {
 		if sup != nil {
 			k := bufKey(p, payload)
 			if sup[k] > 0 {

@@ -1,12 +1,14 @@
 package bvtree
 
-// Differential and stress coverage for the parallel range-query engine.
-// The serial walk (workers=1) is the reference implementation; every
-// backend's engine results are compared against it and against a linear
-// scan of the inserted points. TestParallelRange* is part of the `make
-// verify` race smoke together with TestConcurrent*, so the visitor
-// single-threading claim below is checked by the race detector, not just
-// by assertion: the visitors mutate plain ints.
+// Differential and stress coverage for the range-traversal core
+// (parallel.go): one walker, run inline (workers=1), through the spin-up
+// expansion, and on the engine's pool. Every backend's results at every
+// worker count are compared against a linear scan of the inserted points
+// — the walker is the same code at workers=1, so it is no reference for
+// itself. TestParallelRange* is part of the `make verify` race smoke
+// together with TestConcurrent*, so the visitor single-threading claim
+// below is checked by the race detector, not just by assertion: the
+// visitors mutate plain ints.
 
 import (
 	"errors"
@@ -174,8 +176,9 @@ func TestParallelRangeDifferential(t *testing.T) {
 }
 
 // TestParallelRangeEarlyStop: a visitor returning false stops the query
-// with a nil error and no further visits, even with the pool saturated
-// with in-flight batches.
+// with a nil error and no further visits — inline in the middle of a
+// page (on paged-file, of a blob-decoded one), and with the pool
+// saturated with in-flight batches.
 func TestParallelRangeEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	pts := make([]geometry.Point, 6000)
@@ -183,37 +186,40 @@ func TestParallelRangeEarlyStop(t *testing.T) {
 		pts[i] = randPoint(rng, 2)
 	}
 	rangeBackends(t, pts, Options{Dims: 2, DataCapacity: 8, Fanout: 8}, func(t *testing.T, tr *Tree) {
-		for _, limit := range []int{1, 10, 500} {
-			visits := 0
-			stopped := false
-			err := tr.RangeQueryWorkers(geometry.UniverseRect(2), func(geometry.Point, uint64) bool {
-				if stopped {
-					t.Fatal("visit after the visitor returned false")
+		for _, workers := range []int{1, 2, 8} {
+			for _, limit := range []int{1, 10, 500} {
+				visits := 0
+				stopped := false
+				err := tr.RangeQueryWorkers(geometry.UniverseRect(2), func(geometry.Point, uint64) bool {
+					if stopped {
+						t.Fatal("visit after the visitor returned false")
+					}
+					visits++
+					if visits >= limit {
+						stopped = true
+						return false
+					}
+					return true
+				}, workers)
+				if err != nil {
+					t.Fatalf("workers %d limit %d: early stop returned %v", workers, limit, err)
 				}
-				visits++
-				if visits >= limit {
-					stopped = true
-					return false
+				if visits != limit {
+					t.Fatalf("workers %d limit %d: visited %d", workers, limit, visits)
 				}
-				return true
-			}, 8)
-			if err != nil {
-				t.Fatalf("limit %d: early stop returned %v", limit, err)
-			}
-			if visits != limit {
-				t.Fatalf("limit %d: visited %d", limit, visits)
 			}
 		}
 	})
 }
 
-// TestParallelRangeErrorCancels: the first read error surfaces to the
-// caller and cancels the query — the engine joins all workers and
-// returns instead of hanging or panicking.
+// TestParallelRangeErrorCancels: a read error in the middle of a scan
+// surfaces to the caller, for visit and count alike — from the inline
+// walker, and from the engine, which joins all workers and returns
+// instead of hanging or panicking. Each run reopens the tree cold over a
+// fault store that trips a few dozen reads in.
 func TestParallelRangeErrorCancels(t *testing.T) {
 	inner := storage.NewMemStore()
-	fs := fault.NewStore(inner, 0)
-	tr, err := NewPaged(fs, Options{Dims: 2, DataCapacity: 8, Fanout: 8, CacheNodes: 16})
+	tr, err := NewPaged(inner, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,31 +229,36 @@ func TestParallelRangeErrorCancels(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Drop the decoded cache so the query must hit the (armed) store.
-	tr.endOp()
-	for i := range tr.paged.shards {
-		sh := &tr.paged.shards[i]
-		sh.mu.Lock()
-		for id := range sh.nodes {
-			delete(sh.nodes, id)
-			tr.paged.size.Add(-1)
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		for _, counting := range []bool{false, true} {
+			fs := fault.NewStore(inner, 40)
+			cold, err := OpenPaged(fs, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			visits := 0
+			if counting {
+				_, err = cold.CountWorkers(geometry.UniverseRect(2), workers)
+			} else {
+				err = cold.RangeQueryWorkers(geometry.UniverseRect(2), func(geometry.Point, uint64) bool { visits++; return true }, workers)
+			}
+			if !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("workers %d counting %v: query over tripped store returned %v", workers, counting, err)
+			}
+			if workers == 1 && !counting && visits == 0 {
+				t.Fatal("the store tripped before the inline walker delivered anything: not a mid-scan fault")
+			}
 		}
-		sh.mu.Unlock()
-	}
-	fs.Arm()
-	err = tr.RangeQueryWorkers(geometry.UniverseRect(2), func(geometry.Point, uint64) bool { return true }, 8)
-	if !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("parallel query over tripped store returned %v", err)
-	}
-	if _, err := tr.CountWorkers(geometry.UniverseRect(2), 8); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("parallel count over tripped store returned %v", err)
 	}
 }
 
-// TestParallelRangeCountMatches: Count's count-only traversal (serial
-// and engine) agrees with counting through RangeQuery on random
-// workloads and rectangles — the satellite acceptance test for the count
-// fast path.
+// TestParallelRangeCountMatches: Count's count-only sink (inline and
+// engine) agrees with a linear scan of the points on random workloads
+// and rectangles — RangeQuery shares the walker with Count, so it is no
+// oracle for it.
 func TestParallelRangeCountMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	pts := make([]geometry.Point, 5000)
@@ -258,8 +269,10 @@ func TestParallelRangeCountMatches(t *testing.T) {
 		for trial := 0; trial < 30; trial++ {
 			rect := randRect(rng, 2)
 			want := 0
-			if err := tr.RangeQueryWorkers(rect, func(geometry.Point, uint64) bool { want++; return true }, 1); err != nil {
-				t.Fatal(err)
+			for _, p := range pts {
+				if rect.Contains(p) {
+					want++
+				}
 			}
 			for _, workers := range []int{1, 4} {
 				got, err := tr.CountWorkers(rect, workers)
@@ -267,7 +280,7 @@ func TestParallelRangeCountMatches(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got != want {
-					t.Fatalf("trial %d workers %d: Count %d, RangeQuery %d", trial, workers, got, want)
+					t.Fatalf("trial %d workers %d: Count %d, linear scan %d", trial, workers, got, want)
 				}
 			}
 		}
@@ -282,8 +295,8 @@ func TestParallelRangeCountMatches(t *testing.T) {
 // window asked for at two workers must never build an engine, and must
 // cost what the same point's Lookup costs — through the public calls
 // (which engineWorthwhile keeps off the expansion path altogether) and
-// through parallelRange's breadth-first expansion entered directly, so
-// the claim does not rest on that gate.
+// through walkRange's spin-up expansion entered directly, so the claim
+// does not rest on that gate.
 func TestParallelRangeOneItemWindowSkipsEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	pts := make([]geometry.Point, 6000)
@@ -309,8 +322,9 @@ func TestParallelRangeOneItemWindowSkipsEngine(t *testing.T) {
 					return n, tr.RangeQueryWorkers(rect, func(geometry.Point, uint64) bool { n++; return true }, 2)
 				},
 				"CountWorkers": func() (int, error) { return tr.CountWorkers(rect, 2) },
-				"parallelRange": func() (n int, err error) {
-					return n, v.parallelRange(rect, func(geometry.Point, uint64) bool { n++; return true }, 2)
+				"walkRange": func() (n int, err error) {
+					_, err = v.walkRange(rect, func(geometry.Point, uint64) bool { n++; return true }, 2, spinUpFanout(2))
+					return n, err
 				},
 			}
 			for name, run := range runs {
@@ -332,6 +346,131 @@ func TestParallelRangeOneItemWindowSkipsEngine(t *testing.T) {
 			t.Fatalf("one-item windows at two workers ran %d engine tasks", got-tasks)
 		}
 	})
+}
+
+// TestParallelRangeCountersAgree: the traversal counters mean one thing.
+// A mixed set of windows (universe, half-space, point-like) over a
+// reopened — hence cold, blob-served — paged tree must move
+// RangeFullPages, RangeBatchPages and NodeAccesses by the same amounts
+// whether it is visited or counted, inline or at two workers.
+func TestParallelRangeCountersAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	pts := make([]geometry.Point, 6000)
+	for i := range pts {
+		pts[i] = clusteredPoint(rng, 2)
+	}
+	st := storage.NewMemStore()
+	tr, err := NewPaged(st, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		if err := tr.Insert(p, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	half := geometry.UniverseRect(2)
+	half.Max[0] = 1 << 63
+	windows := []geometry.Rect{geometry.UniverseRect(2), half}
+	for i := 0; i < 20; i++ {
+		windows = append(windows, geometry.Rect{Min: pts[i*37], Max: pts[i*37]})
+	}
+	type delta struct{ full, batch, nodes uint64 }
+	var first delta
+	for _, workers := range []int{1, 2} {
+		for _, counting := range []bool{false, true} {
+			cold, err := OpenPaged(st, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rect := range windows {
+				if counting {
+					_, err = cold.CountWorkers(rect, workers)
+				} else {
+					err = cold.RangeQueryWorkers(rect, func(geometry.Point, uint64) bool { return true }, workers)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := cold.Stats()
+			got := delta{s.RangeFullPages, s.RangeBatchPages, s.NodeAccesses}
+			if got.full == 0 || got.batch == 0 {
+				t.Fatalf("workers %d counting %v: %+v — the universe scan found no full page, or nothing was batch-read", workers, counting, got)
+			}
+			if workers == 2 && s.RangeTasks == 0 {
+				t.Fatal("the engine never engaged at two workers")
+			}
+			if first == (delta{}) {
+				first = got
+			} else if got != first {
+				t.Fatalf("workers %d counting %v moved the counters by %+v, workers 1 visiting by %+v", workers, counting, got, first)
+			}
+		}
+	}
+}
+
+// TestParallelRangeRejectsMalformedRect: a rectangle whose Min or Max
+// does not have the tree's dimensionality is an error — not a panic — at
+// every entry, with and without a write-buffer overlay; an inverted one
+// (Min > Max in some dimension) holds nothing, says so without error and
+// never engages the pool.
+func TestParallelRangeRejectsMalformedRect(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for _, bufferOps := range []int{0, 64} {
+		tr, err := New(Options{Dims: 2, DataCapacity: 8, Fanout: 8, BufferOps: bufferOps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3000; i++ {
+			if err := tr.Insert(randPoint(rng, 2), uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := tr.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		visit := func(geometry.Point, uint64) bool { t.Fatal("visited an item of a malformed rect"); return false }
+		calls := map[string]func(geometry.Rect) error{
+			"RangeQuery":          func(r geometry.Rect) error { return tr.RangeQuery(r, visit) },
+			"RangeQueryWorkers/8": func(r geometry.Rect) error { return tr.RangeQueryWorkers(r, visit, 8) },
+			"Count":               func(r geometry.Rect) error { _, err := tr.Count(r); return err },
+			"CountWorkers/8":      func(r geometry.Rect) error { _, err := tr.CountWorkers(r, 8); return err },
+			"Snapshot.RangeQuery": func(r geometry.Rect) error { return snap.RangeQuery(r, visit) },
+			"Snapshot.Count":      func(r geometry.Rect) error { _, err := snap.Count(r); return err },
+		}
+		// Unsigned, Max-Min of the inverted dimension wraps to nearly the
+		// whole axis: a volume estimate would call this window huge.
+		max := ^uint64(0)
+		inverted := geometry.Rect{Min: geometry.Point{max, 0}, Max: geometry.Point{0, max}}
+		for name, call := range calls {
+			for _, r := range []geometry.Rect{
+				{Min: geometry.Point{1, 2}, Max: geometry.Point{3}},
+				{Min: geometry.Point{1}, Max: geometry.Point{3, 4}},
+				{Min: geometry.Point{1, 2, 3}, Max: geometry.Point{4, 5, 6}},
+				{},
+			} {
+				if err := call(r); !errors.Is(err, errRectDims) {
+					t.Fatalf("bufferOps %d: %s(%v) returned %v, want errRectDims", bufferOps, name, r, err)
+				}
+			}
+			tasks := tr.Stats().RangeTasks
+			if err := call(inverted); err != nil {
+				t.Fatalf("bufferOps %d: %s on an inverted rect returned %v", bufferOps, name, err)
+			}
+			if got := tr.Stats().RangeTasks; got != tasks {
+				t.Fatalf("bufferOps %d: %s on an inverted rect ran %d engine tasks", bufferOps, name, got-tasks)
+			}
+		}
+		if n, err := tr.Count(inverted); n != 0 || err != nil {
+			t.Fatalf("Count of an inverted rect = %d, %v", n, err)
+		}
+		snap.Release()
+	}
 }
 
 // TestConcurrentRangeQueries joins parallel range queries (the engine's

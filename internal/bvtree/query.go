@@ -1,6 +1,7 @@
 package bvtree
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -40,8 +41,9 @@ func (t *Tree) RangeQuery(rect geometry.Rect, visit Visitor) error {
 }
 
 // RangeQueryWorkers is RangeQuery with a per-query worker override:
-// 0 uses the tree's default (Options.RangeWorkers), 1 forces the serial
-// reference walk, n > 1 caps the engine's pool at n workers.
+// 0 uses the tree's default (Options.RangeWorkers), 1 runs the whole
+// traversal inline on the caller's goroutine, n > 1 caps the engine's
+// pool at n workers.
 //
 // The query pins the current epoch and traverses an immutable view, so
 // the tree lock is released before the first node is visited: a slow
@@ -95,47 +97,60 @@ func (t *Tree) rangeQueryLocked(rect geometry.Rect, visit Visitor, workers int) 
 	if ov := t.bov; ov != nil {
 		return t.rangeQueryOverlay(ov, rect, visit, workers)
 	}
-	return t.rangeQueryRaw(rect, visit, workers)
+	_, err := t.rangeRaw(rect, visit, workers)
+	return err
 }
 
-// rangeQueryRaw is the overlay-free traversal: workers <= 1 runs the
-// serial reference walk; otherwise the breadth-first descent engages
-// the parallel engine once the frontier shows real fan-out.
-func (t *Tree) rangeQueryRaw(rect geometry.Rect, visit Visitor, workers int) error {
-	if rect.Dims() != t.opt.Dims {
-		return fmt.Errorf("bvtree: query rect has %d dims, tree has %d", rect.Dims(), t.opt.Dims)
+// errRectDims is what every range and count query returns for a
+// rectangle whose bounds do not both have the tree's dimensionality.
+var errRectDims = errors.New("bvtree: query rect dimensions do not match the tree")
+
+// rangeRaw is the one entry of the overlay-free traversal, for range
+// queries and, with a nil visit, counts (whose result it returns). It
+// validates rect, picks how the walker is driven — inline on the
+// caller's goroutine, or through the spin-up expansion towards a worker
+// pool when the query has a worker budget and looks worth one — and
+// routes trees running Options.ScalarNodeScan to the reference walk.
+func (t *Tree) rangeRaw(rect geometry.Rect, visit Visitor, workers int) (int64, error) {
+	if len(rect.Min) != t.opt.Dims || len(rect.Max) != t.opt.Dims {
+		return 0, fmt.Errorf("%w: min has %d dims, max %d, tree %d", errRectDims, len(rect.Min), len(rect.Max), t.opt.Dims)
 	}
-	// A rect covering the whole data space (Scan, and universe-sized
-	// windows) contains every brick, so the traversal can skip geometry
-	// tests from the root down.
-	full := region.BrickWithin(region.BitString{}, t.opt.Dims, rect)
-	if t.rootLevel == 0 {
-		_, err := t.scanData(t.root, rect, visit, full)
-		return err
+	for d := range rect.Min {
+		if rect.Min[d] > rect.Max[d] {
+			return 0, nil // an inverted rect contains no point
+		}
 	}
-	if workers <= 1 || !t.engineWorthwhile(rect) {
-		_, err := t.rangeNode(t.root, rect, visit, full)
-		return err
+	if t.opt.ScalarNodeScan {
+		var n int64
+		if visit == nil {
+			visit = func(geometry.Point, uint64) bool { n++; return true }
+		}
+		_, err := t.rangeScalar(t.root, t.rootLevel, rect, visit)
+		return n, err
 	}
-	return t.parallelRange(rect, visit, workers)
+	spin := 0
+	if workers > 1 && t.engineWorthwhile(rect) {
+		spin = spinUpFanout(workers)
+	}
+	return t.walkRange(rect, visit, workers, spin)
 }
 
 // engineWorthwhile estimates how many data pages rect will touch and
-// reports whether that is enough work for the parallel engine to beat
-// the serial walk. The estimate is the classic uniform-density one:
-// rect's fraction of the universe volume times the tree's page count.
-// Point-like windows do not need it — their frontier is one subtree
-// wide and never reaches the pool
-// (TestParallelRangeOneItemWindowSkipsEngine); it is here for the
-// windows in between (measured with it removed, DESIGN.md §11): the
-// breadth-first expansion allocates its frontier and reads data pages
-// through the batched seam, 7 / 24 / 67 allocations against the serial
-// walk's 3 on windows of 1 / 33 / 513 items, and windows of a few
-// thousand items would engage a pool whose start-up and per-batch
-// delivery cost more than their scan. Skewed data can make the
-// estimate low for a hot window; the
-// failure mode is benign — the query runs serially and correctly, it
-// just forgoes parallelism.
+// reports whether that is enough work for a worker pool to repay its
+// start-up. The estimate is the classic uniform-density one: rect's
+// fraction of the universe volume times the tree's page count. Small
+// windows no longer need the gate to stay cheap: the spin-up expansion
+// is the inline walker popping from the other end of its stack — same
+// scratch, same three allocations — and a frontier that never reaches
+// spinUpFanout never builds a pool (windows of 1, 33 and 513 items
+// measured the same with the gate removed, DESIGN.md §11). It is here
+// for windows of a few thousand items, whose frontier does reach the
+// threshold and whose scan is still shorter than a pool's start-up and
+// batch delivery: with the gate removed, 4097-item windows ran 23 engine
+// tasks and 88 allocations per query and took 3.5–4.2× the inline time
+// in 15 of 15 pairs on a 2-CPU host. Skewed data can make the estimate
+// low for a hot window; the failure mode is benign — the query runs
+// inline and correctly, it just forgoes parallelism.
 func (t *Tree) engineWorthwhile(rect geometry.Rect) bool {
 	const minEnginePages = 64
 	const two64 = float64(1 << 64)
@@ -146,131 +161,46 @@ func (t *Tree) engineWorthwhile(rect geometry.Rect) bool {
 	return frac*float64(t.size) >= minEnginePages*float64(t.opt.DataCapacity)
 }
 
-// rangeNode is the serial range walk: a recursive descent with early
-// stop. Which children to visit is expandRange's decision — the
-// guard-set-pruned qualification, which also runs the unbranched part of
-// the descent itself, so a point-like window costs one call here — taken
-// into buffers on this frame's stack, so the walk allocates nothing
-// until a node qualifies more children than the buffers hold. Two cases
-// never reach it: a subtree whose brick lies inside rect (full) visits
-// every entry with no geometry test at all, and a tree running
-// Options.ScalarNodeScan tests entries one at a time by brick
-// intersection alone — unpruned, never setting full, sharing no code
-// with the qualifier — so that a ScalarNodeScan tree remains the trusted
-// reference the differential tests compare the pruned walk (and the
-// engine) against.
-// Results are identical either way; visit order is unspecified.
-func (t *Tree) rangeNode(id page.ID, rect geometry.Rect, visit Visitor, full bool) (bool, error) {
-	if full || t.opt.ScalarNodeScan {
-		n, err := t.fetchIndex(id)
+// rangeScalar is the reference walk, and the whole traversal of a tree
+// running Options.ScalarNodeScan at any worker count: a recursive
+// descent that tests entries one at a time by brick intersection alone
+// and items one at a time by Rect.Contains — unpruned, never marking a
+// subtree full, sharing no code with the qualifier, the walker or the
+// batched masks — so that such a tree, with the linear-scan oracles,
+// remains the trusted reference the differential tests compare the
+// walker against. Results are identical either way; visit order is
+// unspecified.
+func (t *Tree) rangeScalar(id page.ID, level int, rect geometry.Rect, visit Visitor) (bool, error) {
+	if level == 0 {
+		dp, err := t.fetchData(id)
 		if err != nil {
 			return false, err
 		}
-		// Iterating the node in place is safe on a pinned view: a node the
-		// pin can still observe is never mutated — the first write to it
-		// captures it into its version chain and mutates a clone — and cache
-		// eviction only drops map references, never touches node objects.
-		for i := range n.Entries {
-			e := &n.Entries[i]
-			if !full && !region.BrickIntersects(e.Key, t.opt.Dims, rect) {
-				continue
-			}
-			cont, err := t.rangeChild(e.Child, e.Level, rect, visit, full)
-			if err != nil || !cont {
-				return cont, err
-			}
-		}
-		return true, nil
-	}
-	var (
-		idBuf   [rangeNodeBuf]page.ID
-		fullBuf [rangeNodeBuf]bool
-		idxBuf  [rangeNodeBuf]rangeTask
-	)
-	dataIDs, dataFull, idx, err := t.expandRange(rangeTask{id: id}, rect, idBuf[:0], fullBuf[:0], idxBuf[:0])
-	if err != nil {
-		return false, err
-	}
-	for i, d := range dataIDs {
-		cont, err := t.scanData(d, rect, visit, dataFull[i])
-		if err != nil || !cont {
-			return cont, err
-		}
-	}
-	for _, k := range idx {
-		cont, err := t.rangeNode(k.id, rect, visit, k.full)
-		if err != nil || !cont {
-			return cont, err
-		}
-	}
-	return true, nil
-}
-
-// rangeNodeBuf sizes rangeNode's on-stack child buffers: twice the
-// default fan-out, so only nodes of a wider-than-default tree that
-// qualify almost every child spill to the heap.
-const rangeNodeBuf = 32
-
-// rangeChild dispatches one entry of rangeNode's in-place iteration.
-func (t *Tree) rangeChild(id page.ID, level int, rect geometry.Rect, visit Visitor, full bool) (bool, error) {
-	if level == 0 {
-		return t.scanData(id, rect, visit, full)
-	}
-	return t.rangeNode(id, rect, visit, full)
-}
-
-func (t *Tree) scanData(id page.ID, rect geometry.Rect, visit Visitor, full bool) (bool, error) {
-	dp, err := t.fetchData(id)
-	if err != nil {
-		return false, err
-	}
-	return t.scanDataPage(dp, rect, visit, full)
-}
-
-// scanDataPage emits a decoded page's matching items in item order: one
-// batched ContainMask64 pass per 64 items when the page carries a fresh
-// coordinate mirror, the per-item Rect.Contains test otherwise (stale
-// mirror, full pages, or Options.ScalarNodeScan).
-func (t *Tree) scanDataPage(dp *page.DataPage, rect geometry.Rect, visit Visitor, full bool) (bool, error) {
-	if c := dp.DCols(); !full && c != nil && !t.opt.ScalarNodeScan {
-		t.stats.BatchTests.Inc()
-		for base := 0; base < c.Len(); base += 64 {
-			for m := c.ContainMask64(rect, base); m != 0; m &= m - 1 {
-				it := &dp.Items[base+bits.TrailingZeros64(m)]
-				if !visit(it.Point, it.Payload) {
-					return false, nil
-				}
-			}
-		}
-		return true, nil
-	}
-	for _, it := range dp.Items {
-		if full || rect.Contains(it.Point) {
-			if !visit(it.Point, it.Payload) {
+		for _, it := range dp.Items {
+			if rect.Contains(it.Point) && !visit(it.Point, it.Payload) {
 				return false, nil
 			}
 		}
+		return true, nil
+	}
+	n, err := t.fetchIndex(id)
+	if err != nil {
+		return false, err
+	}
+	// Iterating the node in place is safe on a pinned view: a node the
+	// pin can still observe is never mutated — the first write to it
+	// captures it into its version chain and mutates a clone — and cache
+	// eviction only drops map references, never touches node objects.
+	for i := range n.Entries {
+		e := &n.Entries[i]
+		if !region.BrickIntersects(e.Key, t.opt.Dims, rect) {
+			continue
+		}
+		if cont, err := t.rangeScalar(e.Child, e.Level, rect, visit); err != nil || !cont {
+			return cont, err
+		}
 	}
 	return true, nil
-}
-
-// countDataPage is scanDataPage's count-only twin (full pages are
-// counted by the caller without touching items).
-func (t *Tree) countDataPage(dp *page.DataPage, rect geometry.Rect) int64 {
-	total := int64(0)
-	if c := dp.DCols(); c != nil && !t.opt.ScalarNodeScan {
-		t.stats.BatchTests.Inc()
-		for base := 0; base < c.Len(); base += 64 {
-			total += int64(bits.OnesCount64(c.ContainMask64(rect, base)))
-		}
-		return total
-	}
-	for _, it := range dp.Items {
-		if rect.Contains(it.Point) {
-			total++
-		}
-	}
-	return total
 }
 
 // qualifyRange reports whether an entry's subtree can hold matches and
@@ -284,8 +214,8 @@ func qualifyRange(en *page.Entry, parentFull bool, dims int, rect geometry.Rect)
 		return true, true
 	}
 	// Intersection first: most entries of most nodes fail it, and paying
-	// the containment test only for the few that pass keeps this exactly
-	// as cheap as the serial walk's single test on the reject path.
+	// the containment test only for the few that pass keeps the reject
+	// path at a single test.
 	if !region.BrickIntersects(en.Key, dims, rect) {
 		return false, false
 	}
@@ -358,8 +288,7 @@ func (s *rangeGuardSet) take(level int32) (rangeGuard, bool) {
 
 // appendRangeChild appends one child a range descent must visit next:
 // a data page (with its containment flag) to dataIDs/dataFull, an index
-// subtree to idx. The slices travel by value, not behind a struct
-// pointer, so that callers' stack-backed buffers stay on the stack.
+// subtree to idx.
 func appendRangeChild(dataIDs []page.ID, dataFull []bool, idx []rangeTask,
 	id page.ID, level int, full bool) ([]page.ID, []bool, []rangeTask) {
 	if level == 0 {
@@ -368,15 +297,13 @@ func appendRangeChild(dataIDs []page.ID, dataFull []bool, idx []rangeTask,
 	return dataIDs, dataFull, append(idx, rangeTask{id: id, full: full})
 }
 
-// expandRange is how every range traversal finds the children to visit
-// below an index node: the serial walks (rangeNode, countNode), the
-// breadth-first expansions of parallelRange and countRaw and the
-// engine's runTask all call it. It descends from task for as long as
-// qualifyNode reports that the walk has not branched, carrying the guard
-// set from node to node on its own stack, and returns dataIDs/dataFull
-// and idx extended by what must be visited next — data pages and index
-// subtrees. Appending to idx is stack-friendly: callers may treat idx
-// as a shared stack and truncate back to their own watermark.
+// expandRange is how the range walker finds the children to visit below
+// an index node (rangeWalker.step, its one caller, serves every range
+// and count traversal at every worker count). It descends from task for
+// as long as qualifyNode reports that the walk has not branched,
+// carrying the guard set from node to node on its own stack, and returns
+// dataIDs/dataFull and idx — the walker's stack of pending subtrees —
+// extended by what must be visited next: data pages and index subtrees.
 func (t *Tree) expandRange(task rangeTask, rect geometry.Rect,
 	dataIDs []page.ID, dataFull []bool, idx []rangeTask) ([]page.ID, []bool, []rangeTask, error) {
 	var gs rangeGuardSet
@@ -429,15 +356,13 @@ func (t *Tree) expandRange(task rangeTask, rect geometry.Rect,
 // For a point-like window every candidate covers, so this is the
 // exact-match descent and costs height+1 nodes; for a window wider than
 // the bricks it meets, nothing covers and it is the plain fan-out.
-// Nodes without a fresh columnar mirror, trees running
-// Options.ScalarNodeScan and subtrees already inside the window
-// (parentFull) take the unpruned per-entry test instead — sound, since
-// pruning only ever skips work — which keeps a ScalarNodeScan tree the
-// reference the pruned walk is checked against.
+// Nodes without a fresh columnar mirror and subtrees already inside the
+// window (parentFull) take the unpruned per-entry test instead — sound,
+// since pruning only ever skips work.
 func (t *Tree) qualifyNode(n *page.IndexNode, parentFull bool, rect geometry.Rect, gs *rangeGuardSet,
 	dataIDs []page.ID, dataFull []bool, idx []rangeTask) (_ []page.ID, _ []bool, _ []rangeTask, next page.ID, more bool) {
 	c := n.Cols()
-	if parentFull || c == nil || t.opt.ScalarNodeScan {
+	if parentFull || c == nil {
 		for i := range n.Entries {
 			en := &n.Entries[i]
 			if q, f := qualifyRange(en, parentFull, t.opt.Dims, rect); q {
@@ -473,109 +398,6 @@ func (t *Tree) qualifyNode(n *page.IndexNode, parentFull bool, rect geometry.Rec
 	}
 	gs.n = 0
 	return dataIDs, dataFull, idx, page.Nil, false
-}
-
-// parallelRange is the engine-path descent. It expands the tree
-// breadth-first on the calling goroutine — one expandRange call per
-// frontier subtree, scanning qualifying data pages as they surface,
-// through the batched read seam — until the frontier of qualifying index
-// subtrees reaches spinUpFanout(workers), and only then hands the
-// frontier to the worker pool as seeds. Queries without that much
-// independent work complete during the expansion and never pay pool
-// startup; a point-like window is the limiting case, its frontier one
-// subtree wide all the way down.
-func (t *Tree) parallelRange(rect geometry.Rect, visit Visitor, workers int) error {
-	frontier := []rangeTask{{id: t.root}}
-	var dataIDs []page.ID
-	var dataFull []bool
-	// The spin-up condition demands breadth explosion, not mere frontier
-	// size: requiring the frontier to outgrow the pop count admits only
-	// windows that multiply their frontier as they descend. A window just
-	// past engineWorthwhile's floor meets about as many level-1 subtrees
-	// as the base threshold, each a handful of pages — seeds too small to
-	// repay a pool (measured with the clause removed: DESIGN.md §11).
-	for pops := 0; len(frontier) > 0 && len(frontier) < spinUpFanout(workers)+pops; pops++ {
-		task := frontier[0]
-		frontier = frontier[:copy(frontier, frontier[1:])]
-		var err error
-		dataIDs, dataFull, frontier, err = t.expandRange(task, rect, dataIDs[:0], dataFull[:0], frontier)
-		if err != nil {
-			return err
-		}
-		if len(dataIDs) > 0 {
-			cont, err := t.scanDataSet(dataIDs, dataFull, rect, visit)
-			if err != nil || !cont {
-				return err
-			}
-		}
-	}
-	if len(frontier) == 0 {
-		return nil
-	}
-	e := newRangeEngine(t, rect, workers, false)
-	return e.run(frontier, visit)
-}
-
-// scanDataSet scans a set of qualifying data pages serially through the
-// batched read seam: one coalesced fetch for the cold pages, streaming
-// decode outside the decoded-node cache, and no per-point containment
-// test for pages whose brick lies inside rect.
-func (t *Tree) scanDataSet(ids []page.ID, full []bool, rect geometry.Rect, visit Visitor) (bool, error) {
-	pn := t.bsrc
-	if pn == nil {
-		for i, id := range ids {
-			dp, err := t.fetchData(id)
-			if err != nil {
-				return false, err
-			}
-			if full[i] {
-				t.stats.RangeFullPages.Inc()
-			}
-			cont, err := t.scanDataPage(dp, rect, visit, full[i])
-			if err != nil || !cont {
-				return cont, err
-			}
-		}
-		return true, nil
-	}
-	pages, blobs, miss, err := pn.dataBatch(ids, nil, nil, nil)
-	if err != nil {
-		return false, err
-	}
-	if len(miss) > 0 {
-		t.stats.RangeBatchPages.Add(uint64(len(miss)))
-	}
-	// Blob pages decode into one coordinate arena local to this call —
-	// never reused afterwards, so visitors may retain points, which the
-	// cache-admission path also permits (arena growth orphans rather than
-	// overwrites earlier backings; see page.AppendDataItems).
-	var coords []uint64
-	for i := range ids {
-		t.stats.NodeAccesses.Inc()
-		if full[i] {
-			t.stats.RangeFullPages.Inc()
-		}
-		if dp := pages[i]; dp != nil {
-			cont, err := t.scanDataPage(dp, rect, visit, full[i])
-			if err != nil || !cont {
-				return cont, err
-			}
-			continue
-		}
-		var items []page.Item
-		items, coords, err = page.AppendDataItems(blobs[i], nil, coords)
-		if err != nil {
-			return false, err
-		}
-		for j := range items {
-			if full[i] || rect.Contains(items[j].Point) {
-				if !visit(items[j].Point, items[j].Payload) {
-					return false, nil
-				}
-			}
-		}
-	}
-	return true, nil
 }
 
 // PartialMatch answers a partial-match query: values[i] constrains
@@ -636,177 +458,13 @@ func (t *Tree) CountWorkers(rect geometry.Rect, workers int) (int, error) {
 	return int(n), err
 }
 
-// countScratch is the reusable state of the serial count walk.
-type countScratch struct {
-	dataIDs  []page.ID
-	dataFull []bool
-	// idx is the shared subtree stack of the recursive count walk: each
-	// countNode invocation appends its qualifying index children, then
-	// truncates back to its entry watermark (values survive deeper
-	// appends — see countNode).
-	idx    []rangeTask
-	pages  []*page.DataPage
-	blobs  [][]byte
-	miss   []page.ID
-	items  []page.Item
-	coords []uint64
-}
-
 // countLocked is the count body (shared lock held). On a view with a
 // buffered-write overlay the raw count is corrected by the overlay's
 // exact delta (capped deletes make it exact; see buffer.go).
 func (t *Tree) countLocked(rect geometry.Rect, workers int) (int64, error) {
-	if ov := t.bov; ov != nil {
-		n, err := t.countRaw(rect, workers)
-		if err != nil {
-			return 0, err
-		}
-		return n + ov.countDelta(rect), nil
+	n, err := t.rangeRaw(rect, nil, workers)
+	if ov := t.bov; ov != nil && err == nil {
+		n += ov.countDelta(rect)
 	}
-	return t.countRaw(rect, workers)
-}
-
-// countRaw is the overlay-free count traversal.
-func (t *Tree) countRaw(rect geometry.Rect, workers int) (int64, error) {
-	if rect.Dims() != t.opt.Dims {
-		return 0, fmt.Errorf("bvtree: query rect has %d dims, tree has %d", rect.Dims(), t.opt.Dims)
-	}
-	var cs countScratch
-	if t.rootLevel == 0 {
-		full := region.BrickWithin(region.BitString{}, t.opt.Dims, rect)
-		return t.countDataSet([]page.ID{t.root}, []bool{full}, rect, &cs)
-	}
-	if workers <= 1 || !t.engineWorthwhile(rect) {
-		return t.countNode(t.root, false, rect, &cs)
-	}
-	// The same breadth-first expansion as parallelRange (including the
-	// breadth-explosion spin-up condition), in counting mode.
-	frontier := []rangeTask{{id: t.root}}
-	total := int64(0)
-	for pops := 0; len(frontier) > 0 && len(frontier) < spinUpFanout(workers)+pops; pops++ {
-		task := frontier[0]
-		frontier = frontier[:copy(frontier, frontier[1:])]
-		var err error
-		cs.dataIDs, cs.dataFull, frontier, err = t.expandRange(task, rect, cs.dataIDs[:0], cs.dataFull[:0], frontier)
-		if err != nil {
-			return 0, err
-		}
-		if len(cs.dataIDs) > 0 {
-			sub, err := t.countDataSet(cs.dataIDs, cs.dataFull, rect, &cs)
-			if err != nil {
-				return 0, err
-			}
-			total += sub
-		}
-	}
-	if len(frontier) == 0 {
-		return total, nil
-	}
-	e := newRangeEngine(t, rect, workers, true)
-	sub, err := e.runCount(frontier)
-	return total + sub, err
-}
-
-// countNode is the serial count-only traversal: expandRange names the
-// children to visit below id (after running the unbranched part of the
-// descent itself), the data pages among them are counted through the
-// batched read seam (a fully contained page costs one item-count
-// decode), then the index subtrees are recursed into. The data scratch is safe to share with
-// the recursion because each node finishes its data pass before
-// descending; the subtree stack is shared by watermark — this node
-// re-reads its own stack entries by index after each child returns, and
-// children always truncate back to the length they found, so deeper
-// appends (even ones that relocate the backing array) never disturb
-// the pending entries above the watermark.
-func (t *Tree) countNode(id page.ID, full bool, rect geometry.Rect, cs *countScratch) (int64, error) {
-	lo := len(cs.idx)
-	var err error
-	cs.dataIDs, cs.dataFull, cs.idx, err = t.expandRange(rangeTask{id: id, full: full}, rect, cs.dataIDs[:0], cs.dataFull[:0], cs.idx)
-	if err != nil {
-		cs.idx = cs.idx[:lo]
-		return 0, err
-	}
-	total := int64(0)
-	if len(cs.dataIDs) > 0 {
-		total, err = t.countDataSet(cs.dataIDs, cs.dataFull, rect, cs)
-		if err != nil {
-			cs.idx = cs.idx[:lo]
-			return 0, err
-		}
-	}
-	for k := lo; k < len(cs.idx); k++ {
-		task := cs.idx[k]
-		sub, err := t.countNode(task.id, task.full, rect, cs)
-		if err != nil {
-			cs.idx = cs.idx[:lo]
-			return 0, err
-		}
-		total += sub
-	}
-	cs.idx = cs.idx[:lo]
-	return total, nil
-}
-
-// countDataSet counts the matching items of a set of qualifying data
-// pages. Pages fully contained in rect are counted without a per-point
-// test; on paged trees a cold fully-contained page is not even
-// item-decoded (page.DecodeDataCount).
-func (t *Tree) countDataSet(ids []page.ID, full []bool, rect geometry.Rect, cs *countScratch) (int64, error) {
-	total := int64(0)
-	pn := t.bsrc
-	if pn == nil {
-		for i, id := range ids {
-			dp, err := t.fetchData(id)
-			if err != nil {
-				return 0, err
-			}
-			if full[i] {
-				t.stats.RangeFullPages.Inc()
-				total += int64(len(dp.Items))
-				continue
-			}
-			total += t.countDataPage(dp, rect)
-		}
-		return total, nil
-	}
-	var err error
-	cs.pages, cs.blobs, cs.miss, err = pn.dataBatch(ids, cs.pages, cs.blobs, cs.miss)
-	if err != nil {
-		return 0, err
-	}
-	if len(cs.miss) > 0 {
-		t.stats.RangeBatchPages.Add(uint64(len(cs.miss)))
-	}
-	for i := range ids {
-		t.stats.NodeAccesses.Inc()
-		if dp := cs.pages[i]; dp != nil {
-			if full[i] {
-				t.stats.RangeFullPages.Inc()
-				total += int64(len(dp.Items))
-				continue
-			}
-			total += t.countDataPage(dp, rect)
-			continue
-		}
-		if full[i] {
-			n, err := page.DecodeDataCount(cs.blobs[i])
-			if err != nil {
-				return 0, err
-			}
-			t.stats.RangeFullPages.Inc()
-			total += int64(n)
-			continue
-		}
-		cs.items, cs.coords = cs.items[:0], cs.coords[:0]
-		cs.items, cs.coords, err = page.AppendDataItems(cs.blobs[i], cs.items, cs.coords)
-		if err != nil {
-			return 0, err
-		}
-		for j := range cs.items {
-			if rect.Contains(cs.items[j].Point) {
-				total++
-			}
-		}
-	}
-	return total, nil
+	return n, err
 }

@@ -47,9 +47,9 @@ type Options struct {
 	// (default 4096); ignored by in-memory trees.
 	CacheNodes int
 	// RangeWorkers is the default worker-pool width of range queries
-	// (RangeQuery, PartialMatch, Scan, Count). 0 uses GOMAXPROCS; 1 keeps
-	// every query on the serial reference walk; n > 1 lets a query whose
-	// frontier branches fan its subtrees out to at most n workers.
+	// (RangeQuery, PartialMatch, Scan, Count). 0 uses GOMAXPROCS; 1 runs
+	// every traversal inline on its caller's goroutine; n > 1 lets a query
+	// whose frontier branches fan its subtrees out to at most n workers.
 	// Individual queries can override it (RangeQueryWorkers,
 	// CountWorkers). Negative values are rejected.
 	RangeWorkers int
@@ -69,10 +69,12 @@ type Options struct {
 	BufferOps int
 	// ScalarNodeScan disables the columnar node layout on the hot paths:
 	// entries are tested one at a time through the BitString and brick
-	// primitives, exactly as before the struct-of-arrays mirror existed.
-	// It exists as the old-vs-new baseline of bvbench -nodelayout and as
-	// the reference mode of the columnar differential tests; production
-	// trees should leave it off.
+	// primitives, exactly as before the struct-of-arrays mirror existed,
+	// and range and count queries run the unpruned recursive reference
+	// walk (rangeScalar) on the caller's goroutine whatever the worker
+	// budget. It exists as the old-vs-new baseline of bvbench -nodelayout
+	// and as the reference mode of the differential tests, which check the
+	// range walker against it; production trees should leave it off.
 	ScalarNodeScan bool
 }
 

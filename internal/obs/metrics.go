@@ -56,15 +56,16 @@ type TreeCountersSnapshot struct {
 	SoftOverflows uint64 `json:"soft_overflows"`
 	// RootGrowths counts increments of the index height.
 	RootGrowths uint64 `json:"root_growths"`
-	// RangeTasks counts subtree tasks executed by the parallel range
-	// engine (zero while queries stay on the serial walk).
+	// RangeTasks counts subtree expansions run on the range engine's
+	// worker pool (zero while every traversal stays inline on its
+	// caller's goroutine).
 	RangeTasks uint64 `json:"range_tasks"`
-	// RangeFullPages counts data pages the range engine emitted or
-	// counted through the full-containment fast path, i.e. without a
-	// per-point rectangle test.
+	// RangeFullPages counts data pages a range or count traversal — at
+	// any worker count — emitted or counted through the full-containment
+	// fast path, i.e. without a per-point rectangle test.
 	RangeFullPages uint64 `json:"range_full_pages"`
-	// RangeBatchPages counts data pages the range engine fetched through
-	// the store's batched read seam instead of point reads.
+	// RangeBatchPages counts data pages a range or count traversal read
+	// from the store through the batched read seam (cache misses only).
 	RangeBatchPages uint64 `json:"range_batch_pages"`
 	// BufferedOps counts mutations absorbed by the write buffer instead
 	// of descending immediately (zero when buffering is off).
