@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify race torture fuzz fuzz-restore fuzz-bulkload bench bench-write bench-range bench-snapshot bench-ingest bench-node bench-server backup obs docslint server
+.PHONY: verify race torture fuzz fuzz-restore fuzz-bulkload bench backup docslint server
 
 # The standard verification gate: static checks, build, full test suite
 # (including the runnable godoc examples), the documentation lint (every
@@ -17,7 +17,7 @@ GO ?= go
 # internal/bvtree: the differential programs, the crash sweeps and the
 # concurrent buffered-access stress) and the columnar node-layout smoke
 # (TestColumnar* in internal/bvtree: concurrent batched reads against a
-# writer driving gap appends and mirror rebuilds), and the sharded
+# writer driving mirror rebuilds), and the sharded
 # service (TestShard* in internal/shard: the N-shard-vs-single-tree
 # differential programs, the scatter-gather cancellation tests and the
 # multi-client wire-server stress). The docslint run covers README.md,
@@ -29,7 +29,10 @@ GO ?= go
 # The default range worker count is GOMAXPROCS, so which way the range
 # walker is driven (inline, spin-up, pool) in a test that does not pin
 # it depends on the host: the traversal tests run again at GOMAXPROCS=1
-# and 8.
+# and 8. The four system benchmarks of bench_test.go (instrumentation
+# on/off, durable write disciplines, inserts under a backup, mixed
+# parallel reads) are recorded nowhere and run on demand, so the last
+# step runs each once to keep them compiling and passing.
 verify:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -38,6 +41,7 @@ verify:
 	$(GO) run ./cmd/docslint
 	for p in 1 8; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestParallelRange|TestRange|TestColumnarPruned|TestScanAndCount|TestPartialMatch' ./internal/bvtree || exit 1; done
 	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestBuffered|TestColumnar|TestShard' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard
+	$(GO) test -run '^$$' -bench 'Instrumented|DurableInsert|UnderBackup|MixedRead' -benchtime 1x .
 
 # Full suite under the race detector, including the reader/writer stress
 # tests (TestConcurrent*) added with the parallel read path.
@@ -60,21 +64,13 @@ fuzz:
 fuzz-restore:
 	$(GO) test -run '^$$' -fuzz=FuzzRestore -fuzztime=30s ./internal/bvtree
 
+# Every Go benchmark, on demand: the paper's figures (BenchmarkFig*,
+# BenchmarkCmp*), the per-operation micro-benchmarks and the four system
+# benchmarks. For one of those add -cpu 1,2,4,8 and compare -count 10
+# runs with benchstat; EXPERIMENTS.md has the recipes. The gated
+# end-to-end benchmark is `bash benchmark/run.sh` (BENCHMARK.json).
 bench:
 	$(GO) test -bench . -benchmem ./...
-
-# Write-path throughput: durable insert rate under sync-per-op,
-# group-commit and batched disciplines (8 writers against a file-backed
-# store); regenerates BENCH_writepath.json.
-bench-write:
-	$(GO) run ./cmd/bvbench -writepath
-
-# Range-query engine: the walker inline (workers=1) vs on the pool at
-# several worker counts across query selectivities, on a file-backed 500k-point
-# tree; regenerates BENCH_rangequery.json. Rows where workers exceed
-# GOMAXPROCS are flagged [saturated]. See DESIGN.md §11.
-bench-range:
-	$(GO) run ./cmd/bvbench -rangequery
 
 # Online backup and point-in-time restore, exercised end to end: the
 # snapshot differential tests, the backup/restore round-trip and
@@ -82,48 +78,11 @@ bench-range:
 backup:
 	$(GO) test -run 'TestSnapshot|TestBackup|TestRestore|TestDurableLSN' -v ./internal/bvtree
 
-# Online-backup writer-stall cost: bursty durable ingest alone, under
-# continuous SnapshotBackup streams, and under alternating checkpoints
-# and backups (insert p50/p95/p99 per phase); regenerates
-# BENCH_snapshot.json. See DESIGN.md §12.
-bench-snapshot:
-	$(GO) run ./cmd/bvbench -snapshot -writers 4 -writer-ops 3000
-
-# Write-optimized ingestion: durable single-writer load under per-op
-# inserts, z-sorted batches, batches into a write-buffered tree, and the
-# sampling-based parallel BulkLoad; regenerates BENCH_ingest.json.
-# Parallel rows are flagged saturated when GOMAXPROCS < 2. See
-# DESIGN.md §13.
-bench-ingest:
-	$(GO) run ./cmd/bvbench -ingest
-
-# Columnar node layout: descent, range and nearest hot paths with the
-# batched column predicates live vs forced onto the pre-columnar scalar
-# scans (same in-memory tree workload, interleaved rounds, best-round
-# floors); regenerates BENCH_nodelayout.json. See DESIGN.md §14.
-bench-node:
-	$(GO) run ./cmd/bvbench -nodelayout
-
 # Coverage-guided fuzzing of the packed bulk loader: arbitrary byte-
 # derived point sets must load into a tree that passes the full
 # invariant check and scans back to exactly the input multiset.
 fuzz-bulkload:
 	$(GO) test -run '^$$' -fuzz=FuzzBulkLoad -fuzztime=30s ./internal/bvtree
-
-# Observability overhead: per-op cost of Lookup/Insert with metrics and
-# tracing off/on (budget: ≤5% per enabled op, 0 when off); regenerates
-# BENCH_obs.json. See DESIGN.md §10 for the methodology.
-obs:
-	$(GO) run ./cmd/bvbench -obs
-
-# Sharded server, end to end: wire protocol + per-connection executors +
-# shard router + scatter-gather + per-shard durable trees under a
-# closed-loop mixed load over loopback TCP, client-observed p50/p95/p99
-# per op class; regenerates BENCH_server.json. Rows are flagged
-# saturated when GOMAXPROCS < 2×connections (client and server share
-# the cores). See DESIGN.md §15 and PROTOCOL.md.
-bench-server:
-	$(GO) run ./cmd/bvbench -server
 
 # Run the sharded server on the default address (:9412) with a default
 # data directory. First start samples a workload and writes the shard

@@ -5,6 +5,9 @@ package bvtree_test
 
 import (
 	"io"
+	"math/rand"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"bvtree"
@@ -141,4 +144,196 @@ func BenchmarkDelete(b *testing.B) {
 			b.Fatalf("delete %d: %v %v", i, ok, err)
 		}
 	}
+}
+
+// --- system benchmarks: the seams benchmark/ has no workload for ---
+//
+// Arms are sub-benchmarks and ns/op is per point in every arm; writers
+// and readers scale with -cpu (b.RunParallel). Compare with
+// `-count 10` and benchstat; EXPERIMENTS.md has the one-line recipes.
+
+// benchPoints returns the shared point pool of the parallel benchmarks;
+// goroutines draw from it through one counter, which doubles as payload.
+func benchPoints(b *testing.B, kind workload.Kind) []bvtree.Point {
+	b.Helper()
+	pts, err := workload.Generate(kind, 2, 1<<16, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pts
+}
+
+// newBenchDurable opens a durable tree over a file-backed store in a
+// directory the benchmark removes, so fsyncs are the device's own.
+func newBenchDurable(b *testing.B, opt bvtree.Options, dopt bvtree.DurableOptions) *bvtree.DurableTree {
+	b.Helper()
+	dir := b.TempDir()
+	st, err := bvtree.NewFileStore(filepath.Join(dir, "t.db"), bvtree.FileStoreOptions{PinDirty: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := bvtree.NewDurableOpts(st, filepath.Join(dir, "t.wal"), opt, dopt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() {
+		if err := d.Close(); err != nil {
+			b.Error(err)
+		}
+		st.Close()
+	})
+	return d
+}
+
+// BenchmarkInstrumented prices the observability layer: Lookup and Insert
+// with instrumentation off, with the histograms on, and with a counting
+// tracer on top (budget: ≤ 5 % per enabled op, DESIGN.md §10).
+func BenchmarkInstrumented(b *testing.B) {
+	for _, arm := range []string{"off", "metrics", "tracer"} {
+		tr, pts := buildTree(b, workload.Uniform, 50000)
+		if arm != "off" {
+			tr.EnableMetrics()
+		}
+		if arm == "tracer" {
+			tr.SetTracer(&bvtree.CountingTracer{})
+		}
+		b.Run(arm+"/lookup", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := tr.Lookup(pts[i%len(pts)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(arm+"/insert", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := tr.Insert(pts[i%len(pts)], uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDurableInsert compares the durable write disciplines on one
+// file-backed tree per arm: an fsync per operation, group commit (the
+// writers of -cpu share fsyncs), 64-point batches, and 64-point batches
+// into a write-buffered tree.
+func BenchmarkDurableInsert(b *testing.B) {
+	pts := benchPoints(b, workload.Uniform)
+	for _, arm := range []struct {
+		name  string
+		dopt  bvtree.DurableOptions
+		batch int
+	}{
+		{"per-op", bvtree.DurableOptions{Group: bvtree.GroupConfig{SyncPerOp: true}}, 1},
+		{"group", bvtree.DurableOptions{}, 1},
+		{"batch64", bvtree.DurableOptions{}, 64},
+		{"batch64+buffer", bvtree.DurableOptions{BufferOps: 64}, 64},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			d := newBenchDurable(b, bvtree.Options{Dims: 2}, arm.dopt)
+			var next atomic.Uint64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				ops := make([]bvtree.BatchOp, 0, arm.batch)
+				for pb.Next() {
+					i := next.Add(1)
+					ops = append(ops, bvtree.BatchOp{Point: pts[i%uint64(len(pts))], Payload: i})
+					if len(ops) < arm.batch {
+						continue
+					}
+					if err := d.ApplyBatch(ops); err != nil {
+						b.Error(err)
+						return
+					}
+					ops = ops[:0]
+				}
+				if err := d.ApplyBatch(ops); err != nil { // the short last batch
+					b.Error(err)
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkInsertUnderBackup prices an online backup for the writers it
+// runs beside: durable inserts alone, then with SnapshotBackup streams
+// back to back. p99-apply-ns is the tree's own insert histogram, where
+// the copy-on-write captures for the pinned backup show.
+func BenchmarkInsertUnderBackup(b *testing.B) {
+	pts := benchPoints(b, workload.Clustered)
+	for _, arm := range []string{"alone", "under-backup"} {
+		b.Run(arm, func(b *testing.B) {
+			d := newBenchDurable(b, bvtree.Options{Dims: 2, Metrics: true}, bvtree.DurableOptions{})
+			// Something for a backup to stream.
+			if err := d.InsertBatch(pts[:4096], make([]uint64, 4096)); err != nil {
+				b.Fatal(err)
+			}
+			stop, backups := make(chan struct{}), make(chan error, 1)
+			if arm == "alone" {
+				backups <- nil
+			} else {
+				go func() { backups <- backupUntil(d, stop) }()
+			}
+			var next atomic.Uint64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					i := next.Add(1)
+					if err := d.Insert(pts[i%uint64(len(pts))], i); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			b.StopTimer()
+			close(stop)
+			if err := <-backups; err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(d.Metrics().Tree.InsertNs.P99, "p99-apply-ns")
+		})
+	}
+}
+
+// backupUntil streams online backups back to back until stop closes.
+func backupUntil(d *bvtree.DurableTree, stop <-chan struct{}) error {
+	for {
+		select {
+		case <-stop:
+			return nil
+		default:
+		}
+		if _, err := d.SnapshotBackup(io.Discard); err != nil {
+			return err
+		}
+	}
+}
+
+// BenchmarkMixedRead is the reader-scaling measurement: 80 % Lookup,
+// 15 % one-percent RangeQuery and 5 % Nearest(k=4) against one in-memory
+// tree from -cpu goroutines.
+func BenchmarkMixedRead(b *testing.B) {
+	tr, pts := buildTree(b, workload.Uniform, 100000)
+	rects := workload.QueryRects(2, 256, 0.01, 43)
+	var seed atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := rand.New(rand.NewSource(seed.Add(1)))
+		for pb.Next() {
+			var err error
+			switch r := rng.Intn(100); {
+			case r < 80:
+				_, err = tr.Lookup(pts[rng.Intn(len(pts))])
+			case r < 95:
+				err = tr.RangeQuery(rects[rng.Intn(len(rects))], func(bvtree.Point, uint64) bool { return true })
+			default:
+				_, err = tr.Nearest(pts[rng.Intn(len(pts))], 4)
+			}
+			if err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }

@@ -88,8 +88,8 @@ type Tracer = obs.Tracer
 type TraceEvent = obs.Event
 
 // CountingTracer is a ready-made Tracer that counts events and sums
-// durations per layer — the cheapest possible hook, used by bvbench -obs
-// to price tracing itself.
+// durations per layer — the cheapest possible hook, used by
+// BenchmarkInstrumented to price tracing itself.
 type CountingTracer = obs.CountingTracer
 
 // Trace event layers and op codes.

@@ -12,6 +12,7 @@ import (
 
 	"bvtree/internal/geometry"
 	"bvtree/internal/obs"
+	"bvtree/internal/storage"
 	"bvtree/internal/workload"
 )
 
@@ -74,6 +75,49 @@ func TestLookupDoesNotAllocate(t *testing.T) {
 	}
 	if ct.Events(obs.LayerTree) == 0 {
 		t.Fatal("tracer saw no events while enabled")
+	}
+}
+
+// TestPagedLookupAllocs pins how many of a Lookup's allocations are the
+// tree's own, on a paged tree tall enough for descents to merge guards:
+// the interleaved address, the bit string copied from it and the result
+// slice — three, whatever the height and however many guards the descent
+// collects (the guard set is a by-value slice on the pooled descent).
+func TestPagedLookupAllocs(t *testing.T) {
+	pts, err := workload.Generate(workload.Clustered, 2, 4000, 33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewPaged(storage.NewMemStore(), Options{Dims: 2, DataCapacity: 16, Fanout: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		if err := tr.Insert(p, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h := tr.Height(); h != 4 {
+		t.Fatalf("tree height %d, want 4", h)
+	}
+	guarded := 0
+	for _, p := range pts[:200] {
+		if _, g, err := tr.SearchCost(p); err != nil {
+			t.Fatal(err)
+		} else if g > 0 {
+			guarded++
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := tr.Lookup(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 3 {
+			t.Fatalf("Lookup(%v) allocates %.1f allocs/op, budget 3", p, allocs)
+		}
+	}
+	if guarded == 0 {
+		t.Fatal("no sampled descent carried a guard: the test does not exercise the guard set")
 	}
 }
 

@@ -306,7 +306,7 @@ func compareStores(t *testing.T, a, b *storage.MemStore) {
 // TestColumnarConcurrent is the race-detector smoke for the columnar
 // read path: concurrent lookups, range queries and nearest searches
 // against a paged tree while a writer keeps appending (exercising the
-// gap appends and mirror rebuilds under the tree locks).
+// mirror rebuilds under the tree locks).
 func TestColumnarConcurrent(t *testing.T) {
 	const dims, n = 2, 1200
 	pts, err := workload.Generate(workload.Uniform, dims, 2*n, 51)
@@ -358,5 +358,106 @@ func TestColumnarConcurrent(t *testing.T) {
 	wg.Wait()
 	if err := tr.Validate(false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadsStayOnBatchedPath pins that a read tests every node it
+// fetches through that node's columnar mirror: over a program of
+// lookups and one-item windows, Stats().BatchTests moves exactly as
+// NodeAccesses does — the identity bvtree.batch_tests_per_op =
+// bvtree.nodes_per_op of the benchmark's point-hot workload. A node
+// published without its mirror sends its readers to the scalar
+// fallbacks (scanDescendNode, qualifyNode, lookupLocked, scanPages),
+// which fetch without a batched test and break the identity.
+func TestReadsStayOnBatchedPath(t *testing.T) {
+	const dims = 2
+	pts, err := workload.Generate(workload.Clustered, dims, 900, 71)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Dims: dims, DataCapacity: 8, Fanout: 8}
+	type reader interface {
+		Lookup(geometry.Point) ([]uint64, error)
+		RangeQuery(geometry.Rect, Visitor) error
+	}
+	load := func(t *testing.T, tr *Tree, err error, pts []geometry.Point) *Tree {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pts {
+			if err := tr.Insert(p, p[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tr
+	}
+	cases := []struct {
+		name  string
+		build func(t *testing.T) (tr *Tree, r reader, stored []geometry.Point)
+	}{
+		{"mem", func(t *testing.T) (*Tree, reader, []geometry.Point) {
+			tr, err := New(opt)
+			tr = load(t, tr, err, pts)
+			return tr, tr, pts
+		}},
+		{"paged", func(t *testing.T) (*Tree, reader, []geometry.Point) {
+			tr, err := NewPaged(storage.NewMemStore(), opt)
+			tr = load(t, tr, err, pts)
+			return tr, tr, pts
+		}},
+		{"buffered-before-first-flush", func(t *testing.T) (*Tree, reader, []geometry.Point) {
+			bopt := opt
+			bopt.BufferOps = 64
+			tr, err := New(bopt)
+			tr = load(t, tr, err, pts[:40])
+			if st := tr.Stats(); st.BufferFlushes != 0 || st.BufferedOps != 40 {
+				t.Fatalf("want 40 buffered ops and no flush, have %d and %d", st.BufferedOps, st.BufferFlushes)
+			}
+			return tr, tr, pts[:40]
+		}},
+		{"pinned-snapshot-under-writer", func(t *testing.T) (*Tree, reader, []geometry.Point) {
+			tr, err := NewPaged(storage.NewMemStore(), opt)
+			tr = load(t, tr, err, pts[:600])
+			snap, err := tr.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(snap.Release)
+			// The writer supersedes pages under the pin: the snapshot's
+			// reads below resolve their pre-images from the version chains.
+			load(t, tr, nil, pts[600:])
+			for _, p := range pts[:200] {
+				if ok, err := tr.Delete(p, p[0]); err != nil || !ok {
+					t.Fatalf("delete %v: %v %v", p, ok, err)
+				}
+			}
+			return tr, snap, pts[:600]
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, r, stored := tc.build(t)
+			before := tr.Stats()
+			for _, p := range stored {
+				got, err := r.Lookup(p)
+				if err != nil || len(got) == 0 {
+					t.Fatalf("Lookup(%v) = %v, %v", p, got, err)
+				}
+				seen := 0
+				err = r.RangeQuery(geometry.Rect{Min: p, Max: p}, func(geometry.Point, uint64) bool {
+					seen++
+					return true
+				})
+				if err != nil || seen == 0 {
+					t.Fatalf("window on %v visited %d items, err %v", p, seen, err)
+				}
+			}
+			after := tr.Stats()
+			nodes, tests := after.NodeAccesses-before.NodeAccesses, after.BatchTests-before.BatchTests
+			if nodes == 0 || tests != nodes {
+				t.Fatalf("%d nodes fetched, %d tested through their columns", nodes, tests)
+			}
+		})
 	}
 }

@@ -285,47 +285,57 @@ func applyRecord(t *Tree, rec []byte) error {
 	}
 }
 
-// commitOne runs the group-commit protocol for a single record: enqueue
-// and apply under the order lock, then wait for the group sync outside
-// it. It returns the apply result (preferring apply errors, which carry
-// the structural failure) and whether the record became durable.
-func (d *DurableTree) commitOne(bp *[]byte, apply func() error) error {
-	d.mu.Lock()
-	t, err := d.gc.Enqueue(*bp)
-	if err != nil {
-		d.mu.Unlock()
-		putRec(bp)
-		return err
+// commit runs the group-commit protocol for the records of one operation
+// — a single Insert or Delete, or a whole batch, which is logged
+// contiguously under one ticket: enqueue and apply under the order lock,
+// wait for the group sync outside it, and only then hand the encode
+// buffers back to the pool. It returns the apply result in preference to
+// the sync result, since an apply error carries the structural failure.
+func (d *DurableTree) commit(apply func() error, bufs ...*[]byte) error {
+	var one [1][]byte // a single record needs no slice on the heap
+	recs := one[:0]
+	if len(bufs) > len(one) {
+		recs = make([][]byte, 0, len(bufs))
 	}
-	d.lsn++
-	aerr := apply()
-	d.kickIfLogFull()
+	for _, bp := range bufs {
+		recs = append(recs, *bp)
+	}
+	d.mu.Lock()
+	t, err := d.gc.EnqueueBatch(recs)
+	var aerr error
+	if err == nil {
+		d.lsn += uint64(len(recs))
+		aerr = apply()
+		d.kickIfLogFull()
+	}
 	d.mu.Unlock()
-	werr := d.gc.Wait(t)
-	putRec(bp)
+	if err == nil {
+		err = d.gc.Wait(t)
+	}
+	for _, bp := range bufs {
+		putRec(bp)
+	}
 	if aerr != nil {
 		return aerr
 	}
-	return werr
+	return err
 }
 
 // Insert logs the operation as part of a group commit and applies it; it
 // returns once the record is durable.
 func (d *DurableTree) Insert(p geometry.Point, payload uint64) error {
-	return d.commitOne(encodeOp(opInsert, p, payload), func() error {
-		return d.Tree.Insert(p, payload)
-	})
+	return d.commit(func() error { return d.Tree.Insert(p, payload) }, encodeOp(opInsert, p, payload))
 }
 
 // Delete logs the operation as part of a group commit and applies it; it
 // returns once the record is durable.
 func (d *DurableTree) Delete(p geometry.Point, payload uint64) (bool, error) {
 	var ok bool
-	err := d.commitOne(encodeOp(opDelete, p, payload), func() error {
+	err := d.commit(func() error {
 		var aerr error
 		ok, aerr = d.Tree.Delete(p, payload)
 		return aerr
-	})
+	}, encodeOp(opDelete, p, payload))
 	if err != nil {
 		return false, err
 	}
@@ -363,37 +373,14 @@ func (d *DurableTree) ApplyBatch(ops []BatchOp) error {
 		return err
 	}
 	bufs := make([]*[]byte, len(ops))
-	recs := make([][]byte, len(ops))
 	for i := range ops {
 		op := opInsert
 		if ops[i].Delete {
 			op = opDelete
 		}
 		bufs[i] = encodeOp(op, ops[i].Point, ops[i].Payload)
-		recs[i] = *bufs[i]
 	}
-	release := func() {
-		for _, bp := range bufs {
-			putRec(bp)
-		}
-	}
-	d.mu.Lock()
-	t, err := d.gc.EnqueueBatch(recs)
-	if err != nil {
-		d.mu.Unlock()
-		release()
-		return err
-	}
-	d.lsn += uint64(len(recs))
-	aerr := d.Tree.ApplyBatch(ops)
-	d.kickIfLogFull()
-	d.mu.Unlock()
-	werr := d.gc.Wait(t)
-	release()
-	if aerr != nil {
-		return aerr
-	}
-	return werr
+	return d.commit(func() error { return d.Tree.ApplyBatch(ops) }, bufs...)
 }
 
 // BulkLoad logs points[i]/payloads[i] as one group-committed batch of
@@ -410,33 +397,10 @@ func (d *DurableTree) BulkLoad(points []geometry.Point, payloads []uint64) error
 		return nil
 	}
 	bufs := make([]*[]byte, len(points))
-	recs := make([][]byte, len(points))
 	for i := range points {
 		bufs[i] = encodeOp(opInsert, points[i], payloads[i])
-		recs[i] = *bufs[i]
 	}
-	release := func() {
-		for _, bp := range bufs {
-			putRec(bp)
-		}
-	}
-	d.mu.Lock()
-	t, err := d.gc.EnqueueBatch(recs)
-	if err != nil {
-		d.mu.Unlock()
-		release()
-		return err
-	}
-	d.lsn += uint64(len(recs))
-	aerr := d.Tree.BulkLoad(points, payloads)
-	d.kickIfLogFull()
-	d.mu.Unlock()
-	werr := d.gc.Wait(t)
-	release()
-	if aerr != nil {
-		return aerr
-	}
-	return werr
+	return d.commit(func() error { return d.Tree.BulkLoad(points, payloads) }, bufs...)
 }
 
 // Checkpoint persists the tree state under a new checkpoint epoch and

@@ -277,7 +277,7 @@ func (t *Tree) placeEntry(ctx *opCtx, startID page.ID, e page.Entry) (int, error
 	if err != nil {
 		return 0, err
 	}
-	var guards []*guardRef
+	var guards []guardRef
 	tk := page.MakePointKey(e.Key)
 	for {
 		if n.Level == e.Level+1 || needsGuard(n, e) {
@@ -287,18 +287,18 @@ func (t *Tree) placeEntry(ctx *opCtx, startID page.ID, e page.Entry) (int, error
 			return 0, fmt.Errorf("bvtree: placement of level-%d entry reached index level %d", e.Level, n.Level)
 		}
 		if guards == nil {
-			guards = make([]*guardRef, n.Level)
+			guards = make([]guardRef, n.Level)
 		}
 		// The same fused guard-merge + best-match pass as the point
 		// descent, with e's own key as the target.
 		bestIdx, bestLen := t.scanDescendNode(n, cur, tk, e.Key, guards)
 		g := guards[n.Level-1]
-		guards[n.Level-1] = nil
+		guards[n.Level-1] = guardRef{}
 		var next page.ID
 		var parent page.ID
 		switch {
-		case g != nil && g.entry.Key.Len() > bestLen:
-			next, parent = g.entry.Child, g.srcID
+		case g.ok && g.keyBits > bestLen:
+			next, parent = g.child, g.srcID
 		case bestIdx >= 0:
 			next, parent = n.Entries[bestIdx].Child, cur
 		default:
@@ -419,13 +419,7 @@ func (t *Tree) insertIntoNode(ctx *opCtx, id page.ID, e page.Entry) error {
 	if err != nil {
 		return err
 	}
-	// Gapped append: the entry lands in the node's slot gap, and the
-	// columnar mirror advances in lockstep, so a split-free insert moves
-	// no existing entry storage. A full gap reports a move and the
-	// SaveIndex below rebuilds the mirror with fresh slack.
-	if n.AppendEntry(e) {
-		t.stats.NodeGapMoves.Inc()
-	}
+	n.Entries = append(n.Entries, e)
 	if err := t.st.SaveIndex(id, n); err != nil {
 		return err
 	}

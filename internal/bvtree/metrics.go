@@ -15,7 +15,7 @@ import (
 //
 // DurableTree.Metrics shadows this method and additionally fills the WAL
 // section. The snapshot is plain data, safe to retain, and marshals to
-// JSON (bvbench -obs writes one into BENCH_obs.json).
+// JSON.
 func (t *Tree) Metrics() obs.Snapshot {
 	t.mu.RLock()
 	m := t.metrics

@@ -58,6 +58,7 @@ func (m *memNodes) AllocIndex(level int, reg region.BitString) (page.ID, *page.I
 	id := m.next
 	m.next++
 	n := &page.IndexNode{Level: level, Region: reg}
+	n.SyncCols(m.dims) // published like a saved node: mirror built
 	m.nodes[id] = n
 	return id, n, nil
 }
@@ -68,6 +69,7 @@ func (m *memNodes) AllocData(reg region.BitString) (page.ID, *page.DataPage, err
 	id := m.next
 	m.next++
 	p := &page.DataPage{Region: reg}
+	p.SyncDataCols(m.dims)
 	m.nodes[id] = p
 	return id, p, nil
 }
@@ -94,8 +96,7 @@ func (m *memNodes) Data(id page.ID) (*page.DataPage, error) {
 
 func (m *memNodes) SaveIndex(id page.ID, n *page.IndexNode) error {
 	// Saves are the publication point of every entry-slice mutation, so
-	// this is where the columnar mirror is brought back in lockstep (a
-	// no-op when AppendEntry kept it fresh).
+	// this is where the columnar mirror is brought back in lockstep.
 	n.SyncCols(m.dims)
 	m.mu.Lock()
 	m.nodes[id] = n

@@ -12,13 +12,17 @@ import (
 	"bvtree/internal/region"
 )
 
-// guardRef is a guard-set member: a promoted entry collected on the way
-// down, together with its physical location (stable for the duration of
-// one operation).
+// guardRef is one slot of the per-level guard set: what a descent needs
+// of the promoted entry it collected on the way down — its key length (the
+// better match per level is the longer key) and its child — together with
+// the entry's physical location (stable for the duration of one
+// operation). The zero value is an empty slot.
 type guardRef struct {
-	entry  page.Entry
-	srcID  page.ID
-	srcIdx int
+	ok      bool
+	child   page.ID
+	keyBits int
+	srcID   page.ID
+	srcIdx  int
 }
 
 // pathStep records one index node visited by a descent.
@@ -48,7 +52,7 @@ type descent struct {
 	// guards is the per-level guard-set scratch, sized to the root level
 	// at the start of the descent. It lives on the descent so the pooled
 	// object carries its capacity from one operation to the next.
-	guards []*guardRef
+	guards []guardRef
 }
 
 // descentPool recycles descent objects — and, through them, the steps,
@@ -65,11 +69,11 @@ func getDescent(levels int) *descent {
 	d.steps = d.steps[:0]
 	d.guardSrc = d.guardSrc[:0]
 	if cap(d.guards) < levels {
-		d.guards = make([]*guardRef, levels)
+		d.guards = make([]guardRef, levels)
 	}
 	d.guards = d.guards[:levels]
 	for i := range d.guards {
-		d.guards[i] = nil
+		d.guards[i] = guardRef{}
 	}
 	d.dataID = page.Nil
 	d.dataSrcID = page.Nil
@@ -129,8 +133,8 @@ func (t *Tree) descendPointInner(target region.BitString) (*descent, error) {
 		// mirror when the node has one).
 		bestIdx, bestLen := t.scanDescendNode(n, cur, tk, target, guards)
 		live := 0
-		for _, g := range guards {
-			if g != nil {
+		for i := range guards {
+			if guards[i].ok {
 				live++
 			}
 		}
@@ -138,11 +142,11 @@ func (t *Tree) descendPointInner(target region.BitString) (*descent, error) {
 			d.maxGuardSet = live
 		}
 		g := guards[level-1]
-		guards[level-1] = nil // consumed at this level either way
+		guards[level-1] = guardRef{} // consumed at this level either way
 		var next page.ID
 		switch {
-		case g != nil && g.entry.Key.Len() > bestLen:
-			next = g.entry.Child
+		case g.ok && g.keyBits > bestLen:
+			next = g.child
 			d.steps = append(d.steps, pathStep{id: cur, node: n, followed: -1})
 			d.guardSrc = append(d.guardSrc, g.srcID)
 			if level == 1 {
@@ -176,7 +180,7 @@ func (t *Tree) descendPointInner(target region.BitString) (*descent, error) {
 // for the (few) matches; otherwise — stale mirror, or a tree running
 // with Options.ScalarNodeScan — it scans the entry slice exactly as
 // the pre-columnar code did.
-func (t *Tree) scanDescendNode(n *page.IndexNode, id page.ID, tk page.PointKey, target region.BitString, guards []*guardRef) (bestIdx, bestLen int) {
+func (t *Tree) scanDescendNode(n *page.IndexNode, id page.ID, tk page.PointKey, target region.BitString, guards []guardRef) (bestIdx, bestLen int) {
 	bestIdx, bestLen = -1, -1
 	lim := n.Level - 1
 	if c := n.Cols(); c != nil && !t.opt.ScalarNodeScan {
@@ -190,9 +194,8 @@ func (t *Tree) scanDescendNode(n *page.IndexNode, id page.ID, tk page.PointKey, 
 						bestIdx, bestLen = i, kb
 					}
 				case lv < lim && lv < len(guards):
-					g := guards[lv]
-					if g == nil || c.KeyBits(i) > g.entry.Key.Len() {
-						guards[lv] = &guardRef{entry: n.Entries[i], srcID: id, srcIdx: i}
+					if kb := c.KeyBits(i); !guards[lv].ok || kb > guards[lv].keyBits {
+						guards[lv] = guardRef{ok: true, child: c.Child(i), keyBits: kb, srcID: id, srcIdx: i}
 					}
 				}
 			}
@@ -208,9 +211,8 @@ func (t *Tree) scanDescendNode(n *page.IndexNode, id page.ID, tk page.PointKey, 
 			}
 		case e.Level < lim && e.Level < len(guards):
 			if e.Key.IsPrefixOf(target) {
-				g := guards[e.Level]
-				if g == nil || e.Key.Len() > g.entry.Key.Len() {
-					guards[e.Level] = &guardRef{entry: *e, srcID: id, srcIdx: i}
+				if g := &guards[e.Level]; !g.ok || e.Key.Len() > g.keyBits {
+					*g = guardRef{ok: true, child: e.Child, keyBits: e.Key.Len(), srcID: id, srcIdx: i}
 				}
 			}
 		}

@@ -56,8 +56,9 @@ type Options struct {
 	// Metrics enables the per-operation latency and shape histograms
 	// reported by (*Tree).Metrics. The structural event counters (OpStats)
 	// are always on; this switch only controls the histograms, whose cost
-	// is two clock reads and a few atomic adds per operation (measured in
-	// BENCH_obs.json). It can also be flipped later with EnableMetrics.
+	// is two clock reads and a few atomic adds per operation (measured by
+	// BenchmarkInstrumented). It can also be flipped later with
+	// EnableMetrics.
 	Metrics bool
 	// BufferOps, when positive, attaches a write buffer to the tree:
 	// inserts and deletes are staged in O(1) per operation and flushed
@@ -72,9 +73,9 @@ type Options struct {
 	// primitives, exactly as before the struct-of-arrays mirror existed,
 	// and range and count queries run the unpruned recursive reference
 	// walk (rangeScalar) on the caller's goroutine whatever the worker
-	// budget. It exists as the old-vs-new baseline of bvbench -nodelayout
-	// and as the reference mode of the differential tests, which check the
-	// range walker against it; production trees should leave it off.
+	// budget. It exists as the reference mode of the differential tests,
+	// which check the range walker against it; production trees should
+	// leave it off.
 	ScalarNodeScan bool
 }
 

@@ -30,7 +30,6 @@ type TreeCounters struct {
 	BufferedOps     Counter
 	BufferFlushes   Counter
 	BatchTests      Counter
-	NodeGapMoves    Counter
 }
 
 // TreeCountersSnapshot is a point-in-time copy of TreeCounters.
@@ -77,9 +76,6 @@ type TreeCountersSnapshot struct {
 	// mirror (one per node whose entries were tested as columns rather
 	// than entry by entry; zero when trees run with ScalarNodeScan).
 	BatchTests uint64 `json:"batch_tests"`
-	// NodeGapMoves counts appends that found no free gap slot and forced
-	// entry or column storage to move (reallocation or arena rebuild).
-	NodeGapMoves uint64 `json:"node_gap_moves"`
 }
 
 // Snapshot copies the counters.
@@ -101,7 +97,6 @@ func (c *TreeCounters) Snapshot() TreeCountersSnapshot {
 		BufferedOps:     c.BufferedOps.Load(),
 		BufferFlushes:   c.BufferFlushes.Load(),
 		BatchTests:      c.BatchTests.Load(),
-		NodeGapMoves:    c.NodeGapMoves.Load(),
 	}
 }
 

@@ -10,8 +10,8 @@
 // metric sets (TreeCounters, TreeMetrics, WALMetrics) and the combined
 // Snapshot type live here so that every layer records into one shared
 // vocabulary and the facade can expose a single coherent snapshot. See
-// DESIGN.md §10 for the full metric inventory and the overhead
-// methodology, and BENCH_obs.json for the measured cost.
+// DESIGN.md §10 for the full metric inventory and how the overhead is
+// measured.
 package obs
 
 import "sync/atomic"

@@ -86,9 +86,9 @@ type Tracer interface {
 }
 
 // CountingTracer is a minimal Tracer that counts events and sums their
-// durations, per layer. It is what the overhead benchmark (bvbench -obs)
-// installs to price the hook itself, and a convenient starting point for
-// tests.
+// durations, per layer. It is what the overhead benchmark
+// (BenchmarkInstrumented) installs to price the hook itself, and a
+// convenient starting point for tests.
 type CountingTracer struct {
 	events [3]Counter
 	durs   [3]Counter // summed nanoseconds

@@ -24,21 +24,11 @@ import (
 // own slice. Cloning the mirror is therefore a constant number of
 // allocations regardless of entry count.
 //
-// Gap policy. Both arenas are allocated with GapSlots of slack, so an
-// append lands in a free slot with no reallocation and no memmove of
-// the other entries' columns; only when the gap is exhausted does the
-// next SyncCols rebuild into a larger arena (a "gap move", surfaced
-// through the node_gap_moves counter).
-//
 // Freshness. The mirror records the length and first-element address
 // of the Entries slice it was built from. Cols() returns nil whenever
 // those no longer match, which covers every in-place mutation the tree
 // performs (removals, splits and rebinds all change the length or the
 // backing array): a stale mirror can be read as absent, never as wrong.
-
-// GapSlots is the entry-slot slack decoded and cloned nodes carry:
-// appends up to the gap reuse storage in place.
-const GapSlots = 8
 
 // NodeCols is the columnar mirror of one IndexNode's entries.
 type NodeCols struct {
@@ -101,11 +91,10 @@ func (n *IndexNode) Cols() *NodeCols {
 // SyncCols (re)builds the columnar mirror from the entry slice. It is
 // called wherever a node becomes visible to readers — after a decode,
 // and on every save — so hot paths never build columns themselves. A
-// fresh mirror is left untouched. The return value reports whether the
-// arena had to be (re)allocated: the gap-move signal.
-func (n *IndexNode) SyncCols(dims int) (grew bool) {
+// fresh mirror is left untouched.
+func (n *IndexNode) SyncCols(dims int) {
 	if c := n.Cols(); c != nil && c.dims == dims {
-		return false
+		return
 	}
 	c := n.cols
 	if c == nil {
@@ -116,7 +105,7 @@ func (n *IndexNode) SyncCols(dims int) (grew bool) {
 	for i := range n.Entries {
 		tailWords += len(n.Entries[i].Key.TailWords())
 	}
-	grew = c.reserve(dims, len(n.Entries), tailWords)
+	c.reserve(dims, len(n.Entries), tailWords)
 	c.n = 0
 	c.tails = c.tails[:0]
 	c.tailOff[0] = 0
@@ -124,39 +113,14 @@ func (n *IndexNode) SyncCols(dims int) (grew bool) {
 		c.push(&n.Entries[i])
 	}
 	c.mark(n.Entries)
-	return grew
 }
 
-// AppendEntry appends e to the node, keeping the columnar mirror in
-// lockstep when it is fresh and a gap slot is free. It reports whether
-// storage had to move (the Entries slice was full, or the mirror had
-// no slot and fell stale pending a SyncCols rebuild) — the caller's
-// node_gap_moves signal.
-func (n *IndexNode) AppendEntry(e Entry) (moved bool) {
-	moved = len(n.Entries) == cap(n.Entries)
-	c := n.Cols()
-	n.Entries = append(n.Entries, e)
-	if c == nil {
-		return moved
+// reserve sizes the arenas for capE entries and capT tail words, reusing
+// existing storage when it suffices.
+func (c *NodeCols) reserve(dims, capE, capT int) {
+	if c.dims == dims && capE <= c.capE && capT <= c.capT {
+		return
 	}
-	tw := len(e.Key.TailWords())
-	if c.n < c.capE && len(c.tails)+tw <= c.capT {
-		c.push(&n.Entries[len(n.Entries)-1])
-		c.mark(n.Entries)
-		return moved
-	}
-	// No free slot: leave the mirror stale (readers fall back to the
-	// entry slice) and let the next save rebuild it with a fresh gap.
-	return true
-}
-
-// reserve sizes the arenas for ne entries and tw tail words, reusing
-// existing storage when it suffices. Returns true on (re)allocation.
-func (c *NodeCols) reserve(dims, ne, tw int) bool {
-	if c.dims == dims && ne <= c.capE && tw <= c.capT {
-		return false
-	}
-	capE, capT := ne+GapSlots, tw+2*GapSlots
 	stride := 2 * dims
 	base := capE * (1 + stride)
 	c.dims, c.capE, c.capT = dims, capE, capT
@@ -169,7 +133,6 @@ func (c *NodeCols) reserve(dims, ne, tw int) bool {
 	c.keyLen = c.i32[capE : 2*capE]
 	c.tailOff = c.i32[2*capE:]
 	c.child = make([]ID, capE)
-	return true
 }
 
 // push mirrors one entry into slot c.n. The caller guarantees a free

@@ -149,9 +149,9 @@ func TestColsIntersectWithinCoverAgainstBrickTests(t *testing.T) {
 	}
 }
 
-// TestColsEncodeByteIdentity: building, appending to and cloning the
-// mirror must leave the encoded page byte-identical to a mirror-free
-// node with the same entries.
+// TestColsEncodeByteIdentity: building, rebuilding after an append and
+// cloning the mirror must leave the encoded page byte-identical to a
+// mirror-free node with the same entries.
 func TestColsEncodeByteIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const dims = 2
@@ -163,46 +163,16 @@ func TestColsEncodeByteIdentity(t *testing.T) {
 			t.Fatal("SyncCols changed the encoding")
 		}
 		e := Entry{Key: randBits(rng, rng.Intn(100)), Level: 0, Child: 7}
-		n.AppendEntry(e)
+		n.Entries = append(n.Entries, e)
+		n.SyncCols(dims)
 		ref := &IndexNode{Level: n.Level, Region: n.Region, Entries: append([]Entry(nil), n.Entries...)}
 		if got := EncodeIndex(n); !bytes.Equal(got, EncodeIndex(ref)) {
-			t.Fatal("AppendEntry changed the encoding beyond the appended entry")
+			t.Fatal("append + SyncCols changed the encoding beyond the appended entry")
 		}
 		cl := n.Clone()
 		if got := EncodeIndex(cl); !bytes.Equal(got, EncodeIndex(n)) {
 			t.Fatal("Clone changed the encoding")
 		}
-	}
-}
-
-// TestColsAppendGapPolicy: appends within the gap keep the mirror fresh
-// and in lockstep; exhausting the gap drops it stale (read as absent),
-// never wrong.
-func TestColsAppendGapPolicy(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	const dims = 2
-	n := randNode(rng, dims, 10)
-	n.SyncCols(dims)
-	for i := 0; i < GapSlots+4; i++ {
-		n.AppendEntry(Entry{Key: randBits(rng, 20+i), Level: 0, Child: ID(100 + i)})
-		if c := n.Cols(); c != nil {
-			if c.Len() != len(n.Entries) {
-				t.Fatalf("fresh mirror has %d entries, node has %d", c.Len(), len(n.Entries))
-			}
-			if err := n.CheckCols(dims); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if n.Cols() != nil {
-		t.Fatal("mirror still fresh after exhausting the gap and growing Entries")
-	}
-	// The rebuild restores freshness with a new gap.
-	if grew := n.SyncCols(dims); !grew {
-		t.Fatal("SyncCols after gap exhaustion did not report arena growth")
-	}
-	if err := n.CheckCols(dims); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -218,10 +188,9 @@ func TestColsCloneIndependence(t *testing.T) {
 		t.Fatal("clone did not carry a fresh mirror")
 	}
 	before := EncodeIndex(n)
-	// Append into the clone's gap, then truncate (stale) and rebuild:
-	// the rebuild rewrites the clone's arenas in place — if they were
-	// shared with the source, its columns would be corrupted.
-	cl.AppendEntry(Entry{Key: randBits(rng, 30), Level: 1, Child: 999})
+	// Truncate the clone (stale) and rebuild: the rebuild rewrites the
+	// clone's arenas in place — if they were shared with the source, its
+	// columns would be corrupted.
 	cl.Entries = cl.Entries[:10]
 	cl.SyncCols(dims)
 	if err := cl.CheckCols(dims); err != nil {
@@ -247,23 +216,19 @@ func TestColsStaleOnMutation(t *testing.T) {
 		t.Fatal("mirror fresh after truncation")
 	}
 	n.SyncCols(dims)
-	n.Entries = append(append([]Entry(nil), n.Entries...), Entry{Key: randBits(rng, 9)})
+	// The append insertIntoNode does: the truncation left spare capacity,
+	// so the new entry lands in place and only the length gives it away.
+	n.Entries = append(n.Entries, Entry{Key: randBits(rng, 9)})
 	if n.Cols() != nil {
-		t.Fatal("mirror fresh after the backing array moved")
+		t.Fatal("mirror fresh after an in-place append")
 	}
-}
-
-// TestColsDecodeGap: DecodeIndex leaves gap slack so the first appends
-// after a decode stay in place.
-func TestColsDecodeGap(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := randNode(rng, 2, 15)
-	got, err := DecodeIndex(EncodeIndex(n))
-	if err != nil {
+	n.SyncCols(dims)
+	if err := n.CheckCols(dims); err != nil {
 		t.Fatal(err)
 	}
-	if cap(got.Entries)-len(got.Entries) < GapSlots {
-		t.Fatalf("decoded node has %d slack slots, want >= %d", cap(got.Entries)-len(got.Entries), GapSlots)
+	n.Entries = append(append([]Entry(nil), n.Entries[:8]...), n.Entries[8])
+	if n.Cols() != nil {
+		t.Fatal("mirror fresh after the backing array moved")
 	}
 }
 

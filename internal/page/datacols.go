@@ -17,7 +17,7 @@ import (
 // be out of date (read as absent, never wrong), and SyncDataCols — run
 // by every SaveData and by the decode path — rebuilds it. Data pages are
 // small (DataCapacity items) and saved on every mutation, so a full
-// rebuild per save costs one short copy and no gap machinery is needed.
+// rebuild per save costs one short copy.
 type DataCols struct {
 	n      int
 	first  *Item // freshness marker: &Items[0] at sync time

@@ -66,9 +66,8 @@ type IndexNode struct {
 }
 
 // Clone returns a copy of n whose Entries slice has a private backing
-// array — with GapSlots of spare capacity, so appends to the copy land
-// in place — so the copy can be appended to, compacted, or rebound
-// without disturbing the original. Entry keys are BitStrings with value
+// array, so the copy can be appended to, compacted, or rebound without
+// disturbing the original. Entry keys are BitStrings with value
 // semantics (no in-place mutators), so sharing their word storage across
 // the copy is safe. A fresh columnar mirror is cloned along: its slab
 // layout makes that a fixed number of arena copies however many entries
@@ -76,7 +75,7 @@ type IndexNode struct {
 func (n *IndexNode) Clone() *IndexNode {
 	c := &IndexNode{Level: n.Level, Region: n.Region}
 	if len(n.Entries) > 0 {
-		c.Entries = make([]Entry, len(n.Entries), len(n.Entries)+GapSlots)
+		c.Entries = make([]Entry, len(n.Entries))
 		copy(c.Entries, n.Entries)
 	}
 	if src := n.Cols(); src != nil {
@@ -178,9 +177,7 @@ func DecodeIndex(b []byte) (*IndexNode, error) {
 	if count < 0 || count > 1<<20 {
 		return nil, fmt.Errorf("page: implausible entry count %d", count)
 	}
-	// GapSlots of spare capacity: the first appends after a decode
-	// reuse the slot gap instead of reallocating the whole slice.
-	n.Entries = make([]Entry, count, count+GapSlots)
+	n.Entries = make([]Entry, count)
 	for i := range n.Entries {
 		n.Entries[i].Level = int(r.u32())
 		n.Entries[i].Key = r.bits()

@@ -12,7 +12,7 @@ import (
 )
 
 // Client is a minimal client for the PROTOCOL.md wire protocol, used by
-// the tests, the load generator (bvbench -server) and as the reference
+// the tests, the benchmark's server-mixed workload and as the reference
 // implementation for the README's copy-pasteable snippet. A Client is
 // NOT safe for concurrent use: it owns one connection and matches
 // responses to requests by arrival order (the protocol guarantees

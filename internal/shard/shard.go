@@ -385,7 +385,6 @@ func (r *Router) AggregateCounters() obs.TreeCountersSnapshot {
 		agg.BufferedOps += c.BufferedOps
 		agg.BufferFlushes += c.BufferFlushes
 		agg.BatchTests += c.BatchTests
-		agg.NodeGapMoves += c.NodeGapMoves
 	}
 	return agg
 }
