@@ -25,7 +25,9 @@ GO ?= go
 # hex frame dumps. benchmark/ is a module of its own (`replace bvtree =>
 # ../`), which `go test ./...` at the root silently skips, so its tests
 # run as a separate step: they hold the harness's own checks that a
-# Lookup on point-hot and point-cold touches exactly height+1 nodes.
+# Lookup on point-hot and point-cold touches exactly height+1 nodes. It
+# is vetted first, so that a PR which may not edit benchmark/ cannot
+# delete an option or change a signature the harness uses.
 # The default range worker count is GOMAXPROCS, so which way the range
 # walker is driven (inline, spin-up, pool) in a test that does not pin
 # it depends on the host: the traversal tests run again at GOMAXPROCS=1
@@ -37,7 +39,7 @@ verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
-	cd benchmark && $(GO) test ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/docslint
 	for p in 1 8; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestParallelRange|TestRange|TestColumnarPruned|TestScanAndCount|TestPartialMatch' ./internal/bvtree || exit 1; done
 	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestBuffered|TestColumnar|TestShard' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard

@@ -165,14 +165,14 @@ func benchPoints(b *testing.B, kind workload.Kind) []bvtree.Point {
 
 // newBenchDurable opens a durable tree over a file-backed store in a
 // directory the benchmark removes, so fsyncs are the device's own.
-func newBenchDurable(b *testing.B, opt bvtree.Options, dopt bvtree.DurableOptions) *bvtree.DurableTree {
+func newBenchDurable(b *testing.B, opt bvtree.Options) *bvtree.DurableTree {
 	b.Helper()
 	dir := b.TempDir()
 	st, err := bvtree.NewFileStore(filepath.Join(dir, "t.db"), bvtree.FileStoreOptions{PinDirty: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := bvtree.NewDurableOpts(st, filepath.Join(dir, "t.wal"), opt, dopt)
+	d, err := bvtree.NewDurable(st, filepath.Join(dir, "t.wal"), opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -215,23 +215,22 @@ func BenchmarkInstrumented(b *testing.B) {
 }
 
 // BenchmarkDurableInsert compares the durable write disciplines on one
-// file-backed tree per arm: an fsync per operation, group commit (the
-// writers of -cpu share fsyncs), 64-point batches, and 64-point batches
-// into a write-buffered tree.
+// file-backed tree per arm: group commit (the writers of -cpu share
+// fsyncs), 64-point batches, and 64-point batches into a write-buffered
+// tree.
 func BenchmarkDurableInsert(b *testing.B) {
 	pts := benchPoints(b, workload.Uniform)
 	for _, arm := range []struct {
-		name  string
-		dopt  bvtree.DurableOptions
-		batch int
+		name      string
+		bufferOps int
+		batch     int
 	}{
-		{"per-op", bvtree.DurableOptions{Group: bvtree.GroupConfig{SyncPerOp: true}}, 1},
-		{"group", bvtree.DurableOptions{}, 1},
-		{"batch64", bvtree.DurableOptions{}, 64},
-		{"batch64+buffer", bvtree.DurableOptions{BufferOps: 64}, 64},
+		{"group", 0, 1},
+		{"batch64", 0, 64},
+		{"batch64+buffer", 64, 64},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
-			d := newBenchDurable(b, bvtree.Options{Dims: 2}, arm.dopt)
+			d := newBenchDurable(b, bvtree.Options{Dims: 2, BufferOps: arm.bufferOps})
 			var next atomic.Uint64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
@@ -264,7 +263,7 @@ func BenchmarkInsertUnderBackup(b *testing.B) {
 	pts := benchPoints(b, workload.Clustered)
 	for _, arm := range []string{"alone", "under-backup"} {
 		b.Run(arm, func(b *testing.B) {
-			d := newBenchDurable(b, bvtree.Options{Dims: 2, Metrics: true}, bvtree.DurableOptions{})
+			d := newBenchDurable(b, bvtree.Options{Dims: 2, Metrics: true})
 			// Something for a backup to stream.
 			if err := d.InsertBatch(pts[:4096], make([]uint64, 4096)); err != nil {
 				b.Fatal(err)

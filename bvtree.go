@@ -150,17 +150,18 @@ func OpenPaged(st Store, cacheNodes int) (*Tree, error) { return ibv.OpenPaged(s
 // write path.
 type DurableTree = ibv.DurableTree
 
-// DurableOptions tunes the durable write path: WAL group commit and the
-// background checkpointer. The zero value batches opportunistically and
-// runs no background checkpointer.
+// DurableOptions tunes the durable write path: WAL group commit (Group)
+// and the background checkpointer (Checkpoint), nothing else — write
+// buffering and metrics are Options fields, or EnableBuffer and
+// EnableMetrics on a reopened tree. The zero value batches
+// opportunistically and runs no background checkpointer.
 type DurableOptions = ibv.DurableOptions
 
 // CheckpointConfig triggers background checkpoints by log size and/or
 // log age.
 type CheckpointConfig = ibv.CheckpointConfig
 
-// GroupConfig tunes WAL group commit (batch size cap, linger window,
-// sync-per-op fallback).
+// GroupConfig tunes WAL group commit (batch size cap, linger window).
 type GroupConfig = wal.GroupConfig
 
 // BatchOp is one operation of a DurableTree.ApplyBatch or

@@ -35,11 +35,8 @@ func runDebugServer(addr string, hold time.Duration) error {
 	}
 	defer st.Close()
 	d, err := bvtree.NewDurableOpts(st, filepath.Join(dir, "tree.wal"),
-		bvtree.Options{Dims: 2},
-		bvtree.DurableOptions{
-			Metrics:    true,
-			Checkpoint: bvtree.CheckpointConfig{MaxLogBytes: 4 << 20},
-		})
+		bvtree.Options{Dims: 2, Metrics: true},
+		bvtree.DurableOptions{Checkpoint: bvtree.CheckpointConfig{MaxLogBytes: 4 << 20}})
 	if err != nil {
 		return err
 	}

@@ -97,7 +97,7 @@ func run(addr, dataDir, backend string, dims, shards, prefixBits int,
 			planPath(dataDir), plan.Shards(), plan.Dims)
 	}
 
-	engines, closeEngines, err := openEngines(dataDir, backend, plan)
+	engines, closeEngines, err := openEngines(dataDir, backend, plan, bvtree.CheckpointConfig{MaxLogBytes: checkpointLogBytes})
 	if err != nil {
 		return err
 	}
@@ -200,10 +200,16 @@ func loadOrCreatePlan(dataDir, backend string, dims, shards, prefixBits int,
 	return plan, true, nil
 }
 
+// checkpointLogBytes is the WAL size at which a durable shard checkpoints
+// in the background: without a trigger a shard's log — and with it the
+// replay a restart must do — grows for as long as the server runs.
+const checkpointLogBytes = 64 << 20
+
 // openEngines builds one engine per shard range. Durable shards live in
 // <data>/shard-NNNN/ with their own store and WAL, created on first
-// start and recovered (checkpoint load + WAL replay) afterwards.
-func openEngines(dataDir, backend string, plan shard.Plan) ([]shard.Engine, func(), error) {
+// start and recovered (checkpoint load + WAL replay) afterwards, and
+// checkpoint in the background as cp says.
+func openEngines(dataDir, backend string, plan shard.Plan, cp bvtree.CheckpointConfig) ([]shard.Engine, func(), error) {
 	engines := make([]shard.Engine, plan.Shards())
 	var closers []func()
 	closeAll := func() {
@@ -229,7 +235,7 @@ func openEngines(dataDir, backend string, plan shard.Plan) ([]shard.Engine, func
 		}
 		dbPath := filepath.Join(dir, "tree.db")
 		walPath := filepath.Join(dir, "tree.wal")
-		dopt := bvtree.DurableOptions{Metrics: true}
+		dopt := bvtree.DurableOptions{Checkpoint: cp}
 
 		var (
 			st  *storage.FileStore
@@ -240,6 +246,9 @@ func openEngines(dataDir, backend string, plan shard.Plan) ([]shard.Engine, func
 			st, err = storage.OpenFileStore(dbPath, storage.FileStoreOptions{PinDirty: true})
 			if err == nil {
 				d, err = bvtree.OpenDurableOpts(st, walPath, 0, dopt)
+			}
+			if err == nil {
+				d.EnableMetrics() // a reopened tree takes its options from the store
 			}
 		} else {
 			st, err = storage.CreateFileStore(dbPath, storage.FileStoreOptions{PinDirty: true})

@@ -153,8 +153,8 @@ func TestRangeQueryAllocs(t *testing.T) {
 // TestRangeTinyWindowAllocs pins the guard-set-pruned descent as
 // allocation-free: a window holding one stored point pays for the epoch
 // pin, the immutable view and the caller's visitor closure, and nothing
-// per node — the guard set and the child buffers live on the walk's
-// stack (expandRange, rangeNode).
+// per node — the guard set lives on expandRange's stack and the child
+// buffers on the pooled rangeWalker.
 func TestRangeTinyWindowAllocs(t *testing.T) {
 	tr, pts := buildAllocTree(t, 4000)
 	p := pts[3456]

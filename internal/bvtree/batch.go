@@ -27,7 +27,9 @@ func (t *Tree) ApplyBatch(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	t.mu.Lock()
+	if err := t.lockWrite(); err != nil {
+		return err
+	}
 	defer t.mu.Unlock()
 	defer t.endOp()
 	m, tr := t.metrics, t.tracer

@@ -169,7 +169,9 @@ func (b *writeBuffer) reregister(op *bufOp) {
 // OpenDurable — the durable open enables it only after WAL replay, via
 // DurableOptions.BufferOps).
 func (t *Tree) EnableBuffer(n int) error {
-	t.mu.Lock()
+	if err := t.lockWrite(); err != nil {
+		return err
+	}
 	defer t.mu.Unlock()
 	defer t.endOp()
 	if n <= 0 {
@@ -194,7 +196,9 @@ func (t *Tree) EnableBuffer(n int) error {
 // no-op when buffering is off or the buffer is empty. Flush (and
 // therefore every durable checkpoint) calls it implicitly.
 func (t *Tree) FlushBuffer() error {
-	t.mu.Lock()
+	if err := t.lockWrite(); err != nil {
+		return err
+	}
 	defer t.mu.Unlock()
 	defer t.endOp()
 	return t.flushAllLocked()

@@ -335,9 +335,8 @@ func TestBufferedDifferentialDurable(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { st.Close() })
-		d, err := NewDurableOpts(st, filepath.Join(dir, name+".wal"),
-			Options{Dims: 2, DataCapacity: 8, Fanout: 8},
-			DurableOptions{BufferOps: bufferOps})
+		d, err := NewDurable(st, filepath.Join(dir, name+".wal"),
+			Options{Dims: 2, DataCapacity: 8, Fanout: 8, BufferOps: bufferOps})
 		if err != nil {
 			t.Fatal(err)
 		}

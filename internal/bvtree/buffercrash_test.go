@@ -49,8 +49,7 @@ func newBufCrashEnv(t *testing.T, bufferOps int) *bufCrashEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.d, err = NewDurableLogOpts(e.st, l, Options{Dims: 2, DataCapacity: 8, Fanout: 8},
-		DurableOptions{BufferOps: bufferOps})
+	e.d, err = NewDurableLog(e.st, l, Options{Dims: 2, DataCapacity: 8, Fanout: 8, BufferOps: bufferOps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +243,8 @@ func TestBufferedCheckpointDrainsBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDurableOpts(st, filepath.Join(dir, "t.wal"),
-		Options{Dims: 2, DataCapacity: 8, Fanout: 8},
-		DurableOptions{BufferOps: 64})
+	d, err := NewDurable(st, filepath.Join(dir, "t.wal"),
+		Options{Dims: 2, DataCapacity: 8, Fanout: 8, BufferOps: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,9 @@ func (t *Tree) BulkLoad(points []geometry.Point, payloads []uint64) error {
 	if len(points) == 0 {
 		return nil
 	}
-	t.mu.Lock()
+	if err := t.lockWrite(); err != nil {
+		return err
+	}
 	defer t.mu.Unlock()
 	defer t.endOp()
 	if t.size == 0 && t.rootLevel == 0 && t.buf.empty() {

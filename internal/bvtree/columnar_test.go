@@ -1,17 +1,19 @@
 package bvtree
 
-// Differential battery for the columnar node layout: a tree running the
-// batched column predicates must be observably identical — encoded
-// pages and query answers both — to one forced onto the pre-columnar
-// scalar scans (Options.ScalarNodeScan), across backends and workload
+// Differential battery for the columnar read path: every answer the
+// batched column predicates give must equal what the scalar reference
+// (reference_test.go: entry by entry, item by item, on the same tree)
+// and linear scans of its output give, across backends and workload
 // shapes. The TestColumnarConcurrent smoke runs under the race detector
 // in `make verify`.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -36,53 +38,31 @@ type qtree interface {
 	Validate(bool) error
 }
 
-// columnarPair builds two identically-configured trees on the named
-// backend, one columnar and one with ScalarNodeScan set. The stores are
-// returned when the backend has them (for byte-identity sweeps).
-func columnarPair(t *testing.T, backend string, dims int) (cols, scalar qtree, colStore, sclStore *storage.MemStore) {
+// columnarTree builds an empty tree on the named backend.
+func columnarTree(t *testing.T, backend string, dims int) qtree {
 	t.Helper()
-	base := Options{Dims: dims, DataCapacity: 8, Fanout: 8, CacheNodes: 32}
-	scalarOpt := base
-	scalarOpt.ScalarNodeScan = true
+	opt := Options{Dims: dims, DataCapacity: 8, Fanout: 8, CacheNodes: 32}
+	var tr qtree
+	var err error
 	switch backend {
 	case "mem":
-		a, err := New(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := New(scalarOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a, b, nil, nil
+		tr, err = New(opt)
 	case "paged":
-		colStore, sclStore = storage.NewMemStore(), storage.NewMemStore()
-		a, err := NewPaged(colStore, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewPaged(sclStore, scalarOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a, b, colStore, sclStore
+		tr, err = NewPaged(storage.NewMemStore(), opt)
 	case "durable":
-		colStore, sclStore = storage.NewMemStore(), storage.NewMemStore()
-		dir := t.TempDir()
-		a, err := NewDurable(colStore, filepath.Join(dir, "c.wal"), base)
-		if err != nil {
-			t.Fatal(err)
+		var d *DurableTree
+		d, err = NewDurable(storage.NewMemStore(), filepath.Join(t.TempDir(), "c.wal"), opt)
+		if err == nil {
+			t.Cleanup(func() { d.Close() })
 		}
-		t.Cleanup(func() { a.Close() })
-		b, err := NewDurable(sclStore, filepath.Join(dir, "s.wal"), scalarOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { b.Close() })
-		return a, b, colStore, sclStore
+		tr = d
+	default:
+		t.Fatalf("unknown backend %q", backend)
 	}
-	t.Fatalf("unknown backend %q", backend)
-	return nil, nil, nil, nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 // collect drains a query into a canonically-sorted multiset.
@@ -102,7 +82,7 @@ func collect(t *testing.T, run func(Visitor) error) []string {
 func equalMultiset(t *testing.T, what string, a, b []string) {
 	t.Helper()
 	if len(a) != len(b) {
-		t.Fatalf("%s: columnar returned %d items, scalar %d", what, len(a), len(b))
+		t.Fatalf("%s: columnar returned %d items, reference %d", what, len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -134,58 +114,48 @@ func columnarWorkload(t *testing.T, kind string, dims, n int) []geometry.Point {
 	}
 }
 
-// TestColumnarDifferential drives identical insert/delete streams
-// through a columnar and a scalar-scan tree on every backend and checks
-// that every read answer is multiset-identical. (Byte-identity of the
-// stores is checked separately on insert-only builds — see
-// TestColumnarEncodedPageIdentity — because delete-triggered guard
-// maintenance makes page layout sensitive to cache-eviction order, a
-// nondeterminism the seed tree already has; query answers are
-// order-independent and compared here for the full mixed workload.)
+// TestColumnarDifferential drives an insert/delete stream through a tree
+// on every backend and checks every read answer against the scalar
+// reference walk of the same tree: range queries and counts (serial and
+// at four workers) as multisets, and Lookup and Nearest against linear
+// scans of the reference's full scan.
 func TestColumnarDifferential(t *testing.T) {
 	const dims, n = 2, 2500
 	for _, backend := range []string{"mem", "paged", "durable"} {
 		for _, kind := range []string{"uniform", "clustered", "burst"} {
 			t.Run(backend+"/"+kind, func(t *testing.T) {
 				pts := columnarWorkload(t, kind, dims, n)
-				cols, scalar, _, _ := columnarPair(t, backend, dims)
+				cols := columnarTree(t, backend, dims)
 
 				rng := rand.New(rand.NewSource(77))
 				for i, p := range pts {
-					for _, tr := range []qtree{cols, scalar} {
-						if err := tr.Insert(p, uint64(i)); err != nil {
-							t.Fatal(err)
-						}
+					if err := cols.Insert(p, uint64(i)); err != nil {
+						t.Fatal(err)
 					}
 					// Interleaved deletes keep removal paths (mirror
 					// staleness + rebuild) in the differential too.
 					if i%7 == 3 {
 						j := rng.Intn(i + 1)
-						for _, tr := range []qtree{cols, scalar} {
-							if _, err := tr.Delete(pts[j], uint64(j)); err != nil {
-								t.Fatal(err)
-							}
+						if _, err := cols.Delete(pts[j], uint64(j)); err != nil {
+							t.Fatal(err)
 						}
 					}
 				}
-				if cols.Len() != scalar.Len() {
-					t.Fatalf("Len: columnar %d, scalar %d", cols.Len(), scalar.Len())
+				all := referenceItems(t, cols, geometry.UniverseRect(dims))
+				if cols.Len() != len(all) {
+					t.Fatalf("Len: %d, reference scan holds %d", cols.Len(), len(all))
 				}
 				if err := cols.Validate(true); err != nil {
-					t.Fatalf("columnar invariants: %v", err)
-				}
-				if err := scalar.Validate(true); err != nil {
-					t.Fatalf("scalar invariants: %v", err)
+					t.Fatalf("invariants: %v", err)
 				}
 
-				equalMultiset(t, "Scan", collect(t, cols.Scan), collect(t, scalar.Scan))
+				equalMultiset(t, "Scan", collect(t, cols.Scan), referenceRange(t, cols, geometry.UniverseRect(dims)))
 				for qi, rect := range workload.QueryRects(dims, 12, 0.1, 31) {
 					rect := rect
 					a := collect(t, func(v Visitor) error { return cols.RangeQuery(rect, v) })
-					b := collect(t, func(v Visitor) error { return scalar.RangeQuery(rect, v) })
-					equalMultiset(t, fmt.Sprintf("RangeQuery %d", qi), a, b)
+					equalMultiset(t, fmt.Sprintf("RangeQuery %d", qi), a, referenceRange(t, cols, rect))
 					c := collect(t, func(v Visitor) error { return cols.RangeQueryWorkers(rect, v, 4) })
-					equalMultiset(t, fmt.Sprintf("RangeQueryWorkers %d", qi), a, c)
+					equalMultiset(t, fmt.Sprintf("RangeQueryWorkers %d", qi), c, a)
 					cnt, err := cols.Count(rect)
 					if err != nil {
 						t.Fatal(err)
@@ -193,12 +163,12 @@ func TestColumnarDifferential(t *testing.T) {
 					if cnt != len(a) {
 						t.Fatalf("Count %d: %d, RangeQuery returned %d", qi, cnt, len(a))
 					}
-					wcnt, err := scalar.CountWorkers(rect, 4)
+					wcnt, err := cols.CountWorkers(rect, 4)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if wcnt != len(a) {
-						t.Fatalf("scalar CountWorkers %d: %d, want %d", qi, wcnt, len(a))
+						t.Fatalf("CountWorkers %d: %d, want %d", qi, wcnt, len(a))
 					}
 				}
 				for qi := 0; qi < 40; qi++ {
@@ -207,9 +177,11 @@ func TestColumnarDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					lb, err := scalar.Lookup(q)
-					if err != nil {
-						t.Fatal(err)
+					var lb []uint64
+					for _, it := range all {
+						if it.Point.Equal(q) {
+							lb = append(lb, it.Payload)
+						}
 					}
 					sort.Slice(la, func(i, j int) bool { return la[i] < la[j] })
 					sort.Slice(lb, func(i, j int) bool { return lb[i] < lb[j] })
@@ -228,77 +200,21 @@ func TestColumnarDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					b, err := scalar.Nearest(q, 10)
-					if err != nil {
-						t.Fatal(err)
+					b := make([]float64, len(all))
+					for i, it := range all {
+						b[i] = pointDist(q, it.Point)
 					}
-					if len(a) != len(b) {
-						t.Fatalf("Nearest %d: %d vs %d results", qi, len(a), len(b))
+					sort.Float64s(b)
+					if len(a) != min(10, len(b)) {
+						t.Fatalf("Nearest %d: %d results of %d items", qi, len(a), len(b))
 					}
 					for i := range a {
-						if a[i].Dist != b[i].Dist {
-							t.Fatalf("Nearest %d result %d: dist %v vs %v", qi, i, a[i].Dist, b[i].Dist)
+						if a[i].Dist != b[i] {
+							t.Fatalf("Nearest %d result %d: dist %v vs %v", qi, i, a[i].Dist, b[i])
 						}
 					}
 				}
-
 			})
-		}
-	}
-}
-
-// TestColumnarEncodedPageIdentity builds a columnar and a scalar-scan
-// tree from the same insert-only stream (a deterministic build) on the
-// paged backend and requires every stored page to be byte-identical:
-// the columnar mirror must be invisible in the wire format.
-// Burst (deeply nested) builds are excluded: they trip the same
-// eviction-order sensitivity in guard maintenance that deletes do — the
-// seed tree produces differing page layouts for two identical burst
-// builds — so only the query-level differential covers them.
-func TestColumnarEncodedPageIdentity(t *testing.T) {
-	const dims, n = 2, 2500
-	for _, kind := range []string{"uniform", "clustered"} {
-		t.Run(kind, func(t *testing.T) {
-			pts := columnarWorkload(t, kind, dims, n)
-			cols, scalar, colStore, sclStore := columnarPair(t, "paged", dims)
-			for i, p := range pts {
-				if err := cols.Insert(p, uint64(i)); err != nil {
-					t.Fatal(err)
-				}
-				if err := scalar.Insert(p, uint64(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			compareStores(t, colStore, sclStore)
-		})
-	}
-}
-
-// compareStores sweeps every page ID either store has allocated and
-// requires identical bytes (or identical absence): the columnar mirror
-// must be invisible in the wire format.
-func compareStores(t *testing.T, a, b *storage.MemStore) {
-	t.Helper()
-	hi := a.Stats().Allocs
-	if n := b.Stats().Allocs; n > hi {
-		hi = n
-	}
-	for id := page.ID(1); id <= page.ID(hi); id++ {
-		ba, errA := a.ReadNode(id)
-		bb, errB := b.ReadNode(id)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("page %d: allocated in one store only (%v vs %v)", id, errA, errB)
-		}
-		if errA != nil {
-			continue
-		}
-		if len(ba) != len(bb) {
-			t.Fatalf("page %d: %d bytes vs %d", id, len(ba), len(bb))
-		}
-		for i := range ba {
-			if ba[i] != bb[i] {
-				t.Fatalf("page %d differs at byte %d", id, i)
-			}
 		}
 	}
 }
@@ -363,12 +279,13 @@ func TestColumnarConcurrent(t *testing.T) {
 
 // TestReadsStayOnBatchedPath pins that a read tests every node it
 // fetches through that node's columnar mirror: over a program of
-// lookups and one-item windows, Stats().BatchTests moves exactly as
-// NodeAccesses does — the identity bvtree.batch_tests_per_op =
-// bvtree.nodes_per_op of the benchmark's point-hot workload. A node
-// published without its mirror sends its readers to the scalar
-// fallbacks (scanDescendNode, qualifyNode, lookupLocked, scanPages),
-// which fetch without a batched test and break the identity.
+// lookups, one-item windows and nearest-neighbour searches,
+// Stats().BatchTests moves exactly as NodeAccesses does — the identity
+// bvtree.batch_tests_per_op = bvtree.nodes_per_op of the benchmark's
+// point-hot workload — and no read meets a node published without its
+// mirror (errMirrorless). The one read that fetches without a batched
+// test, by design, is a range walk's streaming decode of a cold data
+// page, so the cold case reads through Lookup and Nearest only.
 func TestReadsStayOnBatchedPath(t *testing.T) {
 	const dims = 2
 	pts, err := workload.Generate(workload.Clustered, dims, 900, 71)
@@ -379,6 +296,7 @@ func TestReadsStayOnBatchedPath(t *testing.T) {
 	type reader interface {
 		Lookup(geometry.Point) ([]uint64, error)
 		RangeQuery(geometry.Rect, Visitor) error
+		Nearest(geometry.Point, int) ([]Neighbor, error)
 	}
 	load := func(t *testing.T, tr *Tree, err error, pts []geometry.Point) *Tree {
 		t.Helper()
@@ -392,21 +310,41 @@ func TestReadsStayOnBatchedPath(t *testing.T) {
 		}
 		return tr
 	}
+	// pinnedUnderWriter loads 600 points into a paged tree, pins it, and
+	// lets a writer supersede pages under the pin: the snapshot's reads
+	// resolve their pre-images from the version chains.
+	pinnedUnderWriter := func(t *testing.T, opt Options) (*Tree, reader, []geometry.Point) {
+		tr, err := NewPaged(storage.NewMemStore(), opt)
+		tr = load(t, tr, err, pts[:600])
+		snap, err := tr.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(snap.Release)
+		load(t, tr, nil, pts[600:])
+		for _, p := range pts[:200] {
+			if ok, err := tr.Delete(p, p[0]); err != nil || !ok {
+				t.Fatalf("delete %v: %v %v", p, ok, err)
+			}
+		}
+		return tr, snap, pts[:600]
+	}
 	cases := []struct {
 		name  string
+		cold  bool
 		build func(t *testing.T) (tr *Tree, r reader, stored []geometry.Point)
 	}{
-		{"mem", func(t *testing.T) (*Tree, reader, []geometry.Point) {
+		{"mem", false, func(t *testing.T) (*Tree, reader, []geometry.Point) {
 			tr, err := New(opt)
 			tr = load(t, tr, err, pts)
 			return tr, tr, pts
 		}},
-		{"paged", func(t *testing.T) (*Tree, reader, []geometry.Point) {
+		{"paged", false, func(t *testing.T) (*Tree, reader, []geometry.Point) {
 			tr, err := NewPaged(storage.NewMemStore(), opt)
 			tr = load(t, tr, err, pts)
 			return tr, tr, pts
 		}},
-		{"buffered-before-first-flush", func(t *testing.T) (*Tree, reader, []geometry.Point) {
+		{"buffered-before-first-flush", false, func(t *testing.T) (*Tree, reader, []geometry.Point) {
 			bopt := opt
 			bopt.BufferOps = 64
 			tr, err := New(bopt)
@@ -416,23 +354,20 @@ func TestReadsStayOnBatchedPath(t *testing.T) {
 			}
 			return tr, tr, pts[:40]
 		}},
-		{"pinned-snapshot-under-writer", func(t *testing.T) (*Tree, reader, []geometry.Point) {
-			tr, err := NewPaged(storage.NewMemStore(), opt)
-			tr = load(t, tr, err, pts[:600])
-			snap, err := tr.Snapshot()
-			if err != nil {
-				t.Fatal(err)
+		{"pinned-snapshot-under-writer", false, func(t *testing.T) (*Tree, reader, []geometry.Point) {
+			return pinnedUnderWriter(t, opt)
+		}},
+		// A decoded cache far smaller than the tree: the view's fetches
+		// miss it and decode pages privately, through the same
+		// decode-and-sync helper as the owner's.
+		{"pinned-cold-snapshot-under-writer", true, func(t *testing.T) (*Tree, reader, []geometry.Point) {
+			copt := opt
+			copt.CacheNodes = 8
+			tr, r, stored := pinnedUnderWriter(t, copt)
+			if st, err := tr.CollectStats(); err != nil || st.DataPages < 10*copt.CacheNodes {
+				t.Fatalf("tree has %+v data pages (err %v), want many more than the %d nodes cached", st, err, copt.CacheNodes)
 			}
-			t.Cleanup(snap.Release)
-			// The writer supersedes pages under the pin: the snapshot's
-			// reads below resolve their pre-images from the version chains.
-			load(t, tr, nil, pts[600:])
-			for _, p := range pts[:200] {
-				if ok, err := tr.Delete(p, p[0]); err != nil || !ok {
-					t.Fatalf("delete %v: %v %v", p, ok, err)
-				}
-			}
-			return tr, snap, pts[:600]
+			return tr, r, stored
 		}},
 	}
 	for _, tc := range cases {
@@ -443,6 +378,12 @@ func TestReadsStayOnBatchedPath(t *testing.T) {
 				got, err := r.Lookup(p)
 				if err != nil || len(got) == 0 {
 					t.Fatalf("Lookup(%v) = %v, %v", p, got, err)
+				}
+				if nb, err := r.Nearest(p, 3); err != nil || len(nb) == 0 || nb[0].Dist != 0 {
+					t.Fatalf("Nearest(%v) = %v, %v", p, nb, err)
+				}
+				if tc.cold {
+					continue
 				}
 				seen := 0
 				err = r.RangeQuery(geometry.Rect{Min: p, Max: p}, func(geometry.Point, uint64) bool {
@@ -458,6 +399,104 @@ func TestReadsStayOnBatchedPath(t *testing.T) {
 			if nodes == 0 || tests != nodes {
 				t.Fatalf("%d nodes fetched, %d tested through their columns", nodes, tests)
 			}
+		})
+	}
+}
+
+// TestMirrorlessNodeIsAnError pins what a read does with a node that
+// reached it without a fresh columnar mirror — here an index node whose
+// Entries, then a data page whose Items, were rebound without a save:
+// every read path returns errMirrorless naming the page (there is no
+// second, entry-by-entry implementation to answer from), Validate
+// reports the page, and the save that should have followed repairs it.
+func TestMirrorlessNodeIsAnError(t *testing.T) {
+	const dims = 2
+	pts, err := workload.Generate(workload.Uniform, dims, 300, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []string{"mem", "paged"} {
+		t.Run(backend, func(t *testing.T) {
+			// The default decoded cache holds the whole tree, so the unsaved
+			// node below is not evicted and re-read clean between reads.
+			opt := Options{Dims: dims, DataCapacity: 8, Fanout: 8}
+			tr, err := New(opt)
+			if backend == "paged" {
+				tr, err = NewPaged(storage.NewMemStore(), opt)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range pts {
+				if err := tr.Insert(p, uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p := pts[0]
+			window := geometry.Rect{Min: p, Max: p}
+			reads := func() map[string]error {
+				_, lerr := tr.Lookup(p)
+				_, cerr := tr.Count(window)
+				_, nerr := tr.Nearest(p, 1)
+				return map[string]error{
+					"Lookup":     lerr,
+					"RangeQuery": tr.RangeQuery(window, func(geometry.Point, uint64) bool { return true }),
+					"Count":      cerr,
+					"Nearest":    nerr,
+				}
+			}
+			check := func(id page.ID, validateSays string) {
+				t.Helper()
+				for what, err := range reads() {
+					if !errors.Is(err, errMirrorless) || !strings.Contains(err.Error(), fmt.Sprintf("page %d", id)) {
+						t.Errorf("%s over mirrorless page %d: %v", what, id, err)
+					}
+				}
+				if err := tr.Validate(false); err == nil || !strings.Contains(err.Error(), validateSays) {
+					t.Errorf("Validate over mirrorless page %d: %v, want it to name %q", id, err, validateSays)
+				}
+			}
+			repaired := func() {
+				t.Helper()
+				for what, err := range reads() {
+					if err != nil {
+						t.Errorf("%s after the save: %v", what, err)
+					}
+				}
+				if err := tr.Validate(true); err != nil {
+					t.Errorf("Validate after the save: %v", err)
+				}
+			}
+
+			n, err := tr.st.Index(tr.root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Entries = append([]page.Entry(nil), n.Entries...)
+			check(tr.root, fmt.Sprintf("node %d ", tr.root))
+			if err := tr.st.SaveIndex(tr.root, n); err != nil {
+				t.Fatal(err)
+			}
+			repaired()
+
+			key, err := tr.addr(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := tr.descendPoint(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dp, err := tr.st.Data(d.dataID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dp.Items = append([]page.Item(nil), dp.Items...)
+			check(d.dataID, fmt.Sprintf("data page %d:", d.dataID))
+			if err := tr.st.SaveData(d.dataID, dp); err != nil {
+				t.Fatal(err)
+			}
+			repaired()
 		})
 	}
 }

@@ -18,7 +18,9 @@ import (
 // redistribution (§5): "joining their contents together and then splitting
 // them again".
 func (t *Tree) Delete(p geometry.Point, payload uint64) (bool, error) {
-	t.mu.Lock()
+	if err := t.lockWrite(); err != nil {
+		return false, err
+	}
 	defer t.mu.Unlock()
 	defer t.endOp()
 	del := t.deleteLocked

@@ -66,8 +66,8 @@ type DurableTree struct {
 	lsn uint64
 
 	// wm holds the WAL-layer histograms when metrics are enabled (via
-	// Options.Metrics, DurableOptions.Metrics or EnableMetrics). Guarded
-	// by d.mu; the log itself keeps its own atomic reference.
+	// Options.Metrics or EnableMetrics). Guarded by d.mu; the log itself
+	// keeps its own atomic reference.
 	wm *obs.WALMetrics
 
 	cp *checkpointer // non-nil while a background checkpointer runs
@@ -82,19 +82,6 @@ type DurableOptions struct {
 	// Checkpoint, when either trigger is set, starts a background
 	// checkpointer (see CheckpointConfig).
 	Checkpoint CheckpointConfig
-	// Metrics enables the per-operation histograms of both the tree layer
-	// (equivalent to Options.Metrics) and the WAL layer (append/fsync
-	// latency, group-commit batch shape, checkpoint cost), reported by
-	// (*DurableTree).Metrics.
-	Metrics bool
-	// BufferOps, when positive, attaches a write buffer of that many
-	// operations per index-node group to the tree (see Options.BufferOps).
-	// Durability is unchanged — every operation is WAL-logged and acked
-	// only after its group fsync, whether it is buffered or applied; crash
-	// recovery replays the log, which re-executes buffered-but-unflushed
-	// operations. On reopen the buffer is enabled only after replay
-	// completes, so recovery itself runs unbuffered.
-	BufferOps int
 }
 
 // NewDurable creates a durable tree over a fresh store, logging to
@@ -122,12 +109,6 @@ func NewDurableLog(st storage.Store, l *wal.Log, opt Options) (*DurableTree, err
 // NewDurableLogOpts is NewDurableLog with an explicit write-path
 // configuration.
 func NewDurableLogOpts(st storage.Store, l *wal.Log, opt Options, dopt DurableOptions) (*DurableTree, error) {
-	if dopt.Metrics {
-		opt.Metrics = true
-	}
-	if dopt.BufferOps > 0 {
-		opt.BufferOps = dopt.BufferOps
-	}
 	tr, err := NewPaged(st, opt)
 	if err != nil {
 		l.Close()
@@ -208,20 +189,7 @@ func OpenDurableLogOpts(st storage.Store, l *wal.Log, cacheNodes int, dopt Durab
 		return nil, fmt.Errorf("bvtree: %w: wal epoch %d ahead of store checkpoint epoch %d", wal.ErrCorrupt, l.Epoch(), tr.Epoch())
 	}
 	tr.setBaseLSN(d.lsn)
-	if dopt.BufferOps > 0 {
-		// Enabled only now: replay above ran unbuffered, so the recovered
-		// state is fully applied before any new operation can be deferred.
-		if err := tr.EnableBuffer(dopt.BufferOps); err != nil {
-			l.Close()
-			return nil, err
-		}
-	}
 	d.gc = wal.NewGroupCommitter(l, dopt.Group)
-	if dopt.Metrics {
-		tr.EnableMetrics()
-		d.wm = &obs.WALMetrics{}
-		l.SetMetrics(d.wm)
-	}
 	d.startCheckpointer(dopt.Checkpoint)
 	return d, nil
 }

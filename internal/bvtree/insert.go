@@ -25,7 +25,9 @@ func newOpCtx() *opCtx { return &opCtx{parents: make(map[page.ID]page.ID)} }
 // Insert adds an item at point p with the given payload. Duplicate points
 // are allowed and accumulate.
 func (t *Tree) Insert(p geometry.Point, payload uint64) error {
-	t.mu.Lock()
+	if err := t.lockWrite(); err != nil {
+		return err
+	}
 	defer t.mu.Unlock()
 	defer t.endOp()
 	// Every mutation path routes through the buffer when one is attached;
@@ -273,7 +275,7 @@ func (t *Tree) resplitOversized(ctx *opCtx, ids ...page.ID) error {
 // that received the entry.
 func (t *Tree) placeEntry(ctx *opCtx, startID page.ID, e page.Entry) (int, error) {
 	cur := startID
-	n, err := t.fetchIndex(cur)
+	n, c, err := t.indexCols(cur)
 	if err != nil {
 		return 0, err
 	}
@@ -291,7 +293,7 @@ func (t *Tree) placeEntry(ctx *opCtx, startID page.ID, e page.Entry) (int, error
 		}
 		// The same fused guard-merge + best-match pass as the point
 		// descent, with e's own key as the target.
-		bestIdx, bestLen := t.scanDescendNode(n, cur, tk, e.Key, guards)
+		bestIdx, bestLen, bestChild := t.scanDescendNode(c, n.Level-1, cur, tk, guards)
 		g := guards[n.Level-1]
 		guards[n.Level-1] = guardRef{}
 		var next page.ID
@@ -300,13 +302,13 @@ func (t *Tree) placeEntry(ctx *opCtx, startID page.ID, e page.Entry) (int, error
 		case g.ok && g.keyBits > bestLen:
 			next, parent = g.child, g.srcID
 		case bestIdx >= 0:
-			next, parent = n.Entries[bestIdx].Child, cur
+			next, parent = bestChild, cur
 		default:
 			return 0, fmt.Errorf("bvtree: no route for entry %v (level %d) at node %d", e.Key, e.Level, cur)
 		}
 		ctx.parents[next] = parent
 		cur = next
-		n, err = t.fetchIndex(cur)
+		n, c, err = t.indexCols(cur)
 		if err != nil {
 			return 0, err
 		}

@@ -16,7 +16,9 @@ import (
 // identically before and after); it reclaims index slots so that later
 // splits stay balanced. Run it after bulk deletions.
 func (t *Tree) Maintain() (int, error) {
-	t.mu.Lock()
+	if err := t.lockWrite(); err != nil {
+		return 0, err
+	}
 	defer t.mu.Unlock()
 	defer t.endOp()
 	if t.rootLevel == 0 {

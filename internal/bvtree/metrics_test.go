@@ -124,7 +124,7 @@ func TestMetricsDisabledByDefault(t *testing.T) {
 }
 
 // TestDurableMetrics exercises the full stack: a durable tree over a
-// file store with DurableOptions.Metrics must report all three sections —
+// file store with Options.Metrics must report all three sections —
 // tree histograms, WAL write-path histograms, and page-store counters.
 func TestDurableMetrics(t *testing.T) {
 	dir := t.TempDir()
@@ -133,7 +133,7 @@ func TestDurableMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	d, err := NewDurableOpts(st, filepath.Join(dir, "tree.wal"), Options{Dims: 2}, DurableOptions{Metrics: true})
+	d, err := NewDurable(st, filepath.Join(dir, "tree.wal"), Options{Dims: 2, Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -282,6 +282,18 @@ func (t *Tree) CheckSnapshots() error {
 
 // --- writer choke points ---
 
+// lockWrite takes the exclusive lock for a mutating operation. A pinned
+// view (mv == nil) is refused before any node is fetched: wIndex and
+// wData capture nothing for it and would hand back the owner's live node
+// to mutate, and only the save after the damage would fail.
+func (t *Tree) lockWrite() error {
+	if t.mv == nil {
+		return errSnapshotReadOnly
+	}
+	t.mu.Lock()
+	return nil
+}
+
 // wIndex fetches index node id for mutation. When pinned readers may
 // still need the current version it is captured and a private clone
 // returned; the caller mutates the result and saves it as usual.
@@ -349,33 +361,18 @@ func (s *snapNodes) Index(id page.ID) (*page.IndexNode, error) {
 	if v, ok := s.mv.resolve(id, s.pin); ok {
 		return asIndex(id, v)
 	}
-	if s.pn != nil {
-		if v, ok := s.pn.cacheGet(id); ok {
-			// Re-check: if the cached node postdates the pin, its
-			// pre-image was chained before it was published.
-			if old, ok2 := s.mv.resolve(id, s.pin); ok2 {
-				return asIndex(id, old)
-			}
-			return asIndex(id, v)
-		}
-		blob, err := s.pn.st.ReadNode(id)
-		if err != nil {
-			return nil, err
-		}
-		if old, ok2 := s.mv.resolve(id, s.pin); ok2 {
-			return asIndex(id, old)
-		}
-		n, err := page.DecodeIndex(blob)
-		if err != nil {
-			return nil, fmt.Errorf("bvtree: decode index page %d: %w", id, err)
-		}
-		// Private decode (never admitted to the shared cache): give it
-		// its columnar mirror too, so pinned traversals batch as well.
-		n.SyncCols(s.pn.dims)
-		return n, nil
+	var n *page.IndexNode
+	var err error
+	if s.pn == nil {
+		n, err = s.ns.Index(id)
+	} else if v, ok := s.pn.cacheGet(id); ok {
+		n, err = asIndex(id, v)
+	} else {
+		n, err = s.pn.readIndex(id) // private: never admitted to the shared cache
 	}
-	n, err := s.ns.Index(id)
-	if old, ok2 := s.mv.resolve(id, s.pin); ok2 {
+	// Re-check: if the live node postdates the pin, its pre-image was
+	// chained before it was published.
+	if old, ok := s.mv.resolve(id, s.pin); ok {
 		return asIndex(id, old)
 	}
 	return n, err
@@ -385,28 +382,16 @@ func (s *snapNodes) Data(id page.ID) (*page.DataPage, error) {
 	if v, ok := s.mv.resolve(id, s.pin); ok {
 		return asData(id, v)
 	}
-	if s.pn != nil {
-		if v, ok := s.pn.cacheGet(id); ok {
-			if old, ok2 := s.mv.resolve(id, s.pin); ok2 {
-				return asData(id, old)
-			}
-			return asData(id, v)
-		}
-		blob, err := s.pn.st.ReadNode(id)
-		if err != nil {
-			return nil, err
-		}
-		if old, ok2 := s.mv.resolve(id, s.pin); ok2 {
-			return asData(id, old)
-		}
-		p, _, err := page.DecodeData(blob)
-		if err != nil {
-			return nil, fmt.Errorf("bvtree: decode data page %d: %w", id, err)
-		}
-		return p, nil
+	var p *page.DataPage
+	var err error
+	if s.pn == nil {
+		p, err = s.ns.Data(id)
+	} else if v, ok := s.pn.cacheGet(id); ok {
+		p, err = asData(id, v)
+	} else {
+		p, err = s.pn.readData(id)
 	}
-	p, err := s.ns.Data(id)
-	if old, ok2 := s.mv.resolve(id, s.pin); ok2 {
+	if old, ok := s.mv.resolve(id, s.pin); ok {
 		return asData(id, old)
 	}
 	return p, err

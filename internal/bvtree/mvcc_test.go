@@ -13,6 +13,7 @@ package bvtree
 // both correct and frozen.
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -449,32 +450,70 @@ func TestSnapshotReclamation(t *testing.T) {
 }
 
 // TestSnapshotOfSnapshotFails pins the API contract: views cannot be
-// re-snapshotted, and snapshot stores reject mutation.
+// re-snapshotted, and every mutating entry point of a view is refused
+// before it touches a node — a view's write choke points would hand it
+// the owner's live page, so a refusal that came only from the save would
+// leave the owner's tree already changed.
 func TestSnapshotOfSnapshotFails(t *testing.T) {
-	tr, err := New(Options{Dims: 2, DataCapacity: 8, Fanout: 8})
-	if err != nil {
-		t.Fatal(err)
+	opt := Options{Dims: 2, DataCapacity: 8, Fanout: 8}
+	for _, backend := range []string{"mem", "paged"} {
+		t.Run(backend, func(t *testing.T) {
+			tr, err := New(opt)
+			if backend == "paged" {
+				tr, err = NewPaged(storage.NewMemStore(), opt)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept, rejected := geometry.Point{1, 2}, geometry.Point{3, 4}
+			if err := tr.Insert(kept, 7); err != nil {
+				t.Fatal(err)
+			}
+			s, err := tr.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Release()
+			if _, err := s.v.Snapshot(); err == nil {
+				t.Fatal("snapshot of a snapshot view unexpectedly succeeded")
+			}
+			_, delErr := s.v.Delete(kept, 7)
+			_, maintErr := s.v.Maintain()
+			for what, err := range map[string]error{
+				"Insert":       s.v.Insert(rejected, 8),
+				"Delete":       delErr,
+				"ApplyBatch":   s.v.ApplyBatch([]BatchOp{{Point: rejected, Payload: 8}}),
+				"BulkLoad":     s.v.BulkLoad([]geometry.Point{rejected}, []uint64{8}),
+				"Maintain":     maintErr,
+				"EnableBuffer": s.v.EnableBuffer(4),
+				"FlushBuffer":  s.v.FlushBuffer(),
+				"Flush":        s.v.Flush(),
+			} {
+				if !errors.Is(err, errSnapshotReadOnly) {
+					t.Errorf("%s through a snapshot view: %v, want errSnapshotReadOnly", what, err)
+				}
+			}
+			// The owner is exactly as it was.
+			if got, err := tr.Lookup(rejected); err != nil || len(got) != 0 {
+				t.Fatalf("owner holds the rejected insert: %v err=%v", got, err)
+			}
+			if got, err := tr.Lookup(kept); err != nil || len(got) != 1 || got[0] != 7 {
+				t.Fatalf("owner lost the item a view tried to delete: %v err=%v", got, err)
+			}
+			if tr.Len() != 1 {
+				t.Fatalf("owner Len() = %d after rejected view writes, want 1", tr.Len())
+			}
+			if err := tr.Validate(true); err != nil {
+				t.Fatalf("owner invariants after rejected view writes: %v", err)
+			}
+			got, err := s.Lookup(kept)
+			if err != nil || len(got) != 1 || got[0] != 7 {
+				t.Fatalf("snapshot lookup: got %v err=%v", got, err)
+			}
+			if nbrs, err := s.Nearest(kept, 1); err != nil || len(nbrs) != 1 || nbrs[0].Dist != 0 {
+				t.Fatalf("snapshot nearest: got %v err=%v", nbrs, err)
+			}
+			s.Release() // idempotent
+		})
 	}
-	if err := tr.Insert(geometry.Point{1, 2}, 7); err != nil {
-		t.Fatal(err)
-	}
-	s, err := tr.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Release()
-	if _, err := s.v.Snapshot(); err == nil {
-		t.Fatal("snapshot of a snapshot view unexpectedly succeeded")
-	}
-	if err := s.v.Insert(geometry.Point{3, 4}, 8); err == nil {
-		t.Fatal("insert through a snapshot view unexpectedly succeeded")
-	}
-	got, err := s.Lookup(geometry.Point{1, 2})
-	if err != nil || len(got) != 1 || got[0] != 7 {
-		t.Fatalf("snapshot lookup: got %v err=%v", got, err)
-	}
-	if nbrs, err := s.Nearest(geometry.Point{1, 2}, 1); err != nil || len(nbrs) != 1 || nbrs[0].Dist != 0 {
-		t.Fatalf("snapshot nearest: got %v err=%v", nbrs, err)
-	}
-	s.Release() // idempotent
 }

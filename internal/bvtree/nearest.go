@@ -4,12 +4,12 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"bvtree/internal/geometry"
 	"bvtree/internal/obs"
 	"bvtree/internal/page"
-	"bvtree/internal/region"
 )
 
 // Neighbor is one result of a nearest-neighbour search.
@@ -66,11 +66,7 @@ func (t *Tree) nearestRaw(p geometry.Point, k int) ([]Neighbor, error) {
 
 	pq := &distHeap{}
 	heap.Init(pq)
-	if t.rootLevel == 0 {
-		heap.Push(pq, distItem{dist: 0, id: t.root, level: 0})
-	} else {
-		heap.Push(pq, distItem{dist: 0, id: t.root, level: t.rootLevel})
-	}
+	heap.Push(pq, distItem{id: t.root, level: t.rootLevel})
 
 	var best nbrHeap // max-heap of current k best
 	worst := func() float64 {
@@ -85,6 +81,8 @@ func (t *Tree) nearestRaw(p geometry.Point, k int) ([]Neighbor, error) {
 	// pager as they are pushed overlaps their I/O with the distance work
 	// on the current page.
 	var pfIDs, pfScratch []page.ID
+	var cubeBuf [2 * geometry.MaxDims]uint64
+	cube := geometry.Rect{Min: cubeBuf[:t.opt.Dims], Max: cubeBuf[geometry.MaxDims : geometry.MaxDims+t.opt.Dims]}
 
 	for pq.Len() > 0 {
 		it := heap.Pop(pq).(distItem)
@@ -92,49 +90,43 @@ func (t *Tree) nearestRaw(p geometry.Point, k int) ([]Neighbor, error) {
 			break // nothing left can improve the result set
 		}
 		if it.level == 0 {
-			dp, err := t.fetchData(it.id)
+			dp, c, err := t.dataCols(it.id)
 			if err != nil {
 				return nil, err
 			}
-			for _, item := range dp.Items {
-				d := pointDist(p, item.Point)
-				if d < worst() || best.Len() < k {
-					heap.Push(&best, Neighbor{Point: item.Point, Payload: item.Payload, Dist: d})
-					if best.Len() > k {
-						heap.Pop(&best)
+			// One batched pass over the coordinate columns keeps the items
+			// inside the cube the current k-th distance spans around p; only
+			// those can enter the result set, and only they are measured.
+			t.stats.BatchTests.Inc()
+			distCube(p, worst(), cube)
+			for base := 0; base < c.Len(); base += 64 {
+				for m := c.ContainMask64(cube, base); m != 0; m &= m - 1 {
+					item := &dp.Items[base+bits.TrailingZeros64(m)]
+					d := pointDist(p, item.Point)
+					if d < worst() || best.Len() < k {
+						heap.Push(&best, Neighbor{Point: item.Point, Payload: item.Payload, Dist: d})
+						if best.Len() > k {
+							heap.Pop(&best)
+						}
 					}
 				}
 			}
 			continue
 		}
-		n, err := t.fetchIndex(it.id)
+		_, c, err := t.indexCols(it.id)
 		if err != nil {
 			return nil, err
 		}
+		// The mirror holds each entry's brick bounds deinterleaved, so the
+		// lower bound is two compares and two multiplies per dimension.
+		t.stats.BatchTests.Inc()
 		pfIDs = pfIDs[:0]
-		if c := n.Cols(); c != nil && !t.opt.ScalarNodeScan {
-			// Batched path: the mirror already holds each entry's brick
-			// bounds deinterleaved, so the lower bound is two compares and
-			// two multiplies per dimension instead of re-deriving the brick
-			// from the bit string (which allocates twice per entry).
-			t.stats.BatchTests.Inc()
-			dims := t.opt.Dims
-			for i := 0; i < c.Len(); i++ {
-				emin, emax := c.BoundsAt(i)
-				d := minDistToBounds(p, emin, emax, dims)
-				if d <= worst() {
-					heap.Push(pq, distItem{dist: d, id: c.Child(i), level: c.Level(i)})
-					pfIDs = append(pfIDs, c.Child(i))
-				}
-			}
-		} else {
-			for _, e := range n.Entries {
-				brick := region.Brick(e.Key, t.opt.Dims)
-				d := minDistToRect(p, brick)
-				if d <= worst() {
-					heap.Push(pq, distItem{dist: d, id: e.Child, level: e.Level})
-					pfIDs = append(pfIDs, e.Child)
-				}
+		for i := 0; i < c.Len(); i++ {
+			emin, emax := c.BoundsAt(i)
+			d := minDistToBounds(p, emin, emax, t.opt.Dims)
+			if d <= worst() {
+				heap.Push(pq, distItem{dist: d, id: c.Child(i), level: c.Level(i)})
+				pfIDs = append(pfIDs, c.Child(i))
 			}
 		}
 		if t.bsrc != nil && len(pfIDs) > 1 {
@@ -165,8 +157,26 @@ func pointDist(a, b geometry.Point) float64 {
 	return math.Sqrt(s)
 }
 
-// minDistToBounds is minDistToRect over a columnar bounds row
-// (min = b[:dims], max = b[dims:] as returned by NodeCols.BoundsAt).
+// distCube sets cube to the axis-aligned cube of half-side ⌈r⌉ around p,
+// clipped to the coordinate domain: every point within distance r of p
+// lies inside it (the whole domain while r is still infinite).
+func distCube(p geometry.Point, r float64, cube geometry.Rect) {
+	for d := range p {
+		cube.Min[d], cube.Max[d] = 0, math.MaxUint64
+		if r < 1<<63 {
+			h := uint64(math.Ceil(r))
+			if p[d] > h {
+				cube.Min[d] = p[d] - h
+			}
+			if p[d] < math.MaxUint64-h {
+				cube.Max[d] = p[d] + h
+			}
+		}
+	}
+}
+
+// minDistToBounds is the minimum distance from p to any point of the
+// brick a columnar bounds row describes (NodeCols.BoundsAt).
 func minDistToBounds(p geometry.Point, min, max []uint64, dims int) float64 {
 	s := 0.0
 	for d := 0; d < dims; d++ {
@@ -176,22 +186,6 @@ func minDistToBounds(p geometry.Point, min, max []uint64, dims int) float64 {
 			diff = float64(min[d] - p[d])
 		case p[d] > max[d]:
 			diff = float64(p[d] - max[d])
-		}
-		s += diff * diff
-	}
-	return math.Sqrt(s)
-}
-
-// minDistToRect is the minimum distance from p to any point of r.
-func minDistToRect(p geometry.Point, r geometry.Rect) float64 {
-	s := 0.0
-	for d := range p {
-		var diff float64
-		switch {
-		case p[d] < r.Min[d]:
-			diff = float64(r.Min[d] - p[d])
-		case p[d] > r.Max[d]:
-			diff = float64(p[d] - r.Max[d])
 		}
 		s += diff * diff
 	}

@@ -1,6 +1,7 @@
 package bvtree
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -35,6 +36,18 @@ type dataBatcher interface {
 	dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]byte, miss []page.ID) ([]*page.DataPage, [][]byte, []page.ID, error)
 	prefetch(ids []page.ID, scratch []page.ID) []page.ID
 }
+
+// errMirrorless is what a read returns for a node that reached it without
+// a fresh columnar mirror (page.IndexNode.Cols, page.DataPage.DCols). The
+// columns are the only form readers scan, so every node a NodeStore hands
+// out must carry them: a store builds the mirror at its three publication
+// points — allocation, save, and the decode of a stored page (readIndex,
+// readData) — and a writer saves a node it has changed before anything
+// reads it again. A node that breaks the rule is a bug, reported by page
+// rather than answered from a second, entry-by-entry implementation.
+var errMirrorless = errors.New("bvtree: node has no fresh columnar mirror")
+
+func mirrorless(id page.ID) error { return fmt.Errorf("%w: page %d", errMirrorless, id) }
 
 // memNodes keeps decoded nodes in memory; saves are no-ops. It is the
 // store used for algorithmic experiments, where only logical node accesses
@@ -255,11 +268,32 @@ func (s *pagedNodes) AllocData(reg region.BitString) (page.ID, *page.DataPage, e
 
 func (s *pagedNodes) Index(id page.ID) (*page.IndexNode, error) {
 	if v, ok := s.cacheGet(id); ok {
-		if n, ok := v.(*page.IndexNode); ok {
-			return n, nil
-		}
-		return nil, fmt.Errorf("bvtree: page %d is not an index node", id)
+		return asIndex(id, v)
 	}
+	n, err := s.readIndex(id)
+	if err == nil {
+		s.cachePut(id, n)
+	}
+	return n, err
+}
+
+func (s *pagedNodes) Data(id page.ID) (*page.DataPage, error) {
+	if v, ok := s.cacheGet(id); ok {
+		return asData(id, v)
+	}
+	p, err := s.readData(id)
+	if err == nil {
+		s.cachePut(id, p)
+	}
+	return p, err
+}
+
+// readIndex is the one place a stored index page becomes a node: read,
+// decoded, and given its columnar mirror before anyone can see it —
+// through the cache (Index) or privately (a pinned view's miss). Readers
+// never build columns themselves; racing decodes each sync their own
+// copy and the last cachePut wins whole.
+func (s *pagedNodes) readIndex(id page.ID) (*page.IndexNode, error) {
 	blob, err := s.st.ReadNode(id)
 	if err != nil {
 		return nil, err
@@ -268,21 +302,12 @@ func (s *pagedNodes) Index(id page.ID) (*page.IndexNode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bvtree: decode index page %d: %w", id, err)
 	}
-	// Build the columnar mirror before the node becomes visible through
-	// the cache: readers never build columns themselves (racing decodes
-	// each sync their own private copy; the last cachePut wins whole).
 	n.SyncCols(s.dims)
-	s.cachePut(id, n)
 	return n, nil
 }
 
-func (s *pagedNodes) Data(id page.ID) (*page.DataPage, error) {
-	if v, ok := s.cacheGet(id); ok {
-		if p, ok := v.(*page.DataPage); ok {
-			return p, nil
-		}
-		return nil, fmt.Errorf("bvtree: page %d is not a data page", id)
-	}
+// readData is readIndex for data pages.
+func (s *pagedNodes) readData(id page.ID) (*page.DataPage, error) {
 	blob, err := s.st.ReadNode(id)
 	if err != nil {
 		return nil, err
@@ -291,10 +316,7 @@ func (s *pagedNodes) Data(id page.ID) (*page.DataPage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bvtree: decode data page %d: %w", id, err)
 	}
-	// Same publication rule as Index: the coordinate mirror is built
-	// before the page becomes visible through the cache.
 	p.SyncDataCols(s.dims)
-	s.cachePut(id, p)
 	return p, nil
 }
 
@@ -311,9 +333,9 @@ func (s *pagedNodes) dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]
 	pages, blobs, miss = pages[:0], blobs[:0], miss[:0]
 	for _, id := range ids {
 		if v, ok := s.cacheGet(id); ok {
-			dp, ok := v.(*page.DataPage)
-			if !ok {
-				return pages, blobs, miss, fmt.Errorf("bvtree: page %d is not a data page", id)
+			dp, err := asData(id, v)
+			if err != nil {
+				return pages, blobs, miss, err
 			}
 			pages, blobs = append(pages, dp), append(blobs, nil)
 			continue

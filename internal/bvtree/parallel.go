@@ -282,8 +282,8 @@ func (w *rangeWalker) step(task rangeTask, visit Visitor) (bool, error) {
 // — and feeds the sink their matching items, in item order. A page whose
 // brick lies inside rect (full) is not tested per point, and counting one
 // from a blob reads only its item count; a partial page is tested with
-// one batched ContainMask64 pass per 64 items when it carries a fresh
-// coordinate mirror, item by item otherwise (stale mirror, blob).
+// one batched ContainMask64 pass per 64 items of its coordinate mirror,
+// and item by item, once, when it was decoded here from a blob.
 //
 // The items of any page the pinned view can reach are immutable for the
 // duration of the query — a writer that needs to change such a page
@@ -321,16 +321,18 @@ func (w *rangeWalker) scanPages(visit Visitor) (bool, error) {
 			t.stats.RangeFullPages.Inc()
 		}
 		var items []page.Item
-		var cols *page.DataCols
+		var cols *page.DataCols // nil only for a page decoded here from a blob
 		switch {
 		case pn == nil:
-			dp, err := t.fetchData(id)
+			dp, c, err := t.dataCols(id)
 			if err != nil {
 				return false, err
 			}
-			items, cols = dp.Items, dp.DCols()
+			items, cols = dp.Items, c
 		case w.pages[i] != nil:
-			items, cols = w.pages[i].Items, w.pages[i].DCols()
+			if items, cols = w.pages[i].Items, w.pages[i].DCols(); cols == nil {
+				return false, mirrorless(id)
+			}
 		case full && w.sink == sinkCount:
 			n, err := page.DecodeDataCount(w.blobs[i])
 			if err != nil {

@@ -10,7 +10,6 @@ import (
 	"bvtree/internal/geometry"
 	"bvtree/internal/obs"
 	"bvtree/internal/page"
-	"bvtree/internal/region"
 )
 
 // Visitor receives matching items during a query. Returning false stops
@@ -109,8 +108,7 @@ var errRectDims = errors.New("bvtree: query rect dimensions do not match the tre
 // queries and, with a nil visit, counts (whose result it returns). It
 // validates rect, picks how the walker is driven — inline on the
 // caller's goroutine, or through the spin-up expansion towards a worker
-// pool when the query has a worker budget and looks worth one — and
-// routes trees running Options.ScalarNodeScan to the reference walk.
+// pool when the query has a worker budget and looks worth one.
 func (t *Tree) rangeRaw(rect geometry.Rect, visit Visitor, workers int) (int64, error) {
 	if len(rect.Min) != t.opt.Dims || len(rect.Max) != t.opt.Dims {
 		return 0, fmt.Errorf("%w: min has %d dims, max %d, tree %d", errRectDims, len(rect.Min), len(rect.Max), t.opt.Dims)
@@ -119,14 +117,6 @@ func (t *Tree) rangeRaw(rect geometry.Rect, visit Visitor, workers int) (int64, 
 		if rect.Min[d] > rect.Max[d] {
 			return 0, nil // an inverted rect contains no point
 		}
-	}
-	if t.opt.ScalarNodeScan {
-		var n int64
-		if visit == nil {
-			visit = func(geometry.Point, uint64) bool { n++; return true }
-		}
-		_, err := t.rangeScalar(t.root, t.rootLevel, rect, visit)
-		return n, err
 	}
 	spin := 0
 	if workers > 1 && t.engineWorthwhile(rect) {
@@ -159,67 +149,6 @@ func (t *Tree) engineWorthwhile(rect geometry.Rect) bool {
 		frac *= (float64(rect.Max[d]-rect.Min[d]) + 1) / two64
 	}
 	return frac*float64(t.size) >= minEnginePages*float64(t.opt.DataCapacity)
-}
-
-// rangeScalar is the reference walk, and the whole traversal of a tree
-// running Options.ScalarNodeScan at any worker count: a recursive
-// descent that tests entries one at a time by brick intersection alone
-// and items one at a time by Rect.Contains — unpruned, never marking a
-// subtree full, sharing no code with the qualifier, the walker or the
-// batched masks — so that such a tree, with the linear-scan oracles,
-// remains the trusted reference the differential tests compare the
-// walker against. Results are identical either way; visit order is
-// unspecified.
-func (t *Tree) rangeScalar(id page.ID, level int, rect geometry.Rect, visit Visitor) (bool, error) {
-	if level == 0 {
-		dp, err := t.fetchData(id)
-		if err != nil {
-			return false, err
-		}
-		for _, it := range dp.Items {
-			if rect.Contains(it.Point) && !visit(it.Point, it.Payload) {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	n, err := t.fetchIndex(id)
-	if err != nil {
-		return false, err
-	}
-	// Iterating the node in place is safe on a pinned view: a node the
-	// pin can still observe is never mutated — the first write to it
-	// captures it into its version chain and mutates a clone — and cache
-	// eviction only drops map references, never touches node objects.
-	for i := range n.Entries {
-		e := &n.Entries[i]
-		if !region.BrickIntersects(e.Key, t.opt.Dims, rect) {
-			continue
-		}
-		if cont, err := t.rangeScalar(e.Child, e.Level, rect, visit); err != nil || !cont {
-			return cont, err
-		}
-	}
-	return true, nil
-}
-
-// qualifyRange reports whether an entry's subtree can hold matches and
-// whether its brick is fully contained in rect — the scalar,
-// one-entry-at-a-time form of the test, used where expandRange has no
-// columnar mirror to batch over. Containment of the parent implies
-// containment of every child, so parentFull short-circuits both
-// geometry tests.
-func qualifyRange(en *page.Entry, parentFull bool, dims int, rect geometry.Rect) (qualifies, full bool) {
-	if parentFull {
-		return true, true
-	}
-	// Intersection first: most entries of most nodes fail it, and paying
-	// the containment test only for the few that pass keeps the reject
-	// path at a single test.
-	if !region.BrickIntersects(en.Key, dims, rect) {
-		return false, false
-	}
-	return true, region.BrickWithin(en.Key, dims, rect)
 }
 
 // maxRangeGuards caps the guard set a range descent carries. The set
@@ -308,11 +237,11 @@ func (t *Tree) expandRange(task rangeTask, rect geometry.Rect,
 	dataIDs []page.ID, dataFull []bool, idx []rangeTask) ([]page.ID, []bool, []rangeTask, error) {
 	var gs rangeGuardSet
 	for id, more := task.id, true; more; {
-		n, err := t.fetchIndex(id)
+		n, c, err := t.indexCols(id)
 		if err != nil {
 			return dataIDs, dataFull, idx, err
 		}
-		dataIDs, dataFull, idx, id, more = t.qualifyNode(n, task.full, rect, &gs, dataIDs, dataFull, idx)
+		dataIDs, dataFull, idx, id, more = t.qualifyNode(c, int32(n.Level-1), task.full, rect, &gs, dataIDs, dataFull, idx)
 	}
 	return dataIDs, dataFull, idx, nil
 }
@@ -355,23 +284,21 @@ func (t *Tree) expandRange(task rangeTask, rect geometry.Rect,
 //
 // For a point-like window every candidate covers, so this is the
 // exact-match descent and costs height+1 nodes; for a window wider than
-// the bricks it meets, nothing covers and it is the plain fan-out.
-// Nodes without a fresh columnar mirror and subtrees already inside the
-// window (parentFull) take the unpruned per-entry test instead — sound,
-// since pruning only ever skips work.
-func (t *Tree) qualifyNode(n *page.IndexNode, parentFull bool, rect geometry.Rect, gs *rangeGuardSet,
+// the bricks it meets, nothing covers and it is the plain fan-out. A
+// subtree already inside the window (parentFull) needs no geometry at
+// all: containment of the parent implies containment of every child, so
+// each is appended, full, straight from the columns.
+//
+// c is the node's columnar mirror and lim the level of its unpromoted
+// entries (its index level - 1).
+func (t *Tree) qualifyNode(c *page.NodeCols, lim int32, parentFull bool, rect geometry.Rect, gs *rangeGuardSet,
 	dataIDs []page.ID, dataFull []bool, idx []rangeTask) (_ []page.ID, _ []bool, _ []rangeTask, next page.ID, more bool) {
-	c := n.Cols()
-	if parentFull || c == nil {
-		for i := range n.Entries {
-			en := &n.Entries[i]
-			if q, f := qualifyRange(en, parentFull, t.opt.Dims, rect); q {
-				dataIDs, dataFull, idx = appendRangeChild(dataIDs, dataFull, idx, en.Child, en.Level, f)
-			}
+	if parentFull {
+		for i := 0; i < c.Len(); i++ {
+			dataIDs, dataFull, idx = appendRangeChild(dataIDs, dataFull, idx, c.Child(i), c.Level(i), true)
 		}
 	} else {
 		t.stats.BatchTests.Inc()
-		lim := int32(n.Level - 1)
 		branched := lim == 0 // or a level-(x-1) entry outside the guard set met the window
 		for base := 0; base < c.Len(); base += 64 {
 			m := c.Intersect64(rect, base)

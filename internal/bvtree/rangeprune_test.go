@@ -4,8 +4,8 @@ package bvtree
 // (qualifyNode): the paper's height+1 bound carried over from exact
 // match to one-point windows, the guard-set size bound, and the
 // differential of the pruned walk against the unpruned brick-intersection
-// reference (Options.ScalarNodeScan) over windows built to sit on brick
-// edges. The differential is named TestColumnar* so that `make verify`
+// reference (rangeScalar, reference_test.go) over windows built to sit on
+// brick edges. The differential is named TestColumnar* so that `make verify`
 // runs it under the race detector with the rest of that battery.
 
 import (
@@ -36,7 +36,7 @@ func carriedGuards(t *testing.T, v *Tree, rect geometry.Rect) int {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, _, id, more = v.qualifyNode(n, false, rect, &gs, nil, nil, nil)
+		_, _, _, id, more = v.qualifyNode(n.Cols(), int32(n.Level-1), false, rect, &gs, nil, nil, nil)
 		if !more {
 			if gs.n != 0 {
 				t.Fatalf("window %v: %d guards left unflushed at a branch of level %d", rect, gs.n, n.Level)
@@ -313,15 +313,15 @@ func pruneWindows(rng *rand.Rand, dims int, pts []geometry.Point, keys []region.
 }
 
 // TestColumnarPrunedRangeDifferential checks the guard-set-pruned range
-// walk against its reference. The default tree and a ScalarNodeScan tree
-// (unpruned brick intersection, the walk as it was before the rule) are
-// built from one insert/delete program and must answer every window of
-// the pruneWindows battery with equal multisets — through the serial
+// walk against its reference, rangeScalar (unpruned brick intersection,
+// the walk as it was before the rule) run on the same tree. A tree built
+// from an insert/delete program must answer every window of the
+// pruneWindows battery with the reference's multiset — through the serial
 // walk, the serial count, and RangeQueryWorkers/CountWorkers at two
-// workers, which route the engine's runTask through the same qualifier —
-// and stop early alike. On the same tree, with only the option flipped,
-// the pruned walk must never touch more nodes than the reference, and
-// the guard set must stay within the paper's bound for every window.
+// workers, which drive the same walker through the spin-up expansion —
+// and stop early alike. The pruned walk must never touch more nodes than
+// the reference, and the guard set must stay within the paper's bound for
+// every window.
 func TestColumnarPrunedRangeDifferential(t *testing.T) {
 	const dims = 2
 	type shape struct {
@@ -332,47 +332,35 @@ func TestColumnarPrunedRangeDifferential(t *testing.T) {
 		for _, sh := range []shape{{"clustered", "clustered", 2500}, {"burst", "burst", 2500}, {"root-is-data", "uniform", 6}} {
 			t.Run(backend+"/"+sh.name, func(t *testing.T) {
 				pts := columnarWorkload(t, sh.kind, dims, sh.n)
-				cols, scalar, _, _ := columnarPair(t, backend, dims)
+				cols := columnarTree(t, backend, dims)
 				rng := rand.New(rand.NewSource(91))
 				for i, p := range pts {
-					for _, tr := range []qtree{cols, scalar} {
-						if err := tr.Insert(p, uint64(i)); err != nil {
-							t.Fatal(err)
-						}
+					if err := cols.Insert(p, uint64(i)); err != nil {
+						t.Fatal(err)
 					}
 					if i%5 == 2 {
 						j := rng.Intn(i + 1)
-						for _, tr := range []qtree{cols, scalar} {
-							if _, err := tr.Delete(pts[j], uint64(j)); err != nil {
-								t.Fatal(err)
-							}
+						if _, err := cols.Delete(pts[j], uint64(j)); err != nil {
+							t.Fatal(err)
 						}
 					}
 				}
-				ct, ok := cols.(*Tree)
-				if !ok {
-					ct = cols.(*DurableTree).Tree
-				}
+				ct := treeOf(cols)
 				if (ct.rootLevel == 0) != (sh.n < 8) {
 					t.Fatalf("root level %d with %d points", ct.rootLevel, sh.n)
 				}
 				pruned, reference, nonEmpty := 0, 0, 0
 				for wi, rect := range pruneWindows(rng, dims, pts, entryKeys(t, ct)) {
 					what := fmt.Sprintf("window %d %v", wi, rect)
-					want := collect(t, func(v Visitor) error { return scalar.RangeQueryWorkers(rect, v, 1) })
+					ct.ResetAccessCount()
+					want := referenceRange(t, cols, rect)
+					nr := int(ct.ResetAccessCount())
 					if len(want) > 0 {
 						nonEmpty++
 					}
-
-					ct.ResetAccessCount()
 					got := collect(t, func(v Visitor) error { return cols.RangeQueryWorkers(rect, v, 1) })
 					np := int(ct.ResetAccessCount())
 					equalMultiset(t, what+" serial", got, want)
-					ct.opt.ScalarNodeScan = true
-					ref := collect(t, func(v Visitor) error { return cols.RangeQueryWorkers(rect, v, 1) })
-					nr := int(ct.ResetAccessCount())
-					ct.opt.ScalarNodeScan = false
-					equalMultiset(t, what+" same-tree reference", ref, want)
 					if np > nr {
 						t.Fatalf("%s: pruned walk touched %d nodes, unpruned reference %d", what, np, nr)
 					}

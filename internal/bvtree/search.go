@@ -29,8 +29,8 @@ type guardRef struct {
 type pathStep struct {
 	id   page.ID
 	node *page.IndexNode
-	// followed is the index of the entry taken within node.Entries, or -1
-	// when the descent followed a guard-set member collected higher up.
+	// followed is the index of the entry taken within the node, or -1 when
+	// the descent followed a guard-set member collected higher up.
 	followed int
 }
 
@@ -121,7 +121,7 @@ func (t *Tree) descendPointInner(target region.BitString) (*descent, error) {
 	tk := page.MakePointKey(target)
 	cur := t.root
 	for level := t.rootLevel; level >= 1; level-- {
-		n, err := t.fetchIndex(cur)
+		n, c, err := t.indexCols(cur)
 		if err != nil {
 			return nil, err
 		}
@@ -129,9 +129,8 @@ func (t *Tree) descendPointInner(target region.BitString) (*descent, error) {
 			return nil, fmt.Errorf("bvtree: node %d has index level %d, expected %d", cur, n.Level, level)
 		}
 		// One fused pass: merge matching guards into the guard set and
-		// find the best unpromoted match (batched over the columnar
-		// mirror when the node has one).
-		bestIdx, bestLen := t.scanDescendNode(n, cur, tk, target, guards)
+		// find the best unpromoted match.
+		bestIdx, bestLen, bestChild := t.scanDescendNode(c, n.Level-1, cur, tk, guards)
 		live := 0
 		for i := range guards {
 			if guards[i].ok {
@@ -155,7 +154,7 @@ func (t *Tree) descendPointInner(target region.BitString) (*descent, error) {
 				return d, nil
 			}
 		case bestIdx >= 0:
-			next = n.Entries[bestIdx].Child
+			next = bestChild
 			d.steps = append(d.steps, pathStep{id: cur, node: n, followed: bestIdx})
 			d.guardSrc = append(d.guardSrc, page.Nil)
 			if level == 1 {
@@ -174,50 +173,29 @@ func (t *Tree) descendPointInner(target region.BitString) (*descent, error) {
 // scanDescendNode is the per-node pass of an exact-match descent,
 // shared by descendPointInner and placeEntry: entries whose key is a
 // prefix of the target are either merged into the per-level guard set
-// (promoted entries) or compete for the best unpromoted match. When
-// the node carries a fresh columnar mirror the prefix tests run as one
-// batched Match64 pass per 64 entries and the entry slice is only read
-// for the (few) matches; otherwise — stale mirror, or a tree running
-// with Options.ScalarNodeScan — it scans the entry slice exactly as
-// the pre-columnar code did.
-func (t *Tree) scanDescendNode(n *page.IndexNode, id page.ID, tk page.PointKey, target region.BitString, guards []guardRef) (bestIdx, bestLen int) {
+// (promoted entries) or compete for the best unpromoted match, whose
+// index, key length and child it returns. The prefix tests run as one
+// batched Match64 pass per 64 entries of c, the columnar mirror of node
+// id, whose unpromoted entries have level lim.
+func (t *Tree) scanDescendNode(c *page.NodeCols, lim int, id page.ID, tk page.PointKey, guards []guardRef) (bestIdx, bestLen int, bestChild page.ID) {
 	bestIdx, bestLen = -1, -1
-	lim := n.Level - 1
-	if c := n.Cols(); c != nil && !t.opt.ScalarNodeScan {
-		t.stats.BatchTests.Inc()
-		for base := 0; base < c.Len(); base += 64 {
-			for m := c.Match64(tk, base); m != 0; m &= m - 1 {
-				i := base + bits.TrailingZeros64(m)
-				switch lv := c.Level(i); {
-				case lv == lim:
-					if kb := c.KeyBits(i); kb > bestLen {
-						bestIdx, bestLen = i, kb
-					}
-				case lv < lim && lv < len(guards):
-					if kb := c.KeyBits(i); !guards[lv].ok || kb > guards[lv].keyBits {
-						guards[lv] = guardRef{ok: true, child: c.Child(i), keyBits: kb, srcID: id, srcIdx: i}
-					}
+	t.stats.BatchTests.Inc()
+	for base := 0; base < c.Len(); base += 64 {
+		for m := c.Match64(tk, base); m != 0; m &= m - 1 {
+			i := base + bits.TrailingZeros64(m)
+			switch lv := c.Level(i); {
+			case lv == lim:
+				if kb := c.KeyBits(i); kb > bestLen {
+					bestIdx, bestLen, bestChild = i, kb, c.Child(i)
 				}
-			}
-		}
-		return bestIdx, bestLen
-	}
-	for i := range n.Entries {
-		e := &n.Entries[i]
-		switch {
-		case e.Level == lim:
-			if e.Key.Len() > bestLen && e.Key.IsPrefixOf(target) {
-				bestIdx, bestLen = i, e.Key.Len()
-			}
-		case e.Level < lim && e.Level < len(guards):
-			if e.Key.IsPrefixOf(target) {
-				if g := &guards[e.Level]; !g.ok || e.Key.Len() > g.keyBits {
-					*g = guardRef{ok: true, child: e.Child, keyBits: e.Key.Len(), srcID: id, srcIdx: i}
+			case lv < lim && lv < len(guards):
+				if kb := c.KeyBits(i); !guards[lv].ok || kb > guards[lv].keyBits {
+					guards[lv] = guardRef{ok: true, child: c.Child(i), keyBits: kb, srcID: id, srcIdx: i}
 				}
 			}
 		}
 	}
-	return bestIdx, bestLen
+	return bestIdx, bestLen, bestChild
 }
 
 // Lookup returns the payloads of all stored items at exactly point p.
@@ -256,25 +234,17 @@ func (t *Tree) lookupLocked(p geometry.Point) ([]uint64, error) {
 	}
 	dataID := d.dataID
 	putDescent(d)
-	dp, err := t.fetchData(dataID)
+	dp, c, err := t.dataCols(dataID)
 	if err != nil {
 		return nil, err
 	}
+	// Batched equality over the coordinate columns: the item slice is
+	// only touched for the (rare) exact matches.
 	var out []uint64
-	if c := dp.DCols(); c != nil && !t.opt.ScalarNodeScan {
-		// Batched equality over the coordinate columns: the item slice is
-		// only touched for the (rare) exact matches.
-		t.stats.BatchTests.Inc()
-		for base := 0; base < c.Len(); base += 64 {
-			for m := c.EqualMask64(p, base); m != 0; m &= m - 1 {
-				out = append(out, dp.Items[base+bits.TrailingZeros64(m)].Payload)
-			}
-		}
-	} else {
-		for _, it := range dp.Items {
-			if it.Point.Equal(p) {
-				out = append(out, it.Payload)
-			}
+	t.stats.BatchTests.Inc()
+	for base := 0; base < c.Len(); base += 64 {
+		for m := c.EqualMask64(p, base); m != 0; m &= m - 1 {
+			out = append(out, dp.Items[base+bits.TrailingZeros64(m)].Payload)
 		}
 	}
 	// Merge buffered operations: pending deletes each suppress one

@@ -68,15 +68,6 @@ type Options struct {
 	// the applied state, so call FlushBuffer before relying on them.
 	// It can also be enabled (or resized) later with EnableBuffer.
 	BufferOps int
-	// ScalarNodeScan disables the columnar node layout on the hot paths:
-	// entries are tested one at a time through the BitString and brick
-	// primitives, exactly as before the struct-of-arrays mirror existed,
-	// and range and count queries run the unpruned recursive reference
-	// walk (rangeScalar) on the caller's goroutine whatever the worker
-	// budget. It exists as the reference mode of the differential tests,
-	// which check the range walker against it; production trees should
-	// leave it off.
-	ScalarNodeScan bool
 }
 
 func (o *Options) fill() error {
@@ -275,7 +266,9 @@ func OpenPaged(st storage.Store, cacheNodes int) (*Tree, error) {
 // by the last Flush; draining first is what keeps a durable checkpoint
 // from truncating the log while buffered operations are unapplied.
 func (t *Tree) Flush() error {
-	t.mu.Lock()
+	if err := t.lockWrite(); err != nil {
+		return err
+	}
 	defer t.mu.Unlock()
 	if err := t.flushAllLocked(); err != nil {
 		return err
@@ -434,6 +427,34 @@ func (t *Tree) fetchIndex(id page.ID) (*page.IndexNode, error) {
 func (t *Tree) fetchData(id page.ID) (*page.DataPage, error) {
 	t.stats.NodeAccesses.Inc()
 	return t.st.Data(id)
+}
+
+// indexCols fetches index node id for a reader: with the columnar mirror,
+// the only form readers scan. A node without a fresh one is a fault
+// (errMirrorless), never answered from its entry slice.
+func (t *Tree) indexCols(id page.ID) (*page.IndexNode, *page.NodeCols, error) {
+	n, err := t.fetchIndex(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	c := n.Cols()
+	if c == nil {
+		return nil, nil, mirrorless(id)
+	}
+	return n, c, nil
+}
+
+// dataCols is indexCols for data pages.
+func (t *Tree) dataCols(id page.ID) (*page.DataPage, *page.DataCols, error) {
+	dp, err := t.fetchData(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	c := dp.DCols()
+	if c == nil {
+		return nil, nil, mirrorless(id)
+	}
+	return dp, c, nil
 }
 
 // endOp performs between-operation housekeeping.

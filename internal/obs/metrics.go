@@ -73,8 +73,10 @@ type TreeCountersSnapshot struct {
 	// downward, or an explicit/implicit FlushBuffer.
 	BufferFlushes uint64 `json:"buffer_flushes"`
 	// BatchTests counts batched predicate passes over a node's columnar
-	// mirror (one per node whose entries were tested as columns rather
-	// than entry by entry; zero when trees run with ScalarNodeScan).
+	// mirror: one per index node or data page whose entries were tested
+	// as columns. It trails NodeAccesses only by the pages a query needs
+	// no test for (inside a fully contained subtree) or decodes once from
+	// a cold blob for a streaming scan.
 	BatchTests uint64 `json:"batch_tests"`
 }
 

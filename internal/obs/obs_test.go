@@ -189,9 +189,9 @@ func TestCountingTracer(t *testing.T) {
 	tr.Trace(Event{Layer: LayerTree, Op: OpLookup, Dur: time.Microsecond})
 	tr.Trace(Event{Layer: LayerWAL, Op: OpSync, Dur: time.Millisecond})
 	tr.Trace(Event{Layer: LayerWAL, Op: OpCheckpoint})
-	if tr.Events(LayerTree) != 1 || tr.Events(LayerWAL) != 2 || tr.TotalEvents() != 3 {
-		t.Fatalf("tracer counts tree=%d wal=%d total=%d",
-			tr.Events(LayerTree), tr.Events(LayerWAL), tr.TotalEvents())
+	if tr.Events(LayerTree) != 1 || tr.Events(LayerWAL) != 2 || tr.Events(LayerStore) != 0 {
+		t.Fatalf("tracer counts tree=%d wal=%d store=%d",
+			tr.Events(LayerTree), tr.Events(LayerWAL), tr.Events(LayerStore))
 	}
 }
 

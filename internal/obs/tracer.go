@@ -105,12 +105,3 @@ func (c *CountingTracer) Trace(e Event) {
 
 // Events returns the number of events seen for a layer.
 func (c *CountingTracer) Events(l Layer) uint64 { return c.events[l].Load() }
-
-// TotalEvents returns the number of events seen across all layers.
-func (c *CountingTracer) TotalEvents() uint64 {
-	var n uint64
-	for i := range c.events {
-		n += c.events[i].Load()
-	}
-	return n
-}

@@ -1,6 +1,7 @@
 package page
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -12,8 +13,8 @@ import (
 // struct-of-arrays layout the descent and range hot paths scan instead
 // of the array-of-structs Entries. The wire format is untouched — the
 // mirror is derived state, rebuilt from Entries after a decode or a
-// save — and Entries stays authoritative, so every reader can fall
-// back to the entry slice whenever the mirror is absent or stale.
+// save. Entries is the form writers edit and encoders read; the mirror
+// is the only form readers scan.
 //
 // Layout. One uint64 arena holds three fixed partitions — the head
 // words (the first 64 bits of each entry key, left-aligned), the brick
@@ -28,7 +29,8 @@ import (
 // of the Entries slice it was built from. Cols() returns nil whenever
 // those no longer match, which covers every in-place mutation the tree
 // performs (removals, splits and rebinds all change the length or the
-// backing array): a stale mirror can be read as absent, never as wrong.
+// backing array): a stale mirror is detected, never read as wrong, and
+// a reader that meets one reports a fault.
 
 // NodeCols is the columnar mirror of one IndexNode's entries.
 type NodeCols struct {
@@ -77,8 +79,8 @@ func (c *NodeCols) BoundsAt(i int) (min, max []uint64) {
 }
 
 // Cols returns the node's columnar mirror, or nil when no mirror has
-// been built or the entry slice has changed since it was (the mirror
-// is then stale and callers must scan Entries directly).
+// been built or the entry slice has changed since it was: the node was
+// not published through SyncCols, which readers treat as an error.
 func (n *IndexNode) Cols() *NodeCols {
 	c := n.cols
 	if c == nil || c.entsLen != len(n.Entries) ||
@@ -311,16 +313,14 @@ func (c *NodeCols) Cover64(rect geometry.Rect, base int, cand uint64) uint64 {
 	return m
 }
 
-// CheckCols verifies the columnar mirror against the entry slice: every
-// column of every mirrored entry must agree with the entry it mirrors.
-// A nil (absent or stale) mirror passes — readers treat it as absent —
-// so this checks derivation correctness, not freshness. It is wired
-// into the tree's Validate walk as the safety net behind the mirror's
-// staleness discipline.
+// CheckCols verifies the columnar mirror against the entry slice: it must
+// be fresh, and every column of every mirrored entry must agree with the
+// entry it mirrors. It is wired into the tree's Validate walk as the
+// safety net behind the mirror's staleness discipline.
 func (n *IndexNode) CheckCols(dims int) error {
 	c := n.Cols()
 	if c == nil {
-		return nil
+		return errors.New("page: no fresh cols mirror")
 	}
 	if c.dims != dims {
 		return fmt.Errorf("page: cols built for %d dims, tree has %d", c.dims, dims)

@@ -1,6 +1,7 @@
 package page
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -13,8 +14,8 @@ import (
 // contiguous words instead of chasing one Point slice per item.
 //
 // Like NodeCols it is derived state with the same staleness discipline:
-// Items stays authoritative, DCols returns nil whenever the mirror may
-// be out of date (read as absent, never wrong), and SyncDataCols — run
+// Items is what writers edit, DCols returns nil whenever the mirror may
+// be out of date (detected, never read as wrong), and SyncDataCols — run
 // by every SaveData and by the decode path — rebuilds it. Data pages are
 // small (DataCapacity items) and saved on every mutation, so a full
 // rebuild per save costs one short copy.
@@ -28,7 +29,7 @@ type DataCols struct {
 
 // DCols returns the page's columnar mirror, or nil when it is missing or
 // possibly stale (the item slice changed length or moved since the last
-// sync). Callers fall back to scanning Items.
+// sync), which readers treat as an error.
 func (p *DataPage) DCols() *DataCols {
 	c := p.dcols
 	if c == nil || c.n != len(p.Items) || (c.n > 0 && c.first != &p.Items[0]) {
@@ -124,12 +125,12 @@ func (c *DataCols) ContainMask64(r geometry.Rect, base int) uint64 {
 	return m
 }
 
-// CheckDataCols verifies the mirror against Items. A stale (absent)
-// mirror is valid; a fresh one must agree on every coordinate.
+// CheckDataCols verifies the mirror against Items: it must be fresh and
+// agree on every coordinate.
 func (p *DataPage) CheckDataCols(dims int) error {
 	c := p.DCols()
 	if c == nil {
-		return nil
+		return errors.New("page: no fresh data mirror")
 	}
 	if c.dims != dims {
 		return fmt.Errorf("page: data mirror has %d dims, want %d", c.dims, dims)

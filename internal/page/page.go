@@ -186,64 +186,34 @@ func DecodeIndex(b []byte) (*IndexNode, error) {
 	return n, r.err
 }
 
-// DecodeData deserialises a data page.
-func DecodeData(b []byte) (*DataPage, int, error) {
-	r, err := newReader(b)
+// dataHeader opens an encoded data page for its three decoders: it checks
+// the envelope and the kind, parses dimensionality, region and item count,
+// and verifies that the body holds that many items, leaving r at the
+// first one.
+func dataHeader(b []byte) (r *reader, dims int, reg region.BitString, count int, err error) {
+	r, err = newReader(b)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, reg, 0, err
 	}
 	if r.kind != KindData {
-		return nil, 0, fmt.Errorf("page: expected data page, found kind %d", r.kind)
+		return nil, 0, reg, 0, fmt.Errorf("page: expected data page, found kind %d", r.kind)
 	}
-	dims := int(r.u32())
+	dims = int(r.u32())
 	if dims < 1 || dims > geometry.MaxDims {
-		return nil, 0, fmt.Errorf("page: implausible dimensionality %d", dims)
+		return nil, 0, reg, 0, fmt.Errorf("page: implausible dimensionality %d", dims)
 	}
-	p := &DataPage{}
-	p.Region = r.bits()
-	count := int(r.u32())
+	reg = r.bits()
+	count = int(r.u32())
 	if count < 0 || count > 1<<24 {
-		return nil, 0, fmt.Errorf("page: implausible item count %d", count)
+		return nil, 0, reg, 0, fmt.Errorf("page: implausible item count %d", count)
 	}
-	p.Items = make([]Item, count)
-	for i := range p.Items {
-		pt := make(geometry.Point, dims)
-		for d := 0; d < dims; d++ {
-			pt[d] = r.u64()
-		}
-		p.Items[i] = Item{Point: pt, Payload: r.u64()}
-	}
-	return p, dims, r.err
+	r.need(count * (dims + 1) * 8)
+	return r, dims, reg, count, r.err
 }
 
-// AppendDataItems decodes the items of an encoded data page, appending
-// them to dst with their point coordinates packed into coords, and
-// returns the extended slices. Unlike DecodeData — which allocates one
-// Point per item and is meant for pages that stay resident in a cache —
-// this is the streaming decode of the range engine: one page costs at
-// most two slice growths regardless of item count. Appending to coords
-// may relocate its backing array; points appended by earlier calls keep
-// referencing the old array, so previously returned items stay valid.
-func AppendDataItems(b []byte, dst []Item, coords []uint64) ([]Item, []uint64, error) {
-	r, err := newReader(b)
-	if err != nil {
-		return dst, coords, err
-	}
-	if r.kind != KindData {
-		return dst, coords, fmt.Errorf("page: expected data page, found kind %d", r.kind)
-	}
-	dims := int(r.u32())
-	if dims < 1 || dims > geometry.MaxDims {
-		return dst, coords, fmt.Errorf("page: implausible dimensionality %d", dims)
-	}
-	r.bits() // page region, not needed by a scan
-	count := int(r.u32())
-	if count < 0 || count > 1<<24 {
-		return dst, coords, fmt.Errorf("page: implausible item count %d", count)
-	}
-	if !r.need(count * (dims + 1) * 8) {
-		return dst, coords, r.err
-	}
+// items decodes the count items dataHeader found, appending them to dst
+// with their point coordinates packed into coords.
+func (r *reader) items(dims, count int, dst []Item, coords []uint64) ([]Item, []uint64) {
 	// Grow coords once for the whole page so the per-item point headers
 	// sliced below cannot be invalidated by a mid-page relocation.
 	base := len(coords)
@@ -260,30 +230,45 @@ func AppendDataItems(b []byte, dst []Item, coords []uint64) ([]Item, []uint64, e
 		}
 		dst = append(dst, Item{Point: pt, Payload: r.u64()})
 	}
-	return dst, coords, r.err
+	return dst, coords
+}
+
+// DecodeData deserialises a data page, for pages that stay resident in a
+// cache: the items get a slice of exactly their number and their points
+// share one coordinate slab (stored points are never mutated in place,
+// see DataPage.Clone).
+func DecodeData(b []byte) (*DataPage, int, error) {
+	r, dims, reg, count, err := dataHeader(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	p := &DataPage{Region: reg}
+	p.Items, _ = r.items(dims, count, make([]Item, 0, count), nil)
+	return p, dims, nil
+}
+
+// AppendDataItems decodes the items of an encoded data page, appending
+// them to dst with their point coordinates packed into coords, and
+// returns the extended slices. It is the streaming decode of the range
+// engine: one page costs at most two slice growths regardless of item
+// count. Appending to coords may relocate its backing array; points
+// appended by earlier calls keep referencing the old array, so previously
+// returned items stay valid.
+func AppendDataItems(b []byte, dst []Item, coords []uint64) ([]Item, []uint64, error) {
+	r, dims, _, count, err := dataHeader(b)
+	if err != nil {
+		return dst, coords, err
+	}
+	dst, coords = r.items(dims, count, dst, coords)
+	return dst, coords, nil
 }
 
 // DecodeDataCount returns the item count of an encoded data page without
 // decoding the items. It is the whole cost of counting a data page whose
 // region is fully contained in a query rectangle.
 func DecodeDataCount(b []byte) (int, error) {
-	r, err := newReader(b)
-	if err != nil {
-		return 0, err
-	}
-	if r.kind != KindData {
-		return 0, fmt.Errorf("page: expected data page, found kind %d", r.kind)
-	}
-	dims := int(r.u32())
-	if dims < 1 || dims > geometry.MaxDims {
-		return 0, fmt.Errorf("page: implausible dimensionality %d", dims)
-	}
-	r.bits()
-	count := int(r.u32())
-	if count < 0 || count > 1<<24 {
-		return 0, fmt.Errorf("page: implausible item count %d", count)
-	}
-	return count, r.err
+	_, _, _, count, err := dataHeader(b)
+	return count, err
 }
 
 // --- encoding primitives ---

@@ -20,10 +20,6 @@ type GroupConfig struct {
 	// while a previous batch's Sync is in flight, which is the classic
 	// group-commit accumulation window.
 	MaxWait time.Duration
-	// SyncPerOp disables grouping entirely: every Commit appends and syncs
-	// alone. This is the pre-group-commit behaviour, kept as the baseline
-	// mode for the write-path experiment.
-	SyncPerOp bool
 }
 
 func (c *GroupConfig) fill() {
@@ -134,7 +130,7 @@ func (g *GroupCommitter) enqueue(recs ...[]byte) (*Ticket, error) {
 	}
 	t := &Ticket{}
 	b := g.cur
-	if b == nil || g.cfg.SyncPerOp {
+	if b == nil {
 		b = &commitBatch{
 			id:   g.nextID,
 			full: make(chan struct{}),
@@ -142,9 +138,7 @@ func (g *GroupCommitter) enqueue(recs ...[]byte) (*Ticket, error) {
 		}
 		g.nextID++
 		t.leader = true
-		if !g.cfg.SyncPerOp {
-			g.cur = b
-		}
+		g.cur = b
 	}
 	t.b = b
 	for _, rec := range recs {
@@ -183,7 +177,7 @@ func (g *GroupCommitter) wait(t *Ticket, m *obs.WALMetrics) error {
 		<-b.done
 		return b.err
 	}
-	if g.cfg.MaxWait > 0 && !g.cfg.SyncPerOp {
+	if g.cfg.MaxWait > 0 {
 		timer := time.NewTimer(g.cfg.MaxWait)
 		select {
 		case <-b.full:

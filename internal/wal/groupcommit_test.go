@@ -200,25 +200,6 @@ func TestGroupCommitMaxBatchBytes(t *testing.T) {
 	}
 }
 
-// TestGroupCommitSyncPerOpBaseline checks the baseline mode really syncs
-// once per commit.
-func TestGroupCommitSyncPerOpBaseline(t *testing.T) {
-	l, _ := openTestLog(t)
-	defer l.Close()
-	g := NewGroupCommitter(l, GroupConfig{SyncPerOp: true})
-	for i := 0; i < 10; i++ {
-		if err := g.Commit([]byte(fmt.Sprintf("solo-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if g.Syncs() != 10 {
-		t.Fatalf("sync-per-op mode performed %d syncs for 10 commits", g.Syncs())
-	}
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestGroupCommitEnqueueBatchContiguous verifies EnqueueBatch records land
 // adjacently even with a competing committer interleaving.
 func TestGroupCommitEnqueueBatchContiguous(t *testing.T) {
