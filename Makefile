@@ -31,10 +31,11 @@ GO ?= go
 # The default range worker count is GOMAXPROCS, so which way the range
 # walker is driven (inline, spin-up, pool) in a test that does not pin
 # it depends on the host: the traversal tests run again at GOMAXPROCS=1
-# and 8. The four system benchmarks of bench_test.go (instrumentation
+# and 8. The system benchmarks of bench_test.go (instrumentation
 # on/off, durable write disciplines, inserts under a backup, mixed
-# parallel reads) are recorded nowhere and run on demand, so the last
-# step runs each once to keep them compiling and passing.
+# parallel reads, and the profilable replica of point-cold) are recorded
+# nowhere and run on demand, so the last step runs each once to keep
+# them compiling and passing.
 verify:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -43,7 +44,7 @@ verify:
 	$(GO) run ./cmd/docslint
 	for p in 1 8; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestParallelRange|TestRange|TestColumnarPruned|TestScanAndCount|TestPartialMatch' ./internal/bvtree || exit 1; done
 	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestBuffered|TestColumnar|TestShard' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard
-	$(GO) test -run '^$$' -bench 'Instrumented|DurableInsert|UnderBackup|MixedRead' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Instrumented|DurableInsert|UnderBackup|MixedRead|ColdLookup' -benchtime 1x .
 
 # Full suite under the race detector, including the reader/writer stress
 # tests (TestConcurrent*) added with the parallel read path.

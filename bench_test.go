@@ -336,3 +336,61 @@ func BenchmarkMixedRead(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkColdLookup is the profilable replica of the benchmark's
+// point-cold workload: 100k clustered points built through ApplyBatch,
+// flushed, and reopened with a decoded-node cache and a buffer pool of
+// 128 against a few thousand nodes, so page reads, decodes and evictions
+// dominate a Lookup. The 1000 seeded lookups cycle as the workload's
+// rounds do.
+func BenchmarkColdLookup(b *testing.B) {
+	pts, err := workload.Generate(workload.Clustered, 2, 100_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "cold.db")
+	st, err := bvtree.NewFileStore(path, bvtree.FileStoreOptions{PoolSlots: 1 << 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := bvtree.NewPaged(st, bvtree.Options{Dims: 2, CacheNodes: 1 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops := make([]bvtree.BatchOp, 0, 4096)
+	for lo := 0; lo < len(pts); lo += cap(ops) {
+		ops = ops[:0]
+		for i := lo; i < lo+cap(ops) && i < len(pts); i++ {
+			ops = append(ops, bvtree.BatchOp{Point: pts[i], Payload: uint64(i)})
+		}
+		if err := tr.ApplyBatch(ops); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := tr.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	st, err = bvtree.OpenFileStore(path, bvtree.FileStoreOptions{PoolSlots: 128})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	if tr, err = bvtree.OpenPaged(st, 128); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	probes := make([]bvtree.Point, 1000)
+	for i := range probes {
+		probes[i] = pts[rng.Intn(len(pts))]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got, err := tr.Lookup(probes[i%len(probes)]); err != nil || len(got) == 0 {
+			b.Fatalf("lookup %d: %v %v", i, got, err)
+		}
+	}
+}

@@ -8,10 +8,12 @@ package bvtree
 // benchmark eyeball.
 
 import (
+	"path/filepath"
 	"testing"
 
 	"bvtree/internal/geometry"
 	"bvtree/internal/obs"
+	"bvtree/internal/page"
 	"bvtree/internal/storage"
 	"bvtree/internal/workload"
 )
@@ -78,17 +80,22 @@ func TestLookupDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestPagedLookupAllocs pins how many of a Lookup's allocations are the
-// tree's own, on a paged tree tall enough for descents to merge guards:
-// the interleaved address, the bit string copied from it and the result
-// slice — three, whatever the height and however many guards the descent
-// collects (the guard set is a by-value slice on the pooled descent).
-func TestPagedLookupAllocs(t *testing.T) {
-	pts, err := workload.Generate(workload.Clustered, 2, 4000, 33)
+// buildPagedFileTree loads n clustered points into a paged tree over a
+// FileStore in a test directory and flushes it. The caches of the handles
+// it returns hold the whole tree.
+func buildPagedFileTree(t *testing.T, n int) (*Tree, *storage.FileStore, string, []geometry.Point) {
+	t.Helper()
+	pts, err := workload.Generate(workload.Clustered, 2, n, 33)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewPaged(storage.NewMemStore(), Options{Dims: 2, DataCapacity: 16, Fanout: 8})
+	path := filepath.Join(t.TempDir(), "tree.db")
+	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	tr, err := NewPaged(st, Options{Dims: 2, DataCapacity: 16, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +104,22 @@ func TestPagedLookupAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return tr, st, path, pts
+}
+
+// TestPagedLookupAllocs pins how many of a Lookup's allocations are the
+// tree's own, on a fully cached paged tree over a FileStore, tall enough
+// for descents to merge guards: the interleaved address, the bit string
+// copied from it and the result slice — exactly three, whatever the
+// height and however many guards the descent collects (the guard set is a
+// by-value slice on the pooled descent). Everything a cold Lookup
+// allocates beyond these belongs to the page path, which
+// TestColdMissAllocBudget bounds.
+func TestPagedLookupAllocs(t *testing.T) {
+	tr, _, _, pts := buildPagedFileTree(t, 4000)
 	if h := tr.Height(); h != 4 {
 		t.Fatalf("tree height %d, want 4", h)
 	}
@@ -112,12 +135,85 @@ func TestPagedLookupAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 3 {
-			t.Fatalf("Lookup(%v) allocates %.1f allocs/op, budget 3", p, allocs)
+		if allocs != 3 {
+			t.Fatalf("Lookup(%v) allocates %.1f allocs/op, want exactly 3", p, allocs)
 		}
 	}
 	if guarded == 0 {
 		t.Fatal("no sampled descent carried a guard: the test does not exercise the guard set")
+	}
+}
+
+// TestColdMissAllocBudget bounds what bringing one stored page in costs
+// when neither cache holds it. An index node: the blob, the node, its
+// region key, the entry slice, the one slab all entry keys are cut from,
+// and the columnar mirror's struct and two arenas — eight. A data page:
+// the blob, the page, its region key, the item slice, the one slab that
+// holds the points and the mirror's rows, and the mirror's struct — six,
+// and one more when the blob spans two slots and grows once. The pool
+// frame is not on either list: with the pool at capacity every miss
+// recycles its victim's frame.
+func TestColdMissAllocBudget(t *testing.T) {
+	tr, st, path, _ := buildPagedFileTree(t, 4000)
+	root := tr.root
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := storage.OpenFileStore(path, storage.FileStoreOptions{PoolSlots: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	pn := newPagedNodes(st, 2, 16)
+
+	// Every page of the tree by kind, read the way a miss reads them.
+	var index, data []page.ID
+	for todo := []page.ID{root}; len(todo) > 0; {
+		id := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
+		n, err := pn.readIndex(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		index = append(index, id)
+		for _, e := range n.Entries {
+			if e.Level == 0 {
+				data = append(data, e.Child)
+			} else {
+				todo = append(todo, e.Child)
+			}
+		}
+	}
+	if len(index) < 64 || len(data) < 64 {
+		t.Fatalf("tree has %d index and %d data pages: too few to outrun a 16-frame pool", len(index), len(data))
+	}
+
+	measure := func(ids []page.ID, read func(page.ID) error) (float64, uint64) {
+		const runs = 200
+		before := st.Stats()
+		i := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			if err := read(ids[i%len(ids)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		after := st.Stats()
+		if misses := after.CacheMisses - before.CacheMisses; misses < runs {
+			t.Fatalf("%d pool misses in %d reads: the reads are not cold", misses, runs+1)
+		}
+		return allocs, after.Evictions - before.Evictions
+	}
+	allocs, evicted := measure(index, func(id page.ID) error { _, err := pn.readIndex(id); return err })
+	if allocs > 8 {
+		t.Errorf("readIndex of a cold page: %.1f allocs, budget 8", allocs)
+	}
+	if evicted == 0 {
+		t.Error("no eviction while reading index pages: the pool never reached capacity")
+	}
+	allocs, _ = measure(data, func(id page.ID) error { _, err := pn.readData(id); return err })
+	if allocs > 7 {
+		t.Errorf("readData of a cold page: %.1f allocs, budget 7", allocs)
 	}
 }
 

@@ -16,14 +16,14 @@ import (
 // save. Entries is the form writers edit and encoders read; the mirror
 // is the only form readers scan.
 //
-// Layout. One uint64 arena holds three fixed partitions — the head
-// words (the first 64 bits of each entry key, left-aligned), the brick
-// bounds (per entry: dims minima then dims maxima, the exact box
-// BrickBounds deinterleaves from the key), and a shared tail arena for
-// the rare key bits beyond the head — and one int32 arena holds the
-// entry levels, key bit lengths and tail offsets. Child IDs get their
-// own slice. Cloning the mirror is therefore a constant number of
-// allocations regardless of entry count.
+// Layout. One uint64 arena holds four fixed partitions — the head
+// words (the first 64 bits of each entry key, left-aligned), the child
+// page IDs, the brick bounds (per entry: dims minima then dims maxima,
+// the exact box BrickBounds deinterleaves from the key), and a shared
+// tail arena for the rare key bits beyond the head — and one int32
+// arena holds the entry levels, key bit lengths and tail offsets.
+// Building or cloning the mirror is therefore two allocations and the
+// struct, regardless of entry count.
 //
 // Freshness. The mirror records the length and first-element address
 // of the Entries slice it was built from. Cols() returns nil whenever
@@ -43,16 +43,16 @@ type NodeCols struct {
 	entsLen   int
 	entsFirst *Entry
 
-	arena []uint64 // head | bounds | tails, partitions fixed per allocation
+	arena []uint64 // head | child | bounds | tails, partitions fixed per allocation
 	i32   []int32  // levels | keyLen | tailOff
 
 	head    []uint64 // [capE] first key word, left-aligned
+	child   []uint64 // [capE] child page IDs
 	bounds  []uint64 // [capE*2*dims] min[0..dims-1], max[0..dims-1] per entry
 	tails   []uint64 // shared arena of key words beyond the head
 	levels  []int32  // [capE]
 	keyLen  []int32  // [capE]
 	tailOff []int32  // [capE+1] prefix offsets into tails
-	child   []ID     // [capE]
 }
 
 // Len returns the number of mirrored entries.
@@ -68,7 +68,7 @@ func (c *NodeCols) Level(i int) int { return int(c.levels[i]) }
 func (c *NodeCols) KeyBits(i int) int { return int(c.keyLen[i]) }
 
 // Child returns entry i's child page.
-func (c *NodeCols) Child(i int) ID { return c.child[i] }
+func (c *NodeCols) Child(i int) ID { return ID(c.child[i]) }
 
 // BoundsAt returns the per-dimension minima and maxima of entry i's
 // brick, aliasing the column storage (treat as read-only).
@@ -123,18 +123,24 @@ func (c *NodeCols) reserve(dims, capE, capT int) {
 	if c.dims == dims && capE <= c.capE && capT <= c.capT {
 		return
 	}
-	stride := 2 * dims
-	base := capE * (1 + stride)
 	c.dims, c.capE, c.capT = dims, capE, capT
-	c.arena = make([]uint64, base+capT)
+	c.arena = make([]uint64, capE*(2+2*dims)+capT)
 	c.i32 = make([]int32, 3*capE+1)
+	c.partition(0)
+}
+
+// partition cuts the column slices out of the arenas, with tails tail
+// words in use.
+func (c *NodeCols) partition(tails int) {
+	capE := c.capE
+	base := capE * (2 + 2*c.dims)
 	c.head = c.arena[:capE]
-	c.bounds = c.arena[capE:base]
-	c.tails = c.arena[base:base:cap(c.arena)]
+	c.child = c.arena[capE : 2*capE]
+	c.bounds = c.arena[2*capE : base]
+	c.tails = c.arena[base : base+tails : len(c.arena)]
 	c.levels = c.i32[:capE]
 	c.keyLen = c.i32[capE : 2*capE]
 	c.tailOff = c.i32[2*capE:]
-	c.child = make([]ID, capE)
 }
 
 // push mirrors one entry into slot c.n. The caller guarantees a free
@@ -143,7 +149,7 @@ func (c *NodeCols) push(e *Entry) {
 	i := c.n
 	c.levels[i] = int32(e.Level)
 	c.keyLen[i] = int32(e.Key.Len())
-	c.child[i] = e.Child
+	c.child[i] = uint64(e.Child)
 	c.head[i] = e.Key.Head64()
 	stride := 2 * c.dims
 	eb := c.bounds[i*stride : i*stride+stride]
@@ -163,25 +169,13 @@ func (c *NodeCols) mark(ents []Entry) {
 	}
 }
 
-// clone deep-copies the mirror: two arena copies plus the child slice,
-// independent of entry count. The caller re-marks it against the
-// clone's entry slice.
+// clone deep-copies the mirror: two arena copies, independent of entry
+// count. The caller re-marks it against the clone's entry slice.
 func (c *NodeCols) clone() *NodeCols {
 	d := &NodeCols{dims: c.dims, n: c.n, capE: c.capE, capT: c.capT}
-	stride := 2 * c.dims
-	base := c.capE * (1 + stride)
-	d.arena = make([]uint64, len(c.arena))
-	copy(d.arena, c.arena)
-	d.i32 = make([]int32, len(c.i32))
-	copy(d.i32, c.i32)
-	d.child = make([]ID, c.capE)
-	copy(d.child, c.child)
-	d.head = d.arena[:d.capE]
-	d.bounds = d.arena[d.capE:base]
-	d.tails = d.arena[base : base+len(c.tails) : cap(d.arena)]
-	d.levels = d.i32[:d.capE]
-	d.keyLen = d.i32[d.capE : 2*d.capE]
-	d.tailOff = d.i32[2*d.capE:]
+	d.arena = append([]uint64(nil), c.arena...)
+	d.i32 = append([]int32(nil), c.i32...)
+	d.partition(len(c.tails))
 	return d
 }
 

@@ -16,9 +16,10 @@ import (
 // Like NodeCols it is derived state with the same staleness discipline:
 // Items is what writers edit, DCols returns nil whenever the mirror may
 // be out of date (detected, never read as wrong), and SyncDataCols — run
-// by every SaveData and by the decode path — rebuilds it. Data pages are
-// small (DataCapacity items) and saved on every mutation, so a full
-// rebuild per save costs one short copy.
+// by every SaveData — rebuilds it; DecodeData fills it in the same pass
+// as the items, so a decoded page needs no rebuild. Data pages are small
+// (DataCapacity items) and saved on every mutation, so a full rebuild
+// per save costs one short copy.
 type DataCols struct {
 	n      int
 	first  *Item // freshness marker: &Items[0] at sync time

@@ -2,15 +2,18 @@ package page
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"bvtree/internal/geometry"
 	"bvtree/internal/region"
 )
 
-// The decoders face bytes from disk; they must never panic and must
-// reject anything that does not round-trip. Seeds cover valid encodings
-// of each page kind; the fuzzer mutates them into torn and corrupt forms.
+// The decoders face bytes from disk; they must never panic, must reject
+// anything that does not round-trip, and must classify every rejection as
+// ErrCorrupt. Seeds cover valid encodings of each page kind and the
+// structurally wrong pages of decode_test.go, whose checksums are valid;
+// the fuzzer mutates them into torn and corrupt forms.
 
 func FuzzDecodeIndex(f *testing.F) {
 	n := &IndexNode{Level: 2, Region: region.MustParseBits("01")}
@@ -21,9 +24,15 @@ func FuzzDecodeIndex(f *testing.F) {
 	f.Add(EncodeIndex(n))
 	f.Add([]byte{})
 	f.Add([]byte{0xEE, 0xB7, 1, 1, 0, 0, 0, 0})
+	for _, c := range structurallyCorrupt {
+		f.Add(c.blob)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		got, err := DecodeIndex(b)
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decode error %q does not wrap ErrCorrupt", err)
+			}
 			return
 		}
 		// Anything accepted must re-encode and decode identically.
@@ -59,10 +68,21 @@ func FuzzDecodeData(f *testing.F) {
 	p.Items = append(p.Items, Item{Point: geometry.Point{1, 2}, Payload: 3})
 	f.Add(EncodeData(p, 2))
 	f.Add([]byte{})
+	for _, c := range structurallyCorrupt {
+		f.Add(c.blob)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		got, dims, err := DecodeData(b)
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decode error %q does not wrap ErrCorrupt", err)
+			}
 			return
+		}
+		// An accepted page comes out published: the mirror DecodeData
+		// filled must agree with the items.
+		if err := got.CheckDataCols(dims); err != nil {
+			t.Fatalf("mirror mismatch after decode: %v", err)
 		}
 		re := EncodeData(got, dims)
 		if _, _, err := DecodeData(re); err != nil {

@@ -50,7 +50,7 @@ func DecodeMeta(b []byte) (*Meta, error) {
 		return nil, err
 	}
 	if r.kind != KindMeta {
-		return nil, fmt.Errorf("page: expected meta page, found kind %d", r.kind)
+		return nil, fmt.Errorf("%w: expected meta page, found kind %d", ErrCorrupt, r.kind)
 	}
 	m := &Meta{}
 	m.Dims = int(r.u32())

@@ -15,8 +15,9 @@ import (
 )
 
 // ErrCorrupt is wrapped by every decoding error caused by a damaged page
-// image (bad checksum, bad magic, truncation), so storage-layer callers
-// can classify latent corruption with errors.Is.
+// image — bad checksum, bad magic, truncation, the wrong page kind, a
+// count or length the body cannot hold — so storage-layer callers can
+// classify latent corruption with errors.Is.
 var ErrCorrupt = errors.New("page: corrupt page")
 
 // ID identifies a page within a store. Zero is never a valid page.
@@ -161,51 +162,65 @@ func DecodeKind(b []byte) (Kind, error) {
 	return r.kind, nil
 }
 
-// DecodeIndex deserialises an index node.
+// DecodeIndex deserialises an index node. The keys of all its entries are
+// cut from one slab of words (region.OwnWords): BitStrings are immutable,
+// so keys that share a backing array behave like keys that do not.
 func DecodeIndex(b []byte) (*IndexNode, error) {
 	r, err := newReader(b)
 	if err != nil {
 		return nil, err
 	}
 	if r.kind != KindIndex {
-		return nil, fmt.Errorf("page: expected index page, found kind %d", r.kind)
+		return nil, fmt.Errorf("%w: expected index page, found kind %d", ErrCorrupt, r.kind)
 	}
 	n := &IndexNode{}
 	n.Level = int(r.u32())
-	n.Region = r.bits()
+	n.Region, _ = r.bits(nil)
 	count := int(r.u32())
-	if count < 0 || count > 1<<20 {
-		return nil, fmt.Errorf("page: implausible entry count %d", count)
+	if r.err != nil {
+		return nil, r.err
 	}
+	// An entry is 16 bytes (level, key length, child) plus its key words,
+	// so the bytes left bound the count before anything is allocated, and
+	// what the fixed parts leave over is the room for every key together.
+	rest := len(r.buf) - r.off
+	if count < 0 || count > rest/16 {
+		return nil, fmt.Errorf("%w: %d entries in a %d-byte body", ErrCorrupt, count, rest)
+	}
+	slab := make([]uint64, 0, (rest-16*count)/8)
 	n.Entries = make([]Entry, count)
 	for i := range n.Entries {
-		n.Entries[i].Level = int(r.u32())
-		n.Entries[i].Key = r.bits()
-		n.Entries[i].Child = ID(r.u64())
+		e := &n.Entries[i]
+		e.Level = int(r.u32())
+		e.Key, slab = r.bits(slab)
+		e.Child = ID(r.u64())
 	}
-	return n, r.err
+	if r.err != nil {
+		return nil, r.err
+	}
+	return n, nil
 }
 
 // dataHeader opens an encoded data page for its three decoders: it checks
 // the envelope and the kind, parses dimensionality, region and item count,
 // and verifies that the body holds that many items, leaving r at the
 // first one.
-func dataHeader(b []byte) (r *reader, dims int, reg region.BitString, count int, err error) {
+func dataHeader(b []byte) (r reader, dims int, reg region.BitString, count int, err error) {
 	r, err = newReader(b)
 	if err != nil {
-		return nil, 0, reg, 0, err
+		return r, 0, reg, 0, err
 	}
 	if r.kind != KindData {
-		return nil, 0, reg, 0, fmt.Errorf("page: expected data page, found kind %d", r.kind)
+		return r, 0, reg, 0, fmt.Errorf("%w: expected data page, found kind %d", ErrCorrupt, r.kind)
 	}
 	dims = int(r.u32())
 	if dims < 1 || dims > geometry.MaxDims {
-		return nil, 0, reg, 0, fmt.Errorf("page: implausible dimensionality %d", dims)
+		return r, 0, reg, 0, fmt.Errorf("%w: implausible dimensionality %d", ErrCorrupt, dims)
 	}
-	reg = r.bits()
+	reg, _ = r.bits(nil)
 	count = int(r.u32())
 	if count < 0 || count > 1<<24 {
-		return nil, 0, reg, 0, fmt.Errorf("page: implausible item count %d", count)
+		return r, 0, reg, 0, fmt.Errorf("%w: implausible item count %d", ErrCorrupt, count)
 	}
 	r.need(count * (dims + 1) * 8)
 	return r, dims, reg, count, r.err
@@ -234,16 +249,33 @@ func (r *reader) items(dims, count int, dst []Item, coords []uint64) ([]Item, []
 }
 
 // DecodeData deserialises a data page, for pages that stay resident in a
-// cache: the items get a slice of exactly their number and their points
+// cache: the items get a slice of exactly their number, their points
 // share one coordinate slab (stored points are never mutated in place,
-// see DataPage.Clone).
+// see DataPage.Clone), and the columnar mirror is filled in the same pass
+// for the dimensionality the page records, so the page comes out
+// published (DCols is fresh).
 func DecodeData(b []byte) (*DataPage, int, error) {
 	r, dims, reg, count, err := dataHeader(b)
 	if err != nil {
 		return nil, 0, err
 	}
-	p := &DataPage{Region: reg}
-	p.Items, _ = r.items(dims, count, make([]Item, 0, count), nil)
+	p := &DataPage{Region: reg, Items: make([]Item, count)}
+	slab := make([]uint64, 2*count*dims) // the points, then the mirror's rows
+	c := &DataCols{n: count, dims: dims, stride: count, coords: slab[count*dims:]}
+	body := r.buf[r.off:] // dataHeader checked that it holds count items
+	for i := range p.Items {
+		pt := slab[i*dims : (i+1)*dims : (i+1)*dims]
+		for d := range pt {
+			v := binary.LittleEndian.Uint64(body[8*d:])
+			pt[d], c.coords[d*count+i] = v, v
+		}
+		p.Items[i] = Item{Point: pt, Payload: binary.LittleEndian.Uint64(body[8*dims:])}
+		body = body[8*(dims+1):]
+	}
+	if count > 0 {
+		c.first = &p.Items[0]
+	}
+	p.dcols = c
 	return p, dims, nil
 }
 
@@ -307,22 +339,22 @@ type reader struct {
 	err  error
 }
 
-func newReader(b []byte) (*reader, error) {
+func newReader(b []byte) (reader, error) {
 	if len(b) < 8 {
-		return nil, fmt.Errorf("%w: truncated page (%d bytes)", ErrCorrupt, len(b))
+		return reader{}, fmt.Errorf("%w: truncated page (%d bytes)", ErrCorrupt, len(b))
 	}
 	body, sumBytes := b[:len(b)-4], b[len(b)-4:]
 	want := binary.LittleEndian.Uint32(sumBytes)
 	if got := crc32.Checksum(body, crcTable); got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch: got %08x want %08x", ErrCorrupt, got, want)
+		return reader{}, fmt.Errorf("%w: checksum mismatch: got %08x want %08x", ErrCorrupt, got, want)
 	}
 	if binary.LittleEndian.Uint16(body) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+		return reader{}, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	if body[3] != fmtVersion {
-		return nil, fmt.Errorf("%w: unsupported format version %d", ErrCorrupt, body[3])
+		return reader{}, fmt.Errorf("%w: unsupported format version %d", ErrCorrupt, body[3])
 	}
-	return &reader{buf: body, off: 4, kind: Kind(body[2])}, nil
+	return reader{buf: body, off: 4, kind: Kind(body[2])}, nil
 }
 
 func (r *reader) need(n int) bool {
@@ -354,22 +386,37 @@ func (r *reader) u64() uint64 {
 	return v
 }
 
-func (r *reader) bits() region.BitString {
+// bits reads one bit string. Its words are appended to slab, which must
+// have the room (DecodeIndex sizes one slab for all the keys of a page;
+// an overrun means the lengths on the page do not add up), or allocated
+// when slab is nil; the key aliases them. The extended slab is returned.
+func (r *reader) bits(slab []uint64) (region.BitString, []uint64) {
 	n := int(r.u32())
-	if n < 0 || n > 1<<20 {
-		r.err = fmt.Errorf("page: implausible bit length %d", n)
-		return region.BitString{}
+	if r.err == nil && (n < 0 || n > 1<<20) {
+		r.err = fmt.Errorf("%w: implausible bit length %d", ErrCorrupt, n)
 	}
-	words := make([]uint64, (n+63)/64)
+	nw := (n + 63) / 64
+	if !r.need(nw * 8) {
+		return region.BitString{}, slab
+	}
+	var words []uint64
+	switch {
+	case slab == nil:
+		words = make([]uint64, nw)
+	case nw > cap(slab)-len(slab):
+		r.err = fmt.Errorf("%w: %d-bit key at offset %d overruns the page's key words", ErrCorrupt, n, r.off)
+		return region.BitString{}, slab
+	default:
+		slab = slab[:len(slab)+nw]
+		words = slab[len(slab)-nw:]
+	}
 	for i := range words {
-		words[i] = r.u64()
+		words[i] = binary.LittleEndian.Uint64(r.buf[r.off:])
+		r.off += 8
 	}
-	if r.err != nil {
-		return region.BitString{}
-	}
-	b, err := region.FromWords(words, n)
+	b, err := region.OwnWords(words, n)
 	if err != nil {
-		r.err = err
+		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return b
+	return b, slab
 }

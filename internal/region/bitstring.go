@@ -195,7 +195,7 @@ func (b BitString) String() string {
 func (b BitString) Words() []uint64 { return b.words }
 
 // FromWords reconstructs a BitString from packed words and a bit length.
-// Excess bits in the final word are cleared.
+// Excess bits in the final word are cleared. The words are copied.
 func FromWords(words []uint64, n int) (BitString, error) {
 	need := (n + 63) / 64
 	if n < 0 || need > len(words) {
@@ -203,7 +203,22 @@ func FromWords(words []uint64, n int) (BitString, error) {
 	}
 	w := make([]uint64, need)
 	copy(w, words[:need])
-	if rem := n % 64; rem != 0 && need > 0 {
+	return OwnWords(w, n)
+}
+
+// OwnWords is FromWords without the copy: the BitString keeps the first
+// (n+63)/64 of words as its storage, clearing the excess bits of the last
+// one in place, and the caller must not write to them again. A decoder
+// uses it to cut the keys of one page out of a single slab: BitStrings
+// are immutable, so keys sharing a backing array cannot disturb each
+// other.
+func OwnWords(words []uint64, n int) (BitString, error) {
+	need := (n + 63) / 64
+	if n < 0 || need > len(words) {
+		return BitString{}, fmt.Errorf("region: %d words cannot hold %d bits", len(words), n)
+	}
+	w := words[:need:need]
+	if rem := n % 64; rem != 0 {
 		w[need-1] &= ^uint64(0) << uint(64-rem)
 	}
 	return BitString{words: w, n: n}, nil

@@ -64,18 +64,66 @@ func TailMatch(head uint64, tail []uint64, kl int, target BitString) bool {
 // the same narrowing BrickIntersects performs per test, run once so
 // the bounds can be stored and every later rectangle test becomes two
 // comparisons per dimension. min/max entries beyond dims are untouched.
+//
+// In dimension d the key fixes the top k_d bits of the coordinate, k_d
+// being the number of key bits i with i mod dims = d: the minimum is
+// those bits with zeros below, the maximum the same bits with ones
+// below. For one and two dimensions the bits come out of the packed
+// words whole (compact32, the inverse of zorder's spread32); beyond
+// that they are gathered bit by bit. A coordinate has 64 bits, so key
+// bits past dims*64 — which no key the tree forms has — narrow nothing.
 func BrickBounds(b BitString, dims int, min, max []uint64) {
-	for d := 0; d < dims; d++ {
-		min[d] = 0
-		max[d] = ^uint64(0)
+	n := b.n
+	if n > dims*64 {
+		n = dims * 64
 	}
-	for i := 0; i < b.n; i++ {
-		dim := i % dims
-		half := (max[dim]-min[dim])/2 + 1
-		if b.words[i/64]&(1<<uint(63-i%64)) == 0 {
-			max[dim] = min[dim] + half - 1
-		} else {
-			min[dim] = min[dim] + half
+	switch dims {
+	case 1:
+		min[0] = b.Head64()
+	case 2:
+		var w0, w1 uint64
+		if len(b.words) > 0 {
+			w0 = b.words[0]
+		}
+		if len(b.words) > 1 {
+			w1 = b.words[1]
+		}
+		// Key bit i sits at position 63-i of its word: dimension 0 owns
+		// the odd positions, dimension 1 the even ones.
+		min[0] = compact32(w0>>1)<<32 | compact32(w1>>1)
+		min[1] = compact32(w0)<<32 | compact32(w1)
+	default:
+		for d := 0; d < dims; d++ {
+			min[d] = 0
+		}
+		dim, bit := 0, uint64(1)<<63 // the coordinate bit key bit i fixes
+		for i := 0; i < n; i++ {
+			if b.words[i>>6]&(1<<uint(63-i&63)) != 0 {
+				min[dim] |= bit
+			}
+			if dim++; dim == dims {
+				dim, bit = 0, bit>>1
+			}
 		}
 	}
+	depth, deeper := n/dims, n%dims // dimensions below deeper hold one bit more
+	for d := 0; d < dims; d++ {
+		k := depth
+		if d < deeper {
+			k++
+		}
+		max[d] = min[d] | ^uint64(0)>>uint(k)
+	}
+}
+
+// compact32 gathers the even bit positions of x into the low 32 bits:
+// bit 2j moves to bit j. It is the inverse of zorder's spread32.
+func compact32(x uint64) uint64 {
+	x &= 0x5555555555555555
+	x = (x | x>>1) & 0x3333333333333333
+	x = (x | x>>2) & 0x0F0F0F0F0F0F0F0F
+	x = (x | x>>4) & 0x00FF00FF00FF00FF
+	x = (x | x>>8) & 0x0000FFFF0000FFFF
+	x = (x | x>>16) & 0x00000000FFFFFFFF
+	return x
 }

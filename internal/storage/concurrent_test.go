@@ -9,6 +9,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -163,5 +164,184 @@ func TestConcurrentReadsWithEvictionWriteback(t *testing.T) {
 		if firstErr != nil {
 			t.Fatal(firstErr)
 		}
+	}
+}
+
+// TestConcurrentColdReadsRecycleFrames drives the pool's recycling rule —
+// an eviction hands its victim's frame and buffer to the slot being
+// admitted, so nothing may touch frame bytes outside the shard latch —
+// with one frame per shard, where every miss recycles the frame another
+// reader was handed a moment ago. Eight readers run ReadNode and
+// ReadNodes over random multi-slot chains beside Prefetch hints, and every
+// blob must come back byte for byte; then a writer growing and shrinking
+// chains, freeing nodes and allocating off the free list is interleaved
+// with the readers, checked against a MemStore model throughout and again
+// after a close and reopen.
+func TestConcurrentColdReadsRecycleFrames(t *testing.T) {
+	const (
+		nodes   = 96
+		readers = 8
+	)
+	path := filepath.Join(t.TempDir(), "recycle.bv")
+	fs, err := CreateFileStore(path, FileStoreOptions{SlotSize: 128, PoolSlots: poolShards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { fs.Close() }()
+	model := NewMemStore()
+	// fileID[i] and memID[i] name logical node i in the store and in the
+	// model; a freed node has fileID 0.
+	fileID, memID := make([]page.ID, nodes), make([]page.ID, nodes)
+	write := func(i int, blob []byte) {
+		t.Helper()
+		if err := fs.WriteNode(fileID[i], blob); err != nil {
+			t.Fatal(err)
+		}
+		if err := model.WriteNode(memID[i], blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alloc := func(i int) {
+		t.Helper()
+		var err error
+		if fileID[i], err = fs.Alloc(); err != nil {
+			t.Fatal(err)
+		}
+		if memID[i], err = model.Alloc(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < nodes; i++ {
+		alloc(i)
+		write(i, fillPattern(i, 20+(i*37)%600)) // one to six slots
+	}
+	if err := fs.Sync(); err != nil { // clean frames: evictions recycle, not write back
+		t.Fatal(err)
+	}
+
+	// mu orders the writer's store+model update against a reader's
+	// read+compare; readers share it, so between writes they still race
+	// each other (and the prefetch goroutines) for the sixteen frames.
+	var mu sync.RWMutex
+	check := func(i int, got []byte) error {
+		want, err := model.ReadNode(memID[i])
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, want) {
+			return fmt.Errorf("node %d (page %d): read %d bytes that differ from the %d written", i, fileID[i], len(got), len(want))
+		}
+		return nil
+	}
+	readLoop := func(g, rounds int) error {
+		rng := rand.New(rand.NewSource(int64(g)))
+		for r := 0; r < rounds; r++ {
+			mu.RLock()
+			var live []int
+			for _, i := range rng.Perm(nodes)[:1+rng.Intn(12)] {
+				if fileID[i] != 0 {
+					live = append(live, i)
+				}
+			}
+			ids := make([]page.ID, len(live))
+			for k, i := range live {
+				ids[k] = fileID[i]
+			}
+			var err error
+			switch {
+			case len(live) == 0:
+			case g%2 == 0:
+				var got []byte
+				if got, err = fs.ReadNode(ids[0]); err == nil {
+					err = check(live[0], got)
+				}
+			default:
+				var got [][]byte
+				got, err = fs.ReadNodes(ids)
+				for k := 0; err == nil && k < len(got); k++ {
+					err = check(live[k], got[k])
+				}
+			}
+			if r%4 == 0 {
+				fs.Prefetch(ids)
+			}
+			mu.RUnlock()
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	storm := func(rounds int, writer func()) {
+		t.Helper()
+		errs := make(chan error, readers)
+		for g := 0; g < readers; g++ {
+			go func(g int) { errs <- readLoop(g, rounds) }(g)
+		}
+		if writer != nil {
+			writer()
+		}
+		for g := 0; g < readers; g++ {
+			if err := <-errs; err != nil {
+				t.Error(err)
+			}
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+
+	before := fs.Stats()
+	storm(300, nil)
+	if d := fs.Stats().Sub(before); d.Evictions < 1000 || d.SlotWrites != 0 {
+		t.Fatalf("read-only storm: %d evictions, %d slot writes; want every miss to recycle a clean frame", d.Evictions, d.SlotWrites)
+	}
+
+	storm(300, func() {
+		rng := rand.New(rand.NewSource(99))
+		for step := 0; step < 400; step++ {
+			i := rng.Intn(nodes)
+			mu.Lock()
+			switch {
+			case fileID[i] == 0:
+				alloc(i) // off the free list
+				write(i, fillPattern(step, 1+rng.Intn(700)))
+			case rng.Intn(5) == 0:
+				if err := fs.Free(fileID[i]); err != nil {
+					t.Fatal(err)
+				}
+				if err := model.Free(memID[i]); err != nil {
+					t.Fatal(err)
+				}
+				fileID[i] = 0
+			default:
+				write(i, fillPattern(step, 1+rng.Intn(700))) // grows or shrinks the chain
+			}
+			mu.Unlock()
+		}
+	})
+
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fs, err = OpenFileStore(path, FileStoreOptions{PoolSlots: poolShards}); err != nil {
+		t.Fatal(err)
+	}
+	live := 0
+	for i := 0; i < nodes; i++ {
+		if fileID[i] == 0 {
+			continue
+		}
+		live++
+		got, err := fs.ReadNode(fileID[i])
+		if err == nil {
+			err = check(i, got)
+		}
+		if err != nil {
+			t.Fatalf("after reopen: %v", err)
+		}
+	}
+	if live == 0 || live == nodes {
+		t.Fatalf("%d of %d nodes live after the write phase: the script freed nothing or everything", live, nodes)
 	}
 }

@@ -27,11 +27,29 @@ import (
 // independent shards (latch per stripe), because even read-only traffic
 // mutates pool state — a miss admits a frame, a hit reorders the LRU — and
 // a single pool latch would serialise the very readers the shared lock
-// admits. Frame *contents* are only written under the exclusive lock (or
-// by the one reader that loads a missing frame, before it becomes visible
-// in the shard map), so readers may copy a frame's bytes without holding
-// its shard latch. Lock order: store lock → shard latch → state latch;
-// no path holds two shard latches at once.
+// admits. Lock order: store lock → shard latch → state latch; no path
+// holds two shard latches at once.
+//
+// Frames are recycled: an eviction hands its victim's frame and buffer to
+// the slot being admitted (takeFrame), so a pool miss at capacity
+// allocates nothing. The rule that makes this safe: frame bytes are read
+// and written only under the shard latch or the exclusive store lock, and
+// a frame pointer is dead after the next pool call on its shard. A
+// shared-lock reader therefore never holds a frame at all:
+// appendPooledFragment copies the slot's payload out before it drops the
+// latch, so the next miss on the shard, from any goroutine, may overwrite
+// the buffer. The
+// exclusive-lock paths do hold frame pointers across statements, and obey
+// the second half: allocSlot reads the free-list link straight after its
+// one pool call; Alloc and freeSlot write the frame their last pool call
+// returned; Free reads a slot's link before freeSlot's pool call, which
+// hits the frame just loaded; WriteNode reads the old link before it
+// grows the chain (two pool calls, either of which may evict the still-
+// clean head) and re-pins the head before writing to it, and its
+// trailing-free loop is Free's. A frame is marked dirty in the statement
+// group that writes it, before any further pool call, so an eviction
+// writes it back (or, under PinDirty, skips it) rather than recycling
+// unwritten changes.
 //
 // Crash safety: Sync is atomic. Before overwriting any slot it records the
 // old images in a rollback journal (path + ".journal"), fsyncs the
@@ -78,6 +96,12 @@ type poolShard struct {
 	mu     sync.Mutex
 	frames map[uint64]*frame
 	lru    frameList
+}
+
+// admit makes fr, which takeFrame returned, resident (latch held).
+func (sh *poolShard) admit(fr *frame) {
+	sh.frames[fr.slot] = fr
+	sh.lru.pushFront(fr)
 }
 
 type frame struct {
@@ -346,16 +370,24 @@ func (s *FileStore) checkNext(slot, next uint64) error {
 
 // --- slot-level access through the sharded buffer pool ---
 
-// frameFor returns the pooled frame for slot, loading it from disk on a
-// miss when load is set. It takes the slot's shard latch for the whole
-// lookup/load/admit sequence, so concurrent misses on the same slot
-// serialise and exactly one frame per slot is ever resident. The caller
-// may read the returned frame's buffer without the latch; mutating it
-// requires the exclusive store lock.
+// frameFor is the exclusive-lock paths' access to a slot's frame: it
+// takes the slot's shard latch around frameLocked. The store lock keeps
+// every other pool user out, so the caller may read and write the frame
+// until its next pool call on the shard (see the type comment).
 func (s *FileStore) frameFor(slot uint64, load bool) (*frame, error) {
 	sh := &s.shards[slot%poolShards]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return s.frameLocked(sh, slot, load)
+}
+
+// frameLocked returns the pooled frame for slot (shard latch held),
+// loading it from disk on a miss when load is set; without load a missed
+// frame's contents are unspecified and the caller overwrites them all.
+// The latch spans the whole lookup/load/admit sequence, so concurrent
+// misses on the same slot serialise and exactly one frame per slot is
+// ever resident.
+func (s *FileStore) frameLocked(sh *poolShard, slot uint64, load bool) (*frame, error) {
 	if fr, ok := sh.frames[slot]; ok {
 		atomic.AddUint64(&s.stats.CacheHits, 1)
 		sh.lru.remove(fr)
@@ -363,23 +395,29 @@ func (s *FileStore) frameFor(slot uint64, load bool) (*frame, error) {
 		return fr, nil
 	}
 	atomic.AddUint64(&s.stats.CacheMisses, 1)
-	fr := &frame{slot: slot, buf: make([]byte, s.slotSize)}
+	fr, err := s.takeFrame(sh, slot)
+	if err != nil {
+		return nil, err
+	}
 	if load {
 		if _, err := s.f.ReadAt(fr.buf, int64(slot)*int64(s.slotSize)); err != nil {
 			return nil, fmt.Errorf("storage: read slot %d: %w", slot, err)
 		}
 		atomic.AddUint64(&s.stats.SlotReads, 1)
 	}
-	if err := s.admitLocked(sh, fr); err != nil {
-		return nil, err
-	}
+	sh.admit(fr)
 	return fr, nil
 }
 
-// admitLocked inserts fr into its shard (latch held), evicting from the
-// shard's LRU tail while the shard is over capacity. Dirty victims are
-// skipped when PinDirty pins them, written back otherwise.
-func (s *FileStore) admitLocked(sh *poolShard, fr *frame) error {
+// takeFrame makes room in sh for one more frame (latch held) and returns
+// a frame for slot, not yet resident, for the caller to fill and admit.
+// While the shard is at capacity it evicts from the LRU tail — dirty
+// victims are skipped when PinDirty pins them, written back otherwise —
+// and the last victim's frame, buffer included, is what it returns. It
+// allocates only when nothing was evicted: the shard is below capacity,
+// or every frame in it is pinned dirty.
+func (s *FileStore) takeFrame(sh *poolShard, slot uint64) (*frame, error) {
+	var fr *frame
 	victim := sh.lru.tail
 	for len(sh.frames) >= s.shardCap && victim != nil {
 		prev := victim.prev
@@ -389,16 +427,18 @@ func (s *FileStore) admitLocked(sh *poolShard, fr *frame) error {
 			continue
 		}
 		if err := s.flushFrame(victim); err != nil {
-			return err
+			return nil, err
 		}
 		sh.lru.remove(victim)
 		delete(sh.frames, victim.slot)
 		atomic.AddUint64(&s.stats.Evictions, 1)
-		victim = prev
+		fr, victim = victim, prev
 	}
-	sh.frames[fr.slot] = fr
-	sh.lru.pushFront(fr)
-	return nil
+	if fr == nil {
+		fr = &frame{buf: make([]byte, s.slotSize)}
+	}
+	fr.slot = slot
+	return fr, nil
 }
 
 func (s *FileStore) flushFrame(fr *frame) error {
@@ -513,25 +553,46 @@ func (s *FileStore) readNodeVia(id page.ID, peek func(uint64) []byte) ([]byte, e
 		if peek != nil {
 			buf = peek(slot)
 		}
-		if buf == nil {
-			fr, err := s.frameFor(slot, true)
-			if err != nil {
-				return nil, err
-			}
-			buf = fr.buf
+		var err error
+		if buf != nil {
+			out, slot, err = s.appendFragment(out, slot, buf)
+		} else {
+			out, slot, err = s.appendPooledFragment(out, slot)
 		}
-		next := binary.LittleEndian.Uint64(buf)
-		if err := s.checkNext(slot, next); err != nil {
+		if err != nil {
 			return nil, err
 		}
-		n := int(binary.LittleEndian.Uint32(buf[8:]))
-		if n < 0 || n > s.payload() {
-			return nil, fmt.Errorf("%w: fragment length %d in slot %d", ErrCorrupt, n, slot)
-		}
-		out = append(out, buf[slotHeaderSize:slotHeaderSize+n]...)
-		slot = next
 	}
 	return out, nil
+}
+
+// appendPooledFragment is appendFragment on slot's pooled frame, loaded
+// on a miss. The copy happens under the shard latch: the moment it is
+// released another reader's miss may recycle the frame.
+func (s *FileStore) appendPooledFragment(out []byte, slot uint64) ([]byte, uint64, error) {
+	sh := &s.shards[slot%poolShards]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	fr, err := s.frameLocked(sh, slot, true)
+	if err != nil {
+		return nil, 0, err
+	}
+	return s.appendFragment(out, slot, fr.buf)
+}
+
+// appendFragment validates the slot image buf of slot and appends its
+// payload fragment to out, returning the extended blob and the next slot
+// of the chain.
+func (s *FileStore) appendFragment(out []byte, slot uint64, buf []byte) ([]byte, uint64, error) {
+	next := binary.LittleEndian.Uint64(buf)
+	if err := s.checkNext(slot, next); err != nil {
+		return nil, 0, err
+	}
+	n := int(binary.LittleEndian.Uint32(buf[8:]))
+	if n < 0 || n > s.payload() {
+		return nil, 0, fmt.Errorf("%w: fragment length %d in slot %d", ErrCorrupt, n, slot)
+	}
+	return append(out, buf[slotHeaderSize:slotHeaderSize+n]...), next, nil
 }
 
 // maxReadRun caps the slots covered by one coalesced ReadAt (256 KiB at
@@ -558,9 +619,13 @@ func (s *FileStore) admitSlotBuf(slot uint64, buf []byte) error {
 	if _, ok := sh.frames[slot]; ok {
 		return nil
 	}
-	fr := &frame{slot: slot, buf: make([]byte, s.slotSize)}
+	fr, err := s.takeFrame(sh, slot)
+	if err != nil {
+		return err
+	}
 	copy(fr.buf, buf)
-	return s.admitLocked(sh, fr)
+	sh.admit(fr)
+	return nil
 }
 
 // warmSlots loads the non-resident slots of the (sorted, deduplicated)
