@@ -28,23 +28,23 @@ GO ?= go
 # Lookup on point-hot and point-cold touches exactly height+1 nodes. It
 # is vetted first, so that a PR which may not edit benchmark/ cannot
 # delete an option or change a signature the harness uses.
-# The default range worker count is GOMAXPROCS, so which way the range
-# walker is driven (inline, spin-up, pool) in a test that does not pin
-# it depends on the host: the traversal tests run again at GOMAXPROCS=1
+# Range queries run inline unless a caller asks for workers, so only the
+# two test families that pass worker counts above 1 depend on how many
+# CPUs schedule the pool's goroutines: they run again at GOMAXPROCS=1
 # and 8. The system benchmarks of bench_test.go (instrumentation
 # on/off, durable write disciplines, inserts under a backup, mixed
-# parallel reads, and the profilable replica of point-cold) are recorded
-# nowhere and run on demand, so the last step runs each once to keep
-# them compiling and passing.
+# parallel reads, the profilable replica of point-cold, and the inline
+# walk against the worker pool) are recorded nowhere and run on demand,
+# so the last step runs each once to keep them compiling and passing.
 verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/docslint
-	for p in 1 8; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestParallelRange|TestRange|TestColumnarPruned|TestScanAndCount|TestPartialMatch' ./internal/bvtree || exit 1; done
+	for p in 1 8; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestParallelRange|TestColumnarPruned' ./internal/bvtree || exit 1; done
 	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestBuffered|TestColumnar|TestShard' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard
-	$(GO) test -run '^$$' -bench 'Instrumented|DurableInsert|UnderBackup|MixedRead|ColdLookup' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Instrumented|DurableInsert|UnderBackup|MixedRead|ColdLookup|RangeDrive' -benchtime 1x .
 
 # Full suite under the race detector, including the reader/writer stress
 # tests (TestConcurrent*) added with the parallel read path.
@@ -68,7 +68,7 @@ fuzz-restore:
 	$(GO) test -run '^$$' -fuzz=FuzzRestore -fuzztime=30s ./internal/bvtree
 
 # Every Go benchmark, on demand: the paper's figures (BenchmarkFig*,
-# BenchmarkCmp*), the per-operation micro-benchmarks and the four system
+# BenchmarkCmp*), the per-operation micro-benchmarks and the system
 # benchmarks. For one of those add -cpu 1,2,4,8 and compare -count 10
 # runs with benchstat; EXPERIMENTS.md has the recipes. The gated
 # end-to-end benchmark is `bash benchmark/run.sh` (BENCHMARK.json).

@@ -5,13 +5,17 @@ package bvtree_test
 
 import (
 	"io"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"bvtree"
 	"bvtree/internal/bench"
+	"bvtree/internal/storage"
 	"bvtree/internal/workload"
 )
 
@@ -337,18 +341,13 @@ func BenchmarkMixedRead(b *testing.B) {
 	})
 }
 
-// BenchmarkColdLookup is the profilable replica of the benchmark's
-// point-cold workload: 100k clustered points built through ApplyBatch,
-// flushed, and reopened with a decoded-node cache and a buffer pool of
-// 128 against a few thousand nodes, so page reads, decodes and evictions
-// dominate a Lookup. The 1000 seeded lookups cycle as the workload's
-// rounds do.
-func BenchmarkColdLookup(b *testing.B) {
-	pts, err := workload.Generate(workload.Clustered, 2, 100_000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(b.TempDir(), "cold.db")
+// pagedFileTree builds a paged tree of pts (payload = index) through
+// ApplyBatch over a FileStore at a fresh path, with cache and pool large
+// enough to hold all of it, and flushes it: cached as it stands, and
+// reopenable from path once the caller has closed the store.
+func pagedFileTree(b *testing.B, pts []bvtree.Point) (string, *storage.FileStore, *bvtree.Tree) {
+	b.Helper()
+	path := filepath.Join(b.TempDir(), "t.db")
 	st, err := bvtree.NewFileStore(path, bvtree.FileStoreOptions{PoolSlots: 1 << 16})
 	if err != nil {
 		b.Fatal(err)
@@ -370,17 +369,39 @@ func BenchmarkColdLookup(b *testing.B) {
 	if err := tr.Flush(); err != nil {
 		b.Fatal(err)
 	}
+	return path, st, tr
+}
+
+// reopenCold closes st and reopens the tree at path with a decoded-node
+// cache and a buffer pool of 128 against a few thousand nodes, so page
+// reads, decodes and evictions dominate whatever runs next.
+func reopenCold(b *testing.B, path string, st *storage.FileStore) *bvtree.Tree {
+	b.Helper()
 	if err := st.Close(); err != nil {
 		b.Fatal(err)
 	}
-	st, err = bvtree.OpenFileStore(path, bvtree.FileStoreOptions{PoolSlots: 128})
+	st, err := bvtree.OpenFileStore(path, bvtree.FileStoreOptions{PoolSlots: 128})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer st.Close()
-	if tr, err = bvtree.OpenPaged(st, 128); err != nil {
+	b.Cleanup(func() { st.Close() })
+	tr, err := bvtree.OpenPaged(st, 128)
+	if err != nil {
 		b.Fatal(err)
 	}
+	return tr
+}
+
+// BenchmarkColdLookup is the profilable replica of the benchmark's
+// point-cold workload: 100k clustered points, flushed and reopened cold.
+// The 1000 seeded lookups cycle as the workload's rounds do.
+func BenchmarkColdLookup(b *testing.B) {
+	pts, err := workload.Generate(workload.Clustered, 2, 100_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path, st, _ := pagedFileTree(b, pts)
+	tr := reopenCold(b, path, st)
 	rng := rand.New(rand.NewSource(1))
 	probes := make([]bvtree.Point, 1000)
 	for i := range probes {
@@ -391,6 +412,91 @@ func BenchmarkColdLookup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if got, err := tr.Lookup(probes[i%len(probes)]); err != nil || len(got) == 0 {
 			b.Fatalf("lookup %d: %v %v", i, got, err)
+		}
+	}
+}
+
+// windowsOf returns count square windows holding exactly k of pts each:
+// the k nearest, by Chebyshev distance, of a point drawn from pts.
+func windowsOf(pts []bvtree.Point, k, count int, rng *rand.Rand) []bvtree.Rect {
+	dist := make([]uint64, len(pts))
+	var out []bvtree.Rect
+	for len(out) < count {
+		c := pts[rng.Intn(len(pts))]
+		for i, p := range pts {
+			dist[i] = 0
+			for d := range p {
+				dist[i] = max(dist[i], max(p[d], c[d])-min(p[d], c[d]))
+			}
+		}
+		slices.Sort(dist)
+		r := dist[k-1]
+		if dist[k] == r {
+			continue // a tie on the edge: the square would hold more than k
+		}
+		w := bvtree.UniverseRect(len(c))
+		for d := range c {
+			if c[d] > r {
+				w.Min[d] = c[d] - r
+			}
+			if c[d] < math.MaxUint64-r {
+				w.Max[d] = c[d] + r
+			}
+		}
+		out = append(out, w)
+	}
+	return out
+}
+
+// BenchmarkRangeDrive is the whole trial behind "range queries run inline
+// unless asked" (EXPERIMENTS.md): visiting and counting windows of 4097
+// items and of a third of a 100k-point clustered tree, fully cached and
+// reopened cold, on the inline walk (workers=1) against the worker pool
+// at N = the -cpu value. At -cpu 1 both arms run the inline walk, which
+// shows the host's own spread.
+func BenchmarkRangeDrive(b *testing.B) {
+	const n = 100_000
+	pts, err := workload.Generate(workload.Clustered, 2, n, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	sizes := []struct {
+		name  string
+		items int
+		wins  []bvtree.Rect
+	}{
+		{"items=4097", 4097, windowsOf(pts, 4097, 16, rng)},
+		{"items=33333", n / 3, windowsOf(pts, n/3, 4, rng)},
+	}
+	path, st, tr := pagedFileTree(b, pts)
+	for _, state := range []string{"cached", "reopened"} {
+		if state == "reopened" {
+			tr = reopenCold(b, path, st)
+		}
+		for _, sz := range sizes {
+			for _, op := range []string{"visit", "count"} {
+				for _, arm := range []string{"workers=1", "workers=N"} {
+					b.Run(state+"/"+sz.name+"/"+op+"/"+arm, func(b *testing.B) {
+						workers := 1
+						if arm == "workers=N" {
+							workers = runtime.GOMAXPROCS(0)
+						}
+						for i := 0; i < b.N; i++ {
+							var err error
+							got, w := 0, sz.wins[i%len(sz.wins)]
+							if op == "count" {
+								got, err = tr.CountWorkers(w, workers)
+							} else {
+								err = tr.RangeQueryWorkers(w, func(bvtree.Point, uint64) bool { got++; return true }, workers)
+							}
+							if err != nil || got != sz.items {
+								b.Fatalf("%d items, want %d: %v", got, sz.items, err)
+							}
+						}
+					})
+				}
+			}
 		}
 	}
 }

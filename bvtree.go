@@ -134,7 +134,9 @@ func New(opt Options) (*Tree, error) { return ibv.New(opt) }
 func NewPaged(st Store, opt Options) (*Tree, error) { return ibv.NewPaged(st, opt) }
 
 // OpenPaged reopens a tree previously created with NewPaged and persisted
-// with (*Tree).Flush.
+// with (*Tree).Flush. Only the tree's shape is persisted: of the other
+// Options it gets cacheNodes, and zero values (inline range queries, no
+// metrics, no write buffer) for the rest.
 func OpenPaged(st Store, cacheNodes int) (*Tree, error) { return ibv.OpenPaged(st, cacheNodes) }
 
 // DurableTree is a paged tree with a logical write-ahead log. Mutations

@@ -221,16 +221,15 @@ func TestRangeQueryAllocs(t *testing.T) {
 	tr, _ := buildAllocTree(t, 4000)
 	rect := geometry.UniverseRect(2)
 	count := 0
-	// Pinned to workers=1: the serial reference walk carries the
-	// allocation guarantee. The parallel engine allocates by design
-	// (goroutines, channels, per-batch buffers) and is only engaged when
-	// a query resolves to workers > 1.
+	// The default drive — the inline walk — carries the allocation
+	// guarantee. The worker pool allocates by design (goroutines, channels,
+	// per-batch buffers) and runs only for a caller who asks for workers.
 	allocs := testing.AllocsPerRun(20, func() {
 		count = 0
-		err := tr.RangeQueryWorkers(rect, func(geometry.Point, uint64) bool {
+		err := tr.RangeQuery(rect, func(geometry.Point, uint64) bool {
 			count++
 			return true
-		}, 1)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,10 +257,10 @@ func TestRangeTinyWindowAllocs(t *testing.T) {
 	count := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		count = 0
-		err := tr.RangeQueryWorkers(rect, func(geometry.Point, uint64) bool {
+		err := tr.RangeQuery(rect, func(geometry.Point, uint64) bool {
 			count++
 			return true
-		}, 1)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

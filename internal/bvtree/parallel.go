@@ -17,11 +17,10 @@ import (
 // query.go), push the index children, scan the data children through
 // scanPages. The walker is driven three ways (walkRange, drive):
 //
-//   - inline: workers <= 1, or a window the volume gate keeps off the
-//     pool, runs the walker depth-first on the caller's goroutine until
-//     its stack is empty;
-//   - spin-up: a query with a worker budget runs the same walker on the
-//     caller's goroutine but pops from the other end of the stack —
+//   - inline: workers <= 1 — the default — runs the walker depth-first
+//     on the caller's goroutine until its stack is empty;
+//   - spin-up: a query asked to use n > 1 workers runs the same walker on
+//     the caller's goroutine but pops from the other end of the stack —
 //     breadth-first — until the frontier holds enough disjoint subtrees
 //     to feed a pool (spinUpFanout). Queries without that much
 //     independent work complete here and never pay pool startup; a
@@ -152,28 +151,26 @@ func putRangeWalker(w *rangeWalker) {
 // scans that match hundreds of thousands of items.
 const rangeFlushItems = 512
 
-// spinUpFanout is the base frontier size at which the spin-up expansion
-// stops and the worker pool takes over. Requiring twice the worker count
-// means every worker has a second subtree queued the moment it finishes
-// its first; the floor of 16 keeps geometry, not the worker count, in
-// charge of the decision for small pools. drive additionally demands
-// that the frontier outgrow the number of subtrees expanded.
+// spinUpFanout is the frontier size at which the spin-up expansion stops
+// and the worker pool takes over. Requiring twice the worker count means
+// every worker has a second subtree queued the moment it finishes its
+// first; the floor of 16 keeps geometry, not the worker count, in charge
+// of the decision for small pools.
 func spinUpFanout(workers int) int {
-	const floor = 16
-	if f := 2 * workers; f > floor {
-		return f
-	}
-	return floor
+	return max(2*workers, 16)
 }
 
 // walkRange runs one traversal of rect over t — visiting, or counting
-// when visit is nil — and returns the count. spin == 0 keeps the whole
-// walk inline on the calling goroutine; spin > 0 is the frontier size at
-// which a worker pool of the given width takes over.
-func (t *Tree) walkRange(rect geometry.Rect, visit Visitor, workers, spin int) (int64, error) {
-	sink := sinkCount
+// when visit is nil — and returns the count. workers <= 1 keeps the whole
+// walk inline on the calling goroutine; more is the width of the pool
+// that takes over once the frontier reaches spinUpFanout(workers).
+func (t *Tree) walkRange(rect geometry.Rect, visit Visitor, workers int) (int64, error) {
+	sink, spin := sinkCount, 0
 	if visit != nil {
 		sink = sinkVisit
+	}
+	if workers > 1 {
+		spin = spinUpFanout(workers)
 	}
 	w := getRangeWalker(t, rect, sink)
 	// A rect covering the whole data space (Scan, and universe-sized
@@ -204,23 +201,15 @@ func (t *Tree) walkRange(rect geometry.Rect, visit Visitor, workers, spin int) (
 // the engine stops the walk (false). spin > 0 makes it the spin-up
 // expansion, which also returns true — with the frontier left on the
 // stack for the caller to seed a pool with — once the frontier reaches
-// spin subtrees and has outgrown the number expanded. That second clause
-// demands breadth explosion, not mere frontier size: a window with real
-// volume multiplies its frontier at every level, while one that merely
-// straddles a few brick faces adds a subtree or two per expansion, never
-// outruns the pop count and completes here, paying nothing for the pool
-// it never needed. It binds for windows just past engineWorthwhile's
-// floor, which meet about as many level-1 subtrees as spin, each a
-// handful of pages — seeds too small to repay a pool (measured with the
-// clause removed: DESIGN.md §11).
+// spin subtrees.
 func (w *rangeWalker) drive(spin int, visit Visitor) (bool, error) {
-	for pops := 0; len(w.stack) > w.head; pops++ {
+	for len(w.stack) > w.head {
 		if w.halted() {
 			return false, nil
 		}
 		var task rangeTask
 		if spin > 0 {
-			if len(w.stack)-w.head >= spin+pops {
+			if len(w.stack)-w.head >= spin {
 				return true, nil
 			}
 			task, w.head = w.stack[w.head], w.head+1

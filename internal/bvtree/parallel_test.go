@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,6 +25,7 @@ import (
 	"bvtree/internal/fault"
 	"bvtree/internal/geometry"
 	"bvtree/internal/storage"
+	"bvtree/internal/workload"
 )
 
 // rangeBackends builds one tree per backend flavour, loads it with pts
@@ -120,14 +123,34 @@ func randRect(rng *rand.Rand, dims int) geometry.Rect {
 	return r
 }
 
+// blobItems is the size of the mid-sized window class: large enough that
+// its frontier reaches spinUpFanout at any worker count used here, small
+// enough that the pool's start-up is most of its cost.
+const blobItems = 4097
+
+// withBlob appends blobItems points packed into one 2^32-wide square, far
+// from the diagonal clusteredPoint draws around, and returns the extended
+// set with that square: a window that is wide in subtrees and next to
+// nothing in volume, which an estimate of the second must not keep from a
+// caller who asked for workers. Each test checks against its own oracle
+// that the window holds exactly the appended points.
+func withBlob(rng *rand.Rand, pts []geometry.Point) ([]geometry.Point, geometry.Rect) {
+	const side = 1 << 32
+	blob := geometry.Rect{Min: geometry.Point{1 << 62, 3 << 62}, Max: geometry.Point{1<<62 + side - 1, 3<<62 + side - 1}}
+	for i := 0; i < blobItems; i++ {
+		pts = append(pts, geometry.Point{blob.Min[0] + rng.Uint64()%side, blob.Min[1] + rng.Uint64()%side})
+	}
+	return pts, blob
+}
+
 // TestParallelRangeDifferential: on every backend, for a pile of random
-// rectangles, the engine at several worker counts returns exactly the
-// multiset of the linear-scan oracle and of the serial walk — for
-// RangeQuery, Scan and PartialMatch alike.
+// rectangles and for the blob window, the engine at several worker counts
+// returns exactly the multiset of the linear-scan oracle and of the
+// serial walk — for RangeQuery, Scan and PartialMatch alike — and the
+// blob window, checked against rangeScalar too, does reach the pool.
 func TestParallelRangeDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	const n = 4000
-	pts := make([]geometry.Point, n)
+	pts := make([]geometry.Point, 4000)
 	for i := range pts {
 		if i%3 == 0 {
 			pts[i] = clusteredPoint(rng, 2)
@@ -135,17 +158,21 @@ func TestParallelRangeDifferential(t *testing.T) {
 			pts[i] = randPoint(rng, 2)
 		}
 	}
+	pts, blob := withBlob(rng, pts)
+	n := len(pts)
+	linearScan := func(rect geometry.Rect) (oracle []uint64) {
+		for i, p := range pts {
+			if rect.Contains(p) {
+				oracle = append(oracle, uint64(i)) // in payload order
+			}
+		}
+		return oracle
+	}
 	opt := Options{Dims: 2, DataCapacity: 8, Fanout: 8}
 	rangeBackends(t, pts, opt, func(t *testing.T, tr *Tree) {
 		for trial := 0; trial < 25; trial++ {
 			rect := randRect(rng, 2)
-			var oracle []uint64
-			for i, p := range pts {
-				if rect.Contains(p) {
-					oracle = append(oracle, uint64(i))
-				}
-			}
-			sort.Slice(oracle, func(i, j int) bool { return oracle[i] < oracle[j] })
+			oracle := linearScan(rect)
 			serial := collectRange(t, tr, rect, 1)
 			if fmt.Sprint(serial) != fmt.Sprint(oracle) {
 				t.Fatalf("trial %d: serial walk diverged from oracle: %d vs %d hits", trial, len(serial), len(oracle))
@@ -155,6 +182,24 @@ func TestParallelRangeDifferential(t *testing.T) {
 				if fmt.Sprint(par) != fmt.Sprint(oracle) {
 					t.Fatalf("trial %d workers %d: engine diverged: %d vs %d hits", trial, workers, len(par), len(oracle))
 				}
+			}
+		}
+		oracle := linearScan(blob)
+		var ref []uint64
+		for _, it := range referenceItems(t, tr, blob) {
+			ref = append(ref, it.Payload)
+		}
+		slices.Sort(ref)
+		if len(oracle) != blobItems || fmt.Sprint(ref) != fmt.Sprint(oracle) {
+			t.Fatalf("blob window: %d points by linear scan, %d by rangeScalar, want %d", len(oracle), len(ref), blobItems)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			tasks := tr.Stats().RangeTasks
+			if got := collectRange(t, tr, blob, workers); fmt.Sprint(got) != fmt.Sprint(oracle) {
+				t.Fatalf("blob window at workers %d: %d hits, oracle %d", workers, len(got), len(oracle))
+			}
+			if ran := tr.Stats().RangeTasks - tasks; (ran > 0) != (workers > 1) {
+				t.Fatalf("blob window at workers %d ran %d engine tasks", workers, ran)
 			}
 		}
 		// Scan must deliver everything once, via the engine too.
@@ -167,45 +212,47 @@ func TestParallelRangeDifferential(t *testing.T) {
 				t.Fatalf("universe scan payload %d at position %d", p, i)
 			}
 		}
-		if tr.paged != nil {
-			if s := tr.Stats(); s.RangeTasks == 0 {
-				t.Fatal("engine never engaged on a branching workload")
-			}
-		}
 	})
 }
 
 // TestParallelRangeEarlyStop: a visitor returning false stops the query
 // with a nil error and no further visits — inline in the middle of a
 // page (on paged-file, of a blob-decoded one), and with the pool
-// saturated with in-flight batches.
+// saturated with in-flight batches, on a Scan and on the blob window.
 func TestParallelRangeEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	pts := make([]geometry.Point, 6000)
 	for i := range pts {
 		pts[i] = randPoint(rng, 2)
 	}
+	pts, blob := withBlob(rng, pts)
 	rangeBackends(t, pts, Options{Dims: 2, DataCapacity: 8, Fanout: 8}, func(t *testing.T, tr *Tree) {
-		for _, workers := range []int{1, 2, 8} {
-			for _, limit := range []int{1, 10, 500} {
-				visits := 0
-				stopped := false
-				err := tr.RangeQueryWorkers(geometry.UniverseRect(2), func(geometry.Point, uint64) bool {
-					if stopped {
-						t.Fatal("visit after the visitor returned false")
+		for name, rect := range map[string]geometry.Rect{"scan": geometry.UniverseRect(2), "blob": blob} {
+			for _, workers := range []int{1, 2, 8} {
+				tasks := tr.Stats().RangeTasks
+				for _, limit := range []int{1, 10, 500} {
+					visits := 0
+					stopped := false
+					err := tr.RangeQueryWorkers(rect, func(geometry.Point, uint64) bool {
+						if stopped {
+							t.Fatal("visit after the visitor returned false")
+						}
+						visits++
+						if visits >= limit {
+							stopped = true
+							return false
+						}
+						return true
+					}, workers)
+					if err != nil {
+						t.Fatalf("%s workers %d limit %d: early stop returned %v", name, workers, limit, err)
 					}
-					visits++
-					if visits >= limit {
-						stopped = true
-						return false
+					if visits != limit {
+						t.Fatalf("%s workers %d limit %d: visited %d", name, workers, limit, visits)
 					}
-					return true
-				}, workers)
-				if err != nil {
-					t.Fatalf("workers %d limit %d: early stop returned %v", workers, limit, err)
 				}
-				if visits != limit {
-					t.Fatalf("workers %d limit %d: visited %d", workers, limit, visits)
+				if ran := tr.Stats().RangeTasks - tasks; (ran > 0) != (workers > 1) {
+					t.Fatalf("%s at workers %d: the three stopped queries ran %d engine tasks", name, workers, ran)
 				}
 			}
 		}
@@ -216,7 +263,8 @@ func TestParallelRangeEarlyStop(t *testing.T) {
 // surfaces to the caller, for visit and count alike — from the inline
 // walker, and from the engine, which joins all workers and returns
 // instead of hanging or panicking. Each run reopens the tree cold over a
-// fault store that trips a few dozen reads in.
+// fault store that trips a few dozen reads in, once the pool — on a Scan
+// and on the blob window alike — has taken over.
 func TestParallelRangeErrorCancels(t *testing.T) {
 	inner := storage.NewMemStore()
 	tr, err := NewPaged(inner, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
@@ -224,32 +272,42 @@ func TestParallelRangeErrorCancels(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(73))
-	for i := 0; i < 4000; i++ {
-		if err := tr.Insert(randPoint(rng, 2), uint64(i)); err != nil {
+	pts := make([]geometry.Point, 4000)
+	for i := range pts {
+		pts[i] = randPoint(rng, 2)
+	}
+	pts, blob := withBlob(rng, pts)
+	for i, p := range pts {
+		if err := tr.Insert(p, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		for _, counting := range []bool{false, true} {
-			fs := fault.NewStore(inner, 40)
-			cold, err := OpenPaged(fs, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			visits := 0
-			if counting {
-				_, err = cold.CountWorkers(geometry.UniverseRect(2), workers)
-			} else {
-				err = cold.RangeQueryWorkers(geometry.UniverseRect(2), func(geometry.Point, uint64) bool { visits++; return true }, workers)
-			}
-			if !errors.Is(err, fault.ErrInjected) {
-				t.Fatalf("workers %d counting %v: query over tripped store returned %v", workers, counting, err)
-			}
-			if workers == 1 && !counting && visits == 0 {
-				t.Fatal("the store tripped before the inline walker delivered anything: not a mid-scan fault")
+	for name, rect := range map[string]geometry.Rect{"scan": geometry.UniverseRect(2), "blob": blob} {
+		for _, workers := range []int{1, 2, 8} {
+			for _, counting := range []bool{false, true} {
+				fs := fault.NewStore(inner, 40)
+				cold, err := OpenPaged(fs, 16)
+				if err != nil {
+					t.Fatal(err)
+				}
+				visits := 0
+				if counting {
+					_, err = cold.CountWorkers(rect, workers)
+				} else {
+					err = cold.RangeQueryWorkers(rect, func(geometry.Point, uint64) bool { visits++; return true }, workers)
+				}
+				if !errors.Is(err, fault.ErrInjected) {
+					t.Fatalf("%s workers %d counting %v: query over tripped store returned %v", name, workers, counting, err)
+				}
+				if workers == 1 && !counting && visits == 0 {
+					t.Fatal("the store tripped before the inline walker delivered anything: not a mid-scan fault")
+				}
+				if ran := cold.Stats().RangeTasks; (ran > 0) != (workers > 1) {
+					t.Fatalf("%s at workers %d counting %v: %d engine tasks before the fault", name, workers, counting, ran)
+				}
 			}
 		}
 	}
@@ -258,14 +316,34 @@ func TestParallelRangeErrorCancels(t *testing.T) {
 // TestParallelRangeCountMatches: Count's count-only sink (inline and
 // engine) agrees with a linear scan of the points on random workloads
 // and rectangles — RangeQuery shares the walker with Count, so it is no
-// oracle for it.
+// oracle for it — and counts the blob window on the pool.
 func TestParallelRangeCountMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	pts := make([]geometry.Point, 5000)
 	for i := range pts {
 		pts[i] = clusteredPoint(rng, 2)
 	}
+	pts, blob := withBlob(rng, pts)
 	rangeBackends(t, pts, Options{Dims: 2, DataCapacity: 8, Fanout: 8}, func(t *testing.T, tr *Tree) {
+		want := 0
+		for _, p := range pts {
+			if blob.Contains(p) {
+				want++
+			}
+		}
+		for _, workers := range []int{2, 8} {
+			tasks := tr.Stats().RangeTasks
+			got, err := tr.CountWorkers(blob, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want || want != blobItems {
+				t.Fatalf("blob window at workers %d: Count %d, linear scan %d, appended %d", workers, got, want, blobItems)
+			}
+			if tr.Stats().RangeTasks == tasks {
+				t.Fatalf("blob window at workers %d was counted without the pool", workers)
+			}
+		}
 		for trial := 0; trial < 30; trial++ {
 			rect := randRect(rng, 2)
 			want := 0
@@ -292,11 +370,9 @@ func TestParallelRangeCountMatches(t *testing.T) {
 
 // TestParallelRangeOneItemWindowSkipsEngine: since the guard-set pruning
 // made a point-like window's frontier one subtree wide, a one-item
-// window asked for at two workers must never build an engine, and must
-// cost what the same point's Lookup costs — through the public calls
-// (which engineWorthwhile keeps off the expansion path altogether) and
-// through walkRange's spin-up expansion entered directly, so the claim
-// does not rest on that gate.
+// window asked for at two workers runs the spin-up expansion, never
+// reaches spinUpFanout and so never builds an engine, and costs what the
+// same point's Lookup costs.
 func TestParallelRangeOneItemWindowSkipsEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	pts := make([]geometry.Point, 6000)
@@ -316,16 +392,11 @@ func TestParallelRangeOneItemWindowSkipsEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, release := tr.readView()
 			runs := map[string]func() (int, error){
 				"RangeQueryWorkers": func() (n int, err error) {
 					return n, tr.RangeQueryWorkers(rect, func(geometry.Point, uint64) bool { n++; return true }, 2)
 				},
 				"CountWorkers": func() (int, error) { return tr.CountWorkers(rect, 2) },
-				"walkRange": func() (n int, err error) {
-					_, err = v.walkRange(rect, func(geometry.Point, uint64) bool { n++; return true }, 2, spinUpFanout(2))
-					return n, err
-				},
 			}
 			for name, run := range runs {
 				tr.ResetAccessCount()
@@ -340,12 +411,151 @@ func TestParallelRangeOneItemWindowSkipsEngine(t *testing.T) {
 					t.Fatalf("%s at %v touched %d nodes, Lookup touches %d", name, p, n, nodes)
 				}
 			}
-			release()
 		}
 		if got := tr.Stats().RangeTasks; got != tasks {
 			t.Fatalf("one-item windows at two workers ran %d engine tasks", got-tasks)
 		}
 	})
+}
+
+// TestRangeDefaultRunsInline: a tree nobody configured — built with
+// default Options, or reopened, which takes none — runs every range,
+// count, scan and partial-match traversal on the caller's goroutine
+// however many CPUs the host has, and so does a Snapshot of it: no engine
+// task, and no goroutine beyond those running before the call, neither
+// while the visitor runs nor afterwards.
+func TestRangeDefaultRunsInline(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	pts, err := workload.Generate(workload.Clustered, 2, 8000, 78)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := make([]uint64, len(pts))
+	for i, p := range pts {
+		xs[i] = p[0]
+	}
+	slices.Sort(xs)
+	universe, half := geometry.UniverseRect(2), geometry.UniverseRect(2)
+	half.Max[0] = xs[len(xs)/2-1]
+	inHalf, onColumn := 0, 0 // by linear scan
+	for _, p := range pts {
+		if p[0] <= half.Max[0] {
+			inHalf++
+		}
+		if p[0] == pts[0][0] {
+			onColumn++
+		}
+	}
+	load := func(tr *Tree) *Tree {
+		t.Helper()
+		for i, p := range pts {
+			if err := tr.Insert(p, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	check := func(name string, v *Tree) {
+		t.Helper()
+		// Each run reports how many items its visitor must have seen.
+		runs := map[string]func(Visitor) (int, error){
+			"Scan":         func(visit Visitor) (int, error) { return len(pts), v.Scan(visit) },
+			"half window":  func(visit Visitor) (int, error) { return inHalf, v.RangeQuery(half, visit) },
+			"PartialMatch": func(visit Visitor) (int, error) { return onColumn, v.PartialMatch(pts[0], []bool{true, false}, visit) },
+			"Count": func(Visitor) (int, error) {
+				n, err := v.Count(universe)
+				if n != len(pts) {
+					t.Errorf("%s: Count of everything = %d, want %d", name, n, len(pts))
+				}
+				return 0, err
+			},
+		}
+		for query, run := range runs {
+			tasks, before := v.Stats().RangeTasks, runtime.NumGoroutine()
+			items, during := 0, before
+			want, err := run(func(geometry.Point, uint64) bool {
+				items++
+				during = max(during, runtime.NumGoroutine())
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if items != want {
+				t.Fatalf("%s, %s: %d items, want %d", name, query, items, want)
+			}
+			if ran := v.Stats().RangeTasks - tasks; ran != 0 {
+				t.Errorf("%s, %s: %d engine tasks on a tree with default options", name, query, ran)
+			}
+			if after := runtime.NumGoroutine(); during != before || after != before {
+				t.Errorf("%s, %s: %d goroutines before the call, %d during, %d after", name, query, before, during, after)
+			}
+		}
+	}
+	checkWithSnapshot := func(name string, tr *Tree) {
+		t.Helper()
+		check(name, tr)
+		snap, err := tr.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snap.Release()
+		check(name+" snapshot", snap.v)
+	}
+
+	mem, err := New(Options{Dims: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWithSnapshot("in-memory", load(mem))
+
+	st := storage.NewMemStore()
+	paged, err := NewPaged(st, Options{Dims: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWithSnapshot("paged", load(paged))
+	reopened, err := OpenPaged(st, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWithSnapshot("reopened paged", reopened)
+
+	dir := t.TempDir()
+	fopt := storage.FileStoreOptions{PinDirty: true}
+	fst, err := storage.CreateFileStore(filepath.Join(dir, "d.bv"), fopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDurable(fst, filepath.Join(dir, "d.wal"), Options{Dims: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := make([]uint64, len(pts))
+	for i := range payloads {
+		payloads[i] = uint64(i)
+	}
+	if err := d.InsertBatch(pts, payloads); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fst.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fst, err = storage.OpenFileStore(filepath.Join(dir, "d.bv"), fopt); err != nil {
+		t.Fatal(err)
+	}
+	defer fst.Close()
+	if d, err = OpenDurable(fst, filepath.Join(dir, "d.wal"), 0); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	checkWithSnapshot("reopened durable", d.Tree)
 }
 
 // TestParallelRangeCountersAgree: the traversal counters mean one thing.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"time"
 
 	"bvtree/internal/geometry"
@@ -18,9 +17,9 @@ type Visitor func(p geometry.Point, payload uint64) bool
 
 // RangeQuery invokes visit for every stored item inside rect (boundaries
 // inclusive). Traversal order is unspecified. visit is always called
-// from the calling goroutine, one item at a time, even when the
-// traversal itself runs on the parallel range engine (see
-// Options.RangeWorkers); returning false stops the query early.
+// from the calling goroutine, one item at a time; returning false stops
+// the query early. The traversal runs inline on that goroutine too,
+// unless Options.RangeWorkers asks for the worker pool.
 //
 // A region's points are a subset of its brick, so only entries —
 // promoted or not — whose brick intersects rect can hold matches, and
@@ -40,9 +39,13 @@ func (t *Tree) RangeQuery(rect geometry.Rect, visit Visitor) error {
 }
 
 // RangeQueryWorkers is RangeQuery with a per-query worker override:
-// 0 uses the tree's default (Options.RangeWorkers), 1 runs the whole
-// traversal inline on the caller's goroutine, n > 1 caps the engine's
-// pool at n workers.
+// 0 uses the tree's default (Options.RangeWorkers, itself inline unless
+// set), 1 runs the whole traversal inline on the caller's goroutine, and
+// n > 1 hands any window whose frontier branches into 16 or more
+// subtrees to a pool of n workers. Nothing estimates whether that pays:
+// on a 2-CPU host two workers visited cached windows of 4097 and 33333
+// items 3.2× slower than the inline walk and made no resolvable
+// difference on a cold tree (BenchmarkRangeDrive, EXPERIMENTS.md).
 //
 // The query pins the current epoch and traverses an immutable view, so
 // the tree lock is released before the first node is visited: a slow
@@ -54,7 +57,6 @@ func (t *Tree) RangeQueryWorkers(rect geometry.Rect, visit Visitor, workers int)
 	}
 	v, release := t.readView()
 	defer release()
-	workers = v.rangeWorkers(workers)
 	m, tr := v.metrics, v.tracer
 	if m == nil && tr == nil {
 		return v.rangeQueryLocked(rect, visit, workers)
@@ -75,19 +77,6 @@ func (t *Tree) RangeQueryWorkers(rect geometry.Rect, visit Visitor, workers int)
 	return err
 }
 
-// rangeWorkers resolves a per-query worker override against the tree
-// default and the machine width.
-func (t *Tree) rangeWorkers(override int) int {
-	w := override
-	if w == 0 {
-		w = t.opt.RangeWorkers
-	}
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return w
-}
-
 // rangeQueryLocked is the query body, run on a pinned immutable view
 // (or with the shared lock held, when the receiver is itself a view).
 // A view carrying a buffered-write overlay takes the merging wrapper;
@@ -105,11 +94,13 @@ func (t *Tree) rangeQueryLocked(rect geometry.Rect, visit Visitor, workers int) 
 var errRectDims = errors.New("bvtree: query rect dimensions do not match the tree")
 
 // rangeRaw is the one entry of the overlay-free traversal, for range
-// queries and, with a nil visit, counts (whose result it returns). It
-// validates rect, picks how the walker is driven — inline on the
-// caller's goroutine, or through the spin-up expansion towards a worker
-// pool when the query has a worker budget and looks worth one.
+// queries and, with a nil visit, counts (whose result it returns): it
+// validates rect and walks it with the query's workers, or the tree's
+// (Options.RangeWorkers) when the query names none.
 func (t *Tree) rangeRaw(rect geometry.Rect, visit Visitor, workers int) (int64, error) {
+	if workers == 0 {
+		workers = t.opt.RangeWorkers
+	}
 	if len(rect.Min) != t.opt.Dims || len(rect.Max) != t.opt.Dims {
 		return 0, fmt.Errorf("%w: min has %d dims, max %d, tree %d", errRectDims, len(rect.Min), len(rect.Max), t.opt.Dims)
 	}
@@ -118,37 +109,7 @@ func (t *Tree) rangeRaw(rect geometry.Rect, visit Visitor, workers int) (int64, 
 			return 0, nil // an inverted rect contains no point
 		}
 	}
-	spin := 0
-	if workers > 1 && t.engineWorthwhile(rect) {
-		spin = spinUpFanout(workers)
-	}
-	return t.walkRange(rect, visit, workers, spin)
-}
-
-// engineWorthwhile estimates how many data pages rect will touch and
-// reports whether that is enough work for a worker pool to repay its
-// start-up. The estimate is the classic uniform-density one: rect's
-// fraction of the universe volume times the tree's page count. Small
-// windows no longer need the gate to stay cheap: the spin-up expansion
-// is the inline walker popping from the other end of its stack — same
-// scratch, same three allocations — and a frontier that never reaches
-// spinUpFanout never builds a pool (windows of 1, 33 and 513 items
-// measured the same with the gate removed, DESIGN.md §11). It is here
-// for windows of a few thousand items, whose frontier does reach the
-// threshold and whose scan is still shorter than a pool's start-up and
-// batch delivery: with the gate removed, 4097-item windows ran 23 engine
-// tasks and 88 allocations per query and took 3.5–4.2× the inline time
-// in 15 of 15 pairs on a 2-CPU host. Skewed data can make the estimate
-// low for a hot window; the failure mode is benign — the query runs
-// inline and correctly, it just forgoes parallelism.
-func (t *Tree) engineWorthwhile(rect geometry.Rect) bool {
-	const minEnginePages = 64
-	const two64 = float64(1 << 64)
-	frac := 1.0
-	for d := range rect.Min {
-		frac *= (float64(rect.Max[d]-rect.Min[d]) + 1) / two64
-	}
-	return frac*float64(t.size) >= minEnginePages*float64(t.opt.DataCapacity)
+	return t.walkRange(rect, visit, workers)
 }
 
 // maxRangeGuards caps the guard set a range descent carries. The set
@@ -359,15 +320,16 @@ func (t *Tree) Count(rect geometry.Rect) (int, error) {
 }
 
 // CountWorkers is Count with a per-query worker override, interpreted as
-// in RangeQueryWorkers. Like RangeQueryWorkers it runs on a pinned
-// immutable view, holding no tree lock during the traversal.
+// in RangeQueryWorkers: on the same host two workers counted cached
+// windows 2.0× slower and a cold tree's in 0.82× the time, the one arm
+// the pool won. Like RangeQueryWorkers it runs on a pinned immutable view,
+// holding no tree lock during the traversal.
 func (t *Tree) CountWorkers(rect geometry.Rect, workers int) (int, error) {
 	if workers < 0 {
 		return 0, fmt.Errorf("bvtree: negative range worker count %d", workers)
 	}
 	v, release := t.readView()
 	defer release()
-	workers = v.rangeWorkers(workers)
 	m, tr := v.metrics, v.tracer
 	if m == nil && tr == nil {
 		n, err := v.countLocked(rect, workers)

@@ -52,9 +52,9 @@ func carriedGuards(t *testing.T, v *Tree, rect geometry.Rect) int {
 }
 
 // checkPointWindows asserts, for every stride-th point of live, that the
-// window holding exactly that point costs RangeQueryWorkers(…, 1) and
-// CountWorkers(…, 1) each exactly the nodes of the point's exact-match
-// descent, and that both agree with Lookup.
+// window holding exactly that point costs RangeQuery and Count — the
+// default, inline drive — each exactly the nodes of the point's
+// exact-match descent, and that both agree with Lookup.
 func checkPointWindows(t *testing.T, what string, v *Tree, live map[uint64]geometry.Point, stride int) {
 	t.Helper()
 	payloads := make([]uint64, 0, len(live))
@@ -84,13 +84,13 @@ func checkPointWindows(t *testing.T, what string, v *Tree, live map[uint64]geome
 
 		var got []uint64
 		v.ResetAccessCount()
-		err = v.RangeQueryWorkers(rect, func(q geometry.Point, payload uint64) bool {
+		err = v.RangeQuery(rect, func(q geometry.Point, payload uint64) bool {
 			if !q.Equal(p) {
 				t.Fatalf("%s: window [%v,%v] delivered %v", what, p, p, q)
 			}
 			got = append(got, payload)
 			return true
-		}, 1)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func checkPointWindows(t *testing.T, what string, v *Tree, live map[uint64]geome
 			t.Fatalf("%s: window at %v returned payloads %v, Lookup %v", what, p, got, want)
 		}
 
-		cnt, err := v.CountWorkers(rect, 1)
+		cnt, err := v.Count(rect)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,11 +47,13 @@ type Options struct {
 	// (default 4096); ignored by in-memory trees.
 	CacheNodes int
 	// RangeWorkers is the default worker-pool width of range queries
-	// (RangeQuery, PartialMatch, Scan, Count). 0 uses GOMAXPROCS; 1 runs
-	// every traversal inline on its caller's goroutine; n > 1 lets a query
-	// whose frontier branches fan its subtrees out to at most n workers.
-	// Individual queries can override it (RangeQueryWorkers,
-	// CountWorkers). Negative values are rejected.
+	// (RangeQuery, PartialMatch, Scan, Count). 0 and 1 run every
+	// traversal inline on its caller's goroutine; n > 1 hands any query
+	// whose frontier branches into 16 or more subtrees to n workers, which
+	// has cost more than it saved wherever it was measured except counting
+	// a large share of a cold tree (see RangeQueryWorkers). Individual
+	// queries can override it (RangeQueryWorkers, CountWorkers). Negative
+	// values are rejected. It is not persisted: a reopened tree is inline.
 	RangeWorkers int
 	// Metrics enables the per-operation latency and shape histograms
 	// reported by (*Tree).Metrics. The structural event counters (OpStats)
@@ -216,8 +218,9 @@ func NewPaged(st storage.Store, opt Options) (*Tree, error) {
 }
 
 // OpenPaged reopens a tree previously created with NewPaged and persisted
-// with Flush. CacheNodes in opt is honoured; all other fields are read
-// from the store.
+// with Flush. Its Options are the persisted shape (Dims, DataCapacity,
+// Fanout, BitsPerDim, LevelScaledPages) plus cacheNodes; the rest
+// (RangeWorkers, Metrics, BufferOps) start at their zero values.
 func OpenPaged(st storage.Store, cacheNodes int) (*Tree, error) {
 	blob, err := st.ReadNode(metaPageID)
 	if err != nil {

@@ -628,13 +628,13 @@ func (s *FileStore) admitSlotBuf(slot uint64, buf []byte) error {
 	return nil
 }
 
-// warmSlots loads the non-resident slots of the (sorted, deduplicated)
-// list into the buffer pool, coalescing runs of consecutive slots into
-// single ReadAt calls — this is where a batched fetch of N sibling pages
-// becomes one or two physical reads instead of N. Returns the number of
-// slots actually loaded. Shared store lock held.
-func (s *FileStore) warmSlots(slots []uint64) (int, error) {
-	loaded := 0
+// readRuns reads the non-resident slots of the (sorted, deduplicated)
+// list, coalescing runs of consecutive slots into single ReadAt calls —
+// this is where a batched fetch of N sibling pages becomes one or two
+// physical reads instead of N — and hands each slot's image to each.
+// Resident and out-of-range slots are skipped; the demand path serves
+// them. Shared store lock held.
+func (s *FileStore) readRuns(slots []uint64, each func(slot uint64, img []byte) error) error {
 	for i := 0; i < len(slots); {
 		// Grow a run of consecutive, non-resident, in-range slots.
 		j := i
@@ -644,24 +644,22 @@ func (s *FileStore) warmSlots(slots []uint64) (int, error) {
 			j++
 		}
 		if j == i {
-			i++ // resident or out of range; the demand path handles it
+			i++
 			continue
 		}
-		n := j - i
-		buf := make([]byte, n*s.slotSize)
+		buf := make([]byte, (j-i)*s.slotSize)
 		if _, err := s.f.ReadAt(buf, int64(slots[i])*int64(s.slotSize)); err != nil {
-			return loaded, fmt.Errorf("storage: read slots %d..%d: %w", slots[i], slots[j-1], err)
+			return fmt.Errorf("storage: read slots %d..%d: %w", slots[i], slots[j-1], err)
 		}
 		atomic.AddUint64(&s.stats.SlotReads, 1)
-		for k := 0; k < n; k++ {
-			if err := s.admitSlotBuf(slots[i+k], buf[k*s.slotSize:(k+1)*s.slotSize]); err != nil {
-				return loaded, err
+		for ; i < j; i++ {
+			if err := each(slots[i], buf[:s.slotSize:s.slotSize]); err != nil {
+				return err
 			}
-			loaded++
+			buf = buf[s.slotSize:]
 		}
-		i = j
 	}
-	return loaded, nil
+	return nil
 }
 
 // scanRun holds the slot images one batched read fetched through
@@ -686,40 +684,8 @@ func (r *scanRun) lookup(slot uint64) []byte {
 	return nil
 }
 
-// readScanRuns reads the non-resident slots of the (sorted, deduplicated)
-// list into run buffers, coalescing consecutive slots into single ReadAt
-// calls — this is where a batched fetch of N sibling pages becomes one or
-// two physical reads instead of N. Shared store lock held.
-func (s *FileStore) readScanRuns(slots []uint64, sr *scanRun) error {
-	for i := 0; i < len(slots); {
-		// Grow a run of consecutive, non-resident, in-range slots.
-		j := i
-		for j < len(slots) && j-i < maxReadRun &&
-			slots[j] == slots[i]+uint64(j-i) &&
-			slots[j] < s.nextSlot && !s.resident(slots[j]) {
-			j++
-		}
-		if j == i {
-			i++ // resident or out of range; the pool path serves it
-			continue
-		}
-		n := j - i
-		buf := make([]byte, n*s.slotSize)
-		if _, err := s.f.ReadAt(buf, int64(slots[i])*int64(s.slotSize)); err != nil {
-			return fmt.Errorf("storage: read slots %d..%d: %w", slots[i], slots[j-1], err)
-		}
-		atomic.AddUint64(&s.stats.SlotReads, 1)
-		for k := 0; k < n; k++ {
-			sr.slots = append(sr.slots, slots[i+k])
-			sr.bufs = append(sr.bufs, buf[k*s.slotSize:(k+1)*s.slotSize])
-		}
-		i = j
-	}
-	return nil
-}
-
 // sortedHeadSlots returns the head slots of ids, sorted and deduplicated,
-// for warmSlots and readScanRuns.
+// for readRuns.
 func sortedHeadSlots(ids []page.ID) []uint64 {
 	slots := make([]uint64, 0, len(ids))
 	for _, id := range ids {
@@ -737,7 +703,7 @@ func sortedHeadSlots(ids []page.ID) []uint64 {
 
 // ReadNodes implements BatchReader: one shared-lock acquisition for the
 // whole batch, with the head slots of all requested nodes read first
-// through readScanRuns so that physically adjacent siblings — the common
+// through readRuns so that physically adjacent siblings — the common
 // layout after a z-ordered load — arrive in coalesced multi-slot reads.
 // The run images are served directly and never admitted to the buffer
 // pool (scan resistance: a batch-read slot is touched once, and pooling
@@ -752,7 +718,11 @@ func (s *FileStore) ReadNodes(ids []page.ID) ([][]byte, error) {
 	atomic.AddUint64(&s.stats.BatchReads, 1)
 	var sr scanRun
 	if len(ids) > 1 {
-		if err := s.readScanRuns(sortedHeadSlots(ids), &sr); err != nil {
+		err := s.readRuns(sortedHeadSlots(ids), func(slot uint64, img []byte) error {
+			sr.slots, sr.bufs = append(sr.slots, slot), append(sr.bufs, img)
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -797,8 +767,13 @@ func (s *FileStore) Prefetch(ids []page.ID) {
 		if s.usable() != nil {
 			return
 		}
-		loaded, _ := s.warmSlots(slots)
-		atomic.AddUint64(&s.stats.PrefetchedSlots, uint64(loaded))
+		s.readRuns(slots, func(slot uint64, img []byte) error {
+			err := s.admitSlotBuf(slot, img)
+			if err == nil {
+				atomic.AddUint64(&s.stats.PrefetchedSlots, 1)
+			}
+			return err
+		})
 	}()
 }
 
