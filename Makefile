@@ -27,7 +27,8 @@ GO ?= go
 # run as a separate step: they hold the harness's own checks that a
 # Lookup on point-hot and point-cold touches exactly height+1 nodes. It
 # is vetted first, so that a PR which may not edit benchmark/ cannot
-# delete an option or change a signature the harness uses.
+# delete an option or change a signature the harness uses (of the durable
+# write path: NewDurableLog, OpenDurableLog, Checkpoint and GroupStats).
 # Range queries run inline unless a caller asks for workers, so only the
 # two test families that pass worker counts above 1 depend on how many
 # CPUs schedule the pool's goroutines: they run again at GOMAXPROCS=1

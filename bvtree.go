@@ -143,28 +143,18 @@ func OpenPaged(st Store, cacheNodes int) (*Tree, error) { return ibv.OpenPaged(s
 // are group-committed: each is logged and applied, and acknowledged once
 // its log batch is fsynced — concurrent writers share syncs, and
 // InsertBatch/ApplyBatch amortise one sync over a whole batch.
-// Checkpoint persists the tree and empties the log, and OpenDurable
-// replays operations logged since the last checkpoint. Create the
+// Checkpoint (and Flush, which on a durable tree is the same thing)
+// persists the tree and empties the log, AutoCheckpoint does so in the
+// background whenever the log reaches a size, and OpenDurable replays
+// operations logged since the last checkpoint. That size is the write
+// path's only setting; write buffering and metrics are Options fields, or
+// EnableBuffer and EnableMetrics on a reopened tree. Create the
 // backing FileStore with PinDirty so the on-disk image only changes at
 // checkpoints; crashes at any point — including mid-checkpoint, which
 // the store's rollback journal undoes — recover every acknowledged
 // operation. See DESIGN.md §7 for the failure model and §9 for the
 // write path.
 type DurableTree = ibv.DurableTree
-
-// DurableOptions tunes the durable write path: WAL group commit (Group)
-// and the background checkpointer (Checkpoint), nothing else — write
-// buffering and metrics are Options fields, or EnableBuffer and
-// EnableMetrics on a reopened tree. The zero value batches
-// opportunistically and runs no background checkpointer.
-type DurableOptions = ibv.DurableOptions
-
-// CheckpointConfig triggers background checkpoints by log size and/or
-// log age.
-type CheckpointConfig = ibv.CheckpointConfig
-
-// GroupConfig tunes WAL group commit (batch size cap, linger window).
-type GroupConfig = wal.GroupConfig
 
 // BatchOp is one operation of a DurableTree.ApplyBatch or
 // Tree.ApplyBatch batch.
@@ -176,22 +166,10 @@ func NewDurable(st Store, walPath string, opt Options) (*DurableTree, error) {
 	return ibv.NewDurable(st, walPath, opt)
 }
 
-// NewDurableOpts is NewDurable with an explicit write-path
-// configuration.
-func NewDurableOpts(st Store, walPath string, opt Options, dopt DurableOptions) (*DurableTree, error) {
-	return ibv.NewDurableOpts(st, walPath, opt, dopt)
-}
-
 // OpenDurable reopens a durable tree, replaying the write-ahead log onto
 // the last checkpoint.
 func OpenDurable(st Store, walPath string, cacheNodes int) (*DurableTree, error) {
 	return ibv.OpenDurable(st, walPath, cacheNodes)
-}
-
-// OpenDurableOpts is OpenDurable with an explicit write-path
-// configuration.
-func OpenDurableOpts(st Store, walPath string, cacheNodes int, dopt DurableOptions) (*DurableTree, error) {
-	return ibv.OpenDurableOpts(st, walPath, cacheNodes, dopt)
 }
 
 // RestoreSnapshot rebuilds a tree from a backup stream (written by

@@ -34,13 +34,12 @@ func runDebugServer(addr string, hold time.Duration) error {
 		return err
 	}
 	defer st.Close()
-	d, err := bvtree.NewDurableOpts(st, filepath.Join(dir, "tree.wal"),
-		bvtree.Options{Dims: 2, Metrics: true},
-		bvtree.DurableOptions{Checkpoint: bvtree.CheckpointConfig{MaxLogBytes: 4 << 20}})
+	d, err := bvtree.NewDurable(st, filepath.Join(dir, "tree.wal"), bvtree.Options{Dims: 2, Metrics: true})
 	if err != nil {
 		return err
 	}
 	defer d.Close()
+	d.AutoCheckpoint(4 << 20)
 
 	expvar.Publish("bvtree", expvar.Func(func() any { return d.Metrics() }))
 	go driveDemoWorkload(d)

@@ -97,7 +97,7 @@ func run(addr, dataDir, backend string, dims, shards, prefixBits int,
 			planPath(dataDir), plan.Shards(), plan.Dims)
 	}
 
-	engines, closeEngines, err := openEngines(dataDir, backend, plan, bvtree.CheckpointConfig{MaxLogBytes: checkpointLogBytes})
+	engines, closeEngines, err := openEngines(dataDir, backend, plan, checkpointLogBytes)
 	if err != nil {
 		return err
 	}
@@ -208,8 +208,8 @@ const checkpointLogBytes = 64 << 20
 // openEngines builds one engine per shard range. Durable shards live in
 // <data>/shard-NNNN/ with their own store and WAL, created on first
 // start and recovered (checkpoint load + WAL replay) afterwards, and
-// checkpoint in the background as cp says.
-func openEngines(dataDir, backend string, plan shard.Plan, cp bvtree.CheckpointConfig) ([]shard.Engine, func(), error) {
+// checkpoint in the background once their log holds logBytes.
+func openEngines(dataDir, backend string, plan shard.Plan, logBytes int64) ([]shard.Engine, func(), error) {
 	engines := make([]shard.Engine, plan.Shards())
 	var closers []func()
 	closeAll := func() {
@@ -235,7 +235,6 @@ func openEngines(dataDir, backend string, plan shard.Plan, cp bvtree.CheckpointC
 		}
 		dbPath := filepath.Join(dir, "tree.db")
 		walPath := filepath.Join(dir, "tree.wal")
-		dopt := bvtree.DurableOptions{Checkpoint: cp}
 
 		var (
 			st  *storage.FileStore
@@ -245,7 +244,7 @@ func openEngines(dataDir, backend string, plan shard.Plan, cp bvtree.CheckpointC
 		if _, statErr := os.Stat(dbPath); statErr == nil {
 			st, err = storage.OpenFileStore(dbPath, storage.FileStoreOptions{PinDirty: true})
 			if err == nil {
-				d, err = bvtree.OpenDurableOpts(st, walPath, 0, dopt)
+				d, err = bvtree.OpenDurable(st, walPath, 0)
 			}
 			if err == nil {
 				d.EnableMetrics() // a reopened tree takes its options from the store
@@ -253,7 +252,7 @@ func openEngines(dataDir, backend string, plan shard.Plan, cp bvtree.CheckpointC
 		} else {
 			st, err = storage.CreateFileStore(dbPath, storage.FileStoreOptions{PinDirty: true})
 			if err == nil {
-				d, err = bvtree.NewDurableOpts(st, walPath, opt, dopt)
+				d, err = bvtree.NewDurable(st, walPath, opt)
 			}
 		}
 		if err != nil {
@@ -263,6 +262,7 @@ func openEngines(dataDir, backend string, plan shard.Plan, cp bvtree.CheckpointC
 			closeAll()
 			return nil, nil, fmt.Errorf("shard %04d: %w", i, err)
 		}
+		d.AutoCheckpoint(logBytes)
 		closers = append(closers, func() { d.Close(); st.Close() })
 		engines[i] = d
 	}

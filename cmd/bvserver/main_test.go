@@ -18,7 +18,7 @@ func TestEnginesCheckpointInBackground(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines, closeEngines, err := openEngines(t.TempDir(), "durable", plan, bvtree.CheckpointConfig{MaxLogBytes: 2 << 10})
+	engines, closeEngines, err := openEngines(t.TempDir(), "durable", plan, 2<<10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,11 @@ type BatchOp struct {
 // acquisition, amortising the lock handoff and the end-of-op cache
 // maintenance over the whole batch. It stops at the first failing
 // operation and returns its error; the preceding operations remain
-// applied.
+// applied. Each insert is a pageRun of its own — a save, and a split the
+// moment the page overflows — so a batch builds exactly the tree the
+// same operations build one by one; sharing a run across a z-sorted
+// batch would save writes but change every split, and waits for a
+// workload that measures it.
 func (t *Tree) ApplyBatch(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil

@@ -228,12 +228,12 @@ func TestBatchRecoveryRoundTrip(t *testing.T) {
 // -race by make verify).
 func TestConcurrentBatchWriters(t *testing.T) {
 	dir := t.TempDir()
-	d, err := NewDurableOpts(storage.NewMemStore(), filepath.Join(dir, "t.wal"),
-		Options{Dims: 2, DataCapacity: 8, Fanout: 8},
-		DurableOptions{Checkpoint: CheckpointConfig{MaxLogBytes: 1 << 14}})
+	d, err := NewDurable(storage.NewMemStore(), filepath.Join(dir, "t.wal"),
+		Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.AutoCheckpoint(1 << 14)
 	pts, err := workload.Generate(workload.Uniform, 2, 2400, 43)
 	if err != nil {
 		t.Fatal(err)
@@ -364,12 +364,12 @@ func TestConcurrentBackgroundCheckpointer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	d, err := NewDurableOpts(st, filepath.Join(dir, "t.wal"),
-		Options{Dims: 2, DataCapacity: 8, Fanout: 8},
-		DurableOptions{Checkpoint: CheckpointConfig{MaxLogBytes: 4 << 10}})
+	d, err := NewDurable(st, filepath.Join(dir, "t.wal"),
+		Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.AutoCheckpoint(4 << 10)
 	pts, err := workload.Generate(workload.Uniform, 2, 2000, 44)
 	if err != nil {
 		t.Fatal(err)

@@ -131,11 +131,11 @@ func TestBatchCrashDuringBackgroundCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		walPath := filepath.Join(dir, "t.wal")
-		d, err := NewDurableOpts(st, walPath, Options{Dims: 2, DataCapacity: 8, Fanout: 8},
-			DurableOptions{Checkpoint: CheckpointConfig{MaxLogBytes: 256}})
+		d, err := NewDurable(st, walPath, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
+		d.AutoCheckpoint(256)
 		// A durable baseline epoch, below the size trigger so the
 		// background checkpointer has not yet run.
 		type ack struct {

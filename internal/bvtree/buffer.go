@@ -166,8 +166,7 @@ func (b *writeBuffer) reregister(op *bufOp) {
 // group to the tree (see Options.BufferOps), or resizes an existing
 // one. n <= 0 drains and detaches the buffer. It is the post-open knob
 // for trees whose construction path takes no Options (OpenPaged,
-// OpenDurable — the durable open enables it only after WAL replay, via
-// DurableOptions.BufferOps).
+// OpenDurable, whose log replay has finished by the time it returns).
 func (t *Tree) EnableBuffer(n int) error {
 	if err := t.lockWrite(); err != nil {
 		return err
@@ -354,15 +353,12 @@ func (t *Tree) treeMatchesLocked(p geometry.Point, payload uint64) (int, error) 
 	if err != nil {
 		return 0, err
 	}
-	dataID := t.root
-	if t.rootLevel != 0 {
-		d, err := t.descendPoint(a)
-		if err != nil {
-			return 0, err
-		}
-		dataID = d.dataID
-		putDescent(d)
+	d, err := t.descendPoint(a)
+	if err != nil {
+		return 0, err
 	}
+	dataID := d.dataID
+	putDescent(d)
 	dp, err := t.fetchData(dataID)
 	if err != nil {
 		return 0, err
@@ -378,10 +374,11 @@ func (t *Tree) treeMatchesLocked(p geometry.Point, payload uint64) (int, error) 
 
 // flushGroupLocked drains one group: the live ops are deregistered,
 // sorted by (z-address, sequence) and applied run-amortised. On an
-// apply error the unapplied tail is re-registered into a fresh group so
-// merged reads keep observing it; the failing operation itself is
-// dropped from the live state (it is still in the WAL of a durable
-// tree, exactly like a failing batch operation).
+// apply error the unapplied tail, from the failing operation on, is
+// re-registered into a fresh group so merged reads keep observing it.
+// The inserts of a run whose save or split failed are not: like a
+// failing batch operation they are in the WAL of a durable tree and
+// nowhere else.
 func (t *Tree) flushGroupLocked(gid page.ID) error {
 	b := t.buf
 	g := b.groups[gid]
@@ -429,86 +426,26 @@ func (t *Tree) flushGroupLocked(gid page.ID) error {
 	return nil
 }
 
-// applyBufOps applies a z-sorted run of buffered ops to the tree,
-// saving each target data page once per run of consecutive inserts
-// that land on it instead of once per item. It returns how many ops
-// were applied (the prefix preceding the error). Deletes break the
-// current run — deleteLocked must observe the published page — and go
-// through the ordinary merge-capable delete path.
+// applyBufOps applies z-sorted buffered ops to the tree through one
+// pageRun, so consecutive inserts that land on one data page cost one
+// save between them. A delete closes the run first — deleteLocked must
+// read the published page — and takes the ordinary merge-capable path.
+// It returns how many ops precede the one that failed; the ops of a run
+// whose flush failed are among them.
 func (t *Tree) applyBufOps(ops []*bufOp) (int, error) {
-	var (
-		curID  = page.Nil
-		curSrc = page.Nil
-		curDP  *page.DataPage
-		curCtx *opCtx
-	)
-	// flushRun publishes the accumulated run: one SaveData, then a split
-	// if the run pushed the page over capacity (resplitOversized inside
-	// splitDataPage handles a run much larger than one split can fix).
-	flushRun := func() error {
-		if curDP == nil {
-			return nil
+	run := pageRun{t: t}
+	for i, op := range ops {
+		var err error
+		if !op.del {
+			err = run.add(op.addr, page.Item{Point: op.point, Payload: op.payload})
+		} else if err = run.flush(); err == nil {
+			_, err = t.deleteLocked(op.point, op.payload)
 		}
-		id, src, dp, ctx := curID, curSrc, curDP, curCtx
-		curID, curSrc, curDP, curCtx = page.Nil, page.Nil, nil, nil
-		if err := t.st.SaveData(id, dp); err != nil {
-			return err
+		if err != nil {
+			return i, err
 		}
-		if len(dp.Items) > t.opt.DataCapacity {
-			return t.splitDataPage(ctx, id, src)
-		}
-		return nil
 	}
-	applied := 0
-	for _, op := range ops {
-		if op.del {
-			if err := flushRun(); err != nil {
-				return applied, err
-			}
-			if _, err := t.deleteLocked(op.point, op.payload); err != nil {
-				return applied, err
-			}
-			applied++
-			continue
-		}
-		if t.rootLevel == 0 {
-			if curID != t.root {
-				if err := flushRun(); err != nil {
-					return applied, err
-				}
-				dp, err := t.wData(t.root)
-				if err != nil {
-					return applied, err
-				}
-				curID, curSrc, curDP, curCtx = t.root, page.Nil, dp, newOpCtx()
-			}
-		} else {
-			// The tree is structurally unmodified since the run began (the
-			// pending appends are on an unpublished clone), so this descent
-			// and its recorded parents are current.
-			ctx := newOpCtx()
-			d, err := t.descendPointCtx(ctx, op.addr)
-			if err != nil {
-				return applied, err
-			}
-			dataID, dataSrcID := d.dataID, d.dataSrcID
-			putDescent(d)
-			if dataID != curID {
-				if err := flushRun(); err != nil {
-					return applied, err
-				}
-				dp, err := t.wData(dataID)
-				if err != nil {
-					return applied, err
-				}
-				curID, curSrc, curDP, curCtx = dataID, dataSrcID, dp, ctx
-			}
-		}
-		curDP.Items = append(curDP.Items, page.Item{Point: op.point, Payload: op.payload})
-		t.size++
-		applied++
-	}
-	return applied, flushRun()
+	return len(ops), run.flush()
 }
 
 // --- merged reads ---

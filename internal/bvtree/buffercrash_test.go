@@ -67,7 +67,7 @@ func (e *bufCrashEnv) reopen(t *testing.T) *DurableTree {
 		t.Fatalf("reopen store: %v", err)
 	}
 	t.Cleanup(func() { st.Close() })
-	d, err := OpenDurableOpts(st, filepath.Join(e.dir, "t.wal"), 0, DurableOptions{})
+	d, err := OpenDurable(st, filepath.Join(e.dir, "t.wal"), 0)
 	if err != nil {
 		t.Fatalf("reopen tree: %v", err)
 	}

@@ -331,8 +331,8 @@ func TestBulkLoadDurablePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDurableOpts(st, filepath.Join(dir, "t.wal"),
-		Options{Dims: 2, DataCapacity: 8, Fanout: 8}, DurableOptions{})
+	d, err := NewDurable(st, filepath.Join(dir, "t.wal"),
+		Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

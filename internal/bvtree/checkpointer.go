@@ -1,39 +1,20 @@
 package bvtree
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
-// CheckpointConfig triggers background checkpoints so the log never grows
-// without bound and foreground writers never pay a full flush inline.
-// Either trigger may be used alone; the zero value disables the
-// background checkpointer entirely.
-type CheckpointConfig struct {
-	// MaxLogBytes checkpoints once the WAL holds at least this many bytes
-	// of records (size trigger, checked on every mutation). 0 disables.
-	MaxLogBytes int64
-	// MaxAge checkpoints whenever the log has been non-empty for this
-	// long (age trigger). 0 disables.
-	MaxAge time.Duration
-}
-
-func (c CheckpointConfig) enabled() bool {
-	return c.MaxLogBytes > 0 || c.MaxAge > 0
-}
-
-// checkpointer runs checkpoints on a background goroutine. Lock ordering
-// (DESIGN.md §8/§9): the goroutine acquires d.mu → tree.mu → storage
-// locks, exactly like a foreground Checkpoint, and holds nothing across
-// its channel waits. Shutdown must therefore happen while the caller
-// holds no DurableTree locks — Close stops the goroutine before taking
-// d.mu.
+// checkpointer runs checkpoints on a background goroutine, so the log
+// never grows without bound and foreground writers never pay a full flush
+// inline. Lock ordering (DESIGN.md §8/§9): the goroutine acquires d.mu →
+// tree.mu → storage locks, exactly like a foreground Checkpoint, and
+// holds nothing across its channel waits. Shutdown must therefore happen
+// while the caller holds no DurableTree locks — Close stops the goroutine
+// before taking d.mu.
 type checkpointer struct {
-	d    *DurableTree
-	cfg  CheckpointConfig
-	kick chan struct{} // size trigger, non-blocking sends from mutations
-	stop chan struct{}
-	done chan struct{}
+	d        *DurableTree
+	logBytes int64         // the trigger; guarded by d.mu
+	kick     chan struct{} // non-blocking sends from mutations
+	stop     chan struct{}
+	done     chan struct{}
 
 	mu sync.Mutex
 	// firstErr is the first checkpoint failure: once a store poisons,
@@ -43,21 +24,29 @@ type checkpointer struct {
 	runs     uint64
 }
 
-// startCheckpointer launches the background checkpointer when cfg enables
-// one. Called from the constructors, before the tree is shared.
-func (d *DurableTree) startCheckpointer(cfg CheckpointConfig) {
-	if !cfg.enabled() {
-		return
+// AutoCheckpoint makes the tree checkpoint itself in the background
+// whenever the log holds at least logBytes of records (checked on every
+// mutation). Like EnableBuffer it is set after construction, on a new and
+// on a reopened tree alike; a later call changes the size, and
+// logBytes <= 0 turns the trigger off. It is the write path's only
+// setting: everything else about group commit is decided by what the
+// writers do.
+func (d *DurableTree) AutoCheckpoint(logBytes int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.cp == nil {
+		if logBytes <= 0 {
+			return
+		}
+		d.cp = &checkpointer{
+			d:    d,
+			kick: make(chan struct{}, 1),
+			stop: make(chan struct{}),
+			done: make(chan struct{}),
+		}
+		go d.cp.run()
 	}
-	cp := &checkpointer{
-		d:    d,
-		cfg:  cfg,
-		kick: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	d.cp = cp
-	go cp.run()
+	d.cp.logBytes = logBytes
 }
 
 // stopCheckpointer terminates the background checkpointer and returns the
@@ -83,7 +72,7 @@ func (d *DurableTree) stopCheckpointer() error {
 // block — a full kick channel means a checkpoint is already pending.
 func (d *DurableTree) kickIfLogFull() {
 	cp := d.cp
-	if cp == nil || cp.cfg.MaxLogBytes <= 0 || d.log.Size() < cp.cfg.MaxLogBytes {
+	if cp == nil || cp.logBytes <= 0 || d.log.Size() < cp.logBytes {
 		return
 	}
 	select {
@@ -95,8 +84,8 @@ func (d *DurableTree) kickIfLogFull() {
 // CheckpointerStats reports the background checkpointer's progress: how
 // many checkpoints it has run, and the first error it hit (nil while
 // every checkpoint has succeeded; later failures never overwrite it, so
-// the root cause survives the retries it provokes). Zero values when no
-// checkpointer is configured.
+// the root cause survives the retries it provokes). Zero values before
+// AutoCheckpoint.
 func (d *DurableTree) CheckpointerStats() (runs uint64, firstErr error) {
 	cp := d.cp
 	if cp == nil {
@@ -107,39 +96,20 @@ func (d *DurableTree) CheckpointerStats() (runs uint64, firstErr error) {
 	return cp.runs, cp.firstErr
 }
 
+// run checkpoints on every kick. Errors are recorded, not fatal: the
+// foreground write path keeps its own durability (each mutation is fsynced
+// via group commit), so a failing background checkpoint degrades log
+// truncation, not correctness — and the next trigger retries.
 func (cp *checkpointer) run() {
 	defer close(cp.done)
-	var ticker *time.Ticker
-	var tick <-chan time.Time
-	if cp.cfg.MaxAge > 0 {
-		ticker = time.NewTicker(cp.cfg.MaxAge)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
 	for {
 		select {
 		case <-cp.stop:
 			return
 		case <-cp.kick:
-			cp.checkpoint(0)
-		case <-tick:
-			// The age trigger only bothers the disk when there is
-			// something to absorb.
-			cp.checkpoint(1)
+			cp.record(cp.d.Checkpoint())
 		}
 	}
-}
-
-// checkpoint runs one background checkpoint if the log holds at least
-// minBytes of records. Errors are recorded, not fatal: the foreground
-// write path keeps its own durability (each mutation is fsynced via group
-// commit), so a failing background checkpoint degrades log truncation,
-// not correctness — and the next trigger retries.
-func (cp *checkpointer) checkpoint(minBytes int64) {
-	if cp.d.LogSize() < minBytes {
-		return
-	}
-	cp.record(cp.d.Checkpoint())
 }
 
 // record counts one checkpoint run and keeps its error if it is the

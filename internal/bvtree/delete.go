@@ -54,46 +54,26 @@ func (t *Tree) deleteLocked(p geometry.Point, payload uint64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	ctx := newOpCtx()
-
-	if t.rootLevel == 0 {
-		dp, err := t.wData(t.root)
-		if err != nil {
-			return false, err
-		}
-		if !removeItem(dp, p, payload) {
-			return false, nil
-		}
-		t.size--
-		return true, t.st.SaveData(t.root, dp)
-	}
-
-	d, err := t.descendPointCtx(ctx, key)
+	d, err := t.descendPoint(key)
 	if err != nil {
 		return false, err
 	}
+	defer putDescent(d)
 	dp, err := t.wData(d.dataID)
 	if err != nil {
-		putDescent(d)
 		return false, err
 	}
 	if !removeItem(dp, p, payload) {
-		putDescent(d)
 		return false, nil
 	}
 	t.size--
 	if err := t.st.SaveData(d.dataID, dp); err != nil {
-		putDescent(d)
 		return false, err
 	}
 	if len(dp.Items) < t.minDataOccupancy() {
-		err := t.mergeUnderfullData(ctx, d, dp)
-		putDescent(d)
-		if err != nil {
+		if err := t.mergeUnderfullData(d, dp); err != nil {
 			return false, err
 		}
-	} else {
-		putDescent(d)
 	}
 	if err := t.contractRoot(); err != nil {
 		return false, err
@@ -128,7 +108,7 @@ func removeItem(dp *page.DataPage, p geometry.Point, payload uint64) bool {
 // still routes somewhere with the entry removed; if not (possible when
 // the region has no remaining prefix on some search path), the entry is
 // restored and the underflow is deferred.
-func (t *Tree) mergeUnderfullData(ctx *opCtx, d *descent, dp *page.DataPage) error {
+func (t *Tree) mergeUnderfullData(d *descent, dp *page.DataPage) error {
 	if d.dataSrcID == page.Nil {
 		return nil // root data page: nothing to merge with
 	}
@@ -251,31 +231,16 @@ func (t *Tree) dissolveRegion(victimID, nodeID page.ID, node *page.IndexNode) (b
 		return false, err
 	}
 	t.stats.Merges.Inc()
+	// §5: the merge is insertion re-run. One run per item, like ApplyBatch,
+	// so a page splits the moment it overflows.
+	run := pageRun{t: t, moved: true}
 	for _, it := range items {
 		a, err := t.addr(it.Point)
 		if err != nil {
 			return true, err
 		}
-		c2 := newOpCtx()
-		dd, err := t.descendPointCtx(c2, a)
-		if err != nil {
+		if err := run.put(a, it); err != nil {
 			return true, err
-		}
-		dataID, dataSrcID := dd.dataID, dd.dataSrcID
-		putDescent(dd)
-		tp, err := t.wData(dataID)
-		if err != nil {
-			return true, err
-		}
-		tp.Items = append(tp.Items, it)
-		if err := t.st.SaveData(dataID, tp); err != nil {
-			return true, err
-		}
-		if len(tp.Items) > t.opt.DataCapacity {
-			t.stats.Resplits.Inc()
-			if err := t.splitDataPage(c2, dataID, dataSrcID); err != nil {
-				return true, err
-			}
 		}
 	}
 	return true, nil

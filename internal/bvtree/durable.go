@@ -30,21 +30,27 @@ import (
 // between the checkpoint flush and the log reset cannot double-apply
 // records.
 //
-// Write-path protocol (group commit). A mutation (1) encodes its log
-// record, (2) takes the order lock d.mu, enqueues the record into the
-// group committer's forming batch AND applies the operation to the tree,
+// Write-path protocol (commit). A mutation (1) encodes its log record,
+// (2) takes the order lock d.mu, enqueues the record into the group
+// committer's forming batch AND applies the operation to the tree,
 // (3) releases d.mu and waits for the batch's single fsync before
 // acknowledging. Enqueue and apply share one critical section, so the log
 // order always equals the apply order — recovery replays a strict prefix
 // of exactly the sequence the live tree executed. The fsync happens
-// outside d.mu, which is the whole point: while one batch's leader is in
-// fsync, other writers enqueue-and-apply under d.mu and pile onto the next
-// batch, so one disk sync is amortised over every writer that arrived
-// during it. A mutation that fails the fsync wait returns the error and
-// poisons the committer; the applied-but-unlogged state is then
-// unreachable through the write path (every later mutation fails) and the
-// correct recovery is to discard the handle and reopen, which replays the
-// durable prefix.
+// outside d.mu: while one batch's leader is in fsync, other writers
+// enqueue-and-apply under d.mu and pile onto the next batch, so one disk
+// sync is amortised over every writer that arrived during it. A mutation
+// that fails the fsync wait returns the error and poisons the committer;
+// the applied-but-unlogged state is then unreachable through the write
+// path (every later mutation fails) and the correct recovery is to discard
+// the handle and reopen, which replays the durable prefix.
+//
+// Every method of the embedded Tree that changes the tree or the store is
+// declared again on DurableTree, so that it goes through the log or
+// through Checkpoint: a store synced at an epoch the log still carries
+// would replay the log onto a state that already holds it
+// (TestDurableShadowsTreeMutators keeps the list complete). The only
+// setting of the write path is AutoCheckpoint.
 //
 // Concurrency: the wrapper's mutex guards the log enqueue order, and only
 // the mutating operations take it. Read operations are promoted unchanged
@@ -70,45 +76,23 @@ type DurableTree struct {
 	// keeps its own atomic reference.
 	wm *obs.WALMetrics
 
-	cp *checkpointer // non-nil while a background checkpointer runs
-}
-
-// DurableOptions tunes the durable write path. The zero value is the
-// default group-commit configuration with no background checkpointer.
-type DurableOptions struct {
-	// Group configures WAL group commit (see wal.GroupConfig). The zero
-	// value batches opportunistically with no added latency.
-	Group wal.GroupConfig
-	// Checkpoint, when either trigger is set, starts a background
-	// checkpointer (see CheckpointConfig).
-	Checkpoint CheckpointConfig
+	cp *checkpointer // non-nil once AutoCheckpoint has started one
 }
 
 // NewDurable creates a durable tree over a fresh store, logging to
 // walPath.
 func NewDurable(st storage.Store, walPath string, opt Options) (*DurableTree, error) {
-	return NewDurableOpts(st, walPath, opt, DurableOptions{})
-}
-
-// NewDurableOpts is NewDurable with an explicit write-path configuration.
-func NewDurableOpts(st storage.Store, walPath string, opt Options, dopt DurableOptions) (*DurableTree, error) {
 	l, err := wal.Open(walPath)
 	if err != nil {
 		return nil, err
 	}
-	return NewDurableLogOpts(st, l, opt, dopt)
+	return NewDurableLog(st, l, opt)
 }
 
 // NewDurableLog is NewDurable over an already-open log (e.g. one opened
 // through a fault-injecting filesystem). The tree takes ownership of the
 // log, closing it on error.
 func NewDurableLog(st storage.Store, l *wal.Log, opt Options) (*DurableTree, error) {
-	return NewDurableLogOpts(st, l, opt, DurableOptions{})
-}
-
-// NewDurableLogOpts is NewDurableLog with an explicit write-path
-// configuration.
-func NewDurableLogOpts(st storage.Store, l *wal.Log, opt Options, dopt DurableOptions) (*DurableTree, error) {
 	tr, err := NewPaged(st, opt)
 	if err != nil {
 		l.Close()
@@ -118,41 +102,29 @@ func NewDurableLogOpts(st storage.Store, l *wal.Log, opt Options, dopt DurableOp
 		l.Close()
 		return nil, err
 	}
-	d := &DurableTree{Tree: tr, log: l, gc: wal.NewGroupCommitter(l, dopt.Group)}
+	d := &DurableTree{Tree: tr, log: l, gc: wal.NewGroupCommitter(l)}
 	d.lsn = l.BaseLSN()
 	tr.setBaseLSN(d.lsn)
 	if opt.Metrics {
 		d.wm = &obs.WALMetrics{}
 		l.SetMetrics(d.wm)
 	}
-	d.startCheckpointer(dopt.Checkpoint)
 	return d, nil
 }
 
 // OpenDurable reopens a durable tree: the checkpointed state is loaded
 // from the store and any operations logged after it are replayed.
 func OpenDurable(st storage.Store, walPath string, cacheNodes int) (*DurableTree, error) {
-	return OpenDurableOpts(st, walPath, cacheNodes, DurableOptions{})
-}
-
-// OpenDurableOpts is OpenDurable with an explicit write-path configuration.
-func OpenDurableOpts(st storage.Store, walPath string, cacheNodes int, dopt DurableOptions) (*DurableTree, error) {
 	l, err := wal.Open(walPath)
 	if err != nil {
 		return nil, err
 	}
-	return OpenDurableLogOpts(st, l, cacheNodes, dopt)
+	return OpenDurableLog(st, l, cacheNodes)
 }
 
 // OpenDurableLog is OpenDurable over an already-open log. The tree takes
 // ownership of the log, closing it on error.
 func OpenDurableLog(st storage.Store, l *wal.Log, cacheNodes int) (*DurableTree, error) {
-	return OpenDurableLogOpts(st, l, cacheNodes, DurableOptions{})
-}
-
-// OpenDurableLogOpts is OpenDurableLog with an explicit write-path
-// configuration.
-func OpenDurableLogOpts(st storage.Store, l *wal.Log, cacheNodes int, dopt DurableOptions) (*DurableTree, error) {
 	tr, err := OpenPaged(st, cacheNodes)
 	if err != nil {
 		l.Close()
@@ -189,8 +161,7 @@ func OpenDurableLogOpts(st storage.Store, l *wal.Log, cacheNodes int, dopt Durab
 		return nil, fmt.Errorf("bvtree: %w: wal epoch %d ahead of store checkpoint epoch %d", wal.ErrCorrupt, l.Epoch(), tr.Epoch())
 	}
 	tr.setBaseLSN(d.lsn)
-	d.gc = wal.NewGroupCommitter(l, dopt.Group)
-	d.startCheckpointer(dopt.Checkpoint)
+	d.gc = wal.NewGroupCommitter(l)
 	return d, nil
 }
 
@@ -269,7 +240,7 @@ func (d *DurableTree) commit(apply func() error, bufs ...*[]byte) error {
 		recs = append(recs, *bp)
 	}
 	d.mu.Lock()
-	t, err := d.gc.EnqueueBatch(recs)
+	t, err := d.gc.Enqueue(recs...)
 	var aerr error
 	if err == nil {
 		d.lsn += uint64(len(recs))
@@ -376,12 +347,18 @@ func (d *DurableTree) BulkLoad(points []geometry.Point, payloads []uint64) error
 // this state. The ordering is crash-safe at every point: the store flush
 // is atomic (rollback journal), and the log is only reset after the new
 // epoch is durable in the store — a crash in between leaves the log one
-// epoch behind, which recovery recognises and discards.
+// epoch behind, which recovery recognises and discards. AutoCheckpoint
+// runs it in the background.
 func (d *DurableTree) Checkpoint() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.checkpointLocked()
 }
+
+// Flush is Checkpoint. The embedded Tree.Flush alone would sync the store
+// at the epoch the log still carries, and a crash after it would replay
+// every logged operation onto a store that already holds it.
+func (d *DurableTree) Flush() error { return d.Checkpoint() }
 
 // checkpointLocked runs under d.mu, which blocks new enqueues; draining
 // the group committer then guarantees no in-flight batch can append

@@ -53,51 +53,93 @@ func (t *Tree) Insert(p geometry.Point, payload uint64) error {
 	return err
 }
 
-// insertLocked is Insert's body, factored out so ApplyBatch can run many
-// inserts under one exclusive lock acquisition.
+// insertLocked is Insert's body (exclusive lock held): a run of one.
 func (t *Tree) insertLocked(p geometry.Point, payload uint64) error {
 	key, err := t.addr(p)
 	if err != nil {
 		return err
 	}
-	item := page.Item{Point: p.Clone(), Payload: payload}
-	ctx := newOpCtx()
+	run := pageRun{t: t}
+	return run.put(key, page.Item{Point: p.Clone(), Payload: payload})
+}
 
-	if t.rootLevel == 0 {
-		dp, err := t.wData(t.root)
+// pageRun is the one place an item enters a data page: Insert, a buffer
+// flush and the refill of a merge (§5 re-runs insertion) all go through
+// it. add routes the item by the ordinary exact-match descent — which
+// yields the root itself while the root is still a data page — and
+// appends it to the page it lands on, fetched once through wData (a
+// private copy while a pinned view may still read the old one);
+// consecutive adds that land on the same page share that fetch. flush
+// publishes the page with one SaveData and resolves an overflow through
+// splitDataPage.
+//
+// Between add and flush the appended items are unpublished — no mirror
+// covers them — and the tree is structurally unchanged, so the physical
+// parents recorded by the descent of the run's first add are still
+// current when flush splits. Anything that reads or restructures data
+// pages — a delete, a second run — must wait for flush. A pageRun with
+// only t (and moved) set is ready to use, and is again after every flush.
+type pageRun struct {
+	t *Tree
+	// moved marks items a merge is re-homing: they are already counted in
+	// the tree's size, and an overflow they cause is a Resplit.
+	moved bool
+
+	id, src page.ID        // the open page and the node holding its entry
+	dp      *page.DataPage // the open page as wData returned it; nil when none is open
+	ctx     *opCtx         // physical parents along the descent to it
+}
+
+func (r *pageRun) add(a region.BitString, it page.Item) error {
+	t := r.t
+	ctx := newOpCtx()
+	d, err := t.descendPointCtx(ctx, a)
+	if err != nil {
+		return err
+	}
+	id, src := d.dataID, d.dataSrcID
+	putDescent(d)
+	if r.dp == nil || id != r.id {
+		if err := r.flush(); err != nil {
+			return err
+		}
+		dp, err := t.wData(id)
 		if err != nil {
 			return err
 		}
-		dp.Items = append(dp.Items, item)
+		r.id, r.src, r.dp, r.ctx = id, src, dp, ctx
+	}
+	r.dp.Items = append(r.dp.Items, it)
+	if !r.moved {
 		t.size++
-		if err := t.st.SaveData(t.root, dp); err != nil {
-			return err
-		}
-		if len(dp.Items) > t.opt.DataCapacity {
-			return t.splitDataPage(ctx, t.root, page.Nil)
-		}
-		return nil
-	}
-
-	d, err := t.descendPointCtx(ctx, key)
-	if err != nil {
-		return err
-	}
-	dataID, dataSrcID := d.dataID, d.dataSrcID
-	putDescent(d)
-	dp, err := t.wData(dataID)
-	if err != nil {
-		return err
-	}
-	dp.Items = append(dp.Items, item)
-	t.size++
-	if err := t.st.SaveData(dataID, dp); err != nil {
-		return err
-	}
-	if len(dp.Items) > t.opt.DataCapacity {
-		return t.splitDataPage(ctx, dataID, dataSrcID)
 	}
 	return nil
+}
+
+func (r *pageRun) flush() error {
+	t, dp := r.t, r.dp
+	if dp == nil {
+		return nil
+	}
+	r.dp = nil
+	if err := t.st.SaveData(r.id, dp); err != nil {
+		return err
+	}
+	if len(dp.Items) <= t.opt.DataCapacity {
+		return nil
+	}
+	if r.moved {
+		t.stats.Resplits.Inc()
+	}
+	return t.splitDataPage(r.ctx, r.id, r.src)
+}
+
+// put is a run of one item.
+func (r *pageRun) put(a region.BitString, it page.Item) error {
+	if err := r.add(a, it); err != nil {
+		return err
+	}
+	return r.flush()
 }
 
 // descendPointCtx is descendPoint plus physical-parent recording.
@@ -362,7 +404,7 @@ func chooseIndexSplit(n *page.IndexNode) (region.BitString, bool) {
 			switch {
 			case q.IsPrefixOf(e.Key):
 				inner++
-			case e.Key.IsProperPrefixOf(q) && !shieldedFromSplit(n.Entries, e, q):
+			case e.Key.IsProperPrefixOf(q) && !shielded(n, e, q):
 				prom++
 			default:
 				outer++
@@ -376,10 +418,13 @@ func chooseIndexSplit(n *page.IndexNode) (region.BitString, bool) {
 			score = outer
 		}
 		// Prefer better balance, then fewer promotions (each promotion
-		// costs a parent slot until demoted), then shallower boundaries.
+		// costs a parent slot until demoted), then shallower boundaries;
+		// the key breaks the remaining ties, so that the choice does not
+		// depend on the order in which the map yields the candidates.
 		if score > bestScore ||
 			(score == bestScore && prom < bestProm) ||
-			(score == bestScore && prom == bestProm && q.Len() < bestLen) {
+			(score == bestScore && prom == bestProm && q.Len() < bestLen) ||
+			(score == bestScore && prom == bestProm && q.Len() == bestLen && q.Compare(best) < 0) {
 			best, bestScore, bestProm, bestLen = q, score, prom, q.Len()
 		}
 	}
@@ -387,18 +432,6 @@ func chooseIndexSplit(n *page.IndexNode) (region.BitString, bool) {
 		return region.BitString{}, false
 	}
 	return best, true
-}
-
-// shieldedFromSplit reports whether some entry of en's level among all
-// lies strictly between en and the split prefix q.
-func shieldedFromSplit(all []page.Entry, en page.Entry, q region.BitString) bool {
-	for i := range all {
-		g := &all[i]
-		if g.Level == en.Level && en.Key.IsProperPrefixOf(g.Key) && g.Key.IsPrefixOf(q) {
-			return true
-		}
-	}
-	return false
 }
 
 // shielded reports whether some entry of e's level in n lies strictly
@@ -446,8 +479,7 @@ func (t *Tree) splitIndexNode(ctx *opCtx, id page.ID, n *page.IndexNode) error {
 	}
 
 	var innerEntries, outer, promoted []page.Entry
-	all := n.Entries
-	for _, en := range all {
+	for _, en := range n.Entries {
 		switch {
 		case q.IsPrefixOf(en.Key):
 			innerEntries = append(innerEntries, en)
@@ -459,7 +491,7 @@ func (t *Tree) splitIndexNode(ctx *opCtx, id page.ID, n *page.IndexNode) error {
 			// per level) straddlers are promoted; this is what bounds
 			// guard accumulation to the paper's (x-1) per unpromoted
 			// entry.
-			if shieldedFromSplit(all, en, q) {
+			if shielded(n, en, q) {
 				outer = append(outer, en)
 			} else {
 				promoted = append(promoted, en)

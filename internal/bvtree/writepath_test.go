@@ -1,0 +1,468 @@
+package bvtree
+
+// Tests of the one write path: every item enters a data page through
+// pageRun (insert.go), whatever the tree's height and whichever of Insert,
+// a buffer flush or a merge's refill put it there.
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"bvtree/internal/fault"
+	"bvtree/internal/geometry"
+	"bvtree/internal/page"
+	"bvtree/internal/storage"
+	"bvtree/internal/workload"
+)
+
+// checkAgainstOracle is the per-step check of the write-path table: the
+// structure validates, Len agrees, and a full scan returns exactly the
+// oracle's multiset.
+func checkAgainstOracle(t *testing.T, tr *Tree, oracle []oracleItem, step string) {
+	t.Helper()
+	if err := tr.Validate(true); err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+	if tr.Len() != len(oracle) {
+		t.Fatalf("%s: Len=%d, oracle holds %d", step, tr.Len(), len(oracle))
+	}
+	universe := geometry.UniverseRect(2)
+	got, err := collectBufRange(tr, universe)
+	if err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+	want := oracleRangeKeys(oracle, universe)
+	if len(got) != len(want) {
+		t.Fatalf("%s: scan returns %d items, oracle holds %d", step, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: scan and oracle differ at %d: %s vs %s", step, i, got[i], want[i])
+		}
+	}
+}
+
+// TestWritePathAtEveryHeight drives each way of changing a tree from each
+// shape the root can have. The rows that start on an empty tree or on a
+// root that is still a data page are the ones four rootLevel == 0 branches
+// used to serve; they now take the same descent as the tall tree.
+func TestWritePathAtEveryHeight(t *testing.T) {
+	opt := Options{Dims: 2, DataCapacity: 4, Fanout: 4}
+	starts := []struct {
+		name      string
+		n         int
+		minHeight int
+	}{
+		{"empty", 0, 0},
+		{"root-is-data", 3, 0},
+		{"tall", 160, 2},
+	}
+	backends := []struct {
+		name string
+		mk   func() (*Tree, error)
+	}{
+		{"mem", func() (*Tree, error) { return New(opt) }},
+		{"paged", func() (*Tree, error) { return NewPaged(storage.NewMemStore(), opt) }},
+	}
+	type state struct {
+		t      *testing.T
+		tr     *Tree
+		rng    *rand.Rand
+		oracle []oracleItem
+		next   uint64
+	}
+	insert := func(s *state, step string) {
+		p := clusteredPoint(s.rng, 2)
+		if err := s.tr.Insert(p, s.next); err != nil {
+			s.t.Fatalf("%s: %v", step, err)
+		}
+		s.oracle = append(s.oracle, oracleItem{p, s.next})
+		s.next++
+		checkAgainstOracle(s.t, s.tr, s.oracle, step)
+	}
+	// remove deletes a random stored item, or — on an empty tree, and now
+	// and then — one that is not there.
+	remove := func(s *state, step string) {
+		victim := oracleItem{clusteredPoint(s.rng, 2), 1 << 40}
+		if len(s.oracle) > 0 && s.rng.Intn(8) != 0 {
+			victim = s.oracle[s.rng.Intn(len(s.oracle))]
+		}
+		var want bool
+		s.oracle, want = oracleDelete(s.oracle, victim.p, victim.payload)
+		got, err := s.tr.Delete(victim.p, victim.payload)
+		if err != nil || got != want {
+			s.t.Fatalf("%s: Delete = (%v, %v), want %v", step, got, err, want)
+		}
+		checkAgainstOracle(s.t, s.tr, s.oracle, step)
+	}
+	buffered := func(n int) func(*state) {
+		return func(s *state) {
+			if err := s.tr.EnableBuffer(n); err != nil {
+				s.t.Fatal(err)
+			}
+			for i := 0; i < 150; i++ {
+				if s.rng.Intn(3) == 0 {
+					remove(s, fmt.Sprintf("buffered delete %d", i))
+				} else {
+					insert(s, fmt.Sprintf("buffered insert %d", i))
+				}
+			}
+			if err := s.tr.FlushBuffer(); err != nil {
+				s.t.Fatal(err)
+			}
+			checkAgainstOracle(s.t, s.tr, s.oracle, "after FlushBuffer")
+		}
+	}
+	drives := []struct {
+		name string
+		run  func(*state)
+	}{
+		{"insert", func(s *state) {
+			for i := 0; i < 60; i++ {
+				insert(s, fmt.Sprintf("insert %d", i))
+			}
+		}},
+		{"delete", func(s *state) {
+			for i := 0; i < 40; i++ {
+				remove(s, fmt.Sprintf("delete %d", i))
+			}
+		}},
+		{"buffered-4", buffered(4)},
+		{"buffered-64", buffered(64)},
+		{"delete-until-merge", func(s *state) {
+			for i := 0; len(s.oracle) > 0; i++ {
+				remove(s, fmt.Sprintf("delete %d", i))
+			}
+			// Only the tall start has pages to merge; a root page has no
+			// neighbour.
+			if merges := s.tr.Stats().Merges; (merges > 0) != (s.next > 100) {
+				s.t.Fatalf("%d merges while emptying a tree of %d items", merges, s.next)
+			}
+		}},
+	}
+	for _, be := range backends {
+		for _, st := range starts {
+			for _, dr := range drives {
+				t.Run(be.name+"/"+st.name+"/"+dr.name, func(t *testing.T) {
+					tr, err := be.mk()
+					if err != nil {
+						t.Fatal(err)
+					}
+					s := &state{t: t, tr: tr, rng: rand.New(rand.NewSource(int64(7 + st.n)))}
+					for i := 0; i < st.n; i++ {
+						p := clusteredPoint(s.rng, 2)
+						if err := tr.Insert(p, s.next); err != nil {
+							t.Fatal(err)
+						}
+						s.oracle = append(s.oracle, oracleItem{p, s.next})
+						s.next++
+					}
+					if h := tr.Height(); h < st.minHeight || (st.minHeight == 0 && h != 0) {
+						t.Fatalf("start %s has height %d", st.name, h)
+					}
+					checkAgainstOracle(t, tr, s.oracle, "start")
+					dr.run(s)
+				})
+			}
+		}
+	}
+}
+
+// TestMergeRefillOverflows pins the refill's run: items a merge re-homes
+// go through pageRun marked moved, so Len does not move and a page they
+// overflow is split again and counted as a Resplit.
+func TestMergeRefillOverflows(t *testing.T) {
+	tr, err := New(Options{Dims: 2, DataCapacity: 4, Fanout: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := workload.Generate(workload.Clustered, 2, 3000, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		if err := tr.Insert(p, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	order := rand.New(rand.NewSource(12)).Perm(len(pts))
+	deleted := 0
+	for _, i := range order {
+		if s := tr.Stats(); s.Merges > 0 && s.Resplits > 0 {
+			break
+		}
+		if ok, err := tr.Delete(pts[i], uint64(i)); err != nil || !ok {
+			t.Fatalf("delete %d: %v %v", i, ok, err)
+		}
+		deleted++
+	}
+	s := tr.Stats()
+	if s.Merges == 0 || s.Resplits == 0 {
+		t.Fatalf("after %d deletes: %d merges, %d resplits; the refill never overflowed a page", deleted, s.Merges, s.Resplits)
+	}
+	if tr.Len() != len(pts)-deleted {
+		t.Fatalf("Len=%d after %d of %d items were deleted", tr.Len(), deleted, len(pts))
+	}
+	if err := tr.Validate(true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// buildTwice runs build on two fresh trees and requires them to be the
+// same tree: the same Dump and, when paged, the same bytes in every page.
+func buildTwice(t *testing.T, paged bool, opt Options, build func(*Tree) error) {
+	t.Helper()
+	var dumps [2]string
+	var stores [2]*storage.MemStore
+	for i := range dumps {
+		var tr *Tree
+		var err error
+		if paged {
+			stores[i] = storage.NewMemStore()
+			tr, err = NewPaged(stores[i], opt)
+		} else {
+			tr, err = New(opt)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := build(tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if dumps[i], err = tr.Dump(); err != nil {
+			t.Fatal(err)
+		}
+		if s := tr.Stats(); i == 0 && s.IndexSplits < 200 {
+			t.Fatalf("only %d index splits: too few for the split chooser's ties to show", s.IndexSplits)
+		}
+	}
+	if dumps[0] != dumps[1] {
+		t.Fatalf("the same program built two different trees (dumps of %d and %d bytes differ)", len(dumps[0]), len(dumps[1]))
+	}
+	if !paged {
+		return
+	}
+	allocs := stores[0].Stats().Allocs
+	if other := stores[1].Stats().Allocs; other != allocs {
+		t.Fatalf("%d pages allocated against %d", allocs, other)
+	}
+	for id := page.ID(0); id <= page.ID(allocs)+1; id++ {
+		a, errA := stores[0].ReadNode(id)
+		b, errB := stores[1].ReadNode(id)
+		if (errA == nil) != (errB == nil) || !bytes.Equal(a, b) {
+			t.Fatalf("page %d differs between the two builds", id)
+		}
+	}
+}
+
+// TestBuildIsDeterministic pins that a tree is a function of the program
+// that built it. chooseIndexSplit used to range over a map of candidate
+// prefixes with an order that left ties, so the same inserts split index
+// nodes differently from run to run — and with them BulkLoad, which posts
+// its entries through the same splits.
+func TestBuildIsDeterministic(t *testing.T) {
+	opt := Options{Dims: 2, DataCapacity: 4, Fanout: 4}
+	pts, err := workload.Generate(workload.Clustered, 2, 6000, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]uint64, len(pts))
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	builds := []struct {
+		name  string
+		build func(*Tree) error
+	}{
+		{"Insert", func(tr *Tree) error {
+			for i, p := range pts {
+				if err := tr.Insert(p, ids[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"ApplyBatch", func(tr *Tree) error {
+			ops := make([]BatchOp, 0, 256)
+			for i, p := range pts {
+				ops = append(ops, BatchOp{Point: p, Payload: ids[i]})
+				// Every fifth point leaves again in the batch after its own.
+				if i >= 256 && i%5 == 0 {
+					ops = append(ops, BatchOp{Delete: true, Point: pts[i-256], Payload: ids[i-256]})
+				}
+				if len(ops) >= 256 || i == len(pts)-1 {
+					if err := tr.ApplyBatch(ops); err != nil {
+						return err
+					}
+					ops = ops[:0]
+				}
+			}
+			return nil
+		}},
+		{"BulkLoad", func(tr *Tree) error { return tr.BulkLoad(pts, ids) }},
+	}
+	for _, paged := range []bool{false, true} {
+		for _, b := range builds {
+			name := "mem/" + b.name
+			if paged {
+				name = "paged/" + b.name
+			}
+			t.Run(name, func(t *testing.T) { buildTwice(t, paged, opt, b.build) })
+		}
+	}
+}
+
+// TestBufferedFlushFailureKeepsTail sweeps a store failure over every
+// store operation of a FlushBuffer and checks flushGroupLocked's contract
+// for what is left: the operations the flush had not reached are
+// registered in the buffer again, each once and in a group a later flush
+// will drain, reads still see them in front of the tree, and no operation
+// is both applied and registered.
+func TestBufferedFlushFailureKeepsTail(t *testing.T) {
+	opt := Options{Dims: 2, DataCapacity: 4, Fanout: 4, BufferOps: 1 << 20}
+	const base, pending = 120, 48
+	pts, err := workload.Generate(workload.Clustered, 2, base+pending, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// setup applies `base` inserts and leaves `pending` inserts, and a
+	// delete of an applied item for every fourth of them, in the buffer of
+	// a tree whose store fails its failAt-th operation.
+	setup := func(failAt int) (*Tree, *fault.Store) {
+		fst := fault.NewStore(storage.NewMemStore(), failAt)
+		tr, err := NewPaged(fst, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < base+pending; i++ {
+			if i == base {
+				if err := tr.FlushBuffer(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tr.Insert(pts[i], uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+			if i >= base && i%4 == 0 {
+				if ok, err := tr.Delete(pts[i-base], uint64(i-base)); err != nil || !ok {
+					t.Fatalf("delete %d: %v %v", i-base, ok, err)
+				}
+			}
+		}
+		return tr, fst
+	}
+	registered := func(tr *Tree) []*bufOp {
+		var ops []*bufOp
+		for _, lists := range []map[string][]*bufOp{tr.buf.ins, tr.buf.del} {
+			for _, list := range lists {
+				ops = append(ops, list...)
+			}
+		}
+		return ops
+	}
+	tr, fst := setup(0)
+	before := fst.Ops()
+	if err := tr.FlushBuffer(); err != nil {
+		t.Fatal(err)
+	}
+	flushOps := fst.Ops() - before
+	if flushOps < pending/2 {
+		t.Fatalf("a clean flush made only %d store operations", flushOps)
+	}
+	universe := geometry.UniverseRect(2)
+	for k := 1; k <= flushOps; k++ {
+		tr, fst := setup(before + k)
+		if fst.Tripped() {
+			t.Fatalf("k=%d: the store failed before the flush", k)
+		}
+		// The flush order of each group: (address, sequence).
+		groups := map[page.ID][]*bufOp{}
+		for _, op := range registered(tr) {
+			groups[op.gid] = append(groups[op.gid], op)
+		}
+		for _, g := range groups {
+			sort.Slice(g, func(i, j int) bool {
+				if c := g[i].addr.Compare(g[j].addr); c != 0 {
+					return c < 0
+				}
+				return g[i].seq < g[j].seq
+			})
+		}
+		if err := tr.FlushBuffer(); !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("k=%d: FlushBuffer = %v, want the injected failure", k, err)
+		}
+		left := map[*bufOp]bool{}
+		ins, del := 0, 0
+		for _, op := range registered(tr) {
+			if left[op] {
+				t.Fatalf("k=%d: an operation is registered twice", k)
+			}
+			left[op] = true
+			if op.del {
+				del++
+			} else {
+				ins++
+			}
+		}
+		if tr.buf.insN != ins || tr.buf.delN != del {
+			t.Fatalf("k=%d: buffer counts %d+%d, holds %d+%d", k, tr.buf.insN, tr.buf.delN, ins, del)
+		}
+		live := 0
+		for _, g := range tr.buf.groups {
+			live += g.live
+			for _, op := range g.ops {
+				if !left[op] {
+					t.Fatalf("k=%d: a group holds an operation that is not registered", k)
+				}
+			}
+		}
+		if live != len(left) {
+			t.Fatalf("k=%d: groups hold %d live operations, %d are registered", k, live, len(left))
+		}
+		for gid, g := range groups {
+			for i := 1; i < len(g); i++ {
+				if left[g[i-1]] && !left[g[i]] {
+					t.Fatalf("k=%d: group %d: what is left is not a tail of the flush order", k, gid)
+				}
+			}
+			for _, op := range g {
+				got, err := tr.Lookup(op.point)
+				if err != nil {
+					t.Fatalf("k=%d: %v", k, err)
+				}
+				n := 0
+				for _, payload := range got {
+					if payload == op.payload {
+						n++
+					}
+				}
+				switch {
+				case op.del && n != 0:
+					t.Fatalf("k=%d: deleted item %d is visible (registered again: %v)", k, op.payload, left[op])
+				case !op.del && left[op] && n != 1:
+					t.Fatalf("k=%d: unapplied insert %d is visible %d times", k, op.payload, n)
+				case !op.del && n > 1:
+					t.Fatalf("k=%d: insert %d is visible %d times", k, op.payload, n)
+				}
+			}
+		}
+		raw, err := tr.rangeRaw(universe, nil, 1)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		got, err := tr.Count(universe)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if want := int(raw) + ins - del; got != want {
+			t.Fatalf("k=%d: Count=%d, the tree holds %d and the buffer %d inserts and %d deletes", k, got, raw, ins, del)
+		}
+	}
+}

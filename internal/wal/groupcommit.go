@@ -9,39 +9,14 @@ import (
 	"bvtree/internal/obs"
 )
 
-// GroupConfig tunes a GroupCommitter.
-type GroupConfig struct {
-	// MaxBatchBytes detaches a forming batch early once its framed size
-	// reaches this bound, cutting the leader's linger short (default 1 MiB).
-	MaxBatchBytes int
-	// MaxWait is how long a batch leader lingers for followers before
-	// performing the group's single Sync. Zero is a valid setting: the
-	// leader syncs immediately and batching arises from commits that arrive
-	// while a previous batch's Sync is in flight, which is the classic
-	// group-commit accumulation window.
-	MaxWait time.Duration
-}
-
-func (c *GroupConfig) fill() {
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = 1 << 20
-	}
-	if c.MaxWait < 0 {
-		c.MaxWait = 0
-	}
-}
-
 // commitBatch is one group of records that becomes durable with a single
 // Sync. The first enqueuer is the batch's leader and performs the I/O on
 // behalf of every member.
 type commitBatch struct {
-	id    uint64
-	recs  [][]byte
-	bytes int
-	full  chan struct{} // closed when bytes reach MaxBatchBytes
-	isFul bool
-	done  chan struct{} // closed after the batch's I/O completes
-	err   error
+	id   uint64
+	recs [][]byte
+	done chan struct{} // closed after the batch's I/O completes
+	err  error
 }
 
 // Ticket identifies one Enqueue within a batch. Every ticket's owner must
@@ -58,7 +33,10 @@ type Ticket struct {
 // makes it durable with a single Sync, and every member observes the same
 // outcome. Batches reach the log strictly in formation order, so the log
 // order equals the enqueue order — the property the durable tree's
-// log-before-apply contract needs.
+// log-before-apply contract needs. There is nothing to tune: a batch
+// absorbs enqueues until its leader claims the log, which it does as soon
+// as the previous batch's I/O is over, so batching is exactly the commits
+// that arrive while a Sync is in flight.
 //
 // Failure is sticky: after any batch I/O error the log's tail state is
 // unknown (a torn frame may sit beyond the last durable record, and a
@@ -68,7 +46,6 @@ type Ticket struct {
 // replay.
 type GroupCommitter struct {
 	log *Log
-	cfg GroupConfig
 
 	mu     sync.Mutex
 	cond   *sync.Cond // broadcast when ioTurn advances
@@ -86,9 +63,8 @@ type GroupCommitter struct {
 // route every append through the committer from now on: raw Append/Sync
 // calls would interleave with group frames. Reset and Replay remain the
 // owner's to call, after Drain.
-func NewGroupCommitter(l *Log, cfg GroupConfig) *GroupCommitter {
-	cfg.fill()
-	g := &GroupCommitter{log: l, cfg: cfg}
+func NewGroupCommitter(l *Log) *GroupCommitter {
+	g := &GroupCommitter{log: l}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -100,21 +76,12 @@ func (g *GroupCommitter) Syncs() uint64 { return g.syncs.Load() }
 // Commits returns the number of records committed so far.
 func (g *GroupCommitter) Commits() uint64 { return g.commits.Load() }
 
-// Enqueue adds one record to the forming batch and returns a ticket whose
-// Wait blocks until the record is durable. The committer does not copy
-// rec: the caller must keep it unmodified until Wait returns.
-func (g *GroupCommitter) Enqueue(rec []byte) (*Ticket, error) {
-	return g.enqueue(rec)
-}
-
-// EnqueueBatch adds n records to the forming batch as one contiguous unit
-// — they occupy adjacent positions in the log, so a crash recovers a
-// prefix of them in order — and returns a single ticket for all of them.
-func (g *GroupCommitter) EnqueueBatch(recs [][]byte) (*Ticket, error) {
-	return g.enqueue(recs...)
-}
-
-func (g *GroupCommitter) enqueue(recs ...[]byte) (*Ticket, error) {
+// Enqueue adds recs to the forming batch as one contiguous unit — they
+// occupy adjacent positions in the log, so a crash recovers a prefix of
+// them in order — and returns a single ticket for all of them, whose Wait
+// blocks until they are durable. The committer does not copy the records:
+// the caller must keep them unmodified until Wait returns.
+func (g *GroupCommitter) Enqueue(recs ...[]byte) (*Ticket, error) {
 	for _, rec := range recs {
 		if len(rec) == 0 {
 			return nil, fmt.Errorf("wal: group commit: empty record")
@@ -131,30 +98,18 @@ func (g *GroupCommitter) enqueue(recs ...[]byte) (*Ticket, error) {
 	t := &Ticket{}
 	b := g.cur
 	if b == nil {
-		b = &commitBatch{
-			id:   g.nextID,
-			full: make(chan struct{}),
-			done: make(chan struct{}),
-		}
+		b = &commitBatch{id: g.nextID, done: make(chan struct{})}
 		g.nextID++
 		t.leader = true
 		g.cur = b
 	}
 	t.b = b
-	for _, rec := range recs {
-		b.recs = append(b.recs, rec)
-		b.bytes += recordHeader + len(rec)
-	}
-	if !b.isFul && b.bytes >= g.cfg.MaxBatchBytes {
-		b.isFul = true
-		close(b.full)
-	}
+	b.recs = append(b.recs, recs...)
 	return t, nil
 }
 
 // Wait blocks until the ticket's batch is durable and returns the batch's
-// outcome. The leader's Wait lingers up to MaxWait for followers (cut
-// short when the batch fills), claims the log in batch order, writes the
+// outcome. The leader's Wait claims the log in batch order, writes the
 // whole batch as one frame sequence and syncs once.
 //
 // When the log carries metrics (Log.SetMetrics), Wait records its own
@@ -176,14 +131,6 @@ func (g *GroupCommitter) wait(t *Ticket, m *obs.WALMetrics) error {
 	if !t.leader {
 		<-b.done
 		return b.err
-	}
-	if g.cfg.MaxWait > 0 {
-		timer := time.NewTimer(g.cfg.MaxWait)
-		select {
-		case <-b.full:
-		case <-timer.C:
-		}
-		timer.Stop()
 	}
 	g.mu.Lock()
 	for g.ioTurn != b.id {
@@ -220,16 +167,6 @@ func (g *GroupCommitter) wait(t *Ticket, m *obs.WALMetrics) error {
 	b.err = err
 	close(b.done)
 	return err
-}
-
-// Commit is Enqueue followed by Wait: it returns once rec is durable (or
-// the batch it joined failed).
-func (g *GroupCommitter) Commit(rec []byte) error {
-	t, err := g.Enqueue(rec)
-	if err != nil {
-		return err
-	}
-	return g.Wait(t)
 }
 
 // Drain blocks until every batch enqueued so far has completed its I/O and

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"bvtree/internal/fault"
 	"bvtree/internal/vfs"
@@ -44,6 +43,15 @@ func replayAll(t *testing.T, path string) [][]byte {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// commit enqueues rec and waits until it is durable.
+func commit(g *GroupCommitter, rec []byte) error {
+	tk, err := g.Enqueue(rec)
+	if err != nil {
+		return err
+	}
+	return g.Wait(tk)
 }
 
 func TestGroupCommitAppendBatchRoundTrip(t *testing.T) {
@@ -94,7 +102,7 @@ func TestGroupCommitAppendBatchEmptyAndInvalid(t *testing.T) {
 // commits (the amortization group commit exists for).
 func TestGroupCommitConcurrentDurability(t *testing.T) {
 	l, path := openTestLog(t)
-	g := NewGroupCommitter(l, GroupConfig{})
+	g := NewGroupCommitter(l)
 	const writers, perWriter = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -103,7 +111,7 @@ func TestGroupCommitConcurrentDurability(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				rec := []byte(fmt.Sprintf("w%02d-%03d", w, i))
-				if err := g.Commit(rec); err != nil {
+				if err := commit(g, rec); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
@@ -143,13 +151,12 @@ func TestGroupCommitConcurrentDurability(t *testing.T) {
 	}
 }
 
-// TestGroupCommitAmortizesSyncs forces followers to pile onto a lingering
-// leader and asserts the group achieved real amortization: far fewer
-// syncs than commits.
+// TestGroupCommitAmortizesSyncs enqueues every record before any Wait, so
+// all of them are in the batch its leader then writes: one sync for all.
 func TestGroupCommitAmortizesSyncs(t *testing.T) {
 	l, _ := openTestLog(t)
 	defer l.Close()
-	g := NewGroupCommitter(l, GroupConfig{MaxWait: 50 * time.Millisecond})
+	g := NewGroupCommitter(l)
 	const n = 16
 	tickets := make([]*Ticket, n)
 	for i := 0; i < n; i++ {
@@ -178,33 +185,11 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 	}
 }
 
-// TestGroupCommitMaxBatchBytes verifies a full batch cuts the leader's
-// linger short instead of waiting out MaxWait.
-func TestGroupCommitMaxBatchBytes(t *testing.T) {
-	l, _ := openTestLog(t)
-	defer l.Close()
-	g := NewGroupCommitter(l, GroupConfig{MaxBatchBytes: 64, MaxWait: time.Hour})
-	rec := make([]byte, 64) // one record fills the batch
-	for i := range rec {
-		rec[i] = byte(i + 1)
-	}
-	start := time.Now()
-	if err := g.Commit(rec); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("full batch still waited %v", elapsed)
-	}
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestGroupCommitEnqueueBatchContiguous verifies EnqueueBatch records land
+// TestGroupCommitEnqueueBatchContiguous verifies the records of one Enqueue land
 // adjacently even with a competing committer interleaving.
 func TestGroupCommitEnqueueBatchContiguous(t *testing.T) {
 	l, path := openTestLog(t)
-	g := NewGroupCommitter(l, GroupConfig{})
+	g := NewGroupCommitter(l)
 	const batches, per = 20, 5
 	var wg sync.WaitGroup
 	for b := 0; b < batches; b++ {
@@ -215,7 +200,7 @@ func TestGroupCommitEnqueueBatchContiguous(t *testing.T) {
 			for i := range recs {
 				recs[i] = []byte(fmt.Sprintf("b%02d-%d", b, i))
 			}
-			tk, err := g.EnqueueBatch(recs)
+			tk, err := g.Enqueue(recs...)
 			if err != nil {
 				t.Error(err)
 				return
@@ -261,13 +246,13 @@ func TestGroupCommitStickyFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	g := NewGroupCommitter(l, GroupConfig{})
-	if err := g.Commit([]byte("pre-fault")); err != nil {
+	g := NewGroupCommitter(l)
+	if err := commit(g, []byte("pre-fault")); err != nil {
 		t.Fatal(err)
 	}
 	// Arm the very next mutating op (the batch write) to fail.
 	ffs.SetPlan(fault.Plan{InjectAt: ffs.Ops() + 1, Mode: fault.ModeError})
-	if err := g.Commit([]byte("doomed")); err == nil {
+	if err := commit(g, []byte("doomed")); err == nil {
 		t.Fatal("commit through a failing write must report the failure")
 	}
 	if _, err := g.Enqueue([]byte("after")); err == nil {
@@ -285,9 +270,9 @@ func TestGroupCommitStickyFailure(t *testing.T) {
 // the committer, Reset the log underneath it, and keep committing.
 func TestGroupCommitDrainThenReset(t *testing.T) {
 	l, path := openTestLog(t)
-	g := NewGroupCommitter(l, GroupConfig{})
+	g := NewGroupCommitter(l)
 	for i := 0; i < 5; i++ {
-		if err := g.Commit([]byte(fmt.Sprintf("old-%d", i))); err != nil {
+		if err := commit(g, []byte(fmt.Sprintf("old-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,7 +282,7 @@ func TestGroupCommitDrainThenReset(t *testing.T) {
 	if err := l.Reset(7); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Commit([]byte("new-epoch")); err != nil {
+	if err := commit(g, []byte("new-epoch")); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Close(); err != nil {
@@ -317,7 +302,7 @@ func TestGroupCommitDrainThenReset(t *testing.T) {
 func TestGroupCommitClosedRejects(t *testing.T) {
 	l, _ := openTestLog(t)
 	defer l.Close()
-	g := NewGroupCommitter(l, GroupConfig{})
+	g := NewGroupCommitter(l)
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}

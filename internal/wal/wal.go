@@ -57,7 +57,7 @@ type Log struct {
 	synced  bool
 	closed  bool
 
-	batchBuf []byte // reusable AppendBatch framing scratch
+	frameBuf []byte // reusable Append framing scratch
 
 	// m holds the optional latency metrics. It is an atomic pointer
 	// because a group-commit leader appends outside the owner's mutex, so
@@ -163,71 +163,37 @@ func (l *Log) initPreamble(epoch, baseLSN uint64) error {
 	return nil
 }
 
-// Append writes one record. The record is durable only after Sync.
-// Records must be non-empty: an empty record's header (zero length, zero
-// CRC) is all zero bytes, which the corruption scanner could not tell
-// apart from torn-write residue.
-func (l *Log) Append(rec []byte) error {
+// Append writes recs as one contiguous run of frames with a single Write.
+// The records are durable only after Sync. Each keeps its own header, so
+// Replay sees them exactly as if appended one by one — a crash mid-write
+// recovers to a record-granularity prefix (never a torn record), because
+// Replay's tail-truncation works record by record. Records must be
+// non-empty: an empty record's header (zero length, zero CRC) is all zero
+// bytes, which the corruption scanner could not tell apart from torn-write
+// residue.
+func (l *Log) Append(recs ...[]byte) error {
 	if l.closed {
 		return ErrClosed
-	}
-	if len(rec) == 0 {
-		return fmt.Errorf("wal: append %s: empty record", l.path)
-	}
-	if !l.hdrOK {
-		if err := l.initPreamble(l.epoch, l.baseLSN); err != nil {
-			return err
-		}
-	}
-	buf := make([]byte, recordHeader+len(rec))
-	binary.LittleEndian.PutUint32(buf, uint32(len(rec)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(rec, crcTable))
-	copy(buf[recordHeader:], rec)
-	m := l.m.Load()
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
-	if _, err := l.f.Write(buf); err != nil {
-		return fmt.Errorf("wal: append %s: %w", l.path, err)
-	}
-	if m != nil {
-		m.Append.ObserveSince(start)
-	}
-	l.size.Add(int64(len(buf)))
-	l.synced = false
-	return nil
-}
-
-// AppendBatch frames every record in recs into one contiguous buffer,
-// writes it with a single Write, and makes the whole batch durable with a
-// single Sync. Records keep their individual headers, so Replay sees them
-// exactly as if appended one by one — a crash mid-batch recovers to a
-// record-granularity prefix of the batch (never a torn record), because
-// Replay's tail-truncation already works record by record.
-func (l *Log) AppendBatch(recs [][]byte) error {
-	if l.closed {
-		return ErrClosed
-	}
-	if len(recs) == 0 {
-		return l.Sync()
 	}
 	total := 0
 	for _, rec := range recs {
 		if len(rec) == 0 {
-			return fmt.Errorf("wal: append batch %s: empty record", l.path)
+			return fmt.Errorf("wal: append %s: empty record", l.path)
 		}
 		total += recordHeader + len(rec)
+	}
+	if total == 0 {
+		return nil
 	}
 	if !l.hdrOK {
 		if err := l.initPreamble(l.epoch, l.baseLSN); err != nil {
 			return err
 		}
 	}
-	if cap(l.batchBuf) < total {
-		l.batchBuf = make([]byte, total)
+	if cap(l.frameBuf) < total {
+		l.frameBuf = make([]byte, total)
 	}
-	buf := l.batchBuf[:total]
+	buf := l.frameBuf[:total]
 	off := 0
 	for _, rec := range recs {
 		binary.LittleEndian.PutUint32(buf[off:], uint32(len(rec)))
@@ -241,13 +207,22 @@ func (l *Log) AppendBatch(recs [][]byte) error {
 		start = time.Now()
 	}
 	if _, err := l.f.Write(buf); err != nil {
-		return fmt.Errorf("wal: append batch %s: %w", l.path, err)
+		return fmt.Errorf("wal: append %s: %w", l.path, err)
 	}
 	if m != nil {
 		m.Append.ObserveSince(start)
 	}
 	l.size.Add(int64(total))
 	l.synced = false
+	return nil
+}
+
+// AppendBatch is Append followed by Sync: the group committer's one write
+// and one fsync per batch. An empty batch only syncs.
+func (l *Log) AppendBatch(recs [][]byte) error {
+	if err := l.Append(recs...); err != nil {
+		return err
+	}
 	return l.Sync()
 }
 
