@@ -13,9 +13,7 @@ GO ?= go
 # the histogram core (TestConcurrentHistogram in internal/obs) and the
 # parallel range-query engine (TestParallelRange* in internal/bvtree),
 # the MVCC snapshot/backup differential tests (TestSnapshot* in
-# internal/bvtree) and the write-buffer battery (TestBuffered* in
-# internal/bvtree: the differential programs, the crash sweeps and the
-# concurrent buffered-access stress) and the columnar node-layout smoke
+# internal/bvtree) and the columnar node-layout smoke
 # (TestColumnar* in internal/bvtree: concurrent batched reads against a
 # writer driving mirror rebuilds), and the sharded
 # service (TestShard* in internal/shard: the N-shard-vs-single-tree
@@ -44,7 +42,7 @@ verify:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/docslint
 	for p in 1 8; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestParallelRange|TestColumnarPruned' ./internal/bvtree || exit 1; done
-	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestBuffered|TestColumnar|TestShard' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard
+	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestColumnar|TestShard' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard
 	$(GO) test -run '^$$' -bench 'Instrumented|DurableInsert|UnderBackup|MixedRead|ColdLookup|RangeDrive' -benchtime 1x .
 
 # Full suite under the race detector, including the reader/writer stress

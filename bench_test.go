@@ -220,21 +220,18 @@ func BenchmarkInstrumented(b *testing.B) {
 
 // BenchmarkDurableInsert compares the durable write disciplines on one
 // file-backed tree per arm: group commit (the writers of -cpu share
-// fsyncs), 64-point batches, and 64-point batches into a write-buffered
-// tree.
+// fsyncs) and 64-point batches.
 func BenchmarkDurableInsert(b *testing.B) {
 	pts := benchPoints(b, workload.Uniform)
 	for _, arm := range []struct {
-		name      string
-		bufferOps int
-		batch     int
+		name  string
+		batch int
 	}{
-		{"group", 0, 1},
-		{"batch64", 0, 64},
-		{"batch64+buffer", 64, 64},
+		{"group", 1},
+		{"batch64", 64},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
-			d := newBenchDurable(b, bvtree.Options{Dims: 2, BufferOps: arm.bufferOps})
+			d := newBenchDurable(b, bvtree.Options{Dims: 2})
 			var next atomic.Uint64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {

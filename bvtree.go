@@ -136,7 +136,7 @@ func NewPaged(st Store, opt Options) (*Tree, error) { return ibv.NewPaged(st, op
 // OpenPaged reopens a tree previously created with NewPaged and persisted
 // with (*Tree).Flush. Only the tree's shape is persisted: of the other
 // Options it gets cacheNodes, and zero values (inline range queries, no
-// metrics, no write buffer) for the rest.
+// metrics) for the rest.
 func OpenPaged(st Store, cacheNodes int) (*Tree, error) { return ibv.OpenPaged(st, cacheNodes) }
 
 // DurableTree is a paged tree with a logical write-ahead log. Mutations
@@ -147,12 +147,11 @@ func OpenPaged(st Store, cacheNodes int) (*Tree, error) { return ibv.OpenPaged(s
 // persists the tree and empties the log, AutoCheckpoint does so in the
 // background whenever the log reaches a size, and OpenDurable replays
 // operations logged since the last checkpoint. That size is the write
-// path's only setting; write buffering and metrics are Options fields, or
-// EnableBuffer and EnableMetrics on a reopened tree. Create the
-// backing FileStore with PinDirty so the on-disk image only changes at
-// checkpoints; crashes at any point — including mid-checkpoint, which
-// the store's rollback journal undoes — recover every acknowledged
-// operation. See DESIGN.md §7 for the failure model and §9 for the
+// path's only setting; metrics are an Options field, or EnableMetrics on
+// a reopened tree. Create the backing FileStore with PinDirty so the
+// on-disk image only changes at checkpoints; crashes at any point —
+// including mid-checkpoint, which the store's rollback journal undoes —
+// recover every acknowledged operation. See DESIGN.md §7 for the failure model and §9 for the
 // write path.
 type DurableTree = ibv.DurableTree
 

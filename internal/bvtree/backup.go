@@ -115,11 +115,8 @@ func readBlob(r io.Reader, n uint32) ([]byte, error) {
 // are never blocked and never observed: the backup is exactly the tree
 // at the moment of the call. On a DurableTree prefer
 // DurableTree.SnapshotBackup, which also reports the captured LSN.
-// If a write buffer is attached it is drained and the state pinned in
-// one exclusive critical section, so the backup includes every
-// buffered operation that was acknowledged before the call.
 func (t *Tree) SnapshotBackup(w io.Writer) error {
-	s, err := t.snapshotFlushed()
+	s, err := t.Snapshot()
 	if err != nil {
 		return err
 	}
@@ -144,13 +141,6 @@ type qent struct {
 // into the header.
 func (s *Snapshot) writeBackup(w io.Writer, lsn uint64) error {
 	v := s.v
-	if v.bov != nil {
-		// The stream is page-granular and cannot carry the pinned overlay
-		// of buffered-but-unflushed operations; silently omitting them
-		// would violate "ack ⇒ recoverable". SnapshotBackup never gets
-		// here (it drains the buffer under the pin's critical section).
-		return errors.New("bvtree: snapshot pins unflushed buffered operations; call FlushBuffer before Snapshot, or use SnapshotBackup")
-	}
 	met := s.owner.mv.met
 	start := time.Now()
 

@@ -11,11 +11,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bvtree/internal/geometry"
+	"bvtree/internal/obs"
 	"bvtree/internal/page"
 	"bvtree/internal/storage"
 	"bvtree/internal/wal"
@@ -113,6 +116,163 @@ func TestBackupRestoreEmptyTree(t *testing.T) {
 	}
 	if !bytes.Equal(b, backupBytes(t, rt)) {
 		t.Fatal("empty-tree backup not canonical")
+	}
+}
+
+// parkedLookup is a tracer that parks the first Lookup it is told of —
+// inside the operation, so with the tree's shared lock held — until
+// release is closed.
+type parkedLookup struct {
+	first           atomic.Bool
+	parked, release chan struct{}
+}
+
+func (p *parkedLookup) Trace(ev obs.Event) {
+	if ev.Op == obs.OpLookup && p.first.CompareAndSwap(false, true) {
+		close(p.parked)
+		<-p.release
+	}
+}
+
+// TestSnapshotBackupReadsPagesAlone pins that a tree's pages are its
+// whole state: after a random insert/delete program Len is the number of
+// items a walk of the pages finds, Snapshot().Backup and SnapshotBackup
+// stream the same bytes, and neither needs the tree to itself — both
+// complete while one Lookup sits inside its shared-lock section and
+// another goroutine keeps looking up.
+func TestSnapshotBackupReadsPagesAlone(t *testing.T) {
+	opt := Options{Dims: 2, DataCapacity: 8, Fanout: 8}
+	type mutator interface {
+		Insert(geometry.Point, uint64) error
+		Delete(geometry.Point, uint64) (bool, error)
+	}
+	for _, backend := range []string{"mem", "paged", "durable"} {
+		t.Run(backend, func(t *testing.T) {
+			var (
+				tr  *Tree
+				d   *DurableTree
+				err error
+			)
+			switch backend {
+			case "mem":
+				tr, err = New(opt)
+			case "paged":
+				tr, err = NewPaged(storage.NewMemStore(), opt)
+			case "durable":
+				d, err = NewDurable(storage.NewMemStore(), filepath.Join(t.TempDir(), "p.wal"), opt)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mut mutator = tr
+			if d != nil {
+				t.Cleanup(func() { d.Close() })
+				mut, tr = d, d.Tree
+			}
+			// The program draws from a small pool, so points repeat and some
+			// deletes name an item that is not there.
+			rng := rand.New(rand.NewSource(31))
+			pool := make([]geometry.Point, 64)
+			for i := range pool {
+				pool[i] = clusteredPoint(rng, 2)
+			}
+			var stored []oracleItem
+			for i := 0; i < 900; i++ {
+				p := pool[rng.Intn(len(pool))]
+				if rng.Intn(5) < 3 {
+					if err := mut.Insert(p, uint64(i)); err != nil {
+						t.Fatal(err)
+					}
+					stored = append(stored, oracleItem{p, uint64(i)})
+					continue
+				}
+				victim := oracleItem{p, uint64(rng.Intn(i + 1))}
+				if len(stored) > 0 && rng.Intn(4) != 0 {
+					victim = stored[rng.Intn(len(stored))]
+				}
+				var want bool
+				stored, want = oracleDelete(stored, victim.p, victim.payload)
+				if got, err := mut.Delete(victim.p, victim.payload); err != nil || got != want {
+					t.Fatalf("op %d: Delete = (%v, %v), want %v", i, got, err, want)
+				}
+			}
+			if err := tr.Validate(true); err != nil {
+				t.Fatal(err)
+			}
+			cs, err := tr.CollectStats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Len() != len(stored) || cs.Items != len(stored) {
+				t.Fatalf("Len=%d, the pages hold %d items, the program left %d", tr.Len(), cs.Items, len(stored))
+			}
+
+			park := &parkedLookup{parked: make(chan struct{}), release: make(chan struct{})}
+			tr.SetTracer(park)
+			lookups := make(chan error, 2)
+			go func() {
+				_, err := tr.Lookup(pool[0])
+				lookups <- err
+			}()
+			<-park.parked
+			stop, looped := make(chan struct{}), make(chan struct{}, 1)
+			go func() {
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						lookups <- nil
+						return
+					default:
+					}
+					if _, err := tr.Lookup(pool[i%len(pool)]); err != nil {
+						lookups <- err
+						return
+					}
+					select {
+					case looped <- struct{}{}:
+					default:
+					}
+				}
+			}()
+
+			snap, err := tr.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var viaSnapshot bytes.Buffer
+			if err := snap.Backup(&viaSnapshot); err != nil {
+				t.Fatalf("Snapshot.Backup refused: %v", err)
+			}
+			snap.Release()
+			if !bytes.Equal(viaSnapshot.Bytes(), backupBytes(t, tr)) {
+				t.Fatal("Snapshot().Backup and SnapshotBackup streamed different bytes for one state")
+			}
+			if d != nil {
+				// The durable stream stamps the LSN into the header, which
+				// moves the two checksums; the page frames are the same.
+				var durable bytes.Buffer
+				lsn, err := d.SnapshotBackup(&durable)
+				if err != nil || lsn != d.LSN() {
+					t.Fatalf("DurableTree.SnapshotBackup = %d, %v at LSN %d", lsn, err, d.LSN())
+				}
+				a, b := viaSnapshot.Bytes(), durable.Bytes()
+				if len(a) != len(b) || !bytes.Equal(a[backupHeaderSize:len(a)-4], b[backupHeaderSize:len(b)-4]) {
+					t.Fatal("DurableTree.SnapshotBackup streamed different page frames")
+				}
+			}
+			<-looped // a Lookup ran beside the backups
+			close(stop)
+			close(park.release)
+			for i := 0; i < 2; i++ {
+				if err := <-lookups; err != nil {
+					t.Fatal(err)
+				}
+			}
+			tr.SetTracer(nil)
+			if err := tr.CheckSnapshots(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

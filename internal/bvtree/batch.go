@@ -22,11 +22,11 @@ type BatchOp struct {
 // acquisition, amortising the lock handoff and the end-of-op cache
 // maintenance over the whole batch. It stops at the first failing
 // operation and returns its error; the preceding operations remain
-// applied. Each insert is a pageRun of its own — a save, and a split the
+// applied. Each insert is a put of its own — a save, and a split the
 // moment the page overflows — so a batch builds exactly the tree the
-// same operations build one by one; sharing a run across a z-sorted
-// batch would save writes but change every split, and waits for a
-// workload that measures it.
+// same operations build one by one; sharing one save between the
+// same-page items of a z-sorted batch would save writes but change every
+// split, and waits for a workload that measures it.
 func (t *Tree) ApplyBatch(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
@@ -53,25 +53,16 @@ func (t *Tree) ApplyBatch(ops []BatchOp) error {
 	return err
 }
 
-// applyBatchLocked is ApplyBatch's body (exclusive lock held). When a
-// write buffer is attached the batch routes through it like every other
-// mutation path — the staging cost is O(1) per op and full groups flush
-// inline.
+// applyBatchLocked is ApplyBatch's body (exclusive lock held).
 func (t *Tree) applyBatchLocked(ops []BatchOp) error {
-	ins, del := t.insertLocked, t.deleteLocked
-	if t.buf != nil {
-		ins, del = t.bufferedInsert, t.bufferedDelete
-	}
 	for i := range ops {
 		op := &ops[i]
 		if op.Delete {
-			if _, err := del(op.Point, op.Payload); err != nil {
+			if _, err := t.deleteLocked(op.Point, op.Payload); err != nil {
 				return err
 			}
-		} else {
-			if err := ins(op.Point, op.Payload); err != nil {
-				return err
-			}
+		} else if err := t.insertLocked(op.Point, op.Payload); err != nil {
+			return err
 		}
 	}
 	return nil

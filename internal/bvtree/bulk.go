@@ -27,11 +27,10 @@ import (
 // under the tree's exclusive lock, so the parallelism lives in the
 // address and sort passes where the wins are.
 //
-// On a non-empty tree (or with a non-empty write buffer) it degrades to
-// a z-order-sorted batch apply: the structure is identical in its
-// guarantees to one built by arbitrary-order inserts, and consecutive
-// operations hit the same root-to-leaf path, keeping a paged tree's
-// buffer pool hot.
+// On a non-empty tree it degrades to a z-order-sorted batch apply: the
+// structure is identical in its guarantees to one built by
+// arbitrary-order inserts, and consecutive operations hit the same
+// root-to-leaf path, keeping a paged tree's buffer pool hot.
 func (t *Tree) BulkLoad(points []geometry.Point, payloads []uint64) error {
 	if len(points) != len(payloads) {
 		return fmt.Errorf("bvtree: %d points but %d payloads", len(points), len(payloads))
@@ -44,7 +43,7 @@ func (t *Tree) BulkLoad(points []geometry.Point, payloads []uint64) error {
 	}
 	defer t.mu.Unlock()
 	defer t.endOp()
-	if t.size == 0 && t.rootLevel == 0 && t.buf.empty() {
+	if t.size == 0 && t.rootLevel == 0 {
 		return t.bulkLoadPacked(points, payloads)
 	}
 	ops := make([]BatchOp, len(points))

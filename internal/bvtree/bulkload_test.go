@@ -6,7 +6,7 @@ package bvtree
 // the claims that make it interchangeable: full structural invariants,
 // the paper's 1/3 data-page occupancy floor, exact content equality with
 // the input (as a multiset, duplicates included), graceful degradation on
-// non-empty and buffered trees, and durability of a logged bulk batch.
+// a non-empty tree, and durability of a logged bulk batch.
 
 import (
 	"bytes"
@@ -276,49 +276,6 @@ func TestBulkLoadNonEmptyFallback(t *testing.T) {
 	}
 	if got, want := scanTriples(t, tr), inputTriples(allPts, allPays); !triplesEqual(got, want) {
 		t.Fatal("fallback BulkLoad diverged from insert union")
-	}
-}
-
-// TestBulkLoadBufferedTree loads into a tree whose write buffer holds
-// staged ops: the packed build must not run (it would bypass the staged
-// state), and the combined content must survive a flush.
-func TestBulkLoadBufferedTree(t *testing.T) {
-	tr, err := New(Options{Dims: 2, DataCapacity: 8, Fanout: 8, BufferOps: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	staged := geometry.Point{3 << 50, 5 << 44}
-	if err := tr.Insert(staged, 7); err != nil {
-		t.Fatal(err)
-	}
-	if tr.buf.empty() {
-		t.Fatal("test needs a staged op before the load")
-	}
-	pts := make([]geometry.Point, 300)
-	payloads := make([]uint64, len(pts))
-	rng := rand.New(rand.NewSource(23))
-	for i := range pts {
-		pts[i] = randPoint(rng, 2)
-		payloads[i] = uint64(100 + i)
-	}
-	if err := tr.BulkLoad(pts, payloads); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.FlushBuffer(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != len(pts)+1 {
-		t.Fatalf("Len=%d, want %d", tr.Len(), len(pts)+1)
-	}
-	if err := tr.Validate(true); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tr.Lookup(staged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !containsPayload(got, 7) {
-		t.Fatal("staged insert lost across BulkLoad on a buffered tree")
 	}
 }
 

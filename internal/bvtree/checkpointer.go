@@ -26,7 +26,7 @@ type checkpointer struct {
 
 // AutoCheckpoint makes the tree checkpoint itself in the background
 // whenever the log holds at least logBytes of records (checked on every
-// mutation). Like EnableBuffer it is set after construction, on a new and
+// mutation). Like EnableMetrics it is set after construction, on a new and
 // on a reopened tree alike; a later call changes the size, and
 // logBytes <= 0 turns the trigger off. It is the write path's only
 // setting: everything else about group commit is decided by what the

@@ -344,16 +344,6 @@ func TestReadsStayOnBatchedPath(t *testing.T) {
 			tr = load(t, tr, err, pts)
 			return tr, tr, pts
 		}},
-		{"buffered-before-first-flush", false, func(t *testing.T) (*Tree, reader, []geometry.Point) {
-			bopt := opt
-			bopt.BufferOps = 64
-			tr, err := New(bopt)
-			tr = load(t, tr, err, pts[:40])
-			if st := tr.Stats(); st.BufferFlushes != 0 || st.BufferedOps != 40 {
-				t.Fatalf("want 40 buffered ops and no flush, have %d and %d", st.BufferedOps, st.BufferFlushes)
-			}
-			return tr, tr, pts[:40]
-		}},
 		{"pinned-snapshot-under-writer", false, func(t *testing.T) (*Tree, reader, []geometry.Point) {
 			return pinnedUnderWriter(t, opt)
 		}},

@@ -29,7 +29,10 @@ type matrixEnv struct {
 	base           []geometry.Point // baseline items, payload = index
 }
 
-func newMatrixEnv(t *testing.T) *matrixEnv {
+func newMatrixEnv(t *testing.T) *matrixEnv { return newMatrixEnvN(t, 40) }
+
+// newMatrixEnvN is newMatrixEnv with n checkpointed baseline items.
+func newMatrixEnvN(t *testing.T, n int) *matrixEnv {
 	t.Helper()
 	e := &matrixEnv{
 		dir:     t.TempDir(),
@@ -51,7 +54,7 @@ func newMatrixEnv(t *testing.T) *matrixEnv {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(77))
-	for i := 0; i < 40; i++ {
+	for i := 0; i < n; i++ {
 		p := clusteredPoint(rng, 2)
 		if err := e.d.Insert(p, uint64(i)); err != nil {
 			t.Fatal(err)
@@ -65,7 +68,8 @@ func newMatrixEnv(t *testing.T) *matrixEnv {
 }
 
 // reopen abandons the crashed state and reopens it with the real
-// filesystem, asserting every baseline item survived.
+// filesystem, asserting structural invariants, clean MVCC state and that
+// every baseline item survived.
 func (e *matrixEnv) reopen(t *testing.T) *DurableTree {
 	t.Helper()
 	e.storeFS.CloseAll()
@@ -82,6 +86,9 @@ func (e *matrixEnv) reopen(t *testing.T) *DurableTree {
 	t.Cleanup(func() { d.Close() })
 	if err := d.Validate(true); err != nil {
 		t.Fatalf("invariants after recovery: %v", err)
+	}
+	if err := d.CheckSnapshots(); err != nil {
+		t.Fatalf("mvcc state after recovery: %v", err)
 	}
 	for i, p := range e.base {
 		found, err := contains(d.Tree, p, uint64(i))
@@ -138,6 +145,30 @@ func TestCrashAfterWALAppendBeforeSync(t *testing.T) {
 	e.mustContain(t, d, matrixTarget, matrixPayload, true)
 	if d.Len() != len(e.base)+1 {
 		t.Fatalf("Len=%d, want %d", d.Len(), len(e.base)+1)
+	}
+}
+
+// A failed log fsync after acknowledged but uncheckpointed inserts: the
+// unacked insert is owed nothing, and the ten acked before it — which
+// live in the log alone — all survive the replay.
+func TestCrashAtWALSync(t *testing.T) {
+	e := newMatrixEnv(t)
+	var acked []geometry.Point
+	for i := 0; i < 10; i++ {
+		p := geometry.Point{uint64(i+1) << 33, uint64(i+2) << 41}
+		if err := e.d.Insert(p, uint64(100+i)); err != nil {
+			t.Fatal(err)
+		}
+		acked = append(acked, p)
+	}
+	// Next WAL op is the record append, the one after its sync.
+	e.walFS.SetPlan(fault.Plan{InjectAt: e.walFS.Ops() + 2, Mode: fault.ModeError})
+	if err := e.d.Insert(matrixTarget, matrixPayload); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("insert err = %v, want injected", err)
+	}
+	d := e.reopen(t)
+	for i, p := range acked {
+		e.mustContain(t, d, p, uint64(100+i), true)
 	}
 }
 
@@ -252,4 +283,50 @@ func TestCrashMidCheckpoint(t *testing.T) {
 			e.mustContain(t, d, p, uint64(100+i), true)
 		}
 	}
+}
+
+// TestBulkLoadCrashSweep arms a store fault at every offset of a durable
+// BulkLoad on an empty tree, landing crashes inside the packed build's
+// page materialisation and the index graft. The batch's records hit the
+// log before the build starts, so recovery replays them all: the rebuilt
+// tree must hold exactly the loaded items, page layout notwithstanding.
+func TestBulkLoadCrashSweep(t *testing.T) {
+	const n = 120
+	pts := make([]geometry.Point, n)
+	pays := make([]uint64, n)
+	for i := range pts {
+		pts[i] = geometry.Point{uint64(i*2654435761 + 17), uint64(i*40503+5) << 20}
+		pays[i] = uint64(i)
+	}
+	// Sweep every store-op offset the build performs; the sweep ends at
+	// the first offset past the build (the store is pooled and
+	// pin-dirty, so the build's filesystem op count is modest).
+	const sweep = 64
+	covered := 0
+	for k := 1; k <= sweep; k++ {
+		e := newMatrixEnvN(t, 0)
+		e.storeFS.SetPlan(fault.Plan{InjectAt: e.storeFS.Ops() + k, Mode: fault.ModeError})
+		err := e.d.BulkLoad(pts, pays)
+		if err == nil {
+			if e.storeFS.Injected() {
+				t.Fatalf("k=%d: store fault fired but BulkLoad reported success", k)
+			}
+			break // offset past the whole build
+		}
+		if !errors.Is(err, fault.ErrInjected) && !errors.Is(err, storage.ErrPoisoned) {
+			t.Fatalf("k=%d: BulkLoad err = %v, want injected or poisoned", k, err)
+		}
+		covered++
+		d := e.reopen(t)
+		if d.Len() != n {
+			t.Fatalf("k=%d: recovered Len=%d, want %d (all records were logged before the build)", k, d.Len(), n)
+		}
+		for i := range pts {
+			e.mustContain(t, d, pts[i], pays[i], true)
+		}
+	}
+	if covered < 10 {
+		t.Fatalf("sweep crashed only %d offsets inside the build; too few to call it a sweep", covered)
+	}
+	t.Logf("swept %d crash points inside the packed build", covered)
 }

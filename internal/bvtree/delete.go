@@ -17,22 +17,23 @@ import (
 // overflows is immediately re-split, which is exactly the paper's
 // redistribution (§5): "joining their contents together and then splitting
 // them again".
+//
+// The bool says whether the item left the tree, whatever the error says:
+// a failure that strikes after the removal — saving the page, merging it,
+// contracting the root — comes back as (true, err), and Len has already
+// dropped by one.
 func (t *Tree) Delete(p geometry.Point, payload uint64) (bool, error) {
 	if err := t.lockWrite(); err != nil {
 		return false, err
 	}
 	defer t.mu.Unlock()
 	defer t.endOp()
-	del := t.deleteLocked
-	if t.buf != nil {
-		del = t.bufferedDelete
-	}
 	m, tr := t.metrics, t.tracer
 	if m == nil && tr == nil {
-		return del(p, payload)
+		return t.deleteLocked(p, payload)
 	}
 	start := time.Now()
-	removed, err := del(p, payload)
+	removed, err := t.deleteLocked(p, payload)
 	dur := time.Since(start)
 	if m != nil {
 		m.Delete.Observe(int64(dur))
@@ -68,17 +69,14 @@ func (t *Tree) deleteLocked(p geometry.Point, payload uint64) (bool, error) {
 	}
 	t.size--
 	if err := t.st.SaveData(d.dataID, dp); err != nil {
-		return false, err
+		return true, err
 	}
 	if len(dp.Items) < t.minDataOccupancy() {
 		if err := t.mergeUnderfullData(d, dp); err != nil {
-			return false, err
+			return true, err
 		}
 	}
-	if err := t.contractRoot(); err != nil {
-		return false, err
-	}
-	return true, nil
+	return true, t.contractRoot()
 }
 
 // minDataOccupancy is the underflow threshold: one third of capacity.
@@ -231,15 +229,13 @@ func (t *Tree) dissolveRegion(victimID, nodeID page.ID, node *page.IndexNode) (b
 		return false, err
 	}
 	t.stats.Merges.Inc()
-	// §5: the merge is insertion re-run. One run per item, like ApplyBatch,
-	// so a page splits the moment it overflows.
-	run := pageRun{t: t, moved: true}
+	// §5: the merge is insertion re-run.
 	for _, it := range items {
 		a, err := t.addr(it.Point)
 		if err != nil {
 			return true, err
 		}
-		if err := run.put(a, it); err != nil {
+		if err := t.put(a, it, true); err != nil {
 			return true, err
 		}
 	}

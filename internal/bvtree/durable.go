@@ -267,7 +267,8 @@ func (d *DurableTree) Insert(p geometry.Point, payload uint64) error {
 }
 
 // Delete logs the operation as part of a group commit and applies it; it
-// returns once the record is durable.
+// returns once the record is durable. As with Tree.Delete the bool says
+// whether the item left the tree, beside an error as well as without one.
 func (d *DurableTree) Delete(p geometry.Point, payload uint64) (bool, error) {
 	var ok bool
 	err := d.commit(func() error {
@@ -275,10 +276,7 @@ func (d *DurableTree) Delete(p geometry.Point, payload uint64) (bool, error) {
 		ok, aerr = d.Tree.Delete(p, payload)
 		return aerr
 	}, encodeOp(opDelete, p, payload))
-	if err != nil {
-		return false, err
-	}
-	return ok, nil
+	return ok, err
 }
 
 // InsertBatch inserts points[i] with payload payloads[i] as one logged
@@ -446,11 +444,9 @@ func (d *DurableTree) LSN() uint64 {
 // stream format.
 func (d *DurableTree) SnapshotBackup(w io.Writer) (uint64, error) {
 	d.mu.Lock()
-	// snapshotFlushed drains any write buffer inside the pin's critical
-	// section; d.mu blocks all mutations meanwhile, so the pinned pages
-	// are exactly the effect of operations 1..lsn — including ones that
-	// were buffered when the call arrived.
-	s, err := d.Tree.snapshotFlushed()
+	// d.mu blocks all mutations while the state is pinned, so the pinned
+	// pages are exactly the effect of operations 1..lsn.
+	s, err := d.Tree.Snapshot()
 	if err != nil {
 		d.mu.Unlock()
 		return 0, err

@@ -276,12 +276,10 @@ func TestDurableShadowsTreeMutators(t *testing.T) {
 		"Snapshot": "read", "Stats": "read", "Validate": "read",
 		// instrumentation
 		"ResetAccessCount": "a counter", "SetTracer": "instrumentation",
-		// These rewrite pages but change neither what the tree holds nor the
+		// This rewrites pages but changes neither what the tree holds nor the
 		// store's checkpoint: nothing reaches the disk before the next
 		// Checkpoint, and replay is logical.
-		"EnableBuffer": "moves logged operations between buffer and pages",
-		"FlushBuffer":  "moves logged operations from buffer to pages",
-		"Maintain":     "re-places guards",
+		"Maintain": "re-places guards",
 	}
 	// Reflection cannot tell a promoted method from a declared one, so
 	// the declarations are read from the package's source.

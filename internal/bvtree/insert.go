@@ -30,19 +30,12 @@ func (t *Tree) Insert(p geometry.Point, payload uint64) error {
 	}
 	defer t.mu.Unlock()
 	defer t.endOp()
-	// Every mutation path routes through the buffer when one is attached;
-	// mixing buffered and direct application would let a direct delete
-	// miss a buffered insert.
-	ins := t.insertLocked
-	if t.buf != nil {
-		ins = t.bufferedInsert
-	}
 	m, tr := t.metrics, t.tracer
 	if m == nil && tr == nil {
-		return ins(p, payload)
+		return t.insertLocked(p, payload)
 	}
 	start := time.Now()
-	err := ins(p, payload)
+	err := t.insertLocked(p, payload)
 	dur := time.Since(start)
 	if m != nil {
 		m.Insert.Observe(int64(dur))
@@ -53,45 +46,27 @@ func (t *Tree) Insert(p geometry.Point, payload uint64) error {
 	return err
 }
 
-// insertLocked is Insert's body (exclusive lock held): a run of one.
+// insertLocked is Insert's body (exclusive lock held).
 func (t *Tree) insertLocked(p geometry.Point, payload uint64) error {
 	key, err := t.addr(p)
 	if err != nil {
 		return err
 	}
-	run := pageRun{t: t}
-	return run.put(key, page.Item{Point: p.Clone(), Payload: payload})
+	return t.put(key, page.Item{Point: p.Clone(), Payload: payload}, false)
 }
 
-// pageRun is the one place an item enters a data page: Insert, a buffer
-// flush and the refill of a merge (§5 re-runs insertion) all go through
-// it. add routes the item by the ordinary exact-match descent — which
-// yields the root itself while the root is still a data page — and
-// appends it to the page it lands on, fetched once through wData (a
-// private copy while a pinned view may still read the old one);
-// consecutive adds that land on the same page share that fetch. flush
-// publishes the page with one SaveData and resolves an overflow through
-// splitDataPage.
+// put is the one place an item enters a data page: Insert, every
+// operation of a batch and the refill of a merge (§5 re-runs insertion)
+// all go through it. The item is routed by the ordinary exact-match
+// descent — which yields the root itself while the root is still a data
+// page — and appended to the page it lands on, fetched through wData (a
+// private copy while a pinned view may still read the old one); one
+// SaveData publishes the page and an overflow is resolved through
+// splitDataPage, along the physical parents the descent recorded.
 //
-// Between add and flush the appended items are unpublished — no mirror
-// covers them — and the tree is structurally unchanged, so the physical
-// parents recorded by the descent of the run's first add are still
-// current when flush splits. Anything that reads or restructures data
-// pages — a delete, a second run — must wait for flush. A pageRun with
-// only t (and moved) set is ready to use, and is again after every flush.
-type pageRun struct {
-	t *Tree
-	// moved marks items a merge is re-homing: they are already counted in
-	// the tree's size, and an overflow they cause is a Resplit.
-	moved bool
-
-	id, src page.ID        // the open page and the node holding its entry
-	dp      *page.DataPage // the open page as wData returned it; nil when none is open
-	ctx     *opCtx         // physical parents along the descent to it
-}
-
-func (r *pageRun) add(a region.BitString, it page.Item) error {
-	t := r.t
+// moved marks an item a merge is re-homing: it is already counted in the
+// tree's size, and an overflow it causes is a Resplit.
+func (t *Tree) put(a region.BitString, it page.Item, moved bool) error {
 	ctx := newOpCtx()
 	d, err := t.descendPointCtx(ctx, a)
 	if err != nil {
@@ -99,47 +74,24 @@ func (r *pageRun) add(a region.BitString, it page.Item) error {
 	}
 	id, src := d.dataID, d.dataSrcID
 	putDescent(d)
-	if r.dp == nil || id != r.id {
-		if err := r.flush(); err != nil {
-			return err
-		}
-		dp, err := t.wData(id)
-		if err != nil {
-			return err
-		}
-		r.id, r.src, r.dp, r.ctx = id, src, dp, ctx
+	dp, err := t.wData(id)
+	if err != nil {
+		return err
 	}
-	r.dp.Items = append(r.dp.Items, it)
-	if !r.moved {
+	dp.Items = append(dp.Items, it)
+	if !moved {
 		t.size++
 	}
-	return nil
-}
-
-func (r *pageRun) flush() error {
-	t, dp := r.t, r.dp
-	if dp == nil {
-		return nil
-	}
-	r.dp = nil
-	if err := t.st.SaveData(r.id, dp); err != nil {
+	if err := t.st.SaveData(id, dp); err != nil {
 		return err
 	}
 	if len(dp.Items) <= t.opt.DataCapacity {
 		return nil
 	}
-	if r.moved {
+	if moved {
 		t.stats.Resplits.Inc()
 	}
-	return t.splitDataPage(r.ctx, r.id, r.src)
-}
-
-// put is a run of one item.
-func (r *pageRun) put(a region.BitString, it page.Item) error {
-	if err := r.add(a, it); err != nil {
-		return err
-	}
-	return r.flush()
+	return t.splitDataPage(ctx, id, src)
 }
 
 // descendPointCtx is descendPoint plus physical-parent recording.

@@ -464,13 +464,6 @@ func (t *Tree) newView(pin uint64) *Tree {
 	if t.paged != nil {
 		v.bsrc = sn
 	}
-	if t.buf != nil {
-		// Capture the buffered (pending) state at pin time: the view then
-		// observes applied-at-pin plus pending-at-pin, i.e. exactly the
-		// tree's logical content at the pin, even while flushes race with
-		// the traversal (flushed pages resolve to their pre-images).
-		v.bov = t.buf.overlay()
-	}
 	return v
 }
 
@@ -525,27 +518,6 @@ func (t *Tree) Snapshot() (*Snapshot, error) {
 	return &Snapshot{v: v, owner: t, pin: pin}, nil
 }
 
-// snapshotFlushed drains the write buffer and pins the resulting state in
-// one exclusive critical section, so the returned snapshot carries no
-// pending-operation overlay. SnapshotBackup uses it: the page-granular
-// backup stream cannot represent an overlay, and flushing outside the
-// pin's critical section would let new buffered writes slip in between.
-func (t *Tree) snapshotFlushed() (*Snapshot, error) {
-	if t.mv == nil {
-		return nil, errors.New("bvtree: cannot snapshot a snapshot view")
-	}
-	t.mu.Lock()
-	if err := t.flushAllLocked(); err != nil {
-		t.mu.Unlock()
-		t.endOp()
-		return nil, err
-	}
-	pin := t.mv.pin()
-	v := t.newView(pin)
-	t.mu.Unlock()
-	return &Snapshot{v: v, owner: t, pin: pin}, nil
-}
-
 // Release unpins the snapshot, allowing the pages it kept alive to be
 // reclaimed. Release is idempotent; using the snapshot after Release is
 // a bug (reads may observe later states or freed pages).
@@ -556,8 +528,7 @@ func (s *Snapshot) Release() {
 	}
 }
 
-// Len returns the number of items in the pinned state, counting
-// operations that were buffered but unflushed at the pin.
+// Len returns the number of items in the pinned state.
 func (s *Snapshot) Len() int { return s.v.Len() }
 
 // Height returns the index height of the pinned state.

@@ -67,6 +67,10 @@ func snapshotDifferential(t *testing.T, tr *Tree, pts []geometry.Point, nWriters
 	// outside it, fully concurrent with ongoing writes.
 	var shadowMu sync.Mutex
 	shadow := map[uint64]geometry.Point{}
+	// progress wakes the snapshot takers as the churn advances: committed
+	// counts the writers' inserts, exited the writers that have returned.
+	progress := sync.NewCond(&shadowMu)
+	committed, exited := 0, 0
 
 	base := pts[:len(pts)/4]
 	churn := pts[len(pts)/4:]
@@ -96,6 +100,12 @@ func snapshotDifferential(t *testing.T, tr *Tree, pts []geometry.Point, nWriters
 		writers.Add(1)
 		go func(w int) {
 			defer writers.Done()
+			defer func() {
+				shadowMu.Lock()
+				exited++
+				progress.Broadcast()
+				shadowMu.Unlock()
+			}()
 			for i := w; i < len(churn); i += nWriters {
 				if stop.Load() {
 					return
@@ -105,6 +115,8 @@ func snapshotDifferential(t *testing.T, tr *Tree, pts []geometry.Point, nWriters
 				err := tr.Insert(churn[i], payload)
 				if err == nil {
 					shadow[payload] = churn[i]
+					committed++
+					progress.Broadcast()
 				}
 				shadowMu.Unlock()
 				if err != nil {
@@ -141,8 +153,12 @@ func snapshotDifferential(t *testing.T, tr *Tree, pts []geometry.Point, nWriters
 		go func(g int) {
 			defer takers.Done()
 			for k := 0; k < 4; k++ {
-				time.Sleep(time.Duration(1+g) * time.Millisecond)
+				// The eight pins are spread over the churn, at 1/9 … 8/9 of
+				// its inserts (or wherever the writers stopped).
 				shadowMu.Lock()
+				for committed < (2*k+g+1)*len(churn)/9 && exited < nWriters {
+					progress.Wait()
+				}
 				s, err := tr.Snapshot()
 				want := make(map[uint64]geometry.Point, len(shadow))
 				for payload, p := range shadow {
@@ -480,14 +496,12 @@ func TestSnapshotOfSnapshotFails(t *testing.T) {
 			_, delErr := s.v.Delete(kept, 7)
 			_, maintErr := s.v.Maintain()
 			for what, err := range map[string]error{
-				"Insert":       s.v.Insert(rejected, 8),
-				"Delete":       delErr,
-				"ApplyBatch":   s.v.ApplyBatch([]BatchOp{{Point: rejected, Payload: 8}}),
-				"BulkLoad":     s.v.BulkLoad([]geometry.Point{rejected}, []uint64{8}),
-				"Maintain":     maintErr,
-				"EnableBuffer": s.v.EnableBuffer(4),
-				"FlushBuffer":  s.v.FlushBuffer(),
-				"Flush":        s.v.Flush(),
+				"Insert":     s.v.Insert(rejected, 8),
+				"Delete":     delErr,
+				"ApplyBatch": s.v.ApplyBatch([]BatchOp{{Point: rejected, Payload: 8}}),
+				"BulkLoad":   s.v.BulkLoad([]geometry.Point{rejected}, []uint64{8}),
+				"Maintain":   maintErr,
+				"Flush":      s.v.Flush(),
 			} {
 				if !errors.Is(err, errSnapshotReadOnly) {
 					t.Errorf("%s through a snapshot view: %v, want errSnapshotReadOnly", what, err)

@@ -46,17 +46,9 @@ func (t *Tree) Nearest(p geometry.Point, k int) ([]Neighbor, error) {
 	return out, err
 }
 
-// nearestLocked is Nearest's body, run on a pinned immutable view. A
-// view carrying a buffered-write overlay merges it (see buffer.go).
+// nearestLocked is Nearest's body, run on a pinned immutable view: a
+// best-first search.
 func (t *Tree) nearestLocked(p geometry.Point, k int) ([]Neighbor, error) {
-	if ov := t.bov; ov != nil {
-		return t.nearestOverlay(ov, p, k)
-	}
-	return t.nearestRaw(p, k)
-}
-
-// nearestRaw is the overlay-free best-first search.
-func (t *Tree) nearestRaw(p geometry.Point, k int) ([]Neighbor, error) {
 	if len(p) != t.opt.Dims {
 		return nil, fmt.Errorf("bvtree: point has %d dims, tree has %d", len(p), t.opt.Dims)
 	}

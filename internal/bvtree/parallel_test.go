@@ -625,62 +625,59 @@ func TestParallelRangeCountersAgree(t *testing.T) {
 
 // TestParallelRangeRejectsMalformedRect: a rectangle whose Min or Max
 // does not have the tree's dimensionality is an error — not a panic — at
-// every entry, with and without a write-buffer overlay; an inverted one
-// (Min > Max in some dimension) holds nothing, says so without error and
-// never engages the pool.
+// every entry; an inverted one (Min > Max in some dimension) holds
+// nothing, says so without error and never engages the pool.
 func TestParallelRangeRejectsMalformedRect(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	for _, bufferOps := range []int{0, 64} {
-		tr, err := New(Options{Dims: 2, DataCapacity: 8, Fanout: 8, BufferOps: bufferOps})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3000; i++ {
-			if err := tr.Insert(randPoint(rng, 2), uint64(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		snap, err := tr.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		visit := func(geometry.Point, uint64) bool { t.Fatal("visited an item of a malformed rect"); return false }
-		calls := map[string]func(geometry.Rect) error{
-			"RangeQuery":          func(r geometry.Rect) error { return tr.RangeQuery(r, visit) },
-			"RangeQueryWorkers/8": func(r geometry.Rect) error { return tr.RangeQueryWorkers(r, visit, 8) },
-			"Count":               func(r geometry.Rect) error { _, err := tr.Count(r); return err },
-			"CountWorkers/8":      func(r geometry.Rect) error { _, err := tr.CountWorkers(r, 8); return err },
-			"Snapshot.RangeQuery": func(r geometry.Rect) error { return snap.RangeQuery(r, visit) },
-			"Snapshot.Count":      func(r geometry.Rect) error { _, err := snap.Count(r); return err },
-		}
-		// Unsigned, Max-Min of the inverted dimension wraps to nearly the
-		// whole axis: a volume estimate would call this window huge.
-		max := ^uint64(0)
-		inverted := geometry.Rect{Min: geometry.Point{max, 0}, Max: geometry.Point{0, max}}
-		for name, call := range calls {
-			for _, r := range []geometry.Rect{
-				{Min: geometry.Point{1, 2}, Max: geometry.Point{3}},
-				{Min: geometry.Point{1}, Max: geometry.Point{3, 4}},
-				{Min: geometry.Point{1, 2, 3}, Max: geometry.Point{4, 5, 6}},
-				{},
-			} {
-				if err := call(r); !errors.Is(err, errRectDims) {
-					t.Fatalf("bufferOps %d: %s(%v) returned %v, want errRectDims", bufferOps, name, r, err)
-				}
-			}
-			tasks := tr.Stats().RangeTasks
-			if err := call(inverted); err != nil {
-				t.Fatalf("bufferOps %d: %s on an inverted rect returned %v", bufferOps, name, err)
-			}
-			if got := tr.Stats().RangeTasks; got != tasks {
-				t.Fatalf("bufferOps %d: %s on an inverted rect ran %d engine tasks", bufferOps, name, got-tasks)
-			}
-		}
-		if n, err := tr.Count(inverted); n != 0 || err != nil {
-			t.Fatalf("Count of an inverted rect = %d, %v", n, err)
-		}
-		snap.Release()
+	tr, err := New(Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for i := 0; i < 3000; i++ {
+		if err := tr.Insert(randPoint(rng, 2), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := tr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	visit := func(geometry.Point, uint64) bool { t.Fatal("visited an item of a malformed rect"); return false }
+	calls := map[string]func(geometry.Rect) error{
+		"RangeQuery":          func(r geometry.Rect) error { return tr.RangeQuery(r, visit) },
+		"RangeQueryWorkers/8": func(r geometry.Rect) error { return tr.RangeQueryWorkers(r, visit, 8) },
+		"Count":               func(r geometry.Rect) error { _, err := tr.Count(r); return err },
+		"CountWorkers/8":      func(r geometry.Rect) error { _, err := tr.CountWorkers(r, 8); return err },
+		"Snapshot.RangeQuery": func(r geometry.Rect) error { return snap.RangeQuery(r, visit) },
+		"Snapshot.Count":      func(r geometry.Rect) error { _, err := snap.Count(r); return err },
+	}
+	// Unsigned, Max-Min of the inverted dimension wraps to nearly the
+	// whole axis: a volume estimate would call this window huge.
+	max := ^uint64(0)
+	inverted := geometry.Rect{Min: geometry.Point{max, 0}, Max: geometry.Point{0, max}}
+	for name, call := range calls {
+		for _, r := range []geometry.Rect{
+			{Min: geometry.Point{1, 2}, Max: geometry.Point{3}},
+			{Min: geometry.Point{1}, Max: geometry.Point{3, 4}},
+			{Min: geometry.Point{1, 2, 3}, Max: geometry.Point{4, 5, 6}},
+			{},
+		} {
+			if err := call(r); !errors.Is(err, errRectDims) {
+				t.Fatalf("%s(%v) returned %v, want errRectDims", name, r, err)
+			}
+		}
+		tasks := tr.Stats().RangeTasks
+		if err := call(inverted); err != nil {
+			t.Fatalf("%s on an inverted rect returned %v", name, err)
+		}
+		if got := tr.Stats().RangeTasks; got != tasks {
+			t.Fatalf("%s on an inverted rect ran %d engine tasks", name, got-tasks)
+		}
+	}
+	if n, err := tr.Count(inverted); n != 0 || err != nil {
+		t.Fatalf("Count of an inverted rect = %d, %v", n, err)
+	}
+	snap.Release()
 }
 
 // TestConcurrentRangeQueries joins parallel range queries (the engine's

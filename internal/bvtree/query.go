@@ -59,11 +59,12 @@ func (t *Tree) RangeQueryWorkers(rect geometry.Rect, visit Visitor, workers int)
 	defer release()
 	m, tr := v.metrics, v.tracer
 	if m == nil && tr == nil {
-		return v.rangeQueryLocked(rect, visit, workers)
+		_, err := v.rangeRaw(rect, visit, workers)
+		return err
 	}
 	start := time.Now()
 	var visited int64
-	err := v.rangeQueryLocked(rect, func(p geometry.Point, payload uint64) bool {
+	_, err := v.rangeRaw(rect, func(p geometry.Point, payload uint64) bool {
 		visited++
 		return visit(p, payload)
 	}, workers)
@@ -77,26 +78,15 @@ func (t *Tree) RangeQueryWorkers(rect geometry.Rect, visit Visitor, workers int)
 	return err
 }
 
-// rangeQueryLocked is the query body, run on a pinned immutable view
-// (or with the shared lock held, when the receiver is itself a view).
-// A view carrying a buffered-write overlay takes the merging wrapper;
-// everything else runs the raw traversal directly.
-func (t *Tree) rangeQueryLocked(rect geometry.Rect, visit Visitor, workers int) error {
-	if ov := t.bov; ov != nil {
-		return t.rangeQueryOverlay(ov, rect, visit, workers)
-	}
-	_, err := t.rangeRaw(rect, visit, workers)
-	return err
-}
-
 // errRectDims is what every range and count query returns for a
 // rectangle whose bounds do not both have the tree's dimensionality.
 var errRectDims = errors.New("bvtree: query rect dimensions do not match the tree")
 
-// rangeRaw is the one entry of the overlay-free traversal, for range
-// queries and, with a nil visit, counts (whose result it returns): it
-// validates rect and walks it with the query's workers, or the tree's
-// (Options.RangeWorkers) when the query names none.
+// rangeRaw is the one entry of the traversal, run on a pinned immutable
+// view (or with the shared lock held, when the receiver is itself a
+// view), for range queries and, with a nil visit, counts (whose result
+// it returns): it validates rect and walks it with the query's workers,
+// or the tree's (Options.RangeWorkers) when the query names none.
 func (t *Tree) rangeRaw(rect geometry.Rect, visit Visitor, workers int) (int64, error) {
 	if workers == 0 {
 		workers = t.opt.RangeWorkers
@@ -332,11 +322,11 @@ func (t *Tree) CountWorkers(rect geometry.Rect, workers int) (int, error) {
 	defer release()
 	m, tr := v.metrics, v.tracer
 	if m == nil && tr == nil {
-		n, err := v.countLocked(rect, workers)
+		n, err := v.rangeRaw(rect, nil, workers)
 		return int(n), err
 	}
 	start := time.Now()
-	n, err := v.countLocked(rect, workers)
+	n, err := v.rangeRaw(rect, nil, workers)
 	dur := time.Since(start)
 	if m != nil {
 		m.RangeQuery.Observe(int64(dur))
@@ -345,15 +335,4 @@ func (t *Tree) CountWorkers(rect geometry.Rect, workers int) (int, error) {
 		tr.Trace(obs.Event{Layer: obs.LayerTree, Op: obs.OpRangeQuery, Dur: dur, N: n, Err: err != nil})
 	}
 	return int(n), err
-}
-
-// countLocked is the count body (shared lock held). On a view with a
-// buffered-write overlay the raw count is corrected by the overlay's
-// exact delta (capped deletes make it exact; see buffer.go).
-func (t *Tree) countLocked(rect geometry.Rect, workers int) (int64, error) {
-	n, err := t.rangeRaw(rect, nil, workers)
-	if ov := t.bov; ov != nil && err == nil {
-		n += ov.countDelta(rect)
-	}
-	return n, err
 }

@@ -247,14 +247,6 @@ func (t *Tree) lookupLocked(p geometry.Point) ([]uint64, error) {
 			out = append(out, dp.Items[base+bits.TrailingZeros64(m)].Payload)
 		}
 	}
-	// Merge buffered operations: pending deletes each suppress one
-	// applied occurrence, pending inserts append. Nil checks only on the
-	// (usual) bufferless path, preserving the allocation-free fast path.
-	if t.buf != nil {
-		out = t.buf.mergeLookup(p, out)
-	} else if t.bov != nil {
-		out = t.bov.mergeLookup(p, out)
-	}
 	return out, nil
 }
 

@@ -62,14 +62,6 @@ type Options struct {
 	// BenchmarkInstrumented). It can also be flipped later with
 	// EnableMetrics.
 	Metrics bool
-	// BufferOps, when positive, attaches a write buffer to the tree:
-	// inserts and deletes are staged in O(1) per operation and flushed
-	// downward in z-sorted batches of up to BufferOps operations per
-	// root subtree (see buffer.go and DESIGN.md §13). All reads observe
-	// buffered operations; Validate, CollectStats and backups describe
-	// the applied state, so call FlushBuffer before relying on them.
-	// It can also be enabled (or resized) later with EnableBuffer.
-	BufferOps int
 }
 
 func (o *Options) fill() error {
@@ -96,9 +88,6 @@ func (o *Options) fill() error {
 	}
 	if o.RangeWorkers < 0 {
 		return fmt.Errorf("bvtree: negative RangeWorkers %d", o.RangeWorkers)
-	}
-	if o.BufferOps < 0 {
-		return fmt.Errorf("bvtree: negative BufferOps %d", o.BufferOps)
 	}
 	return nil
 }
@@ -170,14 +159,6 @@ type Tree struct {
 	// mv is the snapshot/epoch machinery (see mvcc.go); nil only on the
 	// immutable view trees mv itself creates.
 	mv *mvccState
-
-	// buf is the optional write buffer (Options.BufferOps, EnableBuffer);
-	// nil when buffering is off and always nil on view trees. Mutated
-	// only under the exclusive lock, read under the shared lock.
-	buf *writeBuffer
-	// bov is set only on view trees: the owner's buffered state captured
-	// at pin time, merged into the view's reads (see buffer.go).
-	bov *bufOverlay
 }
 
 // New returns an in-memory BV-tree.
@@ -220,7 +201,7 @@ func NewPaged(st storage.Store, opt Options) (*Tree, error) {
 // OpenPaged reopens a tree previously created with NewPaged and persisted
 // with Flush. Its Options are the persisted shape (Dims, DataCapacity,
 // Fanout, BitsPerDim, LevelScaledPages) plus cacheNodes; the rest
-// (RangeWorkers, Metrics, BufferOps) start at their zero values.
+// (RangeWorkers, Metrics) start at their zero values.
 func OpenPaged(st storage.Store, cacheNodes int) (*Tree, error) {
 	blob, err := st.ReadNode(metaPageID)
 	if err != nil {
@@ -263,19 +244,14 @@ func OpenPaged(st storage.Store, cacheNodes int) (*Tree, error) {
 	return t, nil
 }
 
-// Flush drains the write buffer (if any), persists the tree's root
-// record and syncs the backing store. The persistence step is a no-op
-// for in-memory trees. The tree is only reopenable from state captured
-// by the last Flush; draining first is what keeps a durable checkpoint
-// from truncating the log while buffered operations are unapplied.
+// Flush persists the tree's root record and syncs the backing store; it
+// is a no-op for in-memory trees. The tree is only reopenable from state
+// captured by the last Flush.
 func (t *Tree) Flush() error {
 	if err := t.lockWrite(); err != nil {
 		return err
 	}
 	defer t.mu.Unlock()
-	if err := t.flushAllLocked(); err != nil {
-		return err
-	}
 	if t.bst == nil {
 		return nil
 	}
@@ -309,9 +285,6 @@ func newTree(ns NodeStore, pn *pagedNodes, bst storage.Store, opt Options) (*Tre
 	if opt.Metrics {
 		t.metrics = &obs.TreeMetrics{}
 	}
-	if opt.BufferOps > 0 {
-		t.buf = newWriteBuffer(opt.BufferOps)
-	}
 	id, _, err := ns.AllocData(region.BitString{})
 	if err != nil {
 		return nil, err
@@ -337,19 +310,11 @@ func (t *Tree) advanceEpoch() {
 	t.epoch++
 }
 
-// Len returns the number of stored items, counting buffered-but-
-// unflushed inserts and deletes (t.size itself tracks only applied
-// items — Validate's walk compares against it).
+// Len returns the number of stored items.
 func (t *Tree) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := t.size
-	if t.buf != nil {
-		n += t.buf.insN - t.buf.delN
-	} else if t.bov != nil {
-		n += t.bov.delta
-	}
-	return n
+	return t.size
 }
 
 // Height returns the index height h: the number of index levels above the

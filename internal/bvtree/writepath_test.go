@@ -1,8 +1,8 @@
 package bvtree
 
-// Tests of the one write path: every item enters a data page through
-// pageRun (insert.go), whatever the tree's height and whichever of Insert,
-// a buffer flush or a merge's refill put it there.
+// Tests of the one write path: every item enters a data page through put
+// (insert.go), whatever the tree's height and whichever of Insert,
+// ApplyBatch or a merge's refill put it there.
 
 import (
 	"bytes"
@@ -19,6 +19,31 @@ import (
 	"bvtree/internal/workload"
 )
 
+// oracleItem mirrors one stored item in the linear-scan oracle.
+type oracleItem struct {
+	p       geometry.Point
+	payload uint64
+}
+
+func oracleDelete(items []oracleItem, p geometry.Point, payload uint64) ([]oracleItem, bool) {
+	for i, it := range items {
+		if it.payload == payload && it.p.Equal(p) {
+			return append(items[:i], items[i+1:]...), true
+		}
+	}
+	return items, false
+}
+
+// oracleKeys lists the oracle's items in the form and order of collect.
+func oracleKeys(items []oracleItem) []string {
+	out := make([]string, len(items))
+	for i, it := range items {
+		out[i] = fmt.Sprintf("%v/%d", it.p, it.payload)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // checkAgainstOracle is the per-step check of the write-path table: the
 // structure validates, Len agrees, and a full scan returns exactly the
 // oracle's multiset.
@@ -30,12 +55,7 @@ func checkAgainstOracle(t *testing.T, tr *Tree, oracle []oracleItem, step string
 	if tr.Len() != len(oracle) {
 		t.Fatalf("%s: Len=%d, oracle holds %d", step, tr.Len(), len(oracle))
 	}
-	universe := geometry.UniverseRect(2)
-	got, err := collectBufRange(tr, universe)
-	if err != nil {
-		t.Fatalf("%s: %v", step, err)
-	}
-	want := oracleRangeKeys(oracle, universe)
+	got, want := collect(t, tr.Scan), oracleKeys(oracle)
 	if len(got) != len(want) {
 		t.Fatalf("%s: scan returns %d items, oracle holds %d", step, len(got), len(want))
 	}
@@ -99,24 +119,6 @@ func TestWritePathAtEveryHeight(t *testing.T) {
 		}
 		checkAgainstOracle(s.t, s.tr, s.oracle, step)
 	}
-	buffered := func(n int) func(*state) {
-		return func(s *state) {
-			if err := s.tr.EnableBuffer(n); err != nil {
-				s.t.Fatal(err)
-			}
-			for i := 0; i < 150; i++ {
-				if s.rng.Intn(3) == 0 {
-					remove(s, fmt.Sprintf("buffered delete %d", i))
-				} else {
-					insert(s, fmt.Sprintf("buffered insert %d", i))
-				}
-			}
-			if err := s.tr.FlushBuffer(); err != nil {
-				s.t.Fatal(err)
-			}
-			checkAgainstOracle(s.t, s.tr, s.oracle, "after FlushBuffer")
-		}
-	}
 	drives := []struct {
 		name string
 		run  func(*state)
@@ -131,8 +133,6 @@ func TestWritePathAtEveryHeight(t *testing.T) {
 				remove(s, fmt.Sprintf("delete %d", i))
 			}
 		}},
-		{"buffered-4", buffered(4)},
-		{"buffered-64", buffered(64)},
 		{"delete-until-merge", func(s *state) {
 			for i := 0; len(s.oracle) > 0; i++ {
 				remove(s, fmt.Sprintf("delete %d", i))
@@ -172,9 +172,9 @@ func TestWritePathAtEveryHeight(t *testing.T) {
 	}
 }
 
-// TestMergeRefillOverflows pins the refill's run: items a merge re-homes
-// go through pageRun marked moved, so Len does not move and a page they
-// overflow is split again and counted as a Resplit.
+// TestMergeRefillOverflows pins the refill: items a merge re-homes go
+// through put marked moved, so Len does not move and a page they overflow
+// is split again and counted as a Resplit.
 func TestMergeRefillOverflows(t *testing.T) {
 	tr, err := New(Options{Dims: 2, DataCapacity: 4, Fanout: 8})
 	if err != nil {
@@ -319,150 +319,75 @@ func TestBuildIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestBufferedFlushFailureKeepsTail sweeps a store failure over every
-// store operation of a FlushBuffer and checks flushGroupLocked's contract
-// for what is left: the operations the flush had not reached are
-// registered in the buffer again, each once and in a group a later flush
-// will drain, reads still see them in front of the tree, and no operation
-// is both applied and registered.
-func TestBufferedFlushFailureKeepsTail(t *testing.T) {
-	opt := Options{Dims: 2, DataCapacity: 4, Fanout: 4, BufferOps: 1 << 20}
-	const base, pending = 120, 48
-	pts, err := workload.Generate(workload.Clustered, 2, base+pending, 5)
+// TestDeleteReportsRemovalDespiteError sweeps a store failure over every
+// store operation of a delete-until-merge and pins what Delete's bool means
+// beside an error: whether the item left the tree, which is whether Len
+// dropped. A fault inside the merge or the root contraction that follows a
+// removal used to come back as (false, err) — "not found" about an item
+// that was gone.
+func TestDeleteReportsRemovalDespiteError(t *testing.T) {
+	opt := Options{Dims: 2, DataCapacity: 4, Fanout: 4}
+	pts, err := workload.Generate(workload.Clustered, 2, 160, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// setup applies `base` inserts and leaves `pending` inserts, and a
-	// delete of an applied item for every fourth of them, in the buffer of
-	// a tree whose store fails its failAt-th operation.
-	setup := func(failAt int) (*Tree, *fault.Store) {
+	order := rand.New(rand.NewSource(10)).Perm(len(pts))
+	build := func(failAt int) (*Tree, *fault.Store) {
 		fst := fault.NewStore(storage.NewMemStore(), failAt)
 		tr, err := NewPaged(fst, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < base+pending; i++ {
-			if i == base {
-				if err := tr.FlushBuffer(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := tr.Insert(pts[i], uint64(i)); err != nil {
+		for i, p := range pts {
+			if err := tr.Insert(p, uint64(i)); err != nil {
 				t.Fatal(err)
-			}
-			if i >= base && i%4 == 0 {
-				if ok, err := tr.Delete(pts[i-base], uint64(i-base)); err != nil || !ok {
-					t.Fatalf("delete %d: %v %v", i-base, ok, err)
-				}
 			}
 		}
 		return tr, fst
 	}
-	registered := func(tr *Tree) []*bufOp {
-		var ops []*bufOp
-		for _, lists := range []map[string][]*bufOp{tr.buf.ins, tr.buf.del} {
-			for _, list := range lists {
-				ops = append(ops, list...)
+	// drain deletes every item and returns the first failing Delete's
+	// answer, the number of items that left Len during that call, and
+	// whether the call had got as far as dissolving a page.
+	drain := func(tr *Tree) (removed bool, dropped int, merging bool, err error) {
+		for _, i := range order {
+			size, merges := tr.Len(), tr.Stats().Merges
+			removed, err = tr.Delete(pts[i], uint64(i))
+			if err != nil {
+				return removed, size - tr.Len(), tr.Stats().Merges > merges, err
+			}
+			if !removed {
+				t.Fatalf("delete %d: not found", i)
 			}
 		}
-		return ops
+		return false, 0, false, nil
 	}
-	tr, fst := setup(0)
+	tr, fst := build(0)
 	before := fst.Ops()
-	if err := tr.FlushBuffer(); err != nil {
+	if _, _, _, err := drain(tr); err != nil {
 		t.Fatal(err)
 	}
-	flushOps := fst.Ops() - before
-	if flushOps < pending/2 {
-		t.Fatalf("a clean flush made only %d store operations", flushOps)
+	deleteOps := fst.Ops() - before
+	if tr.Stats().Merges == 0 {
+		t.Fatal("emptying the tree merged no page")
 	}
-	universe := geometry.UniverseRect(2)
-	for k := 1; k <= flushOps; k++ {
-		tr, fst := setup(before + k)
+	inMerge := 0
+	for k := 1; k <= deleteOps; k++ {
+		tr, fst := build(before + k)
 		if fst.Tripped() {
-			t.Fatalf("k=%d: the store failed before the flush", k)
+			t.Fatalf("k=%d: the store failed before the first delete", k)
 		}
-		// The flush order of each group: (address, sequence).
-		groups := map[page.ID][]*bufOp{}
-		for _, op := range registered(tr) {
-			groups[op.gid] = append(groups[op.gid], op)
+		removed, dropped, merging, err := drain(tr)
+		if !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("k=%d: drain = %v, want the injected failure", k, err)
 		}
-		for _, g := range groups {
-			sort.Slice(g, func(i, j int) bool {
-				if c := g[i].addr.Compare(g[j].addr); c != 0 {
-					return c < 0
-				}
-				return g[i].seq < g[j].seq
-			})
+		if dropped != 0 && dropped != 1 || removed != (dropped == 1) {
+			t.Fatalf("k=%d: Delete = (%v, %v) while Len dropped by %d", k, removed, err, dropped)
 		}
-		if err := tr.FlushBuffer(); !errors.Is(err, fault.ErrInjected) {
-			t.Fatalf("k=%d: FlushBuffer = %v, want the injected failure", k, err)
+		if merging {
+			inMerge++
 		}
-		left := map[*bufOp]bool{}
-		ins, del := 0, 0
-		for _, op := range registered(tr) {
-			if left[op] {
-				t.Fatalf("k=%d: an operation is registered twice", k)
-			}
-			left[op] = true
-			if op.del {
-				del++
-			} else {
-				ins++
-			}
-		}
-		if tr.buf.insN != ins || tr.buf.delN != del {
-			t.Fatalf("k=%d: buffer counts %d+%d, holds %d+%d", k, tr.buf.insN, tr.buf.delN, ins, del)
-		}
-		live := 0
-		for _, g := range tr.buf.groups {
-			live += g.live
-			for _, op := range g.ops {
-				if !left[op] {
-					t.Fatalf("k=%d: a group holds an operation that is not registered", k)
-				}
-			}
-		}
-		if live != len(left) {
-			t.Fatalf("k=%d: groups hold %d live operations, %d are registered", k, live, len(left))
-		}
-		for gid, g := range groups {
-			for i := 1; i < len(g); i++ {
-				if left[g[i-1]] && !left[g[i]] {
-					t.Fatalf("k=%d: group %d: what is left is not a tail of the flush order", k, gid)
-				}
-			}
-			for _, op := range g {
-				got, err := tr.Lookup(op.point)
-				if err != nil {
-					t.Fatalf("k=%d: %v", k, err)
-				}
-				n := 0
-				for _, payload := range got {
-					if payload == op.payload {
-						n++
-					}
-				}
-				switch {
-				case op.del && n != 0:
-					t.Fatalf("k=%d: deleted item %d is visible (registered again: %v)", k, op.payload, left[op])
-				case !op.del && left[op] && n != 1:
-					t.Fatalf("k=%d: unapplied insert %d is visible %d times", k, op.payload, n)
-				case !op.del && n > 1:
-					t.Fatalf("k=%d: insert %d is visible %d times", k, op.payload, n)
-				}
-			}
-		}
-		raw, err := tr.rangeRaw(universe, nil, 1)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		got, err := tr.Count(universe)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if want := int(raw) + ins - del; got != want {
-			t.Fatalf("k=%d: Count=%d, the tree holds %d and the buffer %d inserts and %d deletes", k, got, raw, ins, del)
-		}
+	}
+	if inMerge == 0 {
+		t.Fatalf("none of %d faults landed inside a merge's refill", deleteOps)
 	}
 }

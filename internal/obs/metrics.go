@@ -27,8 +27,6 @@ type TreeCounters struct {
 	RangeTasks      Counter
 	RangeFullPages  Counter
 	RangeBatchPages Counter
-	BufferedOps     Counter
-	BufferFlushes   Counter
 	BatchTests      Counter
 }
 
@@ -66,12 +64,6 @@ type TreeCountersSnapshot struct {
 	// RangeBatchPages counts data pages a range or count traversal read
 	// from the store through the batched read seam (cache misses only).
 	RangeBatchPages uint64 `json:"range_batch_pages"`
-	// BufferedOps counts mutations absorbed by the write buffer instead
-	// of descending immediately (zero when buffering is off).
-	BufferedOps uint64 `json:"buffered_ops"`
-	// BufferFlushes counts buffer drains: a full per-node buffer flushing
-	// downward, or an explicit/implicit FlushBuffer.
-	BufferFlushes uint64 `json:"buffer_flushes"`
 	// BatchTests counts batched predicate passes over a node's columnar
 	// mirror: one per index node or data page whose entries were tested
 	// as columns. It trails NodeAccesses only by the pages a query needs
@@ -96,8 +88,6 @@ func (c *TreeCounters) Snapshot() TreeCountersSnapshot {
 		RangeTasks:      c.RangeTasks.Load(),
 		RangeFullPages:  c.RangeFullPages.Load(),
 		RangeBatchPages: c.RangeBatchPages.Load(),
-		BufferedOps:     c.BufferedOps.Load(),
-		BufferFlushes:   c.BufferFlushes.Load(),
 		BatchTests:      c.BatchTests.Load(),
 	}
 }
@@ -117,7 +107,6 @@ type TreeMetrics struct {
 	GuardSet     Histogram // max guard-set size per descent (sampled; paper bound: ≤ x−1)
 	BatchSize    Histogram // operations per applied batch
 	RangeFanout  Histogram // qualifying children per parallel range-engine task
-	FlushBatch   Histogram // live operations applied per buffer flush
 
 	descentSeq atomic.Uint64 // drives the 1-in-descentSampleRate shape sampling
 }
@@ -161,7 +150,6 @@ type TreeSnapshot struct {
 	GuardSet     HistogramSnapshot `json:"guard_set"`
 	BatchSize    HistogramSnapshot `json:"batch_size"`
 	RangeFanout  HistogramSnapshot `json:"range_fanout"`
-	FlushBatch   HistogramSnapshot `json:"flush_batch"`
 }
 
 // Snapshot summarises the histograms.
@@ -178,7 +166,6 @@ func (m *TreeMetrics) Snapshot() TreeSnapshot {
 		GuardSet:       m.GuardSet.Snapshot(),
 		BatchSize:      m.BatchSize.Snapshot(),
 		RangeFanout:    m.RangeFanout.Snapshot(),
-		FlushBatch:     m.FlushBatch.Snapshot(),
 	}
 }
 

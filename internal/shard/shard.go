@@ -382,8 +382,6 @@ func (r *Router) AggregateCounters() obs.TreeCountersSnapshot {
 		agg.RangeTasks += c.RangeTasks
 		agg.RangeFullPages += c.RangeFullPages
 		agg.RangeBatchPages += c.RangeBatchPages
-		agg.BufferedOps += c.BufferedOps
-		agg.BufferFlushes += c.BufferFlushes
 		agg.BatchTests += c.BatchTests
 	}
 	return agg
