@@ -10,8 +10,8 @@ GO ?= go
 # covers the reader/writer stress tests, the group-commit/batch write
 # path (TestGroupCommit* in internal/wal, TestConcurrentBatch* in
 # internal/bvtree), the instrumentation path (TestConcurrentMetrics),
-# the histogram core (TestConcurrentHistogram in internal/obs) and the
-# parallel range-query engine (TestParallelRange* in internal/bvtree),
+# the histogram core (TestConcurrentHistogram in internal/obs), the
+# range-walk differentials (TestParallelRange* in internal/bvtree),
 # the MVCC snapshot/backup differential tests (TestSnapshot* in
 # internal/bvtree) and the columnar node-layout smoke
 # (TestColumnar* in internal/bvtree: concurrent batched reads against a
@@ -27,21 +27,17 @@ GO ?= go
 # is vetted first, so that a PR which may not edit benchmark/ cannot
 # delete an option or change a signature the harness uses (of the durable
 # write path: NewDurableLog, OpenDurableLog, Checkpoint and GroupStats).
-# Range queries run inline unless a caller asks for workers, so only the
-# two test families that pass worker counts above 1 depend on how many
-# CPUs schedule the pool's goroutines: they run again at GOMAXPROCS=1
-# and 8. The system benchmarks of bench_test.go (instrumentation
-# on/off, durable write disciplines, inserts under a backup, mixed
-# parallel reads, the profilable replica of point-cold, and the inline
-# walk against the worker pool) are recorded nowhere and run on demand,
-# so the last step runs each once to keep them compiling and passing.
+# The system benchmarks of bench_test.go (instrumentation on/off,
+# durable write disciplines, inserts under a backup, mixed parallel
+# reads, the profilable replica of point-cold, and the range walk on
+# cached and cold trees) are recorded nowhere and run on demand, so the
+# last step runs each once to keep them compiling and passing.
 verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/docslint
-	for p in 1 8; do GOMAXPROCS=$$p $(GO) test -count=1 -run 'TestParallelRange|TestColumnarPruned' ./internal/bvtree || exit 1; done
 	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestColumnar|TestShard' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard
 	$(GO) test -run '^$$' -bench 'Instrumented|DurableInsert|UnderBackup|MixedRead|ColdLookup|RangeDrive' -benchtime 1x .
 

@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -445,12 +444,12 @@ func windowsOf(pts []bvtree.Point, k, count int, rng *rand.Rand) []bvtree.Rect {
 	return out
 }
 
-// BenchmarkRangeDrive is the whole trial behind "range queries run inline
-// unless asked" (EXPERIMENTS.md): visiting and counting windows of 4097
-// items and of a third of a 100k-point clustered tree, fully cached and
-// reopened cold, on the inline walk (workers=1) against the worker pool
-// at N = the -cpu value. At -cpu 1 both arms run the inline walk, which
-// shows the host's own spread.
+// BenchmarkRangeDrive measures the range walk on the windows of
+// EXPERIMENTS.md's "one range walk" record: visiting and counting windows
+// of 4097 items and of a third of a 100k-point clustered tree, fully
+// cached and reopened cold. Beside the time it reports the walk's cost
+// against the O(log n + k) yardstick: nodes fetched per item delivered,
+// and data pages fetched that gave the window no item.
 func BenchmarkRangeDrive(b *testing.B) {
 	const n = 100_000
 	pts, err := workload.Generate(workload.Clustered, 2, n, 1)
@@ -473,26 +472,24 @@ func BenchmarkRangeDrive(b *testing.B) {
 		}
 		for _, sz := range sizes {
 			for _, op := range []string{"visit", "count"} {
-				for _, arm := range []string{"workers=1", "workers=N"} {
-					b.Run(state+"/"+sz.name+"/"+op+"/"+arm, func(b *testing.B) {
-						workers := 1
-						if arm == "workers=N" {
-							workers = runtime.GOMAXPROCS(0)
+				b.Run(state+"/"+sz.name+"/"+op, func(b *testing.B) {
+					before := tr.Stats()
+					for i := 0; i < b.N; i++ {
+						var err error
+						got, w := 0, sz.wins[i%len(sz.wins)]
+						if op == "count" {
+							got, err = tr.Count(w)
+						} else {
+							err = tr.RangeQuery(w, func(bvtree.Point, uint64) bool { got++; return true })
 						}
-						for i := 0; i < b.N; i++ {
-							var err error
-							got, w := 0, sz.wins[i%len(sz.wins)]
-							if op == "count" {
-								got, err = tr.CountWorkers(w, workers)
-							} else {
-								err = tr.RangeQueryWorkers(w, func(bvtree.Point, uint64) bool { got++; return true }, workers)
-							}
-							if err != nil || got != sz.items {
-								b.Fatalf("%d items, want %d: %v", got, sz.items, err)
-							}
+						if err != nil || got != sz.items {
+							b.Fatalf("%d items, want %d: %v", got, sz.items, err)
 						}
-					})
-				}
+					}
+					after := tr.Stats()
+					b.ReportMetric(float64(after.NodeAccesses-before.NodeAccesses)/float64(b.N*sz.items), "nodes/item")
+					b.ReportMetric(float64(after.RangeEmptyPages-before.RangeEmptyPages)/float64(b.N), "empty-pages/op")
+				})
 			}
 		}
 	}

@@ -221,9 +221,6 @@ func TestRangeQueryAllocs(t *testing.T) {
 	tr, _ := buildAllocTree(t, 4000)
 	rect := geometry.UniverseRect(2)
 	count := 0
-	// The default drive — the inline walk — carries the allocation
-	// guarantee. The worker pool allocates by design (goroutines, channels,
-	// per-batch buffers) and runs only for a caller who asks for workers.
 	allocs := testing.AllocsPerRun(20, func() {
 		count = 0
 		err := tr.RangeQuery(rect, func(geometry.Point, uint64) bool {

@@ -31,9 +31,7 @@ type qtree interface {
 	Len() int
 	Scan(Visitor) error
 	RangeQuery(geometry.Rect, Visitor) error
-	RangeQueryWorkers(geometry.Rect, Visitor, int) error
 	Count(geometry.Rect) (int, error)
-	CountWorkers(geometry.Rect, int) (int, error)
 	Nearest(geometry.Point, int) ([]Neighbor, error)
 	Validate(bool) error
 }
@@ -116,9 +114,9 @@ func columnarWorkload(t *testing.T, kind string, dims, n int) []geometry.Point {
 
 // TestColumnarDifferential drives an insert/delete stream through a tree
 // on every backend and checks every read answer against the scalar
-// reference walk of the same tree: range queries and counts (serial and
-// at four workers) as multisets, and Lookup and Nearest against linear
-// scans of the reference's full scan.
+// reference walk of the same tree: range queries and counts as
+// multisets, and Lookup and Nearest against linear scans of the
+// reference's full scan.
 func TestColumnarDifferential(t *testing.T) {
 	const dims, n = 2, 2500
 	for _, backend := range []string{"mem", "paged", "durable"} {
@@ -154,21 +152,12 @@ func TestColumnarDifferential(t *testing.T) {
 					rect := rect
 					a := collect(t, func(v Visitor) error { return cols.RangeQuery(rect, v) })
 					equalMultiset(t, fmt.Sprintf("RangeQuery %d", qi), a, referenceRange(t, cols, rect))
-					c := collect(t, func(v Visitor) error { return cols.RangeQueryWorkers(rect, v, 4) })
-					equalMultiset(t, fmt.Sprintf("RangeQueryWorkers %d", qi), c, a)
 					cnt, err := cols.Count(rect)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if cnt != len(a) {
 						t.Fatalf("Count %d: %d, RangeQuery returned %d", qi, cnt, len(a))
-					}
-					wcnt, err := cols.CountWorkers(rect, 4)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if wcnt != len(a) {
-						t.Fatalf("CountWorkers %d: %d, want %d", qi, wcnt, len(a))
 					}
 				}
 				for qi := 0; qi < 40; qi++ {
@@ -260,7 +249,7 @@ func TestColumnarConcurrent(t *testing.T) {
 					return
 				}
 				rect := rects[r%len(rects)]
-				if err := tr.RangeQueryWorkers(rect, func(geometry.Point, uint64) bool { return true }, 2); err != nil {
+				if err := tr.RangeQuery(rect, func(geometry.Point, uint64) bool { return true }); err != nil {
 					t.Error(err)
 					return
 				}

@@ -269,11 +269,11 @@ func TestDurableShadowsTreeMutators(t *testing.T) {
 	promoted := map[string]string{
 		// reads
 		"CheckSnapshots": "read", "CollectStats": "read", "Contains": "read",
-		"Count": "read", "CountWorkers": "read", "Dump": "read", "Epoch": "read",
-		"Height": "read", "Len": "read", "Lookup": "read", "Nearest": "read",
-		"Options": "read", "PartialMatch": "read", "RangeQuery": "read",
-		"RangeQueryWorkers": "read", "Scan": "read", "SearchCost": "read",
-		"Snapshot": "read", "Stats": "read", "Validate": "read",
+		"Count": "read", "Dump": "read", "Epoch": "read", "Height": "read",
+		"Len": "read", "Lookup": "read", "Nearest": "read", "Options": "read",
+		"PartialMatch": "read", "RangeQuery": "read", "RangeQueryWorkers": "read",
+		"Scan": "read", "SearchCost": "read", "Snapshot": "read",
+		"Stats": "read", "Validate": "read",
 		// instrumentation
 		"ResetAccessCount": "a counter", "SetTracer": "instrumentation",
 		// This rewrites pages but changes neither what the tree holds nor the

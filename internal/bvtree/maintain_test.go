@@ -97,10 +97,3 @@ func TestMaintainEmptyAndTiny(t *testing.T) {
 		t.Fatalf("tiny: %d %v", n, err)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -280,77 +280,6 @@ func TestSnapshotDifferentialPaged(t *testing.T) {
 	}
 }
 
-// TestSnapshotParallelEngine runs the parallel range engine on a pinned
-// snapshot while writers churn, and checks the result against the
-// commit-point shadow — the engine's workers traverse with no tree lock
-// at all, so this is the racing path the -race run exists for.
-func TestSnapshotParallelEngine(t *testing.T) {
-	pts, err := workload.Generate(workload.Uniform, 2, 6000, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := New(Options{Dims: 2, DataCapacity: 8, Fanout: 8, RangeWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var shadowMu sync.Mutex
-	shadow := map[uint64]geometry.Point{}
-	for i, p := range pts[:3000] {
-		if err := tr.Insert(p, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-		shadow[uint64(i)] = p
-	}
-	var writers sync.WaitGroup
-	var werr atomic.Value
-	for w := 0; w < 4; w++ {
-		writers.Add(1)
-		go func(w int) {
-			defer writers.Done()
-			for i := 3000 + w; i < len(pts); i += 4 {
-				shadowMu.Lock()
-				err := tr.Insert(pts[i], uint64(i))
-				if err == nil {
-					shadow[uint64(i)] = pts[i]
-				}
-				shadowMu.Unlock()
-				if err != nil {
-					werr.Store(err)
-					return
-				}
-			}
-		}(w)
-	}
-	shadowMu.Lock()
-	s, err := tr.Snapshot()
-	want := make(map[uint64]geometry.Point, len(shadow))
-	for payload, p := range shadow {
-		want[payload] = p
-	}
-	shadowMu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Release()
-	got := map[uint64]geometry.Point{}
-	var gotMu sync.Mutex
-	if err := s.v.RangeQueryWorkers(UniverseRectFor(tr), func(p geometry.Point, payload uint64) bool {
-		gotMu.Lock()
-		got[payload] = p.Clone()
-		gotMu.Unlock()
-		return true
-	}, 4); err != nil {
-		t.Fatal(err)
-	}
-	writers.Wait()
-	if err, _ := werr.Load().(error); err != nil {
-		t.Fatal(err)
-	}
-	if err := diffSets(want, got); err != nil {
-		t.Fatalf("parallel engine on snapshot: %v", err)
-	}
-}
-
 // TestSnapshotSlowVisitorDoesNotBlockInsert is the lock-drop regression
 // test: a range query whose visitor parks indefinitely must not hold the
 // tree lock, so a concurrent Insert completes while the visitor sleeps.

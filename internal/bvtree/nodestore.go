@@ -28,10 +28,11 @@ type NodeStore interface {
 	Free(id page.ID) error
 }
 
-// dataBatcher is the batched-read seam of the range-query engine,
-// implemented by the decoded cache of a paged tree and by the
-// chain-resolving node source of a pinned view. Trees expose it as
-// Tree.bsrc so the engine runs identically on live trees and snapshots.
+// dataBatcher is the batched-read seam of the range walk (dataBatch)
+// and of Nearest (prefetch), implemented by the decoded cache of a paged
+// tree and by the chain-resolving node source of a pinned view. Trees
+// expose it as Tree.bsrc so both run identically on live trees and
+// snapshots.
 type dataBatcher interface {
 	dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]byte, miss []page.ID) ([]*page.DataPage, [][]byte, []page.ID, error)
 	prefetch(ids []page.ID, scratch []page.ID) []page.ID
@@ -166,8 +167,8 @@ type pagedNodes struct {
 
 	// br/pf are the store's optional batched-read and prefetch seams,
 	// resolved once at construction. Either may be nil (a fault-injecting
-	// wrapper, say, implements only the plain Store), in which case the
-	// range engine falls back to per-node reads.
+	// wrapper, say, implements only the plain Store), in which case a
+	// range walk falls back to per-node reads and prefetch does nothing.
 	br storage.BatchReader
 	pf storage.Prefetcher
 }
@@ -328,7 +329,7 @@ func (s *pagedNodes) readData(id page.ID) (*page.DataPage, error) {
 // when the store supports it. Fetched blobs are deliberately NOT decoded
 // into (or admitted to) the decoded cache: a low-selectivity range scan
 // would flush the working set the point-query path relies on, and the
-// engine decodes blobs into per-worker scratch instead.
+// range walk decodes blobs into its own scratch instead.
 func (s *pagedNodes) dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]byte, miss []page.ID) ([]*page.DataPage, [][]byte, []page.ID, error) {
 	pages, blobs, miss = pages[:0], blobs[:0], miss[:0]
 	for _, id := range ids {

@@ -16,16 +16,14 @@ import (
 type Visitor func(p geometry.Point, payload uint64) bool
 
 // RangeQuery invokes visit for every stored item inside rect (boundaries
-// inclusive). Traversal order is unspecified. visit is always called
-// from the calling goroutine, one item at a time; returning false stops
-// the query early. The traversal runs inline on that goroutine too,
-// unless Options.RangeWorkers asks for the worker pool.
+// inclusive). Traversal order is unspecified. The traversal runs on the
+// calling goroutine, which alone calls visit, one item at a time;
+// returning false stops the query early.
 //
 // A region's points are a subset of its brick, so only entries —
 // promoted or not — whose brick intersects rect can hold matches, and
 // since each page is pointed to by exactly one entry, no page is scanned
-// twice and the qualifying subtrees are disjoint work, safe to
-// parallelise. Brick intersection is sound but not tight: a guard or an
+// twice. Brick intersection is sound but not tight: a guard or an
 // encloser also contains every window that lies in a hole a longer
 // same-level region has cut out of it. The descent therefore carries the
 // §3 guard set, as the exact-match search does, and drops an entry when
@@ -34,32 +32,17 @@ type Visitor func(p geometry.Point, payload uint64) bool
 // height+1 nodes, exactly what Lookup visits for that point, and wider
 // windows pay for the subtrees they overlap, not for the guards above
 // them.
-func (t *Tree) RangeQuery(rect geometry.Rect, visit Visitor) error {
-	return t.RangeQueryWorkers(rect, visit, 0)
-}
-
-// RangeQueryWorkers is RangeQuery with a per-query worker override:
-// 0 uses the tree's default (Options.RangeWorkers, itself inline unless
-// set), 1 runs the whole traversal inline on the caller's goroutine, and
-// n > 1 hands any window whose frontier branches into 16 or more
-// subtrees to a pool of n workers. Nothing estimates whether that pays:
-// on a 2-CPU host two workers visited cached windows of 4097 and 33333
-// items 3.2× slower than the inline walk and made no resolvable
-// difference on a cold tree (BenchmarkRangeDrive, EXPERIMENTS.md).
 //
 // The query pins the current epoch and traverses an immutable view, so
 // the tree lock is released before the first node is visited: a slow
 // visitor (or a large scan) never blocks writers, and the query result
 // is exactly the tree state at the moment the call started.
-func (t *Tree) RangeQueryWorkers(rect geometry.Rect, visit Visitor, workers int) error {
-	if workers < 0 {
-		return fmt.Errorf("bvtree: negative range worker count %d", workers)
-	}
+func (t *Tree) RangeQuery(rect geometry.Rect, visit Visitor) error {
 	v, release := t.readView()
 	defer release()
 	m, tr := v.metrics, v.tracer
 	if m == nil && tr == nil {
-		_, err := v.rangeRaw(rect, visit, workers)
+		_, err := v.rangeRaw(rect, visit)
 		return err
 	}
 	start := time.Now()
@@ -67,7 +50,7 @@ func (t *Tree) RangeQueryWorkers(rect geometry.Rect, visit Visitor, workers int)
 	_, err := v.rangeRaw(rect, func(p geometry.Point, payload uint64) bool {
 		visited++
 		return visit(p, payload)
-	}, workers)
+	})
 	dur := time.Since(start)
 	if m != nil {
 		m.RangeQuery.Observe(int64(dur))
@@ -78,6 +61,14 @@ func (t *Tree) RangeQueryWorkers(rect geometry.Rect, visit Visitor, workers int)
 	return err
 }
 
+// RangeQueryWorkers is RangeQuery; workers is ignored.
+//
+// Deprecated: every range query runs inline on the calling goroutine. Use
+// RangeQuery.
+func (t *Tree) RangeQueryWorkers(rect geometry.Rect, visit Visitor, workers int) error {
+	return t.RangeQuery(rect, visit)
+}
+
 // errRectDims is what every range and count query returns for a
 // rectangle whose bounds do not both have the tree's dimensionality.
 var errRectDims = errors.New("bvtree: query rect dimensions do not match the tree")
@@ -85,12 +76,8 @@ var errRectDims = errors.New("bvtree: query rect dimensions do not match the tre
 // rangeRaw is the one entry of the traversal, run on a pinned immutable
 // view (or with the shared lock held, when the receiver is itself a
 // view), for range queries and, with a nil visit, counts (whose result
-// it returns): it validates rect and walks it with the query's workers,
-// or the tree's (Options.RangeWorkers) when the query names none.
-func (t *Tree) rangeRaw(rect geometry.Rect, visit Visitor, workers int) (int64, error) {
-	if workers == 0 {
-		workers = t.opt.RangeWorkers
-	}
+// it returns): it validates rect and walks it.
+func (t *Tree) rangeRaw(rect geometry.Rect, visit Visitor) (int64, error) {
 	if len(rect.Min) != t.opt.Dims || len(rect.Max) != t.opt.Dims {
 		return 0, fmt.Errorf("%w: min has %d dims, max %d, tree %d", errRectDims, len(rect.Min), len(rect.Max), t.opt.Dims)
 	}
@@ -99,7 +86,7 @@ func (t *Tree) rangeRaw(rect geometry.Rect, visit Visitor, workers int) (int64, 
 			return 0, nil // an inverted rect contains no point
 		}
 	}
-	return t.walkRange(rect, visit, workers)
+	return t.walkRange(rect, visit)
 }
 
 // maxRangeGuards caps the guard set a range descent carries. The set
@@ -178,12 +165,12 @@ func appendRangeChild(dataIDs []page.ID, dataFull []bool, idx []rangeTask,
 }
 
 // expandRange is how the range walker finds the children to visit below
-// an index node (rangeWalker.step, its one caller, serves every range
-// and count traversal at every worker count). It descends from task for
-// as long as qualifyNode reports that the walk has not branched,
-// carrying the guard set from node to node on its own stack, and returns
-// dataIDs/dataFull and idx — the walker's stack of pending subtrees —
-// extended by what must be visited next: data pages and index subtrees.
+// an index node (rangeWalker.drive, its one caller, serves every range
+// and count traversal). It descends from task for as long as qualifyNode
+// reports that the walk has not branched, carrying the guard set from
+// node to node on its own stack, and returns dataIDs/dataFull and idx —
+// the walker's stack of pending subtrees — extended by what must be
+// visited next: data pages and index subtrees.
 func (t *Tree) expandRange(task rangeTask, rect geometry.Rect,
 	dataIDs []page.ID, dataFull []bool, idx []rangeTask) ([]page.ID, []bool, []rangeTask, error) {
 	var gs rangeGuardSet
@@ -304,29 +291,18 @@ func (t *Tree) Scan(visit Visitor) error {
 // Count returns the number of items inside rect. It runs a count-only
 // traversal — no per-item visitor call — in which a data page fully
 // contained in rect contributes its item count without being decoded
-// item by item.
+// item by item. Like RangeQuery it runs on the calling goroutine against
+// a pinned immutable view, holding no tree lock during the traversal.
 func (t *Tree) Count(rect geometry.Rect) (int, error) {
-	return t.CountWorkers(rect, 0)
-}
-
-// CountWorkers is Count with a per-query worker override, interpreted as
-// in RangeQueryWorkers: on the same host two workers counted cached
-// windows 2.0× slower and a cold tree's in 0.82× the time, the one arm
-// the pool won. Like RangeQueryWorkers it runs on a pinned immutable view,
-// holding no tree lock during the traversal.
-func (t *Tree) CountWorkers(rect geometry.Rect, workers int) (int, error) {
-	if workers < 0 {
-		return 0, fmt.Errorf("bvtree: negative range worker count %d", workers)
-	}
 	v, release := t.readView()
 	defer release()
 	m, tr := v.metrics, v.tracer
 	if m == nil && tr == nil {
-		n, err := v.rangeRaw(rect, nil, workers)
+		n, err := v.rangeRaw(rect, nil)
 		return int(n), err
 	}
 	start := time.Now()
-	n, err := v.rangeRaw(rect, nil, workers)
+	n, err := v.rangeRaw(rect, nil)
 	dur := time.Since(start)
 	if m != nil {
 		m.RangeQuery.Observe(int64(dur))

@@ -52,9 +52,9 @@ func carriedGuards(t *testing.T, v *Tree, rect geometry.Rect) int {
 }
 
 // checkPointWindows asserts, for every stride-th point of live, that the
-// window holding exactly that point costs RangeQuery and Count — the
-// default, inline drive — each exactly the nodes of the point's
-// exact-match descent, and that both agree with Lookup.
+// window holding exactly that point costs RangeQuery and Count each
+// exactly the nodes of the point's exact-match descent, and that both
+// agree with Lookup.
 func checkPointWindows(t *testing.T, what string, v *Tree, live map[uint64]geometry.Point, stride int) {
 	t.Helper()
 	payloads := make([]uint64, 0, len(live))
@@ -316,10 +316,9 @@ func pruneWindows(rng *rand.Rand, dims int, pts []geometry.Point, keys []region.
 // walk against its reference, rangeScalar (unpruned brick intersection,
 // the walk as it was before the rule) run on the same tree. A tree built
 // from an insert/delete program must answer every window of the
-// pruneWindows battery with the reference's multiset — through the serial
-// walk, the serial count, and RangeQueryWorkers/CountWorkers at two
-// workers, which drive the same walker through the spin-up expansion —
-// and stop early alike. The pruned walk must never touch more nodes than
+// pruneWindows battery with the reference's multiset — through the range
+// walk and the count — and stop early alike. The pruned walk must never
+// touch more nodes than
 // the reference, and the guard set must stay within the paper's bound for
 // every window.
 func TestColumnarPrunedRangeDifferential(t *testing.T) {
@@ -358,36 +357,33 @@ func TestColumnarPrunedRangeDifferential(t *testing.T) {
 					if len(want) > 0 {
 						nonEmpty++
 					}
-					got := collect(t, func(v Visitor) error { return cols.RangeQueryWorkers(rect, v, 1) })
+					got := collect(t, func(v Visitor) error { return cols.RangeQuery(rect, v) })
 					np := int(ct.ResetAccessCount())
-					equalMultiset(t, what+" serial", got, want)
+					equalMultiset(t, what, got, want)
 					if np > nr {
 						t.Fatalf("%s: pruned walk touched %d nodes, unpruned reference %d", what, np, nr)
 					}
 					pruned, reference = pruned+np, reference+nr
 					carriedGuards(t, ct, rect)
 
-					equalMultiset(t, what+" workers=2", collect(t, func(v Visitor) error { return cols.RangeQueryWorkers(rect, v, 2) }), want)
-					for _, workers := range []int{1, 2} {
-						cnt, err := cols.CountWorkers(rect, workers)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if cnt != len(want) {
-							t.Fatalf("%s: CountWorkers(%d) = %d, reference returned %d items", what, workers, cnt, len(want))
-						}
-						// Early stop: the visitor declines after half the items.
-						limit, seen := len(want)/2+1, 0
-						err = cols.RangeQueryWorkers(rect, func(geometry.Point, uint64) bool {
-							seen++
-							return seen < limit
-						}, workers)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if wantSeen := min(limit, len(want)); seen != wantSeen {
-							t.Fatalf("%s: early-stopping visitor at workers=%d saw %d items, want %d", what, workers, seen, wantSeen)
-						}
+					cnt, err := cols.Count(rect)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if cnt != len(want) {
+						t.Fatalf("%s: Count = %d, reference returned %d items", what, cnt, len(want))
+					}
+					// Early stop: the visitor declines after half the items.
+					limit, seen := len(want)/2+1, 0
+					err = cols.RangeQuery(rect, func(geometry.Point, uint64) bool {
+						seen++
+						return seen < limit
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if wantSeen := min(limit, len(want)); seen != wantSeen {
+						t.Fatalf("%s: early-stopping visitor saw %d items, want %d", what, seen, wantSeen)
 					}
 				}
 				if nonEmpty < 20 {

@@ -46,14 +46,10 @@ type Options struct {
 	// CacheNodes bounds the decoded-node cache of a paged tree
 	// (default 4096); ignored by in-memory trees.
 	CacheNodes int
-	// RangeWorkers is the default worker-pool width of range queries
-	// (RangeQuery, PartialMatch, Scan, Count). 0 and 1 run every
-	// traversal inline on its caller's goroutine; n > 1 hands any query
-	// whose frontier branches into 16 or more subtrees to n workers, which
-	// has cost more than it saved wherever it was measured except counting
-	// a large share of a cold tree (see RangeQueryWorkers). Individual
-	// queries can override it (RangeQueryWorkers, CountWorkers). Negative
-	// values are rejected. It is not persisted: a reopened tree is inline.
+	// RangeWorkers is ignored.
+	//
+	// Deprecated: every range and count query runs inline on its
+	// caller's goroutine.
 	RangeWorkers int
 	// Metrics enables the per-operation latency and shape histograms
 	// reported by (*Tree).Metrics. The structural event counters (OpStats)
@@ -85,9 +81,6 @@ func (o *Options) fill() error {
 	}
 	if o.BitsPerDim < 1 || o.BitsPerDim > 64 {
 		return fmt.Errorf("bvtree: BitsPerDim %d out of range 1..64", o.BitsPerDim)
-	}
-	if o.RangeWorkers < 0 {
-		return fmt.Errorf("bvtree: negative RangeWorkers %d", o.RangeWorkers)
 	}
 	return nil
 }
@@ -150,7 +143,7 @@ type Tree struct {
 	tracer obs.Tracer
 
 	paged *pagedNodes // non-nil when backed by a storage.Store
-	// bsrc is the batched-read seam used by the range engine: the decoded
+	// bsrc is the batched-read seam used by the range walk: the decoded
 	// cache itself for a live paged tree, a chain-resolving wrapper for a
 	// pinned view, nil for in-memory trees.
 	bsrc dataBatcher
@@ -200,8 +193,8 @@ func NewPaged(st storage.Store, opt Options) (*Tree, error) {
 
 // OpenPaged reopens a tree previously created with NewPaged and persisted
 // with Flush. Its Options are the persisted shape (Dims, DataCapacity,
-// Fanout, BitsPerDim, LevelScaledPages) plus cacheNodes; the rest
-// (RangeWorkers, Metrics) start at their zero values.
+// Fanout, BitsPerDim, LevelScaledPages) plus cacheNodes; Metrics starts
+// off.
 func OpenPaged(st storage.Store, cacheNodes int) (*Tree, error) {
 	blob, err := st.ReadNode(metaPageID)
 	if err != nil {

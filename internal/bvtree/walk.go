@@ -1,0 +1,245 @@
+package bvtree
+
+import (
+	"math/bits"
+	"sync"
+
+	"bvtree/internal/geometry"
+	"bvtree/internal/page"
+	"bvtree/internal/region"
+)
+
+// This file is the range-traversal core. Every range and count query is
+// one rangeWalker — a stack of pending index subtrees and the
+// fetch/decode scratch — which walkRange runs depth-first on the
+// caller's goroutine until its stack is empty: pop a subtree, qualify its
+// children through expandRange (the guard-set-pruned rule of query.go),
+// push the index children, scan the data children through scanPages.
+// Depth-first keeps the batch-read locality of sibling data pages and a
+// stack a few nodes' worth deep. A query counts when its Visitor is nil
+// and calls the Visitor otherwise; either way the walk stops at the first
+// Visitor false or the first error.
+//
+// The walk runs against a pinned epoch view (t is the view tree a
+// readView call produced, not the live tree), and no tree lock is held
+// meanwhile: the pin keeps every node the view can reach immutable, so
+// writers commit concurrently without ever being observed mid-flight.
+//
+// Three mechanisms make the scan cheap:
+//
+//   - Batched reads: a node's qualifying data children are fetched
+//     through the store's ReadNodes seam — one lock acquisition and
+//     coalesced physical I/O instead of N point reads
+//     (pagedNodes.dataBatch).
+//   - Streaming decode with scan resistance: pages fetched for a scan
+//     are decoded into flat walker scratch (page.AppendDataItems) and
+//     never admitted to the decoded-node cache, so a low-selectivity scan
+//     neither pays the cache's per-page allocation pattern nor flushes
+//     the point-query working set.
+//   - Full containment: once a subtree's brick lies inside the query
+//     rectangle (region.BrickWithin), every item below it matches; data
+//     pages under it are emitted without per-point Contains tests, and
+//     counting such a page reads only its item count
+//     (page.DecodeDataCount).
+
+// rangeTask is one pending unit of a walk: an index subtree to qualify
+// and descend. full marks the subtree's brick as contained in the query
+// rectangle, which exempts the whole subtree from geometry tests.
+type rangeTask struct {
+	id   page.ID
+	full bool
+}
+
+// rangeWalker is the state of one range or count traversal. Walkers are
+// pooled, as Lookup's descents are: the slices handed through the
+// dataBatcher interface escape, so scratch on the caller's stack would
+// cost allocations per query. The Visitor of a visiting walk is not part
+// of that state — it travels as a parameter, so that a caller's closure
+// stays on the caller's stack.
+type rangeWalker struct {
+	t     *Tree
+	rect  geometry.Rect
+	count int64 // items the walk has matched
+	stack []rangeTask
+
+	// One node's qualifying data children and their batch fetch.
+	dataIDs  []page.ID
+	dataFull []bool
+	pages    []*page.DataPage
+	blobs    [][]byte
+	miss     []page.ID
+
+	// out receives one blob-decoded page's items at a time, their points
+	// living in coords. A counting walk reuses coords; a visiting walk
+	// takes a fresh arena per page set, so a visitor that retains points
+	// never shares a backing array with a later page. Arena growth within
+	// a page set is safe for the reason AppendDataItems documents:
+	// relocation leaves earlier points referencing the orphaned backing,
+	// which stays valid.
+	out    []page.Item
+	coords []uint64
+}
+
+var rangeWalkerPool = sync.Pool{New: func() any { return new(rangeWalker) }}
+
+// walkRange runs one traversal of rect over t — visiting, or counting
+// when visit is nil — on the calling goroutine and returns the count.
+func (t *Tree) walkRange(rect geometry.Rect, visit Visitor) (int64, error) {
+	w := rangeWalkerPool.Get().(*rangeWalker)
+	w.t, w.rect, w.count = t, rect, 0
+	// A rect covering the whole data space (Scan, and universe-sized
+	// windows) contains every brick, so the walk skips geometry tests from
+	// the root down.
+	root := rangeTask{id: t.root, full: region.BrickWithin(region.BitString{}, t.opt.Dims, rect)}
+	var err error
+	if t.rootLevel == 0 {
+		w.dataIDs, w.dataFull = append(w.dataIDs[:0], root.id), append(w.dataFull[:0], root.full)
+		_, err = w.scanPages(visit)
+	} else {
+		err = w.drive(root, visit)
+	}
+	n := w.count
+	// Drop the tree and the query's results. The last node's page
+	// pointers and blobs stay behind in the fetch scratch; the pool itself
+	// forgets them within two GC cycles.
+	w.t, w.rect, w.out, w.coords = nil, geometry.Rect{}, nil, nil
+	rangeWalkerPool.Put(w)
+	return n, err
+}
+
+// drive walks the subtree of root depth-first until the stack is empty,
+// the visitor declines or an error stops it: each step expands one index
+// subtree through expandRange — which also runs the unbranched part of
+// the descent — pushes the index children it names and scans the data
+// children.
+func (w *rangeWalker) drive(root rangeTask, visit Visitor) error {
+	w.stack = append(w.stack[:0], root)
+	for len(w.stack) > 0 {
+		task := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
+		var err error
+		w.dataIDs, w.dataFull, w.stack, err = w.t.expandRange(task, w.rect, w.dataIDs[:0], w.dataFull[:0], w.stack)
+		if err != nil {
+			return err
+		}
+		if cont, err := w.scanPages(visit); err != nil || !cont {
+			return err
+		}
+	}
+	return nil
+}
+
+// scanPages is the one page-set scan: it fetches the data pages drive
+// collected in w.dataIDs — one coalesced fetch for the cold pages where
+// the tree has a batched read seam, which hands back cached pages decoded
+// and the rest as raw blobs, decoded here outside the decoded-node cache
+// — and feeds their matching items, in item order, to visit or the count.
+// It reports whether the walk continues. A page that gives the walk no
+// item is counted in RangeEmptyPages.
+//
+// The items of any page the pinned view can reach are immutable for the
+// duration of the query — a writer that needs to change such a page
+// captures it into its version chain and mutates a clone — so reading
+// them here reads stable memory, and the mirror a reachable page carries
+// stays in lockstep with its items.
+func (w *rangeWalker) scanPages(visit Visitor) (bool, error) {
+	t, pn := w.t, w.t.bsrc
+	if len(w.dataIDs) == 0 {
+		return true, nil
+	}
+	if pn != nil {
+		var err error
+		w.pages, w.blobs, w.miss, err = pn.dataBatch(w.dataIDs, w.pages, w.blobs, w.miss)
+		if err != nil {
+			return false, err
+		}
+		if len(w.miss) > 0 {
+			t.stats.RangeBatchPages.Add(uint64(len(w.miss)))
+		}
+		t.stats.NodeAccesses.Add(uint64(len(w.dataIDs)))
+	}
+	if visit == nil {
+		w.coords = w.coords[:0]
+	} else {
+		w.coords = nil
+	}
+	for i, id := range w.dataIDs {
+		full := w.dataFull[i]
+		if full {
+			t.stats.RangeFullPages.Inc()
+		}
+		got, cont, err := w.scanPage(i, id, full, visit)
+		if err != nil || !cont {
+			return false, err
+		}
+		if got == 0 {
+			t.stats.RangeEmptyPages.Inc()
+		}
+		w.count += int64(got)
+	}
+	return true, nil
+}
+
+// scanPage feeds the matching items of w.dataIDs[i] (id) to visit, or
+// counts them when visit is nil, and returns how many matched and whether
+// the walk continues. A page whose brick lies inside rect (full) is not
+// tested per point, and counting one from a blob reads only its item
+// count; a partial page is tested with one batched ContainMask64 pass per
+// 64 items of its coordinate mirror, and item by item, once, when it was
+// decoded here from a blob.
+func (w *rangeWalker) scanPage(i int, id page.ID, full bool, visit Visitor) (int, bool, error) {
+	var items []page.Item
+	var cols *page.DataCols // nil only for a page decoded here from a blob
+	switch {
+	case w.t.bsrc == nil:
+		dp, c, err := w.t.dataCols(id)
+		if err != nil {
+			return 0, false, err
+		}
+		items, cols = dp.Items, c
+	case w.pages[i] != nil:
+		if items, cols = w.pages[i].Items, w.pages[i].DCols(); cols == nil {
+			return 0, false, mirrorless(id)
+		}
+	case full && visit == nil:
+		n, err := page.DecodeDataCount(w.blobs[i])
+		return n, err == nil, err
+	default:
+		var err error
+		if w.out, w.coords, err = page.AppendDataItems(w.blobs[i], w.out[:0], w.coords); err != nil {
+			return 0, false, err
+		}
+		items = w.out
+	}
+	got := 0
+	switch {
+	case full && visit == nil:
+		got = len(items)
+	case !full && cols != nil:
+		w.t.stats.BatchTests.Inc()
+		for base := 0; base < cols.Len(); base += 64 {
+			m := cols.ContainMask64(w.rect, base)
+			got += bits.OnesCount64(m)
+			if visit == nil {
+				continue
+			}
+			for ; m != 0; m &= m - 1 {
+				it := &items[base+bits.TrailingZeros64(m)]
+				if !visit(it.Point, it.Payload) {
+					return got, false, nil
+				}
+			}
+		}
+	default:
+		for j := range items {
+			if !full && !w.rect.Contains(items[j].Point) {
+				continue
+			}
+			got++
+			if visit != nil && !visit(items[j].Point, items[j].Payload) {
+				return got, false, nil
+			}
+		}
+	}
+	return got, true, nil
+}

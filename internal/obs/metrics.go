@@ -24,7 +24,7 @@ type TreeCounters struct {
 	MergeDeferrals  Counter
 	SoftOverflows   Counter
 	RootGrowths     Counter
-	RangeTasks      Counter
+	RangeEmptyPages Counter
 	RangeFullPages  Counter
 	RangeBatchPages Counter
 	BatchTests      Counter
@@ -53,13 +53,14 @@ type TreeCountersSnapshot struct {
 	SoftOverflows uint64 `json:"soft_overflows"`
 	// RootGrowths counts increments of the index height.
 	RootGrowths uint64 `json:"root_growths"`
-	// RangeTasks counts subtree expansions run on the range engine's
-	// worker pool (zero while every traversal stays inline on its
-	// caller's goroutine).
-	RangeTasks uint64 `json:"range_tasks"`
-	// RangeFullPages counts data pages a range or count traversal — at
-	// any worker count — emitted or counted through the full-containment
-	// fast path, i.e. without a per-point rectangle test.
+	// RangeEmptyPages counts data pages a range or count traversal
+	// fetched that gave it no item: the page's brick meets the window,
+	// none of its points do. Against the pages fetched it is the share of
+	// a window's cost the paper's O(log n + k) yardstick does not pay.
+	RangeEmptyPages uint64 `json:"range_empty_pages"`
+	// RangeFullPages counts data pages a range or count traversal
+	// emitted or counted through the full-containment fast path, i.e.
+	// without a per-point rectangle test.
 	RangeFullPages uint64 `json:"range_full_pages"`
 	// RangeBatchPages counts data pages a range or count traversal read
 	// from the store through the batched read seam (cache misses only).
@@ -85,7 +86,7 @@ func (c *TreeCounters) Snapshot() TreeCountersSnapshot {
 		MergeDeferrals:  c.MergeDeferrals.Load(),
 		SoftOverflows:   c.SoftOverflows.Load(),
 		RootGrowths:     c.RootGrowths.Load(),
-		RangeTasks:      c.RangeTasks.Load(),
+		RangeEmptyPages: c.RangeEmptyPages.Load(),
 		RangeFullPages:  c.RangeFullPages.Load(),
 		RangeBatchPages: c.RangeBatchPages.Load(),
 		BatchTests:      c.BatchTests.Load(),
@@ -106,7 +107,6 @@ type TreeMetrics struct {
 	DescentDepth Histogram // nodes visited per exact-match descent (sampled)
 	GuardSet     Histogram // max guard-set size per descent (sampled; paper bound: ≤ x−1)
 	BatchSize    Histogram // operations per applied batch
-	RangeFanout  Histogram // qualifying children per parallel range-engine task
 
 	descentSeq atomic.Uint64 // drives the 1-in-descentSampleRate shape sampling
 }
@@ -149,7 +149,6 @@ type TreeSnapshot struct {
 	DescentDepth HistogramSnapshot `json:"descent_depth"`
 	GuardSet     HistogramSnapshot `json:"guard_set"`
 	BatchSize    HistogramSnapshot `json:"batch_size"`
-	RangeFanout  HistogramSnapshot `json:"range_fanout"`
 }
 
 // Snapshot summarises the histograms.
@@ -165,7 +164,6 @@ func (m *TreeMetrics) Snapshot() TreeSnapshot {
 		DescentDepth:   m.DescentDepth.Snapshot(),
 		GuardSet:       m.GuardSet.Snapshot(),
 		BatchSize:      m.BatchSize.Snapshot(),
-		RangeFanout:    m.RangeFanout.Snapshot(),
 	}
 }
 

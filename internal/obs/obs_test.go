@@ -128,11 +128,11 @@ func TestConcurrentHistogram(t *testing.T) {
 	const perWriter = 5000
 	var h Histogram
 	var c TreeCounters
-	var wg sync.WaitGroup
+	var reader, wg sync.WaitGroup
 	stop := make(chan struct{})
-	wg.Add(1)
+	reader.Add(1)
 	go func() { // concurrent snapshotter
-		defer wg.Done()
+		defer reader.Done()
 		for {
 			select {
 			case <-stop:
@@ -154,11 +154,9 @@ func TestConcurrentHistogram(t *testing.T) {
 			}
 		}(w)
 	}
-	for c.NodeAccesses.Load() < writers*perWriter {
-		time.Sleep(time.Millisecond)
-	}
-	close(stop)
 	wg.Wait()
+	close(stop)
+	reader.Wait()
 	s := h.Snapshot()
 	if s.Count != writers*perWriter {
 		t.Fatalf("histogram count = %d, want %d", s.Count, writers*perWriter)

@@ -11,9 +11,8 @@ import (
 )
 
 // gatherBatchSize is how many matches a shard accumulates before handing
-// them to the merger. Batching amortises channel synchronisation the
-// same way the PR 5 range engine batches deliveries to the caller's
-// goroutine; ownership of the slices transfers with the send.
+// them to the merger: one channel send per batch instead of per item.
+// Ownership of the slices transfers with the send.
 const gatherBatchSize = 256
 
 // gatherMsg is one message from a shard traversal to the merger: a
@@ -34,8 +33,8 @@ type gatherMsg struct {
 //     at a time, exactly as the single-tree RangeQuery contract states;
 //   - visit returning false stops the whole query: a shared stop flag
 //     makes every in-flight shard traversal's visitor return false,
-//     which cancels it through the PR 5 engine's own early-stop
-//     plumbing, and scatter returns nil (early stop is not an error);
+//     which ends that shard's walk as any declining visitor does, and
+//     scatter returns nil (early stop is not an error);
 //   - the first shard error cancels the remaining shards the same way
 //     and is returned; items are delivered only until the error is
 //     observed.

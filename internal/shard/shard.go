@@ -379,7 +379,7 @@ func (r *Router) AggregateCounters() obs.TreeCountersSnapshot {
 		agg.MergeDeferrals += c.MergeDeferrals
 		agg.SoftOverflows += c.SoftOverflows
 		agg.RootGrowths += c.RootGrowths
-		agg.RangeTasks += c.RangeTasks
+		agg.RangeEmptyPages += c.RangeEmptyPages
 		agg.RangeFullPages += c.RangeFullPages
 		agg.RangeBatchPages += c.RangeBatchPages
 		agg.BatchTests += c.BatchTests
