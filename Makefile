@@ -13,7 +13,8 @@ GO ?= go
 # the histogram core (TestConcurrentHistogram in internal/obs), the
 # range-walk differentials (TestParallelRange* in internal/bvtree),
 # the MVCC snapshot/backup differential tests (TestSnapshot* in
-# internal/bvtree) and the columnar node-layout smoke
+# internal/bvtree, whose paged arms with 8 cached nodes write dirty
+# nodes back beside pinned readers) and the columnar node-layout smoke
 # (TestColumnar* in internal/bvtree: concurrent batched reads against a
 # writer driving mirror rebuilds), and the sharded
 # service (TestShard* in internal/shard: the N-shard-vs-single-tree

@@ -126,7 +126,9 @@ var ErrCorrupt = ibv.ErrCorrupt
 // FileStoreOptions configures a file-backed store.
 type FileStoreOptions = storage.FileStoreOptions
 
-// New returns an in-memory BV-tree.
+// New returns an in-memory BV-tree: the tree NewPaged builds over a
+// fresh in-memory Store, with a decoded cache that holds every node, so
+// Options.CacheNodes is ignored.
 func New(opt Options) (*Tree, error) { return ibv.New(opt) }
 
 // NewPaged returns a BV-tree whose nodes are serialised into st. The

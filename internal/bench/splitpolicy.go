@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"bvtree/internal/bangfile"
 	"bvtree/internal/bvtree"
@@ -21,7 +22,19 @@ func runCmpSplitPolicy(w io.Writer, scale int) error {
 	n := 20000 * scale
 	t := newTable(w, "workload", "index", "height", "forced splits",
 		"dir occ min/avg", "data occ min/avg")
-	for _, kind := range []workload.Kind{workload.Clustered, workload.Nested} {
+	// floored names, per workload, the indexes whose row shows zero forced
+	// splits and both minimum occupancies at or above 1/3.
+	floored := map[workload.Kind][]string{}
+	row := func(kind workload.Kind, name string, height int, forced uint64, dirMin, dirAvg, datMin, datAvg float64) {
+		t.row(string(kind), name, height, forced,
+			fmt.Sprintf("%.0f%%/%.0f%%", dirMin*100, dirAvg*100),
+			fmt.Sprintf("%.0f%%/%.0f%%", datMin*100, datAvg*100))
+		if floor := 1 - 1e-9; forced == 0 && 3*dirMin >= floor && 3*datMin >= floor {
+			floored[kind] = append(floored[kind], name)
+		}
+	}
+	kinds := []workload.Kind{workload.Clustered, workload.Nested}
+	for _, kind := range kinds {
 		pts, err := workload.Generate(kind, 2, n, 17)
 		if err != nil {
 			return err
@@ -45,9 +58,7 @@ func runCmpSplitPolicy(w io.Writer, scale int) error {
 			}
 			_, dirMin, dirAvg := tr.IndexOccupancySummary()
 			_, datMin, datAvg := tr.OccupancySummary()
-			t.row(string(kind), pol.name, tr.Height(), tr.Stats().ForcedSplits,
-				fmt.Sprintf("%.0f%%/%.0f%%", dirMin*100, dirAvg*100),
-				fmt.Sprintf("%.0f%%/%.0f%%", datMin*100, datAvg*100))
+			row(kind, pol.name, tr.Height(), tr.Stats().ForcedSplits, dirMin, dirAvg, datMin, datAvg)
 		}
 
 		bv, err := buildBV(bvtree.Options{Dims: 2, DataCapacity: 8, Fanout: 8}, pts)
@@ -75,13 +86,18 @@ func runCmpSplitPolicy(w io.Writer, scale int) error {
 		} else {
 			dirMin = 0
 		}
-		t.row(string(kind), "BV-tree (promotion)", st.Height, 0,
-			fmt.Sprintf("%.0f%%/%.0f%%", dirMin, dirAvg),
-			fmt.Sprintf("%.0f%%/%.0f%%", st.DataMinOcc*100, st.DataAvgOcc*100))
+		row(kind, "BV-tree (promotion)", st.Height, 0, dirMin/100, dirAvg/100, st.DataMinOcc, st.DataAvgOcc)
 	}
 	t.flush()
 	fmt.Fprintln(w, "shape check: balanced splits force spanning-region cascades; the LSD/Buddy")
 	fmt.Fprintln(w, "first-partition policy avoids (most of) them but abandons directory occupancy")
-	fmt.Fprintln(w, "control (§1); only the BV-tree achieves both zero forced splits and the 1/3 floor")
+	fmt.Fprintln(w, "control (§1). Zero forced splits with both 1/3 floors (directory and data), as measured:")
+	for _, kind := range kinds {
+		names := "none"
+		if len(floored[kind]) > 0 {
+			names = strings.Join(floored[kind], ", ")
+		}
+		fmt.Fprintf(w, "  %s: %s\n", kind, names)
+	}
 	return nil
 }

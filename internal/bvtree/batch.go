@@ -27,7 +27,7 @@ type BatchOp struct {
 // same operations build one by one; sharing one save between the
 // same-page items of a z-sorted batch would save writes but change every
 // split, and waits for a workload that measures it.
-func (t *Tree) ApplyBatch(ops []BatchOp) error {
+func (t *Tree) ApplyBatch(ops []BatchOp) (err error) {
 	if len(ops) == 0 {
 		return nil
 	}
@@ -35,13 +35,13 @@ func (t *Tree) ApplyBatch(ops []BatchOp) error {
 		return err
 	}
 	defer t.mu.Unlock()
-	defer t.endOp()
+	defer t.endWrite(&err)
 	m, tr := t.metrics, t.tracer
 	if m == nil && tr == nil {
 		return t.applyBatchLocked(ops)
 	}
 	start := time.Now()
-	err := t.applyBatchLocked(ops)
+	err = t.applyBatchLocked(ops)
 	dur := time.Since(start)
 	if m != nil {
 		m.Batch.Observe(int64(dur))

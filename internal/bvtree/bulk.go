@@ -31,7 +31,7 @@ import (
 // structure is identical in its guarantees to one built by
 // arbitrary-order inserts, and consecutive operations hit the same
 // root-to-leaf path, keeping a paged tree's buffer pool hot.
-func (t *Tree) BulkLoad(points []geometry.Point, payloads []uint64) error {
+func (t *Tree) BulkLoad(points []geometry.Point, payloads []uint64) (err error) {
 	if len(points) != len(payloads) {
 		return fmt.Errorf("bvtree: %d points but %d payloads", len(points), len(payloads))
 	}
@@ -42,7 +42,7 @@ func (t *Tree) BulkLoad(points []geometry.Point, payloads []uint64) error {
 		return err
 	}
 	defer t.mu.Unlock()
-	defer t.endOp()
+	defer t.endWrite(&err)
 	if t.size == 0 && t.rootLevel == 0 {
 		return t.bulkLoadPacked(points, payloads)
 	}

@@ -7,8 +7,10 @@ package bvtree
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bvtree/internal/fault"
@@ -190,16 +192,41 @@ func TestCrashTornWALAppend(t *testing.T) {
 // Crash after the WAL record is durable but before the in-memory apply
 // completes: the operation was effectively acknowledged by the log, so
 // recovery must replay it. The fault here is injected at the logical
-// store level with fault.Store rather than at the filesystem.
+// store level with fault.Store rather than at the filesystem, at every
+// store operation of the apply in turn. A save reaches the store only
+// through write-back, so with the default cache the apply's operations
+// are the allocations of its split; with 8 nodes cached they include the
+// write-back that ends the insert.
 func TestCrashAfterSyncBeforeApply(t *testing.T) {
+	for _, cache := range []int{0, 8} {
+		t.Run(fmt.Sprintf("cache-%d", cache), func(t *testing.T) {
+			inWrite, k := 0, 1
+			for ; crashAfterSyncBeforeApply(t, cache, k, &inWrite); k++ {
+			}
+			if k == 1 {
+				t.Fatal("the insert performed no store operation")
+			}
+			if cache != 0 && inWrite == 0 {
+				t.Fatalf("none of %d faults landed in a write-back", k-1)
+			}
+			t.Logf("swept %d store operations of the apply, %d writes", k-1, inWrite)
+		})
+	}
+}
+
+// crashAfterSyncBeforeApply fails the k-th store operation of one durable
+// insert and checks recovery; it reports false when the insert performed
+// fewer than k operations.
+func crashAfterSyncBeforeApply(t *testing.T, cache, k int, inWrite *int) bool {
 	dir := t.TempDir()
+	ffs := fault.NewFS(vfs.OS{}, fault.Plan{})
 	inner, err := storage.CreateFileStore(filepath.Join(dir, "t.db"),
-		storage.FileStoreOptions{SlotSize: 256, PoolSlots: 64, PinDirty: true})
+		storage.FileStoreOptions{SlotSize: 256, PoolSlots: 64, PinDirty: true, FS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fst := fault.NewStore(inner, 0)
-	d, err := NewDurable(fst, filepath.Join(dir, "t.wal"), Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	d, err := NewDurable(fst, filepath.Join(dir, "t.wal"), Options{Dims: 2, DataCapacity: 8, Fanout: 8, CacheNodes: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +241,25 @@ func TestCrashAfterSyncBeforeApply(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	fst.Arm() // next logical store operation fails
-	if err := d.Insert(matrixTarget, matrixPayload); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("insert err = %v, want injected", err)
+	fst.Arm(k)
+	err = d.Insert(matrixTarget, matrixPayload)
+	if !fst.Tripped() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Close()
+		inner.Close()
+		return false
 	}
-	inner.Close() // PinDirty: disk still holds the checkpoint exactly
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("k=%d: insert err = %v, want injected", k, err)
+	}
+	if strings.Contains(err.Error(), "storage write") {
+		*inWrite++
+	}
+	// Crash: the writes the store took since the checkpoint are pinned
+	// in its pool (PinDirty), and are lost with it.
+	ffs.CloseAll()
 
 	st2, err := storage.OpenFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{PinDirty: true})
 	if err != nil {
@@ -235,11 +276,12 @@ func TestCrashAfterSyncBeforeApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !found {
-		t.Fatal("operation durable in the WAL was lost because its apply crashed")
+		t.Fatalf("k=%d: operation durable in the WAL was lost because its apply crashed", k)
 	}
 	if re.Len() != len(base)+1 {
-		t.Fatalf("Len=%d, want %d", re.Len(), len(base)+1)
+		t.Fatalf("k=%d: Len=%d, want %d", k, re.Len(), len(base)+1)
 	}
+	return true
 }
 
 // Crash mid-checkpoint, swept across every file operation the checkpoint

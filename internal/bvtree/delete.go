@@ -22,18 +22,18 @@ import (
 // a failure that strikes after the removal — saving the page, merging it,
 // contracting the root — comes back as (true, err), and Len has already
 // dropped by one.
-func (t *Tree) Delete(p geometry.Point, payload uint64) (bool, error) {
+func (t *Tree) Delete(p geometry.Point, payload uint64) (removed bool, err error) {
 	if err := t.lockWrite(); err != nil {
 		return false, err
 	}
 	defer t.mu.Unlock()
-	defer t.endOp()
+	defer t.endWrite(&err)
 	m, tr := t.metrics, t.tracer
 	if m == nil && tr == nil {
 		return t.deleteLocked(p, payload)
 	}
 	start := time.Now()
-	removed, err := t.deleteLocked(p, payload)
+	removed, err = t.deleteLocked(p, payload)
 	dur := time.Since(start)
 	if m != nil {
 		m.Delete.Observe(int64(dur))

@@ -24,18 +24,18 @@ func newOpCtx() *opCtx { return &opCtx{parents: make(map[page.ID]page.ID)} }
 
 // Insert adds an item at point p with the given payload. Duplicate points
 // are allowed and accumulate.
-func (t *Tree) Insert(p geometry.Point, payload uint64) error {
+func (t *Tree) Insert(p geometry.Point, payload uint64) (err error) {
 	if err := t.lockWrite(); err != nil {
 		return err
 	}
 	defer t.mu.Unlock()
-	defer t.endOp()
+	defer t.endWrite(&err)
 	m, tr := t.metrics, t.tracer
 	if m == nil && tr == nil {
 		return t.insertLocked(p, payload)
 	}
 	start := time.Now()
-	err := t.insertLocked(p, payload)
+	err = t.insertLocked(p, payload)
 	dur := time.Since(start)
 	if m != nil {
 		m.Insert.Observe(int64(dur))

@@ -15,12 +15,12 @@ import (
 // Maintain never affects correctness (the tree answers queries
 // identically before and after); it reclaims index slots so that later
 // splits stay balanced. Run it after bulk deletions.
-func (t *Tree) Maintain() (int, error) {
+func (t *Tree) Maintain() (_ int, err error) {
 	if err := t.lockWrite(); err != nil {
 		return 0, err
 	}
 	defer t.mu.Unlock()
-	defer t.endOp()
+	defer t.endWrite(&err)
 	if t.rootLevel == 0 {
 		return 0, nil
 	}

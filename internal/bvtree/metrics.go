@@ -10,8 +10,9 @@ import (
 //   - Tree: the always-on structural counters (the same numbers Stats
 //     reports) plus, when metrics are enabled (Options.Metrics or
 //     EnableMetrics), the per-operation latency and shape histograms.
-//   - Store: for paged trees, the page store's counters — logical and
-//     physical I/O, buffer-pool behaviour, free-list length.
+//   - Store: the page store's counters — logical and physical I/O,
+//     buffer-pool behaviour, free-list length. An in-memory tree's store
+//     is its MemStore, written only by Flush.
 //
 // DurableTree.Metrics shadows this method and additionally fills the WAL
 // section. The snapshot is plain data, safe to retain, and marshals to
@@ -26,11 +27,8 @@ func (t *Tree) Metrics() obs.Snapshot {
 	}
 	ts.MetricsEnabled = m != nil
 	ts.Counters = t.stats.Snapshot()
-	s := obs.Snapshot{Tree: ts}
-	if t.bst != nil {
-		ss := storeSnapshot(t.bst.Stats())
-		s.Store = &ss
-	}
+	ss := storeSnapshot(t.paged.st.Stats())
+	s := obs.Snapshot{Tree: ts, Store: &ss}
 	if t.mv != nil {
 		ms := t.mv.met.Snapshot()
 		s.MVCC = &ms

@@ -52,8 +52,13 @@ func TestMetricsSnapshot(t *testing.T) {
 	if !s.Tree.MetricsEnabled {
 		t.Fatal("MetricsEnabled = false on a Metrics:true tree")
 	}
-	if s.Store != nil || s.WAL != nil {
-		t.Fatal("in-memory tree reported store/WAL sections")
+	if s.WAL != nil {
+		t.Fatal("in-memory tree reported a WAL section")
+	}
+	// An in-memory tree's store is its MemStore, which only Flush writes:
+	// the tree's root page and meta page at construction.
+	if s.Store == nil || s.Store.NodeWrites != 2 {
+		t.Fatalf("in-memory tree store section = %+v, want the 2 writes of its construction", s.Store)
 	}
 	checks := []struct {
 		name string

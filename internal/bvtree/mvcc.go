@@ -335,12 +335,12 @@ func (t *Tree) freePage(id page.ID) error {
 // --- pinned read views ---
 
 // snapNodes is the NodeStore of a pinned view: reads resolve through
-// the version chains of the pin's epoch and fall back to the live
-// store. It never admits anything to the shared decoded cache (a
-// concurrent writer owns cache coherence) and it rejects mutation.
+// the version chains of the pin's epoch and fall back to the owner's
+// decoded cache, then its store. It never admits anything to the shared
+// decoded cache (a concurrent writer owns cache coherence) and it
+// rejects mutation.
 type snapNodes struct {
-	ns  NodeStore   // the owner's live node store
-	pn  *pagedNodes // non-nil when the owner is paged
+	pn  *pagedNodes // the owner's live node store
 	mv  *mvccState
 	pin uint64
 }
@@ -363,9 +363,7 @@ func (s *snapNodes) Index(id page.ID) (*page.IndexNode, error) {
 	}
 	var n *page.IndexNode
 	var err error
-	if s.pn == nil {
-		n, err = s.ns.Index(id)
-	} else if v, ok := s.pn.cacheGet(id); ok {
+	if v, ok := s.pn.cacheGet(id); ok {
 		n, err = asIndex(id, v)
 	} else {
 		n, err = s.pn.readIndex(id) // private: never admitted to the shared cache
@@ -384,9 +382,7 @@ func (s *snapNodes) Data(id page.ID) (*page.DataPage, error) {
 	}
 	var p *page.DataPage
 	var err error
-	if s.pn == nil {
-		p, err = s.ns.Data(id)
-	} else if v, ok := s.pn.cacheGet(id); ok {
+	if v, ok := s.pn.cacheGet(id); ok {
 		p, err = asData(id, v)
 	} else {
 		p, err = s.pn.readData(id)
@@ -397,7 +393,7 @@ func (s *snapNodes) Data(id page.ID) (*page.DataPage, error) {
 	return p, err
 }
 
-// dataBatch implements dataBatcher for pinned views: the live batched
+// dataBatch implements NodeStore for pinned views: the live batched
 // read runs first, then every page a writer has superseded since the
 // pin is overridden from its version chain.
 func (s *snapNodes) dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]byte, miss []page.ID) ([]*page.DataPage, [][]byte, []page.ID, error) {
@@ -420,7 +416,7 @@ func (s *snapNodes) dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]b
 	return pages, blobs, miss, nil
 }
 
-// prefetch implements dataBatcher. Warming the live store is still a
+// prefetch implements NodeStore. Warming the live store is still a
 // valid hint under a pin: chain overrides bypass it harmlessly.
 func (s *snapNodes) prefetch(ids []page.ID, scratch []page.ID) []page.ID {
 	return s.pn.prefetch(ids, scratch)
@@ -447,9 +443,8 @@ func asData(id page.ID, v interface{}) (*page.DataPage, error) {
 // owner's counters, histograms and tracer, so work done through it is
 // observable exactly like lock-holding reads.
 func (t *Tree) newView(pin uint64) *Tree {
-	sn := &snapNodes{ns: t.st, pn: t.paged, mv: t.mv, pin: pin}
-	v := &Tree{
-		st:        sn,
+	return &Tree{
+		st:        &snapNodes{pn: t.paged, mv: t.mv, pin: pin},
 		opt:       t.opt,
 		il:        t.il,
 		root:      t.root,
@@ -460,11 +455,8 @@ func (t *Tree) newView(pin uint64) *Tree {
 		stats:     t.stats,
 		metrics:   t.metrics,
 		tracer:    t.tracer,
+		paged:     t.paged,
 	}
-	if t.paged != nil {
-		v.bsrc = sn
-	}
-	return v
 }
 
 // readView pins the current epoch and returns an immutable view plus a

@@ -58,7 +58,8 @@ func diffSets(want, got map[uint64]geometry.Point) error {
 // snapshotDifferential is the harness: nWriters goroutines churn points
 // through tr while snapshots taken mid-churn are scanned concurrently
 // and compared against the shadow state captured at their commit point.
-func snapshotDifferential(t *testing.T, tr *Tree, pts []geometry.Point, nWriters int) {
+// It returns the final shadow: the items tr must hold.
+func snapshotDifferential(t *testing.T, tr *Tree, pts []geometry.Point, nWriters int) map[uint64]geometry.Point {
 	t.Helper()
 
 	// shadowMu serialises commit points only: each writer holds it for
@@ -235,6 +236,7 @@ func snapshotDifferential(t *testing.T, tr *Tree, pts []geometry.Point, nWriters
 	if err := diffSets(shadow, got); err != nil {
 		t.Fatalf("final live scan: %v", err)
 	}
+	return shadow
 }
 
 // UniverseRectFor returns the universe rectangle of tr's dimensionality.
@@ -254,29 +256,60 @@ func TestSnapshotDifferentialMem(t *testing.T) {
 	snapshotDifferential(t, tr, pts, 4)
 }
 
-// TestSnapshotDifferentialPaged proves the snapshot contract over a real
-// on-disk FileStore with the decoded-node cache sized small enough that
-// snapshot reads continually miss it and hit the chain/recheck paths.
+// TestSnapshotDifferentialPaged proves the snapshot contract over a
+// paged tree whose decoded-node cache is sized small enough that
+// snapshot reads continually miss it and hit the chain/recheck paths:
+// over an on-disk FileStore with 48 nodes cached, and with 8 over a
+// FileStore and a MemStore, where nearly every write ends in a
+// write-back of dirty nodes while pinned readers resolve pages beside
+// it. Each tree is then flushed and reopened, and must hold exactly the
+// shadow's items.
 func TestSnapshotDifferentialPaged(t *testing.T) {
 	pts, err := workload.Generate(workload.Uniform, 2, 3000, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := storage.CreateFileStore(filepath.Join(t.TempDir(), "snap.bv"), storage.FileStoreOptions{
-		SlotSize:  512,
-		PoolSlots: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	tr, err := NewPaged(st, Options{Dims: 2, DataCapacity: 8, Fanout: 8, CacheNodes: 48})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshotDifferential(t, tr, pts, 4)
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		file  bool
+		cache int
+	}{{"file-48", true, 48}, {"file-8", true, 8}, {"mem-8", false, 8}} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "snap.bv")
+			var st storage.Store = storage.NewMemStore()
+			if tc.file {
+				if st, err = storage.CreateFileStore(path, storage.FileStoreOptions{SlotSize: 512, PoolSlots: 64}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tr, err := NewPaged(st, Options{Dims: 2, DataCapacity: 8, Fanout: 8, CacheNodes: tc.cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shadow := snapshotDifferential(t, tr, pts, 4)
+			if err := tr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.file {
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if st, err = storage.OpenFileStore(path, storage.FileStoreOptions{PoolSlots: 64}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer st.Close()
+			re, err := OpenPaged(st, tc.cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := re.Validate(true); err != nil {
+				t.Fatalf("reopened: %v", err)
+			}
+			if err := diffSets(shadow, scanSet(t, re.Scan)); err != nil {
+				t.Fatalf("reopened scan: %v", err)
+			}
+		})
 	}
 }
 

@@ -121,8 +121,8 @@ func (t *Tree) nearestLocked(p geometry.Point, k int) ([]Neighbor, error) {
 				pfIDs = append(pfIDs, c.Child(i))
 			}
 		}
-		if t.bsrc != nil && len(pfIDs) > 1 {
-			pfScratch = t.bsrc.prefetch(pfIDs, pfScratch)
+		if len(pfIDs) > 1 {
+			pfScratch = t.st.prefetch(pfIDs, pfScratch)
 		}
 	}
 

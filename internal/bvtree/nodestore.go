@@ -3,6 +3,7 @@ package bvtree
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -13,11 +14,12 @@ import (
 
 // NodeStore supplies decoded nodes to the tree. Implementations return
 // live node pointers: the tree mutates them in place and calls SaveIndex /
-// SaveData to persist the mutation. The tree serialises mutations behind
-// an exclusive lock but runs read-only operations in parallel, so Index
-// and Data must be safe to call concurrently with each other (though
-// never concurrently with Alloc/Save/Free, which only run under the
-// tree's exclusive lock).
+// SaveData to publish the mutation. The tree serialises mutations behind
+// an exclusive lock but runs read-only operations in parallel, so Index,
+// Data and the batched reads must be safe to call concurrently with each
+// other (though never concurrently with Alloc/Save/Free, which only run
+// under the tree's exclusive lock). There are two: pagedNodes, a live
+// tree's, and snapNodes, a pinned view's.
 type NodeStore interface {
 	AllocIndex(level int, reg region.BitString) (page.ID, *page.IndexNode, error)
 	AllocData(reg region.BitString) (page.ID, *page.DataPage, error)
@@ -26,14 +28,9 @@ type NodeStore interface {
 	SaveIndex(id page.ID, n *page.IndexNode) error
 	SaveData(id page.ID, p *page.DataPage) error
 	Free(id page.ID) error
-}
 
-// dataBatcher is the batched-read seam of the range walk (dataBatch)
-// and of Nearest (prefetch), implemented by the decoded cache of a paged
-// tree and by the chain-resolving node source of a pinned view. Trees
-// expose it as Tree.bsrc so both run identically on live trees and
-// snapshots.
-type dataBatcher interface {
+	// dataBatch and prefetch are the batched-read seams of the range
+	// walk and of Nearest.
 	dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]byte, miss []page.ID) ([]*page.DataPage, [][]byte, []page.ID, error)
 	prefetch(ids []page.ID, scratch []page.ID) []page.ID
 }
@@ -50,92 +47,6 @@ var errMirrorless = errors.New("bvtree: node has no fresh columnar mirror")
 
 func mirrorless(id page.ID) error { return fmt.Errorf("%w: page %d", errMirrorless, id) }
 
-// memNodes keeps decoded nodes in memory; saves are no-ops. It is the
-// store used for algorithmic experiments, where only logical node accesses
-// matter. The map is guarded by an RWMutex rather than the tree lock
-// alone because pinned snapshot readers fetch nodes without holding any
-// tree lock, concurrently with writer map mutations.
-type memNodes struct {
-	mu    sync.RWMutex
-	nodes map[page.ID]interface{}
-	next  page.ID
-	dims  int
-}
-
-func newMemNodes(dims int) *memNodes {
-	return &memNodes{nodes: make(map[page.ID]interface{}), next: 1, dims: dims}
-}
-
-func (m *memNodes) AllocIndex(level int, reg region.BitString) (page.ID, *page.IndexNode, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	id := m.next
-	m.next++
-	n := &page.IndexNode{Level: level, Region: reg}
-	n.SyncCols(m.dims) // published like a saved node: mirror built
-	m.nodes[id] = n
-	return id, n, nil
-}
-
-func (m *memNodes) AllocData(reg region.BitString) (page.ID, *page.DataPage, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	id := m.next
-	m.next++
-	p := &page.DataPage{Region: reg}
-	p.SyncDataCols(m.dims)
-	m.nodes[id] = p
-	return id, p, nil
-}
-
-func (m *memNodes) Index(id page.ID) (*page.IndexNode, error) {
-	m.mu.RLock()
-	n, ok := m.nodes[id].(*page.IndexNode)
-	m.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("bvtree: page %d is not an index node", id)
-	}
-	return n, nil
-}
-
-func (m *memNodes) Data(id page.ID) (*page.DataPage, error) {
-	m.mu.RLock()
-	p, ok := m.nodes[id].(*page.DataPage)
-	m.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("bvtree: page %d is not a data page", id)
-	}
-	return p, nil
-}
-
-func (m *memNodes) SaveIndex(id page.ID, n *page.IndexNode) error {
-	// Saves are the publication point of every entry-slice mutation, so
-	// this is where the columnar mirror is brought back in lockstep.
-	n.SyncCols(m.dims)
-	m.mu.Lock()
-	m.nodes[id] = n
-	m.mu.Unlock()
-	return nil
-}
-
-func (m *memNodes) SaveData(id page.ID, p *page.DataPage) error {
-	p.SyncDataCols(m.dims)
-	m.mu.Lock()
-	m.nodes[id] = p
-	m.mu.Unlock()
-	return nil
-}
-
-func (m *memNodes) Free(id page.ID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.nodes[id]; !ok {
-		return fmt.Errorf("bvtree: free of unknown page %d", id)
-	}
-	delete(m.nodes, id)
-	return nil
-}
-
 // cacheShards is the shard count of the decoded-node cache. Shards spread
 // cache-map mutations from parallel readers (a miss inserts the decoded
 // node) across independent mutexes so the read path does not funnel
@@ -145,19 +56,29 @@ const cacheShards = 16
 // nodeShard is one stripe of the decoded-node cache.
 type nodeShard struct {
 	mu    sync.Mutex
-	nodes map[page.ID]interface{}
+	nodes map[page.ID]cached
+}
+
+// cached is a decoded node; dirty when it was saved since it last
+// reached the store.
+type cached struct {
+	node  interface{}
+	dirty bool
 }
 
 // pagedNodes adapts a storage.Store: nodes are serialised through
-// package page. Decoded nodes are kept in a sharded cache; because every
-// mutation is saved (written through) before the operation returns, cached
-// nodes are always clean and can be evicted freely between operations.
+// package page. Decoded nodes are kept in a sharded cache, and a save
+// only publishes the node there and marks it dirty; a dirty node is
+// encoded and written when it must reach the store — by Flush, or before
+// an eviction under the tree's exclusive lock (writeBack). A node is
+// therefore in the cache, or current in the store, or both, and a read
+// that misses the cache reads a current copy.
 //
 // Concurrency: parallel readers may race to decode the same page; both
 // decodes are identical clean copies and the last insert wins, so the race
 // is benign. Node *contents* are only mutated under the tree's exclusive
 // lock, which also guarantees the writer-uniqueness invariant eviction
-// relies on (see evictIfNeeded).
+// relies on (see trim).
 type pagedNodes struct {
 	st     storage.Store
 	dims   int
@@ -171,6 +92,13 @@ type pagedNodes struct {
 	// range walk falls back to per-node reads and prefetch does nothing.
 	br storage.BatchReader
 	pf storage.Prefetcher
+
+	// err is the first failed write-back, meta write or sync. The store
+	// may then hold anything, so nothing is written after it and every
+	// later save and flush fails with it, as a store's own poisoning
+	// makes every later write fail. Written and read under the tree's
+	// exclusive lock.
+	err error
 }
 
 func newPagedNodes(st storage.Store, dims, cacheNodes int) *pagedNodes {
@@ -181,7 +109,7 @@ func newPagedNodes(st storage.Store, dims, cacheNodes int) *pagedNodes {
 	s.br, _ = st.(storage.BatchReader)
 	s.pf, _ = st.(storage.Prefetcher)
 	for i := range s.shards {
-		s.shards[i].nodes = make(map[page.ID]interface{})
+		s.shards[i].nodes = make(map[page.ID]cached)
 	}
 	return s
 }
@@ -193,54 +121,116 @@ func (s *pagedNodes) shard(id page.ID) *nodeShard {
 func (s *pagedNodes) cacheGet(id page.ID) (interface{}, bool) {
 	sh := s.shard(id)
 	sh.mu.Lock()
-	v, ok := sh.nodes[id]
+	e, ok := sh.nodes[id]
 	sh.mu.Unlock()
-	return v, ok
+	return e.node, ok
 }
 
-func (s *pagedNodes) cachePut(id page.ID, v interface{}) {
+// cachePut publishes v as page id: dirty for a save, clean for a decode.
+func (s *pagedNodes) cachePut(id page.ID, v interface{}, dirty bool) {
 	sh := s.shard(id)
 	sh.mu.Lock()
 	if _, ok := sh.nodes[id]; !ok {
 		s.size.Add(1)
 	}
-	sh.nodes[id] = v
+	sh.nodes[id] = cached{v, dirty}
 	sh.mu.Unlock()
 }
 
-func (s *pagedNodes) cacheDel(id page.ID) {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	if _, ok := sh.nodes[id]; ok {
-		s.size.Add(-1)
-		delete(sh.nodes, id)
+// flush writes every dirty node back, then meta, and syncs the store.
+func (s *pagedNodes) flush(meta *page.Meta) error {
+	if s.err == nil {
+		s.err = s.writeBack()
 	}
-	sh.mu.Unlock()
+	if s.err == nil {
+		s.err = s.st.WriteNode(metaPageID, page.EncodeMeta(meta))
+	}
+	if s.err == nil {
+		s.err = s.st.Sync()
+	}
+	return s.err
 }
 
-// evictIfNeeded trims the decoded cache to half capacity. It is called
-// between tree operations (never mid-operation), so within one mutating
-// operation live node pointers stay unique: a writer never sees two
-// decoded copies of the same page. Readers may refetch an evicted page
-// mid-operation, but a fresh decode of a clean page is indistinguishable
-// from the evicted copy.
-func (s *pagedNodes) evictIfNeeded() {
+// writeBack encodes every dirty node and writes it to the store, in
+// ascending page ID order so that the store sees the same operations
+// whatever the map order. It runs under the tree's exclusive lock (flush,
+// or trim for a writer), so no node changes while it is encoded, and a
+// node's dirty mark is cleared only once its write succeeded. Each node
+// is written under its shard latch: a deferred free run by a releasing
+// reader (mvccState.sweepLocked) takes the page out of the cache either
+// before its write, which is then skipped, or after it.
+func (s *pagedNodes) writeBack() error {
+	var ids []page.ID
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for id, e := range sh.nodes {
+			if e.dirty {
+				ids = append(ids, id)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		sh := s.shard(id)
+		sh.mu.Lock()
+		var err error
+		if e := sh.nodes[id]; e.dirty {
+			switch n := e.node.(type) {
+			case *page.IndexNode:
+				err = s.st.WriteNode(id, page.EncodeIndex(n))
+			case *page.DataPage:
+				err = s.st.WriteNode(id, page.EncodeData(n, s.dims))
+			}
+			if err == nil {
+				sh.nodes[id] = cached{node: e.node}
+			}
+		}
+		sh.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// trim bounds the decoded cache: past its capacity, it drops clean nodes
+// until each shard holds about half of its share. A writer (exclusive
+// under the tree lock) first writes every dirty node back, so it can
+// drop any node; every other caller drops only nodes that are clean
+// under the shard latch, and a dirty node waits for the next writer. It
+// runs between tree operations (never mid-operation), so within one
+// mutating operation live node pointers stay unique: a writer never sees
+// two decoded copies of the same page. Readers may refetch an evicted
+// page mid-operation, but a fresh decode of a current page is
+// indistinguishable from the evicted copy.
+func (s *pagedNodes) trim(exclusive bool) error {
 	if int(s.size.Load()) <= s.cap {
-		return
+		return nil
+	}
+	if exclusive && s.err == nil {
+		if s.err = s.writeBack(); s.err != nil {
+			return s.err
+		}
 	}
 	perShard := s.cap/2/cacheShards + 1
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for id := range sh.nodes {
+		for id, e := range sh.nodes {
 			if len(sh.nodes) <= perShard {
 				break
+			}
+			if e.dirty {
+				continue
 			}
 			delete(sh.nodes, id)
 			s.size.Add(-1)
 		}
 		sh.mu.Unlock()
 	}
+	return nil
 }
 
 func (s *pagedNodes) AllocIndex(level int, reg region.BitString) (page.ID, *page.IndexNode, error) {
@@ -249,10 +239,7 @@ func (s *pagedNodes) AllocIndex(level int, reg region.BitString) (page.ID, *page
 		return 0, nil, err
 	}
 	n := &page.IndexNode{Level: level, Region: reg}
-	if err := s.SaveIndex(id, n); err != nil {
-		return 0, nil, err
-	}
-	return id, n, nil
+	return id, n, s.SaveIndex(id, n)
 }
 
 func (s *pagedNodes) AllocData(reg region.BitString) (page.ID, *page.DataPage, error) {
@@ -261,10 +248,7 @@ func (s *pagedNodes) AllocData(reg region.BitString) (page.ID, *page.DataPage, e
 		return 0, nil, err
 	}
 	p := &page.DataPage{Region: reg}
-	if err := s.SaveData(id, p); err != nil {
-		return 0, nil, err
-	}
-	return id, p, nil
+	return id, p, s.SaveData(id, p)
 }
 
 func (s *pagedNodes) Index(id page.ID) (*page.IndexNode, error) {
@@ -273,7 +257,7 @@ func (s *pagedNodes) Index(id page.ID) (*page.IndexNode, error) {
 	}
 	n, err := s.readIndex(id)
 	if err == nil {
-		s.cachePut(id, n)
+		s.cachePut(id, n, false)
 	}
 	return n, err
 }
@@ -284,7 +268,7 @@ func (s *pagedNodes) Data(id page.ID) (*page.DataPage, error) {
 	}
 	p, err := s.readData(id)
 	if err == nil {
-		s.cachePut(id, p)
+		s.cachePut(id, p, false)
 	}
 	return p, err
 }
@@ -393,19 +377,29 @@ func (s *pagedNodes) prefetch(ids []page.ID, scratch []page.ID) []page.ID {
 	return scratch
 }
 
+// SaveIndex publishes n as page id: its columnar mirror is synced and it
+// is cached dirty, to be encoded when it must reach the store.
 func (s *pagedNodes) SaveIndex(id page.ID, n *page.IndexNode) error {
 	n.SyncCols(s.dims)
-	s.cachePut(id, n)
-	return s.st.WriteNode(id, page.EncodeIndex(n))
+	s.cachePut(id, n, true)
+	return s.err
 }
 
+// SaveData is SaveIndex for data pages.
 func (s *pagedNodes) SaveData(id page.ID, p *page.DataPage) error {
 	p.SyncDataCols(s.dims)
-	s.cachePut(id, p)
-	return s.st.WriteNode(id, page.EncodeData(p, s.dims))
+	s.cachePut(id, p, true)
+	return s.err
 }
 
+// Free drops page id from the cache, dirty or not, and frees it.
 func (s *pagedNodes) Free(id page.ID) error {
-	s.cacheDel(id)
+	sh := s.shard(id)
+	sh.mu.Lock()
+	if _, ok := sh.nodes[id]; ok {
+		s.size.Add(-1)
+		delete(sh.nodes, id)
+	}
+	sh.mu.Unlock()
 	return s.st.Free(id)
 }

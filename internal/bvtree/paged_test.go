@@ -147,3 +147,39 @@ func TestPagedCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSavesEncodeAtWriteBack: a save only publishes a node in the decoded
+// cache. With a cache larger than the tree, inserts reach the store as
+// allocations alone — no node is encoded or written — and Flush then
+// writes every live node once, plus the meta page.
+func TestSavesEncodeAtWriteBack(t *testing.T) {
+	st := storage.NewMemStore()
+	tr, err := NewPaged(st, Options{Dims: 2, DataCapacity: 8, Fanout: 8, CacheNodes: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	before := st.Stats().NodeWrites
+	for i := 0; i < 2000; i++ {
+		if err := tr.Insert(randPoint(rng, 2), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := st.Stats().NodeWrites; got != before {
+		t.Fatalf("2000 inserts wrote %d nodes to the store, want 0", got-before)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ts, err := tr.CollectStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := ts.DataPages
+	for _, ls := range ts.IndexLevels {
+		live += ls.Nodes
+	}
+	if got := st.Stats().NodeWrites - before; got != uint64(live+1) {
+		t.Fatalf("Flush wrote %d nodes, want the %d live nodes and the meta page", got, live)
+	}
+}

@@ -24,13 +24,13 @@ import (
 // countingBatcher counts the data pages a range walk fetches through a
 // tree's batched read seam.
 type countingBatcher struct {
-	dataBatcher
+	NodeStore
 	pages uint64
 }
 
 func (c *countingBatcher) dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]byte, miss []page.ID) ([]*page.DataPage, [][]byte, []page.ID, error) {
 	c.pages += uint64(len(ids))
-	return c.dataBatcher.dataBatch(ids, pages, blobs, miss)
+	return c.NodeStore.dataBatch(ids, pages, blobs, miss)
 }
 
 // kItemWindows returns count square windows holding exactly k of pts
@@ -100,8 +100,8 @@ func TestRangeCostAgainstYardstick(t *testing.T) {
 	defer snap.Release()
 	v := snap.v
 	v.stats = &obs.TreeCounters{}
-	fetched := &countingBatcher{dataBatcher: v.bsrc}
-	v.bsrc = fetched
+	fetched := &countingBatcher{NodeStore: v.st}
+	v.st = fetched
 
 	rng := rand.New(rand.NewSource(1))
 	perItemPage := 2 * float64(v.opt.DataCapacity) / 3

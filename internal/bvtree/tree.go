@@ -17,6 +17,7 @@ package bvtree
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"bvtree/internal/geometry"
@@ -44,7 +45,8 @@ type Options struct {
 	// BitsPerDim is the per-dimension address precision (default 64).
 	BitsPerDim int
 	// CacheNodes bounds the decoded-node cache of a paged tree
-	// (default 4096); ignored by in-memory trees.
+	// (default 4096). New ignores it: an in-memory tree keeps every node
+	// decoded.
 	CacheNodes int
 	// RangeWorkers is ignored.
 	//
@@ -123,7 +125,7 @@ type Tree struct {
 	root      page.ID
 	rootLevel int // index level of the root; 0 while the root is a data page
 	size      int
-	epoch     uint64 // checkpoint epoch of a paged tree (see page.Meta.Epoch)
+	epoch     uint64 // checkpoint epoch (see page.Meta.Epoch)
 	// baseLSN is the logical sequence number the tree's state corresponds
 	// to: maintained by the durable layer, stamped into backups, and set
 	// by RestoreSnapshot/RestoreToLSN. 0 for trees with no WAL history.
@@ -142,24 +144,20 @@ type Tree struct {
 	// Same lock discipline as metrics (SetTracer writes under mu.Lock).
 	tracer obs.Tracer
 
-	paged *pagedNodes // non-nil when backed by a storage.Store
-	// bsrc is the batched-read seam used by the range walk: the decoded
-	// cache itself for a live paged tree, a chain-resolving wrapper for a
-	// pinned view, nil for in-memory trees.
-	bsrc dataBatcher
-	bst  storage.Store
+	// paged is the tree's decoded cache over its store: st itself on a
+	// live tree, the owner's behind st's version chains on a pinned view.
+	paged *pagedNodes
 
 	// mv is the snapshot/epoch machinery (see mvcc.go); nil only on the
 	// immutable view trees mv itself creates.
 	mv *mvccState
 }
 
-// New returns an in-memory BV-tree.
+// New returns an in-memory BV-tree: the tree NewPaged builds over a
+// fresh storage.MemStore, with a decoded cache that never trims, so the
+// store holds only what Flush writes. Options.CacheNodes is ignored.
 func New(opt Options) (*Tree, error) {
-	if err := opt.fill(); err != nil {
-		return nil, err
-	}
-	return newTree(newMemNodes(opt.Dims), nil, nil, opt)
+	return newPaged(storage.NewMemStore(), opt, math.MaxInt)
 }
 
 // metaPageID is the fixed page holding a paged tree's root record: the
@@ -170,8 +168,12 @@ const metaPageID page.ID = 1
 // NewPaged returns a BV-tree whose nodes are serialised into st. The
 // store must be freshly created; the tree takes ownership of node
 // allocation within it but does not close it. Call Flush to persist the
-// root record before closing the store; OpenPaged reopens the tree.
+// tree before closing the store; OpenPaged reopens the tree.
 func NewPaged(st storage.Store, opt Options) (*Tree, error) {
+	return newPaged(st, opt, opt.CacheNodes)
+}
+
+func newPaged(st storage.Store, opt Options, cacheNodes int) (*Tree, error) {
 	if err := opt.fill(); err != nil {
 		return nil, err
 	}
@@ -182,9 +184,11 @@ func NewPaged(st storage.Store, opt Options) (*Tree, error) {
 	if metaID != metaPageID {
 		return nil, fmt.Errorf("bvtree: store is not fresh (first page is %d)", metaID)
 	}
-	pn := newPagedNodes(st, opt.Dims, opt.CacheNodes)
-	t, err := newTree(pn, pn, st, opt)
+	t, err := newTree(newPagedNodes(st, opt.Dims, cacheNodes), opt)
 	if err != nil {
+		return nil, err
+	}
+	if t.root, _, err = t.st.AllocData(region.BitString{}); err != nil {
 		return nil, err
 	}
 	t.epoch = 1
@@ -215,40 +219,37 @@ func OpenPaged(st storage.Store, cacheNodes int) (*Tree, error) {
 	if err := opt.fill(); err != nil {
 		return nil, err
 	}
+	t, err := newTree(newPagedNodes(st, opt.Dims, cacheNodes), opt)
+	if err != nil {
+		return nil, err
+	}
+	t.root, t.rootLevel, t.size, t.epoch = m.Root, m.RootLevel, int(m.Size), m.Epoch
+	return t, nil
+}
+
+// newTree returns an empty live tree over pn: no root yet.
+func newTree(pn *pagedNodes, opt Options) (*Tree, error) {
 	il, err := zorder.NewInterleaver(opt.Dims, opt.BitsPerDim)
 	if err != nil {
 		return nil, err
 	}
-	pn := newPagedNodes(st, opt.Dims, opt.CacheNodes)
-	t := &Tree{
-		st:        pn,
-		opt:       opt,
-		il:        il,
-		paged:     pn,
-		bsrc:      pn,
-		bst:       st,
-		root:      m.Root,
-		rootLevel: m.RootLevel,
-		size:      int(m.Size),
-		epoch:     m.Epoch,
-		stats:     &obs.TreeCounters{},
-	}
+	t := &Tree{st: pn, opt: opt, il: il, paged: pn, stats: &obs.TreeCounters{}}
 	t.mv = newMVCCState(pn.Free)
+	if opt.Metrics {
+		t.metrics = &obs.TreeMetrics{}
+	}
 	return t, nil
 }
 
-// Flush persists the tree's root record and syncs the backing store; it
-// is a no-op for in-memory trees. The tree is only reopenable from state
-// captured by the last Flush.
+// Flush writes every node changed since the last Flush, then the tree's
+// root record, and syncs the backing store. The tree is only reopenable
+// from state captured by the last Flush.
 func (t *Tree) Flush() error {
 	if err := t.lockWrite(); err != nil {
 		return err
 	}
 	defer t.mu.Unlock()
-	if t.bst == nil {
-		return nil
-	}
-	m := &page.Meta{
+	return t.paged.flush(&page.Meta{
 		Dims:         t.opt.Dims,
 		DataCapacity: t.opt.DataCapacity,
 		Fanout:       t.opt.Fanout,
@@ -258,37 +259,11 @@ func (t *Tree) Flush() error {
 		RootLevel:    t.rootLevel,
 		Size:         uint64(t.size),
 		Epoch:        t.epoch,
-	}
-	if err := t.bst.WriteNode(metaPageID, page.EncodeMeta(m)); err != nil {
-		return err
-	}
-	return t.bst.Sync()
-}
-
-func newTree(ns NodeStore, pn *pagedNodes, bst storage.Store, opt Options) (*Tree, error) {
-	il, err := zorder.NewInterleaver(opt.Dims, opt.BitsPerDim)
-	if err != nil {
-		return nil, err
-	}
-	t := &Tree{st: ns, opt: opt, il: il, paged: pn, bst: bst, stats: &obs.TreeCounters{}}
-	if pn != nil {
-		t.bsrc = pn
-	}
-	t.mv = newMVCCState(ns.Free)
-	if opt.Metrics {
-		t.metrics = &obs.TreeMetrics{}
-	}
-	id, _, err := ns.AllocData(region.BitString{})
-	if err != nil {
-		return nil, err
-	}
-	t.root = id
-	t.rootLevel = 0
-	return t, nil
+	})
 }
 
 // Epoch returns the checkpoint epoch last persisted to (or loaded from)
-// the store's metadata page; 0 for in-memory trees.
+// the store's metadata page.
 func (t *Tree) Epoch() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -418,9 +393,15 @@ func (t *Tree) dataCols(id page.ID) (*page.DataPage, *page.DataCols, error) {
 	return dp, c, nil
 }
 
-// endOp performs between-operation housekeeping.
-func (t *Tree) endOp() {
-	if t.paged != nil {
-		t.paged.evictIfNeeded()
+// endOp performs a reader's between-operation housekeeping: it trims
+// the decoded cache of clean nodes. It may run without the tree lock.
+func (t *Tree) endOp() { t.paged.trim(false) }
+
+// endWrite is endOp for a writer, under the exclusive lock: the trim
+// writes dirty nodes back first. A failed write-back becomes the
+// operation's error unless the operation already has one.
+func (t *Tree) endWrite(err *error) {
+	if e := t.paged.trim(true); *err == nil {
+		*err = e
 	}
 }

@@ -52,7 +52,7 @@ type rangeTask struct {
 
 // rangeWalker is the state of one range or count traversal. Walkers are
 // pooled, as Lookup's descents are: the slices handed through the
-// dataBatcher interface escape, so scratch on the caller's stack would
+// NodeStore interface escape, so scratch on the caller's stack would
 // cost allocations per query. The Visitor of a visiting walk is not part
 // of that state — it travels as a parameter, so that a caller's closure
 // stays on the caller's stack.
@@ -143,21 +143,19 @@ func (w *rangeWalker) drive(root rangeTask, visit Visitor) error {
 // them here reads stable memory, and the mirror a reachable page carries
 // stays in lockstep with its items.
 func (w *rangeWalker) scanPages(visit Visitor) (bool, error) {
-	t, pn := w.t, w.t.bsrc
+	t := w.t
 	if len(w.dataIDs) == 0 {
 		return true, nil
 	}
-	if pn != nil {
-		var err error
-		w.pages, w.blobs, w.miss, err = pn.dataBatch(w.dataIDs, w.pages, w.blobs, w.miss)
-		if err != nil {
-			return false, err
-		}
-		if len(w.miss) > 0 {
-			t.stats.RangeBatchPages.Add(uint64(len(w.miss)))
-		}
-		t.stats.NodeAccesses.Add(uint64(len(w.dataIDs)))
+	var err error
+	w.pages, w.blobs, w.miss, err = t.st.dataBatch(w.dataIDs, w.pages, w.blobs, w.miss)
+	if err != nil {
+		return false, err
 	}
+	if len(w.miss) > 0 {
+		t.stats.RangeBatchPages.Add(uint64(len(w.miss)))
+	}
+	t.stats.NodeAccesses.Add(uint64(len(w.dataIDs)))
 	if visit == nil {
 		w.coords = w.coords[:0]
 	} else {
@@ -191,12 +189,6 @@ func (w *rangeWalker) scanPage(i int, id page.ID, full bool, visit Visitor) (int
 	var items []page.Item
 	var cols *page.DataCols // nil only for a page decoded here from a blob
 	switch {
-	case w.t.bsrc == nil:
-		dp, c, err := w.t.dataCols(id)
-		if err != nil {
-			return 0, false, err
-		}
-		items, cols = dp.Items, c
 	case w.pages[i] != nil:
 		if items, cols = w.pages[i].Items, w.pages[i].DCols(); cols == nil {
 			return 0, false, mirrorless(id)

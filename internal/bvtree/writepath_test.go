@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"bvtree/internal/fault"
@@ -324,16 +325,25 @@ func TestBuildIsDeterministic(t *testing.T) {
 // beside an error: whether the item left the tree, which is whether Len
 // dropped. A fault inside the merge or the root contraction that follows a
 // removal used to come back as (false, err) — "not found" about an item
-// that was gone.
+// that was gone. A save only reaches the store through write-back, so the
+// sweep runs twice: with the default cache, where the deletes' store
+// operations are frees alone, and with 8 nodes cached, where the
+// write-back that ends nearly every delete is swept too.
 func TestDeleteReportsRemovalDespiteError(t *testing.T) {
-	opt := Options{Dims: 2, DataCapacity: 4, Fanout: 4}
+	for _, cache := range []int{0, 8} {
+		t.Run(fmt.Sprintf("cache-%d", cache), func(t *testing.T) { deleteFaultSweep(t, cache) })
+	}
+}
+
+func deleteFaultSweep(t *testing.T, cache int) {
+	opt := Options{Dims: 2, DataCapacity: 4, Fanout: 4, CacheNodes: cache}
 	pts, err := workload.Generate(workload.Clustered, 2, 160, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	order := rand.New(rand.NewSource(10)).Perm(len(pts))
-	build := func(failAt int) (*Tree, *fault.Store) {
-		fst := fault.NewStore(storage.NewMemStore(), failAt)
+	build := func() (*Tree, *fault.Store) {
+		fst := fault.NewStore(storage.NewMemStore(), 0)
 		tr, err := NewPaged(fst, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -361,22 +371,21 @@ func TestDeleteReportsRemovalDespiteError(t *testing.T) {
 		}
 		return false, 0, false, nil
 	}
-	tr, fst := build(0)
-	before := fst.Ops()
-	if _, _, _, err := drain(tr); err != nil {
-		t.Fatal(err)
-	}
-	deleteOps := fst.Ops() - before
-	if tr.Stats().Merges == 0 {
-		t.Fatal("emptying the tree merged no page")
-	}
-	inMerge := 0
-	for k := 1; k <= deleteOps; k++ {
-		tr, fst := build(before + k)
-		if fst.Tripped() {
-			t.Fatalf("k=%d: the store failed before the first delete", k)
-		}
+	// The k-th store operation of the drain fails, for every k until a
+	// drain runs out of operations first. The fault is placed relative to
+	// the drain because a cache this small evicts in map order, so the
+	// reads of a build, and of a drain, vary from run to run.
+	inMerge, inWrite, k := 0, 0, 1
+	for ; ; k++ {
+		tr, fst := build()
+		fst.Arm(k)
 		removed, dropped, merging, err := drain(tr)
+		if !fst.Tripped() {
+			if tr.Stats().Merges == 0 {
+				t.Fatal("emptying the tree merged no page")
+			}
+			break
+		}
 		if !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("k=%d: drain = %v, want the injected failure", k, err)
 		}
@@ -386,8 +395,15 @@ func TestDeleteReportsRemovalDespiteError(t *testing.T) {
 		if merging {
 			inMerge++
 		}
+		if strings.Contains(err.Error(), "storage write") {
+			inWrite++
+		}
 	}
 	if inMerge == 0 {
-		t.Fatalf("none of %d faults landed inside a merge's refill", deleteOps)
+		t.Fatalf("none of %d faults landed inside a merge's refill", k-1)
 	}
+	if cache != 0 && inWrite == 0 {
+		t.Fatalf("none of %d faults landed in a write-back", k-1)
+	}
+	t.Logf("swept %d faults: %d inside a merge, %d in a write-back", k-1, inMerge, inWrite)
 }

@@ -28,11 +28,12 @@ func NewStore(inner storage.Store, failAt int) *Store {
 	return &Store{inner: inner, failAt: failAt}
 }
 
-// Arm makes the very next operation fail.
-func (s *Store) Arm() {
+// Arm makes the k-th operation from now fail; Arm(1) fails the very
+// next one.
+func (s *Store) Arm(k int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.failAt = s.n + 1
+	s.failAt = s.n + k
 }
 
 // Ops returns the number of operations observed so far.

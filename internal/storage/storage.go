@@ -76,7 +76,7 @@ type Stats struct {
 	// Prefetches counts pages requested through Prefetch hints;
 	// PrefetchedSlots counts slots those hints actually loaded into the
 	// buffer pool (already-resident slots are not re-loaded). Always 0
-	// for MemStore, whose Prefetch is a no-op.
+	// for MemStore, which has nothing to warm and is no Prefetcher.
 	Prefetches      uint64
 	PrefetchedSlots uint64
 	// FreeSlots is the current free-list length — a gauge, not a counter.
@@ -164,10 +164,6 @@ func (m *MemStore) ReadNodes(ids []page.ID) ([][]byte, error) {
 	}
 	return out, nil
 }
-
-// Prefetch implements Prefetcher. MemStore has nothing to warm — every
-// read is a map lookup — so the hint is dropped.
-func (m *MemStore) Prefetch([]page.ID) {}
 
 // WriteNode implements Store.
 func (m *MemStore) WriteNode(id page.ID, blob []byte) error {
