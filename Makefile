@@ -18,8 +18,11 @@ GO ?= go
 # (TestColumnar* in internal/bvtree: concurrent batched reads against a
 # writer driving mirror rebuilds), and the sharded
 # service (TestShard* in internal/shard: the N-shard-vs-single-tree
-# differential programs, the scatter-gather cancellation tests and the
-# multi-client wire-server stress). The docslint run covers README.md,
+# differential programs, the scatter-gather cancellation tests, the
+# multi-client wire-server stress, one goroutine per connection and a
+# Close beside a client that stopped reading; FuzzFrame's seed streams
+# through one connection's reused buffers; TestDecomposeRect* in
+# internal/zorder: the in-place shard-selection walk). The docslint run covers README.md,
 # DESIGN.md, PROTOCOL.md and EXPERIMENTS.md, including the annotated
 # hex frame dumps. benchmark/ is a module of its own (`replace bvtree =>
 # ../`), which `go test ./...` at the root silently skips, so its tests
@@ -39,7 +42,7 @@ verify:
 	$(GO) test ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/docslint
-	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestColumnar|TestShard' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard
+	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestColumnar|TestShard|FuzzFrame|TestDecomposeRect' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard ./internal/zorder
 	$(GO) test -run '^$$' -bench 'Instrumented|DurableInsert|UnderBackup|MixedRead|ColdLookup|RangeDrive' -benchtime 1x .
 
 # Full suite under the race detector, including the reader/writer stress

@@ -64,19 +64,18 @@ func main() {
 		planDist    = flag.String("plan-dist", "clustered", "distribution sampled for split-point selection")
 		planSample  = flag.Int("plan-sample", 4096, "sample size for split-point selection")
 		seed        = flag.Uint64("seed", 1, "sampling seed for split-point selection")
-		inflight    = flag.Int("inflight", 0, "per-connection pipeline window (0 = default)")
 		metricsAddr = flag.String("metrics-addr", "", "serve expvar+pprof on this address (\"\" = off)")
 	)
 	flag.Parse()
 	if err := run(*addr, *dataDir, *backend, *dims, *shards, *prefixBits,
-		*planDist, *planSample, *seed, *inflight, *metricsAddr); err != nil {
+		*planDist, *planSample, *seed, *metricsAddr); err != nil {
 		fmt.Fprintf(os.Stderr, "bvserver: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 func run(addr, dataDir, backend string, dims, shards, prefixBits int,
-	planDist string, planSample int, seed uint64, inflight int, metricsAddr string) error {
+	planDist string, planSample int, seed uint64, metricsAddr string) error {
 	if backend != "durable" && backend != "mem" {
 		return fmt.Errorf("unknown -backend %q (want durable or mem)", backend)
 	}
@@ -113,7 +112,7 @@ func run(addr, dataDir, backend string, dims, shards, prefixBits int,
 		}
 	}
 
-	srv := shard.NewServer(router, shard.ServerConfig{MaxInflight: inflight})
+	srv := shard.NewServer(router, shard.ServerConfig{})
 	if metricsAddr != "" {
 		publishMetrics(srv, router)
 		go func() {

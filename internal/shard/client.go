@@ -14,18 +14,22 @@ import (
 // Client is a minimal client for the PROTOCOL.md wire protocol, used by
 // the tests, the benchmark's server-mixed workload and as the reference
 // implementation for the README's copy-pasteable snippet. A Client is
-// NOT safe for concurrent use: it owns one connection and matches
-// responses to requests by arrival order (the protocol guarantees
-// responses are sent in request order). Run one Client per goroutine.
+// NOT safe for concurrent use: it owns one connection, reuses one buffer
+// for the request it is writing and one for the reply it has read, and
+// matches responses to requests by arrival order (the protocol
+// guarantees responses are sent in request order). Run one Client per
+// goroutine.
 //
 // The typed methods (Insert, Lookup, Range, …) are synchronous: send,
 // flush, await the reply. For pipelining, queue requests with the
-// Send* methods and collect replies with ReadReply — up to the server's
-// advertised in-flight window (see PROTOCOL.md).
+// Send* methods and collect replies with ReadReply (see PROTOCOL.md
+// on backpressure).
 type Client struct {
 	conn   net.Conn
 	br     *bufio.Reader
 	bw     *bufio.Writer
+	out    []byte // the request frame being built
+	in     []byte // the last reply's payload
 	nextID uint32
 	dims   int
 	shards int
@@ -63,21 +67,27 @@ func (c *Client) Dims() int { return c.dims }
 // Shards returns the server's shard count (learned at Dial).
 func (c *Client) Shards() int { return c.shards }
 
-// send queues one request frame; the caller must Flush (or use do).
-func (c *Client) send(op byte, body []byte) (uint32, error) {
+// begin starts the next request frame in the client's send buffer; the
+// caller appends the body and passes the frame to send.
+func (c *Client) begin(op byte) []byte {
 	c.nextID++
-	id := c.nextID
-	payload := make([]byte, 0, headerSize+len(body))
-	payload = append(payload, ProtoVersion, op)
-	payload = binary.BigEndian.AppendUint32(payload, id)
-	payload = append(payload, body...)
-	return id, writeFrame(c.bw, payload)
+	return beginFrame(c.out, op, c.nextID)
 }
 
-// recv reads one response frame and returns its request ID and body.
-// A non-OK status is returned as *ErrStatus (with the ID still valid).
+// send queues the frame begun by begin and returns its request ID; the
+// caller must Flush (or use do).
+func (c *Client) send(frame []byte) (uint32, error) {
+	_, err := c.bw.Write(endFrame(frame))
+	c.out = reuse(frame)
+	return c.nextID, err
+}
+
+// recv reads one response frame and returns its request ID and body. The
+// body is valid until the next recv. A non-OK status is returned as
+// *ErrStatus (with the ID still valid).
 func (c *Client) recv() (uint32, []byte, error) {
-	payload, err := readFrame(c.br, MaxFrame)
+	payload, err := readFrame(c.br, reuse(c.in), MaxFrame)
+	c.in = payload
 	if err != nil {
 		return 0, nil, err
 	}
@@ -94,9 +104,9 @@ func (c *Client) recv() (uint32, []byte, error) {
 // Flush pushes every queued request onto the wire.
 func (c *Client) Flush() error { return c.bw.Flush() }
 
-// do is one synchronous round trip.
-func (c *Client) do(op byte, body []byte) ([]byte, error) {
-	id, err := c.send(op, body)
+// do is one synchronous round trip of the frame begun by begin.
+func (c *Client) do(frame []byte) ([]byte, error) {
+	id, err := c.send(frame)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +126,7 @@ func (c *Client) do(op byte, body []byte) ([]byte, error) {
 // Ping checks the server and returns its dimensionality and shard
 // count.
 func (c *Client) Ping() (dims, shards int, err error) {
-	resp, err := c.do(OpPing, nil)
+	resp, err := c.do(c.begin(OpPing))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -126,11 +136,15 @@ func (c *Client) Ping() (dims, shards int, err error) {
 	return int(resp[0]), int(binary.BigEndian.Uint16(resp[1:])), nil
 }
 
+// pointPayload begins an Insert or Delete of (p, payload).
+func (c *Client) pointPayload(op byte, p geometry.Point, payload uint64) []byte {
+	frame := appendPoint(c.begin(op), p)
+	return binary.BigEndian.AppendUint64(frame, payload)
+}
+
 // Insert stores (p, payload).
 func (c *Client) Insert(p geometry.Point, payload uint64) error {
-	body := appendPoint(nil, p)
-	body = binary.BigEndian.AppendUint64(body, payload)
-	_, err := c.do(OpInsert, body)
+	_, err := c.do(c.pointPayload(OpInsert, p, payload))
 	return err
 }
 
@@ -138,14 +152,12 @@ func (c *Client) Insert(p geometry.Point, payload uint64) error {
 // ReadReply. Flush is called automatically by the next synchronous
 // method, or call it explicitly.
 func (c *Client) SendInsert(p geometry.Point, payload uint64) (uint32, error) {
-	body := appendPoint(nil, p)
-	body = binary.BigEndian.AppendUint64(body, payload)
-	return c.send(OpInsert, body)
+	return c.send(c.pointPayload(OpInsert, p, payload))
 }
 
 // SendLookup queues a lookup without waiting for its reply.
 func (c *Client) SendLookup(p geometry.Point) (uint32, error) {
-	return c.send(OpLookup, appendPoint(nil, p))
+	return c.send(appendPoint(c.begin(OpLookup), p))
 }
 
 // ReadReply consumes one pipelined reply, returning its request ID. A
@@ -158,9 +170,7 @@ func (c *Client) ReadReply() (uint32, error) {
 // Delete removes one instance of (p, payload), reporting whether it
 // was present.
 func (c *Client) Delete(p geometry.Point, payload uint64) (bool, error) {
-	body := appendPoint(nil, p)
-	body = binary.BigEndian.AppendUint64(body, payload)
-	resp, err := c.do(OpDelete, body)
+	resp, err := c.do(c.pointPayload(OpDelete, p, payload))
 	if err != nil {
 		return false, err
 	}
@@ -172,7 +182,7 @@ func (c *Client) Delete(p geometry.Point, payload uint64) (bool, error) {
 
 // Lookup returns the payloads stored at exactly p.
 func (c *Client) Lookup(p geometry.Point) ([]uint64, error) {
-	resp, err := c.do(OpLookup, appendPoint(nil, p))
+	resp, err := c.do(appendPoint(c.begin(OpLookup), p))
 	if err != nil {
 		return nil, err
 	}
@@ -190,13 +200,17 @@ func (c *Client) Lookup(p geometry.Point) ([]uint64, error) {
 	return out, nil
 }
 
+// rectFrame begins a Range or Count over rect.
+func (c *Client) rectFrame(op byte, rect geometry.Rect) []byte {
+	return appendPoint(appendPoint(c.begin(op), rect.Min), rect.Max)
+}
+
 // Range returns up to limit items inside rect (limit 0 = the server's
-// cap) and whether the result was truncated at the limit.
+// cap) and whether the result was truncated at the limit. The returned
+// points share one coordinate slab.
 func (c *Client) Range(rect geometry.Rect, limit int) (pts []geometry.Point, payloads []uint64, truncated bool, err error) {
-	body := appendPoint(nil, rect.Min)
-	body = appendPoint(body, rect.Max)
-	body = binary.BigEndian.AppendUint32(body, uint32(limit))
-	resp, err := c.do(OpRange, body)
+	frame := binary.BigEndian.AppendUint32(c.rectFrame(OpRange, rect), uint32(limit))
+	resp, err := c.do(frame)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -210,11 +224,12 @@ func (c *Client) Range(rect geometry.Rect, limit int) (pts []geometry.Point, pay
 	if len(items) != n*stride {
 		return nil, nil, false, fmt.Errorf("shard: range reply %d item bytes, want %d", len(items), n*stride)
 	}
+	coords := make([]uint64, n*c.dims)
 	pts = make([]geometry.Point, n)
 	payloads = make([]uint64, n)
-	for i := 0; i < n; i++ {
-		p, rest, _ := parsePoint(items[i*stride:(i+1)*stride], c.dims)
-		pts[i] = p
+	for i := range pts {
+		pts[i] = coords[i*c.dims : (i+1)*c.dims : (i+1)*c.dims]
+		rest, _ := parsePoint(items[i*stride:], pts[i])
 		payloads[i] = binary.BigEndian.Uint64(rest)
 	}
 	return pts, payloads, truncated, nil
@@ -222,9 +237,7 @@ func (c *Client) Range(rect geometry.Rect, limit int) (pts []geometry.Point, pay
 
 // Count returns the number of items inside rect.
 func (c *Client) Count(rect geometry.Rect) (int, error) {
-	body := appendPoint(nil, rect.Min)
-	body = appendPoint(body, rect.Max)
-	resp, err := c.do(OpCount, body)
+	resp, err := c.do(c.rectFrame(OpCount, rect))
 	if err != nil {
 		return 0, err
 	}
@@ -236,9 +249,8 @@ func (c *Client) Count(rect geometry.Rect) (int, error) {
 
 // Nearest returns the k stored items closest to p, nearest first.
 func (c *Client) Nearest(p geometry.Point, k int) ([]bvtree.Neighbor, error) {
-	body := appendPoint(nil, p)
-	body = binary.BigEndian.AppendUint32(body, uint32(k))
-	resp, err := c.do(OpNearest, body)
+	frame := binary.BigEndian.AppendUint32(appendPoint(c.begin(OpNearest), p), uint32(k))
+	resp, err := c.do(frame)
 	if err != nil {
 		return nil, err
 	}
@@ -252,8 +264,9 @@ func (c *Client) Nearest(p geometry.Point, k int) ([]bvtree.Neighbor, error) {
 		return nil, fmt.Errorf("shard: nearest reply %d item bytes, want %d", len(items), n*stride)
 	}
 	out := make([]bvtree.Neighbor, n)
-	for i := 0; i < n; i++ {
-		pt, rest, _ := parsePoint(items[i*stride:(i+1)*stride], c.dims)
+	for i := range out {
+		pt := make(geometry.Point, c.dims)
+		rest, _ := parsePoint(items[i*stride:], pt)
 		out[i] = bvtree.Neighbor{
 			Point:   pt,
 			Payload: binary.BigEndian.Uint64(rest),
@@ -265,7 +278,7 @@ func (c *Client) Nearest(p geometry.Point, k int) ([]bvtree.Neighbor, error) {
 
 // Len returns the cluster's total item count and the per-shard counts.
 func (c *Client) Len() (total int, perShard []int, err error) {
-	resp, err := c.do(OpLen, nil)
+	resp, err := c.do(c.begin(OpLen))
 	if err != nil {
 		return 0, nil, err
 	}

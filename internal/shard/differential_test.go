@@ -20,7 +20,7 @@ var backends = []string{"mem", "paged", "durable"}
 // newEngines builds one engine per shard range of the plan, plus a
 // cleanup. The durable backend gives every shard its own store file and
 // WAL, exactly as cmd/bvserver lays them out.
-func newEngines(t *testing.T, backend string, plan Plan) []Engine {
+func newEngines(t testing.TB, backend string, plan Plan) []Engine {
 	t.Helper()
 	opt := bvtree.Options{Dims: plan.Dims, DataCapacity: 8, Fanout: 8}
 	engines := make([]Engine, plan.Shards())

@@ -2,13 +2,14 @@ package shard
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"bvtree/internal/bvtree"
 	"bvtree/internal/geometry"
 	"bvtree/internal/workload"
+	"bvtree/internal/zorder"
 )
 
 func TestShardPlanShards(t *testing.T) {
@@ -210,6 +211,54 @@ func TestShardStraddlingWindows(t *testing.T) {
 	}
 }
 
+// TestShardsForRectMatchesHitSet pins shard selection to the rule it was
+// written as: mark every shard an interval of the cover overlaps, then
+// list the marked shards in order.
+func TestShardsForRectMatchesHitSet(t *testing.T) {
+	const dims = 2
+	sample, err := workload.Generate(workload.Clustered, dims, 2000, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{2, 4, 7, 16} {
+		plan, err := PlanShards(sample, dims, shards, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRouter(plan, make([]Engine, shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed, side := range []float64{0.001, 0.01, 0.1, 0.5} {
+			for _, rect := range workload.QueryRects(dims, 50, side, uint64(seed)) {
+				got, err := r.shardsForRect(rect)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ranges, err := zorder.DecomposeRect(r.il, rect, 4*shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hit := make([]bool, shards)
+				for _, kr := range ranges {
+					for i := r.shardForKey(kr.Lo); i < shards && r.lo[i] <= kr.Hi; i++ {
+						hit[i] = true
+					}
+				}
+				var want []int
+				for i, h := range hit {
+					if h {
+						want = append(want, i)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%d shards, window %v: selected %v, want %v", shards, rect, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestShardEmptyShards drives a cluster where the data lives in one
 // corner of the domain under a uniform plan, leaving most shards
 // empty: routing, scatter-gather and per-shard accounting must all
@@ -275,14 +324,19 @@ func TestShardEmptyShards(t *testing.T) {
 }
 
 // errEngine wraps an Engine, failing RangeQuery with a fixed error
-// after emitting a few items.
+// after emitting a few items. When returned is set, it is closed as
+// RangeQuery returns.
 type errEngine struct {
 	Engine
 	err       error
 	emitFirst int
+	returned  chan struct{}
 }
 
 func (e *errEngine) RangeQuery(rect geometry.Rect, visit bvtree.Visitor) error {
+	if e.returned != nil {
+		defer close(e.returned)
+	}
 	emitted := 0
 	_ = e.Engine.RangeQuery(rect, func(p geometry.Point, payload uint64) bool {
 		if emitted >= e.emitFirst {
@@ -294,20 +348,26 @@ func (e *errEngine) RangeQuery(rect geometry.Rect, visit bvtree.Visitor) error {
 	return e.err
 }
 
-// slowEngine wraps an Engine, pacing each emitted item and counting
-// how many were emitted — the probe that proves cancellation reached
-// an in-flight shard.
-type slowEngine struct {
+// gatedEngine stands in for a shard whose walk would not end on its own:
+// once gate is closed, RangeQuery emits distinct points until its visitor
+// declines or limit is reached, counting them — the probe that proves
+// cancellation reached an in-flight shard.
+type gatedEngine struct {
 	Engine
+	gate    <-chan struct{}
+	limit   int64
 	emitted atomic.Int64
 }
 
-func (e *slowEngine) RangeQuery(rect geometry.Rect, visit bvtree.Visitor) error {
-	return e.Engine.RangeQuery(rect, func(p geometry.Point, payload uint64) bool {
-		time.Sleep(time.Millisecond)
+func (e *gatedEngine) RangeQuery(rect geometry.Rect, visit bvtree.Visitor) error {
+	<-e.gate
+	for i := int64(0); i < e.limit; i++ {
 		e.emitted.Add(1)
-		return visit(p, payload)
-	})
+		if !visit(geometry.Point{uint64(i), 0}, uint64(i)) {
+			break
+		}
+	}
+	return nil
 }
 
 // TestShardFirstErrorCancellation proves the scatter contract: the
@@ -335,9 +395,12 @@ func TestShardFirstErrorCancellation(t *testing.T) {
 		}
 	}
 
+	// The second shard starts only once the first has failed, and then
+	// emits until it is told to stop: only cancellation ends its walk.
 	sentinel := errors.New("shard 0 poisoned")
-	failing := &errEngine{Engine: engines[0], err: sentinel, emitFirst: 3}
-	slow := &slowEngine{Engine: engines[1]}
+	failed := make(chan struct{})
+	failing := &errEngine{Engine: engines[0], err: sentinel, emitFirst: 3, returned: failed}
+	slow := &gatedEngine{Engine: engines[1], gate: failed, limit: 1 << 20}
 	r, err := NewRouter(plan, []Engine{failing, slow})
 	if err != nil {
 		t.Fatal(err)
@@ -351,13 +414,11 @@ func TestShardFirstErrorCancellation(t *testing.T) {
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("got error %v, want the poisoned shard's sentinel", err)
 	}
-	// The slow shard holds thousands of points at 1ms each; if
-	// cancellation had not reached it, it would have emitted them all.
-	if n := slow.emitted.Load(); n >= int64(slow.Engine.Len()) {
-		t.Fatalf("slow shard emitted all %d items: cancellation never arrived", n)
+	if n := slow.emitted.Load(); n >= slow.limit {
+		t.Fatalf("gated shard emitted all %d items: cancellation never arrived", n)
 	}
-	if visited > len(pts) {
-		t.Fatalf("visitor saw %d items, more than exist", visited)
+	if int64(visited) > slow.emitted.Load() {
+		t.Fatalf("visitor saw %d items, more than the shards emitted", visited)
 	}
 }
 

@@ -8,8 +8,10 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"bvtree/internal/bvtree"
 	"bvtree/internal/geometry"
 	"bvtree/internal/obs"
 )
@@ -17,13 +19,6 @@ import (
 // ServerConfig tunes a Server. The zero value serves with the defaults
 // documented on each field.
 type ServerConfig struct {
-	// MaxInflight caps how many pipelined requests one connection may
-	// have queued or executing (default 64). When the cap is reached the
-	// server stops reading from that connection's socket, so backpressure
-	// propagates to the client through TCP flow control — a fast client
-	// cannot queue unbounded work. See PROTOCOL.md ("Pipelining and
-	// backpressure").
-	MaxInflight int
 	// MaxFrame caps a frame's payload length in bytes (default
 	// shard.MaxFrame, 16 MiB). A frame announcing more than this closes
 	// the connection.
@@ -36,9 +31,6 @@ type ServerConfig struct {
 }
 
 func (c *ServerConfig) fill() {
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 64
-	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = MaxFrame
 	}
@@ -86,21 +78,24 @@ type ServerMetricsSnapshot struct {
 
 // Server speaks the PROTOCOL.md wire protocol over a Router. Create
 // one with NewServer, start it with Serve or ListenAndServe, stop it
-// with Close. Every connection gets one reader and one executor
-// goroutine: the reader decodes ahead up to MaxInflight requests (the
-// pipelining window) while the executor runs them against the router
-// strictly in arrival order, so responses are ordered per connection
-// and cross-connection parallelism — not reordering — is the
-// concurrency model.
+// with Close. Every connection is one goroutine that reads a request,
+// executes it against the router and writes its response, strictly in
+// arrival order: responses are ordered per connection, and
+// cross-connection parallelism — not reordering — is the concurrency
+// model. While it executes, the goroutine does not read, so a client
+// that pipelines ahead is held back by TCP flow control.
 type Server struct {
 	r   *Router
 	cfg ServerConfig
 	m   serverMetrics
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	draining bool
+	// closing is set once Close begins; requests read after it are
+	// answered with StatusShutdown.
+	closing atomic.Bool
+
+	mu    sync.Mutex
+	ln    net.Listener
+	conns map[net.Conn]struct{}
 
 	wg sync.WaitGroup
 }
@@ -130,7 +125,7 @@ func (s *Server) ListenAndServe(addr string) error {
 // non-nil error; after Close the error is net.ErrClosed.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
-	if s.draining {
+	if s.closing.Load() {
 		s.mu.Unlock()
 		ln.Close()
 		return net.ErrClosed
@@ -143,7 +138,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 		s.mu.Lock()
-		if s.draining {
+		if s.closing.Load() {
 			s.mu.Unlock()
 			conn.Close()
 			return net.ErrClosed
@@ -167,14 +162,21 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Close stops accepting, closes every open connection and waits for
-// the per-connection goroutines to drain. In-flight requests that
-// complete before their connection notices the close still get their
-// responses; requests dequeued after Close begins are answered with
-// StatusShutdown. Close is idempotent.
+// closeWriteGrace is how long Close lets a connection go on writing: long
+// enough for a live client to receive the response of the request in
+// flight and StatusShutdown for those it pipelined behind it, short
+// enough that a client which has stopped reading cannot hold Close.
+const closeWriteGrace = time.Second
+
+// Close stops accepting, ends every open connection and waits for the
+// connections' goroutines to return. Reads stop at once. A request in
+// flight completes, and it and every request already received behind it
+// (those answered with StatusShutdown) are written within
+// closeWriteGrace, after which a connection whose client does not read
+// is dropped. Close is idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	s.draining = true
+	s.closing.Store(true)
 	ln := s.ln
 	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
@@ -184,17 +186,12 @@ func (s *Server) Close() error {
 	if ln != nil {
 		ln.Close()
 	}
+	now := time.Now()
 	for _, c := range conns {
-		// Unblock the reader; the executor drains its queue and exits.
-		c.SetReadDeadline(time.Now())
+		c.SetReadDeadline(now)
+		c.SetWriteDeadline(now.Add(closeWriteGrace))
 	}
 	s.wg.Wait()
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-		delete(s.conns, c)
-	}
-	s.mu.Unlock()
 	return nil
 }
 
@@ -221,20 +218,61 @@ func (s *Server) Metrics() ServerMetricsSnapshot {
 	return snap
 }
 
-// request is one decoded frame queued from reader to executor.
-type request struct {
-	op   byte
-	id   uint32
-	body []byte
-	// respond-only errors discovered by the reader (bad version, short
-	// header) ride the same queue so responses keep arrival order.
-	status byte
-	errMsg string
+// connState is what one connection reuses from request to request: the
+// request payload, the response frame, the coordinates a request's point
+// or rect is decoded into, and the Range visitor, bound once so that a
+// query allocates no closure.
+type connState struct {
+	req, resp []byte
+	coords    geometry.Point // 2·dims: a point is the first half, a rect both
+
+	// The Range in progress: visit appends items to resp.
+	limit, count int
+	truncated    bool
+	visit        bvtree.Visitor
 }
 
-// serveConn runs one connection: a reader goroutine feeding a bounded
-// queue (the pipelining window / backpressure valve) and this
-// goroutine executing requests and writing responses in order.
+func newConnState(dims int) *connState {
+	c := &connState{coords: make(geometry.Point, 2*dims)}
+	c.visit = c.appendItem
+	return c
+}
+
+// appendItem is the Range visitor: one item into the response, until the
+// limit.
+func (c *connState) appendItem(p geometry.Point, payload uint64) bool {
+	if c.count == c.limit {
+		c.truncated = true
+		return false
+	}
+	c.resp = appendPoint(c.resp, p)
+	c.resp = binary.BigEndian.AppendUint64(c.resp, payload)
+	c.count++
+	return true
+}
+
+// point and rect decode a request's argument into the connection's
+// coordinates, returning the remainder of the body.
+func (c *connState) point(body []byte) (geometry.Point, []byte, bool) {
+	p := c.coords[:len(c.coords)/2]
+	rest, ok := parsePoint(body, p)
+	return p, rest, ok
+}
+
+func (c *connState) rect(body []byte) (geometry.Rect, []byte, bool) {
+	dims := len(c.coords) / 2
+	rect := geometry.Rect{Min: c.coords[:dims], Max: c.coords[dims:]}
+	rest, ok := parsePoint(body, rect.Min)
+	if ok {
+		rest, ok = parsePoint(rest, rect.Max)
+	}
+	return rect, rest, ok
+}
+
+// serveConn runs one connection on one goroutine: read a request, execute
+// it, write its response. Responses are flushed unless the next whole
+// request is already buffered, so a lone request is answered at once and
+// a pipelined burst is answered in few writes.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -245,200 +283,185 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.m.conns.Add(-1)
 	}()
 
-	reqc := make(chan request, s.cfg.MaxInflight)
-	var readerDone sync.WaitGroup
-	readerDone.Add(1)
-	go func() {
-		defer readerDone.Done()
-		defer close(reqc)
-		for {
-			payload, err := readFrame(conn, s.cfg.MaxFrame)
-			if err != nil {
-				// EOF, peer reset, read-deadline from Close, or an
-				// unframeable stream (bad length): nothing further can be
-				// parsed, so the connection ends. Queued requests still
-				// drain below.
-				return
-			}
-			s.m.bytesIn.Add(uint64(len(payload)) + 4)
-			req := request{
-				op:   payload[1],
-				id:   binary.BigEndian.Uint32(payload[2:6]),
-				body: payload[headerSize:],
-			}
-			if payload[0] != ProtoVersion {
-				req.status = StatusBadVersion
-				req.errMsg = fmt.Sprintf("got version %#02x, want %#02x", payload[0], ProtoVersion)
-			}
-			reqc <- req
-		}
-	}()
-
+	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
-	for req := range reqc {
-		status, body := s.execute(&req)
-		resp := make([]byte, 0, headerSize+len(body))
-		resp = append(resp, ProtoVersion, status)
-		resp = binary.BigEndian.AppendUint32(resp, req.id)
-		resp = append(resp, body...)
-		if err := writeFrame(bw, resp); err != nil {
+	c := newConnState(s.r.plan.Dims)
+	for {
+		var err error
+		if c.req, err = readFrame(br, c.req, s.cfg.MaxFrame); err != nil {
+			// EOF, peer reset, Close's read deadline, or an unframeable
+			// stream (bad length): nothing further can be parsed, so the
+			// connection ends.
 			break
 		}
-		s.m.bytesOut.Add(uint64(len(resp)) + 4)
+		s.m.bytesIn.Add(uint64(len(c.req)) + 4)
+		status := s.execute(c)
+		if _, err := bw.Write(c.resp); err != nil {
+			break
+		}
+		s.m.bytesOut.Add(uint64(len(c.resp)))
 		if status != StatusOK {
 			s.m.errors.Inc()
 		}
-		// Flush when the pipeline is momentarily empty: responses batch
-		// while requests keep arriving, but a lone request is answered
-		// immediately.
-		if len(reqc) == 0 {
+		if !requestBuffered(br) {
 			if err := bw.Flush(); err != nil {
 				break
 			}
 		}
+		c.req, c.resp = reuse(c.req), reuse(c.resp)
 	}
 	bw.Flush()
-	readerDone.Wait()
 }
 
-// execute runs one request against the router and returns the response
-// status and body.
-func (s *Server) execute(req *request) (byte, []byte) {
-	if req.status != 0 {
-		return req.status, []byte(req.errMsg)
+// requestBuffered reports whether br already holds the whole of the next
+// frame.
+func requestBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
 	}
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		return StatusShutdown, []byte(statusText(StatusShutdown))
-	}
-	if req.op == 0 || req.op >= numOps {
-		return StatusUnknownOp, []byte(fmt.Sprintf("opcode %#02x", req.op))
-	}
-	s.m.requests[req.op].Inc()
-	start := time.Now()
-	status, body := s.executeOp(req.op, req.body)
-	s.m.latency[req.op].Observe(int64(time.Since(start)))
-	return status, body
+	hdr, _ := br.Peek(4)
+	return uint64(br.Buffered()) >= 4+uint64(binary.BigEndian.Uint32(hdr))
 }
 
-func (s *Server) executeOp(op byte, body []byte) (byte, []byte) {
-	dims := s.r.plan.Dims
+// execute runs the request in c.req, leaves its whole response frame in
+// c.resp and returns the response status.
+func (s *Server) execute(c *connState) byte {
+	req := c.req
+	op := req[1]
+	c.resp = beginFrame(c.resp, StatusOK, binary.BigEndian.Uint32(req[2:6]))
+	var status byte
+	var msg string
+	switch {
+	case req[0] != ProtoVersion:
+		status, msg = StatusBadVersion, fmt.Sprintf("got version %#02x, want %#02x", req[0], ProtoVersion)
+	case s.closing.Load():
+		status, msg = StatusShutdown, statusText(StatusShutdown)
+	case op == 0 || op >= numOps:
+		status, msg = StatusUnknownOp, fmt.Sprintf("opcode %#02x", op)
+	default:
+		s.m.requests[op].Inc()
+		start := time.Now()
+		status, msg = s.executeOp(c, op, req[headerSize:])
+		s.m.latency[op].Observe(int64(time.Since(start)))
+	}
+	if status != StatusOK {
+		c.resp = append(c.resp[:frameHeader], msg...)
+		c.resp[4+1] = status // past the length prefix and the version
+	}
+	c.resp = endFrame(c.resp)
+	return status
+}
+
+// executeOp runs one request against the router and appends its OK body to
+// c.resp, or returns the status and message of its failure.
+func (s *Server) executeOp(c *connState, op byte, body []byte) (byte, string) {
 	switch op {
 	case OpPing:
-		out := []byte{byte(dims)}
-		out = binary.BigEndian.AppendUint16(out, uint16(s.r.Shards()))
-		return StatusOK, out
+		c.resp = append(c.resp, byte(s.r.plan.Dims))
+		c.resp = binary.BigEndian.AppendUint16(c.resp, uint16(s.r.Shards()))
+		return StatusOK, ""
 
 	case OpInsert:
-		p, rest, ok := parsePoint(body, dims)
+		p, rest, ok := c.point(body)
 		if !ok || len(rest) != 8 {
-			return StatusMalformed, []byte("insert: want point + payload")
+			return StatusMalformed, "insert: want point + payload"
 		}
 		if err := s.r.Insert(p, binary.BigEndian.Uint64(rest)); err != nil {
-			return StatusInternal, []byte(err.Error())
+			return StatusInternal, err.Error()
 		}
-		return StatusOK, nil
+		return StatusOK, ""
 
 	case OpDelete:
-		p, rest, ok := parsePoint(body, dims)
+		p, rest, ok := c.point(body)
 		if !ok || len(rest) != 8 {
-			return StatusMalformed, []byte("delete: want point + payload")
+			return StatusMalformed, "delete: want point + payload"
 		}
 		found, err := s.r.Delete(p, binary.BigEndian.Uint64(rest))
 		if err != nil {
-			return StatusInternal, []byte(err.Error())
+			return StatusInternal, err.Error()
 		}
 		if found {
-			return StatusOK, []byte{1}
+			c.resp = append(c.resp, 1)
+		} else {
+			c.resp = append(c.resp, 0)
 		}
-		return StatusOK, []byte{0}
+		return StatusOK, ""
 
 	case OpLookup:
-		p, rest, ok := parsePoint(body, dims)
+		p, rest, ok := c.point(body)
 		if !ok || len(rest) != 0 {
-			return StatusMalformed, []byte("lookup: want point")
+			return StatusMalformed, "lookup: want point"
 		}
 		payloads, err := s.r.Lookup(p)
 		if err != nil {
-			return StatusInternal, []byte(err.Error())
+			return StatusInternal, err.Error()
 		}
-		out := binary.BigEndian.AppendUint32(nil, uint32(len(payloads)))
+		c.resp = binary.BigEndian.AppendUint32(c.resp, uint32(len(payloads)))
 		for _, v := range payloads {
-			out = binary.BigEndian.AppendUint64(out, v)
+			c.resp = binary.BigEndian.AppendUint64(c.resp, v)
 		}
-		return StatusOK, out
+		return StatusOK, ""
 
 	case OpRange:
-		rect, rest, ok := parseRect(body, dims)
+		rect, rest, ok := c.rect(body)
 		if !ok || len(rest) != 4 {
-			return StatusMalformed, []byte("range: want min + max + limit")
+			return StatusMalformed, "range: want min + max + limit"
 		}
-		if _, err := geometry.NewRect(rect.Min, rect.Max); err != nil {
-			return StatusBadRequest, []byte(err.Error())
+		if err := checkRect(rect); err != nil {
+			return StatusBadRequest, err.Error()
 		}
-		limit := int(binary.BigEndian.Uint32(rest))
-		if limit == 0 || limit > s.cfg.RangeLimitMax {
-			limit = s.cfg.RangeLimitMax
+		c.limit = int(binary.BigEndian.Uint32(rest))
+		if c.limit == 0 || c.limit > s.cfg.RangeLimitMax {
+			c.limit = s.cfg.RangeLimitMax
 		}
-		items := make([]byte, 0, 1024)
-		count, truncated := 0, false
-		err := s.r.RangeQuery(rect, func(p geometry.Point, payload uint64) bool {
-			if count == limit {
-				truncated = true
-				return false
-			}
-			items = appendPoint(items, p)
-			items = binary.BigEndian.AppendUint64(items, payload)
-			count++
-			return true
-		})
-		if err != nil {
-			return StatusInternal, []byte(err.Error())
+		// count(uint32) and truncated(1) are filled in once the items are.
+		head := len(c.resp)
+		c.resp = append(c.resp, 0, 0, 0, 0, 0)
+		c.count, c.truncated = 0, false
+		if err := s.r.RangeQuery(rect, c.visit); err != nil {
+			return StatusInternal, err.Error()
 		}
-		out := binary.BigEndian.AppendUint32(nil, uint32(count))
-		if truncated {
-			out = append(out, 1)
-		} else {
-			out = append(out, 0)
+		binary.BigEndian.PutUint32(c.resp[head:], uint32(c.count))
+		if c.truncated {
+			c.resp[head+4] = 1
 		}
-		return StatusOK, append(out, items...)
+		return StatusOK, ""
 
 	case OpCount:
-		rect, rest, ok := parseRect(body, dims)
+		rect, rest, ok := c.rect(body)
 		if !ok || len(rest) != 0 {
-			return StatusMalformed, []byte("count: want min + max")
+			return StatusMalformed, "count: want min + max"
 		}
-		if _, err := geometry.NewRect(rect.Min, rect.Max); err != nil {
-			return StatusBadRequest, []byte(err.Error())
+		if err := checkRect(rect); err != nil {
+			return StatusBadRequest, err.Error()
 		}
 		n, err := s.r.Count(rect)
 		if err != nil {
-			return StatusInternal, []byte(err.Error())
+			return StatusInternal, err.Error()
 		}
-		return StatusOK, binary.BigEndian.AppendUint64(nil, uint64(n))
+		c.resp = binary.BigEndian.AppendUint64(c.resp, uint64(n))
+		return StatusOK, ""
 
 	case OpNearest:
-		p, rest, ok := parsePoint(body, dims)
+		p, rest, ok := c.point(body)
 		if !ok || len(rest) != 4 {
-			return StatusMalformed, []byte("nearest: want point + k")
+			return StatusMalformed, "nearest: want point + k"
 		}
 		k := int(binary.BigEndian.Uint32(rest))
 		if k < 1 {
-			return StatusBadRequest, []byte("nearest: k must be at least 1")
+			return StatusBadRequest, "nearest: k must be at least 1"
 		}
 		ns, err := s.r.Nearest(p, k)
 		if err != nil {
-			return StatusInternal, []byte(err.Error())
+			return StatusInternal, err.Error()
 		}
-		out := binary.BigEndian.AppendUint32(nil, uint32(len(ns)))
+		c.resp = binary.BigEndian.AppendUint32(c.resp, uint32(len(ns)))
 		for _, nb := range ns {
-			out = appendPoint(out, nb.Point)
-			out = binary.BigEndian.AppendUint64(out, nb.Payload)
-			out = binary.BigEndian.AppendUint64(out, math.Float64bits(nb.Dist))
+			c.resp = appendPoint(c.resp, nb.Point)
+			c.resp = binary.BigEndian.AppendUint64(c.resp, nb.Payload)
+			c.resp = binary.BigEndian.AppendUint64(c.resp, math.Float64bits(nb.Dist))
 		}
-		return StatusOK, out
+		return StatusOK, ""
 
 	case OpLen:
 		lens := s.r.ShardLens()
@@ -446,27 +469,26 @@ func (s *Server) executeOp(op byte, body []byte) (byte, []byte) {
 		for _, n := range lens {
 			total += n
 		}
-		out := binary.BigEndian.AppendUint64(nil, uint64(total))
-		out = binary.BigEndian.AppendUint16(out, uint16(len(lens)))
+		c.resp = binary.BigEndian.AppendUint64(c.resp, uint64(total))
+		c.resp = binary.BigEndian.AppendUint16(c.resp, uint16(len(lens)))
 		for _, n := range lens {
-			out = binary.BigEndian.AppendUint64(out, uint64(n))
+			c.resp = binary.BigEndian.AppendUint64(c.resp, uint64(n))
 		}
-		return StatusOK, out
+		return StatusOK, ""
 	}
-	return StatusUnknownOp, []byte(fmt.Sprintf("opcode %#02x", op))
+	return StatusUnknownOp, fmt.Sprintf("opcode %#02x", op)
 }
 
-// parseRect decodes min and max points, returning the remainder.
-func parseRect(buf []byte, dims int) (geometry.Rect, []byte, bool) {
-	min, rest, ok := parsePoint(buf, dims)
-	if !ok {
-		return geometry.Rect{}, buf, false
+// checkRect rejects a rect whose min exceeds its max in some dimension,
+// with geometry.NewRect's message.
+func checkRect(rect geometry.Rect) error {
+	for d := range rect.Min {
+		if rect.Min[d] > rect.Max[d] {
+			_, err := geometry.NewRect(rect.Min, rect.Max)
+			return err
+		}
 	}
-	max, rest, ok := parsePoint(rest, dims)
-	if !ok {
-		return geometry.Rect{}, buf, false
-	}
-	return geometry.Rect{Min: min, Max: max}, rest, true
+	return nil
 }
 
 // ErrStatus is the error a Client returns for a non-OK response

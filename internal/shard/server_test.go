@@ -1,11 +1,14 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,7 +18,9 @@ import (
 )
 
 // startServer runs a server over mem-backed shards on a loopback
-// listener and returns it with its dial address.
+// listener and returns it with its dial address. Its cleanup closes the
+// server, waits for Serve to return and checks that every goroutine the
+// server started has exited.
 func startServer(t *testing.T, dims, shards int, cfg ServerConfig) (*Server, string) {
 	t.Helper()
 	plan, err := PlanUniform(dims, shards, 0)
@@ -26,14 +31,40 @@ func startServer(t *testing.T, dims, shards int, cfg ServerConfig) (*Server, str
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(r, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go s.Serve(ln)
-	t.Cleanup(func() { s.Close() })
-	return s, ln.Addr().String()
+	return serve(t, NewServer(r, cfg), ln), ln.Addr().String()
+}
+
+// serve runs s on ln until the test's cleanup closes it.
+func serve(t *testing.T, s *Server, ln net.Listener) *Server {
+	base := runtime.NumGoroutine()
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ln) }()
+	t.Cleanup(func() {
+		s.Close()
+		<-served
+		waitGoroutines(t, "after Close", func(n int) bool { return n <= base })
+	})
+	return s
+}
+
+// waitGoroutines yields until the number of goroutines satisfies ok, and
+// fails the test if it has not within five seconds. A goroutine that has
+// done its last work may still be exiting, so the count is awaited rather
+// than read once.
+func waitGoroutines(t *testing.T, what string, ok func(n int) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); !ok(n); n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Errorf("%s: %d goroutines", what, n)
+			return
+		}
+		runtime.Gosched()
+	}
 }
 
 func TestShardServerRoundTrip(t *testing.T) {
@@ -160,7 +191,7 @@ func TestShardServerRoundTrip(t *testing.T) {
 // in request order.
 func TestShardServerPipelining(t *testing.T) {
 	const dims, burst = 2, 200
-	_, addr := startServer(t, dims, 4, ServerConfig{MaxInflight: 16})
+	_, addr := startServer(t, dims, 4, ServerConfig{})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +250,8 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 
 func (r *rawConn) send(payload []byte) {
 	r.t.Helper()
-	if err := writeFrame(r.conn, payload); err != nil {
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	if _, err := r.conn.Write(append(frame, payload...)); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -227,7 +259,7 @@ func (r *rawConn) send(payload []byte) {
 // recv reads one response, returning its status and body.
 func (r *rawConn) recv() (byte, []byte) {
 	r.t.Helper()
-	payload, err := readFrame(r.conn, MaxFrame)
+	payload, err := readFrame(r.conn, nil, MaxFrame)
 	if err != nil {
 		r.t.Fatalf("read response: %v", err)
 	}
@@ -416,4 +448,297 @@ func TestShardServerConcurrentClients(t *testing.T) {
 			t.Fatalf("payload %d missing from scan (found %d)", i, v)
 		}
 	}
+}
+
+// TestShardServerGoroutinePerConnection pins the connection model: one
+// goroutine per open connection, gone when its client hangs up.
+func TestShardServerGoroutinePerConnection(t *testing.T) {
+	base := runtime.NumGoroutine()
+	_, addr := startServer(t, 2, 2, ServerConfig{})
+	const conns = 3
+	clients := make([]*Client, conns)
+	for i := range clients {
+		c, err := Dial(addr) // returns after a ping: the connection is served
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = c
+	}
+	// The accept loop, plus one per connection.
+	waitGoroutines(t, "open connections", func(n int) bool { return n == base+1+conns })
+	for i, c := range clients {
+		c.Close()
+		waitGoroutines(t, "after a client hung up", func(n int) bool { return n == base+1+conns-(i+1) })
+	}
+}
+
+// listenerFunc adapts a function to net.Listener's Accept.
+type listenerFunc struct {
+	net.Listener
+	accept func() (net.Conn, error)
+}
+
+func (l listenerFunc) Accept() (net.Conn, error) { return l.accept() }
+
+// gateEngine closes started the first time RangeQuery is called.
+type gateEngine struct {
+	Engine
+	once    sync.Once
+	started chan struct{}
+}
+
+func (e *gateEngine) RangeQuery(rect geometry.Rect, visit bvtree.Visitor) error {
+	e.once.Do(func() { close(e.started) })
+	return e.Engine.RangeQuery(rect, visit)
+}
+
+// TestShardServerCloseWithStalledClient: a client that pipelines
+// requests with large replies and never reads leaves the server blocked
+// writing a response. Close must still return, because its deadline
+// covers writes too.
+func TestShardServerCloseWithStalledClient(t *testing.T) {
+	const dims, n, requests = 2, 20000, 200
+	plan, err := PlanUniform(dims, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := newEngines(t, "mem", plan)
+	gate := &gateEngine{Engine: engines[0], started: make(chan struct{})}
+	engines[0] = gate
+	r, err := NewRouter(plan, engines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := workload.Generate(workload.Uniform, dims, n, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		if err := r.Insert(p, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Small socket buffers on both sides: one whole-universe reply
+	// (n items, ~480 KB) cannot fit, so the first one blocks the server.
+	small := listenerFunc{Listener: ln, accept: func() (net.Conn, error) {
+		conn, err := ln.Accept()
+		if tc, ok := conn.(*net.TCPConn); ok {
+			tc.SetWriteBuffer(16 << 10)
+		}
+		return conn, err
+	}}
+	s := serve(t, NewServer(r, ServerConfig{}), small)
+	rc := dialRaw(t, ln.Addr().String())
+	rc.conn.(*net.TCPConn).SetReadBuffer(16 << 10)
+
+	body := appendPoint(nil, make(geometry.Point, dims))
+	body = appendPoint(body, geometry.UniverseRect(dims).Max)
+	body = binary.BigEndian.AppendUint32(body, 0)
+	for i := 0; i < requests; i++ {
+		rc.send(req(OpRange, uint32(i+1), body...))
+	}
+	timeout := time.After(10 * time.Second)
+	select {
+	case <-gate.started: // the server is executing the first Range
+	case <-timeout:
+		t.Fatal("the server never started a Range")
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-timeout:
+		rc.conn.Close() // unblock the server, so the cleanup does not hang too
+		t.Fatal("Close did not return with a client that stopped reading")
+	}
+}
+
+// raceEnabled is set in race builds (race_test.go), whose runtime
+// allocates where a normal build does not.
+var raceEnabled bool
+
+// TestServerRequestAllocs pins what the wire adds to a request's
+// allocations: a round trip through client, connection and server, less
+// the same call made on the router directly. Both run in one process on
+// twin routers holding the same points, so the tree's and the router's
+// own allocations cancel. The server allocates nothing per request; what
+// is left is the client's result (a Lookup's payloads; a Range's
+// coordinate slab, points and payloads).
+func TestServerRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates: exact counts hold in normal builds only")
+	}
+	const dims = 2
+	s, addr := startServer(t, dims, 4, ServerConfig{})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	twin, err := NewRouter(s.Router().Plan(), newEngines(t, "mem", s.Router().Plan()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := workload.Generate(workload.Clustered, dims, 4000, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		if err := s.Router().Insert(p, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.Insert(p, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	extra, err := workload.Generate(workload.Uniform, dims, 1000, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pts[17]
+	one := geometry.Rect{Min: p, Max: p}
+	visit := func(geometry.Point, uint64) bool { return true }
+	wireNext, twinNext := 0, 0
+	for _, tc := range []struct {
+		name   string
+		budget float64 // allocations the wire adds
+		wire   func() error
+		direct func() error
+	}{
+		{"lookup", 1,
+			func() error { _, err := c.Lookup(p); return err },
+			func() error { _, err := twin.Lookup(p); return err }},
+		{"count", 0,
+			func() error { _, err := c.Count(one); return err },
+			func() error { _, err := twin.Count(one); return err }},
+		{"range-one-item", 3,
+			func() error { _, _, _, err := c.Range(one, 0); return err },
+			func() error { return twin.RangeQuery(one, visit) }},
+		{"insert", 0,
+			func() error { wireNext++; return c.Insert(extra[wireNext], uint64(len(pts)+wireNext)) },
+			func() error { twinNext++; return twin.Insert(extra[twinNext], uint64(len(pts)+twinNext)) }},
+	} {
+		wire, direct := allocsPerCall(t, tc.name, tc.wire), allocsPerCall(t, tc.name, tc.direct)
+		if wire-direct > tc.budget {
+			t.Errorf("%s: a round trip allocates %.0f times, the router call %.0f: the wire adds %.0f, budget %.0f",
+				tc.name, wire, direct, wire-direct, tc.budget)
+		}
+	}
+	if ping := allocsPerCall(t, "ping", func() error { _, _, err := c.Ping(); return err }); ping != 0 {
+		t.Errorf("ping: a round trip allocates %.0f times, want 0", ping)
+	}
+}
+
+func allocsPerCall(t *testing.T, name string, call func() error) float64 {
+	t.Helper()
+	var err error
+	allocs := testing.AllocsPerRun(200, func() {
+		if e := call(); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return allocs
+}
+
+// FuzzFrame feeds an arbitrary byte stream to one connection of a
+// server. It must never panic; every whole frame before the first framing
+// violation gets exactly one response, in order, echoing its request ID;
+// a framing violation then closes the connection. Responses are read
+// while the stream is still being written, which is also what catches a
+// reused buffer that leaks one response into the next.
+func FuzzFrame(f *testing.F) {
+	const dims, maxFrame = 2, 4096
+	pt := appendPoint(nil, geometry.Point{1 << 62, 3 << 62})
+	rect := appendPoint(appendPoint(nil, geometry.Point{0, 0}), geometry.Point{^uint64(0), ^uint64(0)})
+	frame := func(payload []byte) []byte {
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	}
+	stream := func(payloads ...[]byte) []byte {
+		var out []byte
+		for _, p := range payloads {
+			out = append(out, frame(p)...)
+		}
+		return out
+	}
+	insert := req(OpInsert, 1, binary.BigEndian.AppendUint64(bytes.Clone(pt), 42)...)
+	rangeReq := req(OpRange, 3, binary.BigEndian.AppendUint32(bytes.Clone(rect), 0)...)
+	badVersion := req(OpPing, 9)
+	badVersion[0] = 0x7E
+	f.Add(stream(req(OpPing, 7)))
+	f.Add(stream(insert, req(OpLookup, 2, pt...), rangeReq, req(OpCount, 4, rect...), req(OpLen, 5)))
+	f.Add(stream(insert, req(OpNearest, 6, binary.BigEndian.AppendUint32(bytes.Clone(pt), 3)...),
+		req(OpDelete, 7, binary.BigEndian.AppendUint64(bytes.Clone(pt), 42)...)))
+	f.Add(stream(badVersion, req(0x7F, 10), req(OpInsert, 11, 0xAB), req(OpPing, 12)))
+	f.Add(append(stream(req(OpPing, 1)), 0, 0, 0, 2, 1, 2))               // short frame
+	f.Add(append(stream(req(OpPing, 1)), 0x7F, 0, 0, 0))                  // oversized frame
+	f.Add(append(stream(req(OpPing, 1), insert), frame(rangeReq)[:9]...)) // partial frame
+
+	plan, err := PlanUniform(dims, 2, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	r, err := NewRouter(plan, newEngines(f, "mem", plan))
+	if err != nil {
+		f.Fatal(err)
+	}
+	s := NewServer(r, ServerConfig{MaxFrame: maxFrame, RangeLimitMax: 64})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		// What the server must answer: each whole, well-framed request.
+		var ids []uint32
+		violation := false
+		for rest := in; len(rest) >= 4; {
+			n := binary.BigEndian.Uint32(rest)
+			if n < headerSize || n > maxFrame {
+				violation = true
+				break
+			}
+			if uint64(len(rest)) < 4+uint64(n) {
+				break
+			}
+			ids = append(ids, binary.BigEndian.Uint32(rest[6:]))
+			rest = rest[4+n:]
+		}
+
+		client, server := net.Pipe()
+		s.wg.Add(1)
+		go s.serveConn(server)
+		wrote := make(chan error, 1)
+		go func() {
+			_, err := client.Write(in)
+			wrote <- err
+		}()
+		var buf []byte
+		for i, id := range ids {
+			var err error
+			buf, err = readFrame(client, buf, MaxFrame)
+			if err != nil {
+				t.Fatalf("response %d of %d: %v", i+1, len(ids), err)
+			}
+			if buf[0] != ProtoVersion {
+				t.Fatalf("response %d: version %#02x", i+1, buf[0])
+			}
+			if got := binary.BigEndian.Uint32(buf[2:]); got != id {
+				t.Fatalf("response %d echoes ID %d, want %d", i+1, got, id)
+			}
+		}
+		if violation {
+			if _, err := readFrame(client, buf, MaxFrame); err != io.EOF {
+				t.Fatalf("after a framing violation: %v, want the connection closed", err)
+			}
+		}
+		client.Close()
+		<-wrote
+		s.wg.Wait()
+	})
 }

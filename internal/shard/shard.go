@@ -37,7 +37,10 @@ import (
 // Engine is the per-shard index the router fans out to. *bvtree.Tree
 // and *bvtree.DurableTree both satisfy it; tests wrap it to inject
 // faults. Implementations must be safe for concurrent use (the router
-// issues scatter-gather reads from multiple goroutines).
+// issues scatter-gather reads from multiple goroutines). A point or rect
+// argument is valid only for the call: the server decodes each request
+// into memory its next request reuses, so an engine that keeps one must
+// copy it, as Tree.Insert does.
 type Engine interface {
 	Insert(p geometry.Point, payload uint64) error
 	Delete(p geometry.Point, payload uint64) (bool, error)
@@ -404,16 +407,14 @@ func (r *Router) shardsForRect(rect geometry.Rect) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	hit := make([]bool, len(r.engines))
-	for _, kr := range ranges {
-		for i := r.shardForKey(kr.Lo); i < len(r.engines) && r.lo[i] <= kr.Hi; i++ {
-			hit[i] = true
-		}
-	}
+	// The intervals ascend and are disjoint, so the shards they touch come
+	// out ascending; next skips a shard an earlier interval already chose.
 	out := make([]int, 0, len(r.engines))
-	for i, h := range hit {
-		if h {
+	next := 0
+	for _, kr := range ranges {
+		for i := max(r.shardForKey(kr.Lo), next); i < len(r.engines) && r.lo[i] <= kr.Hi; i++ {
 			out = append(out, i)
+			next = i + 1
 		}
 	}
 	return out, nil

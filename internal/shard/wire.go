@@ -109,36 +109,64 @@ func opName(op byte) string {
 	}
 }
 
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// frameHeader is where a frame's body starts: the length prefix and the
+// fixed payload header.
+const frameHeader = 4 + headerSize
+
+// beginFrame starts a frame in buf, reusing its memory: a length prefix
+// left for endFrame to fill in, then the version, b1 (the opcode of a
+// request, the status of a response) and the request ID. The caller
+// appends the body.
+func beginFrame(buf []byte, b1 byte, id uint32) []byte {
+	buf = append(buf[:0], 0, 0, 0, 0, ProtoVersion, b1)
+	return binary.BigEndian.AppendUint32(buf, id)
 }
 
-// readFrame reads one frame's payload, enforcing maxFrame. The buffer
-// is freshly allocated — callers may retain it.
-func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// endFrame fills in the length prefix of a frame begun by beginFrame.
+func endFrame(frame []byte) []byte {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	return frame
+}
+
+// readFrame reads one frame's payload into buf, growing it when it is too
+// small, and enforces maxFrame. The payload is valid until buf is reused;
+// pass nil for a buffer of its own.
+func readFrame(r io.Reader, buf []byte, maxFrame int) ([]byte, error) {
+	if cap(buf) < headerSize {
+		buf = make([]byte, 0, 64)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return buf, err
+	}
+	n := binary.BigEndian.Uint32(hdr)
 	if n < headerSize {
-		return nil, fmt.Errorf("shard: frame payload %d bytes, below %d-byte header", n, headerSize)
+		return buf, fmt.Errorf("shard: frame payload %d bytes, below %d-byte header", n, headerSize)
 	}
 	if int(n) > maxFrame {
-		return nil, fmt.Errorf("shard: frame payload %d bytes exceeds limit %d", n, maxFrame)
+		return buf, fmt.Errorf("shard: frame payload %d bytes exceeds limit %d", n, maxFrame)
 	}
-	buf := make([]byte, n)
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+		return buf, err
 	}
 	return buf, nil
+}
+
+// keepBuf is the largest frame buffer a connection keeps for its next
+// request: one that a large request or response grew past it is dropped.
+const keepBuf = 64 << 10
+
+// reuse returns buf for the next frame, or nil when it has grown past
+// keepBuf.
+func reuse(buf []byte) []byte {
+	if cap(buf) > keepBuf {
+		return nil
+	}
+	return buf
 }
 
 // appendPoint appends a point's coordinates.
@@ -149,14 +177,14 @@ func appendPoint(buf []byte, p geometry.Point) []byte {
 	return buf
 }
 
-// parsePoint decodes dims coordinates from buf, returning the remainder.
-func parsePoint(buf []byte, dims int) (geometry.Point, []byte, bool) {
-	if len(buf) < 8*dims {
-		return nil, buf, false
+// parsePoint decodes len(p) coordinates from buf into p, returning the
+// remainder.
+func parsePoint(buf []byte, p geometry.Point) ([]byte, bool) {
+	if len(buf) < 8*len(p) {
+		return buf, false
 	}
-	p := make(geometry.Point, dims)
 	for d := range p {
 		p[d] = binary.BigEndian.Uint64(buf[8*d:])
 	}
-	return p, buf[8*dims:], true
+	return buf[8*len(p):], true
 }

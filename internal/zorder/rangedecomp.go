@@ -30,11 +30,22 @@ func DecomposeRect(il *Interleaver, rect geometry.Rect, maxRanges int) ([]KeyRan
 	if maxRanges < 1 {
 		maxRanges = 1
 	}
-	d := &decomposer{il: il, rect: rect, budget: maxRanges}
-	brick := geometry.UniverseRect(il.dims)
 	maxBits := il.TotalBits()
 	if maxBits > 64 {
 		maxBits = 64
+	}
+	// The walk emits at most maxRanges-1 intervals before the budget stops
+	// it subdividing, then at most one more per high sibling still pending
+	// on the stack, so maxRanges+maxBits holds any walk in one allocation.
+	// A budget past 1024 is not reserved up front; such a walk grows.
+	d := decomposer{rect: rect, dims: il.dims, budget: maxRanges,
+		out: make([]KeyRange, 0, min(maxRanges, 1024)+maxBits)}
+	// One brick, split in place: the walk narrows a coordinate, recurses
+	// and restores it, so the descent allocates nothing.
+	var lo, hi [geometry.MaxDims]uint64
+	brick := geometry.Rect{Min: lo[:il.dims], Max: hi[:il.dims]}
+	for i := range brick.Max {
+		brick.Max[i] = ^uint64(0)
 	}
 	d.walk(brick, 0, 0, maxBits)
 	out := coalesce(d.out)
@@ -58,14 +69,15 @@ func DecomposeRect(il *Interleaver, rect geometry.Rect, maxRanges int) ([]KeyRan
 }
 
 type decomposer struct {
-	il     *Interleaver
 	rect   geometry.Rect
+	dims   int
 	budget int
 	out    []KeyRange
 }
 
 // walk visits the partition node identified by the depth-bit prefix packed
-// into the high bits of prefix, whose brick is given.
+// into the high bits of prefix, whose brick is given. The brick's
+// coordinates are the caller's and are restored before walk returns.
 func (d *decomposer) walk(brick geometry.Rect, prefix uint64, depth, maxBits int) {
 	if !d.rect.Intersects(brick) {
 		return
@@ -81,19 +93,18 @@ func (d *decomposer) walk(brick geometry.Rect, prefix uint64, depth, maxBits int
 		d.out = append(d.out, full)
 		return
 	}
-	dim := depth % d.il.dims
-	level := depth / d.il.dims // how many bits of this dimension already fixed
 	// Split the brick along dim at the midpoint implied by the next bit.
-	span := brick.Max[dim] - brick.Min[dim] // always 2^k - 1 here
-	_ = level
-	half := span/2 + 1 // 2^(k-1)
-	lowBrick := brick.Clone()
-	lowBrick.Max[dim] = brick.Min[dim] + half - 1
-	highBrick := brick.Clone()
-	highBrick.Min[dim] = brick.Min[dim] + half
+	dim := depth % d.dims
+	lo, hi := brick.Min[dim], brick.Max[dim]
+	half := (hi-lo)/2 + 1 // the span is always 2^k - 1 here; half is 2^(k-1)
 
-	d.walk(lowBrick, prefix, depth+1, maxBits)
-	d.walk(highBrick, prefix|1<<uint(63-depth), depth+1, maxBits)
+	brick.Max[dim] = lo + half - 1
+	d.walk(brick, prefix, depth+1, maxBits)
+	brick.Max[dim] = hi
+
+	brick.Min[dim] = lo + half
+	d.walk(brick, prefix|1<<uint(63-depth), depth+1, maxBits)
+	brick.Min[dim] = lo
 }
 
 // prefixRange returns the Z-key interval covered by a depth-bit prefix.
