@@ -7,7 +7,9 @@ GO ?= go
 # ```go fence in README.md/DESIGN.md must still compile or parse), and
 # the concurrency stress subset under the race detector (the full -race
 # run stays in the dedicated `race` target). The race smoke subset
-# covers the reader/writer stress tests, the group-commit/batch write
+# covers the reader/writer stress tests (TestConcurrent* in
+# internal/storage: readers sharing a FileStore's write set and file
+# with a writer that frees, rewrites and Syncs), the group-commit/batch write
 # path (TestGroupCommit* in internal/wal, TestConcurrentBatch* in
 # internal/bvtree), the instrumentation path (TestConcurrentMetrics),
 # the histogram core (TestConcurrentHistogram in internal/obs), the

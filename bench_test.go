@@ -171,7 +171,7 @@ func benchPoints(b *testing.B, kind workload.Kind) []bvtree.Point {
 func newBenchDurable(b *testing.B, opt bvtree.Options) *bvtree.DurableTree {
 	b.Helper()
 	dir := b.TempDir()
-	st, err := bvtree.NewFileStore(filepath.Join(dir, "t.db"), bvtree.FileStoreOptions{PinDirty: true})
+	st, err := bvtree.NewFileStore(filepath.Join(dir, "t.db"), bvtree.FileStoreOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -338,13 +338,13 @@ func BenchmarkMixedRead(b *testing.B) {
 }
 
 // pagedFileTree builds a paged tree of pts (payload = index) through
-// ApplyBatch over a FileStore at a fresh path, with cache and pool large
-// enough to hold all of it, and flushes it: cached as it stands, and
+// ApplyBatch over a FileStore at a fresh path, with a cache large enough
+// to hold all of it, and flushes it: cached as it stands, and
 // reopenable from path once the caller has closed the store.
 func pagedFileTree(b *testing.B, pts []bvtree.Point) (string, *storage.FileStore, *bvtree.Tree) {
 	b.Helper()
 	path := filepath.Join(b.TempDir(), "t.db")
-	st, err := bvtree.NewFileStore(path, bvtree.FileStoreOptions{PoolSlots: 1 << 16})
+	st, err := bvtree.NewFileStore(path, bvtree.FileStoreOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -369,14 +369,14 @@ func pagedFileTree(b *testing.B, pts []bvtree.Point) (string, *storage.FileStore
 }
 
 // reopenCold closes st and reopens the tree at path with a decoded-node
-// cache and a buffer pool of 128 against a few thousand nodes, so page
-// reads, decodes and evictions dominate whatever runs next.
+// cache of 128 against a few thousand nodes, so page reads, decodes and
+// evictions dominate whatever runs next.
 func reopenCold(b *testing.B, path string, st *storage.FileStore) *bvtree.Tree {
 	b.Helper()
 	if err := st.Close(); err != nil {
 		b.Fatal(err)
 	}
-	st, err := bvtree.OpenFileStore(path, bvtree.FileStoreOptions{PoolSlots: 128})
+	st, err := bvtree.OpenFileStore(path, bvtree.FileStoreOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

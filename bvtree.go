@@ -150,11 +150,10 @@ func OpenPaged(st Store, cacheNodes int) (*Tree, error) { return ibv.OpenPaged(s
 // background whenever the log reaches a size, and OpenDurable replays
 // operations logged since the last checkpoint. That size is the write
 // path's only setting; metrics are an Options field, or EnableMetrics on
-// a reopened tree. Create the backing FileStore with PinDirty so the
-// on-disk image only changes at checkpoints; crashes at any point —
-// including mid-checkpoint, which the store's rollback journal undoes —
-// recover every acknowledged operation. See DESIGN.md §7 for the failure model and §9 for the
-// write path.
+// a reopened tree. A FileStore's file changes only at checkpoints, so
+// crashes at any point — including mid-checkpoint, which the store's
+// rollback journal undoes — recover every acknowledged operation. See
+// DESIGN.md §7 for the failure model and §9 for the write path.
 type DurableTree = ibv.DurableTree
 
 // BatchOp is one operation of a DurableTree.ApplyBatch or

@@ -1,6 +1,6 @@
 // Command bvload bulk-loads a synthetic workload into a file-backed
 // BV-tree and optionally replays a query workload against it, reporting
-// logical node accesses and physical I/O from the buffer pool. It
+// logical node accesses and physical slot I/O. It
 // demonstrates the persistence path end to end: create, load, flush,
 // reopen, query.
 package main
@@ -28,7 +28,7 @@ func main() {
 		f       = flag.Int("f", 24, "index fan-out")
 		queries = flag.Int("queries", 1000, "range queries to replay after reopening")
 		side    = flag.Float64("side", 0.01, "query side length as a domain fraction")
-		pool    = flag.Int("pool", 256, "buffer pool slots")
+		cache   = flag.Int("cache", 256, "decoded-node cache of the reopened tree, in nodes")
 	)
 	flag.Parse()
 
@@ -37,7 +37,7 @@ func main() {
 		fail(err)
 	}
 
-	st, err := storage.CreateFileStore(*path, storage.FileStoreOptions{PoolSlots: *pool})
+	st, err := storage.CreateFileStore(*path, storage.FileStoreOptions{})
 	if err != nil {
 		fail(err)
 	}
@@ -58,19 +58,18 @@ func main() {
 	ls := st.Stats()
 	fmt.Printf("loaded %d points in %v (%.0f/s); height=%d\n",
 		*n, loadDur.Round(time.Millisecond), float64(*n)/loadDur.Seconds(), tr.Height())
-	fmt.Printf("physical I/O: %d slot reads, %d slot writes; cache hits %d / misses %d\n",
-		ls.SlotReads, ls.SlotWrites, ls.CacheHits, ls.CacheMisses)
+	fmt.Printf("physical I/O: %d slot reads, %d slot writes\n", ls.SlotReads, ls.SlotWrites)
 	if err := st.Close(); err != nil {
 		fail(err)
 	}
 
 	// Reopen cold and replay queries.
-	st2, err := storage.OpenFileStore(*path, storage.FileStoreOptions{PoolSlots: *pool})
+	st2, err := storage.OpenFileStore(*path, storage.FileStoreOptions{})
 	if err != nil {
 		fail(err)
 	}
 	defer st2.Close()
-	re, err := bvtree.OpenPaged(st2, *pool)
+	re, err := bvtree.OpenPaged(st2, *cache)
 	if err != nil {
 		fail(err)
 	}
@@ -92,9 +91,9 @@ func main() {
 	qs := st2.Stats().Sub(base)
 	fmt.Printf("replayed %d range queries (side %.1f%%) in %v: %d results\n",
 		*queries, *side*100, qDur.Round(time.Millisecond), results)
-	fmt.Printf("per query: %.1f logical node accesses, %.2f physical slot reads (pool %d slots)\n",
+	fmt.Printf("per query: %.1f logical node accesses, %.2f physical slot reads (cache %d nodes)\n",
 		float64(re.Stats().NodeAccesses)/float64(*queries),
-		float64(qs.SlotReads)/float64(*queries), *pool)
+		float64(qs.SlotReads)/float64(*queries), *cache)
 	fmt.Printf("store kept at %s\n", *path)
 }
 

@@ -241,7 +241,7 @@ func openEngines(dataDir, backend string, plan shard.Plan, logBytes int64) ([]sh
 			err error
 		)
 		if _, statErr := os.Stat(dbPath); statErr == nil {
-			st, err = storage.OpenFileStore(dbPath, storage.FileStoreOptions{PinDirty: true})
+			st, err = storage.OpenFileStore(dbPath, storage.FileStoreOptions{})
 			if err == nil {
 				d, err = bvtree.OpenDurable(st, walPath, 0)
 			}
@@ -249,7 +249,7 @@ func openEngines(dataDir, backend string, plan shard.Plan, logBytes int64) ([]sh
 				d.EnableMetrics() // a reopened tree takes its options from the store
 			}
 		} else {
-			st, err = storage.CreateFileStore(dbPath, storage.FileStoreOptions{PinDirty: true})
+			st, err = storage.CreateFileStore(dbPath, storage.FileStoreOptions{})
 			if err == nil {
 				d, err = bvtree.NewDurable(st, walPath, opt)
 			}

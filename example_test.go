@@ -83,9 +83,9 @@ func ExampleDurableTree_recovery() {
 	defer os.RemoveAll(dir)
 	db, wal := filepath.Join(dir, "points.db"), filepath.Join(dir, "points.wal")
 
-	// PinDirty keeps the store file at the last checkpoint; between
-	// checkpoints, durability comes from the log alone.
-	st, err := bvtree.NewFileStore(db, bvtree.FileStoreOptions{PinDirty: true})
+	// The store file changes only at checkpoints; between them,
+	// durability comes from the log alone.
+	st, err := bvtree.NewFileStore(db, bvtree.FileStoreOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -101,7 +101,7 @@ func ExampleDurableTree_recovery() {
 	// Crash: no Checkpoint, no Close — the store file never saw these
 	// inserts, only the fsynced log did.
 
-	st2, err := bvtree.OpenFileStore(db, bvtree.FileStoreOptions{PinDirty: true})
+	st2, err := bvtree.OpenFileStore(db, bvtree.FileStoreOptions{})
 	if err != nil {
 		panic(err)
 	}

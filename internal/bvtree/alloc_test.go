@@ -36,6 +36,18 @@ func buildAllocTree(tb testing.TB, n int) (*Tree, []geometry.Point) {
 	return tr, pts
 }
 
+// raceEnabled is set in race builds (race_test.go). The race detector
+// makes sync.Pool drop a share of its Puts, so a pooled descent, walker or
+// slot buffer is allocated again: exact counts hold in normal builds only.
+var raceEnabled bool
+
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector: exact allocation counts hold in normal builds only")
+	}
+}
+
 func TestLookupAllocs(t *testing.T) {
 	tr, pts := buildAllocTree(t, 4000)
 	p := pts[1234]
@@ -58,6 +70,7 @@ func TestLookupAllocs(t *testing.T) {
 // exactly zero allocations on top, because Observe is three atomic adds
 // and the Event is passed by value and never escapes.
 func TestLookupDoesNotAllocate(t *testing.T) {
+	skipUnderRace(t)
 	tr, pts := buildAllocTree(t, 4000)
 	p := pts[2345]
 	measure := func() float64 {
@@ -119,6 +132,7 @@ func buildPagedFileTree(t *testing.T, n int) (*Tree, *storage.FileStore, string,
 // allocates beyond these belongs to the page path, which
 // TestColdMissAllocBudget bounds.
 func TestPagedLookupAllocs(t *testing.T) {
+	skipUnderRace(t)
 	tr, _, _, pts := buildPagedFileTree(t, 4000)
 	if h := tr.Height(); h != 4 {
 		t.Fatalf("tree height %d, want 4", h)
@@ -150,16 +164,16 @@ func TestPagedLookupAllocs(t *testing.T) {
 // and the columnar mirror's struct and two arenas — eight. A data page:
 // the blob, the page, its region key, the item slice, the one slab that
 // holds the points and the mirror's rows, and the mirror's struct — six,
-// and one more when the blob spans two slots and grows once. The pool
-// frame is not on either list: with the pool at capacity every miss
-// recycles its victim's frame.
+// and one more when the blob spans two slots and grows once. The slot
+// buffer is not on either list: the store reads into a pooled one.
 func TestColdMissAllocBudget(t *testing.T) {
+	skipUnderRace(t)
 	tr, st, path, _ := buildPagedFileTree(t, 4000)
 	root := tr.root
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := storage.OpenFileStore(path, storage.FileStoreOptions{PoolSlots: 16})
+	st, err := storage.OpenFileStore(path, storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +199,10 @@ func TestColdMissAllocBudget(t *testing.T) {
 		}
 	}
 	if len(index) < 64 || len(data) < 64 {
-		t.Fatalf("tree has %d index and %d data pages: too few to outrun a 16-frame pool", len(index), len(data))
+		t.Fatalf("tree has %d index and %d data pages: too few to cycle through", len(index), len(data))
 	}
 
-	measure := func(ids []page.ID, read func(page.ID) error) (float64, uint64) {
+	measure := func(ids []page.ID, read func(page.ID) error) float64 {
 		const runs = 200
 		before := st.Stats()
 		i := 0
@@ -198,20 +212,16 @@ func TestColdMissAllocBudget(t *testing.T) {
 			}
 			i++
 		})
-		after := st.Stats()
-		if misses := after.CacheMisses - before.CacheMisses; misses < runs {
-			t.Fatalf("%d pool misses in %d reads: the reads are not cold", misses, runs+1)
+		if reads := st.Stats().SlotReads - before.SlotReads; reads < runs {
+			t.Fatalf("%d slot reads in %d page reads: the reads are not cold", reads, runs+1)
 		}
-		return allocs, after.Evictions - before.Evictions
+		return allocs
 	}
-	allocs, evicted := measure(index, func(id page.ID) error { _, err := pn.readIndex(id); return err })
+	allocs := measure(index, func(id page.ID) error { _, err := pn.readIndex(id); return err })
 	if allocs > 8 {
 		t.Errorf("readIndex of a cold page: %.1f allocs, budget 8", allocs)
 	}
-	if evicted == 0 {
-		t.Error("no eviction while reading index pages: the pool never reached capacity")
-	}
-	allocs, _ = measure(data, func(id page.ID) error { _, err := pn.readData(id); return err })
+	allocs = measure(data, func(id page.ID) error { _, err := pn.readData(id); return err })
 	if allocs > 7 {
 		t.Errorf("readData of a cold page: %.1f allocs, budget 7", allocs)
 	}
@@ -248,6 +258,7 @@ func TestRangeQueryAllocs(t *testing.T) {
 // per node — the guard set lives on expandRange's stack and the child
 // buffers on the pooled rangeWalker.
 func TestRangeTinyWindowAllocs(t *testing.T) {
+	skipUnderRace(t)
 	tr, pts := buildAllocTree(t, 4000)
 	p := pts[3456]
 	rect := geometry.Rect{Min: p, Max: p}

@@ -169,7 +169,7 @@ func TestBatchDifferentialOracle(t *testing.T) {
 func TestBatchRecoveryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, err := storage.CreateFileStore(filepath.Join(dir, "t.db"),
-		storage.FileStoreOptions{SlotSize: 256, PoolSlots: 64, PinDirty: true})
+		storage.FileStoreOptions{SlotSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestBatchRecoveryRoundTrip(t *testing.T) {
 	_ = d
 	_ = st
 
-	st2, err := storage.OpenFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{PinDirty: true})
+	st2, err := storage.OpenFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestConcurrentBatchWriters(t *testing.T) {
 func TestConcurrentBackgroundCheckpointer(t *testing.T) {
 	dir := t.TempDir()
 	st, err := storage.CreateFileStore(filepath.Join(dir, "t.db"),
-		storage.FileStoreOptions{SlotSize: 512, PoolSlots: 128, PinDirty: true})
+		storage.FileStoreOptions{SlotSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestConcurrentBackgroundCheckpointer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := storage.OpenFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{PinDirty: true})
+	st2, err := storage.OpenFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

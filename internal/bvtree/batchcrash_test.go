@@ -126,7 +126,7 @@ func TestBatchCrashDuringBackgroundCheckpoint(t *testing.T) {
 		storeFS := fault.NewFS(vfs.OS{}, fault.Plan{})
 		dir := t.TempDir()
 		st, err := storage.CreateFileStore(filepath.Join(dir, "t.db"),
-			storage.FileStoreOptions{SlotSize: 256, PoolSlots: 64, PinDirty: true, FS: storeFS})
+			storage.FileStoreOptions{SlotSize: 256, FS: storeFS})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestBatchCrashDuringBackgroundCheckpoint(t *testing.T) {
 		// Crash: abandon the poisoned store (its descriptors close without
 		// flushing) and recover from the real filesystem.
 		storeFS.CloseAll()
-		st2, err := storage.OpenFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{PinDirty: true})
+		st2, err := storage.OpenFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{})
 		if err != nil {
 			t.Fatalf("k=%d: reopen store: %v", k, err)
 		}

@@ -30,7 +30,7 @@ import (
 // On a non-empty tree it degrades to a z-order-sorted batch apply: the
 // structure is identical in its guarantees to one built by
 // arbitrary-order inserts, and consecutive operations hit the same
-// root-to-leaf path, keeping a paged tree's buffer pool hot.
+// root-to-leaf path, keeping a paged tree's decoded-node cache hot.
 func (t *Tree) BulkLoad(points []geometry.Point, payloads []uint64) (err error) {
 	if len(points) != len(payloads) {
 		return fmt.Errorf("bvtree: %d points but %d payloads", len(points), len(payloads))

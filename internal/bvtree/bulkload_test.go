@@ -284,7 +284,7 @@ func TestBulkLoadNonEmptyFallback(t *testing.T) {
 func TestBulkLoadDurablePersistence(t *testing.T) {
 	dir := t.TempDir()
 	st, err := storage.CreateFileStore(filepath.Join(dir, "t.db"),
-		storage.FileStoreOptions{PinDirty: true})
+		storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestBulkLoadDurablePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2, err := storage.OpenFileStore(filepath.Join(dir, "t.db"),
-		storage.FileStoreOptions{PinDirty: true})
+		storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

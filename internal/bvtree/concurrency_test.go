@@ -226,18 +226,15 @@ func TestConcurrentReadWriteMem(t *testing.T) {
 }
 
 // TestConcurrentReadWritePaged runs the stress mix against a paged tree
-// over a real on-disk FileStore, with the decoded-node cache and the
-// buffer pool both sized small enough that readers continually evict and
-// refetch — the hostile regime for the sharded caches.
+// over a real on-disk FileStore, with the decoded-node cache sized small
+// enough that readers continually evict and refetch — the hostile regime
+// for the sharded cache.
 func TestConcurrentReadWritePaged(t *testing.T) {
 	pts, err := workload.Generate(workload.Uniform, 2, 1600, 22)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := storage.CreateFileStore(filepath.Join(t.TempDir(), "stress.bv"), storage.FileStoreOptions{
-		SlotSize:  512,
-		PoolSlots: 64,
-	})
+	st, err := storage.CreateFileStore(filepath.Join(t.TempDir(), "stress.bv"), storage.FileStoreOptions{SlotSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func newMatrixEnvN(t *testing.T, n int) *matrixEnv {
 	}
 	var err error
 	e.st, err = storage.CreateFileStore(filepath.Join(e.dir, "t.db"),
-		storage.FileStoreOptions{SlotSize: 256, PoolSlots: 64, PinDirty: true, FS: e.storeFS})
+		storage.FileStoreOptions{SlotSize: 256, FS: e.storeFS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func (e *matrixEnv) reopen(t *testing.T) *DurableTree {
 	t.Helper()
 	e.storeFS.CloseAll()
 	e.walFS.CloseAll()
-	st, err := storage.OpenFileStore(filepath.Join(e.dir, "t.db"), storage.FileStoreOptions{PinDirty: true})
+	st, err := storage.OpenFileStore(filepath.Join(e.dir, "t.db"), storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatalf("reopen store: %v", err)
 	}
@@ -221,7 +221,7 @@ func crashAfterSyncBeforeApply(t *testing.T, cache, k int, inWrite *int) bool {
 	dir := t.TempDir()
 	ffs := fault.NewFS(vfs.OS{}, fault.Plan{})
 	inner, err := storage.CreateFileStore(filepath.Join(dir, "t.db"),
-		storage.FileStoreOptions{SlotSize: 256, PoolSlots: 64, PinDirty: true, FS: ffs})
+		storage.FileStoreOptions{SlotSize: 256, FS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +257,11 @@ func crashAfterSyncBeforeApply(t *testing.T, cache, k int, inWrite *int) bool {
 	if strings.Contains(err.Error(), "storage write") {
 		*inWrite++
 	}
-	// Crash: the writes the store took since the checkpoint are pinned
-	// in its pool (PinDirty), and are lost with it.
+	// Crash: the writes the store took since the checkpoint are in its
+	// write set, and are lost with it.
 	ffs.CloseAll()
 
-	st2, err := storage.OpenFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{PinDirty: true})
+	st2, err := storage.OpenFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,8 +315,8 @@ func TestCrashMidCheckpoint(t *testing.T) {
 		if !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("k=%d: checkpoint err = %v, want injected", k, err)
 		}
-		// The store must now be poisoned: its pool/file relationship is
-		// unknown and further writes could corrupt the checkpoint.
+		// The store must now be poisoned: its write-set/file relationship
+		// is unknown and further writes could corrupt the checkpoint.
 		if err := e.d.Insert(geometry.Point{11, 12}, 200); !errors.Is(err, storage.ErrPoisoned) && !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("k=%d: insert on crashed store err = %v, want ErrPoisoned or injected", k, err)
 		}
@@ -341,8 +341,8 @@ func TestBulkLoadCrashSweep(t *testing.T) {
 		pays[i] = uint64(i)
 	}
 	// Sweep every store-op offset the build performs; the sweep ends at
-	// the first offset past the build (the store is pooled and
-	// pin-dirty, so the build's filesystem op count is modest).
+	// the first offset past the build (the store writes its file only at
+	// Sync, so the build's filesystem op count is modest).
 	const sweep = 64
 	covered := 0
 	for k := 1; k <= sweep; k++ {
@@ -371,4 +371,113 @@ func TestBulkLoadCrashSweep(t *testing.T) {
 		t.Fatalf("sweep crashed only %d offsets inside the build; too few to call it a sweep", covered)
 	}
 	t.Logf("swept %d crash points inside the packed build", covered)
+}
+
+// TestCrashBetweenSyncs crashes a file-backed tree long after its last
+// Flush (paged) or Checkpoint (durable), with a decoded cache of 8 nodes
+// so that thousands of write-backs reach the store in between. The store
+// file must still hold exactly the last Sync: every flushed item of the
+// paged tree is found, and the durable tree replays the log on top of it
+// and loses nothing acknowledged.
+func TestCrashBetweenSyncs(t *testing.T) {
+	const n = 3000
+	opt := Options{Dims: 2, DataCapacity: 8, Fanout: 8, CacheNodes: 8}
+	rng := rand.New(rand.NewSource(30))
+	pts := make([]geometry.Point, 2*n)
+	for i := range pts {
+		pts[i] = clusteredPoint(rng, 2)
+	}
+	insert := func(t *testing.T, tr interface {
+		Insert(geometry.Point, uint64) error
+	}, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := tr.Insert(pts[i], uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// check validates the recovered tree and finds its first want items.
+	check := func(t *testing.T, tr *Tree, want int) {
+		t.Helper()
+		if err := tr.Validate(true); err != nil {
+			t.Fatalf("invariants after the crash: %v", err)
+		}
+		lost := 0
+		for i := 0; i < want; i++ {
+			found, err := contains(tr, pts[i], uint64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !found {
+				lost++
+			}
+		}
+		if lost > 0 || tr.Len() != want {
+			t.Fatalf("recovered %d items with %d of the %d owed missing", tr.Len(), lost, want)
+		}
+	}
+	open := func(t *testing.T) (string, *fault.FS, *storage.FileStore) {
+		dir := t.TempDir()
+		ffs := fault.NewFS(vfs.OS{}, fault.Plan{})
+		st, err := storage.CreateFileStore(filepath.Join(dir, "t.db"),
+			storage.FileStoreOptions{SlotSize: 256, FS: ffs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dir, ffs, st
+	}
+	reopen := func(t *testing.T, dir string) *storage.FileStore {
+		st, err := storage.OpenFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{})
+		if err != nil {
+			t.Fatalf("reopen store: %v", err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+
+	t.Run("paged", func(t *testing.T) {
+		dir, ffs, st := open(t)
+		tr, err := NewPaged(st, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insert(t, tr, 0, n)
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		insert(t, tr, n, 2*n)
+		ffs.CloseAll()
+
+		re, err := OpenPaged(reopen(t, dir), 8)
+		if err != nil {
+			t.Fatalf("reopen tree: %v", err)
+		}
+		check(t, re, n)
+	})
+
+	t.Run("durable", func(t *testing.T) {
+		dir, ffs, st := open(t)
+		l, err := wal.OpenFS(ffs, filepath.Join(dir, "t.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDurableLog(st, l, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insert(t, d, 0, n)
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		insert(t, d, n, 2*n)
+		ffs.CloseAll()
+
+		re, err := OpenDurable(reopen(t, dir), filepath.Join(dir, "t.wal"), 8)
+		if err != nil {
+			t.Fatalf("reopen tree: %v", err)
+		}
+		t.Cleanup(func() { re.Close() })
+		check(t, re.Tree, 2*n)
+	})
 }

@@ -20,7 +20,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 	dbPath := filepath.Join(dir, "tree.db")
 	walPath := filepath.Join(dir, "tree.wal")
 
-	st, err := storage.CreateFileStore(dbPath, storage.FileStoreOptions{SlotSize: 512, PinDirty: true})
+	st, err := storage.CreateFileStore(dbPath, storage.FileStoreOptions{SlotSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,9 +58,9 @@ func TestDurableCrashRecovery(t *testing.T) {
 		t.Fatal("wal empty despite post-checkpoint operations")
 	}
 	// Simulate a crash: abandon the store and log without closing them.
-	// With PinDirty the on-disk image is exactly the last checkpoint.
+	// The on-disk image is exactly the last checkpoint.
 
-	st2, err := storage.OpenFileStore(dbPath, storage.FileStoreOptions{PinDirty: true})
+	st2, err := storage.OpenFileStore(dbPath, storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestDurableTornWALTail(t *testing.T) {
 	dbPath := filepath.Join(dir, "tree.db")
 	walPath := filepath.Join(dir, "tree.wal")
 
-	st, err := storage.CreateFileStore(dbPath, storage.FileStoreOptions{PinDirty: true})
+	st, err := storage.CreateFileStore(dbPath, storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestDurableTornWALTail(t *testing.T) {
 	}
 	f.Close()
 
-	st2, err := storage.OpenFileStore(dbPath, storage.FileStoreOptions{PinDirty: true})
+	st2, err := storage.OpenFileStore(dbPath, storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestDurableTornWALTail(t *testing.T) {
 
 func TestDurableCheckpointEmptiesLog(t *testing.T) {
 	dir := t.TempDir()
-	st, err := storage.CreateFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{PinDirty: true})
+	st, err := storage.CreateFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestDurableFlushThenCrash(t *testing.T) {
 	dir := t.TempDir()
 	dbPath := filepath.Join(dir, "tree.db")
 	walPath := filepath.Join(dir, "tree.wal")
-	st, err := storage.CreateFileStore(dbPath, storage.FileStoreOptions{SlotSize: 512, PinDirty: true})
+	st, err := storage.CreateFileStore(dbPath, storage.FileStoreOptions{SlotSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestDurableFlushThenCrash(t *testing.T) {
 	}
 	// Crash: abandon the store and the log without closing them.
 
-	st2, err := storage.OpenFileStore(dbPath, storage.FileStoreOptions{PinDirty: true})
+	st2, err := storage.OpenFileStore(dbPath, storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

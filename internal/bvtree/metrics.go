@@ -11,7 +11,7 @@ import (
 //     reports) plus, when metrics are enabled (Options.Metrics or
 //     EnableMetrics), the per-operation latency and shape histograms.
 //   - Store: the page store's counters — logical and physical I/O,
-//     buffer-pool behaviour, free-list length. An in-memory tree's store
+//     batched reads, free-list length. An in-memory tree's store
 //     is its MemStore, written only by Flush.
 //
 // DurableTree.Metrics shadows this method and additionally fills the WAL
@@ -48,23 +48,14 @@ func (t *Tree) getTracer() obs.Tracer {
 // metrics API exposes. storage deliberately does not import obs — its
 // atomic Stats are already metrics; this is the only conversion point.
 func storeSnapshot(st storage.Stats) obs.StoreSnapshot {
-	ss := obs.StoreSnapshot{
-		Allocs:          st.Allocs,
-		Frees:           st.Frees,
-		NodeReads:       st.NodeReads,
-		NodeWrites:      st.NodeWrites,
-		SlotReads:       st.SlotReads,
-		SlotWrites:      st.SlotWrites,
-		CacheHits:       st.CacheHits,
-		CacheMisses:     st.CacheMisses,
-		Evictions:       st.Evictions,
-		BatchReads:      st.BatchReads,
-		Prefetches:      st.Prefetches,
-		PrefetchedSlots: st.PrefetchedSlots,
-		FreeSlots:       st.FreeSlots,
+	return obs.StoreSnapshot{
+		Allocs:     st.Allocs,
+		Frees:      st.Frees,
+		NodeReads:  st.NodeReads,
+		NodeWrites: st.NodeWrites,
+		SlotReads:  st.SlotReads,
+		SlotWrites: st.SlotWrites,
+		BatchReads: st.BatchReads,
+		FreeSlots:  st.FreeSlots,
 	}
-	if tot := st.CacheHits + st.CacheMisses; tot > 0 {
-		ss.HitRatio = float64(st.CacheHits) / float64(tot)
-	}
-	return ss
 }

@@ -133,7 +133,7 @@ func TestMetricsDisabledByDefault(t *testing.T) {
 // tree histograms, WAL write-path histograms, and page-store counters.
 func TestDurableMetrics(t *testing.T) {
 	dir := t.TempDir()
-	st, err := storage.CreateFileStore(filepath.Join(dir, "tree.db"), storage.FileStoreOptions{PinDirty: true})
+	st, err := storage.CreateFileStore(filepath.Join(dir, "tree.db"), storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +176,25 @@ func TestDurableMetrics(t *testing.T) {
 	if s.Store == nil {
 		t.Fatal("paged tree reported no store section")
 	}
-	if s.Store.NodeWrites == 0 || s.Store.CacheHits+s.Store.CacheMisses == 0 {
+	if s.Store.Allocs == 0 || s.Store.NodeWrites == 0 || s.Store.SlotWrites == 0 {
 		t.Fatalf("store section not live: %+v", *s.Store)
 	}
-	if s.Store.HitRatio <= 0 || s.Store.HitRatio > 1 {
-		t.Fatalf("hit ratio %v out of (0,1]", s.Store.HitRatio)
+	raw, err := json.Marshal(s.Store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]any
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"allocs", "frees", "node_reads", "node_writes", "slot_reads", "slot_writes", "batch_reads", "free_slots"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("store section lacks %q", k)
+		}
+		delete(keys, k)
+	}
+	if len(keys) != 0 {
+		t.Errorf("store section has unexpected keys %v", keys)
 	}
 }
 

@@ -416,12 +416,6 @@ func (s *snapNodes) dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]b
 	return pages, blobs, miss, nil
 }
 
-// prefetch implements NodeStore. Warming the live store is still a
-// valid hint under a pin: chain overrides bypass it harmlessly.
-func (s *snapNodes) prefetch(ids []page.ID, scratch []page.ID) []page.ID {
-	return s.pn.prefetch(ids, scratch)
-}
-
 func asIndex(id page.ID, v interface{}) (*page.IndexNode, error) {
 	n, ok := v.(*page.IndexNode)
 	if !ok {

@@ -68,11 +68,6 @@ func (t *Tree) nearestLocked(p geometry.Point, k int) ([]Neighbor, error) {
 		return best[0].Dist
 	}
 
-	// Candidate prefetch: the children pushed while expanding a node are
-	// exactly the pages the best-first loop pops next, so hinting the
-	// pager as they are pushed overlaps their I/O with the distance work
-	// on the current page.
-	var pfIDs, pfScratch []page.ID
 	var cubeBuf [2 * geometry.MaxDims]uint64
 	cube := geometry.Rect{Min: cubeBuf[:t.opt.Dims], Max: cubeBuf[geometry.MaxDims : geometry.MaxDims+t.opt.Dims]}
 
@@ -112,17 +107,12 @@ func (t *Tree) nearestLocked(p geometry.Point, k int) ([]Neighbor, error) {
 		// The mirror holds each entry's brick bounds deinterleaved, so the
 		// lower bound is two compares and two multiplies per dimension.
 		t.stats.BatchTests.Inc()
-		pfIDs = pfIDs[:0]
 		for i := 0; i < c.Len(); i++ {
 			emin, emax := c.BoundsAt(i)
 			d := minDistToBounds(p, emin, emax, t.opt.Dims)
 			if d <= worst() {
 				heap.Push(pq, distItem{dist: d, id: c.Child(i), level: c.Level(i)})
-				pfIDs = append(pfIDs, c.Child(i))
 			}
-		}
-		if len(pfIDs) > 1 {
-			pfScratch = t.st.prefetch(pfIDs, pfScratch)
 		}
 	}
 

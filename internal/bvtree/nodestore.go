@@ -29,10 +29,8 @@ type NodeStore interface {
 	SaveData(id page.ID, p *page.DataPage) error
 	Free(id page.ID) error
 
-	// dataBatch and prefetch are the batched-read seams of the range
-	// walk and of Nearest.
+	// dataBatch is the batched-read seam of the range walk.
 	dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]byte, miss []page.ID) ([]*page.DataPage, [][]byte, []page.ID, error)
-	prefetch(ids []page.ID, scratch []page.ID) []page.ID
 }
 
 // errMirrorless is what a read returns for a node that reached it without
@@ -86,12 +84,11 @@ type pagedNodes struct {
 	size   atomic.Int64 // total cached nodes across shards
 	shards [cacheShards]nodeShard
 
-	// br/pf are the store's optional batched-read and prefetch seams,
-	// resolved once at construction. Either may be nil (a fault-injecting
-	// wrapper, say, implements only the plain Store), in which case a
-	// range walk falls back to per-node reads and prefetch does nothing.
+	// br is the store's optional batched-read seam, resolved once at
+	// construction. It may be nil (a fault-injecting wrapper, say,
+	// implements only the plain Store), in which case a range walk falls
+	// back to per-node reads.
 	br storage.BatchReader
-	pf storage.Prefetcher
 
 	// err is the first failed write-back, meta write or sync. The store
 	// may then hold anything, so nothing is written after it and every
@@ -107,7 +104,6 @@ func newPagedNodes(st storage.Store, dims, cacheNodes int) *pagedNodes {
 	}
 	s := &pagedNodes{st: st, dims: dims, cap: cacheNodes}
 	s.br, _ = st.(storage.BatchReader)
-	s.pf, _ = st.(storage.Prefetcher)
 	for i := range s.shards {
 		s.shards[i].nodes = make(map[page.ID]cached)
 	}
@@ -356,25 +352,6 @@ func (s *pagedNodes) dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]
 		blobs[i] = blob
 	}
 	return pages, blobs, miss, nil
-}
-
-// prefetch hints the store to warm the pages of ids that are not already
-// decoded, reusing scratch for the filtered list. A no-op when the store
-// has no prefetch seam.
-func (s *pagedNodes) prefetch(ids []page.ID, scratch []page.ID) []page.ID {
-	if s.pf == nil || len(ids) == 0 {
-		return scratch
-	}
-	scratch = scratch[:0]
-	for _, id := range ids {
-		if _, ok := s.cacheGet(id); !ok {
-			scratch = append(scratch, id)
-		}
-	}
-	if len(scratch) > 0 {
-		s.pf.Prefetch(scratch)
-	}
-	return scratch
 }
 
 // SaveIndex publishes n as page id: its columnar mirror is synced and it

@@ -45,7 +45,7 @@ func TestPagedTreeMemStore(t *testing.T) {
 
 func TestPagedTreePersistenceRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tree.db")
-	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{SlotSize: 512, PoolSlots: 64})
+	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{SlotSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestPagedTreePersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := storage.OpenFileStore(path, storage.FileStoreOptions{PoolSlots: 64})
+	st2, err := storage.OpenFileStore(path, storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func tortureScript() []torOp {
 var tortureOpts = Options{Dims: 2, DataCapacity: 8, Fanout: 8}
 
 func tortureStoreOpts(fs vfs.FS) storage.FileStoreOptions {
-	return storage.FileStoreOptions{SlotSize: 256, PoolSlots: 64, PinDirty: true, FS: fs}
+	return storage.FileStoreOptions{SlotSize: 256, FS: fs}
 }
 
 // runTortureWorkload replays the script over ffs until the first error
@@ -179,7 +179,7 @@ func checkRecoveredState(d *DurableTree, shadow map[uint64]geometry.Point, infli
 
 // reopenTorture reopens the crashed state with the real filesystem.
 func reopenTorture(dir string) (*storage.FileStore, *DurableTree, error) {
-	st, err := storage.OpenFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{PinDirty: true})
+	st, err := storage.OpenFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{})
 	if err != nil {
 		return nil, nil, err
 	}

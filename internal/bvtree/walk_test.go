@@ -55,7 +55,7 @@ func rangeBackends(t *testing.T, pts []geometry.Point, opt Options, fn func(t *t
 		fn(t, load(t, tr))
 	})
 	t.Run("paged-file", func(t *testing.T) {
-		st, err := storage.CreateFileStore(filepath.Join(t.TempDir(), "p.bv"), storage.FileStoreOptions{SlotSize: 512, PoolSlots: 64})
+		st, err := storage.CreateFileStore(filepath.Join(t.TempDir(), "p.bv"), storage.FileStoreOptions{SlotSize: 512})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func rangeBackends(t *testing.T, pts []geometry.Point, opt Options, fn func(t *t
 	})
 	t.Run("durable", func(t *testing.T) {
 		dir := t.TempDir()
-		st, err := storage.CreateFileStore(filepath.Join(dir, "d.bv"), storage.FileStoreOptions{SlotSize: 512, PinDirty: true})
+		st, err := storage.CreateFileStore(filepath.Join(dir, "d.bv"), storage.FileStoreOptions{SlotSize: 512})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -447,7 +447,7 @@ func TestRangeRunsInline(t *testing.T) {
 	checkWithSnapshot("reopened paged", reopened)
 
 	dir := t.TempDir()
-	fopt := storage.FileStoreOptions{PinDirty: true}
+	fopt := storage.FileStoreOptions{}
 	fst, err := storage.CreateFileStore(filepath.Join(dir, "d.bv"), fopt)
 	if err != nil {
 		t.Fatal(err)
@@ -606,7 +606,7 @@ func TestParallelRangeRejectsMalformedRect(t *testing.T) {
 // under the race detector in `make verify`. Writers churn the second half of the points, so readers
 // assert only over the stable first half.
 func TestConcurrentRangeQueries(t *testing.T) {
-	st, err := storage.CreateFileStore(filepath.Join(t.TempDir(), "cr.bv"), storage.FileStoreOptions{SlotSize: 512, PoolSlots: 128})
+	st, err := storage.CreateFileStore(filepath.Join(t.TempDir(), "cr.bv"), storage.FileStoreOptions{SlotSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

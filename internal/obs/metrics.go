@@ -214,15 +214,7 @@ type StoreSnapshot struct {
 	NodeWrites uint64 `json:"node_writes"`
 	SlotReads  uint64 `json:"slot_reads"`  // physical page reads
 	SlotWrites uint64 `json:"slot_writes"` // physical page writes
-	// Buffer pool behaviour.
-	CacheHits   uint64  `json:"cache_hits"`
-	CacheMisses uint64  `json:"cache_misses"`
-	Evictions   uint64  `json:"evictions"`
-	HitRatio    float64 `json:"hit_ratio"` // hits / (hits+misses), 0 when idle
-	// Batched-read and prefetch seam activity (see storage.Stats).
-	BatchReads      uint64 `json:"batch_reads"`
-	Prefetches      uint64 `json:"prefetches"`
-	PrefetchedSlots uint64 `json:"prefetched_slots"`
+	BatchReads uint64 `json:"batch_reads"` // ReadNodes calls (see storage.Stats)
 	// FreeSlots is the current free-list length (a gauge).
 	FreeSlots int64 `json:"free_slots"`
 }

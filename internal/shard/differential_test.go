@@ -41,7 +41,7 @@ func newEngines(t testing.TB, backend string, plan Plan) []Engine {
 		case "durable":
 			dir := t.TempDir()
 			st, err := storage.CreateFileStore(filepath.Join(dir, fmt.Sprintf("shard-%d.db", i)),
-				storage.FileStoreOptions{PinDirty: true})
+				storage.FileStoreOptions{})
 			if err != nil {
 				t.Fatalf("CreateFileStore: %v", err)
 			}
@@ -275,7 +275,7 @@ func TestShardSingleShardDurable(t *testing.T) {
 	dir := t.TempDir()
 	newDurable := func(name string) *bvtree.DurableTree {
 		st, err := storage.CreateFileStore(filepath.Join(dir, name+".db"),
-			storage.FileStoreOptions{PinDirty: true})
+			storage.FileStoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,10 @@
 package storage
 
 // Concurrency tests for the stores: many readers assembling slot chains
-// in parallel, against both the in-memory store and a FileStore whose
-// pool is far smaller than the working set, so every read contends on the
-// shard latches and triggers evictions. The TestConcurrent* prefix is
-// what `make verify` runs under the race detector.
+// in parallel, against both the in-memory store and a FileStore, whose
+// readers share the write set and the file, and race a writer that
+// changes both. The TestConcurrent* prefix is what `make verify` runs
+// under the race detector.
 
 import (
 	"bytes"
@@ -33,12 +33,8 @@ func TestConcurrentStoreReads(t *testing.T) {
 	}{
 		{"mem", func(t *testing.T) Store { return NewMemStore() }},
 		{"file", func(t *testing.T) Store {
-			// 8 pool slots for a working set of hundreds of slots: every
-			// chain walk evicts frames that other readers are using.
-			fs, err := CreateFileStore(filepath.Join(t.TempDir(), "c.bv"), FileStoreOptions{
-				SlotSize:  128,
-				PoolSlots: 8,
-			})
+			// Hundreds of small slots, read through the write set.
+			fs, err := CreateFileStore(filepath.Join(t.TempDir(), "c.bv"), FileStoreOptions{SlotSize: 128})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,87 +99,19 @@ func TestConcurrentStoreReads(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadsWithEvictionWriteback interleaves parallel readers
-// with a dirty pool: WriteNode leaves dirty frames, and the readers'
-// evictions must write them back (not drop them) before reuse.
-func TestConcurrentReadsWithEvictionWriteback(t *testing.T) {
-	fs, err := CreateFileStore(filepath.Join(t.TempDir(), "wb.bv"), FileStoreOptions{
-		SlotSize:  128,
-		PoolSlots: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	const nodes = 32
-	ids := make([]page.ID, nodes)
-	want := make([][]byte, nodes)
-	for i := range ids {
-		id, err := fs.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-	}
-	for round := 0; round < 4; round++ {
-		// Rewrite every node (dirty frames pile up), then storm it with
-		// parallel readers whose admissions force write-back evictions.
-		for i := range ids {
-			want[i] = fillPattern(round*nodes+i, 30+((round*nodes+i)*13)%400)
-			if err := fs.WriteNode(ids[i], want[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var (
-			wg       sync.WaitGroup
-			errMu    sync.Mutex
-			firstErr error
-		)
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < nodes; i++ {
-					idx := (i + g*5) % nodes
-					got, err := fs.ReadNode(ids[idx])
-					if err == nil && !bytes.Equal(got, want[idx]) {
-						err = fmt.Errorf("round %d node %d: content mismatch", i, idx)
-					}
-					if err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-						return
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			t.Fatal(firstErr)
-		}
-	}
-}
-
-// TestConcurrentColdReadsRecycleFrames drives the pool's recycling rule —
-// an eviction hands its victim's frame and buffer to the slot being
-// admitted, so nothing may touch frame bytes outside the shard latch —
-// with one frame per shard, where every miss recycles the frame another
-// reader was handed a moment ago. Eight readers run ReadNode and
-// ReadNodes over random multi-slot chains beside Prefetch hints, and every
-// blob must come back byte for byte; then a writer growing and shrinking
-// chains, freeing nodes and allocating off the free list is interleaved
-// with the readers, checked against a MemStore model throughout and again
-// after a close and reopen.
-func TestConcurrentColdReadsRecycleFrames(t *testing.T) {
+// TestConcurrentReadsBesideWrites races readers against a writer that
+// moves slots between the write set and the file. Eight readers run
+// ReadNode and ReadNodes over random multi-slot chains while a writer
+// grows and shrinks chains, frees nodes, allocates off the free list and
+// Syncs every few steps, and every blob must match a MemStore model
+// byte for byte, during the storm and again after a close and reopen.
+func TestConcurrentReadsBesideWrites(t *testing.T) {
 	const (
 		nodes   = 96
 		readers = 8
 	)
-	path := filepath.Join(t.TempDir(), "recycle.bv")
-	fs, err := CreateFileStore(path, FileStoreOptions{SlotSize: 128, PoolSlots: poolShards})
+	path := filepath.Join(t.TempDir(), "rw.bv")
+	fs, err := CreateFileStore(path, FileStoreOptions{SlotSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +143,13 @@ func TestConcurrentColdReadsRecycleFrames(t *testing.T) {
 		alloc(i)
 		write(i, fillPattern(i, 20+(i*37)%600)) // one to six slots
 	}
-	if err := fs.Sync(); err != nil { // clean frames: evictions recycle, not write back
+	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
 
 	// mu orders the writer's store+model update against a reader's
 	// read+compare; readers share it, so between writes they still race
-	// each other (and the prefetch goroutines) for the sixteen frames.
+	// each other, and a Sync races them all.
 	var mu sync.RWMutex
 	check := func(i int, got []byte) error {
 		want, err := model.ReadNode(memID[i])
@@ -262,9 +190,6 @@ func TestConcurrentColdReadsRecycleFrames(t *testing.T) {
 					err = check(live[k], got[k])
 				}
 			}
-			if r%4 == 0 {
-				fs.Prefetch(ids)
-			}
 			mu.RUnlock()
 			if err != nil {
 				return err
@@ -272,59 +197,52 @@ func TestConcurrentColdReadsRecycleFrames(t *testing.T) {
 		}
 		return nil
 	}
-	storm := func(rounds int, writer func()) {
-		t.Helper()
-		errs := make(chan error, readers)
-		for g := 0; g < readers; g++ {
-			go func(g int) { errs <- readLoop(g, rounds) }(g)
-		}
-		if writer != nil {
-			writer()
-		}
-		for g := 0; g < readers; g++ {
-			if err := <-errs; err != nil {
-				t.Error(err)
+	errs := make(chan error, readers)
+	for g := 0; g < readers; g++ {
+		go func(g int) { errs <- readLoop(g, 300) }(g)
+	}
+	rng := rand.New(rand.NewSource(99))
+	syncs := 0
+	for step := 0; step < 400; step++ {
+		i := rng.Intn(nodes)
+		mu.Lock()
+		switch {
+		case fileID[i] == 0:
+			alloc(i) // off the free list
+			write(i, fillPattern(step, 1+rng.Intn(700)))
+		case rng.Intn(5) == 0:
+			if err := fs.Free(fileID[i]); err != nil {
+				t.Fatal(err)
 			}
+			if err := model.Free(memID[i]); err != nil {
+				t.Fatal(err)
+			}
+			fileID[i] = 0
+		default:
+			write(i, fillPattern(step, 1+rng.Intn(700))) // grows or shrinks the chain
 		}
-		if t.Failed() {
-			t.FailNow()
+		mu.Unlock()
+		if step%16 == 0 {
+			// Outside mu: the store lock alone orders a Sync against reads.
+			if err := fs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			syncs++
 		}
 	}
-
-	before := fs.Stats()
-	storm(300, nil)
-	if d := fs.Stats().Sub(before); d.Evictions < 1000 || d.SlotWrites != 0 {
-		t.Fatalf("read-only storm: %d evictions, %d slot writes; want every miss to recycle a clean frame", d.Evictions, d.SlotWrites)
-	}
-
-	storm(300, func() {
-		rng := rand.New(rand.NewSource(99))
-		for step := 0; step < 400; step++ {
-			i := rng.Intn(nodes)
-			mu.Lock()
-			switch {
-			case fileID[i] == 0:
-				alloc(i) // off the free list
-				write(i, fillPattern(step, 1+rng.Intn(700)))
-			case rng.Intn(5) == 0:
-				if err := fs.Free(fileID[i]); err != nil {
-					t.Fatal(err)
-				}
-				if err := model.Free(memID[i]); err != nil {
-					t.Fatal(err)
-				}
-				fileID[i] = 0
-			default:
-				write(i, fillPattern(step, 1+rng.Intn(700))) // grows or shrinks the chain
-			}
-			mu.Unlock()
+	for g := 0; g < readers; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
 		}
-	})
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
 
 	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if fs, err = OpenFileStore(path, FileStoreOptions{PoolSlots: poolShards}); err != nil {
+	if fs, err = OpenFileStore(path, FileStoreOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	live := 0
@@ -341,7 +259,7 @@ func TestConcurrentColdReadsRecycleFrames(t *testing.T) {
 			t.Fatalf("after reopen: %v", err)
 		}
 	}
-	if live == 0 || live == nodes {
-		t.Fatalf("%d of %d nodes live after the write phase: the script freed nothing or everything", live, nodes)
+	if live == 0 || live == nodes || syncs == 0 {
+		t.Fatalf("%d of %d nodes live after %d syncs: the script freed nothing or everything, or never synced", live, nodes, syncs)
 	}
 }

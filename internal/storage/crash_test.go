@@ -21,7 +21,7 @@ func crashScenario(t *testing.T, dir string, plan fault.Plan) (*storage.FileStor
 	t.Helper()
 	ffs := fault.NewFS(vfs.OS{}, plan)
 	st, err := storage.CreateFileStore(filepath.Join(dir, "s.db"),
-		storage.FileStoreOptions{SlotSize: 128, PoolSlots: 32, PinDirty: true, FS: ffs})
+		storage.FileStoreOptions{SlotSize: 128, FS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ var (
 	ErrCorrupt = errors.New("storage: corrupt store")
 
 	// ErrPoisoned is returned by every operation after a write has failed.
-	// A failed write leaves the buffer pool and the file in an unknown
-	// relationship, so the store refuses to serve possibly-stale frames or
+	// A failed write leaves the write set and the file in an unknown
+	// relationship, so the store refuses to serve possibly-stale slots or
 	// compound the damage; the only way out is to reopen the store, which
 	// rolls back to the last durable checkpoint.
 	ErrPoisoned = errors.New("storage: store poisoned by earlier write failure")

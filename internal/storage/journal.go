@@ -44,19 +44,19 @@ func (s *FileStore) openJournal(truncate bool) error {
 	return nil
 }
 
-// writeJournal records the old on-disk images of the given frames and the
+// writeJournal records the old on-disk images of the given slots and the
 // old header, then fsyncs. Nothing in the data file may change before this
 // returns.
 //
 // Slots at or beyond the old durable header's nextSlot carry no undo
 // image: they were allocated after the last completed Sync, so the
 // rolled-back state — whose header excludes them from every chain and
-// from the free list — never reads them, and Alloc zeroes a slot's frame
+// from the free list — never reads them, and Alloc zeroes a slot's image
 // before reuse. Skipping them turns the journal cost of an insert-heavy
 // checkpoint from O(all touched slots) into O(pre-existing slots
 // modified), which is the bulk of the checkpoint's write amplification
 // for append-mostly workloads.
-func (s *FileStore) writeJournal(dirty []*frame) error {
+func (s *FileStore) writeJournal(slots []uint64) error {
 	oldHdr := make([]byte, headerSize)
 	if _, err := s.f.ReadAt(oldHdr, 0); err != nil {
 		return fmt.Errorf("storage: journal: read old header: %w", err)
@@ -66,10 +66,10 @@ func (s *FileStore) writeJournal(dirty []*frame) error {
 		crc32.Checksum(oldHdr[:32], storeCRC) == binary.LittleEndian.Uint32(oldHdr[32:]) {
 		oldNext = binary.LittleEndian.Uint64(oldHdr[16:])
 	}
-	undo := make([]*frame, 0, len(dirty))
-	for _, fr := range dirty {
-		if fr.slot < oldNext {
-			undo = append(undo, fr)
+	undo := make([]uint64, 0, len(slots))
+	for _, slot := range slots {
+		if slot < oldNext {
+			undo = append(undo, slot)
 		}
 	}
 
@@ -84,11 +84,11 @@ func (s *FileStore) writeJournal(dirty []*frame) error {
 	buf = append(buf, oldHdr...)
 
 	img := make([]byte, s.slotSize)
-	for _, fr := range undo {
-		if _, err := s.f.ReadAt(img, int64(fr.slot)*int64(s.slotSize)); err != nil {
-			return fmt.Errorf("storage: journal: read old slot %d: %w", fr.slot, err)
+	for _, slot := range undo {
+		if _, err := s.f.ReadAt(img, s.offset(slot)); err != nil {
+			return fmt.Errorf("storage: journal: read old slot %d: %w", slot, err)
 		}
-		binary.LittleEndian.PutUint64(scratch[:], fr.slot)
+		binary.LittleEndian.PutUint64(scratch[:], slot)
 		buf = append(buf, scratch[:]...)
 		buf = append(buf, img...)
 	}

@@ -1,8 +1,10 @@
 // Package storage provides the page stores underneath the index
 // structures: a trivial in-memory store for algorithmic experiments and a
-// file-backed store with fixed-size slots, a free list, an LRU buffer pool
-// and slot chaining for nodes larger than one slot (the BV-tree's
-// multiple-page-size mode of §7.3 relies on this).
+// file-backed store with fixed-size slots, a free list, slot chaining for
+// nodes larger than one slot (the BV-tree's multiple-page-size mode of
+// §7.3 relies on this) and an in-memory write set that reaches the file
+// only at Sync. Neither store caches reads; the decoded-node cache above
+// them is the one cache.
 package storage
 
 import (
@@ -47,11 +49,9 @@ type BatchReader interface {
 	ReadNodes(ids []page.ID) ([][]byte, error)
 }
 
-// Prefetcher is the asynchronous warm-up seam. Prefetch is a hint: it
-// returns immediately, loads the named pages into whatever cache the
-// store keeps on a best-effort basis, and is never required for
-// correctness — errors are swallowed, hints may be dropped under load,
-// and a closed store ignores them.
+// Prefetcher is implemented by no store.
+//
+// Deprecated: no store has a cache for a hint to warm.
 type Prefetcher interface {
 	Prefetch(ids []page.ID)
 }
@@ -59,26 +59,19 @@ type Prefetcher interface {
 // Stats counts store activity. SlotReads/SlotWrites are physical I/O
 // operations; NodeReads/NodeWrites are logical accesses.
 type Stats struct {
-	Allocs      uint64
-	Frees       uint64
-	NodeReads   uint64
-	NodeWrites  uint64
-	SlotReads   uint64
-	SlotWrites  uint64
-	CacheHits   uint64
-	CacheMisses uint64
-	// Evictions counts buffer-pool frames dropped to admit another (a
-	// write-back when the victim was dirty). Always 0 for MemStore.
-	Evictions uint64
+	Allocs     uint64
+	Frees      uint64
+	NodeReads  uint64
+	NodeWrites uint64
+	SlotReads  uint64
+	SlotWrites uint64
+	// CacheHits, CacheMisses and Evictions are always 0.
+	//
+	// Deprecated: no store has a buffer pool.
+	CacheHits, CacheMisses, Evictions uint64
 	// BatchReads counts ReadNodes calls (each also counts one NodeRead
 	// per node it returns).
 	BatchReads uint64
-	// Prefetches counts pages requested through Prefetch hints;
-	// PrefetchedSlots counts slots those hints actually loaded into the
-	// buffer pool (already-resident slots are not re-loaded). Always 0
-	// for MemStore, which has nothing to warm and is no Prefetcher.
-	Prefetches      uint64
-	PrefetchedSlots uint64
 	// FreeSlots is the current free-list length — a gauge, not a counter.
 	// Always 0 for MemStore, which has no free list.
 	FreeSlots int64
@@ -88,19 +81,14 @@ type Stats struct {
 // is a gauge and keeps its end-of-interval value.
 func (s Stats) Sub(t Stats) Stats {
 	return Stats{
-		Allocs:          s.Allocs - t.Allocs,
-		Frees:           s.Frees - t.Frees,
-		NodeReads:       s.NodeReads - t.NodeReads,
-		NodeWrites:      s.NodeWrites - t.NodeWrites,
-		SlotReads:       s.SlotReads - t.SlotReads,
-		SlotWrites:      s.SlotWrites - t.SlotWrites,
-		CacheHits:       s.CacheHits - t.CacheHits,
-		CacheMisses:     s.CacheMisses - t.CacheMisses,
-		Evictions:       s.Evictions - t.Evictions,
-		BatchReads:      s.BatchReads - t.BatchReads,
-		Prefetches:      s.Prefetches - t.Prefetches,
-		PrefetchedSlots: s.PrefetchedSlots - t.PrefetchedSlots,
-		FreeSlots:       s.FreeSlots,
+		Allocs:     s.Allocs - t.Allocs,
+		Frees:      s.Frees - t.Frees,
+		NodeReads:  s.NodeReads - t.NodeReads,
+		NodeWrites: s.NodeWrites - t.NodeWrites,
+		SlotReads:  s.SlotReads - t.SlotReads,
+		SlotWrites: s.SlotWrites - t.SlotWrites,
+		BatchReads: s.BatchReads - t.BatchReads,
+		FreeSlots:  s.FreeSlots,
 	}
 }
 
@@ -201,19 +189,14 @@ func (m *MemStore) Stats() Stats {
 // loadStats assembles a snapshot of atomically-updated counters.
 func loadStats(s *Stats) Stats {
 	return Stats{
-		Allocs:          atomic.LoadUint64(&s.Allocs),
-		Frees:           atomic.LoadUint64(&s.Frees),
-		NodeReads:       atomic.LoadUint64(&s.NodeReads),
-		NodeWrites:      atomic.LoadUint64(&s.NodeWrites),
-		SlotReads:       atomic.LoadUint64(&s.SlotReads),
-		SlotWrites:      atomic.LoadUint64(&s.SlotWrites),
-		CacheHits:       atomic.LoadUint64(&s.CacheHits),
-		CacheMisses:     atomic.LoadUint64(&s.CacheMisses),
-		Evictions:       atomic.LoadUint64(&s.Evictions),
-		BatchReads:      atomic.LoadUint64(&s.BatchReads),
-		Prefetches:      atomic.LoadUint64(&s.Prefetches),
-		PrefetchedSlots: atomic.LoadUint64(&s.PrefetchedSlots),
-		FreeSlots:       atomic.LoadInt64(&s.FreeSlots),
+		Allocs:     atomic.LoadUint64(&s.Allocs),
+		Frees:      atomic.LoadUint64(&s.Frees),
+		NodeReads:  atomic.LoadUint64(&s.NodeReads),
+		NodeWrites: atomic.LoadUint64(&s.NodeWrites),
+		SlotReads:  atomic.LoadUint64(&s.SlotReads),
+		SlotWrites: atomic.LoadUint64(&s.SlotWrites),
+		BatchReads: atomic.LoadUint64(&s.BatchReads),
+		FreeSlots:  atomic.LoadInt64(&s.FreeSlots),
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 
 func stores(t *testing.T) map[string]Store {
 	t.Helper()
-	fs, err := CreateFileStore(filepath.Join(t.TempDir(), "store.db"), FileStoreOptions{SlotSize: 256, PoolSlots: 8})
+	fs, err := CreateFileStore(filepath.Join(t.TempDir(), "store.db"), FileStoreOptions{SlotSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +101,13 @@ func TestStoreManyNodesRandomized(t *testing.T) {
 					ids[i] = ids[len(ids)-1]
 					ids = ids[:len(ids)-1]
 				}
+				if op%700 == 0 {
+					// Later reads take some slots from the file, some from
+					// the write set.
+					if err := st.Sync(); err != nil {
+						t.Fatal(err)
+					}
+				}
 				if op%250 == 0 {
 					for id, want := range model {
 						got, err := st.ReadNode(id)
@@ -119,7 +126,7 @@ func TestStoreManyNodesRandomized(t *testing.T) {
 
 func TestFileStorePersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "persist.db")
-	fs, err := CreateFileStore(path, FileStoreOptions{SlotSize: 128, PoolSlots: 4})
+	fs, err := CreateFileStore(path, FileStoreOptions{SlotSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +147,7 @@ func TestFileStorePersistence(t *testing.T) {
 	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenFileStore(path, FileStoreOptions{PoolSlots: 4})
+	re, err := OpenFileStore(path, FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,6 +208,80 @@ func TestFileStoreFreeListReuse(t *testing.T) {
 	}
 	if fs.nextSlot != grown {
 		t.Fatalf("file grew from %d to %d slots despite free list", grown, fs.nextSlot)
+	}
+}
+
+// TestFileChangesOnlyAtSync pins the write set: between Syncs, writes,
+// frees and allocations off the free list leave every byte the last Sync
+// wrote untouched, and a Sync empties the write set.
+func TestFileChangesOnlyAtSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sync.db")
+	fs, err := CreateFileStore(path, FileStoreOptions{SlotSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	var ids []page.ID
+	for i := 0; i < 12; i++ {
+		id, err := fs.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.WriteNode(id, bytes.Repeat([]byte{byte(i)}, 50+i*40)); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := fs.Free(ids[3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(fs.written); n != 0 {
+		t.Fatalf("%d slots left in the write set after Sync", n)
+	}
+	synced, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		switch {
+		case i == 3:
+		case i%3 == 0:
+			if err := fs.Free(id); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			if err := fs.WriteNode(id, bytes.Repeat([]byte{0xEE}, 10+i*50)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 6; i++ { // off the free list, then past the end
+		id, err := fs.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.WriteNode(id, []byte("new")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(now) < len(synced) || !bytes.Equal(now[:len(synced)], synced) {
+		t.Fatal("the file changed between Syncs")
+	}
+	if len(fs.written) == 0 {
+		t.Fatal("writes since the Sync left the write set empty")
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if now, _ = os.ReadFile(path); bytes.Equal(now[:len(synced)], synced) {
+		t.Fatal("Sync left the file unchanged")
 	}
 }
 
