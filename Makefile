@@ -16,9 +16,12 @@ GO ?= go
 # range-walk differentials (TestParallelRange* in internal/bvtree),
 # the MVCC snapshot/backup differential tests (TestSnapshot* in
 # internal/bvtree, whose paged arms with 8 cached nodes write dirty
-# nodes back beside pinned readers) and the columnar node-layout smoke
+# nodes back beside pinned readers), the columnar node-layout smoke
 # (TestColumnar* in internal/bvtree: concurrent batched reads against a
-# writer driving mirror rebuilds), and the sharded
+# writer driving mirror rebuilds), the logged tree's commit and
+# checkpoint (TestDurable* and TestCheckpointer* in internal/bvtree: the
+# tree lock is also the WAL order lock, so a checkpoint drains the group
+# committer and writes back under it while readers wait), and the sharded
 # service (TestShard* in internal/shard: the N-shard-vs-single-tree
 # differential programs, the scatter-gather cancellation tests, the
 # multi-client wire-server stress, one goroutine per connection and a
@@ -44,7 +47,7 @@ verify:
 	$(GO) test ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/docslint
-	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestColumnar|TestShard|FuzzFrame|TestDecomposeRect' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard ./internal/zorder
+	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestColumnar|TestDurable|TestCheckpointer|TestShard|FuzzFrame|TestDecomposeRect' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard ./internal/zorder
 	$(GO) test -run '^$$' -bench 'Instrumented|DurableInsert|UnderBackup|MixedRead|ColdLookup|RangeDrive' -benchtime 1x .
 
 # Full suite under the race detector, including the reader/writer stress

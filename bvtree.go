@@ -51,7 +51,8 @@ type Rect = geometry.Rect
 // Stats, …) share a lock, traversal reads (RangeQuery, Nearest, Scan,
 // Count, …) pin an epoch and run lock-free against an immutable
 // copy-on-write view — a slow visitor never blocks a writer — and
-// mutations (Insert, Delete, Maintain, Flush) are exclusive. Snapshot
+// mutations (Insert, Delete, ApplyBatch, BulkLoad, Maintain, Flush) are
+// exclusive. Snapshot
 // exposes the same pinned views explicitly. See DESIGN.md §8 and §12
 // for the full concurrency model.
 type Tree = ibv.Tree
@@ -66,7 +67,7 @@ type Options = ibv.Options
 type OpStats = ibv.OpStats
 
 // MetricsSnapshot is the combined observability snapshot returned by
-// (*Tree).Metrics and (*DurableTree).Metrics: structural counters and
+// (*Tree).Metrics, on a plain or a durable tree: structural counters and
 // opt-in latency/shape histograms for the tree layer, page-store counters
 // for paged trees, and WAL write-path histograms for durable trees. It is
 // plain data and marshals to JSON; see README.md ("Reading the metrics")
@@ -141,23 +142,25 @@ func NewPaged(st Store, opt Options) (*Tree, error) { return ibv.NewPaged(st, op
 // metrics) for the rest.
 func OpenPaged(st Store, cacheNodes int) (*Tree, error) { return ibv.OpenPaged(st, cacheNodes) }
 
-// DurableTree is a paged tree with a logical write-ahead log. Mutations
-// are group-committed: each is logged and applied, and acknowledged once
-// its log batch is fsynced — concurrent writers share syncs, and
-// InsertBatch/ApplyBatch amortise one sync over a whole batch.
-// Checkpoint (and Flush, which on a durable tree is the same thing)
-// persists the tree and empties the log, AutoCheckpoint does so in the
-// background whenever the log reaches a size, and OpenDurable replays
-// operations logged since the last checkpoint. That size is the write
-// path's only setting; metrics are an Options field, or EnableMetrics on
-// a reopened tree. A FileStore's file changes only at checkpoints, so
-// crashes at any point — including mid-checkpoint, which the store's
-// rollback journal undoes — recover every acknowledged operation. See
-// DESIGN.md §7 for the failure model and §9 for the write path.
+// DurableTree is a paged Tree with a logical write-ahead log attached;
+// it embeds the *Tree and declares no mutator of its own. The log is
+// part of the tree's commit, so every handle — the DurableTree and its
+// Tree field alike — is logged: Insert, Delete, ApplyBatch and BulkLoad
+// are group-committed, each logged and applied and acknowledged once its
+// log batch is fsynced — concurrent writers share syncs, and
+// InsertBatch/ApplyBatch amortise one sync over a whole batch. Flush
+// (and Checkpoint, the same call) persists the tree and empties the log,
+// AutoCheckpoint does so in the background whenever the log reaches a
+// size, and OpenDurable replays operations logged since the last
+// checkpoint. That size is the write path's only setting; metrics are
+// an Options field, or EnableMetrics on a reopened tree. A FileStore's
+// file changes only at checkpoints, so crashes at any point — including
+// mid-checkpoint, which the store's rollback journal undoes — recover
+// every acknowledged operation. See DESIGN.md §7 for the failure model
+// and §9 for the write path.
 type DurableTree = ibv.DurableTree
 
-// BatchOp is one operation of a DurableTree.ApplyBatch or
-// Tree.ApplyBatch batch.
+// BatchOp is one operation of a Tree.ApplyBatch batch.
 type BatchOp = ibv.BatchOp
 
 // NewDurable creates a durable tree over a fresh store, logging to

@@ -113,8 +113,7 @@ func readBlob(r io.Reader, n uint32) ([]byte, error) {
 // SnapshotBackup streams a consistent backup of the tree's current state
 // to w. The state is pinned first (see Snapshot), so concurrent writers
 // are never blocked and never observed: the backup is exactly the tree
-// at the moment of the call. On a DurableTree prefer
-// DurableTree.SnapshotBackup, which also reports the captured LSN.
+// at the moment of the call, stamped with the LSN of that state.
 func (t *Tree) SnapshotBackup(w io.Writer) error {
 	s, err := t.Snapshot()
 	if err != nil {
@@ -124,22 +123,17 @@ func (t *Tree) SnapshotBackup(w io.Writer) error {
 	return s.Backup(w)
 }
 
-// Backup streams the snapshot's pinned state to w in the backup format.
-// Taking one Snapshot and both scanning and backing it up observes a
-// single consistent state.
-func (s *Snapshot) Backup(w io.Writer) error {
-	return s.writeBackup(w, s.v.baseLSN)
-}
-
 // qent is one queued page of the backup's level-order walk.
 type qent struct {
 	id    page.ID
 	level int
 }
 
-// writeBackup streams the pinned view with the given base LSN stamped
-// into the header.
-func (s *Snapshot) writeBackup(w io.Writer, lsn uint64) error {
+// Backup streams the snapshot's pinned state to w in the backup format,
+// with the LSN the state had at pin time in the header. Taking one
+// Snapshot and both scanning and backing it up observes a single
+// consistent state.
+func (s *Snapshot) Backup(w io.Writer) error {
 	v := s.v
 	met := s.owner.mv.met
 	start := time.Now()
@@ -181,7 +175,7 @@ func (s *Snapshot) writeBackup(w io.Writer, lsn uint64) error {
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(v.rootLevel))
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(v.size))
 	hdr = binary.LittleEndian.AppendUint64(hdr, v.epoch)
-	hdr = binary.LittleEndian.AppendUint64(hdr, lsn)
+	hdr = binary.LittleEndian.AppendUint64(hdr, v.lsn)
 	hdr = binary.LittleEndian.AppendUint64(hdr, pageCount)
 	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(hdr, backupCRCTable))
 	if _, err := cw.Write(hdr); err != nil {
@@ -439,7 +433,7 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.setBaseLSN(baseLSN)
+	t.lsn = baseLSN
 	return t, nil
 }
 
@@ -459,7 +453,7 @@ func RestoreToLSN(st storage.Store, backup io.Reader, l *wal.Log, upToLSN uint64
 	if err != nil {
 		return nil, err
 	}
-	b := t.baseLSN
+	b := t.lsn
 	if upToLSN < b {
 		return nil, fmt.Errorf("bvtree: restore target LSN %d predates backup LSN %d", upToLSN, b)
 	}
@@ -483,17 +477,9 @@ func RestoreToLSN(st storage.Store, backup io.Reader, l *wal.Log, upToLSN uint64
 	if lsn < upToLSN {
 		return nil, fmt.Errorf("bvtree: wal ends at LSN %d, before restore target %d", lsn, upToLSN)
 	}
-	t.setBaseLSN(upToLSN)
+	t.lsn = upToLSN
 	if err := t.Flush(); err != nil {
 		return nil, err
 	}
 	return t, nil
-}
-
-// setBaseLSN records the logical sequence number the tree's state
-// corresponds to (see Tree.baseLSN).
-func (t *Tree) setBaseLSN(lsn uint64) {
-	t.mu.Lock()
-	t.baseLSN = lsn
-	t.mu.Unlock()
 }

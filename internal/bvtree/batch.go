@@ -27,30 +27,47 @@ type BatchOp struct {
 // same operations build one by one; sharing one save between the
 // same-page items of a z-sorted batch would save writes but change every
 // split, and waits for a workload that measures it.
-func (t *Tree) ApplyBatch(ops []BatchOp) (err error) {
+//
+// On a tree with a log the batch is first stably sorted by z-order, in
+// place (operations on one point keep their order), then logged as one
+// contiguous group-committed unit and applied in that order; it returns
+// once the whole batch is durable, and a crash recovers a
+// record-granularity prefix of it.
+func (t *Tree) ApplyBatch(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	if err := t.lockWrite(); err != nil {
+	var bufs []*[]byte
+	if t.log != nil {
+		if err := t.sortBatchZOrder(ops); err != nil {
+			return err
+		}
+		bufs = make([]*[]byte, len(ops))
+		for i := range ops {
+			op := opInsert
+			if ops[i].Delete {
+				op = opDelete
+			}
+			bufs[i] = encodeOp(op, ops[i].Point, ops[i].Payload)
+		}
+	}
+	return t.commit(func() error {
+		m, tr := t.metrics, t.tracer
+		if m == nil && tr == nil {
+			return t.applyBatchLocked(ops)
+		}
+		start := time.Now()
+		err := t.applyBatchLocked(ops)
+		dur := time.Since(start)
+		if m != nil {
+			m.Batch.Observe(int64(dur))
+			m.BatchSize.Observe(int64(len(ops)))
+		}
+		if tr != nil {
+			tr.Trace(obs.Event{Layer: obs.LayerTree, Op: obs.OpBatch, Dur: dur, N: int64(len(ops)), Err: err != nil})
+		}
 		return err
-	}
-	defer t.mu.Unlock()
-	defer t.endWrite(&err)
-	m, tr := t.metrics, t.tracer
-	if m == nil && tr == nil {
-		return t.applyBatchLocked(ops)
-	}
-	start := time.Now()
-	err = t.applyBatchLocked(ops)
-	dur := time.Since(start)
-	if m != nil {
-		m.Batch.Observe(int64(dur))
-		m.BatchSize.Observe(int64(len(ops)))
-	}
-	if tr != nil {
-		tr.Trace(obs.Event{Layer: obs.LayerTree, Op: obs.OpBatch, Dur: dur, N: int64(len(ops)), Err: err != nil})
-	}
-	return err
+	}, bufs...)
 }
 
 // applyBatchLocked is ApplyBatch's body (exclusive lock held).

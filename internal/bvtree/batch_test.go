@@ -426,7 +426,7 @@ func TestConcurrentBackgroundCheckpointer(t *testing.T) {
 // and CheckpointerStats (like Close) must still report the root cause.
 func TestCheckpointerKeepsFirstError(t *testing.T) {
 	first, second := errors.New("root cause"), errors.New("consequence")
-	d := &DurableTree{cp: &checkpointer{}}
+	d := &DurableTree{&Tree{cp: &checkpointer{}}}
 	d.cp.record(nil)
 	d.cp.record(first)
 	d.cp.record(second)

@@ -31,18 +31,31 @@ import (
 // structure is identical in its guarantees to one built by
 // arbitrary-order inserts, and consecutive operations hit the same
 // root-to-leaf path, keeping a paged tree's decoded-node cache hot.
-func (t *Tree) BulkLoad(points []geometry.Point, payloads []uint64) (err error) {
+//
+// On a tree with a log the points are logged as one group-committed
+// batch of insert records, and BulkLoad returns once the batch is
+// durable. Recovery replays the records one by one: the rebuilt tree
+// holds the same items, though not necessarily the same pages, as the
+// bulk build.
+func (t *Tree) BulkLoad(points []geometry.Point, payloads []uint64) error {
 	if len(points) != len(payloads) {
 		return fmt.Errorf("bvtree: %d points but %d payloads", len(points), len(payloads))
 	}
 	if len(points) == 0 {
 		return nil
 	}
-	if err := t.lockWrite(); err != nil {
-		return err
+	var bufs []*[]byte
+	if t.log != nil {
+		bufs = make([]*[]byte, len(points))
+		for i := range points {
+			bufs[i] = encodeOp(opInsert, points[i], payloads[i])
+		}
 	}
-	defer t.mu.Unlock()
-	defer t.endWrite(&err)
+	return t.commit(func() error { return t.bulkLoadLocked(points, payloads) }, bufs...)
+}
+
+// bulkLoadLocked is BulkLoad's body (exclusive lock held).
+func (t *Tree) bulkLoadLocked(points []geometry.Point, payloads []uint64) error {
 	if t.size == 0 && t.rootLevel == 0 {
 		return t.bulkLoadPacked(points, payloads)
 	}

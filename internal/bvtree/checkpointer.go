@@ -4,14 +4,14 @@ import "sync"
 
 // checkpointer runs checkpoints on a background goroutine, so the log
 // never grows without bound and foreground writers never pay a full flush
-// inline. Lock ordering (DESIGN.md §8/§9): the goroutine acquires d.mu →
-// tree.mu → storage locks, exactly like a foreground Checkpoint, and
-// holds nothing across its channel waits. Shutdown must therefore happen
-// while the caller holds no DurableTree locks — Close stops the goroutine
-// before taking d.mu.
+// inline. Lock ordering (DESIGN.md §8/§9): the goroutine acquires the
+// tree lock → storage locks, exactly like a foreground Flush, and holds
+// nothing across its channel waits. Shutdown must therefore happen while
+// the caller holds no tree lock — Close stops the goroutine before taking
+// it.
 type checkpointer struct {
-	d        *DurableTree
-	logBytes int64         // the trigger; guarded by d.mu
+	t        *Tree
+	logBytes int64         // the trigger; guarded by t.mu
 	kick     chan struct{} // non-blocking sends from mutations
 	stop     chan struct{}
 	done     chan struct{}
@@ -39,7 +39,7 @@ func (d *DurableTree) AutoCheckpoint(logBytes int64) {
 			return
 		}
 		d.cp = &checkpointer{
-			d:    d,
+			t:    d.Tree,
 			kick: make(chan struct{}, 1),
 			stop: make(chan struct{}),
 			done: make(chan struct{}),
@@ -51,15 +51,17 @@ func (d *DurableTree) AutoCheckpoint(logBytes int64) {
 
 // stopCheckpointer terminates the background checkpointer and returns the
 // first error it encountered, if any. Safe to call when none is running.
-// Must be called without holding d.mu: the goroutine may be blocked
-// acquiring it for a checkpoint, and it must be able to finish that
-// checkpoint before it can observe the stop signal.
-func (d *DurableTree) stopCheckpointer() error {
-	cp := d.cp
+// It holds the tree lock only to detach the checkpointer: the goroutine
+// may be waiting for that lock to run a checkpoint, and it must be able
+// to finish that checkpoint before it can observe the stop signal.
+func (t *Tree) stopCheckpointer() error {
+	t.mu.Lock()
+	cp := t.cp
+	t.cp = nil
+	t.mu.Unlock()
 	if cp == nil {
 		return nil
 	}
-	d.cp = nil
 	close(cp.stop)
 	<-cp.done
 	cp.mu.Lock()
@@ -68,11 +70,12 @@ func (d *DurableTree) stopCheckpointer() error {
 }
 
 // kickIfLogFull nudges the checkpointer when the size trigger fires. The
-// caller holds d.mu (it just appended to the log), so the send must not
-// block — a full kick channel means a checkpoint is already pending.
-func (d *DurableTree) kickIfLogFull() {
-	cp := d.cp
-	if cp == nil || cp.logBytes <= 0 || d.log.Size() < cp.logBytes {
+// caller holds the exclusive tree lock (it just committed), so the send
+// must not block — a full kick channel means a checkpoint is already
+// pending.
+func (t *Tree) kickIfLogFull() {
+	cp := t.cp
+	if cp == nil || cp.logBytes <= 0 || t.log.Size() < cp.logBytes {
 		return
 	}
 	select {
@@ -87,7 +90,9 @@ func (d *DurableTree) kickIfLogFull() {
 // the root cause survives the retries it provokes). Zero values before
 // AutoCheckpoint.
 func (d *DurableTree) CheckpointerStats() (runs uint64, firstErr error) {
+	d.mu.RLock()
 	cp := d.cp
+	d.mu.RUnlock()
 	if cp == nil {
 		return 0, nil
 	}
@@ -107,7 +112,7 @@ func (cp *checkpointer) run() {
 		case <-cp.stop:
 			return
 		case <-cp.kick:
-			cp.record(cp.d.Checkpoint())
+			cp.record(cp.t.Flush())
 		}
 	}
 }

@@ -21,30 +21,30 @@ import (
 // The bool says whether the item left the tree, whatever the error says:
 // a failure that strikes after the removal — saving the page, merging it,
 // contracting the root — comes back as (true, err), and Len has already
-// dropped by one.
+// dropped by one. On a tree with a log it returns once the delete is
+// durable.
 func (t *Tree) Delete(p geometry.Point, payload uint64) (removed bool, err error) {
-	if err := t.lockWrite(); err != nil {
-		return false, err
-	}
-	defer t.mu.Unlock()
-	defer t.endWrite(&err)
-	m, tr := t.metrics, t.tracer
-	if m == nil && tr == nil {
-		return t.deleteLocked(p, payload)
-	}
-	start := time.Now()
-	removed, err = t.deleteLocked(p, payload)
-	dur := time.Since(start)
-	if m != nil {
-		m.Delete.Observe(int64(dur))
-	}
-	if tr != nil {
-		var n int64
-		if removed {
-			n = 1
+	err = t.commit(func() (err error) {
+		m, tr := t.metrics, t.tracer
+		if m == nil && tr == nil {
+			removed, err = t.deleteLocked(p, payload)
+			return err
 		}
-		tr.Trace(obs.Event{Layer: obs.LayerTree, Op: obs.OpDelete, Dur: dur, N: n, Err: err != nil})
-	}
+		start := time.Now()
+		removed, err = t.deleteLocked(p, payload)
+		dur := time.Since(start)
+		if m != nil {
+			m.Delete.Observe(int64(dur))
+		}
+		if tr != nil {
+			var n int64
+			if removed {
+				n = 1
+			}
+			tr.Trace(obs.Event{Layer: obs.LayerTree, Op: obs.OpDelete, Dur: dur, N: n, Err: err != nil})
+		}
+		return err
+	}, t.record(opDelete, p, payload))
 	return removed, err
 }
 

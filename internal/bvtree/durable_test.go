@@ -1,18 +1,16 @@
 package bvtree
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
-	"strings"
 	"testing"
 
+	"bvtree/internal/fault"
 	"bvtree/internal/geometry"
 	"bvtree/internal/storage"
+	"bvtree/internal/vfs"
+	"bvtree/internal/wal"
 )
 
 func TestDurableCrashRecovery(t *testing.T) {
@@ -259,66 +257,136 @@ func TestDurableFlushThenCrash(t *testing.T) {
 	}
 }
 
-// TestDurableShadowsTreeMutators keeps DurableTree's shadowing of the
-// embedded Tree complete: an exported *Tree method must either be declared
-// again on *DurableTree — so that it goes through the log or through
-// Checkpoint — or be listed here with the reason it is safe to promote.
-// A mutator that reaches a durable tree through the embedding alone (as
-// Flush did) fails here instead of in a recovery.
-func TestDurableShadowsTreeMutators(t *testing.T) {
-	promoted := map[string]string{
-		// reads
-		"CheckSnapshots": "read", "CollectStats": "read", "Contains": "read",
-		"Count": "read", "Dump": "read", "Epoch": "read", "Height": "read",
-		"Len": "read", "Lookup": "read", "Nearest": "read", "Options": "read",
-		"PartialMatch": "read", "RangeQuery": "read", "RangeQueryWorkers": "read",
-		"Scan": "read", "SearchCost": "read", "Snapshot": "read",
-		"Stats": "read", "Validate": "read",
-		// instrumentation
-		"ResetAccessCount": "a counter", "SetTracer": "instrumentation",
-		// This rewrites pages but changes neither what the tree holds nor the
-		// store's checkpoint: nothing reaches the disk before the next
-		// Checkpoint, and replay is logical.
-		"Maintain": "re-places guards",
-	}
-	// Reflection cannot tell a promoted method from a declared one, so
-	// the declarations are read from the package's source.
-	own := map[string]bool{}
-	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
+// TestEveryHandleIsLogged runs one program of Insert, Delete, ApplyBatch
+// and BulkLoad through a durable tree and through its embedded Tree in
+// turn, with a Flush of the embedded Tree halfway, then crashes and
+// reopens. Both handles reach the same logged tree, so every acknowledged
+// operation is there exactly once. When the log lived outside Tree, the
+// embedded handle's operations bypassed it and were lost, and its Flush
+// synced the store at the epoch the log still carried, so recovery
+// applied the logged operations a second time.
+func TestEveryHandleIsLogged(t *testing.T) {
+	dir := t.TempDir()
+	dbPath, walPath := filepath.Join(dir, "t.db"), filepath.Join(dir, "t.wal")
+	ffs := fault.NewFS(vfs.OS{}, fault.Plan{})
+	st, err := storage.CreateFileStore(dbPath, storage.FileStoreOptions{SlotSize: 256, FS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range pkgs["bvtree"].Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil || !fn.Name.IsExported() {
-				continue
+	l, err := wal.OpenFS(ffs, walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDurableLog(st, l, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type handle interface {
+		Insert(geometry.Point, uint64) error
+		Delete(geometry.Point, uint64) (bool, error)
+		ApplyBatch([]BatchOp) error
+		BulkLoad([]geometry.Point, []uint64) error
+	}
+	handles := []handle{d.Tree, d}
+
+	rng := rand.New(rand.NewSource(31))
+	points := map[uint64]geometry.Point{} // every payload ever acknowledged
+	var live []uint64                     // payloads still in the tree
+	fresh := func() (geometry.Point, uint64) {
+		payload := uint64(len(points))
+		p := geometry.Point{payload << 40, rng.Uint64()} // distinct points
+		points[payload] = p
+		return p, payload
+	}
+	victim := func() (geometry.Point, uint64) {
+		i := rng.Intn(len(live))
+		payload := live[i]
+		live[i] = live[len(live)-1]
+		live = live[:len(live)-1]
+		return points[payload], payload
+	}
+	const rounds = 8
+	for r := 0; r < rounds; r++ {
+		h := handles[r%2]
+		pts, payloads := make([]geometry.Point, 12), make([]uint64, 12)
+		for i := range pts {
+			pts[i], payloads[i] = fresh()
+		}
+		if err := h.BulkLoad(pts, payloads); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, payloads...)
+		for i := 0; i < 10; i++ {
+			p, payload := fresh()
+			if err := h.Insert(p, payload); err != nil {
+				t.Fatal(err)
 			}
-			if star, ok := fn.Recv.List[0].Type.(*ast.StarExpr); ok {
-				if id, ok := star.X.(*ast.Ident); ok && id.Name == "DurableTree" {
-					own[fn.Name.Name] = true
-				}
+			live = append(live, payload)
+		}
+		var ops []BatchOp
+		for i := 0; i < 3; i++ {
+			p, payload := victim()
+			ops = append(ops, BatchOp{Delete: true, Point: p, Payload: payload})
+		}
+		for i := 0; i < 8; i++ {
+			p, payload := fresh()
+			ops = append(ops, BatchOp{Point: p, Payload: payload})
+			live = append(live, payload)
+		}
+		if err := h.ApplyBatch(ops); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			p, payload := victim()
+			if ok, err := h.Delete(p, payload); err != nil || !ok {
+				t.Fatalf("round %d: Delete = (%v, %v)", r, ok, err)
+			}
+		}
+		if r == rounds/2 {
+			if err := d.Tree.Flush(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	if !own["Insert"] {
-		t.Fatal("found no declaration of (*DurableTree).Insert: the source scan is broken")
+	ffs.CloseAll() // crash: neither the store nor the log is closed
+
+	st2, err := storage.OpenFileStore(dbPath, storage.FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	tt := reflect.TypeOf((*Tree)(nil))
-	for i := 0; i < tt.NumMethod(); i++ {
-		name := tt.Method(i).Name
-		if _, ok := promoted[name]; !ok && !own[name] {
-			t.Errorf("Tree.%s reaches a DurableTree through the embedding: declare it on *DurableTree or list it here with the reason it is safe", name)
-		}
+	defer st2.Close()
+	re, err := OpenDurable(st2, walPath, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name := range promoted {
-		if _, ok := tt.MethodByName(name); !ok {
-			t.Errorf("%s is listed but *Tree has no such method", name)
+	defer re.Close()
+	if err := re.Validate(true); err != nil {
+		t.Fatal(err)
+	}
+	if re.Len() != len(live) {
+		t.Errorf("reopened Len=%d, want %d", re.Len(), len(live))
+	}
+	alive := map[uint64]bool{}
+	for _, payload := range live {
+		alive[payload] = true
+	}
+	for payload, p := range points {
+		got, err := re.Lookup(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if own[name] {
-			t.Errorf("%s is listed as promoted but *DurableTree declares it", name)
+		want := 0
+		if alive[payload] {
+			want = 1
+		}
+		n := 0
+		for _, v := range got {
+			if v == payload {
+				n++
+			}
+		}
+		if n != want {
+			t.Fatalf("payload %d is in the reopened tree %d times, want %d", payload, n, want)
 		}
 	}
 }

@@ -23,27 +23,25 @@ type opCtx struct {
 func newOpCtx() *opCtx { return &opCtx{parents: make(map[page.ID]page.ID)} }
 
 // Insert adds an item at point p with the given payload. Duplicate points
-// are allowed and accumulate.
-func (t *Tree) Insert(p geometry.Point, payload uint64) (err error) {
-	if err := t.lockWrite(); err != nil {
+// are allowed and accumulate. On a tree with a log it returns once the
+// insert is durable.
+func (t *Tree) Insert(p geometry.Point, payload uint64) error {
+	return t.commit(func() error {
+		m, tr := t.metrics, t.tracer
+		if m == nil && tr == nil {
+			return t.insertLocked(p, payload)
+		}
+		start := time.Now()
+		err := t.insertLocked(p, payload)
+		dur := time.Since(start)
+		if m != nil {
+			m.Insert.Observe(int64(dur))
+		}
+		if tr != nil {
+			tr.Trace(obs.Event{Layer: obs.LayerTree, Op: obs.OpInsert, Dur: dur, N: 1, Err: err != nil})
+		}
 		return err
-	}
-	defer t.mu.Unlock()
-	defer t.endWrite(&err)
-	m, tr := t.metrics, t.tracer
-	if m == nil && tr == nil {
-		return t.insertLocked(p, payload)
-	}
-	start := time.Now()
-	err = t.insertLocked(p, payload)
-	dur := time.Since(start)
-	if m != nil {
-		m.Insert.Observe(int64(dur))
-	}
-	if tr != nil {
-		tr.Trace(obs.Event{Layer: obs.LayerTree, Op: obs.OpInsert, Dur: dur, N: 1, Err: err != nil})
-	}
-	return err
+	}, t.record(opInsert, p, payload))
 }
 
 // insertLocked is Insert's body (exclusive lock held).

@@ -13,13 +13,13 @@ import (
 //   - Store: the page store's counters — logical and physical I/O,
 //     batched reads, free-list length. An in-memory tree's store
 //     is its MemStore, written only by Flush.
+//   - WAL: on a tree with a log whose metrics are enabled, append and
+//     fsync latency, group-commit amortisation and checkpoint cost.
 //
-// DurableTree.Metrics shadows this method and additionally fills the WAL
-// section. The snapshot is plain data, safe to retain, and marshals to
-// JSON.
+// The snapshot is plain data, safe to retain, and marshals to JSON.
 func (t *Tree) Metrics() obs.Snapshot {
 	t.mu.RLock()
-	m := t.metrics
+	m, wm := t.metrics, t.wm
 	t.mu.RUnlock()
 	var ts obs.TreeSnapshot
 	if m != nil {
@@ -33,15 +33,11 @@ func (t *Tree) Metrics() obs.Snapshot {
 		ms := t.mv.met.Snapshot()
 		s.MVCC = &ms
 	}
+	if wm != nil {
+		ws := wm.Snapshot()
+		s.WAL = &ws
+	}
 	return s
-}
-
-// getTracer returns the installed tracer under the shared lock; callers
-// that do not already hold t.mu use it to read the field race-free.
-func (t *Tree) getTracer() obs.Tracer {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.tracer
 }
 
 // storeSnapshot reshapes the store's counters into the snapshot form the

@@ -445,7 +445,7 @@ func (t *Tree) newView(pin uint64) *Tree {
 		rootLevel: t.rootLevel,
 		size:      t.size,
 		epoch:     t.epoch,
-		baseLSN:   t.baseLSN,
+		lsn:       t.lsn,
 		stats:     t.stats,
 		metrics:   t.metrics,
 		tracer:    t.tracer,

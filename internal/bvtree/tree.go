@@ -19,12 +19,14 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"bvtree/internal/geometry"
 	"bvtree/internal/obs"
 	"bvtree/internal/page"
 	"bvtree/internal/region"
 	"bvtree/internal/storage"
+	"bvtree/internal/wal"
 	"bvtree/internal/zorder"
 )
 
@@ -104,10 +106,14 @@ type OpStats = obs.TreeCountersSnapshot
 //     epoch, then run lock-free against an immutable copy-on-write view:
 //     a slow visitor or a long scan never blocks a writer, and the
 //     result is exactly the tree state at the moment the call started.
-//   - Mutating operations — Insert, Delete, Maintain, Flush — hold the
-//     lock exclusively; before disturbing a page a pinned reader may
-//     still need, they capture its pre-image into a version chain
-//     (mvcc.go).
+//   - Mutating operations — Insert, Delete, ApplyBatch, BulkLoad,
+//     Maintain, Flush — hold the lock exclusively; before disturbing a
+//     page a pinned reader may still need, they capture its pre-image
+//     into a version chain (mvcc.go). On a tree with a write-ahead log
+//     (the one a DurableTree embeds) Insert, Delete, ApplyBatch and
+//     BulkLoad also enqueue their log records inside that exclusive
+//     section and return once the records are durable, and Flush is the
+//     checkpoint that empties the log (see commit).
 //
 // The guard-set exact-match search (§3), range traversal and best-first
 // kNN keep all scratch state (guard sets, visit stacks, candidate heaps)
@@ -126,10 +132,20 @@ type Tree struct {
 	rootLevel int // index level of the root; 0 while the root is a data page
 	size      int
 	epoch     uint64 // checkpoint epoch (see page.Meta.Epoch)
-	// baseLSN is the logical sequence number the tree's state corresponds
-	// to: maintained by the durable layer, stamped into backups, and set
-	// by RestoreSnapshot/RestoreToLSN. 0 for trees with no WAL history.
-	baseLSN uint64
+	// lsn is the log sequence number of the tree's state: the number of
+	// logged operations it holds, over its whole history. A logged commit
+	// advances it in the critical section that applies the operation,
+	// views copy it at pin time, backups stamp it, and RestoreSnapshot
+	// and RestoreToLSN set it. 0 for a tree with no log history.
+	lsn uint64
+
+	// The write-ahead log, attached by the durable constructors after
+	// replay; nil on a tree without one. log and gc are set before the
+	// tree is shared and never change; wm and cp are guarded by mu.
+	log *wal.Log
+	gc  *wal.GroupCommitter
+	wm  *obs.WALMetrics // the WAL section of Metrics; nil until enabled
+	cp  *checkpointer   // non-nil once AutoCheckpoint has started one
 
 	// stats is shared by pointer with every pinned view of the tree, so
 	// work done through a snapshot is counted on the owner.
@@ -241,15 +257,91 @@ func newTree(pn *pagedNodes, opt Options) (*Tree, error) {
 	return t, nil
 }
 
-// Flush writes every node changed since the last Flush, then the tree's
-// root record, and syncs the backing store. The tree is only reopenable
-// from state captured by the last Flush.
+// commit is the one write path: Insert, Delete, ApplyBatch and BulkLoad
+// hand it their operation as apply, which runs under the exclusive lock
+// and is followed by endWrite. On a tree with a log, bufs are the
+// operation's log records — one for an Insert or Delete, a whole batch's
+// under one ticket — and commit is group commit (DESIGN.md §9): the
+// records are enqueued and the operation applied in one critical
+// section, so the log order is the apply order; the group fsync is
+// awaited after the lock is released, so writers arriving during one
+// sync share the next; and the encode buffers go back to the pool only
+// after it. The apply result wins over the sync result, since an apply
+// error carries the structural failure. A failed sync poisons the
+// committer: the applied-but-unlogged state is then unreachable through
+// the write path, and the recovery is to reopen, which replays the
+// durable prefix. Without a log, bufs is ignored.
+func (t *Tree) commit(apply func() error, bufs ...*[]byte) (err error) {
+	if err := t.lockWrite(); err != nil {
+		return err
+	}
+	var tk *wal.Ticket
+	if t.gc != nil {
+		var one [1][]byte // a single record needs no slice on the heap
+		recs := one[:0]
+		if len(bufs) > len(one) {
+			recs = make([][]byte, 0, len(bufs))
+		}
+		for _, bp := range bufs {
+			recs = append(recs, *bp)
+		}
+		if tk, err = t.gc.Enqueue(recs...); err != nil {
+			t.mu.Unlock()
+			putRecs(bufs)
+			return err
+		}
+		t.lsn += uint64(len(recs))
+	}
+	err = apply()
+	t.endWrite(&err)
+	t.kickIfLogFull()
+	t.mu.Unlock()
+	if tk != nil {
+		werr := t.gc.Wait(tk)
+		putRecs(bufs)
+		if err == nil {
+			err = werr
+		}
+	}
+	return err
+}
+
+// Flush is the tree's one checkpoint: it writes every node changed since
+// the last Flush, then the tree's root record, and syncs the backing
+// store. The tree is only reopenable from state captured by the last
+// Flush. On a tree with a log it first drains the group committer and
+// advances the checkpoint epoch, and after the sync it empties the log
+// at the new epoch and the tree's LSN. Each step is crash-safe: the
+// store sync is atomic (rollback journal), and the log is reset only
+// once the new epoch is durable in the store, so a crash in between
+// leaves the log one epoch behind, which recovery recognises and
+// discards. An unlogged Flush keeps the epoch.
 func (t *Tree) Flush() error {
 	if err := t.lockWrite(); err != nil {
 		return err
 	}
 	defer t.mu.Unlock()
-	return t.paged.flush(&page.Meta{
+	return t.flushLocked()
+}
+
+// flushLocked is Flush's body (exclusive lock held). Holding the lock
+// blocks new enqueues, so once Drain returns no batch can append records
+// of the old epoch after the reset: they would replay as operations
+// after the checkpoint and apply twice.
+func (t *Tree) flushLocked() error {
+	var start time.Time
+	var absorbed int64 // log bytes this checkpoint makes redundant
+	if t.log != nil {
+		if t.wm != nil || t.tracer != nil {
+			start = time.Now()
+		}
+		if err := t.gc.Drain(); err != nil {
+			return err
+		}
+		absorbed = t.log.Size()
+		t.epoch++
+	}
+	err := t.paged.flush(&page.Meta{
 		Dims:         t.opt.Dims,
 		DataCapacity: t.opt.DataCapacity,
 		Fanout:       t.opt.Fanout,
@@ -260,6 +352,21 @@ func (t *Tree) Flush() error {
 		Size:         uint64(t.size),
 		Epoch:        t.epoch,
 	})
+	if err != nil || t.log == nil {
+		return err
+	}
+	if err := t.log.ResetAt(t.epoch, t.lsn); err != nil {
+		return err
+	}
+	if wm := t.wm; wm != nil {
+		wm.Checkpoint.ObserveSince(start)
+		wm.CheckpointB.Add(uint64(absorbed))
+		wm.Checkpoints.Inc()
+	}
+	if tr := t.tracer; tr != nil {
+		tr.Trace(obs.Event{Layer: obs.LayerWAL, Op: obs.OpCheckpoint, Dur: time.Since(start), N: absorbed})
+	}
+	return nil
 }
 
 // Epoch returns the checkpoint epoch last persisted to (or loaded from)
@@ -268,14 +375,6 @@ func (t *Tree) Epoch() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.epoch
-}
-
-// advanceEpoch increments the checkpoint epoch; the caller must Flush to
-// make it durable.
-func (t *Tree) advanceEpoch() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.epoch++
 }
 
 // Len returns the number of stored items.
@@ -315,15 +414,20 @@ func (t *Tree) ResetAccessCount() uint64 {
 }
 
 // EnableMetrics turns on the per-operation histograms reported by
-// Metrics, as if Options.Metrics had been set at construction. Samples
-// recorded before enabling are lost (only the structural counters are
-// retroactive). Enabling is idempotent; there is no disable — drop the
-// tree's reference instead.
+// Metrics, as if Options.Metrics had been set at construction, and on a
+// tree with a log the WAL-layer ones too. Samples recorded before
+// enabling are lost (only the structural counters are retroactive).
+// Enabling is idempotent; there is no disable — drop the tree's
+// reference instead.
 func (t *Tree) EnableMetrics() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.metrics == nil {
 		t.metrics = &obs.TreeMetrics{}
+	}
+	if t.log != nil && t.wm == nil {
+		t.wm = &obs.WALMetrics{}
+		t.log.SetMetrics(t.wm)
 	}
 }
 
