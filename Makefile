@@ -59,7 +59,7 @@ race:
 # crashes and bit-flips across every file operation of a scripted
 # insert/delete/checkpoint workload (internal/fault + internal/bvtree).
 torture:
-	$(GO) test -run 'TestTorture|TestCrash|TestSyncCrashSweep' -v ./internal/bvtree ./internal/storage
+	$(GO) test -run 'TestTorture|TestCrash|TestSyncCrashSweep|TestBulkLoadCrash|TestBatchCrash|TestRejectedWrite' -v ./internal/bvtree ./internal/storage
 
 # Coverage-guided fuzzing of WAL recovery.
 fuzz:

@@ -52,7 +52,10 @@ type Rect = geometry.Rect
 // Count, …) pin an epoch and run lock-free against an immutable
 // copy-on-write view — a slow visitor never blocks a writer — and
 // mutations (Insert, Delete, ApplyBatch, BulkLoad, Maintain, Flush) are
-// exclusive. Snapshot
+// exclusive. There is one way to build a tree, the paper's insertion
+// algorithm: ApplyBatch and BulkLoad apply their operations in the
+// caller's order, and build exactly the tree the same Inserts build.
+// Snapshot
 // exposes the same pinned views explicitly. See DESIGN.md §8 and §12
 // for the full concurrency model.
 type Tree = ibv.Tree
@@ -148,7 +151,8 @@ func OpenPaged(st Store, cacheNodes int) (*Tree, error) { return ibv.OpenPaged(s
 // Tree field alike — is logged: Insert, Delete, ApplyBatch and BulkLoad
 // are group-committed, each logged and applied and acknowledged once its
 // log batch is fsynced — concurrent writers share syncs, and
-// InsertBatch/ApplyBatch amortise one sync over a whole batch. Flush
+// InsertBatch/ApplyBatch/BulkLoad amortise one sync over a whole batch,
+// logged and applied in the caller's order. Flush
 // (and Checkpoint, the same call) persists the tree and empties the log,
 // AutoCheckpoint does so in the background whenever the log reaches a
 // size, and OpenDurable replays operations logged since the last

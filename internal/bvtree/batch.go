@@ -1,12 +1,11 @@
 package bvtree
 
 import (
-	"sort"
+	"fmt"
 	"time"
 
 	"bvtree/internal/geometry"
 	"bvtree/internal/obs"
-	"bvtree/internal/region"
 )
 
 // BatchOp is one operation of a batched mutation: an insert, or a delete
@@ -24,24 +23,20 @@ type BatchOp struct {
 // operation and returns its error; the preceding operations remain
 // applied. Each insert is a put of its own — a save, and a split the
 // moment the page overflows — so a batch builds exactly the tree the
-// same operations build one by one; sharing one save between the
-// same-page items of a z-sorted batch would save writes but change every
-// split, and waits for a workload that measures it.
+// same operations build one by one, in the caller's order.
 //
-// On a tree with a log the batch is first stably sorted by z-order, in
-// place (operations on one point keep their order), then logged as one
-// contiguous group-committed unit and applied in that order; it returns
-// once the whole batch is durable, and a crash recovers a
-// record-granularity prefix of it.
+// On a tree with a log the batch is logged, in that order, as one
+// contiguous group-committed unit before it is applied; ApplyBatch
+// returns once the whole batch is durable, and a crash recovers a
+// record-granularity prefix of ops. A batch holding a point of the wrong
+// dimensionality is refused whole, before anything is logged or applied.
+// ops is never modified.
 func (t *Tree) ApplyBatch(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
 	var bufs []*[]byte
 	if t.log != nil {
-		if err := t.sortBatchZOrder(ops); err != nil {
-			return err
-		}
 		bufs = make([]*[]byte, len(ops))
 		for i := range ops {
 			op := opInsert
@@ -85,35 +80,38 @@ func (t *Tree) applyBatchLocked(ops []BatchOp) error {
 	return nil
 }
 
-// sortBatchZOrder stably sorts ops by the z-order address of their point,
-// so successive descents of a batch walk neighbouring paths: the upper
-// tree nodes and the decoded-node cache lines they share stay hot from
-// one operation to the next. Stability is what keeps mixed batches
-// correct — two operations on the same point have equal addresses, and
-// their relative order (insert before delete, or the reverse) is
-// semantically significant.
-func (t *Tree) sortBatchZOrder(ops []BatchOp) error {
-	keys := make([]region.BitString, len(ops))
-	for i := range ops {
-		a, err := t.addr(ops[i].Point)
-		if err != nil {
-			return err
-		}
-		keys[i] = a
+// BulkLoad inserts points[i] with payload payloads[i] for all i, in that
+// order, under one exclusive lock acquisition: it is a batch of inserts,
+// and builds exactly the tree the same Inserts build one by one. There is
+// no separate bulk builder — the paper's insertion algorithm keeps its
+// guarantees (1/3 occupancy, exact match in height+1 nodes) in any arrival
+// order, so the input needs no presorting. Like ApplyBatch it stops at
+// the first failing insert, and the preceding ones remain applied.
+//
+// On a tree with a log the points are logged as one group-committed batch
+// of insert records, and BulkLoad returns once the batch is durable.
+// Recovery replays the records one by one, in the same order, and so
+// rebuilds the same tree.
+func (t *Tree) BulkLoad(points []geometry.Point, payloads []uint64) error {
+	if len(points) != len(payloads) {
+		return fmt.Errorf("bvtree: %d points but %d payloads", len(points), len(payloads))
 	}
-	sort.Stable(&zorderedOps{keys: keys, ops: ops})
-	return nil
-}
-
-// zorderedOps sorts a batch and its precomputed address keys in lockstep.
-type zorderedOps struct {
-	keys []region.BitString
-	ops  []BatchOp
-}
-
-func (z *zorderedOps) Len() int           { return len(z.ops) }
-func (z *zorderedOps) Less(i, j int) bool { return z.keys[i].Compare(z.keys[j]) < 0 }
-func (z *zorderedOps) Swap(i, j int) {
-	z.keys[i], z.keys[j] = z.keys[j], z.keys[i]
-	z.ops[i], z.ops[j] = z.ops[j], z.ops[i]
+	if len(points) == 0 {
+		return nil
+	}
+	var bufs []*[]byte
+	if t.log != nil {
+		bufs = make([]*[]byte, len(points))
+		for i := range points {
+			bufs[i] = encodeOp(opInsert, points[i], payloads[i])
+		}
+	}
+	return t.commit(func() error {
+		for i := range points {
+			if err := t.insertLocked(points[i], payloads[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, bufs...)
 }

@@ -49,8 +49,8 @@ func TestBatchDifferentialOracle(t *testing.T) {
 			// Shuffle the workload and build mixed batches: inserts for the
 			// shuffled points plus deletes of a third of the items inserted
 			// by earlier batches — and, within one batch, some insert+delete
-			// pairs of the same point, which exercises the stable z-order
-			// sort's same-address ordering guarantee.
+			// pairs of the same point, whose outcome depends on the batch
+			// keeping the caller's order.
 			rng := rand.New(rand.NewSource(97))
 			perm := rng.Perm(n)
 			type item struct {
@@ -93,8 +93,7 @@ func TestBatchDifferentialOracle(t *testing.T) {
 					t.Fatalf("batch %d: %v", batchNo, err)
 				}
 				// Serial tree: the same logical ops one at a time, in the
-				// same pre-sort order (the z-order sort must not change the
-				// outcome, only the descent locality).
+				// same order.
 				for _, op := range ops {
 					if op.Delete {
 						if _, err := serial.Delete(op.Point, op.Payload); err != nil {

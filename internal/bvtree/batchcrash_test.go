@@ -35,8 +35,8 @@ func batchCrashOps() []BatchOp {
 
 // TestBatchCrashPrefixSweep crashes the WAL at the batch append's write
 // (error and torn, several tear offsets) and at its sync, and asserts
-// that recovery always yields an exact prefix of the z-order-sorted batch
-// sequence: error-at-write → empty prefix, error-at-sync → full batch
+// that recovery always yields an exact prefix of the batch, in the
+// caller's order: error-at-write → empty prefix, error-at-sync → full batch
 // (the harness models completed writes as persistent), torn-at-write →
 // whatever whole records survived the tear.
 func TestBatchCrashPrefixSweep(t *testing.T) {
@@ -66,8 +66,8 @@ func TestBatchCrashPrefixSweep(t *testing.T) {
 			if !errors.Is(err, fault.ErrInjected) {
 				t.Fatalf("ApplyBatch err = %v, want injected", err)
 			}
-			// ApplyBatch sorted ops in place before logging, so ops now IS
-			// the log order the prefix must follow.
+			// ApplyBatch logs ops in the order given, so ops is the log
+			// order the prefix must follow.
 			d := e.reopen(t) // asserts baseline intact + invariants hold
 
 			prefix := len(ops)

@@ -51,6 +51,11 @@ func TestBulkLoadEquivalence(t *testing.T) {
 	}
 }
 
+// TestBulkLoadImprovesPagedLocality loads a paged tree whose decoded
+// cache is far smaller than the load. One BulkLoad is one write, so the
+// cache is trimmed once, at its end: the load reads nothing back from the
+// store, where the same points inserted one call at a time read nodes
+// back after every trim.
 func TestBulkLoadImprovesPagedLocality(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	pts := make([]geometry.Point, 8000)
@@ -84,8 +89,8 @@ func TestBulkLoadImprovesPagedLocality(t *testing.T) {
 
 	random := missRate(false)
 	bulk := missRate(true)
-	// Z-ordered loading must not read more store nodes than random-order
-	// loading; with a small decoded cache it should read strictly fewer.
+	// Loading must not read more store nodes than one-by-one inserting;
+	// with a small decoded cache it should read strictly fewer.
 	if bulk > random {
 		t.Fatalf("bulk load reads more store nodes per insert (%.2f) than random order (%.2f)", bulk, random)
 	}

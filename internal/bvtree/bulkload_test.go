@@ -1,12 +1,11 @@
 package bvtree
 
-// Invariant battery for the sampling-based packed BulkLoad. The packed
-// build takes a different path to the same structure as incremental
-// inserts — z-sort, region packing, index assembly — so these tests pin
-// the claims that make it interchangeable: full structural invariants,
-// the paper's 1/3 data-page occupancy floor, exact content equality with
-// the input (as a multiset, duplicates included), graceful degradation on
-// a non-empty tree, and durability of a logged bulk batch.
+// Invariant battery for BulkLoad, which is a batch of inserts in the
+// caller's order: full structural invariants, the paper's 1/3 data-page
+// occupancy floor, exact content equality with the input (as a multiset,
+// duplicates included), loading into a non-empty tree, durability of a
+// logged bulk batch, and that every entry point builds the one tree the
+// insertion algorithm builds.
 
 import (
 	"bytes"
@@ -80,9 +79,9 @@ func triplesEqual(a, b [][]uint64) bool {
 	return true
 }
 
-// checkPackedTree asserts the full post-BulkLoad contract: structural
+// checkBulkTree asserts the full post-BulkLoad contract: structural
 // invariants, the occupancy floor, and content == input.
-func checkPackedTree(t *testing.T, tr *Tree, pts []geometry.Point, payloads []uint64) {
+func checkBulkTree(t *testing.T, tr *Tree, pts []geometry.Point, payloads []uint64) {
 	t.Helper()
 	if tr.Len() != len(pts) {
 		t.Fatalf("Len=%d, want %d", tr.Len(), len(pts))
@@ -126,14 +125,14 @@ func TestBulkLoadPackedInvariants(t *testing.T) {
 				if err := tr.BulkLoad(pts, payloads); err != nil {
 					t.Fatal(err)
 				}
-				checkPackedTree(t, tr, pts, payloads)
+				checkBulkTree(t, tr, pts, payloads)
 			})
 		}
 	}
 }
 
-// TestBulkLoadLargeScale loads the parallel path well past the 4096-point
-// threshold. Validate walks the full structure but the content sweep uses
+// TestBulkLoadLargeScale loads a few hundred thousand points in one call.
+// Validate walks the full structure but the content sweep uses
 // CollectStats + scan, which stay linear.
 func TestBulkLoadLargeScale(t *testing.T) {
 	n := 200_000
@@ -175,8 +174,8 @@ func TestBulkLoadLargeScale(t *testing.T) {
 }
 
 // TestBulkLoadDuplicates drives the soft-overflow escape: identical
-// addresses admit no region split, so the packer must emit oversized
-// pages rather than fail, and every copy must survive.
+// addresses admit no region split, so the load must leave oversized pages
+// rather than fail, and every copy must survive.
 func TestBulkLoadDuplicates(t *testing.T) {
 	const n = 500
 	p := geometry.Point{1 << 40, 1 << 41}
@@ -186,7 +185,7 @@ func TestBulkLoadDuplicates(t *testing.T) {
 		pts[i] = p.Clone()
 		payloads[i] = uint64(i)
 	}
-	// Salt in a handful of distinct points so the packer still has splits
+	// Salt in a handful of distinct points so the load still has splits
 	// to attempt around the duplicate block.
 	for i := 0; i < n; i += 50 {
 		pts[i] = geometry.Point{uint64(i+1) << 32, uint64(n-i) << 35}
@@ -214,7 +213,7 @@ func TestBulkLoadDuplicates(t *testing.T) {
 
 // TestBulkLoadBurstSkew feeds the heavy-tailed burst schedule's point
 // stream — the adversarial arrival pattern from the backup experiments —
-// through the packed build in one shot.
+// through BulkLoad in one shot.
 func TestBulkLoadBurstSkew(t *testing.T) {
 	bursts, err := workload.Bursts(workload.Nested, 2, 30000, 64, 7)
 	if err != nil {
@@ -235,12 +234,11 @@ func TestBulkLoadBurstSkew(t *testing.T) {
 	if err := tr.BulkLoad(pts, payloads); err != nil {
 		t.Fatal(err)
 	}
-	checkPackedTree(t, tr, pts, payloads)
+	checkBulkTree(t, tr, pts, payloads)
 }
 
-// TestBulkLoadNonEmptyFallback pins the degraded path: on a tree that
-// already holds items, BulkLoad is a z-sorted batch apply and the result
-// must equal the union of both loads.
+// TestBulkLoadNonEmptyFallback loads into a tree that already holds
+// items: the result must equal the union of both loads.
 func TestBulkLoadNonEmptyFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	tr, err := New(Options{Dims: 2, DataCapacity: 8, Fanout: 8})
@@ -275,7 +273,7 @@ func TestBulkLoadNonEmptyFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := scanTriples(t, tr), inputTriples(allPts, allPays); !triplesEqual(got, want) {
-		t.Fatal("fallback BulkLoad diverged from insert union")
+		t.Fatal("BulkLoad into a non-empty tree diverged from insert union")
 	}
 }
 
@@ -305,7 +303,7 @@ func TestBulkLoadDurablePersistence(t *testing.T) {
 	if err := d.BulkLoad(pts, payloads); err != nil {
 		t.Fatal(err)
 	}
-	checkPackedTree(t, d.Tree, pts, payloads)
+	checkBulkTree(t, d.Tree, pts, payloads)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +332,7 @@ func TestBulkLoadDurablePersistence(t *testing.T) {
 	}
 }
 
-// FuzzBulkLoad decodes arbitrary bytes into points, packs them into a
+// FuzzBulkLoad decodes arbitrary bytes into points, loads them into a
 // fresh tree, and demands the scan return exactly the input multiset
 // under full invariants.
 func FuzzBulkLoad(f *testing.F) {
@@ -378,6 +376,148 @@ func FuzzBulkLoad(f *testing.F) {
 		}
 		if got, want := scanTriples(t, tr), inputTriples(pts, payloads); !triplesEqual(got, want) {
 			t.Fatal("fuzzed BulkLoad scan does not match the input multiset")
+		}
+	})
+}
+
+// backupOf returns tr's SnapshotBackup stream.
+func backupOf(t *testing.T, tr *Tree) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.SnapshotBackup(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// backupFrames is a backup stream without its header and trailer: the
+// tree's pages alone, renumbered canonically, with no LSN or epoch.
+func backupFrames(stream []byte) []byte {
+	return stream[backupHeaderSize : len(stream)-16]
+}
+
+// TestBulkLoadBuildsTheInsertionTree pins that a tree has one build: the
+// paper's insertion algorithm, in the caller's order. BulkLoad, ApplyBatch
+// and per-point Insert of the same points, on an in-memory and on a
+// durable tree, must give byte-identical backups (canonical: pages are
+// renumbered in level order) and the same height. A logged ApplyBatch
+// must leave the caller's ops as they were, and a large durable
+// InsertBatch must keep the height of the unlogged build. At the time
+// BulkLoad packed a z-sorted run and logged batches were z-sorted before
+// they applied, none of this held.
+func TestBulkLoadBuildsTheInsertionTree(t *testing.T) {
+	opt := Options{Dims: 2, DataCapacity: 8, Fanout: 8}
+	newTree := func(t *testing.T, logged bool, opt Options) *Tree {
+		t.Helper()
+		if !logged {
+			tr, err := New(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}
+		d, err := NewDurable(storage.NewMemStore(), filepath.Join(t.TempDir(), "t.wal"), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() })
+		return d.Tree
+	}
+	for _, kind := range []workload.Kind{workload.Clustered, workload.Uniform, workload.Nested} {
+		t.Run(string(kind), func(t *testing.T) {
+			pts, err := workload.Generate(kind, 2, 2000, 13)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := make([]uint64, len(pts))
+			for i := range ids {
+				ids[i] = uint64(i)
+			}
+			builds := []struct {
+				name  string
+				build func(*Tree) error
+			}{
+				{"BulkLoad", func(tr *Tree) error { return tr.BulkLoad(pts, ids) }},
+				{"ApplyBatch", func(tr *Tree) error {
+					ops := make([]BatchOp, len(pts))
+					for i := range pts {
+						ops[i] = BatchOp{Point: pts[i], Payload: ids[i]}
+					}
+					given := append([]BatchOp(nil), ops...)
+					if err := tr.ApplyBatch(ops); err != nil {
+						return err
+					}
+					for i := range ops {
+						if !ops[i].Point.Equal(given[i].Point) || ops[i].Payload != given[i].Payload {
+							return fmt.Errorf("ApplyBatch moved op %d: payload %d is now %d", i, given[i].Payload, ops[i].Payload)
+						}
+					}
+					return nil
+				}},
+				{"Insert", func(tr *Tree) error {
+					for i := range pts {
+						if err := tr.Insert(pts[i], ids[i]); err != nil {
+							return err
+						}
+					}
+					return nil
+				}},
+			}
+			var ref, refFrames []byte
+			refHeight := -1
+			for _, logged := range []bool{false, true} {
+				var same []byte // the first stream of this arm
+				for _, b := range builds {
+					tr := newTree(t, logged, opt)
+					if err := b.build(tr); err != nil {
+						t.Fatalf("logged=%v %s: %v", logged, b.name, err)
+					}
+					got := backupOf(t, tr)
+					if ref == nil {
+						ref, refFrames, refHeight = got, backupFrames(got), tr.Height()
+					}
+					if same == nil {
+						same = got
+					}
+					// The header differs between the arms only in the LSN.
+					if !bytes.Equal(got, same) || !bytes.Equal(backupFrames(got), refFrames) {
+						t.Fatalf("logged=%v %s: backup differs from unlogged BulkLoad's", logged, b.name)
+					}
+					if tr.Height() != refHeight {
+						t.Fatalf("logged=%v %s: height %d, unlogged BulkLoad %d", logged, b.name, tr.Height(), refHeight)
+					}
+				}
+			}
+		})
+	}
+
+	t.Run("InsertBatch-large", func(t *testing.T) {
+		const n = 20000
+		pts, err := workload.Generate(workload.Clustered, 2, n, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]uint64, n)
+		opt := Options{Dims: 2}
+		plain := newTree(t, false, opt)
+		for i := range pts {
+			if err := plain.Insert(pts[i], ids[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, err := NewDurable(storage.NewMemStore(), filepath.Join(t.TempDir(), "t.wal"), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if err := d.InsertBatch(pts, ids); err != nil {
+			t.Fatal(err)
+		}
+		if d.Height() != plain.Height() {
+			t.Fatalf("durable InsertBatch built height %d, the unlogged build %d", d.Height(), plain.Height())
+		}
+		if !bytes.Equal(backupFrames(backupOf(t, d.Tree)), backupFrames(backupOf(t, plain))) {
+			t.Fatal("durable InsertBatch built other pages than the unlogged build")
 		}
 	})
 }

@@ -6,6 +6,7 @@ package bvtree
 // each contractual boundary an explicit, named assertion.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -328,10 +329,11 @@ func TestCrashMidCheckpoint(t *testing.T) {
 }
 
 // TestBulkLoadCrashSweep arms a store fault at every offset of a durable
-// BulkLoad on an empty tree, landing crashes inside the packed build's
-// page materialisation and the index graft. The batch's records hit the
-// log before the build starts, so recovery replays them all: the rebuilt
-// tree must hold exactly the loaded items, page layout notwithstanding.
+// BulkLoad on an empty tree, landing crashes inside the splits and page
+// allocations of its inserts. The batch's records hit the log before the
+// first insert applies, so recovery replays them all, in the caller's
+// order: the rebuilt tree must be the tree the same BulkLoad builds
+// without a crash, page for page — its backup byte-identical.
 func TestBulkLoadCrashSweep(t *testing.T) {
 	const n = 120
 	pts := make([]geometry.Point, n)
@@ -339,6 +341,14 @@ func TestBulkLoadCrashSweep(t *testing.T) {
 	for i := range pts {
 		pts[i] = geometry.Point{uint64(i*2654435761 + 17), uint64(i*40503+5) << 20}
 		pays[i] = uint64(i)
+	}
+	clean := newMatrixEnvN(t, 0)
+	if err := clean.d.BulkLoad(pts, pays); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if _, err := clean.d.SnapshotBackup(&want); err != nil {
+		t.Fatal(err)
 	}
 	// Sweep every store-op offset the build performs; the sweep ends at
 	// the first offset past the build (the store writes its file only at
@@ -366,11 +376,78 @@ func TestBulkLoadCrashSweep(t *testing.T) {
 		for i := range pts {
 			e.mustContain(t, d, pts[i], pays[i], true)
 		}
+		var got bytes.Buffer
+		if _, err := d.SnapshotBackup(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("k=%d: the recovered tree is not the tree BulkLoad builds without a crash", k)
+		}
 	}
 	if covered < 10 {
 		t.Fatalf("sweep crashed only %d offsets inside the build; too few to call it a sweep", covered)
 	}
-	t.Logf("swept %d crash points inside the packed build", covered)
+	t.Logf("swept %d crash points inside the load", covered)
+}
+
+// TestRejectedWriteIsNotLogged writes a point of the wrong dimensionality
+// through each logged entry point, between acknowledged inserts that live
+// in the log alone, then crashes and reopens. The write must fail with the
+// error an unlogged tree gives, and leave no trace: a logged record whose
+// apply fails fails again at replay, and the tree could not be reopened.
+// A batch holding such a point is refused whole.
+func TestRejectedWriteIsNotLogged(t *testing.T) {
+	bad := geometry.Point{1 << 40, 1 << 41, 1 << 42}
+	good := geometry.Point{5 << 40, 6 << 40}
+	plain, err := New(Options{Dims: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantErr := plain.Insert(bad, matrixPayload)
+	if wantErr == nil {
+		t.Fatal("an unlogged tree accepted a 3-D point into a 2-D tree")
+	}
+	writes := []struct {
+		name  string
+		write func(d *DurableTree) error
+	}{
+		{"Insert", func(d *DurableTree) error { return d.Insert(bad, matrixPayload) }},
+		{"Delete", func(d *DurableTree) error { _, err := d.Delete(bad, matrixPayload); return err }},
+		{"ApplyBatch", func(d *DurableTree) error {
+			return d.ApplyBatch([]BatchOp{{Point: good, Payload: matrixPayload}, {Point: bad, Payload: matrixPayload}})
+		}},
+		{"BulkLoad", func(d *DurableTree) error {
+			return d.BulkLoad([]geometry.Point{good, bad}, []uint64{matrixPayload, matrixPayload})
+		}},
+	}
+	for _, w := range writes {
+		t.Run(w.name, func(t *testing.T) {
+			e := newMatrixEnv(t)
+			var acked []geometry.Point
+			insert := func(k int) {
+				for i := 0; i < k; i++ {
+					p := geometry.Point{uint64(len(acked)+1) << 33, uint64(len(acked)+3) << 41}
+					if err := e.d.Insert(p, uint64(100+len(acked))); err != nil {
+						t.Fatal(err)
+					}
+					acked = append(acked, p)
+				}
+			}
+			insert(5)
+			if err := w.write(e.d); err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%s of a 3-D point: err = %v, want %v", w.name, err, wantErr)
+			}
+			insert(5)
+			d := e.reopen(t) // fails if the log does not replay
+			for i, p := range acked {
+				e.mustContain(t, d, p, uint64(100+i), true)
+			}
+			e.mustContain(t, d, good, matrixPayload, false)
+			if d.Len() != len(e.base)+len(acked) {
+				t.Fatalf("Len=%d, want %d", d.Len(), len(e.base)+len(acked))
+			}
+		})
+	}
 }
 
 // TestCrashBetweenSyncs crashes a file-backed tree long after its last

@@ -164,6 +164,11 @@ func (t *Tree) record(op byte, p geometry.Point, payload uint64) *[]byte {
 	return encodeOp(op, p, payload)
 }
 
+// recordDims is the dimensionality of the point an encodeOp record
+// carries, read from its length: the dims byte would wrap for a point of
+// more than 255 coordinates.
+func recordDims(rec []byte) int { return (len(rec) - 2 - 8) / 8 }
+
 func putRecs(bufs []*[]byte) {
 	for _, bp := range bufs {
 		recPool.Put(bp)
@@ -198,20 +203,12 @@ func applyRecord(t *Tree, rec []byte) error {
 	}
 }
 
-// InsertBatch inserts points[i] with payload payloads[i] as one logged
-// batch: it is ApplyBatch of the corresponding inserts, so the records
-// are group-committed contiguously with a single sync and applied in
-// z-order under one lock acquisition. A crash during the batch recovers
-// to a record-granularity prefix of it.
+// InsertBatch is BulkLoad: the inserts are group-committed contiguously
+// with a single sync and applied in the caller's order under one lock
+// acquisition. A crash during the batch recovers to a record-granularity
+// prefix of it.
 func (d *DurableTree) InsertBatch(points []geometry.Point, payloads []uint64) error {
-	if len(points) != len(payloads) {
-		return fmt.Errorf("bvtree: InsertBatch: %d points but %d payloads", len(points), len(payloads))
-	}
-	ops := make([]BatchOp, len(points))
-	for i := range points {
-		ops[i] = BatchOp{Point: points[i], Payload: payloads[i]}
-	}
-	return d.ApplyBatch(ops)
+	return d.BulkLoad(points, payloads)
 }
 
 // Checkpoint is Flush: it persists the tree state under a new checkpoint

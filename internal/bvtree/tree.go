@@ -270,7 +270,10 @@ func newTree(pn *pagedNodes, opt Options) (*Tree, error) {
 // error carries the structural failure. A failed sync poisons the
 // committer: the applied-but-unlogged state is then unreachable through
 // the write path, and the recovery is to reopen, which replays the
-// durable prefix. Without a log, bufs is ignored.
+// durable prefix. A record whose point has the wrong dimensionality is
+// refused before anything is enqueued, with the error its apply would
+// return: logged, it would fail again at replay and leave the log
+// unrecoverable. Without a log, bufs is ignored.
 func (t *Tree) commit(apply func() error, bufs ...*[]byte) (err error) {
 	if err := t.lockWrite(); err != nil {
 		return err
@@ -283,9 +286,15 @@ func (t *Tree) commit(apply func() error, bufs ...*[]byte) (err error) {
 			recs = make([][]byte, 0, len(bufs))
 		}
 		for _, bp := range bufs {
+			if err = t.il.CheckDims(recordDims(*bp)); err != nil {
+				break
+			}
 			recs = append(recs, *bp)
 		}
-		if tk, err = t.gc.Enqueue(recs...); err != nil {
+		if err == nil {
+			tk, err = t.gc.Enqueue(recs...)
+		}
+		if err != nil {
 			t.mu.Unlock()
 			putRecs(bufs)
 			return err

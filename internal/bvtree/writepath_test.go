@@ -266,8 +266,8 @@ func buildTwice(t *testing.T, paged bool, opt Options, build func(*Tree) error) 
 // TestBuildIsDeterministic pins that a tree is a function of the program
 // that built it. chooseIndexSplit used to range over a map of candidate
 // prefixes with an order that left ties, so the same inserts split index
-// nodes differently from run to run — and with them BulkLoad, which posts
-// its entries through the same splits.
+// nodes differently from run to run — and with them every batch and
+// BulkLoad, which are the same inserts.
 func TestBuildIsDeterministic(t *testing.T) {
 	opt := Options{Dims: 2, DataCapacity: 4, Fanout: 4}
 	pts, err := workload.Generate(workload.Clustered, 2, 6000, 2)

@@ -469,8 +469,8 @@ func (s *FileStore) readRuns(ids []page.ID) (scanRun, error) {
 
 // ReadNodes implements BatchReader: one shared-lock acquisition for the
 // whole batch, with the head slots of all requested nodes read first
-// through readRuns so that physically adjacent siblings — the common
-// layout after a z-ordered load — arrive in coalesced multi-slot reads.
+// through readRuns so that physically adjacent siblings — pages a split
+// allocated one after the other — arrive in coalesced multi-slot reads.
 // Slots in the write set and chain tails beyond the head are read one by
 // one, as ReadNode reads them.
 func (s *FileStore) ReadNodes(ids []page.ID) ([][]byte, error) {

@@ -51,6 +51,15 @@ func (il *Interleaver) BitsPerDim() int { return il.bitsPerDim }
 // TotalBits returns the address length in bits.
 func (il *Interleaver) TotalBits() int { return il.dims * il.bitsPerDim }
 
+// CheckDims returns the error Interleave gives a point of n dimensions,
+// or nil when n is the interleaver's dimensionality.
+func (il *Interleaver) CheckDims(n int) error {
+	if n != il.dims {
+		return fmt.Errorf("zorder: point has %d dims, interleaver expects %d", n, il.dims)
+	}
+	return nil
+}
+
 // Interleave maps a point to its Morton address. Interleaved bit i carries
 // bit (63 - i/dims) of coordinate i%dims: the dimensions are cycled from
 // the most significant coordinate bits downwards.
@@ -60,7 +69,7 @@ func (il *Interleaver) TotalBits() int { return il.dims * il.bitsPerDim }
 // dimensionalities take the generic path.
 func (il *Interleaver) Interleave(p geometry.Point) (Address, error) {
 	if len(p) != il.dims {
-		return Address{}, fmt.Errorf("zorder: point has %d dims, interleaver expects %d", len(p), il.dims)
+		return Address{}, il.CheckDims(len(p))
 	}
 	total := il.TotalBits()
 	a := Address{
