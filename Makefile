@@ -27,7 +27,11 @@ GO ?= go
 # multi-client wire-server stress, one goroutine per connection and a
 # Close beside a client that stopped reading; FuzzFrame's seed streams
 # through one connection's reused buffers; TestDecomposeRect* in
-# internal/zorder: the in-place shard-selection walk). The docslint run covers README.md,
+# internal/zorder: the in-place shard-selection walk), and the decoded
+# cache's policy (TestViewAdmission*: a pinned view's admission beside a
+# writer that saves, writes back and evicts the same page;
+# TestCacheDeterministic: one program, one store-operation sequence).
+# The docslint run covers README.md,
 # DESIGN.md, PROTOCOL.md and EXPERIMENTS.md, including the annotated
 # hex frame dumps. benchmark/ is a module of its own (`replace bvtree =>
 # ../`), which `go test ./...` at the root silently skips, so its tests
@@ -47,7 +51,7 @@ verify:
 	$(GO) test ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/docslint
-	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestColumnar|TestDurable|TestCheckpointer|TestShard|FuzzFrame|TestDecomposeRect' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard ./internal/zorder
+	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestColumnar|TestDurable|TestCheckpointer|TestShard|FuzzFrame|TestDecomposeRect|TestViewAdmission|TestCacheDeterministic' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard ./internal/zorder
 	$(GO) test -run '^$$' -bench 'Instrumented|DurableInsert|UnderBackup|MixedRead|ColdLookup|RangeDrive' -benchtime 1x .
 
 # Full suite under the race detector, including the reader/writer stress

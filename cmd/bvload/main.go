@@ -1,6 +1,8 @@
 // Command bvload bulk-loads a synthetic workload into a file-backed
 // BV-tree and optionally replays a query workload against it, reporting
-// logical node accesses and physical slot I/O. It
+// logical node accesses and physical slot I/O, the slot reads split into
+// index nodes and data pages, and the index's residency in the decoded
+// cache beside the paper's eq (9) prediction of its size. It
 // demonstrates the persistence path end to end: create, load, flush,
 // reopen, query.
 package main
@@ -59,6 +61,10 @@ func main() {
 	fmt.Printf("loaded %d points in %v (%.0f/s); height=%d\n",
 		*n, loadDur.Round(time.Millisecond), float64(*n)/loadDur.Seconds(), tr.Height())
 	fmt.Printf("physical I/O: %d slot reads, %d slot writes\n", ls.SlotReads, ls.SlotWrites)
+	ts, err := tr.CollectStats()
+	if err != nil {
+		fail(err)
+	}
 	if err := st.Close(); err != nil {
 		fail(err)
 	}
@@ -74,6 +80,7 @@ func main() {
 		fail(err)
 	}
 	rects := workload.QueryRects(*dims, *queries, *side, *seed+1)
+	c0 := re.Metrics().Cache
 	base := st2.Stats()
 	re.ResetAccessCount()
 	results := 0
@@ -89,11 +96,18 @@ func main() {
 	}
 	qDur := time.Since(start)
 	qs := st2.Stats().Sub(base)
+	c1 := re.Metrics().Cache
+	q := float64(*queries)
+	// An index node is one slot, read alone; data pages may arrive in
+	// coalesced multi-slot reads, so they take the rest of the slot reads.
+	index := float64(c1.IndexReads - c0.IndexReads)
 	fmt.Printf("replayed %d range queries (side %.1f%%) in %v: %d results\n",
 		*queries, *side*100, qDur.Round(time.Millisecond), results)
-	fmt.Printf("per query: %.1f logical node accesses, %.2f physical slot reads (cache %d nodes)\n",
-		float64(re.Stats().NodeAccesses)/float64(*queries),
-		float64(qs.SlotReads)/float64(*queries), *cache)
+	fmt.Printf("per query: %.1f logical node accesses, %.2f physical slot reads = %.2f index + %.2f data (cache %d nodes)\n",
+		float64(re.Stats().NodeAccesses)/q, float64(qs.SlotReads)/q,
+		index/q, (float64(qs.SlotReads)-index)/q, *cache)
+	fmt.Printf("index: %d nodes, %d cached; eq (9) predicts td/F = %d data pages / %d = %.0f\n",
+		c1.TreeIndexNodes, c1.IndexNodes, ts.DataPages, *f, float64(ts.DataPages)/float64(*f))
 	fmt.Printf("store kept at %s\n", *path)
 }
 

@@ -1,0 +1,399 @@
+package bvtree
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"bvtree/internal/geometry"
+	"bvtree/internal/page"
+	"bvtree/internal/storage"
+	"bvtree/internal/workload"
+)
+
+// isCached reports whether page id is in the decoded cache, without
+// touching its clock bit.
+func isCached(pn *pagedNodes, id page.ID) bool {
+	sh := pn.shard(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	_, ok := sh.nodes[id]
+	return ok
+}
+
+// hookStore runs hook once, on the first ReadNode of page id after it is
+// armed, between reading the blob and returning it.
+type hookStore struct {
+	storage.Store
+	armed atomic.Uint64
+	hook  func()
+}
+
+func (s *hookStore) ReadNode(id page.ID) ([]byte, error) {
+	blob, err := s.Store.ReadNode(id)
+	if s.armed.CompareAndSwap(uint64(id), 0) {
+		s.hook()
+	}
+	return blob, err
+}
+
+// TestViewAdmissionNeverCachesStale drives the race the write sequence
+// closes. A pinned RangeQuery misses index node X and reads its blob; on
+// another goroutine, before that read returns, writers change X, Flush
+// writes it back and a trim evicts it. The view then holds an old blob
+// of X, which it may answer from (its pin predates the inserts) but must
+// not admit to the shared cache: a live descent through the stale copy
+// would miss the inserted points, and the next save of X would lose them.
+func TestViewAdmissionNeverCachesStale(t *testing.T) {
+	hs := &hookStore{Store: storage.NewMemStore()}
+	tr, err := NewPaged(hs, Options{Dims: 2, DataCapacity: 4, Fanout: 4, CacheNodes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 400; i++ {
+		if err := tr.Insert(randPoint(rng, 2), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Height() < 2 {
+		t.Fatalf("height %d: the test needs a level-1 node below the root", tr.Height())
+	}
+	root, err := tr.paged.Index(tr.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := page.Nil
+	for _, e := range root.Entries {
+		if e.Level == 1 {
+			x = e.Child
+			break
+		}
+	}
+	if x == page.Nil {
+		t.Fatal("root has no level-1 child")
+	}
+	// Empty the cache, so that the view's walk misses X.
+	tr.paged.cap = 1
+	if err := tr.paged.trim(true); err != nil {
+		t.Fatal(err)
+	}
+	tr.paged.cap = 1 << 20
+	if isCached(tr.paged, x) {
+		t.Fatal("X still cached after emptying the cache")
+	}
+	old, err := hs.Store.ReadNode(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var inserted []geometry.Point
+	hs.hook = func() {
+		done := make(chan error, 1)
+		go func() {
+			done <- func() error {
+				tr.paged.cap = 1 // every writer's trim writes back and evicts
+				defer func() { tr.paged.cap = 1 << 20 }()
+				for i := 0; i < 2000; i++ {
+					p := randPoint(rng, 2)
+					a, err := tr.addr(p)
+					if err != nil {
+						return err
+					}
+					tr.mu.RLock()
+					d, err := tr.descendPoint(a)
+					via := err == nil && d.dataSrcID == x
+					putDescent(d)
+					tr.mu.RUnlock()
+					if err != nil {
+						return err
+					}
+					if !via {
+						continue
+					}
+					if err := tr.Insert(p, uint64(1000+i)); err != nil {
+						return err
+					}
+					inserted = append(inserted, p)
+					if err := tr.Flush(); err != nil {
+						return err
+					}
+					now, err := hs.Store.ReadNode(x)
+					if err != nil {
+						return err
+					}
+					if !bytes.Equal(now, old) {
+						if isCached(tr.paged, x) {
+							return fmt.Errorf("X still cached after the writer's trim")
+						}
+						return nil
+					}
+				}
+				return fmt.Errorf("no insert changed X")
+			}()
+		}()
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}
+	hs.armed.Store(uint64(x))
+
+	snap, err := tr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := snap.Count(UniverseRectFor(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hs.armed.Load() != 0 {
+		t.Fatal("the view's walk never read X")
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	if n != 400 {
+		t.Fatalf("view counted %d items, want the 400 of its pin", n)
+	}
+	snap.Release()
+
+	for _, p := range inserted {
+		if ok, err := tr.Contains(p); err != nil || !ok {
+			t.Fatalf("Lookup of inserted %v after Release = %v, %v", p, ok, err)
+		}
+	}
+	if err := tr.Validate(true); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.CheckSnapshots(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recordStore logs every store operation, in order.
+type recordStore struct {
+	storage.Store
+	ops []string
+}
+
+func (s *recordStore) Alloc() (page.ID, error) {
+	id, err := s.Store.Alloc()
+	s.ops = append(s.ops, fmt.Sprint("alloc ", id))
+	return id, err
+}
+
+func (s *recordStore) ReadNode(id page.ID) ([]byte, error) {
+	s.ops = append(s.ops, fmt.Sprint("read ", id))
+	return s.Store.ReadNode(id)
+}
+
+func (s *recordStore) WriteNode(id page.ID, blob []byte) error {
+	s.ops = append(s.ops, fmt.Sprint("write ", id))
+	return s.Store.WriteNode(id, blob)
+}
+
+func (s *recordStore) Free(id page.ID) error {
+	s.ops = append(s.ops, fmt.Sprint("free ", id))
+	return s.Store.Free(id)
+}
+
+func (s *recordStore) Sync() error {
+	s.ops = append(s.ops, "sync")
+	return s.Store.Sync()
+}
+
+// TestCacheDeterministic: eviction breaks ties by page ID, never by map
+// order, so one program — inserts, deletes, lookups and range walks that
+// admit index nodes — makes the same store operations in the same order
+// on every run. At 8 nodes most cache shards hold one node; the 64-node
+// run puts several in a shard, where map order would show.
+func TestCacheDeterministic(t *testing.T) {
+	run := func(cache int) []string {
+		rs := &recordStore{Store: storage.NewMemStore()}
+		tr, err := NewPaged(rs, Options{Dims: 2, DataCapacity: 4, Fanout: 4, CacheNodes: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, err := workload.Generate(workload.Clustered, 2, 600, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range pts {
+			if err := tr.Insert(p, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			if ok, err := tr.Delete(pts[i], uint64(i)); err != nil || !ok {
+				t.Fatalf("delete %d = %v, %v", i, ok, err)
+			}
+		}
+		for _, p := range pts[200:300] {
+			if ok, err := tr.Contains(p); err != nil || !ok {
+				t.Fatalf("lookup %v = %v, %v", p, ok, err)
+			}
+		}
+		for _, r := range workload.QueryRects(2, 20, 0.1, 6) {
+			if _, err := tr.Count(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return rs.ops
+	}
+	for _, cache := range []int{8, 64} {
+		a, b := run(cache), run(cache)
+		if len(a) < 1000 {
+			t.Fatalf("cache %d: the program made only %d store operations", cache, len(a))
+		}
+		if !slices.Equal(a, b) {
+			i := 0
+			for i < min(len(a), len(b)) && a[i] == b[i] {
+				i++
+			}
+			t.Fatalf("cache %d: two runs diverge at store operation %d of %d/%d", cache, i, len(a), len(b))
+		}
+	}
+}
+
+// residencyTree builds n clustered points into a FileStore, flushes it and
+// reopens it cold with a cache that holds the whole index with room to
+// spare. It returns the reopened tree, its store, the points and the
+// number of index nodes.
+func residencyTree(t *testing.T, n int) (*Tree, *storage.FileStore, []geometry.Point, int) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "tree.db")
+	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewPaged(st, Options{Dims: 2, DataCapacity: 16, Fanout: 8, CacheNodes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := workload.Generate(workload.Clustered, 2, n, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		if err := tr.Insert(p, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts, err := tr.CollectStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	index := 0
+	for _, ls := range ts.IndexLevels {
+		index += ls.Nodes
+	}
+	if tr.Height() < 3 || ts.DataPages < 4*index {
+		t.Fatalf("height %d, %d data pages, %d index nodes: want a deeper, wider tree", tr.Height(), ts.DataPages, index)
+	}
+	if got := tr.Metrics().Cache.TreeIndexNodes; got != int64(index) {
+		t.Fatalf("Metrics reports %d index nodes in the tree, CollectStats %d", got, index)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := storage.OpenFileStore(path, storage.FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st2.Close() })
+	re, err := OpenPaged(st2, 2*index+16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return re, st2, pts, index
+}
+
+// TestColdLookupReadsOnePage: once a tree's index fits its cache, data
+// pages are what trim evicts, so after one pass over the tree every
+// Lookup whose data page is not cached makes exactly one store read, and
+// every other Lookup none.
+func TestColdLookupReadsOnePage(t *testing.T) {
+	tr, st, pts, index := residencyTree(t, 20000)
+	for _, p := range pts {
+		if _, err := tr.Lookup(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs := tr.Metrics().Cache
+	if cs.IndexNodes != int64(index) || cs.TreeIndexNodes != int64(index) {
+		t.Fatalf("after warm-up the cache holds %d of %d index nodes (Metrics says the tree has %d)", cs.IndexNodes, index, cs.TreeIndexNodes)
+	}
+	cold := 0
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 2000; i++ {
+		p := pts[rng.Intn(len(pts))]
+		a, err := tr.addr(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.mu.RLock()
+		d, err := tr.descendPoint(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(0)
+		if !isCached(tr.paged, d.dataID) {
+			want = 1
+		}
+		putDescent(d)
+		tr.mu.RUnlock()
+		before := st.Stats().SlotReads
+		if _, err := tr.Lookup(p); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Stats().SlotReads - before; got != want {
+			t.Fatalf("lookup %d made %d store reads, want %d", i, got, want)
+		}
+		cold += int(want)
+	}
+	if cold < 1000 {
+		t.Fatalf("only %d of 2000 lookups were cold", cold)
+	}
+	if got := tr.Metrics().Cache.IndexReads; got != uint64(index) {
+		t.Fatalf("%d index reads in all, want each of the %d index nodes once", got, index)
+	}
+}
+
+// TestRangeWarmsIndex: a pinned range walk admits the index nodes it
+// decodes, so repeating a cold RangeQuery reads only data pages, which a
+// walk never admits.
+func TestRangeWarmsIndex(t *testing.T) {
+	tr, st, _, _ := residencyTree(t, 20000)
+	rect := workload.QueryRects(2, 1, 0.2, 8)[0]
+	run := func() (index, data, reads uint64, items int) {
+		c0, s0 := tr.Metrics().Cache, st.Stats().NodeReads
+		err := tr.RangeQuery(rect, func(geometry.Point, uint64) bool { items++; return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		s1, c1 := st.Stats().NodeReads, tr.Metrics().Cache
+		return c1.IndexReads - c0.IndexReads, c1.DataReads - c0.DataReads, s1 - s0, items
+	}
+	index, data, reads, items := run()
+	if index == 0 || data == 0 || items == 0 || reads != index+data {
+		t.Fatalf("cold walk: %d index reads + %d data reads, %d store reads, %d items", index, data, reads, items)
+	}
+	index2, data2, reads2, items2 := run()
+	if index2 != 0 || data2 != data || reads2 != data || items2 != items {
+		t.Fatalf("repeated walk: %d index reads + %d data reads, %d store reads, %d items; want 0 + %d, %d, %d",
+			index2, data2, reads2, items2, data, data, items)
+	}
+}

@@ -336,9 +336,13 @@ func (t *Tree) freePage(id page.ID) error {
 
 // snapNodes is the NodeStore of a pinned view: reads resolve through
 // the version chains of the pin's epoch and fall back to the owner's
-// decoded cache, then its store. It never admits anything to the shared
-// decoded cache (a concurrent writer owns cache coherence) and it
-// rejects mutation.
+// decoded cache, then its store. It rejects mutation. An index node it
+// decodes on a miss is admitted to the shared cache, so that range walks
+// warm the index a Lookup descends; the view runs beside writers, so
+// admission happens only when the page is still absent and its shard's
+// write sequence has not moved since the miss (pagedNodes.admit), which
+// refuses any blob a writer may have superseded meanwhile. Data pages
+// stay private: a low-selectivity scan would flush the working set.
 type snapNodes struct {
 	pn  *pagedNodes // the owner's live node store
 	mv  *mvccState
@@ -363,10 +367,10 @@ func (s *snapNodes) Index(id page.ID) (*page.IndexNode, error) {
 	}
 	var n *page.IndexNode
 	var err error
-	if v, ok := s.pn.cacheGet(id); ok {
+	if v, seq, ok := s.pn.cacheGet(id); ok {
 		n, err = asIndex(id, v)
-	} else {
-		n, err = s.pn.readIndex(id) // private: never admitted to the shared cache
+	} else if n, err = s.pn.readIndex(id); err == nil {
+		s.pn.admit(id, n, seq)
 	}
 	// Re-check: if the live node postdates the pin, its pre-image was
 	// chained before it was published.
@@ -382,7 +386,7 @@ func (s *snapNodes) Data(id page.ID) (*page.DataPage, error) {
 	}
 	var p *page.DataPage
 	var err error
-	if v, ok := s.pn.cacheGet(id); ok {
+	if v, _, ok := s.pn.cacheGet(id); ok {
 		p, err = asData(id, v)
 	} else {
 		p, err = s.pn.readData(id)

@@ -55,13 +55,55 @@ const cacheShards = 16
 type nodeShard struct {
 	mu    sync.Mutex
 	nodes map[page.ID]cached
+	// seq is the shard's write sequence: every dirty cachePut and every
+	// Free bumps it under mu. A pinned view admits a node it decoded only
+	// while seq has not moved since its miss (admit).
+	seq uint64
 }
 
 // cached is a decoded node; dirty when it was saved since it last
-// reached the store.
+// reached the store. level is its eviction level: 0 for a data page, the
+// index level for an index node. stamp is the trim generation
+// (pagedNodes.clock) in which the node last entered the cache or was hit;
+// it carries the node's clock bit, set while stamp is the current
+// generation, so a trim clears every bit at once by starting the next.
+// The fields pack into the 24 bytes a node and its dirty mark took alone;
+// a stamp that wraps after 2^32 trims costs at most one misordered
+// eviction.
 type cached struct {
 	node  interface{}
 	dirty bool
+	level uint8
+	stamp uint32
+}
+
+// evictLevels bounds the levels trim tells apart; higher index levels
+// share the top one.
+const evictLevels = 32
+
+func levelOf(v interface{}) uint8 {
+	if n, ok := v.(*page.IndexNode); ok {
+		return uint8(min(n.Level, evictLevels-1))
+	}
+	return 0
+}
+
+// class is the node's eviction class in trim generation clock; trim
+// evicts the lower classes first. Data pages come before index nodes, and
+// index nodes go level by level upward; inside a level a node whose clock
+// bit is clear comes before one touched since the last trim.
+func (e cached) class(clock uint32) int {
+	c := 2 * int(e.level)
+	if e.stamp == clock {
+		c++
+	}
+	return c
+}
+
+// victim is a clean cached node and its class, as trim counted it.
+type victim struct {
+	id    page.ID
+	class int
 }
 
 // pagedNodes adapts a storage.Store: nodes are serialised through
@@ -76,13 +118,25 @@ type cached struct {
 // decodes are identical clean copies and the last insert wins, so the race
 // is benign. Node *contents* are only mutated under the tree's exclusive
 // lock, which also guarantees the writer-uniqueness invariant eviction
-// relies on (see trim).
+// relies on (see trim). A pinned view runs beside a writer, so the index
+// nodes it decodes enter the cache only through admit's sequence check.
 type pagedNodes struct {
 	st     storage.Store
 	dims   int
 	cap    int
 	size   atomic.Int64 // total cached nodes across shards
 	shards [cacheShards]nodeShard
+
+	// clock is the trim generation, advanced by every trim (cached.stamp).
+	clock atomic.Uint32
+	// trimMu admits one trim at a time and guards its scratch slices.
+	trimMu sync.Mutex
+	seen   []victim
+	edge   []page.ID
+
+	// indexReads and dataReads count the index nodes and data pages read
+	// from the store: the cache's misses, by kind.
+	indexReads, dataReads atomic.Uint64
 
 	// br is the store's optional batched-read seam, resolved once at
 	// construction. It may be nil (a fault-injecting wrapper, say,
@@ -114,12 +168,20 @@ func (s *pagedNodes) shard(id page.ID) *nodeShard {
 	return &s.shards[uint64(id)%cacheShards]
 }
 
-func (s *pagedNodes) cacheGet(id page.ID) (interface{}, bool) {
+// cacheGet returns the cached node of page id and stamps it with the
+// current trim generation. On a miss it returns the shard's write
+// sequence, for admit.
+func (s *pagedNodes) cacheGet(id page.ID) (interface{}, uint64, bool) {
 	sh := s.shard(id)
 	sh.mu.Lock()
 	e, ok := sh.nodes[id]
+	if now := s.clock.Load(); ok && e.stamp != now {
+		e.stamp = now
+		sh.nodes[id] = e
+	}
+	seq := sh.seq
 	sh.mu.Unlock()
-	return e.node, ok
+	return e.node, seq, ok
 }
 
 // cachePut publishes v as page id: dirty for a save, clean for a decode.
@@ -129,7 +191,29 @@ func (s *pagedNodes) cachePut(id page.ID, v interface{}, dirty bool) {
 	if _, ok := sh.nodes[id]; !ok {
 		s.size.Add(1)
 	}
-	sh.nodes[id] = cached{v, dirty}
+	if dirty {
+		sh.seq++
+	}
+	sh.nodes[id] = cached{node: v, dirty: dirty, level: levelOf(v), stamp: s.clock.Load()}
+	sh.mu.Unlock()
+}
+
+// admit caches v, which a pinned view decoded from the store after a
+// miss that returned write sequence seq, if the page is still absent and
+// the sequence has not moved. The view runs beside writers, so its blob
+// may be stale: a writer can save the page, write it back and evict it
+// between the view's miss and its read. The save bumped the sequence, so
+// such a blob is refused; while the sequence stands, no save or free of
+// the page has happened since the miss, when the page was absent and so
+// current in the store, and the blob is that current copy. Checking
+// absence keeps a node a writer may hold from being replaced.
+func (s *pagedNodes) admit(id page.ID, v interface{}, seq uint64) {
+	sh := s.shard(id)
+	sh.mu.Lock()
+	if _, ok := sh.nodes[id]; !ok && sh.seq == seq {
+		sh.nodes[id] = cached{node: v, level: levelOf(v), stamp: s.clock.Load()}
+		s.size.Add(1)
+	}
 	sh.mu.Unlock()
 }
 
@@ -191,15 +275,26 @@ func (s *pagedNodes) writeBack() error {
 	return nil
 }
 
-// trim bounds the decoded cache: past its capacity, it drops clean nodes
-// until each shard holds about half of its share. A writer (exclusive
-// under the tree lock) first writes every dirty node back, so it can
-// drop any node; every other caller drops only nodes that are clean
-// under the shard latch, and a dirty node waits for the next writer. It
-// runs between tree operations (never mid-operation), so within one
-// mutating operation live node pointers stay unique: a writer never sees
-// two decoded copies of the same page. Readers may refetch an evicted
-// page mid-operation, but a fresh decode of a current page is
+// trim bounds the decoded cache. Past its capacity it evicts clean nodes
+// down to the high-water mark cap - cap/8, in class order: every data
+// page before any index node, then index nodes level by level upward,
+// and inside a level the nodes not touched since the last trim first
+// (cached.class). Ties break by ascending page ID, so one program always
+// evicts the same nodes, and the index, about 1/F of the tree (the
+// paper's eq 9), stays resident while anything else can go. One pass
+// over the shards counts the clean nodes per class; the evictions are
+// then made page by page, each only if the node is still clean and in
+// the class it was counted in. Starting the next generation then clears
+// every clock bit. One trim runs at a time; a trim that finds another
+// running leaves the eviction to it.
+//
+// A writer (exclusive under the tree lock) first writes every dirty node
+// back, so it can drop any node; every other caller drops only nodes
+// that are clean under the shard latch, and a dirty node waits for the
+// next writer. It runs between tree operations (never mid-operation), so
+// within one mutating operation live node pointers stay unique: a writer
+// never sees two decoded copies of the same page. Readers may refetch an
+// evicted page mid-operation, but a fresh decode of a current page is
 // indistinguishable from the evicted copy.
 func (s *pagedNodes) trim(exclusive bool) error {
 	if int(s.size.Load()) <= s.cap {
@@ -210,23 +305,65 @@ func (s *pagedNodes) trim(exclusive bool) error {
 			return s.err
 		}
 	}
-	perShard := s.cap/2/cacheShards + 1
+	if !s.trimMu.TryLock() {
+		return nil
+	}
+	defer s.trimMu.Unlock()
+	clock := s.clock.Load()
+	var counts [2 * evictLevels]int
+	seen, total := s.seen[:0], 0
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
+		total += len(sh.nodes)
 		for id, e := range sh.nodes {
-			if len(sh.nodes) <= perShard {
-				break
+			if !e.dirty {
+				c := e.class(clock)
+				counts[c]++
+				seen = append(seen, victim{id, c})
 			}
-			if e.dirty {
-				continue
-			}
-			delete(sh.nodes, id)
-			s.size.Add(-1)
 		}
 		sh.mu.Unlock()
 	}
+	// Evict every counted node of the classes below cut, and the first
+	// take of class cut by page ID.
+	excess := total - (s.cap - s.cap/8)
+	cut, take := len(counts), 0
+	for c, n := range counts {
+		if excess <= n {
+			cut, take = c, excess
+			break
+		}
+		excess -= n
+	}
+	edge := s.edge[:0]
+	for _, v := range seen {
+		switch {
+		case v.class < cut:
+			s.evict(v.id, v.class, clock)
+		case v.class == cut && take > 0:
+			edge = append(edge, v.id)
+		}
+	}
+	slices.Sort(edge)
+	for _, id := range edge[:min(take, len(edge))] {
+		s.evict(id, cut, clock)
+	}
+	s.seen, s.edge = seen, edge
+	s.clock.Add(1)
 	return nil
+}
+
+// evict drops page id from the cache if it is still clean and in class,
+// as trim counted it: a node dirtied or hit since stays.
+func (s *pagedNodes) evict(id page.ID, class int, clock uint32) {
+	sh := s.shard(id)
+	sh.mu.Lock()
+	if e, ok := sh.nodes[id]; ok && !e.dirty && e.class(clock) == class {
+		delete(sh.nodes, id)
+		s.size.Add(-1)
+	}
+	sh.mu.Unlock()
 }
 
 func (s *pagedNodes) AllocIndex(level int, reg region.BitString) (page.ID, *page.IndexNode, error) {
@@ -248,7 +385,7 @@ func (s *pagedNodes) AllocData(reg region.BitString) (page.ID, *page.DataPage, e
 }
 
 func (s *pagedNodes) Index(id page.ID) (*page.IndexNode, error) {
-	if v, ok := s.cacheGet(id); ok {
+	if v, _, ok := s.cacheGet(id); ok {
 		return asIndex(id, v)
 	}
 	n, err := s.readIndex(id)
@@ -259,7 +396,7 @@ func (s *pagedNodes) Index(id page.ID) (*page.IndexNode, error) {
 }
 
 func (s *pagedNodes) Data(id page.ID) (*page.DataPage, error) {
-	if v, ok := s.cacheGet(id); ok {
+	if v, _, ok := s.cacheGet(id); ok {
 		return asData(id, v)
 	}
 	p, err := s.readData(id)
@@ -275,6 +412,7 @@ func (s *pagedNodes) Data(id page.ID) (*page.DataPage, error) {
 // never build columns themselves; racing decodes each sync their own
 // copy and the last cachePut wins whole.
 func (s *pagedNodes) readIndex(id page.ID) (*page.IndexNode, error) {
+	s.indexReads.Add(1)
 	blob, err := s.st.ReadNode(id)
 	if err != nil {
 		return nil, err
@@ -287,8 +425,27 @@ func (s *pagedNodes) readIndex(id page.ID) (*page.IndexNode, error) {
 	return n, nil
 }
 
+// peekIndex is Index for an observer: a hit sets no clock bit, and a
+// miss is decoded privately, without columns, and counted nowhere but
+// in the store.
+func (s *pagedNodes) peekIndex(id page.ID) (*page.IndexNode, error) {
+	sh := s.shard(id)
+	sh.mu.Lock()
+	e, ok := sh.nodes[id]
+	sh.mu.Unlock()
+	if ok {
+		return asIndex(id, e.node)
+	}
+	blob, err := s.st.ReadNode(id)
+	if err != nil {
+		return nil, err
+	}
+	return page.DecodeIndex(blob)
+}
+
 // readData is readIndex for data pages.
 func (s *pagedNodes) readData(id page.ID) (*page.DataPage, error) {
+	s.dataReads.Add(1)
 	blob, err := s.st.ReadNode(id)
 	if err != nil {
 		return nil, err
@@ -313,7 +470,7 @@ func (s *pagedNodes) readData(id page.ID) (*page.DataPage, error) {
 func (s *pagedNodes) dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]byte, miss []page.ID) ([]*page.DataPage, [][]byte, []page.ID, error) {
 	pages, blobs, miss = pages[:0], blobs[:0], miss[:0]
 	for _, id := range ids {
-		if v, ok := s.cacheGet(id); ok {
+		if v, _, ok := s.cacheGet(id); ok {
 			dp, err := asData(id, v)
 			if err != nil {
 				return pages, blobs, miss, err
@@ -327,6 +484,7 @@ func (s *pagedNodes) dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]
 	if len(miss) == 0 {
 		return pages, blobs, miss, nil
 	}
+	s.dataReads.Add(uint64(len(miss)))
 	if s.br != nil && len(miss) > 1 {
 		got, err := s.br.ReadNodes(miss)
 		if err != nil {
@@ -377,6 +535,7 @@ func (s *pagedNodes) Free(id page.ID) error {
 		s.size.Add(-1)
 		delete(sh.nodes, id)
 	}
+	sh.seq++
 	sh.mu.Unlock()
 	return s.st.Free(id)
 }

@@ -47,8 +47,13 @@ type Options struct {
 	// BitsPerDim is the per-dimension address precision (default 64).
 	BitsPerDim int
 	// CacheNodes bounds the decoded-node cache of a paged tree
-	// (default 4096). New ignores it: an in-memory tree keeps every node
-	// decoded.
+	// (default 4096). Past it the cache evicts data pages first, then
+	// index nodes from level 1 upward, so a cache of at least the index
+	// size (about 1/F of the data pages) keeps the whole index resident
+	// and a cold Lookup reads one page; Metrics reports the residency.
+	// Index nodes decoded by range walks and other pinned reads are cached
+	// too, data pages they fetch are not. New ignores it: an in-memory
+	// tree keeps every node decoded.
 	CacheNodes int
 	// RangeWorkers is ignored.
 	//

@@ -330,12 +330,14 @@ func TestBuildIsDeterministic(t *testing.T) {
 // operations are frees alone, and with 8 nodes cached, where the
 // write-back that ends nearly every delete is swept too.
 func TestDeleteReportsRemovalDespiteError(t *testing.T) {
-	for _, cache := range []int{0, 8} {
-		t.Run(fmt.Sprintf("cache-%d", cache), func(t *testing.T) { deleteFaultSweep(t, cache) })
+	// Eviction is deterministic, so each arm sweeps the same faults on
+	// every run.
+	for _, arm := range []struct{ cache, faults int }{{0, 45}, {8, 844}} {
+		t.Run(fmt.Sprintf("cache-%d", arm.cache), func(t *testing.T) { deleteFaultSweep(t, arm.cache, arm.faults) })
 	}
 }
 
-func deleteFaultSweep(t *testing.T, cache int) {
+func deleteFaultSweep(t *testing.T, cache, faults int) {
 	opt := Options{Dims: 2, DataCapacity: 4, Fanout: 4, CacheNodes: cache}
 	pts, err := workload.Generate(workload.Clustered, 2, 160, 9)
 	if err != nil {
@@ -372,9 +374,7 @@ func deleteFaultSweep(t *testing.T, cache int) {
 		return false, 0, false, nil
 	}
 	// The k-th store operation of the drain fails, for every k until a
-	// drain runs out of operations first. The fault is placed relative to
-	// the drain because a cache this small evicts in map order, so the
-	// reads of a build, and of a drain, vary from run to run.
+	// drain runs out of operations first.
 	inMerge, inWrite, k := 0, 0, 1
 	for ; ; k++ {
 		tr, fst := build()
@@ -404,6 +404,9 @@ func deleteFaultSweep(t *testing.T, cache int) {
 	}
 	if cache != 0 && inWrite == 0 {
 		t.Fatalf("none of %d faults landed in a write-back", k-1)
+	}
+	if k-1 != faults {
+		t.Fatalf("swept %d faults, want %d", k-1, faults)
 	}
 	t.Logf("swept %d faults: %d inside a merge, %d in a write-back", k-1, inMerge, inWrite)
 }

@@ -219,6 +219,20 @@ type StoreSnapshot struct {
 	FreeSlots int64 `json:"free_slots"`
 }
 
+// CacheSnapshot is the decoded-node cache's part of a metrics snapshot:
+// how much of the index it holds, and what its misses read. The paper's
+// §7 cost model puts the index at about 1/F of the data pages, so a cache
+// that holds IndexNodes == TreeIndexNodes costs a Lookup one store read.
+type CacheSnapshot struct {
+	Nodes      int64 `json:"nodes"`       // decoded nodes cached (a gauge)
+	IndexNodes int64 `json:"index_nodes"` // index nodes cached (a gauge)
+	// TreeIndexNodes is the number of index nodes in the tree (a gauge),
+	// -1 when a read of the upper index failed.
+	TreeIndexNodes int64  `json:"tree_index_nodes"`
+	IndexReads     uint64 `json:"index_reads"` // index nodes read from the store
+	DataReads      uint64 `json:"data_reads"`  // data pages read from the store
+}
+
 // MVCCMetrics are the always-on counters of the snapshot/epoch
 // subsystem: epoch pins taken by snapshots and pinned reads, pre-image
 // page versions captured for those pins, reclamation activity, and the
@@ -272,12 +286,13 @@ func (m *MVCCMetrics) Snapshot() MVCCSnapshot {
 }
 
 // Snapshot is the combined observability snapshot returned by
-// Tree.Metrics(): the tree layer always, the storage layer for paged
-// trees, the WAL layer for durable trees, and the MVCC layer whenever
-// the tree supports epoch snapshots.
+// Tree.Metrics(): the tree layer, the storage layer and the decoded
+// cache always, the WAL layer for durable trees, and the MVCC layer
+// whenever the tree supports epoch snapshots.
 type Snapshot struct {
 	Tree  TreeSnapshot   `json:"tree"`
 	WAL   *WALSnapshot   `json:"wal,omitempty"`
 	Store *StoreSnapshot `json:"store,omitempty"`
+	Cache *CacheSnapshot `json:"cache,omitempty"`
 	MVCC  *MVCCSnapshot  `json:"mvcc,omitempty"`
 }
