@@ -19,9 +19,10 @@ GO ?= go
 # nodes back beside pinned readers), the columnar node-layout smoke
 # (TestColumnar* in internal/bvtree: concurrent batched reads against a
 # writer driving mirror rebuilds), the logged tree's commit and
-# checkpoint (TestDurable* and TestCheckpointer* in internal/bvtree: the
-# tree lock is also the WAL order lock, so a checkpoint drains the group
-# committer and writes back under it while readers wait), and the sharded
+# checkpoint (TestDurable* and TestAutoCheckpoint* in internal/bvtree: the
+# tree lock is also the WAL order lock, so a checkpoint, run by the writer
+# whose commit filled the log, drains the group committer and writes back
+# under it while readers wait), and the sharded
 # service (TestShard* in internal/shard: the N-shard-vs-single-tree
 # differential programs, the scatter-gather cancellation tests, the
 # multi-client wire-server stress, one goroutine per connection and a
@@ -51,7 +52,7 @@ verify:
 	$(GO) test ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/docslint
-	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestColumnar|TestDurable|TestCheckpointer|TestShard|FuzzFrame|TestDecomposeRect|TestViewAdmission|TestCacheDeterministic' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard ./internal/zorder
+	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestColumnar|TestDurable|TestAutoCheckpoint|TestShard|FuzzFrame|TestDecomposeRect|TestViewAdmission|TestCacheDeterministic' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard ./internal/zorder
 	$(GO) test -run '^$$' -bench 'Instrumented|DurableInsert|UnderBackup|MixedRead|ColdLookup|RangeDrive' -benchtime 1x .
 
 # Full suite under the race detector, including the reader/writer stress

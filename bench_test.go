@@ -189,16 +189,13 @@ func newBenchDurable(b *testing.B, opt bvtree.Options) *bvtree.DurableTree {
 }
 
 // BenchmarkInstrumented prices the observability layer: Lookup and Insert
-// with instrumentation off, with the histograms on, and with a counting
-// tracer on top (budget: ≤ 5 % per enabled op, DESIGN.md §10).
+// with the histograms off and on (budget: ≤ 5 % per enabled op,
+// DESIGN.md §10).
 func BenchmarkInstrumented(b *testing.B) {
-	for _, arm := range []string{"off", "metrics", "tracer"} {
+	for _, arm := range []string{"off", "metrics"} {
 		tr, pts := buildTree(b, workload.Uniform, 50000)
-		if arm != "off" {
+		if arm == "metrics" {
 			tr.EnableMetrics()
-		}
-		if arm == "tracer" {
-			tr.SetTracer(&bvtree.CountingTracer{})
 		}
 		b.Run(arm+"/lookup", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -263,7 +260,8 @@ func BenchmarkInsertUnderBackup(b *testing.B) {
 	pts := benchPoints(b, workload.Clustered)
 	for _, arm := range []string{"alone", "under-backup"} {
 		b.Run(arm, func(b *testing.B) {
-			d := newBenchDurable(b, bvtree.Options{Dims: 2, Metrics: true})
+			d := newBenchDurable(b, bvtree.Options{Dims: 2})
+			d.EnableMetrics()
 			// Something for a backup to stream.
 			if err := d.InsertBatch(pts[:4096], make([]uint64, 4096)); err != nil {
 				b.Fatal(err)

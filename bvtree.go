@@ -71,37 +71,17 @@ type OpStats = ibv.OpStats
 
 // MetricsSnapshot is the combined observability snapshot returned by
 // (*Tree).Metrics, on a plain or a durable tree: structural counters and
-// opt-in latency/shape histograms for the tree layer, page-store counters
-// for paged trees, and WAL write-path histograms for durable trees. It is
-// plain data and marshals to JSON; see README.md ("Reading the metrics")
-// for how each section maps onto the paper's concepts.
+// the latency/shape histograms EnableMetrics turns on for the tree layer,
+// page-store counters for paged trees, and WAL write-path histograms for
+// durable trees. It is plain data and marshals to JSON; see README.md
+// ("Reading the metrics") for how each section maps onto the paper's
+// concepts.
 type MetricsSnapshot = obs.Snapshot
 
 // HistogramSnapshot summarises one latency or shape histogram: count,
 // mean, and interpolated p50/p95/p99 (error ≤12.5% at any magnitude).
 // Latency histograms are in nanoseconds.
 type HistogramSnapshot = obs.HistogramSnapshot
-
-// Tracer receives one TraceEvent per completed operation when installed
-// with (*Tree).SetTracer. Implementations must be safe for concurrent
-// use; a nil tracer (the default) costs the hot paths a single nil check.
-type Tracer = obs.Tracer
-
-// TraceEvent is one completed traced operation: which layer and op, how
-// long it took, an op-specific magnitude, and whether it failed.
-type TraceEvent = obs.Event
-
-// CountingTracer is a ready-made Tracer that counts events and sums
-// durations per layer — the cheapest possible hook, used by
-// BenchmarkInstrumented to price tracing itself.
-type CountingTracer = obs.CountingTracer
-
-// Trace event layers and op codes.
-const (
-	LayerTree  = obs.LayerTree
-	LayerWAL   = obs.LayerWAL
-	LayerStore = obs.LayerStore
-)
 
 // TreeStats is a structural snapshot gathered by (*Tree).CollectStats.
 type TreeStats = ibv.TreeStats
@@ -141,8 +121,8 @@ func NewPaged(st Store, opt Options) (*Tree, error) { return ibv.NewPaged(st, op
 
 // OpenPaged reopens a tree previously created with NewPaged and persisted
 // with (*Tree).Flush. Only the tree's shape is persisted: of the other
-// Options it gets cacheNodes, and zero values (inline range queries, no
-// metrics) for the rest.
+// Options it gets cacheNodes, and zero values for the rest; metrics start
+// off.
 func OpenPaged(st Store, cacheNodes int) (*Tree, error) { return ibv.OpenPaged(st, cacheNodes) }
 
 // DurableTree is a paged Tree with a logical write-ahead log attached;
@@ -154,10 +134,11 @@ func OpenPaged(st Store, cacheNodes int) (*Tree, error) { return ibv.OpenPaged(s
 // InsertBatch/ApplyBatch/BulkLoad amortise one sync over a whole batch,
 // logged and applied in the caller's order. Flush
 // (and Checkpoint, the same call) persists the tree and empties the log,
-// AutoCheckpoint does so in the background whenever the log reaches a
-// size, and OpenDurable replays operations logged since the last
-// checkpoint. That size is the write path's only setting; metrics are
-// an Options field, or EnableMetrics on a reopened tree. A FileStore's
+// AutoCheckpoint makes the writer whose commit fills the log to a size
+// do so once its own operation is durable, and OpenDurable replays
+// operations logged since the last checkpoint. That size is the write
+// path's only setting; metrics are turned on with EnableMetrics, on a
+// new and on a reopened tree alike. A FileStore's
 // file changes only at checkpoints, so crashes at any point — including
 // mid-checkpoint, which the store's rollback journal undoes — recover
 // every acknowledged operation. See DESIGN.md §7 for the failure model

@@ -34,11 +34,12 @@ func runDebugServer(addr string, hold time.Duration) error {
 		return err
 	}
 	defer st.Close()
-	d, err := bvtree.NewDurable(st, filepath.Join(dir, "tree.wal"), bvtree.Options{Dims: 2, Metrics: true})
+	d, err := bvtree.NewDurable(st, filepath.Join(dir, "tree.wal"), bvtree.Options{Dims: 2})
 	if err != nil {
 		return err
 	}
 	defer d.Close()
+	d.EnableMetrics()
 	d.AutoCheckpoint(4 << 20)
 
 	expvar.Publish("bvtree", expvar.Func(func() any { return d.Metrics() }))

@@ -199,15 +199,15 @@ func loadOrCreatePlan(dataDir, backend string, dims, shards, prefixBits int,
 	return plan, true, nil
 }
 
-// checkpointLogBytes is the WAL size at which a durable shard checkpoints
-// in the background: without a trigger a shard's log — and with it the
-// replay a restart must do — grows for as long as the server runs.
+// checkpointLogBytes is the WAL size at which a durable shard
+// checkpoints: without a trigger a shard's log — and with it the replay
+// a restart must do — grows for as long as the server runs.
 const checkpointLogBytes = 64 << 20
 
 // openEngines builds one engine per shard range. Durable shards live in
 // <data>/shard-NNNN/ with their own store and WAL, created on first
 // start and recovered (checkpoint load + WAL replay) afterwards, and
-// checkpoint in the background once their log holds logBytes.
+// checkpoint once their log holds logBytes.
 func openEngines(dataDir, backend string, plan shard.Plan, logBytes int64) ([]shard.Engine, func(), error) {
 	engines := make([]shard.Engine, plan.Shards())
 	var closers []func()
@@ -216,7 +216,7 @@ func openEngines(dataDir, backend string, plan shard.Plan, logBytes int64) ([]sh
 			closers[i]()
 		}
 	}
-	opt := bvtree.Options{Dims: plan.Dims, Metrics: true}
+	opt := bvtree.Options{Dims: plan.Dims}
 	for i := range engines {
 		if backend == "mem" {
 			tr, err := bvtree.New(opt)
@@ -224,6 +224,7 @@ func openEngines(dataDir, backend string, plan shard.Plan, logBytes int64) ([]sh
 				closeAll()
 				return nil, nil, err
 			}
+			tr.EnableMetrics()
 			engines[i] = tr
 			continue
 		}
@@ -245,9 +246,6 @@ func openEngines(dataDir, backend string, plan shard.Plan, logBytes int64) ([]sh
 			if err == nil {
 				d, err = bvtree.OpenDurable(st, walPath, 0)
 			}
-			if err == nil {
-				d.EnableMetrics() // a reopened tree takes its options from the store
-			}
 		} else {
 			st, err = storage.CreateFileStore(dbPath, storage.FileStoreOptions{})
 			if err == nil {
@@ -261,6 +259,7 @@ func openEngines(dataDir, backend string, plan shard.Plan, logBytes int64) ([]sh
 			closeAll()
 			return nil, nil, fmt.Errorf("shard %04d: %w", i, err)
 		}
+		d.EnableMetrics()
 		d.AutoCheckpoint(logBytes)
 		closers = append(closers, func() { d.Close(); st.Close() })
 		engines[i] = d

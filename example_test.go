@@ -43,10 +43,11 @@ func ExampleNew() {
 // snapshot back. The counts are exact; the latency quantiles (not
 // printed here — they depend on the machine) live in the same snapshot.
 func ExampleTree_Metrics() {
-	tr, err := bvtree.New(bvtree.Options{Dims: 2, Metrics: true})
+	tr, err := bvtree.New(bvtree.Options{Dims: 2})
 	if err != nil {
 		panic(err)
 	}
+	tr.EnableMetrics()
 	for i := uint64(0); i < 500; i++ {
 		if err := tr.Insert(bvtree.Point{i << 48, i << 48}, i); err != nil {
 			panic(err)

@@ -14,11 +14,9 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"bvtree/internal/geometry"
-	"bvtree/internal/obs"
 	"bvtree/internal/page"
 	"bvtree/internal/storage"
 	"bvtree/internal/wal"
@@ -119,27 +117,13 @@ func TestBackupRestoreEmptyTree(t *testing.T) {
 	}
 }
 
-// parkedLookup is a tracer that parks the first Lookup it is told of —
-// inside the operation, so with the tree's shared lock held — until
-// release is closed.
-type parkedLookup struct {
-	first           atomic.Bool
-	parked, release chan struct{}
-}
-
-func (p *parkedLookup) Trace(ev obs.Event) {
-	if ev.Op == obs.OpLookup && p.first.CompareAndSwap(false, true) {
-		close(p.parked)
-		<-p.release
-	}
-}
-
 // TestSnapshotBackupReadsPagesAlone pins that a tree's pages are its
 // whole state: after a random insert/delete program Len is the number of
 // items a walk of the pages finds, Snapshot().Backup and SnapshotBackup
 // stream the same bytes, and neither needs the tree to itself — both
-// complete while one Lookup sits inside its shared-lock section and
-// another goroutine keeps looking up.
+// complete while the test holds the tree's shared lock, as a Lookup
+// inside its shared-lock section would, and another goroutine keeps
+// looking up.
 func TestSnapshotBackupReadsPagesAlone(t *testing.T) {
 	opt := Options{Dims: 2, DataCapacity: 8, Fanout: 8}
 	type mutator interface {
@@ -207,14 +191,8 @@ func TestSnapshotBackupReadsPagesAlone(t *testing.T) {
 				t.Fatalf("Len=%d, the pages hold %d items, the program left %d", tr.Len(), cs.Items, len(stored))
 			}
 
-			park := &parkedLookup{parked: make(chan struct{}), release: make(chan struct{})}
-			tr.SetTracer(park)
-			lookups := make(chan error, 2)
-			go func() {
-				_, err := tr.Lookup(pool[0])
-				lookups <- err
-			}()
-			<-park.parked
+			tr.mu.RLock()
+			lookups := make(chan error, 1)
 			stop, looped := make(chan struct{}), make(chan struct{}, 1)
 			go func() {
 				for i := 0; ; i++ {
@@ -254,19 +232,16 @@ func TestSnapshotBackupReadsPagesAlone(t *testing.T) {
 					t.Fatalf("DurableTree.SnapshotBackup = %d, %v at LSN %d", lsn, err, d.LSN())
 				}
 				if !bytes.Equal(viaSnapshot.Bytes(), durable.Bytes()) {
-					// Error, not Fatal: the parked Lookup must still be released.
+					// Error, not Fatal: the shared lock must still be released.
 					t.Error("DurableTree.SnapshotBackup and Snapshot().Backup streamed different bytes for one state")
 				}
 			}
 			<-looped // a Lookup ran beside the backups
 			close(stop)
-			close(park.release)
-			for i := 0; i < 2; i++ {
-				if err := <-lookups; err != nil {
-					t.Fatal(err)
-				}
+			tr.mu.RUnlock()
+			if err := <-lookups; err != nil {
+				t.Fatal(err)
 			}
-			tr.SetTracer(nil)
 			if err := tr.CheckSnapshots(); err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"bvtree/internal/geometry"
-	"bvtree/internal/obs"
 )
 
 // BatchOp is one operation of a batched mutation: an insert, or a delete
@@ -47,21 +46,11 @@ func (t *Tree) ApplyBatch(ops []BatchOp) error {
 		}
 	}
 	return t.commit(func() error {
-		m, tr := t.metrics, t.tracer
-		if m == nil && tr == nil {
-			return t.applyBatchLocked(ops)
-		}
-		start := time.Now()
-		err := t.applyBatchLocked(ops)
-		dur := time.Since(start)
-		if m != nil {
-			m.Batch.Observe(int64(dur))
+		if m := t.metrics; m != nil {
+			defer m.Batch.ObserveSince(time.Now())
 			m.BatchSize.Observe(int64(len(ops)))
 		}
-		if tr != nil {
-			tr.Trace(obs.Event{Layer: obs.LayerTree, Op: obs.OpBatch, Dur: dur, N: int64(len(ops)), Err: err != nil})
-		}
-		return err
+		return t.applyBatchLocked(ops)
 	}, bufs...)
 }
 

@@ -14,8 +14,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"bvtree/internal/fault"
 	"bvtree/internal/geometry"
 	"bvtree/internal/storage"
+	"bvtree/internal/vfs"
 	"bvtree/internal/workload"
 )
 
@@ -352,9 +354,10 @@ func TestConcurrentBatchWriters(t *testing.T) {
 	}
 }
 
-// TestConcurrentBackgroundCheckpointer lets the size- and age-triggered
-// checkpointer run underneath concurrent writers and verifies it actually
-// truncates the log, leaves the tree consistent, and shuts down cleanly.
+// TestConcurrentBackgroundCheckpointer lets the size trigger fire under
+// concurrent writers, each of which may run the checkpoint its commit
+// made due, and verifies the checkpoints actually truncate the log, leave
+// the tree consistent, and let the tree close cleanly.
 func TestConcurrentBackgroundCheckpointer(t *testing.T) {
 	dir := t.TempDir()
 	st, err := storage.CreateFileStore(filepath.Join(dir, "t.db"),
@@ -368,7 +371,9 @@ func TestConcurrentBackgroundCheckpointer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.AutoCheckpoint(4 << 10)
+	const trigger = 4 << 10
+	d.EnableMetrics()
+	d.AutoCheckpoint(trigger)
 	pts, err := workload.Generate(workload.Uniform, 2, 2000, 44)
 	if err != nil {
 		t.Fatal(err)
@@ -391,11 +396,10 @@ func TestConcurrentBackgroundCheckpointer(t *testing.T) {
 	if err, _ := werr.Load().(error); err != nil {
 		t.Fatal(err)
 	}
-	runs, cperr := d.CheckpointerStats()
-	if cperr != nil {
-		t.Fatalf("background checkpointer error: %v", cperr)
+	if size := d.LogSize(); size >= trigger {
+		t.Fatalf("log holds %d bytes after the writers joined, trigger %d", size, trigger)
 	}
-	if runs == 0 {
+	if d.Metrics().WAL.Checkpoints == 0 {
 		t.Fatal("size trigger never fired despite >4KiB of log traffic")
 	}
 	if err := d.Validate(true); err != nil {
@@ -420,17 +424,75 @@ func TestConcurrentBackgroundCheckpointer(t *testing.T) {
 	}
 }
 
-// TestCheckpointerKeepsFirstError pins first-error-wins: once a store
-// poisons, every retry fails with a consequence of the original failure,
-// and CheckpointerStats (like Close) must still report the root cause.
-func TestCheckpointerKeepsFirstError(t *testing.T) {
-	first, second := errors.New("root cause"), errors.New("consequence")
-	d := &DurableTree{&Tree{cp: &checkpointer{}}}
-	d.cp.record(nil)
-	d.cp.record(first)
-	d.cp.record(second)
-	runs, err := d.CheckpointerStats()
-	if runs != 3 || err != first {
-		t.Fatalf("CheckpointerStats = (%d, %v), want (3, %v)", runs, err, first)
+// TestAutoCheckpointFailure pins what a failed inline checkpoint leaves
+// behind. The insert that fills the log runs the checkpoint, and the
+// store's Sync fails under it. The insert is durable already, so it
+// returns nil; the failure stays sticky, so the next write fails with
+// storage.ErrPoisoned and Close reports the injected fault; and a
+// crash-reopen holds every acknowledged insert, the trigger included.
+func TestAutoCheckpointFailure(t *testing.T) {
+	dir := t.TempDir()
+	storeFS := fault.NewFS(vfs.OS{}, fault.Plan{})
+	st, err := storage.CreateFileStore(filepath.Join(dir, "t.db"),
+		storage.FileStoreOptions{SlotSize: 256, FS: storeFS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, "t.wal")
+	d, err := NewDurable(st, walPath, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := workload.Generate(workload.Uniform, 2, 40, 45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(pts) - 1
+	for i, p := range pts[:last] {
+		if err := d.Insert(p, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The next insert fills the log, and the first store file operation
+	// after this point, which is its checkpoint's, fails.
+	d.AutoCheckpoint(d.LogSize() + 1)
+	storeFS.SetPlan(fault.Plan{InjectAt: storeFS.Ops() + 1, Mode: fault.ModeError})
+	if err := d.Insert(pts[last], uint64(last)); err != nil {
+		t.Fatalf("the insert that triggered the checkpoint: %v", err)
+	}
+	if !storeFS.Injected() {
+		t.Fatal("the triggering insert ran no checkpoint")
+	}
+	if err := d.Insert(geometry.Point{1, 2}, 1000); !errors.Is(err, storage.ErrPoisoned) {
+		t.Fatalf("write after the failed checkpoint: err = %v, want ErrPoisoned", err)
+	}
+	if err := d.Close(); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Close = %v, want the injected checkpoint failure", err)
+	}
+
+	// Crash: abandon the poisoned store and recover from the real
+	// filesystem.
+	storeFS.CloseAll()
+	st2, err := storage.OpenFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	re, err := OpenDurable(st2, walPath, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if err := re.Validate(true); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		found, err := contains(re.Tree, p, uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !found {
+			t.Fatalf("acknowledged insert %d lost across the failed checkpoint", i)
+		}
 	}
 }

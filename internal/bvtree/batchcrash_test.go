@@ -4,9 +4,9 @@ package bvtree
 // framed records written in one buffer and synced once, so the torn-tail
 // truncation of recovery must land exactly on a record boundary: a crash
 // mid-group-commit recovers to a prefix of the batch at record
-// granularity, never a torn record applied. A crash during a background
-// checkpoint must replay from the prior epoch without losing any
-// acknowledged operation.
+// granularity, never a torn record applied. A crash during a checkpoint
+// that AutoCheckpoint runs must replay from the prior epoch without
+// losing any acknowledged operation.
 
 import (
 	"errors"
@@ -110,18 +110,33 @@ func TestBatchCrashPrefixSweep(t *testing.T) {
 	}
 }
 
-// TestBatchCrashDuringBackgroundCheckpoint sweeps a crash across the
-// store operations of a workload whose size-triggered background
-// checkpointer runs underneath foreground inserts. The fault lands
-// either on a foreground allocation (file extension) or inside the
-// background checkpoint's flush — the sweep classifies each hit and
-// requires that several land inside the checkpoint. Either way the store
-// is poisoned; reopening rolls any interrupted flush back to the prior
+// TestBatchCrashDuringAutoCheckpoint sweeps a crash across the store
+// operations of a workload whose inserts trip a size-triggered checkpoint
+// every few records. The fault lands either on a foreground allocation
+// (file extension), and the insert fails, or inside the checkpoint that
+// an insert runs after its own fsync, and the insert, durable already,
+// returns nil: an insert that returns nil while the fault fired during
+// it counts as a mid-checkpoint crash. Either way the store is
+// poisoned; reopening rolls any interrupted flush back to the prior
 // epoch and replays the log, so every acknowledged insert must be
-// present.
-func TestBatchCrashDuringBackgroundCheckpoint(t *testing.T) {
-	checkpointCrashes := 0
+// present. The checkpoint runs on the inserting goroutine, so the sweep
+// is deterministic: it runs twice and must count the same crashes.
+func TestBatchCrashDuringAutoCheckpoint(t *testing.T) {
 	const sweep = 80
+	first := autoCheckpointCrashSweep(t, sweep)
+	if again := autoCheckpointCrashSweep(t, sweep); again != first {
+		t.Fatalf("the sweep counted %d mid-checkpoint crashes, then %d", first, again)
+	}
+	if first < sweep/2 {
+		t.Fatalf("only %d of %d sweep points crashed inside a checkpoint", first, sweep)
+	}
+	t.Logf("swept %d crash points, %d inside a checkpoint", sweep, first)
+}
+
+// autoCheckpointCrashSweep runs TestBatchCrashDuringAutoCheckpoint's
+// sweep once and returns how many of its points crashed inside a
+// checkpoint.
+func autoCheckpointCrashSweep(t *testing.T, sweep int) (checkpointCrashes int) {
 	for k := 1; k <= sweep; k++ {
 		storeFS := fault.NewFS(vfs.OS{}, fault.Plan{})
 		dir := t.TempDir()
@@ -135,9 +150,7 @@ func TestBatchCrashDuringBackgroundCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.AutoCheckpoint(256)
-		// A durable baseline epoch, below the size trigger so the
-		// background checkpointer has not yet run.
+		// A durable baseline epoch, taken before the trigger is set.
 		type ack struct {
 			p       geometry.Point
 			payload uint64
@@ -153,34 +166,31 @@ func TestBatchCrashDuringBackgroundCheckpoint(t *testing.T) {
 		if err := d.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		// Arm the k-th store operation from here. Foreground inserts still
-		// reach the store file through eager slot extension, so the fault
-		// lands either on one of those truncates or inside the background
-		// checkpoint the inserts trip; cpErr distinguishes the two.
+		d.AutoCheckpoint(256)
+		// Arm the k-th store operation from here. Inserts still reach the
+		// store file through eager slot extension, so the fault lands
+		// either on one of those truncates or inside a checkpoint.
 		storeFS.SetPlan(fault.Plan{InjectAt: storeFS.Ops() + k, Mode: fault.ModeError})
 		for i := 0; i < 400 && !storeFS.Injected(); i++ {
 			p := geometry.Point{uint64(i+1) << 29, uint64(400-i) << 47}
 			err := d.Insert(p, uint64(1000+i))
 			if err != nil {
-				// A crash (wherever it landed) poisons the store; inserts
-				// from then on fail and are not acknowledged.
+				// The fault struck the insert's own store operations: it
+				// is not acknowledged.
 				if !errors.Is(err, storage.ErrPoisoned) && !errors.Is(err, fault.ErrInjected) {
 					t.Fatalf("k=%d: insert err = %v, want ErrPoisoned or injected", k, err)
 				}
 				break
 			}
 			acked = append(acked, ack{p, uint64(1000 + i)})
+			if storeFS.Injected() {
+				// The only store I/O after the insert's fsync is the
+				// checkpoint its commit ran.
+				checkpointCrashes++
+			}
 		}
-		// stopCheckpointer joins the goroutine, waiting out any in-flight
-		// checkpoint (a poisoned store fails it fast).
-		cpErr := d.stopCheckpointer()
-
 		if !storeFS.Injected() {
 			t.Fatalf("k=%d: fault never fired across %d inserts; the sweep offset is past the workload", k, 400)
-		}
-		if errors.Is(cpErr, fault.ErrInjected) {
-			// The fault fired inside the background checkpoint's own I/O.
-			checkpointCrashes++
 		}
 
 		// Crash: abandon the poisoned store (its descriptors close without
@@ -204,7 +214,7 @@ func TestBatchCrashDuringBackgroundCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !found {
-				t.Fatalf("k=%d: acknowledged insert payload %d lost across background-checkpoint crash", k, a.payload)
+				t.Fatalf("k=%d: acknowledged insert payload %d lost across a checkpoint crash", k, a.payload)
 			}
 		}
 		if err := re.Close(); err != nil {
@@ -214,8 +224,5 @@ func TestBatchCrashDuringBackgroundCheckpoint(t *testing.T) {
 			t.Fatalf("k=%d: close recovered store: %v", k, err)
 		}
 	}
-	if checkpointCrashes < 3 {
-		t.Fatalf("only %d of %d sweep points crashed inside the background checkpoint; widen the sweep", checkpointCrashes, sweep)
-	}
-	t.Logf("swept %d crash points, %d inside the background checkpoint", sweep, checkpointCrashes)
+	return checkpointCrashes
 }

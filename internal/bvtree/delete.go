@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"bvtree/internal/geometry"
-	"bvtree/internal/obs"
 	"bvtree/internal/page"
 	"bvtree/internal/region"
 )
@@ -25,24 +24,10 @@ import (
 // durable.
 func (t *Tree) Delete(p geometry.Point, payload uint64) (removed bool, err error) {
 	err = t.commit(func() (err error) {
-		m, tr := t.metrics, t.tracer
-		if m == nil && tr == nil {
-			removed, err = t.deleteLocked(p, payload)
-			return err
+		if m := t.metrics; m != nil {
+			defer m.Delete.ObserveSince(time.Now())
 		}
-		start := time.Now()
 		removed, err = t.deleteLocked(p, payload)
-		dur := time.Since(start)
-		if m != nil {
-			m.Delete.Observe(int64(dur))
-		}
-		if tr != nil {
-			var n int64
-			if removed {
-				n = 1
-			}
-			tr.Trace(obs.Event{Layer: obs.LayerTree, Op: obs.OpDelete, Dur: dur, N: n, Err: err != nil})
-		}
 		return err
 	}, t.record(opDelete, p, payload))
 	return removed, err

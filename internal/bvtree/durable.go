@@ -65,9 +65,6 @@ func NewDurableLog(st storage.Store, l *wal.Log, opt Options) (*DurableTree, err
 	}
 	tr.lsn = l.BaseLSN()
 	tr.attachLog(l)
-	if opt.Metrics {
-		tr.EnableMetrics()
-	}
 	return &DurableTree{tr}, nil
 }
 
@@ -212,8 +209,23 @@ func (d *DurableTree) InsertBatch(points []geometry.Point, payloads []uint64) er
 }
 
 // Checkpoint is Flush: it persists the tree state under a new checkpoint
-// epoch and empties the log. AutoCheckpoint runs it in the background.
+// epoch and empties the log.
 func (d *DurableTree) Checkpoint() error { return d.Flush() }
+
+// AutoCheckpoint makes the tree checkpoint itself whenever the log holds
+// at least logBytes of records: the writer whose commit fills the log
+// runs the checkpoint on its own goroutine, once its operation is
+// durable, and every other operation waits for it on the tree lock, as
+// for any Flush. Like EnableMetrics it is set after construction, on a
+// new and on a reopened tree alike; a later call changes the size, and
+// logBytes <= 0 turns the trigger off. It is the write path's only
+// setting: everything else about group commit is decided by what the
+// writers do.
+func (d *DurableTree) AutoCheckpoint(logBytes int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.ckptBytes = logBytes
+}
 
 // LogSize returns the bytes of operations logged since the last
 // checkpoint.
@@ -253,22 +265,14 @@ func (d *DurableTree) GroupStats() (commits, syncs uint64) {
 	return d.gc.Commits(), d.gc.Syncs()
 }
 
-// Close stops the background checkpointer (if any), checkpoints, and
-// closes the log. The page store remains the caller's to close.
-//
-// Shutdown ordering (see DESIGN.md §9): the checkpointer is stopped
-// before the tree lock is taken — it takes that lock for its own
-// checkpoints, so stopping it from inside the lock would deadlock.
+// Close checkpoints and closes the log. The page store remains the
+// caller's to close.
 func (d *DurableTree) Close() error {
-	cpErr := d.stopCheckpointer()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.flushLocked(); err != nil {
 		d.log.Close()
 		return err
 	}
-	if err := d.log.Close(); err != nil {
-		return err
-	}
-	return cpErr
+	return d.log.Close()
 }

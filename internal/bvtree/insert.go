@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bvtree/internal/geometry"
-	"bvtree/internal/obs"
 	"bvtree/internal/page"
 	"bvtree/internal/region"
 )
@@ -27,20 +26,10 @@ func newOpCtx() *opCtx { return &opCtx{parents: make(map[page.ID]page.ID)} }
 // insert is durable.
 func (t *Tree) Insert(p geometry.Point, payload uint64) error {
 	return t.commit(func() error {
-		m, tr := t.metrics, t.tracer
-		if m == nil && tr == nil {
-			return t.insertLocked(p, payload)
+		if m := t.metrics; m != nil {
+			defer m.Insert.ObserveSince(time.Now())
 		}
-		start := time.Now()
-		err := t.insertLocked(p, payload)
-		dur := time.Since(start)
-		if m != nil {
-			m.Insert.Observe(int64(dur))
-		}
-		if tr != nil {
-			tr.Trace(obs.Event{Layer: obs.LayerTree, Op: obs.OpInsert, Dur: dur, N: 1, Err: err != nil})
-		}
-		return err
+		return t.insertLocked(p, payload)
 	}, t.record(opInsert, p, payload))
 }
 

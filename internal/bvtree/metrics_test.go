@@ -20,10 +20,11 @@ func TestMetricsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := New(Options{Dims: 2, DataCapacity: 8, Fanout: 8, Metrics: true})
+	tr, err := New(Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr.EnableMetrics()
 	for i, p := range pts {
 		if err := tr.Insert(p, uint64(i)); err != nil {
 			t.Fatal(err)
@@ -129,7 +130,7 @@ func TestMetricsDisabledByDefault(t *testing.T) {
 }
 
 // TestDurableMetrics exercises the full stack: a durable tree over a
-// file store with Options.Metrics must report all three sections —
+// file store with EnableMetrics must report all three sections —
 // tree histograms, WAL write-path histograms, and page-store counters.
 func TestDurableMetrics(t *testing.T) {
 	dir := t.TempDir()
@@ -138,10 +139,11 @@ func TestDurableMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	d, err := NewDurable(st, filepath.Join(dir, "tree.wal"), Options{Dims: 2, Metrics: true})
+	d, err := NewDurable(st, filepath.Join(dir, "tree.wal"), Options{Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.EnableMetrics()
 	pts, err := workload.Generate(workload.Uniform, 2, 500, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -198,17 +200,19 @@ func TestDurableMetrics(t *testing.T) {
 	}
 }
 
-// TestConcurrentMetrics hammers an instrumented tree from parallel
-// readers and a writer while snapshots are taken — the -race smoke for
-// the whole instrumentation path (it runs in `make verify`'s race
-// subset). SetTracer mid-flight exercises the lock discipline around the
-// tracer field.
+// TestConcurrentMetrics hammers a tree from parallel readers and a writer
+// while snapshots are taken — the -race smoke for the whole
+// instrumentation path (it runs in `make verify`'s race subset). The tree
+// starts with metrics off; EnableMetrics mid-flight exercises the lock
+// discipline around the metrics field, and the histograms then count
+// exactly the inserts made after it, compared with the off phase, where
+// they count none.
 func TestConcurrentMetrics(t *testing.T) {
 	pts, err := workload.Generate(workload.Uniform, 2, 3000, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := New(Options{Dims: 2, DataCapacity: 8, Fanout: 8, Metrics: true})
+	tr, err := New(Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +221,6 @@ func TestConcurrentMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var ct obs.CountingTracer
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {
@@ -250,20 +253,27 @@ func TestConcurrentMetrics(t *testing.T) {
 			}
 		}
 	}()
-	tr.SetTracer(&ct)
-	for i, p := range pts[1000:] {
+	for i, p := range pts[1000:2000] {
 		if err := tr.Insert(p, uint64(1000+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	tr.SetTracer(nil)
+	if off := tr.Metrics().Tree; off.MetricsEnabled || off.InsertNs.Count != 0 {
+		t.Fatalf("metrics off: enabled=%v, insert histogram count = %d, want 0", off.MetricsEnabled, off.InsertNs.Count)
+	}
+	tr.EnableMetrics()
+	for i, p := range pts[2000:] {
+		if err := tr.Insert(p, uint64(2000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	close(stop)
 	wg.Wait()
 	s := tr.Metrics()
-	if s.Tree.InsertNs.Count != 3000 {
-		t.Fatalf("insert histogram count = %d, want 3000", s.Tree.InsertNs.Count)
+	if s.Tree.InsertNs.Count != 1000 {
+		t.Fatalf("insert histogram count = %d, want 1000 (the inserts after EnableMetrics)", s.Tree.InsertNs.Count)
 	}
-	if ct.Events(obs.LayerTree) < 2000 {
-		t.Fatalf("tracer saw %d tree events, want >= 2000 (the traced inserts)", ct.Events(obs.LayerTree))
+	if s.Tree.LookupNs.Count == 0 {
+		t.Fatal("lookup histogram empty after EnableMetrics beside running readers")
 	}
 }

@@ -438,7 +438,7 @@ func asData(id page.ID, v interface{}) (*page.DataPage, error) {
 
 // newView builds an immutable Tree over the state pinned at pin. The
 // caller must hold at least the shared lock. The view shares the
-// owner's counters, histograms and tracer, so work done through it is
+// owner's counters and histograms, so work done through it is
 // observable exactly like lock-holding reads.
 func (t *Tree) newView(pin uint64) *Tree {
 	return &Tree{
@@ -452,7 +452,6 @@ func (t *Tree) newView(pin uint64) *Tree {
 		lsn:       t.lsn,
 		stats:     t.stats,
 		metrics:   t.metrics,
-		tracer:    t.tracer,
 		paged:     t.paged,
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"bvtree/internal/geometry"
-	"bvtree/internal/obs"
 	"bvtree/internal/page"
 )
 
@@ -30,20 +29,10 @@ type Neighbor struct {
 func (t *Tree) Nearest(p geometry.Point, k int) ([]Neighbor, error) {
 	v, release := t.readView()
 	defer release()
-	m, tr := v.metrics, v.tracer
-	if m == nil && tr == nil {
-		return v.nearestLocked(p, k)
+	if m := v.metrics; m != nil {
+		defer m.Nearest.ObserveSince(time.Now())
 	}
-	start := time.Now()
-	out, err := v.nearestLocked(p, k)
-	dur := time.Since(start)
-	if m != nil {
-		m.Nearest.Observe(int64(dur))
-	}
-	if tr != nil {
-		tr.Trace(obs.Event{Layer: obs.LayerTree, Op: obs.OpNearest, Dur: dur, N: int64(len(out)), Err: err != nil})
-	}
-	return out, err
+	return v.nearestLocked(p, k)
 }
 
 // nearestLocked is Nearest's body, run on a pinned immutable view: a

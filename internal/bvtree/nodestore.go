@@ -146,9 +146,9 @@ type pagedNodes struct {
 
 	// err is the first failed write-back, meta write or sync. The store
 	// may then hold anything, so nothing is written after it and every
-	// later save and flush fails with it, as a store's own poisoning
-	// makes every later write fail. Written and read under the tree's
-	// exclusive lock.
+	// later save and flush fails with it (see poisoned), as a store's own
+	// poisoning makes every later write fail. Written and read under the
+	// tree's exclusive lock.
 	err error
 }
 
@@ -219,10 +219,10 @@ func (s *pagedNodes) admit(id page.ID, v interface{}, seq uint64) {
 
 // flush writes every dirty node back, then meta, and syncs the store.
 func (s *pagedNodes) flush(meta *page.Meta) error {
-	if s.err == nil {
-		s.err = s.writeBack()
+	if s.err != nil {
+		return s.poisoned()
 	}
-	if s.err == nil {
+	if s.err = s.writeBack(); s.err == nil {
 		s.err = s.st.WriteNode(metaPageID, page.EncodeMeta(meta))
 	}
 	if s.err == nil {
@@ -517,14 +517,25 @@ func (s *pagedNodes) dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]
 func (s *pagedNodes) SaveIndex(id page.ID, n *page.IndexNode) error {
 	n.SyncCols(s.dims)
 	s.cachePut(id, n, true)
-	return s.err
+	return s.poisoned()
 }
 
 // SaveData is SaveIndex for data pages.
 func (s *pagedNodes) SaveData(id page.ID, p *page.DataPage) error {
 	p.SyncDataCols(s.dims)
 	s.cachePut(id, p, true)
-	return s.err
+	return s.poisoned()
+}
+
+// poisoned is what a save or flush returns after err is set: err wrapped
+// in storage.ErrPoisoned, the form a poisoned store's own operations
+// return, so every write after a failed checkpoint fails as a write to
+// the poisoned store would.
+func (s *pagedNodes) poisoned() error {
+	if s.err == nil || errors.Is(s.err, storage.ErrPoisoned) {
+		return s.err
+	}
+	return fmt.Errorf("%w: %w", storage.ErrPoisoned, s.err)
 }
 
 // Free drops page id from the cache, dirty or not, and frees it.

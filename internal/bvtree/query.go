@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"bvtree/internal/geometry"
-	"bvtree/internal/obs"
 	"bvtree/internal/page"
 )
 
@@ -40,24 +39,10 @@ type Visitor func(p geometry.Point, payload uint64) bool
 func (t *Tree) RangeQuery(rect geometry.Rect, visit Visitor) error {
 	v, release := t.readView()
 	defer release()
-	m, tr := v.metrics, v.tracer
-	if m == nil && tr == nil {
-		_, err := v.rangeRaw(rect, visit)
-		return err
+	if m := v.metrics; m != nil {
+		defer m.RangeQuery.ObserveSince(time.Now())
 	}
-	start := time.Now()
-	var visited int64
-	_, err := v.rangeRaw(rect, func(p geometry.Point, payload uint64) bool {
-		visited++
-		return visit(p, payload)
-	})
-	dur := time.Since(start)
-	if m != nil {
-		m.RangeQuery.Observe(int64(dur))
-	}
-	if tr != nil {
-		tr.Trace(obs.Event{Layer: obs.LayerTree, Op: obs.OpRangeQuery, Dur: dur, N: visited, Err: err != nil})
-	}
+	_, err := v.rangeRaw(rect, visit)
 	return err
 }
 
@@ -296,19 +281,9 @@ func (t *Tree) Scan(visit Visitor) error {
 func (t *Tree) Count(rect geometry.Rect) (int, error) {
 	v, release := t.readView()
 	defer release()
-	m, tr := v.metrics, v.tracer
-	if m == nil && tr == nil {
-		n, err := v.rangeRaw(rect, nil)
-		return int(n), err
+	if m := v.metrics; m != nil {
+		defer m.RangeQuery.ObserveSince(time.Now())
 	}
-	start := time.Now()
 	n, err := v.rangeRaw(rect, nil)
-	dur := time.Since(start)
-	if m != nil {
-		m.RangeQuery.Observe(int64(dur))
-	}
-	if tr != nil {
-		tr.Trace(obs.Event{Layer: obs.LayerTree, Op: obs.OpRangeQuery, Dur: dur, N: n, Err: err != nil})
-	}
 	return int(n), err
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"bvtree/internal/geometry"
-	"bvtree/internal/obs"
 	"bvtree/internal/page"
 	"bvtree/internal/region"
 )
@@ -204,21 +203,15 @@ func (t *Tree) Lookup(p geometry.Point) ([]uint64, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	defer t.endOp()
-	m, tr := t.metrics, t.tracer
-	if m == nil && tr == nil {
-		// Fast path: instrumentation off costs exactly these two nil
-		// checks, no clock reads (guarded by TestLookupDoesNotAllocate).
+	m := t.metrics
+	if m == nil {
+		// Fast path: metrics off cost exactly this nil check, no clock
+		// reads (guarded by TestLookupDoesNotAllocate).
 		return t.lookupLocked(p)
 	}
 	start := time.Now()
 	out, err := t.lookupLocked(p)
-	dur := time.Since(start)
-	if m != nil {
-		m.Lookup.Observe(int64(dur))
-	}
-	if tr != nil {
-		tr.Trace(obs.Event{Layer: obs.LayerTree, Op: obs.OpLookup, Dur: dur, N: int64(len(out)), Err: err != nil})
-	}
+	m.Lookup.ObserveSince(start)
 	return out, err
 }
 

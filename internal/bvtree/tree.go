@@ -60,13 +60,6 @@ type Options struct {
 	// Deprecated: every range and count query runs inline on its
 	// caller's goroutine.
 	RangeWorkers int
-	// Metrics enables the per-operation latency and shape histograms
-	// reported by (*Tree).Metrics. The structural event counters (OpStats)
-	// are always on; this switch only controls the histograms, whose cost
-	// is two clock reads and a few atomic adds per operation (measured by
-	// BenchmarkInstrumented). It can also be flipped later with
-	// EnableMetrics.
-	Metrics bool
 }
 
 func (o *Options) fill() error {
@@ -146,24 +139,20 @@ type Tree struct {
 
 	// The write-ahead log, attached by the durable constructors after
 	// replay; nil on a tree without one. log and gc are set before the
-	// tree is shared and never change; wm and cp are guarded by mu.
-	log *wal.Log
-	gc  *wal.GroupCommitter
-	wm  *obs.WALMetrics // the WAL section of Metrics; nil until enabled
-	cp  *checkpointer   // non-nil once AutoCheckpoint has started one
+	// tree is shared and never change; wm and ckptBytes are guarded by mu.
+	log       *wal.Log
+	gc        *wal.GroupCommitter
+	wm        *obs.WALMetrics // the WAL section of Metrics; nil until enabled
+	ckptBytes int64           // the AutoCheckpoint trigger; off when <= 0
 
 	// stats is shared by pointer with every pinned view of the tree, so
 	// work done through a snapshot is counted on the owner.
 	stats *obs.TreeCounters
-	// metrics holds the opt-in per-operation histograms; nil when
-	// Options.Metrics is off, so disabled instrumentation costs one nil
-	// check per operation. Set at construction or via EnableMetrics
-	// (under the exclusive lock); operations read it under their own lock,
-	// so no atomics are needed.
+	// metrics holds the opt-in per-operation histograms; nil until
+	// EnableMetrics, so disabled instrumentation costs one nil check per
+	// operation. EnableMetrics sets it under the exclusive lock and
+	// operations read it under their own lock, so no atomics are needed.
 	metrics *obs.TreeMetrics
-	// tracer receives one obs.Event per completed operation when non-nil.
-	// Same lock discipline as metrics (SetTracer writes under mu.Lock).
-	tracer obs.Tracer
 
 	// paged is the tree's decoded cache over its store: st itself on a
 	// live tree, the owner's behind st's version chains on a pinned view.
@@ -218,7 +207,7 @@ func newPaged(st storage.Store, opt Options, cacheNodes int) (*Tree, error) {
 
 // OpenPaged reopens a tree previously created with NewPaged and persisted
 // with Flush. Its Options are the persisted shape (Dims, DataCapacity,
-// Fanout, BitsPerDim, LevelScaledPages) plus cacheNodes; Metrics starts
+// Fanout, BitsPerDim, LevelScaledPages) plus cacheNodes; metrics start
 // off.
 func OpenPaged(st storage.Store, cacheNodes int) (*Tree, error) {
 	blob, err := st.ReadNode(metaPageID)
@@ -256,9 +245,6 @@ func newTree(pn *pagedNodes, opt Options) (*Tree, error) {
 	}
 	t := &Tree{st: pn, opt: opt, il: il, paged: pn, stats: &obs.TreeCounters{}}
 	t.mv = newMVCCState(pn.Free)
-	if opt.Metrics {
-		t.metrics = &obs.TreeMetrics{}
-	}
 	return t, nil
 }
 
@@ -278,7 +264,9 @@ func newTree(pn *pagedNodes, opt Options) (*Tree, error) {
 // durable prefix. A record whose point has the wrong dimensionality is
 // refused before anything is enqueued, with the error its apply would
 // return: logged, it would fail again at replay and leave the log
-// unrecoverable. Without a log, bufs is ignored.
+// unrecoverable. Without a log, bufs is ignored. A commit that leaves the
+// log at or past the AutoCheckpoint trigger then checkpoints, after its
+// Wait (checkpointIfFull).
 func (t *Tree) commit(apply func() error, bufs ...*[]byte) (err error) {
 	if err := t.lockWrite(); err != nil {
 		return err
@@ -308,7 +296,7 @@ func (t *Tree) commit(apply func() error, bufs ...*[]byte) (err error) {
 	}
 	err = apply()
 	t.endWrite(&err)
-	t.kickIfLogFull()
+	trigger := t.ckptBytes
 	t.mu.Unlock()
 	if tk != nil {
 		werr := t.gc.Wait(tk)
@@ -316,8 +304,29 @@ func (t *Tree) commit(apply func() error, bufs ...*[]byte) (err error) {
 		if err == nil {
 			err = werr
 		}
+		if err == nil && trigger > 0 && t.log.Size() >= trigger {
+			t.checkpointIfFull()
+		}
 	}
 	return err
+}
+
+// checkpointIfFull is AutoCheckpoint's trigger, run on the goroutine of
+// the writer whose commit filled the log, once that writer's own batch is
+// durable: before its Wait, Drain would wait for the writer's own batch,
+// which the writer leads. The size is checked again under the lock, so
+// writers that saw the same full log checkpoint once between them. The
+// writer's operation is durable already and returns its own result. A
+// checkpoint that poisons the store or the committer leaves its error
+// sticky there (pagedNodes.err, the committer's failure), so the next
+// write, Flush or Close returns it; any other failure is retried at the
+// next trigger.
+func (t *Tree) checkpointIfFull() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.ckptBytes > 0 && t.log.Size() >= t.ckptBytes {
+		_ = t.flushLocked() // sticky or retried, as above
+	}
 }
 
 // Flush is the tree's one checkpoint: it writes every node changed since
@@ -346,7 +355,7 @@ func (t *Tree) flushLocked() error {
 	var start time.Time
 	var absorbed int64 // log bytes this checkpoint makes redundant
 	if t.log != nil {
-		if t.wm != nil || t.tracer != nil {
+		if t.wm != nil {
 			start = time.Now()
 		}
 		if err := t.gc.Drain(); err != nil {
@@ -376,9 +385,6 @@ func (t *Tree) flushLocked() error {
 		wm.Checkpoint.ObserveSince(start)
 		wm.CheckpointB.Add(uint64(absorbed))
 		wm.Checkpoints.Inc()
-	}
-	if tr := t.tracer; tr != nil {
-		tr.Trace(obs.Event{Layer: obs.LayerWAL, Op: obs.OpCheckpoint, Dur: time.Since(start), N: absorbed})
 	}
 	return nil
 }
@@ -427,9 +433,11 @@ func (t *Tree) ResetAccessCount() uint64 {
 	return t.stats.NodeAccesses.Swap(0)
 }
 
-// EnableMetrics turns on the per-operation histograms reported by
-// Metrics, as if Options.Metrics had been set at construction, and on a
-// tree with a log the WAL-layer ones too. Samples recorded before
+// EnableMetrics turns on the per-operation latency and shape histograms
+// reported by Metrics, and on a tree with a log the WAL-layer ones too,
+// on a new and on a reopened tree alike. The structural event counters
+// (OpStats) are always on; the histograms cost two clock reads and a few
+// atomic adds per operation (measured by BenchmarkInstrumented). Samples recorded before
 // enabling are lost (only the structural counters are retroactive).
 // Enabling is idempotent; there is no disable — drop the tree's
 // reference instead.
@@ -443,17 +451,6 @@ func (t *Tree) EnableMetrics() {
 		t.wm = &obs.WALMetrics{}
 		t.log.SetMetrics(t.wm)
 	}
-}
-
-// SetTracer installs tr to receive one obs.Event per completed tree
-// operation; nil removes the current tracer. The tracer must be safe for
-// concurrent use (read-only operations run in parallel). It is invoked on
-// the operation's goroutine after the operation completes, while the
-// operation's lock is still held — keep Trace fast.
-func (t *Tree) SetTracer(tr obs.Tracer) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.tracer = tr
 }
 
 // capacity returns the entry capacity of an index node at index level x.

@@ -1,10 +1,10 @@
 // Package obs is the observability core of the bvtree system: atomic
-// counters, gauges, fixed-bucket latency histograms with quantile
-// snapshots, and a pluggable Tracer hook interface. It depends only on
-// the standard library and is written so that the instrumented hot paths
-// pay nothing when observability is disabled (a nil check) and only a
-// handful of atomic adds when it is enabled — no allocation, no locking,
-// no map lookups, no string formatting on any recording path.
+// counters, gauges and fixed-bucket latency histograms with quantile
+// snapshots. It depends only on the standard library and is written so
+// that the instrumented hot paths pay nothing when observability is
+// disabled (a nil check) and only a handful of atomic adds when it is
+// enabled — no allocation, no locking, no map lookups, no string
+// formatting on any recording path.
 //
 // The package deliberately knows the system it observes: the per-layer
 // metric sets (TreeCounters, TreeMetrics, WALMetrics) and the combined

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -171,36 +170,11 @@ func TestConcurrentHistogram(t *testing.T) {
 func TestObserveDoesNotAllocate(t *testing.T) {
 	var h Histogram
 	var c Counter
-	var tr CountingTracer
 	allocs := testing.AllocsPerRun(1000, func() {
 		h.Observe(12345)
 		c.Inc()
-		tr.Trace(Event{Layer: LayerTree, Op: OpLookup, Dur: 42, N: 3})
 	})
 	if allocs != 0 {
 		t.Fatalf("recording path allocates %.1f allocs/op, want 0", allocs)
-	}
-}
-
-func TestCountingTracer(t *testing.T) {
-	var tr CountingTracer
-	tr.Trace(Event{Layer: LayerTree, Op: OpLookup, Dur: time.Microsecond})
-	tr.Trace(Event{Layer: LayerWAL, Op: OpSync, Dur: time.Millisecond})
-	tr.Trace(Event{Layer: LayerWAL, Op: OpCheckpoint})
-	if tr.Events(LayerTree) != 1 || tr.Events(LayerWAL) != 2 || tr.Events(LayerStore) != 0 {
-		t.Fatalf("tracer counts tree=%d wal=%d store=%d",
-			tr.Events(LayerTree), tr.Events(LayerWAL), tr.Events(LayerStore))
-	}
-}
-
-func TestNames(t *testing.T) {
-	if LayerTree.String() != "tree" || LayerWAL.String() != "wal" || LayerStore.String() != "store" {
-		t.Fatal("layer names")
-	}
-	if OpLookup.String() != "lookup" || OpCheckpoint.String() != "checkpoint" {
-		t.Fatal("op names")
-	}
-	if Layer(200).String() != "unknown" || Op(200).String() != "unknown" {
-		t.Fatal("unknown names")
 	}
 }

@@ -3,7 +3,7 @@
 // by its Morton (Z-order) key, so each shard owns a contiguous,
 // prefix-aligned slice of the interleaved key space and — when the
 // shards are DurableTrees — its own write-ahead log, group committer,
-// checkpointer and page store. Writers on different shards never share
+// checkpoint trigger and page store. Writers on different shards never share
 // a tree lock or a log fsync, which is what multiplies the single-node
 // write path by the shard count.
 //

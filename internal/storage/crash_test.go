@@ -251,8 +251,8 @@ func TestFreeListCorruptionDetected(t *testing.T) {
 
 // TestPoisonedErrorKeepsCause pins the error chain of a poisoned store:
 // every refusal after a failed Sync must match both ErrPoisoned and the
-// failure that poisoned it, so callers (and the background checkpointer's
-// crash sweep) can tell an injected fault from any other cause.
+// failure that poisoned it, so callers (and the checkpoint crash
+// sweeps) can tell an injected fault from any other cause.
 func TestPoisonedErrorKeepsCause(t *testing.T) {
 	st, ffs, ids, _, _ := crashScenario(t, t.TempDir(), fault.Plan{})
 	defer ffs.CloseAll()
