@@ -31,7 +31,10 @@ GO ?= go
 # internal/zorder: the in-place shard-selection walk), and the decoded
 # cache's policy (TestViewAdmission*: a pinned view's admission beside a
 # writer that saves, writes back and evicts the same page;
-# TestCacheDeterministic: one program, one store-operation sequence).
+# TestCacheDeterministic: one program, one store-operation sequence;
+# TestDecodedNodesMeetWriters: pinned lookups, retaining range visits and
+# nearest searches over pages decoded straight into columns, beside a
+# writer that takes those pages and edits them).
 # The docslint run covers README.md,
 # DESIGN.md, PROTOCOL.md and EXPERIMENTS.md, including the annotated
 # hex frame dumps. benchmark/ is a module of its own (`replace bvtree =>
@@ -44,16 +47,19 @@ GO ?= go
 # The system benchmarks of bench_test.go (instrumentation on/off,
 # durable write disciplines, inserts under a backup, mixed parallel
 # reads, the profilable replica of point-cold, and the range walk on
-# cached and cold trees) are recorded nowhere and run on demand, so the
-# last step runs each once to keep them compiling and passing.
+# cached and cold trees) and the per-page decode of a cache miss
+# (BenchmarkDecodePublished, in internal/bvtree because it calls the
+# miss path directly) are recorded nowhere and run on demand, so the
+# last steps run each once to keep them compiling and passing.
 verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/docslint
-	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestColumnar|TestDurable|TestAutoCheckpoint|TestShard|FuzzFrame|TestDecomposeRect|TestViewAdmission|TestCacheDeterministic' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard ./internal/zorder
+	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestColumnar|TestDurable|TestAutoCheckpoint|TestShard|FuzzFrame|TestDecomposeRect|TestViewAdmission|TestCacheDeterministic|TestDecodedNodesMeetWriters' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard ./internal/zorder
 	$(GO) test -run '^$$' -bench 'Instrumented|DurableInsert|UnderBackup|MixedRead|ColdLookup|RangeDrive' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'DecodePublished' -benchtime 1x ./internal/bvtree
 
 # Full suite under the race detector, including the reader/writer stress
 # tests (TestConcurrent*) added with the parallel read path.

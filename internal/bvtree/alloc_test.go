@@ -155,13 +155,14 @@ func TestPagedLookupAllocs(t *testing.T) {
 }
 
 // TestColdMissAllocBudget bounds what bringing one stored page in costs
-// when neither cache holds it. An index node: the blob, the node, its
-// region key, the entry slice, the one slab all entry keys are cut from,
-// and the columnar mirror's struct and two arenas — eight. A data page:
-// the blob, the page, its region key, the item slice, the one slab that
-// holds the points and the mirror's rows, and the mirror's struct — six,
-// and one more when the blob spans two slots and grows once. The slot
-// buffer is not on either list: the store reads into a pooled one.
+// when neither cache holds it. A page is decoded straight into its
+// columns and builds nothing else. An index node: the blob, the node, its
+// region key (none for the empty region many nodes keep), and the
+// columns' struct and two arenas — six at most. A data page:
+// the blob, the page, its region key, the columns' struct and the one
+// slab that holds their rows — five, and one more when the blob spans two
+// slots and grows once. The slot buffer is not on either list: the store
+// reads into a pooled one.
 func TestColdMissAllocBudget(t *testing.T) {
 	skipUnderRace(t)
 	tr, st, path, _ := buildPagedFileTree(t, 4000)
@@ -186,7 +187,7 @@ func TestColdMissAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		index = append(index, id)
-		for _, e := range n.Entries {
+		for _, e := range n.ReadEntries() {
 			if e.Level == 0 {
 				data = append(data, e.Child)
 			} else {
@@ -214,12 +215,12 @@ func TestColdMissAllocBudget(t *testing.T) {
 		return allocs
 	}
 	allocs := measure(index, func(id page.ID) error { _, err := pn.readIndex(id); return err })
-	if allocs > 8 {
-		t.Errorf("readIndex of a cold page: %.1f allocs, budget 8", allocs)
+	if allocs > 6 {
+		t.Errorf("readIndex of a cold page: %.1f allocs, budget 6", allocs)
 	}
 	allocs = measure(data, func(id page.ID) error { _, err := pn.readData(id); return err })
-	if allocs > 7 {
-		t.Errorf("readData of a cold page: %.1f allocs, budget 7", allocs)
+	if allocs > 5 {
+		t.Errorf("readData of a cold page: %.1f allocs, budget 5", allocs)
 	}
 }
 

@@ -154,8 +154,8 @@ func (s *Snapshot) Backup(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		for i := range n.Entries {
-			queue = append(queue, qent{id: n.Entries[i].Child, level: n.Entries[i].Level})
+		for _, e := range n.ReadEntries() {
+			queue = append(queue, qent{id: e.Child, level: e.Level})
 		}
 	}
 

@@ -71,7 +71,7 @@ func TestViewAdmissionNeverCachesStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := page.Nil
-	for _, e := range root.Entries {
+	for _, e := range root.ReadEntries() {
 		if e.Level == 1 {
 			x = e.Child
 			break

@@ -52,7 +52,7 @@ func (t *Tree) Validate(full bool) error {
 		if err != nil {
 			return err
 		}
-		for _, it := range dp.Items {
+		for _, it := range dp.ReadItems() {
 			a, err := t.addr(it.Point)
 			if err != nil {
 				return err
@@ -119,9 +119,8 @@ func (w *walker) index(id page.ID, wantLevel int, viaNode page.ID, key region.Bi
 		key   string
 		level int
 	}
-	seen := make(map[kl]bool, len(n.Entries))
-	entries := make([]page.Entry, len(n.Entries))
-	copy(entries, n.Entries)
+	entries := n.ReadEntries()
+	seen := make(map[kl]bool, len(entries))
 	for _, e := range entries {
 		if !n.Region.IsPrefixOf(e.Key) {
 			return fmt.Errorf("bvtree: node %d (region %v) holds entry %v outside its region", id, n.Region, e.Key)
@@ -158,7 +157,8 @@ func (w *walker) data(id page.ID, key region.BitString) error {
 	if err := dp.CheckDataCols(w.t.opt.Dims); err != nil {
 		return fmt.Errorf("bvtree: data page %d: %w", id, err)
 	}
-	for _, it := range dp.Items {
+	items := dp.ReadItems()
+	for _, it := range items {
 		a, err := w.t.addr(it.Point)
 		if err != nil {
 			return err
@@ -167,7 +167,7 @@ func (w *walker) data(id page.ID, key region.BitString) error {
 			return fmt.Errorf("bvtree: data page %d (region %v) holds out-of-region item %v", id, key, it.Point)
 		}
 	}
-	w.items += len(dp.Items)
+	w.items += len(items)
 	w.leaves = append(w.leaves, leafRef{id: id, key: key})
 	return nil
 }

@@ -160,9 +160,7 @@ func (t *Tree) directEncloser(key region.BitString) (region.BitString, page.ID, 
 		if err != nil {
 			return err
 		}
-		entries := make([]page.Entry, len(n.Entries))
-		copy(entries, n.Entries)
-		for _, e := range entries {
+		for _, e := range n.ReadEntries() {
 			if !e.Key.IsProperPrefixOf(key) {
 				continue
 			}
@@ -206,7 +204,7 @@ func (t *Tree) dissolveRegion(victimID, nodeID page.ID, node *page.IndexNode) (b
 	if enclNode == page.Nil || enclNode != nodeID {
 		return false, nil
 	}
-	items := vp.Items
+	items := vp.ReadItems()
 	if err := t.removeEntry(nodeID, node, victimID); err != nil {
 		return false, err
 	}
@@ -249,10 +247,13 @@ func (t *Tree) contractRoot() error {
 		if err != nil {
 			return err
 		}
-		if len(n.Entries) != 1 || n.Entries[0].Level != n.Level-1 {
+		if n.Len() != 1 {
 			return nil
 		}
-		child := n.Entries[0]
+		child := n.ReadEntries()[0]
+		if child.Level != n.Level-1 {
+			return nil
+		}
 		if err := t.freePage(t.root); err != nil {
 			return err
 		}

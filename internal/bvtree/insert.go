@@ -214,10 +214,10 @@ func (t *Tree) resplitOversized(ctx *opCtx, ids ...page.ID) error {
 			if err != nil {
 				return err
 			}
-			if len(dp.Items) <= t.opt.DataCapacity {
+			if dp.Len() <= t.opt.DataCapacity {
 				break
 			}
-			a, err := t.addr(dp.Items[0].Point)
+			a, err := t.addr(dp.ReadItems()[0].Point)
 			if err != nil {
 				return err
 			}
@@ -263,7 +263,7 @@ func (t *Tree) placeEntry(ctx *opCtx, startID page.ID, e page.Entry) (int, error
 	var guards []guardRef
 	tk := page.MakePointKey(e.Key)
 	for {
-		if n.Level == e.Level+1 || needsGuard(n, e) {
+		if n.Level == e.Level+1 || c.Extends(e.Key, e.Level) && needsGuard(n.ReadEntries(), e) {
 			return n.Level, t.insertIntoNode(ctx, cur, e)
 		}
 		if n.Level <= e.Level {
@@ -296,10 +296,10 @@ func (t *Tree) placeEntry(ctx *opCtx, startID page.ID, e page.Entry) (int, error
 	}
 }
 
-// needsGuard reports whether e must stay at node n: some higher-level
-// entry's region boundary lies inside e's region, so e's region straddles
-// a partition boundary represented here and must stay visible to searches
-// descending either side of it.
+// needsGuard reports whether e must stay at a node holding entries: some
+// higher-level entry's region boundary lies inside e's region, so e's
+// region straddles a partition boundary represented there and must stay
+// visible to searches descending either side of it.
 //
 // A region's point set is its brick minus the bricks of same-level regions
 // it encloses, so e is "shielded" from a boundary s when another region of
@@ -307,10 +307,10 @@ func (t *Tree) placeEntry(ctx *opCtx, startID page.ID, e page.Entry) (int, error
 // holes and e's actual point set does not straddle it. This is the paper's
 // direct-enclosure refinement (§2, §4) and is what bounds the number of
 // guards per node to at most one per partition level per unpromoted entry.
-func needsGuard(n *page.IndexNode, e page.Entry) bool {
-	for i := range n.Entries {
-		s := &n.Entries[i]
-		if s.Level > e.Level && e.Key.IsProperPrefixOf(s.Key) && !shielded(n, e, s.Key) {
+func needsGuard(entries []page.Entry, e page.Entry) bool {
+	for i := range entries {
+		s := &entries[i]
+		if s.Level > e.Level && e.Key.IsProperPrefixOf(s.Key) && !shielded(entries, e, s.Key) {
 			return true
 		}
 	}
@@ -343,7 +343,7 @@ func chooseIndexSplit(n *page.IndexNode) (region.BitString, bool) {
 			switch {
 			case q.IsPrefixOf(e.Key):
 				inner++
-			case e.Key.IsProperPrefixOf(q) && !shielded(n, e, q):
+			case e.Key.IsProperPrefixOf(q) && !shielded(n.Entries, e, q):
 				prom++
 			default:
 				outer++
@@ -373,11 +373,11 @@ func chooseIndexSplit(n *page.IndexNode) (region.BitString, bool) {
 	return best, true
 }
 
-// shielded reports whether some entry of e's level in n lies strictly
-// between e and the boundary key: e.Key ⊊ g.Key ⊑ boundary.
-func shielded(n *page.IndexNode, e page.Entry, boundary region.BitString) bool {
-	for i := range n.Entries {
-		g := &n.Entries[i]
+// shielded reports whether some entry of e's level among entries lies
+// strictly between e and the boundary key: e.Key ⊊ g.Key ⊑ boundary.
+func shielded(entries []page.Entry, e page.Entry, boundary region.BitString) bool {
+	for i := range entries {
+		g := &entries[i]
 		if g.Level == e.Level && e.Key.IsProperPrefixOf(g.Key) && g.Key.IsPrefixOf(boundary) {
 			return true
 		}
@@ -430,7 +430,7 @@ func (t *Tree) splitIndexNode(ctx *opCtx, id page.ID, n *page.IndexNode) error {
 			// per level) straddlers are promoted; this is what bounds
 			// guard accumulation to the paper's (x-1) per unpromoted
 			// entry.
-			if shielded(n, en, q) {
+			if shielded(n.Entries, en, q) {
 				outer = append(outer, en)
 			} else {
 				promoted = append(promoted, en)

@@ -35,9 +35,7 @@ func (t *Tree) Maintain() (_ int, err error) {
 			return err
 		}
 		nodes = append(nodes, id)
-		entries := make([]page.Entry, len(n.Entries))
-		copy(entries, n.Entries)
-		for _, e := range entries {
+		for _, e := range n.ReadEntries() {
 			if e.Level >= 1 {
 				if err := collect(e.Child); err != nil {
 					return err
@@ -80,10 +78,8 @@ func (t *Tree) Maintain() (_ int, err error) {
 				continue // moved by an earlier demotion's side effects
 			}
 			// Re-check necessity: earlier demotions may have changed it.
-			rest := page.IndexNode{Level: n.Level, Region: n.Region}
-			rest.Entries = append(rest.Entries, n.Entries[:gi]...)
-			rest.Entries = append(rest.Entries, n.Entries[gi+1:]...)
-			if needsGuard(&rest, g) {
+			rest := append(append([]page.Entry(nil), n.Entries[:gi]...), n.Entries[gi+1:]...)
+			if needsGuard(rest, g) {
 				continue
 			}
 			n.Entries = append(n.Entries[:gi], n.Entries[gi+1:]...)
@@ -114,15 +110,13 @@ func (t *Tree) Maintain() (_ int, err error) {
 // any higher-level entry of n.
 func (t *Tree) staleGuards(n *page.IndexNode) []page.Entry {
 	var out []page.Entry
-	for i := range n.Entries {
-		e := n.Entries[i]
+	entries := n.ReadEntries()
+	for i, e := range entries {
 		if e.Level >= n.Level-1 {
 			continue // unpromoted
 		}
-		rest := page.IndexNode{Level: n.Level, Region: n.Region}
-		rest.Entries = append(rest.Entries, n.Entries[:i]...)
-		rest.Entries = append(rest.Entries, n.Entries[i+1:]...)
-		if !needsGuard(&rest, e) {
+		rest := append(append([]page.Entry(nil), entries[:i]...), entries[i+1:]...)
+		if !needsGuard(rest, e) {
 			out = append(out, e)
 		}
 	}

@@ -99,12 +99,16 @@ func (t *Tree) indexNodes() (int64, error) {
 		if err != nil {
 			return err
 		}
-		for _, e := range node.Entries {
-			if e.Level >= 1 {
+		c := node.Cols()
+		if c == nil {
+			return mirrorless(id)
+		}
+		for i := 0; i < c.Len(); i++ {
+			if c.Level(i) >= 1 {
 				n++
 			}
-			if e.Level >= 2 {
-				if err := walk(e.Child); err != nil {
+			if c.Level(i) >= 2 {
+				if err := walk(c.Child(i)); err != nil {
 					return err
 				}
 			}

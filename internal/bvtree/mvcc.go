@@ -294,9 +294,13 @@ func (t *Tree) lockWrite() error {
 	return nil
 }
 
-// wIndex fetches index node id for mutation. When pinned readers may
-// still need the current version it is captured and a private clone
-// returned; the caller mutates the result and saves it as usual.
+// wIndex fetches index node id for mutation, with its entries: a node
+// decoded from the store carries only columns, and is given its entries
+// here. When pinned readers may still need the current version it is
+// captured and a private clone — built with entries of its own — returned;
+// otherwise no reader can see the node, and it is given them in place, so
+// the node pointer the writer holds stays the cached one. The caller
+// mutates the result and saves it as usual.
 func (t *Tree) wIndex(id page.ID) (*page.IndexNode, error) {
 	n, err := t.fetchIndex(id)
 	if err != nil || t.mv == nil {
@@ -305,10 +309,11 @@ func (t *Tree) wIndex(id page.ID) (*page.IndexNode, error) {
 	if c, ok := t.mv.capture(id, n); ok {
 		return c.(*page.IndexNode), nil
 	}
+	n.BuildEntries()
 	return n, nil
 }
 
-// wData is wIndex for data pages.
+// wData is wIndex for data pages: the page comes with its items.
 func (t *Tree) wData(id page.ID) (*page.DataPage, error) {
 	p, err := t.fetchData(id)
 	if err != nil || t.mv == nil {
@@ -317,6 +322,7 @@ func (t *Tree) wData(id page.ID) (*page.DataPage, error) {
 	if c, ok := t.mv.capture(id, p); ok {
 		return c.(*page.DataPage), nil
 	}
+	p.BuildItems()
 	return p, nil
 }
 

@@ -73,11 +73,17 @@ func (t *Tree) nearestLocked(p geometry.Point, k int) ([]Neighbor, error) {
 			// One batched pass over the coordinate columns keeps the items
 			// inside the cube the current k-th distance spans around p; only
 			// those can enter the result set, and only they are measured.
+			// The result keeps their points, so a page decoded from the
+			// store gives a private copy of its items.
+			var items []page.Item
 			t.stats.BatchTests.Inc()
 			distCube(p, worst(), cube)
 			for base := 0; base < c.Len(); base += 64 {
 				for m := c.ContainMask64(cube, base); m != 0; m &= m - 1 {
-					item := &dp.Items[base+bits.TrailingZeros64(m)]
+					if items == nil {
+						items = dp.ReadItems()
+					}
+					item := &items[base+bits.TrailingZeros64(m)]
 					d := pointDist(p, item.Point)
 					if d < worst() || best.Len() < k {
 						heap.Push(&best, Neighbor{Point: item.Point, Payload: item.Payload, Dist: d})

@@ -36,10 +36,10 @@ type NodeStore interface {
 // errMirrorless is what a read returns for a node that reached it without
 // a fresh columnar mirror (page.IndexNode.Cols, page.DataPage.DCols). The
 // columns are the only form readers scan, so every node a NodeStore hands
-// out must carry them: a store builds the mirror at its three publication
+// out must carry them: a store builds them at its three publication
 // points — allocation, save, and the decode of a stored page (readIndex,
-// readData) — and a writer saves a node it has changed before anything
-// reads it again. A node that breaks the rule is a bug, reported by page
+// readData), which builds nothing else — and a writer saves a node it has
+// changed before anything reads it again. A node that breaks the rule is a bug, reported by page
 // rather than answered from a second, entry-by-entry implementation.
 var errMirrorless = errors.New("bvtree: node has no fresh columnar mirror")
 
@@ -406,28 +406,29 @@ func (s *pagedNodes) Data(id page.ID) (*page.DataPage, error) {
 	return p, err
 }
 
-// readIndex is the one place a stored index page becomes a node: read,
-// decoded, and given its columnar mirror before anyone can see it —
-// through the cache (Index) or privately (a pinned view's miss). Readers
-// never build columns themselves; racing decodes each sync their own
-// copy and the last cachePut wins whole.
+// readIndex is the one place a stored index page becomes a node: read
+// and decoded, in one pass over its bytes, straight into the columns
+// readers scan, before anyone can see it — through the cache (Index) or
+// privately (a pinned view's miss). The node carries nothing else: a
+// writer builds its entries when it takes the node (wIndex), a read-only
+// walk that needs them gets a private copy (page.IndexNode.ReadEntries),
+// so a node many readers share is never changed by one of them. Racing
+// decodes each make their own copy and the last cachePut wins whole.
 func (s *pagedNodes) readIndex(id page.ID) (*page.IndexNode, error) {
 	s.indexReads.Add(1)
 	blob, err := s.st.ReadNode(id)
 	if err != nil {
 		return nil, err
 	}
-	n, err := page.DecodeIndex(blob)
+	n, err := page.DecodeIndexCols(blob, s.dims)
 	if err != nil {
 		return nil, fmt.Errorf("bvtree: decode index page %d: %w", id, err)
 	}
-	n.SyncCols(s.dims)
 	return n, nil
 }
 
 // peekIndex is Index for an observer: a hit sets no clock bit, and a
-// miss is decoded privately, without columns, and counted nowhere but
-// in the store.
+// miss is decoded privately and counted nowhere but in the store.
 func (s *pagedNodes) peekIndex(id page.ID) (*page.IndexNode, error) {
 	sh := s.shard(id)
 	sh.mu.Lock()
@@ -440,21 +441,24 @@ func (s *pagedNodes) peekIndex(id page.ID) (*page.IndexNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	return page.DecodeIndex(blob)
+	return page.DecodeIndexCols(blob, s.dims)
 }
 
-// readData is readIndex for data pages.
+// readData is readIndex for data pages: the page carries its coordinate
+// rows and its payload row, and a writer builds its items (wData).
 func (s *pagedNodes) readData(id page.ID) (*page.DataPage, error) {
 	s.dataReads.Add(1)
 	blob, err := s.st.ReadNode(id)
 	if err != nil {
 		return nil, err
 	}
-	p, _, err := page.DecodeData(blob)
+	p, dims, err := page.DecodeDataCols(blob)
 	if err != nil {
 		return nil, fmt.Errorf("bvtree: decode data page %d: %w", id, err)
 	}
-	p.SyncDataCols(s.dims)
+	if dims != s.dims {
+		return nil, fmt.Errorf("bvtree: decode data page %d: %w: %d dims in a %d-dimensional tree", id, page.ErrCorrupt, dims, s.dims)
+	}
 	return p, nil
 }
 

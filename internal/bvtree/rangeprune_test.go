@@ -217,7 +217,7 @@ func entryKeys(t *testing.T, tr *Tree) []region.BitString {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range n.Entries {
+		for _, e := range n.ReadEntries() {
 			keys = append(keys, e.Key)
 			if e.Level > 0 {
 				walk(e.Child)

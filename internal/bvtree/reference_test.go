@@ -18,7 +18,8 @@ import (
 // entries one at a time by brick intersection alone and items one at a
 // time by Rect.Contains — unpruned, never marking a subtree full, reading
 // Entries and Items, sharing no code with the qualifier, the walker or
-// the batched masks — so that, with the linear-scan oracles, it remains
+// the batched masks (a page decoded from the store gives a private copy
+// of them: ReadEntries, ReadItems) — so that, with the linear-scan oracles, it remains
 // the trusted reference the walker is compared against. It counts
 // NodeAccesses like any read.
 func (t *Tree) rangeScalar(id page.ID, level int, rect geometry.Rect, visit Visitor) (bool, error) {
@@ -27,7 +28,7 @@ func (t *Tree) rangeScalar(id page.ID, level int, rect geometry.Rect, visit Visi
 		if err != nil {
 			return false, err
 		}
-		for _, it := range dp.Items {
+		for _, it := range dp.ReadItems() {
 			if rect.Contains(it.Point) && !visit(it.Point, it.Payload) {
 				return false, nil
 			}
@@ -38,8 +39,9 @@ func (t *Tree) rangeScalar(id page.ID, level int, rect geometry.Rect, visit Visi
 	if err != nil {
 		return false, err
 	}
-	for i := range n.Entries {
-		e := &n.Entries[i]
+	entries := n.ReadEntries()
+	for i := range entries {
+		e := &entries[i]
 		if !region.BrickIntersects(e.Key, t.opt.Dims, rect) {
 			continue
 		}

@@ -231,13 +231,13 @@ func (t *Tree) lookupLocked(p geometry.Point) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Batched equality over the coordinate columns: the item slice is
-	// only touched for the (rare) exact matches.
+	// Batched equality over the coordinate columns: the payloads are
+	// only read for the (rare) exact matches.
 	var out []uint64
 	t.stats.BatchTests.Inc()
 	for base := 0; base < c.Len(); base += 64 {
 		for m := c.EqualMask64(p, base); m != 0; m &= m - 1 {
-			out = append(out, dp.Items[base+bits.TrailingZeros64(m)].Payload)
+			out = append(out, dp.Payload(base+bits.TrailingZeros64(m)))
 		}
 	}
 	return out, nil

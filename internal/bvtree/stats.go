@@ -51,14 +51,14 @@ func (t *Tree) CollectStats() (*TreeStats, error) {
 			return err
 		}
 		s.DataPages++
-		s.Items += len(dp.Items)
-		occ := float64(len(dp.Items)) / float64(t.opt.DataCapacity)
+		s.Items += dp.Len()
+		occ := float64(dp.Len()) / float64(t.opt.DataCapacity)
 		sumDataOcc += occ
 		if first || occ < s.DataMinOcc {
 			s.DataMinOcc = occ
 		}
-		if first || len(dp.Items) < s.DataMinItems {
-			s.DataMinItems = len(dp.Items)
+		if first || dp.Len() < s.DataMinItems {
+			s.DataMinItems = dp.Len()
 		}
 		first = false
 		return nil
@@ -75,10 +75,11 @@ func (t *Tree) CollectStats() (*TreeStats, error) {
 			ls = &LevelStats{MinEntries: 1 << 30}
 			s.IndexLevels[n.Level] = ls
 		}
+		entries := n.ReadEntries()
 		ls.Nodes++
-		ls.Entries += len(n.Entries)
+		ls.Entries += len(entries)
 		guards := 0
-		for _, e := range n.Entries {
+		for _, e := range entries {
 			if e.Level == n.Level-1 {
 				ls.Unpromoted++
 			} else {
@@ -89,14 +90,12 @@ func (t *Tree) CollectStats() (*TreeStats, error) {
 		if guards > ls.MaxGuardsIn {
 			ls.MaxGuardsIn = guards
 		}
-		if len(n.Entries) < ls.MinEntries {
-			ls.MinEntries = len(n.Entries)
+		if len(entries) < ls.MinEntries {
+			ls.MinEntries = len(entries)
 		}
-		if len(n.Entries) > ls.MaxEntries {
-			ls.MaxEntries = len(n.Entries)
+		if len(entries) > ls.MaxEntries {
+			ls.MaxEntries = len(entries)
 		}
-		entries := make([]page.Entry, len(n.Entries))
-		copy(entries, n.Entries)
 		for _, e := range entries {
 			if e.Level == 0 {
 				if err := walkData(e.Child); err != nil {
@@ -167,16 +166,15 @@ func (t *Tree) Dump() (string, error) {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(&b, "%sdata %d region=%v items=%d\n", ind, id, dp.Region, len(dp.Items))
+			fmt.Fprintf(&b, "%sdata %d region=%v items=%d\n", ind, id, dp.Region, dp.Len())
 			return nil
 		}
 		n, err := t.fetchIndex(id)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(&b, "%snode %d L%d region=%v entries=%d\n", ind, id, n.Level, n.Region, len(n.Entries))
-		entries := make([]page.Entry, len(n.Entries))
-		copy(entries, n.Entries)
+		entries := n.ReadEntries()
+		fmt.Fprintf(&b, "%snode %d L%d region=%v entries=%d\n", ind, id, n.Level, n.Region, len(entries))
 		for _, e := range entries {
 			tag := ""
 			if e.IsGuard(n.Level) {

@@ -140,8 +140,10 @@ func (w *rangeWalker) drive(root rangeTask, visit Visitor) error {
 // The items of any page the pinned view can reach are immutable for the
 // duration of the query — a writer that needs to change such a page
 // captures it into its version chain and mutates a clone — so reading
-// them here reads stable memory, and the mirror a reachable page carries
-// stays in lockstep with its items.
+// them here reads stable memory, and the columns a reachable page carries
+// stay in lockstep with its items. A cached page decoded from the store
+// has no items to read: the walk scans its columns and, for a visitor,
+// copies its points out, never building items on the shared page.
 func (w *rangeWalker) scanPages(visit Visitor) (bool, error) {
 	t := w.t
 	if len(w.dataIDs) == 0 {
@@ -190,8 +192,16 @@ func (w *rangeWalker) scanPage(i int, id page.ID, full bool, visit Visitor) (int
 	var cols *page.DataCols // nil only for a page decoded here from a blob
 	switch {
 	case w.pages[i] != nil:
-		if items, cols = w.pages[i].Items, w.pages[i].DCols(); cols == nil {
+		dp := w.pages[i]
+		if items, cols = dp.Items, dp.DCols(); cols == nil {
 			return 0, false, mirrorless(id)
+		}
+		if items == nil && visit != nil {
+			// A page decoded from the store carries only its columns, and
+			// the visitor may keep the points it is handed: they are copied
+			// into the page set's arena, as a blob's are decoded there.
+			w.out, w.coords = dp.AppendItems(w.out[:0], w.coords)
+			items = w.out
 		}
 	case full && visit == nil:
 		n, err := page.DecodeDataCount(w.blobs[i])
@@ -206,7 +216,7 @@ func (w *rangeWalker) scanPage(i int, id page.ID, full bool, visit Visitor) (int
 	got := 0
 	switch {
 	case full && visit == nil:
-		got = len(items)
+		got = cols.Len()
 	case !full && cols != nil:
 		w.t.stats.BatchTests.Inc()
 		for base := 0; base < cols.Len(); base += 64 {

@@ -9,12 +9,14 @@ import (
 	"bvtree/internal/region"
 )
 
-// This file gives IndexNode a columnar mirror of its entry slice: the
-// struct-of-arrays layout the descent and range hot paths scan instead
-// of the array-of-structs Entries. The wire format is untouched — the
-// mirror is derived state, rebuilt from Entries after a decode or a
-// save. Entries is the form writers edit and encoders read; the mirror
-// is the only form readers scan.
+// This file gives IndexNode its columns: the struct-of-arrays layout
+// the descent and range hot paths scan instead of the array-of-structs
+// Entries. The wire format is untouched. A page read from the store is
+// decoded straight into the columns (DecodeIndexCols) and carries nothing
+// else until a writer takes it (BuildEntries builds Entries from them);
+// on a node a writer holds, Entries is the form the writer edits and the
+// columns are rebuilt from it at every save (SyncCols). Either way the
+// columns are the only form readers scan.
 //
 // Layout. One uint64 arena holds four fixed partitions — the head
 // words (the first 64 bits of each entry key, left-aligned), the child
@@ -22,26 +24,36 @@ import (
 // the exact box BrickBounds deinterleaves from the key), and a shared
 // tail arena for the rare key bits beyond the head — and one int32
 // arena holds the entry levels, key bit lengths and tail offsets.
-// Building or cloning the mirror is therefore two allocations and the
-// struct, regardless of entry count.
+// Building, decoding or cloning the columns is therefore two allocations
+// and the struct, regardless of entry count.
 //
-// Freshness. The mirror records the length and first-element address
-// of the Entries slice it was built from. Cols() returns nil whenever
-// those no longer match, which covers every in-place mutation the tree
-// performs (removals, splits and rebinds all change the length or the
-// backing array): a stale mirror is detected, never read as wrong, and
-// a reader that meets one reports a fault.
+// Freshness. On a node with Entries, the columns record the first-element
+// address of the slice they were built from, and Cols() returns nil
+// whenever that or the length no longer matches, which covers every
+// in-place mutation the tree performs (removals, splits and rebinds all
+// change the length or the backing array): a stale mirror is detected,
+// never read as wrong, and a reader that meets one reports a fault. On a
+// decoded node that records nothing, the columns are fresh for as long as
+// the node has no Entries.
 
-// NodeCols is the columnar mirror of one IndexNode's entries.
+// NodeCols is the columnar form of one IndexNode's entries.
 type NodeCols struct {
 	dims int
 	n    int
 	capE int // entry slots allocated
 	capT int // tail words allocated
 
-	// Freshness marker: the Entries slice this mirror was built from.
-	entsLen   int
+	// Freshness marker: &Entries[0] of the slice the columns were built
+	// from, nil when they mirror no entries (none, or a decoded node's).
 	entsFirst *Entry
+
+	// The padding keeps the struct in the allocator's 288-byte size class.
+	// Objects of the 256-byte class all start on 256-byte boundaries, so
+	// the header words a lookup reads of every node it passes fall in a
+	// quarter of the L1 cache's sets; on a fully cached tree that cost
+	// random lookups and one-item windows 4–6 % (EXPERIMENTS.md, "decoding
+	// straight into the columns").
+	_ [8]byte
 
 	arena []uint64 // head | child | bounds | tails, partitions fixed per allocation
 	i32   []int32  // levels | keyLen | tailOff
@@ -78,26 +90,33 @@ func (c *NodeCols) BoundsAt(i int) (min, max []uint64) {
 	return eb[:c.dims], eb[c.dims:]
 }
 
-// Cols returns the node's columnar mirror, or nil when no mirror has
-// been built or the entry slice has changed since it was: the node was
-// not published through SyncCols, which readers treat as an error.
+// Cols returns the node's columns, or nil when none have been built or
+// the entry slice has changed since they were: the node was not
+// published through a decode or SyncCols, which readers treat as an
+// error.
 func (n *IndexNode) Cols() *NodeCols {
 	c := n.cols
-	if c == nil || c.entsLen != len(n.Entries) ||
-		(c.entsLen > 0 && c.entsFirst != &n.Entries[0]) {
+	switch {
+	case c == nil:
+		return nil
+	case c.entsFirst == nil:
+		if len(n.Entries) != 0 {
+			return nil
+		}
+	case c.n != len(n.Entries) || c.entsFirst != &n.Entries[0]:
 		return nil
 	}
 	return c
 }
 
-// SyncCols (re)builds the columnar mirror from the entry slice. It is
-// called wherever a node becomes visible to readers — after a decode,
-// and on every save — so hot paths never build columns themselves. A
-// fresh mirror is left untouched.
+// SyncCols (re)builds the columns from the entry slice. It is called
+// on every save, so hot paths never build columns themselves. Fresh
+// columns are left untouched.
 func (n *IndexNode) SyncCols(dims int) {
 	if c := n.Cols(); c != nil && c.dims == dims {
 		return
 	}
+	n.BuildEntries()
 	c := n.cols
 	if c == nil {
 		c = &NodeCols{}
@@ -120,7 +139,7 @@ func (n *IndexNode) SyncCols(dims int) {
 // reserve sizes the arenas for capE entries and capT tail words, reusing
 // existing storage when it suffices.
 func (c *NodeCols) reserve(dims, capE, capT int) {
-	if c.dims == dims && capE <= c.capE && capT <= c.capT {
+	if c.i32 != nil && c.dims == dims && capE <= c.capE && capT <= c.capT {
 		return
 	}
 	c.dims, c.capE, c.capT = dims, capE, capT
@@ -159,14 +178,38 @@ func (c *NodeCols) push(e *Entry) {
 	c.n = i + 1
 }
 
-// mark records the Entries slice the mirror now describes.
+// mark records the Entries slice the columns now describe.
 func (c *NodeCols) mark(ents []Entry) {
-	c.entsLen = len(ents)
 	if len(ents) > 0 {
 		c.entsFirst = &ents[0]
 	} else {
 		c.entsFirst = nil
 	}
+}
+
+// entries builds the entries the columns describe: one entry slice and
+// one slab all their keys are cut from.
+func (c *NodeCols) entries() []Entry {
+	words := 0
+	for i := 0; i < c.n; i++ {
+		words += (int(c.keyLen[i]) + 63) / 64
+	}
+	slab := make([]uint64, words)
+	ents := make([]Entry, c.n)
+	for i := range ents {
+		kl := int(c.keyLen[i])
+		nw := (kl + 63) / 64
+		w := slab[:nw:nw]
+		slab = slab[nw:]
+		if nw > 0 {
+			w[0] = c.head[i]
+			copy(w[1:], c.tails[c.tailOff[i]:c.tailOff[i+1]])
+		}
+		ents[i].Key, _ = region.OwnWords(w, kl)
+		ents[i].Level = int(c.levels[i])
+		ents[i].Child = ID(c.child[i])
+	}
+	return ents
 }
 
 // clone deep-copies the mirror: two arena copies, independent of entry
@@ -223,6 +266,23 @@ func (c *NodeCols) Match64(t PointKey, base int) uint64 {
 		}
 	}
 	return m
+}
+
+// Extends reports whether key is a proper prefix of the key of some entry
+// above level: the first condition of the placement descent's guard
+// rule, tested on the columns so that a node decoded from the store needs
+// no entries built unless it passes. A key longer than one word is not
+// tested — any longer entry above level counts — so a false answer is
+// exact and a true one may need the entries to confirm.
+func (c *NodeCols) Extends(key region.BitString, level int) bool {
+	kl, head := key.Len(), key.Head64()
+	for i := 0; i < c.n; i++ {
+		if int(c.levels[i]) > level && int(c.keyLen[i]) > kl &&
+			(kl > 64 || region.HeadMatch64(head, kl, c.head[i])) {
+			return true
+		}
+	}
+	return false
 }
 
 // Intersect64 is the batched rectangle-overlap pass (intersectAll): it
@@ -307,10 +367,11 @@ func (c *NodeCols) Cover64(rect geometry.Rect, base int, cand uint64) uint64 {
 	return m
 }
 
-// CheckCols verifies the columnar mirror against the entry slice: it must
-// be fresh, and every column of every mirrored entry must agree with the
-// entry it mirrors. It is wired into the tree's Validate walk as the
-// safety net behind the mirror's staleness discipline.
+// CheckCols verifies the columns against the entries: they must be
+// fresh, and every column of every entry must agree with the entry — on
+// a decoded node, with the entry built from the columns, whose key must
+// give the stored brick bounds. It is wired into the tree's Validate walk
+// as the safety net behind the staleness discipline.
 func (n *IndexNode) CheckCols(dims int) error {
 	c := n.Cols()
 	if c == nil {
@@ -319,12 +380,13 @@ func (n *IndexNode) CheckCols(dims int) error {
 	if c.dims != dims {
 		return fmt.Errorf("page: cols built for %d dims, tree has %d", c.dims, dims)
 	}
-	if c.n != len(n.Entries) {
-		return fmt.Errorf("page: cols mirror %d entries, node has %d", c.n, len(n.Entries))
+	ents := n.ReadEntries()
+	if c.n != len(ents) {
+		return fmt.Errorf("page: cols mirror %d entries, node has %d", c.n, len(ents))
 	}
 	var bmin, bmax [geometry.MaxDims]uint64
-	for i := range n.Entries {
-		e := &n.Entries[i]
+	for i := range ents {
+		e := &ents[i]
 		if c.Level(i) != e.Level || c.Child(i) != e.Child || c.KeyBits(i) != e.Key.Len() {
 			return fmt.Errorf("page: cols entry %d mismatch (level %d/%d child %d/%d bits %d/%d)",
 				i, c.Level(i), e.Level, c.Child(i), e.Child, c.KeyBits(i), e.Key.Len())

@@ -71,6 +71,17 @@ func TestColsMatch64AgainstIsPrefixOf(t *testing.T) {
 						target = target.Append(rng.Intn(2))
 					}
 				}
+				// Extends is the reverse test, key ⊊ entry key, for entries
+				// above a level; keys past one word may only err to true.
+				key := target.Prefix(rng.Intn(min(target.Len(), 80) + 1))
+				lvl := rng.Intn(3)
+				want := false
+				for _, e := range n.Entries {
+					want = want || e.Level > lvl && key.IsProperPrefixOf(e.Key)
+				}
+				if got := c.Extends(key, lvl); got != want && !(got && key.Len() > 64) {
+					t.Fatalf("dims=%d key %v level %d: Extends=%v, the entries say %v", dims, key, lvl, got, want)
+				}
 				tk := MakePointKey(target)
 				for base := 0; base < len(n.Entries); base += 64 {
 					m := c.Match64(tk, base)

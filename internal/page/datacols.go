@@ -8,43 +8,53 @@ import (
 	"bvtree/internal/geometry"
 )
 
-// DataCols is the columnar mirror of a data page: the items' coordinates
+// DataCols is the columnar form of a data page: the items' coordinates
 // deinterleaved into one per-dimension row each, laid out in a single
 // arena so the point tests of the lookup and range hot paths scan
 // contiguous words instead of chasing one Point slice per item.
 //
-// Like NodeCols it is derived state with the same staleness discipline:
-// Items is what writers edit, DCols returns nil whenever the mirror may
-// be out of date (detected, never read as wrong), and SyncDataCols — run
-// by every SaveData — rebuilds it; DecodeData fills it in the same pass
-// as the items, so a decoded page needs no rebuild. Data pages are small
-// (DataCapacity items) and saved on every mutation, so a full rebuild
-// per save costs one short copy.
+// A page read from the store is decoded straight into the columns
+// (DecodeDataCols), with one more row for the payloads, and carries
+// nothing else until a writer takes it (BuildItems). On a page a writer
+// holds, Items is what the writer edits, the payloads live there, and the
+// columns are rebuilt from it by every SaveData (SyncDataCols) with no
+// payload row. The staleness discipline is NodeCols': DCols returns nil
+// whenever the columns may be out of date (detected, never read as
+// wrong). Data pages are small (DataCapacity items) and saved on every
+// mutation, so a full rebuild per save costs one short copy.
 type DataCols struct {
 	n      int
-	first  *Item // freshness marker: &Items[0] at sync time
+	first  *Item // freshness marker: &Items[0] at sync time, nil on a decoded page
 	dims   int
 	stride int
-	coords []uint64 // row d is coords[d*stride : d*stride+n]
+	coords []uint64 // row d is coords[d*stride : d*stride+n]; on a decoded page row dims holds the payloads
 }
 
-// DCols returns the page's columnar mirror, or nil when it is missing or
+// DCols returns the page's columns, or nil when they are missing or
 // possibly stale (the item slice changed length or moved since the last
 // sync), which readers treat as an error.
 func (p *DataPage) DCols() *DataCols {
 	c := p.dcols
-	if c == nil || c.n != len(p.Items) || (c.n > 0 && c.first != &p.Items[0]) {
+	switch {
+	case c == nil:
+		return nil
+	case c.first == nil:
+		if len(p.Items) != 0 {
+			return nil
+		}
+	case c.n != len(p.Items) || c.first != &p.Items[0]:
 		return nil
 	}
 	return c
 }
 
-// SyncDataCols (re)builds the mirror from Items. It is idempotent and
-// cheap to call when the mirror is already fresh.
+// SyncDataCols (re)builds the columns from Items. It is idempotent and
+// cheap to call when the columns are already fresh.
 func (p *DataPage) SyncDataCols(dims int) {
 	if c := p.DCols(); c != nil && c.dims == dims {
 		return
 	}
+	p.BuildItems()
 	c := p.dcols
 	n := len(p.Items)
 	stride := cap(p.Items)
@@ -63,6 +73,41 @@ func (p *DataPage) SyncDataCols(dims int) {
 			c.coords[d*c.stride+i] = pt[d]
 		}
 	}
+}
+
+// Payload returns item i's payload: from Items when the page carries
+// them, from the payload row of a decoded page's columns otherwise.
+func (p *DataPage) Payload(i int) uint64 {
+	if i < len(p.Items) {
+		return p.Items[i].Payload
+	}
+	c := p.dcols
+	return c.coords[c.dims*c.stride+i]
+}
+
+// AppendItems appends the page's items to dst, their points copied from
+// the columns into coords, and returns both extended slices; as with
+// AppendDataItems, the points of earlier calls stay valid when coords
+// relocates. The page must have fresh columns. It is how a reader that
+// hands points out — and may see them retained — gets a decoded page's
+// items without changing the page.
+func (p *DataPage) AppendItems(dst []Item, coords []uint64) ([]Item, []uint64) {
+	c := p.dcols
+	base := len(coords)
+	if cap(coords)-base < c.n*c.dims {
+		grown := make([]uint64, base, base+c.n*c.dims)
+		copy(grown, coords)
+		coords = grown
+	}
+	coords = coords[:base+c.n*c.dims]
+	for i := 0; i < c.n; i++ {
+		pt := coords[base+i*c.dims : base+(i+1)*c.dims : base+(i+1)*c.dims]
+		for d := range pt {
+			pt[d] = c.coords[d*c.stride+i]
+		}
+		dst = append(dst, Item{Point: pt, Payload: p.Payload(i)})
+	}
+	return dst, coords
 }
 
 // Len returns the number of mirrored items.
@@ -126,8 +171,8 @@ func (c *DataCols) ContainMask64(r geometry.Rect, base int) uint64 {
 	return m
 }
 
-// CheckDataCols verifies the mirror against Items: it must be fresh and
-// agree on every coordinate.
+// CheckDataCols verifies the columns against the items: they must be
+// fresh and agree on every coordinate.
 func (p *DataPage) CheckDataCols(dims int) error {
 	c := p.DCols()
 	if c == nil {
@@ -136,8 +181,12 @@ func (p *DataPage) CheckDataCols(dims int) error {
 	if c.dims != dims {
 		return fmt.Errorf("page: data mirror has %d dims, want %d", c.dims, dims)
 	}
-	for i := range p.Items {
-		pt := p.Items[i].Point
+	items := p.ReadItems()
+	if c.n != len(items) {
+		return fmt.Errorf("page: data mirror has %d items, page has %d", c.n, len(items))
+	}
+	for i := range items {
+		pt := items[i].Point
 		for d := 0; d < dims; d++ {
 			if c.coords[d*c.stride+i] != pt[d] {
 				return fmt.Errorf("page: data mirror item %d dim %d: column %d, point %d",

@@ -121,7 +121,8 @@ func privateKeys(t *testing.T, n *IndexNode) *IndexNode {
 	return c
 }
 
-// TestDecodeIndexSlabSharing: the keys of a decoded node share one slab.
+// TestDecodeIndexSlabSharing: the keys of a decoded node share one slab,
+// the one the entry build cuts them all from.
 // Everything the tree does to such a node — split its entries over two
 // nodes, clone it, append to it, drop entries — must encode exactly as it
 // does for a node whose keys each own their words, and must leave the
@@ -190,9 +191,10 @@ func TestDecodeIndexSlabSharing(t *testing.T) {
 	}
 }
 
-// TestDecodeDataPublishesMirror: DecodeData fills the columnar mirror in
-// its own pass, so the page it returns is already published for the
-// dimensionality the page records and SyncDataCols has nothing to do.
+// TestDecodeDataPublishesMirror: DecodeData decodes into the columns and
+// builds the items from them, so the page it returns is already published
+// for the dimensionality the page records and SyncDataCols has nothing to
+// do.
 func TestDecodeDataPublishesMirror(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, dims := range []int{1, 2, 5} {

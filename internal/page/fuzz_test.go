@@ -13,7 +13,11 @@ import (
 // anything that does not round-trip, and must classify every rejection as
 // ErrCorrupt. Seeds cover valid encodings of each page kind and the
 // structurally wrong pages of decode_test.go, whose checksums are valid;
-// the fuzzer mutates them into torn and corrupt forms.
+// the fuzzer mutates them into torn and corrupt forms. The column
+// decoders (DecodeIndexCols, DecodeDataCols), which are what a tree reads
+// stored pages with, must accept exactly the pages the entry decoders
+// accept, and the entries or items built from their columns must agree
+// with the columns and encode as the entry decoders' result does.
 
 func FuzzDecodeIndex(f *testing.F) {
 	n := &IndexNode{Level: 2, Region: region.MustParseBits("01")}
@@ -29,14 +33,31 @@ func FuzzDecodeIndex(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		got, err := DecodeIndex(b)
+		cols, cerr := DecodeIndexCols(b, 2)
+		if (err == nil) != (cerr == nil) {
+			t.Fatalf("DecodeIndex error %v, DecodeIndexCols error %v", err, cerr)
+		}
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("decode error %q does not wrap ErrCorrupt", err)
+			if !errors.Is(err, ErrCorrupt) || !errors.Is(cerr, ErrCorrupt) {
+				t.Fatalf("decode errors %q, %q do not wrap ErrCorrupt", err, cerr)
 			}
 			return
 		}
 		// Anything accepted must re-encode and decode identically.
 		re := EncodeIndex(got)
+		if err := cols.CheckCols(2); err != nil {
+			t.Fatalf("decoded columns disagree with their entries: %v", err)
+		}
+		if !bytes.Equal(EncodeIndex(cols), re) {
+			t.Fatal("a node carrying only columns encodes differently")
+		}
+		cols.BuildEntries()
+		if err := cols.CheckCols(2); err != nil {
+			t.Fatalf("columns stale after BuildEntries: %v", err)
+		}
+		if !bytes.Equal(EncodeIndex(cols), re) {
+			t.Fatal("entries built from the columns encode differently")
+		}
 		again, err := DecodeIndex(re)
 		if err != nil {
 			t.Fatalf("re-decode of accepted page failed: %v", err)
@@ -73,11 +94,18 @@ func FuzzDecodeData(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		got, dims, err := DecodeData(b)
+		cols, cdims, cerr := DecodeDataCols(b)
+		if (err == nil) != (cerr == nil) {
+			t.Fatalf("DecodeData error %v, DecodeDataCols error %v", err, cerr)
+		}
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("decode error %q does not wrap ErrCorrupt", err)
+			if !errors.Is(err, ErrCorrupt) || !errors.Is(cerr, ErrCorrupt) {
+				t.Fatalf("decode errors %q, %q do not wrap ErrCorrupt", err, cerr)
 			}
 			return
+		}
+		if cdims != dims {
+			t.Fatalf("DecodeDataCols found %d dims, DecodeData %d", cdims, dims)
 		}
 		// An accepted page comes out published: the mirror DecodeData
 		// filled must agree with the items.
@@ -87,6 +115,24 @@ func FuzzDecodeData(f *testing.F) {
 		re := EncodeData(got, dims)
 		if _, _, err := DecodeData(re); err != nil {
 			t.Fatalf("re-decode of accepted page failed: %v", err)
+		}
+		if err := cols.CheckDataCols(dims); err != nil {
+			t.Fatalf("decoded columns disagree with their items: %v", err)
+		}
+		for i := range got.Items {
+			if cols.Payload(i) != got.Items[i].Payload {
+				t.Fatalf("item %d: payload row %d, item %d", i, cols.Payload(i), got.Items[i].Payload)
+			}
+		}
+		if !bytes.Equal(EncodeData(cols, dims), re) {
+			t.Fatal("a page carrying only columns encodes differently")
+		}
+		cols.BuildItems()
+		if err := cols.CheckDataCols(dims); err != nil {
+			t.Fatalf("columns stale after BuildItems: %v", err)
+		}
+		if !bytes.Equal(EncodeData(cols, dims), re) {
+			t.Fatal("items built from the columns encode differently")
 		}
 	})
 }

@@ -55,27 +55,76 @@ func (e Entry) IsGuard(nodeLevel int) bool { return e.Level < nodeLevel-1 }
 // Level >= 1. Its unpromoted entries have partition level Level-1; promoted
 // guards have lower levels. Region is the node's own region key (the key of
 // its entry in the parent).
+//
+// A node is in one of two states. Decoded from a page (DecodeIndexCols)
+// it carries only its columns (see cols.go) and Entries is nil: that is
+// all a reader scans. A writer takes it with BuildEntries, which builds
+// Entries from the columns in place; from then on Entries is what the
+// writer edits and the columns are rebuilt from it at every save
+// (SyncCols). Code that reads entries without editing them uses
+// ReadEntries, which never changes the node.
 type IndexNode struct {
 	Level   int
 	Region  region.BitString
 	Entries []Entry
 
-	// cols is the columnar mirror of Entries (see cols.go): derived
-	// acceleration state, never encoded, accessed through Cols() which
-	// hides it whenever it is stale.
+	// cols is the node's columnar form (see cols.go): never encoded,
+	// accessed through Cols() which hides it whenever it is stale.
 	cols *NodeCols
 }
 
-// Clone returns a copy of n whose Entries slice has a private backing
-// array, so the copy can be appended to, compacted, or rebound without
-// disturbing the original. Entry keys are BitStrings with value
-// semantics (no in-place mutators), so sharing their word storage across
-// the copy is safe. A fresh columnar mirror is cloned along: its slab
-// layout makes that a fixed number of arena copies however many entries
-// the node holds, which is what keeps MVCC copy-on-write capture cheap.
+// bare reports whether the node carries only its columns: decoded from
+// a page and not yet taken by a writer.
+func (n *IndexNode) bare() bool {
+	c := n.cols
+	return len(n.Entries) == 0 && c != nil && c.entsFirst == nil && c.n > 0
+}
+
+// BuildEntries gives a node that carries only its columns its Entries,
+// built from the columns in place; the columns stay fresh. It is how a
+// writer takes a decoded node, and it does nothing to a node that has
+// Entries already. Only a caller that holds the node exclusively may call
+// it: readers use ReadEntries.
+func (n *IndexNode) BuildEntries() {
+	if n.bare() {
+		n.Entries = n.cols.entries()
+		n.cols.mark(n.Entries)
+	}
+}
+
+// ReadEntries returns the node's entries for reading: Entries itself
+// when the node carries them, otherwise a private copy built from the
+// columns. The node is never changed, and the result must not be edited.
+func (n *IndexNode) ReadEntries() []Entry {
+	if n.bare() {
+		return n.cols.entries()
+	}
+	return n.Entries
+}
+
+// Len returns the number of entries, in either state.
+func (n *IndexNode) Len() int {
+	if n.bare() {
+		return n.cols.n
+	}
+	return len(n.Entries)
+}
+
+// Clone returns a copy of n in the writer's state, whose Entries slice
+// has a private backing array, so the copy can be appended to, compacted,
+// or rebound without disturbing the original; the entries of a node that
+// carries only columns are built for the copy alone. Entry keys are
+// BitStrings with value semantics (no in-place mutators), so sharing
+// their word storage across the copy is safe. A fresh columnar mirror is
+// cloned along: its slab layout makes that a fixed number of arena copies
+// however many entries the node holds, which is what keeps MVCC
+// copy-on-write capture cheap.
 func (n *IndexNode) Clone() *IndexNode {
 	c := &IndexNode{Level: n.Level, Region: n.Region}
-	if len(n.Entries) > 0 {
+	switch {
+	case n.bare():
+		c.Entries = n.cols.entries()
+	case len(n.Entries) > 0:
 		c.Entries = make([]Entry, len(n.Entries))
 		copy(c.Entries, n.Entries)
 	}
@@ -93,23 +142,78 @@ type Item struct {
 	Payload uint64
 }
 
-// DataPage is a leaf page holding the points of one level-0 region.
+// DataPage is a leaf page holding the points of one level-0 region. Like
+// IndexNode it is in one of two states: decoded from a page
+// (DecodeDataCols) it carries only its columns, payloads included, and
+// Items is nil; a writer takes it with BuildItems, after which Items is
+// what the writer edits and the columns are rebuilt from it at every save
+// (SyncDataCols). Readers use ReadItems, Payload or AppendItems, which
+// never change the page.
 type DataPage struct {
 	Region region.BitString
 	Items  []Item
 
-	// dcols is the page's columnar coordinate mirror (see datacols.go):
-	// derived, never encoded, dropped by Clone (a clone's mirror reads as
-	// stale until its first SyncDataCols).
+	// dcols is the page's columnar form (see datacols.go): never encoded,
+	// dropped by Clone (a clone's mirror reads as stale until its first
+	// SyncDataCols).
 	dcols *DataCols
 }
 
-// Clone returns a copy of p whose Items slice has a private backing
-// array. Item points are shared: tree code never mutates a stored
-// point's coordinates in place, it only rebinds whole items.
+// bare reports whether the page carries only its columns: decoded from
+// a page and not yet taken by a writer.
+func (p *DataPage) bare() bool {
+	c := p.dcols
+	return len(p.Items) == 0 && c != nil && c.first == nil && c.n > 0
+}
+
+// BuildItems gives a page that carries only its columns its Items, built
+// from the columns in place; the columns stay fresh. It is how a writer
+// takes a decoded page, and it does nothing to a page that has Items
+// already. Only a caller that holds the page exclusively may call it.
+func (p *DataPage) BuildItems() {
+	if p.bare() {
+		p.Items = p.columnItems()
+		p.dcols.first = &p.Items[0]
+	}
+}
+
+// ReadItems returns the page's items for reading: Items itself when the
+// page carries them, otherwise a private copy built from the columns. The
+// page is never changed, and the result must not be edited.
+func (p *DataPage) ReadItems() []Item {
+	if p.bare() {
+		return p.columnItems()
+	}
+	return p.Items
+}
+
+// columnItems builds the items from the columns: one item slice and one
+// slab for their points, each of exactly the page's size.
+func (p *DataPage) columnItems() []Item {
+	c := p.dcols
+	items, _ := p.AppendItems(make([]Item, 0, c.n), make([]uint64, 0, c.n*c.dims))
+	return items
+}
+
+// Len returns the number of items, in either state.
+func (p *DataPage) Len() int {
+	if p.bare() {
+		return p.dcols.n
+	}
+	return len(p.Items)
+}
+
+// Clone returns a copy of p in the writer's state, whose Items slice has
+// a private backing array; the items of a page that carries only columns
+// are built for the copy alone. Item points are shared: tree code never
+// mutates a stored point's coordinates in place, it only rebinds whole
+// items.
 func (p *DataPage) Clone() *DataPage {
 	c := &DataPage{Region: p.Region}
-	if len(p.Items) > 0 {
+	switch {
+	case p.bare():
+		c.Items = p.columnItems()
+	case len(p.Items) > 0:
 		c.Items = make([]Item, len(p.Items))
 		copy(c.Items, p.Items)
 	}
@@ -123,13 +227,14 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// EncodeIndex serialises an index node.
+// EncodeIndex serialises an index node, in either state.
 func EncodeIndex(n *IndexNode) []byte {
 	w := newWriter(KindIndex)
 	w.u32(uint32(n.Level))
 	w.bits(n.Region)
-	w.u32(uint32(len(n.Entries)))
-	for _, e := range n.Entries {
+	ents := n.ReadEntries()
+	w.u32(uint32(len(ents)))
+	for _, e := range ents {
 		w.u32(uint32(e.Level))
 		w.bits(e.Key)
 		w.u64(uint64(e.Child))
@@ -137,14 +242,15 @@ func EncodeIndex(n *IndexNode) []byte {
 	return w.finish()
 }
 
-// EncodeData serialises a data page. All items must share the page's
-// dimensionality.
+// EncodeData serialises a data page, in either state. All items must
+// share the page's dimensionality.
 func EncodeData(p *DataPage, dims int) []byte {
+	items := p.ReadItems()
 	w := newWriter(KindData)
 	w.u32(uint32(dims))
 	w.bits(p.Region)
-	w.u32(uint32(len(p.Items)))
-	for _, it := range p.Items {
+	w.u32(uint32(len(items)))
+	for _, it := range items {
 		for d := 0; d < dims; d++ {
 			w.u64(it.Point[d])
 		}
@@ -162,10 +268,28 @@ func DecodeKind(b []byte) (Kind, error) {
 	return r.kind, nil
 }
 
-// DecodeIndex deserialises an index node. The keys of all its entries are
-// cut from one slab of words (region.OwnWords): BitStrings are immutable,
-// so keys that share a backing array behave like keys that do not.
+// DecodeIndex deserialises an index node in the writer's form: Entries,
+// and no columnar mirror (the page does not record the dimensionality the
+// mirror's bounds need; SyncCols builds it). It is DecodeIndexCols
+// followed by the entry build, so the two accept exactly the same pages.
+// The keys of all its entries are cut from one slab of words: BitStrings
+// are immutable, so keys that share a backing array behave like keys
+// that do not.
 func DecodeIndex(b []byte) (*IndexNode, error) {
+	n, err := DecodeIndexCols(b, 0)
+	if err != nil {
+		return nil, err
+	}
+	n.Entries, n.cols = n.cols.entries(), nil
+	return n, nil
+}
+
+// DecodeIndexCols decodes an index page straight into the columns a
+// dims-dimensional tree's readers scan, in one pass over the entries
+// after a walk over their lengths: the node comes out carrying only its
+// columns (see IndexNode), with Cols() fresh, and no entry or key is
+// built (dims 0 builds no brick bounds).
+func DecodeIndexCols(b []byte, dims int) (*IndexNode, error) {
 	r, err := newReader(b)
 	if err != nil {
 		return nil, err
@@ -175,29 +299,68 @@ func DecodeIndex(b []byte) (*IndexNode, error) {
 	}
 	n := &IndexNode{}
 	n.Level = int(r.u32())
-	n.Region, _ = r.bits(nil)
+	n.Region = r.bits()
 	count := int(r.u32())
 	if r.err != nil {
 		return nil, r.err
 	}
 	// An entry is 16 bytes (level, key length, child) plus its key words,
-	// so the bytes left bound the count before anything is allocated, and
-	// what the fixed parts leave over is the room for every key together.
-	rest := len(r.buf) - r.off
-	if count < 0 || count > rest/16 {
-		return nil, fmt.Errorf("%w: %d entries in a %d-byte body", ErrCorrupt, count, rest)
+	// so the bytes left bound the count before anything is allocated.
+	body := r.buf[r.off:]
+	if count < 0 || count > len(body)/16 {
+		return nil, fmt.Errorf("%w: %d entries in a %d-byte body", ErrCorrupt, count, len(body))
 	}
-	slab := make([]uint64, 0, (rest-16*count)/8)
-	n.Entries = make([]Entry, count)
-	for i := range n.Entries {
-		e := &n.Entries[i]
-		e.Level = int(r.u32())
-		e.Key, slab = r.bits(slab)
-		e.Child = ID(r.u64())
+	// Walk the key lengths: the body must hold every entry, and the words
+	// past each key's first are the size of the tail column.
+	tails, off := 0, 0
+	for i := 0; i < count; i++ {
+		if off+16 > len(body) {
+			return nil, fmt.Errorf("%w: entry %d truncated at offset %d", ErrCorrupt, i, r.off+off)
+		}
+		kl := int(binary.LittleEndian.Uint32(body[off+4:]))
+		if kl > maxKeyBits {
+			return nil, fmt.Errorf("%w: implausible bit length %d", ErrCorrupt, kl)
+		}
+		nw := (kl + 63) / 64
+		if off += 16 + 8*nw; off > len(body) {
+			return nil, fmt.Errorf("%w: %d-bit key of entry %d overruns the page", ErrCorrupt, kl, i)
+		}
+		tails += max(nw-1, 0)
 	}
-	if r.err != nil {
-		return nil, r.err
+	c := &NodeCols{}
+	c.reserve(dims, count, tails)
+	var kw [geometry.MaxDims]uint64 // the key words the brick bounds read
+	stride := 2 * dims
+	for i := 0; i < count; i++ {
+		kl := int(binary.LittleEndian.Uint32(body[4:]))
+		c.levels[i] = int32(binary.LittleEndian.Uint32(body))
+		c.keyLen[i] = int32(kl)
+		nw := (kl + 63) / 64
+		words := body[8 : 8+8*nw]
+		for j := 0; j < nw; j++ {
+			w := binary.LittleEndian.Uint64(words[8*j:])
+			if j == nw-1 && kl%64 != 0 {
+				w &= ^uint64(0) << uint(64-kl%64)
+			}
+			if j == 0 {
+				c.head[i] = w
+			} else {
+				c.tails = append(c.tails, w)
+			}
+			if j < dims {
+				kw[j] = w
+			}
+		}
+		c.tailOff[i+1] = int32(len(c.tails))
+		if dims > 0 {
+			eb := c.bounds[i*stride : i*stride+stride]
+			region.WordsBrickBounds(kw[:min(nw, dims)], kl, dims, eb[:dims], eb[dims:])
+		}
+		c.child[i] = binary.LittleEndian.Uint64(body[8+8*nw:])
+		body = body[16+8*nw:]
 	}
+	c.n = count
+	n.cols = c
 	return n, nil
 }
 
@@ -217,7 +380,7 @@ func dataHeader(b []byte) (r reader, dims int, reg region.BitString, count int, 
 	if dims < 1 || dims > geometry.MaxDims {
 		return r, 0, reg, 0, fmt.Errorf("%w: implausible dimensionality %d", ErrCorrupt, dims)
 	}
-	reg, _ = r.bits(nil)
+	reg = r.bits()
 	count = int(r.u32())
 	if count < 0 || count > 1<<24 {
 		return r, 0, reg, 0, fmt.Errorf("%w: implausible item count %d", ErrCorrupt, count)
@@ -248,35 +411,39 @@ func (r *reader) items(dims, count int, dst []Item, coords []uint64) ([]Item, []
 	return dst, coords
 }
 
-// DecodeData deserialises a data page, for pages that stay resident in a
-// cache: the items get a slice of exactly their number, their points
-// share one coordinate slab (stored points are never mutated in place,
-// see DataPage.Clone), and the columnar mirror is filled in the same pass
-// for the dimensionality the page records, so the page comes out
-// published (DCols is fresh).
+// DecodeData deserialises a data page in the writer's form: Items, their
+// points sharing one coordinate slab (stored points are never mutated in
+// place, see DataPage.Clone), with the columnar mirror fresh for the
+// dimensionality the page records. It is DecodeDataCols followed by
+// BuildItems, so the two accept exactly the same pages.
 func DecodeData(b []byte) (*DataPage, int, error) {
+	p, dims, err := DecodeDataCols(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	p.BuildItems()
+	return p, dims, nil
+}
+
+// DecodeDataCols decodes a data page straight into the columns readers
+// scan, in one pass: one slab holds a row per dimension and the payload
+// row, and the page comes out carrying only its columns (see DataPage),
+// with DCols() fresh for the dimensionality the page records.
+func DecodeDataCols(b []byte) (*DataPage, int, error) {
 	r, dims, reg, count, err := dataHeader(b)
 	if err != nil {
 		return nil, 0, err
 	}
-	p := &DataPage{Region: reg, Items: make([]Item, count)}
-	slab := make([]uint64, 2*count*dims) // the points, then the mirror's rows
-	c := &DataCols{n: count, dims: dims, stride: count, coords: slab[count*dims:]}
+	slab := make([]uint64, (dims+1)*count)
 	body := r.buf[r.off:] // dataHeader checked that it holds count items
-	for i := range p.Items {
-		pt := slab[i*dims : (i+1)*dims : (i+1)*dims]
-		for d := range pt {
-			v := binary.LittleEndian.Uint64(body[8*d:])
-			pt[d], c.coords[d*count+i] = v, v
+	for i := 0; i < count; i++ {
+		for d := 0; d <= dims; d++ { // the coordinates, then the payload
+			slab[d*count+i] = binary.LittleEndian.Uint64(body[8*d:])
 		}
-		p.Items[i] = Item{Point: pt, Payload: binary.LittleEndian.Uint64(body[8*dims:])}
 		body = body[8*(dims+1):]
 	}
-	if count > 0 {
-		c.first = &p.Items[0]
-	}
-	p.dcols = c
-	return p, dims, nil
+	c := &DataCols{n: count, dims: dims, stride: count, coords: slab}
+	return &DataPage{Region: reg, dcols: c}, dims, nil
 }
 
 // AppendDataItems decodes the items of an encoded data page, appending
@@ -386,30 +553,20 @@ func (r *reader) u64() uint64 {
 	return v
 }
 
-// bits reads one bit string. Its words are appended to slab, which must
-// have the room (DecodeIndex sizes one slab for all the keys of a page;
-// an overrun means the lengths on the page do not add up), or allocated
-// when slab is nil; the key aliases them. The extended slab is returned.
-func (r *reader) bits(slab []uint64) (region.BitString, []uint64) {
+// maxKeyBits bounds the length of a bit string on a page.
+const maxKeyBits = 1 << 20
+
+// bits reads one bit string into words of its own.
+func (r *reader) bits() region.BitString {
 	n := int(r.u32())
-	if r.err == nil && (n < 0 || n > 1<<20) {
+	if r.err == nil && n > maxKeyBits {
 		r.err = fmt.Errorf("%w: implausible bit length %d", ErrCorrupt, n)
 	}
 	nw := (n + 63) / 64
 	if !r.need(nw * 8) {
-		return region.BitString{}, slab
+		return region.BitString{}
 	}
-	var words []uint64
-	switch {
-	case slab == nil:
-		words = make([]uint64, nw)
-	case nw > cap(slab)-len(slab):
-		r.err = fmt.Errorf("%w: %d-bit key at offset %d overruns the page's key words", ErrCorrupt, n, r.off)
-		return region.BitString{}, slab
-	default:
-		slab = slab[:len(slab)+nw]
-		words = slab[len(slab)-nw:]
-	}
+	words := make([]uint64, nw)
 	for i := range words {
 		words[i] = binary.LittleEndian.Uint64(r.buf[r.off:])
 		r.off += 8
@@ -418,5 +575,5 @@ func (r *reader) bits(slab []uint64) (region.BitString, []uint64) {
 	if err != nil {
 		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return b, slab
+	return b
 }

@@ -73,20 +73,30 @@ func TailMatch(head uint64, tail []uint64, kl int, target BitString) bool {
 // that they are gathered bit by bit. A coordinate has 64 bits, so key
 // bits past dims*64 — which no key the tree forms has — narrow nothing.
 func BrickBounds(b BitString, dims int, min, max []uint64) {
-	n := b.n
+	WordsBrickBounds(b.words, b.n, dims, min, max)
+}
+
+// WordsBrickBounds is BrickBounds for the n-bit key packed in words as a
+// BitString packs it (trailing bits zero). Only the first dims words are
+// read, so a caller that holds a key's words outside a BitString — the
+// page decoder — may pass just those.
+func WordsBrickBounds(words []uint64, n, dims int, min, max []uint64) {
 	if n > dims*64 {
 		n = dims * 64
 	}
 	switch dims {
 	case 1:
-		min[0] = b.Head64()
+		min[0] = 0
+		if len(words) > 0 {
+			min[0] = words[0]
+		}
 	case 2:
 		var w0, w1 uint64
-		if len(b.words) > 0 {
-			w0 = b.words[0]
+		if len(words) > 0 {
+			w0 = words[0]
 		}
-		if len(b.words) > 1 {
-			w1 = b.words[1]
+		if len(words) > 1 {
+			w1 = words[1]
 		}
 		// Key bit i sits at position 63-i of its word: dimension 0 owns
 		// the odd positions, dimension 1 the even ones.
@@ -98,7 +108,7 @@ func BrickBounds(b BitString, dims int, min, max []uint64) {
 		}
 		dim, bit := 0, uint64(1)<<63 // the coordinate bit key bit i fixes
 		for i := 0; i < n; i++ {
-			if b.words[i>>6]&(1<<uint(63-i&63)) != 0 {
+			if words[i>>6]&(1<<uint(63-i&63)) != 0 {
 				min[dim] |= bit
 			}
 			if dim++; dim == dims {
