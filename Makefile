@@ -18,7 +18,9 @@ GO ?= go
 # internal/bvtree, whose paged arms with 8 cached nodes write dirty
 # nodes back beside pinned readers), the columnar node-layout smoke
 # (TestColumnar* in internal/bvtree: concurrent batched reads against a
-# writer driving mirror rebuilds), the logged tree's commit and
+# writer editing the columns; TestColumnEdit*: pinned lookups, retaining
+# range visits and nearest searches beside a writer whose in-place column
+# edits split pages and nodes), the logged tree's commit and
 # checkpoint (TestDurable* and TestAutoCheckpoint* in internal/bvtree: the
 # tree lock is also the WAL order lock, so a checkpoint, run by the writer
 # whose commit filled the log, drains the group committer and writes back
@@ -57,7 +59,7 @@ verify:
 	$(GO) test ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/docslint
-	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestColumnar|TestDurable|TestAutoCheckpoint|TestShard|FuzzFrame|TestDecomposeRect|TestViewAdmission|TestCacheDeterministic|TestDecodedNodesMeetWriters' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard ./internal/zorder
+	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestColumnar|TestDurable|TestAutoCheckpoint|TestShard|FuzzFrame|TestDecomposeRect|TestViewAdmission|TestCacheDeterministic|TestDecodedNodesMeetWriters|TestColumnEdit' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard ./internal/zorder
 	$(GO) test -run '^$$' -bench 'Instrumented|DurableInsert|UnderBackup|MixedRead|ColdLookup|RangeDrive' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'DecodePublished' -benchtime 1x ./internal/bvtree
 
@@ -96,9 +98,10 @@ bench:
 backup:
 	$(GO) test -run 'TestSnapshot|TestBackup|TestRestore|TestDurableLSN' -v ./internal/bvtree
 
-# Coverage-guided fuzzing of the packed bulk loader: arbitrary byte-
-# derived point sets must load into a tree that passes the full
-# invariant check and scans back to exactly the input multiset.
+# Coverage-guided fuzzing of BulkLoad, a batch of inserts in the caller's
+# order: arbitrary byte-derived point sets must load into a tree that
+# passes the full invariant check and scans back to exactly the input
+# multiset.
 fuzz-bulkload:
 	$(GO) test -run '^$$' -fuzz=FuzzBulkLoad -fuzztime=30s ./internal/bvtree
 

@@ -154,8 +154,8 @@ func (s *Snapshot) Backup(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		for _, e := range n.ReadEntries() {
-			queue = append(queue, qent{id: e.Child, level: e.Level})
+		for c, i := n.Cols(), 0; i < c.Len(); i++ {
+			queue = append(queue, qent{id: c.Child(i), level: c.Level(i)})
 		}
 	}
 
@@ -212,9 +212,10 @@ func (s *Snapshot) Backup(w io.Writer) error {
 				return err
 			}
 			c := n.Clone()
-			for i := range c.Entries {
-				queue = append(queue, qent{id: c.Entries[i].Child, level: c.Entries[i].Level})
-				c.Entries[i].Child = next
+			cols := c.Cols()
+			for i := 0; i < cols.Len(); i++ {
+				queue = append(queue, qent{id: cols.Child(i), level: cols.Level(i)})
+				c.SetChild(i, next)
 				next++
 			}
 			blob = page.EncodeIndex(c)
@@ -326,11 +327,11 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 				return nil, fmt.Errorf("%w: frame %d: %v", ErrCorrupt, i, err)
 			}
 			levels = append(levels, n.Level)
-			for _, e := range n.Entries {
-				refs = append(refs, ref{child: e.Child, level: e.Level})
+			for c, j := n.Cols(), 0; j < c.Len(); j++ {
+				refs = append(refs, ref{child: c.Child(j), level: c.Level(j)})
 			}
 		case page.KindData:
-			dp, dims, err := page.DecodeData(blob)
+			dp, dims, err := page.DecodeDataCols(blob)
 			if err != nil {
 				return nil, fmt.Errorf("%w: frame %d: %v", ErrCorrupt, i, err)
 			}
@@ -338,7 +339,7 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 				return nil, fmt.Errorf("%w: frame %d: page dims %d, tree dims %d", ErrCorrupt, i, dims, opt.Dims)
 			}
 			levels = append(levels, -1)
-			items += uint64(len(dp.Items))
+			items += uint64(dp.Len())
 		default:
 			return nil, fmt.Errorf("%w: frame %d: unknown page kind %d", ErrCorrupt, i, kind)
 		}

@@ -397,3 +397,43 @@ func TestRangeWarmsIndex(t *testing.T) {
 			index2, data2, reads2, items2, data, data, items)
 	}
 }
+
+// TestWriterKeepsIndexResident: a node written back keeps its eviction
+// class. A tree built by writers is flushed with a cache of twice its
+// index plus 16 nodes, so the flush writes back every index node and the
+// lookups' trims then evict most data pages: every index node must stay
+// cached through it, and no lookup may read one from the store.
+func TestWriterKeepsIndexResident(t *testing.T) {
+	tr, err := NewPaged(storage.NewMemStore(), Options{Dims: 2, DataCapacity: 16, Fanout: 8, CacheNodes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := workload.Generate(workload.Clustered, 2, 20000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		if err := tr.Insert(p, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	index := int(tr.Metrics().Cache.TreeIndexNodes)
+	tr.paged.cap = 2*index + 16
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before := tr.Metrics().Cache.IndexReads
+	for _, p := range pts {
+		if _, err := tr.Lookup(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs := tr.Metrics().Cache
+	if cs.IndexNodes != int64(index) || cs.IndexReads != before {
+		t.Fatalf("after %d lookups the cache holds %d of %d index nodes, and %d index nodes were read from the store",
+			len(pts), cs.IndexNodes, index, cs.IndexReads-before)
+	}
+	if cs.Nodes > int64(tr.paged.cap) {
+		t.Fatalf("the cache holds %d nodes, capacity %d", cs.Nodes, tr.paged.cap)
+	}
+}

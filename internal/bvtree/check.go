@@ -154,8 +154,8 @@ func (w *walker) data(id page.ID, key region.BitString) error {
 	if !dp.Region.Equal(key) {
 		return fmt.Errorf("bvtree: data page %d region %v does not match entry key %v", id, dp.Region, key)
 	}
-	if err := dp.CheckDataCols(w.t.opt.Dims); err != nil {
-		return fmt.Errorf("bvtree: data page %d: %w", id, err)
+	if got := dp.DCols().Dims(); got != w.t.opt.Dims {
+		return fmt.Errorf("bvtree: data page %d has %d coordinate rows in a %d-dimensional tree", id, got, w.t.opt.Dims)
 	}
 	items := dp.ReadItems()
 	for _, it := range items {

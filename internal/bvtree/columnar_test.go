@@ -8,17 +8,14 @@ package bvtree
 // in `make verify`.
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
 	"bvtree/internal/geometry"
-	"bvtree/internal/page"
 	"bvtree/internal/storage"
 	"bvtree/internal/workload"
 )
@@ -378,104 +375,6 @@ func TestReadsStayOnBatchedPath(t *testing.T) {
 			if nodes == 0 || tests != nodes {
 				t.Fatalf("%d nodes fetched, %d tested through their columns", nodes, tests)
 			}
-		})
-	}
-}
-
-// TestMirrorlessNodeIsAnError pins what a read does with a node that
-// reached it without a fresh columnar mirror — here an index node whose
-// Entries, then a data page whose Items, were rebound without a save:
-// every read path returns errMirrorless naming the page (there is no
-// second, entry-by-entry implementation to answer from), Validate
-// reports the page, and the save that should have followed repairs it.
-func TestMirrorlessNodeIsAnError(t *testing.T) {
-	const dims = 2
-	pts, err := workload.Generate(workload.Uniform, dims, 300, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, backend := range []string{"mem", "paged"} {
-		t.Run(backend, func(t *testing.T) {
-			// The default decoded cache holds the whole tree, so the unsaved
-			// node below is not evicted and re-read clean between reads.
-			opt := Options{Dims: dims, DataCapacity: 8, Fanout: 8}
-			tr, err := New(opt)
-			if backend == "paged" {
-				tr, err = NewPaged(storage.NewMemStore(), opt)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, p := range pts {
-				if err := tr.Insert(p, uint64(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			p := pts[0]
-			window := geometry.Rect{Min: p, Max: p}
-			reads := func() map[string]error {
-				_, lerr := tr.Lookup(p)
-				_, cerr := tr.Count(window)
-				_, nerr := tr.Nearest(p, 1)
-				return map[string]error{
-					"Lookup":     lerr,
-					"RangeQuery": tr.RangeQuery(window, func(geometry.Point, uint64) bool { return true }),
-					"Count":      cerr,
-					"Nearest":    nerr,
-				}
-			}
-			check := func(id page.ID, validateSays string) {
-				t.Helper()
-				for what, err := range reads() {
-					if !errors.Is(err, errMirrorless) || !strings.Contains(err.Error(), fmt.Sprintf("page %d", id)) {
-						t.Errorf("%s over mirrorless page %d: %v", what, id, err)
-					}
-				}
-				if err := tr.Validate(false); err == nil || !strings.Contains(err.Error(), validateSays) {
-					t.Errorf("Validate over mirrorless page %d: %v, want it to name %q", id, err, validateSays)
-				}
-			}
-			repaired := func() {
-				t.Helper()
-				for what, err := range reads() {
-					if err != nil {
-						t.Errorf("%s after the save: %v", what, err)
-					}
-				}
-				if err := tr.Validate(true); err != nil {
-					t.Errorf("Validate after the save: %v", err)
-				}
-			}
-
-			n, err := tr.st.Index(tr.root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n.Entries = append([]page.Entry(nil), n.Entries...)
-			check(tr.root, fmt.Sprintf("node %d ", tr.root))
-			if err := tr.st.SaveIndex(tr.root, n); err != nil {
-				t.Fatal(err)
-			}
-			repaired()
-
-			key, err := tr.addr(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d, err := tr.descendPoint(key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dp, err := tr.st.Data(d.dataID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dp.Items = append([]page.Item(nil), dp.Items...)
-			check(d.dataID, fmt.Sprintf("data page %d:", d.dataID))
-			if err := tr.st.SaveData(d.dataID, dp); err != nil {
-				t.Fatal(err)
-			}
-			repaired()
 		})
 	}
 }

@@ -17,15 +17,14 @@ import (
 	"bvtree/internal/workload"
 )
 
-// This file covers the pages a tree reads from its store: decoded
-// straight into columns, given entries or items only by the writer that
-// takes them, and copied out by every reader that needs more than the
-// columns.
+// This file covers the pages a tree reads from its store: decoded into
+// columns, edited in place by the writer that takes them, and copied out
+// by every reader that hands their points or keys on.
 
 // TestDecodeEveryPageOfATree decodes every stored page of a 4000-point
-// tree into columns, builds its entries or items from them and
-// re-encodes it: the result must be the stored blob, and the columns must
-// agree with what was built from them, before and after the build.
+// tree into columns and re-encodes it: the result must be the stored
+// blob, and so must a page built again by appending the entries or items
+// read out of the columns one by one.
 func TestDecodeEveryPageOfATree(t *testing.T) {
 	tr, st, _, _ := buildPagedFileTree(t, 4000)
 	const dims = 2
@@ -46,23 +45,21 @@ func TestDecodeEveryPageOfATree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("page %d: %v", p.id, err)
 			}
-			if gotDims != dims || dp.Items != nil {
-				t.Fatalf("page %d: %d dims, %d items built by the column decoder", p.id, gotDims, len(dp.Items))
-			}
-			if err := dp.CheckDataCols(dims); err != nil {
-				t.Fatalf("page %d: %v", p.id, err)
+			if gotDims != dims || dp.DCols().Dims() != dims || dp.Items != nil {
+				t.Fatalf("page %d: %d dims, %d rows, %d items built by the column decoder", p.id, gotDims, dp.DCols().Dims(), len(dp.Items))
 			}
 			if !bytes.Equal(page.EncodeData(dp, dims), blob) {
-				t.Fatalf("page %d: a page carrying only columns encodes differently", p.id)
+				t.Fatalf("page %d: the decoded columns encode differently", p.id)
 			}
-			dp.BuildItems()
-			if err := dp.CheckDataCols(dims); err != nil {
-				t.Fatalf("page %d after BuildItems: %v", p.id, err)
+			again := page.NewDataPage(dp.Region, dims)
+			for i := 0; i < dp.Len(); i++ {
+				it := dp.Item(i)
+				again.Append(it.Point, it.Payload)
 			}
-			if !bytes.Equal(page.EncodeData(dp, dims), blob) {
-				t.Fatalf("page %d: the items built from the columns do not encode to the stored page", p.id)
+			if !bytes.Equal(page.EncodeData(again, dims), blob) {
+				t.Fatalf("page %d: the items read from the columns do not encode to the stored page", p.id)
 			}
-			items += len(dp.Items)
+			items += dp.Len()
 			data++
 			continue
 		}
@@ -70,26 +67,32 @@ func TestDecodeEveryPageOfATree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("page %d: %v", p.id, err)
 		}
-		if n.Level != p.level || n.Entries != nil {
-			t.Fatalf("page %d: level %d (want %d), %d entries built by the column decoder", p.id, n.Level, p.level, len(n.Entries))
+		if n.Level != p.level {
+			t.Fatalf("page %d: level %d, want %d", p.id, n.Level, p.level)
 		}
 		if err := n.CheckCols(dims); err != nil {
 			t.Fatalf("page %d: %v", p.id, err)
 		}
-		n.BuildEntries()
-		if err := n.CheckCols(dims); err != nil {
-			t.Fatalf("page %d after BuildEntries: %v", p.id, err)
-		}
 		if !bytes.Equal(page.EncodeIndex(n), blob) {
-			t.Fatalf("page %d: the entries built from the columns do not encode to the stored page", p.id)
+			t.Fatalf("page %d: the decoded columns encode differently", p.id)
+		}
+		again := page.NewIndexNode(n.Level, n.Region, dims)
+		for _, e := range n.ReadEntries() {
+			again.Append(e)
+		}
+		if err := again.CheckCols(dims); err != nil {
+			t.Fatalf("page %d rebuilt: %v", p.id, err)
+		}
+		if !bytes.Equal(page.EncodeIndex(again), blob) {
+			t.Fatalf("page %d: the entries read from the columns do not encode to the stored page", p.id)
 		}
 		ref, err := page.DecodeIndex(blob)
-		if err != nil || !slices.EqualFunc(ref.Entries, n.Entries, func(a, b page.Entry) bool {
+		if err != nil || !slices.EqualFunc(ref.ReadEntries(), n.ReadEntries(), func(a, b page.Entry) bool {
 			return a.Level == b.Level && a.Child == b.Child && a.Key.Equal(b.Key)
 		}) {
-			t.Fatalf("page %d: DecodeIndex (%v) disagrees with the entries built from the columns", p.id, err)
+			t.Fatalf("page %d: DecodeIndex (%v) disagrees with DecodeIndexCols", p.id, err)
 		}
-		for _, e := range n.Entries {
+		for _, e := range n.ReadEntries() {
 			todo = append(todo, pending{e.Child, e.Level})
 		}
 		index++
@@ -101,14 +104,10 @@ func TestDecodeEveryPageOfATree(t *testing.T) {
 
 // TestDecodedNodesMeetWriters runs readers over the cold-decoded pages of
 // a file-backed tree with an 8-node cache while a writer inserts into and
-// deletes from the same pages: pinned views look up, range-visit (the
-// visitor keeps every point it is handed) and search nearest neighbours,
-// and the live tree looks up, which fills the cache with decoded pages a
-// writer then takes. Every answer must equal a linear scan of the state
-// the reader saw, the points a visitor kept must still hold their values
-// after later queries, and epoch reclamation must be clean at the end.
+// deletes from the same pages (readersMeetWriter): the live tree's
+// lookups fill the cache with decoded pages the writer then takes.
 func TestDecodedNodesMeetWriters(t *testing.T) {
-	const n, writes, readers = 1500, 300, 3
+	const n = 1500
 	pts, err := workload.Generate(workload.Clustered, 2, n, 35)
 	if err != nil {
 		t.Fatal(err)
@@ -122,16 +121,12 @@ func TestDecodedNodesMeetWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type item struct {
-		p   geometry.Point
-		pay uint64
-	}
-	live := make([]item, 0, n+writes)
+	live := make([]liveItem, 0, n)
 	for i, p := range pts {
 		if err := tr.Insert(p, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
-		live = append(live, item{p, uint64(i)})
+		live = append(live, liveItem{p, uint64(i)})
 	}
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
@@ -146,7 +141,58 @@ func TestDecodedNodesMeetWriters(t *testing.T) {
 	if tr, err = OpenPaged(st, 8); err != nil {
 		t.Fatal(err)
 	}
+	readersMeetWriter(t, tr, live, 300, 2)
+}
 
+// TestColumnEditsBesideReaders is readersMeetWriter on a tree only
+// writers have built, every node of it cached, with pages of four points
+// and nodes of four entries: two writes in three are inserts, so the
+// writer's in-place column edits split data pages and index nodes while
+// pinned views read the versions it captured.
+func TestColumnEditsBesideReaders(t *testing.T) {
+	const n = 600
+	pts, err := workload.Generate(workload.Clustered, 2, n, 36)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := New(Options{Dims: 2, DataCapacity: 4, Fanout: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := make([]liveItem, 0, n)
+	for i, p := range pts {
+		if err := tr.Insert(p, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, liveItem{p, uint64(i)})
+	}
+	data, index := tr.stats.DataSplits.Load(), tr.stats.IndexSplits.Load()
+	readersMeetWriter(t, tr, live, 600, 3)
+	if tr.stats.DataSplits.Load() == data || tr.stats.IndexSplits.Load() == index {
+		t.Fatalf("the writer split %d data pages and %d index nodes beside the readers; want both",
+			tr.stats.DataSplits.Load()-data, tr.stats.IndexSplits.Load()-index)
+	}
+}
+
+// liveItem is one item of readersMeetWriter's oracle.
+type liveItem struct {
+	p   geometry.Point
+	pay uint64
+}
+
+// readersMeetWriter runs three readers over tr, which holds exactly live,
+// while a writer makes writes operations on it — a delete of a stored
+// item every deleteEvery-th, otherwise an insert beside a stored point,
+// on its page. Pinned views look up, range-visit (the visitor keeps every
+// point it is handed) and search nearest neighbours, and the live tree
+// looks up. Every answer must equal a linear scan of the state the reader
+// saw, the points a visitor kept must still hold their values after later
+// queries, and epoch reclamation must be clean at the end.
+func readersMeetWriter(t *testing.T, tr *Tree, live []liveItem, writes, deleteEvery int) {
+	t.Helper()
+	const readers = 3
+	n := len(live)
+	type item = liveItem
 	var mu sync.Mutex // orders the writer's ops with the oracle and with pins
 	var done atomic.Bool
 	var wg sync.WaitGroup
@@ -159,7 +205,7 @@ func TestDecodedNodesMeetWriters(t *testing.T) {
 		for op := 0; op < writes; op++ {
 			mu.Lock()
 			j := rng.Intn(len(live))
-			if op%2 == 0 {
+			if op%deleteEvery == 0 {
 				it := live[j]
 				if removed, err := tr.Delete(it.p, it.pay); err != nil || !removed {
 					mu.Unlock()
@@ -297,9 +343,9 @@ func TestDecodedNodesMeetWriters(t *testing.T) {
 // reports ns, B and allocations per page, by kind. The pages sit in a
 // MemStore, so a read is a copy and the time is the decode into a
 // published node; a cold lookup pays the file's pread on top.
-// page.decode_*_ns of the benchmark harness times DecodeIndex/DecodeData,
-// which build the writer's form, so this is where the miss path's own
-// decode shows.
+// page.decode_*_ns of the benchmark harness times DecodeIndex, which
+// builds no brick bounds, and DecodeData, which also reads out Items, so
+// this is where the miss path's own decode shows.
 func BenchmarkDecodePublished(b *testing.B) {
 	pts, err := workload.Generate(workload.Clustered, 2, 100_000, 1)
 	if err != nil {

@@ -2,6 +2,7 @@ package bvtree
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"bvtree/internal/geometry"
@@ -56,7 +57,7 @@ func (t *Tree) deleteLocked(p geometry.Point, payload uint64) (bool, error) {
 	if err := t.st.SaveData(d.dataID, dp); err != nil {
 		return true, err
 	}
-	if len(dp.Items) < t.minDataOccupancy() {
+	if dp.Len() < t.minDataOccupancy() {
 		if err := t.mergeUnderfullData(d, dp); err != nil {
 			return true, err
 		}
@@ -67,11 +68,15 @@ func (t *Tree) deleteLocked(p geometry.Point, payload uint64) (bool, error) {
 // minDataOccupancy is the underflow threshold: one third of capacity.
 func (t *Tree) minDataOccupancy() int { return (t.opt.DataCapacity + 2) / 3 }
 
+// removeItem deletes the first item of dp at point p with payload.
 func removeItem(dp *page.DataPage, p geometry.Point, payload uint64) bool {
-	for i, it := range dp.Items {
-		if it.Payload == payload && it.Point.Equal(p) {
-			dp.Items = append(dp.Items[:i], dp.Items[i+1:]...)
-			return true
+	c := dp.DCols()
+	for base := 0; base < c.Len(); base += 64 {
+		for m := c.EqualMask64(p, base); m != 0; m &= m - 1 {
+			if i := base + bits.TrailingZeros64(m); c.Payload(i) == payload {
+				dp.RemoveAt(i)
+				return true
+			}
 		}
 	}
 	return false
@@ -123,8 +128,7 @@ func (t *Tree) mergeUnderfullData(d *descent, dp *page.DataPage) error {
 	// encloses (verified globally) and dissolve r instead; its items
 	// refill q.
 	q := dp.Region
-	for i := range node.Entries {
-		e := node.Entries[i]
+	for _, e := range node.ReadEntries() {
 		if e.Level != 0 || !q.IsProperPrefixOf(e.Key) {
 			continue
 		}
@@ -218,7 +222,7 @@ func (t *Tree) dissolveRegion(victimID, nodeID page.ID, node *page.IndexNode) (b
 		if err != nil {
 			return true, err
 		}
-		if err := t.put(a, it, true); err != nil {
+		if err := t.put(a, it.Point, it.Payload, true); err != nil {
 			return true, err
 		}
 	}
@@ -228,9 +232,10 @@ func (t *Tree) dissolveRegion(victimID, nodeID page.ID, node *page.IndexNode) (b
 // removeEntry deletes the entry whose child is childID from node n,
 // which must be writable (freshly allocated or obtained through wIndex).
 func (t *Tree) removeEntry(id page.ID, n *page.IndexNode, childID page.ID) error {
-	for i := range n.Entries {
-		if n.Entries[i].Child == childID {
-			n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
+	c := n.Cols()
+	for i := 0; i < c.Len(); i++ {
+		if c.Child(i) == childID {
+			n.RemoveAt(i)
 			return t.st.SaveIndex(id, n)
 		}
 	}
@@ -247,18 +252,14 @@ func (t *Tree) contractRoot() error {
 		if err != nil {
 			return err
 		}
-		if n.Len() != 1 {
-			return nil
-		}
-		child := n.ReadEntries()[0]
-		if child.Level != n.Level-1 {
+		c := n.Cols()
+		if c.Len() != 1 || c.Level(0) != n.Level-1 {
 			return nil
 		}
 		if err := t.freePage(t.root); err != nil {
 			return err
 		}
-		t.root = child.Child
-		t.rootLevel = child.Level
+		t.root, t.rootLevel = c.Child(0), c.Level(0)
 	}
 	return nil
 }

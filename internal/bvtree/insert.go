@@ -39,21 +39,22 @@ func (t *Tree) insertLocked(p geometry.Point, payload uint64) error {
 	if err != nil {
 		return err
 	}
-	return t.put(key, page.Item{Point: p.Clone(), Payload: payload}, false)
+	return t.put(key, p, payload, false)
 }
 
 // put is the one place an item enters a data page: Insert, every
 // operation of a batch and the refill of a merge (§5 re-runs insertion)
 // all go through it. The item is routed by the ordinary exact-match
 // descent — which yields the root itself while the root is still a data
-// page — and appended to the page it lands on, fetched through wData (a
-// private copy while a pinned view may still read the old one); one
-// SaveData publishes the page and an overflow is resolved through
-// splitDataPage, along the physical parents the descent recorded.
+// page — and its coordinates and payload are written into the rows of the
+// page it lands on, fetched through wData (a private copy while a pinned
+// view may still read the old one); one SaveData publishes the page and
+// an overflow is resolved through splitDataPage, along the physical
+// parents the descent recorded.
 //
 // moved marks an item a merge is re-homing: it is already counted in the
 // tree's size, and an overflow it causes is a Resplit.
-func (t *Tree) put(a region.BitString, it page.Item, moved bool) error {
+func (t *Tree) put(a region.BitString, p geometry.Point, payload uint64, moved bool) error {
 	ctx := newOpCtx()
 	d, err := t.descendPointCtx(ctx, a)
 	if err != nil {
@@ -65,14 +66,14 @@ func (t *Tree) put(a region.BitString, it page.Item, moved bool) error {
 	if err != nil {
 		return err
 	}
-	dp.Items = append(dp.Items, it)
+	dp.Append(p, payload)
 	if !moved {
 		t.size++
 	}
 	if err := t.st.SaveData(id, dp); err != nil {
 		return err
 	}
-	if len(dp.Items) <= t.opt.DataCapacity {
+	if dp.Len() <= t.opt.DataCapacity {
 		return nil
 	}
 	if moved {
@@ -123,9 +124,10 @@ func (t *Tree) splitDataPage(ctx *opCtx, dataID, srcNodeID page.ID) error {
 	if err != nil {
 		return err
 	}
-	addrs := make([]region.BitString, len(dp.Items))
-	for i, it := range dp.Items {
-		a, err := t.addr(it.Point)
+	addrs := make([]region.BitString, dp.Len())
+	var pt [geometry.MaxDims]uint64
+	for i := range addrs {
+		a, err := t.addr(dp.AppendPoint(pt[:0], i))
 		if err != nil {
 			return err
 		}
@@ -146,15 +148,8 @@ func (t *Tree) splitDataPage(ctx *opCtx, dataID, srcNodeID page.ID) error {
 	if err != nil {
 		return err
 	}
-	keep := dp.Items[:0]
-	for i, it := range dp.Items {
-		if q.IsPrefixOf(addrs[i]) {
-			inner.Items = append(inner.Items, it)
-		} else {
-			keep = append(keep, it)
-		}
-	}
-	dp.Items = keep
+	inner.Reserve(t.dataRows())
+	dp.MoveTo(inner, func(i int) bool { return q.IsPrefixOf(addrs[i]) })
 	t.stats.DataSplits.Inc()
 	if err := t.st.SaveData(dataID, dp); err != nil {
 		return err
@@ -172,14 +167,12 @@ func (t *Tree) splitDataPage(ctx *opCtx, dataID, srcNodeID page.ID) error {
 	}
 	if srcNodeID == page.Nil {
 		// The root itself was a data page: grow a one-level index.
-		rootID, rootNode, err := t.st.AllocIndex(1, dp.Region)
+		rootID, rootNode, err := t.allocIndex(1, dp.Region)
 		if err != nil {
 			return err
 		}
-		rootNode.Entries = []page.Entry{
-			{Key: dp.Region, Level: 0, Child: dataID},
-			entry,
-		}
+		rootNode.Append(page.Entry{Key: dp.Region, Level: 0, Child: dataID})
+		rootNode.Append(entry)
 		if err := t.st.SaveIndex(rootID, rootNode); err != nil {
 			return err
 		}
@@ -217,7 +210,8 @@ func (t *Tree) resplitOversized(ctx *opCtx, ids ...page.ID) error {
 			if dp.Len() <= t.opt.DataCapacity {
 				break
 			}
-			a, err := t.addr(dp.ReadItems()[0].Point)
+			var pt [geometry.MaxDims]uint64
+			a, err := t.addr(dp.AppendPoint(pt[:0], 0))
 			if err != nil {
 				return err
 			}
@@ -326,11 +320,11 @@ func needsGuard(entries []page.Entry, e page.Entry) bool {
 // data pages) is blind to promotion chains and can strand an empty or
 // singleton outer node; this chooser degrades gracefully instead,
 // achieving the balanced split whenever one exists. ok is false when no
-// prefix separates the entries.
-func chooseIndexSplit(n *page.IndexNode) (region.BitString, bool) {
+// prefix separates the entries, those of a node whose region is reg.
+func chooseIndexSplit(reg region.BitString, entries []page.Entry) (region.BitString, bool) {
 	seen := make(map[string]region.BitString)
-	for _, e := range n.Entries {
-		for l := n.Region.Len() + 1; l <= e.Key.Len(); l++ {
+	for _, e := range entries {
+		for l := reg.Len() + 1; l <= e.Key.Len(); l++ {
 			p := e.Key.Prefix(l)
 			seen[p.String()] = p
 		}
@@ -339,17 +333,17 @@ func chooseIndexSplit(n *page.IndexNode) (region.BitString, bool) {
 	bestScore, bestProm, bestLen := -1, 1<<30, -1
 	for _, q := range seen {
 		inner, outer, prom := 0, 0, 0
-		for _, e := range n.Entries {
+		for _, e := range entries {
 			switch {
 			case q.IsPrefixOf(e.Key):
 				inner++
-			case e.Key.IsProperPrefixOf(q) && !shielded(n.Entries, e, q):
+			case e.Key.IsProperPrefixOf(q) && !shielded(entries, e, q):
 				prom++
 			default:
 				outer++
 			}
 		}
-		if inner == 0 || inner == len(n.Entries) {
+		if inner == 0 || inner == len(entries) {
 			continue
 		}
 		score := inner
@@ -393,11 +387,11 @@ func (t *Tree) insertIntoNode(ctx *opCtx, id page.ID, e page.Entry) error {
 	if err != nil {
 		return err
 	}
-	n.Entries = append(n.Entries, e)
+	n.Append(e)
 	if err := t.st.SaveIndex(id, n); err != nil {
 		return err
 	}
-	if len(n.Entries) > t.capacity(n.Level) {
+	if n.Len() > t.capacity(n.Level) {
 		return t.splitIndexNode(ctx, id, n)
 	}
 	return nil
@@ -411,14 +405,16 @@ func (t *Tree) insertIntoNode(ctx *opCtx, id page.ID, e page.Entry) error {
 // new inner entry. n must be writable: either freshly allocated or
 // obtained through wIndex, never a plain fetch.
 func (t *Tree) splitIndexNode(ctx *opCtx, id page.ID, n *page.IndexNode) error {
-	q, ok := chooseIndexSplit(n)
+	entries := n.ReadEntries()
+	q, ok := chooseIndexSplit(n.Region, entries)
 	if !ok {
 		t.stats.SoftOverflows.Inc()
 		return nil
 	}
 
-	var innerEntries, outer, promoted []page.Entry
-	for _, en := range n.Entries {
+	var innerEntries, promoted []page.Entry
+	outer := make([]bool, len(entries))
+	for i, en := range entries {
 		switch {
 		case q.IsPrefixOf(en.Key):
 			innerEntries = append(innerEntries, en)
@@ -430,16 +426,16 @@ func (t *Tree) splitIndexNode(ctx *opCtx, id page.ID, n *page.IndexNode) error {
 			// per level) straddlers are promoted; this is what bounds
 			// guard accumulation to the paper's (x-1) per unpromoted
 			// entry.
-			if shielded(n.Entries, en, q) {
-				outer = append(outer, en)
+			if shielded(entries, en, q) {
+				outer[i] = true
 			} else {
 				promoted = append(promoted, en)
 			}
 		default:
-			outer = append(outer, en)
+			outer[i] = true
 		}
 	}
-	n.Entries = outer
+	n.Retain(func(i int) bool { return outer[i] })
 	t.stats.IndexSplits.Inc()
 	t.stats.Promotions.Add(uint64(len(promoted)))
 	if err := t.st.SaveIndex(id, n); err != nil {
@@ -456,11 +452,13 @@ func (t *Tree) splitIndexNode(ctx *opCtx, id page.ID, n *page.IndexNode) error {
 		// entry.
 		innerPost = innerEntries[0]
 	} else {
-		innerID, inner, err := t.st.AllocIndex(n.Level, q)
+		innerID, inner, err := t.allocIndex(n.Level, q)
 		if err != nil {
 			return err
 		}
-		inner.Entries = innerEntries
+		for _, en := range innerEntries {
+			inner.Append(en)
+		}
 		if err := t.st.SaveIndex(innerID, inner); err != nil {
 			return err
 		}
@@ -474,18 +472,21 @@ func (t *Tree) splitIndexNode(ctx *opCtx, id page.ID, n *page.IndexNode) error {
 		if id != t.root {
 			return fmt.Errorf("bvtree: split of node %d has no recorded parent and is not the root", id)
 		}
-		rootID, rootNode, err := t.st.AllocIndex(n.Level+1, n.Region)
+		rootID, rootNode, err := t.allocIndex(n.Level+1, n.Region)
 		if err != nil {
 			return err
 		}
-		rootNode.Entries = append([]page.Entry{{Key: n.Region, Level: n.Level, Child: id}}, newEntries...)
+		rootNode.Append(page.Entry{Key: n.Region, Level: n.Level, Child: id})
+		for _, en := range newEntries {
+			rootNode.Append(en)
+		}
 		if err := t.st.SaveIndex(rootID, rootNode); err != nil {
 			return err
 		}
 		t.root = rootID
 		t.rootLevel = rootNode.Level
 		t.stats.RootGrowths.Inc()
-		if len(rootNode.Entries) > t.capacity(rootNode.Level) {
+		if rootNode.Len() > t.capacity(rootNode.Level) {
 			// A root split promotes (at most) one guard per partition
 			// level, so when the fan-out is small relative to the height
 			// a fresh root can exceed capacity immediately and splitting
@@ -496,7 +497,7 @@ func (t *Tree) splitIndexNode(ctx *opCtx, id page.ID, n *page.IndexNode) error {
 			if t.opt.LevelScaledPages {
 				return t.splitIndexNode(ctx, rootID, rootNode)
 			}
-			if len(rootNode.Entries) <= 2+rootNode.Level {
+			if rootNode.Len() <= 2+rootNode.Level {
 				t.stats.SoftOverflows.Inc()
 				return nil
 			}
@@ -509,11 +510,13 @@ func (t *Tree) splitIndexNode(ctx *opCtx, id page.ID, n *page.IndexNode) error {
 	if err != nil {
 		return err
 	}
-	parent.Entries = append(parent.Entries, newEntries...)
+	for _, en := range newEntries {
+		parent.Append(en)
+	}
 	if err := t.st.SaveIndex(parentID, parent); err != nil {
 		return err
 	}
-	if len(parent.Entries) > t.capacity(parent.Level) {
+	if parent.Len() > t.capacity(parent.Level) {
 		return t.splitIndexNode(ctx, parentID, parent)
 	}
 	return nil

@@ -61,15 +61,16 @@ func (t *Tree) Maintain() (_ int, err error) {
 		// chase that cycle forever, so each candidate is attempted once.
 		stale := t.staleGuards(n)
 		for _, g := range stale {
-			// Write fetch: removing the guard below compacts n.Entries in
+			// Write fetch: removing the guard below compacts n's columns in
 			// place, which must not disturb a pinned reader's view.
 			n, err = t.wIndex(id)
 			if err != nil {
 				break
 			}
+			entries := n.ReadEntries()
 			gi := -1
-			for i := range n.Entries {
-				if n.Entries[i].Level == g.Level && n.Entries[i].Key.Equal(g.Key) {
+			for i, e := range entries {
+				if e.Level == g.Level && e.Key.Equal(g.Key) {
 					gi = i
 					break
 				}
@@ -78,11 +79,10 @@ func (t *Tree) Maintain() (_ int, err error) {
 				continue // moved by an earlier demotion's side effects
 			}
 			// Re-check necessity: earlier demotions may have changed it.
-			rest := append(append([]page.Entry(nil), n.Entries[:gi]...), n.Entries[gi+1:]...)
-			if needsGuard(rest, g) {
+			if needsGuard(append(entries[:gi:gi], entries[gi+1:]...), g) {
 				continue
 			}
-			n.Entries = append(n.Entries[:gi], n.Entries[gi+1:]...)
+			n.RemoveAt(gi)
 			if err := t.st.SaveIndex(id, n); err != nil {
 				return demoted, err
 			}

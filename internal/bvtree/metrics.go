@@ -100,9 +100,6 @@ func (t *Tree) indexNodes() (int64, error) {
 			return err
 		}
 		c := node.Cols()
-		if c == nil {
-			return mirrorless(id)
-		}
 		for i := 0; i < c.Len(); i++ {
 			if c.Level(i) >= 1 {
 				n++

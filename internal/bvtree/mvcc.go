@@ -294,37 +294,52 @@ func (t *Tree) lockWrite() error {
 	return nil
 }
 
-// wIndex fetches index node id for mutation, with its entries: a node
-// decoded from the store carries only columns, and is given its entries
-// here. When pinned readers may still need the current version it is
-// captured and a private clone — built with entries of its own — returned;
-// otherwise no reader can see the node, and it is given them in place, so
-// the node pointer the writer holds stays the cached one. The caller
-// mutates the result and saves it as usual.
+// wIndex fetches index node id for mutation. When pinned readers may
+// still need the current version it is captured and a private clone
+// returned; otherwise no reader can see the node and the cached one is
+// returned, to be edited in place. Either way its columns come laid out
+// for one entry past its capacity (a node decoded from the store is
+// exactly sized), the most it holds before it splits. The caller edits
+// the result and saves it as usual.
 func (t *Tree) wIndex(id page.ID) (*page.IndexNode, error) {
 	n, err := t.fetchIndex(id)
 	if err != nil || t.mv == nil {
 		return n, err
 	}
 	if c, ok := t.mv.capture(id, n); ok {
-		return c.(*page.IndexNode), nil
+		n = c.(*page.IndexNode)
 	}
-	n.BuildEntries()
+	n.Reserve(t.capacity(n.Level) + 1)
 	return n, nil
 }
 
-// wData is wIndex for data pages: the page comes with its items.
+// allocIndex allocates an index node, laid out as wIndex lays one out.
+func (t *Tree) allocIndex(level int, reg region.BitString) (page.ID, *page.IndexNode, error) {
+	id, n, err := t.st.AllocIndex(level, reg)
+	if err == nil {
+		n.Reserve(t.capacity(level) + 1)
+	}
+	return id, n, err
+}
+
+// wData is wIndex for data pages: its rows come laid out for one item
+// past the page capacity (dataRows), so an insert writes in place until
+// the page splits.
 func (t *Tree) wData(id page.ID) (*page.DataPage, error) {
 	p, err := t.fetchData(id)
 	if err != nil || t.mv == nil {
 		return p, err
 	}
 	if c, ok := t.mv.capture(id, p); ok {
-		return c.(*page.DataPage), nil
+		p = c.(*page.DataPage)
 	}
-	p.BuildItems()
+	p.Reserve(t.dataRows())
 	return p, nil
 }
+
+// dataRows is the capacity a writer lays a data page's rows out at: one
+// past the page capacity, for the item that overflows it before the split.
+func (t *Tree) dataRows() int { return t.opt.DataCapacity + 1 }
 
 // freePage releases page id, deferring the physical free while pinned
 // readers might still traverse into it (deferral also prevents the

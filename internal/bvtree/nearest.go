@@ -70,23 +70,21 @@ func (t *Tree) nearestLocked(p geometry.Point, k int) ([]Neighbor, error) {
 			if err != nil {
 				return nil, err
 			}
-			// One batched pass over the coordinate columns keeps the items
+			// One batched pass over the coordinate rows keeps the items
 			// inside the cube the current k-th distance spans around p; only
 			// those can enter the result set, and only they are measured.
-			// The result keeps their points, so a page decoded from the
-			// store gives a private copy of its items.
-			var items []page.Item
+			// The result keeps its points, so each one that enters it is
+			// copied out of the rows.
+			var pt [geometry.MaxDims]uint64
 			t.stats.BatchTests.Inc()
 			distCube(p, worst(), cube)
 			for base := 0; base < c.Len(); base += 64 {
 				for m := c.ContainMask64(cube, base); m != 0; m &= m - 1 {
-					if items == nil {
-						items = dp.ReadItems()
-					}
-					item := &items[base+bits.TrailingZeros64(m)]
-					d := pointDist(p, item.Point)
+					i := base + bits.TrailingZeros64(m)
+					d := pointDist(p, dp.AppendPoint(pt[:0], i))
 					if d < worst() || best.Len() < k {
-						heap.Push(&best, Neighbor{Point: item.Point, Payload: item.Payload, Dist: d})
+						it := dp.Item(i)
+						heap.Push(&best, Neighbor{Point: it.Point, Payload: it.Payload, Dist: d})
 						if best.Len() > k {
 							heap.Pop(&best)
 						}

@@ -33,18 +33,6 @@ type NodeStore interface {
 	dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]byte, miss []page.ID) ([]*page.DataPage, [][]byte, []page.ID, error)
 }
 
-// errMirrorless is what a read returns for a node that reached it without
-// a fresh columnar mirror (page.IndexNode.Cols, page.DataPage.DCols). The
-// columns are the only form readers scan, so every node a NodeStore hands
-// out must carry them: a store builds them at its three publication
-// points — allocation, save, and the decode of a stored page (readIndex,
-// readData), which builds nothing else — and a writer saves a node it has
-// changed before anything reads it again. A node that breaks the rule is a bug, reported by page
-// rather than answered from a second, entry-by-entry implementation.
-var errMirrorless = errors.New("bvtree: node has no fresh columnar mirror")
-
-func mirrorless(id page.ID) error { return fmt.Errorf("%w: page %d", errMirrorless, id) }
-
 // cacheShards is the shard count of the decoded-node cache. Shards spread
 // cache-map mutations from parallel readers (a miss inserts the decoded
 // node) across independent mutexes so the read path does not funnel
@@ -235,7 +223,9 @@ func (s *pagedNodes) flush(meta *page.Meta) error {
 // ascending page ID order so that the store sees the same operations
 // whatever the map order. It runs under the tree's exclusive lock (flush,
 // or trim for a writer), so no node changes while it is encoded, and a
-// node's dirty mark is cleared only once its write succeeded. Each node
+// node's dirty mark is cleared only once its write succeeded; it keeps
+// its eviction level and clock stamp, so an index node written back stays
+// in its class and is not evicted as a data page would be. Each node
 // is written under its shard latch: a deferred free run by a releasing
 // reader (mvccState.sweepLocked) takes the page out of the cache either
 // before its write, which is then skipped, or after it.
@@ -264,7 +254,8 @@ func (s *pagedNodes) writeBack() error {
 				err = s.st.WriteNode(id, page.EncodeData(n, s.dims))
 			}
 			if err == nil {
-				sh.nodes[id] = cached{node: e.node}
+				e.dirty = false
+				sh.nodes[id] = e
 			}
 		}
 		sh.mu.Unlock()
@@ -371,7 +362,7 @@ func (s *pagedNodes) AllocIndex(level int, reg region.BitString) (page.ID, *page
 	if err != nil {
 		return 0, nil, err
 	}
-	n := &page.IndexNode{Level: level, Region: reg}
+	n := page.NewIndexNode(level, reg, s.dims)
 	return id, n, s.SaveIndex(id, n)
 }
 
@@ -380,7 +371,7 @@ func (s *pagedNodes) AllocData(reg region.BitString) (page.ID, *page.DataPage, e
 	if err != nil {
 		return 0, nil, err
 	}
-	p := &page.DataPage{Region: reg}
+	p := page.NewDataPage(reg, s.dims)
 	return id, p, s.SaveData(id, p)
 }
 
@@ -407,13 +398,10 @@ func (s *pagedNodes) Data(id page.ID) (*page.DataPage, error) {
 }
 
 // readIndex is the one place a stored index page becomes a node: read
-// and decoded, in one pass over its bytes, straight into the columns
-// readers scan, before anyone can see it — through the cache (Index) or
-// privately (a pinned view's miss). The node carries nothing else: a
-// writer builds its entries when it takes the node (wIndex), a read-only
-// walk that needs them gets a private copy (page.IndexNode.ReadEntries),
-// so a node many readers share is never changed by one of them. Racing
-// decodes each make their own copy and the last cachePut wins whole.
+// and decoded, in one pass over its bytes, into its columns before anyone
+// can see it — through the cache (Index) or privately (a pinned view's
+// miss). Racing decodes each make their own copy and the last cachePut
+// wins whole.
 func (s *pagedNodes) readIndex(id page.ID) (*page.IndexNode, error) {
 	s.indexReads.Add(1)
 	blob, err := s.st.ReadNode(id)
@@ -444,8 +432,9 @@ func (s *pagedNodes) peekIndex(id page.ID) (*page.IndexNode, error) {
 	return page.DecodeIndexCols(blob, s.dims)
 }
 
-// readData is readIndex for data pages: the page carries its coordinate
-// rows and its payload row, and a writer builds its items (wData).
+// readData is readIndex for data pages: its coordinate rows and its
+// payload row, exactly sized; a writer lays them out at capacity when it
+// takes the page (wData).
 func (s *pagedNodes) readData(id page.ID) (*page.DataPage, error) {
 	s.dataReads.Add(1)
 	blob, err := s.st.ReadNode(id)
@@ -516,17 +505,15 @@ func (s *pagedNodes) dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]
 	return pages, blobs, miss, nil
 }
 
-// SaveIndex publishes n as page id: its columnar mirror is synced and it
-// is cached dirty, to be encoded when it must reach the store.
+// SaveIndex publishes n as page id: it is cached dirty, to be encoded
+// when it must reach the store.
 func (s *pagedNodes) SaveIndex(id page.ID, n *page.IndexNode) error {
-	n.SyncCols(s.dims)
 	s.cachePut(id, n, true)
 	return s.poisoned()
 }
 
 // SaveData is SaveIndex for data pages.
 func (s *pagedNodes) SaveData(id page.ID, p *page.DataPage) error {
-	p.SyncDataCols(s.dims)
 	s.cachePut(id, p, true)
 	return s.poisoned()
 }

@@ -76,14 +76,14 @@ func TestPaperFigure21(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(root.Entries) != 2 {
-		t.Fatalf("root has %d entries after 2-1b, want 2", len(root.Entries))
+	if len(root.ReadEntries()) != 2 {
+		t.Fatalf("root has %d entries after 2-1b, want 2", len(root.ReadEntries()))
 	}
 	var outer0, inner0 page.Entry
-	if root.Entries[0].Key.Len() < root.Entries[1].Key.Len() {
-		outer0, inner0 = root.Entries[0], root.Entries[1]
+	if root.ReadEntries()[0].Key.Len() < root.ReadEntries()[1].Key.Len() {
+		outer0, inner0 = root.ReadEntries()[0], root.ReadEntries()[1]
 	} else {
-		outer0, inner0 = root.Entries[1], root.Entries[0]
+		outer0, inner0 = root.ReadEntries()[1], root.ReadEntries()[0]
 	}
 	if !outer0.Key.IsProperPrefixOf(inner0.Key) {
 		t.Fatalf("split regions do not enclose: %v vs %v", outer0.Key, inner0.Key)
@@ -113,7 +113,7 @@ func TestPaperFigure21(t *testing.T) {
 	}
 	unpromoted, guards := 0, 0
 	var innerIdx page.Entry
-	for _, e := range root.Entries {
+	for _, e := range root.ReadEntries() {
 		if e.Level == root.Level-1 {
 			unpromoted++
 			if e.Key.Len() > 0 {
@@ -129,7 +129,7 @@ func TestPaperFigure21(t *testing.T) {
 	if guards == 0 {
 		t.Fatal("figure 2-1c: the directory split must promote at least one guard")
 	}
-	for _, e := range root.Entries {
+	for _, e := range root.ReadEntries() {
 		if e.Level < root.Level-1 {
 			// The guard's region must enclose the new inner index region —
 			// that is exactly why it was promoted.
@@ -198,7 +198,7 @@ func TestPaperFigure41(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			for _, e := range n.Entries {
+			for _, e := range n.ReadEntries() {
 				if e.Level == 0 && n.Level >= 2 {
 					guardKey, guardNode = e.Key, pid
 					return nil
@@ -230,7 +230,7 @@ func TestPaperFigure41(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range n.Entries {
+		for _, e := range n.ReadEntries() {
 			if e.Level == 0 && e.Key.Equal(guardKey) {
 				return tr.st.Data(e.Child)
 			}
@@ -240,8 +240,8 @@ func TestPaperFigure41(t *testing.T) {
 	if err != nil || seedPage == nil {
 		t.Fatalf("guard page not found: %v", err)
 	}
-	seeds := make([]geometry.Point, len(seedPage.Items))
-	for i, it := range seedPage.Items {
+	seeds := make([]geometry.Point, len(seedPage.ReadItems()))
+	for i, it := range seedPage.ReadItems() {
 		seeds[i] = it.Point.Clone()
 	}
 	for try := 0; try < 50000 && tr.Stats().DataSplits == demoBefore; try++ {
@@ -288,7 +288,7 @@ func TestPaperFigure41(t *testing.T) {
 		t.Fatal(err)
 	}
 	stillThere := false
-	for _, e := range n.Entries {
+	for _, e := range n.ReadEntries() {
 		if e.Level == 0 && e.Key.Equal(guardKey) {
 			stillThere = true
 		}

@@ -480,19 +480,13 @@ func (t *Tree) fetchData(id page.ID) (*page.DataPage, error) {
 	return t.st.Data(id)
 }
 
-// indexCols fetches index node id for a reader: with the columnar mirror,
-// the only form readers scan. A node without a fresh one is a fault
-// (errMirrorless), never answered from its entry slice.
+// indexCols fetches index node id for a reader, with its columns.
 func (t *Tree) indexCols(id page.ID) (*page.IndexNode, *page.NodeCols, error) {
 	n, err := t.fetchIndex(id)
 	if err != nil {
 		return nil, nil, err
 	}
-	c := n.Cols()
-	if c == nil {
-		return nil, nil, mirrorless(id)
-	}
-	return n, c, nil
+	return n, n.Cols(), nil
 }
 
 // dataCols is indexCols for data pages.
@@ -501,11 +495,7 @@ func (t *Tree) dataCols(id page.ID) (*page.DataPage, *page.DataCols, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	c := dp.DCols()
-	if c == nil {
-		return nil, nil, mirrorless(id)
-	}
-	return dp, c, nil
+	return dp, dp.DCols(), nil
 }
 
 // endOp performs a reader's between-operation housekeeping: it trims

@@ -69,15 +69,27 @@ type rangeWalker struct {
 	blobs    [][]byte
 	miss     []page.ID
 
-	// out receives one blob-decoded page's items at a time, their points
-	// living in coords. A counting walk reuses coords; a visiting walk
-	// takes a fresh arena per page set, so a visitor that retains points
-	// never shares a backing array with a later page. Arena growth within
-	// a page set is safe for the reason AppendDataItems documents:
-	// relocation leaves earlier points referencing the orphaned backing,
-	// which stays valid.
-	out    []page.Item
-	coords []uint64
+	// out receives one page's items at a time. A visiting walk cuts the
+	// points it hands out from coords, which only ever grows at its end
+	// (room): a visitor may keep the points, so no later page set, and no
+	// later walk of the pooled walker, writes over them. A counting walk
+	// decodes into scratch, which it reuses.
+	out     []page.Item
+	coords  []uint64
+	scratch []uint64
+}
+
+// Arena sizes, in words: the first arena a visiting walk cuts points
+// from, and the size doubling stops at.
+const minArena, maxArena = 256, 1 << 16
+
+// room makes sure coords can take k more words without relocating. A
+// full arena is replaced by a fresh one, never copied: the points already
+// cut from it stay where they are.
+func (w *rangeWalker) room(k int) {
+	if cap(w.coords)-len(w.coords) < k {
+		w.coords = make([]uint64, 0, max(k, min(2*cap(w.coords), maxArena), minArena))
+	}
 }
 
 var rangeWalkerPool = sync.Pool{New: func() any { return new(rangeWalker) }}
@@ -99,10 +111,11 @@ func (t *Tree) walkRange(rect geometry.Rect, visit Visitor) (int64, error) {
 		err = w.drive(root, visit)
 	}
 	n := w.count
-	// Drop the tree and the query's results. The last node's page
-	// pointers and blobs stay behind in the fetch scratch; the pool itself
-	// forgets them within two GC cycles.
-	w.t, w.rect, w.out, w.coords = nil, geometry.Rect{}, nil, nil
+	// Drop the tree and the query's item headers. The last node's page
+	// pointers and blobs stay behind in the fetch scratch, and the arena's
+	// free tail waits for the next visiting walk; the pool itself forgets
+	// them within two GC cycles.
+	w.t, w.rect, w.out = nil, geometry.Rect{}, nil
 	rangeWalkerPool.Put(w)
 	return n, err
 }
@@ -137,13 +150,10 @@ func (w *rangeWalker) drive(root rangeTask, visit Visitor) error {
 // It reports whether the walk continues. A page that gives the walk no
 // item is counted in RangeEmptyPages.
 //
-// The items of any page the pinned view can reach are immutable for the
+// The rows of any page the pinned view can reach are immutable for the
 // duration of the query — a writer that needs to change such a page
-// captures it into its version chain and mutates a clone — so reading
-// them here reads stable memory, and the columns a reachable page carries
-// stay in lockstep with its items. A cached page decoded from the store
-// has no items to read: the walk scans its columns and, for a visitor,
-// copies its points out, never building items on the shared page.
+// captures it into its version chain and edits a clone — so reading them
+// here reads stable memory.
 func (w *rangeWalker) scanPages(visit Visitor) (bool, error) {
 	t := w.t
 	if len(w.dataIDs) == 0 {
@@ -158,17 +168,11 @@ func (w *rangeWalker) scanPages(visit Visitor) (bool, error) {
 		t.stats.RangeBatchPages.Add(uint64(len(w.miss)))
 	}
 	t.stats.NodeAccesses.Add(uint64(len(w.dataIDs)))
-	if visit == nil {
-		w.coords = w.coords[:0]
-	} else {
-		w.coords = nil
-	}
-	for i, id := range w.dataIDs {
-		full := w.dataFull[i]
+	for i, full := range w.dataFull {
 		if full {
 			t.stats.RangeFullPages.Inc()
 		}
-		got, cont, err := w.scanPage(i, id, full, visit)
+		got, cont, err := w.scanPage(i, full, visit)
 		if err != nil || !cont {
 			return false, err
 		}
@@ -180,67 +184,83 @@ func (w *rangeWalker) scanPages(visit Visitor) (bool, error) {
 	return true, nil
 }
 
-// scanPage feeds the matching items of w.dataIDs[i] (id) to visit, or
+// scanPage feeds the matching items of page w.dataIDs[i] to visit, or
 // counts them when visit is nil, and returns how many matched and whether
 // the walk continues. A page whose brick lies inside rect (full) is not
 // tested per point, and counting one from a blob reads only its item
-// count; a partial page is tested with one batched ContainMask64 pass per
-// 64 items of its coordinate mirror, and item by item, once, when it was
-// decoded here from a blob.
-func (w *rangeWalker) scanPage(i int, id page.ID, full bool, visit Visitor) (int, bool, error) {
-	var items []page.Item
-	var cols *page.DataCols // nil only for a page decoded here from a blob
-	switch {
-	case w.pages[i] != nil:
-		dp := w.pages[i]
-		if items, cols = dp.Items, dp.DCols(); cols == nil {
-			return 0, false, mirrorless(id)
-		}
-		if items == nil && visit != nil {
-			// A page decoded from the store carries only its columns, and
-			// the visitor may keep the points it is handed: they are copied
-			// into the page set's arena, as a blob's are decoded there.
-			w.out, w.coords = dp.AppendItems(w.out[:0], w.coords)
-			items = w.out
-		}
-	case full && visit == nil:
-		n, err := page.DecodeDataCount(w.blobs[i])
-		return n, err == nil, err
-	default:
-		var err error
-		if w.out, w.coords, err = page.AppendDataItems(w.blobs[i], w.out[:0], w.coords); err != nil {
-			return 0, false, err
-		}
-		items = w.out
+// count; a partial cached page is tested with one batched ContainMask64
+// pass per 64 items of its rows, and a page decoded here from a blob item
+// by item, once.
+//
+// The visitor may keep the points it is handed, so they never alias a
+// page's rows: they are copied into the walk's arena — every point of a
+// full page, and of a partial page only those that matched.
+func (w *rangeWalker) scanPage(i int, full bool, visit Visitor) (int, bool, error) {
+	dp := w.pages[i]
+	if dp == nil {
+		return w.scanBlob(i, full, visit)
 	}
-	got := 0
+	c := dp.DCols()
 	switch {
 	case full && visit == nil:
-		got = cols.Len()
-	case !full && cols != nil:
-		w.t.stats.BatchTests.Inc()
-		for base := 0; base < cols.Len(); base += 64 {
-			m := cols.ContainMask64(w.rect, base)
-			got += bits.OnesCount64(m)
-			if visit == nil {
-				continue
-			}
-			for ; m != 0; m &= m - 1 {
-				it := &items[base+bits.TrailingZeros64(m)]
-				if !visit(it.Point, it.Payload) {
-					return got, false, nil
-				}
+		return c.Len(), true, nil
+	case full:
+		w.room(c.Len() * c.Dims())
+		w.out, w.coords = dp.AppendItems(w.out[:0], w.coords)
+		for j := range w.out {
+			if !visit(w.out[j].Point, w.out[j].Payload) {
+				return j + 1, false, nil
 			}
 		}
-	default:
-		for j := range items {
-			if !full && !w.rect.Contains(items[j].Point) {
-				continue
-			}
-			got++
-			if visit != nil && !visit(items[j].Point, items[j].Payload) {
+		return len(w.out), true, nil
+	}
+	w.t.stats.BatchTests.Inc()
+	got := 0
+	for base := 0; base < c.Len(); base += 64 {
+		m := c.ContainMask64(w.rect, base)
+		got += bits.OnesCount64(m)
+		if visit == nil || m == 0 {
+			continue
+		}
+		w.room(bits.OnesCount64(m) * c.Dims())
+		for ; m != 0; m &= m - 1 {
+			j := base + bits.TrailingZeros64(m)
+			at := len(w.coords)
+			w.coords = dp.AppendPoint(w.coords, j)
+			if !visit(w.coords[at:len(w.coords):len(w.coords)], dp.Payload(j)) {
 				return got, false, nil
 			}
+		}
+	}
+	return got, true, nil
+}
+
+// scanBlob is scanPage for a page fetched as a blob: counted from its
+// header when full, otherwise decoded — into the arena for a visitor —
+// and tested item by item.
+func (w *rangeWalker) scanBlob(i int, full bool, visit Visitor) (int, bool, error) {
+	if full && visit == nil {
+		n, err := page.DecodeDataCount(w.blobs[i])
+		return n, err == nil, err
+	}
+	var err error
+	if visit == nil {
+		w.out, w.scratch, err = page.AppendDataItems(w.blobs[i], w.out[:0], w.scratch[:0])
+	} else {
+		w.room(len(w.blobs[i]) / 8) // a page's length bounds its coordinate words
+		w.out, w.coords, err = page.AppendDataItems(w.blobs[i], w.out[:0], w.coords)
+	}
+	if err != nil {
+		return 0, false, err
+	}
+	got := 0
+	for j := range w.out {
+		if !full && !w.rect.Contains(w.out[j].Point) {
+			continue
+		}
+		got++
+		if visit != nil && !visit(w.out[j].Point, w.out[j].Payload) {
+			return got, false, nil
 		}
 	}
 	return got, true, nil

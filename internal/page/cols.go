@@ -9,14 +9,11 @@ import (
 	"bvtree/internal/region"
 )
 
-// This file gives IndexNode its columns: the struct-of-arrays layout
-// the descent and range hot paths scan instead of the array-of-structs
-// Entries. The wire format is untouched. A page read from the store is
-// decoded straight into the columns (DecodeIndexCols) and carries nothing
-// else until a writer takes it (BuildEntries builds Entries from them);
-// on a node a writer holds, Entries is the form the writer edits and the
-// columns are rebuilt from it at every save (SyncCols). Either way the
-// columns are the only form readers scan.
+// This file holds an index node's columns: the struct-of-arrays layout
+// that is the node. The descent and range hot paths scan it, writers
+// edit it in place (Append, RemoveAt, Retain, SetChild), and the encoder
+// reads it; an Entry exists only as a value built from it on request.
+// The wire format is the entry-by-entry one it always was.
 //
 // Layout. One uint64 arena holds four fixed partitions — the head
 // words (the first 64 bits of each entry key, left-aligned), the child
@@ -24,53 +21,33 @@ import (
 // the exact box BrickBounds deinterleaves from the key), and a shared
 // tail arena for the rare key bits beyond the head — and one int32
 // arena holds the entry levels, key bit lengths and tail offsets.
-// Building, decoding or cloning the columns is therefore two allocations
-// and the struct, regardless of entry count.
-//
-// Freshness. On a node with Entries, the columns record the first-element
-// address of the slice they were built from, and Cols() returns nil
-// whenever that or the length no longer matches, which covers every
-// in-place mutation the tree performs (removals, splits and rebinds all
-// change the length or the backing array): a stale mirror is detected,
-// never read as wrong, and a reader that meets one reports a fault. On a
-// decoded node that records nothing, the columns are fresh for as long as
-// the node has no Entries.
+// Decoding or cloning the columns is therefore two allocations whatever
+// the entry count; an append that finds a partition full re-lays both
+// arenas out at twice the size.
 
 // NodeCols is the columnar form of one IndexNode's entries.
 type NodeCols struct {
 	dims int
 	n    int
-	capE int // entry slots allocated
-	capT int // tail words allocated
 
-	// Freshness marker: &Entries[0] of the slice the columns were built
-	// from, nil when they mirror no entries (none, or a decoded node's).
-	entsFirst *Entry
-
-	// The padding keeps the struct in the allocator's 288-byte size class.
-	// Objects of the 256-byte class all start on 256-byte boundaries, so
-	// the header words a lookup reads of every node it passes fall in a
-	// quarter of the L1 cache's sets; on a fully cached tree that cost
-	// random lookups and one-item windows 4–6 % (EXPERIMENTS.md, "decoding
-	// straight into the columns").
-	_ [8]byte
-
+	// The capacities are the lengths of the entry columns (len(head)) and
+	// the capacity of the tail column (cap(tails)).
 	arena []uint64 // head | child | bounds | tails, partitions fixed per allocation
 	i32   []int32  // levels | keyLen | tailOff
 
 	head    []uint64 // [capE] first key word, left-aligned
 	child   []uint64 // [capE] child page IDs
 	bounds  []uint64 // [capE*2*dims] min[0..dims-1], max[0..dims-1] per entry
-	tails   []uint64 // shared arena of key words beyond the head
+	tails   []uint64 // [:capT] shared arena of key words beyond the head
 	levels  []int32  // [capE]
 	keyLen  []int32  // [capE]
 	tailOff []int32  // [capE+1] prefix offsets into tails
 }
 
-// Len returns the number of mirrored entries.
+// Len returns the number of entries.
 func (c *NodeCols) Len() int { return c.n }
 
-// Dims returns the dimensionality the bounds columns were built for.
+// Dims returns the dimensionality the bounds columns are built for.
 func (c *NodeCols) Dims() int { return c.dims }
 
 // Level returns entry i's partition level.
@@ -90,68 +67,36 @@ func (c *NodeCols) BoundsAt(i int) (min, max []uint64) {
 	return eb[:c.dims], eb[c.dims:]
 }
 
-// Cols returns the node's columns, or nil when none have been built or
-// the entry slice has changed since they were: the node was not
-// published through a decode or SyncCols, which readers treat as an
-// error.
-func (n *IndexNode) Cols() *NodeCols {
-	c := n.cols
-	switch {
-	case c == nil:
-		return nil
-	case c.entsFirst == nil:
-		if len(n.Entries) != 0 {
-			return nil
-		}
-	case c.n != len(n.Entries) || c.entsFirst != &n.Entries[0]:
-		return nil
-	}
-	return c
-}
+// Cols returns the node's columns.
+func (n *IndexNode) Cols() *NodeCols { return &n.cols }
 
-// SyncCols (re)builds the columns from the entry slice. It is called
-// on every save, so hot paths never build columns themselves. Fresh
-// columns are left untouched.
-func (n *IndexNode) SyncCols(dims int) {
-	if c := n.Cols(); c != nil && c.dims == dims {
+// reserve lays the arenas out for capE entries and capT tail words,
+// carrying the entries already there across; it does nothing when the
+// current arenas already hold that much.
+func (c *NodeCols) reserve(capE, capT int) {
+	if c.i32 != nil && capE <= len(c.head) && capT <= cap(c.tails) {
 		return
 	}
-	n.BuildEntries()
-	c := n.cols
-	if c == nil {
-		c = &NodeCols{}
-		n.cols = c
-	}
-	tailWords := 0
-	for i := range n.Entries {
-		tailWords += len(n.Entries[i].Key.TailWords())
-	}
-	c.reserve(dims, len(n.Entries), tailWords)
-	c.n = 0
-	c.tails = c.tails[:0]
-	c.tailOff[0] = 0
-	for i := range n.Entries {
-		c.push(&n.Entries[i])
-	}
-	c.mark(n.Entries)
-}
-
-// reserve sizes the arenas for capE entries and capT tail words, reusing
-// existing storage when it suffices.
-func (c *NodeCols) reserve(dims, capE, capT int) {
-	if c.i32 != nil && c.dims == dims && capE <= c.capE && capT <= c.capT {
-		return
-	}
-	c.dims, c.capE, c.capT = dims, capE, capT
-	c.arena = make([]uint64, capE*(2+2*dims)+capT)
+	old := *c
+	capE, capT = max(capE, len(old.head)), max(capT, cap(old.tails))
+	c.arena = make([]uint64, capE*(2+2*c.dims)+capT)
 	c.i32 = make([]int32, 3*capE+1)
-	c.partition(0)
+	c.partition(capE, len(old.tails))
+	if old.n == 0 {
+		return
+	}
+	copy(c.head, old.head[:old.n])
+	copy(c.child, old.child[:old.n])
+	copy(c.bounds, old.bounds[:old.n*2*c.dims])
+	copy(c.tails, old.tails)
+	copy(c.levels, old.levels[:old.n])
+	copy(c.keyLen, old.keyLen[:old.n])
+	copy(c.tailOff, old.tailOff[:old.n+1])
 }
 
-// partition cuts the column slices out of the arenas, with tails tail
-// words in use.
-func (c *NodeCols) partition(tails int) {
-	capE := c.capE
+// partition cuts the column slices for capE entries out of the arenas,
+// with tails tail words in use.
+func (c *NodeCols) partition(capE, tails int) {
 	base := capE * (2 + 2*c.dims)
 	c.head = c.arena[:capE]
 	c.child = c.arena[capE : 2*capE]
@@ -162,34 +107,86 @@ func (c *NodeCols) partition(tails int) {
 	c.tailOff = c.i32[2*capE:]
 }
 
-// push mirrors one entry into slot c.n. The caller guarantees a free
-// slot and tail capacity.
-func (c *NodeCols) push(e *Entry) {
+// Reserve lays the columns out for at least entries entries, carrying
+// the entries already there across; it does nothing when they already
+// fit.
+func (n *IndexNode) Reserve(entries int) { n.cols.reserve(entries, cap(n.cols.tails)) }
+
+// Append adds e as the node's last entry, growing the arenas when a
+// partition is full. The key's words are copied into the columns.
+func (n *IndexNode) Append(e Entry) {
+	c := &n.cols
+	tw := e.Key.TailWords()
+	if c.n == len(c.head) || len(c.tails)+len(tw) > cap(c.tails) {
+		c.reserve(max(2*len(c.head), c.n+1, 4), max(2*cap(c.tails), len(c.tails)+len(tw)))
+	}
 	i := c.n
 	c.levels[i] = int32(e.Level)
 	c.keyLen[i] = int32(e.Key.Len())
 	c.child[i] = uint64(e.Child)
 	c.head[i] = e.Key.Head64()
-	stride := 2 * c.dims
-	eb := c.bounds[i*stride : i*stride+stride]
-	region.BrickBounds(e.Key, c.dims, eb[:c.dims], eb[c.dims:])
-	c.tails = append(c.tails, e.Key.TailWords()...)
+	if c.dims > 0 {
+		eb := c.bounds[i*2*c.dims : (i+1)*2*c.dims]
+		region.BrickBounds(e.Key, c.dims, eb[:c.dims], eb[c.dims:])
+	}
+	c.tails = append(c.tails, tw...)
 	c.tailOff[i+1] = int32(len(c.tails))
 	c.n = i + 1
 }
 
-// mark records the Entries slice the columns now describe.
-func (c *NodeCols) mark(ents []Entry) {
-	if len(ents) > 0 {
-		c.entsFirst = &ents[0]
-	} else {
-		c.entsFirst = nil
+// Retain keeps the entries for which keep(i) is true and drops the rest,
+// closing the gaps so the kept entries keep their order. keep is called
+// once per entry, in order.
+func (n *IndexNode) Retain(keep func(i int) bool) {
+	c := &n.cols
+	stride := 2 * c.dims
+	j, lo, t := 0, int32(0), int32(0) // lo: entry i's first tail word; t: tail words kept
+	for i := 0; i < c.n; i++ {
+		hi := c.tailOff[i+1]
+		if keep(i) {
+			if j != i {
+				c.head[j], c.child[j] = c.head[i], c.child[i]
+				c.levels[j], c.keyLen[j] = c.levels[i], c.keyLen[i]
+				copy(c.bounds[j*stride:(j+1)*stride], c.bounds[i*stride:(i+1)*stride])
+			}
+			t += int32(copy(c.tails[t:], c.tails[lo:hi]))
+			c.tailOff[j+1] = t
+			j++
+		}
+		lo = hi
+	}
+	c.n = j
+	c.tails = c.tails[:t]
+}
+
+// RemoveAt drops entry i, closing the gap.
+func (n *IndexNode) RemoveAt(i int) { n.Retain(func(j int) bool { return j != i }) }
+
+// SetChild rebinds entry i to child page id.
+func (n *IndexNode) SetChild(i int, id ID) { n.cols.child[i] = uint64(id) }
+
+// key builds entry i's region key in words of its own.
+func (c *NodeCols) key(i int) region.BitString {
+	kl := int(c.keyLen[i])
+	w := make([]uint64, (kl+63)/64)
+	c.keyWords(w, i)
+	k, _ := region.OwnWords(w, kl)
+	return k
+}
+
+// keyWords writes entry i's key words into w, which holds exactly them.
+func (c *NodeCols) keyWords(w []uint64, i int) {
+	if len(w) > 0 {
+		w[0] = c.head[i]
+		copy(w[1:], c.tails[c.tailOff[i]:c.tailOff[i+1]])
 	}
 }
 
-// entries builds the entries the columns describe: one entry slice and
-// one slab all their keys are cut from.
-func (c *NodeCols) entries() []Entry {
+// ReadEntries returns the node's entries as values: one slice, and one
+// slab all their keys are cut from. The node is never changed, and
+// editing the result does not change it.
+func (n *IndexNode) ReadEntries() []Entry {
+	c := &n.cols
 	words := 0
 	for i := 0; i < c.n; i++ {
 		words += (int(c.keyLen[i]) + 63) / 64
@@ -201,10 +198,7 @@ func (c *NodeCols) entries() []Entry {
 		nw := (kl + 63) / 64
 		w := slab[:nw:nw]
 		slab = slab[nw:]
-		if nw > 0 {
-			w[0] = c.head[i]
-			copy(w[1:], c.tails[c.tailOff[i]:c.tailOff[i+1]])
-		}
+		c.keyWords(w, i)
 		ents[i].Key, _ = region.OwnWords(w, kl)
 		ents[i].Level = int(c.levels[i])
 		ents[i].Child = ID(c.child[i])
@@ -212,13 +206,16 @@ func (c *NodeCols) entries() []Entry {
 	return ents
 }
 
-// clone deep-copies the mirror: two arena copies, independent of entry
-// count. The caller re-marks it against the clone's entry slice.
-func (c *NodeCols) clone() *NodeCols {
-	d := &NodeCols{dims: c.dims, n: c.n, capE: c.capE, capT: c.capT}
+// clone deep-copies the columns: two arena copies, independent of entry
+// count.
+func (c *NodeCols) clone() NodeCols {
+	d := NodeCols{dims: c.dims, n: c.n}
+	if c.i32 == nil {
+		return d
+	}
 	d.arena = append([]uint64(nil), c.arena...)
 	d.i32 = append([]int32(nil), c.i32...)
-	d.partition(len(c.tails))
+	d.partition(len(c.head), len(c.tails))
 	return d
 }
 
@@ -270,10 +267,10 @@ func (c *NodeCols) Match64(t PointKey, base int) uint64 {
 
 // Extends reports whether key is a proper prefix of the key of some entry
 // above level: the first condition of the placement descent's guard
-// rule, tested on the columns so that a node decoded from the store needs
-// no entries built unless it passes. A key longer than one word is not
-// tested — any longer entry above level counts — so a false answer is
-// exact and a true one may need the entries to confirm.
+// rule, tested on the columns so that no entries are built unless it
+// passes. A key longer than one word is not tested — any longer entry
+// above level counts — so a false answer is exact and a true one may
+// need the entries to confirm.
 func (c *NodeCols) Extends(key region.BitString, level int) bool {
 	kl, head := key.Len(), key.Head64()
 	for i := 0; i < c.n; i++ {
@@ -367,44 +364,36 @@ func (c *NodeCols) Cover64(rect geometry.Rect, base int, cand uint64) uint64 {
 	return m
 }
 
-// CheckCols verifies the columns against the entries: they must be
-// fresh, and every column of every entry must agree with the entry — on
-// a decoded node, with the entry built from the columns, whose key must
-// give the stored brick bounds. It is wired into the tree's Validate walk
-// as the safety net behind the staleness discipline.
+// CheckCols verifies the columns against themselves and the tree: they
+// must be built for dims dimensions, every key must be well formed (tail
+// offsets in step with the key lengths, bits past a key's end clear), and
+// every entry's stored brick bounds must be the brick its key spans. It
+// is wired into the tree's Validate walk as the safety net behind the
+// in-place edits.
 func (n *IndexNode) CheckCols(dims int) error {
-	c := n.Cols()
-	if c == nil {
-		return errors.New("page: no fresh cols mirror")
-	}
+	c := &n.cols
 	if c.dims != dims {
 		return fmt.Errorf("page: cols built for %d dims, tree has %d", c.dims, dims)
 	}
-	ents := n.ReadEntries()
-	if c.n != len(ents) {
-		return fmt.Errorf("page: cols mirror %d entries, node has %d", c.n, len(ents))
+	if c.n == 0 {
+		return nil
+	}
+	if c.tailOff[0] != 0 || int(c.tailOff[c.n]) != len(c.tails) {
+		return errors.New("page: cols tail offsets do not span the tail arena")
 	}
 	var bmin, bmax [geometry.MaxDims]uint64
-	for i := range ents {
-		e := &ents[i]
-		if c.Level(i) != e.Level || c.Child(i) != e.Child || c.KeyBits(i) != e.Key.Len() {
-			return fmt.Errorf("page: cols entry %d mismatch (level %d/%d child %d/%d bits %d/%d)",
-				i, c.Level(i), e.Level, c.Child(i), e.Child, c.KeyBits(i), e.Key.Len())
+	for i := 0; i < c.n; i++ {
+		kl := int(c.keyLen[i])
+		if got, want := int(c.tailOff[i+1]-c.tailOff[i]), max((kl+63)/64-1, 0); got != want {
+			return fmt.Errorf("page: cols entry %d has %d tail words, a %d-bit key has %d", i, got, kl, want)
 		}
-		if c.head[i] != e.Key.Head64() {
-			return fmt.Errorf("page: cols entry %d head word mismatch", i)
+		k := c.key(i)
+		w := k.Words()
+		if (len(w) == 0 && c.head[i] != 0) || (len(w) > 0 && w[0] != c.head[i]) ||
+			(len(w) > 1 && w[len(w)-1] != c.tails[c.tailOff[i+1]-1]) {
+			return fmt.Errorf("page: cols entry %d has bits past its %d-bit key", i, kl)
 		}
-		tw := e.Key.TailWords()
-		off, end := c.tailOff[i], c.tailOff[i+1]
-		if int(end-off) != len(tw) {
-			return fmt.Errorf("page: cols entry %d has %d tail words, key has %d", i, end-off, len(tw))
-		}
-		for j, w := range tw {
-			if c.tails[int(off)+j] != w {
-				return fmt.Errorf("page: cols entry %d tail word %d mismatch", i, j)
-			}
-		}
-		region.BrickBounds(e.Key, dims, bmin[:dims], bmax[:dims])
+		region.BrickBounds(k, dims, bmin[:dims], bmax[:dims])
 		min, max := c.BoundsAt(i)
 		for d := 0; d < dims; d++ {
 			if min[d] != bmin[d] || max[d] != bmax[d] {

@@ -9,24 +9,63 @@ import (
 	"bvtree/internal/region"
 )
 
-// The columnar mirror is derived state: every batched predicate must
-// agree bit-for-bit with the per-entry scalar test it replaces, and no
-// mirror operation may perturb the wire format. These tests check both
-// properties on randomized nodes.
+// A node is its columns: every batched predicate must agree bit-for-bit
+// with the per-entry scalar test it replaces, and every in-place edit
+// must leave exactly the columns — and the encoding — that the same
+// entries appended one by one to an empty node give. These tests check
+// both on randomized nodes, against the entry-by-entry encoding below.
 
-// randNode builds an index node with ne random entries over dims
-// dimensions, key lengths spanning empty through multi-word tails.
-func randNode(rng *rand.Rand, dims, ne int) *IndexNode {
-	n := &IndexNode{Level: 3, Region: region.BitString{}}
-	for i := 0; i < ne; i++ {
-		kl := rng.Intn(dims*64 + 1)
-		n.Entries = append(n.Entries, Entry{
-			Key:   randBits(rng, kl),
-			Level: rng.Intn(3),
-			Child: ID(rng.Intn(1000) + 1),
-		})
+// randEntries returns ne random entries over dims dimensions, key
+// lengths spanning empty through multi-word tails.
+func randEntries(rng *rand.Rand, dims, ne int) []Entry {
+	ents := make([]Entry, ne)
+	for i := range ents {
+		ents[i] = Entry{Key: randBits(rng, dims*64), Level: rng.Intn(3), Child: ID(rng.Intn(1000) + 1)}
+	}
+	return ents
+}
+
+// nodeOf builds a node of a dims-dimensional tree by appending ents.
+func nodeOf(level int, reg region.BitString, dims int, ents []Entry) *IndexNode {
+	n := NewIndexNode(level, reg, dims)
+	for _, e := range ents {
+		n.Append(e)
 	}
 	return n
+}
+
+// randNode builds a level-3 node with ne random entries and returns it
+// with the entries it holds.
+func randNode(rng *rand.Rand, dims, ne int) (*IndexNode, []Entry) {
+	ents := randEntries(rng, dims, ne)
+	return nodeOf(3, region.BitString{}, dims, ents), ents
+}
+
+// encodeEntries is the entry-by-entry index page encoding, the reference
+// the columns must encode to.
+func encodeEntries(level int, reg region.BitString, ents []Entry) []byte {
+	w := newWriter(KindIndex)
+	w.u32(uint32(level))
+	w.bits(reg)
+	w.u32(uint32(len(ents)))
+	for _, e := range ents {
+		w.u32(uint32(e.Level))
+		w.bits(e.Key)
+		w.u64(uint64(e.Child))
+	}
+	return w.finish()
+}
+
+// sameEntries fails unless n holds exactly ents, encodes as they do and
+// passes its own column check.
+func sameEntries(t *testing.T, what string, n *IndexNode, ents []Entry) {
+	t.Helper()
+	if err := n.CheckCols(n.Cols().Dims()); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if !bytes.Equal(EncodeIndex(n), encodeEntries(n.Level, n.Region, ents)) {
+		t.Fatalf("%s: the columns encode differently from their %d entries", what, len(ents))
+	}
 }
 
 // randRect builds a random query rectangle over dims dimensions.
@@ -51,12 +90,8 @@ func TestColsMatch64AgainstIsPrefixOf(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, dims := range []int{1, 2, 3} {
 		for trial := 0; trial < 50; trial++ {
-			n := randNode(rng, dims, rng.Intn(130))
-			n.SyncCols(dims)
+			n, ents := randNode(rng, dims, rng.Intn(130))
 			c := n.Cols()
-			if c == nil {
-				t.Fatal("mirror stale immediately after SyncCols")
-			}
 			if err := n.CheckCols(dims); err != nil {
 				t.Fatal(err)
 			}
@@ -64,8 +99,8 @@ func TestColsMatch64AgainstIsPrefixOf(t *testing.T) {
 				target := randBits(rng, dims*64)
 				// Bias half the targets toward actual entry keys so the
 				// match (not just the reject) path is exercised.
-				if q%2 == 0 && len(n.Entries) > 0 {
-					e := n.Entries[rng.Intn(len(n.Entries))]
+				if q%2 == 0 && len(ents) > 0 {
+					e := ents[rng.Intn(len(ents))]
 					target = e.Key
 					for target.Len() < dims*64 {
 						target = target.Append(rng.Intn(2))
@@ -76,25 +111,25 @@ func TestColsMatch64AgainstIsPrefixOf(t *testing.T) {
 				key := target.Prefix(rng.Intn(min(target.Len(), 80) + 1))
 				lvl := rng.Intn(3)
 				want := false
-				for _, e := range n.Entries {
+				for _, e := range ents {
 					want = want || e.Level > lvl && key.IsProperPrefixOf(e.Key)
 				}
 				if got := c.Extends(key, lvl); got != want && !(got && key.Len() > 64) {
 					t.Fatalf("dims=%d key %v level %d: Extends=%v, the entries say %v", dims, key, lvl, got, want)
 				}
 				tk := MakePointKey(target)
-				for base := 0; base < len(n.Entries); base += 64 {
+				for base := 0; base < len(ents); base += 64 {
 					m := c.Match64(tk, base)
 					hi := base + 64
-					if hi > len(n.Entries) {
-						hi = len(n.Entries)
+					if hi > len(ents) {
+						hi = len(ents)
 					}
 					for i := base; i < hi; i++ {
-						want := n.Entries[i].Key.IsPrefixOf(target)
+						want := ents[i].Key.IsPrefixOf(target)
 						got := m&(1<<uint(i-base)) != 0
 						if got != want {
 							t.Fatalf("dims=%d entry %d (key %v, target %v): Match64=%v IsPrefixOf=%v",
-								dims, i, n.Entries[i].Key, target, got, want)
+								dims, i, ents[i].Key, target, got, want)
 						}
 					}
 				}
@@ -107,20 +142,19 @@ func TestColsIntersectWithinCoverAgainstBrickTests(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, dims := range []int{1, 2, 3} {
 		for trial := 0; trial < 50; trial++ {
-			n := randNode(rng, dims, rng.Intn(130))
-			n.SyncCols(dims)
+			n, ents := randNode(rng, dims, rng.Intn(130))
 			c := n.Cols()
 			for q := 0; q < 8; q++ {
 				rect := randRect(rng, dims)
 				switch {
 				case q == 0:
 					rect = geometry.UniverseRect(dims) // containment-heavy case
-				case q < 4 && len(n.Entries) > 0:
+				case q < 4 && len(ents) > 0:
 					// Cover-heavy cases: a random entry's brick itself, then
 					// one of its corners as a point window, then the brick
 					// grown by one on a side (must stop covering) — Cover64
 					// is inclusive on both ends.
-					rect = region.Brick(n.Entries[rng.Intn(len(n.Entries))].Key, dims)
+					rect = region.Brick(ents[rng.Intn(len(ents))].Key, dims)
 					if q == 2 {
 						rect.Min = rect.Max.Clone()
 					}
@@ -128,30 +162,30 @@ func TestColsIntersectWithinCoverAgainstBrickTests(t *testing.T) {
 						rect.Max[d]++
 					}
 				}
-				for base := 0; base < len(n.Entries); base += 64 {
+				for base := 0; base < len(ents); base += 64 {
 					m := c.Intersect64(rect, base)
 					fm := c.Within64(rect, base, m)
 					cm := c.Cover64(rect, base, m)
 					hi := base + 64
-					if hi > len(n.Entries) {
-						hi = len(n.Entries)
+					if hi > len(ents) {
+						hi = len(ents)
 					}
 					for i := base; i < hi; i++ {
 						bit := uint64(1) << uint(i-base)
-						wantI := region.BrickIntersects(n.Entries[i].Key, dims, rect)
-						wantW := wantI && region.BrickWithin(n.Entries[i].Key, dims, rect)
+						wantI := region.BrickIntersects(ents[i].Key, dims, rect)
+						wantW := wantI && region.BrickWithin(ents[i].Key, dims, rect)
 						if got := m&bit != 0; got != wantI {
 							t.Fatalf("dims=%d entry %d: Intersect64=%v BrickIntersects=%v (key %v rect %v)",
-								dims, i, got, wantI, n.Entries[i].Key, rect)
+								dims, i, got, wantI, ents[i].Key, rect)
 						}
 						if got := fm&bit != 0; got != wantW {
 							t.Fatalf("dims=%d entry %d: Within64=%v BrickWithin=%v (key %v rect %v)",
-								dims, i, got, wantW, n.Entries[i].Key, rect)
+								dims, i, got, wantW, ents[i].Key, rect)
 						}
-						wantC := region.Brick(n.Entries[i].Key, dims).ContainsRect(rect)
+						wantC := region.Brick(ents[i].Key, dims).ContainsRect(rect)
 						if got := cm&bit != 0; got != wantC {
 							t.Fatalf("dims=%d entry %d: Cover64=%v, brick contains rect=%v (key %v rect %v)",
-								dims, i, got, wantC, n.Entries[i].Key, rect)
+								dims, i, got, wantC, ents[i].Key, rect)
 						}
 					}
 				}
@@ -160,101 +194,158 @@ func TestColsIntersectWithinCoverAgainstBrickTests(t *testing.T) {
 	}
 }
 
-// TestColsEncodeByteIdentity: building, rebuilding after an append and
-// cloning the mirror must leave the encoded page byte-identical to a
-// mirror-free node with the same entries.
+// TestColsEncodeByteIdentity: a node built by appends, decoded from its
+// encoding, cloned, or grown by one more append must encode exactly as
+// its entries do.
 func TestColsEncodeByteIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const dims = 2
 	for trial := 0; trial < 30; trial++ {
-		n := randNode(rng, dims, 1+rng.Intn(80))
-		plain := EncodeIndex(n)
-		n.SyncCols(dims)
-		if got := EncodeIndex(n); !bytes.Equal(got, plain) {
-			t.Fatal("SyncCols changed the encoding")
+		n, ents := randNode(rng, dims, 1+rng.Intn(80))
+		sameEntries(t, "append", n, ents)
+		dec, err := DecodeIndexCols(EncodeIndex(n), dims)
+		if err != nil {
+			t.Fatal(err)
 		}
-		e := Entry{Key: randBits(rng, rng.Intn(100)), Level: 0, Child: 7}
-		n.Entries = append(n.Entries, e)
-		n.SyncCols(dims)
-		ref := &IndexNode{Level: n.Level, Region: n.Region, Entries: append([]Entry(nil), n.Entries...)}
-		if got := EncodeIndex(n); !bytes.Equal(got, EncodeIndex(ref)) {
-			t.Fatal("append + SyncCols changed the encoding beyond the appended entry")
-		}
-		cl := n.Clone()
-		if got := EncodeIndex(cl); !bytes.Equal(got, EncodeIndex(n)) {
-			t.Fatal("Clone changed the encoding")
-		}
+		sameEntries(t, "decode", dec, ents)
+		e := Entry{Key: randBits(rng, 100), Level: 0, Child: 7}
+		dec.Append(e) // the decoded arenas are exactly sized: this one grows them
+		ents = append(ents, e)
+		sameEntries(t, "append to a decoded node", dec, ents)
+		sameEntries(t, "clone", dec.Clone(), ents)
 	}
 }
 
-// TestColsCloneIndependence: a clone's mirror must not share mutable
-// storage with its source.
+// TestColsCloneIndependence: a clone's columns must not share storage
+// with its source's, whatever is done to either.
 func TestColsCloneIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const dims = 2
-	n := randNode(rng, dims, 20)
-	n.SyncCols(dims)
+	n, ents := randNode(rng, dims, 20)
 	cl := n.Clone()
-	if cl.Cols() == nil {
-		t.Fatal("clone did not carry a fresh mirror")
+	cl.RemoveAt(3)
+	cl.Retain(func(i int) bool { return i%3 != 0 })
+	cl.SetChild(0, 4242)
+	for _, e := range randEntries(rng, dims, 40) {
+		cl.Append(e)
 	}
-	before := EncodeIndex(n)
-	// Truncate the clone (stale) and rebuild: the rebuild rewrites the
-	// clone's arenas in place — if they were shared with the source, its
-	// columns would be corrupted.
-	cl.Entries = cl.Entries[:10]
-	cl.SyncCols(dims)
-	if err := cl.CheckCols(dims); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.CheckCols(dims); err != nil {
-		t.Fatalf("source mirror corrupted by clone mutation: %v", err)
-	}
-	if got := EncodeIndex(n); !bytes.Equal(got, before) {
-		t.Fatal("clone mutation leaked into source encoding")
+	sameEntries(t, "source after editing its clone", n, ents)
+	n.SetChild(1, 99)
+	n.RemoveAt(0)
+	if cl.Cols().Child(0) != 4242 {
+		t.Fatal("editing the source reached the clone")
 	}
 }
 
-// TestColsStaleOnMutation: the freshness marker must catch the in-place
-// mutations the tree performs (truncation, re-slicing, growth).
-func TestColsStaleOnMutation(t *testing.T) {
+// TestColsEditInPlace drives random sequences of the edits the tree
+// makes — append, remove, retain, rebind — on a node, from an empty one
+// and from an exactly sized decoded one, and the same edits on a slice of
+// entries: after every edit the node must hold exactly the slice.
+func TestColsEditInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	const dims = 2
-	n := randNode(rng, dims, 12)
-	n.SyncCols(dims)
-	n.Entries = n.Entries[:8]
-	if n.Cols() != nil {
-		t.Fatal("mirror fresh after truncation")
+	for _, dims := range []int{1, 2, 3} {
+		for trial := 0; trial < 40; trial++ {
+			n, ents := randNode(rng, dims, rng.Intn(20))
+			if trial%2 == 1 {
+				var err error
+				if n, err = DecodeIndexCols(EncodeIndex(n), dims); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for step := 0; step < 60; step++ {
+				switch op := rng.Intn(6); {
+				case op < 3 || len(ents) == 0:
+					e := randEntries(rng, dims, 1)[0]
+					n.Append(e)
+					ents = append(ents, e)
+				case op == 3:
+					i := rng.Intn(len(ents))
+					n.RemoveAt(i)
+					ents = append(ents[:i], ents[i+1:]...)
+				case op == 4:
+					keep := make([]bool, len(ents))
+					kept := ents[:0:0]
+					for i := range keep {
+						if keep[i] = rng.Intn(4) != 0; keep[i] {
+							kept = append(kept, ents[i])
+						}
+					}
+					n.Retain(func(i int) bool { return keep[i] })
+					ents = kept
+				default:
+					i, id := rng.Intn(len(ents)), ID(rng.Intn(1000)+1)
+					n.SetChild(i, id)
+					ents[i].Child = id
+				}
+				sameEntries(t, "edit", n, ents)
+				if n.Len() != len(ents) {
+					t.Fatalf("node holds %d entries, want %d", n.Len(), len(ents))
+				}
+			}
+		}
 	}
-	n.SyncCols(dims)
-	// The append insertIntoNode does: the truncation left spare capacity,
-	// so the new entry lands in place and only the length gives it away.
-	n.Entries = append(n.Entries, Entry{Key: randBits(rng, 9)})
-	if n.Cols() != nil {
-		t.Fatal("mirror fresh after an in-place append")
+}
+
+// randItems returns ni random items over dims dimensions, their values
+// clustered so that equality hits happen.
+func randItems(rng *rand.Rand, dims, ni int) []Item {
+	items := make([]Item, ni)
+	for i := range items {
+		pt := make(geometry.Point, dims)
+		for d := range pt {
+			pt[d] = rng.Uint64() >> (rng.Intn(60))
+		}
+		items[i] = Item{Point: pt, Payload: uint64(i)}
 	}
-	n.SyncCols(dims)
-	if err := n.CheckCols(dims); err != nil {
-		t.Fatal(err)
+	return items
+}
+
+// pageOf builds a data page of a dims-dimensional tree, its rows
+// allocated for capacity items, by appending items.
+func pageOf(reg region.BitString, dims, capacity int, items []Item) *DataPage {
+	p := NewDataPage(reg, dims)
+	p.Reserve(capacity)
+	for _, it := range items {
+		p.Append(it.Point, it.Payload)
 	}
-	n.Entries = append(append([]Entry(nil), n.Entries[:8]...), n.Entries[8])
-	if n.Cols() != nil {
-		t.Fatal("mirror fresh after the backing array moved")
-	}
+	return p
 }
 
 // randDataPage builds a data page with ni random items over dims
 // dimensions.
 func randDataPage(rng *rand.Rand, dims, ni int) *DataPage {
-	p := &DataPage{Region: region.BitString{}}
-	for i := 0; i < ni; i++ {
-		pt := make(geometry.Point, dims)
-		for d := 0; d < dims; d++ {
-			pt[d] = rng.Uint64() >> (rng.Intn(60)) // cluster values so equality hits happen
+	return pageOf(region.BitString{}, dims, 0, randItems(rng, dims, ni))
+}
+
+// encodeItems is the item-by-item data page encoding, the reference the
+// rows must encode to.
+func encodeItems(reg region.BitString, dims int, items []Item) []byte {
+	w := newWriter(KindData)
+	w.u32(uint32(dims))
+	w.bits(reg)
+	w.u32(uint32(len(items)))
+	for _, it := range items {
+		for _, v := range it.Point {
+			w.u64(v)
 		}
-		p.Items = append(p.Items, Item{Point: pt, Payload: uint64(i)})
+		w.u64(it.Payload)
 	}
-	return p
+	return w.finish()
+}
+
+// sameItems fails unless p holds exactly items and encodes as they do.
+func sameItems(t *testing.T, what string, p *DataPage, items []Item) {
+	t.Helper()
+	dims := p.DCols().Dims()
+	if !bytes.Equal(EncodeData(p, dims), encodeItems(p.Region, dims, items)) {
+		t.Fatalf("%s: the rows encode differently from their %d items", what, len(items))
+	}
+	got := p.ReadItems()
+	for i := range items {
+		if !got[i].Point.Equal(items[i].Point) || got[i].Payload != items[i].Payload || !p.Item(i).Point.Equal(items[i].Point) {
+			t.Fatalf("%s: item %d reads back as %v", what, i, got[i])
+		}
+	}
 }
 
 // TestDataColsMasksAgainstScalarTests pins EqualMask64 to Point.Equal
@@ -263,19 +354,13 @@ func TestDataColsMasksAgainstScalarTests(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, dims := range []int{1, 2, 3} {
 		for trial := 0; trial < 50; trial++ {
-			p := randDataPage(rng, dims, rng.Intn(150))
-			p.SyncDataCols(dims)
+			items := randItems(rng, dims, rng.Intn(150))
+			p := pageOf(region.BitString{}, dims, 0, items)
 			c := p.DCols()
-			if c == nil {
-				t.Fatal("mirror stale immediately after SyncDataCols")
-			}
-			if err := p.CheckDataCols(dims); err != nil {
-				t.Fatal(err)
-			}
 			for q := 0; q < 8; q++ {
 				var probe geometry.Point
-				if q%2 == 0 && len(p.Items) > 0 {
-					probe = p.Items[rng.Intn(len(p.Items))].Point
+				if q%2 == 0 && len(items) > 0 {
+					probe = items[rng.Intn(len(items))].Point
 				} else {
 					probe = make(geometry.Point, dims)
 					for d := range probe {
@@ -283,19 +368,16 @@ func TestDataColsMasksAgainstScalarTests(t *testing.T) {
 					}
 				}
 				rect := randRect(rng, dims)
-				for base := 0; base < len(p.Items); base += 64 {
+				for base := 0; base < len(items); base += 64 {
 					em := c.EqualMask64(probe, base)
 					cm := c.ContainMask64(rect, base)
-					hi := base + 64
-					if hi > len(p.Items) {
-						hi = len(p.Items)
-					}
+					hi := min(base+64, len(items))
 					for i := base; i < hi; i++ {
 						bit := uint64(1) << uint(i-base)
-						if got, want := em&bit != 0, p.Items[i].Point.Equal(probe); got != want {
+						if got, want := em&bit != 0, items[i].Point.Equal(probe); got != want {
 							t.Fatalf("dims=%d item %d: EqualMask64=%v Point.Equal=%v", dims, i, got, want)
 						}
-						if got, want := cm&bit != 0, rect.Contains(p.Items[i].Point); got != want {
+						if got, want := cm&bit != 0, rect.Contains(items[i].Point); got != want {
 							t.Fatalf("dims=%d item %d: ContainMask64=%v Contains=%v", dims, i, got, want)
 						}
 					}
@@ -305,47 +387,57 @@ func TestDataColsMasksAgainstScalarTests(t *testing.T) {
 	}
 }
 
-// TestDataColsStaleness: the freshness marker must catch the item-slice
-// mutations the tree performs between saves, SyncDataCols must restore
-// freshness, and Clone must not carry the source's mirror.
-func TestDataColsStaleness(t *testing.T) {
+// TestDataColsEditInPlace drives random sequences of the edits the tree
+// makes — append, remove, a split's move to a second page — on pages laid
+// out at capacity, at no capacity and exactly sized by a decode, and the
+// same edits on slices of items: after every edit the pages must hold
+// exactly the slices, and a clone taken on the way must not move.
+func TestDataColsEditInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	const dims = 2
-	p := randDataPage(rng, dims, 12)
-	p.SyncDataCols(dims)
-	enc := EncodeData(p, dims)
-
-	p.Items = append(p.Items[:5], p.Items[6:]...) // removal
-	if p.DCols() != nil {
-		t.Fatal("mirror fresh after item removal")
-	}
-	p.SyncDataCols(dims)
-	if p.DCols() == nil || p.DCols().Len() != 11 {
-		t.Fatal("rebuild did not restore a fresh mirror")
-	}
-	p.Items = append(p.Items, Item{Point: geometry.Point{1, 2}, Payload: 99}) // append
-	if p.DCols() != nil {
-		t.Fatal("mirror fresh after append")
-	}
-	p.SyncDataCols(dims)
-
-	cl := p.Clone()
-	if cl.DCols() != nil {
-		t.Fatal("clone carried the source's mirror despite a moved item slice")
-	}
-	cl.SyncDataCols(dims)
-	cl.Items[0].Payload = 7777
-	if err := p.CheckDataCols(dims); err != nil {
-		t.Fatalf("source mirror affected by clone mutation: %v", err)
-	}
-
-	// The mirror is derived state only: it must never leak into the wire
-	// format (encoding reads Items alone).
-	p2, _, err := DecodeData(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p2.Items) != 12 {
-		t.Fatalf("decoded %d items, want 12", len(p2.Items))
+	for _, dims := range []int{1, 2, 5} {
+		for trial := 0; trial < 30; trial++ {
+			items := randItems(rng, dims, rng.Intn(12))
+			p := pageOf(region.BitString{}, dims, []int{0, 9, 33}[trial%3], items)
+			if trial%2 == 1 {
+				var err error
+				if p, _, err = DecodeDataCols(EncodeData(p, dims)); err != nil {
+					t.Fatal(err)
+				}
+				p.Reserve(rng.Intn(20))
+			}
+			var cl *DataPage
+			var clItems []Item
+			for step := 0; step < 60; step++ {
+				switch op := rng.Intn(5); {
+				case op < 3 || len(items) == 0:
+					it := randItems(rng, dims, 1)[0]
+					p.Append(it.Point, it.Payload)
+					items = append(items, it)
+				case op == 3:
+					i := rng.Intn(len(items))
+					p.RemoveAt(i)
+					items = append(items[:i], items[i+1:]...)
+				default:
+					move := make([]bool, len(items))
+					dst := pageOf(region.BitString{}, dims, rng.Intn(4), randItems(rng, dims, rng.Intn(3)))
+					dstItems, kept := dst.ReadItems(), items[:0:0]
+					for i := range move {
+						if move[i] = rng.Intn(2) == 0; move[i] {
+							dstItems = append(dstItems, items[i])
+						} else {
+							kept = append(kept, items[i])
+						}
+					}
+					p.MoveTo(dst, func(i int) bool { return move[i] })
+					items = kept
+					sameItems(t, "split's new page", dst, dstItems)
+				}
+				sameItems(t, "edit", p, items)
+				if step == 20 {
+					cl, clItems = p.Clone(), append([]Item(nil), items...)
+				}
+			}
+			sameItems(t, "clone", cl, clItems)
+		}
 	}
 }

@@ -1,98 +1,138 @@
 package page
 
 import (
-	"errors"
-	"fmt"
 	"math/bits"
 
 	"bvtree/internal/geometry"
 )
 
-// DataCols is the columnar form of a data page: the items' coordinates
-// deinterleaved into one per-dimension row each, laid out in a single
-// arena so the point tests of the lookup and range hot paths scan
-// contiguous words instead of chasing one Point slice per item.
-//
-// A page read from the store is decoded straight into the columns
-// (DecodeDataCols), with one more row for the payloads, and carries
-// nothing else until a writer takes it (BuildItems). On a page a writer
-// holds, Items is what the writer edits, the payloads live there, and the
-// columns are rebuilt from it by every SaveData (SyncDataCols) with no
-// payload row. The staleness discipline is NodeCols': DCols returns nil
-// whenever the columns may be out of date (detected, never read as
-// wrong). Data pages are small (DataCapacity items) and saved on every
-// mutation, so a full rebuild per save costs one short copy.
+// DataCols is a data page's columns, the only form its items have: one
+// row per dimension holding the items' coordinates, and a payload row,
+// laid out in a single arena so the point tests of the lookup and range
+// hot paths scan contiguous words. A page decoded from the store has
+// rows of exactly its item count (DecodeDataCols); a writer lays them out
+// at the page's capacity when it first takes the page (Reserve), after
+// which an insert writes one word per row, a delete closes the gap in
+// every row, and a split moves items row by row (MoveTo), all in place.
+// Item order is what the rows hold, and it is the order the page encodes.
 type DataCols struct {
 	n      int
-	first  *Item // freshness marker: &Items[0] at sync time, nil on a decoded page
 	dims   int
 	stride int
-	coords []uint64 // row d is coords[d*stride : d*stride+n]; on a decoded page row dims holds the payloads
+	coords []uint64 // row d is coords[d*stride : d*stride+n]; row dims holds the payloads
 }
 
-// DCols returns the page's columns, or nil when they are missing or
-// possibly stale (the item slice changed length or moved since the last
-// sync), which readers treat as an error.
-func (p *DataPage) DCols() *DataCols {
-	c := p.dcols
-	switch {
-	case c == nil:
-		return nil
-	case c.first == nil:
-		if len(p.Items) != 0 {
-			return nil
-		}
-	case c.n != len(p.Items) || c.first != &p.Items[0]:
-		return nil
-	}
-	return c
-}
+// DCols returns the page's columns.
+func (p *DataPage) DCols() *DataCols { return &p.cols }
 
-// SyncDataCols (re)builds the columns from Items. It is idempotent and
-// cheap to call when the columns are already fresh.
-func (p *DataPage) SyncDataCols(dims int) {
-	if c := p.DCols(); c != nil && c.dims == dims {
+// Len returns the number of items.
+func (c *DataCols) Len() int { return c.n }
+
+// Dims returns the number of coordinate rows.
+func (c *DataCols) Dims() int { return c.dims }
+
+// Payload returns item i's payload.
+func (c *DataCols) Payload(i int) uint64 { return c.coords[c.dims*c.stride+i] }
+
+// Payload returns item i's payload.
+func (p *DataPage) Payload(i int) uint64 { return p.cols.Payload(i) }
+
+// Reserve lays the rows out for at least capacity items, carrying the
+// items already there across; it does nothing when they already fit.
+func (p *DataPage) Reserve(capacity int) {
+	c := &p.cols
+	if capacity <= c.stride {
 		return
 	}
-	p.BuildItems()
-	c := p.dcols
-	n := len(p.Items)
-	stride := cap(p.Items)
-	if c == nil || c.dims != dims || c.stride < stride {
-		c = &DataCols{dims: dims, stride: stride, coords: make([]uint64, dims*stride)}
-		p.dcols = c
+	coords := make([]uint64, (c.dims+1)*capacity)
+	for d := 0; d <= c.dims; d++ {
+		copy(coords[d*capacity:], c.coords[d*c.stride:d*c.stride+c.n])
 	}
-	c.n = n
-	c.first = nil
-	if n > 0 {
-		c.first = &p.Items[0]
-	}
-	for i := range p.Items {
-		pt := p.Items[i].Point
-		for d := 0; d < dims; d++ {
-			c.coords[d*c.stride+i] = pt[d]
-		}
-	}
+	c.stride, c.coords = capacity, coords
 }
 
-// Payload returns item i's payload: from Items when the page carries
-// them, from the payload row of a decoded page's columns otherwise.
-func (p *DataPage) Payload(i int) uint64 {
-	if i < len(p.Items) {
-		return p.Items[i].Payload
+// Append adds an item with point pt and payload as the page's last,
+// writing the point's coordinates into the rows; a page already at its
+// capacity (a tolerated overflow) grows first.
+func (p *DataPage) Append(pt geometry.Point, payload uint64) {
+	c := &p.cols
+	if c.n == c.stride {
+		p.Reserve(max(2*c.stride, 1))
 	}
-	c := p.dcols
-	return c.coords[c.dims*c.stride+i]
+	for d := 0; d < c.dims; d++ {
+		c.coords[d*c.stride+c.n] = pt[d]
+	}
+	c.coords[c.dims*c.stride+c.n] = payload
+	c.n++
+}
+
+// RemoveAt deletes item i, closing the gap so the items keep their order.
+func (p *DataPage) RemoveAt(i int) {
+	c := &p.cols
+	for d := 0; d <= c.dims; d++ {
+		row := c.coords[d*c.stride : d*c.stride+c.n]
+		copy(row[i:], row[i+1:])
+	}
+	c.n--
+}
+
+// MoveTo moves the items for which move(i) is true to the end of dst and
+// closes the gaps they leave, so the items keep their order on both
+// pages. move is called once per item, in order.
+func (p *DataPage) MoveTo(dst *DataPage, move func(i int) bool) {
+	c, dc := &p.cols, &dst.cols
+	j := 0
+	for i := 0; i < c.n; i++ {
+		if move(i) {
+			if dc.n == dc.stride {
+				dst.Reserve(max(2*dc.stride, 1))
+			}
+			for d := 0; d <= c.dims; d++ {
+				dc.coords[d*dc.stride+dc.n] = c.coords[d*c.stride+i]
+			}
+			dc.n++
+			continue
+		}
+		if j != i {
+			for d := 0; d <= c.dims; d++ {
+				c.coords[d*c.stride+j] = c.coords[d*c.stride+i]
+			}
+		}
+		j++
+	}
+	c.n = j
+}
+
+// AppendPoint appends item i's coordinates to dst.
+func (p *DataPage) AppendPoint(dst []uint64, i int) []uint64 {
+	c := &p.cols
+	for d := 0; d < c.dims; d++ {
+		dst = append(dst, c.coords[d*c.stride+i])
+	}
+	return dst
+}
+
+// Item returns item i as a value, its point in words of its own.
+func (p *DataPage) Item(i int) Item {
+	return Item{Point: p.AppendPoint(make(geometry.Point, 0, p.cols.dims), i), Payload: p.Payload(i)}
+}
+
+// ReadItems returns the page's items as values: one slice, and one slab
+// all their points are cut from. The page is never changed, and editing
+// the result does not change it.
+func (p *DataPage) ReadItems() []Item {
+	c := &p.cols
+	items, _ := p.AppendItems(make([]Item, 0, c.n), make([]uint64, 0, c.n*c.dims))
+	return items
 }
 
 // AppendItems appends the page's items to dst, their points copied from
-// the columns into coords, and returns both extended slices; as with
+// the rows into coords, and returns both extended slices; as with
 // AppendDataItems, the points of earlier calls stay valid when coords
-// relocates. The page must have fresh columns. It is how a reader that
-// hands points out — and may see them retained — gets a decoded page's
-// items without changing the page.
+// relocates. It is how a reader that hands a whole page's points out —
+// and may see them retained — gets them without changing the page.
 func (p *DataPage) AppendItems(dst []Item, coords []uint64) ([]Item, []uint64) {
-	c := p.dcols
+	c := &p.cols
 	base := len(coords)
 	if cap(coords)-base < c.n*c.dims {
 		grown := make([]uint64, base, base+c.n*c.dims)
@@ -105,13 +145,10 @@ func (p *DataPage) AppendItems(dst []Item, coords []uint64) ([]Item, []uint64) {
 		for d := range pt {
 			pt[d] = c.coords[d*c.stride+i]
 		}
-		dst = append(dst, Item{Point: pt, Payload: p.Payload(i)})
+		dst = append(dst, Item{Point: pt, Payload: c.Payload(i)})
 	}
 	return dst, coords
 }
-
-// Len returns the number of mirrored items.
-func (c *DataCols) Len() int { return c.n }
 
 // EqualMask64 returns a bitmask over items [base, base+64) of those
 // whose point equals p in every dimension (bit i-base set for item i) —
@@ -169,30 +206,4 @@ func (c *DataCols) ContainMask64(r geometry.Rect, base int) uint64 {
 		}
 	}
 	return m
-}
-
-// CheckDataCols verifies the columns against the items: they must be
-// fresh and agree on every coordinate.
-func (p *DataPage) CheckDataCols(dims int) error {
-	c := p.DCols()
-	if c == nil {
-		return errors.New("page: no fresh data mirror")
-	}
-	if c.dims != dims {
-		return fmt.Errorf("page: data mirror has %d dims, want %d", c.dims, dims)
-	}
-	items := p.ReadItems()
-	if c.n != len(items) {
-		return fmt.Errorf("page: data mirror has %d items, page has %d", c.n, len(items))
-	}
-	for i := range items {
-		pt := items[i].Point
-		for d := 0; d < dims; d++ {
-			if c.coords[d*c.stride+i] != pt[d] {
-				return fmt.Errorf("page: data mirror item %d dim %d: column %d, point %d",
-					i, d, c.coords[d*c.stride+i], pt[d])
-			}
-		}
-	}
-	return nil
 }

@@ -102,120 +102,80 @@ func TestDecodeIndexBoundsCountBeforeAllocating(t *testing.T) {
 	}
 }
 
-// privateKeys returns a copy of n whose region and entry keys each own
-// their words (region.FromWords copies): the node DecodeIndex produced
-// when it made one allocation per key.
-func privateKeys(t *testing.T, n *IndexNode) *IndexNode {
-	t.Helper()
-	own := func(b region.BitString) region.BitString {
-		c, err := region.FromWords(b.Words(), b.Len())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	c := &IndexNode{Level: n.Level, Region: own(n.Region), Entries: make([]Entry, len(n.Entries))}
-	for i, e := range n.Entries {
-		c.Entries[i] = Entry{Key: own(e.Key), Level: e.Level, Child: e.Child}
-	}
-	return c
-}
-
-// TestDecodeIndexSlabSharing: the keys of a decoded node share one slab,
-// the one the entry build cuts them all from.
-// Everything the tree does to such a node — split its entries over two
-// nodes, clone it, append to it, drop entries — must encode exactly as it
-// does for a node whose keys each own their words, and must leave the
-// keys that stay behind untouched.
+// TestDecodeIndexSlabSharing: a decoded node's columns are cut from one
+// exactly sized arena, and everything the tree does to such a node —
+// split its entries over two nodes, clone it, append to it, drop entries
+// — must encode exactly as the same edits on a node built entry by entry,
+// and must leave the node it was cloned from untouched.
 func TestDecodeIndexSlabSharing(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	const dims = 2
-	same := func(what string, a, b *IndexNode) {
-		t.Helper()
-		if !bytes.Equal(EncodeIndex(a), EncodeIndex(b)) {
-			t.Fatalf("%s: slab-backed node encodes differently from the private-key node", what)
-		}
-	}
 	for trial := 0; trial < 40; trial++ {
-		src := randNode(rng, dims, 2+rng.Intn(90))
-		src.Region = randBits(rng, 70)
-		blob := EncodeIndex(src)
-		slab, err := DecodeIndex(blob)
+		ents := randEntries(rng, dims, 2+rng.Intn(90))
+		reg := randBits(rng, 70)
+		blob := encodeEntries(3, reg, ents)
+		slab, err := DecodeIndexCols(blob, dims)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := privateKeys(t, slab)
-		same("decode", slab, ref)
-		if !bytes.Equal(EncodeIndex(slab), blob) {
-			t.Fatal("decode → encode is not the identity")
-		}
-		slab.SyncCols(dims)
-		if err := slab.CheckCols(dims); err != nil {
-			t.Fatal(err)
-		}
+		sameEntries(t, "decode", slab, ents)
 
 		// Split: the upper half moves to a new node, the lower half is
-		// truncated in place and extended again.
-		cut := len(slab.Entries) / 2
-		split := func(n *IndexNode) (*IndexNode, *IndexNode) {
-			right := &IndexNode{Level: n.Level, Region: n.Entries[cut].Key, Entries: append([]Entry(nil), n.Entries[cut:]...)}
-			left := n.Clone()
-			left.Entries = left.Entries[:cut]
-			return left, right
+		// dropped from a clone in place and the clone extended again.
+		cut := len(ents) / 2
+		right := nodeOf(3, ents[cut].Key, dims, nil)
+		for _, e := range slab.ReadEntries()[cut:] {
+			right.Append(e)
 		}
-		sl, sr := split(slab)
-		rl, rr := split(ref)
-		same("split left", sl, rl)
-		same("split right", sr, rr)
-		for _, pair := range [][2]*IndexNode{{sl, rl}, {sr, rr}} {
+		left := slab.Clone()
+		left.Retain(func(i int) bool { return i < cut })
+		sides := []struct {
+			n    *IndexNode
+			ents []Entry
+		}{{left, ents[:cut:cut]}, {right, append([]Entry(nil), ents[cut:]...)}}
+		for _, side := range sides {
+			sameEntries(t, "split", side.n, side.ents)
 			for i := 0; i < 5; i++ {
-				e := Entry{Key: pair[0].Entries[rng.Intn(len(pair[0].Entries))].Key.Append(i & 1), Level: i, Child: ID(1000 + i)}
-				pair[0].Entries = append(pair[0].Entries, e)
-				pair[1].Entries = append(pair[1].Entries, e)
+				e := Entry{Key: side.ents[rng.Intn(len(side.ents))].Key.Append(i & 1), Level: i, Child: ID(1000 + i)}
+				side.n.Append(e)
+				side.ents = append(side.ents, e)
 			}
-			pair[0].SyncCols(dims)
-			if err := pair[0].CheckCols(dims); err != nil {
-				t.Fatal(err)
-			}
-			same("append", pair[0], pair[1])
-			again, err := DecodeIndex(EncodeIndex(pair[0]))
+			sameEntries(t, "append", side.n, side.ents)
+			again, err := DecodeIndexCols(EncodeIndex(side.n), dims)
 			if err != nil {
 				t.Fatal(err)
 			}
-			same("second decode", again, pair[1])
+			sameEntries(t, "second decode", again, side.ents)
 		}
-		// None of it may have reached the node the keys were cut for.
+		// None of it may have reached the node the halves came from.
 		if !bytes.Equal(EncodeIndex(slab), blob) {
-			t.Fatal("mutating the split halves changed the node they were split from")
+			t.Fatal("editing the split halves changed the node they were split from")
 		}
 	}
 }
 
-// TestDecodeDataPublishesMirror: DecodeData decodes into the columns and
-// builds the items from them, so the page it returns is already published
-// for the dimensionality the page records and SyncDataCols has nothing to
-// do.
+// TestDecodeDataPublishesMirror: DecodeData decodes into the rows of the
+// dimensionality the page records and reads its Items out of them.
 func TestDecodeDataPublishesMirror(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, dims := range []int{1, 2, 5} {
 		for _, ni := range []int{0, 1, 37} {
-			p, gotDims, err := DecodeData(EncodeData(randDataPage(rng, dims, ni), dims))
+			items := randItems(rng, dims, ni)
+			p, gotDims, err := DecodeData(encodeItems(region.BitString{}, dims, items))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gotDims != dims {
-				t.Fatalf("decoded %d dims, want %d", gotDims, dims)
+			if gotDims != dims || p.DCols().Dims() != dims {
+				t.Fatalf("decoded %d dims into %d rows, want %d", gotDims, p.DCols().Dims(), dims)
 			}
-			c := p.DCols()
-			if c == nil {
-				t.Fatalf("dims %d, %d items: no fresh mirror after DecodeData", dims, ni)
+			sameItems(t, "decode", p, items)
+			if len(p.Items) != ni {
+				t.Fatalf("DecodeData gave %d items, want %d", len(p.Items), ni)
 			}
-			if err := p.CheckDataCols(dims); err != nil {
-				t.Fatal(err)
-			}
-			p.SyncDataCols(dims)
-			if p.DCols() != c {
-				t.Fatal("SyncDataCols rebuilt a mirror DecodeData had just built")
+			for i, it := range p.Items {
+				if !it.Point.Equal(items[i].Point) || it.Payload != items[i].Payload {
+					t.Fatalf("DecodeData item %d is %v, want %v", i, it, items[i])
+				}
 			}
 		}
 	}

@@ -13,19 +13,18 @@ import (
 // anything that does not round-trip, and must classify every rejection as
 // ErrCorrupt. Seeds cover valid encodings of each page kind and the
 // structurally wrong pages of decode_test.go, whose checksums are valid;
-// the fuzzer mutates them into torn and corrupt forms. The column
-// decoders (DecodeIndexCols, DecodeDataCols), which are what a tree reads
-// stored pages with, must accept exactly the pages the entry decoders
-// accept, and the entries or items built from their columns must agree
-// with the columns and encode as the entry decoders' result does.
+// the fuzzer mutates them into torn and corrupt forms. Each kind has two
+// decoders, with and without what the tree needs (DecodeIndexCols' brick
+// bounds, DecodeData's Items), which must accept exactly the same pages;
+// what they accept must encode back to the same bytes, also after the
+// entries or items read out of the columns are appended to an empty node,
+// and after an edit is made and undone in place.
 
 func FuzzDecodeIndex(f *testing.F) {
-	n := &IndexNode{Level: 2, Region: region.MustParseBits("01")}
-	n.Entries = append(n.Entries,
-		Entry{Key: region.MustParseBits("010"), Level: 1, Child: 5},
-		Entry{Key: region.MustParseBits("0111"), Level: 0, Child: 9},
-	)
-	f.Add(EncodeIndex(n))
+	f.Add(encodeEntries(2, region.MustParseBits("01"), []Entry{
+		{Key: region.MustParseBits("010"), Level: 1, Child: 5},
+		{Key: region.MustParseBits("0111"), Level: 0, Child: 9},
+	}))
 	f.Add([]byte{})
 	f.Add([]byte{0xEE, 0xB7, 1, 1, 0, 0, 0, 0})
 	for _, c := range structurallyCorrupt {
@@ -45,49 +44,30 @@ func FuzzDecodeIndex(f *testing.F) {
 		}
 		// Anything accepted must re-encode and decode identically.
 		re := EncodeIndex(got)
-		if err := cols.CheckCols(2); err != nil {
-			t.Fatalf("decoded columns disagree with their entries: %v", err)
-		}
+		ents := cols.ReadEntries()
+		sameEntries(t, "decode", cols, ents)
 		if !bytes.Equal(EncodeIndex(cols), re) {
-			t.Fatal("a node carrying only columns encodes differently")
+			t.Fatal("the decoders' nodes encode differently")
 		}
-		cols.BuildEntries()
-		if err := cols.CheckCols(2); err != nil {
-			t.Fatalf("columns stale after BuildEntries: %v", err)
-		}
-		if !bytes.Equal(EncodeIndex(cols), re) {
-			t.Fatal("entries built from the columns encode differently")
-		}
+		sameEntries(t, "rebuild", nodeOf(cols.Level, cols.Region, 2, ents), ents)
 		again, err := DecodeIndex(re)
 		if err != nil {
 			t.Fatalf("re-decode of accepted page failed: %v", err)
 		}
-		if again.Level != got.Level || len(again.Entries) != len(got.Entries) {
+		if again.Level != got.Level || again.Len() != got.Len() {
 			t.Fatal("re-encode not stable")
 		}
-		// The columnar mirror built over a decoded node must agree with
-		// its entries, be rebuilt after an append, and never leak into
-		// the wire format.
-		got.SyncCols(2)
-		if err := got.CheckCols(2); err != nil {
-			t.Fatalf("cols mismatch after decode: %v", err)
-		}
-		got.Entries = append(got.Entries, Entry{Key: region.MustParseBits("1101"), Level: 0, Child: 3})
-		got.SyncCols(2)
-		if err := got.CheckCols(2); err != nil {
-			t.Fatalf("cols mismatch after append: %v", err)
-		}
-		got.Entries = got.Entries[:len(got.Entries)-1]
-		if !bytes.Equal(EncodeIndex(got), re) {
-			t.Fatal("mirror maintenance changed the encoding")
+		cols.Append(Entry{Key: region.MustParseBits("1101"), Level: 0, Child: 3})
+		sameEntries(t, "append", cols, append(ents, Entry{Key: region.MustParseBits("1101"), Level: 0, Child: 3}))
+		cols.RemoveAt(cols.Len() - 1)
+		if !bytes.Equal(EncodeIndex(cols), re) {
+			t.Fatal("an append and its removal changed the encoding")
 		}
 	})
 }
 
 func FuzzDecodeData(f *testing.F) {
-	p := &DataPage{Region: region.MustParseBits("10")}
-	p.Items = append(p.Items, Item{Point: geometry.Point{1, 2}, Payload: 3})
-	f.Add(EncodeData(p, 2))
+	f.Add(encodeItems(region.MustParseBits("10"), 2, []Item{{Point: geometry.Point{1, 2}, Payload: 3}}))
 	f.Add([]byte{})
 	for _, c := range structurallyCorrupt {
 		f.Add(c.blob)
@@ -104,35 +84,21 @@ func FuzzDecodeData(f *testing.F) {
 			}
 			return
 		}
-		if cdims != dims {
-			t.Fatalf("DecodeDataCols found %d dims, DecodeData %d", cdims, dims)
+		if cdims != dims || cols.DCols().Dims() != dims {
+			t.Fatalf("DecodeDataCols found %d dims into %d rows, DecodeData %d", cdims, cols.DCols().Dims(), dims)
 		}
-		// An accepted page comes out published: the mirror DecodeData
-		// filled must agree with the items.
-		if err := got.CheckDataCols(dims); err != nil {
-			t.Fatalf("mirror mismatch after decode: %v", err)
-		}
+		// An accepted page comes out with its items read from its rows.
+		sameItems(t, "decode", got, got.Items)
 		re := EncodeData(got, dims)
 		if _, _, err := DecodeData(re); err != nil {
 			t.Fatalf("re-decode of accepted page failed: %v", err)
 		}
-		if err := cols.CheckDataCols(dims); err != nil {
-			t.Fatalf("decoded columns disagree with their items: %v", err)
-		}
-		for i := range got.Items {
-			if cols.Payload(i) != got.Items[i].Payload {
-				t.Fatalf("item %d: payload row %d, item %d", i, cols.Payload(i), got.Items[i].Payload)
-			}
-		}
+		sameItems(t, "decode into columns", cols, got.Items)
+		sameItems(t, "rebuild", pageOf(cols.Region, dims, 0, got.Items), got.Items)
+		cols.Append(make(geometry.Point, dims), 7)
+		cols.RemoveAt(cols.Len() - 1)
 		if !bytes.Equal(EncodeData(cols, dims), re) {
-			t.Fatal("a page carrying only columns encodes differently")
-		}
-		cols.BuildItems()
-		if err := cols.CheckDataCols(dims); err != nil {
-			t.Fatalf("columns stale after BuildItems: %v", err)
-		}
-		if !bytes.Equal(EncodeData(cols, dims), re) {
-			t.Fatal("items built from the columns encode differently")
+			t.Fatal("an append and its removal changed the encoding")
 		}
 	})
 }

@@ -1,7 +1,12 @@
-// Package page defines the on-page node model shared by the tree
-// structures in this module — index nodes holding region entries and data
-// pages holding points — together with a compact, checksummed binary
-// encoding used by the file-backed store.
+// Package page defines the node model shared by the tree structures in
+// this module — index nodes holding region entries and data pages holding
+// points — together with a compact, checksummed binary encoding used by
+// the page stores.
+//
+// A node is its columns (cols.go, datacols.go): the struct-of-arrays form
+// the tree's readers scan is also the one its writers edit in place and
+// the one the encoder reads. Entry and Item are values at the API, built
+// from the columns on request; no node stores them.
 package page
 
 import (
@@ -54,85 +59,30 @@ func (e Entry) IsGuard(nodeLevel int) bool { return e.Level < nodeLevel-1 }
 // IndexNode is a directory node of the partition hierarchy at index level
 // Level >= 1. Its unpromoted entries have partition level Level-1; promoted
 // guards have lower levels. Region is the node's own region key (the key of
-// its entry in the parent).
-//
-// A node is in one of two states. Decoded from a page (DecodeIndexCols)
-// it carries only its columns (see cols.go) and Entries is nil: that is
-// all a reader scans. A writer takes it with BuildEntries, which builds
-// Entries from the columns in place; from then on Entries is what the
-// writer edits and the columns are rebuilt from it at every save
-// (SyncCols). Code that reads entries without editing them uses
-// ReadEntries, which never changes the node.
+// its entry in the parent). Its entries are its columns (see cols.go):
+// read them through Cols or ReadEntries, and edit them with Append,
+// Retain, RemoveAt and SetChild; Reserve lays them out for a capacity.
 type IndexNode struct {
-	Level   int
-	Region  region.BitString
-	Entries []Entry
+	Level  int
+	Region region.BitString
 
-	// cols is the node's columnar form (see cols.go): never encoded,
-	// accessed through Cols() which hides it whenever it is stale.
-	cols *NodeCols
+	cols NodeCols
 }
 
-// bare reports whether the node carries only its columns: decoded from
-// a page and not yet taken by a writer.
-func (n *IndexNode) bare() bool {
-	c := n.cols
-	return len(n.Entries) == 0 && c != nil && c.entsFirst == nil && c.n > 0
+// NewIndexNode returns an empty index node whose columns carry brick
+// bounds for a dims-dimensional tree.
+func NewIndexNode(level int, reg region.BitString, dims int) *IndexNode {
+	return &IndexNode{Level: level, Region: reg, cols: NodeCols{dims: dims}}
 }
 
-// BuildEntries gives a node that carries only its columns its Entries,
-// built from the columns in place; the columns stay fresh. It is how a
-// writer takes a decoded node, and it does nothing to a node that has
-// Entries already. Only a caller that holds the node exclusively may call
-// it: readers use ReadEntries.
-func (n *IndexNode) BuildEntries() {
-	if n.bare() {
-		n.Entries = n.cols.entries()
-		n.cols.mark(n.Entries)
-	}
-}
+// Len returns the number of entries.
+func (n *IndexNode) Len() int { return n.cols.n }
 
-// ReadEntries returns the node's entries for reading: Entries itself
-// when the node carries them, otherwise a private copy built from the
-// columns. The node is never changed, and the result must not be edited.
-func (n *IndexNode) ReadEntries() []Entry {
-	if n.bare() {
-		return n.cols.entries()
-	}
-	return n.Entries
-}
-
-// Len returns the number of entries, in either state.
-func (n *IndexNode) Len() int {
-	if n.bare() {
-		return n.cols.n
-	}
-	return len(n.Entries)
-}
-
-// Clone returns a copy of n in the writer's state, whose Entries slice
-// has a private backing array, so the copy can be appended to, compacted,
-// or rebound without disturbing the original; the entries of a node that
-// carries only columns are built for the copy alone. Entry keys are
-// BitStrings with value semantics (no in-place mutators), so sharing
-// their word storage across the copy is safe. A fresh columnar mirror is
-// cloned along: its slab layout makes that a fixed number of arena copies
-// however many entries the node holds, which is what keeps MVCC
-// copy-on-write capture cheap.
+// Clone returns a copy of n whose columns are its own: two arena copies
+// whatever the entry count, which is what keeps MVCC copy-on-write
+// capture cheap.
 func (n *IndexNode) Clone() *IndexNode {
-	c := &IndexNode{Level: n.Level, Region: n.Region}
-	switch {
-	case n.bare():
-		c.Entries = n.cols.entries()
-	case len(n.Entries) > 0:
-		c.Entries = make([]Entry, len(n.Entries))
-		copy(c.Entries, n.Entries)
-	}
-	if src := n.Cols(); src != nil {
-		c.cols = src.clone()
-		c.cols.mark(c.Entries)
-	}
-	return c
+	return &IndexNode{Level: n.Level, Region: n.Region, cols: n.cols.clone()}
 }
 
 // Item is one stored record: an n-dimensional point plus an opaque payload
@@ -142,81 +92,36 @@ type Item struct {
 	Payload uint64
 }
 
-// DataPage is a leaf page holding the points of one level-0 region. Like
-// IndexNode it is in one of two states: decoded from a page
-// (DecodeDataCols) it carries only its columns, payloads included, and
-// Items is nil; a writer takes it with BuildItems, after which Items is
-// what the writer edits and the columns are rebuilt from it at every save
-// (SyncDataCols). Readers use ReadItems, Payload or AppendItems, which
-// never change the page.
+// DataPage is a leaf page holding the points of one level-0 region. Its
+// items are its columns (see datacols.go): one row per dimension and a
+// payload row. Read them through DCols, Payload, AppendPoint, Item,
+// ReadItems or AppendItems, and edit them with Append, RemoveAt and
+// MoveTo; Reserve lays them out for a capacity.
 type DataPage struct {
 	Region region.BitString
-	Items  []Item
 
-	// dcols is the page's columnar form (see datacols.go): never encoded,
-	// dropped by Clone (a clone's mirror reads as stale until its first
-	// SyncDataCols).
-	dcols *DataCols
+	// Items is filled by DecodeData alone, for tools that inspect a stored
+	// page item by item. The tree's pages never carry it, and nothing in
+	// this package reads it: EncodeData encodes the columns.
+	Items []Item
+
+	cols DataCols
 }
 
-// bare reports whether the page carries only its columns: decoded from
-// a page and not yet taken by a writer.
-func (p *DataPage) bare() bool {
-	c := p.dcols
-	return len(p.Items) == 0 && c != nil && c.first == nil && c.n > 0
+// NewDataPage returns an empty data page of a dims-dimensional tree;
+// Reserve lays its rows out.
+func NewDataPage(reg region.BitString, dims int) *DataPage {
+	return &DataPage{Region: reg, cols: DataCols{dims: dims}}
 }
 
-// BuildItems gives a page that carries only its columns its Items, built
-// from the columns in place; the columns stay fresh. It is how a writer
-// takes a decoded page, and it does nothing to a page that has Items
-// already. Only a caller that holds the page exclusively may call it.
-func (p *DataPage) BuildItems() {
-	if p.bare() {
-		p.Items = p.columnItems()
-		p.dcols.first = &p.Items[0]
-	}
-}
+// Len returns the number of items.
+func (p *DataPage) Len() int { return p.cols.n }
 
-// ReadItems returns the page's items for reading: Items itself when the
-// page carries them, otherwise a private copy built from the columns. The
-// page is never changed, and the result must not be edited.
-func (p *DataPage) ReadItems() []Item {
-	if p.bare() {
-		return p.columnItems()
-	}
-	return p.Items
-}
-
-// columnItems builds the items from the columns: one item slice and one
-// slab for their points, each of exactly the page's size.
-func (p *DataPage) columnItems() []Item {
-	c := p.dcols
-	items, _ := p.AppendItems(make([]Item, 0, c.n), make([]uint64, 0, c.n*c.dims))
-	return items
-}
-
-// Len returns the number of items, in either state.
-func (p *DataPage) Len() int {
-	if p.bare() {
-		return p.dcols.n
-	}
-	return len(p.Items)
-}
-
-// Clone returns a copy of p in the writer's state, whose Items slice has
-// a private backing array; the items of a page that carries only columns
-// are built for the copy alone. Item points are shared: tree code never
-// mutates a stored point's coordinates in place, it only rebinds whole
-// items.
+// Clone returns a copy of p whose rows are its own, at the same
+// capacity: one copy whatever the item count.
 func (p *DataPage) Clone() *DataPage {
-	c := &DataPage{Region: p.Region}
-	switch {
-	case p.bare():
-		c.Items = p.columnItems()
-	case len(p.Items) > 0:
-		c.Items = make([]Item, len(p.Items))
-		copy(c.Items, p.Items)
-	}
+	c := &DataPage{Region: p.Region, cols: p.cols}
+	c.cols.coords = append([]uint64(nil), p.cols.coords...)
 	return c
 }
 
@@ -227,34 +132,41 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// EncodeIndex serialises an index node, in either state.
+// EncodeIndex serialises an index node from its columns.
 func EncodeIndex(n *IndexNode) []byte {
+	c := &n.cols
 	w := newWriter(KindIndex)
 	w.u32(uint32(n.Level))
 	w.bits(n.Region)
-	ents := n.ReadEntries()
-	w.u32(uint32(len(ents)))
-	for _, e := range ents {
-		w.u32(uint32(e.Level))
-		w.bits(e.Key)
-		w.u64(uint64(e.Child))
+	w.u32(uint32(c.n))
+	for i := 0; i < c.n; i++ {
+		kl := int(c.keyLen[i])
+		w.u32(uint32(c.levels[i]))
+		w.u32(uint32(kl))
+		if kl > 0 {
+			w.u64(c.head[i])
+		}
+		for _, t := range c.tails[c.tailOff[i]:c.tailOff[i+1]] {
+			w.u64(t)
+		}
+		w.u64(c.child[i])
 	}
 	return w.finish()
 }
 
-// EncodeData serialises a data page, in either state. All items must
-// share the page's dimensionality.
+// EncodeData serialises a data page from its rows; dims must be the
+// page's dimensionality.
 func EncodeData(p *DataPage, dims int) []byte {
-	items := p.ReadItems()
+	c := &p.cols
 	w := newWriter(KindData)
 	w.u32(uint32(dims))
 	w.bits(p.Region)
-	w.u32(uint32(len(items)))
-	for _, it := range items {
+	w.u32(uint32(c.n))
+	for i := 0; i < c.n; i++ {
 		for d := 0; d < dims; d++ {
-			w.u64(it.Point[d])
+			w.u64(c.coords[d*c.stride+i])
 		}
-		w.u64(it.Payload)
+		w.u64(c.Payload(i))
 	}
 	return w.finish()
 }
@@ -268,27 +180,15 @@ func DecodeKind(b []byte) (Kind, error) {
 	return r.kind, nil
 }
 
-// DecodeIndex deserialises an index node in the writer's form: Entries,
-// and no columnar mirror (the page does not record the dimensionality the
-// mirror's bounds need; SyncCols builds it). It is DecodeIndexCols
-// followed by the entry build, so the two accept exactly the same pages.
-// The keys of all its entries are cut from one slab of words: BitStrings
-// are immutable, so keys that share a backing array behave like keys
-// that do not.
-func DecodeIndex(b []byte) (*IndexNode, error) {
-	n, err := DecodeIndexCols(b, 0)
-	if err != nil {
-		return nil, err
-	}
-	n.Entries, n.cols = n.cols.entries(), nil
-	return n, nil
-}
+// DecodeIndex is DecodeIndexCols for a reader with no dimensionality at
+// hand: the node comes out without brick bounds, fit for walking and
+// re-encoding but not for the tree's rectangle tests.
+func DecodeIndex(b []byte) (*IndexNode, error) { return DecodeIndexCols(b, 0) }
 
-// DecodeIndexCols decodes an index page straight into the columns a
-// dims-dimensional tree's readers scan, in one pass over the entries
-// after a walk over their lengths: the node comes out carrying only its
-// columns (see IndexNode), with Cols() fresh, and no entry or key is
-// built (dims 0 builds no brick bounds).
+// DecodeIndexCols decodes an index page into the columns of a
+// dims-dimensional tree's node, in one pass over the entries after a
+// walk over their lengths, exactly sized; no entry or key is built (dims
+// 0 builds no brick bounds).
 func DecodeIndexCols(b []byte, dims int) (*IndexNode, error) {
 	r, err := newReader(b)
 	if err != nil {
@@ -327,8 +227,9 @@ func DecodeIndexCols(b []byte, dims int) (*IndexNode, error) {
 		}
 		tails += max(nw-1, 0)
 	}
-	c := &NodeCols{}
-	c.reserve(dims, count, tails)
+	n.cols.dims = dims
+	c := &n.cols
+	c.reserve(count, tails)
 	var kw [geometry.MaxDims]uint64 // the key words the brick bounds read
 	stride := 2 * dims
 	for i := 0; i < count; i++ {
@@ -360,7 +261,6 @@ func DecodeIndexCols(b []byte, dims int) (*IndexNode, error) {
 		body = body[16+8*nw:]
 	}
 	c.n = count
-	n.cols = c
 	return n, nil
 }
 
@@ -411,24 +311,20 @@ func (r *reader) items(dims, count int, dst []Item, coords []uint64) ([]Item, []
 	return dst, coords
 }
 
-// DecodeData deserialises a data page in the writer's form: Items, their
-// points sharing one coordinate slab (stored points are never mutated in
-// place, see DataPage.Clone), with the columnar mirror fresh for the
-// dimensionality the page records. It is DecodeDataCols followed by
-// BuildItems, so the two accept exactly the same pages.
+// DecodeData is DecodeDataCols plus Items, the page's items as values,
+// for tools that inspect a stored page item by item.
 func DecodeData(b []byte) (*DataPage, int, error) {
 	p, dims, err := DecodeDataCols(b)
 	if err != nil {
 		return nil, 0, err
 	}
-	p.BuildItems()
+	p.Items = p.ReadItems()
 	return p, dims, nil
 }
 
-// DecodeDataCols decodes a data page straight into the columns readers
-// scan, in one pass: one slab holds a row per dimension and the payload
-// row, and the page comes out carrying only its columns (see DataPage),
-// with DCols() fresh for the dimensionality the page records.
+// DecodeDataCols decodes a data page into its columns, in one pass: one
+// slab, exactly sized, holds a row per dimension and the payload row.
+// It also returns the dimensionality the page records.
 func DecodeDataCols(b []byte) (*DataPage, int, error) {
 	r, dims, reg, count, err := dataHeader(b)
 	if err != nil {
@@ -442,8 +338,7 @@ func DecodeDataCols(b []byte) (*DataPage, int, error) {
 		}
 		body = body[8*(dims+1):]
 	}
-	c := &DataCols{n: count, dims: dims, stride: count, coords: slab}
-	return &DataPage{Region: reg, dcols: c}, dims, nil
+	return &DataPage{Region: reg, cols: DataCols{n: count, dims: dims, stride: count, coords: slab}}, dims, nil
 }
 
 // AppendDataItems decodes the items of an encoded data page, appending

@@ -20,17 +20,12 @@ func randBits(rng *rand.Rand, maxLen int) region.BitString {
 func TestIndexRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 100; trial++ {
-		n := &IndexNode{
-			Level:  1 + rng.Intn(5),
-			Region: randBits(rng, 100),
+		level := 1 + rng.Intn(5)
+		ents := make([]Entry, rng.Intn(20))
+		for i := range ents {
+			ents[i] = Entry{Key: randBits(rng, 150), Level: rng.Intn(level), Child: ID(rng.Uint64())}
 		}
-		for i := 0; i < rng.Intn(20); i++ {
-			n.Entries = append(n.Entries, Entry{
-				Key:   randBits(rng, 150),
-				Level: rng.Intn(n.Level),
-				Child: ID(rng.Uint64()),
-			})
-		}
+		n := nodeOf(level, randBits(rng, 100), 2, ents)
 		blob := EncodeIndex(n)
 		k, err := DecodeKind(blob)
 		if err != nil || k != KindIndex {
@@ -40,13 +35,11 @@ func TestIndexRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Level != n.Level || !got.Region.Equal(n.Region) || len(got.Entries) != len(n.Entries) {
+		if got.Level != n.Level || !got.Region.Equal(n.Region) || got.Len() != len(ents) {
 			t.Fatalf("header mismatch: %+v vs %+v", got, n)
 		}
-		for i := range n.Entries {
-			if !got.Entries[i].Key.Equal(n.Entries[i].Key) ||
-				got.Entries[i].Level != n.Entries[i].Level ||
-				got.Entries[i].Child != n.Entries[i].Child {
+		for i, e := range got.ReadEntries() {
+			if !e.Key.Equal(ents[i].Key) || e.Level != ents[i].Level || e.Child != ents[i].Child {
 				t.Fatalf("entry %d mismatch", i)
 			}
 		}
@@ -57,24 +50,25 @@ func TestDataRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 100; trial++ {
 		dims := 1 + rng.Intn(4)
-		p := &DataPage{Region: randBits(rng, 80)}
-		for i := 0; i < rng.Intn(30); i++ {
+		items := make([]Item, rng.Intn(30))
+		for i := range items {
 			pt := make(geometry.Point, dims)
 			for d := range pt {
 				pt[d] = rng.Uint64()
 			}
-			p.Items = append(p.Items, Item{Point: pt, Payload: rng.Uint64()})
+			items[i] = Item{Point: pt, Payload: rng.Uint64()}
 		}
+		p := pageOf(randBits(rng, 80), dims, 32, items)
 		blob := EncodeData(p, dims)
 		got, gotDims, err := DecodeData(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotDims != dims || !got.Region.Equal(p.Region) || len(got.Items) != len(p.Items) {
+		if gotDims != dims || !got.Region.Equal(p.Region) || len(got.Items) != len(items) {
 			t.Fatalf("header mismatch")
 		}
-		for i := range p.Items {
-			if !got.Items[i].Point.Equal(p.Items[i].Point) || got.Items[i].Payload != p.Items[i].Payload {
+		for i := range items {
+			if !got.Items[i].Point.Equal(items[i].Point) || got.Items[i].Payload != items[i].Payload {
 				t.Fatalf("item %d mismatch", i)
 			}
 		}
@@ -82,8 +76,7 @@ func TestDataRoundTrip(t *testing.T) {
 }
 
 func TestChecksumDetectsCorruption(t *testing.T) {
-	n := &IndexNode{Level: 1, Region: region.MustParseBits("01")}
-	n.Entries = append(n.Entries, Entry{Key: region.MustParseBits("010"), Level: 0, Child: 7})
+	n := nodeOf(1, region.MustParseBits("01"), 2, []Entry{{Key: region.MustParseBits("010"), Level: 0, Child: 7}})
 	blob := EncodeIndex(n)
 	for pos := 0; pos < len(blob); pos += 3 {
 		bad := append([]byte(nil), blob...)
