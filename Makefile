@@ -9,7 +9,9 @@ GO ?= go
 # run stays in the dedicated `race` target). The race smoke subset
 # covers the reader/writer stress tests (TestConcurrent* in
 # internal/storage: readers sharing a FileStore's write set and file
-# with a writer that frees, rewrites and Syncs), the group-commit/batch write
+# with a writer that frees, rewrites and Syncs, and borrowed reads,
+# LendNode decoding in a pooled slot buffer, beside a writer that
+# rewrites and Syncs), the group-commit/batch write
 # path (TestGroupCommit* in internal/wal, TestConcurrentBatch* in
 # internal/bvtree), the instrumentation path (TestConcurrentMetrics),
 # the histogram core (TestConcurrentHistogram in internal/obs), the

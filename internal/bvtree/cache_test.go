@@ -11,6 +11,7 @@ import (
 
 	"bvtree/internal/geometry"
 	"bvtree/internal/page"
+	"bvtree/internal/region"
 	"bvtree/internal/storage"
 	"bvtree/internal/workload"
 )
@@ -435,5 +436,199 @@ func TestWriterKeepsIndexResident(t *testing.T) {
 	}
 	if cs.Nodes > int64(tr.paged.cap) {
 		t.Fatalf("the cache holds %d nodes, capacity %d", cs.Nodes, tr.paged.cap)
+	}
+}
+
+// trimReference is trim's victim selection as a sort states it: past
+// capacity, count the clean nodes per class (a writer's trim writes every
+// dirty node back first, so all of them), evict every node of the classes
+// below the cut and, of the cut class, the first take by ascending page
+// ID after sorting the class.
+func trimReference(nodes []entry, capacity int, exclusive bool, clock uint32) map[page.ID]bool {
+	victims := map[page.ID]bool{}
+	if len(nodes) <= capacity {
+		return victims
+	}
+	var counts [2 * evictLevels]int
+	for _, e := range nodes {
+		if exclusive || !e.dirty {
+			counts[e.class(clock)]++
+		}
+	}
+	excess := len(nodes) - (capacity - capacity/8)
+	cut, take := len(counts), 0
+	for c, n := range counts {
+		if excess <= n {
+			cut, take = c, excess
+			break
+		}
+		excess -= n
+	}
+	var edge []page.ID
+	for _, e := range nodes {
+		if !exclusive && e.dirty {
+			continue
+		}
+		switch c := e.class(clock); {
+		case c < cut:
+			victims[e.id] = true
+		case c == cut:
+			edge = append(edge, e.id)
+		}
+	}
+	slices.Sort(edge)
+	for _, id := range edge[:min(take, len(edge))] {
+		victims[id] = true
+	}
+	return victims
+}
+
+// cacheEntries returns the entry of every cached page, checking that
+// each shard's map and entries describe the same pages — a page's entry
+// at the position its map value names, with the same stamp, and every
+// other position a listed hole — and that size counts them.
+func cacheEntries(t *testing.T, pn *pagedNodes) []entry {
+	t.Helper()
+	var all []entry
+	for i := range pn.shards {
+		sh := &pn.shards[i]
+		for id, c := range sh.nodes {
+			e := sh.entries[c.pos]
+			if e.id != id || !e.live || e.stamp != c.stamp || pn.shard(id) != sh {
+				t.Fatalf("shard %d: page %d maps to the entry of page %d (live %v, stamp %d against %d)", i, id, e.id, e.live, e.stamp, c.stamp)
+			}
+			all = append(all, e)
+		}
+		live := 0
+		for _, e := range sh.entries {
+			if e.live {
+				live++
+			}
+		}
+		for _, pos := range sh.holes {
+			if sh.entries[pos].live {
+				t.Fatalf("shard %d: hole %d holds page %d", i, pos, sh.entries[pos].id)
+			}
+		}
+		if live != len(sh.nodes) || live+len(sh.holes) != len(sh.entries) {
+			t.Fatalf("shard %d: %d pages, %d live entries and %d holes in %d", i, len(sh.nodes), live, len(sh.holes), len(sh.entries))
+		}
+	}
+	if int64(len(all)) != pn.size.Load() {
+		t.Fatalf("the cache holds %d nodes, its size says %d", len(all), pn.size.Load())
+	}
+	return all
+}
+
+// TestTrimMatchesSortedReference: trim selects its victims without
+// sorting the cache, and evicts exactly the set trimReference sorts for,
+// on seeded random caches of nodes at levels 0 to 4, dirty or clean,
+// stamped in the current generation or earlier ones, under and over
+// capacities 1, 8 and 128, for writers and readers.
+func TestTrimMatchesSortedReference(t *testing.T) {
+	for _, capacity := range []int{1, 8, 128} {
+		for _, exclusive := range []bool{false, true} {
+			for seed := int64(0); seed < 40; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				st := storage.NewMemStore()
+				pn := newPagedNodes(st, 2, capacity)
+				clock := uint32(1000 + rng.Intn(1000))
+				pn.clock.Store(clock)
+				n := 1 + rng.Intn(2*capacity+24)
+				ids := make([]page.ID, 3*n)
+				for i := range ids {
+					id, err := st.Alloc()
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids[i] = id
+				}
+				rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+				for _, id := range ids[:n] {
+					level := rng.Intn(5)
+					var v interface{} = page.NewDataPage(region.BitString{}, 2)
+					if level > 0 {
+						v = page.NewIndexNode(level, region.BitString{}, 2)
+					}
+					stamp := clock - uint32(rng.Intn(3))
+					if rng.Intn(8) == 0 {
+						stamp = uint32(rng.Intn(1000)) // generations ago
+					}
+					pn.shard(id).put(id, v, rng.Intn(4) == 0, stamp)
+					pn.size.Add(1)
+				}
+				before := cacheEntries(t, pn)
+				want := trimReference(before, capacity, exclusive, clock)
+				if err := pn.trim(exclusive); err != nil {
+					t.Fatal(err)
+				}
+				after := cacheEntries(t, pn)
+				kept := map[page.ID]bool{}
+				for _, e := range after {
+					kept[e.id] = true
+					if exclusive && e.dirty && len(before) > capacity {
+						t.Fatalf("cap %d seed %d: a writer's trim left page %d dirty", capacity, seed, e.id)
+					}
+				}
+				got := map[page.ID]bool{}
+				for _, e := range before {
+					if !kept[e.id] {
+						got[e.id] = true
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("cap %d exclusive %v seed %d: %d nodes: trim evicted %d, the reference %d", capacity, exclusive, seed, n, len(got), len(want))
+				}
+				for id := range want {
+					if !got[id] {
+						t.Fatalf("cap %d exclusive %v seed %d: the reference evicts page %d, trim kept it", capacity, exclusive, seed, id)
+					}
+				}
+				if ran := len(before) > capacity; ran != (pn.clock.Load() == clock+1) {
+					t.Fatalf("cap %d exclusive %v seed %d: clock %d after a trim of %d nodes from %d", capacity, exclusive, seed, pn.clock.Load(), n, clock)
+				}
+			}
+		}
+	}
+}
+
+// TestLowest: lowest keeps exactly the k lowest IDs of its input, with
+// their positions, for every k and input order.
+func TestLowest(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for n := 0; n < 40; n++ {
+		for k := 0; k <= n+1; k++ {
+			for _, order := range []string{"shuffled", "ascending", "descending"} {
+				refs := make([]entryRef, n)
+				for i := range refs {
+					refs[i].id = page.ID(3*i + 1)
+				}
+				switch order {
+				case "shuffled":
+					rng.Shuffle(n, func(i, j int) { refs[i], refs[j] = refs[j], refs[i] })
+				case "descending":
+					slices.Reverse(refs)
+				}
+				for i := range refs {
+					refs[i].pos = int32(i)
+				}
+				var kept []page.ID
+				for _, r := range lowest(nil, refs, k) {
+					if refs[r.pos] != r {
+						t.Fatalf("%s n=%d k=%d: kept page %d at the position of %d", order, n, k, r.id, refs[r.pos].id)
+					}
+					kept = append(kept, r.id)
+				}
+				slices.Sort(kept)
+				if len(kept) != min(k, n) {
+					t.Fatalf("%s n=%d k=%d: kept %d IDs", order, n, k, len(kept))
+				}
+				for i, id := range kept {
+					if id != page.ID(3*i+1) {
+						t.Fatalf("%s n=%d k=%d: kept %v", order, n, k, kept)
+					}
+				}
+			}
+		}
 	}
 }

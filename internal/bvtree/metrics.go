@@ -70,8 +70,8 @@ func (t *Tree) cacheSnapshot() obs.CacheSnapshot {
 		sh := &pn.shards[i]
 		sh.mu.Lock()
 		cs.Nodes += int64(len(sh.nodes))
-		for _, e := range sh.nodes {
-			if e.level > 0 {
+		for _, e := range sh.entries {
+			if e.live && e.level > 0 {
 				cs.IndexNodes++
 			}
 		}

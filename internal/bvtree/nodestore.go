@@ -39,30 +39,95 @@ type NodeStore interface {
 // through one cache lock.
 const cacheShards = 16
 
-// nodeShard is one stripe of the decoded-node cache.
+// nodeShard is one stripe of the decoded-node cache. nodes maps a cached
+// page to its node, which is all a hit reads. Each page also has an
+// eviction entry, in a dense slice that trim and writeBack scan instead
+// of the map; an entry keeps its position while its page is cached, and
+// a removal leaves a hole, listed in holes for the next new page to fill,
+// so removing costs one map operation.
 type nodeShard struct {
-	mu    sync.Mutex
-	nodes map[page.ID]cached
+	mu      sync.Mutex
+	nodes   map[page.ID]cached
+	entries []entry
+	holes   []int32
 	// seq is the shard's write sequence: every dirty cachePut and every
 	// Free bumps it under mu. A pinned view admits a node it decoded only
 	// while seq has not moved since its miss (admit).
 	seq uint64
 }
 
-// cached is a decoded node; dirty when it was saved since it last
-// reached the store. level is its eviction level: 0 for a data page, the
-// index level for an index node. stamp is the trim generation
-// (pagedNodes.clock) in which the node last entered the cache or was hit;
-// it carries the node's clock bit, set while stamp is the current
-// generation, so a trim clears every bit at once by starting the next.
-// The fields pack into the 24 bytes a node and its dirty mark took alone;
-// a stamp that wraps after 2^32 trims costs at most one misordered
-// eviction.
+// cached is a decoded node, the position of its page's entry, and the
+// entry's stamp, mirrored so that a hit in the current generation reads
+// the map alone and writes nothing.
 type cached struct {
 	node  interface{}
-	dirty bool
-	level uint8
+	pos   int32
 	stamp uint32
+}
+
+// entry is what trim needs of a cached page: dirty when its node was
+// saved since it last reached the store; level, its eviction level (0 for
+// a data page, the index level for an index node); stamp, the trim
+// generation (pagedNodes.clock) in which the node last entered the cache
+// or was hit. The stamp carries the node's clock bit, set while stamp is
+// the current generation, so a trim clears every bit at once by starting
+// the next; one that wraps after 2^32 trims costs at most one misordered
+// eviction. A hole has live unset.
+type entry struct {
+	id    page.ID
+	stamp uint32
+	level uint8
+	dirty bool
+	live  bool
+}
+
+// touch returns page id's node and stamps it with generation now (mu
+// held).
+func (sh *nodeShard) touch(id page.ID, now uint32) (interface{}, bool) {
+	c, ok := sh.nodes[id]
+	if ok && c.stamp != now {
+		c.stamp = now
+		sh.nodes[id] = c
+		sh.entries[c.pos].stamp = now
+	}
+	return c.node, ok
+}
+
+// put caches v as page id, replacing any node it had, stamped with
+// generation now, and reports whether the page is new to the shard (mu
+// held).
+func (sh *nodeShard) put(id page.ID, v interface{}, dirty bool, now uint32) bool {
+	e := entry{id: id, stamp: now, level: levelOf(v), dirty: dirty, live: true}
+	if c, ok := sh.nodes[id]; ok {
+		sh.nodes[id] = cached{v, c.pos, now}
+		sh.entries[c.pos] = e
+		return false
+	}
+	pos := int32(len(sh.entries))
+	if n := len(sh.holes); n > 0 {
+		pos, sh.holes = sh.holes[n-1], sh.holes[:n-1]
+		sh.entries[pos] = e
+	} else {
+		sh.entries = append(sh.entries, e)
+	}
+	sh.nodes[id] = cached{v, pos, now}
+	return true
+}
+
+// remove drops page id and reports whether it was cached (mu held).
+func (sh *nodeShard) remove(id page.ID) bool {
+	c, ok := sh.nodes[id]
+	if ok {
+		sh.removeAt(c.pos)
+	}
+	return ok
+}
+
+// removeAt drops the page of entries[pos], leaving a hole (mu held).
+func (sh *nodeShard) removeAt(pos int32) {
+	delete(sh.nodes, sh.entries[pos].id)
+	sh.entries[pos] = entry{}
+	sh.holes = append(sh.holes, pos)
 }
 
 // evictLevels bounds the levels trim tells apart; higher index levels
@@ -80,7 +145,7 @@ func levelOf(v interface{}) uint8 {
 // evicts the lower classes first. Data pages come before index nodes, and
 // index nodes go level by level upward; inside a level a node whose clock
 // bit is clear comes before one touched since the last trim.
-func (e cached) class(clock uint32) int {
+func (e *entry) class(clock uint32) int {
 	c := 2 * int(e.level)
 	if e.stamp == clock {
 		c++
@@ -88,10 +153,11 @@ func (e cached) class(clock uint32) int {
 	return c
 }
 
-// victim is a clean cached node and its class, as trim counted it.
-type victim struct {
-	id    page.ID
-	class int
+// entryRef names a cached page by its ID and the position of its entry,
+// for a trim to evict it by.
+type entryRef struct {
+	id  page.ID
+	pos int32
 }
 
 // pagedNodes adapts a storage.Store: nodes are serialised through
@@ -117,20 +183,26 @@ type pagedNodes struct {
 
 	// clock is the trim generation, advanced by every trim (cached.stamp).
 	clock atomic.Uint32
-	// trimMu admits one trim at a time and guards its scratch slices.
-	trimMu sync.Mutex
-	seen   []victim
-	edge   []page.ID
+	// trimMu admits one trim at a time and guards its scratch slices:
+	// the clean nodes by class, and the lowest IDs of the cut class.
+	trimMu  sync.Mutex
+	byClass [2 * evictLevels][]entryRef
+	low     []entryRef
 
 	// indexReads and dataReads count the index nodes and data pages read
 	// from the store: the cache's misses, by kind.
 	indexReads, dataReads atomic.Uint64
 
-	// br is the store's optional batched-read seam, resolved once at
-	// construction. It may be nil (a fault-injecting wrapper, say,
-	// implements only the plain Store), in which case a range walk falls
-	// back to per-node reads.
-	br storage.BatchReader
+	// br and lender are the store's optional batched-read and
+	// borrowed-read seams, resolved once at construction. Either may be
+	// nil (a fault-injecting wrapper, say, implements only the plain
+	// Store), in which case a range walk falls back to per-node reads and
+	// a miss decodes a copy ReadNode made.
+	br     storage.BatchReader
+	lender storage.Lender
+	// decodeIndex and decodeData decode a page for read; they are built
+	// once, so that lending a page to them allocates no closure.
+	decodeIndex, decodeData func(page.ID, []byte) (any, error)
 
 	// err is the first failed write-back, meta write or sync. The store
 	// may then hold anything, so nothing is written after it and every
@@ -146,6 +218,24 @@ func newPagedNodes(st storage.Store, dims, cacheNodes int) *pagedNodes {
 	}
 	s := &pagedNodes{st: st, dims: dims, cap: cacheNodes}
 	s.br, _ = st.(storage.BatchReader)
+	s.lender, _ = st.(storage.Lender)
+	s.decodeIndex = func(id page.ID, blob []byte) (any, error) {
+		n, err := page.DecodeIndexCols(blob, s.dims)
+		if err != nil {
+			return nil, fmt.Errorf("bvtree: decode index page %d: %w", id, err)
+		}
+		return n, nil
+	}
+	s.decodeData = func(id page.ID, blob []byte) (any, error) {
+		p, dims, err := page.DecodeDataCols(blob)
+		if err != nil {
+			return nil, fmt.Errorf("bvtree: decode data page %d: %w", id, err)
+		}
+		if dims != s.dims {
+			return nil, fmt.Errorf("bvtree: decode data page %d: %w: %d dims in a %d-dimensional tree", id, page.ErrCorrupt, dims, s.dims)
+		}
+		return p, nil
+	}
 	for i := range s.shards {
 		s.shards[i].nodes = make(map[page.ID]cached)
 	}
@@ -162,27 +252,22 @@ func (s *pagedNodes) shard(id page.ID) *nodeShard {
 func (s *pagedNodes) cacheGet(id page.ID) (interface{}, uint64, bool) {
 	sh := s.shard(id)
 	sh.mu.Lock()
-	e, ok := sh.nodes[id]
-	if now := s.clock.Load(); ok && e.stamp != now {
-		e.stamp = now
-		sh.nodes[id] = e
-	}
+	v, ok := sh.touch(id, s.clock.Load())
 	seq := sh.seq
 	sh.mu.Unlock()
-	return e.node, seq, ok
+	return v, seq, ok
 }
 
 // cachePut publishes v as page id: dirty for a save, clean for a decode.
 func (s *pagedNodes) cachePut(id page.ID, v interface{}, dirty bool) {
 	sh := s.shard(id)
 	sh.mu.Lock()
-	if _, ok := sh.nodes[id]; !ok {
-		s.size.Add(1)
-	}
 	if dirty {
 		sh.seq++
 	}
-	sh.nodes[id] = cached{node: v, dirty: dirty, level: levelOf(v), stamp: s.clock.Load()}
+	if sh.put(id, v, dirty, s.clock.Load()) {
+		s.size.Add(1)
+	}
 	sh.mu.Unlock()
 }
 
@@ -199,7 +284,7 @@ func (s *pagedNodes) admit(id page.ID, v interface{}, seq uint64) {
 	sh := s.shard(id)
 	sh.mu.Lock()
 	if _, ok := sh.nodes[id]; !ok && sh.seq == seq {
-		sh.nodes[id] = cached{node: v, level: levelOf(v), stamp: s.clock.Load()}
+		sh.put(id, v, false, s.clock.Load())
 		s.size.Add(1)
 	}
 	sh.mu.Unlock()
@@ -234,9 +319,9 @@ func (s *pagedNodes) writeBack() error {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for id, e := range sh.nodes {
+		for _, e := range sh.entries {
 			if e.dirty {
-				ids = append(ids, id)
+				ids = append(ids, e.id)
 			}
 		}
 		sh.mu.Unlock()
@@ -246,16 +331,15 @@ func (s *pagedNodes) writeBack() error {
 		sh := s.shard(id)
 		sh.mu.Lock()
 		var err error
-		if e := sh.nodes[id]; e.dirty {
-			switch n := e.node.(type) {
+		if c, ok := sh.nodes[id]; ok && sh.entries[c.pos].dirty {
+			switch n := c.node.(type) {
 			case *page.IndexNode:
 				err = s.st.WriteNode(id, page.EncodeIndex(n))
 			case *page.DataPage:
 				err = s.st.WriteNode(id, page.EncodeData(n, s.dims))
 			}
 			if err == nil {
-				e.dirty = false
-				sh.nodes[id] = e
+				sh.entries[c.pos].dirty = false
 			}
 		}
 		sh.mu.Unlock()
@@ -272,12 +356,17 @@ func (s *pagedNodes) writeBack() error {
 // and inside a level the nodes not touched since the last trim first
 // (cached.class). Ties break by ascending page ID, so one program always
 // evicts the same nodes, and the index, about 1/F of the tree (the
-// paper's eq 9), stays resident while anything else can go. One pass
-// over the shards counts the clean nodes per class; the evictions are
-// then made page by page, each only if the node is still clean and in
-// the class it was counted in. Starting the next generation then clears
-// every clock bit. One trim runs at a time; a trim that finds another
-// running leaves the eviction to it.
+// paper's eq 9), stays resident while anything else can go. Starting the
+// next generation then clears every clock bit. One trim runs at a time;
+// a trim that finds another running leaves the eviction to it.
+//
+// It selects; it does not sort. Holding every shard latch, so that it
+// sees one state of the cache, it scans the shards' entry slices once
+// and walks no map, gathering the clean nodes by class with their
+// positions. Whole classes then go from the lowest up, and of the class
+// where the excess runs out, the lowest page IDs, which a bounded heap
+// (lowest) picks out; every eviction is made by position. A reader
+// that hits or misses meanwhile waits out the scan.
 //
 // A writer (exclusive under the tree lock) first writes every dirty node
 // back, so it can drop any node; every other caller drops only nodes
@@ -300,61 +389,86 @@ func (s *pagedNodes) trim(exclusive bool) error {
 		return nil
 	}
 	defer s.trimMu.Unlock()
+	for i := range s.shards {
+		s.shards[i].mu.Lock()
+	}
 	clock := s.clock.Load()
-	var counts [2 * evictLevels]int
-	seen, total := s.seen[:0], 0
+	byClass := &s.byClass
+	for c := range byClass {
+		byClass[c] = byClass[c][:0]
+	}
+	total := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.Lock()
 		total += len(sh.nodes)
-		for id, e := range sh.nodes {
-			if !e.dirty {
+		for j := range sh.entries {
+			if e := &sh.entries[j]; e.live && !e.dirty {
 				c := e.class(clock)
-				counts[c]++
-				seen = append(seen, victim{id, c})
+				byClass[c] = append(byClass[c], entryRef{e.id, int32(j)})
 			}
 		}
-		sh.mu.Unlock()
 	}
-	// Evict every counted node of the classes below cut, and the first
-	// take of class cut by page ID.
+	// Evict whole classes from the lowest up, and of the class where the
+	// excess runs out its lowest page IDs.
 	excess := total - (s.cap - s.cap/8)
-	cut, take := len(counts), 0
-	for c, n := range counts {
-		if excess <= n {
-			cut, take = c, excess
-			break
+	for c := 0; c < len(byClass) && excess > 0; c++ {
+		refs := byClass[c]
+		if len(refs) > excess {
+			s.low = lowest(s.low, refs, excess)
+			refs = s.low
 		}
-		excess -= n
-	}
-	edge := s.edge[:0]
-	for _, v := range seen {
-		switch {
-		case v.class < cut:
-			s.evict(v.id, v.class, clock)
-		case v.class == cut && take > 0:
-			edge = append(edge, v.id)
+		for _, r := range refs {
+			s.shard(r.id).removeAt(r.pos)
 		}
+		s.size.Add(-int64(len(refs)))
+		excess -= len(refs)
 	}
-	slices.Sort(edge)
-	for _, id := range edge[:min(take, len(edge))] {
-		s.evict(id, cut, clock)
-	}
-	s.seen, s.edge = seen, edge
 	s.clock.Add(1)
+	for i := range s.shards {
+		s.shards[i].mu.Unlock()
+	}
 	return nil
 }
 
-// evict drops page id from the cache if it is still clean and in class,
-// as trim counted it: a node dirtied or hit since stays.
-func (s *pagedNodes) evict(id page.ID, class int, clock uint32) {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	if e, ok := sh.nodes[id]; ok && !e.dirty && e.class(clock) == class {
-		delete(sh.nodes, id)
-		s.size.Add(-1)
+// lowest returns the k of refs with the lowest page IDs, which are
+// distinct, in dst's storage. It keeps them in a max-heap, which most
+// refs leave with one comparison against its top: O(n log k), where
+// sorting refs is O(n log n) for a k that is often a tenth of n.
+func lowest(dst, refs []entryRef, k int) []entryRef {
+	h := dst[:0]
+	for _, r := range refs {
+		if len(h) < k {
+			h = append(h, r)
+			for i := len(h) - 1; i > 0; {
+				p := (i - 1) / 2
+				if h[p].id > h[i].id {
+					break
+				}
+				h[p], h[i] = h[i], h[p]
+				i = p
+			}
+			continue
+		}
+		if len(h) == 0 || r.id > h[0].id {
+			continue
+		}
+		h[0] = r
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= len(h) {
+				break
+			}
+			if c+1 < len(h) && h[c+1].id > h[c].id {
+				c++
+			}
+			if h[i].id > h[c].id {
+				break
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
 	}
-	sh.mu.Unlock()
+	return h
 }
 
 func (s *pagedNodes) AllocIndex(level int, reg region.BitString) (page.ID, *page.IndexNode, error) {
@@ -397,6 +511,22 @@ func (s *pagedNodes) Data(id page.ID) (*page.DataPage, error) {
 	return p, err
 }
 
+// read brings page id in from the store and decodes it with decode
+// (decodeIndex or decodeData): on the slot the store lends when it lends
+// one, so a one-slot page costs its read and its decode and no blob, and
+// on a copy ReadNode made otherwise. Both decoders copy every word they
+// keep out of the blob, so no node aliases a lent buffer.
+func (s *pagedNodes) read(id page.ID, decode func(page.ID, []byte) (any, error)) (any, error) {
+	if s.lender != nil {
+		return s.lender.LendNode(id, decode)
+	}
+	blob, err := s.st.ReadNode(id)
+	if err != nil {
+		return nil, err
+	}
+	return decode(id, blob)
+}
+
 // readIndex is the one place a stored index page becomes a node: read
 // and decoded, in one pass over its bytes, into its columns before anyone
 // can see it — through the cache (Index) or privately (a pinned view's
@@ -404,15 +534,9 @@ func (s *pagedNodes) Data(id page.ID) (*page.DataPage, error) {
 // wins whole.
 func (s *pagedNodes) readIndex(id page.ID) (*page.IndexNode, error) {
 	s.indexReads.Add(1)
-	blob, err := s.st.ReadNode(id)
-	if err != nil {
-		return nil, err
-	}
-	n, err := page.DecodeIndexCols(blob, s.dims)
-	if err != nil {
-		return nil, fmt.Errorf("bvtree: decode index page %d: %w", id, err)
-	}
-	return n, nil
+	v, err := s.read(id, s.decodeIndex)
+	n, _ := v.(*page.IndexNode)
+	return n, err
 }
 
 // peekIndex is Index for an observer: a hit sets no clock bit, and a
@@ -420,16 +544,14 @@ func (s *pagedNodes) readIndex(id page.ID) (*page.IndexNode, error) {
 func (s *pagedNodes) peekIndex(id page.ID) (*page.IndexNode, error) {
 	sh := s.shard(id)
 	sh.mu.Lock()
-	e, ok := sh.nodes[id]
+	c, ok := sh.nodes[id]
 	sh.mu.Unlock()
 	if ok {
-		return asIndex(id, e.node)
+		return asIndex(id, c.node)
 	}
-	blob, err := s.st.ReadNode(id)
-	if err != nil {
-		return nil, err
-	}
-	return page.DecodeIndexCols(blob, s.dims)
+	v, err := s.read(id, s.decodeIndex)
+	n, _ := v.(*page.IndexNode)
+	return n, err
 }
 
 // readData is readIndex for data pages: its coordinate rows and its
@@ -437,18 +559,9 @@ func (s *pagedNodes) peekIndex(id page.ID) (*page.IndexNode, error) {
 // takes the page (wData).
 func (s *pagedNodes) readData(id page.ID) (*page.DataPage, error) {
 	s.dataReads.Add(1)
-	blob, err := s.st.ReadNode(id)
-	if err != nil {
-		return nil, err
-	}
-	p, dims, err := page.DecodeDataCols(blob)
-	if err != nil {
-		return nil, fmt.Errorf("bvtree: decode data page %d: %w", id, err)
-	}
-	if dims != s.dims {
-		return nil, fmt.Errorf("bvtree: decode data page %d: %w: %d dims in a %d-dimensional tree", id, page.ErrCorrupt, dims, s.dims)
-	}
-	return p, nil
+	v, err := s.read(id, s.decodeData)
+	p, _ := v.(*page.DataPage)
+	return p, err
 }
 
 // dataBatch fetches the data pages named by ids for a streaming scan.
@@ -533,9 +646,8 @@ func (s *pagedNodes) poisoned() error {
 func (s *pagedNodes) Free(id page.ID) error {
 	sh := s.shard(id)
 	sh.mu.Lock()
-	if _, ok := sh.nodes[id]; ok {
+	if sh.remove(id) {
 		s.size.Add(-1)
-		delete(sh.nodes, id)
 	}
 	sh.seq++
 	sh.mu.Unlock()

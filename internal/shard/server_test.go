@@ -40,30 +40,54 @@ func startServer(t *testing.T, dims, shards int, cfg ServerConfig) (*Server, str
 
 // serve runs s on ln until the test's cleanup closes it.
 func serve(t *testing.T, s *Server, ln net.Listener) *Server {
-	base := runtime.NumGoroutine()
+	accept, conns := servingGoroutines()
 	served := make(chan error, 1)
 	go func() { served <- s.Serve(ln) }()
 	t.Cleanup(func() {
 		s.Close()
 		<-served
-		waitGoroutines(t, "after Close", func(n int) bool { return n <= base })
+		waitServing(t, "after Close", func(a, c int) bool { return a <= accept && c <= conns })
 	})
 	return s
 }
 
-// waitGoroutines yields until the number of goroutines satisfies ok, and
-// fails the test if it has not within five seconds. A goroutine that has
-// done its last work may still be exiting, so the count is awaited rather
-// than read once.
-func waitGoroutines(t *testing.T, what string, ok func(n int) bool) {
+// servingGoroutines counts, from every goroutine's stack, the goroutines
+// in a Server's accept loop (Serve) and those serving a connection
+// (serveConn). Goroutines of the runtime, of clients or of other tests
+// are not counted, so they cannot move the count.
+func servingGoroutines() (accept, conns int) {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	// A goroutine's trace is its frames, then the line naming the
+	// function that started it, which does not end in an argument list.
+	for _, g := range bytes.Split(buf[:n], []byte("\n\n")) {
+		switch {
+		case bytes.Contains(g, []byte("shard.(*Server).serveConn(")):
+			conns++
+		case bytes.Contains(g, []byte("shard.(*Server).Serve(")):
+			accept++
+		}
+	}
+	return accept, conns
+}
+
+// waitServing polls the serving goroutines until ok accepts their count,
+// and fails the test if it has not within five seconds. A goroutine that
+// has done its last work may still be exiting, so the count is awaited
+// rather than read once.
+func waitServing(t *testing.T, what string, ok func(accept, conns int) bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for n := runtime.NumGoroutine(); !ok(n); n = runtime.NumGoroutine() {
+	for a, c := servingGoroutines(); !ok(a, c); a, c = servingGoroutines() {
 		if time.Now().After(deadline) {
-			t.Errorf("%s: %d goroutines", what, n)
+			t.Errorf("%s: %d accept loops and %d connection goroutines", what, a, c)
 			return
 		}
-		runtime.Gosched()
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -451,9 +475,12 @@ func TestShardServerConcurrentClients(t *testing.T) {
 }
 
 // TestShardServerGoroutinePerConnection pins the connection model: one
-// goroutine per open connection, gone when its client hangs up.
+// accept loop, and one goroutine per open connection, gone when its
+// client hangs up; serve's cleanup checks that none is left after Close.
+// Only serving goroutines are counted, so goroutines other tests or the
+// runtime start or end meanwhile cannot fail it.
 func TestShardServerGoroutinePerConnection(t *testing.T) {
-	base := runtime.NumGoroutine()
+	accept, served := servingGoroutines()
 	_, addr := startServer(t, 2, 2, ServerConfig{})
 	const conns = 3
 	clients := make([]*Client, conns)
@@ -464,11 +491,10 @@ func TestShardServerGoroutinePerConnection(t *testing.T) {
 		}
 		clients[i] = c
 	}
-	// The accept loop, plus one per connection.
-	waitGoroutines(t, "open connections", func(n int) bool { return n == base+1+conns })
-	for i, c := range clients {
-		c.Close()
-		waitGoroutines(t, "after a client hung up", func(n int) bool { return n == base+1+conns-(i+1) })
+	waitServing(t, "open connections", func(a, c int) bool { return a == accept+1 && c == served+conns })
+	for i, client := range clients {
+		client.Close()
+		waitServing(t, "after a client hung up", func(a, c int) bool { return a == accept+1 && c == served+conns-(i+1) })
 	}
 }
 

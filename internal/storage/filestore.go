@@ -31,9 +31,9 @@ import (
 // since the last Sync stays resident as a full slot image.
 //
 // Concurrency: mutations (Alloc, WriteNode, Free, Sync, Close) hold the
-// store lock exclusively; ReadNode, ReadNodes and Stats hold it shared and
-// only read the write set, so parallel readers proceed together with no
-// latch below the store lock.
+// store lock exclusively; ReadNode, LendNode, ReadNodes and Stats hold it
+// shared and only read the write set, so parallel readers proceed together
+// with no latch below the store lock.
 //
 // Crash safety: Sync is atomic. Before overwriting any slot it records the
 // old images in a rollback journal (path + ".journal"), fsyncs the
@@ -57,7 +57,8 @@ type FileStore struct {
 
 	// written is the write set: slot → its image since the last Sync.
 	written map[uint64][]byte
-	// slotBufs holds *[]byte buffers of one slot, for reads from the file.
+	// slotBufs holds *[]byte buffers of one slot: each read takes one to
+	// pread its slots into, and LendNode lends it.
 	slotBufs sync.Pool
 
 	closed   bool
@@ -337,72 +338,95 @@ func (s *FileStore) Alloc() (page.ID, error) {
 	return page.ID(slot), nil
 }
 
-// ReadNode implements Store. It assembles the slot chain starting at id.
-// Reads hold the store lock shared, so any number of them proceed in
-// parallel.
+// ReadNode implements Store: the node as LendNode lends it, copied when
+// it lies in the pooled slot buffer. Reads hold the store lock shared, so
+// any number of them proceed in parallel.
 func (s *FileStore) ReadNode(id page.ID) ([]byte, error) {
+	bp := s.slotBufs.Get().(*[]byte)
+	defer s.slotBufs.Put(bp)
+	blob, lent, err := s.lend(id, *bp)
+	if lent {
+		blob = append([]byte(nil), blob...)
+	}
+	return blob, err
+}
+
+// LendNode implements Lender. A node of one slot outside the write set is
+// lent in a pooled slot buffer, read there by one pread; use runs after
+// the store lock is released, on a buffer no other read shares.
+func (s *FileStore) LendNode(id page.ID, use func(page.ID, []byte) (any, error)) (any, error) {
+	bp := s.slotBufs.Get().(*[]byte)
+	defer s.slotBufs.Put(bp)
+	blob, _, err := s.lend(id, *bp)
+	if err != nil {
+		return nil, err
+	}
+	return use(id, blob)
+}
+
+// lend is readNodeVia for one node under the shared store lock, with buf
+// as the slot buffer.
+func (s *FileStore) lend(id page.ID, buf []byte) ([]byte, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if err := s.usable(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return s.readNodeVia(id, scanRun{})
+	return s.readNodeVia(id, scanRun{}, buf)
 }
 
-// readNodeVia assembles a node's slot chain, taking each slot's image
-// from run when it has one and from the write set or the file otherwise.
-// run is how ReadNodes serves batch-read slots out of its coalesced run
-// buffers; ReadNode passes an empty one.
-func (s *FileStore) readNodeVia(id page.ID, run scanRun) ([]byte, error) {
+// readNodeVia is the one slot walk: it assembles the slot chain starting
+// at id, taking each slot's image from run when it has one, from the
+// write set when the slot is there, and otherwise from the file, by one
+// pread into buf, a slot buffer. A node of one slot read into buf comes
+// back as a slice of buf, with lent set; any other node comes back as a
+// fresh blob. run is how ReadNodes serves batch-read slots out of its
+// coalesced run buffers; the single reads pass an empty one.
+func (s *FileStore) readNodeVia(id page.ID, run scanRun, buf []byte) (blob []byte, lent bool, err error) {
 	atomic.AddUint64(&s.stats.NodeReads, 1)
 	var out []byte
 	var hops uint64
 	slot := uint64(id)
 	for slot != 0 {
 		if hops++; hops > s.nextSlot {
-			return nil, fmt.Errorf("%w: slot chain cycle at page %d", ErrCorrupt, id)
+			return nil, false, fmt.Errorf("%w: slot chain cycle at page %d", ErrCorrupt, id)
 		}
-		var err error
-		if img := run.lookup(slot); img != nil {
-			out, slot, err = s.appendFragment(out, slot, img)
-		} else {
-			out, slot, err = s.appendSlot(out, slot)
+		img, fromFile := run.lookup(slot), false
+		if img == nil {
+			var ok bool
+			if img, ok = s.written[slot]; !ok {
+				if _, err := s.f.ReadAt(buf, s.offset(slot)); err != nil {
+					return nil, false, fmt.Errorf("storage: read slot %d: %w", slot, err)
+				}
+				atomic.AddUint64(&s.stats.SlotReads, 1)
+				img, fromFile = buf, true
+			}
 		}
+		frag, next, err := s.fragment(slot, img)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
+		if hops == 1 && next == 0 && fromFile {
+			return frag, true, nil
+		}
+		out = append(out, frag...)
+		slot = next
 	}
-	return out, nil
+	return out, false, nil
 }
 
-// appendSlot is appendFragment on slot's current image: the write set's
-// when the slot is in it, otherwise one pread into a pooled slot buffer.
-func (s *FileStore) appendSlot(out []byte, slot uint64) ([]byte, uint64, error) {
-	if img, ok := s.written[slot]; ok {
-		return s.appendFragment(out, slot, img)
-	}
-	bp := s.slotBufs.Get().(*[]byte)
-	defer s.slotBufs.Put(bp)
-	if _, err := s.f.ReadAt(*bp, s.offset(slot)); err != nil {
-		return nil, 0, fmt.Errorf("storage: read slot %d: %w", slot, err)
-	}
-	atomic.AddUint64(&s.stats.SlotReads, 1)
-	return s.appendFragment(out, slot, *bp)
-}
-
-// appendFragment validates the slot image buf of slot and appends its
-// payload fragment to out, returning the extended blob and the next slot
-// of the chain.
-func (s *FileStore) appendFragment(out []byte, slot uint64, buf []byte) ([]byte, uint64, error) {
-	next := binary.LittleEndian.Uint64(buf)
+// fragment validates the slot image img of slot and returns its payload
+// fragment and the next slot of the chain.
+func (s *FileStore) fragment(slot uint64, img []byte) ([]byte, uint64, error) {
+	next := binary.LittleEndian.Uint64(img)
 	if err := s.checkNext(slot, next); err != nil {
 		return nil, 0, err
 	}
-	n := int(binary.LittleEndian.Uint32(buf[8:]))
+	n := int(binary.LittleEndian.Uint32(img[8:]))
 	if n < 0 || n > s.payload() {
 		return nil, 0, fmt.Errorf("%w: fragment length %d in slot %d", ErrCorrupt, n, slot)
 	}
-	return append(out, buf[slotHeaderSize:slotHeaderSize+n]...), next, nil
+	return img[slotHeaderSize : slotHeaderSize+n], next, nil
 }
 
 // maxReadRun caps the slots covered by one coalesced ReadAt (256 KiB at
@@ -487,11 +511,16 @@ func (s *FileStore) ReadNodes(ids []page.ID) ([][]byte, error) {
 			return nil, err
 		}
 	}
+	bp := s.slotBufs.Get().(*[]byte)
+	defer s.slotBufs.Put(bp)
 	out := make([][]byte, len(ids))
 	for i, id := range ids {
-		blob, err := s.readNodeVia(id, run)
+		blob, lent, err := s.readNodeVia(id, run, *bp)
 		if err != nil {
 			return nil, err
+		}
+		if lent {
+			blob = append([]byte(nil), blob...)
 		}
 		out[i] = blob
 	}

@@ -49,6 +49,23 @@ type BatchReader interface {
 	ReadNodes(ids []page.ID) ([][]byte, error)
 }
 
+// Lender is the borrowed read seam of a cold miss: the caller decodes a
+// node where the store read it, and no blob is built for a decode that
+// reads it once. Both stores in this package implement it; callers
+// discover it by type assertion, as BatchReader, and fall back to
+// ReadNode on a store without it.
+type Lender interface {
+	// LendNode reads node id as ReadNode would, with the same errors and
+	// counters, calls use with the node's id and blob, and returns what
+	// use returns. The blob is lent: use must neither keep it nor write
+	// to it. FileStore lends a one-slot node in its pooled slot buffer
+	// and MemStore its stored blob; a chained node, or a slot in
+	// FileStore's write set, is lent as a private copy. A use that is a
+	// value built once, not a closure per call, makes the read allocate
+	// nothing of its own.
+	LendNode(id page.ID, use func(id page.ID, blob []byte) (any, error)) (any, error)
+}
+
 // Prefetcher is implemented by no store.
 //
 // Deprecated: no store has a cache for a hint to warm.
@@ -131,6 +148,20 @@ func (m *MemStore) ReadNode(id page.ID) ([]byte, error) {
 	out := make([]byte, len(b))
 	copy(out, b)
 	return out, nil
+}
+
+// LendNode implements Lender. A stored blob is never written in place —
+// WriteNode stores a fresh copy — so it is lent as it is, and use runs
+// after the lock is released.
+func (m *MemStore) LendNode(id page.ID, use func(page.ID, []byte) (any, error)) (any, error) {
+	m.mu.RLock()
+	b, ok := m.blobs[id]
+	m.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("storage: read of unallocated page %d", id)
+	}
+	atomic.AddUint64(&m.stats.NodeReads, 1)
+	return use(id, b)
 }
 
 // ReadNodes implements BatchReader: all reads happen under one shared
