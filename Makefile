@@ -28,8 +28,9 @@ GO ?= go
 # whose commit filled the log, drains the group committer and writes back
 # under it while readers wait), and the sharded
 # service (TestShard* in internal/shard: the N-shard-vs-single-tree
-# differential programs, the scatter-gather cancellation tests, the
-# multi-client wire-server stress, one goroutine per connection and a
+# differential programs, the serial delivery's error and early-stop
+# tests, the truncated and poisoned-shard wire tests, the multi-client
+# wire-server stress, one goroutine per connection and a
 # Close beside a client that stopped reading; FuzzFrame's seed streams
 # through one connection's reused buffers; TestDecomposeRect* in
 # internal/zorder: the in-place shard-selection walk), and the decoded
@@ -51,10 +52,12 @@ GO ?= go
 # The system benchmarks of bench_test.go (instrumentation on/off,
 # durable write disciplines, inserts under a backup, mixed parallel
 # reads, the profilable replica of point-cold, and the range walk on
-# cached and cold trees) and the per-page decode of a cache miss
+# cached and cold trees), the per-page decode of a cache miss
 # (BenchmarkDecodePublished, in internal/bvtree because it calls the
-# miss path directly) are recorded nowhere and run on demand, so the
-# last steps run each once to keep them compiling and passing.
+# miss path directly) and the router's cross-shard queries
+# (BenchmarkRouterFanout, in internal/shard) are recorded nowhere and run
+# on demand, so the last steps run each once to keep them compiling and
+# passing.
 verify:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -63,7 +66,7 @@ verify:
 	$(GO) run ./cmd/docslint
 	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestColumnar|TestDurable|TestAutoCheckpoint|TestShard|FuzzFrame|TestDecomposeRect|TestViewAdmission|TestCacheDeterministic|TestDecodedNodesMeetWriters|TestColumnEdit' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard ./internal/zorder
 	$(GO) test -run '^$$' -bench 'Instrumented|DurableInsert|UnderBackup|MixedRead|ColdLookup|RangeDrive' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'DecodePublished' -benchtime 1x ./internal/bvtree
+	$(GO) test -run '^$$' -bench 'DecodePublished|RouterFanout' -benchtime 1x ./internal/bvtree ./internal/shard
 
 # Full suite under the race detector, including the reader/writer stress
 # tests (TestConcurrent*) added with the parallel read path.

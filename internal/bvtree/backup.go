@@ -166,7 +166,7 @@ func (s *Snapshot) Backup(w io.Writer) error {
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(v.opt.Dims))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(v.opt.DataCapacity))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(v.opt.Fanout))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(v.opt.BitsPerDim))
+	hdr = binary.LittleEndian.AppendUint32(hdr, bitsPerDim)
 	var scaled uint32
 	if v.opt.LevelScaledPages {
 		scaled = 1
@@ -267,7 +267,6 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 		Dims:             int(binary.LittleEndian.Uint32(hdr[8:])),
 		DataCapacity:     int(binary.LittleEndian.Uint32(hdr[12:])),
 		Fanout:           int(binary.LittleEndian.Uint32(hdr[16:])),
-		BitsPerDim:       int(binary.LittleEndian.Uint32(hdr[20:])),
 		LevelScaledPages: binary.LittleEndian.Uint32(hdr[24:]) == 1,
 	}
 	rootLevel := int(binary.LittleEndian.Uint32(hdr[28:]))
@@ -277,6 +276,9 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 	pageCount := binary.LittleEndian.Uint64(hdr[56:])
 	if err := opt.fill(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if bits := binary.LittleEndian.Uint32(hdr[20:]); bits != bitsPerDim {
+		return nil, fmt.Errorf("%w: %d bits per dimension, want %d", ErrCorrupt, bits, bitsPerDim)
 	}
 	if pageCount == 0 || pageCount > 1<<40 {
 		return nil, fmt.Errorf("%w: implausible page count %d", ErrCorrupt, pageCount)
@@ -417,7 +419,7 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 		Dims:         opt.Dims,
 		DataCapacity: opt.DataCapacity,
 		Fanout:       opt.Fanout,
-		BitsPerDim:   opt.BitsPerDim,
+		BitsPerDim:   bitsPerDim,
 		LevelScaled:  opt.LevelScaledPages,
 		Root:         rootID,
 		RootLevel:    rootLevel,

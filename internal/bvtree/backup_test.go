@@ -9,10 +9,13 @@ package bvtree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -114,6 +117,31 @@ func TestBackupRestoreEmptyTree(t *testing.T) {
 	}
 	if !bytes.Equal(b, backupBytes(t, rt)) {
 		t.Fatal("empty-tree backup not canonical")
+	}
+}
+
+// TestRestoreRefusesOtherPrecision: a backup header whose address
+// precision is not 64 bits per dimension, under a valid header checksum,
+// is refused with ErrCorrupt before any page is restored.
+func TestRestoreRefusesOtherPrecision(t *testing.T) {
+	pts, err := workload.Generate(workload.Uniform, 2, 100, 47)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := backupBytes(t, buildTree(t, pts))
+	for _, bits := range []uint32{0, 32, 65} {
+		dam := bytes.Clone(b)
+		binary.LittleEndian.PutUint32(dam[20:], bits)
+		binary.LittleEndian.PutUint32(dam[backupHeaderSize-4:],
+			crc32.Checksum(dam[:backupHeaderSize-4], backupCRCTable))
+		st := storage.NewMemStore()
+		_, err := RestoreSnapshot(st, bytes.NewReader(dam))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "bits per dimension") {
+			t.Fatalf("backup with %d bits per dimension: %v, want ErrCorrupt naming the precision", bits, err)
+		}
+		if n := st.Stats().NodeWrites; n != 0 {
+			t.Fatalf("backup with %d bits per dimension: refused after %d page writes", bits, n)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"bvtree/internal/geometry"
 	"bvtree/internal/obs"
@@ -266,6 +267,11 @@ func TestConcurrentMetrics(t *testing.T) {
 		if err := tr.Insert(p, uint64(2000+i)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// On a busy host the readers may not have run since EnableMetrics
+	// while the inserts did: give them up to five seconds to record one.
+	for deadline := time.Now().Add(5 * time.Second); tr.Metrics().Tree.LookupNs.Count == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()

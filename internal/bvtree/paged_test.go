@@ -1,11 +1,13 @@
 package bvtree
 
 import (
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"testing"
 
 	"bvtree/internal/geometry"
+	"bvtree/internal/page"
 	"bvtree/internal/storage"
 )
 
@@ -125,6 +127,46 @@ func TestOpenPagedRejectsGarbageMeta(t *testing.T) {
 	_ = st.WriteNode(id, []byte("definitely not a meta page"))
 	if _, err := OpenPaged(st, 0); err == nil {
 		t.Fatal("OpenPaged accepted garbage metadata")
+	}
+}
+
+// TestOpenPagedRefusesOtherPrecision: every tree interleaves 64 bits per
+// dimension, so a meta record carrying any other precision is corrupt
+// input and is refused with page.ErrCorrupt.
+func TestOpenPagedRefusesOtherPrecision(t *testing.T) {
+	st := storage.NewMemStore()
+	tr, err := NewPaged(st, Options{Dims: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Insert(geometry.Point{1, 2}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := st.ReadNode(metaPageID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := page.DecodeMeta(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bits := range []int{0, 32, 63, 65, 64} {
+		m.BitsPerDim = bits
+		if err := st.WriteNode(metaPageID, page.EncodeMeta(m)); err != nil {
+			t.Fatal(err)
+		}
+		re, err := OpenPaged(st, 0)
+		switch {
+		case bits == bitsPerDim && err != nil:
+			t.Fatalf("the tree's own meta record refused: %v", err)
+		case bits == bitsPerDim && re.Len() != 1:
+			t.Fatalf("reopened tree holds %d items, want 1", re.Len())
+		case bits != bitsPerDim && !errors.Is(err, page.ErrCorrupt):
+			t.Fatalf("meta record with %d bits per dimension: %v, want page.ErrCorrupt", bits, err)
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ func TestOptionsValidation(t *testing.T) {
 		{Dims: 99},
 		{Dims: 2, DataCapacity: 2},
 		{Dims: 2, Fanout: 2},
-		{Dims: 2, BitsPerDim: 65},
 	}
 	for i, o := range bad {
 		if _, err := New(o); err == nil {
@@ -26,7 +25,7 @@ func TestOptionsValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := tr.Options()
-	if o.DataCapacity == 0 || o.Fanout == 0 || o.BitsPerDim == 0 {
+	if o.DataCapacity == 0 || o.Fanout == 0 {
 		t.Fatalf("defaults not filled: %+v", o)
 	}
 }

@@ -44,8 +44,6 @@ type Options struct {
 	// LevelScaledPages enables the multiple-page-size scheme of §7.3,
 	// which removes the worst-case height penalty of promoted subtrees.
 	LevelScaledPages bool
-	// BitsPerDim is the per-dimension address precision (default 64).
-	BitsPerDim int
 	// CacheNodes bounds the decoded-node cache of a paged tree
 	// (default 4096). Past it the cache evicts data pages first, then
 	// index nodes from level 1 upward, so a cache of at least the index
@@ -77,12 +75,6 @@ func (o *Options) fill() error {
 	}
 	if o.Fanout < 4 {
 		return fmt.Errorf("bvtree: Fanout %d below minimum 4", o.Fanout)
-	}
-	if o.BitsPerDim == 0 {
-		o.BitsPerDim = 64
-	}
-	if o.BitsPerDim < 1 || o.BitsPerDim > 64 {
-		return fmt.Errorf("bvtree: BitsPerDim %d out of range 1..64", o.BitsPerDim)
 	}
 	return nil
 }
@@ -175,6 +167,11 @@ func New(opt Options) (*Tree, error) {
 // tree.
 const metaPageID page.ID = 1
 
+// bitsPerDim is the per-dimension address precision of every tree: keys
+// are interleaved from whole 64-bit coordinates. The meta page and the
+// backup header record it, and a reader refuses any other value.
+const bitsPerDim = 64
+
 // NewPaged returns a BV-tree whose nodes are serialised into st. The
 // store must be freshly created; the tree takes ownership of node
 // allocation within it but does not close it. Call Flush to persist the
@@ -207,8 +204,9 @@ func newPaged(st storage.Store, opt Options, cacheNodes int) (*Tree, error) {
 
 // OpenPaged reopens a tree previously created with NewPaged and persisted
 // with Flush. Its Options are the persisted shape (Dims, DataCapacity,
-// Fanout, BitsPerDim, LevelScaledPages) plus cacheNodes; metrics start
-// off.
+// Fanout, LevelScaledPages) plus cacheNodes; metrics start off. A meta
+// record whose address precision is not bitsPerDim is refused as
+// corrupt.
 func OpenPaged(st storage.Store, cacheNodes int) (*Tree, error) {
 	blob, err := st.ReadNode(metaPageID)
 	if err != nil {
@@ -218,11 +216,14 @@ func OpenPaged(st storage.Store, cacheNodes int) (*Tree, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bvtree: decode tree metadata: %w", err)
 	}
+	if m.BitsPerDim != bitsPerDim {
+		return nil, fmt.Errorf("bvtree: tree metadata: %w: %d bits per dimension, want %d",
+			page.ErrCorrupt, m.BitsPerDim, bitsPerDim)
+	}
 	opt := Options{
 		Dims:             m.Dims,
 		DataCapacity:     m.DataCapacity,
 		Fanout:           m.Fanout,
-		BitsPerDim:       m.BitsPerDim,
 		LevelScaledPages: m.LevelScaled,
 		CacheNodes:       cacheNodes,
 	}
@@ -239,7 +240,7 @@ func OpenPaged(st storage.Store, cacheNodes int) (*Tree, error) {
 
 // newTree returns an empty live tree over pn: no root yet.
 func newTree(pn *pagedNodes, opt Options) (*Tree, error) {
-	il, err := zorder.NewInterleaver(opt.Dims, opt.BitsPerDim)
+	il, err := zorder.NewInterleaver(opt.Dims, bitsPerDim)
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +369,7 @@ func (t *Tree) flushLocked() error {
 		Dims:         t.opt.Dims,
 		DataCapacity: t.opt.DataCapacity,
 		Fanout:       t.opt.Fanout,
-		BitsPerDim:   t.opt.BitsPerDim,
+		BitsPerDim:   bitsPerDim,
 		LevelScaled:  t.opt.LevelScaledPages,
 		Root:         t.root,
 		RootLevel:    t.rootLevel,

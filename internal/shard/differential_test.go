@@ -123,7 +123,7 @@ func sameNeighbors(t *testing.T, what string, got, want []bvtree.Neighbor) {
 	}
 }
 
-// TestShardDifferential proves the acceptance criterion: scatter-gather
+// TestShardDifferential proves the acceptance criterion: cross-shard
 // RangeQuery / Count / Nearest (plus Lookup, PartialMatch, Scan, Len,
 // Delete) over N shards returns exactly what a single tree over the
 // same data returns, across shard counts and backends.
@@ -268,8 +268,8 @@ func diffAll(t *testing.T, r *Router, ref *bvtree.Tree, pts []geometry.Point) {
 
 // TestShardSingleShardDurable proves the degenerate configuration:
 // a 1-shard router over a DurableTree behaves identically to using the
-// same DurableTree bare — every operation delegates with no
-// scatter-gather machinery in the path.
+// same DurableTree bare — every operation delegates to the one
+// engine.
 func TestShardSingleShardDurable(t *testing.T) {
 	const dims, n = 2, 1200
 	dir := t.TempDir()

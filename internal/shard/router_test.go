@@ -261,8 +261,8 @@ func TestShardsForRectMatchesHitSet(t *testing.T) {
 
 // TestShardEmptyShards drives a cluster where the data lives in one
 // corner of the domain under a uniform plan, leaving most shards
-// empty: routing, scatter-gather and per-shard accounting must all
-// stay exact.
+// empty: routing, cross-shard queries and per-shard accounting must
+// all stay exact.
 func TestShardEmptyShards(t *testing.T) {
 	const dims = 2
 	plan, err := PlanUniform(dims, 8, 0)
@@ -305,7 +305,7 @@ func TestShardEmptyShards(t *testing.T) {
 
 	// A whole-domain query crosses every shard, including the empty
 	// ones; empty shards must contribute nothing and not wedge the
-	// scatter.
+	// query.
 	rect := geometry.UniverseRect(dims)
 	targets, err := r.shardsForRect(rect)
 	if err != nil {
@@ -323,9 +323,9 @@ func TestShardEmptyShards(t *testing.T) {
 	}
 }
 
-// errEngine wraps an Engine, failing RangeQuery with a fixed error
-// after emitting a few items. When returned is set, it is closed as
-// RangeQuery returns.
+// errEngine wraps an Engine whose reads fail with err: RangeQuery after
+// emitting its first emitFirst matches, Count and Nearest at once. When
+// returned is set, it is closed as RangeQuery returns.
 type errEngine struct {
 	Engine
 	err       error
@@ -348,10 +348,14 @@ func (e *errEngine) RangeQuery(rect geometry.Rect, visit bvtree.Visitor) error {
 	return e.err
 }
 
+func (e *errEngine) Count(geometry.Rect) (int, error) { return 0, e.err }
+
+func (e *errEngine) Nearest(geometry.Point, int) ([]bvtree.Neighbor, error) { return nil, e.err }
+
 // gatedEngine stands in for a shard whose walk would not end on its own:
 // once gate is closed, RangeQuery emits distinct points until its visitor
-// declines or limit is reached, counting them — the probe that proves
-// cancellation reached an in-flight shard.
+// declines or limit is reached, counting them — the probe that shows
+// whether the router entered the shard at all.
 type gatedEngine struct {
 	Engine
 	gate    <-chan struct{}
@@ -370,13 +374,14 @@ func (e *gatedEngine) RangeQuery(rect geometry.Rect, visit bvtree.Visitor) error
 	return nil
 }
 
-// TestShardFirstErrorCancellation proves the scatter contract: the
-// first shard error is returned, and every other in-flight shard
-// traversal is cancelled through its visitor rather than running to
-// completion.
+// TestShardFirstErrorCancellation pins the error contract of the serial
+// delivery: shards are visited in key order, a failing shard's error is
+// returned at once, the visitor has seen exactly what the shards before
+// it and the failing shard itself delivered, and no later shard is
+// entered. Count and Nearest return a failing shard's error too.
 func TestShardFirstErrorCancellation(t *testing.T) {
 	const dims = 2
-	plan, err := PlanUniform(dims, 2, 0)
+	plan, err := PlanUniform(dims, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,37 +399,71 @@ func TestShardFirstErrorCancellation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	universe := geometry.UniverseRect(dims)
+	sentinel := errors.New("shard poisoned")
 
-	// The second shard starts only once the first has failed, and then
-	// emits until it is told to stop: only cancellation ends its walk.
-	sentinel := errors.New("shard 0 poisoned")
-	failed := make(chan struct{})
-	failing := &errEngine{Engine: engines[0], err: sentinel, emitFirst: 3, returned: failed}
-	slow := &gatedEngine{Engine: engines[1], gate: failed, limit: 1 << 20}
-	r, err := NewRouter(plan, []Engine{failing, slow})
-	if err != nil {
-		t.Fatal(err)
+	// run queries the universe through a router whose shard bad fails
+	// after 3 matches and whose last shard is gated on that failure, and
+	// returns the shard of every item the visitor saw.
+	run := func(t *testing.T, bad int) []int {
+		failed := make(chan struct{})
+		routed := slices.Clone(engines)
+		routed[bad] = &errEngine{Engine: engines[bad], err: sentinel, emitFirst: 3, returned: failed}
+		gated := &gatedEngine{Engine: engines[2], gate: failed, limit: 1 << 20}
+		routed[2] = gated
+		r, err := NewRouter(plan, routed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen []int
+		err = r.RangeQuery(universe, func(p geometry.Point, _ uint64) bool {
+			i, err := r0.ShardFor(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen = append(seen, i)
+			return true
+		})
+		if !errors.Is(err, sentinel) {
+			t.Fatalf("got error %v, want the failing shard's sentinel", err)
+		}
+		if n := gated.emitted.Load(); n != 0 {
+			t.Fatalf("the shard after the failing one was entered and emitted %d items", n)
+		}
+		if _, err := r.Count(universe); !errors.Is(err, sentinel) {
+			t.Fatalf("count: got error %v, want the failing shard's sentinel", err)
+		}
+		if _, err := r.Nearest(pts[0], 10); !errors.Is(err, sentinel) {
+			t.Fatalf("nearest: got error %v, want the failing shard's sentinel", err)
+		}
+		return seen
 	}
 
-	visited := 0
-	err = r.RangeQuery(geometry.UniverseRect(dims), func(geometry.Point, uint64) bool {
-		visited++
-		return true
+	t.Run("failing-first", func(t *testing.T) {
+		seen := run(t, 0)
+		if !slices.Equal(seen, []int{0, 0, 0}) {
+			t.Fatalf("visitor saw items of shards %v, want the 3 the failing shard 0 emitted", seen)
+		}
 	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("got error %v, want the poisoned shard's sentinel", err)
-	}
-	if n := slow.emitted.Load(); n >= slow.limit {
-		t.Fatalf("gated shard emitted all %d items: cancellation never arrived", n)
-	}
-	if int64(visited) > slow.emitted.Load() {
-		t.Fatalf("visitor saw %d items, more than the shards emitted", visited)
-	}
+
+	t.Run("healthy-first", func(t *testing.T) {
+		healthy, err := engines[0].Count(universe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := run(t, 1)
+		want := make([]int, healthy, healthy+3)
+		want = append(want, 1, 1, 1)
+		if !slices.Equal(seen, want) {
+			t.Fatalf("visitor saw %d items (shards %v...), want all %d of healthy shard 0, then 3 of failing shard 1",
+				len(seen), seen[:min(len(seen), 8)], healthy)
+		}
+	})
 }
 
 // TestShardEarlyStop proves visitor-false semantics across shards: the
 // delivery stops exactly at the client's false, the query returns nil,
-// and in-flight shards are cancelled.
+// and no later shard is visited.
 func TestShardEarlyStop(t *testing.T) {
 	const dims = 2
 	plan, err := PlanUniform(dims, 4, 0)

@@ -4,127 +4,85 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"bvtree/internal/bvtree"
 	"bvtree/internal/geometry"
 )
 
-// gatherBatchSize is how many matches a shard accumulates before handing
-// them to the merger: one channel send per batch instead of per item.
-// Ownership of the slices transfers with the send.
-const gatherBatchSize = 256
+// visitShards is the one delivery path of RangeQuery, PartialMatch and
+// Scan. It runs query on each target shard in turn, in ascending
+// key-range order, on the calling goroutine, with the caller's visitor:
+// a cross-shard query costs the sum of its shard walks plus one visitor
+// call per result, as the same query does on a single tree, and the
+// delivery order is repeatable for an unchanged state.
+//
+// visit returning false ends the query with nil, and no later shard is
+// called. The first shard error is returned at once: the visitor has
+// seen the items that shard delivered before failing, as a single
+// tree's walk delivers items before it hits an I/O error, and no later
+// shard is called.
+func (r *Router) visitShards(targets []int, visit bvtree.Visitor,
+	query func(e Engine, visit bvtree.Visitor) error) error {
 
-// gatherMsg is one message from a shard traversal to the merger: a
-// batch of matches, or (done = true) the shard's completion with its
-// traversal error.
-type gatherMsg struct {
-	pts  []geometry.Point
-	pays []uint64
-	err  error
-	done bool
+	if len(targets) == 1 {
+		return query(r.engines[targets[0]], visit) // no later shard to stop
+	}
+	stopped := false
+	wrap := func(p geometry.Point, payload uint64) bool {
+		if !visit(p, payload) {
+			stopped = true
+			return false
+		}
+		return true
+	}
+	for _, i := range targets {
+		if err := query(r.engines[i], wrap); err != nil || stopped {
+			return err
+		}
+	}
+	return nil
 }
 
-// scatter fans one traversal out to the target shards and merges the
-// per-shard streams into a single serial visitor delivery with
-// single-tree semantics:
-//
-//   - visit is only ever invoked from the calling goroutine, one item
-//     at a time, exactly as the single-tree RangeQuery contract states;
-//   - visit returning false stops the whole query: a shared stop flag
-//     makes every in-flight shard traversal's visitor return false,
-//     which ends that shard's walk as any declining visitor does, and
-//     scatter returns nil (early stop is not an error);
-//   - the first shard error cancels the remaining shards the same way
-//     and is returned; items are delivered only until the error is
-//     observed.
-//
-// Delivery interleaving across shards is unspecified, matching the
-// single tree's "traversal order is unspecified" contract; the visible
-// result multiset is exactly the union of the disjoint shard results.
-func (r *Router) scatter(targets []int, visit bvtree.Visitor,
-	run func(e Engine, emit bvtree.Visitor) error) error {
-
-	var stop atomic.Bool
-	out := make(chan gatherMsg, len(targets))
+// fanOut runs call(j) for j in [0, n) on goroutines of its own and
+// returns the first error in j order once every call has returned. It
+// serves Count and Nearest, whose shards each return one value, so no
+// item crosses between goroutines.
+func fanOut(n int, call func(j int) error) error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for _, idx := range targets {
-		wg.Add(1)
-		go func(idx int) {
+	wg.Add(n)
+	for j := range n {
+		go func() {
 			defer wg.Done()
-			var pts []geometry.Point
-			var pays []uint64
-			emit := func(p geometry.Point, payload uint64) bool {
-				if stop.Load() {
-					return false
-				}
-				pts = append(pts, p)
-				pays = append(pays, payload)
-				if len(pts) >= gatherBatchSize {
-					out <- gatherMsg{pts: pts, pays: pays}
-					pts, pays = nil, nil
-				}
-				return true
-			}
-			err := run(r.engines[idx], emit)
-			if err == nil && len(pts) > 0 {
-				out <- gatherMsg{pts: pts, pays: pays}
-			}
-			out <- gatherMsg{done: true, err: err}
-		}(idx)
+			errs[j] = call(j)
+		}()
 	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-
-	var firstErr error
-	stopped := false
-	for msg := range out { // always drained fully, so producers never block
-		if msg.done {
-			if msg.err != nil && firstErr == nil {
-				firstErr = msg.err
-				stop.Store(true)
-			}
-			continue
-		}
-		if stopped || firstErr != nil {
-			continue
-		}
-		for i := range msg.pts {
-			if !visit(msg.pts[i], msg.pays[i]) {
-				stopped = true
-				stop.Store(true)
-				break
-			}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return firstErr
+	return nil
 }
 
 // RangeQuery invokes visit for every stored item inside rect across all
 // shards. The visitor contract is the single tree's: serial delivery
-// from the calling goroutine, unspecified order, returning false stops
-// the query, the first shard error cancels the others and is returned.
+// from the calling goroutine, returning false stops the query, and a
+// shard error is returned. Shards are visited in key order (visitShards).
 func (r *Router) RangeQuery(rect geometry.Rect, visit bvtree.Visitor) error {
 	targets, err := r.shardsForRect(rect)
 	if err != nil {
 		return err
 	}
-	if len(targets) == 0 {
-		return nil
-	}
-	if len(targets) == 1 {
-		return r.engines[targets[0]].RangeQuery(rect, visit)
-	}
-	return r.scatter(targets, visit, func(e Engine, emit bvtree.Visitor) error {
-		return e.RangeQuery(rect, emit)
+	return r.visitShards(targets, visit, func(e Engine, visit bvtree.Visitor) error {
+		return e.RangeQuery(rect, visit)
 	})
 }
 
 // PartialMatch answers a partial-match query — values[i] is fixed where
 // specified[i] is true, free otherwise — across all shards, under the
-// same merged-delivery contract as RangeQuery.
+// same delivery contract as RangeQuery.
 func (r *Router) PartialMatch(values geometry.Point, specified []bool, visit bvtree.Visitor) error {
 	if len(values) != r.plan.Dims || len(specified) != r.plan.Dims {
 		return errShapeMismatch(r.plan.Dims)
@@ -139,72 +97,43 @@ func (r *Router) PartialMatch(values geometry.Point, specified []bool, visit bvt
 	if err != nil {
 		return err
 	}
-	if len(targets) == 1 {
-		return r.engines[targets[0]].PartialMatch(values, specified, visit)
-	}
-	return r.scatter(targets, visit, func(e Engine, emit bvtree.Visitor) error {
-		return e.PartialMatch(values, specified, emit)
+	return r.visitShards(targets, visit, func(e Engine, visit bvtree.Visitor) error {
+		return e.PartialMatch(values, specified, visit)
 	})
 }
 
-// Scan visits every stored item. Shards are scanned one after another
-// in Z-key range order from the calling goroutine — a full enumeration
-// gains nothing from fan-out that the visitor (the bottleneck) could
-// observe, and the serial walk keeps delivery order deterministic per
-// shard.
+// Scan visits every stored item, under the same delivery contract as
+// RangeQuery: every shard in turn, in Z-key range order.
 func (r *Router) Scan(visit bvtree.Visitor) error {
-	stopped := false
-	wrap := func(p geometry.Point, payload uint64) bool {
-		if !visit(p, payload) {
-			stopped = true
-			return false
-		}
-		return true
+	all := make([]int, len(r.engines))
+	for i := range all {
+		all[i] = i
 	}
-	for _, e := range r.engines {
-		if err := e.Scan(wrap); err != nil {
-			return err
-		}
-		if stopped {
-			return nil
-		}
-	}
-	return nil
+	return r.visitShards(all, visit, Engine.Scan)
 }
 
 // Count returns the number of items inside rect, summing per-shard
-// count-only traversals run in parallel. Shard counts are independent
-// (shards are disjoint), so the sum is exact. A failing shard's error
-// is returned; counts have no per-item visitor, so a failed scatter
-// waits for the stragglers rather than cancelling them.
+// count-only traversals run in parallel (fanOut). Shard counts are
+// independent (shards are disjoint), so the sum is exact. A failing
+// shard's error is returned once every shard has answered.
 func (r *Router) Count(rect geometry.Rect) (int, error) {
 	targets, err := r.shardsForRect(rect)
 	if err != nil {
 		return 0, err
 	}
-	if len(targets) == 0 {
-		return 0, nil
-	}
 	if len(targets) == 1 {
 		return r.engines[targets[0]].Count(rect)
 	}
 	counts := make([]int, len(targets))
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for j, idx := range targets {
-		wg.Add(1)
-		go func(j, idx int) {
-			defer wg.Done()
-			counts[j], errs[j] = r.engines[idx].Count(rect)
-		}(j, idx)
+	if err := fanOut(len(targets), func(j int) (err error) {
+		counts[j], err = r.engines[targets[j]].Count(rect)
+		return err
+	}); err != nil {
+		return 0, err
 	}
-	wg.Wait()
 	total := 0
-	for j := range targets {
-		if errs[j] != nil {
-			return 0, errs[j]
-		}
-		total += counts[j]
+	for _, n := range counts {
+		total += n
 	}
 	return total, nil
 }
@@ -219,31 +148,21 @@ func (r *Router) Count(rect geometry.Rect) (int, error) {
 // not guarantee; everything else is bit-identical to the single-tree
 // result.
 func (r *Router) Nearest(p geometry.Point, k int) ([]bvtree.Neighbor, error) {
-	if len(r.engines) == 1 {
-		return r.engines[0].Nearest(p, k)
-	}
-	if k <= 0 {
-		// Delegate validation to a real engine so the error text matches
-		// the single tree's.
+	if len(r.engines) == 1 || k <= 0 {
+		// One shard is the whole tree; a bad k goes to a real engine so
+		// that the error text matches the single tree's.
 		return r.engines[0].Nearest(p, k)
 	}
 	results := make([][]bvtree.Neighbor, len(r.engines))
-	errs := make([]error, len(r.engines))
-	var wg sync.WaitGroup
-	for i := range r.engines {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = r.engines[i].Nearest(p, k)
-		}(i)
+	if err := fanOut(len(r.engines), func(i int) (err error) {
+		results[i], err = r.engines[i].Nearest(p, k)
+		return err
+	}); err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	var merged []bvtree.Neighbor
-	for i := range r.engines {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		merged = append(merged, results[i]...)
+	for _, res := range results {
+		merged = append(merged, res...)
 	}
 	sort.SliceStable(merged, func(a, b int) bool {
 		if merged[a].Dist != merged[b].Dist {

@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"bvtree/internal/bvtree"
 	"bvtree/internal/geometry"
+	"bvtree/internal/storage"
 	"bvtree/internal/workload"
 )
 
@@ -381,6 +385,157 @@ func TestShardServerErrors(t *testing.T) {
 			t.Fatalf("expected connection teardown after short frame, got %v", err)
 		}
 	})
+}
+
+// TestShardServerRangeTruncationIsRepeatable: a Range cut at its limit
+// returns a prefix of the shard-by-shard delivery, so two identical
+// requests against an unchanged state get the same items, in ascending
+// shard order.
+func TestShardServerRangeTruncationIsRepeatable(t *testing.T) {
+	const dims, n, limit = 2, 4000, 2500
+	s, addr := startServer(t, dims, 4, ServerConfig{})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pts, err := workload.Generate(workload.Uniform, dims, n, 29)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		if err := c.Insert(p, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rect := geometry.UniverseRect(dims)
+	r := s.Router()
+	if targets, err := r.shardsForRect(rect); err != nil || len(targets) != 4 {
+		t.Fatalf("window touches shards %v (%v), want all 4", targets, err)
+	}
+
+	var first []uint64
+	for round := 0; round < 2; round++ {
+		got, pays, truncated, err := c.Range(rect, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !truncated || len(pays) != limit {
+			t.Fatalf("round %d: %d items, truncated=%v; want %d, truncated", round, len(pays), truncated, limit)
+		}
+		last := 0
+		for i, p := range got {
+			shard, err := r.ShardFor(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shard < last {
+				t.Fatalf("round %d: item %d is from shard %d after an item from shard %d", round, i, shard, last)
+			}
+			last = shard
+		}
+		if round == 0 {
+			first = pays
+		} else if !slices.Equal(pays, first) {
+			t.Fatal("two identical truncated Range requests returned different items")
+		}
+	}
+}
+
+// TestShardServerPoisonedShard is DESIGN.md §15's claim over the wire: a
+// shard whose reads fail with storage.ErrPoisoned fails only the requests
+// that touch it, each with StatusInternal carrying the cause, while the
+// same connection goes on serving the other shards.
+func TestShardServerPoisonedShard(t *testing.T) {
+	const dims, n, bad = 2, 2000, 3
+	plan, err := PlanUniform(dims, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := newEngines(t, "mem", plan)
+	healthy, err := NewRouter(plan, engines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := workload.Generate(workload.Uniform, dims, n, 37)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		if err := healthy.Insert(p, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cause := fmt.Errorf("shard %d: read page 7: %w", bad, storage.ErrPoisoned)
+	routed := slices.Clone(engines)
+	routed[bad] = &errEngine{Engine: engines[bad], err: cause}
+	r, err := NewRouter(plan, routed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := serve(t, NewServer(r, ServerConfig{}), ln)
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	internal := func(what string, err error) {
+		t.Helper()
+		var st *ErrStatus
+		if !errors.As(err, &st) || st.Status != StatusInternal {
+			t.Fatalf("%s over the poisoned shard: %v, want StatusInternal", what, err)
+		}
+		if !strings.Contains(st.Msg, cause.Error()) {
+			t.Fatalf("%s: message %q does not carry the cause %q", what, st.Msg, cause)
+		}
+	}
+	universe := geometry.UniverseRect(dims)
+	_, _, _, err = c.Range(universe, 0)
+	internal("range", err)
+	_, err = c.Count(universe)
+	internal("count", err)
+
+	// The low quadrant is shard 0 of the quadrant plan: its window's
+	// decomposition avoids the poisoned shard.
+	const quarter = uint64(1) << 62
+	low := geometry.Rect{Min: geometry.Point{0, 0}, Max: geometry.Point{quarter, quarter}}
+	if targets, err := r.shardsForRect(low); err != nil || slices.Contains(targets, bad) {
+		t.Fatalf("low window touches shards %v (%v), want the poisoned shard avoided", targets, err)
+	}
+	_, pays, _, err := c.Range(low, 0)
+	if err != nil {
+		t.Fatalf("range avoiding the poisoned shard: %v", err)
+	}
+	want, err := healthy.Count(low)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pays) != want || want == 0 {
+		t.Fatalf("range avoiding the poisoned shard: %d items, want %d (> 0)", len(pays), want)
+	}
+	i := slices.IndexFunc(pts, func(p geometry.Point) bool {
+		shard, err := r.ShardFor(p)
+		return err == nil && shard != bad
+	})
+	got, err := c.Lookup(pts[i])
+	if err != nil {
+		t.Fatalf("lookup on a healthy shard: %v", err)
+	}
+	if !slices.Contains(got, uint64(i)) {
+		t.Fatalf("lookup on a healthy shard: %v, want payload %d", got, i)
+	}
+	if _, _, err := c.Ping(); err != nil {
+		t.Fatalf("ping after the failures: %v", err)
+	}
+	if m := s.Metrics(); m.Accepted != 1 || m.Conns != 1 || m.Errors != 2 {
+		t.Fatalf("server saw %d connections (%d open) and %d error responses, want 1, 1 and 2",
+			m.Accepted, m.Conns, m.Errors)
+	}
 }
 
 func TestShardServerClose(t *testing.T) {

@@ -15,13 +15,15 @@
 // the regular binary partitioning, so the Z-interval decomposition of a
 // query rectangle (zorder.DecomposeRect) maps cleanly onto shards.
 //
-// Cross-shard reads are scatter-gather with single-tree semantics: the
-// router decomposes the query into Z-intervals, fans it out to the
-// shards those intervals touch, and merges the per-shard streams into
-// one serial visitor delivery — early stop and first-error cancellation
-// propagate to every in-flight shard (see scatter.go). The differential
-// tests prove the visible results exactly equal a single tree holding
-// the same data.
+// Cross-shard reads have single-tree semantics: the router decomposes
+// the query into Z-intervals and queries the shards those intervals
+// touch. A range, partial-match or scan query visits them one after
+// another in key order on the caller's goroutine, handing each the
+// caller's visitor, so early stop and the first error end the query
+// where they happen; Count and Nearest, which return one value per
+// shard, ask their shards in parallel (see scatter.go). The
+// differential tests prove the visible results exactly equal a single
+// tree holding the same data.
 package shard
 
 import (
@@ -34,13 +36,13 @@ import (
 	"bvtree/internal/zorder"
 )
 
-// Engine is the per-shard index the router fans out to. *bvtree.Tree
+// Engine is the per-shard index the router routes to. *bvtree.Tree
 // and *bvtree.DurableTree both satisfy it; tests wrap it to inject
-// faults. Implementations must be safe for concurrent use (the router
-// issues scatter-gather reads from multiple goroutines). A point or rect
-// argument is valid only for the call: the server decodes each request
-// into memory its next request reuses, so an engine that keeps one must
-// copy it, as Tree.Insert does.
+// faults. Implementations must be safe for concurrent use (the server
+// runs one goroutine per connection, and Count and Nearest ask their
+// shards in parallel). A point or rect argument is valid only for the
+// call: the server decodes each request into memory its next request
+// reuses, so an engine that keeps one must copy it, as Tree.Insert does.
 type Engine interface {
 	Insert(p geometry.Point, payload uint64) error
 	Delete(p geometry.Point, payload uint64) (bool, error)
@@ -242,8 +244,9 @@ func checkPlanArgs(dims, shards, prefixBits int) error {
 //
 // Client-visible semantics are those of a single tree over the union of
 // the shards' contents: point operations route to exactly one shard, and
-// the scatter-gather traversals (scatter.go) deliver results through
-// one serial visitor with single-tree early-stop and error behaviour.
+// the cross-shard traversals (scatter.go) deliver results through the
+// caller's visitor, shard by shard in key order, with single-tree
+// early-stop and error behaviour.
 type Router struct {
 	plan    Plan
 	il      *zorder.Interleaver
