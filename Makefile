@@ -19,8 +19,8 @@ GO ?= go
 # the MVCC snapshot/backup differential tests (TestSnapshot* in
 # internal/bvtree, whose paged arms with 8 cached nodes write dirty
 # nodes back beside pinned readers), the columnar node-layout smoke
-# (TestColumnar* in internal/bvtree: concurrent batched reads against a
-# writer editing the columns; TestColumnEdit*: pinned lookups, retaining
+# (TestColumnar* in internal/bvtree: concurrent lookups, range walks and
+# nearest searches scanning columns against a writer editing them; TestColumnEdit*: pinned lookups, retaining
 # range visits and nearest searches beside a writer whose in-place column
 # edits split pages and nodes), the logged tree's commit and
 # checkpoint (TestDurable* and TestAutoCheckpoint* in internal/bvtree: the
@@ -42,7 +42,9 @@ GO ?= go
 # writer that takes those pages and edits them).
 # The docslint run covers README.md,
 # DESIGN.md, PROTOCOL.md and EXPERIMENTS.md, including the annotated
-# hex frame dumps. benchmark/ is a module of its own (`replace bvtree =>
+# hex frame dumps, and fails when an alternative of the -race -run
+# pattern below matches no Test or Fuzz function in the packages it
+# names (go test passes silently over one that matches nothing). benchmark/ is a module of its own (`replace bvtree =>
 # ../`), which `go test ./...` at the root silently skips, so its tests
 # run as a separate step: they hold the harness's own checks that a
 # Lookup on point-hot and point-cold touches exactly height+1 nodes. It

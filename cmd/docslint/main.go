@@ -12,34 +12,48 @@
 //     number of payload bytes that follow it, and the payload must be
 //     at least the 6-byte request/response header.
 //
+// Run with no arguments it also checks the Makefile's race set: every
+// alternative of the `-race -run '…'` pattern must match a Test or Fuzz
+// function in one of the packages that line names, since `go test -run`
+// passes silently over an alternative that matches nothing.
+//
 // A snippet that drifts from the real API, stops parsing, or declares
-// the wrong frame length fails `make verify` instead of rotting
-// silently.
+// the wrong frame length, and a race-set alternative whose tests were
+// deleted or renamed, fails `make verify` instead of rotting silently.
 //
 // Usage:
 //
-//	docslint [file.md ...]   # default: README.md DESIGN.md PROTOCOL.md EXPERIMENTS.md
+//	docslint [file.md ...]   # default: README.md DESIGN.md PROTOCOL.md EXPERIMENTS.md, and the Makefile's race set
 package main
 
 import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 )
 
 func main() {
 	files := os.Args[1:]
-	if len(files) == 0 {
-		files = []string{"README.md", "DESIGN.md", "PROTOCOL.md", "EXPERIMENTS.md"}
-	}
 	failed := 0
 	checked := 0
+	if len(files) == 0 {
+		files = []string{"README.md", "DESIGN.md", "PROTOCOL.md", "EXPERIMENTS.md"}
+		alts, err := checkRaceSet("Makefile")
+		if err != nil {
+			failed++
+			fmt.Fprintf(os.Stderr, "docslint: Makefile: %v\n", err)
+		}
+		checked += alts
+	}
 	for _, f := range files {
 		fences, err := extractFences(f)
 		if err != nil {
@@ -62,10 +76,62 @@ func main() {
 		}
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "docslint: %d of %d snippets failed\n", failed, checked)
+		fmt.Fprintf(os.Stderr, "docslint: %d of %d checks failed\n", failed, checked)
 		os.Exit(1)
 	}
-	fmt.Printf("docslint: %d snippets ok\n", checked)
+	fmt.Printf("docslint: %d snippets and race-set alternatives ok\n", checked)
+}
+
+// raceLine finds the Makefile's race set: the quoted pattern after
+// `-race -run` and the package paths that follow it.
+var raceLine = regexp.MustCompile(`-race -run '([^']*)'((?:\s+\./\S+)+)`)
+
+// checkRaceSet checks that every alternative of the Makefile's race-set
+// pattern matches the name of a Test or Fuzz function in the packages
+// the line names, and returns how many alternatives it checked.
+func checkRaceSet(makefile string) (int, error) {
+	blob, err := os.ReadFile(makefile)
+	if err != nil {
+		return 0, err
+	}
+	m := raceLine.FindSubmatch(blob)
+	if m == nil {
+		return 0, fmt.Errorf("no `-race -run '…' ./pkg …` line")
+	}
+	var names []string
+	for _, pkg := range strings.Fields(string(m[2])) {
+		files, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))
+		if err != nil {
+			return 0, err
+		}
+		for _, f := range files {
+			tree, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return 0, err
+			}
+			for _, d := range tree.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if ok && fn.Recv == nil && (strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz")) {
+					names = append(names, fn.Name.Name)
+				}
+			}
+		}
+	}
+	var dead []string
+	alts := strings.Split(strings.ReplaceAll(string(m[1]), "$$", "$"), "|")
+	for _, alt := range alts {
+		re, err := regexp.Compile(alt)
+		if err != nil {
+			return 0, fmt.Errorf("race-set alternative %q: %v", alt, err)
+		}
+		if !slices.ContainsFunc(names, re.MatchString) {
+			dead = append(dead, alt)
+		}
+	}
+	if len(dead) > 0 {
+		return len(alts), fmt.Errorf("race-set alternatives %q match no Test or Fuzz function in%s", dead, m[2])
+	}
+	return len(alts), nil
 }
 
 type fence struct {

@@ -163,7 +163,9 @@ func TestPagedLookupAllocs(t *testing.T) {
 // and the columns' two arenas — four at most. A data page: the page, its
 // region key and the one slab that holds its rows — three. There is no
 // blob on either list: the store lends the pooled slot buffer it read the
-// page into, and the decoder reads it there (storage.Lender).
+// page into, and the decoder reads it there (storage.Lender). A range
+// walk that reads a cold data page pays exactly that miss on top of its
+// cost over the cached page.
 func TestColdMissAllocBudget(t *testing.T) {
 	skipUnderRace(t)
 	tr, st, path, _ := buildPagedFileTree(t, 4000)
@@ -219,9 +221,68 @@ func TestColdMissAllocBudget(t *testing.T) {
 	if allocs > 4 {
 		t.Errorf("readIndex of a cold page: %.1f allocs, budget 4", allocs)
 	}
-	allocs = measure(data, func(id page.ID) error { _, err := pn.readData(id); return err })
-	if allocs > 3 {
-		t.Errorf("readData of a cold page: %.1f allocs, budget 3", allocs)
+	dataAllocs := measure(data, func(id page.ID) error { _, err := pn.readData(id); return err })
+	if dataAllocs > 3 {
+		t.Errorf("readData of a cold page: %.1f allocs, budget 3", dataAllocs)
+	}
+
+	// A range walk over the reopened tree reads a data page the cache
+	// does not hold as that miss does, and never admits it. The window is
+	// the bounding box of one data page's items: walked while its data
+	// pages are cold and again once a Lookup of every item has cached the
+	// page, it must differ by one cold data miss per data page read, with
+	// nothing per item (the points go to the walk's pooled arena).
+	walked, err := OpenPaged(st, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	home, err := pn.readData(data[len(data)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := home.ReadItems()
+	if len(items) < 8 {
+		t.Fatalf("data page holds %d items: too few to show a per-item cost", len(items))
+	}
+	box := geometry.Rect{Min: items[0].Point.Clone(), Max: items[0].Point.Clone()}
+	for _, it := range items {
+		for d, v := range it.Point {
+			box.Min[d], box.Max[d] = min(box.Min[d], v), max(box.Max[d], v)
+		}
+	}
+	walk := func() (allocs float64, dataReads uint64) {
+		const runs = 100
+		seen := 0
+		before := walked.Metrics().Cache.DataReads
+		allocs = testing.AllocsPerRun(runs, func() {
+			if err := walked.RangeQuery(box, func(geometry.Point, uint64) bool { seen++; return true }); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if seen < (runs+1)*len(items) {
+			t.Fatalf("%d walks visited %d items, want at least %d each", runs+1, seen, len(items))
+		}
+		reads := walked.Metrics().Cache.DataReads - before
+		if reads%(runs+1) != 0 {
+			t.Fatalf("%d walks read %d data pages: not the same pages every walk", runs+1, reads)
+		}
+		return allocs, reads / (runs + 1)
+	}
+	walk() // admits the index nodes the walk reads
+	coldAllocs, coldReads := walk()
+	for _, it := range items {
+		if _, err := walked.Lookup(it.Point); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warmAllocs, warmReads := walk()
+	t.Logf("%d items; cold walk: %.0f allocs, %d data pages read; cached: %.0f allocs, %d read", len(items), coldAllocs, coldReads, warmAllocs, warmReads)
+	if coldReads <= warmReads {
+		t.Fatalf("the cold walk read %d data pages, the warm one %d", coldReads, warmReads)
+	}
+	if want := dataAllocs * float64(coldReads-warmReads); coldAllocs-warmAllocs != want {
+		t.Errorf("a walk reading %d cold data pages costs %.1f allocs, cached %.1f: %.1f more, want %.1f (%.1f per cold data miss)",
+			coldReads-warmReads, coldAllocs, warmAllocs, coldAllocs-warmAllocs, want, dataAllocs)
 	}
 }
 

@@ -211,18 +211,23 @@ func TestBulkLoadDuplicates(t *testing.T) {
 	}
 }
 
-// TestBulkLoadBurstSkew feeds the heavy-tailed burst schedule's point
-// stream — the adversarial arrival pattern from the backup experiments —
-// through BulkLoad in one shot.
-func TestBulkLoadBurstSkew(t *testing.T) {
-	bursts, err := workload.Bursts(workload.Nested, 2, 30000, 64, 7)
+// burstStream is the point stream of a bursty writer: n nested-cluster
+// points of seed, in arrival order. However a writer deals the stream
+// into bursts, the bursts in order are this stream, and the tests that
+// use it feed it whole.
+func burstStream(t *testing.T, dims, n int, seed uint64) []geometry.Point {
+	t.Helper()
+	pts, err := workload.Generate(workload.Nested, dims, n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pts []geometry.Point
-	for _, b := range bursts {
-		pts = append(pts, b...)
-	}
+	return pts
+}
+
+// TestBulkLoadBurstSkew feeds a bursty writer's point stream through
+// BulkLoad in one shot.
+func TestBulkLoadBurstSkew(t *testing.T) {
+	pts := burstStream(t, 2, 30000, 7)
 	payloads := make([]uint64, len(pts))
 	for i := range payloads {
 		payloads[i] = uint64(i)

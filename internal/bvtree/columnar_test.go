@@ -91,15 +91,7 @@ func columnarWorkload(t *testing.T, kind string, dims, n int) []geometry.Point {
 	t.Helper()
 	switch kind {
 	case "burst":
-		bursts, err := workload.Bursts(workload.Nested, dims, n, 48, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var pts []geometry.Point
-		for _, b := range bursts {
-			pts = append(pts, b...)
-		}
-		return pts
+		return burstStream(t, dims, n, 11)
 	default:
 		pts, err := workload.Generate(workload.Kind(kind), dims, n, 23)
 		if err != nil {
@@ -208,7 +200,7 @@ func TestColumnarDifferential(t *testing.T) {
 // TestColumnarConcurrent is the race-detector smoke for the columnar
 // read path: concurrent lookups, range queries and nearest searches
 // against a paged tree while a writer keeps appending (exercising the
-// mirror rebuilds under the tree locks).
+// in-place column edits under the tree locks).
 func TestColumnarConcurrent(t *testing.T) {
 	const dims, n = 2, 1200
 	pts, err := workload.Generate(workload.Uniform, dims, 2*n, 51)
@@ -264,14 +256,13 @@ func TestColumnarConcurrent(t *testing.T) {
 }
 
 // TestReadsStayOnBatchedPath pins that a read tests every node it
-// fetches through that node's columnar mirror: over a program of
+// fetches through that node's columns: over a program of
 // lookups, one-item windows and nearest-neighbour searches,
 // Stats().BatchTests moves exactly as NodeAccesses does — the identity
 // bvtree.batch_tests_per_op = bvtree.nodes_per_op of the benchmark's
-// point-hot workload — and no read meets a node published without its
-// mirror (errMirrorless). The one read that fetches without a batched
-// test, by design, is a range walk's streaming decode of a cold data
-// page, so the cold case reads through Lookup and Nearest only.
+// point-hot workload. A range walk's cold data page is decoded into its
+// columns and tested there like any other, so the cold case runs the
+// same program.
 func TestReadsStayOnBatchedPath(t *testing.T) {
 	const dims = 2
 	pts, err := workload.Generate(workload.Clustered, dims, 900, 71)
@@ -317,26 +308,25 @@ func TestReadsStayOnBatchedPath(t *testing.T) {
 	}
 	cases := []struct {
 		name  string
-		cold  bool
 		build func(t *testing.T) (tr *Tree, r reader, stored []geometry.Point)
 	}{
-		{"mem", false, func(t *testing.T) (*Tree, reader, []geometry.Point) {
+		{"mem", func(t *testing.T) (*Tree, reader, []geometry.Point) {
 			tr, err := New(opt)
 			tr = load(t, tr, err, pts)
 			return tr, tr, pts
 		}},
-		{"paged", false, func(t *testing.T) (*Tree, reader, []geometry.Point) {
+		{"paged", func(t *testing.T) (*Tree, reader, []geometry.Point) {
 			tr, err := NewPaged(storage.NewMemStore(), opt)
 			tr = load(t, tr, err, pts)
 			return tr, tr, pts
 		}},
-		{"pinned-snapshot-under-writer", false, func(t *testing.T) (*Tree, reader, []geometry.Point) {
+		{"pinned-snapshot-under-writer", func(t *testing.T) (*Tree, reader, []geometry.Point) {
 			return pinnedUnderWriter(t, opt)
 		}},
 		// A decoded cache far smaller than the tree: the view's fetches
 		// miss it and decode pages privately, through the same
 		// decode-and-sync helper as the owner's.
-		{"pinned-cold-snapshot-under-writer", true, func(t *testing.T) (*Tree, reader, []geometry.Point) {
+		{"pinned-cold-snapshot-under-writer", func(t *testing.T) (*Tree, reader, []geometry.Point) {
 			copt := opt
 			copt.CacheNodes = 8
 			tr, r, stored := pinnedUnderWriter(t, copt)
@@ -357,9 +347,6 @@ func TestReadsStayOnBatchedPath(t *testing.T) {
 				}
 				if nb, err := r.Nearest(p, 3); err != nil || len(nb) == 0 || nb[0].Dist != 0 {
 					t.Fatalf("Nearest(%v) = %v, %v", p, nb, err)
-				}
-				if tc.cold {
-					continue
 				}
 				seen := 0
 				err = r.RangeQuery(geometry.Rect{Min: p, Max: p}, func(geometry.Point, uint64) bool {

@@ -9,11 +9,11 @@ import (
 // Metrics returns the tree's combined observability snapshot:
 //
 //   - Tree: the always-on structural counters (the same numbers Stats
-//     reports) plus, when metrics are enabled (Options.Metrics or
-//     EnableMetrics), the per-operation latency and shape histograms.
-//   - Store: the page store's counters — logical and physical I/O,
-//     batched reads, free-list length. An in-memory tree's store
-//     is its MemStore, written only by Flush.
+//     reports) plus, when metrics are enabled (EnableMetrics), the
+//     per-operation latency and shape histograms.
+//   - Store: the page store's counters — logical and physical I/O and
+//     free-list length. An in-memory tree's store is its MemStore,
+//     written only by Flush.
 //   - Cache: the decoded-node cache's residency — nodes and index nodes
 //     cached against the index nodes in the tree — and its misses by
 //     kind (DESIGN.md §8).
@@ -56,7 +56,6 @@ func storeSnapshot(st storage.Stats) obs.StoreSnapshot {
 		NodeWrites: st.NodeWrites,
 		SlotReads:  st.SlotReads,
 		SlotWrites: st.SlotWrites,
-		BatchReads: st.BatchReads,
 		FreeSlots:  st.FreeSlots,
 	}
 }

@@ -190,7 +190,7 @@ func TestDurableMetrics(t *testing.T) {
 	if err := json.Unmarshal(raw, &keys); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"allocs", "frees", "node_reads", "node_writes", "slot_reads", "slot_writes", "batch_reads", "free_slots"} {
+	for _, k := range []string{"allocs", "frees", "node_reads", "node_writes", "slot_reads", "slot_writes", "free_slots"} {
 		if _, ok := keys[k]; !ok {
 			t.Errorf("store section lacks %q", k)
 		}

@@ -418,29 +418,6 @@ func (s *snapNodes) Data(id page.ID) (*page.DataPage, error) {
 	return p, err
 }
 
-// dataBatch implements NodeStore for pinned views: the live batched
-// read runs first, then every page a writer has superseded since the
-// pin is overridden from its version chain.
-func (s *snapNodes) dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]byte, miss []page.ID) ([]*page.DataPage, [][]byte, []page.ID, error) {
-	pages, blobs, miss, err := s.pn.dataBatch(ids, pages, blobs, miss)
-	if err != nil {
-		return pages, blobs, miss, err
-	}
-	if s.mv.nOld.Load() == 0 {
-		return pages, blobs, miss, nil
-	}
-	for i, id := range ids {
-		if v, ok := s.mv.resolve(id, s.pin); ok {
-			dp, err := asData(id, v)
-			if err != nil {
-				return pages, blobs, miss, err
-			}
-			pages[i], blobs[i] = dp, nil
-		}
-	}
-	return pages, blobs, miss, nil
-}
-
 func asIndex(id page.ID, v interface{}) (*page.IndexNode, error) {
 	n, ok := v.(*page.IndexNode)
 	if !ok {

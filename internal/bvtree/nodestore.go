@@ -15,11 +15,11 @@ import (
 // NodeStore supplies decoded nodes to the tree. Implementations return
 // live node pointers: the tree mutates them in place and calls SaveIndex /
 // SaveData to publish the mutation. The tree serialises mutations behind
-// an exclusive lock but runs read-only operations in parallel, so Index,
-// Data and the batched reads must be safe to call concurrently with each
-// other (though never concurrently with Alloc/Save/Free, which only run
-// under the tree's exclusive lock). There are two: pagedNodes, a live
-// tree's, and snapNodes, a pinned view's.
+// an exclusive lock but runs read-only operations in parallel, so Index
+// and Data must be safe to call concurrently with each other (though
+// never concurrently with Alloc/Save/Free, which only run under the
+// tree's exclusive lock). There are two: pagedNodes, a live tree's, and
+// snapNodes, a pinned view's.
 type NodeStore interface {
 	AllocIndex(level int, reg region.BitString) (page.ID, *page.IndexNode, error)
 	AllocData(reg region.BitString) (page.ID, *page.DataPage, error)
@@ -28,9 +28,6 @@ type NodeStore interface {
 	SaveIndex(id page.ID, n *page.IndexNode) error
 	SaveData(id page.ID, p *page.DataPage) error
 	Free(id page.ID) error
-
-	// dataBatch is the batched-read seam of the range walk.
-	dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]byte, miss []page.ID) ([]*page.DataPage, [][]byte, []page.ID, error)
 }
 
 // cacheShards is the shard count of the decoded-node cache. Shards spread
@@ -193,12 +190,10 @@ type pagedNodes struct {
 	// from the store: the cache's misses, by kind.
 	indexReads, dataReads atomic.Uint64
 
-	// br and lender are the store's optional batched-read and
-	// borrowed-read seams, resolved once at construction. Either may be
-	// nil (a fault-injecting wrapper, say, implements only the plain
-	// Store), in which case a range walk falls back to per-node reads and
-	// a miss decodes a copy ReadNode made.
-	br     storage.BatchReader
+	// lender is the store's optional borrowed-read seam, resolved once at
+	// construction. It may be nil (a fault-injecting wrapper, say,
+	// implements only the plain Store), in which case a miss decodes a
+	// copy ReadNode made.
 	lender storage.Lender
 	// decodeIndex and decodeData decode a page for read; they are built
 	// once, so that lending a page to them allocates no closure.
@@ -217,7 +212,6 @@ func newPagedNodes(st storage.Store, dims, cacheNodes int) *pagedNodes {
 		cacheNodes = 4096
 	}
 	s := &pagedNodes{st: st, dims: dims, cap: cacheNodes}
-	s.br, _ = st.(storage.BatchReader)
 	s.lender, _ = st.(storage.Lender)
 	s.decodeIndex = func(id page.ID, blob []byte) (any, error) {
 		n, err := page.DecodeIndexCols(blob, s.dims)
@@ -562,60 +556,6 @@ func (s *pagedNodes) readData(id page.ID) (*page.DataPage, error) {
 	v, err := s.read(id, s.decodeData)
 	p, _ := v.(*page.DataPage)
 	return p, err
-}
-
-// dataBatch fetches the data pages named by ids for a streaming scan.
-// On success pages, blobs and miss (reused from the caller's scratch)
-// are resized to describe every id: pages[i] is set when the decoded
-// cache already held the page, otherwise blobs[i] holds the raw encoded
-// page, fetched together with the other misses through one batched read
-// when the store supports it. Fetched blobs are deliberately NOT decoded
-// into (or admitted to) the decoded cache: a low-selectivity range scan
-// would flush the working set the point-query path relies on, and the
-// range walk decodes blobs into its own scratch instead.
-func (s *pagedNodes) dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]byte, miss []page.ID) ([]*page.DataPage, [][]byte, []page.ID, error) {
-	pages, blobs, miss = pages[:0], blobs[:0], miss[:0]
-	for _, id := range ids {
-		if v, _, ok := s.cacheGet(id); ok {
-			dp, err := asData(id, v)
-			if err != nil {
-				return pages, blobs, miss, err
-			}
-			pages, blobs = append(pages, dp), append(blobs, nil)
-			continue
-		}
-		pages, blobs = append(pages, nil), append(blobs, nil)
-		miss = append(miss, id)
-	}
-	if len(miss) == 0 {
-		return pages, blobs, miss, nil
-	}
-	s.dataReads.Add(uint64(len(miss)))
-	if s.br != nil && len(miss) > 1 {
-		got, err := s.br.ReadNodes(miss)
-		if err != nil {
-			return pages, blobs, miss, err
-		}
-		j := 0
-		for i := range ids {
-			if pages[i] == nil {
-				blobs[i] = got[j]
-				j++
-			}
-		}
-		return pages, blobs, miss, nil
-	}
-	for i, id := range ids {
-		if pages[i] != nil {
-			continue
-		}
-		blob, err := s.st.ReadNode(id)
-		if err != nil {
-			return pages, blobs, miss, err
-		}
-		blobs[i] = blob
-	}
-	return pages, blobs, miss, nil
 }
 
 // SaveIndex publishes n as page id: it is cached dirty, to be encoded

@@ -21,16 +21,16 @@ import (
 	"bvtree/internal/workload"
 )
 
-// countingBatcher counts the data pages a range walk fetches through a
-// tree's batched read seam.
-type countingBatcher struct {
+// countingData counts the data pages a range walk fetches through a
+// tree's node store.
+type countingData struct {
 	NodeStore
 	pages uint64
 }
 
-func (c *countingBatcher) dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]byte, miss []page.ID) ([]*page.DataPage, [][]byte, []page.ID, error) {
-	c.pages += uint64(len(ids))
-	return c.NodeStore.dataBatch(ids, pages, blobs, miss)
+func (c *countingData) Data(id page.ID) (*page.DataPage, error) {
+	c.pages++
+	return c.NodeStore.Data(id)
 }
 
 // kItemWindows returns count square windows holding exactly k of pts
@@ -100,7 +100,7 @@ func TestRangeCostAgainstYardstick(t *testing.T) {
 	defer snap.Release()
 	v := snap.v
 	v.stats = &obs.TreeCounters{}
-	fetched := &countingBatcher{NodeStore: v.st}
+	fetched := &countingData{NodeStore: v.st}
 	v.st = fetched
 
 	rng := rand.New(rand.NewSource(1))

@@ -10,37 +10,33 @@ import (
 )
 
 // This file is the range-traversal core. Every range and count query is
-// one rangeWalker — a stack of pending index subtrees and the
-// fetch/decode scratch — which walkRange runs depth-first on the
-// caller's goroutine until its stack is empty: pop a subtree, qualify its
-// children through expandRange (the guard-set-pruned rule of query.go),
-// push the index children, scan the data children through scanPages.
-// Depth-first keeps the batch-read locality of sibling data pages and a
-// stack a few nodes' worth deep. A query counts when its Visitor is nil
-// and calls the Visitor otherwise; either way the walk stops at the first
-// Visitor false or the first error.
+// one rangeWalker — a stack of pending index subtrees and the scan's
+// scratch — which walkRange runs depth-first on the caller's goroutine
+// until its stack is empty: pop a subtree, qualify its children through
+// expandRange (the guard-set-pruned rule of query.go), push the index
+// children, scan the data children through scanPages. Depth-first keeps
+// the stack a few nodes' worth deep. A query counts when its Visitor is
+// nil and calls the Visitor otherwise; either way the walk stops at the
+// first Visitor false or the first error.
 //
 // The walk runs against a pinned epoch view (t is the view tree a
 // readView call produced, not the live tree), and no tree lock is held
 // meanwhile: the pin keeps every node the view can reach immutable, so
 // writers commit concurrently without ever being observed mid-flight.
 //
-// Three mechanisms make the scan cheap:
+// Two mechanisms make the scan cheap:
 //
-//   - Batched reads: a node's qualifying data children are fetched
-//     through the store's ReadNodes seam — one lock acquisition and
-//     coalesced physical I/O instead of N point reads
-//     (pagedNodes.dataBatch).
-//   - Streaming decode with scan resistance: pages fetched for a scan
-//     are decoded into flat walker scratch (page.AppendDataItems) and
-//     never admitted to the decoded-node cache, so a low-selectivity scan
-//     neither pays the cache's per-page allocation pattern nor flushes
-//     the point-query working set.
+//   - One column scan: every data page comes to the walk as its columns,
+//     through the view's Data like any other read — from the version
+//     chain, the decoded cache, or a private decode of the slot the store
+//     lends (snapNodes.Data), which is never admitted to the cache, so a
+//     low-selectivity scan does not flush the point-query working set.
+//     A partial page is tested with one batched ContainMask64 pass per
+//     64 rows (scanPage).
 //   - Full containment: once a subtree's brick lies inside the query
 //     rectangle (region.BrickWithin), every item below it matches; data
-//     pages under it are emitted without per-point Contains tests, and
-//     counting such a page reads only its item count
-//     (page.DecodeDataCount).
+//     pages under it are emitted without per-point tests, and counting
+//     such a page reads only its row count.
 
 // rangeTask is one pending unit of a walk: an index subtree to qualify
 // and descend. full marks the subtree's brick as contained in the query
@@ -51,32 +47,26 @@ type rangeTask struct {
 }
 
 // rangeWalker is the state of one range or count traversal. Walkers are
-// pooled, as Lookup's descents are: the slices handed through the
-// NodeStore interface escape, so scratch on the caller's stack would
-// cost allocations per query. The Visitor of a visiting walk is not part
-// of that state — it travels as a parameter, so that a caller's closure
-// stays on the caller's stack.
+// pooled, as Lookup's descents are, so that a query reuses the stack,
+// child lists and arena of an earlier one instead of allocating them.
+// The Visitor of a visiting walk is not part of that state — it travels
+// as a parameter, so that a caller's closure stays on the caller's stack.
 type rangeWalker struct {
 	t     *Tree
 	rect  geometry.Rect
 	count int64 // items the walk has matched
 	stack []rangeTask
 
-	// One node's qualifying data children and their batch fetch.
+	// One node's qualifying data children.
 	dataIDs  []page.ID
 	dataFull []bool
-	pages    []*page.DataPage
-	blobs    [][]byte
-	miss     []page.ID
 
-	// out receives one page's items at a time. A visiting walk cuts the
-	// points it hands out from coords, which only ever grows at its end
-	// (room): a visitor may keep the points, so no later page set, and no
-	// later walk of the pooled walker, writes over them. A counting walk
-	// decodes into scratch, which it reuses.
-	out     []page.Item
-	coords  []uint64
-	scratch []uint64
+	// out receives one full page's items at a time. A visiting walk cuts
+	// the points it hands out from coords, which only ever grows at its
+	// end (room): a visitor may keep the points, so no later page, and no
+	// later walk of the pooled walker, writes over them.
+	out    []page.Item
+	coords []uint64
 }
 
 // Arena sizes, in words: the first arena a visiting walk cuts points
@@ -111,10 +101,9 @@ func (t *Tree) walkRange(rect geometry.Rect, visit Visitor) (int64, error) {
 		err = w.drive(root, visit)
 	}
 	n := w.count
-	// Drop the tree and the query's item headers. The last node's page
-	// pointers and blobs stay behind in the fetch scratch, and the arena's
-	// free tail waits for the next visiting walk; the pool itself forgets
-	// them within two GC cycles.
+	// Drop the tree and the query's item headers. The arena's free tail
+	// waits for the next visiting walk; the pool itself forgets it within
+	// two GC cycles.
 	w.t, w.rect, w.out = nil, geometry.Rect{}, nil
 	rangeWalkerPool.Put(w)
 	return n, err
@@ -143,12 +132,10 @@ func (w *rangeWalker) drive(root rangeTask, visit Visitor) error {
 }
 
 // scanPages is the one page-set scan: it fetches the data pages drive
-// collected in w.dataIDs — one coalesced fetch for the cold pages where
-// the tree has a batched read seam, which hands back cached pages decoded
-// and the rest as raw blobs, decoded here outside the decoded-node cache
-// — and feeds their matching items, in item order, to visit or the count.
-// It reports whether the walk continues. A page that gives the walk no
-// item is counted in RangeEmptyPages.
+// collected in w.dataIDs, one at a time through the view's Data, and
+// feeds their matching items, in item order, to visit or the count. It
+// reports whether the walk continues. A page that gives the walk no item
+// is counted in RangeEmptyPages.
 //
 // The rows of any page the pinned view can reach are immutable for the
 // duration of the query — a writer that needs to change such a page
@@ -156,25 +143,18 @@ func (w *rangeWalker) drive(root rangeTask, visit Visitor) error {
 // here reads stable memory.
 func (w *rangeWalker) scanPages(visit Visitor) (bool, error) {
 	t := w.t
-	if len(w.dataIDs) == 0 {
-		return true, nil
-	}
-	var err error
-	w.pages, w.blobs, w.miss, err = t.st.dataBatch(w.dataIDs, w.pages, w.blobs, w.miss)
-	if err != nil {
-		return false, err
-	}
-	if len(w.miss) > 0 {
-		t.stats.RangeBatchPages.Add(uint64(len(w.miss)))
-	}
-	t.stats.NodeAccesses.Add(uint64(len(w.dataIDs)))
-	for i, full := range w.dataFull {
+	for i, id := range w.dataIDs {
+		dp, err := t.fetchData(id)
+		if err != nil {
+			return false, err
+		}
+		full := w.dataFull[i]
 		if full {
 			t.stats.RangeFullPages.Inc()
 		}
-		got, cont, err := w.scanPage(i, full, visit)
-		if err != nil || !cont {
-			return false, err
+		got, cont := w.scanPage(dp, full, visit)
+		if !cont {
+			return false, nil
 		}
 		if got == 0 {
 			t.stats.RangeEmptyPages.Inc()
@@ -184,35 +164,29 @@ func (w *rangeWalker) scanPages(visit Visitor) (bool, error) {
 	return true, nil
 }
 
-// scanPage feeds the matching items of page w.dataIDs[i] to visit, or
-// counts them when visit is nil, and returns how many matched and whether
-// the walk continues. A page whose brick lies inside rect (full) is not
-// tested per point, and counting one from a blob reads only its item
-// count; a partial cached page is tested with one batched ContainMask64
-// pass per 64 items of its rows, and a page decoded here from a blob item
-// by item, once.
+// scanPage feeds the matching items of dp to visit, or counts them when
+// visit is nil, and returns how many matched and whether the walk
+// continues. A page whose brick lies inside rect (full) is not tested
+// per point; a partial page is tested with one batched ContainMask64
+// pass per 64 items of its rows.
 //
 // The visitor may keep the points it is handed, so they never alias a
 // page's rows: they are copied into the walk's arena — every point of a
 // full page, and of a partial page only those that matched.
-func (w *rangeWalker) scanPage(i int, full bool, visit Visitor) (int, bool, error) {
-	dp := w.pages[i]
-	if dp == nil {
-		return w.scanBlob(i, full, visit)
-	}
+func (w *rangeWalker) scanPage(dp *page.DataPage, full bool, visit Visitor) (int, bool) {
 	c := dp.DCols()
 	switch {
 	case full && visit == nil:
-		return c.Len(), true, nil
+		return c.Len(), true
 	case full:
 		w.room(c.Len() * c.Dims())
 		w.out, w.coords = dp.AppendItems(w.out[:0], w.coords)
 		for j := range w.out {
 			if !visit(w.out[j].Point, w.out[j].Payload) {
-				return j + 1, false, nil
+				return j + 1, false
 			}
 		}
-		return len(w.out), true, nil
+		return len(w.out), true
 	}
 	w.t.stats.BatchTests.Inc()
 	got := 0
@@ -228,40 +202,9 @@ func (w *rangeWalker) scanPage(i int, full bool, visit Visitor) (int, bool, erro
 			at := len(w.coords)
 			w.coords = dp.AppendPoint(w.coords, j)
 			if !visit(w.coords[at:len(w.coords):len(w.coords)], dp.Payload(j)) {
-				return got, false, nil
+				return got, false
 			}
 		}
 	}
-	return got, true, nil
-}
-
-// scanBlob is scanPage for a page fetched as a blob: counted from its
-// header when full, otherwise decoded — into the arena for a visitor —
-// and tested item by item.
-func (w *rangeWalker) scanBlob(i int, full bool, visit Visitor) (int, bool, error) {
-	if full && visit == nil {
-		n, err := page.DecodeDataCount(w.blobs[i])
-		return n, err == nil, err
-	}
-	var err error
-	if visit == nil {
-		w.out, w.scratch, err = page.AppendDataItems(w.blobs[i], w.out[:0], w.scratch[:0])
-	} else {
-		w.room(len(w.blobs[i]) / 8) // a page's length bounds its coordinate words
-		w.out, w.coords, err = page.AppendDataItems(w.blobs[i], w.out[:0], w.coords)
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	got := 0
-	for j := range w.out {
-		if !full && !w.rect.Contains(w.out[j].Point) {
-			continue
-		}
-		got++
-		if visit != nil && !visit(w.out[j].Point, w.out[j].Payload) {
-			return got, false, nil
-		}
-	}
-	return got, true, nil
+	return got, true
 }

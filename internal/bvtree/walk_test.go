@@ -61,7 +61,7 @@ func rangeBackends(t *testing.T, pts []geometry.Point, opt Options, fn func(t *t
 		}
 		defer st.Close()
 		popt := opt
-		popt.CacheNodes = 64 // small: most range reads go through blobs
+		popt.CacheNodes = 64 // small: most range reads miss the cache
 		tr, err := NewPaged(st, popt)
 		if err != nil {
 			t.Fatal(err)
@@ -482,9 +482,10 @@ func TestRangeRunsInline(t *testing.T) {
 
 // TestParallelRangeCountersAgree: the traversal counters mean one thing.
 // A mixed set of windows (universe, half-space, point-like, empty) over a
-// reopened — hence cold, blob-served — paged tree must move
-// RangeFullPages, RangeBatchPages, RangeEmptyPages and NodeAccesses by
-// the same amounts whether it is visited or counted.
+// reopened — hence cold — paged tree must move RangeFullPages,
+// RangeEmptyPages and NodeAccesses, and the data pages read from the
+// store (cache.data_reads), by the same amounts whether it is visited or
+// counted.
 func TestParallelRangeCountersAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	pts := make([]geometry.Point, 6000)
@@ -516,13 +517,14 @@ func TestParallelRangeCountersAgree(t *testing.T) {
 		q[0]++
 		windows = append(windows, geometry.Rect{Min: q, Max: q})
 	}
-	type delta struct{ full, batch, empty, nodes uint64 }
+	type delta struct{ full, dataReads, empty, nodes uint64 }
 	var visited delta
 	for _, counting := range []bool{false, true} {
 		cold, err := OpenPaged(st, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		reads := cold.Metrics().Cache.DataReads
 		for _, rect := range windows {
 			if counting {
 				_, err = cold.Count(rect)
@@ -534,9 +536,9 @@ func TestParallelRangeCountersAgree(t *testing.T) {
 			}
 		}
 		s := cold.Stats()
-		got := delta{s.RangeFullPages, s.RangeBatchPages, s.RangeEmptyPages, s.NodeAccesses}
-		if got.full == 0 || got.batch == 0 || got.empty == 0 {
-			t.Fatalf("counting %v: %+v — the universe scan found no full page, nothing was batch-read, or no window met an empty page", counting, got)
+		got := delta{s.RangeFullPages, cold.Metrics().Cache.DataReads - reads, s.RangeEmptyPages, s.NodeAccesses}
+		if got.full == 0 || got.dataReads == 0 || got.empty == 0 {
+			t.Fatalf("counting %v: %+v — the universe scan found no full page, no data page was read from the store, or no window met an empty page", counting, got)
 		}
 		if !counting {
 			visited = got

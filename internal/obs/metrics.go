@@ -26,7 +26,6 @@ type TreeCounters struct {
 	RootGrowths     Counter
 	RangeEmptyPages Counter
 	RangeFullPages  Counter
-	RangeBatchPages Counter
 	BatchTests      Counter
 }
 
@@ -62,14 +61,11 @@ type TreeCountersSnapshot struct {
 	// emitted or counted through the full-containment fast path, i.e.
 	// without a per-point rectangle test.
 	RangeFullPages uint64 `json:"range_full_pages"`
-	// RangeBatchPages counts data pages a range or count traversal read
-	// from the store through the batched read seam (cache misses only).
-	RangeBatchPages uint64 `json:"range_batch_pages"`
-	// BatchTests counts batched predicate passes over a node's columnar
-	// mirror: one per index node or data page whose entries were tested
-	// as columns. It trails NodeAccesses only by the pages a query needs
-	// no test for (inside a fully contained subtree) or decodes once from
-	// a cold blob for a streaming scan.
+	// BatchTests counts batched predicate passes over a node's columns:
+	// one per index node or data page whose entries were tested as
+	// columns, whether the page was cached or decoded on a miss. It
+	// trails NodeAccesses only by the pages a query needs no test for
+	// (inside a fully contained subtree).
 	BatchTests uint64 `json:"batch_tests"`
 }
 
@@ -88,13 +84,12 @@ func (c *TreeCounters) Snapshot() TreeCountersSnapshot {
 		RootGrowths:     c.RootGrowths.Load(),
 		RangeEmptyPages: c.RangeEmptyPages.Load(),
 		RangeFullPages:  c.RangeFullPages.Load(),
-		RangeBatchPages: c.RangeBatchPages.Load(),
 		BatchTests:      c.BatchTests.Load(),
 	}
 }
 
 // TreeMetrics are the opt-in per-operation histograms of the tree layer
-// (Options.Metrics). Latency histograms record nanoseconds; shape
+// (EnableMetrics). Latency histograms record nanoseconds; shape
 // histograms record counts.
 type TreeMetrics struct {
 	Lookup     Histogram // exact-match latency
@@ -135,7 +130,7 @@ func (m *TreeMetrics) ObserveDescent(depth, guardSet int64) {
 // TreeSnapshot is the tree layer's part of a metrics snapshot.
 type TreeSnapshot struct {
 	// MetricsEnabled reports whether the histogram fields below are being
-	// populated (Options.Metrics); the Counters are always live.
+	// populated (EnableMetrics); the Counters are always live.
 	MetricsEnabled bool                 `json:"metrics_enabled"`
 	Counters       TreeCountersSnapshot `json:"counters"`
 
@@ -214,7 +209,6 @@ type StoreSnapshot struct {
 	NodeWrites uint64 `json:"node_writes"`
 	SlotReads  uint64 `json:"slot_reads"`  // physical page reads
 	SlotWrites uint64 `json:"slot_writes"` // physical page writes
-	BatchReads uint64 `json:"batch_reads"` // ReadNodes calls (see storage.Stats)
 	// FreeSlots is the current free-list length (a gauge).
 	FreeSlots int64 `json:"free_slots"`
 }

@@ -343,11 +343,10 @@ func DecodeDataCols(b []byte) (*DataPage, int, error) {
 
 // AppendDataItems decodes the items of an encoded data page, appending
 // them to dst with their point coordinates packed into coords, and
-// returns the extended slices. It is the streaming decode of the range
-// engine: one page costs at most two slice growths regardless of item
-// count. Appending to coords may relocate its backing array; points
-// appended by earlier calls keep referencing the old array, so previously
-// returned items stay valid.
+// returns the extended slices. Nothing in the tree calls it: a reader
+// decodes a page into its columns (DecodeDataCols). Appending to coords
+// may relocate its backing array; points appended by earlier calls keep
+// referencing the old array, so previously returned items stay valid.
 func AppendDataItems(b []byte, dst []Item, coords []uint64) ([]Item, []uint64, error) {
 	r, dims, _, count, err := dataHeader(b)
 	if err != nil {
@@ -355,14 +354,6 @@ func AppendDataItems(b []byte, dst []Item, coords []uint64) ([]Item, []uint64, e
 	}
 	dst, coords = r.items(dims, count, dst, coords)
 	return dst, coords, nil
-}
-
-// DecodeDataCount returns the item count of an encoded data page without
-// decoding the items. It is the whole cost of counting a data page whose
-// region is fully contained in a query rectangle.
-func DecodeDataCount(b []byte) (int, error) {
-	_, _, _, count, err := dataHeader(b)
-	return count, err
 }
 
 // --- encoding primitives ---

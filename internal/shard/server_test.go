@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sort"
@@ -16,8 +17,10 @@ import (
 	"time"
 
 	"bvtree/internal/bvtree"
+	"bvtree/internal/fault"
 	"bvtree/internal/geometry"
 	"bvtree/internal/storage"
+	"bvtree/internal/vfs"
 	"bvtree/internal/workload"
 )
 
@@ -535,6 +538,94 @@ func TestShardServerPoisonedShard(t *testing.T) {
 	if m := s.Metrics(); m.Accepted != 1 || m.Conns != 1 || m.Errors != 2 {
 		t.Fatalf("server saw %d connections (%d open) and %d error responses, want 1, 1 and 2",
 			m.Accepted, m.Conns, m.Errors)
+	}
+}
+
+// TestShardServerPoisonedFileStore is TestShardServerPoisonedShard with
+// the poison real: one shard is a paged tree whose FileStore, under a
+// fault-injecting filesystem, failed a Sync. Its decoded cache holds 16
+// nodes, so a Range and a Count over it read pages from the store, which
+// refuses them with storage.ErrPoisoned; each gets StatusInternal
+// carrying that text, and a Lookup on a healthy shard still succeeds on
+// the same connection.
+func TestShardServerPoisonedFileStore(t *testing.T) {
+	const dims, n, bad = 2, 2000, 3
+	plan, err := PlanUniform(dims, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := newEngines(t, "mem", plan)
+	ffs := fault.NewFS(vfs.OS{}, fault.Plan{})
+	st, err := storage.CreateFileStore(filepath.Join(t.TempDir(), "bad.db"), storage.FileStoreOptions{FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	tr, err := bvtree.NewPaged(st, bvtree.Options{Dims: dims, DataCapacity: 8, Fanout: 8, CacheNodes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines[bad] = tr
+	r, err := NewRouter(plan, engines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := workload.Generate(workload.Uniform, dims, n, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		if err := r.Insert(p, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Insert(pts[0], uint64(n)); err != nil {
+		t.Fatal(err)
+	}
+	ffs.SetPlan(fault.Plan{InjectAt: ffs.Ops() + 1, Mode: fault.ModeError})
+	if err := tr.Flush(); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("flush under an injected fault: %v, want %v", err, fault.ErrInjected)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve(t, NewServer(r, ServerConfig{}), ln)
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	internal := func(what string, err error) {
+		t.Helper()
+		var es *ErrStatus
+		if !errors.As(err, &es) || es.Status != StatusInternal {
+			t.Fatalf("%s over the poisoned shard: %v, want StatusInternal", what, err)
+		}
+		if !strings.Contains(es.Msg, storage.ErrPoisoned.Error()) {
+			t.Fatalf("%s: message %q does not carry %q", what, es.Msg, storage.ErrPoisoned)
+		}
+	}
+	universe := geometry.UniverseRect(dims)
+	_, _, _, err = c.Range(universe, 0)
+	internal("range", err)
+	_, err = c.Count(universe)
+	internal("count", err)
+
+	i := slices.IndexFunc(pts, func(p geometry.Point) bool {
+		shard, err := r.ShardFor(p)
+		return err == nil && shard != bad
+	})
+	got, err := c.Lookup(pts[i])
+	if err != nil {
+		t.Fatalf("lookup on a healthy shard: %v", err)
+	}
+	if !slices.Contains(got, uint64(i)) {
+		t.Fatalf("lookup on a healthy shard: %v, want payload %d", got, i)
 	}
 }
 

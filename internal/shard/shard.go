@@ -387,7 +387,6 @@ func (r *Router) AggregateCounters() obs.TreeCountersSnapshot {
 		agg.RootGrowths += c.RootGrowths
 		agg.RangeEmptyPages += c.RangeEmptyPages
 		agg.RangeFullPages += c.RangeFullPages
-		agg.RangeBatchPages += c.RangeBatchPages
 		agg.BatchTests += c.BatchTests
 	}
 	return agg

@@ -31,7 +31,7 @@ import (
 // since the last Sync stays resident as a full slot image.
 //
 // Concurrency: mutations (Alloc, WriteNode, Free, Sync, Close) hold the
-// store lock exclusively; ReadNode, LendNode, ReadNodes and Stats hold it
+// store lock exclusively; ReadNode, LendNode and Stats hold it
 // shared and only read the write set, so parallel readers proceed together
 // with no latch below the store lock.
 //
@@ -372,17 +372,15 @@ func (s *FileStore) lend(id page.ID, buf []byte) ([]byte, bool, error) {
 	if err := s.usable(); err != nil {
 		return nil, false, err
 	}
-	return s.readNodeVia(id, scanRun{}, buf)
+	return s.readNodeVia(id, buf)
 }
 
 // readNodeVia is the one slot walk: it assembles the slot chain starting
-// at id, taking each slot's image from run when it has one, from the
-// write set when the slot is there, and otherwise from the file, by one
-// pread into buf, a slot buffer. A node of one slot read into buf comes
-// back as a slice of buf, with lent set; any other node comes back as a
-// fresh blob. run is how ReadNodes serves batch-read slots out of its
-// coalesced run buffers; the single reads pass an empty one.
-func (s *FileStore) readNodeVia(id page.ID, run scanRun, buf []byte) (blob []byte, lent bool, err error) {
+// at id, taking each slot's image from the write set when the slot is
+// there, and otherwise from the file, by one pread into buf, a slot
+// buffer. A node of one slot read into buf comes back as a slice of buf,
+// with lent set; any other node comes back as a fresh blob.
+func (s *FileStore) readNodeVia(id page.ID, buf []byte) (blob []byte, lent bool, err error) {
 	atomic.AddUint64(&s.stats.NodeReads, 1)
 	var out []byte
 	var hops uint64
@@ -391,22 +389,19 @@ func (s *FileStore) readNodeVia(id page.ID, run scanRun, buf []byte) (blob []byt
 		if hops++; hops > s.nextSlot {
 			return nil, false, fmt.Errorf("%w: slot chain cycle at page %d", ErrCorrupt, id)
 		}
-		img, fromFile := run.lookup(slot), false
-		if img == nil {
-			var ok bool
-			if img, ok = s.written[slot]; !ok {
-				if _, err := s.f.ReadAt(buf, s.offset(slot)); err != nil {
-					return nil, false, fmt.Errorf("storage: read slot %d: %w", slot, err)
-				}
-				atomic.AddUint64(&s.stats.SlotReads, 1)
-				img, fromFile = buf, true
+		img, written := s.written[slot]
+		if !written {
+			if _, err := s.f.ReadAt(buf, s.offset(slot)); err != nil {
+				return nil, false, fmt.Errorf("storage: read slot %d: %w", slot, err)
 			}
+			atomic.AddUint64(&s.stats.SlotReads, 1)
+			img = buf
 		}
 		frag, next, err := s.fragment(slot, img)
 		if err != nil {
 			return nil, false, err
 		}
-		if hops == 1 && next == 0 && fromFile {
+		if hops == 1 && next == 0 && !written {
 			return frag, true, nil
 		}
 		out = append(out, frag...)
@@ -427,104 +422,6 @@ func (s *FileStore) fragment(slot uint64, img []byte) ([]byte, uint64, error) {
 		return nil, 0, fmt.Errorf("%w: fragment length %d in slot %d", ErrCorrupt, n, slot)
 	}
 	return img[slotHeaderSize : slotHeaderSize+n], next, nil
-}
-
-// maxReadRun caps the slots covered by one coalesced ReadAt (256 KiB at
-// the default slot size): long enough to amortise the syscall, short
-// enough to keep the run buffer off the large-allocation path.
-const maxReadRun = 64
-
-// scanRun holds the slot images one batched read fetched through
-// coalesced ReadAt calls; the run buffers are dropped when the batch read
-// returns. slots is sorted and parallel to bufs.
-type scanRun struct {
-	slots []uint64
-	bufs  [][]byte
-}
-
-// lookup returns the run image of slot, or nil when the slot was in the
-// write set (its image must win) or out of the batch.
-func (r *scanRun) lookup(slot uint64) []byte {
-	if i, ok := slices.BinarySearch(r.slots, slot); ok {
-		return r.bufs[i]
-	}
-	return nil
-}
-
-// readRuns reads the head slots of ids that are not in the write set,
-// coalescing runs of consecutive slots into single ReadAt calls — this is
-// where a batched fetch of N sibling pages becomes one or two physical
-// reads instead of N. Out-of-range slots are skipped; the demand path
-// serves them. Shared store lock held.
-func (s *FileStore) readRuns(ids []page.ID) (scanRun, error) {
-	slots := make([]uint64, 0, len(ids))
-	for _, id := range ids {
-		slots = append(slots, uint64(id))
-	}
-	slices.Sort(slots)
-	slots = slices.Compact(slots)
-	var r scanRun
-	for i := 0; i < len(slots); {
-		// Grow a run of consecutive, unwritten, in-range slots.
-		j := i
-		for j < len(slots) && j-i < maxReadRun &&
-			slots[j] == slots[i]+uint64(j-i) && slots[j] < s.nextSlot {
-			if _, ok := s.written[slots[j]]; ok {
-				break
-			}
-			j++
-		}
-		if j == i {
-			i++
-			continue
-		}
-		buf := make([]byte, (j-i)*s.slotSize)
-		if _, err := s.f.ReadAt(buf, s.offset(slots[i])); err != nil {
-			return r, fmt.Errorf("storage: read slots %d..%d: %w", slots[i], slots[j-1], err)
-		}
-		atomic.AddUint64(&s.stats.SlotReads, 1)
-		for ; i < j; i++ {
-			r.slots, r.bufs = append(r.slots, slots[i]), append(r.bufs, buf[:s.slotSize:s.slotSize])
-			buf = buf[s.slotSize:]
-		}
-	}
-	return r, nil
-}
-
-// ReadNodes implements BatchReader: one shared-lock acquisition for the
-// whole batch, with the head slots of all requested nodes read first
-// through readRuns so that physically adjacent siblings — pages a split
-// allocated one after the other — arrive in coalesced multi-slot reads.
-// Slots in the write set and chain tails beyond the head are read one by
-// one, as ReadNode reads them.
-func (s *FileStore) ReadNodes(ids []page.ID) ([][]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if err := s.usable(); err != nil {
-		return nil, err
-	}
-	atomic.AddUint64(&s.stats.BatchReads, 1)
-	var run scanRun
-	if len(ids) > 1 {
-		var err error
-		if run, err = s.readRuns(ids); err != nil {
-			return nil, err
-		}
-	}
-	bp := s.slotBufs.Get().(*[]byte)
-	defer s.slotBufs.Put(bp)
-	out := make([][]byte, len(ids))
-	for i, id := range ids {
-		blob, lent, err := s.readNodeVia(id, run, *bp)
-		if err != nil {
-			return nil, err
-		}
-		if lent {
-			blob = append([]byte(nil), blob...)
-		}
-		out[i] = blob
-	}
-	return out, nil
 }
 
 // WriteNode implements Store. It reuses the existing chain, growing or

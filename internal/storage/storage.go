@@ -38,22 +38,19 @@ type Store interface {
 	Close() error
 }
 
-// BatchReader is the batched read seam of the range-query engine. Both
-// stores in this package implement it; callers discover it by type
-// assertion so that wrapping stores (fault injectors, future remotes)
-// remain valid Stores without it — the caller falls back to per-node
-// ReadNode calls.
+// BatchReader is implemented by no store.
+//
+// Deprecated: a range walk reads each data page through the node cache,
+// as a Lookup does; nothing reads a batch of blobs.
 type BatchReader interface {
-	// ReadNodes returns the blobs of ids, in order, under one shared-lock
-	// acquisition. It fails on the first unreadable node.
 	ReadNodes(ids []page.ID) ([][]byte, error)
 }
 
 // Lender is the borrowed read seam of a cold miss: the caller decodes a
 // node where the store read it, and no blob is built for a decode that
 // reads it once. Both stores in this package implement it; callers
-// discover it by type assertion, as BatchReader, and fall back to
-// ReadNode on a store without it.
+// discover it by type assertion and fall back to ReadNode on a store
+// without it.
 type Lender interface {
 	// LendNode reads node id as ReadNode would, with the same errors and
 	// counters, calls use with the node's id and blob, and returns what
@@ -86,9 +83,6 @@ type Stats struct {
 	//
 	// Deprecated: no store has a buffer pool.
 	CacheHits, CacheMisses, Evictions uint64
-	// BatchReads counts ReadNodes calls (each also counts one NodeRead
-	// per node it returns).
-	BatchReads uint64
 	// FreeSlots is the current free-list length — a gauge, not a counter.
 	// Always 0 for MemStore, which has no free list.
 	FreeSlots int64
@@ -104,7 +98,6 @@ func (s Stats) Sub(t Stats) Stats {
 		NodeWrites: s.NodeWrites - t.NodeWrites,
 		SlotReads:  s.SlotReads - t.SlotReads,
 		SlotWrites: s.SlotWrites - t.SlotWrites,
-		BatchReads: s.BatchReads - t.BatchReads,
 		FreeSlots:  s.FreeSlots,
 	}
 }
@@ -164,26 +157,6 @@ func (m *MemStore) LendNode(id page.ID, use func(page.ID, []byte) (any, error)) 
 	return use(id, b)
 }
 
-// ReadNodes implements BatchReader: all reads happen under one shared
-// lock acquisition.
-func (m *MemStore) ReadNodes(ids []page.ID) ([][]byte, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	atomic.AddUint64(&m.stats.BatchReads, 1)
-	out := make([][]byte, len(ids))
-	for i, id := range ids {
-		b, ok := m.blobs[id]
-		if !ok {
-			return nil, fmt.Errorf("storage: read of unallocated page %d", id)
-		}
-		atomic.AddUint64(&m.stats.NodeReads, 1)
-		cp := make([]byte, len(b))
-		copy(cp, b)
-		out[i] = cp
-	}
-	return out, nil
-}
-
 // WriteNode implements Store.
 func (m *MemStore) WriteNode(id page.ID, blob []byte) error {
 	m.mu.Lock()
@@ -226,7 +199,6 @@ func loadStats(s *Stats) Stats {
 		NodeWrites: atomic.LoadUint64(&s.NodeWrites),
 		SlotReads:  atomic.LoadUint64(&s.SlotReads),
 		SlotWrites: atomic.LoadUint64(&s.SlotWrites),
-		BatchReads: atomic.LoadUint64(&s.BatchReads),
 		FreeSlots:  atomic.LoadInt64(&s.FreeSlots),
 	}
 }
