@@ -11,8 +11,10 @@ GO ?= go
 # internal/storage: readers sharing a FileStore's write set and file
 # with a writer that frees, rewrites and Syncs, and borrowed reads,
 # LendNode decoding in a pooled slot buffer, beside a writer that
-# rewrites and Syncs), the group-commit/batch write
-# path (TestGroupCommit* in internal/wal, TestConcurrentBatch* in
+# rewrites and Syncs), the group-commit/batch write path
+# (TestGroupCommit* in internal/wal: concurrent Enqueue/Wait/Drain on one
+# log, where each flush writes everything pending and the first waiter
+# during a flush leads the next; TestConcurrentBatch* in
 # internal/bvtree), the instrumentation path (TestConcurrentMetrics),
 # the histogram core (TestConcurrentHistogram in internal/obs), the
 # range-walk differentials (TestParallelRange* in internal/bvtree),
@@ -25,7 +27,7 @@ GO ?= go
 # edits split pages and nodes), the logged tree's commit and
 # checkpoint (TestDurable* and TestAutoCheckpoint* in internal/bvtree: the
 # tree lock is also the WAL order lock, so a checkpoint, run by the writer
-# whose commit filled the log, drains the group committer and writes back
+# whose commit filled the log, drains the log and writes back
 # under it while readers wait), and the sharded
 # service (TestShard* in internal/shard: the N-shard-vs-single-tree
 # differential programs, the serial delivery's error and early-stop

@@ -216,7 +216,8 @@ func BenchmarkInstrumented(b *testing.B) {
 
 // BenchmarkDurableInsert compares the durable write disciplines on one
 // file-backed tree per arm: group commit (the writers of -cpu share
-// fsyncs) and 64-point batches.
+// fsyncs) and 64-point batches. commits/sync is GroupStats' ratio, the
+// records each fsync carried.
 func BenchmarkDurableInsert(b *testing.B) {
 	pts := benchPoints(b, workload.Uniform)
 	for _, arm := range []struct {
@@ -248,6 +249,8 @@ func BenchmarkDurableInsert(b *testing.B) {
 					b.Error(err)
 				}
 			})
+			commits, syncs := d.GroupStats()
+			b.ReportMetric(float64(commits)/float64(max(syncs, 1)), "commits/sync")
 		})
 	}
 }

@@ -161,7 +161,7 @@ func OpenDurable(st Store, walPath string, cacheNodes int) (*DurableTree, error)
 }
 
 // RestoreSnapshot rebuilds a tree from a backup stream (written by
-// (*Tree).SnapshotBackup or (*DurableTree).SnapshotBackup) into st,
+// SnapshotBackup or Snapshot().Backup) into st,
 // which must be a freshly created store. Damaged streams fail with
 // ErrCorrupt — a restore never silently yields a shorter tree.
 func RestoreSnapshot(st Store, r io.Reader) (*Tree, error) { return ibv.RestoreSnapshot(st, r) }

@@ -111,16 +111,21 @@ func readBlob(r io.Reader, n uint32) ([]byte, error) {
 }
 
 // SnapshotBackup streams a consistent backup of the tree's current state
-// to w. The state is pinned first (see Snapshot), so concurrent writers
-// are never blocked and never observed: the backup is exactly the tree
-// at the moment of the call, stamped with the LSN of that state.
-func (t *Tree) SnapshotBackup(w io.Writer) error {
+// to w — the bytes Snapshot().Backup streams — and returns the LSN it
+// captures: the backup holds every logged operation through that LSN and
+// nothing after (0 on a tree with no log history). The state is pinned
+// first (see Snapshot), so concurrent writers are never blocked and never
+// observed: the backup is exactly the tree at the moment of the call.
+func (t *Tree) SnapshotBackup(w io.Writer) (uint64, error) {
 	s, err := t.Snapshot()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer s.Release()
-	return s.Backup(w)
+	if err := s.Backup(w); err != nil {
+		return 0, err
+	}
+	return s.v.lsn, nil
 }
 
 // qent is one queued page of the backup's level-order walk.

@@ -45,7 +45,7 @@ func buildTree(t *testing.T, pts []geometry.Point) *Tree {
 func backupBytes(t *testing.T, tr *Tree) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.SnapshotBackup(&buf); err != nil {
+	if _, err := tr.SnapshotBackup(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -148,7 +148,8 @@ func TestRestoreRefusesOtherPrecision(t *testing.T) {
 // TestSnapshotBackupReadsPagesAlone pins that a tree's pages are its
 // whole state: after a random insert/delete program Len is the number of
 // items a walk of the pages finds, Snapshot().Backup and SnapshotBackup
-// stream the same bytes, and neither needs the tree to itself — both
+// stream the same bytes, SnapshotBackup returns the tree's LSN (0
+// without a log), and neither needs the tree to itself — both
 // complete while the test holds the tree's shared lock, as a Lookup
 // inside its shared-lock section would, and another goroutine keeps
 // looking up.
@@ -250,19 +251,13 @@ func TestSnapshotBackupReadsPagesAlone(t *testing.T) {
 				t.Fatalf("Snapshot.Backup refused: %v", err)
 			}
 			snap.Release()
-			if !bytes.Equal(viaSnapshot.Bytes(), backupBytes(t, tr)) {
-				t.Fatal("Snapshot().Backup and SnapshotBackup streamed different bytes for one state")
+			// Error, not Fatal: the shared lock must still be released.
+			var direct bytes.Buffer
+			if lsn, err := tr.SnapshotBackup(&direct); err != nil || lsn != tr.lsn {
+				t.Errorf("SnapshotBackup = %d, %v at LSN %d", lsn, err, tr.lsn)
 			}
-			if d != nil {
-				var durable bytes.Buffer
-				lsn, err := d.SnapshotBackup(&durable)
-				if err != nil || lsn != d.LSN() {
-					t.Fatalf("DurableTree.SnapshotBackup = %d, %v at LSN %d", lsn, err, d.LSN())
-				}
-				if !bytes.Equal(viaSnapshot.Bytes(), durable.Bytes()) {
-					// Error, not Fatal: the shared lock must still be released.
-					t.Error("DurableTree.SnapshotBackup and Snapshot().Backup streamed different bytes for one state")
-				}
+			if !bytes.Equal(viaSnapshot.Bytes(), direct.Bytes()) {
+				t.Error("Snapshot().Backup and SnapshotBackup streamed different bytes for one state")
 			}
 			<-looped // a Lookup ran beside the backups
 			close(stop)
@@ -666,7 +661,7 @@ func TestSnapshotBackupCrashMatrix(t *testing.T) {
 
 	// Writer kill points.
 	for n := 0; n < len(want); n += stride {
-		if err := tr.SnapshotBackup(&failAfter{n: n}); !errors.Is(err, errKilled) {
+		if _, err := tr.SnapshotBackup(&failAfter{n: n}); !errors.Is(err, errKilled) {
 			t.Fatalf("kill at byte %d: err=%v, want errKilled", n, err)
 		}
 		if err := tr.CheckSnapshots(); err != nil {
@@ -752,7 +747,7 @@ func FuzzRestore(f *testing.F) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := tr.SnapshotBackup(&buf); err != nil {
+	if _, err := tr.SnapshotBackup(&buf); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -773,7 +768,7 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("restore accepted a stream yielding an invalid tree: %v", err)
 		}
 		var b1 bytes.Buffer
-		if err := rt.SnapshotBackup(&b1); err != nil {
+		if _, err := rt.SnapshotBackup(&b1); err != nil {
 			t.Fatalf("re-backup of accepted restore failed: %v", err)
 		}
 		rt2, err := RestoreSnapshot(storage.NewMemStore(), bytes.NewReader(b1.Bytes()))
@@ -781,7 +776,7 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("canonical re-backup failed to restore: %v", err)
 		}
 		var b2 bytes.Buffer
-		if err := rt2.SnapshotBackup(&b2); err != nil {
+		if _, err := rt2.SnapshotBackup(&b2); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {

@@ -34,24 +34,19 @@ func (t *Tree) ApplyBatch(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	var bufs []*[]byte
-	if t.log != nil {
-		bufs = make([]*[]byte, len(ops))
-		for i := range ops {
-			op := opInsert
-			if ops[i].Delete {
-				op = opDelete
-			}
-			bufs[i] = encodeOp(op, ops[i].Point, ops[i].Payload)
+	recs := t.records(len(ops), func(i int) (byte, geometry.Point, uint64) {
+		if ops[i].Delete {
+			return opDelete, ops[i].Point, ops[i].Payload
 		}
-	}
+		return opInsert, ops[i].Point, ops[i].Payload
+	})
 	return t.commit(func() error {
 		if m := t.metrics; m != nil {
 			defer m.Batch.ObserveSince(time.Now())
 			m.BatchSize.Observe(int64(len(ops)))
 		}
 		return t.applyBatchLocked(ops)
-	}, bufs...)
+	}, recs...)
 }
 
 // applyBatchLocked is ApplyBatch's body (exclusive lock held).
@@ -88,13 +83,9 @@ func (t *Tree) BulkLoad(points []geometry.Point, payloads []uint64) error {
 	if len(points) == 0 {
 		return nil
 	}
-	var bufs []*[]byte
-	if t.log != nil {
-		bufs = make([]*[]byte, len(points))
-		for i := range points {
-			bufs[i] = encodeOp(opInsert, points[i], payloads[i])
-		}
-	}
+	recs := t.records(len(points), func(i int) (byte, geometry.Point, uint64) {
+		return opInsert, points[i], payloads[i]
+	})
 	return t.commit(func() error {
 		for i := range points {
 			if err := t.insertLocked(points[i], payloads[i]); err != nil {
@@ -102,5 +93,5 @@ func (t *Tree) BulkLoad(points []geometry.Point, payloads []uint64) error {
 			}
 		}
 		return nil
-	}, bufs...)
+	}, recs...)
 }

@@ -389,7 +389,7 @@ func FuzzBulkLoad(f *testing.F) {
 func backupOf(t *testing.T, tr *Tree) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.SnapshotBackup(&buf); err != nil {
+	if _, err := tr.SnapshotBackup(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

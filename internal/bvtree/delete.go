@@ -24,13 +24,14 @@ import (
 // dropped by one. On a tree with a log it returns once the delete is
 // durable.
 func (t *Tree) Delete(p geometry.Point, payload uint64) (removed bool, err error) {
+	var buf [maxRecordLen]byte
 	err = t.commit(func() (err error) {
 		if m := t.metrics; m != nil {
 			defer m.Delete.ObserveSince(time.Now())
 		}
 		removed, err = t.deleteLocked(p, payload)
 		return err
-	}, t.record(opDelete, p, payload))
+	}, t.record(buf[:0], opDelete, p, payload))
 	return removed, err
 }
 

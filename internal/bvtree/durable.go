@@ -3,8 +3,6 @@ package bvtree
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
-	"sync"
 
 	"bvtree/internal/geometry"
 	"bvtree/internal/storage"
@@ -59,12 +57,12 @@ func NewDurableLog(st storage.Store, l *wal.Log, opt Options) (*DurableTree, err
 		l.Close()
 		return nil, err
 	}
-	if err := l.Reset(tr.epoch); err != nil {
+	if err := l.ResetAt(tr.epoch, l.BaseLSN()); err != nil {
 		l.Close()
 		return nil, err
 	}
 	tr.lsn = l.BaseLSN()
-	tr.attachLog(l)
+	tr.log = l
 	return &DurableTree{tr}, nil
 }
 
@@ -115,62 +113,59 @@ func OpenDurableLog(st storage.Store, l *wal.Log, cacheNodes int) (*DurableTree,
 		l.Close()
 		return nil, fmt.Errorf("bvtree: %w: wal epoch %d ahead of store checkpoint epoch %d", wal.ErrCorrupt, l.Epoch(), tr.epoch)
 	}
-	tr.attachLog(l)
+	tr.log = l
 	return &DurableTree{tr}, nil
-}
-
-// attachLog makes l the tree's write-ahead log. It runs before the tree
-// is shared, which is why commit may read log and gc without the lock.
-func (t *Tree) attachLog(l *wal.Log) {
-	t.log, t.gc = l, wal.NewGroupCommitter(l)
 }
 
 const (
 	opInsert byte = 1
 	opDelete byte = 2
+
+	// maxRecordLen is the length of a record of a geometry.MaxDims point:
+	// an op's stack buffer holds any record the tree accepts.
+	maxRecordLen = 2 + 8*geometry.MaxDims + 8
 )
 
-// recPool recycles log-record encode buffers. A record is in flight (and
-// must stay untouched) from Enqueue until the committer's Wait returns, so
-// buffers go back to the pool only after the group sync.
-var recPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 2+8*geometry.MaxDims+8)
-	return &b
-}}
-
-// encodeOp frames one logical operation into a pooled buffer. Release
-// with putRecs after the record is durable.
-func encodeOp(op byte, p geometry.Point, payload uint64) *[]byte {
-	bp := recPool.Get().(*[]byte)
-	rec := (*bp)[:0]
-	rec = append(rec, op, byte(len(p)))
+// encodeOp appends one logical operation's record to dst. The log copies
+// a record at Enqueue, so dst may live on the caller's stack.
+func encodeOp(dst []byte, op byte, p geometry.Point, payload uint64) []byte {
+	dst = append(dst, op, byte(len(p)))
 	for _, c := range p {
-		rec = binary.LittleEndian.AppendUint64(rec, c)
+		dst = binary.LittleEndian.AppendUint64(dst, c)
 	}
-	rec = binary.LittleEndian.AppendUint64(rec, payload)
-	*bp = rec
-	return bp
+	return binary.LittleEndian.AppendUint64(dst, payload)
 }
 
 // record is encodeOp on a tree with a log; without one it encodes
 // nothing and returns nil, which commit never reads.
-func (t *Tree) record(op byte, p geometry.Point, payload uint64) *[]byte {
+func (t *Tree) record(dst []byte, op byte, p geometry.Point, payload uint64) []byte {
 	if t.log == nil {
 		return nil
 	}
-	return encodeOp(op, p, payload)
+	return encodeOp(dst, op, p, payload)
+}
+
+// records is a batch's records on a tree with a log, nil without one:
+// the i-th encodes op(i), and all n share one slab.
+func (t *Tree) records(n int, op func(i int) (byte, geometry.Point, uint64)) [][]byte {
+	if t.log == nil {
+		return nil
+	}
+	recs := make([][]byte, n)
+	slab := make([]byte, 0, n*(2+8*t.opt.Dims+8))
+	for i := range recs {
+		o, p, payload := op(i)
+		start := len(slab)
+		slab = encodeOp(slab, o, p, payload)
+		recs[i] = slab[start:]
+	}
+	return recs
 }
 
 // recordDims is the dimensionality of the point an encodeOp record
 // carries, read from its length: the dims byte would wrap for a point of
 // more than 255 coordinates.
 func recordDims(rec []byte) int { return (len(rec) - 2 - 8) / 8 }
-
-func putRecs(bufs []*[]byte) {
-	for _, bp := range bufs {
-		recPool.Put(bp)
-	}
-}
 
 // applyRecord decodes one logical WAL record and applies it to t. It is
 // shared by crash recovery (OpenDurable*) and point-in-time restore
@@ -242,28 +237,10 @@ func (d *DurableTree) LSN() uint64 {
 	return d.lsn
 }
 
-// SnapshotBackup streams a consistent online backup of the tree to w —
-// the bytes Snapshot().Backup streams — and returns the LSN it captures:
-// the backup holds every operation through that LSN and nothing after.
-// Writers commit freely while the pinned state streams out.
-func (d *DurableTree) SnapshotBackup(w io.Writer) (uint64, error) {
-	s, err := d.Snapshot()
-	if err != nil {
-		return 0, err
-	}
-	defer s.Release()
-	if err := s.Backup(w); err != nil {
-		return 0, err
-	}
-	return s.v.lsn, nil
-}
-
-// GroupStats reports the group committer's running totals: records
-// committed and group syncs performed. Their ratio is the write-path
-// amortisation achieved so far.
-func (d *DurableTree) GroupStats() (commits, syncs uint64) {
-	return d.gc.Commits(), d.gc.Syncs()
-}
+// GroupStats reports the log's running totals: records committed and
+// group syncs performed. Their ratio is the write-path amortisation
+// achieved so far.
+func (d *DurableTree) GroupStats() (commits, syncs uint64) { return d.log.Stats() }
 
 // Close checkpoints and closes the log. The page store remains the
 // caller's to close.

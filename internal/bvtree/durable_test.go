@@ -1,6 +1,7 @@
 package bvtree
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -194,6 +195,47 @@ func TestDurableCheckpointEmptiesLog(t *testing.T) {
 	}
 	if d.LogSize() != 0 {
 		t.Fatalf("log size %d after checkpoint", d.LogSize())
+	}
+}
+
+// TestWriteAfterCloseIsRefused pins that a closed log refuses a write
+// before it is applied: every logged entry point fails with an error
+// wrapping wal.ErrClosed, and Len and Lookup are as Close left them.
+func TestWriteAfterCloseIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	st := storage.NewMemStore()
+	d, err := NewDurable(st, filepath.Join(dir, "c.wal"), Options{Dims: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, fresh := geometry.Point{1, 2}, geometry.Point{3, 4}
+	if err := d.Insert(kept, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	writes := map[string]func() error{
+		"Insert": func() error { return d.Insert(fresh, 8) },
+		"Delete": func() error { _, err := d.Delete(kept, 7); return err },
+		"ApplyBatch": func() error {
+			return d.ApplyBatch([]BatchOp{{Point: fresh, Payload: 8}, {Delete: true, Point: kept, Payload: 7}})
+		},
+		"BulkLoad": func() error { return d.BulkLoad([]geometry.Point{fresh}, []uint64{8}) },
+	}
+	for name, write := range writes {
+		if err := write(); !errors.Is(err, wal.ErrClosed) {
+			t.Errorf("%s after Close: err = %v, want wal.ErrClosed", name, err)
+		}
+		if n := d.Len(); n != 1 {
+			t.Errorf("%s after Close: Len = %d, want 1", name, n)
+		}
+		if got, err := d.Lookup(kept); err != nil || len(got) != 1 || got[0] != 7 {
+			t.Errorf("%s after Close: Lookup(kept) = %v, %v, want [7]", name, got, err)
+		}
+		if got, err := d.Lookup(fresh); err != nil || len(got) != 0 {
+			t.Errorf("%s after Close: Lookup(fresh) = %v, %v, want none", name, got, err)
+		}
 	}
 }
 

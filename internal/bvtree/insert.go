@@ -25,12 +25,13 @@ func newOpCtx() *opCtx { return &opCtx{parents: make(map[page.ID]page.ID)} }
 // are allowed and accumulate. On a tree with a log it returns once the
 // insert is durable.
 func (t *Tree) Insert(p geometry.Point, payload uint64) error {
+	var buf [maxRecordLen]byte
 	return t.commit(func() error {
 		if m := t.metrics; m != nil {
 			defer m.Insert.ObserveSince(time.Now())
 		}
 		return t.insertLocked(p, payload)
-	}, t.record(opInsert, p, payload))
+	}, t.record(buf[:0], opInsert, p, payload))
 }
 
 // insertLocked is Insert's body (exclusive lock held).

@@ -130,10 +130,9 @@ type Tree struct {
 	lsn uint64
 
 	// The write-ahead log, attached by the durable constructors after
-	// replay; nil on a tree without one. log and gc are set before the
-	// tree is shared and never change; wm and ckptBytes are guarded by mu.
+	// replay; nil on a tree without one. log is set before the tree is
+	// shared and never changes; wm and ckptBytes are guarded by mu.
 	log       *wal.Log
-	gc        *wal.GroupCommitter
 	wm        *obs.WALMetrics // the WAL section of Metrics; nil until enabled
 	ckptBytes int64           // the AutoCheckpoint trigger; off when <= 0
 
@@ -251,46 +250,40 @@ func newTree(pn *pagedNodes, opt Options) (*Tree, error) {
 
 // commit is the one write path: Insert, Delete, ApplyBatch and BulkLoad
 // hand it their operation as apply, which runs under the exclusive lock
-// and is followed by endWrite. On a tree with a log, bufs are the
+// and is followed by endWrite. On a tree with a log, recs are the
 // operation's log records — one for an Insert or Delete, a whole batch's
-// under one ticket — and commit is group commit (DESIGN.md §9): the
-// records are enqueued and the operation applied in one critical
-// section, so the log order is the apply order; the group fsync is
-// awaited after the lock is released, so writers arriving during one
-// sync share the next; and the encode buffers go back to the pool only
-// after it. The apply result wins over the sync result, since an apply
-// error carries the structural failure. A failed sync poisons the
-// committer: the applied-but-unlogged state is then unreachable through
-// the write path, and the recovery is to reopen, which replays the
-// durable prefix. A record whose point has the wrong dimensionality is
-// refused before anything is enqueued, with the error its apply would
-// return: logged, it would fail again at replay and leave the log
-// unrecoverable. Without a log, bufs is ignored. A commit that leaves the
-// log at or past the AutoCheckpoint trigger then checkpoints, after its
-// Wait (checkpointIfFull).
-func (t *Tree) commit(apply func() error, bufs ...*[]byte) (err error) {
+// under one sequence number — and commit is group commit (DESIGN.md §9):
+// the records are enqueued and the operation applied in one critical
+// section, so the log order is the apply order, and the log's Wait is
+// called after the lock is released, so writers arriving during one
+// fsync share the next. The log copies the records at Enqueue, so they
+// may live on the caller's stack. The apply result wins over the sync
+// result, since an apply error carries the structural failure. A failed
+// sync poisons the log: the applied-but-unlogged state is then
+// unreachable through the write path, and the recovery is to reopen,
+// which replays the durable prefix. A record whose point has the wrong
+// dimensionality is refused before anything is enqueued, with the error
+// its apply would return: logged, it would fail again at replay and
+// leave the log unrecoverable. A closed log refuses the Enqueue, so
+// nothing is applied either. Without a log, recs is ignored. A commit
+// that leaves the log at or past the AutoCheckpoint trigger then
+// checkpoints, after its Wait (checkpointIfFull).
+func (t *Tree) commit(apply func() error, recs ...[]byte) (err error) {
 	if err := t.lockWrite(); err != nil {
 		return err
 	}
-	var tk *wal.Ticket
-	if t.gc != nil {
-		var one [1][]byte // a single record needs no slice on the heap
-		recs := one[:0]
-		if len(bufs) > len(one) {
-			recs = make([][]byte, 0, len(bufs))
-		}
-		for _, bp := range bufs {
-			if err = t.il.CheckDims(recordDims(*bp)); err != nil {
+	var seq uint64
+	if t.log != nil {
+		for _, rec := range recs {
+			if err = t.il.CheckDims(recordDims(rec)); err != nil {
 				break
 			}
-			recs = append(recs, *bp)
 		}
 		if err == nil {
-			tk, err = t.gc.Enqueue(recs...)
+			seq, err = t.log.Enqueue(recs...)
 		}
 		if err != nil {
 			t.mu.Unlock()
-			putRecs(bufs)
 			return err
 		}
 		t.lsn += uint64(len(recs))
@@ -299,10 +292,8 @@ func (t *Tree) commit(apply func() error, bufs ...*[]byte) (err error) {
 	t.endWrite(&err)
 	trigger := t.ckptBytes
 	t.mu.Unlock()
-	if tk != nil {
-		werr := t.gc.Wait(tk)
-		putRecs(bufs)
-		if err == nil {
+	if t.log != nil {
+		if werr := t.log.Wait(seq); err == nil {
 			err = werr
 		}
 		if err == nil && trigger > 0 && t.log.Size() >= trigger {
@@ -313,15 +304,13 @@ func (t *Tree) commit(apply func() error, bufs ...*[]byte) (err error) {
 }
 
 // checkpointIfFull is AutoCheckpoint's trigger, run on the goroutine of
-// the writer whose commit filled the log, once that writer's own batch is
-// durable: before its Wait, Drain would wait for the writer's own batch,
-// which the writer leads. The size is checked again under the lock, so
-// writers that saw the same full log checkpoint once between them. The
-// writer's operation is durable already and returns its own result. A
-// checkpoint that poisons the store or the committer leaves its error
-// sticky there (pagedNodes.err, the committer's failure), so the next
-// write, Flush or Close returns it; any other failure is retried at the
-// next trigger.
+// the writer whose commit filled the log, once that writer's own records
+// are durable. The size is checked again under the lock, so writers that
+// saw the same full log checkpoint once between them. The writer's
+// operation is durable already and returns its own result. A checkpoint
+// that poisons the store or the log leaves its error sticky there
+// (pagedNodes.err, the log's failure), so the next write, Flush or Close
+// returns it; any other failure is retried at the next trigger.
 func (t *Tree) checkpointIfFull() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -333,8 +322,8 @@ func (t *Tree) checkpointIfFull() {
 // Flush is the tree's one checkpoint: it writes every node changed since
 // the last Flush, then the tree's root record, and syncs the backing
 // store. The tree is only reopenable from state captured by the last
-// Flush. On a tree with a log it first drains the group committer and
-// advances the checkpoint epoch, and after the sync it empties the log
+// Flush. On a tree with a log it first drains the log and advances the
+// checkpoint epoch, and after the sync it empties the log
 // at the new epoch and the tree's LSN. Each step is crash-safe: the
 // store sync is atomic (rollback journal), and the log is reset only
 // once the new epoch is durable in the store, so a crash in between
@@ -349,8 +338,8 @@ func (t *Tree) Flush() error {
 }
 
 // flushLocked is Flush's body (exclusive lock held). Holding the lock
-// blocks new enqueues, so once Drain returns no batch can append records
-// of the old epoch after the reset: they would replay as operations
+// blocks new enqueues, so once Drain returns no record of the old epoch
+// can reach the log after the reset: it would replay as an operation
 // after the checkpoint and apply twice.
 func (t *Tree) flushLocked() error {
 	var start time.Time
@@ -359,7 +348,7 @@ func (t *Tree) flushLocked() error {
 		if t.wm != nil {
 			start = time.Now()
 		}
-		if err := t.gc.Drain(); err != nil {
+		if err := t.log.Drain(); err != nil {
 			return err
 		}
 		absorbed = t.log.Size()

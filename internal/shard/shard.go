@@ -2,8 +2,8 @@
 // partitioned index: a router assigns every point to exactly one shard
 // by its Morton (Z-order) key, so each shard owns a contiguous,
 // prefix-aligned slice of the interleaved key space and — when the
-// shards are DurableTrees — its own write-ahead log, group committer,
-// checkpoint trigger and page store. Writers on different shards never share
+// shards are DurableTrees — its own write-ahead log (which group-commits
+// its writers), checkpoint trigger and page store. Writers on different shards never share
 // a tree lock or a log fsync, which is what multiplies the single-node
 // write path by the shard count.
 //

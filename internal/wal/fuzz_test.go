@@ -19,10 +19,8 @@ func FuzzReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	_ = l.Reset(3)
-	_ = l.Append([]byte("first-record"))
-	_ = l.Append([]byte("second"))
-	_ = l.Sync()
+	_ = l.ResetAt(3, 0)
+	_ = commit(l, []byte("first-record"), []byte("second"))
 	_ = l.Close()
 	valid, err := os.ReadFile(seedPath)
 	if err != nil {

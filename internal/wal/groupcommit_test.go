@@ -1,8 +1,8 @@
 package wal
 
-// Group-commit suite. The TestGroupCommit* name prefix is load-bearing:
-// `make verify` runs this subset under the race detector alongside the
-// TestConcurrent* smoke tests.
+// Group-commit suite: Enqueue, Wait and Drain. The TestGroupCommit* name
+// prefix is load-bearing: `make verify` runs this subset under the race
+// detector alongside the TestConcurrent* smoke tests.
 
 import (
 	"bytes"
@@ -45,26 +45,26 @@ func replayAll(t *testing.T, path string) [][]byte {
 	return out
 }
 
-// commit enqueues rec and waits until it is durable.
-func commit(g *GroupCommitter, rec []byte) error {
-	tk, err := g.Enqueue(rec)
+// commit enqueues recs and waits until they are durable.
+func commit(l *Log, recs ...[]byte) error {
+	seq, err := l.Enqueue(recs...)
 	if err != nil {
 		return err
 	}
-	return g.Wait(tk)
+	return l.Wait(seq)
 }
 
-func TestGroupCommitAppendBatchRoundTrip(t *testing.T) {
+func TestGroupCommitEnqueueRoundTrip(t *testing.T) {
 	l, path := openTestLog(t)
 	var want [][]byte
 	for i := 0; i < 5; i++ {
 		want = append(want, []byte(fmt.Sprintf("batch-rec-%d", i)))
 	}
-	if err := l.AppendBatch(want); err != nil {
+	if err := commit(l, want...); err != nil {
 		t.Fatal(err)
 	}
-	// A second batch reuses the framing scratch.
-	if err := l.AppendBatch([][]byte{[]byte("tail-a"), []byte("tail-b")}); err != nil {
+	// A second flush reuses the pending buffer.
+	if err := commit(l, []byte("tail-a"), []byte("tail-b")); err != nil {
 		t.Fatal(err)
 	}
 	want = append(want, []byte("tail-a"), []byte("tail-b"))
@@ -82,27 +82,52 @@ func TestGroupCommitAppendBatchRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGroupCommitAppendBatchEmptyAndInvalid(t *testing.T) {
+func TestGroupCommitEnqueueEmptyAndInvalid(t *testing.T) {
 	l, _ := openTestLog(t)
 	defer l.Close()
-	if err := l.AppendBatch(nil); err != nil {
-		t.Fatalf("empty batch should be a no-op sync: %v", err)
+	if err := l.Drain(); err != nil {
+		t.Fatalf("draining an empty log should be a no-op: %v", err)
 	}
-	if err := l.AppendBatch([][]byte{[]byte("ok"), nil}); err == nil {
-		t.Fatal("batch containing an empty record must be rejected")
+	if _, err := l.Enqueue([]byte("ok"), nil); err == nil {
+		t.Fatal("enqueue containing an empty record must be rejected")
+	}
+	if err := l.Drain(); err != nil {
+		t.Fatal(err)
 	}
 	if l.Size() != 0 {
-		t.Fatalf("rejected batch must not grow the log (size=%d)", l.Size())
+		t.Fatalf("rejected enqueue must not grow the log (size=%d)", l.Size())
 	}
 }
 
-// TestGroupCommitConcurrentDurability hammers one committer from many
+// TestEnqueueCopiesRecords scribbles over the caller's buffer between
+// Enqueue and Wait: the log owns its copy, so replay returns the bytes
+// as they were at Enqueue.
+func TestEnqueueCopiesRecords(t *testing.T) {
+	l, path := openTestLog(t)
+	buf := []byte("original")
+	seq, err := l.Enqueue(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "XXXXXXXX")
+	if err := l.Wait(seq); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := replayAll(t, path)
+	if len(got) != 1 || string(got[0]) != "original" {
+		t.Fatalf("replayed %q, want [original]", got)
+	}
+}
+
+// TestGroupCommitConcurrentDurability hammers one log from many
 // goroutines and verifies every acknowledged record is replayable, in an
 // order consistent with a sequential log, with strictly fewer syncs than
 // commits (the amortization group commit exists for).
 func TestGroupCommitConcurrentDurability(t *testing.T) {
 	l, path := openTestLog(t)
-	g := NewGroupCommitter(l)
 	const writers, perWriter = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -111,7 +136,7 @@ func TestGroupCommitConcurrentDurability(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				rec := []byte(fmt.Sprintf("w%02d-%03d", w, i))
-				if err := commit(g, rec); err != nil {
+				if err := commit(l, rec); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
@@ -119,14 +144,12 @@ func TestGroupCommitConcurrentDurability(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
+	commits, syncs := l.Stats()
+	if want := uint64(writers * perWriter); commits != want {
+		t.Fatalf("commits=%d, want %d", commits, want)
 	}
-	if got, want := g.Commits(), uint64(writers*perWriter); got != want {
-		t.Fatalf("Commits=%d, want %d", got, want)
-	}
-	if g.Syncs() == 0 || g.Syncs() > g.Commits() {
-		t.Fatalf("Syncs=%d out of range (commits=%d)", g.Syncs(), g.Commits())
+	if syncs == 0 || syncs > commits {
+		t.Fatalf("syncs=%d out of range (commits=%d)", syncs, commits)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -137,7 +160,7 @@ func TestGroupCommitConcurrentDurability(t *testing.T) {
 		t.Fatalf("replayed %d records, want %d", len(recs), writers*perWriter)
 	}
 	// Per-writer order must be preserved (each writer commits sequentially,
-	// and the committer promises log order == enqueue order).
+	// and the log promises log order == enqueue order).
 	next := make([]int, writers)
 	for _, rec := range recs {
 		var w, i int
@@ -152,44 +175,42 @@ func TestGroupCommitConcurrentDurability(t *testing.T) {
 }
 
 // TestGroupCommitAmortizesSyncs enqueues every record before any Wait, so
-// all of them are in the batch its leader then writes: one sync for all.
+// the first waiter's flush writes all of them: one sync for all.
 func TestGroupCommitAmortizesSyncs(t *testing.T) {
 	l, _ := openTestLog(t)
 	defer l.Close()
-	g := NewGroupCommitter(l)
 	const n = 16
-	tickets := make([]*Ticket, n)
-	for i := 0; i < n; i++ {
-		tk, err := g.Enqueue([]byte(fmt.Sprintf("rec-%d", i)))
+	seqs := make([]uint64, n)
+	for i := range seqs {
+		seq, err := l.Enqueue([]byte(fmt.Sprintf("rec-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		tickets[i] = tk
+		seqs[i] = seq
 	}
 	var wg sync.WaitGroup
-	for _, tk := range tickets {
+	for _, seq := range seqs {
 		wg.Add(1)
-		go func(tk *Ticket) {
+		go func(seq uint64) {
 			defer wg.Done()
-			if err := g.Wait(tk); err != nil {
+			if err := l.Wait(seq); err != nil {
 				t.Error(err)
 			}
-		}(tk)
+		}(seq)
 	}
 	wg.Wait()
-	if err := g.Close(); err != nil {
+	if err := l.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if g.Syncs() != 1 {
-		t.Fatalf("all %d records enqueued before any Wait should share one sync, got %d", n, g.Syncs())
+	if _, syncs := l.Stats(); syncs != 1 {
+		t.Fatalf("all %d records enqueued before any Wait should share one sync, got %d", n, syncs)
 	}
 }
 
 // TestGroupCommitEnqueueBatchContiguous verifies the records of one Enqueue land
-// adjacently even with a competing committer interleaving.
+// adjacently even with competing enqueuers interleaving.
 func TestGroupCommitEnqueueBatchContiguous(t *testing.T) {
 	l, path := openTestLog(t)
-	g := NewGroupCommitter(l)
 	const batches, per = 20, 5
 	var wg sync.WaitGroup
 	for b := 0; b < batches; b++ {
@@ -200,20 +221,12 @@ func TestGroupCommitEnqueueBatchContiguous(t *testing.T) {
 			for i := range recs {
 				recs[i] = []byte(fmt.Sprintf("b%02d-%d", b, i))
 			}
-			tk, err := g.Enqueue(recs...)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := g.Wait(tk); err != nil {
+			if err := commit(l, recs...); err != nil {
 				t.Error(err)
 			}
 		}(b)
 	}
 	wg.Wait()
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +249,8 @@ func TestGroupCommitEnqueueBatchContiguous(t *testing.T) {
 }
 
 // TestGroupCommitStickyFailure injects one I/O fault and verifies the
-// failing batch reports it, every later operation reports it, and Drain
-// surfaces it.
+// failing flush reports it, every later operation reports it, and Drain
+// and Close surface it.
 func TestGroupCommitStickyFailure(t *testing.T) {
 	dir := t.TempDir()
 	ffs := fault.NewFS(vfs.OS{}, fault.Plan{InjectAt: -1})
@@ -245,47 +258,41 @@ func TestGroupCommitStickyFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	g := NewGroupCommitter(l)
-	if err := commit(g, []byte("pre-fault")); err != nil {
+	if err := commit(l, []byte("pre-fault")); err != nil {
 		t.Fatal(err)
 	}
-	// Arm the very next mutating op (the batch write) to fail.
+	// Arm the very next mutating op (the flush's write) to fail.
 	ffs.SetPlan(fault.Plan{InjectAt: ffs.Ops() + 1, Mode: fault.ModeError})
-	if err := commit(g, []byte("doomed")); err == nil {
+	if err := commit(l, []byte("doomed")); err == nil {
 		t.Fatal("commit through a failing write must report the failure")
 	}
-	if _, err := g.Enqueue([]byte("after")); err == nil {
-		t.Fatal("enqueue after a group I/O failure must be rejected")
+	if _, err := l.Enqueue([]byte("after")); err == nil {
+		t.Fatal("enqueue after a flush failure must be rejected")
 	}
-	if err := g.Drain(); err == nil {
+	if err := l.Drain(); err == nil {
 		t.Fatal("drain must surface the sticky failure")
 	}
-	if err := g.Close(); err == nil {
+	if err := l.Close(); err == nil {
 		t.Fatal("close must surface the sticky failure")
 	}
 }
 
 // TestGroupCommitDrainThenReset exercises the checkpoint handshake: drain
-// the committer, Reset the log underneath it, and keep committing.
+// the log, ResetAt underneath it, and keep committing.
 func TestGroupCommitDrainThenReset(t *testing.T) {
 	l, path := openTestLog(t)
-	g := NewGroupCommitter(l)
 	for i := 0; i < 5; i++ {
-		if err := commit(g, []byte(fmt.Sprintf("old-%d", i))); err != nil {
+		if err := commit(l, []byte(fmt.Sprintf("old-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := g.Drain(); err != nil {
+	if err := l.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Reset(7); err != nil {
+	if err := l.ResetAt(7, 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := commit(g, []byte("new-epoch")); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Close(); err != nil {
+	if err := commit(l, []byte("new-epoch")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -298,15 +305,23 @@ func TestGroupCommitDrainThenReset(t *testing.T) {
 }
 
 // TestGroupCommitClosedRejects verifies enqueue after Close fails with
-// ErrClosed.
+// ErrClosed, and that Close wrote what was still pending.
 func TestGroupCommitClosedRejects(t *testing.T) {
-	l, _ := openTestLog(t)
-	defer l.Close()
-	g := NewGroupCommitter(l)
-	if err := g.Close(); err != nil {
+	l, path := openTestLog(t)
+	seq, err := l.Enqueue([]byte("pending"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Enqueue([]byte("late")); !errors.Is(err, ErrClosed) {
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Wait(seq); err != nil {
+		t.Fatalf("a record enqueued before Close is durable after it: %v", err)
+	}
+	if _, err := l.Enqueue([]byte("late")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("enqueue after close: err=%v, want ErrClosed", err)
+	}
+	if recs := replayAll(t, path); len(recs) != 1 || string(recs[0]) != "pending" {
+		t.Fatalf("replayed %q, want [pending]", recs)
 	}
 }

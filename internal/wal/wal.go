@@ -3,7 +3,8 @@
 // logical operations here and replays them on open, providing
 // redo-from-checkpoint recovery on top of the page store — the
 // "completely predictable all the time" operational requirement the
-// paper's introduction motivates.
+// paper's introduction motivates. Writers append through Enqueue and
+// Wait, and the log group-commits them itself (see Log).
 //
 // On-disk layout: a 24-byte preamble (magic, checkpoint epoch, base LSN,
 // CRC) followed by records, each `length(4) | crc32(4) | body`. The epoch
@@ -28,6 +29,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,29 +47,59 @@ var (
 	ErrCorrupt = errors.New("wal: corrupt log")
 )
 
-// Log is an append-only record log. Concurrent use must be serialised by
-// the caller (the durable tree holds its own mutex).
+// Log is an append-only record log and its own group committer. Enqueue
+// frames records into a pending buffer under a short mutex and never
+// waits for I/O; Wait makes them durable. A flush writes everything
+// pending with one Write and makes it durable with one fsync. A waiter
+// that finds no flush in flight flushes at once, so a solo writer pays
+// one fsync per Wait; the first waiter to arrive while one is in flight
+// leads the next, and every later waiter leaves that flush to it, so a
+// batch is every record enqueued until the leader takes the buffer. The log order is the Enqueue order: the durable tree enqueues
+// under its exclusive lock, which is what makes the log order its apply
+// order.
+//
+// Failure is sticky: after a failed write or fsync the log's tail is
+// unknown (a torn frame may sit beyond the last durable record, and a
+// later append would shadow it), so every later Enqueue, Wait and Drain
+// reports the first error. The owner must discard the log — and, for
+// the durable tree, the whole in-memory state — and recover by replay.
+//
+// Replay, ResetAt, Epoch and BaseLSN are the owner's, called while no
+// record is pending: the durable tree calls them before it shares the
+// log or under its exclusive lock after Drain.
 type Log struct {
 	f       vfs.File
 	path    string
-	size    atomic.Int64 // record bytes, excluding the preamble; atomic so Size() can be read concurrently with a group-commit leader's append
+	size    atomic.Int64 // record bytes, excluding the preamble; atomic so Size can be read beside a flush
 	epoch   uint64
 	baseLSN uint64
 	hdrOK   bool // preamble present and intact on disk
-	synced  bool
-	closed  bool
 
-	frameBuf []byte // reusable Append framing scratch
+	// mu guards the rest; it is never held over I/O. flushing is the
+	// file's I/O lock: set while one flush writes and syncs outside mu,
+	// and every waiter wakes on done when it ends, so the waiters it
+	// covered return together.
+	mu       sync.Mutex
+	done     sync.Cond
+	flushing bool
+	next     bool   // a waiter leads the next flush
+	pending  []byte // frames enqueued and not yet written
+	npending uint64 // records in pending
+	enqueued uint64 // sequence number of the last Enqueue
+	durable  uint64 // every Enqueue up to this one is durable
+	commits  uint64 // records made durable
+	syncs    uint64 // flushes performed: one Write and one fsync each
+	closed   bool
+	failed   error
 
 	// m holds the optional latency metrics. It is an atomic pointer
-	// because a group-commit leader appends outside the owner's mutex, so
-	// SetMetrics may race with an in-flight append.
+	// because a flush runs outside the owner's lock, so SetMetrics may
+	// race with it.
 	m atomic.Pointer[obs.WALMetrics]
 }
 
-// SetMetrics directs the log's append and fsync latency recordings into m;
-// nil disables recording. Safe to call at any time, including while a
-// group commit is in flight.
+// SetMetrics directs the log's write, fsync and group-commit recordings
+// into m; nil disables recording. Safe to call at any time.
 func (l *Log) SetMetrics(m *obs.WALMetrics) { l.m.Store(m) }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -99,6 +131,7 @@ func OpenFS(fs vfs.FS, path string) (*Log, error) {
 		return nil, fmt.Errorf("wal: stat %s: %w", path, err)
 	}
 	l := &Log{f: f, path: path}
+	l.done.L = &l.mu
 	if st.Size() > 0 {
 		hdr := make([]byte, preambleSize)
 		n, _ := f.ReadAt(hdr, 0)
@@ -119,7 +152,7 @@ func OpenFS(fs vfs.FS, path string) (*Log, error) {
 				f.Close()
 				return nil, fmt.Errorf("wal: %s: %w: preamble damaged but intact record at offset %d", path, ErrCorrupt, off)
 			}
-			// Nothing recoverable; the next Reset or Append reinitialises.
+			// Nothing recoverable; the next ResetAt or flush reinitialises.
 		}
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
@@ -159,84 +192,151 @@ func (l *Log) initPreamble(epoch, baseLSN uint64) error {
 	l.baseLSN = baseLSN
 	l.hdrOK = true
 	l.size.Store(0)
-	l.synced = false
 	return nil
 }
 
-// Append writes recs as one contiguous run of frames with a single Write.
-// The records are durable only after Sync. Each keeps its own header, so
-// Replay sees them exactly as if appended one by one — a crash mid-write
-// recovers to a record-granularity prefix (never a torn record), because
-// Replay's tail-truncation works record by record. Records must be
-// non-empty: an empty record's header (zero length, zero CRC) is all zero
-// bytes, which the corruption scanner could not tell apart from torn-write
-// residue.
-func (l *Log) Append(recs ...[]byte) error {
-	if l.closed {
-		return ErrClosed
-	}
-	total := 0
+// Enqueue frames recs into the pending buffer as one contiguous run, so
+// they occupy adjacent positions in the log and a crash recovers a
+// record-granularity prefix of them, and returns the sequence number to
+// Wait for. It copies the records and waits for no I/O: the caller may
+// reuse its buffers as soon as it returns. Records must be non-empty: an
+// empty record's header (zero length, zero CRC) is all zero bytes, which
+// the corruption scanner could not tell apart from torn-write residue.
+func (l *Log) Enqueue(recs ...[]byte) (uint64, error) {
 	for _, rec := range recs {
 		if len(rec) == 0 {
-			return fmt.Errorf("wal: append %s: empty record", l.path)
+			return 0, fmt.Errorf("wal: append %s: empty record", l.path)
 		}
-		total += recordHeader + len(rec)
 	}
-	if total == 0 {
-		return nil
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return 0, ErrClosed
 	}
+	if l.failed != nil {
+		return 0, l.stuck()
+	}
+	for _, rec := range recs {
+		// The header is the length and a zero CRC, filled in from the
+		// copy: rec itself never escapes, so it may live on a stack.
+		at := len(l.pending)
+		l.pending = binary.LittleEndian.AppendUint64(l.pending, uint64(len(rec)))
+		l.pending = append(l.pending, rec...)
+		binary.LittleEndian.PutUint32(l.pending[at+4:], crc32.Checksum(l.pending[at+recordHeader:], crcTable))
+	}
+	l.npending += uint64(len(recs))
+	l.enqueued++
+	return l.enqueued, nil
+}
+
+// Wait returns once the Enqueue that returned seq is durable, with the
+// outcome of the flush that carried it. When the log carries metrics it
+// records its own duration, enqueue-to-durable, into GroupWait.
+func (l *Log) Wait(seq uint64) error {
+	m := l.m.Load()
+	if m == nil {
+		return l.flush(seq)
+	}
+	start := time.Now()
+	err := l.flush(seq)
+	m.GroupWait.ObserveSince(start)
+	return err
+}
+
+// Drain makes every record enqueued so far durable and returns the log's
+// sticky failure, if any. The owner must keep new records out while it
+// needs a drained log (a checkpoint's ResetAt): the durable tree drains
+// under its exclusive lock.
+func (l *Log) Drain() error {
+	l.mu.Lock()
+	seq := l.enqueued
+	l.mu.Unlock()
+	return l.flush(seq)
+}
+
+// Stats returns the records made durable so far and the flushes that
+// did it; their ratio is the amortisation group commit achieved.
+func (l *Log) Stats() (commits, syncs uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.commits, l.syncs
+}
+
+// stuck is the error every call reports once a flush has failed (mu held).
+func (l *Log) stuck() error {
+	return fmt.Errorf("wal: %s failed earlier: %w", l.path, l.failed)
+}
+
+// flush returns once the Enqueue numbered seq is durable. Unless a flush
+// before it already covered seq, it takes the whole pending buffer and
+// writes it with one Write and one fsync — at once when no flush is in
+// flight and no waiter leads the next, else as that leader or behind it.
+// A leader that starts no flush (covered, or failed) hands the lead back.
+func (l *Log) flush(seq uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	lead := false
+	defer func() {
+		if lead {
+			l.next = false
+			l.done.Broadcast()
+		}
+	}()
+	for l.durable < seq {
+		if l.failed != nil {
+			return l.stuck()
+		}
+		if l.flushing || (l.next && !lead) {
+			if !l.next {
+				l.next, lead = true, true
+			}
+			l.done.Wait()
+			continue
+		}
+		buf, n, upTo := l.pending, l.npending, l.enqueued
+		l.pending, l.npending, l.flushing = nil, 0, true
+		l.next, lead = false, false
+		l.mu.Unlock()
+		err := l.write(buf)
+		l.mu.Lock()
+		l.flushing = false
+		l.done.Broadcast()
+		if err != nil {
+			l.failed = err
+			return err
+		}
+		l.durable = upTo
+		l.commits += n
+		l.syncs++
+		if len(l.pending) == 0 {
+			l.pending = buf[:0] // nothing arrived during the I/O: keep one buffer
+		}
+		if m := l.m.Load(); m != nil {
+			m.GroupBatch.Observe(int64(n))
+		}
+	}
+	return nil
+}
+
+// write appends frames to the file with one Write and makes them durable
+// with one fsync (flushing set).
+func (l *Log) write(frames []byte) error {
 	if !l.hdrOK {
 		if err := l.initPreamble(l.epoch, l.baseLSN); err != nil {
 			return err
 		}
-	}
-	if cap(l.frameBuf) < total {
-		l.frameBuf = make([]byte, total)
-	}
-	buf := l.frameBuf[:total]
-	off := 0
-	for _, rec := range recs {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(len(rec)))
-		binary.LittleEndian.PutUint32(buf[off+4:], crc32.Checksum(rec, crcTable))
-		copy(buf[off+recordHeader:], rec)
-		off += recordHeader + len(rec)
 	}
 	m := l.m.Load()
 	var start time.Time
 	if m != nil {
 		start = time.Now()
 	}
-	if _, err := l.f.Write(buf); err != nil {
+	if _, err := l.f.Write(frames); err != nil {
 		return fmt.Errorf("wal: append %s: %w", l.path, err)
 	}
+	l.size.Add(int64(len(frames)))
 	if m != nil {
 		m.Append.ObserveSince(start)
-	}
-	l.size.Add(int64(total))
-	l.synced = false
-	return nil
-}
-
-// AppendBatch is Append followed by Sync: the group committer's one write
-// and one fsync per batch. An empty batch only syncs.
-func (l *Log) AppendBatch(recs [][]byte) error {
-	if err := l.Append(recs...); err != nil {
-		return err
-	}
-	return l.Sync()
-}
-
-// Sync makes all appended records durable.
-func (l *Log) Sync() error {
-	if l.closed {
-		return ErrClosed
-	}
-	if l.synced {
-		return nil
-	}
-	m := l.m.Load()
-	var start time.Time
-	if m != nil {
 		start = time.Now()
 	}
 	if err := l.f.Sync(); err != nil {
@@ -245,7 +345,6 @@ func (l *Log) Sync() error {
 	if m != nil {
 		m.Fsync.ObserveSince(start)
 	}
-	l.synced = true
 	return nil
 }
 
@@ -260,7 +359,7 @@ func (l *Log) Size() int64 { return l.size.Load() }
 // records beyond it is mid-log corruption and fails with ErrCorrupt —
 // silently truncating there would drop acknowledged operations.
 func (l *Log) Replay(fn func(rec []byte) error) error {
-	if l.closed {
+	if l.isClosed() {
 		return ErrClosed
 	}
 	if !l.hdrOK {
@@ -328,7 +427,7 @@ func scanIntact(f vfs.File, from, end int64) (int64, bool, error) {
 	}
 	for off := int64(0); off+recordHeader <= int64(len(buf)); off++ {
 		n := binary.LittleEndian.Uint32(buf[off:])
-		// n == 0 is excluded: Append forbids empty records precisely so
+		// n == 0 is excluded: Enqueue forbids empty records precisely so
 		// that all-zero bytes (common in torn-write residue) can never
 		// scan as an intact record.
 		if n == 0 || n > maxRecord || int64(n) > int64(len(buf))-off-recordHeader {
@@ -343,19 +442,14 @@ func scanIntact(f vfs.File, from, end int64) (int64, bool, error) {
 	return 0, false, nil
 }
 
-// Reset empties the log after a checkpoint has made its contents
-// redundant, stamps the new checkpoint epoch into the preamble, and makes
-// the result durable. The base LSN is preserved; use ResetAt when the
-// checkpoint knows how many records it absorbed.
-func (l *Log) Reset(epoch uint64) error {
-	return l.ResetAt(epoch, l.baseLSN)
-}
-
-// ResetAt is Reset with an explicit base LSN: the LSN of the last record
-// the checkpoint absorbed, so the log's next record is numbered
-// baseLSN+1.
+// ResetAt empties the log after a checkpoint has made its contents
+// redundant, stamps the new checkpoint epoch and base LSN into the
+// preamble — baseLSN is the LSN of the last record the checkpoint
+// absorbed, so the log's next record is numbered baseLSN+1 — and makes
+// the result durable. Drain first: a pending record would otherwise land
+// in the new epoch.
 func (l *Log) ResetAt(epoch, baseLSN uint64) error {
-	if l.closed {
+	if l.isClosed() {
 		return ErrClosed
 	}
 	if err := l.initPreamble(epoch, baseLSN); err != nil {
@@ -364,16 +458,27 @@ func (l *Log) ResetAt(epoch, baseLSN uint64) error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: reset fsync %s: %w", l.path, err)
 	}
-	l.synced = true
 	return nil
 }
 
-// Close syncs and closes the log.
+func (l *Log) isClosed() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.closed
+}
+
+// Close refuses further Enqueues, writes any record still pending, and
+// syncs and closes the file. It reports the log's sticky failure, if any.
 func (l *Log) Close() error {
+	l.mu.Lock()
 	if l.closed {
+		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
+	seq := l.enqueued
+	l.mu.Unlock()
+	ferr := l.flush(seq) // no flush can start after this one
 	if err := l.f.Sync(); err != nil {
 		l.f.Close()
 		return fmt.Errorf("wal: close fsync %s: %w", l.path, err)
@@ -381,5 +486,5 @@ func (l *Log) Close() error {
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("wal: close %s: %w", l.path, err)
 	}
-	return nil
+	return ferr
 }

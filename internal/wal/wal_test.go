@@ -21,11 +21,11 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		r := make([]byte, 1+rng.Intn(300)) // empty records are rejected by design
 		rng.Read(r)
 		recs = append(recs, r)
-		if err := l.Append(r); err != nil {
+		if _, err := l.Enqueue(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Sync(); err != nil {
+	if err := l.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -52,10 +52,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("replayed %d of %d", i, len(recs))
 	}
 	// Appending after replay must extend, not clobber.
-	if err := re.Append([]byte("tail")); err != nil {
-		t.Fatal(err)
-	}
-	if err := re.Sync(); err != nil {
+	if err := commit(re, []byte("tail")); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
@@ -70,9 +67,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 func TestTornTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.wal")
 	l, _ := Open(path)
-	_ = l.Append([]byte("alpha"))
-	_ = l.Append([]byte("beta"))
-	_ = l.Sync()
+	_ = commit(l, []byte("alpha"), []byte("beta"))
 	_ = l.Close()
 	// Append a torn header + partial record.
 	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -101,9 +96,7 @@ func TestTornTailTruncated(t *testing.T) {
 func TestCorruptMiddleIsAnError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corrupt.wal")
 	l, _ := Open(path)
-	_ = l.Append([]byte("first"))
-	_ = l.Append([]byte("second"))
-	_ = l.Sync()
+	_ = commit(l, []byte("first"), []byte("second"))
 	_ = l.Close()
 	// Flip a byte inside the first record's body. The second record is
 	// intact and was acknowledged, so replay must refuse to silently
@@ -126,8 +119,7 @@ func TestCorruptMiddleIsAnError(t *testing.T) {
 func TestCorruptPreambleIsAnError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "preamble.wal")
 	l, _ := Open(path)
-	_ = l.Append([]byte("only"))
-	_ = l.Sync()
+	_ = commit(l, []byte("only"))
 	_ = l.Close()
 	data, _ := os.ReadFile(path)
 	data[4] ^= 0x01 // epoch field
@@ -144,11 +136,10 @@ func TestEpochRoundTrip(t *testing.T) {
 	if l.Epoch() != 0 {
 		t.Fatalf("fresh log epoch %d", l.Epoch())
 	}
-	if err := l.Reset(7); err != nil {
+	if err := l.ResetAt(7, 0); err != nil {
 		t.Fatal(err)
 	}
-	_ = l.Append([]byte("rec"))
-	_ = l.Sync()
+	_ = commit(l, []byte("rec"))
 	_ = l.Close()
 	re, err := Open(path)
 	if err != nil {
@@ -167,8 +158,8 @@ func TestEpochRoundTrip(t *testing.T) {
 func TestReset(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reset.wal")
 	l, _ := Open(path)
-	_ = l.Append([]byte("x"))
-	if err := l.Reset(1); err != nil {
+	_ = commit(l, []byte("x"))
+	if err := l.ResetAt(1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if l.Size() != 0 {
@@ -180,7 +171,7 @@ func TestReset(t *testing.T) {
 		t.Fatal("records after reset")
 	}
 	_ = l.Close()
-	if err := l.Append(nil); err == nil {
-		t.Fatal("append after close succeeded")
+	if _, err := l.Enqueue([]byte("x")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("enqueue after close: err=%v, want ErrClosed", err)
 	}
 }
