@@ -58,7 +58,7 @@ func TestPublicAPIPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := bvtree.NewPaged(st, bvtree.Options{Dims: 2})
+	tr, err := bvtree.Open(st, nil, bvtree.Options{Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestPublicAPIPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	re, err := bvtree.OpenPaged(st2, 0)
+	re, err := bvtree.Open(st2, nil, bvtree.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

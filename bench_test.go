@@ -168,14 +168,18 @@ func benchPoints(b *testing.B, kind workload.Kind) []bvtree.Point {
 
 // newBenchDurable opens a durable tree over a file-backed store in a
 // directory the benchmark removes, so fsyncs are the device's own.
-func newBenchDurable(b *testing.B, opt bvtree.Options) *bvtree.DurableTree {
+func newBenchDurable(b *testing.B, opt bvtree.Options) *bvtree.Tree {
 	b.Helper()
 	dir := b.TempDir()
 	st, err := bvtree.NewFileStore(filepath.Join(dir, "t.db"), bvtree.FileStoreOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := bvtree.NewDurable(st, filepath.Join(dir, "t.wal"), opt)
+	l, err := bvtree.OpenWAL(filepath.Join(dir, "t.wal"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := bvtree.Open(st, l, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -214,10 +218,45 @@ func BenchmarkInstrumented(b *testing.B) {
 	}
 }
 
+// steadyN is the size of the steady-state tree the durable write
+// benchmarks run on: op i inserts point i and deletes point i-steadyN,
+// so what an op costs does not grow with b.N.
+const steadyN = 4096
+
+// steadyTree preloads d with points 1..steadyN of pts, payload = index,
+// and checkpoints, so the log starts empty. It returns the counter the
+// ops draw from: the last preloaded index.
+func steadyTree(b *testing.B, d *bvtree.Tree, pts []bvtree.Point) *atomic.Uint64 {
+	b.Helper()
+	ids := make([]uint64, steadyN)
+	for i := range ids {
+		ids[i] = uint64(i + 1)
+	}
+	if err := d.BulkLoad(pts[1:steadyN+1], ids); err != nil {
+		b.Fatal(err)
+	}
+	if err := d.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	var next atomic.Uint64
+	next.Store(steadyN)
+	return &next
+}
+
+// steadyOps returns op i of the steady state: the insert of point i and
+// the delete of point i-steadyN, each with its index as payload.
+func steadyOps(pts []bvtree.Point, i uint64) (ins, del bvtree.BatchOp) {
+	n := uint64(len(pts))
+	return bvtree.BatchOp{Point: pts[i%n], Payload: i},
+		bvtree.BatchOp{Delete: true, Point: pts[(i-steadyN)%n], Payload: i - steadyN}
+}
+
 // BenchmarkDurableInsert compares the durable write disciplines on one
-// file-backed tree per arm: group commit (the writers of -cpu share
-// fsyncs) and 64-point batches. commits/sync is GroupStats' ratio, the
-// records each fsync carried.
+// file-backed tree per arm, held at steadyN points: group commit (an op's
+// insert and delete are one commit, and the writers of -cpu share
+// fsyncs) and 64-op batches (one commit of 128 records). ns/op is per
+// op. commits/sync is GroupStats' ratio, the log records each fsync
+// carried: two per op.
 func BenchmarkDurableInsert(b *testing.B) {
 	pts := benchPoints(b, workload.Uniform)
 	for _, arm := range []struct {
@@ -229,14 +268,15 @@ func BenchmarkDurableInsert(b *testing.B) {
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			d := newBenchDurable(b, bvtree.Options{Dims: 2})
-			var next atomic.Uint64
+			next := steadyTree(b, d, pts)
+			c0, s0 := d.GroupStats()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				ops := make([]bvtree.BatchOp, 0, arm.batch)
+				ops := make([]bvtree.BatchOp, 0, 2*arm.batch)
 				for pb.Next() {
-					i := next.Add(1)
-					ops = append(ops, bvtree.BatchOp{Point: pts[i%uint64(len(pts))], Payload: i})
-					if len(ops) < arm.batch {
+					ins, del := steadyOps(pts, next.Add(1))
+					ops = append(ops, ins, del)
+					if len(ops) < 2*arm.batch {
 						continue
 					}
 					if err := d.ApplyBatch(ops); err != nil {
@@ -249,38 +289,40 @@ func BenchmarkDurableInsert(b *testing.B) {
 					b.Error(err)
 				}
 			})
-			commits, syncs := d.GroupStats()
-			b.ReportMetric(float64(commits)/float64(max(syncs, 1)), "commits/sync")
+			c1, s1 := d.GroupStats()
+			b.ReportMetric(float64(c1-c0)/float64(max(s1-s0, 1)), "commits/sync")
 		})
 	}
 }
 
 // BenchmarkInsertUnderBackup prices an online backup for the writers it
-// runs beside: durable inserts alone, then with SnapshotBackup streams
-// back to back. p99-apply-ns is the tree's own insert histogram, where
-// the copy-on-write captures for the pinned backup show.
+// runs beside: durable Inserts and Deletes on a tree held at steadyN
+// points, alone and while another goroutine streams online backups back
+// to back. An op is one Insert and one Delete, two commits. p99-apply-ns
+// is the tree's own insert histogram, where the copy-on-write captures
+// for the pinned backup show.
 func BenchmarkInsertUnderBackup(b *testing.B) {
 	pts := benchPoints(b, workload.Clustered)
 	for _, arm := range []string{"alone", "under-backup"} {
 		b.Run(arm, func(b *testing.B) {
 			d := newBenchDurable(b, bvtree.Options{Dims: 2})
+			next := steadyTree(b, d, pts)
 			d.EnableMetrics()
-			// Something for a backup to stream.
-			if err := d.InsertBatch(pts[:4096], make([]uint64, 4096)); err != nil {
-				b.Fatal(err)
-			}
 			stop, backups := make(chan struct{}), make(chan error, 1)
 			if arm == "alone" {
 				backups <- nil
 			} else {
 				go func() { backups <- backupUntil(d, stop) }()
 			}
-			var next atomic.Uint64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					i := next.Add(1)
-					if err := d.Insert(pts[i%uint64(len(pts))], i); err != nil {
+					ins, del := steadyOps(pts, next.Add(1))
+					if err := d.Insert(ins.Point, ins.Payload); err != nil {
+						b.Error(err)
+						return
+					}
+					if _, err := d.Delete(del.Point, del.Payload); err != nil {
 						b.Error(err)
 						return
 					}
@@ -297,7 +339,7 @@ func BenchmarkInsertUnderBackup(b *testing.B) {
 }
 
 // backupUntil streams online backups back to back until stop closes.
-func backupUntil(d *bvtree.DurableTree, stop <-chan struct{}) error {
+func backupUntil(d *bvtree.Tree, stop <-chan struct{}) error {
 	for {
 		select {
 		case <-stop:
@@ -349,7 +391,7 @@ func pagedFileTree(b *testing.B, pts []bvtree.Point) (string, *storage.FileStore
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := bvtree.NewPaged(st, bvtree.Options{Dims: 2, CacheNodes: 1 << 20})
+	tr, err := bvtree.Open(st, nil, bvtree.Options{Dims: 2, CacheNodes: 1 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -382,7 +424,7 @@ func reopenCold(b *testing.B, path string, st *storage.FileStore) *bvtree.Tree {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { st.Close() })
-	tr, err := bvtree.OpenPaged(st, 128)
+	tr, err := bvtree.Open(st, nil, bvtree.Options{CacheNodes: 128})
 	if err != nil {
 		b.Fatal(err)
 	}

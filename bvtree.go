@@ -24,7 +24,8 @@
 //
 // Coordinates are uint64 values covering the full domain; use
 // NormalizeFloat to map floating-point attributes into it. For a
-// disk-backed tree, create a storage.FileStore and use NewPaged.
+// disk-backed tree, create or open a FileStore and use Open; for a
+// durable one, hand Open a write-ahead log from OpenWAL too.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // reproduction of every table and figure in the paper.
@@ -110,55 +111,30 @@ var ErrCorrupt = ibv.ErrCorrupt
 // FileStoreOptions configures a file-backed store.
 type FileStoreOptions = storage.FileStoreOptions
 
-// New returns an in-memory BV-tree: the tree NewPaged builds over a
-// fresh in-memory Store, with a decoded cache that holds every node, so
-// Options.CacheNodes is ignored.
+// New returns an in-memory BV-tree: Open over a fresh in-memory Store,
+// with a decoded cache that holds every node, so Options.CacheNodes is
+// ignored.
 func New(opt Options) (*Tree, error) { return ibv.New(opt) }
 
-// NewPaged returns a BV-tree whose nodes are serialised into st. The
-// store must be freshly created and is dedicated to the tree.
-func NewPaged(st Store, opt Options) (*Tree, error) { return ibv.NewPaged(st, opt) }
-
-// OpenPaged reopens a tree previously created with NewPaged and persisted
-// with (*Tree).Flush. Only the tree's shape is persisted: of the other
-// Options it gets cacheNodes, and zero values for the rest; metrics start
-// off.
-func OpenPaged(st Store, cacheNodes int) (*Tree, error) { return ibv.OpenPaged(st, cacheNodes) }
-
-// DurableTree is a paged Tree with a logical write-ahead log attached;
-// it embeds the *Tree and declares no mutator of its own. The log is
-// part of the tree's commit, so every handle — the DurableTree and its
-// Tree field alike — is logged: Insert, Delete, ApplyBatch and BulkLoad
-// are group-committed, each logged and applied and acknowledged once its
-// log batch is fsynced — concurrent writers share syncs, and
-// InsertBatch/ApplyBatch/BulkLoad amortise one sync over a whole batch,
-// logged and applied in the caller's order. Flush
-// (and Checkpoint, the same call) persists the tree and empties the log,
-// AutoCheckpoint makes the writer whose commit fills the log to a size
-// do so once its own operation is durable, and OpenDurable replays
-// operations logged since the last checkpoint. That size is the write
-// path's only setting; metrics are turned on with EnableMetrics, on a
-// new and on a reopened tree alike. A FileStore's
-// file changes only at checkpoints, so crashes at any point — including
-// mid-checkpoint, which the store's rollback journal undoes — recover
+// Open is the one way to start or reopen a tree stored in st. A store
+// that holds no tree yet starts a new one shaped by opt; one that holds
+// a tree reopens it at its last Flush, and each shape field of opt
+// (Dims, DataCapacity, Fanout, LevelScaledPages) must then be zero or
+// the stored one. A non-nil l makes the tree durable: the operations it
+// logged since the last checkpoint are replayed, and from then on
+// Insert, Delete, ApplyBatch and BulkLoad return once logged and
+// fsynced (concurrent writers share an fsync, a batch takes one), Flush
+// is the checkpoint that empties the log, AutoCheckpoint runs it when
+// the log reaches a size, and Close checkpoints and closes the log. The
+// tree owns l; the store stays the caller's to close. A FileStore's file
+// changes only at checkpoints, so a crash at any point — including
+// mid-checkpoint, which the store's rollback journal undoes — recovers
 // every acknowledged operation. See DESIGN.md §7 for the failure model
 // and §9 for the write path.
-type DurableTree = ibv.DurableTree
+func Open(st Store, l *wal.Log, opt Options) (*Tree, error) { return ibv.Open(st, l, opt) }
 
 // BatchOp is one operation of a Tree.ApplyBatch batch.
 type BatchOp = ibv.BatchOp
-
-// NewDurable creates a durable tree over a fresh store, logging to
-// walPath.
-func NewDurable(st Store, walPath string, opt Options) (*DurableTree, error) {
-	return ibv.NewDurable(st, walPath, opt)
-}
-
-// OpenDurable reopens a durable tree, replaying the write-ahead log onto
-// the last checkpoint.
-func OpenDurable(st Store, walPath string, cacheNodes int) (*DurableTree, error) {
-	return ibv.OpenDurable(st, walPath, cacheNodes)
-}
 
 // RestoreSnapshot rebuilds a tree from a backup stream (written by
 // SnapshotBackup or Snapshot().Backup) into st,
@@ -173,18 +149,18 @@ func RestoreToLSN(st Store, backup io.Reader, l *wal.Log, upToLSN uint64) (*Tree
 	return ibv.RestoreToLSN(st, backup, l, upToLSN)
 }
 
-// OpenWAL opens (or creates) a write-ahead log for use with
-// RestoreToLSN. DurableTree manages its own log; this is only needed to
-// hand an existing log file to a restore.
+// OpenWAL opens (or creates) the write-ahead log at path, for Open or
+// RestoreToLSN.
 func OpenWAL(path string) (*wal.Log, error) { return wal.Open(path) }
 
 // NewFileStore creates a file-backed page store at path (truncating any
-// existing file), suitable for NewPaged.
+// existing file), for Open to start a tree in.
 func NewFileStore(path string, opts FileStoreOptions) (*storage.FileStore, error) {
 	return storage.CreateFileStore(path, opts)
 }
 
-// OpenFileStore opens an existing file-backed page store.
+// OpenFileStore opens an existing file-backed page store, for Open to
+// reopen the tree in it.
 func OpenFileStore(path string, opts FileStoreOptions) (*storage.FileStore, error) {
 	return storage.OpenFileStore(path, opts)
 }

@@ -34,7 +34,11 @@ func runDebugServer(addr string, hold time.Duration) error {
 		return err
 	}
 	defer st.Close()
-	d, err := bvtree.NewDurable(st, filepath.Join(dir, "tree.wal"), bvtree.Options{Dims: 2})
+	l, err := bvtree.OpenWAL(filepath.Join(dir, "tree.wal"))
+	if err != nil {
+		return err
+	}
+	d, err := bvtree.Open(st, l, bvtree.Options{Dims: 2})
 	if err != nil {
 		return err
 	}
@@ -63,7 +67,7 @@ func runDebugServer(addr string, hold time.Duration) error {
 // driveDemoWorkload keeps the debug tree busy so the histograms move:
 // paced inserts with interleaved lookups, deletes and range queries. It
 // runs until the process exits.
-func driveDemoWorkload(d *bvtree.DurableTree) {
+func driveDemoWorkload(d *bvtree.Tree) {
 	pts, err := workload.Generate(workload.Uniform, 2, 100_000, 1)
 	if err != nil {
 		return

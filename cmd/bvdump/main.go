@@ -39,7 +39,7 @@ func main() {
 			fail(serr)
 		}
 		defer st.Close()
-		tr, err = bvtree.NewPaged(st, opt)
+		tr, err = bvtree.Open(st, nil, opt)
 	} else {
 		tr, err = bvtree.New(opt)
 	}

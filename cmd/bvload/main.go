@@ -43,7 +43,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	tr, err := bvtree.NewPaged(st, bvtree.Options{Dims: *dims, DataCapacity: *p, Fanout: *f})
+	tr, err := bvtree.Open(st, nil, bvtree.Options{Dims: *dims, DataCapacity: *p, Fanout: *f})
 	if err != nil {
 		fail(err)
 	}
@@ -75,7 +75,7 @@ func main() {
 		fail(err)
 	}
 	defer st2.Close()
-	re, err := bvtree.OpenPaged(st2, *cache)
+	re, err := bvtree.Open(st2, nil, bvtree.Options{CacheNodes: *cache})
 	if err != nil {
 		fail(err)
 	}

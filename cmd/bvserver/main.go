@@ -50,6 +50,7 @@ import (
 	"bvtree/internal/obs"
 	"bvtree/internal/shard"
 	"bvtree/internal/storage"
+	"bvtree/internal/wal"
 	"bvtree/internal/workload"
 )
 
@@ -238,18 +239,18 @@ func openEngines(dataDir, backend string, plan shard.Plan, logBytes int64) ([]sh
 
 		var (
 			st  *storage.FileStore
-			d   *bvtree.DurableTree
+			tr  *bvtree.Tree
+			l   *wal.Log
 			err error
 		)
 		if _, statErr := os.Stat(dbPath); statErr == nil {
 			st, err = storage.OpenFileStore(dbPath, storage.FileStoreOptions{})
-			if err == nil {
-				d, err = bvtree.OpenDurable(st, walPath, 0)
-			}
 		} else {
 			st, err = storage.CreateFileStore(dbPath, storage.FileStoreOptions{})
-			if err == nil {
-				d, err = bvtree.NewDurable(st, walPath, opt)
+		}
+		if err == nil {
+			if l, err = wal.Open(walPath); err == nil {
+				tr, err = bvtree.Open(st, l, opt)
 			}
 		}
 		if err != nil {
@@ -259,10 +260,10 @@ func openEngines(dataDir, backend string, plan shard.Plan, logBytes int64) ([]sh
 			closeAll()
 			return nil, nil, fmt.Errorf("shard %04d: %w", i, err)
 		}
-		d.EnableMetrics()
-		d.AutoCheckpoint(logBytes)
-		closers = append(closers, func() { d.Close(); st.Close() })
-		engines[i] = d
+		tr.EnableMetrics()
+		tr.AutoCheckpoint(logBytes)
+		closers = append(closers, func() { tr.Close(); st.Close() })
+		engines[i] = tr
 	}
 	return engines, closeAll, nil
 }

@@ -39,7 +39,7 @@ func TestEnginesCheckpoint(t *testing.T) {
 		}
 	}
 	for i, e := range engines {
-		d := e.(*bvtree.DurableTree)
+		d := e.(*bvtree.Tree)
 		if d.Len() < 100 {
 			t.Fatalf("shard %d holds %d of %d uniform points", i, d.Len(), len(pts))
 		}

@@ -73,24 +73,29 @@ func ExampleTree_Metrics() {
 	// splits seen: true
 }
 
-// ExampleDurableTree_recovery shows crash recovery: a durable tree is
-// abandoned without Close or Checkpoint (the "crash"), and reopening
-// the same store and log replays every acknowledged operation.
-func ExampleDurableTree_recovery() {
+// ExampleOpen shows the one way to start and to reopen a tree, and crash
+// recovery: a durable tree is abandoned without Close or Flush (the
+// "crash"), and opening the same store and log again replays every
+// acknowledged operation.
+func ExampleOpen() {
 	dir, err := os.MkdirTemp("", "bvtree-example-*")
 	if err != nil {
 		panic(err)
 	}
 	defer os.RemoveAll(dir)
-	db, wal := filepath.Join(dir, "points.db"), filepath.Join(dir, "points.wal")
+	db, walPath := filepath.Join(dir, "points.db"), filepath.Join(dir, "points.wal")
 
-	// The store file changes only at checkpoints; between them,
-	// durability comes from the log alone.
+	// A new store starts a new tree. The store file changes only at
+	// checkpoints; between them, durability comes from the log alone.
 	st, err := bvtree.NewFileStore(db, bvtree.FileStoreOptions{})
 	if err != nil {
 		panic(err)
 	}
-	d, err := bvtree.NewDurable(st, wal, bvtree.Options{Dims: 2})
+	l, err := bvtree.OpenWAL(walPath)
+	if err != nil {
+		panic(err)
+	}
+	d, err := bvtree.Open(st, l, bvtree.Options{Dims: 2})
 	if err != nil {
 		panic(err)
 	}
@@ -99,14 +104,20 @@ func ExampleDurableTree_recovery() {
 			panic(err)
 		}
 	}
-	// Crash: no Checkpoint, no Close — the store file never saw these
+	// Crash: no Flush, no Close — the store file never saw these
 	// inserts, only the fsynced log did.
 
+	// A store that holds a tree reopens it, at the shape it was made
+	// with, and the log replays onto it.
 	st2, err := bvtree.OpenFileStore(db, bvtree.FileStoreOptions{})
 	if err != nil {
 		panic(err)
 	}
-	recovered, err := bvtree.OpenDurable(st2, wal, 0)
+	l2, err := bvtree.OpenWAL(walPath)
+	if err != nil {
+		panic(err)
+	}
+	recovered, err := bvtree.Open(st2, l2, bvtree.Options{})
 	if err != nil {
 		panic(err)
 	}

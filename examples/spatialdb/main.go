@@ -83,7 +83,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr, err := bvtree.NewPaged(st, bvtree.Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	tr, err := bvtree.Open(st, nil, bvtree.Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer st2.Close()
-	tr, err = bvtree.OpenPaged(st2, 0)
+	tr, err = bvtree.Open(st2, nil, bvtree.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

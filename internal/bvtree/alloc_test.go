@@ -106,7 +106,7 @@ func buildPagedFileTree(t *testing.T, n int) (*Tree, *storage.FileStore, string,
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	tr, err := NewPaged(st, Options{Dims: 2, DataCapacity: 16, Fanout: 8})
+	tr, err := Open(st, nil, Options{Dims: 2, DataCapacity: 16, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestColdMissAllocBudget(t *testing.T) {
 	// pages are cold and again once a Lookup of every item has cached the
 	// page, it must differ by one cold data miss per data page read, with
 	// nothing per item (the points go to the walk's pooled arena).
-	walked, err := OpenPaged(st, 1<<20)
+	walked, err := Open(st, nil, Options{CacheNodes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestRangeTinyWindowBytes(t *testing.T) {
 	if err := written.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenPaged(written.paged.st, 1<<20)
+	reopened, err := Open(written.paged.st, nil, Options{CacheNodes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +518,7 @@ func TestWriterBuiltTreeHeap(t *testing.T) {
 	}
 	base := liveHeap()
 	st := storage.NewMemStore()
-	tr, err := NewPaged(st, Options{Dims: 2, CacheNodes: 1 << 20})
+	tr, err := Open(st, nil, Options{Dims: 2, CacheNodes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +532,7 @@ func TestWriterBuiltTreeHeap(t *testing.T) {
 	}
 	written := liveHeap() - base
 	runtime.KeepAlive(tr)
-	re, err := OpenPaged(st, 1<<20)
+	re, err := Open(st, nil, Options{CacheNodes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -437,7 +437,7 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 	if err := st.Sync(); err != nil {
 		return nil, err
 	}
-	t, err := OpenPaged(st, 0)
+	t, err := Open(st, nil, Options{})
 	if err != nil {
 		return nil, err
 	}

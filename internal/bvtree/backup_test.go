@@ -155,33 +155,24 @@ func TestRestoreRefusesOtherPrecision(t *testing.T) {
 // looking up.
 func TestSnapshotBackupReadsPagesAlone(t *testing.T) {
 	opt := Options{Dims: 2, DataCapacity: 8, Fanout: 8}
-	type mutator interface {
-		Insert(geometry.Point, uint64) error
-		Delete(geometry.Point, uint64) (bool, error)
-	}
 	for _, backend := range []string{"mem", "paged", "durable"} {
 		t.Run(backend, func(t *testing.T) {
 			var (
 				tr  *Tree
-				d   *DurableTree
 				err error
 			)
 			switch backend {
 			case "mem":
 				tr, err = New(opt)
 			case "paged":
-				tr, err = NewPaged(storage.NewMemStore(), opt)
+				tr, err = Open(storage.NewMemStore(), nil, opt)
 			case "durable":
-				d, err = NewDurable(storage.NewMemStore(), filepath.Join(t.TempDir(), "p.wal"), opt)
+				tr, err = openLogged(storage.NewMemStore(), filepath.Join(t.TempDir(), "p.wal"), opt)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			var mut mutator = tr
-			if d != nil {
-				t.Cleanup(func() { d.Close() })
-				mut, tr = d, d.Tree
-			}
+			t.Cleanup(func() { tr.Close() })
 			// The program draws from a small pool, so points repeat and some
 			// deletes name an item that is not there.
 			rng := rand.New(rand.NewSource(31))
@@ -193,7 +184,7 @@ func TestSnapshotBackupReadsPagesAlone(t *testing.T) {
 			for i := 0; i < 900; i++ {
 				p := pool[rng.Intn(len(pool))]
 				if rng.Intn(5) < 3 {
-					if err := mut.Insert(p, uint64(i)); err != nil {
+					if err := tr.Insert(p, uint64(i)); err != nil {
 						t.Fatal(err)
 					}
 					stored = append(stored, oracleItem{p, uint64(i)})
@@ -205,7 +196,7 @@ func TestSnapshotBackupReadsPagesAlone(t *testing.T) {
 				}
 				var want bool
 				stored, want = oracleDelete(stored, victim.p, victim.payload)
-				if got, err := mut.Delete(victim.p, victim.payload); err != nil || got != want {
+				if got, err := tr.Delete(victim.p, victim.payload); err != nil || got != want {
 					t.Fatalf("op %d: Delete = (%v, %v), want %v", i, got, err, want)
 				}
 			}
@@ -273,7 +264,7 @@ func TestSnapshotBackupReadsPagesAlone(t *testing.T) {
 }
 
 // TestSnapshotBackupOnline is the online-backup differential: four
-// writers commit through a DurableTree while backups stream concurrently;
+// writers commit through a durable tree while backups stream concurrently;
 // each restored backup must equal the shadow state at the backup's
 // commit point, and the reported LSN must equal the number of operations
 // committed by then.
@@ -282,8 +273,7 @@ func TestSnapshotBackupOnline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDurable(storage.NewMemStore(), filepath.Join(t.TempDir(), "b.wal"),
-		Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	d, err := openLogged(storage.NewMemStore(), filepath.Join(t.TempDir(), "b.wal"), Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +398,7 @@ func shadowAt(ops []logicalOp, n uint64) map[uint64]geometry.Point {
 	return m
 }
 
-// TestRestoreToLSN drives a DurableTree through a scripted op sequence,
+// TestRestoreToLSN drives a durable tree through a scripted op sequence,
 // backs up mid-stream, and then point-in-time-restores to a sweep of
 // target LSNs — each restored tree must equal the logical prefix state,
 // and restoring to the backup's own LSN must reproduce the backup
@@ -428,7 +418,7 @@ func TestRestoreToLSN(t *testing.T) {
 
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "pitr.wal")
-	d, err := NewDurable(storage.NewMemStore(), walPath, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	d, err := openLogged(storage.NewMemStore(), walPath, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +499,7 @@ func TestRestoreToLSN(t *testing.T) {
 
 	// A checkpoint resets the log; restoring through the gap must be
 	// refused (the archive no longer covers backup..target).
-	if err := d.Checkpoint(); err != nil {
+	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Insert(geometry.Point{1, 1}, 1<<40); err != nil {
@@ -534,7 +524,7 @@ func TestRestoreToLSN(t *testing.T) {
 // n inserts restored as 2n items.
 func TestSnapshotBackupStampsPinnedLSN(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "s.wal")
-	d, err := NewDurable(storage.NewMemStore(), walPath, Options{Dims: 2})
+	d, err := openLogged(storage.NewMemStore(), walPath, Options{Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +568,7 @@ func TestDurableLSNAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "l.wal")
 	st := storage.NewMemStore()
-	d, err := NewDurable(st, walPath, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	d, err := openLogged(st, walPath, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +581,7 @@ func TestDurableLSNAcrossReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Checkpoint(); err != nil {
+	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range pts[40:] {
@@ -605,7 +595,7 @@ func TestDurableLSNAcrossReopen(t *testing.T) {
 	if err := d.Close(); err != nil { // checkpoints and resets the log
 		t.Fatal(err)
 	}
-	d2, err := OpenDurable(st, walPath, 0)
+	d2, err := openLogged(st, walPath, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package bvtree
 
 // Batched write-path suite: differential correctness of
-// InsertBatch/ApplyBatch against the sequential path and a linear-scan
+// BulkLoad/ApplyBatch against the sequential path and a linear-scan
 // oracle, plus the TestConcurrentBatch* race-smoke tests that make
 // verify runs under the race detector.
 
@@ -22,7 +22,7 @@ import (
 )
 
 // TestBatchDifferentialOracle drives the same shuffled workload through
-// (a) DurableTree.InsertBatch/ApplyBatch in batches and (b) one-at-a-time
+// (a) BulkLoad/ApplyBatch in batches on a durable tree and (b) one-at-a-time
 // Insert/Delete on a second durable tree, and checks both against a
 // linear-scan oracle: identical exact-match answers on every point,
 // identical range counts, full invariant pass on both trees.
@@ -35,14 +35,12 @@ func TestBatchDifferentialOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			dir := t.TempDir()
-			batched, err := NewDurable(storage.NewMemStore(), filepath.Join(dir, "b.wal"),
-				Options{Dims: dims, DataCapacity: 8, Fanout: 8})
+			batched, err := openLogged(storage.NewMemStore(), filepath.Join(dir, "b.wal"), Options{Dims: dims, DataCapacity: 8, Fanout: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer batched.Close()
-			serial, err := NewDurable(storage.NewMemStore(), filepath.Join(dir, "s.wal"),
-				Options{Dims: dims, DataCapacity: 8, Fanout: 8})
+			serial, err := openLogged(storage.NewMemStore(), filepath.Join(dir, "s.wal"), Options{Dims: dims, DataCapacity: 8, Fanout: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,8 +125,8 @@ func TestBatchDifferentialOracle(t *testing.T) {
 				if q, ok := live[uint64(i)]; ok && q.Equal(p) {
 					wantHit = true
 				}
-				for name, d := range map[string]*DurableTree{"batched": batched, "serial": serial} {
-					got, err := contains(d.Tree, p, uint64(i))
+				for name, d := range map[string]*Tree{"batched": batched, "serial": serial} {
+					got, err := contains(d, p, uint64(i))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -145,7 +143,7 @@ func TestBatchDifferentialOracle(t *testing.T) {
 						want++
 					}
 				}
-				for name, d := range map[string]*DurableTree{"batched": batched, "serial": serial} {
+				for name, d := range map[string]*Tree{"batched": batched, "serial": serial} {
 					got, err := d.Count(r)
 					if err != nil {
 						t.Fatal(err)
@@ -174,7 +172,7 @@ func TestBatchRecoveryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDurable(st, filepath.Join(dir, "t.wal"), Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	d, err := openLogged(st, filepath.Join(dir, "t.wal"), Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +184,7 @@ func TestBatchRecoveryRoundTrip(t *testing.T) {
 	for i := range payloads {
 		payloads[i] = uint64(i)
 	}
-	if err := d.InsertBatch(pts, payloads); err != nil {
+	if err := d.BulkLoad(pts, payloads); err != nil {
 		t.Fatal(err)
 	}
 	// Crash: abandon store and tree without Close. Closing would
@@ -201,7 +199,7 @@ func TestBatchRecoveryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	re, err := OpenDurable(st2, filepath.Join(dir, "t.wal"), 0)
+	re, err := openLogged(st2, filepath.Join(dir, "t.wal"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +208,7 @@ func TestBatchRecoveryRoundTrip(t *testing.T) {
 		t.Fatalf("recovered Len=%d, want %d", re.Len(), len(pts))
 	}
 	for i, p := range pts {
-		found, err := contains(re.Tree, p, uint64(i))
+		found, err := contains(re, p, uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,14 +221,13 @@ func TestBatchRecoveryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatchWriters hammers a DurableTree with concurrent
+// TestConcurrentBatchWriters hammers a durable tree with concurrent
 // ApplyBatch, single-op Insert/Delete, readers, and explicit checkpoints
 // — the race-smoke test for the group-commit write path (run under
 // -race by make verify).
 func TestConcurrentBatchWriters(t *testing.T) {
 	dir := t.TempDir()
-	d, err := NewDurable(storage.NewMemStore(), filepath.Join(dir, "t.wal"),
-		Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	d, err := openLogged(storage.NewMemStore(), filepath.Join(dir, "t.wal"), Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,8 +363,7 @@ func TestConcurrentBackgroundCheckpointer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	d, err := NewDurable(st, filepath.Join(dir, "t.wal"),
-		Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	d, err := openLogged(st, filepath.Join(dir, "t.wal"), Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +410,7 @@ func TestConcurrentBackgroundCheckpointer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	re, err := OpenDurable(st2, filepath.Join(dir, "t.wal"), 0)
+	re, err := openLogged(st2, filepath.Join(dir, "t.wal"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +435,7 @@ func TestAutoCheckpointFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	walPath := filepath.Join(dir, "t.wal")
-	d, err := NewDurable(st, walPath, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	d, err := openLogged(st, walPath, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +474,7 @@ func TestAutoCheckpointFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	re, err := OpenDurable(st2, walPath, 0)
+	re, err := openLogged(st2, walPath, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +483,7 @@ func TestAutoCheckpointFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range pts {
-		found, err := contains(re.Tree, p, uint64(i))
+		found, err := contains(re, p, uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}

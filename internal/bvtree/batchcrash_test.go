@@ -11,7 +11,6 @@ package bvtree
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"bvtree/internal/fault"
@@ -72,7 +71,7 @@ func TestBatchCrashPrefixSweep(t *testing.T) {
 
 			prefix := len(ops)
 			for i := range ops {
-				found, err := contains(d.Tree, ops[i].Point, ops[i].Payload)
+				found, err := contains(d, ops[i].Point, ops[i].Payload)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,7 +81,7 @@ func TestBatchCrashPrefixSweep(t *testing.T) {
 				}
 			}
 			for i := prefix; i < len(ops); i++ {
-				found, err := contains(d.Tree, ops[i].Point, ops[i].Payload)
+				found, err := contains(d, ops[i].Point, ops[i].Payload)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,13 +139,7 @@ func autoCheckpointCrashSweep(t *testing.T, sweep int) (checkpointCrashes int) {
 	for k := 1; k <= sweep; k++ {
 		storeFS := fault.NewFS(vfs.OS{}, fault.Plan{})
 		dir := t.TempDir()
-		st, err := storage.CreateFileStore(filepath.Join(dir, "t.db"),
-			storage.FileStoreOptions{SlotSize: 256, FS: storeFS})
-		if err != nil {
-			t.Fatal(err)
-		}
-		walPath := filepath.Join(dir, "t.wal")
-		d, err := NewDurable(st, walPath, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+		_, d, err := openDir(dir, storeFS, vfs.OS{}, true, crashOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +156,7 @@ func autoCheckpointCrashSweep(t *testing.T, sweep int) (checkpointCrashes int) {
 			}
 			acked = append(acked, ack{p, uint64(i)})
 		}
-		if err := d.Checkpoint(); err != nil {
+		if err := d.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		d.AutoCheckpoint(256)
@@ -196,20 +189,15 @@ func autoCheckpointCrashSweep(t *testing.T, sweep int) (checkpointCrashes int) {
 		// Crash: abandon the poisoned store (its descriptors close without
 		// flushing) and recover from the real filesystem.
 		storeFS.CloseAll()
-		st2, err := storage.OpenFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{})
+		st2, re, err := openDir(dir, vfs.OS{}, vfs.OS{}, false, crashOpts)
 		if err != nil {
-			t.Fatalf("k=%d: reopen store: %v", k, err)
-		}
-		re, err := OpenDurable(st2, walPath, 0)
-		if err != nil {
-			st2.Close()
-			t.Fatalf("k=%d: reopen tree: %v", k, err)
+			t.Fatalf("k=%d: reopen: %v", k, err)
 		}
 		if err := re.Validate(true); err != nil {
 			t.Fatalf("k=%d: invariants after recovery: %v", k, err)
 		}
 		for _, a := range acked {
-			found, err := contains(re.Tree, a.p, a.payload)
+			found, err := contains(re, a.p, a.payload)
 			if err != nil {
 				t.Fatal(err)
 			}

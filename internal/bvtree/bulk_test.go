@@ -68,7 +68,7 @@ func TestBulkLoadImprovesPagedLocality(t *testing.T) {
 
 	missRate := func(bulk bool) float64 {
 		st := storage.NewMemStore()
-		tr, err := NewPaged(st, opt)
+		tr, err := Open(st, nil, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -291,8 +291,7 @@ func TestBulkLoadDurablePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDurable(st, filepath.Join(dir, "t.wal"),
-		Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	d, err := openLogged(st, filepath.Join(dir, "t.wal"), Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +307,7 @@ func TestBulkLoadDurablePersistence(t *testing.T) {
 	if err := d.BulkLoad(pts, payloads); err != nil {
 		t.Fatal(err)
 	}
-	checkBulkTree(t, d.Tree, pts, payloads)
+	checkBulkTree(t, d, pts, payloads)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +320,7 @@ func TestBulkLoadDurablePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	re, err := OpenDurable(st2, filepath.Join(dir, "t.wal"), 0)
+	re, err := openLogged(st2, filepath.Join(dir, "t.wal"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +331,7 @@ func TestBulkLoadDurablePersistence(t *testing.T) {
 	if err := re.Validate(true); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := scanTriples(t, re.Tree), inputTriples(pts, payloads); !triplesEqual(got, want) {
+	if got, want := scanTriples(t, re), inputTriples(pts, payloads); !triplesEqual(got, want) {
 		t.Fatal("bulk batch diverged across close+reopen")
 	}
 }
@@ -407,9 +406,7 @@ func backupFrames(stream []byte) []byte {
 // durable tree, must give byte-identical backups (canonical: pages are
 // renumbered in level order) and the same height. A logged ApplyBatch
 // must leave the caller's ops as they were, and a large durable
-// InsertBatch must keep the height of the unlogged build. At the time
-// BulkLoad packed a z-sorted run and logged batches were z-sorted before
-// they applied, none of this held.
+// BulkLoad must keep the height of the unlogged build.
 func TestBulkLoadBuildsTheInsertionTree(t *testing.T) {
 	opt := Options{Dims: 2, DataCapacity: 8, Fanout: 8}
 	newTree := func(t *testing.T, logged bool, opt Options) *Tree {
@@ -421,12 +418,12 @@ func TestBulkLoadBuildsTheInsertionTree(t *testing.T) {
 			}
 			return tr
 		}
-		d, err := NewDurable(storage.NewMemStore(), filepath.Join(t.TempDir(), "t.wal"), opt)
+		d, err := openLogged(storage.NewMemStore(), filepath.Join(t.TempDir(), "t.wal"), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { d.Close() })
-		return d.Tree
+		return d
 	}
 	for _, kind := range []workload.Kind{workload.Clustered, workload.Uniform, workload.Nested} {
 		t.Run(string(kind), func(t *testing.T) {
@@ -510,19 +507,19 @@ func TestBulkLoadBuildsTheInsertionTree(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		d, err := NewDurable(storage.NewMemStore(), filepath.Join(t.TempDir(), "t.wal"), opt)
+		d, err := openLogged(storage.NewMemStore(), filepath.Join(t.TempDir(), "t.wal"), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer d.Close()
-		if err := d.InsertBatch(pts, ids); err != nil {
+		if err := d.BulkLoad(pts, ids); err != nil {
 			t.Fatal(err)
 		}
 		if d.Height() != plain.Height() {
-			t.Fatalf("durable InsertBatch built height %d, the unlogged build %d", d.Height(), plain.Height())
+			t.Fatalf("durable BulkLoad built height %d, the unlogged build %d", d.Height(), plain.Height())
 		}
-		if !bytes.Equal(backupFrames(backupOf(t, d.Tree)), backupFrames(backupOf(t, plain))) {
-			t.Fatal("durable InsertBatch built other pages than the unlogged build")
+		if !bytes.Equal(backupFrames(backupOf(t, d)), backupFrames(backupOf(t, plain))) {
+			t.Fatal("durable BulkLoad built other pages than the unlogged build")
 		}
 	})
 }

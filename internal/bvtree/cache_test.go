@@ -51,7 +51,7 @@ func (s *hookStore) ReadNode(id page.ID) ([]byte, error) {
 // would miss the inserted points, and the next save of X would lose them.
 func TestViewAdmissionNeverCachesStale(t *testing.T) {
 	hs := &hookStore{Store: storage.NewMemStore()}
-	tr, err := NewPaged(hs, Options{Dims: 2, DataCapacity: 4, Fanout: 4, CacheNodes: 1 << 20})
+	tr, err := Open(hs, nil, Options{Dims: 2, DataCapacity: 4, Fanout: 4, CacheNodes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func (s *recordStore) Sync() error {
 func TestCacheDeterministic(t *testing.T) {
 	run := func(cache int) []string {
 		rs := &recordStore{Store: storage.NewMemStore()}
-		tr, err := NewPaged(rs, Options{Dims: 2, DataCapacity: 4, Fanout: 4, CacheNodes: cache})
+		tr, err := Open(rs, nil, Options{Dims: 2, DataCapacity: 4, Fanout: 4, CacheNodes: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func residencyTree(t *testing.T, n int) (*Tree, *storage.FileStore, []geometry.P
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewPaged(st, Options{Dims: 2, DataCapacity: 16, Fanout: 8, CacheNodes: 1 << 20})
+	tr, err := Open(st, nil, Options{Dims: 2, DataCapacity: 16, Fanout: 8, CacheNodes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func residencyTree(t *testing.T, n int) (*Tree, *storage.FileStore, []geometry.P
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st2.Close() })
-	re, err := OpenPaged(st2, 2*index+16)
+	re, err := Open(st2, nil, Options{CacheNodes: 2*index + 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestRangeWarmsIndex(t *testing.T) {
 // lookups' trims then evict most data pages: every index node must stay
 // cached through it, and no lookup may read one from the store.
 func TestWriterKeepsIndexResident(t *testing.T) {
-	tr, err := NewPaged(storage.NewMemStore(), Options{Dims: 2, DataCapacity: 16, Fanout: 8, CacheNodes: 1 << 20})
+	tr, err := Open(storage.NewMemStore(), nil, Options{Dims: 2, DataCapacity: 16, Fanout: 8, CacheNodes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

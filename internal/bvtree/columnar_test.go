@@ -20,37 +20,22 @@ import (
 	"bvtree/internal/workload"
 )
 
-// qtree is the query surface shared by *Tree and *DurableTree.
-type qtree interface {
-	Insert(geometry.Point, uint64) error
-	Delete(geometry.Point, uint64) (bool, error)
-	Lookup(geometry.Point) ([]uint64, error)
-	Len() int
-	Scan(Visitor) error
-	RangeQuery(geometry.Rect, Visitor) error
-	Count(geometry.Rect) (int, error)
-	Nearest(geometry.Point, int) ([]Neighbor, error)
-	Validate(bool) error
-}
-
 // columnarTree builds an empty tree on the named backend.
-func columnarTree(t *testing.T, backend string, dims int) qtree {
+func columnarTree(t *testing.T, backend string, dims int) *Tree {
 	t.Helper()
 	opt := Options{Dims: dims, DataCapacity: 8, Fanout: 8, CacheNodes: 32}
-	var tr qtree
+	var tr *Tree
 	var err error
 	switch backend {
 	case "mem":
 		tr, err = New(opt)
 	case "paged":
-		tr, err = NewPaged(storage.NewMemStore(), opt)
+		tr, err = Open(storage.NewMemStore(), nil, opt)
 	case "durable":
-		var d *DurableTree
-		d, err = NewDurable(storage.NewMemStore(), filepath.Join(t.TempDir(), "c.wal"), opt)
+		tr, err = openLogged(storage.NewMemStore(), filepath.Join(t.TempDir(), "c.wal"), opt)
 		if err == nil {
-			t.Cleanup(func() { d.Close() })
+			t.Cleanup(func() { tr.Close() })
 		}
-		tr = d
 	default:
 		t.Fatalf("unknown backend %q", backend)
 	}
@@ -207,7 +192,7 @@ func TestColumnarConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewPaged(storage.NewMemStore(), Options{Dims: dims, DataCapacity: 8, Fanout: 8, CacheNodes: 64})
+	tr, err := Open(storage.NewMemStore(), nil, Options{Dims: dims, DataCapacity: 8, Fanout: 8, CacheNodes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +276,7 @@ func TestReadsStayOnBatchedPath(t *testing.T) {
 	// lets a writer supersede pages under the pin: the snapshot's reads
 	// resolve their pre-images from the version chains.
 	pinnedUnderWriter := func(t *testing.T, opt Options) (*Tree, reader, []geometry.Point) {
-		tr, err := NewPaged(storage.NewMemStore(), opt)
+		tr, err := Open(storage.NewMemStore(), nil, opt)
 		tr = load(t, tr, err, pts[:600])
 		snap, err := tr.Snapshot()
 		if err != nil {
@@ -316,7 +301,7 @@ func TestReadsStayOnBatchedPath(t *testing.T) {
 			return tr, tr, pts
 		}},
 		{"paged", func(t *testing.T) (*Tree, reader, []geometry.Point) {
-			tr, err := NewPaged(storage.NewMemStore(), opt)
+			tr, err := Open(storage.NewMemStore(), nil, opt)
 			tr = load(t, tr, err, pts)
 			return tr, tr, pts
 		}},

@@ -239,7 +239,7 @@ func TestConcurrentReadWritePaged(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	tr, err := NewPaged(st, Options{Dims: 2, DataCapacity: 8, Fanout: 8, CacheNodes: 48})
+	tr, err := Open(st, nil, Options{Dims: 2, DataCapacity: 8, Fanout: 8, CacheNodes: 48})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,16 +249,16 @@ func TestConcurrentReadWritePaged(t *testing.T) {
 	}
 }
 
-// TestConcurrentDurableReads verifies that DurableTree reads run while
-// writers sit inside the WAL append+fsync path: queries are promoted from
-// the embedded Tree and must never touch the log mutex.
+// TestConcurrentDurableReads verifies that a durable tree's reads run
+// while writers sit inside the WAL append+fsync path: queries must never
+// touch the log mutex.
 func TestConcurrentDurableReads(t *testing.T) {
 	pts, err := workload.Generate(workload.Uniform, 2, 1200, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := storage.NewMemStore()
-	d, err := NewDurable(st, filepath.Join(t.TempDir(), "stress.wal"), Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	d, err := openLogged(st, filepath.Join(t.TempDir(), "stress.wal"), Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestConcurrentDurableReads(t *testing.T) {
 					return
 				}
 				if i%101 == 0 {
-					if err := d.Checkpoint(); err != nil {
+					if err := d.Flush(); err != nil {
 						fail(err)
 						return
 					}

@@ -28,7 +28,7 @@ type matrixEnv struct {
 	dir            string
 	storeFS, walFS *fault.FS
 	st             *storage.FileStore
-	d              *DurableTree
+	d              *Tree
 	base           []geometry.Point // baseline items, payload = index
 }
 
@@ -43,17 +43,7 @@ func newMatrixEnvN(t *testing.T, n int) *matrixEnv {
 		walFS:   fault.NewFS(vfs.OS{}, fault.Plan{}),
 	}
 	var err error
-	e.st, err = storage.CreateFileStore(filepath.Join(e.dir, "t.db"),
-		storage.FileStoreOptions{SlotSize: 256, FS: e.storeFS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := wal.OpenFS(e.walFS, filepath.Join(e.dir, "t.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.d, err = NewDurableLog(e.st, l, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
-	if err != nil {
+	if e.st, e.d, err = openDir(e.dir, e.storeFS, e.walFS, true, crashOpts); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(77))
@@ -64,7 +54,7 @@ func newMatrixEnvN(t *testing.T, n int) *matrixEnv {
 		}
 		e.base = append(e.base, p)
 	}
-	if err := e.d.Checkpoint(); err != nil {
+	if err := e.d.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -73,18 +63,16 @@ func newMatrixEnvN(t *testing.T, n int) *matrixEnv {
 // reopen abandons the crashed state and reopens it with the real
 // filesystem, asserting structural invariants, clean MVCC state and that
 // every baseline item survived.
-func (e *matrixEnv) reopen(t *testing.T) *DurableTree {
+func (e *matrixEnv) reopen(t *testing.T) *Tree {
 	t.Helper()
 	e.storeFS.CloseAll()
 	e.walFS.CloseAll()
-	st, err := storage.OpenFileStore(filepath.Join(e.dir, "t.db"), storage.FileStoreOptions{})
-	if err != nil {
-		t.Fatalf("reopen store: %v", err)
+	st, d, err := openDir(e.dir, vfs.OS{}, vfs.OS{}, false, crashOpts)
+	if st != nil {
+		t.Cleanup(func() { st.Close() })
 	}
-	t.Cleanup(func() { st.Close() })
-	d, err := OpenDurable(st, filepath.Join(e.dir, "t.wal"), 0)
 	if err != nil {
-		t.Fatalf("reopen tree: %v", err)
+		t.Fatalf("reopen: %v", err)
 	}
 	t.Cleanup(func() { d.Close() })
 	if err := d.Validate(true); err != nil {
@@ -94,7 +82,7 @@ func (e *matrixEnv) reopen(t *testing.T) *DurableTree {
 		t.Fatalf("mvcc state after recovery: %v", err)
 	}
 	for i, p := range e.base {
-		found, err := contains(d.Tree, p, uint64(i))
+		found, err := contains(d, p, uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,9 +93,9 @@ func (e *matrixEnv) reopen(t *testing.T) *DurableTree {
 	return d
 }
 
-func (e *matrixEnv) mustContain(t *testing.T, d *DurableTree, p geometry.Point, payload uint64, want bool) {
+func (e *matrixEnv) mustContain(t *testing.T, d *Tree, p geometry.Point, payload uint64, want bool) {
 	t.Helper()
-	found, err := contains(d.Tree, p, payload)
+	found, err := contains(d, p, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +215,7 @@ func crashAfterSyncBeforeApply(t *testing.T, cache, k int, inWrite *int) bool {
 		t.Fatal(err)
 	}
 	fst := fault.NewStore(inner, 0)
-	d, err := NewDurable(fst, filepath.Join(dir, "t.wal"), Options{Dims: 2, DataCapacity: 8, Fanout: 8, CacheNodes: cache})
+	d, err := openLogged(fst, filepath.Join(dir, "t.wal"), Options{Dims: 2, DataCapacity: 8, Fanout: 8, CacheNodes: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +227,7 @@ func crashAfterSyncBeforeApply(t *testing.T, cache, k int, inWrite *int) bool {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Checkpoint(); err != nil {
+	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	fst.Arm(k)
@@ -262,17 +250,13 @@ func crashAfterSyncBeforeApply(t *testing.T, cache, k int, inWrite *int) bool {
 	// write set, and are lost with it.
 	ffs.CloseAll()
 
-	st2, err := storage.OpenFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{})
+	st2, re, err := openDir(dir, vfs.OS{}, vfs.OS{}, false, crashOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	re, err := OpenDurable(st2, filepath.Join(dir, "t.wal"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer re.Close()
-	found, err := contains(re.Tree, matrixTarget, matrixPayload)
+	found, err := contains(re, matrixTarget, matrixPayload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +287,7 @@ func TestCrashMidCheckpoint(t *testing.T) {
 			}
 		}
 		e.storeFS.SetPlan(fault.Plan{InjectAt: e.storeFS.Ops() + k, Mode: fault.ModeError})
-		err := e.d.Checkpoint()
+		err := e.d.Flush()
 		if err == nil {
 			// The injection point lies beyond the checkpoint's I/O: the
 			// whole protocol has been swept.
@@ -409,14 +393,14 @@ func TestRejectedWriteIsNotLogged(t *testing.T) {
 	}
 	writes := []struct {
 		name  string
-		write func(d *DurableTree) error
+		write func(d *Tree) error
 	}{
-		{"Insert", func(d *DurableTree) error { return d.Insert(bad, matrixPayload) }},
-		{"Delete", func(d *DurableTree) error { _, err := d.Delete(bad, matrixPayload); return err }},
-		{"ApplyBatch", func(d *DurableTree) error {
+		{"Insert", func(d *Tree) error { return d.Insert(bad, matrixPayload) }},
+		{"Delete", func(d *Tree) error { _, err := d.Delete(bad, matrixPayload); return err }},
+		{"ApplyBatch", func(d *Tree) error {
 			return d.ApplyBatch([]BatchOp{{Point: good, Payload: matrixPayload}, {Point: bad, Payload: matrixPayload}})
 		}},
-		{"BulkLoad", func(d *DurableTree) error {
+		{"BulkLoad", func(d *Tree) error {
 			return d.BulkLoad([]geometry.Point{good, bad}, []uint64{matrixPayload, matrixPayload})
 		}},
 	}
@@ -515,7 +499,7 @@ func TestCrashBetweenSyncs(t *testing.T) {
 
 	t.Run("paged", func(t *testing.T) {
 		dir, ffs, st := open(t)
-		tr, err := NewPaged(st, opt)
+		tr, err := Open(st, nil, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -526,7 +510,7 @@ func TestCrashBetweenSyncs(t *testing.T) {
 		insert(t, tr, n, 2*n)
 		ffs.CloseAll()
 
-		re, err := OpenPaged(reopen(t, dir), 8)
+		re, err := Open(reopen(t, dir), nil, Options{CacheNodes: 8})
 		if err != nil {
 			t.Fatalf("reopen tree: %v", err)
 		}
@@ -539,22 +523,22 @@ func TestCrashBetweenSyncs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := NewDurableLog(st, l, opt)
+		d, err := Open(st, l, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		insert(t, d, 0, n)
-		if err := d.Checkpoint(); err != nil {
+		if err := d.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		insert(t, d, n, 2*n)
 		ffs.CloseAll()
 
-		re, err := OpenDurable(reopen(t, dir), filepath.Join(dir, "t.wal"), 8)
+		re, err := openLogged(reopen(t, dir), filepath.Join(dir, "t.wal"), Options{CacheNodes: 8})
 		if err != nil {
 			t.Fatalf("reopen tree: %v", err)
 		}
 		t.Cleanup(func() { re.Close() })
-		check(t, re.Tree, 2*n)
+		check(t, re, 2*n)
 	})
 }

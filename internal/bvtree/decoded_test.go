@@ -117,7 +117,7 @@ func TestDecodedNodesMeetWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewPaged(st, Options{Dims: 2, DataCapacity: 16, Fanout: 8})
+	tr, err := Open(st, nil, Options{Dims: 2, DataCapacity: 16, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestDecodedNodesMeetWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if tr, err = OpenPaged(st, 8); err != nil {
+	if tr, err = Open(st, nil, Options{CacheNodes: 8}); err != nil {
 		t.Fatal(err)
 	}
 	readersMeetWriter(t, tr, live, 300, 2)
@@ -352,7 +352,7 @@ func BenchmarkDecodePublished(b *testing.B) {
 		b.Fatal(err)
 	}
 	st := storage.NewMemStore()
-	tr, err := NewPaged(st, Options{Dims: 2, CacheNodes: 1 << 20})
+	tr, err := Open(st, nil, Options{Dims: 2, CacheNodes: 1 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,6 +14,41 @@ import (
 	"bvtree/internal/wal"
 )
 
+// openLogged is Open with the write-ahead log at walPath.
+func openLogged(st storage.Store, walPath string, opt Options) (*Tree, error) {
+	l, err := wal.Open(walPath)
+	if err != nil {
+		return nil, err
+	}
+	return Open(st, l, opt)
+}
+
+// crashOpts is the tree the crash batteries run.
+var crashOpts = Options{Dims: 2, DataCapacity: 8, Fanout: 8}
+
+// openDir is the crash batteries' one open step, for a run and for its
+// recovery alike. The store dir/t.db is created through storeFS with
+// 256-byte slots when create is set, and opened through it otherwise;
+// Open then starts or recovers the tree in it, with the log dir/t.wal
+// opened through walFS. An error after the store opened returns the
+// store unclosed: a crashed run abandons it, a recovery closes it.
+func openDir(dir string, storeFS, walFS vfs.FS, create bool, opt Options) (*storage.FileStore, *Tree, error) {
+	open := storage.OpenFileStore
+	if create {
+		open = storage.CreateFileStore
+	}
+	st, err := open(filepath.Join(dir, "t.db"), storage.FileStoreOptions{SlotSize: 256, FS: storeFS})
+	if err != nil {
+		return nil, nil, err
+	}
+	l, err := wal.OpenFS(walFS, filepath.Join(dir, "t.wal"))
+	if err != nil {
+		return st, nil, err
+	}
+	tr, err := Open(st, l, opt)
+	return st, tr, err
+}
+
 func TestDurableCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	dbPath := filepath.Join(dir, "tree.db")
@@ -23,7 +58,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDurable(st, walPath, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	d, err := openLogged(st, walPath, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +71,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Checkpoint(); err != nil {
+	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	// Post-checkpoint operations: logged but never flushed to the store.
@@ -64,7 +99,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	re, err := OpenDurable(st2, walPath, 0)
+	re, err := openLogged(st2, walPath, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +111,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 200; i < 1500; i++ {
-		found, err := contains(re.Tree, checkpointed[i], uint64(i))
+		found, err := contains(re, checkpointed[i], uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +120,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 		}
 	}
 	for i, p := range unlogged {
-		found, err := contains(re.Tree, p, uint64(1500+i))
+		found, err := contains(re, p, uint64(1500+i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +129,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 		}
 	}
 	for i := 0; i < 200; i++ {
-		found, err := contains(re.Tree, checkpointed[i], uint64(i))
+		found, err := contains(re, checkpointed[i], uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +161,7 @@ func TestDurableTornWALTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDurable(st, walPath, Options{Dims: 2})
+	d, err := openLogged(st, walPath, Options{Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +188,7 @@ func TestDurableTornWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	re, err := OpenDurable(st2, walPath, 0)
+	re, err := openLogged(st2, walPath, Options{})
 	if err != nil {
 		t.Fatalf("torn tail must not break recovery: %v", err)
 	}
@@ -162,7 +197,7 @@ func TestDurableTornWALTail(t *testing.T) {
 		t.Fatalf("recovered %d of %d items", re.Len(), len(pts))
 	}
 	for i, p := range pts {
-		found, err := contains(re.Tree, p, uint64(i))
+		found, err := contains(re, p, uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +214,7 @@ func TestDurableCheckpointEmptiesLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	d, err := NewDurable(st, filepath.Join(dir, "t.wal"), Options{Dims: 2})
+	d, err := openLogged(st, filepath.Join(dir, "t.wal"), Options{Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +225,7 @@ func TestDurableCheckpointEmptiesLog(t *testing.T) {
 	if d.LogSize() == 0 {
 		t.Fatal("log empty after insert")
 	}
-	if err := d.Checkpoint(); err != nil {
+	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if d.LogSize() != 0 {
@@ -204,7 +239,7 @@ func TestDurableCheckpointEmptiesLog(t *testing.T) {
 func TestWriteAfterCloseIsRefused(t *testing.T) {
 	dir := t.TempDir()
 	st := storage.NewMemStore()
-	d, err := NewDurable(st, filepath.Join(dir, "c.wal"), Options{Dims: 2})
+	d, err := openLogged(st, filepath.Join(dir, "c.wal"), Options{Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +286,7 @@ func TestDurableFlushThenCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDurable(st, walPath, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	d, err := openLogged(st, walPath, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +312,7 @@ func TestDurableFlushThenCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	re, err := OpenDurable(st2, walPath, 0)
+	re, err := openLogged(st2, walPath, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,10 +335,10 @@ func TestDurableFlushThenCrash(t *testing.T) {
 }
 
 // TestEveryHandleIsLogged runs one program of Insert, Delete, ApplyBatch
-// and BulkLoad through a durable tree and through its embedded Tree in
-// turn, with a Flush of the embedded Tree halfway, then crashes and
-// reopens. Both handles reach the same logged tree, so every acknowledged
-// operation is there exactly once. When the log lived outside Tree, the
+// and BulkLoad through a durable tree and through the deprecated
+// DurableTree shim around it in turn, with a Flush of the tree halfway,
+// then crashes and reopens. Both handles reach the same logged tree, so
+// every acknowledged operation is there exactly once. When the log lived outside Tree, the
 // embedded handle's operations bypassed it and were lost, and its Flush
 // synced the store at the epoch the log still carried, so recovery
 // applied the logged operations a second time.
@@ -319,7 +354,7 @@ func TestEveryHandleIsLogged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDurableLog(st, l, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	d, err := Open(st, l, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +364,7 @@ func TestEveryHandleIsLogged(t *testing.T) {
 		ApplyBatch([]BatchOp) error
 		BulkLoad([]geometry.Point, []uint64) error
 	}
-	handles := []handle{d.Tree, d}
+	handles := []handle{d, &DurableTree{d}}
 
 	rng := rand.New(rand.NewSource(31))
 	points := map[uint64]geometry.Point{} // every payload ever acknowledged
@@ -385,7 +420,7 @@ func TestEveryHandleIsLogged(t *testing.T) {
 			}
 		}
 		if r == rounds/2 {
-			if err := d.Tree.Flush(); err != nil {
+			if err := d.Flush(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -397,7 +432,7 @@ func TestEveryHandleIsLogged(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	re, err := OpenDurable(st2, walPath, 0)
+	re, err := openLogged(st2, walPath, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

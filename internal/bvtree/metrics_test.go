@@ -140,7 +140,7 @@ func TestDurableMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	d, err := NewDurable(st, filepath.Join(dir, "tree.wal"), Options{Dims: 2})
+	d, err := openLogged(st, filepath.Join(dir, "tree.wal"), Options{Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestDurableMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Checkpoint(); err != nil {
+	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	s := d.Metrics()

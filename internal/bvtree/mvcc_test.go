@@ -282,7 +282,7 @@ func TestSnapshotDifferentialPaged(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			tr, err := NewPaged(st, Options{Dims: 2, DataCapacity: 8, Fanout: 8, CacheNodes: tc.cache})
+			tr, err := Open(st, nil, Options{Dims: 2, DataCapacity: 8, Fanout: 8, CacheNodes: tc.cache})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -299,7 +299,7 @@ func TestSnapshotDifferentialPaged(t *testing.T) {
 				}
 			}
 			defer st.Close()
-			re, err := OpenPaged(st, tc.cache)
+			re, err := Open(st, nil, Options{CacheNodes: tc.cache})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -438,7 +438,7 @@ func TestSnapshotOfSnapshotFails(t *testing.T) {
 		t.Run(backend, func(t *testing.T) {
 			tr, err := New(opt)
 			if backend == "paged" {
-				tr, err = NewPaged(storage.NewMemStore(), opt)
+				tr, err = Open(storage.NewMemStore(), nil, opt)
 			}
 			if err != nil {
 				t.Fatal(err)

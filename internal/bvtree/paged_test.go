@@ -13,7 +13,7 @@ import (
 
 func TestPagedTreeMemStore(t *testing.T) {
 	st := storage.NewMemStore()
-	tr, err := NewPaged(st, Options{Dims: 2, DataCapacity: 8, Fanout: 8, CacheNodes: 16})
+	tr, err := Open(st, nil, Options{Dims: 2, DataCapacity: 8, Fanout: 8, CacheNodes: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestPagedTreePersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewPaged(st, Options{Dims: 3, DataCapacity: 10, Fanout: 6})
+	tr, err := Open(st, nil, Options{Dims: 3, DataCapacity: 10, Fanout: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPagedTreePersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	re, err := OpenPaged(st2, 64)
+	re, err := Open(st2, nil, Options{CacheNodes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +111,16 @@ func TestPagedTreePersistenceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNewPagedRejectsUsedStore: a store whose first page is allocated
+// but holds no meta record is neither empty nor a tree, and Open refuses
+// it.
 func TestNewPagedRejectsUsedStore(t *testing.T) {
 	st := storage.NewMemStore()
 	if _, err := st.Alloc(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewPaged(st, Options{Dims: 2}); err == nil {
-		t.Fatal("NewPaged accepted a non-fresh store")
+	if _, err := Open(st, nil, Options{Dims: 2}); !errors.Is(err, page.ErrCorrupt) {
+		t.Fatalf("Open of a store with an empty first page: %v, want page.ErrCorrupt", err)
 	}
 }
 
@@ -125,8 +128,8 @@ func TestOpenPagedRejectsGarbageMeta(t *testing.T) {
 	st := storage.NewMemStore()
 	id, _ := st.Alloc()
 	_ = st.WriteNode(id, []byte("definitely not a meta page"))
-	if _, err := OpenPaged(st, 0); err == nil {
-		t.Fatal("OpenPaged accepted garbage metadata")
+	if _, err := Open(st, nil, Options{}); err == nil {
+		t.Fatal("Open accepted garbage metadata")
 	}
 }
 
@@ -135,7 +138,7 @@ func TestOpenPagedRejectsGarbageMeta(t *testing.T) {
 // input and is refused with page.ErrCorrupt.
 func TestOpenPagedRefusesOtherPrecision(t *testing.T) {
 	st := storage.NewMemStore()
-	tr, err := NewPaged(st, Options{Dims: 2})
+	tr, err := Open(st, nil, Options{Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +161,7 @@ func TestOpenPagedRefusesOtherPrecision(t *testing.T) {
 		if err := st.WriteNode(metaPageID, page.EncodeMeta(m)); err != nil {
 			t.Fatal(err)
 		}
-		re, err := OpenPaged(st, 0)
+		re, err := Open(st, nil, Options{})
 		switch {
 		case bits == bitsPerDim && err != nil:
 			t.Fatalf("the tree's own meta record refused: %v", err)
@@ -172,7 +175,7 @@ func TestOpenPagedRefusesOtherPrecision(t *testing.T) {
 
 func TestPagedCacheEviction(t *testing.T) {
 	st := storage.NewMemStore()
-	tr, err := NewPaged(st, Options{Dims: 2, DataCapacity: 6, Fanout: 5, CacheNodes: 4})
+	tr, err := Open(st, nil, Options{Dims: 2, DataCapacity: 6, Fanout: 5, CacheNodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +199,7 @@ func TestPagedCacheEviction(t *testing.T) {
 // writes every live node once, plus the meta page.
 func TestSavesEncodeAtWriteBack(t *testing.T) {
 	st := storage.NewMemStore()
-	tr, err := NewPaged(st, Options{Dims: 2, DataCapacity: 8, Fanout: 8, CacheNodes: 1 << 16})
+	tr, err := Open(st, nil, Options{Dims: 2, DataCapacity: 8, Fanout: 8, CacheNodes: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func TestRangeCostAgainstYardstick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewPaged(storage.NewMemStore(), Options{Dims: 2, CacheNodes: 1 << 20})
+	tr, err := Open(storage.NewMemStore(), nil, Options{Dims: 2, CacheNodes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

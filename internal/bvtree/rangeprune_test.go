@@ -140,7 +140,7 @@ func TestRangePointWindowVisitsHeightPlusOne(t *testing.T) {
 				if backend == "mem" {
 					tr, err = New(opt)
 				} else {
-					tr, err = NewPaged(storage.NewMemStore(), opt)
+					tr, err = Open(storage.NewMemStore(), nil, opt)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -344,7 +344,7 @@ func TestColumnarPrunedRangeDifferential(t *testing.T) {
 						}
 					}
 				}
-				ct := treeOf(cols)
+				ct := cols
 				if (ct.rootLevel == 0) != (sh.n < 8) {
 					t.Fatalf("root level %d with %d points", ct.rootLevel, sh.n)
 				}

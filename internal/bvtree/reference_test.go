@@ -52,19 +52,10 @@ func (t *Tree) rangeScalar(id page.ID, level int, rect geometry.Rect, visit Visi
 	return true, nil
 }
 
-// treeOf returns the *Tree behind either implementation of qtree.
-func treeOf(q qtree) *Tree {
-	if d, ok := q.(*DurableTree); ok {
-		return d.Tree
-	}
-	return q.(*Tree)
-}
-
-// referenceItems runs the reference walk of rect on q's own tree (no
+// referenceItems runs the reference walk of rect on tr (no
 // writer may be running) and returns the items it visits.
-func referenceItems(t *testing.T, q qtree, rect geometry.Rect) []page.Item {
+func referenceItems(t *testing.T, tr *Tree, rect geometry.Rect) []page.Item {
 	t.Helper()
-	tr := treeOf(q)
 	var out []page.Item
 	if _, err := tr.rangeScalar(tr.root, tr.rootLevel, rect, func(p geometry.Point, payload uint64) bool {
 		out = append(out, page.Item{Point: p, Payload: payload})
@@ -77,9 +68,9 @@ func referenceItems(t *testing.T, q qtree, rect geometry.Rect) []page.Item {
 
 // referenceRange is referenceItems as the canonically-sorted multiset
 // collect produces.
-func referenceRange(t *testing.T, q qtree, rect geometry.Rect) []string {
+func referenceRange(t *testing.T, tr *Tree, rect geometry.Rect) []string {
 	t.Helper()
-	items := referenceItems(t, q, rect)
+	items := referenceItems(t, tr, rect)
 	out := make([]string, len(items))
 	for i, it := range items {
 		out[i] = fmt.Sprintf("%v/%d", it.Point, it.Payload)

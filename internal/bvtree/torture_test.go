@@ -4,7 +4,7 @@ package bvtree
 // insert/delete/checkpoint workload runs over a fault-injecting
 // filesystem, a crash or corruption is injected at the Nth file
 // operation for N swept across the whole workload, and after each
-// injection the tree is reopened with OpenDurable and diffed against a
+// injection the tree is reopened with Open and diffed against a
 // logical shadow model. Acknowledged operations must survive every
 // crash; the single in-flight operation must be atomic (fully present or
 // fully absent); injected bit-flips must either be harmless, detected as
@@ -74,8 +74,6 @@ func tortureScript() []torOp {
 	return ops
 }
 
-var tortureOpts = Options{Dims: 2, DataCapacity: 8, Fanout: 8}
-
 func tortureStoreOpts(fs vfs.FS) storage.FileStoreOptions {
 	return storage.FileStoreOptions{SlotSize: 256, FS: fs}
 }
@@ -87,15 +85,7 @@ func tortureStoreOpts(fs vfs.FS) storage.FileStoreOptions {
 // acknowledged operations.
 func runTortureWorkload(script []torOp, ffs *fault.FS, dir string) (shadow map[uint64]geometry.Point, last, inflight *torOp, acked int) {
 	shadow = make(map[uint64]geometry.Point)
-	st, err := storage.CreateFileStore(filepath.Join(dir, "t.db"), tortureStoreOpts(ffs))
-	if err != nil {
-		return shadow, nil, nil, 0
-	}
-	l, err := wal.OpenFS(ffs, filepath.Join(dir, "t.wal"))
-	if err != nil {
-		return shadow, nil, nil, 0
-	}
-	d, err := NewDurableLog(st, l, tortureOpts)
+	_, d, err := openDir(dir, ffs, ffs, true, crashOpts)
 	if err != nil {
 		return shadow, nil, nil, 0
 	}
@@ -107,7 +97,7 @@ func runTortureWorkload(script []torOp, ffs *fault.FS, dir string) (shadow map[u
 		case 'd':
 			_, err = d.Delete(op.p, op.payload)
 		case 'c':
-			err = d.Checkpoint()
+			err = d.Flush()
 		}
 		if err != nil {
 			return shadow, last, op, acked
@@ -129,12 +119,12 @@ func runTortureWorkload(script []torOp, ffs *fault.FS, dir string) (shadow map[u
 // The in-flight operation (if any) is allowed either effect, but the
 // rest of the state must match exactly, and the structural invariants
 // must hold.
-func checkRecoveredState(d *DurableTree, shadow map[uint64]geometry.Point, inflight *torOp) error {
+func checkRecoveredState(d *Tree, shadow map[uint64]geometry.Point, inflight *torOp) error {
 	wantLen := len(shadow)
 	skip := uint64(0)
 	hasSkip := false
 	if inflight != nil && inflight.kind != 'c' {
-		found, err := contains(d.Tree, inflight.p, inflight.payload)
+		found, err := contains(d, inflight.p, inflight.payload)
 		if err != nil {
 			return fmt.Errorf("lookup of in-flight %v: %w", inflight, err)
 		}
@@ -157,7 +147,7 @@ func checkRecoveredState(d *DurableTree, shadow map[uint64]geometry.Point, infli
 		if hasSkip && pl == skip {
 			continue
 		}
-		found, err := contains(d.Tree, p, pl)
+		found, err := contains(d, p, pl)
 		if err != nil {
 			return fmt.Errorf("lookup of payload %d: %w", pl, err)
 		}
@@ -175,20 +165,6 @@ func checkRecoveredState(d *DurableTree, shadow map[uint64]geometry.Point, infli
 		return fmt.Errorf("epoch reclamation invariant: %w", err)
 	}
 	return nil
-}
-
-// reopenTorture reopens the crashed state with the real filesystem.
-func reopenTorture(dir string) (*storage.FileStore, *DurableTree, error) {
-	st, err := storage.OpenFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{})
-	if err != nil {
-		return nil, nil, err
-	}
-	d, err := OpenDurable(st, filepath.Join(dir, "t.wal"), 0)
-	if err != nil {
-		st.Close()
-		return nil, nil, err
-	}
-	return st, d, nil
 }
 
 func isCorruptionError(err error) bool {
@@ -236,8 +212,11 @@ func TestTortureCrashSweep(t *testing.T) {
 			shadow, _, inflight, acked := runTortureWorkload(script, ffs, dir)
 			ffs.CloseAll()
 
-			st, d, err := reopenTorture(dir)
+			st, d, err := openDir(dir, vfs.OS{}, vfs.OS{}, false, crashOpts)
 			if err != nil {
+				if st != nil {
+					st.Close()
+				}
 				// Only a crash before the first acknowledged operation (e.g.
 				// torn store header during creation) may leave the state
 				// unopenable.
@@ -307,8 +286,11 @@ func TestTortureCorruptionSweep(t *testing.T) {
 		walFlip := ffs.InjectedPath() == filepath.Join(dir, "t.wal")
 		ffs.CloseAll()
 
-		st, d, err := reopenTorture(dir)
+		st, d, err := openDir(dir, vfs.OS{}, vfs.OS{}, false, crashOpts)
 		if err != nil {
+			if st != nil {
+				st.Close()
+			}
 			if !isCorruptionError(err) {
 				t.Fatalf("%s: reopen failed with non-corruption error (acked=%d): %v", desc, acked, err)
 			}

@@ -16,6 +16,7 @@
 package bvtree
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -100,10 +101,10 @@ type OpStats = obs.TreeCountersSnapshot
 //     Maintain, Flush — hold the lock exclusively; before disturbing a
 //     page a pinned reader may still need, they capture its pre-image
 //     into a version chain (mvcc.go). On a tree with a write-ahead log
-//     (the one a DurableTree embeds) Insert, Delete, ApplyBatch and
-//     BulkLoad also enqueue their log records inside that exclusive
-//     section and return once the records are durable, and Flush is the
-//     checkpoint that empties the log (see commit).
+//     (see Open) Insert, Delete, ApplyBatch and BulkLoad also enqueue
+//     their log records inside that exclusive section and return once
+//     the records are durable, and Flush is the checkpoint that empties
+//     the log (see commit).
 //
 // The guard-set exact-match search (§3), range traversal and best-first
 // kNN keep all scratch state (guard sets, visit stacks, candidate heaps)
@@ -129,9 +130,9 @@ type Tree struct {
 	// and RestoreToLSN set it. 0 for a tree with no log history.
 	lsn uint64
 
-	// The write-ahead log, attached by the durable constructors after
-	// replay; nil on a tree without one. log is set before the tree is
-	// shared and never changes; wm and ckptBytes are guarded by mu.
+	// The write-ahead log, attached by Open after replay; nil on a tree
+	// without one. log is set before the tree is shared and never
+	// changes; wm and ckptBytes are guarded by mu.
 	log       *wal.Log
 	wm        *obs.WALMetrics // the WAL section of Metrics; nil until enabled
 	ckptBytes int64           // the AutoCheckpoint trigger; off when <= 0
@@ -154,11 +155,12 @@ type Tree struct {
 	mv *mvccState
 }
 
-// New returns an in-memory BV-tree: the tree NewPaged builds over a
-// fresh storage.MemStore, with a decoded cache that never trims, so the
-// store holds only what Flush writes. Options.CacheNodes is ignored.
+// New returns an in-memory BV-tree: Open over a fresh
+// storage.MemStore without a log, with a decoded cache that never trims,
+// so the store holds only what Flush writes. Options.CacheNodes is
+// ignored.
 func New(opt Options) (*Tree, error) {
-	return newPaged(storage.NewMemStore(), opt, math.MaxInt)
+	return open(storage.NewMemStore(), nil, opt, math.MaxInt)
 }
 
 // metaPageID is the fixed page holding a paged tree's root record: the
@@ -171,15 +173,74 @@ const metaPageID page.ID = 1
 // backup header record it, and a reader refuses any other value.
 const bitsPerDim = 64
 
-// NewPaged returns a BV-tree whose nodes are serialised into st. The
-// store must be freshly created; the tree takes ownership of node
-// allocation within it but does not close it. Call Flush to persist the
-// tree before closing the store; OpenPaged reopens the tree.
-func NewPaged(st storage.Store, opt Options) (*Tree, error) {
-	return newPaged(st, opt, opt.CacheNodes)
+// Open is the one way to start or reopen a tree in st, a store
+// dedicated to it. A store whose meta page was never allocated starts a
+// new tree shaped by opt; any other is reopened at its last Flush, and
+// each shape field of opt (Dims, DataCapacity, Fanout, LevelScaledPages)
+// must be zero or the stored one. A meta page that fails its check is
+// refused, never taken for an empty store. A non-nil l is the tree's
+// write-ahead log: a reopened tree first replays the operations l holds
+// since the checkpoint (discarding a log one checkpoint behind the
+// store, refusing one ahead of it), then every write is logged, and
+// Flush is the checkpoint that empties l. The tree owns l, closing it
+// on error and at Close; the store stays the caller's.
+func Open(st storage.Store, l *wal.Log, opt Options) (*Tree, error) {
+	return open(st, l, opt, opt.CacheNodes)
 }
 
-func newPaged(st storage.Store, opt Options, cacheNodes int) (*Tree, error) {
+// open is Open with the decoded cache's bound given apart from opt.
+func open(st storage.Store, l *wal.Log, opt Options, cacheNodes int) (*Tree, error) {
+	t, fresh, err := load(st, opt, cacheNodes)
+	if err == nil && l != nil {
+		err = t.attach(l, fresh)
+	}
+	if err != nil {
+		if l != nil {
+			l.Close()
+		}
+		return nil, err
+	}
+	return t, nil
+}
+
+// load starts a new tree in st when its meta page was never allocated,
+// reporting fresh, and otherwise reopens the tree the meta page records.
+func load(st storage.Store, opt Options, cacheNodes int) (t *Tree, fresh bool, err error) {
+	blob, err := st.ReadNode(metaPageID)
+	if errors.Is(err, storage.ErrUnallocated) {
+		t, err = create(st, opt, cacheNodes)
+		return t, true, err
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("bvtree: read tree metadata: %w", err)
+	}
+	m, err := page.DecodeMeta(blob)
+	if err != nil {
+		return nil, false, fmt.Errorf("bvtree: decode tree metadata: %w", err)
+	}
+	if m.BitsPerDim != bitsPerDim {
+		return nil, false, fmt.Errorf("bvtree: tree metadata: %w: %d bits per dimension, want %d",
+			page.ErrCorrupt, m.BitsPerDim, bitsPerDim)
+	}
+	if opt.Dims != 0 && opt.Dims != m.Dims || opt.DataCapacity != 0 && opt.DataCapacity != m.DataCapacity ||
+		opt.Fanout != 0 && opt.Fanout != m.Fanout || opt.LevelScaledPages && !m.LevelScaled {
+		return nil, false, fmt.Errorf("bvtree: the store holds a tree of Dims %d, DataCapacity %d, Fanout %d, LevelScaledPages %v; Options ask for %d, %d, %d, %v",
+			m.Dims, m.DataCapacity, m.Fanout, m.LevelScaled, opt.Dims, opt.DataCapacity, opt.Fanout, opt.LevelScaledPages)
+	}
+	opt.Dims, opt.DataCapacity, opt.Fanout, opt.LevelScaledPages = m.Dims, m.DataCapacity, m.Fanout, m.LevelScaled
+	if err := opt.fill(); err != nil {
+		return nil, false, err
+	}
+	if t, err = newTree(newPagedNodes(st, opt.Dims, cacheNodes), opt); err != nil {
+		return nil, false, err
+	}
+	t.root, t.rootLevel, t.size, t.epoch = m.Root, m.RootLevel, int(m.Size), m.Epoch
+	return t, false, nil
+}
+
+// create starts a new tree of shape opt in st, whose first page must be
+// the one it allocates now, and flushes it at checkpoint epoch 1.
+func create(st storage.Store, opt Options, cacheNodes int) (*Tree, error) {
 	if err := opt.fill(); err != nil {
 		return nil, err
 	}
@@ -199,42 +260,6 @@ func newPaged(st storage.Store, opt Options, cacheNodes int) (*Tree, error) {
 	}
 	t.epoch = 1
 	return t, t.Flush()
-}
-
-// OpenPaged reopens a tree previously created with NewPaged and persisted
-// with Flush. Its Options are the persisted shape (Dims, DataCapacity,
-// Fanout, LevelScaledPages) plus cacheNodes; metrics start off. A meta
-// record whose address precision is not bitsPerDim is refused as
-// corrupt.
-func OpenPaged(st storage.Store, cacheNodes int) (*Tree, error) {
-	blob, err := st.ReadNode(metaPageID)
-	if err != nil {
-		return nil, fmt.Errorf("bvtree: read tree metadata: %w", err)
-	}
-	m, err := page.DecodeMeta(blob)
-	if err != nil {
-		return nil, fmt.Errorf("bvtree: decode tree metadata: %w", err)
-	}
-	if m.BitsPerDim != bitsPerDim {
-		return nil, fmt.Errorf("bvtree: tree metadata: %w: %d bits per dimension, want %d",
-			page.ErrCorrupt, m.BitsPerDim, bitsPerDim)
-	}
-	opt := Options{
-		Dims:             m.Dims,
-		DataCapacity:     m.DataCapacity,
-		Fanout:           m.Fanout,
-		LevelScaledPages: m.LevelScaled,
-		CacheNodes:       cacheNodes,
-	}
-	if err := opt.fill(); err != nil {
-		return nil, err
-	}
-	t, err := newTree(newPagedNodes(st, opt.Dims, cacheNodes), opt)
-	if err != nil {
-		return nil, err
-	}
-	t.root, t.rootLevel, t.size, t.epoch = m.Root, m.RootLevel, int(m.Size), m.Epoch
-	return t, nil
 }
 
 // newTree returns an empty live tree over pn: no root yet.

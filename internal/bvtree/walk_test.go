@@ -48,7 +48,7 @@ func rangeBackends(t *testing.T, pts []geometry.Point, opt Options, fn func(t *t
 		fn(t, load(t, tr))
 	})
 	t.Run("paged-mem", func(t *testing.T) {
-		tr, err := NewPaged(storage.NewMemStore(), opt)
+		tr, err := Open(storage.NewMemStore(), nil, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func rangeBackends(t *testing.T, pts []geometry.Point, opt Options, fn func(t *t
 		defer st.Close()
 		popt := opt
 		popt.CacheNodes = 64 // small: most range reads miss the cache
-		tr, err := NewPaged(st, popt)
+		tr, err := Open(st, nil, popt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,12 +75,12 @@ func rangeBackends(t *testing.T, pts []geometry.Point, opt Options, fn func(t *t
 			t.Fatal(err)
 		}
 		defer st.Close()
-		d, err := NewDurable(st, filepath.Join(dir, "d.wal"), opt)
+		d, err := openLogged(st, filepath.Join(dir, "d.wal"), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer d.Close()
-		fn(t, load(t, d.Tree))
+		fn(t, load(t, d))
 	})
 }
 
@@ -242,7 +242,7 @@ func TestParallelRangeEarlyStop(t *testing.T) {
 // window alike.
 func TestParallelRangeErrorCancels(t *testing.T) {
 	inner := storage.NewMemStore()
-	tr, err := NewPaged(inner, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	tr, err := Open(inner, nil, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestParallelRangeErrorCancels(t *testing.T) {
 	for name, rect := range map[string]geometry.Rect{"scan": geometry.UniverseRect(2), "blob": blob} {
 		for _, counting := range []bool{false, true} {
 			fs := fault.NewStore(inner, 40)
-			cold, err := OpenPaged(fs, 16)
+			cold, err := Open(fs, nil, Options{CacheNodes: 16})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -435,12 +435,12 @@ func TestRangeRunsInline(t *testing.T) {
 	checkWithSnapshot("in-memory, RangeWorkers 4", load(asked))
 
 	st := storage.NewMemStore()
-	paged, err := NewPaged(st, Options{Dims: 2})
+	paged, err := Open(st, nil, Options{Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkWithSnapshot("paged", load(paged))
-	reopened, err := OpenPaged(st, 0)
+	reopened, err := Open(st, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestRangeRunsInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDurable(fst, filepath.Join(dir, "d.wal"), Options{Dims: 2})
+	d, err := openLogged(fst, filepath.Join(dir, "d.wal"), Options{Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestRangeRunsInline(t *testing.T) {
 	for i := range payloads {
 		payloads[i] = uint64(i)
 	}
-	if err := d.InsertBatch(pts, payloads); err != nil {
+	if err := d.BulkLoad(pts, payloads); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -473,11 +473,11 @@ func TestRangeRunsInline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fst.Close()
-	if d, err = OpenDurable(fst, filepath.Join(dir, "d.wal"), 0); err != nil {
+	if d, err = openLogged(fst, filepath.Join(dir, "d.wal"), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	checkWithSnapshot("reopened durable", d.Tree)
+	checkWithSnapshot("reopened durable", d)
 }
 
 // TestParallelRangeCountersAgree: the traversal counters mean one thing.
@@ -493,7 +493,7 @@ func TestParallelRangeCountersAgree(t *testing.T) {
 		pts[i] = clusteredPoint(rng, 2)
 	}
 	st := storage.NewMemStore()
-	tr, err := NewPaged(st, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	tr, err := Open(st, nil, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +520,7 @@ func TestParallelRangeCountersAgree(t *testing.T) {
 	type delta struct{ full, dataReads, empty, nodes uint64 }
 	var visited delta
 	for _, counting := range []bool{false, true} {
-		cold, err := OpenPaged(st, 0)
+		cold, err := Open(st, nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -613,7 +613,7 @@ func TestConcurrentRangeQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	tr, err := NewPaged(st, Options{Dims: 2, DataCapacity: 8, Fanout: 8, CacheNodes: 48})
+	tr, err := Open(st, nil, Options{Dims: 2, DataCapacity: 8, Fanout: 8, CacheNodes: 48})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func TestWritePathAtEveryHeight(t *testing.T) {
 		mk   func() (*Tree, error)
 	}{
 		{"mem", func() (*Tree, error) { return New(opt) }},
-		{"paged", func() (*Tree, error) { return NewPaged(storage.NewMemStore(), opt) }},
+		{"paged", func() (*Tree, error) { return Open(storage.NewMemStore(), nil, opt) }},
 	}
 	type state struct {
 		t      *testing.T
@@ -224,7 +224,7 @@ func buildTwice(t *testing.T, paged bool, opt Options, build func(*Tree) error) 
 		var err error
 		if paged {
 			stores[i] = storage.NewMemStore()
-			tr, err = NewPaged(stores[i], opt)
+			tr, err = Open(stores[i], nil, opt)
 		} else {
 			tr, err = New(opt)
 		}
@@ -346,7 +346,7 @@ func deleteFaultSweep(t *testing.T, cache, faults int) {
 	order := rand.New(rand.NewSource(10)).Perm(len(pts))
 	build := func() (*Tree, *fault.Store) {
 		fst := fault.NewStore(storage.NewMemStore(), 0)
-		tr, err := NewPaged(fst, opt)
+		tr, err := Open(fst, nil, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,7 +97,7 @@ type TreeMetrics struct {
 	Delete     Histogram // single-delete latency
 	RangeQuery Histogram // range-query latency
 	Nearest    Histogram // kNN latency
-	Batch      Histogram // ApplyBatch/InsertBatch latency (whole batch)
+	Batch      Histogram // ApplyBatch latency (whole batch)
 
 	DescentDepth Histogram // nodes visited per exact-match descent (sampled)
 	GuardSet     Histogram // max guard-set size per descent (sampled; paper bound: ≤ x−1)

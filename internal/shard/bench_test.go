@@ -100,7 +100,7 @@ func fanoutRouter(b *testing.B, backend string, plan Plan, pts []geometry.Point)
 			if err != nil {
 				b.Fatal(err)
 			}
-			tr, err := bvtree.NewPaged(st, opt)
+			tr, err := bvtree.Open(st, nil, opt)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -133,7 +133,7 @@ func fanoutRouter(b *testing.B, backend string, plan Plan, pts []geometry.Point)
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { st.Close() })
-		if engines[i], err = bvtree.OpenPaged(st, 16); err != nil {
+		if engines[i], err = bvtree.Open(st, nil, bvtree.Options{CacheNodes: 16}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,12 +9,13 @@ import (
 	"bvtree/internal/bvtree"
 	"bvtree/internal/geometry"
 	"bvtree/internal/storage"
+	"bvtree/internal/wal"
 	"bvtree/internal/workload"
 )
 
 // backends enumerates the engine constructions the differential battery
 // sweeps: pure in-memory trees, paged trees over an in-memory store,
-// and full DurableTrees (own WAL + own file-backed pager per shard).
+// and durable trees (own WAL + own file-backed pager per shard).
 var backends = []string{"mem", "paged", "durable"}
 
 // newEngines builds one engine per shard range of the plan, plus a
@@ -33,9 +34,9 @@ func newEngines(t testing.TB, backend string, plan Plan) []Engine {
 			}
 			engines[i] = tr
 		case "paged":
-			tr, err := bvtree.NewPaged(storage.NewMemStore(), opt)
+			tr, err := bvtree.Open(storage.NewMemStore(), nil, opt)
 			if err != nil {
-				t.Fatalf("NewPaged: %v", err)
+				t.Fatalf("Open: %v", err)
 			}
 			engines[i] = tr
 		case "durable":
@@ -45,9 +46,13 @@ func newEngines(t testing.TB, backend string, plan Plan) []Engine {
 			if err != nil {
 				t.Fatalf("CreateFileStore: %v", err)
 			}
-			d, err := bvtree.NewDurable(st, filepath.Join(dir, fmt.Sprintf("shard-%d.wal", i)), opt)
+			l, err := wal.Open(filepath.Join(dir, fmt.Sprintf("shard-%d.wal", i)))
 			if err != nil {
-				t.Fatalf("NewDurable: %v", err)
+				t.Fatalf("wal.Open: %v", err)
+			}
+			d, err := bvtree.Open(st, l, opt)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
 			}
 			t.Cleanup(func() { d.Close(); st.Close() })
 			engines[i] = d
@@ -267,20 +272,22 @@ func diffAll(t *testing.T, r *Router, ref *bvtree.Tree, pts []geometry.Point) {
 }
 
 // TestShardSingleShardDurable proves the degenerate configuration:
-// a 1-shard router over a DurableTree behaves identically to using the
-// same DurableTree bare — every operation delegates to the one
-// engine.
+// a 1-shard router over a durable tree behaves identically to using the
+// same kind of tree bare — every operation delegates to the one engine.
 func TestShardSingleShardDurable(t *testing.T) {
 	const dims, n = 2, 1200
 	dir := t.TempDir()
-	newDurable := func(name string) *bvtree.DurableTree {
+	newDurable := func(name string) *bvtree.Tree {
 		st, err := storage.CreateFileStore(filepath.Join(dir, name+".db"),
 			storage.FileStoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := bvtree.NewDurable(st, filepath.Join(dir, name+".wal"),
-			bvtree.Options{Dims: dims, DataCapacity: 8, Fanout: 8})
+		l, err := wal.Open(filepath.Join(dir, name+".wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := bvtree.Open(st, l, bvtree.Options{Dims: dims, DataCapacity: 8, Fanout: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,5 +329,5 @@ func TestShardSingleShardDurable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	diffAll(t, r, bare.Tree, pts)
+	diffAll(t, r, bare, pts)
 }

@@ -561,7 +561,7 @@ func TestShardServerPoisonedFileStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	tr, err := bvtree.NewPaged(st, bvtree.Options{Dims: dims, DataCapacity: 8, Fanout: 8, CacheNodes: 16})
+	tr, err := bvtree.Open(st, nil, bvtree.Options{Dims: dims, DataCapacity: 8, Fanout: 8, CacheNodes: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

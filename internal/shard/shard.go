@@ -2,10 +2,10 @@
 // partitioned index: a router assigns every point to exactly one shard
 // by its Morton (Z-order) key, so each shard owns a contiguous,
 // prefix-aligned slice of the interleaved key space and — when the
-// shards are DurableTrees — its own write-ahead log (which group-commits
-// its writers), checkpoint trigger and page store. Writers on different shards never share
-// a tree lock or a log fsync, which is what multiplies the single-node
-// write path by the shard count.
+// shards are trees opened with a log — its own write-ahead log (which
+// group-commits its writers), checkpoint trigger and page store. Writers
+// on different shards never share a tree lock or a log fsync, which is
+// what multiplies the single-node write path by the shard count.
 //
 // Shard boundaries are chosen by sampling (PlanShards): sort the Z-keys
 // of a workload sample, take the shard-count quantiles, and round each
@@ -37,7 +37,7 @@ import (
 )
 
 // Engine is the per-shard index the router routes to. *bvtree.Tree
-// and *bvtree.DurableTree both satisfy it; tests wrap it to inject
+// satisfies it, with or without a log; tests wrap it to inject
 // faults. Implementations must be safe for concurrent use (the server
 // runs one goroutine per connection, and Count and Nearest ask their
 // shards in parallel). A point or rect argument is valid only for the
@@ -56,8 +56,8 @@ type Engine interface {
 }
 
 // MetricsSource is the optional metrics surface of an Engine.
-// *bvtree.Tree and *bvtree.DurableTree provide it; the router's
-// ShardMetrics and AggregateCounters use it when present.
+// *bvtree.Tree provides it; the router's ShardMetrics and
+// AggregateCounters use it when present.
 type MetricsSource interface {
 	Metrics() obs.Snapshot
 }

@@ -27,7 +27,7 @@ import (
 // write-set image, loading it from the file first when it needs the old
 // chain or free-list link. The file changes only at Sync, so between Syncs
 // it holds exactly the last completed Sync — the checkpoint discipline
-// bvtree.DurableTree builds on. The price is memory: every slot written
+// a tree with a write-ahead log (bvtree.Open) builds on. The price is memory: every slot written
 // since the last Sync stays resident as a full slot image.
 //
 // Concurrency: mutations (Alloc, WriteNode, Free, Sync, Close) hold the
@@ -379,8 +379,12 @@ func (s *FileStore) lend(id page.ID, buf []byte) ([]byte, bool, error) {
 // at id, taking each slot's image from the write set when the slot is
 // there, and otherwise from the file, by one pread into buf, a slot
 // buffer. A node of one slot read into buf comes back as a slice of buf,
-// with lent set; any other node comes back as a fresh blob.
+// with lent set; any other node comes back as a fresh blob. A page past
+// the allocated slots is refused with ErrUnallocated before any read.
 func (s *FileStore) readNodeVia(id page.ID, buf []byte) (blob []byte, lent bool, err error) {
+	if id == 0 || uint64(id) >= s.nextSlot {
+		return nil, false, fmt.Errorf("%w: read of page %d", ErrUnallocated, id)
+	}
 	atomic.AddUint64(&s.stats.NodeReads, 1)
 	var out []byte
 	var hops uint64

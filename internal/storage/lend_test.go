@@ -45,7 +45,7 @@ func sameRead(t *testing.T, what string, st lendingStore, id page.ID) error {
 	if (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error() {
 		t.Errorf("%s: LendNode error %v, ReadNode error %v", what, gerr, werr)
 	}
-	for _, sentinel := range []error{storage.ErrCorrupt, storage.ErrClosed, storage.ErrPoisoned} {
+	for _, sentinel := range []error{storage.ErrCorrupt, storage.ErrClosed, storage.ErrPoisoned, storage.ErrUnallocated} {
 		if errors.Is(werr, sentinel) != errors.Is(gerr, sentinel) {
 			t.Errorf("%s: errors.Is(%v) is %v for ReadNode, %v for LendNode", what, sentinel, errors.Is(werr, sentinel), errors.Is(gerr, sentinel))
 		}

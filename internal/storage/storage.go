@@ -24,7 +24,8 @@ import (
 type Store interface {
 	// Alloc reserves a new node ID with empty contents.
 	Alloc() (page.ID, error)
-	// ReadNode returns the blob most recently written to id.
+	// ReadNode returns the blob most recently written to id. A page that
+	// was never allocated fails with ErrUnallocated.
 	ReadNode(id page.ID) ([]byte, error)
 	// WriteNode replaces the blob stored at id.
 	WriteNode(id page.ID, blob []byte) error
@@ -135,7 +136,7 @@ func (m *MemStore) ReadNode(id page.ID) ([]byte, error) {
 	defer m.mu.RUnlock()
 	b, ok := m.blobs[id]
 	if !ok {
-		return nil, fmt.Errorf("storage: read of unallocated page %d", id)
+		return nil, fmt.Errorf("%w: read of page %d", ErrUnallocated, id)
 	}
 	atomic.AddUint64(&m.stats.NodeReads, 1)
 	out := make([]byte, len(b))
@@ -151,7 +152,7 @@ func (m *MemStore) LendNode(id page.ID, use func(page.ID, []byte) (any, error)) 
 	b, ok := m.blobs[id]
 	m.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("storage: read of unallocated page %d", id)
+		return nil, fmt.Errorf("%w: read of page %d", ErrUnallocated, id)
 	}
 	atomic.AddUint64(&m.stats.NodeReads, 1)
 	return use(id, b)

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -305,6 +306,72 @@ func TestErrorsOnUnallocated(t *testing.T) {
 	}
 	if err := m.Free(99); err == nil {
 		t.Fatal("free of unallocated page succeeded")
+	}
+}
+
+// TestReadOfUnallocatedPage: on both stores a read of a page that was
+// never allocated — every page of a fresh store, page 0, a page past the
+// last allocation — fails with ErrUnallocated, through ReadNode and
+// LendNode alike, and a FileStore refuses it without reading the file.
+// An allocated page, even one never written, is not refused, and a
+// FileStore reopened from its file still knows which pages it allocated.
+func TestReadOfUnallocatedPage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fresh.db")
+	fs, err := CreateFileStore(path, FileStoreOptions{SlotSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	for name, st := range map[string]interface {
+		Store
+		Lender
+	}{"mem": NewMemStore(), "file": fs} {
+		t.Run(name, func(t *testing.T) {
+			refused := func(id page.ID) {
+				t.Helper()
+				before := st.Stats()
+				if _, err := st.ReadNode(id); !errors.Is(err, ErrUnallocated) {
+					t.Errorf("ReadNode(%d): err = %v, want ErrUnallocated", id, err)
+				}
+				if _, err := st.LendNode(id, func(page.ID, []byte) (any, error) { return nil, nil }); !errors.Is(err, ErrUnallocated) {
+					t.Errorf("LendNode(%d): err = %v, want ErrUnallocated", id, err)
+				}
+				if d := st.Stats().Sub(before); d.NodeReads != 0 || d.SlotReads != 0 {
+					t.Errorf("refused read of page %d counted %d node and %d slot reads", id, d.NodeReads, d.SlotReads)
+				}
+			}
+			refused(0)
+			refused(1)
+			id, err := st.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.ReadNode(id); err != nil {
+				t.Fatalf("read of an allocated, unwritten page: %v", err)
+			}
+			refused(id + 1)
+			refused(id + 1000)
+		})
+	}
+	if err := fs.WriteNode(1, []byte("meta")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenFileStore(path, FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got, err := re.ReadNode(1); err != nil || string(got) != "meta" {
+		t.Fatalf("reopened page 1 = %q, %v", got, err)
+	}
+	if _, err := re.ReadNode(2); !errors.Is(err, ErrUnallocated) {
+		t.Fatalf("reopened page 2: err = %v, want ErrUnallocated", err)
 	}
 }
 

@@ -2,30 +2,25 @@ package wal
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
 // FuzzReplay feeds arbitrary byte images to Open+Replay. Whatever the
 // bytes, the log must never panic, and a successful replay must be
 // deterministic: replaying the (possibly tail-truncated) log a second
-// time yields the identical record sequence.
+// time yields the identical record sequence. Each image is a file of an
+// in-memory filesystem (memFS), so an exec touches no disk.
 func FuzzReplay(f *testing.F) {
 	// Seed with a valid two-record image and damaged variants of it.
-	seedDir := f.TempDir()
-	seedPath := filepath.Join(seedDir, "seed.wal")
-	l, err := Open(seedPath)
+	seed := memFS{}
+	l, err := OpenFS(seed, "seed.wal")
 	if err != nil {
 		f.Fatal(err)
 	}
 	_ = l.ResetAt(3, 0)
 	_ = commit(l, []byte("first-record"), []byte("second"))
 	_ = l.Close()
-	valid, err := os.ReadFile(seedPath)
-	if err != nil {
-		f.Fatal(err)
-	}
+	valid := *seed["seed.wal"]
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3]) // torn tail
 	flipped := append([]byte(nil), valid...)
@@ -36,11 +31,8 @@ func FuzzReplay(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "f.wal")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		l, err := Open(path)
+		image := bytes.Clone(data)
+		l, err := OpenFS(memFS{"f.wal": &image}, "f.wal")
 		if err != nil {
 			return // rejected images are fine; panics are not
 		}

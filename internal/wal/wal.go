@@ -1,5 +1,5 @@
 // Package wal implements a minimal append-only write-ahead log with
-// per-record checksums. The durable tree layer (bvtree.NewDurable) logs
+// per-record checksums. A tree opened with a log (bvtree.Open) logs
 // logical operations here and replays them on open, providing
 // redo-from-checkpoint recovery on top of the page store — the
 // "completely predictable all the time" operational requirement the
