@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify race torture fuzz fuzz-restore fuzz-bulkload bench backup docslint server
+.PHONY: verify race torture fuzz fuzz-restore fuzz-bulkload fuzz-masks bench backup docslint server
 
 # The standard verification gate: static checks, build, full test suite
 # (including the runnable godoc examples), the documentation lint (every
@@ -117,6 +117,12 @@ backup:
 # multiset.
 fuzz-bulkload:
 	$(GO) test -run '^$$' -fuzz=FuzzBulkLoad -fuzztime=30s -fuzzminimizetime=5s ./internal/bvtree
+
+# Coverage-guided fuzzing of the column mask passes: over fuzzed rows,
+# windows and probes, Intersect64, Within64, Cover64, ContainMask64 and
+# EqualMask64 must agree with plain per-row loops.
+fuzz-masks:
+	$(GO) test -run '^$$' -fuzz=FuzzColumnMasks -fuzztime=30s -fuzzminimizetime=5s ./internal/page
 
 # Run the sharded server on the default address (:9412) with a default
 # data directory. First start samples a workload and writes the shard

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -67,37 +68,60 @@ func buildTree(b *testing.B, kind workload.Kind, n int) (*bvtree.Tree, []bvtree.
 	return tr, pts
 }
 
-func BenchmarkInsertUniform(b *testing.B) {
-	pts, err := workload.Generate(workload.Uniform, 2, b.N, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, err := bvtree.New(bvtree.Options{Dims: 2, DataCapacity: 32, Fanout: 24})
-	if err != nil {
-		b.Fatal(err)
-	}
+// BenchmarkInsertUniform, BenchmarkInsertNested and BenchmarkDelete
+// price the in-memory write path in the steady state of steadyTree and
+// steadyOps: an op is one Insert and one Delete on a tree held at
+// steadyN points of their point set.
+func BenchmarkInsertUniform(b *testing.B) { benchSteadyWrites(b, workload.Uniform) }
+func BenchmarkInsertNested(b *testing.B)  { benchSteadyWrites(b, workload.Nested) }
+func BenchmarkDelete(b *testing.B)        { benchSteadyWrites(b, workload.Clustered) }
+
+// steadyChunk is how many ops benchSteadyWrites times on one tree. What
+// an op costs drifts along the op sequence (on nested points an op
+// makes 8 node accesses at first and 10 after 20k ops), so the benchmark
+// rebuilds the tree with the timer stopped every steadyChunk ops: each
+// chunk runs the same ops on the same tree, and ns/op is the same at
+// any b.N that is a multiple of it.
+const steadyChunk = 2000
+
+// benchSteadyWrites times steady-state ops on an in-memory tree of
+// kind's points, each chunk on a tree warmed by steadyN ops first, so
+// that no chunk times the split burst that follows a preload, and on a
+// heap just collected.
+func benchSteadyWrites(b *testing.B, kind workload.Kind) {
+	pts := benchPoints(b, kind)
+	var (
+		tr   *bvtree.Tree
+		next *atomic.Uint64
+		err  error
+	)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tr.Insert(pts[i], uint64(i)); err != nil {
-			b.Fatal(err)
+		if i%steadyChunk == 0 {
+			b.StopTimer()
+			if tr, err = bvtree.New(bvtree.Options{Dims: 2, DataCapacity: 32, Fanout: 24}); err != nil {
+				b.Fatal(err)
+			}
+			next = steadyTree(b, tr, pts)
+			for j := 0; j < steadyN; j++ {
+				steadyWrite(b, tr, pts, next.Add(1))
+			}
+			runtime.GC() // the chunk before and the rebuild leave their garbage out of this chunk
+			b.StartTimer()
 		}
+		steadyWrite(b, tr, pts, next.Add(1))
 	}
 }
 
-func BenchmarkInsertNested(b *testing.B) {
-	pts, err := workload.Generate(workload.Nested, 2, b.N, 2)
-	if err != nil {
+// steadyWrite applies op i of the steady state to tr as an Insert and a
+// Delete.
+func steadyWrite(b *testing.B, tr *bvtree.Tree, pts []bvtree.Point, i uint64) {
+	ins, del := steadyOps(pts, i)
+	if err := tr.Insert(ins.Point, ins.Payload); err != nil {
 		b.Fatal(err)
 	}
-	tr, err := bvtree.New(bvtree.Options{Dims: 2, DataCapacity: 32, Fanout: 24})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tr.Insert(pts[i], uint64(i)); err != nil {
-			b.Fatal(err)
-		}
+	if ok, err := tr.Delete(del.Point, del.Payload); err != nil || !ok {
+		b.Fatalf("delete %d: %v %v", del.Payload, ok, err)
 	}
 }
 
@@ -123,28 +147,6 @@ func BenchmarkRangeQuery1pc(b *testing.B) {
 		})
 		if err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDelete(b *testing.B) {
-	pts, err := workload.Generate(workload.Clustered, 2, b.N, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, err := bvtree.New(bvtree.Options{Dims: 2, DataCapacity: 32, Fanout: 24})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i, p := range pts {
-		if err := tr.Insert(p, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ok, err := tr.Delete(pts[i], uint64(i)); err != nil || !ok {
-			b.Fatalf("delete %d: %v %v", i, ok, err)
 		}
 	}
 }
@@ -218,8 +220,8 @@ func BenchmarkInstrumented(b *testing.B) {
 	}
 }
 
-// steadyN is the size of the steady-state tree the durable write
-// benchmarks run on: op i inserts point i and deletes point i-steadyN,
+// steadyN is the size of the steady-state tree the write benchmarks
+// run on: op i inserts point i and deletes point i-steadyN,
 // so what an op costs does not grow with b.N.
 const steadyN = 4096
 

@@ -2,6 +2,8 @@
 // persisted store created by bvload) and prints its structure and
 // statistics: node occupancies per level, guard populations, and — with
 // -tree — the full indented node/entry rendering showing promoted guards.
+// It prints the tree's shape too: P, F, and with -store how full the
+// nodes keep the store's slots.
 package main
 
 import (
@@ -20,8 +22,8 @@ func main() {
 		n      = flag.Int("n", 10000, "number of points")
 		seed   = flag.Uint64("seed", 1, "workload seed")
 		dist   = flag.String("dist", "clustered", "distribution: uniform|clustered|skewed|diagonal|nested")
-		p      = flag.Int("p", 16, "data page capacity P")
-		f      = flag.Int("f", 16, "index fan-out F")
+		p      = flag.Int("p", 0, "data page capacity P (0: the tree's default, sized to the slot with -store)")
+		f      = flag.Int("f", 0, "index fan-out F (0: the tree's default)")
 		scaled = flag.Bool("scaled", false, "level-scaled index pages (§7.3)")
 		tree   = flag.Bool("tree", false, "print the full tree structure")
 		store  = flag.String("store", "", "build into this file-backed store instead of memory")
@@ -30,8 +32,9 @@ func main() {
 
 	opt := bvtree.Options{Dims: *dims, DataCapacity: *p, Fanout: *f, LevelScaledPages: *scaled}
 	var (
-		tr  *bvtree.Tree
-		err error
+		tr   *bvtree.Tree
+		slot int // the store's SlotPayload; 0 in memory
+		err  error
 	)
 	if *store != "" {
 		st, serr := storage.CreateFileStore(*store, storage.FileStoreOptions{})
@@ -39,6 +42,7 @@ func main() {
 			fail(serr)
 		}
 		defer st.Close()
+		slot = st.SlotPayload()
 		tr, err = bvtree.Open(st, nil, opt)
 	} else {
 		tr, err = bvtree.New(opt)
@@ -65,6 +69,18 @@ func main() {
 		fail(err)
 	}
 	fmt.Print(st)
+	shape := tr.Options()
+	fmt.Printf("shape: P=%d F=%d", shape.DataCapacity, shape.Fanout)
+	nodes := st.DataPages
+	for _, ls := range st.IndexLevels {
+		nodes += ls.Nodes
+	}
+	mean := float64(st.NodeBytes) / float64(nodes)
+	if slot > 0 {
+		fmt.Printf(" slotFill=%.0f%% (mean node %.0f B of a %d B slot payload)\n", 100*mean/float64(slot), mean, slot)
+	} else {
+		fmt.Printf(" mean node %.0f B (in memory, no slot)\n", mean)
+	}
 	ops := tr.Stats()
 	fmt.Printf("ops: dataSplits=%d indexSplits=%d promotions=%d demotions=%d merges=%d softOverflows=%d\n",
 		ops.DataSplits, ops.IndexSplits, ops.Promotions, ops.Demotions, ops.Merges, ops.SoftOverflows)

@@ -279,7 +279,7 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 	epoch := binary.LittleEndian.Uint64(hdr[40:])
 	baseLSN := binary.LittleEndian.Uint64(hdr[48:])
 	pageCount := binary.LittleEndian.Uint64(hdr[56:])
-	if err := opt.fill(); err != nil {
+	if err := opt.fill(0); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if bits := binary.LittleEndian.Uint32(hdr[20:]); bits != bitsPerDim {

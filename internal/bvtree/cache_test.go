@@ -266,18 +266,19 @@ func TestCacheDeterministic(t *testing.T) {
 	}
 }
 
-// residencyTree builds n clustered points into a FileStore, flushes it and
+// residencyTree builds n clustered points into a FileStore tree of
+// shape's DataCapacity and Fanout (zero: the defaults), flushes it and
 // reopens it cold with a cache that holds the whole index with room to
 // spare. It returns the reopened tree, its store, the points and the
 // number of index nodes.
-func residencyTree(t *testing.T, n int) (*Tree, *storage.FileStore, []geometry.Point, int) {
+func residencyTree(t *testing.T, n int, shape Options) (*Tree, *storage.FileStore, []geometry.Point, int) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "tree.db")
 	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Open(st, nil, Options{Dims: 2, DataCapacity: 16, Fanout: 8, CacheNodes: 1 << 20})
+	tr, err := Open(st, nil, Options{Dims: 2, DataCapacity: shape.DataCapacity, Fanout: shape.Fanout, CacheNodes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,51 +326,59 @@ func residencyTree(t *testing.T, n int) (*Tree, *storage.FileStore, []geometry.P
 // TestColdLookupReadsOnePage: once a tree's index fits its cache, data
 // pages are what trim evicts, so after one pass over the tree every
 // Lookup whose data page is not cached makes exactly one store read, and
-// every other Lookup none.
+// every other Lookup none. It holds for a small shape and for the
+// default one, whose data pages are sized to fill a slot.
 func TestColdLookupReadsOnePage(t *testing.T) {
-	tr, st, pts, index := residencyTree(t, 20000)
-	for _, p := range pts {
-		if _, err := tr.Lookup(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cs := tr.Metrics().Cache
-	if cs.IndexNodes != int64(index) || cs.TreeIndexNodes != int64(index) {
-		t.Fatalf("after warm-up the cache holds %d of %d index nodes (Metrics says the tree has %d)", cs.IndexNodes, index, cs.TreeIndexNodes)
-	}
-	cold := 0
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 2000; i++ {
-		p := pts[rng.Intn(len(pts))]
-		a, err := tr.addr(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr.mu.RLock()
-		d, err := tr.descendPoint(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := uint64(0)
-		if !isCached(tr.paged, d.dataID) {
-			want = 1
-		}
-		putDescent(d)
-		tr.mu.RUnlock()
-		before := st.Stats().SlotReads
-		if _, err := tr.Lookup(p); err != nil {
-			t.Fatal(err)
-		}
-		if got := st.Stats().SlotReads - before; got != want {
-			t.Fatalf("lookup %d made %d store reads, want %d", i, got, want)
-		}
-		cold += int(want)
-	}
-	if cold < 1000 {
-		t.Fatalf("only %d of 2000 lookups were cold", cold)
-	}
-	if got := tr.Metrics().Cache.IndexReads; got != uint64(index) {
-		t.Fatalf("%d index reads in all, want each of the %d index nodes once", got, index)
+	for _, arm := range []struct {
+		name  string
+		shape Options
+	}{{"P16-F8", Options{DataCapacity: 16, Fanout: 8}}, {"default", Options{}}} {
+		t.Run(arm.name, func(t *testing.T) {
+			tr, st, pts, index := residencyTree(t, 20000, arm.shape)
+			for _, p := range pts {
+				if _, err := tr.Lookup(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cs := tr.Metrics().Cache
+			if cs.IndexNodes != int64(index) || cs.TreeIndexNodes != int64(index) {
+				t.Fatalf("after warm-up the cache holds %d of %d index nodes (Metrics says the tree has %d)", cs.IndexNodes, index, cs.TreeIndexNodes)
+			}
+			cold := 0
+			rng := rand.New(rand.NewSource(4))
+			for i := 0; i < 2000; i++ {
+				p := pts[rng.Intn(len(pts))]
+				a, err := tr.addr(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr.mu.RLock()
+				d, err := tr.descendPoint(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := uint64(0)
+				if !isCached(tr.paged, d.dataID) {
+					want = 1
+				}
+				putDescent(d)
+				tr.mu.RUnlock()
+				before := st.Stats().SlotReads
+				if _, err := tr.Lookup(p); err != nil {
+					t.Fatal(err)
+				}
+				if got := st.Stats().SlotReads - before; got != want {
+					t.Fatalf("lookup %d made %d store reads, want %d", i, got, want)
+				}
+				cold += int(want)
+			}
+			if cold < 1000 {
+				t.Fatalf("only %d of 2000 lookups were cold", cold)
+			}
+			if got := tr.Metrics().Cache.IndexReads; got != uint64(index) {
+				t.Fatalf("%d index reads in all, want each of the %d index nodes once", got, index)
+			}
+		})
 	}
 }
 
@@ -377,7 +386,7 @@ func TestColdLookupReadsOnePage(t *testing.T) {
 // decodes, so repeating a cold RangeQuery reads only data pages, which a
 // walk never admits.
 func TestRangeWarmsIndex(t *testing.T) {
-	tr, st, _, _ := residencyTree(t, 20000)
+	tr, st, _, _ := residencyTree(t, 20000, Options{DataCapacity: 16, Fanout: 8})
 	rect := workload.QueryRects(2, 1, 0.2, 8)[0]
 	run := func() (index, data, reads uint64, items int) {
 		c0, s0 := tr.Metrics().Cache, st.Stats().NodeReads

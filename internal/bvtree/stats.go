@@ -32,6 +32,9 @@ type TreeStats struct {
 	TotalGuards  int
 	// GuardShare is guards / total index entries.
 	GuardShare float64
+	// NodeBytes is the encoded size of every index node and data page,
+	// what the tree's nodes take of the store's slots.
+	NodeBytes int
 }
 
 // CollectStats walks the tree and gathers occupancy and guard statistics.
@@ -52,6 +55,7 @@ func (t *Tree) CollectStats() (*TreeStats, error) {
 		}
 		s.DataPages++
 		s.Items += dp.Len()
+		s.NodeBytes += len(page.EncodeData(dp, t.opt.Dims))
 		occ := float64(dp.Len()) / float64(t.opt.DataCapacity)
 		sumDataOcc += occ
 		if first || occ < s.DataMinOcc {
@@ -77,6 +81,7 @@ func (t *Tree) CollectStats() (*TreeStats, error) {
 		}
 		entries := n.ReadEntries()
 		ls.Nodes++
+		s.NodeBytes += len(page.EncodeIndex(n))
 		ls.Entries += len(entries)
 		guards := 0
 		for _, e := range entries {

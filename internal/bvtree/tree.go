@@ -35,8 +35,12 @@ import (
 type Options struct {
 	// Dims is the dimensionality of the indexed points. Required.
 	Dims int
-	// DataCapacity is P: the maximum number of items per data page
-	// (default 32).
+	// DataCapacity is P: the maximum number of items per data page.
+	// When zero, a tree created in a store with slots takes the largest
+	// P whose worst-case data page fits one slot
+	// (page.DataCapacityFor; 168 at Dims 2 in a default FileStore), and
+	// a tree in a store without slots, as New makes, takes 32. A
+	// reopened tree keeps the P it was created with.
 	DataCapacity int
 	// Fanout is F: the maximum number of entries per index node
 	// (default 16). With LevelScaledPages a node at index level x holds
@@ -61,12 +65,18 @@ type Options struct {
 	RangeWorkers int
 }
 
-func (o *Options) fill() error {
+// fill validates o and sets its zero shape fields to their defaults; a
+// zero DataCapacity is sized to slotPayload, the SlotPayload of the
+// store the tree is created in.
+func (o *Options) fill(slotPayload int) error {
 	if o.Dims < 1 || o.Dims > geometry.MaxDims {
 		return fmt.Errorf("bvtree: Dims %d out of range 1..%d", o.Dims, geometry.MaxDims)
 	}
 	if o.DataCapacity == 0 {
 		o.DataCapacity = 32
+		if slotPayload > 0 {
+			o.DataCapacity = page.DataCapacityFor(slotPayload, o.Dims)
+		}
 	}
 	if o.DataCapacity < 4 {
 		return fmt.Errorf("bvtree: DataCapacity %d below minimum 4", o.DataCapacity)
@@ -228,7 +238,7 @@ func load(st storage.Store, opt Options, cacheNodes int) (t *Tree, fresh bool, e
 			m.Dims, m.DataCapacity, m.Fanout, m.LevelScaled, opt.Dims, opt.DataCapacity, opt.Fanout, opt.LevelScaledPages)
 	}
 	opt.Dims, opt.DataCapacity, opt.Fanout, opt.LevelScaledPages = m.Dims, m.DataCapacity, m.Fanout, m.LevelScaled
-	if err := opt.fill(); err != nil {
+	if err := opt.fill(0); err != nil {
 		return nil, false, err
 	}
 	if t, err = newTree(newPagedNodes(st, opt.Dims, cacheNodes), opt); err != nil {
@@ -241,7 +251,7 @@ func load(st storage.Store, opt Options, cacheNodes int) (t *Tree, fresh bool, e
 // create starts a new tree of shape opt in st, whose first page must be
 // the one it allocates now, and flushes it at checkpoint epoch 1.
 func create(st storage.Store, opt Options, cacheNodes int) (*Tree, error) {
-	if err := opt.fill(); err != nil {
+	if err := opt.fill(st.SlotPayload()); err != nil {
 		return nil, err
 	}
 	metaID, err := st.Alloc()

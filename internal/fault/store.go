@@ -12,7 +12,8 @@ import (
 // logical store operation (Alloc, ReadNode, WriteNode, Free, Sync). Once
 // tripped, every subsequent operation fails with ErrInjected — the tree
 // above must treat the store as gone, exactly as FileStore's own
-// poisoning contract demands. Stats and Close always pass through.
+// poisoning contract demands. Stats, SlotPayload and Close always pass
+// through.
 type Store struct {
 	inner storage.Store
 
@@ -106,6 +107,9 @@ func (s *Store) Sync() error {
 
 // Stats implements storage.Store.
 func (s *Store) Stats() storage.Stats { return s.inner.Stats() }
+
+// SlotPayload implements storage.Store.
+func (s *Store) SlotPayload() int { return s.inner.SlotPayload() }
 
 // Close implements storage.Store.
 func (s *Store) Close() error { return s.inner.Close() }

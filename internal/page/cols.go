@@ -285,7 +285,10 @@ func (c *NodeCols) Extends(key region.BitString, level int) bool {
 // Intersect64 is the batched rectangle-overlap pass (intersectAll): it
 // tests the up-to-64 entry bricks starting at base against rect with
 // two comparisons per dimension over the stored bounds — no per-bit
-// narrowing — and returns the qualifying entries as a bitmask.
+// narrowing — and returns the qualifying entries as a bitmask. The
+// comparisons are subtraction borrows OR-ed across the dimensions, so
+// the pass has no branch that depends on the bounds: most entries miss
+// a small window, in no pattern a predictor learns.
 func (c *NodeCols) Intersect64(rect geometry.Rect, base int) uint64 {
 	hi := base + 64
 	if hi > c.n {
@@ -293,21 +296,19 @@ func (c *NodeCols) Intersect64(rect geometry.Rect, base int) uint64 {
 	}
 	dims := c.dims
 	stride := 2 * dims
-	rmin, rmax := rect.Min, rect.Max
+	rmin, rmax := rect.Min[:dims], rect.Max[:dims]
 	b := c.bounds[base*stride : hi*stride]
 	var m uint64
 	for i := 0; i < hi-base; i++ {
 		eb := b[i*stride : i*stride+stride : i*stride+stride]
-		ok := true
-		for d := 0; d < dims; d++ {
-			if eb[d] > rmax[d] || eb[dims+d] < rmin[d] {
-				ok = false
-				break
-			}
+		emin, emax := eb[:dims], eb[dims:]
+		var bad uint64
+		for d, lo := range rmin {
+			_, above := bits.Sub64(rmax[d], emin[d], 0) // brick starts past the window
+			_, below := bits.Sub64(emax[d], lo, 0)      // brick ends before it
+			bad |= above | below
 		}
-		if ok {
-			m |= 1 << uint(i)
-		}
+		m |= (bad ^ 1) << uint(i)
 	}
 	return m
 }

@@ -181,7 +181,10 @@ func (c *DataCols) EqualMask64(p geometry.Point, base int) uint64 {
 
 // ContainMask64 returns a bitmask over items [base, base+64) of those
 // whose point lies inside r (boundaries inclusive) — the batched form of
-// Rect.Contains per item.
+// Rect.Contains per item. The first dimension's pass, the one that
+// visits every row, tests both bounds as subtraction borrows, with no
+// branch that depends on the coordinates; the later passes visit only
+// the rows that survived it.
 func (c *DataCols) ContainMask64(r geometry.Rect, base int) uint64 {
 	cnt := c.n - base
 	if cnt > 64 {
@@ -191,9 +194,9 @@ func (c *DataCols) ContainMask64(r geometry.Rect, base int) uint64 {
 	row := c.coords[base : base+cnt]
 	lo, hi := r.Min[0], r.Max[0]
 	for i, w := range row {
-		if w >= lo && w <= hi {
-			m |= 1 << uint(i)
-		}
+		_, below := bits.Sub64(w, lo, 0)
+		_, above := bits.Sub64(hi, w, 0)
+		m |= ((below | above) ^ 1) << uint(i)
 	}
 	for d := 1; d < c.dims && m != 0; d++ {
 		row = c.coords[d*c.stride+base : d*c.stride+base+cnt]

@@ -171,6 +171,17 @@ func EncodeData(p *DataPage, dims int) []byte {
 	return w.finish()
 }
 
+// DataCapacityFor returns the largest item count P whose worst-case
+// data page of a dims-dimensional tree encodes within payload bytes,
+// and never less than 4. The worst case has the longest region key the
+// tree forms, 64·dims bits (coordinates are 64 bits wide), so the page
+// is EncodeData's 20 + 8·dims bytes of envelope, header and checksum
+// plus 8·(dims+1) bytes a row: P = 168 at dims 2 in a 4084-byte payload.
+func DataCapacityFor(payload, dims int) int {
+	const envelope = 4 + 4 + 4 + 4 + 4 // magic/kind/version, dims, key length, count, CRC
+	return max((payload-envelope-8*dims)/(8*(dims+1)), 4)
+}
+
 // DecodeKind returns the kind of an encoded page without fully decoding it.
 func DecodeKind(b []byte) (Kind, error) {
 	r, err := newReader(b)

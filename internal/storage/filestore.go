@@ -231,6 +231,11 @@ func (s *FileStore) checkFreeList() error {
 // payload capacity of one slot.
 func (s *FileStore) payload() int { return s.slotSize - slotHeaderSize }
 
+// SlotPayload implements Store: the slot size less the slot header,
+// 4084 bytes at the default 4096-byte slot. The slot size is fixed when
+// the file is created, so this never changes.
+func (s *FileStore) SlotPayload() int { return s.payload() }
+
 // offset is slot's position in the file.
 func (s *FileStore) offset(slot uint64) int64 { return int64(slot) * int64(s.slotSize) }
 

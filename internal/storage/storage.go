@@ -33,6 +33,11 @@ type Store interface {
 	Free(id page.ID) error
 	// Stats returns cumulative operation counters.
 	Stats() Stats
+	// SlotPayload is the largest blob one physical read returns: a
+	// node up to this size takes one slot, a larger one a chain. 0
+	// means the store has no slots, and a node of any size is one
+	// access.
+	SlotPayload() int
 	// Sync flushes buffered state to durable storage, when applicable.
 	Sync() error
 	// Close releases resources. The store is unusable afterwards.
@@ -203,6 +208,9 @@ func loadStats(s *Stats) Stats {
 		FreeSlots:  atomic.LoadInt64(&s.FreeSlots),
 	}
 }
+
+// SlotPayload implements Store: a MemStore has no slots.
+func (m *MemStore) SlotPayload() int { return 0 }
 
 // Sync implements Store.
 func (m *MemStore) Sync() error { return nil }
