@@ -1,9 +1,10 @@
-// Command bvdump builds a BV-tree from a synthetic workload (or loads a
-// persisted store created by bvload) and prints its structure and
-// statistics: node occupancies per level, guard populations, and — with
-// -tree — the full indented node/entry rendering showing promoted guards.
-// It prints the tree's shape too: P, F, and with -store how full the
-// nodes keep the store's slots.
+// Command bvdump builds a BV-tree in memory from a synthetic workload, or
+// with -store opens an existing file-backed store (one bvload wrote, say)
+// without changing it, and prints its structure and statistics: node
+// occupancies per level, guard populations, and — with -tree — the full
+// indented node/entry rendering showing promoted guards. It prints the
+// tree's shape too: P, F, and with -store how full the nodes keep the
+// store's slots. The workload and shape flags apply only without -store.
 package main
 
 import (
@@ -22,42 +23,42 @@ func main() {
 		n      = flag.Int("n", 10000, "number of points")
 		seed   = flag.Uint64("seed", 1, "workload seed")
 		dist   = flag.String("dist", "clustered", "distribution: uniform|clustered|skewed|diagonal|nested")
-		p      = flag.Int("p", 0, "data page capacity P (0: the tree's default, sized to the slot with -store)")
+		p      = flag.Int("p", 0, "data page capacity P (0: the tree's default)")
 		f      = flag.Int("f", 0, "index fan-out F (0: the tree's default)")
 		scaled = flag.Bool("scaled", false, "level-scaled index pages (§7.3)")
 		tree   = flag.Bool("tree", false, "print the full tree structure")
-		store  = flag.String("store", "", "build into this file-backed store instead of memory")
+		store  = flag.String("store", "", "open this existing file-backed store instead of building a tree")
 	)
 	flag.Parse()
 
-	opt := bvtree.Options{Dims: *dims, DataCapacity: *p, Fanout: *f, LevelScaledPages: *scaled}
 	var (
 		tr   *bvtree.Tree
 		slot int // the store's SlotPayload; 0 in memory
 		err  error
 	)
 	if *store != "" {
-		st, serr := storage.CreateFileStore(*store, storage.FileStoreOptions{})
+		st, serr := storage.OpenFileStore(*store, storage.FileStoreOptions{})
 		if serr != nil {
 			fail(serr)
 		}
 		defer st.Close()
 		slot = st.SlotPayload()
-		tr, err = bvtree.Open(st, nil, opt)
+		if tr, err = bvtree.Open(st, nil, bvtree.Options{}); err != nil {
+			fail(err)
+		}
 	} else {
-		tr, err = bvtree.New(opt)
-	}
-	if err != nil {
-		fail(err)
-	}
-
-	pts, err := workload.Generate(workload.Kind(*dist), *dims, *n, *seed)
-	if err != nil {
-		fail(err)
-	}
-	for i, pt := range pts {
-		if err := tr.Insert(pt, uint64(i)); err != nil {
-			fail(fmt.Errorf("insert %d: %w", i, err))
+		tr, err = bvtree.New(bvtree.Options{Dims: *dims, DataCapacity: *p, Fanout: *f, LevelScaledPages: *scaled})
+		if err != nil {
+			fail(err)
+		}
+		pts, err := workload.Generate(workload.Kind(*dist), *dims, *n, *seed)
+		if err != nil {
+			fail(err)
+		}
+		for i, pt := range pts {
+			if err := tr.Insert(pt, uint64(i)); err != nil {
+				fail(fmt.Errorf("insert %d: %w", i, err))
+			}
 		}
 	}
 	if err := tr.Validate(false); err != nil {

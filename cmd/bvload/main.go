@@ -26,8 +26,8 @@ func main() {
 		n       = flag.Int("n", 100000, "points to load")
 		seed    = flag.Uint64("seed", 1, "workload seed")
 		dist    = flag.String("dist", "clustered", "distribution")
-		p       = flag.Int("p", 32, "data page capacity")
-		f       = flag.Int("f", 24, "index fan-out")
+		p       = flag.Int("p", 0, "data page capacity P (0: the tree's default, sized to the slot)")
+		f       = flag.Int("f", 0, "index fan-out F (0: the tree's default)")
 		queries = flag.Int("queries", 1000, "range queries to replay after reopening")
 		side    = flag.Float64("side", 0.01, "query side length as a domain fraction")
 		cache   = flag.Int("cache", 256, "decoded-node cache of the reopened tree, in nodes")
@@ -98,16 +98,17 @@ func main() {
 	qs := st2.Stats().Sub(base)
 	c1 := re.Metrics().Cache
 	q := float64(*queries)
-	// An index node is one slot, read alone; data pages may arrive in
-	// coalesced multi-slot reads, so they take the rest of the slot reads.
+	// An index node is one slot, read alone; data pages take the rest of
+	// the slot reads.
 	index := float64(c1.IndexReads - c0.IndexReads)
 	fmt.Printf("replayed %d range queries (side %.1f%%) in %v: %d results\n",
 		*queries, *side*100, qDur.Round(time.Millisecond), results)
 	fmt.Printf("per query: %.1f logical node accesses, %.2f physical slot reads = %.2f index + %.2f data (cache %d nodes)\n",
 		float64(re.Stats().NodeAccesses)/q, float64(qs.SlotReads)/q,
 		index/q, (float64(qs.SlotReads)-index)/q, *cache)
+	fanout := re.Options().Fanout
 	fmt.Printf("index: %d nodes, %d cached; eq (9) predicts td/F = %d data pages / %d = %.0f\n",
-		c1.TreeIndexNodes, c1.IndexNodes, ts.DataPages, *f, float64(ts.DataPages)/float64(*f))
+		c1.TreeIndexNodes, c1.IndexNodes, ts.DataPages, fanout, float64(ts.DataPages)/float64(fanout))
 	fmt.Printf("store kept at %s\n", *path)
 }
 

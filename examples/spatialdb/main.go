@@ -2,8 +2,8 @@
 // the paged BV-tree — the kind of workload (2-D geographic points with
 // heavy clustering) that motivates multidimensional indexing. It
 // demonstrates float-coordinate normalisation, persistence with reopen,
-// bounding-box queries and a k-nearest-neighbour search implemented with
-// shrinking range queries on top of the public API.
+// bounding-box queries, and a k-nearest-neighbour search with the tree's
+// best-first Nearest, its candidates re-ranked by great-circle distance.
 package main
 
 import (

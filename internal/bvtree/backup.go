@@ -22,26 +22,29 @@ import (
 //
 //	header  | magic, version, tree geometry (dims, capacities, address
 //	        | precision), root level, item count, checkpoint epoch, base
-//	        | LSN, page count, header CRC
+//	        | LSN, header CRC
 //	frames  | one per page, level order (root first), each
 //	        | `length(4) | page blob` — the blob is the page encoding of
 //	        | internal/page, which carries its own CRC
-//	trailer | magic, page count again, and a running CRC32-C over every
-//	        | preceding byte of the stream
+//	trailer | magic and a running CRC32-C over every preceding byte of
+//	        | the stream
 //
 // Page IDs are normalised: the root becomes page 2 (page 1 is the meta
 // page) and descendants are numbered in level order, exactly the order
-// their frames appear — so a restore into a fresh store allocates the
-// matching ID for each frame with no translation table, and two backups
-// of identical logical states are byte-identical regardless of the ID
-// churn history of their source stores. That gives the round-trip
-// invariant the tests pin down: backup(restore(backup(T))) ==
-// backup(T).
+// their frames appear. Every page hangs from exactly one parent entry, so
+// that order is the whole structure: frame i is page 2+i, and the j-th
+// child reference of the stream names page 3+j. A restore into a fresh
+// store allocates the matching ID for each frame with no translation
+// table, and two backups of identical logical states are byte-identical
+// regardless of the ID churn history of their source stores. That gives
+// the round-trip invariant the tests pin down: backup(restore(backup(T)))
+// == backup(T).
 //
 // Damage handling on restore is never silent. Every blob must decode
-// (page CRC), the page graph must be exactly a tree over the declared
-// page count, the item total must match the declared size, and the
-// stream CRC must match. A truncated or bit-flipped stream fails with
+// (page CRC) as the kind and level its parent entry gives it, every
+// child reference must name the next page in level order, the frames
+// must end when no page is still expected, and the stream CRC and the
+// item total must match. A truncated or bit-flipped stream fails with
 // ErrCorrupt — a restore can produce a short tree only by saying so.
 
 // ErrCorrupt is returned by RestoreSnapshot and RestoreToLSN when the
@@ -52,12 +55,15 @@ var ErrCorrupt = errors.New("bvtree: corrupt backup stream")
 const (
 	backupMagic  = 0x42535642 // "BVSB"
 	trailerMagic = 0x45535642 // "BVSE"
-	backupVer    = 1
+	backupVer    = 2
 
 	// backupHeaderSize is the fixed header: magic(4) version(4) dims(4)
 	// dataCapacity(4) fanout(4) bitsPerDim(4) levelScaled(4) rootLevel(4)
-	// size(8) epoch(8) baseLSN(8) pageCount(8) crc(4).
-	backupHeaderSize = 68
+	// size(8) epoch(8) baseLSN(8) crc(4).
+	backupHeaderSize = 60
+
+	// backupTrailerSize is the trailer: magic(4) streamCRC(4).
+	backupTrailerSize = 8
 
 	// maxBackupFrame bounds a frame length read from the stream so a
 	// damaged length field cannot force a huge allocation.
@@ -143,27 +149,6 @@ func (s *Snapshot) Backup(w io.Writer) error {
 	met := s.owner.mv.met
 	start := time.Now()
 
-	// Counting pass: the header declares the page count up front so the
-	// restore side knows exactly how many frames to expect (a truncation
-	// can then never read as a complete small tree).
-	pageCount := uint64(0)
-	queue := []qent{{id: v.root, level: v.rootLevel}}
-	for len(queue) > 0 {
-		e := queue[0]
-		queue = queue[1:]
-		pageCount++
-		if e.level == 0 {
-			continue
-		}
-		n, err := v.fetchIndex(e.id)
-		if err != nil {
-			return err
-		}
-		for c, i := n.Cols(), 0; i < c.Len(); i++ {
-			queue = append(queue, qent{id: c.Child(i), level: c.Level(i)})
-		}
-	}
-
 	cw := &crcWriter{w: w}
 	hdr := make([]byte, 0, backupHeaderSize)
 	hdr = binary.LittleEndian.AppendUint32(hdr, backupMagic)
@@ -181,26 +166,17 @@ func (s *Snapshot) Backup(w io.Writer) error {
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(v.size))
 	hdr = binary.LittleEndian.AppendUint64(hdr, v.epoch)
 	hdr = binary.LittleEndian.AppendUint64(hdr, v.lsn)
-	hdr = binary.LittleEndian.AppendUint64(hdr, pageCount)
 	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(hdr, backupCRCTable))
 	if _, err := cw.Write(hdr); err != nil {
 		return err
 	}
 
-	// Streaming pass: frames in level order. Children are renumbered
+	// Frames in level order, in one pass. Children are renumbered
 	// sequentially as their parent is encoded; the walk dequeues in the
 	// same order, so frame i always carries normalised ID 2+i.
 	var lenBuf [4]byte
-	writeFrame := func(blob []byte) error {
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(blob)))
-		if _, err := cw.Write(lenBuf[:]); err != nil {
-			return err
-		}
-		_, err := cw.Write(blob)
-		return err
-	}
 	next := metaPageID + 2 // root is metaPageID+1; children follow
-	queue = append(queue[:0], qent{id: v.root, level: v.rootLevel})
+	queue := []qent{{id: v.root, level: v.rootLevel}}
 	for len(queue) > 0 {
 		e := queue[0]
 		queue = queue[1:]
@@ -225,20 +201,23 @@ func (s *Snapshot) Backup(w io.Writer) error {
 			}
 			blob = page.EncodeIndex(c)
 		}
-		if err := writeFrame(blob); err != nil {
+		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(blob)))
+		if _, err := cw.Write(lenBuf[:]); err != nil {
+			return err
+		}
+		if _, err := cw.Write(blob); err != nil {
 			return err
 		}
 	}
 
-	var tr [16]byte
+	var tr [backupTrailerSize]byte
 	binary.LittleEndian.PutUint32(tr[:4], trailerMagic)
-	binary.LittleEndian.PutUint64(tr[4:12], pageCount)
-	if _, err := cw.Write(tr[:12]); err != nil {
+	if _, err := cw.Write(tr[:4]); err != nil {
 		return err
 	}
 	// The stream CRC itself is written outside the CRC accumulation.
-	binary.LittleEndian.PutUint32(tr[12:], cw.sum)
-	if _, err := w.Write(tr[12:]); err != nil {
+	binary.LittleEndian.PutUint32(tr[4:], cw.sum)
+	if _, err := w.Write(tr[4:]); err != nil {
 		return err
 	}
 	met.Backups.Inc()
@@ -262,11 +241,13 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 	if binary.LittleEndian.Uint32(hdr) != backupMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if crc32.Checksum(hdr[:backupHeaderSize-4], backupCRCTable) != binary.LittleEndian.Uint32(hdr[backupHeaderSize-4:]) {
-		return nil, fmt.Errorf("%w: header checksum mismatch", ErrCorrupt)
-	}
+	// The version is read before the header CRC: another version's
+	// header need not end, or keep its CRC, where this one does.
 	if ver := binary.LittleEndian.Uint32(hdr[4:]); ver != backupVer {
 		return nil, fmt.Errorf("%w: unsupported backup version %d", ErrCorrupt, ver)
+	}
+	if crc32.Checksum(hdr[:backupHeaderSize-4], backupCRCTable) != binary.LittleEndian.Uint32(hdr[backupHeaderSize-4:]) {
+		return nil, fmt.Errorf("%w: header checksum mismatch", ErrCorrupt)
 	}
 	opt := Options{
 		Dims:             int(binary.LittleEndian.Uint32(hdr[8:])),
@@ -278,15 +259,11 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 	size := binary.LittleEndian.Uint64(hdr[32:])
 	epoch := binary.LittleEndian.Uint64(hdr[40:])
 	baseLSN := binary.LittleEndian.Uint64(hdr[48:])
-	pageCount := binary.LittleEndian.Uint64(hdr[56:])
 	if err := opt.fill(0); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if bits := binary.LittleEndian.Uint32(hdr[20:]); bits != bitsPerDim {
 		return nil, fmt.Errorf("%w: %d bits per dimension, want %d", ErrCorrupt, bits, bitsPerDim)
-	}
-	if pageCount == 0 || pageCount > 1<<40 {
-		return nil, fmt.Errorf("%w: implausible page count %d", ErrCorrupt, pageCount)
 	}
 
 	metaID, err := st.Alloc()
@@ -297,21 +274,21 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 		return nil, fmt.Errorf("bvtree: restore store is not fresh (first page is %d)", metaID)
 	}
 
-	// levels[i] is the index level of page metaPageID+1+i, or -1 for a
-	// data page; refs collects every child reference for the structural
-	// check below.
-	type ref struct {
-		child page.ID
-		level int
-	}
-	// levels grows per decoded frame rather than being sized from the
-	// header: the count is CRC-protected, but a stream that lies about it
-	// must run out of frames, not out of memory.
-	levels := make([]int, 0, 256)
-	var refs []ref
+	// The structure is checked as the frames arrive. want is the FIFO of
+	// the levels that parent entries give the pages still to come, seeded
+	// with the header's root level: frame i is page rootID+i and must be
+	// a data page for level 0, an index node of that level otherwise; the
+	// next child reference must name page next. The frames end exactly
+	// when want is empty. With the per-blob CRCs this makes a silently
+	// short or tangled restore impossible.
+	rootID := metaPageID + 1
+	want := []int{rootLevel}
+	next := rootID + 1
 	items := uint64(0)
 	var lenBuf [4]byte
-	for i := uint64(0); i < pageCount; i++ {
+	for id := rootID; len(want) > 0; id++ {
+		level, i := want[0], id-rootID
+		want = want[1:]
 		if _, err := io.ReadFull(cr, lenBuf[:]); err != nil {
 			return nil, fmt.Errorf("%w: truncated at frame %d: %v", ErrCorrupt, i, err)
 		}
@@ -323,21 +300,7 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: truncated at frame %d: %v", ErrCorrupt, i, err)
 		}
-		kind, err := page.DecodeKind(blob)
-		if err != nil {
-			return nil, fmt.Errorf("%w: frame %d: %v", ErrCorrupt, i, err)
-		}
-		switch kind {
-		case page.KindIndex:
-			n, err := page.DecodeIndex(blob)
-			if err != nil {
-				return nil, fmt.Errorf("%w: frame %d: %v", ErrCorrupt, i, err)
-			}
-			levels = append(levels, n.Level)
-			for c, j := n.Cols(), 0; j < c.Len(); j++ {
-				refs = append(refs, ref{child: c.Child(j), level: c.Level(j)})
-			}
-		case page.KindData:
+		if level == 0 {
 			dp, dims, err := page.DecodeDataCols(blob)
 			if err != nil {
 				return nil, fmt.Errorf("%w: frame %d: %v", ErrCorrupt, i, err)
@@ -345,79 +308,51 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 			if dims != opt.Dims {
 				return nil, fmt.Errorf("%w: frame %d: page dims %d, tree dims %d", ErrCorrupt, i, dims, opt.Dims)
 			}
-			levels = append(levels, -1)
 			items += uint64(dp.Len())
-		default:
-			return nil, fmt.Errorf("%w: frame %d: unknown page kind %d", ErrCorrupt, i, kind)
+		} else {
+			n, err := page.DecodeIndex(blob)
+			if err != nil {
+				return nil, fmt.Errorf("%w: frame %d: %v", ErrCorrupt, i, err)
+			}
+			if n.Level != level {
+				return nil, fmt.Errorf("%w: frame %d: index level %d, its entry says %d", ErrCorrupt, i, n.Level, level)
+			}
+			for c, j := n.Cols(), 0; j < c.Len(); j++ {
+				if c.Child(j) != next {
+					return nil, fmt.Errorf("%w: frame %d: child reference %d, want %d", ErrCorrupt, i, c.Child(j), next)
+				}
+				next++
+				want = append(want, c.Level(j))
+			}
 		}
-		id, err := st.Alloc()
+		got, err := st.Alloc()
 		if err != nil {
 			return nil, err
 		}
-		if want := metaPageID + 1 + page.ID(i); id != want {
-			return nil, fmt.Errorf("bvtree: restore store is not fresh (allocated page %d, expected %d)", id, want)
+		if got != id {
+			return nil, fmt.Errorf("bvtree: restore store is not fresh (allocated page %d, expected %d)", got, id)
 		}
 		if err := st.WriteNode(id, blob); err != nil {
 			return nil, err
 		}
 	}
 
-	// Structural check: the declared pages must form exactly one tree.
-	// The root's level must match the header; every non-root page must be
-	// referenced exactly once, by an entry whose level matches its kind
-	// (and, for index children, its stored level); no reference may
-	// escape the page range. Combined with the per-blob CRCs this makes a
-	// silently short or tangled restore impossible.
-	rootID := metaPageID + 1
-	if rootLevel == 0 {
-		if pageCount != 1 || levels[0] != -1 {
-			return nil, fmt.Errorf("%w: header says data-page root but stream disagrees", ErrCorrupt)
-		}
-	} else if levels[0] != rootLevel {
-		return nil, fmt.Errorf("%w: root level %d, header says %d", ErrCorrupt, levels[0], rootLevel)
-	}
-	if uint64(len(refs)) != pageCount-1 {
-		return nil, fmt.Errorf("%w: %d child references for %d non-root pages", ErrCorrupt, len(refs), pageCount-1)
-	}
-	seen := make([]bool, pageCount)
-	for _, rf := range refs {
-		if rf.child <= rootID || rf.child >= rootID+page.ID(pageCount) {
-			return nil, fmt.Errorf("%w: child reference %d out of range", ErrCorrupt, rf.child)
-		}
-		idx := uint64(rf.child - rootID) // position within levels
-		if seen[idx] {
-			return nil, fmt.Errorf("%w: page %d referenced twice", ErrCorrupt, rf.child)
-		}
-		seen[idx] = true
-		got := levels[idx]
-		switch {
-		case rf.level == 0 && got != -1:
-			return nil, fmt.Errorf("%w: level-0 entry references index page %d", ErrCorrupt, rf.child)
-		case rf.level >= 1 && got != rf.level:
-			return nil, fmt.Errorf("%w: level-%d entry references page %d at level %d", ErrCorrupt, rf.level, rf.child, got)
-		}
-	}
-	if items != size {
-		return nil, fmt.Errorf("%w: stream holds %d items, header says %d", ErrCorrupt, items, size)
-	}
-
-	var tr [12]byte
-	if _, err := io.ReadFull(cr, tr[:]); err != nil {
+	var tr [backupTrailerSize]byte
+	if _, err := io.ReadFull(cr, tr[:4]); err != nil {
 		return nil, fmt.Errorf("%w: truncated trailer: %v", ErrCorrupt, err)
 	}
 	if binary.LittleEndian.Uint32(tr[:4]) != trailerMagic {
 		return nil, fmt.Errorf("%w: bad trailer magic", ErrCorrupt)
 	}
-	if n := binary.LittleEndian.Uint64(tr[4:]); n != pageCount {
-		return nil, fmt.Errorf("%w: trailer page count %d, header says %d", ErrCorrupt, n, pageCount)
-	}
-	want := cr.sum
-	var sumBuf [4]byte
-	if _, err := io.ReadFull(cr.r, sumBuf[:]); err != nil {
+	sum := cr.sum
+	if _, err := io.ReadFull(cr.r, tr[4:]); err != nil {
 		return nil, fmt.Errorf("%w: truncated stream checksum: %v", ErrCorrupt, err)
 	}
-	if got := binary.LittleEndian.Uint32(sumBuf[:]); got != want {
-		return nil, fmt.Errorf("%w: stream checksum mismatch: got %08x want %08x", ErrCorrupt, got, want)
+	if got := binary.LittleEndian.Uint32(tr[4:]); got != sum {
+		return nil, fmt.Errorf("%w: stream checksum mismatch: got %08x want %08x", ErrCorrupt, got, sum)
+	}
+	if items != size {
+		return nil, fmt.Errorf("%w: stream holds %d items, header says %d", ErrCorrupt, items, size)
 	}
 
 	m := &page.Meta{
@@ -445,10 +380,6 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 	return t, nil
 }
 
-// errStopReplay ends a WAL replay early once the requested LSN has been
-// applied; it never escapes RestoreToLSN.
-var errStopReplay = errors.New("bvtree: replay stop")
-
 // RestoreToLSN is point-in-time restore: it rebuilds the backup into st
 // (see RestoreSnapshot), then replays records from l on top until the
 // state is exactly "every operation through upToLSN". The log must cover
@@ -468,24 +399,12 @@ func RestoreToLSN(st storage.Store, backup io.Reader, l *wal.Log, upToLSN uint64
 	if l.BaseLSN() > b {
 		return nil, fmt.Errorf("bvtree: wal base LSN %d leaves a gap after backup LSN %d", l.BaseLSN(), b)
 	}
-	lsn := l.BaseLSN()
-	err = l.Replay(func(rec []byte) error {
-		lsn++
-		if lsn <= b {
-			return nil // already in the backup
-		}
-		if lsn > upToLSN {
-			return errStopReplay
-		}
-		return applyRecord(t, rec)
-	})
-	if err != nil && !errors.Is(err, errStopReplay) {
+	if err := t.replay(l, b, upToLSN); err != nil {
 		return nil, fmt.Errorf("bvtree: replay to LSN %d: %w", upToLSN, err)
 	}
-	if lsn < upToLSN {
-		return nil, fmt.Errorf("bvtree: wal ends at LSN %d, before restore target %d", lsn, upToLSN)
+	if t.lsn < upToLSN {
+		return nil, fmt.Errorf("bvtree: wal ends at LSN %d, before restore target %d", t.lsn, upToLSN)
 	}
-	t.lsn = upToLSN
 	if err := t.Flush(); err != nil {
 		return nil, err
 	}

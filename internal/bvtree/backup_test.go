@@ -15,6 +15,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -141,6 +142,149 @@ func TestRestoreRefusesOtherPrecision(t *testing.T) {
 		}
 		if n := st.Stats().NodeWrites; n != 0 {
 			t.Fatalf("backup with %d bits per dimension: refused after %d page writes", bits, n)
+		}
+	}
+}
+
+// TestRestoreRefusesVersion1: a stream of the first format — a 68-byte
+// header that also declared the page count, under a valid checksum — is
+// refused with ErrCorrupt naming its version before any page is written.
+func TestRestoreRefusesVersion1(t *testing.T) {
+	pts, err := workload.Generate(workload.Uniform, 2, 100, 47)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := backupBytes(t, buildTree(t, pts))
+	v1 := bytes.Clone(b[:backupHeaderSize-4])
+	binary.LittleEndian.PutUint32(v1[4:], 1)
+	v1 = binary.LittleEndian.AppendUint64(v1, 7) // the page count
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.Checksum(v1, backupCRCTable))
+	v1 = append(v1, b[backupHeaderSize:]...)
+	st := storage.NewMemStore()
+	_, err = RestoreSnapshot(st, bytes.NewReader(v1))
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 stream: %v, want ErrCorrupt naming the version", err)
+	}
+	if n := st.Stats().NodeWrites; n != 0 {
+		t.Fatalf("version-1 stream: refused after %d page writes", n)
+	}
+}
+
+// TestRestoreRefusesForgedStructure: streams whose every checksum is
+// valid but whose level order does not describe one tree are refused
+// with ErrCorrupt, each by the check that reads the structure from the
+// frame order.
+func TestRestoreRefusesForgedStructure(t *testing.T) {
+	pts, err := workload.Generate(workload.Uniform, 2, 300, 49)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := backupBytes(t, buildTree(t, pts))
+	hdr := b[:backupHeaderSize]
+	var frames [][]byte
+	for rest := b[backupHeaderSize : len(b)-backupTrailerSize]; len(rest) > 0; {
+		n := 4 + binary.LittleEndian.Uint32(rest)
+		frames = append(frames, rest[4:n])
+		rest = rest[n:]
+	}
+	// stream re-signs a header and frames: header CRC, then stream CRC.
+	stream := func(hdr []byte, frames [][]byte) []byte {
+		out := bytes.Clone(hdr)
+		binary.LittleEndian.PutUint32(out[backupHeaderSize-4:], crc32.Checksum(out[:backupHeaderSize-4], backupCRCTable))
+		for _, f := range frames {
+			out = binary.LittleEndian.AppendUint32(out, uint32(len(f)))
+			out = append(out, f...)
+		}
+		out = binary.LittleEndian.AppendUint32(out, trailerMagic)
+		return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, backupCRCTable))
+	}
+	if !bytes.Equal(stream(hdr, frames), b) {
+		t.Fatal("re-signing the unchanged frames does not give the backup back")
+	}
+	root, err := page.DecodeIndex(frames[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := root.Clone()
+	swapped.SetChild(0, root.Cols().Child(1))
+	swapped.SetChild(1, root.Cols().Child(0))
+	taller := bytes.Clone(hdr)
+	binary.LittleEndian.PutUint32(taller[28:], uint32(root.Level+1))
+	with := func(i int, f []byte) [][]byte {
+		out := slices.Clone(frames)
+		out[i] = f
+		return out
+	}
+	cases := []struct {
+		name, want string
+		stream     []byte
+	}{
+		{"children-swapped", "child reference", stream(hdr, with(0, page.EncodeIndex(swapped)))},
+		{"root-level-lies", "index level", stream(taller, frames)},
+		{"data-frame-as-root", "expected index page", stream(hdr, with(0, frames[len(frames)-1]))},
+		{"last-frame-missing", "frame", stream(hdr, frames[:len(frames)-1])},
+		{"extra-frame", "trailer magic", stream(hdr, append(slices.Clone(frames), frames[len(frames)-1]))},
+	}
+	for _, c := range cases {
+		_, err := RestoreSnapshot(storage.NewMemStore(), bytes.NewReader(c.stream))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want ErrCorrupt naming %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestSnapshotBackupVisitsEachNodeOnce pins the backup's one pass: it
+// fetches every index node and every data page exactly once, so its
+// NodeAccesses delta is the tree's node count, on an in-memory tree and
+// on a reopened FileStore tree whose cache is far smaller than the tree.
+func TestSnapshotBackupVisitsEachNodeOnce(t *testing.T) {
+	pts, err := workload.Generate(workload.Uniform, 2, 3000, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.db")
+	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := Open(st, nil, Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		if err := built.Insert(p, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := built.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = storage.OpenFileStore(path, storage.FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	reopened, err := Open(st, nil, Options{CacheNodes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tr := range map[string]*Tree{"mem": buildTree(t, pts), "reopened": reopened} {
+		s, err := tr.CollectStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		index := 0
+		for _, ls := range s.IndexLevels {
+			index += ls.Nodes
+		}
+		before := tr.Stats().NodeAccesses
+		backupBytes(t, tr)
+		if got, want := tr.Stats().NodeAccesses-before, uint64(index+s.DataPages); got != want {
+			t.Fatalf("%s: backup made %d node accesses, want %d (%d index nodes + %d data pages)",
+				name, got, want, index, s.DataPages)
 		}
 	}
 }
@@ -743,7 +887,7 @@ func FuzzRestore(f *testing.F) {
 	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:67])
+	f.Add(valid[:backupHeaderSize-1])
 	f.Add([]byte{})
 	flipped := bytes.Clone(valid)
 	flipped[len(flipped)/3] ^= 0x80

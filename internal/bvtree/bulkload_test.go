@@ -397,7 +397,7 @@ func backupOf(t *testing.T, tr *Tree) []byte {
 // backupFrames is a backup stream without its header and trailer: the
 // tree's pages alone, renumbered canonically, with no LSN or epoch.
 func backupFrames(stream []byte) []byte {
-	return stream[backupHeaderSize : len(stream)-16]
+	return stream[backupHeaderSize : len(stream)-backupTrailerSize]
 }
 
 // TestBulkLoadBuildsTheInsertionTree pins that a tree has one build: the

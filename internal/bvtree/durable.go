@@ -2,7 +2,9 @@ package bvtree
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 
 	"bvtree/internal/geometry"
 	"bvtree/internal/storage"
@@ -21,10 +23,7 @@ func (t *Tree) attach(l *wal.Log, fresh bool) error {
 			return err
 		}
 	case l.Epoch() == t.epoch:
-		if err := l.Replay(func(rec []byte) error {
-			t.lsn++
-			return applyRecord(t, rec)
-		}); err != nil {
+		if err := t.replay(l, 0, math.MaxUint64); err != nil {
 			return fmt.Errorf("bvtree: wal replay: %w", err)
 		}
 	case l.Epoch() < t.epoch:
@@ -33,7 +32,7 @@ func (t *Tree) attach(l *wal.Log, fresh bool) error {
 		// Replaying would double-apply; discard instead — but first count
 		// the records, so the LSN stream stays continuous across the
 		// completed-but-unreset checkpoint.
-		if err := l.Replay(func([]byte) error { t.lsn++; return nil }); err != nil {
+		if err := t.replay(l, math.MaxUint64, math.MaxUint64); err != nil {
 			return fmt.Errorf("bvtree: wal scan: %w", err)
 		}
 		if err := l.ResetAt(t.epoch, t.lsn); err != nil {
@@ -44,6 +43,32 @@ func (t *Tree) attach(l *wal.Log, fresh bool) error {
 	}
 	t.log = l
 	return nil
+}
+
+// errStopReplay ends a replay at its target LSN; it never escapes replay.
+var errStopReplay = errors.New("bvtree: replay stop")
+
+// replay is the one WAL replay loop, for crash recovery and
+// point-in-time restore alike. It numbers l's records from l.BaseLSN(),
+// applies those in (after, through] to t, which has no log attached, and
+// stops at the first record past through without applying it; t's LSN
+// becomes that of the last record it counted. With after >= through it
+// only counts.
+func (t *Tree) replay(l *wal.Log, after, through uint64) error {
+	t.lsn = l.BaseLSN()
+	err := l.Replay(func(rec []byte) error {
+		if t.lsn == through {
+			return errStopReplay
+		}
+		if t.lsn++; t.lsn <= after {
+			return nil
+		}
+		return applyRecord(t, rec)
+	})
+	if errors.Is(err, errStopReplay) {
+		return nil
+	}
+	return err
 }
 
 const (
@@ -96,10 +121,8 @@ func (t *Tree) records(n int, op func(i int) (byte, geometry.Point, uint64)) [][
 // more than 255 coordinates.
 func recordDims(rec []byte) int { return (len(rec) - 2 - 8) / 8 }
 
-// applyRecord decodes one logical WAL record and applies it to t. It is
-// shared by crash recovery (attach) and point-in-time restore
-// (RestoreToLSN), which replays a backup's trailing log onto a plain
-// Tree.
+// applyRecord decodes one logical WAL record and applies it to t, for
+// replay.
 func applyRecord(t *Tree, rec []byte) error {
 	if len(rec) < 2 {
 		return fmt.Errorf("bvtree: short wal record")

@@ -2,10 +2,12 @@ package bvtree
 
 import (
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"bvtree/internal/geometry"
+	"bvtree/internal/storage"
 )
 
 func TestOptionsValidation(t *testing.T) {
@@ -266,5 +268,46 @@ func TestSoftOverflowOnPureDuplicates(t *testing.T) {
 	}
 	if err := tr.Validate(true); err != nil {
 		t.Fatal(err)
+	}
+
+	// Identical points cannot be split whatever the page size, so in a
+	// FileStore their data page outgrows its slot and is stored as a
+	// chain of slots: a P sized to the slot does not make chains go away.
+	path := filepath.Join(t.TempDir(), "dup.db")
+	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft, err := Open(st, nil, Options{Dims: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const copies = 1000
+	for i := uint64(0); i < copies; i++ {
+		if err := ft.Insert(p, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ft.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = storage.OpenFileStore(path, storage.FileStoreOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	before := st.Stats()
+	if ft, err = Open(st, nil, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = ft.Lookup(p); err != nil || len(got) != copies {
+		t.Fatalf("reopened FileStore: lookup returned %d of %d duplicates (%v)", len(got), copies, err)
+	}
+	d := st.Stats().Sub(before)
+	t.Logf("reopened FileStore: %d slot reads for %d node reads", d.SlotReads, d.NodeReads)
+	if d.SlotReads <= d.NodeReads {
+		t.Fatal("reopened FileStore: no chained page")
 	}
 }

@@ -138,9 +138,6 @@ func (b BitString) IsProperPrefixOf(c BitString) bool {
 	return b.n < c.n && b.IsPrefixOf(c)
 }
 
-// Encloses is the region-algebra reading of IsProperPrefixOf.
-func (b BitString) Encloses(c BitString) bool { return b.IsProperPrefixOf(c) }
-
 // CommonPrefixLen returns the length of the longest common prefix of b and c.
 func (b BitString) CommonPrefixLen(c BitString) int {
 	max := b.n

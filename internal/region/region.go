@@ -88,35 +88,6 @@ func BrickWithin(b BitString, dims int, rect geometry.Rect) bool {
 	return true
 }
 
-// DirectEncloser returns the longest proper prefix of key present in keys,
-// i.e. the region that directly encloses key within the given set. ok is
-// false when no region in the set encloses key.
-func DirectEncloser(key BitString, keys []BitString) (BitString, bool) {
-	best := BitString{}
-	found := false
-	for _, k := range keys {
-		if k.IsProperPrefixOf(key) && (!found || k.Len() > best.Len()) {
-			best, found = k, true
-		}
-	}
-	return best, found
-}
-
-// LongestPrefixMatch returns the index of the key in keys that is the
-// longest prefix of target, or -1 when none matches. This is exactly the
-// point-to-region assignment rule: with non-intersecting region boundaries,
-// the longest matching prefix identifies the unique region containing the
-// point.
-func LongestPrefixMatch(target BitString, keys []BitString) int {
-	best, bestLen := -1, -1
-	for i, k := range keys {
-		if k.Len() > bestLen && k.IsPrefixOf(target) {
-			best, bestLen = i, k.Len()
-		}
-	}
-	return best
-}
-
 // SplitChoice describes the outcome of selecting a split prefix for a set
 // of items (point addresses or region keys) inside an enclosing region.
 type SplitChoice struct {

@@ -65,53 +65,6 @@ func TestBrickHalvesVolume(t *testing.T) {
 	}
 }
 
-func TestDirectEncloser(t *testing.T) {
-	keys := []BitString{
-		MustParseBits(""),
-		MustParseBits("0"),
-		MustParseBits("010"),
-		MustParseBits("0101"),
-		MustParseBits("1"),
-	}
-	got, ok := DirectEncloser(MustParseBits("01011"), keys)
-	if !ok || got.String() != "0101" {
-		t.Fatalf("DirectEncloser = %v,%v", got, ok)
-	}
-	got, ok = DirectEncloser(MustParseBits("011"), keys)
-	if !ok || got.String() != "0" {
-		t.Fatalf("DirectEncloser = %v,%v", got, ok)
-	}
-	if _, ok := DirectEncloser(MustParseBits(""), keys); ok {
-		t.Fatal("empty key has no proper encloser")
-	}
-}
-
-func TestLongestPrefixMatch(t *testing.T) {
-	keys := []BitString{
-		MustParseBits(""),
-		MustParseBits("01"),
-		MustParseBits("0110"),
-		MustParseBits("1"),
-	}
-	cases := []struct {
-		target string
-		want   int
-	}{
-		{"011011", 2},
-		{"010000", 1},
-		{"111111", 3},
-		{"001100", 0},
-	}
-	for _, c := range cases {
-		if got := LongestPrefixMatch(MustParseBits(c.target), keys); got != c.want {
-			t.Fatalf("LPM(%q) = %d, want %d", c.target, got, c.want)
-		}
-	}
-	if got := LongestPrefixMatch(MustParseBits("0"), []BitString{MustParseBits("00")}); got != -1 {
-		t.Fatalf("no-match case returned %d", got)
-	}
-}
-
 // fullAddr builds a fixed-length pseudo-address with the given prefix.
 func fullAddr(rng *rand.Rand, prefix BitString, length int) BitString {
 	b := prefix
