@@ -107,9 +107,13 @@ bench:
 
 # Online backup and point-in-time restore, exercised end to end: the
 # snapshot differential tests, the backup/restore round-trip and
-# crash-matrix sweeps, and the PITR tests.
+# crash-matrix sweeps, the PITR tests, and TestOpen, whose
+# restore-then-open arms restore a backup and open it with the log (the
+# same replay rule as the PITR tests, to the log's end) and whose
+# torn-log-reset and gap arms pin the checkpoint LSN that rule starts
+# from.
 backup:
-	$(GO) test -run 'TestSnapshot|TestBackup|TestRestore|TestDurableLSN' -v ./internal/bvtree
+	$(GO) test -run 'TestSnapshot|TestBackup|TestRestore|TestDurableLSN|TestOpen' -v ./internal/bvtree
 
 # Coverage-guided fuzzing of BulkLoad, a batch of inserts in the caller's
 # order: arbitrary byte-derived point sets must load into a tree that

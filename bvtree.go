@@ -120,8 +120,10 @@ func New(opt Options) (*Tree, error) { return ibv.New(opt) }
 // that holds no tree yet starts a new one shaped by opt; one that holds
 // a tree reopens it at its last Flush, and each shape field of opt
 // (Dims, DataCapacity, Fanout, LevelScaledPages) must then be zero or
-// the stored one. A non-nil l makes the tree durable: the operations it
-// logged since the last checkpoint are replayed, and from then on
+// the stored one. A reopened tree knows the LSN of its last checkpoint,
+// with a log or without one. A non-nil l makes the tree durable: the
+// operations it logged past that LSN are replayed (a log that begins
+// after it has lost records and is refused), and from then on
 // Insert, Delete, ApplyBatch and BulkLoad return once logged and
 // fsynced (concurrent writers share an fsync, a batch takes one), Flush
 // is the checkpoint that empties the log, AutoCheckpoint runs it when
@@ -138,13 +140,16 @@ type BatchOp = ibv.BatchOp
 
 // RestoreSnapshot rebuilds a tree from a backup stream (written by
 // SnapshotBackup or Snapshot().Backup) into st,
-// which must be a freshly created store. Damaged streams fail with
+// which must be a freshly created store, as a checkpoint at the backup's
+// LSN: Open of that store with a write-ahead log then replays the log's
+// operations past the backup to its end. Damaged streams fail with
 // ErrCorrupt — a restore never silently yields a shorter tree.
 func RestoreSnapshot(st Store, r io.Reader) (*Tree, error) { return ibv.RestoreSnapshot(st, r) }
 
 // RestoreToLSN is point-in-time restore: it rebuilds the backup into st
-// and replays records from the write-ahead log l on top, stopping once
-// the state is exactly "every operation through upToLSN".
+// and replays records from the write-ahead log l on top by the rule Open
+// recovers by, stopping once the state is exactly "every operation
+// through upToLSN".
 func RestoreToLSN(st Store, backup io.Reader, l *wal.Log, upToLSN uint64) (*Tree, error) {
 	return ibv.RestoreToLSN(st, backup, l, upToLSN)
 }

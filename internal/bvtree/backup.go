@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bvtree/internal/page"
+	"bvtree/internal/region"
 	"bvtree/internal/storage"
 	"bvtree/internal/wal"
 )
@@ -21,8 +22,7 @@ import (
 // The stream is self-describing and self-verifying:
 //
 //	header  | magic, version, tree geometry (dims, capacities, address
-//	        | precision), root level, item count, checkpoint epoch, base
-//	        | LSN, header CRC
+//	        | precision), root level, item count, LSN, header CRC
 //	frames  | one per page, level order (root first), each
 //	        | `length(4) | page blob` — the blob is the page encoding of
 //	        | internal/page, which carries its own CRC
@@ -41,10 +41,10 @@ import (
 // == backup(T).
 //
 // Damage handling on restore is never silent. Every blob must decode
-// (page CRC) as the kind and level its parent entry gives it, every
-// child reference must name the next page in level order, the frames
-// must end when no page is still expected, and the stream CRC and the
-// item total must match. A truncated or bit-flipped stream fails with
+// (page CRC) as the kind and level its parent entry gives it, with the
+// region that entry's key names, every child reference must name the
+// next page in level order, the frames must end when no page is still
+// expected, and the stream CRC and the item total must match. A truncated or bit-flipped stream fails with
 // ErrCorrupt — a restore can produce a short tree only by saying so.
 
 // ErrCorrupt is returned by RestoreSnapshot and RestoreToLSN when the
@@ -55,12 +55,12 @@ var ErrCorrupt = errors.New("bvtree: corrupt backup stream")
 const (
 	backupMagic  = 0x42535642 // "BVSB"
 	trailerMagic = 0x45535642 // "BVSE"
-	backupVer    = 2
+	backupVer    = 3
 
 	// backupHeaderSize is the fixed header: magic(4) version(4) dims(4)
 	// dataCapacity(4) fanout(4) bitsPerDim(4) levelScaled(4) rootLevel(4)
-	// size(8) epoch(8) baseLSN(8) crc(4).
-	backupHeaderSize = 60
+	// size(8) lsn(8) crc(4).
+	backupHeaderSize = 52
 
 	// backupTrailerSize is the trailer: magic(4) streamCRC(4).
 	backupTrailerSize = 8
@@ -164,7 +164,6 @@ func (s *Snapshot) Backup(w io.Writer) error {
 	hdr = binary.LittleEndian.AppendUint32(hdr, scaled)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(v.rootLevel))
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(v.size))
-	hdr = binary.LittleEndian.AppendUint64(hdr, v.epoch)
 	hdr = binary.LittleEndian.AppendUint64(hdr, v.lsn)
 	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(hdr, backupCRCTable))
 	if _, err := cw.Write(hdr); err != nil {
@@ -229,9 +228,12 @@ func (s *Snapshot) Backup(w io.Writer) error {
 // RestoreSnapshot rebuilds a tree from a backup stream into st, which
 // must be a freshly created store (the restored pages reuse the stream's
 // normalised IDs, so the store's allocation sequence must be virgin).
-// The restored tree is flushed and ready for use — or for WAL replay,
-// see RestoreToLSN. Any damage to the stream fails with ErrCorrupt;
-// a restore never silently yields a shorter tree than the backup held.
+// The restored tree is flushed as a checkpoint at the backup's LSN, which
+// it reports, and which the store keeps: Open of the store with a log
+// replays the log's records past that LSN to its end, and RestoreToLSN
+// replays them to a target. Any damage to the stream fails with
+// ErrCorrupt; a restore never silently yields a shorter tree than the
+// backup held. Streams of versions 1 and 2 are refused.
 func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 	cr := &crcReader{r: r}
 	hdr := make([]byte, backupHeaderSize)
@@ -257,8 +259,7 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 	}
 	rootLevel := int(binary.LittleEndian.Uint32(hdr[28:]))
 	size := binary.LittleEndian.Uint64(hdr[32:])
-	epoch := binary.LittleEndian.Uint64(hdr[40:])
-	baseLSN := binary.LittleEndian.Uint64(hdr[48:])
+	lsn := binary.LittleEndian.Uint64(hdr[40:])
 	if err := opt.fill(0); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -275,19 +276,20 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 	}
 
 	// The structure is checked as the frames arrive. want is the FIFO of
-	// the levels that parent entries give the pages still to come, seeded
-	// with the header's root level: frame i is page rootID+i and must be
-	// a data page for level 0, an index node of that level otherwise; the
-	// next child reference must name page next. The frames end exactly
-	// when want is empty. With the per-blob CRCs this makes a silently
-	// short or tangled restore impossible.
+	// the entries that parents give the pages still to come, seeded with
+	// the header's root level: frame i is page rootID+i and must be a data
+	// page for level 0, an index node of that level otherwise, and its
+	// region must be the entry's key (the root's region is the tree's
+	// own, which no entry names); the next child reference must name page
+	// next. The frames end exactly when want is empty. With the per-blob
+	// CRCs this makes a silently short or tangled restore impossible.
 	rootID := metaPageID + 1
-	want := []int{rootLevel}
+	want := []page.Entry{{Level: rootLevel}}
 	next := rootID + 1
 	items := uint64(0)
 	var lenBuf [4]byte
 	for id := rootID; len(want) > 0; id++ {
-		level, i := want[0], id-rootID
+		e, i := want[0], id-rootID
 		want = want[1:]
 		if _, err := io.ReadFull(cr, lenBuf[:]); err != nil {
 			return nil, fmt.Errorf("%w: truncated at frame %d: %v", ErrCorrupt, i, err)
@@ -300,7 +302,8 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: truncated at frame %d: %v", ErrCorrupt, i, err)
 		}
-		if level == 0 {
+		var reg region.BitString
+		if e.Level == 0 {
 			dp, dims, err := page.DecodeDataCols(blob)
 			if err != nil {
 				return nil, fmt.Errorf("%w: frame %d: %v", ErrCorrupt, i, err)
@@ -309,21 +312,26 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 				return nil, fmt.Errorf("%w: frame %d: page dims %d, tree dims %d", ErrCorrupt, i, dims, opt.Dims)
 			}
 			items += uint64(dp.Len())
+			reg = dp.Region
 		} else {
 			n, err := page.DecodeIndex(blob)
 			if err != nil {
 				return nil, fmt.Errorf("%w: frame %d: %v", ErrCorrupt, i, err)
 			}
-			if n.Level != level {
-				return nil, fmt.Errorf("%w: frame %d: index level %d, its entry says %d", ErrCorrupt, i, n.Level, level)
+			if n.Level != e.Level {
+				return nil, fmt.Errorf("%w: frame %d: index level %d, its entry says %d", ErrCorrupt, i, n.Level, e.Level)
 			}
-			for c, j := n.Cols(), 0; j < c.Len(); j++ {
-				if c.Child(j) != next {
-					return nil, fmt.Errorf("%w: frame %d: child reference %d, want %d", ErrCorrupt, i, c.Child(j), next)
+			for _, c := range n.ReadEntries() {
+				if c.Child != next {
+					return nil, fmt.Errorf("%w: frame %d: child reference %d, want %d", ErrCorrupt, i, c.Child, next)
 				}
 				next++
-				want = append(want, c.Level(j))
+				want = append(want, c)
 			}
+			reg = n.Region
+		}
+		if id != rootID && !reg.Equal(e.Key) {
+			return nil, fmt.Errorf("%w: frame %d: region %v, its entry's key is %v", ErrCorrupt, i, reg, e.Key)
 		}
 		got, err := st.Alloc()
 		if err != nil {
@@ -364,7 +372,7 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 		Root:         rootID,
 		RootLevel:    rootLevel,
 		Size:         size,
-		Epoch:        epoch,
+		LSN:          lsn,
 	}
 	if err := st.WriteNode(metaPageID, page.EncodeMeta(m)); err != nil {
 		return nil, err
@@ -372,34 +380,27 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 	if err := st.Sync(); err != nil {
 		return nil, err
 	}
-	t, err := Open(st, nil, Options{})
-	if err != nil {
-		return nil, err
-	}
-	t.lsn = baseLSN
-	return t, nil
+	return Open(st, nil, Options{})
 }
 
 // RestoreToLSN is point-in-time restore: it rebuilds the backup into st
-// (see RestoreSnapshot), then replays records from l on top until the
-// state is exactly "every operation through upToLSN". The log must cover
-// the gap: its base LSN must not exceed the backup's captured LSN, and
-// it must actually contain records through upToLSN. Records the backup
-// already contains are skipped, so any backup/log pair whose LSN ranges
-// overlap replays correctly.
+// (see RestoreSnapshot), then replays l onto it by the rule Open
+// recovers by (see Open), through upToLSN instead of to the log's end,
+// so the state is exactly "every operation through upToLSN". The log
+// must cover the gap: its base LSN must not exceed the backup's LSN
+// (wal.ErrCorrupt otherwise), and it must actually contain records
+// through upToLSN. Records the backup already holds are skipped, so any
+// backup/log pair whose LSN ranges overlap replays correctly. The
+// restored store is flushed at upToLSN.
 func RestoreToLSN(st storage.Store, backup io.Reader, l *wal.Log, upToLSN uint64) (*Tree, error) {
 	t, err := RestoreSnapshot(st, backup)
 	if err != nil {
 		return nil, err
 	}
-	b := t.lsn
-	if upToLSN < b {
-		return nil, fmt.Errorf("bvtree: restore target LSN %d predates backup LSN %d", upToLSN, b)
+	if upToLSN < t.lsn {
+		return nil, fmt.Errorf("bvtree: restore target LSN %d predates backup LSN %d", upToLSN, t.lsn)
 	}
-	if l.BaseLSN() > b {
-		return nil, fmt.Errorf("bvtree: wal base LSN %d leaves a gap after backup LSN %d", l.BaseLSN(), b)
-	}
-	if err := t.replay(l, b, upToLSN); err != nil {
+	if err := t.replay(l, upToLSN); err != nil {
 		return nil, fmt.Errorf("bvtree: replay to LSN %d: %w", upToLSN, err)
 	}
 	if t.lsn < upToLSN {

@@ -146,34 +146,43 @@ func TestRestoreRefusesOtherPrecision(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesVersion1: a stream of the first format — a 68-byte
-// header that also declared the page count, under a valid checksum — is
-// refused with ErrCorrupt naming its version before any page is written.
+// TestRestoreRefusesVersion1: streams of the earlier formats, under a
+// valid checksum, are refused with ErrCorrupt naming their version
+// before any page is written: version 1, whose 68-byte header also
+// declared a checkpoint epoch and the page count, and version 2, whose
+// 60-byte header also declared the epoch.
 func TestRestoreRefusesVersion1(t *testing.T) {
 	pts, err := workload.Generate(workload.Uniform, 2, 100, 47)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := backupBytes(t, buildTree(t, pts))
-	v1 := bytes.Clone(b[:backupHeaderSize-4])
-	binary.LittleEndian.PutUint32(v1[4:], 1)
-	v1 = binary.LittleEndian.AppendUint64(v1, 7) // the page count
-	v1 = binary.LittleEndian.AppendUint32(v1, crc32.Checksum(v1, backupCRCTable))
-	v1 = append(v1, b[backupHeaderSize:]...)
-	st := storage.NewMemStore()
-	_, err = RestoreSnapshot(st, bytes.NewReader(v1))
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("version-1 stream: %v, want ErrCorrupt naming the version", err)
-	}
-	if n := st.Stats().NodeWrites; n != 0 {
-		t.Fatalf("version-1 stream: refused after %d page writes", n)
+	for ver, extra := range map[uint32][]uint64{
+		1: {3, 0, 7}, // epoch, LSN, page count
+		2: {3, 0},    // epoch, LSN
+	} {
+		old := bytes.Clone(b[:40]) // magic through the item count
+		binary.LittleEndian.PutUint32(old[4:], ver)
+		for _, v := range extra {
+			old = binary.LittleEndian.AppendUint64(old, v)
+		}
+		old = binary.LittleEndian.AppendUint32(old, crc32.Checksum(old, backupCRCTable))
+		old = append(old, b[backupHeaderSize:]...)
+		st := storage.NewMemStore()
+		_, err = RestoreSnapshot(st, bytes.NewReader(old))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", ver)) {
+			t.Fatalf("version-%d stream: %v, want ErrCorrupt naming the version", ver, err)
+		}
+		if n := st.Stats().NodeWrites; n != 0 {
+			t.Fatalf("version-%d stream: refused after %d page writes", ver, n)
+		}
 	}
 }
 
 // TestRestoreRefusesForgedStructure: streams whose every checksum is
 // valid but whose level order does not describe one tree are refused
 // with ErrCorrupt, each by the check that reads the structure from the
-// frame order.
+// frame order or from the entry that names the frame.
 func TestRestoreRefusesForgedStructure(t *testing.T) {
 	pts, err := workload.Generate(workload.Uniform, 2, 300, 49)
 	if err != nil {
@@ -215,6 +224,17 @@ func TestRestoreRefusesForgedStructure(t *testing.T) {
 		out[i] = f
 		return out
 	}
+	// The last two frames are data pages of the deepest level: swapped,
+	// every kind, level and child number still checks, but each page
+	// sits under the other's entry.
+	last := len(frames) - 1
+	for _, f := range frames[last-1:] {
+		if k, _ := page.DecodeKind(f); k != page.KindData {
+			t.Fatalf("frame of kind %d among the last two", k)
+		}
+	}
+	dataSwapped := with(last, frames[last-1])
+	dataSwapped[last-1] = frames[last]
 	cases := []struct {
 		name, want string
 		stream     []byte
@@ -224,6 +244,7 @@ func TestRestoreRefusesForgedStructure(t *testing.T) {
 		{"data-frame-as-root", "expected index page", stream(hdr, with(0, frames[len(frames)-1]))},
 		{"last-frame-missing", "frame", stream(hdr, frames[:len(frames)-1])},
 		{"extra-frame", "trailer magic", stream(hdr, append(slices.Clone(frames), frames[len(frames)-1]))},
+		{"data-frames-swapped", "region", stream(hdr, dataSwapped)},
 	}
 	for _, c := range cases {
 		_, err := RestoreSnapshot(storage.NewMemStore(), bytes.NewReader(c.stream))

@@ -5,7 +5,7 @@ package bvtree
 // truncation of recovery must land exactly on a record boundary: a crash
 // mid-group-commit recovers to a prefix of the batch at record
 // granularity, never a torn record applied. A crash during a checkpoint
-// that AutoCheckpoint runs must replay from the prior epoch without
+// that AutoCheckpoint runs must replay from the prior checkpoint without
 // losing any acknowledged operation.
 
 import (
@@ -117,7 +117,7 @@ func TestBatchCrashPrefixSweep(t *testing.T) {
 // returns nil: an insert that returns nil while the fault fired during
 // it counts as a mid-checkpoint crash. Either way the store is
 // poisoned; reopening rolls any interrupted flush back to the prior
-// epoch and replays the log, so every acknowledged insert must be
+// checkpoint and replays the log, so every acknowledged insert must be
 // present. The checkpoint runs on the inserting goroutine, so the sweep
 // is deterministic: it runs twice and must count the same crashes.
 func TestBatchCrashDuringAutoCheckpoint(t *testing.T) {
@@ -143,7 +143,7 @@ func autoCheckpointCrashSweep(t *testing.T, sweep int) (checkpointCrashes int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A durable baseline epoch, taken before the trigger is set.
+		// A durable baseline checkpoint, taken before the trigger is set.
 		type ack struct {
 			p       geometry.Point
 			payload uint64

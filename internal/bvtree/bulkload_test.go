@@ -395,7 +395,7 @@ func backupOf(t *testing.T, tr *Tree) []byte {
 }
 
 // backupFrames is a backup stream without its header and trailer: the
-// tree's pages alone, renumbered canonically, with no LSN or epoch.
+// tree's pages alone, renumbered canonically, with no LSN.
 func backupFrames(stream []byte) []byte {
 	return stream[backupHeaderSize : len(stream)-backupTrailerSize]
 }

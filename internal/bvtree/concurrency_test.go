@@ -151,7 +151,7 @@ func stressTree(t *testing.T, tr *Tree, pts []geometry.Point, nWriters, nReaders
 						return
 					}
 					_ = tr.Height()
-					_ = tr.Epoch()
+					_ = tr.LSN()
 				}
 			}
 		}(r)
@@ -343,7 +343,7 @@ func TestConcurrentDurableReads(t *testing.T) {
 	}
 }
 
-// TestConcurrentStatsSnapshot hammers the Stats/Len/Height/Epoch
+// TestConcurrentStatsSnapshot hammers the Stats/Len/Height/LSN
 // accessors from several goroutines while a writer mutates, verifying the
 // atomic counter snapshots are race-free and monotonic.
 func TestConcurrentStatsSnapshot(t *testing.T) {
@@ -371,7 +371,7 @@ func TestConcurrentStatsSnapshot(t *testing.T) {
 				prev = total
 				_ = tr.Len()
 				_ = tr.Height()
-				_ = tr.Epoch()
+				_ = tr.LSN()
 			}
 		}()
 	}

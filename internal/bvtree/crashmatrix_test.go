@@ -273,8 +273,8 @@ func crashAfterSyncBeforeApply(t *testing.T, cache, k int, inWrite *int) bool {
 // performs: the failed store is poisoned (ErrPoisoned on further use) and
 // recovery always lands on a state containing every acknowledged
 // operation — either the rolled-back previous checkpoint plus a WAL
-// replay, or the new checkpoint with the log discarded by the epoch
-// check.
+// replay, or the new checkpoint with the log's records skipped, as none
+// lies past its LSN.
 func TestCrashMidCheckpoint(t *testing.T) {
 	for k := 1; ; k++ {
 		e := newMatrixEnv(t)

@@ -12,34 +12,24 @@ import (
 )
 
 // attach recovers the log l onto t, which Open has just loaded, and
-// attaches it. A fresh tree has no logged history, so l is emptied at its
-// epoch; a reopened one replays l when their epochs match. Replay runs
-// before l is attached, so replayed operations are not logged again.
+// attaches it. A fresh tree has no logged history, so l is emptied at
+// LSN 0, the LSN of its first meta record. A reopened one replays l past
+// its checkpoint. A log that adds nothing past the checkpoint and does
+// not begin at it is one whose reset a crash prevented or tore; it is
+// emptied at the checkpoint LSN, so the next record is numbered after
+// it. Replay runs before l is attached, so replayed operations are not
+// logged again.
 func (t *Tree) attach(l *wal.Log, fresh bool) error {
-	t.lsn = l.BaseLSN()
-	switch {
-	case fresh:
-		if err := l.ResetAt(t.epoch, t.lsn); err != nil {
-			return err
-		}
-	case l.Epoch() == t.epoch:
-		if err := t.replay(l, 0, math.MaxUint64); err != nil {
+	ckpt := t.lsn
+	if !fresh {
+		if err := t.replay(l, math.MaxUint64); err != nil {
 			return fmt.Errorf("bvtree: wal replay: %w", err)
 		}
-	case l.Epoch() < t.epoch:
-		// Every record in the log predates the store's checkpoint: the
-		// crash hit between the checkpoint flush and the log reset.
-		// Replaying would double-apply; discard instead — but first count
-		// the records, so the LSN stream stays continuous across the
-		// completed-but-unreset checkpoint.
-		if err := t.replay(l, math.MaxUint64, math.MaxUint64); err != nil {
-			return fmt.Errorf("bvtree: wal scan: %w", err)
-		}
-		if err := l.ResetAt(t.epoch, t.lsn); err != nil {
+	}
+	if fresh || t.lsn == ckpt && l.BaseLSN() != ckpt {
+		if err := l.ResetAt(ckpt); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("bvtree: %w: wal epoch %d ahead of store checkpoint epoch %d", wal.ErrCorrupt, l.Epoch(), t.epoch)
 	}
 	t.log = l
 	return nil
@@ -48,21 +38,27 @@ func (t *Tree) attach(l *wal.Log, fresh bool) error {
 // errStopReplay ends a replay at its target LSN; it never escapes replay.
 var errStopReplay = errors.New("bvtree: replay stop")
 
-// replay is the one WAL replay loop, for crash recovery and
-// point-in-time restore alike. It numbers l's records from l.BaseLSN(),
-// applies those in (after, through] to t, which has no log attached, and
-// stops at the first record past through without applying it; t's LSN
-// becomes that of the last record it counted. With after >= through it
-// only counts.
-func (t *Tree) replay(l *wal.Log, after, through uint64) error {
-	t.lsn = l.BaseLSN()
+// replay is the one rule of crash recovery and point-in-time restore
+// alike. t has no log attached and holds the state of LSN t.lsn, its
+// checkpoint. replay numbers l's records from l.BaseLSN(), skips those
+// at or below the checkpoint, applies the rest through LSN through, and
+// stops at the first record past it without applying it; t.lsn becomes
+// that of the last record applied, or stays at the checkpoint. A log
+// that begins after the checkpoint is refused before anything is read:
+// the records in between are lost, so it is wal.ErrCorrupt.
+func (t *Tree) replay(l *wal.Log, through uint64) error {
+	ckpt, n := t.lsn, l.BaseLSN()
+	if n > ckpt {
+		return fmt.Errorf("%w: log begins after LSN %d, a gap after the checkpoint at LSN %d", wal.ErrCorrupt, n, ckpt)
+	}
 	err := l.Replay(func(rec []byte) error {
-		if t.lsn == through {
+		if n == through {
 			return errStopReplay
 		}
-		if t.lsn++; t.lsn <= after {
+		if n++; n <= ckpt {
 			return nil
 		}
+		t.lsn = n
 		return applyRecord(t, rec)
 	})
 	if errors.Is(err, errStopReplay) {
@@ -173,7 +169,8 @@ func (t *Tree) LogSize() int64 {
 
 // LSN returns the log sequence number of the last committed operation —
 // the total count of logged operations over the tree's whole history,
-// across checkpoints and restarts; 0 for a tree with no log history. A
+// across checkpoints, restarts and restores; 0 for a tree with no log
+// history. A tree reopened without a log reports its checkpoint's LSN. A
 // backup taken now captures exactly this LSN, and RestoreToLSN can
 // replay a WAL onto it up to any later number.
 func (t *Tree) LSN() uint64 {

@@ -275,8 +275,8 @@ func TestWriteAfterCloseIsRefused(t *testing.T) {
 }
 
 // TestDurableFlushThenCrash pins that Flush on a durable tree is a
-// checkpoint. The embedded Tree.Flush synced the store at the epoch the log
-// still carried, so recovery replayed every logged insert onto a store
+// checkpoint. The embedded Tree.Flush once synced the store without
+// emptying the log, so recovery replayed every logged insert onto a store
 // that already held it: n inserts reopened as 2n items.
 func TestDurableFlushThenCrash(t *testing.T) {
 	dir := t.TempDir()
@@ -340,8 +340,8 @@ func TestDurableFlushThenCrash(t *testing.T) {
 // then crashes and reopens. Both handles reach the same logged tree, so
 // every acknowledged operation is there exactly once. When the log lived outside Tree, the
 // embedded handle's operations bypassed it and were lost, and its Flush
-// synced the store at the epoch the log still carried, so recovery
-// applied the logged operations a second time.
+// synced the store without emptying the log, so recovery applied the
+// logged operations a second time.
 func TestEveryHandleIsLogged(t *testing.T) {
 	dir := t.TempDir()
 	dbPath, walPath := filepath.Join(dir, "t.db"), filepath.Join(dir, "t.wal")

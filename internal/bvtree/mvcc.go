@@ -446,7 +446,6 @@ func (t *Tree) newView(pin uint64) *Tree {
 		root:      t.root,
 		rootLevel: t.rootLevel,
 		size:      t.size,
-		epoch:     t.epoch,
 		lsn:       t.lsn,
 		stats:     t.stats,
 		metrics:   t.metrics,
@@ -520,9 +519,6 @@ func (s *Snapshot) Len() int { return s.v.Len() }
 
 // Height returns the index height of the pinned state.
 func (s *Snapshot) Height() int { return s.v.rootLevel }
-
-// Epoch returns the checkpoint epoch of the pinned state.
-func (s *Snapshot) Epoch() uint64 { return s.v.epoch }
 
 // Lookup returns the payloads stored at p in the pinned state.
 func (s *Snapshot) Lookup(p geometry.Point) ([]uint64, error) { return s.v.Lookup(p) }

@@ -2,6 +2,7 @@ package bvtree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -54,18 +55,51 @@ func newOpenRig(t *testing.T, backend string) *openRig {
 // log opens the rig's log, through its fault filesystem, so a restart
 // abandons it too.
 func (r *openRig) log(t *testing.T) *wal.Log {
-	l, err := wal.OpenFS(r.ffs, filepath.Join(r.dir, "t.wal"))
+	l, err := wal.OpenFS(r.ffs, r.walPath())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return l
 }
 
+func (r *openRig) walPath() string { return filepath.Join(r.dir, "t.wal") }
+
+// another returns a fresh store of the rig's backend, named name.
+func (r *openRig) another(t *testing.T, name string) storage.Store {
+	if _, ok := r.st.(*storage.MemStore); ok {
+		return storage.NewMemStore()
+	}
+	st, err := storage.CreateFileStore(filepath.Join(r.dir, name), storage.FileStoreOptions{SlotSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// checkpointLSN reads the checkpoint LSN from st's meta record.
+func checkpointLSN(t *testing.T, st storage.Store) uint64 {
+	t.Helper()
+	blob, err := st.ReadNode(metaPageID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := page.DecodeMeta(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.LSN
+}
+
 // TestOpen: Open is the one way to start and to reopen a tree, on a
 // MemStore and on a FileStore alike. A fresh store starts a tree; a
 // flushed one reopens with its Len and Height and passes the full
-// check; a log is replayed onto the checkpoint, or discarded when its
-// epoch is behind the store's; Options whose shape differs from the
+// check; a log's records past the store's checkpoint LSN are replayed
+// onto it and those at or below it skipped, a log that ends before the
+// checkpoint (torn in its reset) leaves the LSN where the checkpoint put
+// it, a restored store opened with the log replays to the log's end, and
+// a log that begins after the checkpoint is refused; Options whose shape
+// differs from the
 // stored tree's are refused, and zero fields take the stored shape;
 // and Close on a tree without a log leaves its store usable. A bit
 // flipped in a FileStore's meta slot is refused with page.ErrCorrupt
@@ -110,8 +144,8 @@ func TestOpen(t *testing.T) {
 				t.Fatalf("Options = %+v", got)
 			}
 			holds(t, tr, 0)
-			if tr.Height() != 0 || tr.Epoch() != 1 || tr.LSN() != 0 || tr.LogSize() != 0 {
-				t.Fatalf("fresh tree: height %d, epoch %d, LSN %d, log %d", tr.Height(), tr.Epoch(), tr.LSN(), tr.LogSize())
+			if tr.Height() != 0 || tr.LSN() != 0 || tr.LogSize() != 0 || checkpointLSN(t, r.st) != 0 {
+				t.Fatalf("fresh tree: height %d, LSN %d, log %d, checkpoint LSN %d", tr.Height(), tr.LSN(), tr.LogSize(), checkpointLSN(t, r.st))
 			}
 			if c, s := tr.GroupStats(); c != 0 || s != 0 {
 				t.Fatalf("GroupStats without a log = %d, %d", c, s)
@@ -199,8 +233,8 @@ func TestOpen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if l.Epoch() >= tr.Epoch() {
-				t.Fatalf("log epoch %d is not behind the store's %d", l.Epoch(), tr.Epoch())
+			if ckpt := checkpointLSN(t, st); l.BaseLSN() >= ckpt {
+				t.Fatalf("log base LSN %d is not below the store's checkpoint LSN %d", l.BaseLSN(), ckpt)
 			}
 			re, err := Open(st, l, Options{})
 			if err != nil {
@@ -210,6 +244,146 @@ func TestOpen(t *testing.T) {
 			holds(t, re, 100) // once each, not replayed a second time
 			if re.LSN() != 100 || re.LogSize() != 0 {
 				t.Fatalf("stale log: LSN %d (want 100), %d bytes left in the log", re.LSN(), re.LogSize())
+			}
+		})
+
+		// The checkpoint's store sync lands, and the crash hits inside
+		// the log reset: the log is left empty, or with a torn preamble.
+		// The checkpoint LSN is the store's, so the tree keeps it, and
+		// the log is reset at it so later records number on from it.
+		for _, torn := range []struct {
+			name string
+			size int64
+		}{{"empty", 0}, {"torn-preamble", 7}} {
+			t.Run(backend+"/torn-log-reset/"+torn.name, func(t *testing.T) {
+				r := newOpenRig(t, backend)
+				tr, err := Open(r.st, r.log(t), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				insert(t, tr, 0, 100)
+				if err := tr.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				st := r.restart(t)
+				if err := os.Truncate(r.walPath(), torn.size); err != nil {
+					t.Fatal(err)
+				}
+				re, err := Open(st, r.log(t), Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				holds(t, re, 100)
+				if re.LSN() != 100 {
+					t.Fatalf("after a torn log reset: LSN %d, want the checkpoint's 100", re.LSN())
+				}
+				insert(t, re, 100, 130)
+				st = r.restart(t) // crash again: 30 inserts in the log alone
+				again, err := Open(st, r.log(t), Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer again.Close()
+				holds(t, again, 130)
+				if again.LSN() != 130 {
+					t.Fatalf("records logged after the torn reset: LSN %d, want 130", again.LSN())
+				}
+			})
+		}
+
+		// A backup at LSN 15 of a tree whose log holds LSNs 11-20: the
+		// restored store is a checkpoint at 15, so Open with that log
+		// skips 11-15 and replays 16-20, the state RestoreToLSN gives
+		// for 20.
+		t.Run(backend+"/restore-then-open", func(t *testing.T) {
+			r := newOpenRig(t, backend)
+			tr, err := Open(r.st, r.log(t), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			insert(t, tr, 0, 10)
+			if err := tr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			insert(t, tr, 10, 15)
+			var backup bytes.Buffer
+			if lsn, err := tr.SnapshotBackup(&backup); err != nil || lsn != 15 {
+				t.Fatalf("SnapshotBackup = %d, %v; want LSN 15", lsn, err)
+			}
+			insert(t, tr, 15, 20)
+			r.restart(t)
+
+			l := r.log(t)
+			pitr, err := RestoreToLSN(r.another(t, "pitr.db"), bytes.NewReader(backup.Bytes()), l, 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st := r.another(t, "restored.db")
+			if _, err := RestoreSnapshot(st, bytes.NewReader(backup.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			if ckpt := checkpointLSN(t, st); ckpt != 15 {
+				t.Fatalf("restored store's checkpoint LSN %d, want 15", ckpt)
+			}
+			re, err := Open(st, r.log(t), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			holds(t, re, 20)
+			if re.LSN() != 20 || pitr.LSN() != 20 {
+				t.Fatalf("restore then open: LSN %d; RestoreToLSN: LSN %d; want 20", re.LSN(), pitr.LSN())
+			}
+			equalMultiset(t, "restore then open vs RestoreToLSN", collect(t, re.Scan), collect(t, pitr.Scan))
+		})
+
+		// A log that begins after the store's checkpoint has lost the
+		// records in between: Open refuses it and writes nothing.
+		t.Run(backend+"/gap", func(t *testing.T) {
+			r := newOpenRig(t, backend)
+			tr, err := Open(r.st, r.log(t), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			insert(t, tr, 0, 50)
+			if err := tr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			st := r.restart(t)
+			if err := os.Remove(r.walPath()); err != nil {
+				t.Fatal(err)
+			}
+			l := r.log(t)
+			if err := l.ResetAt(80); err != nil {
+				t.Fatal(err)
+			}
+			seq, err := l.Enqueue(encodeOp(nil, opInsert, pts[60], 60))
+			if err == nil {
+				err = l.Wait(seq)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			storeBefore, logBefore := storeImage(t, r, st), readFile(t, r.walPath())
+			if _, err := Open(st, r.log(t), Options{}); !errors.Is(err, wal.ErrCorrupt) {
+				t.Fatalf("Open with a log beginning at LSN 80 over a checkpoint at 50: %v, want wal.ErrCorrupt", err)
+			}
+			if !bytes.Equal(storeImage(t, r, st), storeBefore) || !bytes.Equal(readFile(t, r.walPath()), logBefore) {
+				t.Fatal("a refused Open changed the store or the log")
+			}
+			re, err := Open(st, nil, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			holds(t, re, 50)
+			if re.LSN() != 50 {
+				t.Fatalf("reopened without a log: LSN %d, want the checkpoint's 50", re.LSN())
 			}
 		})
 
@@ -280,4 +454,35 @@ func TestOpen(t *testing.T) {
 			t.Fatal("a refused Open changed the store file")
 		}
 	})
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// storeImage is the rig's store as bytes: the file of a FileStore; of
+// a MemStore, every page ever allocated (IDs run from 1), a freed one as
+// a single 0xff.
+func storeImage(t *testing.T, r *openRig, st storage.Store) []byte {
+	t.Helper()
+	if _, ok := st.(*storage.MemStore); !ok {
+		return readFile(t, filepath.Join(r.dir, "t.db"))
+	}
+	var img []byte
+	for id := page.ID(1); id <= page.ID(st.Stats().Allocs); id++ {
+		blob, err := st.ReadNode(id)
+		if errors.Is(err, storage.ErrUnallocated) {
+			blob = []byte{0xff}
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		img = binary.LittleEndian.AppendUint32(img, uint32(len(blob)))
+		img = append(img, blob...)
+	}
+	return img
 }

@@ -100,7 +100,7 @@ type OpStats = obs.TreeCountersSnapshot
 // reader–writer contract with multi-version reads:
 //
 //   - Point reads — Lookup, Contains, SearchCost, CollectStats, Dump,
-//     Validate, Len, Height, Stats, Epoch, ResetAccessCount — hold a
+//     Validate, Len, Height, Stats, ResetAccessCount — hold a
 //     shared lock and run in parallel with one another.
 //   - Traversal reads — RangeQuery, PartialMatch, Scan, Count, Nearest —
 //     and the explicit Snapshot API take the shared lock only to pin an
@@ -132,12 +132,14 @@ type Tree struct {
 	root      page.ID
 	rootLevel int // index level of the root; 0 while the root is a data page
 	size      int
-	epoch     uint64 // checkpoint epoch (see page.Meta.Epoch)
 	// lsn is the log sequence number of the tree's state: the number of
-	// logged operations it holds, over its whole history. A logged commit
-	// advances it in the critical section that applies the operation,
-	// views copy it at pin time, backups stamp it, and RestoreSnapshot
-	// and RestoreToLSN set it. 0 for a tree with no log history.
+	// logged operations it holds, over its whole history. Every Flush
+	// stores it in the meta record, so a reopened tree starts at its
+	// checkpoint's LSN, with a log or without one, and a restored tree at
+	// its backup's; replay advances it past the checkpoint, and a logged
+	// commit advances it in the critical section that applies the
+	// operation. Views copy it at pin time and backups stamp it. 0 for a
+	// tree with no log history.
 	lsn uint64
 
 	// The write-ahead log, attached by Open after replay; nil on a tree
@@ -188,12 +190,15 @@ const bitsPerDim = 64
 // new tree shaped by opt; any other is reopened at its last Flush, and
 // each shape field of opt (Dims, DataCapacity, Fanout, LevelScaledPages)
 // must be zero or the stored one. A meta page that fails its check is
-// refused, never taken for an empty store. A non-nil l is the tree's
-// write-ahead log: a reopened tree first replays the operations l holds
-// since the checkpoint (discarding a log one checkpoint behind the
-// store, refusing one ahead of it), then every write is logged, and
-// Flush is the checkpoint that empties l. The tree owns l, closing it
-// on error and at Close; the store stays the caller's.
+// refused, never taken for an empty store. A reopened tree knows the LSN
+// of its checkpoint, with a log or without one. A non-nil l is the
+// tree's write-ahead log: a reopened tree first replays l's records past
+// the checkpoint LSN, skipping those at or below it and refusing a log
+// that begins after it (see replay), then every write is logged, and
+// Flush is the checkpoint that empties l. A store restored from a backup
+// is a checkpoint at the backup's LSN, so RestoreSnapshot then Open with
+// a log restores to the log's end. The tree owns l, closing it on error
+// and at Close; the store stays the caller's.
 func Open(st storage.Store, l *wal.Log, opt Options) (*Tree, error) {
 	return open(st, l, opt, opt.CacheNodes)
 }
@@ -244,12 +249,12 @@ func load(st storage.Store, opt Options, cacheNodes int) (t *Tree, fresh bool, e
 	if t, err = newTree(newPagedNodes(st, opt.Dims, cacheNodes), opt); err != nil {
 		return nil, false, err
 	}
-	t.root, t.rootLevel, t.size, t.epoch = m.Root, m.RootLevel, int(m.Size), m.Epoch
+	t.root, t.rootLevel, t.size, t.lsn = m.Root, m.RootLevel, int(m.Size), m.LSN
 	return t, false, nil
 }
 
 // create starts a new tree of shape opt in st, whose first page must be
-// the one it allocates now, and flushes it at checkpoint epoch 1.
+// the one it allocates now, and flushes it at LSN 0.
 func create(st storage.Store, opt Options, cacheNodes int) (*Tree, error) {
 	if err := opt.fill(st.SlotPayload()); err != nil {
 		return nil, err
@@ -268,7 +273,6 @@ func create(st storage.Store, opt Options, cacheNodes int) (*Tree, error) {
 	if t.root, _, err = t.st.AllocData(region.BitString{}); err != nil {
 		return nil, err
 	}
-	t.epoch = 1
 	return t, t.Flush()
 }
 
@@ -357,13 +361,12 @@ func (t *Tree) checkpointIfFull() {
 // Flush is the tree's one checkpoint: it writes every node changed since
 // the last Flush, then the tree's root record, and syncs the backing
 // store. The tree is only reopenable from state captured by the last
-// Flush. On a tree with a log it first drains the log and advances the
-// checkpoint epoch, and after the sync it empties the log
-// at the new epoch and the tree's LSN. Each step is crash-safe: the
-// store sync is atomic (rollback journal), and the log is reset only
-// once the new epoch is durable in the store, so a crash in between
-// leaves the log one epoch behind, which recovery recognises and
-// discards. An unlogged Flush keeps the epoch.
+// Flush. The root record carries the tree's LSN, the checkpoint's. On a
+// tree with a log it first drains the log, and after the sync it empties
+// the log at that LSN. Each step is crash-safe: the store sync is atomic
+// (rollback journal), and the log is reset only once the checkpoint is
+// durable in the store, so a crash in between leaves a log whose records
+// all lie at or below the checkpoint LSN, which recovery skips.
 func (t *Tree) Flush() error {
 	if err := t.lockWrite(); err != nil {
 		return err
@@ -373,9 +376,9 @@ func (t *Tree) Flush() error {
 }
 
 // flushLocked is Flush's body (exclusive lock held). Holding the lock
-// blocks new enqueues, so once Drain returns no record of the old epoch
-// can reach the log after the reset: it would replay as an operation
-// after the checkpoint and apply twice.
+// blocks new enqueues, so once Drain returns no record the checkpoint
+// holds can reach the log after the reset: it would be numbered after
+// the checkpoint and apply twice.
 func (t *Tree) flushLocked() error {
 	var start time.Time
 	var absorbed int64 // log bytes this checkpoint makes redundant
@@ -387,7 +390,6 @@ func (t *Tree) flushLocked() error {
 			return err
 		}
 		absorbed = t.log.Size()
-		t.epoch++
 	}
 	err := t.paged.flush(&page.Meta{
 		Dims:         t.opt.Dims,
@@ -398,12 +400,12 @@ func (t *Tree) flushLocked() error {
 		Root:         t.root,
 		RootLevel:    t.rootLevel,
 		Size:         uint64(t.size),
-		Epoch:        t.epoch,
+		LSN:          t.lsn,
 	})
 	if err != nil || t.log == nil {
 		return err
 	}
-	if err := t.log.ResetAt(t.epoch, t.lsn); err != nil {
+	if err := t.log.ResetAt(t.lsn); err != nil {
 		return err
 	}
 	if wm := t.wm; wm != nil {
@@ -412,14 +414,6 @@ func (t *Tree) flushLocked() error {
 		wm.Checkpoints.Inc()
 	}
 	return nil
-}
-
-// Epoch returns the checkpoint epoch last persisted to (or loaded from)
-// the store's metadata page.
-func (t *Tree) Epoch() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.epoch
 }
 
 // Len returns the number of stored items.

@@ -2,7 +2,9 @@ package page
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -175,5 +177,23 @@ func TestDecodeDataPublishesMirror(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMetaRecordCarriesLSN: the meta record round-trips its checkpoint
+// LSN, and a record of the earlier layout (kind 3, whose last field was
+// a checkpoint epoch) is refused with ErrCorrupt, not read as an LSN.
+func TestMetaRecordCarriesLSN(t *testing.T) {
+	m := &Meta{Dims: 2, DataCapacity: 8, Fanout: 8, BitsPerDim: 64, Root: 2, RootLevel: 1, Size: 10, LSN: 1 << 40}
+	b := EncodeMeta(m)
+	got, err := DecodeMeta(b)
+	if err != nil || *got != *m {
+		t.Fatalf("meta round trip: %+v, %v; want %+v", got, err, m)
+	}
+	old := append([]byte(nil), b...)
+	old[2] = 3
+	binary.LittleEndian.PutUint32(old[len(old)-4:], crc32.Checksum(old[:len(old)-4], crcTable))
+	if _, err := DecodeMeta(old); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("kind-3 meta record decoded with err=%v, want ErrCorrupt", err)
 	}
 }

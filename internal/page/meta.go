@@ -2,8 +2,9 @@ package page
 
 import "fmt"
 
-// KindMeta identifies a tree metadata page.
-const KindMeta Kind = 3
+// KindMeta identifies a tree metadata page. It is 4, not 3: a kind-3
+// record is an earlier layout, which is refused, not misread.
+const KindMeta Kind = 4
 
 // Meta is the persistent root record of a paged tree: enough to reopen it
 // from a store. It lives in the store's first allocated page.
@@ -16,12 +17,10 @@ type Meta struct {
 	Root         ID
 	RootLevel    int
 	Size         uint64
-	// Epoch is the checkpoint epoch: incremented by every durable
-	// checkpoint and mirrored in the WAL's preamble, so recovery can tell
-	// whether the log's records postdate the store state (replay them) or
-	// were already absorbed by a checkpoint that crashed before resetting
-	// the log (discard them).
-	Epoch uint64
+	// LSN is the checkpoint's log sequence number: the count of logged
+	// operations the stored state holds. Recovery skips the log's records
+	// up to it and applies those after it.
+	LSN uint64
 }
 
 // EncodeMeta serialises a tree metadata record.
@@ -39,7 +38,7 @@ func EncodeMeta(m *Meta) []byte {
 	w.u64(uint64(m.Root))
 	w.u32(uint32(m.RootLevel))
 	w.u64(m.Size)
-	w.u64(m.Epoch)
+	w.u64(m.LSN)
 	return w.finish()
 }
 
@@ -61,6 +60,6 @@ func DecodeMeta(b []byte) (*Meta, error) {
 	m.Root = ID(r.u64())
 	m.RootLevel = int(r.u32())
 	m.Size = r.u64()
-	m.Epoch = r.u64()
+	m.LSN = r.u64()
 	return m, r.err
 }

@@ -17,7 +17,7 @@ func FuzzReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	_ = l.ResetAt(3, 0)
+	_ = l.ResetAt(3)
 	_ = commit(l, []byte("first-record"), []byte("second"))
 	_ = l.Close()
 	valid := *seed["seed.wal"]

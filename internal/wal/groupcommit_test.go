@@ -289,17 +289,17 @@ func TestGroupCommitDrainThenReset(t *testing.T) {
 	if err := l.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.ResetAt(7, 5); err != nil {
+	if err := l.ResetAt(5); err != nil {
 		t.Fatal(err)
 	}
-	if err := commit(l, []byte("new-epoch")); err != nil {
+	if err := commit(l, []byte("after-reset")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	recs := replayAll(t, path)
-	if len(recs) != 1 || string(recs[0]) != "new-epoch" {
+	if len(recs) != 1 || string(recs[0]) != "after-reset" {
 		t.Fatalf("post-reset log should hold exactly the new record, got %d records", len(recs))
 	}
 }

@@ -131,7 +131,7 @@ func TestMemFSMatchesOS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.ResetAt(3, 7); err != nil {
+		if err := l.ResetAt(7); err != nil {
 			t.Fatal(err)
 		}
 		if err := commit(l, []byte("first-record"), []byte("second")); err != nil {

@@ -6,14 +6,12 @@
 // paper's introduction motivates. Writers append through Enqueue and
 // Wait, and the log group-commits them itself (see Log).
 //
-// On-disk layout: a 24-byte preamble (magic, checkpoint epoch, base LSN,
-// CRC) followed by records, each `length(4) | crc32(4) | body`. The epoch
-// in the preamble mirrors the store's checkpoint epoch and tells recovery
-// whether the records postdate the last checkpoint (replay them) or were
-// already absorbed by a checkpoint that crashed before resetting the log
-// (discard them). The base LSN numbers the first record of the log: the
-// i-th intact record (0-based) has LSN base+i+1, so point-in-time restore
-// can address "replay through LSN n" across log resets.
+// On-disk layout: a 16-byte preamble (magic, base LSN, CRC) followed by
+// records, each `length(4) | crc32(4) | body`. The base LSN numbers the
+// log's records: the i-th intact record (0-based) has LSN base+i+1. A
+// checkpoint empties the log at its own LSN, so recovery and
+// point-in-time restore alike skip the records at or below the LSN of
+// the state they start from and apply the rest.
 //
 // Replay distinguishes two kinds of damage. A torn *tail* — the expected
 // residue of a crash mid-append — ends the replay cleanly and is
@@ -64,14 +62,13 @@ var (
 // reports the first error. The owner must discard the log — and, for
 // the durable tree, the whole in-memory state — and recover by replay.
 //
-// Replay, ResetAt, Epoch and BaseLSN are the owner's, called while no
+// Replay, ResetAt and BaseLSN are the owner's, called while no
 // record is pending: the durable tree calls them before it shares the
 // log or under its exclusive lock after Drain.
 type Log struct {
 	f       vfs.File
 	path    string
 	size    atomic.Int64 // record bytes, excluding the preamble; atomic so Size can be read beside a flush
-	epoch   uint64
 	baseLSN uint64
 	hdrOK   bool // preamble present and intact on disk
 
@@ -107,8 +104,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 const (
 	recordHeader = 8 // length (4) + crc (4)
 
-	preambleSize  = 24         // magic (4) + epoch (8) + base LSN (8) + crc (4)
-	preambleMagic = 0x464C4157 // "WALF"
+	preambleSize  = 16         // magic (4) + base LSN (8) + crc (4)
+	preambleMagic = 0x4E534C57 // "WLSN"; an earlier layout's log is refused, not misread
 
 	// maxRecord bounds a record length read from disk so that a damaged
 	// length field cannot force a huge allocation.
@@ -137,10 +134,9 @@ func OpenFS(fs vfs.FS, path string) (*Log, error) {
 		n, _ := f.ReadAt(hdr, 0)
 		if n == preambleSize &&
 			binary.LittleEndian.Uint32(hdr) == preambleMagic &&
-			crc32.Checksum(hdr[:20], crcTable) == binary.LittleEndian.Uint32(hdr[20:]) {
+			crc32.Checksum(hdr[:12], crcTable) == binary.LittleEndian.Uint32(hdr[12:]) {
 			l.hdrOK = true
-			l.epoch = binary.LittleEndian.Uint64(hdr[4:])
-			l.baseLSN = binary.LittleEndian.Uint64(hdr[12:])
+			l.baseLSN = binary.LittleEndian.Uint64(hdr[4:])
 			l.size.Store(st.Size() - preambleSize)
 		} else {
 			// Damaged preamble. If an intact record survives beyond it we
@@ -162,18 +158,14 @@ func OpenFS(fs vfs.FS, path string) (*Log, error) {
 	return l, nil
 }
 
-// Epoch returns the checkpoint epoch recorded in the log's preamble
-// (0 for a fresh or unrecoverably-damaged log).
-func (l *Log) Epoch() uint64 { return l.epoch }
-
 // BaseLSN returns the base LSN recorded in the log's preamble: the LSN
 // of the record preceding the log's first record, so record i (0-based)
-// has LSN BaseLSN()+i+1.
+// has LSN BaseLSN()+i+1 (0 for a fresh or unrecoverably-damaged log).
 func (l *Log) BaseLSN() uint64 { return l.baseLSN }
 
-// initPreamble (re)writes the preamble for the given epoch and base LSN,
+// initPreamble (re)writes the preamble for the given base LSN,
 // discarding any existing content.
-func (l *Log) initPreamble(epoch, baseLSN uint64) error {
+func (l *Log) initPreamble(baseLSN uint64) error {
 	if err := l.f.Truncate(0); err != nil {
 		return fmt.Errorf("wal: truncate %s: %w", l.path, err)
 	}
@@ -182,13 +174,11 @@ func (l *Log) initPreamble(epoch, baseLSN uint64) error {
 	}
 	hdr := make([]byte, preambleSize)
 	binary.LittleEndian.PutUint32(hdr, preambleMagic)
-	binary.LittleEndian.PutUint64(hdr[4:], epoch)
-	binary.LittleEndian.PutUint64(hdr[12:], baseLSN)
-	binary.LittleEndian.PutUint32(hdr[20:], crc32.Checksum(hdr[:20], crcTable))
+	binary.LittleEndian.PutUint64(hdr[4:], baseLSN)
+	binary.LittleEndian.PutUint32(hdr[12:], crc32.Checksum(hdr[:12], crcTable))
 	if _, err := l.f.Write(hdr); err != nil {
 		return fmt.Errorf("wal: write preamble %s: %w", l.path, err)
 	}
-	l.epoch = epoch
 	l.baseLSN = baseLSN
 	l.hdrOK = true
 	l.size.Store(0)
@@ -322,7 +312,7 @@ func (l *Log) flush(seq uint64) error {
 // with one fsync (flushing set).
 func (l *Log) write(frames []byte) error {
 	if !l.hdrOK {
-		if err := l.initPreamble(l.epoch, l.baseLSN); err != nil {
+		if err := l.initPreamble(l.baseLSN); err != nil {
 			return err
 		}
 	}
@@ -443,16 +433,15 @@ func scanIntact(f vfs.File, from, end int64) (int64, bool, error) {
 }
 
 // ResetAt empties the log after a checkpoint has made its contents
-// redundant, stamps the new checkpoint epoch and base LSN into the
-// preamble — baseLSN is the LSN of the last record the checkpoint
-// absorbed, so the log's next record is numbered baseLSN+1 — and makes
-// the result durable. Drain first: a pending record would otherwise land
-// in the new epoch.
-func (l *Log) ResetAt(epoch, baseLSN uint64) error {
+// redundant, stamps baseLSN into the preamble — the checkpoint's LSN, so
+// the log's next record is numbered baseLSN+1 — and makes the result
+// durable. Drain first: a pending record would otherwise be numbered
+// after the checkpoint it belongs before.
+func (l *Log) ResetAt(baseLSN uint64) error {
 	if l.isClosed() {
 		return ErrClosed
 	}
-	if err := l.initPreamble(epoch, baseLSN); err != nil {
+	if err := l.initPreamble(baseLSN); err != nil {
 		return err
 	}
 	if err := l.f.Sync(); err != nil {

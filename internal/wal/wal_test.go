@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -122,7 +124,7 @@ func TestCorruptPreambleIsAnError(t *testing.T) {
 	_ = commit(l, []byte("only"))
 	_ = l.Close()
 	data, _ := os.ReadFile(path)
-	data[4] ^= 0x01 // epoch field
+	data[4] ^= 0x01 // base LSN field
 	_ = os.WriteFile(path, data, 0o644)
 
 	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
@@ -130,13 +132,13 @@ func TestCorruptPreambleIsAnError(t *testing.T) {
 	}
 }
 
-func TestEpochRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "epoch.wal")
+func TestBaseLSNRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "base.wal")
 	l, _ := Open(path)
-	if l.Epoch() != 0 {
-		t.Fatalf("fresh log epoch %d", l.Epoch())
+	if l.BaseLSN() != 0 {
+		t.Fatalf("fresh log base LSN %d", l.BaseLSN())
 	}
-	if err := l.ResetAt(7, 0); err != nil {
+	if err := l.ResetAt(7); err != nil {
 		t.Fatal(err)
 	}
 	_ = commit(l, []byte("rec"))
@@ -146,8 +148,8 @@ func TestEpochRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Epoch() != 7 {
-		t.Fatalf("reopened epoch %d, want 7", re.Epoch())
+	if re.BaseLSN() != 7 {
+		t.Fatalf("reopened base LSN %d, want 7", re.BaseLSN())
 	}
 	n := 0
 	if err := re.Replay(func([]byte) error { n++; return nil }); err != nil || n != 1 {
@@ -155,11 +157,35 @@ func TestEpochRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEarlierLayoutIsRefused: a log in the earlier 24-byte layout (magic
+// "WALF", checkpoint epoch, base LSN, CRC) holding a record is refused
+// with ErrCorrupt, not read as records under the current preamble.
+func TestEarlierLayoutIsRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.wal")
+	hdr := binary.LittleEndian.AppendUint32(nil, 0x464C4157)
+	hdr = binary.LittleEndian.AppendUint64(hdr, 2)  // epoch
+	hdr = binary.LittleEndian.AppendUint64(hdr, 40) // base LSN
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(hdr, crcTable))
+	rec := []byte("an insert")
+	img := binary.LittleEndian.AppendUint32(hdr, uint32(len(rec)))
+	img = binary.LittleEndian.AppendUint32(img, crc32.Checksum(rec, crcTable))
+	img = append(img, rec...)
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := Open(path); !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			l.Close()
+		}
+		t.Fatalf("earlier-layout log opened with err=%v, want ErrCorrupt", err)
+	}
+}
+
 func TestReset(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reset.wal")
 	l, _ := Open(path)
 	_ = commit(l, []byte("x"))
-	if err := l.ResetAt(1, 0); err != nil {
+	if err := l.ResetAt(0); err != nil {
 		t.Fatal(err)
 	}
 	if l.Size() != 0 {
