@@ -83,9 +83,12 @@ race:
 
 # The crash-safety torture harness on its own, verbosely: sweeps injected
 # crashes and bit-flips across every file operation of a scripted
-# insert/delete/checkpoint workload (internal/fault + internal/bvtree).
+# insert/delete/checkpoint workload (internal/fault + internal/bvtree),
+# of a store's creation and Sync (internal/storage), and of a server's
+# first start: its plan, each shard's store, log and tree, and a few
+# inserts (TestServerFirstStartCrash in ./cmd/bvserver).
 torture:
-	$(GO) test -run 'TestTorture|TestCrash|TestSyncCrashSweep|TestBulkLoadCrash|TestBatchCrash|TestRejectedWrite' -v ./internal/bvtree ./internal/storage
+	$(GO) test -run 'TestTorture|TestCrash|TestSyncCrashSweep|TestBulkLoadCrash|TestBatchCrash|TestRejectedWrite|TestServerFirstStartCrash' -v ./internal/bvtree ./internal/storage ./cmd/bvserver
 
 # Coverage-guided fuzzing of WAL recovery.
 fuzz:

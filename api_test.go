@@ -54,7 +54,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 func TestPublicAPIPersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "api.db")
-	st, err := bvtree.NewFileStore(path, bvtree.FileStoreOptions{})
+	st, err := bvtree.OpenFileStore(path, bvtree.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

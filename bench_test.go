@@ -173,7 +173,7 @@ func benchPoints(b *testing.B, kind workload.Kind) []bvtree.Point {
 func newBenchDurable(b *testing.B, opt bvtree.Options) *bvtree.Tree {
 	b.Helper()
 	dir := b.TempDir()
-	st, err := bvtree.NewFileStore(filepath.Join(dir, "t.db"), bvtree.FileStoreOptions{})
+	st, err := bvtree.OpenFileStore(filepath.Join(dir, "t.db"), bvtree.FileStoreOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func BenchmarkMixedRead(b *testing.B) {
 func pagedFileTree(b *testing.B, pts []bvtree.Point) (string, *storage.FileStore, *bvtree.Tree) {
 	b.Helper()
 	path := filepath.Join(b.TempDir(), "t.db")
-	st, err := bvtree.NewFileStore(path, bvtree.FileStoreOptions{})
+	st, err := bvtree.OpenFileStore(path, bvtree.FileStoreOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,8 +24,10 @@
 //
 // Coordinates are uint64 values covering the full domain; use
 // NormalizeFloat to map floating-point attributes into it. For a
-// disk-backed tree, create or open a FileStore and use Open; for a
-// durable one, hand Open a write-ahead log from OpenWAL too.
+// disk-backed tree, open a FileStore with OpenFileStore, which creates
+// it or reopens it, and hand it to Open, which starts or reopens the
+// tree in it; for a durable one, hand Open a write-ahead log from
+// OpenWAL too. Each layer has the one opener.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // reproduction of every table and figure in the paper.
@@ -93,7 +95,7 @@ type Visitor = ibv.Visitor
 // Neighbor is one result of a Nearest search.
 type Neighbor = ibv.Neighbor
 
-// Store persists node blobs for paged trees; see NewFileStore.
+// Store persists node blobs for paged trees; see OpenFileStore.
 type Store = storage.Store
 
 // Snapshot is a pinned, immutable view of a Tree, obtained with
@@ -140,7 +142,7 @@ type BatchOp = ibv.BatchOp
 
 // RestoreSnapshot rebuilds a tree from a backup stream (written by
 // SnapshotBackup or Snapshot().Backup) into st,
-// which must be a freshly created store, as a checkpoint at the backup's
+// which must be a store that holds no tree, as a checkpoint at the backup's
 // LSN: Open of that store with a write-ahead log then replays the log's
 // operations past the backup to its end. Damaged streams fail with
 // ErrCorrupt — a restore never silently yields a shorter tree.
@@ -158,14 +160,10 @@ func RestoreToLSN(st Store, backup io.Reader, l *wal.Log, upToLSN uint64) (*Tree
 // RestoreToLSN.
 func OpenWAL(path string) (*wal.Log, error) { return wal.Open(path) }
 
-// NewFileStore creates a file-backed page store at path (truncating any
-// existing file), for Open to start a tree in.
-func NewFileStore(path string, opts FileStoreOptions) (*storage.FileStore, error) {
-	return storage.CreateFileStore(path, opts)
-}
-
-// OpenFileStore opens an existing file-backed page store, for Open to
-// reopen the tree in it.
+// OpenFileStore is the one way to open a file-backed page store: it
+// creates the store when the file at path is absent (or holds no more
+// than a header torn by a crash while the store was being created) and
+// reopens it otherwise. Open then decides whether the store holds a tree.
 func OpenFileStore(path string, opts FileStoreOptions) (*storage.FileStore, error) {
 	return storage.OpenFileStore(path, opts)
 }

@@ -29,7 +29,7 @@ func runDebugServer(addr string, hold time.Duration) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	st, err := bvtree.NewFileStore(filepath.Join(dir, "tree.db"), bvtree.FileStoreOptions{})
+	st, err := bvtree.OpenFileStore(filepath.Join(dir, "tree.db"), bvtree.FileStoreOptions{})
 	if err != nil {
 		return err
 	}

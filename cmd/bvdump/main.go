@@ -37,6 +37,10 @@ func main() {
 		err  error
 	)
 	if *store != "" {
+		// OpenFileStore would create an absent store; bvdump only reads.
+		if _, err := os.Stat(*store); err != nil {
+			fail(err)
+		}
 		st, serr := storage.OpenFileStore(*store, storage.FileStoreOptions{})
 		if serr != nil {
 			fail(serr)

@@ -4,7 +4,7 @@
 // index nodes and data pages, and the index's residency in the decoded
 // cache beside the paper's eq (9) prediction of its size. It
 // demonstrates the persistence path end to end: create, load, flush,
-// reopen, query.
+// reopen, query. It refuses a -store path that exists.
 package main
 
 import (
@@ -39,7 +39,12 @@ func main() {
 		fail(err)
 	}
 
-	st, err := storage.CreateFileStore(*path, storage.FileStoreOptions{})
+	// A store at the path would be reopened, and the points loaded into
+	// the tree it holds.
+	if _, err := os.Stat(*path); err == nil {
+		fail(fmt.Errorf("%s exists: bvload writes a new store, so give -store a path that does not exist", *path))
+	}
+	st, err := storage.OpenFileStore(*path, storage.FileStoreOptions{})
 	if err != nil {
 		fail(err)
 	}

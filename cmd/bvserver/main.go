@@ -19,8 +19,13 @@
 // than silent corruption.
 //
 // Each shard owns a full durable stack under <data>/shard-NNNN/: a
-// file-backed page store (tree.db) and a write-ahead log (tree.wal),
-// recovered independently on open. -backend mem swaps every shard for
+// file-backed page store (tree.db) and a write-ahead log (tree.wal).
+// A start opens each the one way, storage.OpenFileStore, wal.Open and
+// bvtree.Open, which create what is absent and recover what is there,
+// so the first start and every later one run the same code, and a crash
+// during the first start reopens like any other. The plan and each
+// shard directory are fsynced before the first request is served.
+// -backend mem swaps every shard for
 // an in-memory tree (no -data, nothing survives exit) — useful for
 // protocol experiments and as a cache-style deployment.
 //
@@ -50,6 +55,7 @@ import (
 	"bvtree/internal/obs"
 	"bvtree/internal/shard"
 	"bvtree/internal/storage"
+	"bvtree/internal/vfs"
 	"bvtree/internal/wal"
 	"bvtree/internal/workload"
 )
@@ -84,7 +90,7 @@ func run(addr, dataDir, backend string, dims, shards, prefixBits int,
 		return errors.New("-backend durable requires -data")
 	}
 
-	plan, fresh, err := loadOrCreatePlan(dataDir, backend, dims, shards, prefixBits,
+	plan, fresh, err := loadOrCreatePlan(vfs.OS{}, dataDir, backend, dims, shards, prefixBits,
 		planDist, planSample, seed)
 	if err != nil {
 		return err
@@ -97,7 +103,7 @@ func run(addr, dataDir, backend string, dims, shards, prefixBits int,
 			planPath(dataDir), plan.Shards(), plan.Dims)
 	}
 
-	engines, closeEngines, err := openEngines(dataDir, backend, plan, checkpointLogBytes)
+	engines, closeEngines, err := openEngines(vfs.OS{}, dataDir, backend, plan, checkpointLogBytes)
 	if err != nil {
 		return err
 	}
@@ -146,10 +152,10 @@ func run(addr, dataDir, backend string, dims, shards, prefixBits int,
 func planPath(dataDir string) string { return filepath.Join(dataDir, "plan.json") }
 
 // loadOrCreatePlan returns the cluster's shard plan. Durable clusters
-// persist it: the first start samples and writes plan.json, every later
-// start reloads it and cross-checks the creation-time flags. Mem
-// clusters get a fresh plan per process.
-func loadOrCreatePlan(dataDir, backend string, dims, shards, prefixBits int,
+// persist it through fs: the first start samples and writes plan.json,
+// every later start reloads it and cross-checks the creation-time flags.
+// Mem clusters get a fresh plan per process.
+func loadOrCreatePlan(fs vfs.FS, dataDir, backend string, dims, shards, prefixBits int,
 	planDist string, planSample int, seed uint64) (shard.Plan, bool, error) {
 	if backend == "durable" {
 		blob, err := os.ReadFile(planPath(dataDir))
@@ -187,13 +193,18 @@ func loadOrCreatePlan(dataDir, backend string, dims, shards, prefixBits int,
 		if err != nil {
 			return shard.Plan{}, false, err
 		}
-		// Write-then-rename so a crash mid-write cannot leave a torn plan
-		// that silently misroutes the next start.
+		// Write, fsync, rename, fsync the directory: a crash at any point
+		// leaves either no plan, and the next start samples the same one
+		// again, or the whole plan, never a torn one that silently
+		// misroutes the next start.
 		tmp := planPath(dataDir) + ".tmp"
-		if err := os.WriteFile(tmp, append(blob, '\n'), 0o644); err != nil {
+		if err := writeSynced(fs, tmp, append(blob, '\n')); err != nil {
 			return shard.Plan{}, false, err
 		}
 		if err := os.Rename(tmp, planPath(dataDir)); err != nil {
+			return shard.Plan{}, false, err
+		}
+		if err := syncDir(fs, dataDir); err != nil {
 			return shard.Plan{}, false, err
 		}
 	}
@@ -205,11 +216,44 @@ func loadOrCreatePlan(dataDir, backend string, dims, shards, prefixBits int,
 // a restart must do — grows for as long as the server runs.
 const checkpointLogBytes = 64 << 20
 
+// writeSynced writes blob to the file at path, replacing what it held,
+// and fsyncs it.
+func writeSynced(fs vfs.FS, path string, blob []byte) error {
+	f, err := fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(blob); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// syncDir fsyncs the directory dir, so that the entries made in it
+// survive a power loss.
+func syncDir(fs vfs.FS, dir string) error {
+	d, err := fs.OpenFile(dir, os.O_RDONLY, 0)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("fsync %s: %w", dir, err)
+	}
+	return nil
+}
+
 // openEngines builds one engine per shard range. Durable shards live in
-// <data>/shard-NNNN/ with their own store and WAL, created on first
-// start and recovered (checkpoint load + WAL replay) afterwards, and
-// checkpoint once their log holds logBytes.
-func openEngines(dataDir, backend string, plan shard.Plan, logBytes int64) ([]shard.Engine, func(), error) {
+// <data>/shard-NNNN/ with their own store and WAL, opened through fs:
+// each is opened the one way, which starts a shard on first start
+// (or after a crash during it) and recovers it (checkpoint load + WAL
+// replay) afterwards. Each shard directory, and then the data
+// directory, is fsynced once the shard's files exist. A shard
+// checkpoints once its log holds logBytes.
+func openEngines(fs vfs.FS, dataDir, backend string, plan shard.Plan, logBytes int64) ([]shard.Engine, func(), error) {
 	engines := make([]shard.Engine, plan.Shards())
 	var closers []func()
 	closeAll := func() {
@@ -238,18 +282,12 @@ func openEngines(dataDir, backend string, plan shard.Plan, logBytes int64) ([]sh
 		walPath := filepath.Join(dir, "tree.wal")
 
 		var (
-			st  *storage.FileStore
-			tr  *bvtree.Tree
-			l   *wal.Log
-			err error
+			tr *bvtree.Tree
+			l  *wal.Log
 		)
-		if _, statErr := os.Stat(dbPath); statErr == nil {
-			st, err = storage.OpenFileStore(dbPath, storage.FileStoreOptions{})
-		} else {
-			st, err = storage.CreateFileStore(dbPath, storage.FileStoreOptions{})
-		}
+		st, err := storage.OpenFileStore(dbPath, storage.FileStoreOptions{FS: fs})
 		if err == nil {
-			if l, err = wal.Open(walPath); err == nil {
+			if l, err = wal.OpenFS(fs, walPath); err == nil {
 				tr, err = bvtree.Open(st, l, opt)
 			}
 		}
@@ -264,6 +302,16 @@ func openEngines(dataDir, backend string, plan shard.Plan, logBytes int64) ([]sh
 		tr.AutoCheckpoint(logBytes)
 		closers = append(closers, func() { tr.Close(); st.Close() })
 		engines[i] = tr
+		if err := syncDir(fs, dir); err != nil {
+			closeAll()
+			return nil, nil, fmt.Errorf("shard %04d: %w", i, err)
+		}
+	}
+	if backend == "durable" {
+		if err := syncDir(fs, dataDir); err != nil {
+			closeAll()
+			return nil, nil, err
+		}
 	}
 	return engines, closeAll, nil
 }

@@ -85,9 +85,10 @@ func ExampleOpen() {
 	defer os.RemoveAll(dir)
 	db, walPath := filepath.Join(dir, "points.db"), filepath.Join(dir, "points.wal")
 
-	// A new store starts a new tree. The store file changes only at
-	// checkpoints; between them, durability comes from the log alone.
-	st, err := bvtree.NewFileStore(db, bvtree.FileStoreOptions{})
+	// OpenFileStore creates the absent store, and Open starts a new tree
+	// in it. The store file changes only at checkpoints; between them,
+	// durability comes from the log alone.
+	st, err := bvtree.OpenFileStore(db, bvtree.FileStoreOptions{})
 	if err != nil {
 		panic(err)
 	}

@@ -79,7 +79,7 @@ func main() {
 	path := filepath.Join(dir, "cities.db")
 
 	// Build and persist.
-	st, err := bvtree.NewFileStore(path, bvtree.FileStoreOptions{})
+	st, err := bvtree.OpenFileStore(path, bvtree.FileStoreOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

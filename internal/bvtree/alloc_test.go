@@ -101,7 +101,7 @@ func buildPagedFileTree(t *testing.T, n int) (*Tree, *storage.FileStore, string,
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "tree.db")
-	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{})
+	st, err := storage.OpenFileStore(path, storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

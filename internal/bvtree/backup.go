@@ -226,8 +226,9 @@ func (s *Snapshot) Backup(w io.Writer) error {
 }
 
 // RestoreSnapshot rebuilds a tree from a backup stream into st, which
-// must be a freshly created store (the restored pages reuse the stream's
-// normalised IDs, so the store's allocation sequence must be virgin).
+// must be a store that holds no tree, with no page allocated (the
+// restored pages reuse the stream's normalised IDs, so the store's
+// allocation sequence must be virgin).
 // The restored tree is flushed as a checkpoint at the backup's LSN, which
 // it reports, and which the store keeps: Open of the store with a log
 // replays the log's records past that LSN to its end, and RestoreToLSN

@@ -167,7 +167,7 @@ func TestBatchDifferentialOracle(t *testing.T) {
 // writes: every batched record must replay from the log.
 func TestBatchRecoveryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	st, err := storage.CreateFileStore(filepath.Join(dir, "t.db"),
+	st, err := storage.OpenFileStore(filepath.Join(dir, "t.db"),
 		storage.FileStoreOptions{SlotSize: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +357,7 @@ func TestConcurrentBatchWriters(t *testing.T) {
 // the tree consistent, and let the tree close cleanly.
 func TestConcurrentBackgroundCheckpointer(t *testing.T) {
 	dir := t.TempDir()
-	st, err := storage.CreateFileStore(filepath.Join(dir, "t.db"),
+	st, err := storage.OpenFileStore(filepath.Join(dir, "t.db"),
 		storage.FileStoreOptions{SlotSize: 512})
 	if err != nil {
 		t.Fatal(err)
@@ -429,7 +429,7 @@ func TestConcurrentBackgroundCheckpointer(t *testing.T) {
 func TestAutoCheckpointFailure(t *testing.T) {
 	dir := t.TempDir()
 	storeFS := fault.NewFS(vfs.OS{}, fault.Plan{})
-	st, err := storage.CreateFileStore(filepath.Join(dir, "t.db"),
+	st, err := storage.OpenFileStore(filepath.Join(dir, "t.db"),
 		storage.FileStoreOptions{SlotSize: 256, FS: storeFS})
 	if err != nil {
 		t.Fatal(err)

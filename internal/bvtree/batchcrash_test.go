@@ -139,7 +139,7 @@ func autoCheckpointCrashSweep(t *testing.T, sweep int) (checkpointCrashes int) {
 	for k := 1; k <= sweep; k++ {
 		storeFS := fault.NewFS(vfs.OS{}, fault.Plan{})
 		dir := t.TempDir()
-		_, d, err := openDir(dir, storeFS, vfs.OS{}, true, crashOpts)
+		_, d, err := openDir(dir, storeFS, vfs.OS{}, crashOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func autoCheckpointCrashSweep(t *testing.T, sweep int) (checkpointCrashes int) {
 		// Crash: abandon the poisoned store (its descriptors close without
 		// flushing) and recover from the real filesystem.
 		storeFS.CloseAll()
-		st2, re, err := openDir(dir, vfs.OS{}, vfs.OS{}, false, crashOpts)
+		st2, re, err := openDir(dir, vfs.OS{}, vfs.OS{}, crashOpts)
 		if err != nil {
 			t.Fatalf("k=%d: reopen: %v", k, err)
 		}

@@ -286,7 +286,7 @@ func TestBulkLoadNonEmptyFallback(t *testing.T) {
 // clean close and reopen, both via checkpointed pages and WAL replay.
 func TestBulkLoadDurablePersistence(t *testing.T) {
 	dir := t.TempDir()
-	st, err := storage.CreateFileStore(filepath.Join(dir, "t.db"),
+	st, err := storage.OpenFileStore(filepath.Join(dir, "t.db"),
 		storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)

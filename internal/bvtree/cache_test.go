@@ -274,7 +274,7 @@ func TestCacheDeterministic(t *testing.T) {
 func residencyTree(t *testing.T, n int, shape Options) (*Tree, *storage.FileStore, []geometry.Point, int) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "tree.db")
-	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{})
+	st, err := storage.OpenFileStore(path, storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

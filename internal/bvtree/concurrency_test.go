@@ -234,7 +234,7 @@ func TestConcurrentReadWritePaged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := storage.CreateFileStore(filepath.Join(t.TempDir(), "stress.bv"), storage.FileStoreOptions{SlotSize: 512})
+	st, err := storage.OpenFileStore(filepath.Join(t.TempDir(), "stress.bv"), storage.FileStoreOptions{SlotSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

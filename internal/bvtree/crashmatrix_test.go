@@ -43,7 +43,7 @@ func newMatrixEnvN(t *testing.T, n int) *matrixEnv {
 		walFS:   fault.NewFS(vfs.OS{}, fault.Plan{}),
 	}
 	var err error
-	if e.st, e.d, err = openDir(e.dir, e.storeFS, e.walFS, true, crashOpts); err != nil {
+	if e.st, e.d, err = openDir(e.dir, e.storeFS, e.walFS, crashOpts); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(77))
@@ -67,7 +67,7 @@ func (e *matrixEnv) reopen(t *testing.T) *Tree {
 	t.Helper()
 	e.storeFS.CloseAll()
 	e.walFS.CloseAll()
-	st, d, err := openDir(e.dir, vfs.OS{}, vfs.OS{}, false, crashOpts)
+	st, d, err := openDir(e.dir, vfs.OS{}, vfs.OS{}, crashOpts)
 	if st != nil {
 		t.Cleanup(func() { st.Close() })
 	}
@@ -209,7 +209,7 @@ func TestCrashAfterSyncBeforeApply(t *testing.T) {
 func crashAfterSyncBeforeApply(t *testing.T, cache, k int, inWrite *int) bool {
 	dir := t.TempDir()
 	ffs := fault.NewFS(vfs.OS{}, fault.Plan{})
-	inner, err := storage.CreateFileStore(filepath.Join(dir, "t.db"),
+	inner, err := storage.OpenFileStore(filepath.Join(dir, "t.db"),
 		storage.FileStoreOptions{SlotSize: 256, FS: ffs})
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +250,7 @@ func crashAfterSyncBeforeApply(t *testing.T, cache, k int, inWrite *int) bool {
 	// write set, and are lost with it.
 	ffs.CloseAll()
 
-	st2, re, err := openDir(dir, vfs.OS{}, vfs.OS{}, false, crashOpts)
+	st2, re, err := openDir(dir, vfs.OS{}, vfs.OS{}, crashOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestCrashBetweenSyncs(t *testing.T) {
 	open := func(t *testing.T) (string, *fault.FS, *storage.FileStore) {
 		dir := t.TempDir()
 		ffs := fault.NewFS(vfs.OS{}, fault.Plan{})
-		st, err := storage.CreateFileStore(filepath.Join(dir, "t.db"),
+		st, err := storage.OpenFileStore(filepath.Join(dir, "t.db"),
 			storage.FileStoreOptions{SlotSize: 256, FS: ffs})
 		if err != nil {
 			t.Fatal(err)

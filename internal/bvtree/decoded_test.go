@@ -113,7 +113,7 @@ func TestDecodedNodesMeetWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "tree.db")
-	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{})
+	st, err := storage.OpenFileStore(path, storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,17 +27,13 @@ func openLogged(st storage.Store, walPath string, opt Options) (*Tree, error) {
 var crashOpts = Options{Dims: 2, DataCapacity: 8, Fanout: 8}
 
 // openDir is the crash batteries' one open step, for a run and for its
-// recovery alike. The store dir/t.db is created through storeFS with
-// 256-byte slots when create is set, and opened through it otherwise;
-// Open then starts or recovers the tree in it, with the log dir/t.wal
-// opened through walFS. An error after the store opened returns the
-// store unclosed: a crashed run abandons it, a recovery closes it.
-func openDir(dir string, storeFS, walFS vfs.FS, create bool, opt Options) (*storage.FileStore, *Tree, error) {
-	open := storage.OpenFileStore
-	if create {
-		open = storage.CreateFileStore
-	}
-	st, err := open(filepath.Join(dir, "t.db"), storage.FileStoreOptions{SlotSize: 256, FS: storeFS})
+// recovery alike: the store dir/t.db is opened through storeFS (created
+// with 256-byte slots when it holds none), Open then starts or recovers
+// the tree in it, with the log dir/t.wal opened through walFS. An error
+// after the store opened returns the store unclosed: a crashed run
+// abandons it, a recovery closes it.
+func openDir(dir string, storeFS, walFS vfs.FS, opt Options) (*storage.FileStore, *Tree, error) {
+	st, err := storage.OpenFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{SlotSize: 256, FS: storeFS})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -54,7 +50,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 	dbPath := filepath.Join(dir, "tree.db")
 	walPath := filepath.Join(dir, "tree.wal")
 
-	st, err := storage.CreateFileStore(dbPath, storage.FileStoreOptions{SlotSize: 512})
+	st, err := storage.OpenFileStore(dbPath, storage.FileStoreOptions{SlotSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +153,7 @@ func TestDurableTornWALTail(t *testing.T) {
 	dbPath := filepath.Join(dir, "tree.db")
 	walPath := filepath.Join(dir, "tree.wal")
 
-	st, err := storage.CreateFileStore(dbPath, storage.FileStoreOptions{})
+	st, err := storage.OpenFileStore(dbPath, storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +205,7 @@ func TestDurableTornWALTail(t *testing.T) {
 
 func TestDurableCheckpointEmptiesLog(t *testing.T) {
 	dir := t.TempDir()
-	st, err := storage.CreateFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{})
+	st, err := storage.OpenFileStore(filepath.Join(dir, "t.db"), storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +278,7 @@ func TestDurableFlushThenCrash(t *testing.T) {
 	dir := t.TempDir()
 	dbPath := filepath.Join(dir, "tree.db")
 	walPath := filepath.Join(dir, "tree.wal")
-	st, err := storage.CreateFileStore(dbPath, storage.FileStoreOptions{SlotSize: 512})
+	st, err := storage.OpenFileStore(dbPath, storage.FileStoreOptions{SlotSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +342,7 @@ func TestEveryHandleIsLogged(t *testing.T) {
 	dir := t.TempDir()
 	dbPath, walPath := filepath.Join(dir, "t.db"), filepath.Join(dir, "t.wal")
 	ffs := fault.NewFS(vfs.OS{}, fault.Plan{})
-	st, err := storage.CreateFileStore(dbPath, storage.FileStoreOptions{SlotSize: 256, FS: ffs})
+	st, err := storage.OpenFileStore(dbPath, storage.FileStoreOptions{SlotSize: 256, FS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func TestMetricsDisabledByDefault(t *testing.T) {
 // tree histograms, WAL write-path histograms, and page-store counters.
 func TestDurableMetrics(t *testing.T) {
 	dir := t.TempDir()
-	st, err := storage.CreateFileStore(filepath.Join(dir, "tree.db"), storage.FileStoreOptions{})
+	st, err := storage.OpenFileStore(filepath.Join(dir, "tree.db"), storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -278,7 +278,7 @@ func TestSnapshotDifferentialPaged(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "snap.bv")
 			var st storage.Store = storage.NewMemStore()
 			if tc.file {
-				if st, err = storage.CreateFileStore(path, storage.FileStoreOptions{SlotSize: 512}); err != nil {
+				if st, err = storage.OpenFileStore(path, storage.FileStoreOptions{SlotSize: 512}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -35,7 +35,7 @@ func newOpenRig(t *testing.T, backend string) *openRig {
 		return r
 	}
 	path := filepath.Join(r.dir, "t.db")
-	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{SlotSize: 256, FS: r.ffs})
+	st, err := storage.OpenFileStore(path, storage.FileStoreOptions{SlotSize: 256, FS: r.ffs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func (r *openRig) another(t *testing.T, name string) storage.Store {
 	if _, ok := r.st.(*storage.MemStore); ok {
 		return storage.NewMemStore()
 	}
-	st, err := storage.CreateFileStore(filepath.Join(r.dir, name), storage.FileStoreOptions{SlotSize: 256})
+	st, err := storage.OpenFileStore(filepath.Join(r.dir, name), storage.FileStoreOptions{SlotSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestOpen(t *testing.T) {
 	t.Run("file/corrupt-meta", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "t.db")
 		const slot = 256
-		st, err := storage.CreateFileStore(path, storage.FileStoreOptions{SlotSize: slot})
+		st, err := storage.OpenFileStore(path, storage.FileStoreOptions{SlotSize: slot})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,7 @@ func TestPagedTreeMemStore(t *testing.T) {
 
 func TestPagedTreePersistenceRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tree.db")
-	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{SlotSize: 512})
+	st, err := storage.OpenFileStore(path, storage.FileStoreOptions{SlotSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -274,7 +274,7 @@ func TestSoftOverflowOnPureDuplicates(t *testing.T) {
 	// FileStore their data page outgrows its slot and is stored as a
 	// chain of slots: a P sized to the slot does not make chains go away.
 	path := filepath.Join(t.TempDir(), "dup.db")
-	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{})
+	st, err := storage.OpenFileStore(path, storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 func TestDefaultDataCapacityFitsOneSlot(t *testing.T) {
 	t.Run("bound", func(t *testing.T) {
 		for _, slot := range []int{512, 4096, 8192} {
-			st, err := storage.CreateFileStore(filepath.Join(t.TempDir(), "t.db"), storage.FileStoreOptions{SlotSize: slot})
+			st, err := storage.OpenFileStore(filepath.Join(t.TempDir(), "t.db"), storage.FileStoreOptions{SlotSize: slot})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +70,7 @@ func TestDefaultDataCapacityFitsOneSlot(t *testing.T) {
 
 	t.Run("reopen-keeps-P", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "t.db")
-		st, err := storage.CreateFileStore(path, storage.FileStoreOptions{})
+		st, err := storage.OpenFileStore(path, storage.FileStoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func worstDataPage(t *testing.T, dims, n int) int {
 // but a lone root is at least a third full.
 func defaultShapeTree(t *testing.T, kind workload.Kind, dims int) {
 	path := filepath.Join(t.TempDir(), "t.db")
-	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{})
+	st, err := storage.OpenFileStore(path, storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,10 +74,6 @@ func tortureScript() []torOp {
 	return ops
 }
 
-func tortureStoreOpts(fs vfs.FS) storage.FileStoreOptions {
-	return storage.FileStoreOptions{SlotSize: 256, FS: fs}
-}
-
 // runTortureWorkload replays the script over ffs until the first error
 // (the injected crash) or completion. It returns the shadow model of
 // acknowledged operations, the last acknowledged tree operation, the
@@ -85,7 +81,7 @@ func tortureStoreOpts(fs vfs.FS) storage.FileStoreOptions {
 // acknowledged operations.
 func runTortureWorkload(script []torOp, ffs *fault.FS, dir string) (shadow map[uint64]geometry.Point, last, inflight *torOp, acked int) {
 	shadow = make(map[uint64]geometry.Point)
-	_, d, err := openDir(dir, ffs, ffs, true, crashOpts)
+	_, d, err := openDir(dir, ffs, ffs, crashOpts)
 	if err != nil {
 		return shadow, nil, nil, 0
 	}
@@ -212,18 +208,11 @@ func TestTortureCrashSweep(t *testing.T) {
 			shadow, _, inflight, acked := runTortureWorkload(script, ffs, dir)
 			ffs.CloseAll()
 
-			st, d, err := openDir(dir, vfs.OS{}, vfs.OS{}, false, crashOpts)
+			st, d, err := openDir(dir, vfs.OS{}, vfs.OS{}, crashOpts)
 			if err != nil {
-				if st != nil {
-					st.Close()
-				}
-				// Only a crash before the first acknowledged operation (e.g.
-				// torn store header during creation) may leave the state
-				// unopenable.
-				if acked > 0 {
-					t.Fatalf("%s: reopen failed with %d acknowledged operations: %v", desc, acked, err)
-				}
-				continue
+				// Every crash point reopens, including one that tore the
+				// store's header while it was being created.
+				t.Fatalf("%s: reopen failed with %d acknowledged operations: %v", desc, acked, err)
 			}
 			if err := checkRecoveredState(d, shadow, inflight); err != nil {
 				t.Fatalf("%s: %v", desc, err)
@@ -286,7 +275,7 @@ func TestTortureCorruptionSweep(t *testing.T) {
 		walFlip := ffs.InjectedPath() == filepath.Join(dir, "t.wal")
 		ffs.CloseAll()
 
-		st, d, err := openDir(dir, vfs.OS{}, vfs.OS{}, false, crashOpts)
+		st, d, err := openDir(dir, vfs.OS{}, vfs.OS{}, crashOpts)
 		if err != nil {
 			if st != nil {
 				st.Close()

@@ -55,7 +55,7 @@ func rangeBackends(t *testing.T, pts []geometry.Point, opt Options, fn func(t *t
 		fn(t, load(t, tr))
 	})
 	t.Run("paged-file", func(t *testing.T) {
-		st, err := storage.CreateFileStore(filepath.Join(t.TempDir(), "p.bv"), storage.FileStoreOptions{SlotSize: 512})
+		st, err := storage.OpenFileStore(filepath.Join(t.TempDir(), "p.bv"), storage.FileStoreOptions{SlotSize: 512})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func rangeBackends(t *testing.T, pts []geometry.Point, opt Options, fn func(t *t
 	})
 	t.Run("durable", func(t *testing.T) {
 		dir := t.TempDir()
-		st, err := storage.CreateFileStore(filepath.Join(dir, "d.bv"), storage.FileStoreOptions{SlotSize: 512})
+		st, err := storage.OpenFileStore(filepath.Join(dir, "d.bv"), storage.FileStoreOptions{SlotSize: 512})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,7 +448,7 @@ func TestRangeRunsInline(t *testing.T) {
 
 	dir := t.TempDir()
 	fopt := storage.FileStoreOptions{}
-	fst, err := storage.CreateFileStore(filepath.Join(dir, "d.bv"), fopt)
+	fst, err := storage.OpenFileStore(filepath.Join(dir, "d.bv"), fopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,7 +608,7 @@ func TestParallelRangeRejectsMalformedRect(t *testing.T) {
 // under the race detector in `make verify`. Writers churn the second half of the points, so readers
 // assert only over the stable first half.
 func TestConcurrentRangeQueries(t *testing.T) {
-	st, err := storage.CreateFileStore(filepath.Join(t.TempDir(), "cr.bv"), storage.FileStoreOptions{SlotSize: 512})
+	st, err := storage.OpenFileStore(filepath.Join(t.TempDir(), "cr.bv"), storage.FileStoreOptions{SlotSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

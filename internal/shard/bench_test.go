@@ -96,7 +96,7 @@ func fanoutRouter(b *testing.B, backend string, plan Plan, pts []geometry.Point)
 			engines[i] = tr
 		case "cold":
 			path := filepath.Join(b.TempDir(), fmt.Sprintf("shard-%d.db", i))
-			st, err := storage.CreateFileStore(path, storage.FileStoreOptions{})
+			st, err := storage.OpenFileStore(path, storage.FileStoreOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -41,10 +41,10 @@ func newEngines(t testing.TB, backend string, plan Plan) []Engine {
 			engines[i] = tr
 		case "durable":
 			dir := t.TempDir()
-			st, err := storage.CreateFileStore(filepath.Join(dir, fmt.Sprintf("shard-%d.db", i)),
+			st, err := storage.OpenFileStore(filepath.Join(dir, fmt.Sprintf("shard-%d.db", i)),
 				storage.FileStoreOptions{})
 			if err != nil {
-				t.Fatalf("CreateFileStore: %v", err)
+				t.Fatalf("OpenFileStore: %v", err)
 			}
 			l, err := wal.Open(filepath.Join(dir, fmt.Sprintf("shard-%d.wal", i)))
 			if err != nil {
@@ -278,7 +278,7 @@ func TestShardSingleShardDurable(t *testing.T) {
 	const dims, n = 2, 1200
 	dir := t.TempDir()
 	newDurable := func(name string) *bvtree.Tree {
-		st, err := storage.CreateFileStore(filepath.Join(dir, name+".db"),
+		st, err := storage.OpenFileStore(filepath.Join(dir, name+".db"),
 			storage.FileStoreOptions{})
 		if err != nil {
 			t.Fatal(err)

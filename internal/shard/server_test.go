@@ -556,7 +556,7 @@ func TestShardServerPoisonedFileStore(t *testing.T) {
 	}
 	engines := newEngines(t, "mem", plan)
 	ffs := fault.NewFS(vfs.OS{}, fault.Plan{})
-	st, err := storage.CreateFileStore(filepath.Join(t.TempDir(), "bad.db"), storage.FileStoreOptions{FS: ffs})
+	st, err := storage.OpenFileStore(filepath.Join(t.TempDir(), "bad.db"), storage.FileStoreOptions{FS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestConcurrentStoreReads(t *testing.T) {
 		{"mem", func(t *testing.T) Store { return NewMemStore() }},
 		{"file", func(t *testing.T) Store {
 			// Hundreds of small slots, read through the write set.
-			fs, err := CreateFileStore(filepath.Join(t.TempDir(), "c.bv"), FileStoreOptions{SlotSize: 128})
+			fs, err := OpenFileStore(filepath.Join(t.TempDir(), "c.bv"), FileStoreOptions{SlotSize: 128})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestConcurrentReadsBesideWrites(t *testing.T) {
 		readers = 8
 	)
 	path := filepath.Join(t.TempDir(), "rw.bv")
-	fs, err := CreateFileStore(path, FileStoreOptions{SlotSize: 128})
+	fs, err := OpenFileStore(path, FileStoreOptions{SlotSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

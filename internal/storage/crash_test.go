@@ -1,10 +1,12 @@
 package storage_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"bvtree/internal/fault"
@@ -20,7 +22,7 @@ import (
 func crashScenario(t *testing.T, dir string, plan fault.Plan) (*storage.FileStore, *fault.FS, []page.ID, [][]byte, [][]byte) {
 	t.Helper()
 	ffs := fault.NewFS(vfs.OS{}, plan)
-	st, err := storage.CreateFileStore(filepath.Join(dir, "s.db"),
+	st, err := storage.OpenFileStore(filepath.Join(dir, "s.db"),
 		storage.FileStoreOptions{SlotSize: 128, FS: ffs})
 	if err != nil {
 		t.Fatal(err)
@@ -129,11 +131,223 @@ func TestSyncCrashSweep(t *testing.T) {
 		}
 	}
 	t.Logf("swept %d sync crash points", points)
+	t.Logf("swept %d creation crash points", creationCrashSweep(t))
+}
+
+// creationCrashSweep is TestSyncCrashSweep's creation arm: it crashes
+// at every file operation of a store's creation, its first writes and
+// its first Sync, and reopens. The reopened store must be empty or hold
+// exactly the synced content, and it must take writes.
+func creationCrashSweep(t *testing.T) int {
+	blobs := [][]byte{[]byte("one"), bytes.Repeat([]byte{2}, 300), []byte("three")}
+	var ids []page.ID // the same in every run: allocation is deterministic
+	run := func(path string, ffs *fault.FS) error {
+		st, err := storage.OpenFileStore(path, storage.FileStoreOptions{SlotSize: 128, FS: ffs})
+		if err != nil {
+			return err
+		}
+		ids = ids[:0]
+		for _, blob := range blobs {
+			id, err := st.Alloc()
+			if err != nil {
+				return err
+			}
+			ids = append(ids, id)
+			if err := st.WriteNode(id, blob); err != nil {
+				return err
+			}
+		}
+		return st.Sync()
+	}
+	dry := fault.NewFS(vfs.OS{}, fault.Plan{})
+	if err := run(filepath.Join(t.TempDir(), "s.db"), dry); err != nil {
+		t.Fatal(err)
+	}
+	dry.CloseAll()
+	synced := slices.Clone(ids)
+	points := 0
+	for _, mode := range []fault.Mode{fault.ModeError, fault.ModeTorn} {
+		for k := 1; ; k++ {
+			path := filepath.Join(t.TempDir(), "s.db")
+			ffs := fault.NewFS(vfs.OS{}, fault.Plan{InjectAt: k, Mode: mode, Seed: int64(k)})
+			err := run(path, ffs)
+			ffs.CloseAll()
+			if err == nil {
+				if k < 8 {
+					t.Fatalf("mode=%v: creation performed only %d file operations", mode, k-1)
+				}
+				break
+			}
+			points++
+			desc := fmt.Sprintf("mode=%v k=%d", mode, k)
+			re, err := storage.OpenFileStore(path, storage.FileStoreOptions{SlotSize: 128})
+			if err != nil {
+				t.Fatalf("%s: reopen after crashed creation: %v", desc, err)
+			}
+			if got := re.SlotPayload(); got != 128-12 {
+				t.Fatalf("%s: reopened with slot payload %d, want 116", desc, got)
+			}
+			if _, err := re.ReadNode(1); !errors.Is(err, storage.ErrUnallocated) {
+				for i, want := range blobs {
+					if got, err := re.ReadNode(synced[i]); err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("%s: node %d = %q, %v: neither empty nor the synced content", desc, synced[i], got, err)
+					}
+				}
+			}
+			id, err := re.Alloc()
+			if err == nil {
+				err = re.WriteNode(id, []byte("after"))
+			}
+			if err == nil {
+				err = re.Sync()
+			}
+			if err != nil {
+				t.Fatalf("%s: write to the reopened store: %v", desc, err)
+			}
+			re.Close()
+		}
+	}
+	return points
+}
+
+// TestOpenFileStoreCreatesOrReopens pins the one constructor's three
+// cases: a file shorter than a header that is absent, empty or a torn
+// header prefix starts a fresh store; any other short file is refused
+// with ErrCorrupt and left byte-identical; and a whole store reopens
+// with the slot size it was created with, whatever SlotSize says.
+func TestOpenFileStoreCreatesOrReopens(t *testing.T) {
+	// A real header, for its prefixes.
+	hdrPath := filepath.Join(t.TempDir(), "h.db")
+	st, err := storage.OpenFileStore(hdrPath, storage.FileStoreOptions{SlotSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := os.ReadFile(hdrPath)
+	if err != nil || len(hdr) != 40 {
+		t.Fatalf("fresh store file holds %d bytes, %v; want a 40-byte header", len(hdr), err)
+	}
+	fresh := func(t *testing.T, path string) {
+		t.Helper()
+		st, err := storage.OpenFileStore(path, storage.FileStoreOptions{SlotSize: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.ReadNode(1); !errors.Is(err, storage.ErrUnallocated) {
+			t.Fatalf("page 1 of a fresh store: %v, want ErrUnallocated", err)
+		}
+		if got := st.SlotPayload(); got != 256-12 {
+			t.Fatalf("fresh store slot payload %d, want 244", got)
+		}
+		id, err := st.Alloc()
+		if err != nil || id != 1 {
+			t.Fatalf("first Alloc = %d, %v", id, err)
+		}
+		if err := st.WriteNode(id, []byte("kept")); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := storage.OpenFileStore(path, storage.FileStoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		if got, err := re.ReadNode(id); err != nil || string(got) != "kept" {
+			t.Fatalf("reopened fresh store: %q, %v", got, err)
+		}
+	}
+	t.Run("absent", func(t *testing.T) {
+		fresh(t, filepath.Join(t.TempDir(), "absent.db"))
+	})
+	for _, n := range []int{0, 1, 8, 12, 20, 39} {
+		t.Run(fmt.Sprintf("torn-%d", n), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "torn.db")
+			if err := os.WriteFile(path, hdr[:n], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fresh(t, path)
+		})
+	}
+	t.Run("not-a-store", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "notes.txt")
+		text := []byte("not a bvtr")
+		if err := os.WriteFile(path, text, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := storage.OpenFileStore(path, storage.FileStoreOptions{}); !errors.Is(err, storage.ErrCorrupt) {
+			t.Fatalf("open of a 10-byte text file: %v, want ErrCorrupt", err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, text) {
+			t.Fatalf("refused file now holds %q, %v", got, err)
+		}
+		if _, err := os.Stat(path + ".journal"); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("refused file got a journal beside it: %v", err)
+		}
+	})
+	t.Run("slot-size-at-creation-only", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "s.db")
+		st, err := storage.OpenFileStore(path, storage.FileStoreOptions{SlotSize: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, slot := range []int{0, 16, 512} {
+			re, err := storage.OpenFileStore(path, storage.FileStoreOptions{SlotSize: slot})
+			if err != nil {
+				t.Fatalf("reopen with SlotSize %d: %v", slot, err)
+			}
+			if got := re.SlotPayload(); got != 128-12 {
+				t.Fatalf("reopen with SlotSize %d: slot payload %d, want 116", slot, got)
+			}
+			re.Close()
+		}
+		if _, err := storage.OpenFileStore(filepath.Join(t.TempDir(), "small.db"), storage.FileStoreOptions{SlotSize: 16}); err == nil {
+			t.Fatal("a store was created with 16-byte slots")
+		}
+	})
+	// A valid journal beside a short file belongs to an earlier store at
+	// the path. The fresh store discards it: rolled back, now or at the
+	// next open, it would write the old store's header over the new one.
+	t.Run("stale-journal", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "s.db")
+		st, ffs, _, _, _ := crashScenario(t, dir, fault.Plan{})
+		// The Sync's fourth operation is its first slot write: the
+		// journal before it is whole and fsynced.
+		ffs.SetPlan(fault.Plan{InjectAt: ffs.Ops() + 4, Mode: fault.ModeError})
+		if err := st.Sync(); !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("sync: %v, want the injected fault", err)
+		}
+		st.Close()
+		ffs.CloseAll()
+		if fi, err := os.Stat(path + ".journal"); err != nil || fi.Size() == 0 {
+			t.Fatalf("no journal left by the crashed Sync: %v", err)
+		}
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		// Started and closed with no write, the store leaves any journal
+		// beside it in place for the next open, the one fresh makes.
+		st, err = storage.OpenFileStore(path, storage.FileStoreOptions{SlotSize: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fresh(t, path)
+	})
 }
 
 func TestHeaderCorruptionDetected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.db")
-	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{SlotSize: 128})
+	st, err := storage.OpenFileStore(path, storage.FileStoreOptions{SlotSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +374,7 @@ func TestHeaderCorruptionDetected(t *testing.T) {
 
 func TestGarbageJournalIgnored(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.db")
-	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{SlotSize: 128})
+	st, err := storage.OpenFileStore(path, storage.FileStoreOptions{SlotSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +405,7 @@ func TestGarbageJournalIgnored(t *testing.T) {
 
 func TestClosedStoreErrors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.db")
-	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{SlotSize: 128})
+	st, err := storage.OpenFileStore(path, storage.FileStoreOptions{SlotSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +432,7 @@ func TestClosedStoreErrors(t *testing.T) {
 
 func TestFreeListCorruptionDetected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.db")
-	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{SlotSize: 128})
+	st, err := storage.OpenFileStore(path, storage.FileStoreOptions{SlotSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ type FileStore struct {
 	mu       sync.RWMutex // exclusive for mutations, shared for reads
 	fs       vfs.FS
 	f        vfs.File
-	jf       vfs.File // rollback journal, created lazily on first Sync
+	jf       vfs.File // rollback journal, opened with the store
 	path     string
 	slotSize int
 	nextSlot uint64
@@ -77,7 +77,8 @@ var storeCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // FileStoreOptions configures a FileStore.
 type FileStoreOptions struct {
-	// SlotSize is the physical slot size in bytes (default 4096).
+	// SlotSize is the physical slot size in bytes (default 4096) of a
+	// store OpenFileStore creates; a store it reopens keeps its own.
 	SlotSize int
 	// PoolSlots is ignored.
 	//
@@ -94,82 +95,98 @@ type FileStoreOptions struct {
 	FS vfs.FS
 }
 
-func newFileStore(f vfs.File, path string, opts FileStoreOptions) *FileStore {
+// OpenFileStore is the one store constructor. It creates the file at
+// path when it is absent and starts a store in a file too short for a
+// header (see start); any other store it reopens, rolling back a valid
+// journal left by a crash mid-Sync before it reads the header.
+func OpenFileStore(path string, opts FileStoreOptions) (*FileStore, error) {
+	if opts.FS == nil {
+		opts.FS = vfs.OS{}
+	}
+	f, err := opts.FS.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("storage: open %s: %w", path, err)
+	}
 	s := &FileStore{fs: opts.FS, f: f, path: path, written: make(map[uint64][]byte)}
 	s.slotBufs.New = func() any {
 		b := make([]byte, s.slotSize)
 		return &b
 	}
-	return s
-}
-
-// CreateFileStore creates a new store file, truncating any existing file.
-func CreateFileStore(path string, opts FileStoreOptions) (*FileStore, error) {
-	if opts.SlotSize == 0 {
-		opts.SlotSize = 4096
-	}
-	if opts.SlotSize < minSlotSize {
-		return nil, fmt.Errorf("storage: slot size %d below minimum %d", opts.SlotSize, minSlotSize)
-	}
-	if opts.FS == nil {
-		opts.FS = vfs.OS{}
-	}
-	f, err := opts.FS.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: create %s: %w", path, err)
-	}
-	s := newFileStore(f, path, opts)
-	s.slotSize, s.nextSlot = opts.SlotSize, 1
-	if _, err := s.f.WriteAt(s.encodeHeader(), 0); err != nil {
+	if err := s.load(opts.SlotSize); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("storage: write header: %w", err)
-	}
-	// A stale journal from a previous store at this path must not roll
-	// back the fresh file.
-	if err := s.openJournal(true); err != nil {
-		f.Close()
-		return nil, err
+		if s.jf != nil {
+			s.jf.Close()
+		}
+		return nil, fmt.Errorf("storage: %s: %w", path, err)
 	}
 	return s, nil
 }
 
-// OpenFileStore opens an existing store file. A valid rollback journal
-// left by a crash mid-Sync is applied first, restoring the pre-Sync state.
-func OpenFileStore(path string, opts FileStoreOptions) (*FileStore, error) {
-	if opts.FS == nil {
-		opts.FS = vfs.OS{}
-	}
-	f, err := opts.FS.OpenFile(path, os.O_RDWR, 0o644)
+// CreateFileStore is OpenFileStore.
+//
+// Deprecated: kept only for benchmark/, which calls it in a fresh
+// directory; ROADMAP 1(e) deletes it.
+func CreateFileStore(path string, opts FileStoreOptions) (*FileStore, error) {
+	return OpenFileStore(path, opts)
+}
+
+// load reads the header of the store in s.f, or starts one there.
+func (s *FileStore) load(slotSize int) error {
+	fi, err := s.f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("storage: open %s: %w", path, err)
+		return err
 	}
-	s := newFileStore(f, path, opts)
-	if err := s.openJournal(false); err != nil {
-		f.Close()
-		return nil, err
+	if fi.Size() < headerSize {
+		return s.start(fi.Size(), slotSize)
+	}
+	if err := s.openJournal(); err != nil {
+		return err
 	}
 	if err := s.rollbackJournal(); err != nil {
-		s.jf.Close()
-		f.Close()
-		return nil, err
+		return err
 	}
 	hdr := make([]byte, headerSize)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		s.jf.Close()
-		f.Close()
-		return nil, fmt.Errorf("storage: read header of %s: %w", path, err)
+	if _, err := s.f.ReadAt(hdr, 0); err != nil {
+		return fmt.Errorf("read header: %w", err)
 	}
 	if err := s.decodeHeader(hdr); err != nil {
-		s.jf.Close()
-		f.Close()
-		return nil, fmt.Errorf("storage: %s: %w", path, err)
+		return err
 	}
-	if err := s.checkFreeList(); err != nil {
-		s.jf.Close()
-		f.Close()
-		return nil, fmt.Errorf("storage: %s: %w", path, err)
+	return s.checkFreeList()
+}
+
+// start writes the header of a store of slotSize-byte slots (default
+// 4096) into a file of size bytes, too short for a header. A completed
+// Sync always leaves a whole header, so such a file holds no synced
+// state: it is empty, or a crash tore its header while the store was
+// being created. Any other short file is not a store and is refused
+// untouched. A journal beside a short file is an earlier store's, and
+// rolled back over this one it would destroy it, so it is discarded.
+func (s *FileStore) start(size int64, slotSize int) error {
+	if slotSize == 0 {
+		slotSize = 4096
 	}
-	return s, nil
+	if slotSize < minSlotSize {
+		return fmt.Errorf("slot size %d below minimum %d", slotSize, minSlotSize)
+	}
+	s.slotSize, s.nextSlot = slotSize, 1
+	hdr, torn := s.encodeHeader(), make([]byte, size)
+	if _, err := s.f.ReadAt(torn, 0); err != nil {
+		return fmt.Errorf("read header: %w", err)
+	}
+	if !bytes.HasPrefix(hdr[:12], torn[:min(size, 12)]) { // magic and version
+		return fmt.Errorf("%w: not a bvtree store", ErrCorrupt)
+	}
+	if err := s.openJournal(); err != nil {
+		return err
+	}
+	if fi, err := s.jf.Stat(); err != nil || fi.Size() > 0 {
+		if err := s.invalidateJournal(); err != nil {
+			return err
+		}
+	}
+	_, err := s.f.WriteAt(hdr, 0)
+	return err
 }
 
 func (s *FileStore) encodeHeader() []byte {
@@ -570,7 +587,7 @@ func (s *FileStore) syncLocked() error {
 		}
 	}
 	if err := s.writeJournal(slots); err != nil {
-		return s.poison(err)
+		return s.poison(fmt.Errorf("storage: %w", err))
 	}
 	for _, slot := range slots {
 		if _, err := s.f.WriteAt(s.written[slot], s.offset(slot)); err != nil {
@@ -588,7 +605,7 @@ func (s *FileStore) syncLocked() error {
 		return s.poison(fmt.Errorf("storage: fsync %s: %w", s.path, err))
 	}
 	if err := s.invalidateJournal(); err != nil {
-		return s.poison(err)
+		return s.poison(fmt.Errorf("storage: %w", err))
 	}
 	s.written = make(map[uint64][]byte)
 	return nil
@@ -606,16 +623,12 @@ func (s *FileStore) Close() error {
 		// The write set's state is unknown; do not write it over the last
 		// good checkpoint. Just release the descriptors.
 		s.f.Close()
-		if s.jf != nil {
-			s.jf.Close()
-		}
+		s.jf.Close()
 		return fmt.Errorf("%w: %w", ErrPoisoned, s.poisoned)
 	}
 	err := s.syncLocked()
 	cerr := s.f.Close()
-	if s.jf != nil {
-		s.jf.Close()
-	}
+	s.jf.Close()
 	if err != nil {
 		return err
 	}

@@ -27,18 +27,11 @@ const journalMagic = 0xB7EE10C4A11BAC01
 
 func journalPath(path string) string { return path + ".journal" }
 
-// openJournal opens (or creates) the store's journal file. With truncate,
-// any stale journal content is discarded — used by CreateFileStore, where
-// rolling back a previous store's journal over the fresh file would be
-// destruction, not recovery.
-func (s *FileStore) openJournal(truncate bool) error {
-	flag := os.O_RDWR | os.O_CREATE
-	if truncate {
-		flag |= os.O_TRUNC
-	}
-	jf, err := s.fs.OpenFile(journalPath(s.path), flag, 0o644)
+// openJournal opens (or creates) the store's journal file.
+func (s *FileStore) openJournal() error {
+	jf, err := s.fs.OpenFile(journalPath(s.path), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return fmt.Errorf("storage: open journal for %s: %w", s.path, err)
+		return fmt.Errorf("open journal: %w", err)
 	}
 	s.jf = jf
 	return nil
@@ -59,7 +52,7 @@ func (s *FileStore) openJournal(truncate bool) error {
 func (s *FileStore) writeJournal(slots []uint64) error {
 	oldHdr := make([]byte, headerSize)
 	if _, err := s.f.ReadAt(oldHdr, 0); err != nil {
-		return fmt.Errorf("storage: journal: read old header: %w", err)
+		return fmt.Errorf("journal: read old header: %w", err)
 	}
 	oldNext := ^uint64(0) // journal everything if the old header is unusable
 	if binary.LittleEndian.Uint64(oldHdr) == fileMagic &&
@@ -86,7 +79,7 @@ func (s *FileStore) writeJournal(slots []uint64) error {
 	img := make([]byte, s.slotSize)
 	for _, slot := range undo {
 		if _, err := s.f.ReadAt(img, s.offset(slot)); err != nil {
-			return fmt.Errorf("storage: journal: read old slot %d: %w", slot, err)
+			return fmt.Errorf("journal: read old slot %d: %w", slot, err)
 		}
 		binary.LittleEndian.PutUint64(scratch[:], slot)
 		buf = append(buf, scratch[:]...)
@@ -97,13 +90,13 @@ func (s *FileStore) writeJournal(slots []uint64) error {
 	buf = append(buf, scratch[:4]...)
 
 	if err := s.jf.Truncate(0); err != nil {
-		return fmt.Errorf("storage: journal truncate: %w", err)
+		return fmt.Errorf("journal truncate: %w", err)
 	}
 	if _, err := s.jf.WriteAt(buf, 0); err != nil {
-		return fmt.Errorf("storage: journal write: %w", err)
+		return fmt.Errorf("journal write: %w", err)
 	}
 	if err := s.jf.Sync(); err != nil {
-		return fmt.Errorf("storage: journal fsync: %w", err)
+		return fmt.Errorf("journal fsync: %w", err)
 	}
 	return nil
 }
@@ -111,10 +104,10 @@ func (s *FileStore) writeJournal(slots []uint64) error {
 // invalidateJournal marks the journal consumed after a completed Sync.
 func (s *FileStore) invalidateJournal() error {
 	if err := s.jf.Truncate(0); err != nil {
-		return fmt.Errorf("storage: journal invalidate: %w", err)
+		return fmt.Errorf("journal invalidate: %w", err)
 	}
 	if err := s.jf.Sync(); err != nil {
-		return fmt.Errorf("storage: journal invalidate fsync: %w", err)
+		return fmt.Errorf("journal invalidate fsync: %w", err)
 	}
 	return nil
 }
@@ -125,14 +118,14 @@ func (s *FileStore) invalidateJournal() error {
 func (s *FileStore) rollbackJournal() error {
 	st, err := s.jf.Stat()
 	if err != nil {
-		return fmt.Errorf("storage: stat journal: %w", err)
+		return fmt.Errorf("stat journal: %w", err)
 	}
 	if st.Size() == 0 {
 		return nil
 	}
 	buf := make([]byte, st.Size())
 	if _, err := io.ReadFull(io.NewSectionReader(s.jf, 0, st.Size()), buf); err != nil {
-		return fmt.Errorf("storage: read journal: %w", err)
+		return fmt.Errorf("read journal: %w", err)
 	}
 	const fixed = 8 + 4 + 4 + headerSize
 	if len(buf) < fixed+4 || binary.LittleEndian.Uint64(buf) != journalMagic {
@@ -155,15 +148,15 @@ func (s *FileStore) rollbackJournal() error {
 		slot := binary.LittleEndian.Uint64(buf[off:])
 		img := buf[off+8 : off+8+slotSize]
 		if _, err := s.f.WriteAt(img, int64(slot)*int64(slotSize)); err != nil {
-			return fmt.Errorf("storage: rollback slot %d: %w", slot, err)
+			return fmt.Errorf("rollback slot %d: %w", slot, err)
 		}
 		off += 8 + slotSize
 	}
 	if _, err := s.f.WriteAt(oldHdr, 0); err != nil {
-		return fmt.Errorf("storage: rollback header: %w", err)
+		return fmt.Errorf("rollback header: %w", err)
 	}
 	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("storage: rollback fsync: %w", err)
+		return fmt.Errorf("rollback fsync: %w", err)
 	}
 	return s.invalidateJournal()
 }

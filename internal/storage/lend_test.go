@@ -83,7 +83,7 @@ func writeBlob(t *testing.T, st storage.Store, size int) page.ID {
 func TestLendNodeMatchesReadNode(t *testing.T) {
 	const slot = 128
 	path := filepath.Join(t.TempDir(), "lend.db")
-	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{SlotSize: slot})
+	st, err := storage.OpenFileStore(path, storage.FileStoreOptions{SlotSize: slot})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestLendNodeDoesNotAllocate(t *testing.T) {
 		t.Skip("sync.Pool drops Puts under the race detector: exact allocation counts hold in normal builds only")
 	}
 	path := filepath.Join(t.TempDir(), "lend.db")
-	st, err := storage.CreateFileStore(path, storage.FileStoreOptions{})
+	st, err := storage.OpenFileStore(path, storage.FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestLendNodeDoesNotAllocate(t *testing.T) {
 // race detector.
 func TestConcurrentLendBesideWrites(t *testing.T) {
 	const nodes, readers = 32, 6
-	st, err := storage.CreateFileStore(filepath.Join(t.TempDir(), "lend.db"), storage.FileStoreOptions{SlotSize: 128})
+	st, err := storage.OpenFileStore(filepath.Join(t.TempDir(), "lend.db"), storage.FileStoreOptions{SlotSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

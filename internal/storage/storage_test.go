@@ -13,7 +13,7 @@ import (
 
 func stores(t *testing.T) map[string]Store {
 	t.Helper()
-	fs, err := CreateFileStore(filepath.Join(t.TempDir(), "store.db"), FileStoreOptions{SlotSize: 256})
+	fs, err := OpenFileStore(filepath.Join(t.TempDir(), "store.db"), FileStoreOptions{SlotSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestStoreManyNodesRandomized(t *testing.T) {
 
 func TestFileStorePersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "persist.db")
-	fs, err := CreateFileStore(path, FileStoreOptions{SlotSize: 128})
+	fs, err := OpenFileStore(path, FileStoreOptions{SlotSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestFileStorePersistence(t *testing.T) {
 
 func TestFileStoreFreeListReuse(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "free.db")
-	fs, err := CreateFileStore(path, FileStoreOptions{SlotSize: 128})
+	fs, err := OpenFileStore(path, FileStoreOptions{SlotSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestFileStoreFreeListReuse(t *testing.T) {
 // wrote untouched, and a Sync empties the write set.
 func TestFileChangesOnlyAtSync(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sync.db")
-	fs, err := CreateFileStore(path, FileStoreOptions{SlotSize: 128})
+	fs, err := OpenFileStore(path, FileStoreOptions{SlotSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestErrorsOnUnallocated(t *testing.T) {
 // FileStore reopened from its file still knows which pages it allocated.
 func TestReadOfUnallocatedPage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fresh.db")
-	fs, err := CreateFileStore(path, FileStoreOptions{SlotSize: 256})
+	fs, err := OpenFileStore(path, FileStoreOptions{SlotSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
