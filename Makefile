@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify race torture fuzz fuzz-restore fuzz-bulkload fuzz-masks bench backup docslint server
+.PHONY: verify race torture fuzz fuzz-restore fuzz-bulkload fuzz-masks fuzz-page bench backup docslint server
 
 # The standard verification gate: static checks, build, full test suite
 # (including the runnable godoc examples), the documentation lint (every
@@ -130,6 +130,16 @@ fuzz-bulkload:
 # EqualMask64 must agree with plain per-row loops.
 fuzz-masks:
 	$(GO) test -run '^$$' -fuzz=FuzzColumnMasks -fuzztime=30s -fuzzminimizetime=5s ./internal/page
+
+# Coverage-guided fuzzing of the page decoders: arbitrary bytes must
+# decode identically through both decoders of a kind or be refused with
+# ErrCorrupt, and what they accept must encode back to the same bytes
+# (a data page's body is its columns, row after row). One target per
+# run, as go test -fuzz takes one.
+fuzz-page:
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeData -fuzztime=30s -fuzzminimizetime=5s ./internal/page
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeIndex -fuzztime=30s -fuzzminimizetime=5s ./internal/page
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeMeta -fuzztime=30s -fuzzminimizetime=5s ./internal/page
 
 # Run the sharded server on the default address (:9412) with a default
 # data directory. First start samples a workload and writes the shard

@@ -123,8 +123,8 @@ func buildPagedFileTree(t *testing.T, n int) (*Tree, *storage.FileStore, string,
 
 // TestPagedLookupAllocs pins how many of a Lookup's allocations are the
 // tree's own, on a fully cached paged tree over a FileStore, tall enough
-// for descents to merge guards: the interleaved address, the bit string
-// copied from it and the result slice — exactly three, whatever the
+// for descents to merge guards: the interleaved address, whose words the
+// point's key takes over, and the result slice — exactly two, whatever the
 // height and however many guards the descent collects (the guard set is a
 // by-value slice on the pooled descent). Everything a cold Lookup
 // allocates beyond these belongs to the page path, which
@@ -147,8 +147,8 @@ func TestPagedLookupAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs != 3 {
-			t.Fatalf("Lookup(%v) allocates %.1f allocs/op, want exactly 3", p, allocs)
+		if allocs != 2 {
+			t.Fatalf("Lookup(%v) allocates %.1f allocs/op, want exactly 2", p, allocs)
 		}
 	}
 	if guarded == 0 {

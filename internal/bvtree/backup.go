@@ -55,7 +55,10 @@ var ErrCorrupt = errors.New("bvtree: corrupt backup stream")
 const (
 	backupMagic  = 0x42535642 // "BVSB"
 	trailerMagic = 0x45535642 // "BVSE"
-	backupVer    = 3
+	// backupVer 4 is version 3's stream with the frames' pages in page
+	// format 2 (column-major data pages): an earlier stream's pages
+	// could not be decoded, so it is refused by its header.
+	backupVer = 4
 
 	// backupHeaderSize is the fixed header: magic(4) version(4) dims(4)
 	// dataCapacity(4) fanout(4) bitsPerDim(4) levelScaled(4) rootLevel(4)
@@ -234,7 +237,8 @@ func (s *Snapshot) Backup(w io.Writer) error {
 // replays the log's records past that LSN to its end, and RestoreToLSN
 // replays them to a target. Any damage to the stream fails with
 // ErrCorrupt; a restore never silently yields a shorter tree than the
-// backup held. Streams of versions 1 and 2 are refused.
+// backup held. Streams of versions 1 to 3 are refused before any page
+// is written.
 func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 	cr := &crcReader{r: r}
 	hdr := make([]byte, backupHeaderSize)

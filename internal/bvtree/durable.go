@@ -11,27 +11,34 @@ import (
 	"bvtree/internal/wal"
 )
 
-// attach recovers the log l onto t, which Open has just loaded, and
-// attaches it. A fresh tree has no logged history, so l is emptied at
-// LSN 0, the LSN of its first meta record. A reopened one replays l past
-// its checkpoint. A log that adds nothing past the checkpoint and does
-// not begin at it is one whose reset a crash prevented or tore; it is
-// emptied at the checkpoint LSN, so the next record is numbered after
-// it. Replay runs before l is attached, so replayed operations are not
-// logged again.
-func (t *Tree) attach(l *wal.Log, fresh bool) error {
+// attach recovers the log l onto t, which Open has just loaded or
+// started, and attaches it: l is replayed past t's checkpoint, which for
+// a new tree is LSN 0. So a store emptied or lost beside its log comes
+// back with the log's records, never silently empty. A log that adds
+// nothing past the checkpoint and does not begin at it is one whose
+// reset a crash prevented or tore; it is emptied at the checkpoint LSN,
+// so the next record is numbered after it. Replay runs before l is
+// attached, so replayed operations are not logged again.
+func (t *Tree) attach(l *wal.Log) error {
 	ckpt := t.lsn
-	if !fresh {
-		if err := t.replay(l, math.MaxUint64); err != nil {
-			return fmt.Errorf("bvtree: wal replay: %w", err)
-		}
+	if err := t.replay(l, math.MaxUint64); err != nil {
+		return fmt.Errorf("bvtree: wal replay: %w", err)
 	}
-	if fresh || t.lsn == ckpt && l.BaseLSN() != ckpt {
+	if t.lsn == ckpt && l.BaseLSN() != ckpt {
 		if err := l.ResetAt(ckpt); err != nil {
 			return err
 		}
 	}
 	t.log = l
+	return nil
+}
+
+// logGap refuses a log that begins after the checkpoint at LSN ckpt:
+// the records in between are lost, so it is wal.ErrCorrupt.
+func logGap(l *wal.Log, ckpt uint64) error {
+	if n := l.BaseLSN(); n > ckpt {
+		return fmt.Errorf("%w: log begins after LSN %d, a gap after the checkpoint at LSN %d", wal.ErrCorrupt, n, ckpt)
+	}
 	return nil
 }
 
@@ -44,12 +51,12 @@ var errStopReplay = errors.New("bvtree: replay stop")
 // at or below the checkpoint, applies the rest through LSN through, and
 // stops at the first record past it without applying it; t.lsn becomes
 // that of the last record applied, or stays at the checkpoint. A log
-// that begins after the checkpoint is refused before anything is read:
-// the records in between are lost, so it is wal.ErrCorrupt.
+// that begins after the checkpoint is refused before anything is read
+// (logGap).
 func (t *Tree) replay(l *wal.Log, through uint64) error {
 	ckpt, n := t.lsn, l.BaseLSN()
-	if n > ckpt {
-		return fmt.Errorf("%w: log begins after LSN %d, a gap after the checkpoint at LSN %d", wal.ErrCorrupt, n, ckpt)
+	if err := logGap(l, ckpt); err != nil {
+		return err
 	}
 	err := l.Replay(func(rec []byte) error {
 		if n == through {

@@ -64,6 +64,27 @@ func (r *openRig) log(t *testing.T) *wal.Log {
 
 func (r *openRig) walPath() string { return filepath.Join(r.dir, "t.wal") }
 
+// emptied abandons the rig's store as a crash does and returns it
+// emptied: a new MemStore, or the FileStore's file truncated to 0 bytes
+// and opened again. The log is left as it is.
+func (r *openRig) emptied(t *testing.T) storage.Store {
+	t.Helper()
+	if _, ok := r.st.(*storage.MemStore); ok {
+		return storage.NewMemStore()
+	}
+	r.ffs.CloseAll()
+	path := filepath.Join(r.dir, "t.db")
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	st, err := storage.OpenFileStore(path, storage.FileStoreOptions{SlotSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
 // another returns a fresh store of the rig's backend, named name.
 func (r *openRig) another(t *testing.T, name string) storage.Store {
 	if _, ok := r.st.(*storage.MemStore); ok {
@@ -98,7 +119,9 @@ func checkpointLSN(t *testing.T, st storage.Store) uint64 {
 // onto it and those at or below it skipped, a log that ends before the
 // checkpoint (torn in its reset) leaves the LSN where the checkpoint put
 // it, a restored store opened with the log replays to the log's end, and
-// a log that begins after the checkpoint is refused; Options whose shape
+// a log that begins after the checkpoint is refused (also beside an
+// emptied store, a new tree at LSN 0, whose log's records are otherwise
+// replayed onto it); Options whose shape
 // differs from the
 // stored tree's are refused, and zero fields take the stored shape;
 // and Close on a tree without a log leaves its store usable. A bit
@@ -384,6 +407,56 @@ func TestOpen(t *testing.T) {
 			holds(t, re, 50)
 			if re.LSN() != 50 {
 				t.Fatalf("reopened without a log: LSN %d, want the checkpoint's 50", re.LSN())
+			}
+		})
+
+		// A store emptied or lost beside a log that holds records is a new
+		// tree, a checkpoint at LSN 0: the log's records are replayed onto
+		// it, never discarded.
+		t.Run(backend+"/store-emptied", func(t *testing.T) {
+			r := newOpenRig(t, backend)
+			tr, err := Open(r.st, r.log(t), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			insert(t, tr, 0, 10)
+			st := r.emptied(t)
+			re, err := Open(st, r.log(t), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			holds(t, re, 10)
+			if re.LSN() != 10 {
+				t.Fatalf("emptied store beside 10 logged inserts: LSN %d, want 10", re.LSN())
+			}
+		})
+
+		// An emptied store beside a log that begins at LSN 50 has lost the
+		// records up to it: Open refuses the pair and writes neither.
+		t.Run(backend+"/store-emptied-gap", func(t *testing.T) {
+			r := newOpenRig(t, backend)
+			l := r.log(t)
+			if err := l.ResetAt(50); err != nil {
+				t.Fatal(err)
+			}
+			seq, err := l.Enqueue(encodeOp(nil, opInsert, pts[50], 50))
+			if err == nil {
+				err = l.Wait(seq)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st := r.emptied(t)
+			storeBefore, logBefore := storeImage(t, r, st), readFile(t, r.walPath())
+			if _, err := Open(st, r.log(t), opt); !errors.Is(err, wal.ErrCorrupt) {
+				t.Fatalf("Open of an emptied store beside a log beginning at LSN 50: %v, want wal.ErrCorrupt", err)
+			}
+			if !bytes.Equal(storeImage(t, r, st), storeBefore) || !bytes.Equal(readFile(t, r.walPath()), logBefore) {
+				t.Fatal("a refused Open changed the store or the log")
 			}
 		})
 

@@ -205,9 +205,9 @@ func Open(st storage.Store, l *wal.Log, opt Options) (*Tree, error) {
 
 // open is Open with the decoded cache's bound given apart from opt.
 func open(st storage.Store, l *wal.Log, opt Options, cacheNodes int) (*Tree, error) {
-	t, fresh, err := load(st, opt, cacheNodes)
+	t, err := load(st, l, opt, cacheNodes)
 	if err == nil && l != nil {
-		err = t.attach(l, fresh)
+		err = t.attach(l)
 	}
 	if err != nil {
 		if l != nil {
@@ -219,38 +219,45 @@ func open(st storage.Store, l *wal.Log, opt Options, cacheNodes int) (*Tree, err
 }
 
 // load starts a new tree in st when its meta page was never allocated,
-// reporting fresh, and otherwise reopens the tree the meta page records.
-func load(st storage.Store, opt Options, cacheNodes int) (t *Tree, fresh bool, err error) {
+// and otherwise reopens the tree the meta page records. A new tree is a
+// checkpoint at LSN 0, so a log l (nil for none) that begins after it
+// is refused before anything is allocated or written.
+func load(st storage.Store, l *wal.Log, opt Options, cacheNodes int) (*Tree, error) {
 	blob, err := st.ReadNode(metaPageID)
 	if errors.Is(err, storage.ErrUnallocated) {
-		t, err = create(st, opt, cacheNodes)
-		return t, true, err
+		if l != nil {
+			if err := logGap(l, 0); err != nil {
+				return nil, fmt.Errorf("bvtree: wal replay: %w", err)
+			}
+		}
+		return create(st, opt, cacheNodes)
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("bvtree: read tree metadata: %w", err)
+		return nil, fmt.Errorf("bvtree: read tree metadata: %w", err)
 	}
 	m, err := page.DecodeMeta(blob)
 	if err != nil {
-		return nil, false, fmt.Errorf("bvtree: decode tree metadata: %w", err)
+		return nil, fmt.Errorf("bvtree: decode tree metadata: %w", err)
 	}
 	if m.BitsPerDim != bitsPerDim {
-		return nil, false, fmt.Errorf("bvtree: tree metadata: %w: %d bits per dimension, want %d",
+		return nil, fmt.Errorf("bvtree: tree metadata: %w: %d bits per dimension, want %d",
 			page.ErrCorrupt, m.BitsPerDim, bitsPerDim)
 	}
 	if opt.Dims != 0 && opt.Dims != m.Dims || opt.DataCapacity != 0 && opt.DataCapacity != m.DataCapacity ||
 		opt.Fanout != 0 && opt.Fanout != m.Fanout || opt.LevelScaledPages && !m.LevelScaled {
-		return nil, false, fmt.Errorf("bvtree: the store holds a tree of Dims %d, DataCapacity %d, Fanout %d, LevelScaledPages %v; Options ask for %d, %d, %d, %v",
+		return nil, fmt.Errorf("bvtree: the store holds a tree of Dims %d, DataCapacity %d, Fanout %d, LevelScaledPages %v; Options ask for %d, %d, %d, %v",
 			m.Dims, m.DataCapacity, m.Fanout, m.LevelScaled, opt.Dims, opt.DataCapacity, opt.Fanout, opt.LevelScaledPages)
 	}
 	opt.Dims, opt.DataCapacity, opt.Fanout, opt.LevelScaledPages = m.Dims, m.DataCapacity, m.Fanout, m.LevelScaled
 	if err := opt.fill(0); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if t, err = newTree(newPagedNodes(st, opt.Dims, cacheNodes), opt); err != nil {
-		return nil, false, err
+	t, err := newTree(newPagedNodes(st, opt.Dims, cacheNodes), opt)
+	if err != nil {
+		return nil, err
 	}
 	t.root, t.rootLevel, t.size, t.lsn = m.Root, m.RootLevel, int(m.Size), m.LSN
-	return t, false, nil
+	return t, nil
 }
 
 // create starts a new tree of shape opt in st, whose first page must be
@@ -486,7 +493,7 @@ func (t *Tree) addr(p geometry.Point) (region.BitString, error) {
 	if err != nil {
 		return region.BitString{}, err
 	}
-	return region.FromAddress(a), nil
+	return region.OwnWords(a.Words(), a.Len()) // the key takes the address's words: one allocation
 }
 
 func (t *Tree) fetchIndex(id page.ID) (*page.IndexNode, error) {

@@ -44,7 +44,7 @@ func randNode(rng *rand.Rand, dims, ne int) (*IndexNode, []Entry) {
 // encodeEntries is the entry-by-entry index page encoding, the reference
 // the columns must encode to.
 func encodeEntries(level int, reg region.BitString, ents []Entry) []byte {
-	w := newWriter(KindIndex)
+	w := newWriter(KindIndex, 0)
 	w.u32(uint32(level))
 	w.bits(reg)
 	w.u32(uint32(len(ents)))
@@ -317,17 +317,20 @@ func randDataPage(rng *rand.Rand, dims, ni int) *DataPage {
 	return pageOf(region.BitString{}, dims, 0, randItems(rng, dims, ni))
 }
 
-// encodeItems is the item-by-item data page encoding, the reference the
-// rows must encode to.
+// encodeItems is the data page encoding built from items, the reference
+// the rows must encode to: column-major, the coordinates of dimension 0
+// of every item, then those of dimension 1, and so on, then the payloads.
 func encodeItems(reg region.BitString, dims int, items []Item) []byte {
-	w := newWriter(KindData)
+	w := newWriter(KindData, 0)
 	w.u32(uint32(dims))
 	w.bits(reg)
 	w.u32(uint32(len(items)))
-	for _, it := range items {
-		for _, v := range it.Point {
-			w.u64(v)
+	for d := 0; d < dims; d++ {
+		for _, it := range items {
+			w.u64(it.Point[d])
 		}
+	}
+	for _, it := range items {
 		w.u64(it.Payload)
 	}
 	return w.finish()

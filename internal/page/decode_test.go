@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"bvtree/internal/geometry"
 	"bvtree/internal/region"
 )
 
@@ -17,7 +18,7 @@ import (
 // pages that are structurally wrong behind a valid envelope — the damage
 // a checksum cannot catch because it was computed over it.
 func rawPage(k Kind, fields ...interface{}) []byte {
-	w := newWriter(k)
+	w := newWriter(k, 0)
 	for _, f := range fields {
 		switch v := f.(type) {
 		case uint32:
@@ -56,6 +57,10 @@ var structurallyCorrupt = []struct {
 	{"data: 33 dimensions", false, rawPage(KindData, uint32(33), uint32(0), uint32(0))},
 	{"data: item count 1<<25", false, rawPage(KindData, uint32(2), uint32(0), uint32(1<<25))},
 	{"data: count beyond body", false, rawPage(KindData, uint32(2), uint32(0), uint32(1000), uint64(1), uint64(2), uint64(3))},
+	// Two items of two dimensions are three rows of two words: the
+	// payload row is one word short.
+	{"data: payload row truncated", false, rawPage(KindData, uint32(2), uint32(0), uint32(2),
+		uint64(1), uint64(2), uint64(3), uint64(4), uint64(5))},
 	{"data: region key length 1<<21", false, rawPage(KindData, uint32(2), uint32(1<<21), uint32(0))},
 	{"data: unknown kind", false, rawPage(Kind(9), uint32(2), uint32(0), uint32(0))},
 }
@@ -177,6 +182,66 @@ func TestDecodeDataPublishesMirror(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// columnPage is a data page forged field by field in the stored layout:
+// dims 2, the region "10", and three items whose rows follow one another
+// — x0 x1 x2, y0 y1 y2, then the payloads p0 p1 p2.
+var columnPage = rawPage(KindData, uint32(2), uint32(2), uint64(1)<<63,
+	uint32(3), uint64(10), uint64(11), uint64(12), uint64(20), uint64(21), uint64(22), uint64(7), uint64(8), uint64(9))
+
+// TestDataPageIsColumnMajor pins the stored layout apart from the
+// encoder: every decoder reads the forged column-major page as the items
+// (10, 20; 7), (11, 21; 8), (12, 22; 9), and the encoder writes those
+// items back as the same bytes.
+func TestDataPageIsColumnMajor(t *testing.T) {
+	want := []Item{{geometry.Point{10, 20}, 7}, {geometry.Point{11, 21}, 8}, {geometry.Point{12, 22}, 9}}
+	p, dims, err := DecodeDataCols(columnPage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dims != 2 || !p.Region.Equal(region.MustParseBits("10")) {
+		t.Fatalf("DecodeDataCols: dims %d, region %v", dims, p.Region)
+	}
+	sameItems(t, "DecodeDataCols", p, want)
+	if !bytes.Equal(EncodeData(p, dims), columnPage) {
+		t.Fatal("EncodeData does not write the decoded page back as its bytes")
+	}
+	items, _, err := AppendDataItems(columnPage, nil, nil)
+	if err != nil || len(items) != len(want) {
+		t.Fatalf("AppendDataItems: %d items, %v", len(items), err)
+	}
+	for i, it := range items {
+		if !it.Point.Equal(want[i].Point) || it.Payload != want[i].Payload {
+			t.Fatalf("AppendDataItems item %d is %v, want %v", i, it, want[i])
+		}
+	}
+}
+
+// TestEncodersSizeExactly: each encoder writes its page into one buffer
+// sized before the first byte, so the page is exactly as long as the
+// buffer's capacity and nothing regrew on the way.
+func TestEncodersSizeExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, dims := range []int{1, 2, 5} {
+		for _, ni := range []int{0, 1, 168} {
+			reg := randBits(rng, 130)
+			b := EncodeData(pageOf(reg, dims, 0, randItems(rng, dims, ni)), dims)
+			if len(b) != cap(b) {
+				t.Fatalf("data page of %d items, dims %d: %d bytes in a %d-byte buffer", ni, dims, len(b), cap(b))
+			}
+		}
+	}
+	for _, ne := range []int{0, 1, 40} {
+		b := EncodeIndex(nodeOf(3, randBits(rng, 70), 2, randEntries(rng, 2, ne)))
+		if len(b) != cap(b) {
+			t.Fatalf("index node of %d entries: %d bytes in a %d-byte buffer", ne, len(b), cap(b))
+		}
+	}
+	b := EncodeMeta(&Meta{Dims: 2, DataCapacity: 168, Fanout: 16, BitsPerDim: 64, LevelScaled: true, Root: 2, RootLevel: 3, Size: 1e6, LSN: 1 << 40})
+	if len(b) != cap(b) {
+		t.Fatalf("meta record: %d bytes in a %d-byte buffer", len(b), cap(b))
 	}
 }
 

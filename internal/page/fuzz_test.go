@@ -26,7 +26,7 @@ func FuzzDecodeIndex(f *testing.F) {
 		{Key: region.MustParseBits("0111"), Level: 0, Child: 9},
 	}))
 	f.Add([]byte{})
-	f.Add([]byte{0xEE, 0xB7, 1, 1, 0, 0, 0, 0})
+	f.Add([]byte{0xEE, 0xB7, byte(KindIndex), fmtVersion, 0, 0, 0, 0})
 	for _, c := range structurallyCorrupt {
 		f.Add(c.blob)
 	}
@@ -68,6 +68,7 @@ func FuzzDecodeIndex(f *testing.F) {
 
 func FuzzDecodeData(f *testing.F) {
 	f.Add(encodeItems(region.MustParseBits("10"), 2, []Item{{Point: geometry.Point{1, 2}, Payload: 3}}))
+	f.Add(columnPage)
 	f.Add([]byte{})
 	for _, c := range structurallyCorrupt {
 		f.Add(c.blob)

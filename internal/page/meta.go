@@ -25,7 +25,7 @@ type Meta struct {
 
 // EncodeMeta serialises a tree metadata record.
 func EncodeMeta(m *Meta) []byte {
-	w := newWriter(KindMeta)
+	w := newWriter(KindMeta, 6*4+3*8) // six u32 fields (LevelScaled is one) and three u64 ones
 	w.u32(uint32(m.Dims))
 	w.u32(uint32(m.DataCapacity))
 	w.u32(uint32(m.Fanout))

@@ -125,17 +125,25 @@ func (p *DataPage) Clone() *DataPage {
 	return c
 }
 
+// The page envelope is magic, kind and format version, then the body,
+// then a CRC. Version 2 stores a data page's items column-major; a page
+// of version 1 (row-major items) is refused, not misread.
 const (
 	magic      = 0xB7EE
-	fmtVersion = 1
+	fmtVersion = 2
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// EncodeIndex serialises an index node from its columns.
+// EncodeIndex serialises an index node from its columns, into a buffer
+// of exactly the page's size.
 func EncodeIndex(n *IndexNode) []byte {
 	c := &n.cols
-	w := newWriter(KindIndex)
+	body := 4 + bitsSize(n.Region) + 4 + 16*c.n // level, region, count; per entry level, key length, child
+	for _, kl := range c.keyLen[:c.n] {
+		body += 8 * ((int(kl) + 63) / 64)
+	}
+	w := newWriter(KindIndex, body)
 	w.u32(uint32(n.Level))
 	w.bits(n.Region)
 	w.u32(uint32(c.n))
@@ -154,20 +162,21 @@ func EncodeIndex(n *IndexNode) []byte {
 	return w.finish()
 }
 
-// EncodeData serialises a data page from its rows; dims must be the
-// page's dimensionality.
+// EncodeData serialises a data page from its rows, into a buffer of
+// exactly the page's size; dims must be the page's dimensionality. The
+// body stores the page's columns: after the header, the coordinates of
+// dimension 0 of all n items, then those of dimension 1, and so on, then
+// the n payloads — the slab DecodeDataCols decodes into, row by row.
 func EncodeData(p *DataPage, dims int) []byte {
 	c := &p.cols
-	w := newWriter(KindData)
+	w := newWriter(KindData, 4+bitsSize(p.Region)+4+8*(dims+1)*c.n)
 	w.u32(uint32(dims))
 	w.bits(p.Region)
 	w.u32(uint32(c.n))
-	for i := 0; i < c.n; i++ {
-		for d := 0; d < dims; d++ {
-			w.u64(c.coords[d*c.stride+i])
-		}
-		w.u64(c.Payload(i))
+	for d := 0; d < dims; d++ {
+		w.u64s(c.coords[d*c.stride : d*c.stride+c.n])
 	}
+	w.u64s(c.coords[c.dims*c.stride : c.dims*c.stride+c.n])
 	return w.finish()
 }
 
@@ -275,10 +284,10 @@ func DecodeIndexCols(b []byte, dims int) (*IndexNode, error) {
 	return n, nil
 }
 
-// dataHeader opens an encoded data page for its three decoders: it checks
-// the envelope and the kind, parses dimensionality, region and item count,
+// dataHeader opens an encoded data page for its decoders: it checks the
+// envelope and the kind, parses dimensionality, region and item count,
 // and verifies that the body holds that many items, leaving r at the
-// first one.
+// first word of the first row.
 func dataHeader(b []byte) (r reader, dims int, reg region.BitString, count int, err error) {
 	r, err = newReader(b)
 	if err != nil {
@@ -300,28 +309,6 @@ func dataHeader(b []byte) (r reader, dims int, reg region.BitString, count int, 
 	return r, dims, reg, count, r.err
 }
 
-// items decodes the count items dataHeader found, appending them to dst
-// with their point coordinates packed into coords.
-func (r *reader) items(dims, count int, dst []Item, coords []uint64) ([]Item, []uint64) {
-	// Grow coords once for the whole page so the per-item point headers
-	// sliced below cannot be invalidated by a mid-page relocation.
-	base := len(coords)
-	if cap(coords)-base < count*dims {
-		grown := make([]uint64, base, base+count*dims)
-		copy(grown, coords)
-		coords = grown
-	}
-	coords = coords[:base+count*dims]
-	for i := 0; i < count; i++ {
-		pt := coords[base+i*dims : base+(i+1)*dims : base+(i+1)*dims]
-		for d := 0; d < dims; d++ {
-			pt[d] = r.u64()
-		}
-		dst = append(dst, Item{Point: pt, Payload: r.u64()})
-	}
-	return dst, coords
-}
-
 // DecodeData is DecodeDataCols plus Items, the page's items as values,
 // for tools that inspect a stored page item by item.
 func DecodeData(b []byte) (*DataPage, int, error) {
@@ -333,22 +320,17 @@ func DecodeData(b []byte) (*DataPage, int, error) {
 	return p, dims, nil
 }
 
-// DecodeDataCols decodes a data page into its columns, in one pass: one
-// slab, exactly sized, holds a row per dimension and the payload row.
-// It also returns the dimensionality the page records.
+// DecodeDataCols decodes a data page into its columns in one sequential
+// pass: the page stores the rows one after another, so its body is the
+// slab, exactly sized, that holds a row per dimension and the payload
+// row. It also returns the dimensionality the page records.
 func DecodeDataCols(b []byte) (*DataPage, int, error) {
 	r, dims, reg, count, err := dataHeader(b)
 	if err != nil {
 		return nil, 0, err
 	}
 	slab := make([]uint64, (dims+1)*count)
-	body := r.buf[r.off:] // dataHeader checked that it holds count items
-	for i := 0; i < count; i++ {
-		for d := 0; d <= dims; d++ { // the coordinates, then the payload
-			slab[d*count+i] = binary.LittleEndian.Uint64(body[8*d:])
-		}
-		body = body[8*(dims+1):]
-	}
+	getWords(slab, r.buf[r.off:]) // dataHeader checked that the body holds them
 	return &DataPage{Region: reg, cols: DataCols{n: count, dims: dims, stride: count, coords: slab}}, dims, nil
 }
 
@@ -363,8 +345,41 @@ func AppendDataItems(b []byte, dst []Item, coords []uint64) ([]Item, []uint64, e
 	if err != nil {
 		return dst, coords, err
 	}
-	dst, coords = r.items(dims, count, dst, coords)
+	// Grow coords once for the whole page so the per-item point headers
+	// sliced below cannot be invalidated by a mid-page relocation.
+	base := len(coords)
+	if cap(coords)-base < count*dims {
+		grown := make([]uint64, base, base+count*dims)
+		copy(grown, coords)
+		coords = grown
+	}
+	coords = coords[:base+count*dims]
+	body := r.buf[r.off : r.off+8*(dims+1)*count] // row d's item i is word d*count+i
+	for i := 0; i < count; i++ {
+		pt := coords[base+i*dims : base+(i+1)*dims : base+(i+1)*dims]
+		for d := range pt {
+			pt[d] = binary.LittleEndian.Uint64(body[8*(d*count+i):])
+		}
+		dst = append(dst, Item{Point: pt, Payload: binary.LittleEndian.Uint64(body[8*(dims*count+i):])})
+	}
 	return dst, coords, nil
+}
+
+// getWords fills dst with the little-endian words at the front of b,
+// which must hold them. It reads four words per bounds check: a loop of
+// one word per check runs about four times slower.
+func getWords(dst []uint64, b []byte) {
+	for len(dst) >= 4 {
+		w := (*[32]byte)(b)
+		dst[0] = binary.LittleEndian.Uint64(w[0:])
+		dst[1] = binary.LittleEndian.Uint64(w[8:])
+		dst[2] = binary.LittleEndian.Uint64(w[16:])
+		dst[3] = binary.LittleEndian.Uint64(w[24:])
+		dst, b = dst[4:], b[32:]
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
 }
 
 // --- encoding primitives ---
@@ -373,8 +388,10 @@ type writer struct {
 	buf []byte
 }
 
-func newWriter(k Kind) *writer {
-	w := &writer{buf: make([]byte, 0, 256)}
+// newWriter starts a page of kind k whose body is size bytes, in a
+// buffer that holds the whole page: envelope, body and CRC.
+func newWriter(k Kind, size int) *writer {
+	w := &writer{buf: make([]byte, 0, 4+size+4)}
 	w.u16(magic)
 	w.buf = append(w.buf, byte(k), fmtVersion)
 	return w
@@ -384,11 +401,18 @@ func (w *writer) u16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf,
 func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 
+func (w *writer) u64s(vs []uint64) {
+	for _, v := range vs {
+		w.u64(v)
+	}
+}
+
+// bitsSize is the encoded size of b: its length and its words.
+func bitsSize(b region.BitString) int { return 4 + 8*len(b.Words()) }
+
 func (w *writer) bits(b region.BitString) {
 	w.u32(uint32(b.Len()))
-	for _, word := range b.Words() {
-		w.u64(word)
-	}
+	w.u64s(b.Words())
 }
 
 func (w *writer) finish() []byte {
