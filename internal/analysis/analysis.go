@@ -19,13 +19,6 @@ func BestDataNodes(f, h int) *big.Int {
 	return new(big.Int).Exp(big.NewInt(int64(f)), big.NewInt(int64(h)), nil)
 }
 
-// BestIndexNodes returns ti(h) in the best case with uniform page size:
-// equation (2), ti(h) = (F^h - 1)/(F - 1).
-func BestIndexNodes(f, h int) *big.Int {
-	num := new(big.Int).Sub(BestDataNodes(f, h), big.NewInt(1))
-	return num.Div(num, big.NewInt(int64(f-1)))
-}
-
 // WorstDataNodes returns td(h) in the worst case with uniform page size,
 // by the exact recursion of equation (4):
 //

@@ -6,12 +6,20 @@ import (
 	"testing"
 )
 
+// bestIndexNodes is ti(h) in the best case with uniform page size,
+// equation (2): ti(h) = (F^h - 1)/(F - 1), the reference the best-case
+// ratio of equation (3) is checked against.
+func bestIndexNodes(f, h int) *big.Int {
+	num := new(big.Int).Sub(BestDataNodes(f, h), big.NewInt(1))
+	return num.Div(num, big.NewInt(int64(f-1)))
+}
+
 func TestBestCaseKnownValues(t *testing.T) {
 	if got := BestDataNodes(24, 3); got.Cmp(big.NewInt(13824)) != 0 {
 		t.Fatalf("td_best(24,3) = %v", got)
 	}
 	// ti = 1 + F + F^2 = 601
-	if got := BestIndexNodes(24, 3); got.Cmp(big.NewInt(601)) != 0 {
+	if got := bestIndexNodes(24, 3); got.Cmp(big.NewInt(601)) != 0 {
 		t.Fatalf("ti_best(24,3) = %v", got)
 	}
 }
@@ -55,7 +63,7 @@ func TestIndexToDataRatioNearOneOverF(t *testing.T) {
 			if math.Abs(rf*float64(f)-1) > 0.15 {
 				t.Fatalf("F=%d h=%d: ti/td = %v, want ≈ 1/%d", f, h, rf, f)
 			}
-			bestRatio := new(big.Rat).SetFrac(BestIndexNodes(f, h), BestDataNodes(f, h))
+			bestRatio := new(big.Rat).SetFrac(bestIndexNodes(f, h), BestDataNodes(f, h))
 			bf, _ := bestRatio.Float64()
 			if math.Abs(bf*float64(f)-1) > 0.15 {
 				t.Fatalf("F=%d h=%d: best ti/td = %v", f, h, bf)

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"bvtree/internal/geometry"
@@ -126,12 +127,13 @@ func buildPagedFileTree(t *testing.T, n int) (*Tree, *storage.FileStore, string,
 // for descents to merge guards: the interleaved address, whose words the
 // point's key takes over, and the result slice — exactly two, whatever the
 // height and however many guards the descent collects (the guard set is a
-// by-value slice on the pooled descent). Everything a cold Lookup
-// allocates beyond these belongs to the page path, which
-// TestColdMissAllocBudget bounds.
+// by-value slice on the pooled descent). A cold Lookup that scans its
+// data page in scratch, as every miss of a page that did not miss
+// recently does, makes the same two (the cold arm); a miss that admits
+// the page allocates it as well, which TestColdMissAllocBudget bounds.
 func TestPagedLookupAllocs(t *testing.T) {
 	skipUnderRace(t)
-	tr, _, _, pts := buildPagedFileTree(t, 4000)
+	tr, st, path, pts := buildPagedFileTree(t, 4000)
 	if h := tr.Height(); h != 4 {
 		t.Fatalf("tree height %d, want 4", h)
 	}
@@ -154,10 +156,141 @@ func TestPagedLookupAllocs(t *testing.T) {
 	if guarded == 0 {
 		t.Fatal("no sampled descent carried a guard: the test does not exercise the guard set")
 	}
+
+	// The cold arm: reopened with room for the index and little more, so
+	// each shard's record of misses is 8 pages. A first pass misses every
+	// data page but those measured once, which fills every record; then
+	// each measured Lookup misses a page that never missed, scans it in
+	// scratch and admits nothing; their descents have brought the index
+	// nodes they pass in beforehand. The measured pages go largest first, so
+	// the warm-up run grows the scratch slab to its last size.
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := storage.OpenFileStore(path, storage.FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cold, err := Open(st, nil, Options{CacheNodes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 60
+	type target struct {
+		p geometry.Point
+		n int
+	}
+	var fill, measured []target
+	for _, id := range dataPageIDs(t, cold) {
+		dp, err := cold.paged.decodeDataInto(id, mustRead(t, st, id), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := dp.Item(0).Point
+		if len(cold.payloadsAt(dp, p)) != 1 {
+			continue // a duplicated point: its result grows twice
+		}
+		if len(measured) <= runs && id%2 == 0 {
+			measured = append(measured, target{p, dp.Len()})
+		} else {
+			fill = append(fill, target{p, dp.Len()})
+		}
+	}
+	if len(measured) <= runs || len(fill) < 8*cacheShards*2 {
+		t.Fatalf("%d pages to measure and %d to fill the records with: too few", len(measured), len(fill))
+	}
+	slices.SortStableFunc(measured, func(a, b target) int { return b.n - a.n })
+	for _, f := range fill {
+		if _, err := cold.Lookup(f.p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, m := range measured {
+		descendTo(t, cold, m.p)
+	}
+	for i := range cold.paged.shards {
+		if r := &cold.paged.shards[i].missed; len(r.ids) != 128/cacheShards {
+			t.Fatalf("shard %d recorded %d misses after the first pass, want a full record of %d", i, len(r.ids), 128/cacheShards)
+		}
+	}
+	before := cold.Metrics().Cache
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := cold.Lookup(measured[i].p); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	after := cold.Metrics().Cache
+	if reads := after.DataReads - before.DataReads; reads != runs+1 || after.Nodes != before.Nodes {
+		t.Fatalf("%d cold Lookups read %d data pages and the cache went from %d to %d nodes: not every one scanned in scratch", runs+1, reads, before.Nodes, after.Nodes)
+	}
+	if allocs != 2 {
+		t.Fatalf("a cold Lookup scanned in scratch allocates %.1f allocs/op, want exactly 2", allocs)
+	}
+}
+
+// mustRead returns page id's blob as st stores it.
+func mustRead(t *testing.T, st storage.Store, id page.ID) []byte {
+	t.Helper()
+	blob, err := st.ReadNode(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestMissRingIsLazy: the record of Lookup misses grows only with the
+// misses it records. A tree whose 1<<20-node cache holds every node its
+// Lookups reach records none, so no shard holds a ring, and a reopened
+// tree that misses holds at most cap/cacheShards pages a shard.
+func TestMissRingIsLazy(t *testing.T) {
+	pts, err := workload.Generate(workload.Uniform, 2, 20000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Open(storage.NewMemStore(), nil, Options{Dims: 2, DataCapacity: 16, Fanout: 8, CacheNodes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		if err := tr.Insert(p, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range pts {
+		if _, err := tr.Lookup(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Metrics().Cache.DataReads != 0 {
+		t.Fatal("the warm tree's Lookups read data pages from the store")
+	}
+	for i := range tr.paged.shards {
+		if r := &tr.paged.shards[i].missed; r.ids != nil || r.set != nil {
+			t.Fatalf("shard %d holds a ring of %d and a set of %d slots with no miss", i, cap(r.ids), len(r.set))
+		}
+	}
+
+	re, _, _ := reopenedFileTree(t, pts, Options{DataCapacity: 16, Fanout: 8}, 256)
+	for _, p := range pts {
+		if _, err := re.Lookup(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range re.paged.shards {
+		if r := &re.paged.shards[i].missed; len(r.ids) > 256/cacheShards || len(r.set) > 4*256/cacheShards {
+			t.Fatalf("shard %d records %d misses in a set of %d slots, bound %d", i, len(r.ids), len(r.set), 256/cacheShards)
+		}
+	}
 }
 
 // TestColdMissAllocBudget bounds what bringing one stored page in costs
-// when neither cache holds it. A page is decoded straight into its
+// when neither cache holds it and the page is kept: every index miss, a
+// Lookup's second recent miss of a data page, and a range walk's private
+// decode (a Lookup's first miss, scanned in scratch, costs nothing:
+// TestPagedLookupAllocs). A page is decoded straight into its
 // columns, which the node embeds, and builds nothing else. An index node:
 // the node, its region key (none for the empty region many nodes keep)
 // and the columns' two arenas — four at most. A data page: the page, its
@@ -229,9 +362,11 @@ func TestColdMissAllocBudget(t *testing.T) {
 	// A range walk over the reopened tree reads a data page the cache
 	// does not hold as that miss does, and never admits it. The window is
 	// the bounding box of one data page's items: walked while its data
-	// pages are cold and again once a Lookup of every item has cached the
-	// page, it must differ by one cold data miss per data page read, with
-	// nothing per item (the points go to the walk's pooled arena).
+	// pages are cold and again once Lookups of its items have cached the
+	// page (a Lookup admits a page on its second recent miss, and there
+	// are at least 8 items), it must differ by one cold data miss per
+	// data page read, with nothing per item (the points go to the walk's
+	// pooled arena).
 	walked, err := Open(st, nil, Options{CacheNodes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +482,7 @@ func TestDecodedNodesOwnTheirWords(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := page.DecodeDataCols(fresh(e.Child))
+			want, _, err := page.DecodeDataCols(fresh(e.Child), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -309,7 +309,7 @@ func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 		}
 		var reg region.BitString
 		if e.Level == 0 {
-			dp, dims, err := page.DecodeDataCols(blob)
+			dp, dims, err := page.DecodeDataCols(blob, nil)
 			if err != nil {
 				return nil, fmt.Errorf("%w: frame %d: %v", ErrCorrupt, i, err)
 			}

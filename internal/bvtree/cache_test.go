@@ -211,10 +211,13 @@ func (s *recordStore) Sync() error {
 }
 
 // TestCacheDeterministic: eviction breaks ties by page ID, never by map
-// order, so one program — inserts, deletes, lookups and range walks that
-// admit index nodes — makes the same store operations in the same order
-// on every run. At 8 nodes most cache shards hold one node; the 64-node
-// run puts several in a shard, where map order would show.
+// order, and whether a Lookup admits the data page it missed depends only
+// on the order of the shard's earlier misses (its ring), so one program —
+// inserts, deletes, lookups that scan a first miss in scratch and admit
+// a second, and range walks that admit index nodes — makes the same
+// store operations in the same order on every run. At 8 nodes most cache
+// shards hold one node and remember one miss; the 64-node run puts
+// several in a shard, where map order would show.
 func TestCacheDeterministic(t *testing.T) {
 	run := func(cache int) []string {
 		rs := &recordStore{Store: storage.NewMemStore()}

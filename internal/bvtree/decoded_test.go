@@ -41,7 +41,7 @@ func TestDecodeEveryPageOfATree(t *testing.T) {
 			t.Fatal(err)
 		}
 		if p.level == 0 {
-			dp, gotDims, err := page.DecodeDataCols(blob)
+			dp, gotDims, err := page.DecodeDataCols(blob, nil)
 			if err != nil {
 				t.Fatalf("page %d: %v", p.id, err)
 			}

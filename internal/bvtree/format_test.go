@@ -29,7 +29,7 @@ func formatV1(t *testing.T, blob []byte) []byte {
 	if k, err := page.DecodeKind(blob); err != nil {
 		t.Fatal(err)
 	} else if k == page.KindData {
-		p, _, err := page.DecodeDataCols(blob)
+		p, _, err := page.DecodeDataCols(blob, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestEarlierPageFormatIsRefused(t *testing.T) {
 		}
 		switch k {
 		case page.KindData:
-			_, _, err := page.DecodeDataCols(old)
+			_, _, err := page.DecodeDataCols(old, nil)
 			refusesV1(t, "DecodeDataCols", err)
 			_, _, err = page.DecodeData(old)
 			refusesV1(t, "DecodeData", err)

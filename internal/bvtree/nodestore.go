@@ -3,6 +3,7 @@ package bvtree
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -51,6 +52,92 @@ type nodeShard struct {
 	// Free bumps it under mu. A pinned view admits a node it decoded only
 	// while seq has not moved since its miss (admit).
 	seq uint64
+	// missed is the record of the shard's recent Lookup misses, which
+	// decides whether a Lookup admits the data page it missed
+	// (pagedNodes.lookupData).
+	missed missRing
+}
+
+// missRing is the record of the last data pages a shard's Lookups
+// missed: a ring of page IDs in the order they were recorded, beside an
+// open-addressed set of the same IDs for an O(1) membership test. Both
+// grow with the record, up to the ring's bound, so a shard that never
+// misses holds nothing. Every method runs under the shard's mu.
+type missRing struct {
+	ids  []page.ID // ids[next] is the oldest once the ring is full
+	next int
+	// set holds the IDs of ids by linear probing, page.Nil in an empty
+	// slot; its length is a power of two at least twice len(ids).
+	set   []page.ID
+	shift uint // 64 − log2(len(set)): home's multiplicative hash keeps the top bits
+}
+
+// seen reports whether page id is among the pages recorded, and records
+// it when it is not, dropping the oldest once the ring holds limit pages.
+func (r *missRing) seen(id page.ID, limit int) bool {
+	if len(r.set) > 0 {
+		mask := len(r.set) - 1
+		for i := r.home(id); r.set[i] != page.Nil; i = (i + 1) & mask {
+			if r.set[i] == id {
+				return true
+			}
+		}
+	}
+	if len(r.ids) < limit {
+		r.ids = append(r.ids, id)
+		if 2*len(r.ids) > len(r.set) {
+			r.rehash(max(8, 2*len(r.set))) // which inserts id with the rest
+			return false
+		}
+	} else {
+		r.drop(r.ids[r.next])
+		r.ids[r.next] = id
+		r.next = (r.next + 1) % len(r.ids)
+	}
+	r.insert(id)
+	return false
+}
+
+// home is the slot where page id's probe starts: Fibonacci hashing, so
+// that a shard's IDs, which share their residue modulo cacheShards,
+// spread over the whole set.
+func (r *missRing) home(id page.ID) int {
+	return int(uint64(id) * 0x9E3779B97F4A7C15 >> r.shift)
+}
+
+func (r *missRing) insert(id page.ID) {
+	mask := len(r.set) - 1
+	i := r.home(id)
+	for r.set[i] != page.Nil {
+		i = (i + 1) & mask
+	}
+	r.set[i] = id
+}
+
+// drop removes page id, which the set holds, shifting back each later
+// entry of its probe run whose home the hole does not cut it off from.
+func (r *missRing) drop(id page.ID) {
+	mask := len(r.set) - 1
+	i := r.home(id)
+	for r.set[i] != id {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; r.set[j] != page.Nil; j = (j + 1) & mask {
+		if h := r.home(r.set[j]); (j-h)&mask >= (j-i)&mask {
+			r.set[i] = r.set[j]
+			i = j
+		}
+	}
+	r.set[i] = page.Nil
+}
+
+// rehash rebuilds the set from ids at n slots, a power of two.
+func (r *missRing) rehash(n int) {
+	r.set = make([]page.ID, n)
+	r.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for _, id := range r.ids {
+		r.insert(id)
+	}
 }
 
 // cached is a decoded node, the position of its page's entry, and the
@@ -198,6 +285,9 @@ type pagedNodes struct {
 	// decodeIndex and decodeData decode a page for read; they are built
 	// once, so that lending a page to them allocates no closure.
 	decodeIndex, decodeData func(page.ID, []byte) (any, error)
+	// scratch pools the pages a Lookup decodes a data page it does not
+	// admit into (lookupData).
+	scratch sync.Pool
 
 	// err is the first failed write-back, meta write or sync. The store
 	// may then hold anything, so nothing is written after it and every
@@ -221,19 +311,48 @@ func newPagedNodes(st storage.Store, dims, cacheNodes int) *pagedNodes {
 		return n, nil
 	}
 	s.decodeData = func(id page.ID, blob []byte) (any, error) {
-		p, dims, err := page.DecodeDataCols(blob)
+		p, err := s.decodeDataInto(id, blob, nil)
 		if err != nil {
-			return nil, fmt.Errorf("bvtree: decode data page %d: %w", id, err)
-		}
-		if dims != s.dims {
-			return nil, fmt.Errorf("bvtree: decode data page %d: %w: %d dims in a %d-dimensional tree", id, page.ErrCorrupt, dims, s.dims)
+			return nil, err
 		}
 		return p, nil
+	}
+	s.scratch.New = func() any {
+		sc := &scratchPage{}
+		sc.decode = func(id page.ID, blob []byte) (any, error) {
+			p, err := s.decodeDataInto(id, blob, &sc.page)
+			if err != nil {
+				return nil, err
+			}
+			return p, nil
+		}
+		return sc
 	}
 	for i := range s.shards {
 		s.shards[i].nodes = make(map[page.ID]cached)
 	}
 	return s
+}
+
+// decodeDataInto decodes data page id from blob into dst (nil: a new
+// page, see page.DecodeDataCols) and checks that it has the tree's
+// dimensionality.
+func (s *pagedNodes) decodeDataInto(id page.ID, blob []byte, dst *page.DataPage) (*page.DataPage, error) {
+	p, dims, err := page.DecodeDataCols(blob, dst)
+	if err != nil {
+		return nil, fmt.Errorf("bvtree: decode data page %d: %w", id, err)
+	}
+	if dims != s.dims {
+		return nil, fmt.Errorf("bvtree: decode data page %d: %w: %d dims in a %d-dimensional tree", id, page.ErrCorrupt, dims, s.dims)
+	}
+	return p, nil
+}
+
+// scratchPage is a page lookupData decodes a miss into, with its decoder
+// bound once, so that lending a page to it allocates nothing.
+type scratchPage struct {
+	page   page.DataPage
+	decode func(page.ID, []byte) (any, error)
 }
 
 func (s *pagedNodes) shard(id page.ID) *nodeShard {
@@ -503,6 +622,44 @@ func (s *pagedNodes) Data(id page.ID) (*page.DataPage, error) {
 		s.cachePut(id, p, false)
 	}
 	return p, err
+}
+
+// lookupData is Data for a Lookup, whose scan keeps nothing of the
+// page. A hit is the cached node. A miss admits the page only when the
+// page is in its shard's record of recent misses: a page that comes back
+// within the last cap/cacheShards misses of its shard is hot, and enters
+// the cache on that second miss. Any other miss is recorded and decoded
+// into a pooled scratch page, returned with the page, which the caller
+// hands to release once its scan is done; it admits nothing and, once
+// the pool is warm, allocates nothing.
+func (s *pagedNodes) lookupData(id page.ID) (*page.DataPage, *scratchPage, error) {
+	sh := s.shard(id)
+	sh.mu.Lock()
+	v, ok := sh.touch(id, s.clock.Load())
+	again := !ok && sh.missed.seen(id, max(s.cap/cacheShards, 1))
+	sh.mu.Unlock()
+	switch {
+	case ok:
+		p, err := asData(id, v)
+		return p, nil, err
+	case again:
+		p, err := s.Data(id)
+		return p, nil, err
+	}
+	s.dataReads.Add(1)
+	sc := s.scratch.Get().(*scratchPage)
+	if _, err := s.read(id, sc.decode); err != nil {
+		s.scratch.Put(sc)
+		return nil, nil, err
+	}
+	return &sc.page, sc, nil
+}
+
+// release returns a scratch page lookupData handed out (nil: none).
+func (s *pagedNodes) release(sc *scratchPage) {
+	if sc != nil {
+		s.scratch.Put(sc)
+	}
 }
 
 // read brings page id in from the store and decodes it with decode

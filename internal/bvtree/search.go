@@ -227,12 +227,31 @@ func (t *Tree) lookupLocked(p geometry.Point) ([]uint64, error) {
 	}
 	dataID := d.dataID
 	putDescent(d)
-	dp, c, err := t.dataCols(dataID)
+	if t.mv == nil {
+		// A pinned view reads the page through its version chains.
+		dp, err := t.fetchData(dataID)
+		if err != nil {
+			return nil, err
+		}
+		return t.payloadsAt(dp, p), nil
+	}
+	// A live tree admits a missed page only on its second recent miss
+	// and scans a first one in scratch (pagedNodes.lookupData).
+	t.stats.NodeAccesses.Inc()
+	dp, sc, err := t.paged.lookupData(dataID)
 	if err != nil {
 		return nil, err
 	}
-	// Batched equality over the coordinate columns: the payloads are
-	// only read for the (rare) exact matches.
+	out := t.payloadsAt(dp, p)
+	t.paged.release(sc)
+	return out, nil
+}
+
+// payloadsAt returns the payloads of dp's items at exactly point p, by
+// batched equality over the coordinate columns: the payloads are only
+// read for the (rare) exact matches.
+func (t *Tree) payloadsAt(dp *page.DataPage, p geometry.Point) []uint64 {
+	c := dp.DCols()
 	var out []uint64
 	t.stats.BatchTests.Inc()
 	for base := 0; base < c.Len(); base += 64 {
@@ -240,7 +259,7 @@ func (t *Tree) lookupLocked(p geometry.Point) ([]uint64, error) {
 			out = append(out, dp.Payload(base+bits.TrailingZeros64(m)))
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Contains reports whether any item is stored at point p.

@@ -54,8 +54,13 @@ type Options struct {
 	// index nodes from level 1 upward, so a cache of at least the index
 	// size (about 1/F of the data pages) keeps the whole index resident
 	// and a cold Lookup reads one page; Metrics reports the residency.
-	// Index nodes decoded by range walks and other pinned reads are cached
-	// too, data pages they fetch are not. New ignores it: an in-memory
+	// Every index node the tree decodes is cached, a range walk's and a
+	// pinned read's too. A data page is cached when a writer takes it,
+	// and when a Lookup misses it while it is among the last
+	// CacheNodes/16 data pages its cache shard's Lookups missed: a hot
+	// page enters on its second miss, and a first miss is scanned in
+	// scratch and kept nowhere. Data pages that range walks and other
+	// pinned reads fetch are never cached. New ignores it: an in-memory
 	// tree keeps every node decoded.
 	CacheNodes int
 	// RangeWorkers is ignored.

@@ -403,7 +403,7 @@ func TestDataColsEditInPlace(t *testing.T) {
 			p := pageOf(region.BitString{}, dims, []int{0, 9, 33}[trial%3], items)
 			if trial%2 == 1 {
 				var err error
-				if p, _, err = DecodeDataCols(EncodeData(p, dims)); err != nil {
+				if p, _, err = DecodeDataCols(EncodeData(p, dims), nil); err != nil {
 					t.Fatal(err)
 				}
 				p.Reserve(rng.Intn(20))

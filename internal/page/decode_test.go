@@ -77,6 +77,9 @@ func TestStructuralDecodeErrorsAreCorrupt(t *testing.T) {
 			if _, _, aerr := AppendDataItems(c.blob, nil, nil); !errors.Is(aerr, ErrCorrupt) {
 				t.Errorf("%s: AppendDataItems error %v does not wrap ErrCorrupt", c.name, aerr)
 			}
+			if _, _, ierr := DecodeDataCols(c.blob, NewDataPage(region.BitString{}, 2)); !errors.Is(ierr, ErrCorrupt) {
+				t.Errorf("%s: DecodeDataCols into a page: error %v does not wrap ErrCorrupt", c.name, ierr)
+			}
 		}
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
@@ -197,7 +200,7 @@ var columnPage = rawPage(KindData, uint32(2), uint32(2), uint64(1)<<63,
 // items back as the same bytes.
 func TestDataPageIsColumnMajor(t *testing.T) {
 	want := []Item{{geometry.Point{10, 20}, 7}, {geometry.Point{11, 21}, 8}, {geometry.Point{12, 22}, 9}}
-	p, dims, err := DecodeDataCols(columnPage)
+	p, dims, err := DecodeDataCols(columnPage, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,6 +219,34 @@ func TestDataPageIsColumnMajor(t *testing.T) {
 		if !it.Point.Equal(want[i].Point) || it.Payload != want[i].Payload {
 			t.Fatalf("AppendDataItems item %d is %v, want %v", i, it, want[i])
 		}
+	}
+}
+
+// TestDecodeIntoReusesSlab: a decode into a page of the caller's reads
+// the same rows as a fresh one, keeps no region, and allocates nothing
+// once the page's slab holds the rows; a slab too small is replaced.
+func TestDecodeIntoReusesSlab(t *testing.T) {
+	want := []Item{{geometry.Point{10, 20}, 7}, {geometry.Point{11, 21}, 8}, {geometry.Point{12, 22}, 9}}
+	dst := NewDataPage(region.MustParseBits("0"), 2)
+	p, dims, err := DecodeDataCols(columnPage, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != dst || dims != 2 || dst.Region.Len() != 0 {
+		t.Fatalf("decode into a page: page %p of %p, dims %d, region %v", p, dst, dims, dst.Region)
+	}
+	sameItems(t, "decode into a page", dst, want)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := DecodeDataCols(columnPage, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a decode into a page whose slab holds the rows: %.1f allocs, want 0", allocs)
+	}
+	big := EncodeData(pageOf(region.BitString{}, 2, 0, randItems(rand.New(rand.NewSource(5)), 2, 40)), 2)
+	if _, _, err := DecodeDataCols(big, dst); err != nil || dst.Len() != 40 {
+		t.Fatalf("decode of 40 items into a 3-item slab: %d items, %v", dst.Len(), err)
 	}
 }
 

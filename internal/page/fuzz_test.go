@@ -75,16 +75,25 @@ func FuzzDecodeData(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		got, dims, err := DecodeData(b)
-		cols, cdims, cerr := DecodeDataCols(b)
-		if (err == nil) != (cerr == nil) {
-			t.Fatalf("DecodeData error %v, DecodeDataCols error %v", err, cerr)
+		cols, cdims, cerr := DecodeDataCols(b, nil)
+		// A decode into a page of the caller's, whose slab it reuses,
+		// makes every check the other decoders make.
+		dst := NewDataPage(region.BitString{}, 1)
+		dst.Reserve(64)
+		into, idims, ierr := DecodeDataCols(b, dst)
+		if (err == nil) != (cerr == nil) || (err == nil) != (ierr == nil) {
+			t.Fatalf("DecodeData error %v, DecodeDataCols error %v, into a page %v", err, cerr, ierr)
 		}
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) || !errors.Is(cerr, ErrCorrupt) {
-				t.Fatalf("decode errors %q, %q do not wrap ErrCorrupt", err, cerr)
+			if !errors.Is(err, ErrCorrupt) || !errors.Is(cerr, ErrCorrupt) || !errors.Is(ierr, ErrCorrupt) {
+				t.Fatalf("decode errors %q, %q, %q do not wrap ErrCorrupt", err, cerr, ierr)
 			}
 			return
 		}
+		if into != dst || idims != dims || into.Region.Len() != 0 {
+			t.Fatalf("decode into a page: page %p of %p, %d dims of %d, %d-bit region kept", into, dst, idims, dims, into.Region.Len())
+		}
+		sameItems(t, "decode into a page", into, got.Items)
 		if cdims != dims || cols.DCols().Dims() != dims {
 			t.Fatalf("DecodeDataCols found %d dims into %d rows, DecodeData %d", cdims, cols.DCols().Dims(), dims)
 		}

@@ -107,7 +107,7 @@ func (mc maskCase) check(t *testing.T) {
 	for i, pt := range mc.pts {
 		dp.Append(pt, uint64(i))
 	}
-	decoded, _, err := DecodeDataCols(EncodeData(dp, dims))
+	decoded, _, err := DecodeDataCols(EncodeData(dp, dims), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -287,8 +287,10 @@ func DecodeIndexCols(b []byte, dims int) (*IndexNode, error) {
 // dataHeader opens an encoded data page for its decoders: it checks the
 // envelope and the kind, parses dimensionality, region and item count,
 // and verifies that the body holds that many items, leaving r at the
-// first word of the first row.
-func dataHeader(b []byte) (r reader, dims int, reg region.BitString, count int, err error) {
+// first word of the first row. The region key is checked either way and
+// kept only when keepRegion is set; otherwise reg is empty and nothing
+// is allocated.
+func dataHeader(b []byte, keepRegion bool) (r reader, dims int, reg region.BitString, count int, err error) {
 	r, err = newReader(b)
 	if err != nil {
 		return r, 0, reg, 0, err
@@ -300,7 +302,11 @@ func dataHeader(b []byte) (r reader, dims int, reg region.BitString, count int, 
 	if dims < 1 || dims > geometry.MaxDims {
 		return r, 0, reg, 0, fmt.Errorf("%w: implausible dimensionality %d", ErrCorrupt, dims)
 	}
-	reg = r.bits()
+	if keepRegion {
+		reg = r.bits()
+	} else {
+		r.skipBits()
+	}
 	count = int(r.u32())
 	if count < 0 || count > 1<<24 {
 		return r, 0, reg, 0, fmt.Errorf("%w: implausible item count %d", ErrCorrupt, count)
@@ -312,7 +318,7 @@ func dataHeader(b []byte) (r reader, dims int, reg region.BitString, count int, 
 // DecodeData is DecodeDataCols plus Items, the page's items as values,
 // for tools that inspect a stored page item by item.
 func DecodeData(b []byte) (*DataPage, int, error) {
-	p, dims, err := DecodeDataCols(b)
+	p, dims, err := DecodeDataCols(b, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -322,16 +328,35 @@ func DecodeData(b []byte) (*DataPage, int, error) {
 
 // DecodeDataCols decodes a data page into its columns in one sequential
 // pass: the page stores the rows one after another, so its body is the
-// slab, exactly sized, that holds a row per dimension and the payload
-// row. It also returns the dimensionality the page records.
-func DecodeDataCols(b []byte) (*DataPage, int, error) {
-	r, dims, reg, count, err := dataHeader(b)
+// slab that holds a row per dimension and the payload row. It also
+// returns the dimensionality the page records.
+//
+// With dst nil the result is a new page: its slab exactly sized, its
+// region key in words of its own. Otherwise the page is decoded into
+// dst, for a reader that only scans the rows and keeps nothing of them:
+// dst's slab is reused when it holds the rows, and the region key is
+// checked as every other field is but not kept (dst.Region is empty), so
+// the decode allocates nothing once the slab is large enough. A failed
+// decode leaves dst as it was.
+func DecodeDataCols(b []byte, dst *DataPage) (*DataPage, int, error) {
+	r, dims, reg, count, err := dataHeader(b, dst == nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	slab := make([]uint64, (dims+1)*count)
+	n := (dims + 1) * count
+	var slab []uint64
+	if dst != nil && cap(dst.cols.coords) >= n {
+		slab = dst.cols.coords[:n]
+	} else {
+		slab = make([]uint64, n)
+	}
 	getWords(slab, r.buf[r.off:]) // dataHeader checked that the body holds them
-	return &DataPage{Region: reg, cols: DataCols{n: count, dims: dims, stride: count, coords: slab}}, dims, nil
+	cols := DataCols{n: count, dims: dims, stride: count, coords: slab}
+	if dst == nil {
+		return &DataPage{Region: reg, cols: cols}, dims, nil
+	}
+	*dst = DataPage{cols: cols}
+	return dst, dims, nil
 }
 
 // AppendDataItems decodes the items of an encoded data page, appending
@@ -341,7 +366,7 @@ func DecodeDataCols(b []byte) (*DataPage, int, error) {
 // may relocate its backing array; points appended by earlier calls keep
 // referencing the old array, so previously returned items stay valid.
 func AppendDataItems(b []byte, dst []Item, coords []uint64) ([]Item, []uint64, error) {
-	r, dims, _, count, err := dataHeader(b)
+	r, dims, _, count, err := dataHeader(b, false)
 	if err != nil {
 		return dst, coords, err
 	}
@@ -477,14 +502,29 @@ func (r *reader) u64() uint64 {
 // maxKeyBits bounds the length of a bit string on a page.
 const maxKeyBits = 1 << 20
 
-// bits reads one bit string into words of its own.
-func (r *reader) bits() region.BitString {
-	n := int(r.u32())
+// bitsLen reads a bit string's length and checks that the page holds
+// its words, returning the length and the word count (ok false on
+// either failure, recorded in r.err).
+func (r *reader) bitsLen() (n, nw int, ok bool) {
+	n = int(r.u32())
 	if r.err == nil && n > maxKeyBits {
 		r.err = fmt.Errorf("%w: implausible bit length %d", ErrCorrupt, n)
 	}
-	nw := (n + 63) / 64
-	if !r.need(nw * 8) {
+	nw = (n + 63) / 64
+	return n, nw, r.need(nw * 8)
+}
+
+// skipBits passes over one bit string with bits' checks, keeping nothing.
+func (r *reader) skipBits() {
+	if _, nw, ok := r.bitsLen(); ok {
+		r.off += 8 * nw
+	}
+}
+
+// bits reads one bit string into words of its own.
+func (r *reader) bits() region.BitString {
+	n, nw, ok := r.bitsLen()
+	if !ok {
 		return region.BitString{}
 	}
 	words := make([]uint64, nw)

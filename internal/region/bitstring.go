@@ -191,21 +191,10 @@ func (b BitString) String() string {
 // Words exposes the packed words (treat as read-only).
 func (b BitString) Words() []uint64 { return b.words }
 
-// FromWords reconstructs a BitString from packed words and a bit length.
-// Excess bits in the final word are cleared. The words are copied.
-func FromWords(words []uint64, n int) (BitString, error) {
-	need := (n + 63) / 64
-	if n < 0 || need > len(words) {
-		return BitString{}, fmt.Errorf("region: %d words cannot hold %d bits", len(words), n)
-	}
-	w := make([]uint64, need)
-	copy(w, words[:need])
-	return OwnWords(w, n)
-}
-
-// OwnWords is FromWords without the copy: the BitString keeps the first
-// (n+63)/64 of words as its storage, clearing the excess bits of the last
-// one in place, and the caller must not write to them again. A decoder
+// OwnWords makes a BitString of n bits from packed words without a
+// copy: it keeps the first (n+63)/64 of words as its storage, clearing
+// the excess bits of the last one in place, and the caller must not
+// write to them again. A decoder
 // uses it to cut the keys of one page out of a single slab: BitStrings
 // are immutable, so keys sharing a backing array cannot disturb each
 // other.

@@ -120,25 +120,6 @@ func spread32(x uint64) uint64 {
 	return x
 }
 
-// Deinterleave reconstructs the point whose kept coordinate bits produce a.
-// Coordinate bits below the kept precision are zero.
-func (il *Interleaver) Deinterleave(a Address) (geometry.Point, error) {
-	if a.dims != il.dims || a.bitsPerDim != il.bitsPerDim {
-		return nil, fmt.Errorf("zorder: address shape (%d,%d) does not match interleaver (%d,%d)",
-			a.dims, a.bitsPerDim, il.dims, il.bitsPerDim)
-	}
-	p := make(geometry.Point, il.dims)
-	total := il.TotalBits()
-	for i := 0; i < total; i++ {
-		if a.Bit(i) != 0 {
-			dim := i % il.dims
-			depth := i / il.dims
-			p[dim] |= 1 << uint(63-depth)
-		}
-	}
-	return p, nil
-}
-
 // Bit returns interleaved bit i (0 or 1). Bits past the address length are
 // zero.
 func (a Address) Bit(i int) int {
