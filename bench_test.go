@@ -489,12 +489,43 @@ func windowsOf(pts []bvtree.Point, k, count int, rng *rand.Rand) []bvtree.Rect {
 	return out
 }
 
+// tinyHalf is the half side of the benchmark's range-tiny windows: half
+// of 1e-10 of the domain side.
+const tinyHalf uint64 = 922_337_203
+
+// tinyWindows returns count squares of half side tinyHalf, each centred
+// on a point drawn from pts and holding that point alone, as the
+// benchmark's range-tiny windows do.
+func tinyWindows(pts []bvtree.Point, count int, rng *rand.Rand) []bvtree.Rect {
+	var out []bvtree.Rect
+	for len(out) < count {
+		c := pts[rng.Intn(len(pts))]
+		w := bvtree.UniverseRect(len(c))
+		for d := range c {
+			w.Min[d] = c[d] - min(c[d], tinyHalf)
+			w.Max[d] = c[d] + min(math.MaxUint64-c[d], tinyHalf)
+		}
+		in := 0
+		for _, p := range pts {
+			if w.Contains(p) {
+				in++
+			}
+		}
+		if in == 1 {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
 // BenchmarkRangeDrive measures the range walk on the windows of
 // EXPERIMENTS.md's "one range walk" record: visiting and counting windows
 // of 4097 items and of a third of a 100k-point clustered tree, fully
-// cached and reopened cold. Beside the time it reports the walk's cost
-// against the O(log n + k) yardstick: nodes fetched per item delivered,
-// and data pages fetched that gave the window no item.
+// cached and reopened cold. Its items=1 arm, windows holding one item,
+// is the profilable replica of the benchmark's range-tiny workload.
+// Beside the time and allocations it reports the walk's cost against the
+// O(log n + k) yardstick: nodes fetched per item delivered, and data
+// pages fetched that gave the window no item.
 func BenchmarkRangeDrive(b *testing.B) {
 	const n = 100_000
 	pts, err := workload.Generate(workload.Clustered, 2, n, 1)
@@ -509,6 +540,7 @@ func BenchmarkRangeDrive(b *testing.B) {
 	}{
 		{"items=4097", 4097, windowsOf(pts, 4097, 16, rng)},
 		{"items=33333", n / 3, windowsOf(pts, n/3, 4, rng)},
+		{"items=1", 1, tinyWindows(pts, 256, rng)},
 	}
 	path, st, tr := pagedFileTree(b, pts)
 	for _, state := range []string{"cached", "reopened"} {
@@ -518,6 +550,7 @@ func BenchmarkRangeDrive(b *testing.B) {
 		for _, sz := range sizes {
 			for _, op := range []string{"visit", "count"} {
 				b.Run(state+"/"+sz.name+"/"+op, func(b *testing.B) {
+					b.ReportAllocs()
 					before := tr.Stats()
 					for i := 0; i < b.N; i++ {
 						var err error

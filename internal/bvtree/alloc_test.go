@@ -523,10 +523,11 @@ func TestRangeQueryAllocs(t *testing.T) {
 }
 
 // TestRangeTinyWindowAllocs pins the guard-set-pruned descent as
-// allocation-free: a window holding one stored point pays for the epoch
-// pin, the immutable view and the caller's visitor closure, and nothing
-// per node — the guard set lives on expandRange's stack and the child
-// buffers on the pooled rangeWalker.
+// allocation-free: a window holding one stored point allocates nothing,
+// neither per node — the guard set lives on expandRange's stack and the
+// child buffers on the pooled rangeWalker — nor for its pin, whose view
+// is pooled, nor for the visitor closure, which stays on the caller's
+// stack.
 func TestRangeTinyWindowAllocs(t *testing.T) {
 	skipUnderRace(t)
 	tr, pts := buildAllocTree(t, 4000)
@@ -546,8 +547,8 @@ func TestRangeTinyWindowAllocs(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("one-point window visited %d items", count)
 	}
-	if allocs > 3 {
-		t.Fatalf("RangeQuery allocates %.1f allocs/op on a one-item window, budget 3", allocs)
+	if allocs != 0 {
+		t.Fatalf("RangeQuery allocates %.1f allocs/op on a one-item window, want 0", allocs)
 	}
 }
 
@@ -589,12 +590,69 @@ func TestRangeTinyWindowBytes(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		// 288 bytes: the pin, the view and the visitor closure, and a
-		// share of the arena the point is cut from. Copying the page the
-		// point lies on costs about 1370.
-		if got := (after.TotalAlloc - before.TotalAlloc) / queries; got > 320 {
-			t.Errorf("%s: a one-item window allocates %d bytes, budget 320", arm.name, got)
+		// 32 bytes: the visitor closure and a share of the arena the
+		// point is cut from; the pinned view is pooled. Copying the page
+		// the point lies on costs about 1370.
+		if got := (after.TotalAlloc - before.TotalAlloc) / queries; got > 64 {
+			t.Errorf("%s: a one-item window allocates %d bytes, budget 64", arm.name, got)
 		}
+	}
+}
+
+// TestReadViewAllocs pins the pin a traversal read takes on a live tree
+// as free: readView lends a pooled view, and the pin list and the sweep
+// it skips allocate nothing. On a paged tree whose cache holds every
+// page, a one-item window's Count, and its RangeQuery with a visitor
+// made outside the measured call, allocate nothing at all (the arena
+// the visited point is cut from is shared by hundreds of calls), and a
+// Nearest allocates exactly what the same search makes on a snapshot's
+// view, which reads under the view's own lock and takes no pin.
+func TestReadViewAllocs(t *testing.T) {
+	skipUnderRace(t)
+	tr, _, _, pts := buildPagedFileTree(t, 4000)
+	reads := tr.Metrics().Cache.DataReads + tr.Metrics().Cache.IndexReads
+	count := 0
+	visit := func(geometry.Point, uint64) bool { count++; return true }
+	for _, p := range pts[:100] {
+		rect := geometry.Rect{Min: p, Max: p}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if n, err := tr.Count(rect); err != nil || n == 0 {
+				t.Fatalf("Count(%v) = %d, %v", rect, n, err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("Count of a one-item window allocates %.1f allocs/op, want 0", allocs)
+		}
+		count = 0
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := tr.RangeQuery(rect, visit); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("RangeQuery of a one-item window allocates %.1f allocs/op, want 0", allocs)
+		}
+		if count == 0 {
+			t.Fatalf("RangeQuery(%v) visited nothing", rect)
+		}
+	}
+	s, err := tr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Release()
+	for _, p := range pts[:100] {
+		nearest := func(tr *Tree) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if nb, err := tr.Nearest(p, 4); err != nil || len(nb) != 4 {
+					t.Fatalf("Nearest(%v) = %v, %v", p, nb, err)
+				}
+			})
+		}
+		if live, view := nearest(tr), nearest(s.v); live != view {
+			t.Fatalf("Nearest allocates %.1f allocs/op on the live tree and %.1f on a snapshot's view: the pin is not free", live, view)
+		}
+	}
+	if r := tr.Metrics().Cache.DataReads + tr.Metrics().Cache.IndexReads; r != reads {
+		t.Fatalf("the reads fetched %d pages from the store: the cache did not hold the tree", r-reads)
 	}
 }
 

@@ -386,3 +386,102 @@ func TestConcurrentStatsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConcurrentPooledViews drives the pooled views traversal reads pin
+// through: four readers run one-point RangeQuery, Count and Nearest on a
+// reopened tree whose cache holds 8 nodes, beside a writer that deletes
+// and reinserts the even points (capturing versions and deferring frees
+// under the readers' pins) and a goroutine that takes and releases
+// Snapshots. Every odd point, which nothing writes, must always be found
+// by all three reads, and once all are done no epoch may be pinned and
+// no version or grave left (CheckSnapshots).
+func TestConcurrentPooledViews(t *testing.T) {
+	pts, err := workload.Generate(workload.Clustered, 2, 3000, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, _, _ := reopenedFileTree(t, pts, Options{DataCapacity: 16, Fanout: 8}, 8)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, 6)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer stop.Store(true)
+		for round := 0; round < 3; round++ {
+			for i := 0; i < len(pts); i += 2 {
+				if ok, err := tr.Delete(pts[i], uint64(i)); err != nil || !ok {
+					errs <- fmt.Errorf("writer: delete %d = %v, %v", i, ok, err)
+					return
+				}
+				if err := tr.Insert(pts[i], uint64(i)); err != nil {
+					errs <- fmt.Errorf("writer: insert %d: %v", i, err)
+					return
+				}
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			s, err := tr.Snapshot()
+			if err != nil {
+				errs <- fmt.Errorf("snapshot: %v", err)
+				return
+			}
+			n, err := s.Count(geometry.UniverseRect(2))
+			size := s.Len()
+			s.Release()
+			if err != nil || n != size {
+				errs <- fmt.Errorf("snapshot: Count %d, Len %d, %v", n, size, err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 1 + 2*r; !stop.Load(); i = (i + 8) % len(pts) {
+				p, rect := pts[i], pointRect(pts[i])
+				found := false
+				if err := tr.RangeQuery(rect, func(_ geometry.Point, payload uint64) bool {
+					found = found || payload == uint64(i)
+					return true
+				}); err != nil || !found {
+					errs <- fmt.Errorf("reader %d: RangeQuery(%v) found payload %d: %v, %v", r, p, i, found, err)
+					return
+				}
+				if n, err := tr.Count(rect); err != nil || n == 0 {
+					errs <- fmt.Errorf("reader %d: Count(%v) = %d, %v", r, p, n, err)
+					return
+				}
+				if nb, err := tr.Nearest(p, 1); err != nil || len(nb) != 1 || nb[0].Dist != 0 {
+					errs <- fmt.Errorf("reader %d: Nearest(%v) = %v, %v", r, p, nb, err)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	// CheckSnapshots excuses what live pins retain, so first make sure
+	// that every read released its pin.
+	m := tr.Metrics()
+	if m.MVCC.PinnedEpochs != 0 {
+		t.Fatalf("%d epochs still pinned after every read returned", m.MVCC.PinnedEpochs)
+	}
+	if err := tr.CheckSnapshots(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Validate(true); err != nil {
+		t.Fatal(err)
+	}
+	if m.MVCC.Captures == 0 || m.Cache.DataReads == 0 {
+		t.Fatalf("%d captures, %d data pages read: the writer never ran under a pin, or the reads were not cold", m.MVCC.Captures, m.Cache.DataReads)
+	}
+}

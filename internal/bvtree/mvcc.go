@@ -36,11 +36,12 @@ import (
 // Reclamation. Pages superseded or freed while pins are active are
 // retained — version chains keep superseded decoded nodes alive, and
 // the grave list defers storage.Free so page IDs cannot be recycled
-// into a pinned reader's view. On every pin release the state is swept:
-// a version (or grave) tagged with epoch e is retained exactly while a
-// pin p < e is still active, and freed/dropped otherwise. With no pins
-// active both sets are empty — CheckSnapshots verifies exactly that,
-// and the torture/differential tests call it after every drain.
+// into a pinned reader's view. A pin release that finds anything
+// retained sweeps the state: a version (or grave) tagged with epoch e
+// is retained exactly while a pin p < e is still active, and
+// freed/dropped otherwise. With no pins active both sets are empty —
+// CheckSnapshots verifies exactly that, and the torture/differential
+// tests call it after every drain.
 
 // pageVersion is one superseded decoded node: the state a page had when
 // epoch was captured, immutable from the moment it enters a chain.
@@ -54,10 +55,13 @@ type pageVersion struct {
 // bare by pinned readers (which hold no tree lock at all).
 type mvccState struct {
 	mu    sync.Mutex
-	epoch uint64         // advanced on every pin; writes happen "at" the current value
-	pins  map[uint64]int // pinned epoch -> reference count
-	nPins atomic.Int64   // len-weighted pin count, lock-free writer fast path
-	nOld  atomic.Int64   // chain versions + graves, lock-free reader fast path
+	epoch uint64 // advanced on every pin; writes happen "at" the current value
+	// pins holds the active pinned epochs in ascending order. Every pin
+	// takes a fresh epoch, so each is held once, and pin only ever
+	// appends the largest.
+	pins  []uint64
+	nPins atomic.Int64 // len(pins), lock-free writer fast path
+	nOld  atomic.Int64 // chain versions + graves, lock-free reader fast path
 	chain map[page.ID][]pageVersion
 	grave map[page.ID]uint64 // page -> epoch at which its free was deferred
 
@@ -67,7 +71,6 @@ type mvccState struct {
 
 func newMVCCState(free func(page.ID) error) *mvccState {
 	return &mvccState{
-		pins:   make(map[uint64]int),
 		chain:  make(map[page.ID][]pageVersion),
 		grave:  make(map[page.ID]uint64),
 		freeFn: free,
@@ -82,7 +85,7 @@ func (v *mvccState) pin() uint64 {
 	v.mu.Lock()
 	p := v.epoch
 	v.epoch++
-	v.pins[p]++
+	v.pins = append(v.pins, p)
 	v.mu.Unlock()
 	v.nPins.Add(1)
 	v.met.Pins.Inc()
@@ -90,31 +93,37 @@ func (v *mvccState) pin() uint64 {
 	return p
 }
 
-// release drops one reference to pin p and sweeps now-unreachable
-// versions and graves. Safe to call without any tree lock.
+// release drops pin p and, when any version or grave is retained,
+// sweeps those no remaining pin can reach. The search runs from the back
+// of the list, where the newest pins, the ones that end first, are.
+// Safe to call without any tree lock.
 func (v *mvccState) release(p uint64) {
 	v.mu.Lock()
-	if v.pins[p] <= 1 {
-		delete(v.pins, p)
-	} else {
-		v.pins[p]--
+	i := len(v.pins) - 1
+	for i >= 0 && v.pins[i] != p {
+		i--
 	}
+	if i < 0 {
+		v.mu.Unlock()
+		panic(fmt.Sprintf("bvtree: release of epoch %d, which is not pinned", p))
+	}
+	v.pins = append(v.pins[:i], v.pins[i+1:]...)
 	v.nPins.Add(-1)
 	v.met.PinnedEpochs.Add(-1)
-	v.sweepLocked()
+	// capture and deferFree count what they retain under mu, so with
+	// nOld at zero a sweep would find nothing.
+	if v.nOld.Load() > 0 {
+		v.sweepLocked()
+	}
 	v.mu.Unlock()
 }
 
 // minPinLocked returns the smallest active pinned epoch.
 func (v *mvccState) minPinLocked() (uint64, bool) {
-	var min uint64
-	ok := false
-	for p := range v.pins {
-		if !ok || p < min {
-			min, ok = p, true
-		}
+	if len(v.pins) == 0 {
+		return 0, false
 	}
-	return min, ok
+	return v.pins[0], true
 }
 
 // sweepLocked drops every version and executes every deferred free that
@@ -434,13 +443,16 @@ func asData(id page.ID, v interface{}) (*page.DataPage, error) {
 	return p, nil
 }
 
-// newView builds an immutable Tree over the state pinned at pin. The
-// caller must hold at least the shared lock. The view shares the
+// pinView pins the current epoch and makes v, whose NodeStore is s, an
+// immutable Tree over the state pinned, overwriting whatever v and s
+// held. The caller must hold at least the shared lock. The view shares the
 // owner's counters and histograms, so work done through it is
-// observable exactly like lock-holding reads.
-func (t *Tree) newView(pin uint64) *Tree {
-	return &Tree{
-		st:        &snapNodes{pn: t.paged, mv: t.mv, pin: pin},
+// observable exactly like lock-holding reads. readView and Snapshot
+// both build their views here.
+func (t *Tree) pinView(v *Tree, s *snapNodes) uint64 {
+	*s = snapNodes{pn: t.paged, mv: t.mv, pin: t.mv.pin()}
+	*v = Tree{
+		st:        s,
 		opt:       t.opt,
 		il:        t.il,
 		root:      t.root,
@@ -451,29 +463,49 @@ func (t *Tree) newView(pin uint64) *Tree {
 		metrics:   t.metrics,
 		paged:     t.paged,
 	}
+	return s.pin
 }
 
-// readView pins the current epoch and returns an immutable view plus a
-// release function; the shared lock is dropped before returning, so the
-// caller's traversal runs without blocking writers. On a tree that is
-// itself a view (mv == nil) it degrades to holding the shared lock for
-// the call's duration — a view is already immutable, so its "lock" is
+// viewPool holds the views readView lends, each with its snapNodes as
+// its NodeStore, so that a traversal read pins without allocating. A
+// view in the pool holds no reference but to its own snapNodes.
+var viewPool = sync.Pool{New: func() any { return &Tree{st: new(snapNodes)} }}
+
+// readView pins the current epoch and returns an immutable view of the
+// tree at it, taken from viewPool; the shared lock is dropped before
+// returning, so the caller's traversal runs without blocking writers.
+// The caller hands the view back to releaseView when the traversal is
+// done and keeps no reference to it. On a tree that is itself a view
+// (mv == nil) it returns the tree and holds the shared lock until
+// releaseView — a view is already immutable, so its "lock" is
 // uncontended.
-func (t *Tree) readView() (*Tree, func()) {
+func (t *Tree) readView() *Tree {
 	t.mu.RLock()
 	if t.mv == nil {
-		return t, func() {
-			t.mu.RUnlock()
-			t.endOp()
-		}
+		return t
 	}
-	pin := t.mv.pin()
-	v := t.newView(pin)
+	v := viewPool.Get().(*Tree)
+	t.pinView(v, v.st.(*snapNodes))
 	t.mu.RUnlock()
-	return v, func() {
-		t.mv.release(pin)
+	return v
+}
+
+// releaseView ends the read readView began: it releases v's pin, clears
+// every reference v holds, runs the owner's between-operation
+// housekeeping and returns v to viewPool. On a tree that is itself a
+// view it drops the shared lock instead.
+func (t *Tree) releaseView(v *Tree) {
+	if t.mv == nil {
+		t.mu.RUnlock()
 		t.endOp()
+		return
 	}
+	s := v.st.(*snapNodes)
+	t.mv.release(s.pin)
+	*s = snapNodes{}
+	*v = Tree{st: s}
+	t.endOp()
+	viewPool.Put(v)
 }
 
 // Snapshot is a pinned, immutable view of a Tree: every read observes
@@ -492,14 +524,16 @@ type Snapshot struct {
 
 // Snapshot pins the tree's current state and returns an immutable view
 // of it. The snapshot observes none of the mutations that commit after
-// it is taken. Call Release when done.
+// it is taken. Call Release when done. Unlike the views traversal reads
+// borrow from a pool, a snapshot's view is its own: it lives until
+// Release and any number of goroutines may read it meanwhile.
 func (t *Tree) Snapshot() (*Snapshot, error) {
 	if t.mv == nil {
 		return nil, errors.New("bvtree: cannot snapshot a snapshot view")
 	}
+	v := new(Tree)
 	t.mu.RLock()
-	pin := t.mv.pin()
-	v := t.newView(pin)
+	pin := t.pinView(v, new(snapNodes))
 	t.mu.RUnlock()
 	return &Snapshot{v: v, owner: t, pin: pin}, nil
 }

@@ -493,3 +493,123 @@ func TestSnapshotOfSnapshotFails(t *testing.T) {
 		})
 	}
 }
+
+// TestPinsReleaseOutOfOrder: three snapshots taken with writes between
+// them — inserts that split pages and deletes that merge and free them —
+// and released in each of the six orders: a release from the middle or
+// the back of the pin list must keep the oldest pin's entries, and one
+// from the front must drop exactly those no later pin needs. After each
+// release the versions and graves the tree retains are
+// exactly those a model keeps: an entry tagged with epoch e while some
+// live pin p < e remains. Each snapshot reads its own state until it is
+// released, and CheckSnapshots is clean once all are.
+func TestPinsReleaseOutOfOrder(t *testing.T) {
+	pts, err := workload.Generate(workload.Uniform, 2, 1600, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type entry struct {
+		id    uint64
+		epoch uint64
+		grave bool
+	}
+	retained := func(tr *Tree) map[entry]bool {
+		v := tr.mv
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		out := make(map[entry]bool)
+		for id, versions := range v.chain {
+			for _, pv := range versions {
+				out[entry{id: uint64(id), epoch: pv.epoch}] = true
+			}
+		}
+		for id, e := range v.grave {
+			out[entry{id: uint64(id), epoch: e, grave: true}] = true
+		}
+		return out
+	}
+	for _, order := range [][3]int{{1, 2, 0}, {0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {2, 0, 1}, {2, 1, 0}} {
+		t.Run(fmt.Sprintf("release-%d-%d-%d", order[0], order[1], order[2]), func(t *testing.T) {
+			tr, err := New(Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range pts[:1000] {
+				if err := tr.Insert(p, uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var snaps [3]*Snapshot
+			var lens [3]int
+			for k := range snaps {
+				if snaps[k], err = tr.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+				lens[k] = snaps[k].Len()
+				for i := 1000 + 200*k; i < 1200+200*k; i++ {
+					if err := tr.Insert(pts[i], uint64(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 300 * k; i < 300*k+300; i++ {
+					if ok, err := tr.Delete(pts[i], uint64(i)); err != nil || !ok {
+						t.Fatalf("delete %d: %v, %v", i, ok, err)
+					}
+				}
+			}
+			all := retained(tr)
+			for k, s := range snaps {
+				tagged, graves := 0, 0
+				for e := range all {
+					if e.epoch == s.pin+1 {
+						tagged++
+						if e.grave {
+							graves++
+						}
+					}
+				}
+				if tagged == 0 || graves == 0 {
+					t.Fatalf("the writes after snapshot %d retained %d entries, %d of them graves: the model is not exercised", k, tagged, graves)
+				}
+			}
+			live := map[int]bool{0: true, 1: true, 2: true}
+			for _, k := range order {
+				snaps[k].Release()
+				delete(live, k)
+				want := make(map[entry]bool)
+				for e := range all {
+					for j := range live {
+						if snaps[j].pin < e.epoch {
+							want[e] = true
+						}
+					}
+				}
+				got := retained(tr)
+				for e := range want {
+					if !got[e] {
+						t.Fatalf("after releasing snapshot %d: %+v was reclaimed, but a live pin needs it", k, e)
+					}
+				}
+				for e := range got {
+					if !want[e] {
+						t.Fatalf("after releasing snapshot %d: %+v is retained, but no live pin needs it", k, e)
+					}
+				}
+				for j := range live {
+					if got := snaps[j].Len(); got != lens[j] {
+						t.Fatalf("snapshot %d: Len %d, pinned %d", j, got, lens[j])
+					}
+					if err := snaps[j].Validate(true); err != nil {
+						t.Fatalf("snapshot %d after releasing %d: %v", j, k, err)
+					}
+				}
+			}
+			if err := tr.CheckSnapshots(); err != nil {
+				t.Fatal(err)
+			}
+			if n := tr.mv.nOld.Load(); n != 0 {
+				t.Fatalf("%d versions and graves left after the last release", n)
+			}
+		})
+	}
+}

@@ -27,8 +27,8 @@ type Neighbor struct {
 // than the current k-th candidate are ever visited. A region's points are
 // a subset of its brick, so the brick lower bound is valid.
 func (t *Tree) Nearest(p geometry.Point, k int) ([]Neighbor, error) {
-	v, release := t.readView()
-	defer release()
+	v := t.readView()
+	defer t.releaseView(v)
 	if m := v.metrics; m != nil {
 		defer m.Nearest.ObserveSince(time.Now())
 	}

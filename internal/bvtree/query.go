@@ -37,8 +37,8 @@ type Visitor func(p geometry.Point, payload uint64) bool
 // visitor (or a large scan) never blocks writers, and the query result
 // is exactly the tree state at the moment the call started.
 func (t *Tree) RangeQuery(rect geometry.Rect, visit Visitor) error {
-	v, release := t.readView()
-	defer release()
+	v := t.readView()
+	defer t.releaseView(v)
 	if m := v.metrics; m != nil {
 		defer m.RangeQuery.ObserveSince(time.Now())
 	}
@@ -279,8 +279,8 @@ func (t *Tree) Scan(visit Visitor) error {
 // item by item. Like RangeQuery it runs on the calling goroutine against
 // a pinned immutable view, holding no tree lock during the traversal.
 func (t *Tree) Count(rect geometry.Rect) (int, error) {
-	v, release := t.readView()
-	defer release()
+	v := t.readView()
+	defer t.releaseView(v)
 	if m := v.metrics; m != nil {
 		defer m.RangeQuery.ObserveSince(time.Now())
 	}

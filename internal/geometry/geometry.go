@@ -136,21 +136,6 @@ func (r Rect) Intersects(s Rect) bool {
 	return true
 }
 
-// Intersect returns the intersection of r and s. ok is false when the
-// rectangles are disjoint.
-func (r Rect) Intersect(s Rect) (out Rect, ok bool) {
-	if !r.Intersects(s) {
-		return Rect{}, false
-	}
-	min := make(Point, r.Dims())
-	max := make(Point, r.Dims())
-	for i := range min {
-		min[i] = maxU64(r.Min[i], s.Min[i])
-		max[i] = minU64(r.Max[i], s.Max[i])
-	}
-	return Rect{Min: min, Max: max}, true
-}
-
 // Equal reports whether r and s are the same rectangle.
 func (r Rect) Equal(s Rect) bool {
 	return r.Min.Equal(s.Min) && r.Max.Equal(s.Max)
@@ -198,18 +183,4 @@ func NormalizeFloat(v, lo, hi float64) uint64 {
 func DenormalizeFloat(u uint64, lo, hi float64) float64 {
 	frac := float64(u) / ((1 << 63) * 2)
 	return lo + frac*(hi-lo)
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

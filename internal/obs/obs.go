@@ -43,9 +43,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Add moves the value by delta (negative to decrease).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 

@@ -18,7 +18,7 @@ func TestCounterGauge(t *testing.T) {
 	}
 
 	var g Gauge
-	g.Set(10)
+	g.Add(10)
 	g.Add(-3)
 	if got := g.Load(); got != 7 {
 		t.Fatalf("gauge = %d, want 7", got)
