@@ -55,7 +55,9 @@ GO ?= go
 # DESIGN.md, PROTOCOL.md and EXPERIMENTS.md, including the annotated
 # hex frame dumps, and fails when an alternative of the -race -run
 # pattern below matches no Test or Fuzz function in the packages it
-# names (go test passes silently over one that matches nothing). benchmark/ is a module of its own (`replace bvtree =>
+# names (go test passes silently over one that matches nothing), or
+# when README.md or DESIGN.md cites a Test or Fuzz name that no test
+# file declares. benchmark/ is a module of its own (`replace bvtree =>
 # ../`), which `go test ./...` at the root silently skips, so its tests
 # run as a separate step: they hold the harness's own checks that a
 # Lookup on point-hot and point-cold touches exactly height+1 nodes. It

@@ -15,15 +15,19 @@
 // Run with no arguments it also checks the Makefile's race set: every
 // alternative of the `-race -run '…'` pattern must match a Test or Fuzz
 // function in one of the packages that line names, since `go test -run`
-// passes silently over an alternative that matches nothing.
+// passes silently over an alternative that matches nothing. And every
+// Test or Fuzz name that README.md or DESIGN.md cites must be a function
+// of the repository's tests (a name cited with a trailing * must begin
+// one).
 //
 // A snippet that drifts from the real API, stops parsing, or declares
-// the wrong frame length, and a race-set alternative whose tests were
-// deleted or renamed, fails `make verify` instead of rotting silently.
+// the wrong frame length, a race-set alternative whose tests were
+// deleted or renamed, and a cited test that no longer exists, fails
+// `make verify` instead of rotting silently.
 //
 // Usage:
 //
-//	docslint [file.md ...]   # default: README.md DESIGN.md PROTOCOL.md EXPERIMENTS.md, and the Makefile's race set
+//	docslint [file.md ...]   # default: README.md DESIGN.md PROTOCOL.md EXPERIMENTS.md, the Makefile's race set and the tests README.md and DESIGN.md cite
 package main
 
 import (
@@ -33,6 +37,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -53,6 +58,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "docslint: Makefile: %v\n", err)
 		}
 		checked += alts
+		names, err := checkCitedTests("README.md", "DESIGN.md")
+		if err != nil {
+			failed++
+			fmt.Fprintf(os.Stderr, "docslint: %v\n", err)
+		}
+		checked += names
 	}
 	for _, f := range files {
 		fences, err := extractFences(f)
@@ -79,7 +90,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docslint: %d of %d checks failed\n", failed, checked)
 		os.Exit(1)
 	}
-	fmt.Printf("docslint: %d snippets and race-set alternatives ok\n", checked)
+	fmt.Printf("docslint: %d snippets, race-set alternatives and cited tests ok\n", checked)
 }
 
 // raceLine finds the Makefile's race set: the quoted pattern after
@@ -98,24 +109,17 @@ func checkRaceSet(makefile string) (int, error) {
 	if m == nil {
 		return 0, fmt.Errorf("no `-race -run '…' ./pkg …` line")
 	}
-	var names []string
+	var files []string
 	for _, pkg := range strings.Fields(string(m[2])) {
-		files, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))
+		matched, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))
 		if err != nil {
 			return 0, err
 		}
-		for _, f := range files {
-			tree, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return 0, err
-			}
-			for _, d := range tree.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if ok && fn.Recv == nil && (strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz")) {
-					names = append(names, fn.Name.Name)
-				}
-			}
-		}
+		files = append(files, matched...)
+	}
+	names, err := testFuncs(files)
+	if err != nil {
+		return 0, err
 	}
 	var dead []string
 	alts := strings.Split(strings.ReplaceAll(string(m[1]), "$$", "$"), "|")
@@ -132,6 +136,75 @@ func checkRaceSet(makefile string) (int, error) {
 		return len(alts), fmt.Errorf("race-set alternatives %q match no Test or Fuzz function in%s", dead, m[2])
 	}
 	return len(alts), nil
+}
+
+// testFuncs returns the names of the Test and Fuzz functions the Go
+// files declare.
+func testFuncs(files []string) ([]string, error) {
+	var names []string
+	for _, f := range files {
+		tree, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		for _, d := range tree.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if ok && fn.Recv == nil && (strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz")) {
+				names = append(names, fn.Name.Name)
+			}
+		}
+	}
+	return names, nil
+}
+
+// citedTest matches a Test or Fuzz function name in prose; a trailing *
+// cites every test whose name begins with the rest.
+var citedTest = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z0-9_][A-Za-z0-9_]*\*?`)
+
+// checkCitedTests checks that every Test or Fuzz name the markdown files
+// cite is declared by a _test.go file of the repository, and returns how
+// many distinct names it checked.
+func checkCitedTests(docs ...string) (int, error) {
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case strings.HasSuffix(path, "_test.go"):
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	names, err := testFuncs(files)
+	if err != nil {
+		return 0, err
+	}
+	var cited, missing []string
+	for _, doc := range docs {
+		blob, err := os.ReadFile(doc)
+		if err != nil {
+			return 0, err
+		}
+		for _, name := range citedTest.FindAllString(string(blob), -1) {
+			if slices.Contains(cited, name) {
+				continue
+			}
+			cited = append(cited, name)
+			prefix, wild := strings.CutSuffix(name, "*")
+			if !slices.ContainsFunc(names, func(n string) bool { return n == name || wild && strings.HasPrefix(n, prefix) }) {
+				missing = append(missing, doc+": "+name)
+			}
+		}
+	}
+	if len(missing) > 0 {
+		return len(cited), fmt.Errorf("cited tests that no _test.go declares: %q", missing)
+	}
+	return len(cited), nil
 }
 
 type fence struct {

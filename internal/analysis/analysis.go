@@ -88,9 +88,9 @@ func ScaledIndexSize(b, f, h int) *big.Int {
 	return si
 }
 
-// LogF returns log base F of a positive rational, for plotting the
+// logF returns log base F of a positive rational, for plotting the
 // figures' vertical axis.
-func LogF(x *big.Rat, f int) float64 {
+func logF(x *big.Rat, f int) float64 {
 	v, _ := x.Float64()
 	if v > 0 && !math.IsInf(v, 0) {
 		return math.Log(v) / math.Log(float64(f))
@@ -111,14 +111,14 @@ func bigLog(x *big.Float) float64 {
 	return math.Log(m) + float64(exp)*math.Ln2
 }
 
-// LogFInt is LogF for integers.
-func LogFInt(x *big.Int, f int) float64 {
-	return LogF(new(big.Rat).SetInt(x), f)
+// logFInt is logF for integers.
+func logFInt(x *big.Int, f int) float64 {
+	return logF(new(big.Rat).SetInt(x), f)
 }
 
-// LogFactorialLogF returns log_F(h!): the analytic gap between best- and
+// logFactorialLogF returns log_F(h!): the analytic gap between best- and
 // worst-case curves in Figures 7-1/7-2.
-func LogFactorialLogF(h, f int) float64 {
+func logFactorialLogF(h, f int) float64 {
 	s := 0.0
 	for i := 2; i <= h; i++ {
 		s += math.Log(float64(i))
@@ -144,14 +144,14 @@ type Fig7Row struct {
 func Fig7Series(f, maxH int) []Fig7Row {
 	rows := make([]Fig7Row, 0, maxH)
 	for h := 1; h <= maxH; h++ {
-		best := LogFInt(BestDataNodes(f, h), f)
-		worst := LogF(WorstDataNodes(f, h), f)
+		best := logFInt(BestDataNodes(f, h), f)
+		worst := logF(WorstDataNodes(f, h), f)
 		rows = append(rows, Fig7Row{
 			H:              h,
 			BestLogF:       best,
 			WorstLogF:      worst,
 			Gap:            best - worst,
-			LogFHFactorial: LogFactorialLogF(h, f),
+			LogFHFactorial: logFactorialLogF(h, f),
 		})
 	}
 	return rows

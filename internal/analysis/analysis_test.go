@@ -215,7 +215,7 @@ func TestHumanBytes(t *testing.T) {
 func TestLogFHandlesHugeValues(t *testing.T) {
 	// Values beyond float64 range must still produce finite logs.
 	huge := new(big.Int).Exp(big.NewInt(120), big.NewInt(400), nil)
-	got := LogFInt(huge, 120)
+	got := logFInt(huge, 120)
 	if math.Abs(got-400) > 1e-6 {
 		t.Fatalf("log_120(120^400) = %v", got)
 	}

@@ -184,11 +184,12 @@ func (s *Snapshot) Backup(w io.Writer) error {
 		queue = queue[1:]
 		var blob []byte
 		if e.level == 0 {
-			dp, err := v.fetchData(e.id)
+			dp, sc, err := v.borrowData(e.id, false)
 			if err != nil {
 				return err
 			}
 			blob = page.EncodeData(dp, v.opt.Dims)
+			v.paged.release(sc)
 		} else {
 			n, err := v.fetchIndex(e.id)
 			if err != nil {

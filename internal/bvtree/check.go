@@ -48,11 +48,13 @@ func (t *Tree) Validate(full bool) error {
 
 	// Global routing correctness (invariant 5).
 	for _, leaf := range w.leaves {
-		dp, err := t.fetchData(leaf.id)
+		dp, sc, err := t.borrowData(leaf.id, false)
 		if err != nil {
 			return err
 		}
-		for _, it := range dp.ReadItems() {
+		items := dp.ReadItems()
+		t.paged.release(sc)
+		for _, it := range items {
 			a, err := t.addr(it.Point)
 			if err != nil {
 				return err
@@ -147,10 +149,11 @@ func (w *walker) index(id page.ID, wantLevel int, viaNode page.ID, key region.Bi
 }
 
 func (w *walker) data(id page.ID, key region.BitString) error {
-	dp, err := w.t.fetchData(id)
+	dp, sc, err := w.t.borrowData(id, false)
 	if err != nil {
 		return fmt.Errorf("bvtree: data page %d: %w", id, err)
 	}
+	defer w.t.paged.release(sc)
 	if !dp.Region.Equal(key) {
 		return fmt.Errorf("bvtree: data page %d region %v does not match entry key %v", id, dp.Region, key)
 	}

@@ -55,7 +55,7 @@ func (t *Tree) deleteLocked(p geometry.Point, payload uint64) (bool, error) {
 		return false, nil
 	}
 	t.size--
-	if err := t.st.SaveData(d.dataID, dp); err != nil {
+	if err := t.paged.SaveData(d.dataID, dp); err != nil {
 		return true, err
 	}
 	if dp.Len() < t.minDataOccupancy() {
@@ -237,7 +237,7 @@ func (t *Tree) removeEntry(id page.ID, n *page.IndexNode, childID page.ID) error
 	for i := 0; i < c.Len(); i++ {
 		if c.Child(i) == childID {
 			n.RemoveAt(i)
-			return t.st.SaveIndex(id, n)
+			return t.paged.SaveIndex(id, n)
 		}
 	}
 	return fmt.Errorf("bvtree: entry for child %d not found in node %d", childID, id)

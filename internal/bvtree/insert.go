@@ -71,7 +71,7 @@ func (t *Tree) put(a region.BitString, p geometry.Point, payload uint64, moved b
 	if !moved {
 		t.size++
 	}
-	if err := t.st.SaveData(id, dp); err != nil {
+	if err := t.paged.SaveData(id, dp); err != nil {
 		return err
 	}
 	if dp.Len() <= t.opt.DataCapacity {
@@ -145,17 +145,17 @@ func (t *Tree) splitDataPage(ctx *opCtx, dataID, srcNodeID page.ID) error {
 		return err
 	}
 	q := choice.Prefix
-	innerID, inner, err := t.st.AllocData(q)
+	innerID, inner, err := t.paged.AllocData(q)
 	if err != nil {
 		return err
 	}
 	inner.Reserve(t.dataRows())
 	dp.MoveTo(inner, func(i int) bool { return q.IsPrefixOf(addrs[i]) })
 	t.stats.DataSplits.Inc()
-	if err := t.st.SaveData(dataID, dp); err != nil {
+	if err := t.paged.SaveData(dataID, dp); err != nil {
 		return err
 	}
-	if err := t.st.SaveData(innerID, inner); err != nil {
+	if err := t.paged.SaveData(innerID, inner); err != nil {
 		return err
 	}
 
@@ -174,7 +174,7 @@ func (t *Tree) splitDataPage(ctx *opCtx, dataID, srcNodeID page.ID) error {
 		}
 		rootNode.Append(page.Entry{Key: dp.Region, Level: 0, Child: dataID})
 		rootNode.Append(entry)
-		if err := t.st.SaveIndex(rootID, rootNode); err != nil {
+		if err := t.paged.SaveIndex(rootID, rootNode); err != nil {
 			return err
 		}
 		t.root = rootID
@@ -389,7 +389,7 @@ func (t *Tree) insertIntoNode(ctx *opCtx, id page.ID, e page.Entry) error {
 		return err
 	}
 	n.Append(e)
-	if err := t.st.SaveIndex(id, n); err != nil {
+	if err := t.paged.SaveIndex(id, n); err != nil {
 		return err
 	}
 	if n.Len() > t.capacity(n.Level) {
@@ -439,7 +439,7 @@ func (t *Tree) splitIndexNode(ctx *opCtx, id page.ID, n *page.IndexNode) error {
 	n.Retain(func(i int) bool { return outer[i] })
 	t.stats.IndexSplits.Inc()
 	t.stats.Promotions.Add(uint64(len(promoted)))
-	if err := t.st.SaveIndex(id, n); err != nil {
+	if err := t.paged.SaveIndex(id, n); err != nil {
 		return err
 	}
 
@@ -460,7 +460,7 @@ func (t *Tree) splitIndexNode(ctx *opCtx, id page.ID, n *page.IndexNode) error {
 		for _, en := range innerEntries {
 			inner.Append(en)
 		}
-		if err := t.st.SaveIndex(innerID, inner); err != nil {
+		if err := t.paged.SaveIndex(innerID, inner); err != nil {
 			return err
 		}
 		innerPost = page.Entry{Key: q, Level: n.Level, Child: innerID}
@@ -481,7 +481,7 @@ func (t *Tree) splitIndexNode(ctx *opCtx, id page.ID, n *page.IndexNode) error {
 		for _, en := range newEntries {
 			rootNode.Append(en)
 		}
-		if err := t.st.SaveIndex(rootID, rootNode); err != nil {
+		if err := t.paged.SaveIndex(rootID, rootNode); err != nil {
 			return err
 		}
 		t.root = rootID
@@ -514,7 +514,7 @@ func (t *Tree) splitIndexNode(ctx *opCtx, id page.ID, n *page.IndexNode) error {
 	for _, en := range newEntries {
 		parent.Append(en)
 	}
-	if err := t.st.SaveIndex(parentID, parent); err != nil {
+	if err := t.paged.SaveIndex(parentID, parent); err != nil {
 		return err
 	}
 	if parent.Len() > t.capacity(parent.Level) {

@@ -1,6 +1,6 @@
 package bvtree
 
-// A Lookup's data-page miss on a live tree (pagedNodes.lookupData): a
+// A Lookup's data-page miss (pagedNodes.borrowData): a
 // first miss is scanned in a pooled scratch page and admits nothing, a
 // page that missed recently is decoded afresh and admitted, and either
 // way the Lookup answers as a Lookup of the cached page does.
@@ -112,7 +112,7 @@ func descendTo(t *testing.T, tr *Tree, p geometry.Point) page.ID {
 // after the second miss alone. pn's record of misses must not hold id.
 func missBothWays(t *testing.T, tr *Tree, pn *pagedNodes, id page.ID, pts []geometry.Point) {
 	t.Helper()
-	dp, sc, err := pn.lookupData(id)
+	dp, sc, err := pn.borrowData(id, true)
 	if err != nil {
 		t.Fatalf("page %d, first miss: %v", id, err)
 	}
@@ -124,7 +124,7 @@ func missBothWays(t *testing.T, tr *Tree, pn *pagedNodes, id page.ID, pts []geom
 		scratch[i] = tr.payloadsAt(dp, p)
 	}
 	pn.release(sc)
-	dp, sc, err = pn.lookupData(id)
+	dp, sc, err = pn.borrowData(id, true)
 	if err != nil {
 		t.Fatalf("page %d, second miss: %v", id, err)
 	}
@@ -227,8 +227,8 @@ func TestLookupMissDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			corrupt := newPagedNodes(st, 2, 1<<20)
-			_, _, first := corrupt.lookupData(id)
-			_, _, second := corrupt.lookupData(id)
+			_, _, first := corrupt.borrowData(id, true)
+			_, _, second := corrupt.borrowData(id, true)
 			name := fmt.Sprintf("data page %d:", id)
 			for _, err := range []error{first, second} {
 				if !errors.Is(err, page.ErrCorrupt) || !strings.Contains(err.Error(), name) {
@@ -261,6 +261,142 @@ func TestLookupMissDifferential(t *testing.T) {
 			t.Fatalf("Lookup of the duplicated point: %d of %d payloads, %v", len(got), copies, err)
 		}
 	})
+	t.Run("pinned", func(t *testing.T) {
+		pinnedSources(t, pts[:3000])
+	})
+}
+
+// pinnedSources borrows data pages through a Snapshot's view from each
+// of its three sources — scratch for a page no cache holds, the cached
+// page, and the version chain's pre-image of a page a writer changed
+// after the pin — and checks that each answers every point of the page
+// at the pin as a private decode of it does.
+func pinnedSources(t *testing.T, pts []geometry.Point) {
+	tr, _, _ := reopenedFileTree(t, pts, Options{DataCapacity: 16, Fanout: 8}, 1<<20)
+	data := dataPageIDs(t, tr)
+	fullest := data[0]
+	pinned := map[page.ID]*page.DataPage{}
+	for _, id := range data {
+		p, err := tr.paged.readData(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pinned[id] = p; p.Len() > pinned[fullest].Len() {
+			fullest = id
+		}
+	}
+	scratched, cached := data[0], data[1]
+	if fullest == scratched || fullest == cached {
+		scratched, cached = data[len(data)-1], data[len(data)-2]
+	}
+	snap, err := tr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	if _, err := tr.paged.Data(cached); err != nil {
+		t.Fatal(err)
+	}
+	gone := pinned[fullest].Item(0)
+	if ok, err := tr.Delete(gone.Point, gone.Payload); err != nil || !ok {
+		t.Fatalf("delete %v from page %d: %v, %v", gone, fullest, ok, err)
+	}
+	for _, src := range []struct {
+		name    string
+		id      page.ID
+		scratch bool
+	}{{"scratch", scratched, true}, {"cache", cached, false}, {"chain", fullest, false}} {
+		dp, sc, err := snap.v.st.borrowData(src.id, false)
+		if err != nil {
+			t.Fatalf("%s: %v", src.name, err)
+		}
+		if (sc != nil) != src.scratch || isCached(tr.paged, src.id) == src.scratch {
+			t.Fatalf("%s: page %d lent from scratch %v, cached %v", src.name, src.id, sc != nil, isCached(tr.paged, src.id))
+		}
+		want := pinned[src.id]
+		if dp.Len() != want.Len() || !dp.Region.Equal(want.Region) {
+			t.Fatalf("%s: page %d lent with %d items in region %v, pinned %d in %v", src.name, src.id, dp.Len(), dp.Region, want.Len(), want.Region)
+		}
+		for i := 0; i < want.Len(); i++ {
+			p := want.Item(i).Point
+			got, w := tr.payloadsAt(dp, p), tr.payloadsAt(want, p)
+			slices.Sort(got)
+			slices.Sort(w)
+			if !slices.Equal(got, w) {
+				t.Fatalf("%s: page %d, point %v: %v lent, %v at the pin", src.name, src.id, p, got, w)
+			}
+		}
+		tr.paged.release(sc)
+	}
+	if got, err := snap.Lookup(gone.Point); err != nil || !slices.Contains(got, gone.Payload) {
+		t.Fatalf("the snapshot's Lookup of the deleted %v = %v, %v", gone, got, err)
+	}
+}
+
+// TestReadersAdmitByOneRule: a data page enters the cache on a Lookup's
+// second recent miss, on a live tree and through a Snapshot alike, and
+// on no other read. On a reopened tree whose cache holds its index, a
+// whole-tree Scan and a RangeQuery admit no data page and record no
+// miss, and a Lookup's first miss, then a Scan of every page, then its
+// second miss admits the page: the scan did not push the first miss out
+// of its shard's record.
+func TestReadersAdmitByOneRule(t *testing.T) {
+	tr, _, pts, _ := residencyTree(t, 20000, Options{DataCapacity: 16, Fanout: 8})
+	dataCached := func() int64 { cs := tr.Metrics().Cache; return cs.Nodes - cs.IndexNodes }
+	recorded := func() (n int) {
+		for i := range tr.paged.shards {
+			n += len(tr.paged.shards[i].missed.ids)
+		}
+		return n
+	}
+	snap, err := tr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	quarter := geometry.UniverseRect(2)
+	quarter.Max[0] /= 2
+	quarter.Max[1] /= 2
+	for _, r := range []struct {
+		name   string
+		scan   func(Visitor) error
+		rangeQ func(geometry.Rect, Visitor) error
+		lookup func(geometry.Point) ([]uint64, error)
+		p      int
+	}{{"live", tr.Scan, tr.RangeQuery, tr.Lookup, len(pts) / 3}, {"snapshot", snap.Scan, snap.RangeQuery, snap.Lookup, 2 * len(pts) / 3}} {
+		scan := func() {
+			n := 0
+			if err := r.scan(func(geometry.Point, uint64) bool { n++; return true }); err != nil || n != len(pts) {
+				t.Fatalf("%s: Scan visited %d of %d items: %v", r.name, n, len(pts), err)
+			}
+		}
+		cached, misses := dataCached(), recorded()
+		scan()
+		scan()
+		if err := r.rangeQ(quarter, func(geometry.Point, uint64) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		if dataCached() != cached || recorded() != misses {
+			t.Fatalf("%s: two Scans and a RangeQuery admitted %d data pages and recorded %d misses", r.name, dataCached()-cached, recorded()-misses)
+		}
+		p := pts[r.p]
+		id := descendTo(t, tr, p)
+		for i, wantCached := range []bool{false, true} {
+			if i > 0 {
+				scan()
+			}
+			got, err := r.lookup(p)
+			if err != nil || !slices.Contains(got, uint64(r.p)) {
+				t.Fatalf("%s: lookup %d: %v, %v", r.name, i+1, got, err)
+			}
+			if isCached(tr.paged, id) != wantCached {
+				t.Fatalf("%s: after lookup %d page %d cached %v, want %v", r.name, i+1, id, !wantCached, wantCached)
+			}
+		}
+		if dataCached() != cached+1 {
+			t.Fatalf("%s: %d data pages admitted, want the one the Lookups admitted", r.name, dataCached()-cached)
+		}
+	}
 }
 
 // TestLookupAdmitsOnSecondMiss: with the index resident, the first cold

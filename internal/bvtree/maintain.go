@@ -83,7 +83,7 @@ func (t *Tree) Maintain() (_ int, err error) {
 				continue
 			}
 			n.RemoveAt(gi)
-			if err := t.st.SaveIndex(id, n); err != nil {
+			if err := t.paged.SaveIndex(id, n); err != nil {
 				return demoted, err
 			}
 			ctx := newOpCtx()

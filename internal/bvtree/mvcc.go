@@ -65,7 +65,7 @@ type mvccState struct {
 	chain map[page.ID][]pageVersion
 	grave map[page.ID]uint64 // page -> epoch at which its free was deferred
 
-	freeFn func(page.ID) error // executes a deferred free (NodeStore.Free)
+	freeFn func(page.ID) error // executes a deferred free (pagedNodes.Free)
 	met    *obs.MVCCMetrics
 }
 
@@ -158,7 +158,7 @@ func (v *mvccState) sweepLocked() {
 		}
 		delete(v.grave, id)
 		v.nOld.Add(-1)
-		// The free runs with mv.mu held; NodeStore.Free only takes cache
+		// The free runs with mv.mu held; pagedNodes.Free only takes cache
 		// shard and store locks, which never nest around mv.mu.
 		if err := v.freeFn(id); err == nil {
 			v.met.ReclaimedFre.Inc()
@@ -291,10 +291,12 @@ func (t *Tree) CheckSnapshots() error {
 
 // --- writer choke points ---
 
+var errSnapshotReadOnly = errors.New("bvtree: snapshot views are read-only")
+
 // lockWrite takes the exclusive lock for a mutating operation. A pinned
 // view (mv == nil) is refused before any node is fetched: wIndex and
-// wData capture nothing for it and would hand back the owner's live node
-// to mutate, and only the save after the damage would fail.
+// wData capture nothing for it, and its writes would edit and publish
+// the owner's live nodes.
 func (t *Tree) lockWrite() error {
 	if t.mv == nil {
 		return errSnapshotReadOnly
@@ -324,7 +326,7 @@ func (t *Tree) wIndex(id page.ID) (*page.IndexNode, error) {
 
 // allocIndex allocates an index node, laid out as wIndex lays one out.
 func (t *Tree) allocIndex(level int, reg region.BitString) (page.ID, *page.IndexNode, error) {
-	id, n, err := t.st.AllocIndex(level, reg)
+	id, n, err := t.paged.AllocIndex(level, reg)
 	if err == nil {
 		n.Reserve(t.capacity(level) + 1)
 	}
@@ -359,37 +361,24 @@ func (t *Tree) freePage(id page.ID) error {
 			return err
 		}
 	}
-	return t.st.Free(id)
+	return t.paged.Free(id)
 }
 
 // --- pinned read views ---
 
 // snapNodes is the NodeStore of a pinned view: reads resolve through
 // the version chains of the pin's epoch and fall back to the owner's
-// decoded cache, then its store. It rejects mutation. An index node it
-// decodes on a miss is admitted to the shared cache, so that range walks
-// warm the index a Lookup descends; the view runs beside writers, so
-// admission happens only when the page is still absent and its shard's
-// write sequence has not moved since the miss (pagedNodes.admit), which
-// refuses any blob a writer may have superseded meanwhile. Data pages
-// stay private: a low-selectivity scan would flush the working set.
+// decoded cache, then its store. A node it decodes on a miss enters the
+// shared cache — an index node always, so that range walks warm the
+// index a Lookup descends, a data page by borrowData's rule — only
+// through admit's check that the page is still absent and its shard's
+// write sequence has not moved since the miss, which refuses any blob a
+// writer may have superseded meanwhile.
 type snapNodes struct {
 	pn  *pagedNodes // the owner's live node store
 	mv  *mvccState
 	pin uint64
 }
-
-var errSnapshotReadOnly = errors.New("bvtree: snapshot views are read-only")
-
-func (s *snapNodes) AllocIndex(int, region.BitString) (page.ID, *page.IndexNode, error) {
-	return 0, nil, errSnapshotReadOnly
-}
-func (s *snapNodes) AllocData(region.BitString) (page.ID, *page.DataPage, error) {
-	return 0, nil, errSnapshotReadOnly
-}
-func (s *snapNodes) SaveIndex(page.ID, *page.IndexNode) error { return errSnapshotReadOnly }
-func (s *snapNodes) SaveData(page.ID, *page.DataPage) error   { return errSnapshotReadOnly }
-func (s *snapNodes) Free(page.ID) error                       { return errSnapshotReadOnly }
 
 func (s *snapNodes) Index(id page.ID) (*page.IndexNode, error) {
 	if v, ok := s.mv.resolve(id, s.pin); ok {
@@ -410,21 +399,19 @@ func (s *snapNodes) Index(id page.ID) (*page.IndexNode, error) {
 	return n, err
 }
 
-func (s *snapNodes) Data(id page.ID) (*page.DataPage, error) {
+func (s *snapNodes) borrowData(id page.ID, lookup bool) (*page.DataPage, *scratchPage, error) {
 	if v, ok := s.mv.resolve(id, s.pin); ok {
-		return asData(id, v)
+		p, err := asData(id, v)
+		return p, nil, err
 	}
-	var p *page.DataPage
-	var err error
-	if v, _, ok := s.pn.cacheGet(id); ok {
-		p, err = asData(id, v)
-	} else {
-		p, err = s.pn.readData(id)
-	}
+	p, sc, err := s.pn.borrowData(id, lookup)
+	// Re-check, as Index does.
 	if old, ok := s.mv.resolve(id, s.pin); ok {
-		return asData(id, old)
+		s.pn.release(sc)
+		p, err := asData(id, old)
+		return p, nil, err
 	}
-	return p, err
+	return p, sc, err
 }
 
 func asIndex(id page.ID, v interface{}) (*page.IndexNode, error) {

@@ -66,10 +66,11 @@ func (t *Tree) nearestLocked(p geometry.Point, k int) ([]Neighbor, error) {
 			break // nothing left can improve the result set
 		}
 		if it.level == 0 {
-			dp, c, err := t.dataCols(it.id)
+			dp, sc, err := t.borrowData(it.id, false)
 			if err != nil {
 				return nil, err
 			}
+			c := dp.DCols()
 			// One batched pass over the coordinate rows keeps the items
 			// inside the cube the current k-th distance spans around p; only
 			// those can enter the result set, and only they are measured.
@@ -91,6 +92,7 @@ func (t *Tree) nearestLocked(p geometry.Point, k int) ([]Neighbor, error) {
 					}
 				}
 			}
+			t.paged.release(sc)
 			continue
 		}
 		_, c, err := t.indexCols(it.id)

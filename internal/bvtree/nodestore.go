@@ -13,22 +13,16 @@ import (
 	"bvtree/internal/storage"
 )
 
-// NodeStore supplies decoded nodes to the tree. Implementations return
-// live node pointers: the tree mutates them in place and calls SaveIndex /
-// SaveData to publish the mutation. The tree serialises mutations behind
-// an exclusive lock but runs read-only operations in parallel, so Index
-// and Data must be safe to call concurrently with each other (though
-// never concurrently with Alloc/Save/Free, which only run under the
-// tree's exclusive lock). There are two: pagedNodes, a live tree's, and
-// snapNodes, a pinned view's.
+// NodeStore is what a reader reads nodes through, a live tree's
+// pagedNodes or a pinned view's snapNodes; both methods run in parallel
+// with each other. borrowData is the one read of a data page: it lends
+// the page for one scan — a version-chain pre-image, a cached page or a
+// pooled scratch page (sc non-nil) — which the reader ends with
+// pagedNodes.release, keeping nothing of it. Writers, under the tree's
+// exclusive lock, go to the live tree's pagedNodes (Tree.paged).
 type NodeStore interface {
-	AllocIndex(level int, reg region.BitString) (page.ID, *page.IndexNode, error)
-	AllocData(reg region.BitString) (page.ID, *page.DataPage, error)
 	Index(id page.ID) (*page.IndexNode, error)
-	Data(id page.ID) (*page.DataPage, error)
-	SaveIndex(id page.ID, n *page.IndexNode) error
-	SaveData(id page.ID, p *page.DataPage) error
-	Free(id page.ID) error
+	borrowData(id page.ID, lookup bool) (p *page.DataPage, sc *scratchPage, err error)
 }
 
 // cacheShards is the shard count of the decoded-node cache. Shards spread
@@ -54,7 +48,7 @@ type nodeShard struct {
 	seq uint64
 	// missed is the record of the shard's recent Lookup misses, which
 	// decides whether a Lookup admits the data page it missed
-	// (pagedNodes.lookupData).
+	// (pagedNodes.borrowData).
 	missed missRing
 }
 
@@ -256,8 +250,8 @@ type entryRef struct {
 // decodes are identical clean copies and the last insert wins, so the race
 // is benign. Node *contents* are only mutated under the tree's exclusive
 // lock, which also guarantees the writer-uniqueness invariant eviction
-// relies on (see trim). A pinned view runs beside a writer, so the index
-// nodes it decodes enter the cache only through admit's sequence check.
+// relies on (see trim). A pinned view runs beside a writer, so the nodes
+// it decodes enter the cache only through admit's sequence check.
 type pagedNodes struct {
 	st     storage.Store
 	dims   int
@@ -285,8 +279,8 @@ type pagedNodes struct {
 	// decodeIndex and decodeData decode a page for read; they are built
 	// once, so that lending a page to them allocates no closure.
 	decodeIndex, decodeData func(page.ID, []byte) (any, error)
-	// scratch pools the pages a Lookup decodes a data page it does not
-	// admit into (lookupData).
+	// scratch pools the pages a reader decodes a data page it does not
+	// admit into (borrowData).
 	scratch sync.Pool
 
 	// err is the first failed write-back, meta write or sync. The store
@@ -348,7 +342,7 @@ func (s *pagedNodes) decodeDataInto(id page.ID, blob []byte, dst *page.DataPage)
 	return p, nil
 }
 
-// scratchPage is a page lookupData decodes a miss into, with its decoder
+// scratchPage is a page borrowData decodes a miss into, with its decoder
 // bound once, so that lending a page to it allocates nothing.
 type scratchPage struct {
 	page   page.DataPage
@@ -384,9 +378,9 @@ func (s *pagedNodes) cachePut(id page.ID, v interface{}, dirty bool) {
 	sh.mu.Unlock()
 }
 
-// admit caches v, which a pinned view decoded from the store after a
-// miss that returned write sequence seq, if the page is still absent and
-// the sequence has not moved. The view runs beside writers, so its blob
+// admit caches v, which a reader decoded from the store after a miss
+// that returned write sequence seq, if the page is still absent and the
+// sequence has not moved. A pinned view runs beside writers, so its blob
 // may be stale: a writer can save the page, write it back and evict it
 // between the view's miss and its read. The save bumped the sequence, so
 // such a blob is refused; while the sequence stands, no save or free of
@@ -613,6 +607,7 @@ func (s *pagedNodes) Index(id page.ID) (*page.IndexNode, error) {
 	return n, err
 }
 
+// Data fetches data page id for a writer (wData), admitting a miss.
 func (s *pagedNodes) Data(id page.ID) (*page.DataPage, error) {
 	if v, _, ok := s.cacheGet(id); ok {
 		return asData(id, v)
@@ -624,26 +619,29 @@ func (s *pagedNodes) Data(id page.ID) (*page.DataPage, error) {
 	return p, err
 }
 
-// lookupData is Data for a Lookup, whose scan keeps nothing of the
-// page. A hit is the cached node. A miss admits the page only when the
-// page is in its shard's record of recent misses: a page that comes back
-// within the last cap/cacheShards misses of its shard is hot, and enters
-// the cache on that second miss. Any other miss is recorded and decoded
-// into a pooled scratch page, returned with the page, which the caller
-// hands to release once its scan is done; it admits nothing and, once
-// the pool is warm, allocates nothing.
-func (s *pagedNodes) lookupData(id page.ID) (*page.DataPage, *scratchPage, error) {
+// borrowData holds the one admission rule for a data page a reader
+// misses: a Lookup's miss (lookup set) of a page among the last
+// cap/cacheShards its shard's Lookups missed is decoded afresh and
+// admitted, so a hot page enters on its second miss. Any other miss is
+// decoded into pooled scratch, admitting nothing, and only a Lookup's is
+// recorded, so a scan flushes neither the working set nor the record. A
+// hit is the cached page.
+func (s *pagedNodes) borrowData(id page.ID, lookup bool) (*page.DataPage, *scratchPage, error) {
 	sh := s.shard(id)
 	sh.mu.Lock()
 	v, ok := sh.touch(id, s.clock.Load())
-	again := !ok && sh.missed.seen(id, max(s.cap/cacheShards, 1))
+	seq := sh.seq
+	again := !ok && lookup && sh.missed.seen(id, max(s.cap/cacheShards, 1))
 	sh.mu.Unlock()
 	switch {
 	case ok:
 		p, err := asData(id, v)
 		return p, nil, err
 	case again:
-		p, err := s.Data(id)
+		p, err := s.readData(id)
+		if err == nil {
+			s.admit(id, p, seq)
+		}
 		return p, nil, err
 	}
 	s.dataReads.Add(1)
@@ -655,9 +653,16 @@ func (s *pagedNodes) lookupData(id page.ID) (*page.DataPage, *scratchPage, error
 	return &sc.page, sc, nil
 }
 
-// release returns a scratch page lookupData handed out (nil: none).
+// poisonWord fills a scratch page release takes back in a race build.
+const poisonWord = 0xdead_beef_dead_beef
+
+// release ends a borrow: it returns the scratch page borrowData lent
+// (nil: none) to the pool, poisoned first in race builds.
 func (s *pagedNodes) release(sc *scratchPage) {
 	if sc != nil {
+		if raceBuild {
+			sc.page.Poison(poisonWord)
+		}
 		s.scratch.Put(sc)
 	}
 }

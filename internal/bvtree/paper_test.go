@@ -232,7 +232,7 @@ func TestPaperFigure41(t *testing.T) {
 		}
 		for _, e := range n.ReadEntries() {
 			if e.Level == 0 && e.Key.Equal(guardKey) {
-				return tr.st.Data(e.Child)
+				return tr.paged.Data(e.Child)
 			}
 		}
 		return nil, nil
@@ -266,7 +266,7 @@ func TestPaperFigure41(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dp, err := tr.st.Data(d.dataID)
+		dp, err := tr.paged.Data(d.dataID)
 		if err != nil {
 			t.Fatal(err)
 		}

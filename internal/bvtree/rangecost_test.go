@@ -28,9 +28,9 @@ type countingData struct {
 	pages uint64
 }
 
-func (c *countingData) Data(id page.ID) (*page.DataPage, error) {
+func (c *countingData) borrowData(id page.ID, lookup bool) (*page.DataPage, *scratchPage, error) {
 	c.pages++
-	return c.NodeStore.Data(id)
+	return c.NodeStore.borrowData(id, lookup)
 }
 
 // kItemWindows returns count square windows holding exactly k of pts

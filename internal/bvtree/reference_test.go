@@ -24,11 +24,13 @@ import (
 // NodeAccesses like any read.
 func (t *Tree) rangeScalar(id page.ID, level int, rect geometry.Rect, visit Visitor) (bool, error) {
 	if level == 0 {
-		dp, err := t.fetchData(id)
+		dp, sc, err := t.borrowData(id, false)
 		if err != nil {
 			return false, err
 		}
-		for _, it := range dp.ReadItems() {
+		items := dp.ReadItems()
+		t.paged.release(sc)
+		for _, it := range items {
 			if rect.Contains(it.Point) && !visit(it.Point, it.Payload) {
 				return false, nil
 			}

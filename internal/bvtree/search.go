@@ -227,18 +227,7 @@ func (t *Tree) lookupLocked(p geometry.Point) ([]uint64, error) {
 	}
 	dataID := d.dataID
 	putDescent(d)
-	if t.mv == nil {
-		// A pinned view reads the page through its version chains.
-		dp, err := t.fetchData(dataID)
-		if err != nil {
-			return nil, err
-		}
-		return t.payloadsAt(dp, p), nil
-	}
-	// A live tree admits a missed page only on its second recent miss
-	// and scans a first one in scratch (pagedNodes.lookupData).
-	t.stats.NodeAccesses.Inc()
-	dp, sc, err := t.paged.lookupData(dataID)
+	dp, sc, err := t.borrowData(dataID, true)
 	if err != nil {
 		return nil, err
 	}

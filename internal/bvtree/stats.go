@@ -49,10 +49,11 @@ func (t *Tree) CollectStats() (*TreeStats, error) {
 
 	var walkData func(id page.ID) error
 	walkData = func(id page.ID) error {
-		dp, err := t.fetchData(id)
+		dp, sc, err := t.borrowData(id, false)
 		if err != nil {
 			return err
 		}
+		defer t.paged.release(sc)
 		s.DataPages++
 		s.Items += dp.Len()
 		s.NodeBytes += len(page.EncodeData(dp, t.opt.Dims))
@@ -167,11 +168,12 @@ func (t *Tree) Dump() (string, error) {
 	rec = func(id page.ID, level, depth int) error {
 		ind := strings.Repeat("  ", depth)
 		if level == 0 {
-			dp, err := t.fetchData(id)
+			dp, sc, err := t.borrowData(id, false)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(&b, "%sdata %d region=%v items=%d\n", ind, id, dp.Region, dp.Len())
+			t.paged.release(sc)
 			return nil
 		}
 		n, err := t.fetchIndex(id)

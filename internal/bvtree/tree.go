@@ -56,12 +56,12 @@ type Options struct {
 	// and a cold Lookup reads one page; Metrics reports the residency.
 	// Every index node the tree decodes is cached, a range walk's and a
 	// pinned read's too. A data page is cached when a writer takes it,
-	// and when a Lookup misses it while it is among the last
-	// CacheNodes/16 data pages its cache shard's Lookups missed: a hot
-	// page enters on its second miss, and a first miss is scanned in
-	// scratch and kept nowhere. Data pages that range walks and other
-	// pinned reads fetch are never cached. New ignores it: an in-memory
-	// tree keeps every node decoded.
+	// and when a Lookup, on the tree or a Snapshot, misses it while it is
+	// among the last CacheNodes/16 data pages its cache shard's Lookups
+	// missed: a hot page enters on its second miss. Every other read of a
+	// missed data page — a first Lookup miss, a range walk's, Nearest's —
+	// scans it in scratch and keeps it nowhere. New ignores it: an
+	// in-memory tree keeps every node decoded.
 	CacheNodes int
 	// RangeWorkers is ignored.
 	//
@@ -282,7 +282,7 @@ func create(st storage.Store, opt Options, cacheNodes int) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t.root, _, err = t.st.AllocData(region.BitString{}); err != nil {
+	if t.root, _, err = t.paged.AllocData(region.BitString{}); err != nil {
 		return nil, err
 	}
 	return t, t.Flush()
@@ -506,9 +506,17 @@ func (t *Tree) fetchIndex(id page.ID) (*page.IndexNode, error) {
 	return t.st.Index(id)
 }
 
+// fetchData fetches data page id for a writer.
 func (t *Tree) fetchData(id page.ID) (*page.DataPage, error) {
 	t.stats.NodeAccesses.Inc()
-	return t.st.Data(id)
+	return t.paged.Data(id)
+}
+
+// borrowData lends data page id to a reader for one scan, through the
+// view's NodeStore; the reader ends the borrow with paged.release.
+func (t *Tree) borrowData(id page.ID, lookup bool) (*page.DataPage, *scratchPage, error) {
+	t.stats.NodeAccesses.Inc()
+	return t.st.borrowData(id, lookup)
 }
 
 // indexCols fetches index node id for a reader, with its columns.
@@ -518,15 +526,6 @@ func (t *Tree) indexCols(id page.ID) (*page.IndexNode, *page.NodeCols, error) {
 		return nil, nil, err
 	}
 	return n, n.Cols(), nil
-}
-
-// dataCols is indexCols for data pages.
-func (t *Tree) dataCols(id page.ID) (*page.DataPage, *page.DataCols, error) {
-	dp, err := t.fetchData(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	return dp, dp.DCols(), nil
 }
 
 // endOp performs a reader's between-operation housekeeping: it trims

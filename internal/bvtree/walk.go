@@ -26,13 +26,11 @@ import (
 //
 // Two mechanisms make the scan cheap:
 //
-//   - One column scan: every data page comes to the walk as its columns,
-//     through the view's Data like any other read — from the version
-//     chain, the decoded cache, or a private decode of the slot the store
-//     lends (snapNodes.Data), which is never admitted to the cache, so a
-//     low-selectivity scan does not flush the point-query working set.
-//     A partial page is tested with one batched ContainMask64 pass per
-//     64 rows (scanPage).
+//   - One column scan: every data page is lent to the walk for its scan
+//     (Tree.borrowData) and never admitted to the cache by it, so a
+//     low-selectivity scan does not flush the point-query working set. A
+//     partial page is tested with one batched ContainMask64 pass per 64
+//     rows (scanPage).
 //   - Full containment: once a subtree's brick lies inside the query
 //     rectangle (region.BrickWithin), every item below it matches; data
 //     pages under it are emitted without per-point tests, and counting
@@ -131,8 +129,8 @@ func (w *rangeWalker) drive(root rangeTask, visit Visitor) error {
 	return nil
 }
 
-// scanPages is the one page-set scan: it fetches the data pages drive
-// collected in w.dataIDs, one at a time through the view's Data, and
+// scanPages is the one page-set scan: it borrows the data pages drive
+// collected in w.dataIDs, one at a time from the view's borrowData, and
 // feeds their matching items, in item order, to visit or the count. It
 // reports whether the walk continues. A page that gives the walk no item
 // is counted in RangeEmptyPages.
@@ -144,7 +142,7 @@ func (w *rangeWalker) drive(root rangeTask, visit Visitor) error {
 func (w *rangeWalker) scanPages(visit Visitor) (bool, error) {
 	t := w.t
 	for i, id := range w.dataIDs {
-		dp, err := t.fetchData(id)
+		dp, sc, err := t.borrowData(id, false)
 		if err != nil {
 			return false, err
 		}
@@ -153,6 +151,7 @@ func (w *rangeWalker) scanPages(visit Visitor) (bool, error) {
 			t.stats.RangeFullPages.Inc()
 		}
 		got, cont := w.scanPage(dp, full, visit)
+		t.paged.release(sc)
 		if !cont {
 			return false, nil
 		}

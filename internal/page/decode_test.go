@@ -223,8 +223,9 @@ func TestDataPageIsColumnMajor(t *testing.T) {
 }
 
 // TestDecodeIntoReusesSlab: a decode into a page of the caller's reads
-// the same rows as a fresh one, keeps no region, and allocates nothing
-// once the page's slab holds the rows; a slab too small is replaced.
+// the same rows and region as a fresh one, and allocates nothing once the
+// page's slab holds the rows and the region key; a slab too small is
+// replaced, and Poison overwrites every word the page was decoded into.
 func TestDecodeIntoReusesSlab(t *testing.T) {
 	want := []Item{{geometry.Point{10, 20}, 7}, {geometry.Point{11, 21}, 8}, {geometry.Point{12, 22}, 9}}
 	dst := NewDataPage(region.MustParseBits("0"), 2)
@@ -232,7 +233,11 @@ func TestDecodeIntoReusesSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p != dst || dims != 2 || dst.Region.Len() != 0 {
+	fresh, _, err := DecodeDataCols(columnPage, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != dst || dims != 2 || !dst.Region.Equal(fresh.Region) || fresh.Region.Len() == 0 {
 		t.Fatalf("decode into a page: page %p of %p, dims %d, region %v", p, dst, dims, dst.Region)
 	}
 	sameItems(t, "decode into a page", dst, want)
@@ -247,6 +252,15 @@ func TestDecodeIntoReusesSlab(t *testing.T) {
 	big := EncodeData(pageOf(region.BitString{}, 2, 0, randItems(rand.New(rand.NewSource(5)), 2, 40)), 2)
 	if _, _, err := DecodeDataCols(big, dst); err != nil || dst.Len() != 40 {
 		t.Fatalf("decode of 40 items into a 3-item slab: %d items, %v", dst.Len(), err)
+	}
+	if _, _, err := DecodeDataCols(columnPage, dst); err != nil {
+		t.Fatal(err)
+	}
+	const sentinel = 0xdeadbeefdeadbeef
+	dst.Poison(sentinel)
+	reg := dst.Region.Words()
+	if dst.Payload(0) != sentinel || dst.AppendPoint(nil, 2)[1] != sentinel || len(reg) == 0 || reg[0] != sentinel {
+		t.Fatalf("a poisoned page still reads payload %#x, point %v, region words %#x", dst.Payload(0), dst.AppendPoint(nil, 2), reg)
 	}
 }
 

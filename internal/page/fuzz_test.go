@@ -90,8 +90,8 @@ func FuzzDecodeData(f *testing.F) {
 			}
 			return
 		}
-		if into != dst || idims != dims || into.Region.Len() != 0 {
-			t.Fatalf("decode into a page: page %p of %p, %d dims of %d, %d-bit region kept", into, dst, idims, dims, into.Region.Len())
+		if into != dst || idims != dims || !into.Region.Equal(got.Region) {
+			t.Fatalf("decode into a page: page %p of %p, %d dims of %d, region %v of %v", into, dst, idims, dims, into.Region, got.Region)
 		}
 		sameItems(t, "decode into a page", into, got.Items)
 		if cdims != dims || cols.DCols().Dims() != dims {

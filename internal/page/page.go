@@ -287,32 +287,27 @@ func DecodeIndexCols(b []byte, dims int) (*IndexNode, error) {
 // dataHeader opens an encoded data page for its decoders: it checks the
 // envelope and the kind, parses dimensionality, region and item count,
 // and verifies that the body holds that many items, leaving r at the
-// first word of the first row. The region key is checked either way and
-// kept only when keepRegion is set; otherwise reg is empty and nothing
-// is allocated.
-func dataHeader(b []byte, keepRegion bool) (r reader, dims int, reg region.BitString, count int, err error) {
+// first word of the first row. The region key is checked but not
+// decoded: key holds its words as stored, and bits its length.
+func dataHeader(b []byte) (r reader, dims int, key []byte, bits, count int, err error) {
 	r, err = newReader(b)
 	if err != nil {
-		return r, 0, reg, 0, err
+		return r, 0, nil, 0, 0, err
 	}
 	if r.kind != KindData {
-		return r, 0, reg, 0, fmt.Errorf("%w: expected data page, found kind %d", ErrCorrupt, r.kind)
+		return r, 0, nil, 0, 0, fmt.Errorf("%w: expected data page, found kind %d", ErrCorrupt, r.kind)
 	}
 	dims = int(r.u32())
 	if dims < 1 || dims > geometry.MaxDims {
-		return r, 0, reg, 0, fmt.Errorf("%w: implausible dimensionality %d", ErrCorrupt, dims)
+		return r, 0, nil, 0, 0, fmt.Errorf("%w: implausible dimensionality %d", ErrCorrupt, dims)
 	}
-	if keepRegion {
-		reg = r.bits()
-	} else {
-		r.skipBits()
-	}
+	key, bits = r.rawBits()
 	count = int(r.u32())
 	if count < 0 || count > 1<<24 {
-		return r, 0, reg, 0, fmt.Errorf("%w: implausible item count %d", ErrCorrupt, count)
+		return r, 0, nil, 0, 0, fmt.Errorf("%w: implausible item count %d", ErrCorrupt, count)
 	}
 	r.need(count * (dims + 1) * 8)
-	return r, dims, reg, count, r.err
+	return r, dims, key, bits, count, r.err
 }
 
 // DecodeData is DecodeDataCols plus Items, the page's items as values,
@@ -333,30 +328,44 @@ func DecodeData(b []byte) (*DataPage, int, error) {
 //
 // With dst nil the result is a new page: its slab exactly sized, its
 // region key in words of its own. Otherwise the page is decoded into
-// dst, for a reader that only scans the rows and keeps nothing of them:
-// dst's slab is reused when it holds the rows, and the region key is
-// checked as every other field is but not kept (dst.Region is empty), so
-// the decode allocates nothing once the slab is large enough. A failed
-// decode leaves dst as it was.
+// dst, for a reader that keeps nothing of it past its scan: dst's slab is
+// reused when it holds the rows and the region key, which it keeps past
+// the rows, so the decode allocates nothing once the slab is large
+// enough. A failed decode leaves dst as it was.
 func DecodeDataCols(b []byte, dst *DataPage) (*DataPage, int, error) {
-	r, dims, reg, count, err := dataHeader(b, dst == nil)
+	r, dims, key, bits, count, err := dataHeader(b)
 	if err != nil {
 		return nil, 0, err
 	}
-	n := (dims + 1) * count
-	var slab []uint64
-	if dst != nil && cap(dst.cols.coords) >= n {
-		slab = dst.cols.coords[:n]
+	n, nw := (dims+1)*count, len(key)/8
+	var slab, words []uint64
+	if dst == nil {
+		slab, words = make([]uint64, n), make([]uint64, nw)
 	} else {
-		slab = make([]uint64, n)
+		if slab = dst.cols.coords[:cap(dst.cols.coords)]; len(slab) < n+nw {
+			slab = make([]uint64, n+nw)
+		}
+		words, slab = slab[n:n+nw], slab[:n]
 	}
 	getWords(slab, r.buf[r.off:]) // dataHeader checked that the body holds them
-	cols := DataCols{n: count, dims: dims, stride: count, coords: slab}
+	getWords(words, key)
 	if dst == nil {
-		return &DataPage{Region: reg, cols: cols}, dims, nil
+		dst = new(DataPage)
 	}
-	*dst = DataPage{cols: cols}
+	reg, _ := region.OwnWords(words, bits) // words hold the bits: no error
+	*dst = DataPage{Region: reg, cols: DataCols{n: count, dims: dims, stride: count, coords: slab}}
 	return dst, dims, nil
+}
+
+// Poison sets every word of p's slab, to its capacity, to w: its rows,
+// its payloads and, on a page decoded into (DecodeDataCols), its region
+// key. A pool of pages lent for one scan poisons each it takes back, so
+// that a reader that kept any of it past the scan reads w.
+func (p *DataPage) Poison(w uint64) {
+	s := p.cols.coords[:cap(p.cols.coords)]
+	for i := range s {
+		s[i] = w
+	}
 }
 
 // AppendDataItems decodes the items of an encoded data page, appending
@@ -366,7 +375,7 @@ func DecodeDataCols(b []byte, dst *DataPage) (*DataPage, int, error) {
 // may relocate its backing array; points appended by earlier calls keep
 // referencing the old array, so previously returned items stay valid.
 func AppendDataItems(b []byte, dst []Item, coords []uint64) ([]Item, []uint64, error) {
-	r, dims, _, count, err := dataHeader(b, false)
+	r, dims, _, _, count, err := dataHeader(b)
 	if err != nil {
 		return dst, coords, err
 	}
@@ -514,11 +523,15 @@ func (r *reader) bitsLen() (n, nw int, ok bool) {
 	return n, nw, r.need(nw * 8)
 }
 
-// skipBits passes over one bit string with bits' checks, keeping nothing.
-func (r *reader) skipBits() {
-	if _, nw, ok := r.bitsLen(); ok {
-		r.off += 8 * nw
+// rawBits passes over one bit string with bits' checks and returns its
+// words as stored and its length in bits.
+func (r *reader) rawBits() ([]byte, int) {
+	n, nw, ok := r.bitsLen()
+	if !ok {
+		return nil, 0
 	}
+	r.off += 8 * nw
+	return r.buf[r.off-8*nw : r.off], n
 }
 
 // bits reads one bit string into words of its own.

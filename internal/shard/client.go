@@ -155,11 +155,6 @@ func (c *Client) SendInsert(p geometry.Point, payload uint64) (uint32, error) {
 	return c.send(c.pointPayload(OpInsert, p, payload))
 }
 
-// SendLookup queues a lookup without waiting for its reply.
-func (c *Client) SendLookup(p geometry.Point) (uint32, error) {
-	return c.send(appendPoint(c.begin(OpLookup), p))
-}
-
 // ReadReply consumes one pipelined reply, returning its request ID. A
 // non-OK status surfaces as *ErrStatus; the reply body is discarded.
 func (c *Client) ReadReply() (uint32, error) {

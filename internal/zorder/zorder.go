@@ -171,10 +171,10 @@ func (a Address) String() string {
 	return string(buf)
 }
 
-// Key64 packs the first min(64, Len) interleaved bits into a uint64 such
+// key64 packs the first min(64, Len) interleaved bits into a uint64 such
 // that numeric order equals Z-order. It is the key form used by the Z-order
 // B-tree baseline.
-func (a Address) Key64() uint64 {
+func (a Address) key64() uint64 {
 	if len(a.bits) == 0 {
 		return 0
 	}
@@ -188,5 +188,5 @@ func (il *Interleaver) Interleave64(p geometry.Point) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return a.Key64(), nil
+	return a.key64(), nil
 }

@@ -142,11 +142,11 @@ func TestBitAccess(t *testing.T) {
 }
 
 func TestKey64PrefixOfLongAddress(t *testing.T) {
-	// For >64 total bits, Key64 is the first 64 interleaved bits.
+	// For >64 total bits, key64 is the first 64 interleaved bits.
 	il, _ := NewInterleaver(3, 32) // 96 bits
 	p := geometry.Point{^uint64(0), 0, ^uint64(0)}
 	a, _ := il.Interleave(p)
-	k := a.Key64()
+	k := a.key64()
 	for i := 0; i < 64; i++ {
 		want := uint64(a.Bit(i))
 		got := (k >> uint(63-i)) & 1
