@@ -59,8 +59,8 @@ type Rect = geometry.Rect
 // algorithm: ApplyBatch and BulkLoad apply their operations in the
 // caller's order, and build exactly the tree the same Inserts build.
 // Snapshot
-// exposes the same pinned views explicitly. See DESIGN.md §8 and §12
-// for the full concurrency model.
+// exposes the same pinned views explicitly, and has no write method.
+// See DESIGN.md §8 and §12 for the full concurrency model.
 type Tree = ibv.Tree
 
 // Options configures a Tree; see the field documentation in the
@@ -101,8 +101,9 @@ type Store = storage.Store
 // Snapshot is a pinned, immutable view of a Tree, obtained with
 // (*Tree).Snapshot: every read through it observes exactly the state
 // the tree had when the snapshot was taken, while writers keep
-// committing (they copy superseded pages on demand). Release it when
-// done so retained page versions can be reclaimed.
+// committing (they copy superseded pages on demand). It has reads only,
+// no write method. Release it when done so retained page versions can
+// be reclaimed.
 type Snapshot = ibv.Snapshot
 
 // ErrCorrupt is returned by RestoreSnapshot and RestoreToLSN when a

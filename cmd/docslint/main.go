@@ -18,16 +18,17 @@
 // passes silently over an alternative that matches nothing. And every
 // Test or Fuzz name that README.md or DESIGN.md cites must be a function
 // of the repository's tests (a name cited with a trailing * must begin
-// one).
+// one). And DESIGN.md must not be longer than designBudget lines.
 //
 // A snippet that drifts from the real API, stops parsing, or declares
 // the wrong frame length, a race-set alternative whose tests were
-// deleted or renamed, and a cited test that no longer exists, fails
-// `make verify` instead of rotting silently.
+// deleted or renamed, a cited test that no longer exists, and a
+// DESIGN.md past its budget fail `make verify` instead of rotting
+// silently.
 //
 // Usage:
 //
-//	docslint [file.md ...]   # default: README.md DESIGN.md PROTOCOL.md EXPERIMENTS.md, the Makefile's race set and the tests README.md and DESIGN.md cite
+//	docslint [file.md ...]   # default: README.md DESIGN.md PROTOCOL.md EXPERIMENTS.md, the Makefile's race set, the tests README.md and DESIGN.md cite, and DESIGN.md's length
 package main
 
 import (
@@ -64,6 +65,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "docslint: %v\n", err)
 		}
 		checked += names
+		checked++
+		if err := checkLength("DESIGN.md", designBudget); err != nil {
+			failed++
+			fmt.Fprintf(os.Stderr, "docslint: %v\n", err)
+		}
 	}
 	for _, f := range files {
 		fences, err := extractFences(f)
@@ -91,6 +97,22 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("docslint: %d snippets, race-set alternatives and cited tests ok\n", checked)
+}
+
+// designBudget is the most lines DESIGN.md may have. It only falls: a
+// change that raises it says why in CHANGES.md.
+const designBudget = 1395
+
+// checkLength fails when file has more than budget lines.
+func checkLength(file string, budget int) error {
+	b, err := os.ReadFile(file)
+	if err != nil {
+		return err
+	}
+	if n := strings.Count(string(b), "\n"); n > budget {
+		return fmt.Errorf("%s has %d lines, past its budget of %d: shorten it, or raise designBudget and say why in CHANGES.md", file, n, budget)
+	}
+	return nil
 }
 
 // raceLine finds the Makefile's race set: the quoted pattern after

@@ -605,7 +605,8 @@ func TestRangeTinyWindowBytes(t *testing.T) {
 // made outside the measured call, allocate nothing at all (the arena
 // the visited point is cut from is shared by hundreds of calls), and a
 // Nearest allocates exactly what the same search makes on a snapshot's
-// view, which reads under the view's own lock and takes no pin.
+// view, which takes no pin. A Snapshot is one allocation: it holds its
+// view and the view's node store.
 func TestReadViewAllocs(t *testing.T) {
 	skipUnderRace(t)
 	tr, _, _, pts := buildPagedFileTree(t, 4000)
@@ -633,20 +634,20 @@ func TestReadViewAllocs(t *testing.T) {
 			t.Fatalf("RangeQuery(%v) visited nothing", rect)
 		}
 	}
-	s, err := tr.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	if allocs := testing.AllocsPerRun(20, func() { tr.Snapshot().Release() }); allocs != 1 {
+		t.Fatalf("Snapshot allocates %.1f allocs/op, want 1", allocs)
 	}
+	s := tr.Snapshot()
 	defer s.Release()
 	for _, p := range pts[:100] {
-		nearest := func(tr *Tree) float64 {
+		nearest := func(nearest func(geometry.Point, int) ([]Neighbor, error)) float64 {
 			return testing.AllocsPerRun(20, func() {
-				if nb, err := tr.Nearest(p, 4); err != nil || len(nb) != 4 {
+				if nb, err := nearest(p, 4); err != nil || len(nb) != 4 {
 					t.Fatalf("Nearest(%v) = %v, %v", p, nb, err)
 				}
 			})
 		}
-		if live, view := nearest(tr), nearest(s.v); live != view {
+		if live, view := nearest(tr.Nearest), nearest(s.v.nearest); live != view {
 			t.Fatalf("Nearest allocates %.1f allocs/op on the live tree and %.1f on a snapshot's view: the pin is not free", live, view)
 		}
 	}

@@ -126,10 +126,7 @@ func readBlob(r io.Reader, n uint32) ([]byte, error) {
 // first (see Snapshot), so concurrent writers are never blocked and never
 // observed: the backup is exactly the tree at the moment of the call.
 func (t *Tree) SnapshotBackup(w io.Writer) (uint64, error) {
-	s, err := t.Snapshot()
-	if err != nil {
-		return 0, err
-	}
+	s := t.Snapshot()
 	defer s.Release()
 	if err := s.Backup(w); err != nil {
 		return 0, err
@@ -148,10 +145,22 @@ type qent struct {
 // Snapshot and both scanning and backing it up observes a single
 // consistent state.
 func (s *Snapshot) Backup(w io.Writer) error {
-	v := s.v
 	met := s.owner.mv.met
 	start := time.Now()
+	n, err := s.v.backup(w)
+	if err != nil {
+		return err
+	}
+	met.Backups.Inc()
+	met.BackupBytes.Add(uint64(n))
+	met.BackupNs.ObserveSince(start)
+	return nil
+}
 
+// backup writes v to w as a backup stream and returns its length. The
+// frames follow the pages in level order, which the format needs, so
+// this is a walk of its own rather than view.preorder.
+func (v *view) backup(w io.Writer) (int64, error) {
 	cw := &crcWriter{w: w}
 	hdr := make([]byte, 0, backupHeaderSize)
 	hdr = binary.LittleEndian.AppendUint32(hdr, backupMagic)
@@ -170,7 +179,7 @@ func (s *Snapshot) Backup(w io.Writer) error {
 	hdr = binary.LittleEndian.AppendUint64(hdr, v.lsn)
 	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(hdr, backupCRCTable))
 	if _, err := cw.Write(hdr); err != nil {
-		return err
+		return 0, err
 	}
 
 	// Frames in level order, in one pass. Children are renumbered
@@ -186,14 +195,14 @@ func (s *Snapshot) Backup(w io.Writer) error {
 		if e.level == 0 {
 			dp, sc, err := v.borrowData(e.id, false)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			blob = page.EncodeData(dp, v.opt.Dims)
 			v.paged.release(sc)
 		} else {
 			n, err := v.fetchIndex(e.id)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			c := n.Clone()
 			cols := c.Cols()
@@ -206,27 +215,24 @@ func (s *Snapshot) Backup(w io.Writer) error {
 		}
 		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(blob)))
 		if _, err := cw.Write(lenBuf[:]); err != nil {
-			return err
+			return 0, err
 		}
 		if _, err := cw.Write(blob); err != nil {
-			return err
+			return 0, err
 		}
 	}
 
 	var tr [backupTrailerSize]byte
 	binary.LittleEndian.PutUint32(tr[:4], trailerMagic)
 	if _, err := cw.Write(tr[:4]); err != nil {
-		return err
+		return 0, err
 	}
 	// The stream CRC itself is written outside the CRC accumulation.
 	binary.LittleEndian.PutUint32(tr[4:], cw.sum)
 	if _, err := w.Write(tr[4:]); err != nil {
-		return err
+		return 0, err
 	}
-	met.Backups.Inc()
-	met.BackupBytes.Add(uint64(cw.n) + 4)
-	met.BackupNs.ObserveSince(start)
-	return nil
+	return cw.n + 4, nil
 }
 
 // RestoreSnapshot rebuilds a tree from a backup stream into st, which

@@ -398,10 +398,7 @@ func TestSnapshotBackupReadsPagesAlone(t *testing.T) {
 				}
 			}()
 
-			snap, err := tr.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
+			snap := tr.Snapshot()
 			var viaSnapshot bytes.Buffer
 			if err := snap.Backup(&viaSnapshot); err != nil {
 				t.Fatalf("Snapshot.Backup refused: %v", err)
@@ -700,10 +697,7 @@ func TestSnapshotBackupStampsPinnedLSN(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, err := d.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := d.Snapshot()
 	var backup bytes.Buffer
 	err = snap.Backup(&backup)
 	snap.Release()

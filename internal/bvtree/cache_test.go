@@ -146,10 +146,7 @@ func TestViewAdmissionNeverCachesStale(t *testing.T) {
 	}
 	hs.armed.Store(uint64(x))
 
-	snap, err := tr.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := tr.Snapshot()
 	n, err := snap.Count(UniverseRectFor(tr))
 	if err != nil {
 		t.Fatal(err)

@@ -278,10 +278,7 @@ func TestReadsStayOnBatchedPath(t *testing.T) {
 	pinnedUnderWriter := func(t *testing.T, opt Options) (*Tree, reader, []geometry.Point) {
 		tr, err := Open(storage.NewMemStore(), nil, opt)
 		tr = load(t, tr, err, pts[:600])
-		snap, err := tr.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
+		snap := tr.Snapshot()
 		t.Cleanup(snap.Release)
 		load(t, tr, nil, pts[600:])
 		for _, p := range pts[:200] {

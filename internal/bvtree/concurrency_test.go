@@ -425,11 +425,7 @@ func TestConcurrentPooledViews(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			s, err := tr.Snapshot()
-			if err != nil {
-				errs <- fmt.Errorf("snapshot: %v", err)
-				return
-			}
+			s := tr.Snapshot()
 			n, err := s.Count(geometry.UniverseRect(2))
 			size := s.Len()
 			s.Release()

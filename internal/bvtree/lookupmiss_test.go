@@ -289,10 +289,7 @@ func pinnedSources(t *testing.T, pts []geometry.Point) {
 	if fullest == scratched || fullest == cached {
 		scratched, cached = data[len(data)-1], data[len(data)-2]
 	}
-	snap, err := tr.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := tr.Snapshot()
 	defer snap.Release()
 	if _, err := tr.paged.Data(cached); err != nil {
 		t.Fatal(err)
@@ -349,10 +346,7 @@ func TestReadersAdmitByOneRule(t *testing.T) {
 		}
 		return n
 	}
-	snap, err := tr.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := tr.Snapshot()
 	defer snap.Release()
 	quarter := geometry.UniverseRect(2)
 	quarter.Max[0] /= 2

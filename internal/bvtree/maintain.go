@@ -16,35 +16,19 @@ import (
 // identically before and after); it reclaims index slots so that later
 // splits stay balanced. Run it after bulk deletions.
 func (t *Tree) Maintain() (_ int, err error) {
-	if err := t.lockWrite(); err != nil {
-		return 0, err
-	}
+	t.mu.Lock()
 	defer t.mu.Unlock()
 	defer t.endWrite(&err)
-	if t.rootLevel == 0 {
-		return 0, nil
-	}
 	demoted := 0
 	// Collect candidate nodes first: re-placing entries mutates the tree,
 	// so the walk must not hold per-node state across mutations.
 	var nodes []page.ID
-	var collect func(id page.ID) error
-	collect = func(id page.ID) error {
-		n, err := t.fetchIndex(id)
-		if err != nil {
-			return err
-		}
-		nodes = append(nodes, id)
-		for _, e := range n.ReadEntries() {
-			if e.Level >= 1 {
-				if err := collect(e.Child); err != nil {
-					return err
-				}
-			}
+	if err := t.preorder(func(s *walkStep) error {
+		if s.Level > 0 {
+			nodes = append(nodes, s.Child)
 		}
 		return nil
-	}
-	if err := collect(t.root); err != nil {
+	}); err != nil {
 		return 0, err
 	}
 

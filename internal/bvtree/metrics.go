@@ -33,11 +33,8 @@ func (t *Tree) Metrics() obs.Snapshot {
 	ts.MetricsEnabled = m != nil
 	ts.Counters = t.stats.Snapshot()
 	ss := storeSnapshot(t.paged.st.Stats())
-	s := obs.Snapshot{Tree: ts, Store: &ss, Cache: &cs}
-	if t.mv != nil {
-		ms := t.mv.met.Snapshot()
-		s.MVCC = &ms
-	}
+	ms := t.mv.met.Snapshot()
+	s := obs.Snapshot{Tree: ts, Store: &ss, Cache: &cs, MVCC: &ms}
 	if wm != nil {
 		ws := wm.Snapshot()
 		s.WAL = &ws

@@ -1,7 +1,6 @@
 package bvtree
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -265,9 +264,6 @@ func cloneNode(n interface{}) interface{} {
 // sweep and the snapshot differential tests call it after draining all
 // readers, so a reclamation bug fails CI deterministically.
 func (t *Tree) CheckSnapshots() error {
-	if t.mv == nil {
-		return nil
-	}
 	v := t.mv
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -291,20 +287,6 @@ func (t *Tree) CheckSnapshots() error {
 
 // --- writer choke points ---
 
-var errSnapshotReadOnly = errors.New("bvtree: snapshot views are read-only")
-
-// lockWrite takes the exclusive lock for a mutating operation. A pinned
-// view (mv == nil) is refused before any node is fetched: wIndex and
-// wData capture nothing for it, and its writes would edit and publish
-// the owner's live nodes.
-func (t *Tree) lockWrite() error {
-	if t.mv == nil {
-		return errSnapshotReadOnly
-	}
-	t.mu.Lock()
-	return nil
-}
-
 // wIndex fetches index node id for mutation. When pinned readers may
 // still need the current version it is captured and a private clone
 // returned; otherwise no reader can see the node and the cached one is
@@ -314,8 +296,8 @@ func (t *Tree) lockWrite() error {
 // the result and saves it as usual.
 func (t *Tree) wIndex(id page.ID) (*page.IndexNode, error) {
 	n, err := t.fetchIndex(id)
-	if err != nil || t.mv == nil {
-		return n, err
+	if err != nil {
+		return nil, err
 	}
 	if c, ok := t.mv.capture(id, n); ok {
 		n = c.(*page.IndexNode)
@@ -338,8 +320,8 @@ func (t *Tree) allocIndex(level int, reg region.BitString) (page.ID, *page.Index
 // the page splits.
 func (t *Tree) wData(id page.ID) (*page.DataPage, error) {
 	p, err := t.fetchData(id)
-	if err != nil || t.mv == nil {
-		return p, err
+	if err != nil {
+		return nil, err
 	}
 	if c, ok := t.mv.capture(id, p); ok {
 		p = c.(*page.DataPage)
@@ -356,10 +338,8 @@ func (t *Tree) dataRows() int { return t.opt.DataCapacity + 1 }
 // readers might still traverse into it (deferral also prevents the
 // store from recycling the ID into a pinned view).
 func (t *Tree) freePage(id page.ID) error {
-	if t.mv != nil {
-		if deferred, err := t.mv.deferFree(id); deferred || err != nil {
-			return err
-		}
+	if deferred, err := t.mv.deferFree(id); deferred || err != nil {
+		return err
 	}
 	return t.paged.Free(id)
 }
@@ -430,68 +410,43 @@ func asData(id page.ID, v interface{}) (*page.DataPage, error) {
 	return p, nil
 }
 
-// pinView pins the current epoch and makes v, whose NodeStore is s, an
-// immutable Tree over the state pinned, overwriting whatever v and s
-// held. The caller must hold at least the shared lock. The view shares the
-// owner's counters and histograms, so work done through it is
-// observable exactly like lock-holding reads. readView and Snapshot
-// both build their views here.
-func (t *Tree) pinView(v *Tree, s *snapNodes) uint64 {
+// pinView pins the current epoch and makes v, whose NodeStore is s, a
+// copy of the tree's view over the state pinned, overwriting whatever v
+// and s held. The caller must hold at least the shared lock. The copy
+// shares the owner's counters and histograms, so work done through it is
+// observable exactly like lock-holding reads. readView and Snapshot both
+// build their views here.
+func (t *Tree) pinView(v *view, s *snapNodes) {
 	*s = snapNodes{pn: t.paged, mv: t.mv, pin: t.mv.pin()}
-	*v = Tree{
-		st:        s,
-		opt:       t.opt,
-		il:        t.il,
-		root:      t.root,
-		rootLevel: t.rootLevel,
-		size:      t.size,
-		lsn:       t.lsn,
-		stats:     t.stats,
-		metrics:   t.metrics,
-		paged:     t.paged,
-	}
-	return s.pin
+	*v = t.view
+	v.st = s
 }
 
 // viewPool holds the views readView lends, each with its snapNodes as
 // its NodeStore, so that a traversal read pins without allocating. A
 // view in the pool holds no reference but to its own snapNodes.
-var viewPool = sync.Pool{New: func() any { return &Tree{st: new(snapNodes)} }}
+var viewPool = sync.Pool{New: func() any { return &view{st: new(snapNodes)} }}
 
-// readView pins the current epoch and returns an immutable view of the
-// tree at it, taken from viewPool; the shared lock is dropped before
-// returning, so the caller's traversal runs without blocking writers.
-// The caller hands the view back to releaseView when the traversal is
-// done and keeps no reference to it. On a tree that is itself a view
-// (mv == nil) it returns the tree and holds the shared lock until
-// releaseView — a view is already immutable, so its "lock" is
-// uncontended.
-func (t *Tree) readView() *Tree {
+// readView pins the current epoch and returns a view of the tree at it,
+// taken from viewPool; the shared lock is dropped before returning, so
+// the caller's traversal runs without blocking writers. The caller hands
+// the view back to releaseView when the traversal is done and keeps no
+// reference to it.
+func (t *Tree) readView() *view {
+	v := viewPool.Get().(*view)
 	t.mu.RLock()
-	if t.mv == nil {
-		return t
-	}
-	v := viewPool.Get().(*Tree)
 	t.pinView(v, v.st.(*snapNodes))
 	t.mu.RUnlock()
 	return v
 }
 
 // releaseView ends the read readView began: it releases v's pin, clears
-// every reference v holds, runs the owner's between-operation
-// housekeeping and returns v to viewPool. On a tree that is itself a
-// view it drops the shared lock instead.
-func (t *Tree) releaseView(v *Tree) {
-	if t.mv == nil {
-		t.mu.RUnlock()
-		t.endOp()
-		return
-	}
+// every reference v holds and returns v to viewPool.
+func (t *Tree) releaseView(v *view) {
 	s := v.st.(*snapNodes)
 	t.mv.release(s.pin)
 	*s = snapNodes{}
-	*v = Tree{st: s}
-	t.endOp()
+	*v = view{st: s}
 	viewPool.Put(v)
 }
 
@@ -501,11 +456,11 @@ func (t *Tree) releaseView(v *Tree) {
 // copied up front; writers copy superseded pages on demand) but hold
 // resources — superseded page versions and deferred frees accumulate
 // until Release. Always release a snapshot; a snapshot is safe for
-// concurrent use by multiple readers.
+// concurrent use by multiple readers. It has no write method.
 type Snapshot struct {
-	v        *Tree
+	v        view      // reads through s
+	s        snapNodes // holds the pin
 	owner    *Tree
-	pin      uint64
 	released atomic.Bool
 }
 
@@ -514,15 +469,12 @@ type Snapshot struct {
 // it is taken. Call Release when done. Unlike the views traversal reads
 // borrow from a pool, a snapshot's view is its own: it lives until
 // Release and any number of goroutines may read it meanwhile.
-func (t *Tree) Snapshot() (*Snapshot, error) {
-	if t.mv == nil {
-		return nil, errors.New("bvtree: cannot snapshot a snapshot view")
-	}
-	v := new(Tree)
+func (t *Tree) Snapshot() *Snapshot {
+	s := &Snapshot{owner: t}
 	t.mu.RLock()
-	pin := t.pinView(v, new(snapNodes))
+	t.pinView(&s.v, &s.s)
 	t.mu.RUnlock()
-	return &Snapshot{v: v, owner: t, pin: pin}, nil
+	return s
 }
 
 // Release unpins the snapshot, allowing the pages it kept alive to be
@@ -530,33 +482,39 @@ func (t *Tree) Snapshot() (*Snapshot, error) {
 // a bug (reads may observe later states or freed pages).
 func (s *Snapshot) Release() {
 	if s.released.CompareAndSwap(false, true) {
-		s.owner.mv.release(s.pin)
+		s.owner.mv.release(s.s.pin)
 		s.owner.endOp()
 	}
 }
 
 // Len returns the number of items in the pinned state.
-func (s *Snapshot) Len() int { return s.v.Len() }
+func (s *Snapshot) Len() int { return s.v.size }
 
 // Height returns the index height of the pinned state.
 func (s *Snapshot) Height() int { return s.v.rootLevel }
 
 // Lookup returns the payloads stored at p in the pinned state.
-func (s *Snapshot) Lookup(p geometry.Point) ([]uint64, error) { return s.v.Lookup(p) }
+func (s *Snapshot) Lookup(p geometry.Point) ([]uint64, error) { return s.v.lookup(p) }
 
 // RangeQuery visits every pinned item inside rect.
 func (s *Snapshot) RangeQuery(rect geometry.Rect, visit Visitor) error {
-	return s.v.RangeQuery(rect, visit)
+	_, err := s.v.rangeRaw(rect, visit)
+	return err
 }
 
 // Count returns the number of pinned items inside rect.
-func (s *Snapshot) Count(rect geometry.Rect) (int, error) { return s.v.Count(rect) }
+func (s *Snapshot) Count(rect geometry.Rect) (int, error) {
+	n, err := s.v.rangeRaw(rect, nil)
+	return int(n), err
+}
 
 // Scan visits every pinned item.
-func (s *Snapshot) Scan(visit Visitor) error { return s.v.Scan(visit) }
+func (s *Snapshot) Scan(visit Visitor) error {
+	return s.RangeQuery(geometry.UniverseRect(s.v.opt.Dims), visit)
+}
 
 // Nearest returns the k pinned items closest to p.
-func (s *Snapshot) Nearest(p geometry.Point, k int) ([]Neighbor, error) { return s.v.Nearest(p, k) }
+func (s *Snapshot) Nearest(p geometry.Point, k int) ([]Neighbor, error) { return s.v.nearest(p, k) }
 
 // Validate checks the structural invariants of the pinned state.
-func (s *Snapshot) Validate(full bool) error { return s.v.Validate(full) }
+func (s *Snapshot) Validate(full bool) error { return s.v.validate(full) }

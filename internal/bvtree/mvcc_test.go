@@ -13,7 +13,6 @@ package bvtree
 // both correct and frozen.
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -160,16 +159,12 @@ func snapshotDifferential(t *testing.T, tr *Tree, pts []geometry.Point, nWriters
 				for committed < (2*k+g+1)*len(churn)/9 && exited < nWriters {
 					progress.Wait()
 				}
-				s, err := tr.Snapshot()
+				s := tr.Snapshot()
 				want := make(map[uint64]geometry.Point, len(shadow))
 				for payload, p := range shadow {
 					want[payload] = p
 				}
 				shadowMu.Unlock()
-				if err != nil {
-					fail(err)
-					return
-				}
 				if got := s.Len(); got != len(want) {
 					fail(fmt.Errorf("snapshot Len=%d, shadow has %d", got, len(want)))
 					s.Release()
@@ -384,10 +379,7 @@ func TestSnapshotReclamation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := tr.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := tr.Snapshot()
 	wantLen := s.Len()
 	// Heavy churn under the pin: inserts split pages, deletes merge and
 	// free them — both capture versions and defer frees.
@@ -412,6 +404,7 @@ func TestSnapshotReclamation(t *testing.T) {
 		t.Fatalf("pinned view validate after churn: %v", err)
 	}
 	s.Release()
+	s.Release() // idempotent: the pin is released once
 	if err := tr.CheckSnapshots(); err != nil {
 		t.Fatal(err)
 	}
@@ -424,73 +417,6 @@ func TestSnapshotReclamation(t *testing.T) {
 	}
 	if err := tr.Validate(true); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSnapshotOfSnapshotFails pins the API contract: views cannot be
-// re-snapshotted, and every mutating entry point of a view is refused
-// before it touches a node — a view's write choke points would hand it
-// the owner's live page, so a refusal that came only from the save would
-// leave the owner's tree already changed.
-func TestSnapshotOfSnapshotFails(t *testing.T) {
-	opt := Options{Dims: 2, DataCapacity: 8, Fanout: 8}
-	for _, backend := range []string{"mem", "paged"} {
-		t.Run(backend, func(t *testing.T) {
-			tr, err := New(opt)
-			if backend == "paged" {
-				tr, err = Open(storage.NewMemStore(), nil, opt)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			kept, rejected := geometry.Point{1, 2}, geometry.Point{3, 4}
-			if err := tr.Insert(kept, 7); err != nil {
-				t.Fatal(err)
-			}
-			s, err := tr.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Release()
-			if _, err := s.v.Snapshot(); err == nil {
-				t.Fatal("snapshot of a snapshot view unexpectedly succeeded")
-			}
-			_, delErr := s.v.Delete(kept, 7)
-			_, maintErr := s.v.Maintain()
-			for what, err := range map[string]error{
-				"Insert":     s.v.Insert(rejected, 8),
-				"Delete":     delErr,
-				"ApplyBatch": s.v.ApplyBatch([]BatchOp{{Point: rejected, Payload: 8}}),
-				"BulkLoad":   s.v.BulkLoad([]geometry.Point{rejected}, []uint64{8}),
-				"Maintain":   maintErr,
-				"Flush":      s.v.Flush(),
-			} {
-				if !errors.Is(err, errSnapshotReadOnly) {
-					t.Errorf("%s through a snapshot view: %v, want errSnapshotReadOnly", what, err)
-				}
-			}
-			// The owner is exactly as it was.
-			if got, err := tr.Lookup(rejected); err != nil || len(got) != 0 {
-				t.Fatalf("owner holds the rejected insert: %v err=%v", got, err)
-			}
-			if got, err := tr.Lookup(kept); err != nil || len(got) != 1 || got[0] != 7 {
-				t.Fatalf("owner lost the item a view tried to delete: %v err=%v", got, err)
-			}
-			if tr.Len() != 1 {
-				t.Fatalf("owner Len() = %d after rejected view writes, want 1", tr.Len())
-			}
-			if err := tr.Validate(true); err != nil {
-				t.Fatalf("owner invariants after rejected view writes: %v", err)
-			}
-			got, err := s.Lookup(kept)
-			if err != nil || len(got) != 1 || got[0] != 7 {
-				t.Fatalf("snapshot lookup: got %v err=%v", got, err)
-			}
-			if nbrs, err := s.Nearest(kept, 1); err != nil || len(nbrs) != 1 || nbrs[0].Dist != 0 {
-				t.Fatalf("snapshot nearest: got %v err=%v", nbrs, err)
-			}
-			s.Release() // idempotent
-		})
 	}
 }
 
@@ -542,9 +468,7 @@ func TestPinsReleaseOutOfOrder(t *testing.T) {
 			var snaps [3]*Snapshot
 			var lens [3]int
 			for k := range snaps {
-				if snaps[k], err = tr.Snapshot(); err != nil {
-					t.Fatal(err)
-				}
+				snaps[k] = tr.Snapshot()
 				lens[k] = snaps[k].Len()
 				for i := 1000 + 200*k; i < 1200+200*k; i++ {
 					if err := tr.Insert(pts[i], uint64(i)); err != nil {
@@ -561,7 +485,7 @@ func TestPinsReleaseOutOfOrder(t *testing.T) {
 			for k, s := range snaps {
 				tagged, graves := 0, 0
 				for e := range all {
-					if e.epoch == s.pin+1 {
+					if e.epoch == s.s.pin+1 {
 						tagged++
 						if e.grave {
 							graves++
@@ -579,7 +503,7 @@ func TestPinsReleaseOutOfOrder(t *testing.T) {
 				want := make(map[entry]bool)
 				for e := range all {
 					for j := range live {
-						if snaps[j].pin < e.epoch {
+						if snaps[j].s.pin < e.epoch {
 							want[e] = true
 						}
 					}

@@ -29,17 +29,18 @@ type Neighbor struct {
 func (t *Tree) Nearest(p geometry.Point, k int) ([]Neighbor, error) {
 	v := t.readView()
 	defer t.releaseView(v)
+	return v.nearest(p, k)
+}
+
+// nearest is Nearest's body, run on a pinned immutable view: a
+// best-first search.
+func (v *view) nearest(p geometry.Point, k int) ([]Neighbor, error) {
+	defer v.endOp()
 	if m := v.metrics; m != nil {
 		defer m.Nearest.ObserveSince(time.Now())
 	}
-	return v.nearestLocked(p, k)
-}
-
-// nearestLocked is Nearest's body, run on a pinned immutable view: a
-// best-first search.
-func (t *Tree) nearestLocked(p geometry.Point, k int) ([]Neighbor, error) {
-	if len(p) != t.opt.Dims {
-		return nil, fmt.Errorf("bvtree: point has %d dims, tree has %d", len(p), t.opt.Dims)
+	if len(p) != v.opt.Dims {
+		return nil, fmt.Errorf("bvtree: point has %d dims, tree has %d", len(p), v.opt.Dims)
 	}
 	if k <= 0 {
 		return nil, nil
@@ -47,7 +48,7 @@ func (t *Tree) nearestLocked(p geometry.Point, k int) ([]Neighbor, error) {
 
 	pq := &distHeap{}
 	heap.Init(pq)
-	heap.Push(pq, distItem{id: t.root, level: t.rootLevel})
+	heap.Push(pq, distItem{id: v.root, level: v.rootLevel})
 
 	var best nbrHeap // max-heap of current k best
 	worst := func() float64 {
@@ -58,7 +59,7 @@ func (t *Tree) nearestLocked(p geometry.Point, k int) ([]Neighbor, error) {
 	}
 
 	var cubeBuf [2 * geometry.MaxDims]uint64
-	cube := geometry.Rect{Min: cubeBuf[:t.opt.Dims], Max: cubeBuf[geometry.MaxDims : geometry.MaxDims+t.opt.Dims]}
+	cube := geometry.Rect{Min: cubeBuf[:v.opt.Dims], Max: cubeBuf[geometry.MaxDims : geometry.MaxDims+v.opt.Dims]}
 
 	for pq.Len() > 0 {
 		it := heap.Pop(pq).(distItem)
@@ -66,7 +67,7 @@ func (t *Tree) nearestLocked(p geometry.Point, k int) ([]Neighbor, error) {
 			break // nothing left can improve the result set
 		}
 		if it.level == 0 {
-			dp, sc, err := t.borrowData(it.id, false)
+			dp, sc, err := v.borrowData(it.id, false)
 			if err != nil {
 				return nil, err
 			}
@@ -77,7 +78,7 @@ func (t *Tree) nearestLocked(p geometry.Point, k int) ([]Neighbor, error) {
 			// The result keeps its points, so each one that enters it is
 			// copied out of the rows.
 			var pt [geometry.MaxDims]uint64
-			t.stats.BatchTests.Inc()
+			v.stats.BatchTests.Inc()
 			distCube(p, worst(), cube)
 			for base := 0; base < c.Len(); base += 64 {
 				for m := c.ContainMask64(cube, base); m != 0; m &= m - 1 {
@@ -92,19 +93,19 @@ func (t *Tree) nearestLocked(p geometry.Point, k int) ([]Neighbor, error) {
 					}
 				}
 			}
-			t.paged.release(sc)
+			v.paged.release(sc)
 			continue
 		}
-		_, c, err := t.indexCols(it.id)
+		_, c, err := v.indexCols(it.id)
 		if err != nil {
 			return nil, err
 		}
 		// The mirror holds each entry's brick bounds deinterleaved, so the
 		// lower bound is two compares and two multiplies per dimension.
-		t.stats.BatchTests.Inc()
+		v.stats.BatchTests.Inc()
 		for i := 0; i < c.Len(); i++ {
 			emin, emax := c.BoundsAt(i)
-			d := minDistToBounds(p, emin, emax, t.opt.Dims)
+			d := minDistToBounds(p, emin, emax, v.opt.Dims)
 			if d <= worst() {
 				heap.Push(pq, distItem{dist: d, id: c.Child(i), level: c.Level(i)})
 			}

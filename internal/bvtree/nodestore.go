@@ -13,13 +13,13 @@ import (
 	"bvtree/internal/storage"
 )
 
-// NodeStore is what a reader reads nodes through, a live tree's
-// pagedNodes or a pinned view's snapNodes; both methods run in parallel
+// NodeStore is what a view reads nodes through: the live view's
+// pagedNodes, or a pinned view's snapNodes; both methods run in parallel
 // with each other. borrowData is the one read of a data page: it lends
 // the page for one scan — a version-chain pre-image, a cached page or a
 // pooled scratch page (sc non-nil) — which the reader ends with
 // pagedNodes.release, keeping nothing of it. Writers, under the tree's
-// exclusive lock, go to the live tree's pagedNodes (Tree.paged).
+// exclusive lock, go to the live tree's pagedNodes (view.paged).
 type NodeStore interface {
 	Index(id page.ID) (*page.IndexNode, error)
 	borrowData(id page.ID, lookup bool) (p *page.DataPage, sc *scratchPage, err error)

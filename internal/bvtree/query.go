@@ -39,9 +39,6 @@ type Visitor func(p geometry.Point, payload uint64) bool
 func (t *Tree) RangeQuery(rect geometry.Rect, visit Visitor) error {
 	v := t.readView()
 	defer t.releaseView(v)
-	if m := v.metrics; m != nil {
-		defer m.RangeQuery.ObserveSince(time.Now())
-	}
 	_, err := v.rangeRaw(rect, visit)
 	return err
 }
@@ -59,19 +56,22 @@ func (t *Tree) RangeQueryWorkers(rect geometry.Rect, visit Visitor, workers int)
 var errRectDims = errors.New("bvtree: query rect dimensions do not match the tree")
 
 // rangeRaw is the one entry of the traversal, run on a pinned immutable
-// view (or with the shared lock held, when the receiver is itself a
-// view), for range queries and, with a nil visit, counts (whose result
-// it returns): it validates rect and walks it.
-func (t *Tree) rangeRaw(rect geometry.Rect, visit Visitor) (int64, error) {
-	if len(rect.Min) != t.opt.Dims || len(rect.Max) != t.opt.Dims {
-		return 0, fmt.Errorf("%w: min has %d dims, max %d, tree %d", errRectDims, len(rect.Min), len(rect.Max), t.opt.Dims)
+// view, for range queries and, with a nil visit, counts (whose result it
+// returns): it validates rect and walks it.
+func (v *view) rangeRaw(rect geometry.Rect, visit Visitor) (int64, error) {
+	defer v.endOp()
+	if m := v.metrics; m != nil {
+		defer m.RangeQuery.ObserveSince(time.Now())
+	}
+	if len(rect.Min) != v.opt.Dims || len(rect.Max) != v.opt.Dims {
+		return 0, fmt.Errorf("%w: min has %d dims, max %d, tree %d", errRectDims, len(rect.Min), len(rect.Max), v.opt.Dims)
 	}
 	for d := range rect.Min {
 		if rect.Min[d] > rect.Max[d] {
 			return 0, nil // an inverted rect contains no point
 		}
 	}
-	return t.walkRange(rect, visit)
+	return v.walkRange(rect, visit)
 }
 
 // maxRangeGuards caps the guard set a range descent carries. The set
@@ -156,15 +156,15 @@ func appendRangeChild(dataIDs []page.ID, dataFull []bool, idx []rangeTask,
 // node to node on its own stack, and returns dataIDs/dataFull and idx —
 // the walker's stack of pending subtrees — extended by what must be
 // visited next: data pages and index subtrees.
-func (t *Tree) expandRange(task rangeTask, rect geometry.Rect,
+func (v *view) expandRange(task rangeTask, rect geometry.Rect,
 	dataIDs []page.ID, dataFull []bool, idx []rangeTask) ([]page.ID, []bool, []rangeTask, error) {
 	var gs rangeGuardSet
 	for id, more := task.id, true; more; {
-		n, c, err := t.indexCols(id)
+		n, c, err := v.indexCols(id)
 		if err != nil {
 			return dataIDs, dataFull, idx, err
 		}
-		dataIDs, dataFull, idx, id, more = t.qualifyNode(c, int32(n.Level-1), task.full, rect, &gs, dataIDs, dataFull, idx)
+		dataIDs, dataFull, idx, id, more = v.qualifyNode(c, int32(n.Level-1), task.full, rect, &gs, dataIDs, dataFull, idx)
 	}
 	return dataIDs, dataFull, idx, nil
 }
@@ -214,14 +214,14 @@ func (t *Tree) expandRange(task rangeTask, rect geometry.Rect,
 //
 // c is the node's columnar mirror and lim the level of its unpromoted
 // entries (its index level - 1).
-func (t *Tree) qualifyNode(c *page.NodeCols, lim int32, parentFull bool, rect geometry.Rect, gs *rangeGuardSet,
+func (v *view) qualifyNode(c *page.NodeCols, lim int32, parentFull bool, rect geometry.Rect, gs *rangeGuardSet,
 	dataIDs []page.ID, dataFull []bool, idx []rangeTask) (_ []page.ID, _ []bool, _ []rangeTask, next page.ID, more bool) {
 	if parentFull {
 		for i := 0; i < c.Len(); i++ {
 			dataIDs, dataFull, idx = appendRangeChild(dataIDs, dataFull, idx, c.Child(i), c.Level(i), true)
 		}
 	} else {
-		t.stats.BatchTests.Inc()
+		v.stats.BatchTests.Inc()
 		branched := lim == 0 // or a level-(x-1) entry outside the guard set met the window
 		for base := 0; base < c.Len(); base += 64 {
 			m := c.Intersect64(rect, base)
@@ -281,9 +281,6 @@ func (t *Tree) Scan(visit Visitor) error {
 func (t *Tree) Count(rect geometry.Rect) (int, error) {
 	v := t.readView()
 	defer t.releaseView(v)
-	if m := v.metrics; m != nil {
-		defer m.RangeQuery.ObserveSince(time.Now())
-	}
 	n, err := v.rangeRaw(rect, nil)
 	return int(n), err
 }

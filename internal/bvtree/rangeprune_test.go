@@ -27,7 +27,7 @@ import (
 // descent, as expandRange does, and fails if the guard set handed from a
 // node of index level x to its child ever exceeds the paper's bound of
 // x-1 members. It returns the largest set carried.
-func carriedGuards(t *testing.T, v *Tree, rect geometry.Rect) int {
+func carriedGuards(t *testing.T, v *view, rect geometry.Rect) int {
 	t.Helper()
 	var gs rangeGuardSet
 	most := 0
@@ -51,11 +51,18 @@ func carriedGuards(t *testing.T, v *Tree, rect geometry.Rect) int {
 	return most
 }
 
+// pointReader is a live tree or a Snapshot.
+type pointReader interface {
+	Lookup(geometry.Point) ([]uint64, error)
+	RangeQuery(geometry.Rect, Visitor) error
+	Count(geometry.Rect) (int, error)
+}
+
 // checkPointWindows asserts, for every stride-th point of live, that the
-// window holding exactly that point costs RangeQuery and Count each
-// exactly the nodes of the point's exact-match descent, and that both
-// agree with Lookup.
-func checkPointWindows(t *testing.T, what string, v *Tree, live map[uint64]geometry.Point, stride int) {
+// window holding exactly that point costs r's RangeQuery and Count each
+// exactly the nodes of the point's exact-match descent on v, r's view,
+// and that both agree with Lookup.
+func checkPointWindows(t *testing.T, what string, r pointReader, v *view, live map[uint64]geometry.Point, stride int) {
 	t.Helper()
 	payloads := make([]uint64, 0, len(live))
 	for id := range live {
@@ -65,7 +72,7 @@ func checkPointWindows(t *testing.T, what string, v *Tree, live map[uint64]geome
 	guards := 0
 	for k := 0; k < len(payloads); k += stride {
 		p := live[payloads[k]]
-		want, err := v.Lookup(p)
+		want, err := r.Lookup(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,18 +80,24 @@ func checkPointWindows(t *testing.T, what string, v *Tree, live map[uint64]geome
 		if len(want) == 0 {
 			t.Fatalf("%s: live point %v not found by Lookup", what, p)
 		}
-		nodes, _, err := v.SearchCost(p)
+		a, err := v.addr(p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		d, err := v.descendPoint(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := len(d.steps) + 1
+		putDescent(d)
 		if nodes != v.rootLevel+1 {
 			t.Fatalf("%s: SearchCost(%v) = %d nodes, height+1 = %d", what, p, nodes, v.rootLevel+1)
 		}
 		rect := geometry.Rect{Min: p, Max: p}
 
 		var got []uint64
-		v.ResetAccessCount()
-		err = v.RangeQuery(rect, func(q geometry.Point, payload uint64) bool {
+		v.stats.NodeAccesses.Swap(0)
+		err = r.RangeQuery(rect, func(q geometry.Point, payload uint64) bool {
 			if !q.Equal(p) {
 				t.Fatalf("%s: window [%v,%v] delivered %v", what, p, p, q)
 			}
@@ -94,7 +107,7 @@ func checkPointWindows(t *testing.T, what string, v *Tree, live map[uint64]geome
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := int(v.ResetAccessCount()); n != nodes {
+		if n := int(v.stats.NodeAccesses.Swap(0)); n != nodes {
 			t.Fatalf("%s: RangeQuery on the one-point window at %v touched %d nodes, Lookup touches %d", what, p, n, nodes)
 		}
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
@@ -102,11 +115,11 @@ func checkPointWindows(t *testing.T, what string, v *Tree, live map[uint64]geome
 			t.Fatalf("%s: window at %v returned payloads %v, Lookup %v", what, p, got, want)
 		}
 
-		cnt, err := v.Count(rect)
+		cnt, err := r.Count(rect)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := int(v.ResetAccessCount()); n != nodes {
+		if n := int(v.stats.NodeAccesses.Swap(0)); n != nodes {
 			t.Fatalf("%s: Count on the one-point window at %v touched %d nodes, Lookup touches %d", what, p, n, nodes)
 		}
 		if cnt != len(want) {
@@ -155,7 +168,7 @@ func TestRangePointWindowVisitsHeightPlusOne(t *testing.T) {
 				if tr.Height() < 3 {
 					t.Fatalf("height %d: too shallow to carry guards", tr.Height())
 				}
-				checkPointWindows(t, "built", tr, live, 7)
+				checkPointWindows(t, "built", tr, &tr.view, live, 7)
 
 				for i := 0; i < n; i += 2 {
 					if ok, err := tr.Delete(pts[i], uint64(i)); err != nil || !ok {
@@ -163,16 +176,13 @@ func TestRangePointWindowVisitsHeightPlusOne(t *testing.T) {
 					}
 					delete(live, uint64(i))
 				}
-				checkPointWindows(t, "half deleted", tr, live, 5)
+				checkPointWindows(t, "half deleted", tr, &tr.view, live, 5)
 
 				// Pin the half-deleted state, then check it through the view
 				// while a writer re-inserts and re-deletes underneath. The
 				// view gets counters of its own: it shares the owner's by
 				// default, and the writer's descents would count into them.
-				snap, err := tr.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
+				snap := tr.Snapshot()
 				defer snap.Release()
 				snap.v.stats = &obs.TreeCounters{}
 				stop := make(chan struct{})
@@ -196,7 +206,7 @@ func TestRangePointWindowVisitsHeightPlusOne(t *testing.T) {
 						}
 					}
 				}()
-				checkPointWindows(t, "pinned view", snap.v, live, 11)
+				checkPointWindows(t, "pinned view", snap, &snap.v, live, 11)
 				close(stop)
 				wg.Wait()
 				if err := tr.Validate(false); err != nil {
@@ -364,7 +374,7 @@ func TestColumnarPrunedRangeDifferential(t *testing.T) {
 						t.Fatalf("%s: pruned walk touched %d nodes, unpruned reference %d", what, np, nr)
 					}
 					pruned, reference = pruned+np, reference+nr
-					carriedGuards(t, ct, rect)
+					carriedGuards(t, &ct.view, rect)
 
 					cnt, err := cols.Count(rect)
 					if err != nil {

@@ -94,10 +94,10 @@ func putDescent(d *descent) {
 // every exact-match descent — lookup, insert, delete, placement —
 // funnels through, so the DescentDepth and GuardSet histograms see the
 // whole workload.
-func (t *Tree) descendPoint(target region.BitString) (*descent, error) {
-	d, err := t.descendPointInner(target)
+func (v *view) descendPoint(target region.BitString) (*descent, error) {
+	d, err := v.descendPointInner(target)
 	if err == nil {
-		if m := t.metrics; m != nil {
+		if m := v.metrics; m != nil {
 			m.ObserveDescent(int64(len(d.steps))+1, int64(d.maxGuardSet))
 		}
 	}
@@ -110,17 +110,17 @@ func (t *Tree) descendPoint(target region.BitString) (*descent, error) {
 // per-level guard set (keeping the better match per level), and at index
 // level x the search follows whichever of the best unpromoted entry and
 // the guard-set member of level x-1 matches the target better.
-func (t *Tree) descendPointInner(target region.BitString) (*descent, error) {
-	d := getDescent(t.rootLevel)
-	if t.rootLevel == 0 {
-		d.dataID = t.root
+func (v *view) descendPointInner(target region.BitString) (*descent, error) {
+	d := getDescent(v.rootLevel)
+	if v.rootLevel == 0 {
+		d.dataID = v.root
 		return d, nil
 	}
 	guards := d.guards // index = partition level
 	tk := page.MakePointKey(target)
-	cur := t.root
-	for level := t.rootLevel; level >= 1; level-- {
-		n, c, err := t.indexCols(cur)
+	cur := v.root
+	for level := v.rootLevel; level >= 1; level-- {
+		n, c, err := v.indexCols(cur)
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +129,7 @@ func (t *Tree) descendPointInner(target region.BitString) (*descent, error) {
 		}
 		// One fused pass: merge matching guards into the guard set and
 		// find the best unpromoted match.
-		bestIdx, bestLen, bestChild := t.scanDescendNode(c, n.Level-1, cur, tk, guards)
+		bestIdx, bestLen, bestChild := v.scanDescendNode(c, n.Level-1, cur, tk, guards)
 		live := 0
 		for i := range guards {
 			if guards[i].ok {
@@ -176,9 +176,9 @@ func (t *Tree) descendPointInner(target region.BitString) (*descent, error) {
 // index, key length and child it returns. The prefix tests run as one
 // batched Match64 pass per 64 entries of c, the columnar mirror of node
 // id, whose unpromoted entries have level lim.
-func (t *Tree) scanDescendNode(c *page.NodeCols, lim int, id page.ID, tk page.PointKey, guards []guardRef) (bestIdx, bestLen int, bestChild page.ID) {
+func (v *view) scanDescendNode(c *page.NodeCols, lim int, id page.ID, tk page.PointKey, guards []guardRef) (bestIdx, bestLen int, bestChild page.ID) {
 	bestIdx, bestLen = -1, -1
-	t.stats.BatchTests.Inc()
+	v.stats.BatchTests.Inc()
 	for base := 0; base < c.Len(); base += 64 {
 		for m := c.Match64(tk, base); m != 0; m &= m - 1 {
 			i := base + bits.TrailingZeros64(m)
@@ -202,47 +202,44 @@ func (t *Tree) scanDescendNode(c *page.NodeCols, lim int, id page.ID, tk page.Po
 func (t *Tree) Lookup(p geometry.Point) ([]uint64, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	defer t.endOp()
-	m := t.metrics
-	if m == nil {
-		// Fast path: metrics off cost exactly this nil check, no clock
-		// reads (guarded by TestLookupDoesNotAllocate).
-		return t.lookupLocked(p)
-	}
-	start := time.Now()
-	out, err := t.lookupLocked(p)
-	m.Lookup.ObserveSince(start)
-	return out, err
+	return t.lookup(p)
 }
 
-// lookupLocked is Lookup's body (shared lock held).
-func (t *Tree) lookupLocked(p geometry.Point) ([]uint64, error) {
-	key, err := t.addr(p)
+// lookup is Lookup's body on a view: the live one under the shared
+// lock, or a Snapshot's.
+func (v *view) lookup(p geometry.Point) ([]uint64, error) {
+	defer v.endOp()
+	if m := v.metrics; m != nil {
+		// Metrics off cost exactly this nil check, no clock reads
+		// (guarded by TestLookupDoesNotAllocate).
+		defer m.Lookup.ObserveSince(time.Now())
+	}
+	key, err := v.addr(p)
 	if err != nil {
 		return nil, err
 	}
-	d, err := t.descendPoint(key)
+	d, err := v.descendPoint(key)
 	if err != nil {
 		return nil, err
 	}
 	dataID := d.dataID
 	putDescent(d)
-	dp, sc, err := t.borrowData(dataID, true)
+	dp, sc, err := v.borrowData(dataID, true)
 	if err != nil {
 		return nil, err
 	}
-	out := t.payloadsAt(dp, p)
-	t.paged.release(sc)
+	out := v.payloadsAt(dp, p)
+	v.paged.release(sc)
 	return out, nil
 }
 
 // payloadsAt returns the payloads of dp's items at exactly point p, by
 // batched equality over the coordinate columns: the payloads are only
 // read for the (rare) exact matches.
-func (t *Tree) payloadsAt(dp *page.DataPage, p geometry.Point) []uint64 {
+func (v *view) payloadsAt(dp *page.DataPage, p geometry.Point) []uint64 {
 	c := dp.DCols()
 	var out []uint64
-	t.stats.BatchTests.Inc()
+	v.stats.BatchTests.Inc()
 	for base := 0; base < c.Len(); base += 64 {
 		for m := c.EqualMask64(p, base); m != 0; m &= m - 1 {
 			out = append(out, dp.Payload(base+bits.TrailingZeros64(m)))

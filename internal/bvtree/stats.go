@@ -41,46 +41,41 @@ type TreeStats struct {
 func (t *Tree) CollectStats() (*TreeStats, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	defer t.endOp()
+	return t.collectStats()
+}
 
-	s := &TreeStats{Height: t.rootLevel, IndexLevels: make(map[int]*LevelStats)}
+// collectStats is CollectStats' body on a view.
+func (v *view) collectStats() (*TreeStats, error) {
+	defer v.endOp()
+	s := &TreeStats{Height: v.rootLevel, IndexLevels: make(map[int]*LevelStats)}
 	var sumDataOcc float64
-	first := true
-
-	var walkData func(id page.ID) error
-	walkData = func(id page.ID) error {
-		dp, sc, err := t.borrowData(id, false)
-		if err != nil {
-			return err
+	err := v.preorder(func(w *walkStep) error {
+		if w.Level == 0 {
+			dp, sc, err := v.borrowData(w.Child, false)
+			if err != nil {
+				return err
+			}
+			defer v.paged.release(sc)
+			first := s.DataPages == 0
+			s.DataPages++
+			s.Items += dp.Len()
+			s.NodeBytes += len(page.EncodeData(dp, v.opt.Dims))
+			occ := float64(dp.Len()) / float64(v.opt.DataCapacity)
+			sumDataOcc += occ
+			if first || occ < s.DataMinOcc {
+				s.DataMinOcc = occ
+			}
+			if first || dp.Len() < s.DataMinItems {
+				s.DataMinItems = dp.Len()
+			}
+			return nil
 		}
-		defer t.paged.release(sc)
-		s.DataPages++
-		s.Items += dp.Len()
-		s.NodeBytes += len(page.EncodeData(dp, t.opt.Dims))
-		occ := float64(dp.Len()) / float64(t.opt.DataCapacity)
-		sumDataOcc += occ
-		if first || occ < s.DataMinOcc {
-			s.DataMinOcc = occ
-		}
-		if first || dp.Len() < s.DataMinItems {
-			s.DataMinItems = dp.Len()
-		}
-		first = false
-		return nil
-	}
-
-	var walkIndex func(id page.ID) error
-	walkIndex = func(id page.ID) error {
-		n, err := t.fetchIndex(id)
-		if err != nil {
-			return err
-		}
+		n, entries := w.node, w.entries
 		ls := s.IndexLevels[n.Level]
 		if ls == nil {
 			ls = &LevelStats{MinEntries: 1 << 30}
 			s.IndexLevels[n.Level] = ls
 		}
-		entries := n.ReadEntries()
 		ls.Nodes++
 		s.NodeBytes += len(page.EncodeIndex(n))
 		ls.Entries += len(entries)
@@ -93,33 +88,11 @@ func (t *Tree) CollectStats() (*TreeStats, error) {
 				guards++
 			}
 		}
-		if guards > ls.MaxGuardsIn {
-			ls.MaxGuardsIn = guards
-		}
-		if len(entries) < ls.MinEntries {
-			ls.MinEntries = len(entries)
-		}
-		if len(entries) > ls.MaxEntries {
-			ls.MaxEntries = len(entries)
-		}
-		for _, e := range entries {
-			if e.Level == 0 {
-				if err := walkData(e.Child); err != nil {
-					return err
-				}
-			} else if err := walkIndex(e.Child); err != nil {
-				return err
-			}
-		}
+		ls.MaxGuardsIn = max(ls.MaxGuardsIn, guards)
+		ls.MinEntries = min(ls.MinEntries, len(entries))
+		ls.MaxEntries = max(ls.MaxEntries, len(entries))
 		return nil
-	}
-
-	var err error
-	if t.rootLevel == 0 {
-		err = walkData(t.root)
-	} else {
-		err = walkIndex(t.root)
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +101,7 @@ func (t *Tree) CollectStats() (*TreeStats, error) {
 	}
 	totalEntries := 0
 	for lvl, ls := range s.IndexLevels {
-		cap := float64(t.capacity(lvl))
+		cap := float64(v.capacity(lvl))
 		if ls.Nodes > 0 {
 			ls.MinOccPct = float64(ls.MinEntries) / cap * 100
 			ls.AvgOccPct = float64(ls.Entries) / float64(ls.Nodes) / cap * 100
@@ -162,39 +135,37 @@ func (s *TreeStats) String() string {
 func (t *Tree) Dump() (string, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	defer t.endOp()
+	return t.dump()
+}
+
+// dump is Dump's body on a view: each node at two indents per index
+// node above it, each entry one indent in from its node, above the node
+// it names.
+func (v *view) dump() (string, error) {
+	defer v.endOp()
 	var b strings.Builder
-	var rec func(id page.ID, level, depth int) error
-	rec = func(id page.ID, level, depth int) error {
-		ind := strings.Repeat("  ", depth)
-		if level == 0 {
-			dp, sc, err := t.borrowData(id, false)
-			if err != nil {
-				return err
+	err := v.preorder(func(s *walkStep) error {
+		ind := strings.Repeat("  ", 2*s.depth)
+		if s.parent != nil {
+			tag := ""
+			if s.IsGuard(s.parent.Level) {
+				tag = " [guard]"
 			}
-			fmt.Fprintf(&b, "%sdata %d region=%v items=%d\n", ind, id, dp.Region, dp.Len())
-			t.paged.release(sc)
+			fmt.Fprintf(&b, "%sentry key=%v level=%d%s ->\n", ind[2:], s.Key, s.Level, tag)
+		}
+		if s.Level > 0 {
+			fmt.Fprintf(&b, "%snode %d L%d region=%v entries=%d\n", ind, s.Child, s.node.Level, s.node.Region, len(s.entries))
 			return nil
 		}
-		n, err := t.fetchIndex(id)
+		dp, sc, err := v.borrowData(s.Child, false)
 		if err != nil {
 			return err
 		}
-		entries := n.ReadEntries()
-		fmt.Fprintf(&b, "%snode %d L%d region=%v entries=%d\n", ind, id, n.Level, n.Region, len(entries))
-		for _, e := range entries {
-			tag := ""
-			if e.IsGuard(n.Level) {
-				tag = " [guard]"
-			}
-			fmt.Fprintf(&b, "%s  entry key=%v level=%d%s ->\n", ind, e.Key, e.Level, tag)
-			if err := rec(e.Child, e.Level, depth+2); err != nil {
-				return err
-			}
-		}
+		fmt.Fprintf(&b, "%sdata %d region=%v items=%d\n", ind, s.Child, dp.Region, dp.Len())
+		v.paged.release(sc)
 		return nil
-	}
-	if err := rec(t.root, t.rootLevel, 0); err != nil {
+	})
+	if err != nil {
 		return "", err
 	}
 	return b.String(), nil

@@ -122,14 +122,35 @@ type OpStats = obs.TreeCountersSnapshot
 //     the log (see commit).
 //
 // The guard-set exact-match search (§3), range traversal and best-first
-// kNN keep all scratch state (guard sets, visit stacks, candidate heaps)
-// on the operation's own stack and never write to nodes, which is what
+// kNN are methods of the tree's view, which has no write method: they
+// keep all scratch state (guard sets, visit stacks, candidate heaps) on
+// the operation's own stack and never write to nodes, which is what
 // makes the shared-lock read path sound; the only shared mutable state
 // they touch is the OpStats counters (atomic), the decoded-node caches
 // (internally synchronised, see pagedNodes and the storage stores) and
 // the epoch/version machinery (mvccState, internally synchronised).
 type Tree struct {
-	mu  sync.RWMutex
+	mu sync.RWMutex
+	view
+
+	// The write-ahead log, attached by Open after replay; nil on a tree
+	// without one. log is set before the tree is shared and never
+	// changes; wm and ckptBytes are guarded by mu.
+	log       *wal.Log
+	wm        *obs.WALMetrics // the WAL section of Metrics; nil until enabled
+	ckptBytes int64           // the AutoCheckpoint trigger; off when <= 0
+
+	// mv is the snapshot/epoch machinery (see mvcc.go).
+	mv *mvccState
+}
+
+// view is the readable state of a tree, and its unexported methods are
+// every algorithm that only reads it. A Tree embeds its live view, read
+// under the tree's lock and written by the tree's writers; a pinned view
+// (readView, Snapshot) is a copy of it whose NodeStore resolves each
+// page as it was at the pin. A view has no write method, so a write
+// through a pinned view does not compile.
+type view struct {
 	st  NodeStore
 	opt Options
 	il  *zorder.Interleaver
@@ -147,13 +168,6 @@ type Tree struct {
 	// tree with no log history.
 	lsn uint64
 
-	// The write-ahead log, attached by Open after replay; nil on a tree
-	// without one. log is set before the tree is shared and never
-	// changes; wm and ckptBytes are guarded by mu.
-	log       *wal.Log
-	wm        *obs.WALMetrics // the WAL section of Metrics; nil until enabled
-	ckptBytes int64           // the AutoCheckpoint trigger; off when <= 0
-
 	// stats is shared by pointer with every pinned view of the tree, so
 	// work done through a snapshot is counted on the owner.
 	stats *obs.TreeCounters
@@ -163,13 +177,9 @@ type Tree struct {
 	// operations read it under their own lock, so no atomics are needed.
 	metrics *obs.TreeMetrics
 
-	// paged is the tree's decoded cache over its store: st itself on a
-	// live tree, the owner's behind st's version chains on a pinned view.
+	// paged is the tree's decoded cache over its store: st itself on the
+	// live view, the owner's behind st's version chains on a pinned one.
 	paged *pagedNodes
-
-	// mv is the snapshot/epoch machinery (see mvcc.go); nil only on the
-	// immutable view trees mv itself creates.
-	mv *mvccState
 }
 
 // New returns an in-memory BV-tree: Open over a fresh
@@ -294,9 +304,10 @@ func newTree(pn *pagedNodes, opt Options) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{st: pn, opt: opt, il: il, paged: pn, stats: &obs.TreeCounters{}}
-	t.mv = newMVCCState(pn.Free)
-	return t, nil
+	return &Tree{
+		view: view{st: pn, opt: opt, il: il, paged: pn, stats: &obs.TreeCounters{}},
+		mv:   newMVCCState(pn.Free),
+	}, nil
 }
 
 // commit is the one write path: Insert, Delete, ApplyBatch and BulkLoad
@@ -320,9 +331,7 @@ func newTree(pn *pagedNodes, opt Options) (*Tree, error) {
 // that leaves the log at or past the AutoCheckpoint trigger then
 // checkpoints, after its Wait (checkpointIfFull).
 func (t *Tree) commit(apply func() error, recs ...[]byte) (err error) {
-	if err := t.lockWrite(); err != nil {
-		return err
-	}
+	t.mu.Lock()
 	var seq uint64
 	if t.log != nil {
 		for _, rec := range recs {
@@ -380,9 +389,7 @@ func (t *Tree) checkpointIfFull() {
 // durable in the store, so a crash in between leaves a log whose records
 // all lie at or below the checkpoint LSN, which recovery skips.
 func (t *Tree) Flush() error {
-	if err := t.lockWrite(); err != nil {
-		return err
-	}
+	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.flushLocked()
 }
@@ -485,25 +492,25 @@ func (t *Tree) EnableMetrics() {
 }
 
 // capacity returns the entry capacity of an index node at index level x.
-func (t *Tree) capacity(x int) int {
-	if t.opt.LevelScaledPages {
-		return t.opt.Fanout * x
+func (v *view) capacity(x int) int {
+	if v.opt.LevelScaledPages {
+		return v.opt.Fanout * x
 	}
-	return t.opt.Fanout
+	return v.opt.Fanout
 }
 
 // addr computes the partition address of a point.
-func (t *Tree) addr(p geometry.Point) (region.BitString, error) {
-	a, err := t.il.Interleave(p)
+func (v *view) addr(p geometry.Point) (region.BitString, error) {
+	a, err := v.il.Interleave(p)
 	if err != nil {
 		return region.BitString{}, err
 	}
 	return region.OwnWords(a.Words(), a.Len()) // the key takes the address's words: one allocation
 }
 
-func (t *Tree) fetchIndex(id page.ID) (*page.IndexNode, error) {
-	t.stats.NodeAccesses.Inc()
-	return t.st.Index(id)
+func (v *view) fetchIndex(id page.ID) (*page.IndexNode, error) {
+	v.stats.NodeAccesses.Inc()
+	return v.st.Index(id)
 }
 
 // fetchData fetches data page id for a writer.
@@ -514,14 +521,14 @@ func (t *Tree) fetchData(id page.ID) (*page.DataPage, error) {
 
 // borrowData lends data page id to a reader for one scan, through the
 // view's NodeStore; the reader ends the borrow with paged.release.
-func (t *Tree) borrowData(id page.ID, lookup bool) (*page.DataPage, *scratchPage, error) {
-	t.stats.NodeAccesses.Inc()
-	return t.st.borrowData(id, lookup)
+func (v *view) borrowData(id page.ID, lookup bool) (*page.DataPage, *scratchPage, error) {
+	v.stats.NodeAccesses.Inc()
+	return v.st.borrowData(id, lookup)
 }
 
 // indexCols fetches index node id for a reader, with its columns.
-func (t *Tree) indexCols(id page.ID) (*page.IndexNode, *page.NodeCols, error) {
-	n, err := t.fetchIndex(id)
+func (v *view) indexCols(id page.ID) (*page.IndexNode, *page.NodeCols, error) {
+	n, err := v.fetchIndex(id)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -530,7 +537,7 @@ func (t *Tree) indexCols(id page.ID) (*page.IndexNode, *page.NodeCols, error) {
 
 // endOp performs a reader's between-operation housekeeping: it trims
 // the decoded cache of clean nodes. It may run without the tree lock.
-func (t *Tree) endOp() { t.paged.trim(false) }
+func (v *view) endOp() { v.paged.trim(false) }
 
 // endWrite is endOp for a writer, under the exclusive lock: the trim
 // writes dirty nodes back first. A failed write-back becomes the

@@ -3,6 +3,7 @@ package bvtree
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"bvtree/internal/geometry"
@@ -231,4 +232,58 @@ func maxu(a, b uint64) uint64 {
 		return a
 	}
 	return b
+}
+
+// TestValidateFindsMisroutedItem: an item stored in a data page whose
+// region encloses an inner data page's region, where the inner key also
+// prefixes the item's address, breaks invariant 5 (the longest-prefix
+// rule) while invariants 1 to 4 and 6 still hold, and Validate names the
+// inner page.
+func TestValidateFindsMisroutedItem(t *testing.T) {
+	tr, err := New(Options{Dims: 2, DataCapacity: 8, Fanout: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(53))
+	for i := 0; i < 500; i++ {
+		if err := tr.Insert(randPoint(rng, 2), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var leaves []leafRef
+	if err := tr.preorder(func(s *walkStep) error {
+		if s.Level == 0 {
+			leaves = append(leaves, leafRef{id: s.Child, key: s.Key})
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, outer := range leaves {
+		for _, inner := range leaves {
+			if !outer.key.IsProperPrefixOf(inner.key) {
+				continue
+			}
+			in, err := tr.fetchData(inner.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := in.Item(0).Point
+			out, err := tr.wData(outer.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.Append(p, 1000)
+			if err := tr.paged.SaveData(outer.id, out); err != nil {
+				t.Fatal(err)
+			}
+			tr.size++
+			want := fmt.Sprintf("stored in page %d (region %v) but longest-prefix region is page %d", outer.id, outer.key, inner.id)
+			if err := tr.Validate(false); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Validate of a tree holding %v in page %d = %v, want an error containing %q", p, outer.id, err, want)
+			}
+			return
+		}
+	}
+	t.Fatal("no data page's region encloses another's")
 }

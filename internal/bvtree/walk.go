@@ -19,15 +19,15 @@ import (
 // nil and calls the Visitor otherwise; either way the walk stops at the
 // first Visitor false or the first error.
 //
-// The walk runs against a pinned epoch view (t is the view tree a
-// readView call produced, not the live tree), and no tree lock is held
+// The walk runs against a pinned epoch view (readView or a Snapshot's),
+// and no tree lock is held
 // meanwhile: the pin keeps every node the view can reach immutable, so
 // writers commit concurrently without ever being observed mid-flight.
 //
 // Two mechanisms make the scan cheap:
 //
 //   - One column scan: every data page is lent to the walk for its scan
-//     (Tree.borrowData) and never admitted to the cache by it, so a
+//     (view.borrowData) and never admitted to the cache by it, so a
 //     low-selectivity scan does not flush the point-query working set. A
 //     partial page is tested with one batched ContainMask64 pass per 64
 //     rows (scanPage).
@@ -50,7 +50,7 @@ type rangeTask struct {
 // The Visitor of a visiting walk is not part of that state — it travels
 // as a parameter, so that a caller's closure stays on the caller's stack.
 type rangeWalker struct {
-	t     *Tree
+	v     *view
 	rect  geometry.Rect
 	count int64 // items the walk has matched
 	stack []rangeTask
@@ -82,27 +82,27 @@ func (w *rangeWalker) room(k int) {
 
 var rangeWalkerPool = sync.Pool{New: func() any { return new(rangeWalker) }}
 
-// walkRange runs one traversal of rect over t — visiting, or counting
+// walkRange runs one traversal of rect over v — visiting, or counting
 // when visit is nil — on the calling goroutine and returns the count.
-func (t *Tree) walkRange(rect geometry.Rect, visit Visitor) (int64, error) {
+func (v *view) walkRange(rect geometry.Rect, visit Visitor) (int64, error) {
 	w := rangeWalkerPool.Get().(*rangeWalker)
-	w.t, w.rect, w.count = t, rect, 0
+	w.v, w.rect, w.count = v, rect, 0
 	// A rect covering the whole data space (Scan, and universe-sized
 	// windows) contains every brick, so the walk skips geometry tests from
 	// the root down.
-	root := rangeTask{id: t.root, full: region.BrickWithin(region.BitString{}, t.opt.Dims, rect)}
+	root := rangeTask{id: v.root, full: region.BrickWithin(region.BitString{}, v.opt.Dims, rect)}
 	var err error
-	if t.rootLevel == 0 {
+	if v.rootLevel == 0 {
 		w.dataIDs, w.dataFull = append(w.dataIDs[:0], root.id), append(w.dataFull[:0], root.full)
 		_, err = w.scanPages(visit)
 	} else {
 		err = w.drive(root, visit)
 	}
 	n := w.count
-	// Drop the tree and the query's item headers. The arena's free tail
+	// Drop the view and the query's item headers. The arena's free tail
 	// waits for the next visiting walk; the pool itself forgets it within
 	// two GC cycles.
-	w.t, w.rect, w.out = nil, geometry.Rect{}, nil
+	w.v, w.rect, w.out = nil, geometry.Rect{}, nil
 	rangeWalkerPool.Put(w)
 	return n, err
 }
@@ -118,7 +118,7 @@ func (w *rangeWalker) drive(root rangeTask, visit Visitor) error {
 		task := w.stack[len(w.stack)-1]
 		w.stack = w.stack[:len(w.stack)-1]
 		var err error
-		w.dataIDs, w.dataFull, w.stack, err = w.t.expandRange(task, w.rect, w.dataIDs[:0], w.dataFull[:0], w.stack)
+		w.dataIDs, w.dataFull, w.stack, err = w.v.expandRange(task, w.rect, w.dataIDs[:0], w.dataFull[:0], w.stack)
 		if err != nil {
 			return err
 		}
@@ -140,23 +140,23 @@ func (w *rangeWalker) drive(root rangeTask, visit Visitor) error {
 // captures it into its version chain and edits a clone — so reading them
 // here reads stable memory.
 func (w *rangeWalker) scanPages(visit Visitor) (bool, error) {
-	t := w.t
+	v := w.v
 	for i, id := range w.dataIDs {
-		dp, sc, err := t.borrowData(id, false)
+		dp, sc, err := v.borrowData(id, false)
 		if err != nil {
 			return false, err
 		}
 		full := w.dataFull[i]
 		if full {
-			t.stats.RangeFullPages.Inc()
+			v.stats.RangeFullPages.Inc()
 		}
 		got, cont := w.scanPage(dp, full, visit)
-		t.paged.release(sc)
+		v.paged.release(sc)
 		if !cont {
 			return false, nil
 		}
 		if got == 0 {
-			t.stats.RangeEmptyPages.Inc()
+			v.stats.RangeEmptyPages.Inc()
 		}
 		w.count += int64(got)
 	}
@@ -187,7 +187,7 @@ func (w *rangeWalker) scanPage(dp *page.DataPage, full bool, visit Visitor) (int
 		}
 		return len(w.out), true
 	}
-	w.t.stats.BatchTests.Inc()
+	w.v.stats.BatchTests.Inc()
 	got := 0
 	for base := 0; base < c.Len(); base += 64 {
 		m := c.ContainMask64(w.rect, base)

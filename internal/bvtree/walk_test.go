@@ -375,16 +375,21 @@ func TestRangeRunsInline(t *testing.T) {
 		}
 		return tr
 	}
-	check := func(name string, v *Tree) {
+	column := geometry.UniverseRect(2)
+	column.Min[0], column.Max[0] = pts[0][0], pts[0][0]
+	// check runs on a live tree and on a Snapshot.
+	check := func(name string, v interface {
+		Scan(Visitor) error
+		RangeQuery(geometry.Rect, Visitor) error
+		Count(geometry.Rect) (int, error)
+	}) {
 		t.Helper()
 		// Each run reports how many items its visitor must have seen.
 		runs := map[string]func(Visitor) (int, error){
-			"Scan":         func(visit Visitor) (int, error) { return len(pts), v.Scan(visit) },
-			"half window":  func(visit Visitor) (int, error) { return inHalf, v.RangeQuery(half, visit) },
-			"PartialMatch": func(visit Visitor) (int, error) { return onColumn, v.PartialMatch(pts[0], []bool{true, false}, visit) },
-			"blob at 8 workers": func(visit Visitor) (int, error) {
-				return inBlob, v.RangeQueryWorkers(blob, visit, 8)
-			},
+			"Scan":        func(visit Visitor) (int, error) { return len(pts), v.Scan(visit) },
+			"half window": func(visit Visitor) (int, error) { return inHalf, v.RangeQuery(half, visit) },
+			"column":      func(visit Visitor) (int, error) { return onColumn, v.RangeQuery(column, visit) },
+			"blob":        func(visit Visitor) (int, error) { return inBlob, v.RangeQuery(blob, visit) },
 			"Count": func(Visitor) (int, error) {
 				n, err := v.Count(universe)
 				if n != len(pts) {
@@ -392,6 +397,12 @@ func TestRangeRunsInline(t *testing.T) {
 				}
 				return 0, err
 			},
+		}
+		if tr, ok := v.(*Tree); ok {
+			runs["PartialMatch"] = func(visit Visitor) (int, error) {
+				return onColumn, tr.PartialMatch(pts[0], []bool{true, false}, visit)
+			}
+			runs["blob at 8 workers"] = func(visit Visitor) (int, error) { return inBlob, tr.RangeQueryWorkers(blob, visit, 8) }
 		}
 		for query, run := range runs {
 			before := runtime.NumGoroutine()
@@ -415,12 +426,9 @@ func TestRangeRunsInline(t *testing.T) {
 	checkWithSnapshot := func(name string, tr *Tree) {
 		t.Helper()
 		check(name, tr)
-		snap, err := tr.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
+		snap := tr.Snapshot()
 		defer snap.Release()
-		check(name+" snapshot", snap.v)
+		check(name+" snapshot", snap)
 	}
 
 	mem, err := New(Options{Dims: 2})
@@ -563,10 +571,7 @@ func TestParallelRangeRejectsMalformedRect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, err := tr.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := tr.Snapshot()
 	visit := func(geometry.Point, uint64) bool { t.Fatal("visited an item of a malformed rect"); return false }
 	calls := map[string]func(geometry.Rect) error{
 		"RangeQuery":          func(r geometry.Rect) error { return tr.RangeQuery(r, visit) },
