@@ -137,8 +137,8 @@ fuzz-bulkload:
 	$(GO) test -run '^$$' -fuzz=FuzzBulkLoad -fuzztime=30s -fuzzminimizetime=5s ./internal/bvtree
 
 # Coverage-guided fuzzing of the column mask passes: over fuzzed rows,
-# windows and probes, Intersect64, Within64, Cover64, ContainMask64 and
-# EqualMask64 must agree with plain per-row loops.
+# windows and probes, Intersect64, Within64, Cover64, Run, ContainMask64
+# and PointAt must agree with plain per-row loops.
 fuzz-masks:
 	$(GO) test -run '^$$' -fuzz=FuzzColumnMasks -fuzztime=30s -fuzzminimizetime=5s ./internal/page
 

@@ -55,10 +55,11 @@ var ErrCorrupt = errors.New("bvtree: corrupt backup stream")
 const (
 	backupMagic  = 0x42535642 // "BVSB"
 	trailerMagic = 0x45535642 // "BVSE"
-	// backupVer 4 is version 3's stream with the frames' pages in page
-	// format 2 (column-major data pages): an earlier stream's pages
-	// could not be decoded, so it is refused by its header.
-	backupVer = 4
+	// backupVer 5 is version 3's stream with the frames' pages in page
+	// format 3 (column-major data pages in first-coordinate order): an
+	// earlier stream's pages could not be decoded, so it is refused by
+	// its header.
+	backupVer = 5
 
 	// backupHeaderSize is the fixed header: magic(4) version(4) dims(4)
 	// dataCapacity(4) fanout(4) bitsPerDim(4) levelScaled(4) rootLevel(4)
@@ -244,7 +245,7 @@ func (v *view) backup(w io.Writer) (int64, error) {
 // replays the log's records past that LSN to its end, and RestoreToLSN
 // replays them to a target. Any damage to the stream fails with
 // ErrCorrupt; a restore never silently yields a shorter tree than the
-// backup held. Streams of versions 1 to 3 are refused before any page
+// backup held. Streams of versions 1 to 4 are refused before any page
 // is written.
 func RestoreSnapshot(st storage.Store, r io.Reader) (*Tree, error) {
 	cr := &crcReader{r: r}

@@ -177,8 +177,8 @@ func (v *view) checkIndex(s *walkStep) error {
 	return nil
 }
 
-// checkData checks invariant 4 at data page id, named by key, and
-// returns its item count.
+// checkData checks invariant 4 at data page id, named by key, and the
+// page's first-coordinate order, and returns its item count.
 func (v *view) checkData(id page.ID, key region.BitString) (int, error) {
 	dp, sc, err := v.borrowData(id, false)
 	if err != nil {
@@ -192,7 +192,10 @@ func (v *view) checkData(id page.ID, key region.BitString) (int, error) {
 		return 0, fmt.Errorf("bvtree: data page %d has %d coordinate rows in a %d-dimensional tree", id, got, v.opt.Dims)
 	}
 	items := dp.ReadItems()
-	for _, it := range items {
+	for i, it := range items {
+		if i > 0 && it.Point[0] < items[i-1].Point[0] {
+			return 0, fmt.Errorf("bvtree: data page %d item %d's first coordinate %d is below item %d's %d", id, i, it.Point[0], i-1, items[i-1].Point[0])
+		}
 		a, err := v.addr(it.Point)
 		if err != nil {
 			return 0, err

@@ -54,7 +54,7 @@ func TestDecodeEveryPageOfATree(t *testing.T) {
 			again := page.NewDataPage(dp.Region, dims)
 			for i := 0; i < dp.Len(); i++ {
 				it := dp.Item(i)
-				again.Append(it.Point, it.Payload)
+				again.Insert(it.Point, it.Payload)
 			}
 			if !bytes.Equal(page.EncodeData(again, dims), blob) {
 				t.Fatalf("page %d: the items read from the columns do not encode to the stored page", p.id)

@@ -2,7 +2,6 @@ package bvtree
 
 import (
 	"fmt"
-	"math/bits"
 	"time"
 
 	"bvtree/internal/geometry"
@@ -69,15 +68,15 @@ func (t *Tree) deleteLocked(p geometry.Point, payload uint64) (bool, error) {
 // minDataOccupancy is the underflow threshold: one third of capacity.
 func (t *Tree) minDataOccupancy() int { return (t.opt.DataCapacity + 2) / 3 }
 
-// removeItem deletes the first item of dp at point p with payload.
+// removeItem deletes the first item of dp at point p with payload,
+// looking only in the run of items whose first coordinate is p[0].
 func removeItem(dp *page.DataPage, p geometry.Point, payload uint64) bool {
 	c := dp.DCols()
-	for base := 0; base < c.Len(); base += 64 {
-		for m := c.EqualMask64(p, base); m != 0; m &= m - 1 {
-			if i := base + bits.TrailingZeros64(m); c.Payload(i) == payload {
-				dp.RemoveAt(i)
-				return true
-			}
+	from, to := c.Run(p[0], p[0])
+	for i := from; i < to; i++ {
+		if c.Payload(i) == payload && c.PointAt(i, p) {
+			dp.RemoveAt(i)
+			return true
 		}
 	}
 	return false

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"path/filepath"
 	"strings"
@@ -18,17 +19,18 @@ import (
 // pageCRC is the page envelope's checksum table (CRC-32C).
 var pageCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// formatV1 rewrites a page image of format 2 as format 1 wrote it,
-// signed so that its checksum holds: the version byte is 1 and a data
-// page's items are row-major, each item's coordinates and then its
+// earlierFormat rewrites a page image of format 3 as format ver (1 or 2)
+// wrote it, signed so that its checksum holds. Format 2 had format 3's
+// bodies, its data pages' items in insertion order; format 1 stored a
+// data page's items row-major, each item's coordinates and then its
 // payload. Index and meta bodies did not change between the formats.
-func formatV1(t *testing.T, blob []byte) []byte {
+func earlierFormat(t *testing.T, blob []byte, ver byte) []byte {
 	t.Helper()
 	old := bytes.Clone(blob)
-	old[3] = 1
+	old[3] = ver
 	if k, err := page.DecodeKind(blob); err != nil {
 		t.Fatal(err)
-	} else if k == page.KindData {
+	} else if k == page.KindData && ver == 1 {
 		p, _, err := page.DecodeDataCols(blob, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -84,22 +86,24 @@ func storedPages(t *testing.T, st storage.Store) []page.ID {
 	return ids
 }
 
-// refusesV1 fails unless err is page.ErrCorrupt naming format version 1.
-func refusesV1(t *testing.T, what string, err error) {
+// refusesFormat fails unless err is page.ErrCorrupt naming format
+// version ver.
+func refusesFormat(t *testing.T, what string, ver byte, err error) {
 	t.Helper()
-	if !errors.Is(err, page.ErrCorrupt) || !strings.Contains(err.Error(), "format version 1") {
-		t.Fatalf("%s of format 1: %v, want page.ErrCorrupt naming format version 1", what, err)
+	if name := fmt.Sprintf("format version %d", ver); !errors.Is(err, page.ErrCorrupt) || !strings.Contains(err.Error(), name) {
+		t.Fatalf("%s of format %d: %v, want page.ErrCorrupt naming %s", what, ver, err, name)
 	}
 }
 
-// TestEarlierPageFormatIsRefused: page format 2 stores a data page's
-// items column-major, and nothing decodes format 1, whose row-major body
-// has the same length and would read as other points. Each kind of page
-// in format 1, re-signed so that its checksum holds, is refused with
-// page.ErrCorrupt naming the version; a store written in format 1 is
-// refused at Open, which leaves the store and its log as they were; and
-// a backup stream of version 3, whose frames hold format-1 pages, is
-// refused by its header before any page is written.
+// TestEarlierPageFormatIsRefused: page format 3 stores a data page's
+// items column-major in first-coordinate order, and nothing decodes
+// format 1, whose row-major body has the same length and would read as
+// other points, or format 2, whose items stand in insertion order. Each
+// kind of page in either format, re-signed so that its checksum holds,
+// is refused with page.ErrCorrupt naming the version; a store written in
+// either is refused at Open, which leaves the store and its log as they
+// were; and a backup stream of version 3 or 4, whose frames hold pages
+// of format 1 or 2, is refused by its header before any page is written.
 func TestEarlierPageFormatIsRefused(t *testing.T) {
 	pts, err := workload.Generate(workload.Clustered, 2, 320, 48)
 	if err != nil {
@@ -137,58 +141,46 @@ func TestEarlierPageFormatIsRefused(t *testing.T) {
 		}
 	}
 
-	// Every page of the store, one by one, in format 1.
+	// Every page of the store, one by one, in formats 1 and 2.
 	ids := storedPages(t, st)
+	blobs := make(map[page.ID][]byte, len(ids))
 	kinds := map[page.Kind]int{}
 	for _, id := range ids {
 		blob, err := st.ReadNode(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := formatV1(t, blob)
+		blobs[id] = bytes.Clone(blob)
 		k, err := page.DecodeKind(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch k {
-		case page.KindData:
-			_, _, err := page.DecodeDataCols(old, nil)
-			refusesV1(t, "DecodeDataCols", err)
-			_, _, err = page.DecodeData(old)
-			refusesV1(t, "DecodeData", err)
-			_, _, err = page.AppendDataItems(old, nil, nil)
-			refusesV1(t, "AppendDataItems", err)
-		case page.KindIndex:
-			_, err := page.DecodeIndexCols(old, 2)
-			refusesV1(t, "DecodeIndexCols", err)
-			_, err = page.DecodeIndex(old)
-			refusesV1(t, "DecodeIndex", err)
-		case page.KindMeta:
-			_, err := page.DecodeMeta(old)
-			refusesV1(t, "DecodeMeta", err)
-		default:
-			t.Fatalf("page %d is of kind %d", id, k)
+		for _, ver := range []byte{1, 2} {
+			old := earlierFormat(t, blob, ver)
+			switch k {
+			case page.KindData:
+				_, _, err := page.DecodeDataCols(old, nil)
+				refusesFormat(t, "DecodeDataCols", ver, err)
+				_, _, err = page.DecodeData(old)
+				refusesFormat(t, "DecodeData", ver, err)
+				_, _, err = page.AppendDataItems(old, nil, nil)
+				refusesFormat(t, "AppendDataItems", ver, err)
+			case page.KindIndex:
+				_, err := page.DecodeIndexCols(old, 2)
+				refusesFormat(t, "DecodeIndexCols", ver, err)
+				_, err = page.DecodeIndex(old)
+				refusesFormat(t, "DecodeIndex", ver, err)
+			case page.KindMeta:
+				_, err := page.DecodeMeta(old)
+				refusesFormat(t, "DecodeMeta", ver, err)
+			default:
+				t.Fatalf("page %d is of kind %d", id, k)
+			}
 		}
 		kinds[k]++
 	}
 	if kinds[page.KindData] == 0 || kinds[page.KindIndex] == 0 || kinds[page.KindMeta] != 1 {
 		t.Fatalf("the tree's pages by kind: %v; want data pages, index nodes and one meta record", kinds)
-	}
-
-	// The whole store in format 1, beside a log holding 20 inserts past
-	// its checkpoint: Open refuses it at its meta record and writes
-	// neither the store nor the log.
-	for _, id := range ids {
-		blob, err := st.ReadNode(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.WriteNode(id, formatV1(t, blob)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Sync(); err != nil {
-		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -196,51 +188,80 @@ func TestEarlierPageFormatIsRefused(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	storeBefore, logBefore := readFile(t, path), readFile(t, walPath)
-	if len(logBefore) == 0 {
-		t.Fatal("the log holds no records")
-	}
-	re, err := storage.OpenFileStore(path, storage.FileStoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rl, err := wal.Open(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Open(re, rl, Options{})
-	refusesV1(t, "Open of a store", err)
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(readFile(t, path), storeBefore) || !bytes.Equal(readFile(t, walPath), logBefore) {
-		t.Fatal("a refused Open changed the store or the log")
+
+	// The whole store in format 1, then in format 2, beside a log holding
+	// 20 inserts past its checkpoint: Open refuses it at its meta record
+	// and writes neither the store nor the log.
+	for _, ver := range []byte{1, 2} {
+		st, err := storage.OpenFileStore(path, storage.FileStoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			if err := st.WriteNode(id, earlierFormat(t, blobs[id], ver)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		storeBefore, logBefore := readFile(t, path), readFile(t, walPath)
+		if len(logBefore) == 0 {
+			t.Fatal("the log holds no records")
+		}
+		re, err := storage.OpenFileStore(path, storage.FileStoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rl, err := wal.Open(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open(re, rl, Options{})
+		refusesFormat(t, "Open of a store", ver, err)
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := rl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(readFile(t, path), storeBefore) || !bytes.Equal(readFile(t, walPath), logBefore) {
+			t.Fatalf("a refused Open of a format-%d store changed the store or the log", ver)
+		}
 	}
 
-	// The backup as version 3 wrote it: header version 3, frames of
-	// format-1 pages, every checksum holding.
+	// The backup as versions 3 and 4 wrote it: that header version,
+	// frames of format-1 or format-2 pages, every checksum holding.
 	b := backup.Bytes()
-	v3 := bytes.Clone(b[:backupHeaderSize])
-	binary.LittleEndian.PutUint32(v3[4:], 3)
-	binary.LittleEndian.PutUint32(v3[backupHeaderSize-4:], crc32.Checksum(v3[:backupHeaderSize-4], backupCRCTable))
-	frames := 0
-	for off := backupHeaderSize; off < len(b)-backupTrailerSize; frames++ {
-		n := int(binary.LittleEndian.Uint32(b[off:]))
-		v3 = binary.LittleEndian.AppendUint32(v3, uint32(n))
-		v3 = append(v3, formatV1(t, b[off+4:off+4+n])...)
-		off += 4 + n
-	}
-	v3 = binary.LittleEndian.AppendUint32(v3, trailerMagic)
-	v3 = binary.LittleEndian.AppendUint32(v3, crc32.Checksum(v3, backupCRCTable))
-	if len(v3) != len(b) || frames != len(ids)-1 {
-		t.Fatalf("version-3 stream: %d bytes and %d frames, want %d and %d", len(v3), frames, len(b), len(ids)-1)
-	}
-	ms := storage.NewMemStore()
-	_, err = RestoreSnapshot(ms, bytes.NewReader(v3))
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "backup version 3") {
-		t.Fatalf("version-3 backup: %v, want ErrCorrupt naming backup version 3", err)
-	}
-	if s := ms.Stats(); s.Allocs != 0 || s.NodeWrites != 0 {
-		t.Fatalf("version-3 backup: refused after %d allocations and %d page writes", s.Allocs, s.NodeWrites)
+	for _, old := range []struct {
+		stream uint32
+		pages  byte
+	}{{3, 1}, {4, 2}} {
+		s := bytes.Clone(b[:backupHeaderSize])
+		binary.LittleEndian.PutUint32(s[4:], old.stream)
+		binary.LittleEndian.PutUint32(s[backupHeaderSize-4:], crc32.Checksum(s[:backupHeaderSize-4], backupCRCTable))
+		frames := 0
+		for off := backupHeaderSize; off < len(b)-backupTrailerSize; frames++ {
+			n := int(binary.LittleEndian.Uint32(b[off:]))
+			s = binary.LittleEndian.AppendUint32(s, uint32(n))
+			s = append(s, earlierFormat(t, b[off+4:off+4+n], old.pages)...)
+			off += 4 + n
+		}
+		s = binary.LittleEndian.AppendUint32(s, trailerMagic)
+		s = binary.LittleEndian.AppendUint32(s, crc32.Checksum(s, backupCRCTable))
+		if len(s) != len(b) || frames != len(ids)-1 {
+			t.Fatalf("version-%d stream: %d bytes and %d frames, want %d and %d", old.stream, len(s), frames, len(b), len(ids)-1)
+		}
+		ms := storage.NewMemStore()
+		_, err = RestoreSnapshot(ms, bytes.NewReader(s))
+		if name := fmt.Sprintf("backup version %d", old.stream); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), name) {
+			t.Fatalf("version-%d backup: %v, want ErrCorrupt naming %s", old.stream, err, name)
+		}
+		if st := ms.Stats(); st.Allocs != 0 || st.NodeWrites != 0 {
+			t.Fatalf("version-%d backup: refused after %d allocations and %d page writes", old.stream, st.Allocs, st.NodeWrites)
+		}
 	}
 }

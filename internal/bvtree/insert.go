@@ -47,27 +47,27 @@ func (t *Tree) insertLocked(p geometry.Point, payload uint64) error {
 // operation of a batch and the refill of a merge (§5 re-runs insertion)
 // all go through it. The item is routed by the ordinary exact-match
 // descent — which yields the root itself while the root is still a data
-// page — and its coordinates and payload are written into the rows of the
-// page it lands on, fetched through wData (a private copy while a pinned
-// view may still read the old one); one SaveData publishes the page and
-// an overflow is resolved through splitDataPage, along the physical
-// parents the descent recorded.
+// page — and its coordinates and payload are inserted into the rows of
+// the page it lands on, fetched through wData (a private copy while a
+// pinned view may still read the old one); one SaveData publishes the
+// page and an overflow is resolved through splitDataPage, along the
+// physical parents of the descent's path. Only a split reads those, so
+// they are recorded only when the page overflows.
 //
 // moved marks an item a merge is re-homing: it is already counted in the
 // tree's size, and an overflow it causes is a Resplit.
 func (t *Tree) put(a region.BitString, p geometry.Point, payload uint64, moved bool) error {
-	ctx := newOpCtx()
-	d, err := t.descendPointCtx(ctx, a)
+	d, err := t.descendPoint(a)
 	if err != nil {
 		return err
 	}
-	id, src := d.dataID, d.dataSrcID
-	putDescent(d)
+	defer putDescent(d)
+	id := d.dataID
 	dp, err := t.wData(id)
 	if err != nil {
 		return err
 	}
-	dp.Append(p, payload)
+	dp.Insert(p, payload)
 	if !moved {
 		t.size++
 	}
@@ -80,15 +80,14 @@ func (t *Tree) put(a region.BitString, p geometry.Point, payload uint64, moved b
 	if moved {
 		t.stats.Resplits.Inc()
 	}
-	return t.splitDataPage(ctx, id, src)
+	ctx := newOpCtx()
+	recordParents(ctx, d)
+	return t.splitDataPage(ctx, id, d.dataSrcID)
 }
 
-// descendPointCtx is descendPoint plus physical-parent recording.
-func (t *Tree) descendPointCtx(ctx *opCtx, target region.BitString) (*descent, error) {
-	d, err := t.descendPoint(target)
-	if err != nil {
-		return nil, err
-	}
+// recordParents enters the physical parent of every node on d's path,
+// its data page included, into ctx.
+func recordParents(ctx *opCtx, d *descent) {
 	// Reconstruct physical parents from the recorded steps: the child
 	// entered from step i resides in the entry followed at step i, whose
 	// physical home is step i's node (unpromoted) or the guard's source
@@ -111,7 +110,6 @@ func (t *Tree) descendPointCtx(ctx *opCtx, target region.BitString) (*descent, e
 			ctx.parents[childID] = d.guardSrc[i]
 		}
 	}
-	return d, nil
 }
 
 // splitDataPage splits the overflowing data page dataID, whose level-0
@@ -125,10 +123,13 @@ func (t *Tree) splitDataPage(ctx *opCtx, dataID, srcNodeID page.ID) error {
 	if err != nil {
 		return err
 	}
+	// The items' addresses are cut from one slab: a split computes one
+	// per item, some 170 on a default page.
 	addrs := make([]region.BitString, dp.Len())
+	words, dims := make([]uint64, dp.Len()*t.opt.Dims), t.opt.Dims
 	var pt [geometry.MaxDims]uint64
 	for i := range addrs {
-		a, err := t.addr(dp.AppendPoint(pt[:0], i))
+		a, err := t.addrIn(words[i*dims:(i+1)*dims:(i+1)*dims], dp.AppendPoint(pt[:0], i))
 		if err != nil {
 			return err
 		}
@@ -216,11 +217,12 @@ func (t *Tree) resplitOversized(ctx *opCtx, ids ...page.ID) error {
 			if err != nil {
 				return err
 			}
-			c2 := newOpCtx()
-			d, err := t.descendPointCtx(c2, a)
+			d, err := t.descendPoint(a)
 			if err != nil {
 				return err
 			}
+			c2 := newOpCtx()
+			recordParents(c2, d)
 			gotID, srcID := d.dataID, d.dataSrcID
 			putDescent(d)
 			if gotID != id {

@@ -72,16 +72,18 @@ func (v *view) nearest(p geometry.Point, k int) ([]Neighbor, error) {
 				return nil, err
 			}
 			c := dp.DCols()
-			// One batched pass over the coordinate rows keeps the items
-			// inside the cube the current k-th distance spans around p; only
-			// those can enter the result set, and only they are measured.
-			// The result keeps its points, so each one that enters it is
-			// copied out of the rows.
+			// One batched pass over the run of items whose first
+			// coordinate lies in the cube the current k-th distance spans
+			// around p keeps the items inside the cube; only those can
+			// enter the result set, and only they are measured. The result
+			// keeps its points, so each one that enters it is copied out
+			// of the rows.
 			var pt [geometry.MaxDims]uint64
 			v.stats.BatchTests.Inc()
 			distCube(p, worst(), cube)
-			for base := 0; base < c.Len(); base += 64 {
-				for m := c.ContainMask64(cube, base); m != 0; m &= m - 1 {
+			from, to := c.Run(cube.Min[0], cube.Max[0])
+			for base := from; base < to; base += 64 {
+				for m := c.ContainMask64(cube, base, to); m != 0; m &= m - 1 {
 					i := base + bits.TrailingZeros64(m)
 					d := pointDist(p, dp.AppendPoint(pt[:0], i))
 					if d < worst() || best.Len() < k {

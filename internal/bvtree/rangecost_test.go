@@ -22,15 +22,19 @@ import (
 )
 
 // countingData counts the data pages a range walk fetches through a
-// tree's node store.
+// tree's node store, and the items they hold.
 type countingData struct {
 	NodeStore
-	pages uint64
+	pages, items uint64
 }
 
 func (c *countingData) borrowData(id page.ID, lookup bool) (*page.DataPage, *scratchPage, error) {
 	c.pages++
-	return c.NodeStore.borrowData(id, lookup)
+	dp, sc, err := c.NodeStore.borrowData(id, lookup)
+	if err == nil {
+		c.items += uint64(dp.Len())
+	}
+	return dp, sc, err
 }
 
 // kItemWindows returns count square windows holding exactly k of pts

@@ -233,16 +233,17 @@ func (v *view) lookup(p geometry.Point) ([]uint64, error) {
 	return out, nil
 }
 
-// payloadsAt returns the payloads of dp's items at exactly point p, by
-// batched equality over the coordinate columns: the payloads are only
-// read for the (rare) exact matches.
+// payloadsAt returns the payloads of dp's items at exactly point p, in
+// the order they were inserted: only the run of items whose first
+// coordinate is p[0] can match, and only those are tested.
 func (v *view) payloadsAt(dp *page.DataPage, p geometry.Point) []uint64 {
 	c := dp.DCols()
 	var out []uint64
 	v.stats.BatchTests.Inc()
-	for base := 0; base < c.Len(); base += 64 {
-		for m := c.EqualMask64(p, base); m != 0; m &= m - 1 {
-			out = append(out, dp.Payload(base+bits.TrailingZeros64(m)))
+	from, to := c.Run(p[0], p[0])
+	for i := from; i < to; i++ {
+		if c.PointAt(i, p) {
+			out = append(out, c.Payload(i))
 		}
 	}
 	return out

@@ -120,7 +120,7 @@ func worstDataPage(t *testing.T, dims, n int) int {
 	dp := page.NewDataPage(key, dims)
 	pt := make(geometry.Point, dims)
 	for i := 0; i < n; i++ {
-		dp.Append(pt, uint64(i))
+		dp.Insert(pt, uint64(i))
 	}
 	return len(page.EncodeData(dp, dims))
 }

@@ -500,12 +500,16 @@ func (v *view) capacity(x int) int {
 }
 
 // addr computes the partition address of a point.
-func (v *view) addr(p geometry.Point) (region.BitString, error) {
-	a, err := v.il.Interleave(p)
+func (v *view) addr(p geometry.Point) (region.BitString, error) { return v.addrIn(nil, p) }
+
+// addrIn is addr with the address's words in dst when it holds them
+// (Dims words), with no allocation.
+func (v *view) addrIn(dst []uint64, p geometry.Point) (region.BitString, error) {
+	a, err := v.il.InterleaveTo(dst, p)
 	if err != nil {
 		return region.BitString{}, err
 	}
-	return region.OwnWords(a.Words(), a.Len()) // the key takes the address's words: one allocation
+	return region.OwnWords(a.Words(), a.Len()) // the key takes the address's words: one allocation, or none in dst
 }
 
 func (v *view) fetchIndex(id page.ID) (*page.IndexNode, error) {

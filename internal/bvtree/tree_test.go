@@ -273,7 +273,7 @@ func TestValidateFindsMisroutedItem(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out.Append(p, 1000)
+			out.Insert(p, 1000)
 			if err := tr.paged.SaveData(outer.id, out); err != nil {
 				t.Fatal(err)
 			}

@@ -29,8 +29,9 @@ import (
 //   - One column scan: every data page is lent to the walk for its scan
 //     (view.borrowData) and never admitted to the cache by it, so a
 //     low-selectivity scan does not flush the point-query working set. A
-//     partial page is tested with one batched ContainMask64 pass per 64
-//     rows (scanPage).
+//     partial page is tested only on the run of rows whose first
+//     coordinate lies in the window, one batched ContainMask64 pass per
+//     64 of them (scanPage).
 //   - Full containment: once a subtree's brick lies inside the query
 //     rectangle (region.BrickWithin), every item below it matches; data
 //     pages under it are emitted without per-point tests, and counting
@@ -65,6 +66,10 @@ type rangeWalker struct {
 	// later walk of the pooled walker, writes over them.
 	out    []page.Item
 	coords []uint64
+
+	// rows counts the rows the walk's partial-page passes test: the runs
+	// of the window's first coordinate, summed over its pages.
+	rows int
 }
 
 // Arena sizes, in words: the first arena a visiting walk cuts points
@@ -86,7 +91,7 @@ var rangeWalkerPool = sync.Pool{New: func() any { return new(rangeWalker) }}
 // when visit is nil — on the calling goroutine and returns the count.
 func (v *view) walkRange(rect geometry.Rect, visit Visitor) (int64, error) {
 	w := rangeWalkerPool.Get().(*rangeWalker)
-	w.v, w.rect, w.count = v, rect, 0
+	w.v, w.rect, w.count, w.rows = v, rect, 0, 0
 	// A rect covering the whole data space (Scan, and universe-sized
 	// windows) contains every brick, so the walk skips geometry tests from
 	// the root down.
@@ -166,8 +171,9 @@ func (w *rangeWalker) scanPages(visit Visitor) (bool, error) {
 // scanPage feeds the matching items of dp to visit, or counts them when
 // visit is nil, and returns how many matched and whether the walk
 // continues. A page whose brick lies inside rect (full) is not tested
-// per point; a partial page is tested with one batched ContainMask64
-// pass per 64 items of its rows.
+// per point; of a partial page only the run of items whose first
+// coordinate lies in rect can match, and it is tested with one batched
+// ContainMask64 pass per 64 of them.
 //
 // The visitor may keep the points it is handed, so they never alias a
 // page's rows: they are copied into the walk's arena — every point of a
@@ -189,8 +195,10 @@ func (w *rangeWalker) scanPage(dp *page.DataPage, full bool, visit Visitor) (int
 	}
 	w.v.stats.BatchTests.Inc()
 	got := 0
-	for base := 0; base < c.Len(); base += 64 {
-		m := c.ContainMask64(w.rect, base)
+	from, to := c.Run(w.rect.Min[0], w.rect.Max[0])
+	w.rows += to - from
+	for base := from; base < to; base += 64 {
+		m := c.ContainMask64(w.rect, base, to)
 		got += bits.OnesCount64(m)
 		if visit == nil || m == 0 {
 			continue

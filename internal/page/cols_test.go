@@ -2,7 +2,9 @@ package page
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"bvtree/internal/geometry"
@@ -301,14 +303,23 @@ func randItems(rng *rand.Rand, dims, ni int) []Item {
 }
 
 // pageOf builds a data page of a dims-dimensional tree, its rows
-// allocated for capacity items, by appending items.
+// allocated for capacity items, by inserting items; the page holds them
+// as ordered(items) lists them.
 func pageOf(reg region.BitString, dims, capacity int, items []Item) *DataPage {
 	p := NewDataPage(reg, dims)
 	p.Reserve(capacity)
 	for _, it := range items {
-		p.Append(it.Point, it.Payload)
+		p.Insert(it.Point, it.Payload)
 	}
 	return p
+}
+
+// ordered returns items in the order a page holds them: a stable sort
+// by first coordinate, so items of an equal one keep their order.
+func ordered(items []Item) []Item {
+	out := append([]Item(nil), items...)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Point[0] < out[j].Point[0] })
+	return out
 }
 
 // randDataPage builds a data page with ni random items over dims
@@ -351,14 +362,15 @@ func sameItems(t *testing.T, what string, p *DataPage, items []Item) {
 	}
 }
 
-// TestDataColsMasksAgainstScalarTests pins EqualMask64 to Point.Equal
-// and ContainMask64 to Rect.Contains, item by item.
+// TestDataColsMasksAgainstScalarTests pins PointAt to Point.Equal and
+// ContainMask64 to Rect.Contains, item by item.
 func TestDataColsMasksAgainstScalarTests(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, dims := range []int{1, 2, 3} {
 		for trial := 0; trial < 50; trial++ {
 			items := randItems(rng, dims, rng.Intn(150))
 			p := pageOf(region.BitString{}, dims, 0, items)
+			items = ordered(items)
 			c := p.DCols()
 			for q := 0; q < 8; q++ {
 				var probe geometry.Point
@@ -372,13 +384,12 @@ func TestDataColsMasksAgainstScalarTests(t *testing.T) {
 				}
 				rect := randRect(rng, dims)
 				for base := 0; base < len(items); base += 64 {
-					em := c.EqualMask64(probe, base)
-					cm := c.ContainMask64(rect, base)
+					cm := c.ContainMask64(rect, base, len(items))
 					hi := min(base+64, len(items))
 					for i := base; i < hi; i++ {
 						bit := uint64(1) << uint(i-base)
-						if got, want := em&bit != 0, items[i].Point.Equal(probe); got != want {
-							t.Fatalf("dims=%d item %d: EqualMask64=%v Point.Equal=%v", dims, i, got, want)
+						if got, want := c.PointAt(i, probe), items[i].Point.Equal(probe); got != want {
+							t.Fatalf("dims=%d item %d: PointAt=%v Point.Equal=%v", dims, i, got, want)
 						}
 						if got, want := cm&bit != 0, rect.Contains(items[i].Point); got != want {
 							t.Fatalf("dims=%d item %d: ContainMask64=%v Contains=%v", dims, i, got, want)
@@ -391,16 +402,18 @@ func TestDataColsMasksAgainstScalarTests(t *testing.T) {
 }
 
 // TestDataColsEditInPlace drives random sequences of the edits the tree
-// makes — append, remove, a split's move to a second page — on pages laid
+// makes — insert, remove, a split's move to a second page — on pages laid
 // out at capacity, at no capacity and exactly sized by a decode, and the
-// same edits on slices of items: after every edit the pages must hold
-// exactly the slices, and a clone taken on the way must not move.
+// same edits on slices of items kept in the pages' order: after every
+// edit the pages must hold exactly the slices, and a clone taken on the
+// way must not move.
 func TestDataColsEditInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, dims := range []int{1, 2, 5} {
 		for trial := 0; trial < 30; trial++ {
 			items := randItems(rng, dims, rng.Intn(12))
 			p := pageOf(region.BitString{}, dims, []int{0, 9, 33}[trial%3], items)
+			items = ordered(items)
 			if trial%2 == 1 {
 				var err error
 				if p, _, err = DecodeDataCols(EncodeData(p, dims), nil); err != nil {
@@ -414,15 +427,22 @@ func TestDataColsEditInPlace(t *testing.T) {
 				switch op := rng.Intn(5); {
 				case op < 3 || len(items) == 0:
 					it := randItems(rng, dims, 1)[0]
-					p.Append(it.Point, it.Payload)
-					items = append(items, it)
+					p.Insert(it.Point, it.Payload)
+					items = ordered(append(items, it))
 				case op == 3:
 					i := rng.Intn(len(items))
 					p.RemoveAt(i)
 					items = append(items[:i], items[i+1:]...)
 				default:
+					// The items dst starts with have the least first
+					// coordinate, so the moved ones, appended after them,
+					// leave it in order.
 					move := make([]bool, len(items))
-					dst := pageOf(region.BitString{}, dims, rng.Intn(4), randItems(rng, dims, rng.Intn(3)))
+					low := randItems(rng, dims, rng.Intn(3))
+					for _, it := range low {
+						it.Point[0] = 0
+					}
+					dst := pageOf(region.BitString{}, dims, rng.Intn(4), low)
 					dstItems, kept := dst.ReadItems(), items[:0:0]
 					for i := range move {
 						if move[i] = rng.Intn(2) == 0; move[i] {
@@ -441,6 +461,86 @@ func TestDataColsEditInPlace(t *testing.T) {
 				}
 			}
 			sameItems(t, "clone", cl, clItems)
+		}
+	}
+}
+
+// TestDataPageKeepsOrder runs random programs of the tree's edits —
+// Insert, RemoveAt, and a split's MoveTo to a fresh page — at dims 1 to
+// 8, with coordinates from an alphabet of four values so that equal first
+// coordinates and duplicate points are common, beside a reference slice
+// kept by a stable sort on the first coordinate. After every edit each
+// page must hold exactly its reference, and Run must give, for windows
+// over the alphabet and past it, the rows a linear scan gives; pages
+// whose items all share one point (a soft overflow of duplicates) are
+// among them.
+func TestDataPageKeepsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	alphabet := []uint64{0, 7, 8, math.MaxUint64}
+	randPoint := func(dims int, same bool) geometry.Point {
+		pt := make(geometry.Point, dims)
+		for d := range pt {
+			if !same {
+				pt[d] = alphabet[rng.Intn(len(alphabet))]
+			}
+		}
+		return pt
+	}
+	checkRuns := func(what string, p *DataPage, items []Item) {
+		t.Helper()
+		sameItems(t, what, p, items)
+		probes := append([]uint64{1, 9}, alphabet...)
+		for _, lo := range probes {
+			for _, hi := range probes {
+				from, to := 0, 0
+				for i, it := range items {
+					if x := it.Point[0]; x < lo {
+						from = i + 1
+					} else if x <= hi {
+						to = i + 1
+					}
+				}
+				to = max(to, from)
+				if gf, gt := p.DCols().Run(lo, hi); gf != from || gt != to {
+					t.Fatalf("%s: %d items, Run(%d, %d) = [%d, %d), a linear scan gives [%d, %d)", what, len(items), lo, hi, gf, gt, from, to)
+				}
+			}
+		}
+	}
+	for dims := 1; dims <= 8; dims++ {
+		for trial := 0; trial < 12; trial++ {
+			same := trial%4 == 3 // every item at the origin
+			p := NewDataPage(region.BitString{}, dims)
+			p.Reserve([]int{0, 5, 40}[trial%3])
+			var items []Item
+			for step := 0; step < 80; step++ {
+				switch op := rng.Intn(8); {
+				case op < 5 || len(items) == 0:
+					it := Item{Point: randPoint(dims, same), Payload: uint64(step)}
+					p.Insert(it.Point, it.Payload)
+					items = ordered(append(items, it))
+				case op < 7:
+					i := rng.Intn(len(items))
+					p.RemoveAt(i)
+					items = append(items[:i], items[i+1:]...)
+				default:
+					move := make([]bool, len(items))
+					var moved, kept []Item
+					for i := range move {
+						if move[i] = rng.Intn(2) == 0; move[i] {
+							moved = append(moved, items[i])
+						} else {
+							kept = append(kept, items[i])
+						}
+					}
+					dst := NewDataPage(region.BitString{}, dims)
+					dst.Reserve(rng.Intn(3))
+					p.MoveTo(dst, func(i int) bool { return move[i] })
+					checkRuns("split's new page", dst, moved)
+					items = kept
+				}
+				checkRuns("edit", p, items)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"bvtree/internal/geometry"
@@ -62,6 +63,7 @@ var structurallyCorrupt = []struct {
 	{"data: payload row truncated", false, rawPage(KindData, uint32(2), uint32(0), uint32(2),
 		uint64(1), uint64(2), uint64(3), uint64(4), uint64(5))},
 	{"data: region key length 1<<21", false, rawPage(KindData, uint32(2), uint32(1<<21), uint32(0))},
+	{"data: first coordinates decrease", false, unsortedPage},
 	{"data: unknown kind", false, rawPage(Kind(9), uint32(2), uint32(0), uint32(0))},
 }
 
@@ -167,7 +169,7 @@ func TestDecodeDataPublishesMirror(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, dims := range []int{1, 2, 5} {
 		for _, ni := range []int{0, 1, 37} {
-			items := randItems(rng, dims, ni)
+			items := ordered(randItems(rng, dims, ni))
 			p, gotDims, err := DecodeData(encodeItems(region.BitString{}, dims, items))
 			if err != nil {
 				t.Fatal(err)
@@ -185,6 +187,42 @@ func TestDecodeDataPublishesMirror(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// unsortedPage is columnPage with its first two items' x swapped: its
+// checksum holds, but item 1's first coordinate is below item 0's.
+var unsortedPage = rawPage(KindData, uint32(2), uint32(2), uint64(1)<<63,
+	uint32(3), uint64(11), uint64(10), uint64(12), uint64(20), uint64(21), uint64(22), uint64(7), uint64(8), uint64(9))
+
+// TestUnsortedDataPageIsRefused: a data page is stored in first-coordinate
+// order, and every decoder refuses one out of it — a checksum computed
+// over the disorder holds — with ErrCorrupt naming the item, leaving the
+// fields of a page decoded into as they were.
+func TestUnsortedDataPageIsRefused(t *testing.T) {
+	_, _, err := DecodeDataCols(unsortedPage, nil)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "item 1's first coordinate 10 is below item 0's 11") {
+		t.Fatalf("DecodeDataCols of an unsorted page: %v, want ErrCorrupt naming item 1", err)
+	}
+	if _, _, err := DecodeData(unsortedPage); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecodeData of an unsorted page: %v, want ErrCorrupt", err)
+	}
+	items, coords, err := AppendDataItems(unsortedPage, make([]Item, 2), make([]uint64, 4))
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "item 1's first coordinate 10 is below item 0's 11") {
+		t.Fatalf("AppendDataItems of an unsorted page: %v, want ErrCorrupt naming item 1", err)
+	}
+	if len(items) != 2 || len(coords) != 4 {
+		t.Fatalf("a refused AppendDataItems returned %d items and %d words, was handed 2 and 4", len(items), len(coords))
+	}
+	dst, _, err := DecodeDataCols(columnPage, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeDataCols(unsortedPage, dst); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecodeDataCols of an unsorted page into a page: %v, want ErrCorrupt", err)
+	}
+	if dst.Len() != 3 || !dst.Region.Equal(region.MustParseBits("10")) {
+		t.Fatalf("a refused decode left %d items in region %v, want columnPage's 3 in 10", dst.Len(), dst.Region)
 	}
 }
 

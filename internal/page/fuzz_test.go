@@ -3,6 +3,7 @@ package page
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"bvtree/internal/geometry"
@@ -17,8 +18,10 @@ import (
 // decoders, with and without what the tree needs (DecodeIndexCols' brick
 // bounds, DecodeData's Items), which must accept exactly the same pages;
 // what they accept must encode back to the same bytes, also after the
-// entries or items read out of the columns are appended to an empty node,
-// and after an edit is made and undone in place.
+// entries or items read out of the columns are added to an empty node or
+// page, and after an edit is made and undone in place. A data page they
+// accept is in first-coordinate order: one whose checksum holds over
+// rows out of it (unsortedPage) is refused.
 
 func FuzzDecodeIndex(f *testing.F) {
 	f.Add(encodeEntries(2, region.MustParseBits("01"), []Entry{
@@ -69,6 +72,7 @@ func FuzzDecodeIndex(f *testing.F) {
 func FuzzDecodeData(f *testing.F) {
 	f.Add(encodeItems(region.MustParseBits("10"), 2, []Item{{Point: geometry.Point{1, 2}, Payload: 3}}))
 	f.Add(columnPage)
+	f.Add(unsortedPage)
 	f.Add([]byte{})
 	for _, c := range structurallyCorrupt {
 		f.Add(c.blob)
@@ -97,18 +101,27 @@ func FuzzDecodeData(f *testing.F) {
 		if cdims != dims || cols.DCols().Dims() != dims {
 			t.Fatalf("DecodeDataCols found %d dims into %d rows, DecodeData %d", cdims, cols.DCols().Dims(), dims)
 		}
-		// An accepted page comes out with its items read from its rows.
+		// An accepted page comes out with its items read from its rows,
+		// in first-coordinate order.
 		sameItems(t, "decode", got, got.Items)
+		for i := 1; i < len(got.Items); i++ {
+			if got.Items[i].Point[0] < got.Items[i-1].Point[0] {
+				t.Fatalf("accepted a page whose item %d's first coordinate is below item %d's", i, i-1)
+			}
+		}
 		re := EncodeData(got, dims)
 		if _, _, err := DecodeData(re); err != nil {
 			t.Fatalf("re-decode of accepted page failed: %v", err)
 		}
 		sameItems(t, "decode into columns", cols, got.Items)
 		sameItems(t, "rebuild", pageOf(cols.Region, dims, 0, got.Items), got.Items)
-		cols.Append(make(geometry.Point, dims), 7)
+		// A point of the greatest first coordinate goes in last.
+		last := make(geometry.Point, dims)
+		last[0] = math.MaxUint64
+		cols.Insert(last, 7)
 		cols.RemoveAt(cols.Len() - 1)
 		if !bytes.Equal(EncodeData(cols, dims), re) {
-			t.Fatal("an append and its removal changed the encoding")
+			t.Fatal("an insert and its removal changed the encoding")
 		}
 	})
 }

@@ -3,7 +3,9 @@ package page
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bvtree/internal/geometry"
@@ -11,12 +13,13 @@ import (
 )
 
 // The column mask passes — Intersect64, Within64 and Cover64 over an
-// index node's brick bounds, ContainMask64 and EqualMask64 over a data
+// index node's brick bounds, Run, ContainMask64 and PointAt over a data
 // page's rows — are pinned here to the plain per-row loops they stand
-// for, on bounds and rows written straight into the columns. The
-// values are drawn mostly at, or one beside, a bound of the window and
-// at 0 and MaxUint64, so each comparison meets its edges: a subtraction
-// borrow taken the wrong way round fails here on the first few cases.
+// for, on bounds written straight into the columns and on rows inserted
+// into a page, which holds them in first-coordinate order. The values
+// are drawn mostly at, or one beside, a bound of the window and at 0 and
+// MaxUint64, so each comparison meets its edges: a subtraction borrow
+// taken the wrong way round fails here on the first few cases.
 
 // maskCase is one input of the mask passes: n rows of dims dimensions,
 // each both a brick (bmin..bmax) and a point, a window and a probe.
@@ -91,7 +94,9 @@ func newMaskCase(next func() uint64, dims, n int) maskCase {
 
 // check fails t unless every pass over the case's rows, on an index
 // node and on a data page both laid out at a capacity above n and
-// decoded to exactly n, agrees with the per-row loops.
+// decoded to exactly n, agrees with the per-row loops. The page holds
+// the points in its own order, and each row's payload is the index of
+// its point in mc.pts, which the data-page loops read the points by.
 func (mc maskCase) check(t *testing.T) {
 	t.Helper()
 	dims, n := mc.dims, len(mc.pts)
@@ -105,28 +110,66 @@ func (mc maskCase) check(t *testing.T) {
 	dp := NewDataPage(region.BitString{}, dims)
 	dp.Reserve(n + 3)
 	for i, pt := range mc.pts {
-		dp.Append(pt, uint64(i))
+		dp.Insert(pt, uint64(i))
 	}
 	decoded, _, err := DecodeDataCols(EncodeData(dp, dims), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rmin, rmax := mc.rect.Min, mc.rect.Max
+	from, to := dp.DCols().Run(rmin[0], rmax[0])
+	var runFrom, runTo int // the run by a linear scan
+	for i := 0; i < n; i++ {
+		if x := mc.pts[dp.Payload(i)][0]; x < rmin[0] {
+			runFrom = i + 1
+		} else if x <= rmax[0] {
+			runTo = i + 1
+		}
+	}
+	runTo = max(runTo, runFrom)
+	if from != runFrom || to != runTo {
+		t.Fatalf("dims %d, %d rows: Run(%d, %d) = [%d, %d), a linear scan gives [%d, %d)",
+			dims, n, rmin[0], rmax[0], from, to, runFrom, runTo)
+	}
+	// A reader's scan: ContainMask64 over the run, 64 rows at a time from
+	// its start, finds the rows the per-row loop finds.
+	var viaRun, inside []int
+	for _, p := range []*DataPage{dp, decoded} {
+		viaRun, inside = viaRun[:0], inside[:0]
+		for base := from; base < to; base += 64 {
+			for m := p.DCols().ContainMask64(mc.rect, base, to); m != 0; m &= m - 1 {
+				viaRun = append(viaRun, base+bits.TrailingZeros64(m))
+			}
+		}
+		for i := 0; i < n; i++ {
+			if mc.rect.Contains(mc.pts[p.Payload(i)]) {
+				inside = append(inside, i)
+			}
+		}
+		if !slices.Equal(viaRun, inside) {
+			t.Fatalf("dims %d, %d rows: ContainMask64 over the run [%d, %d) finds rows %v, the per-row loop %v (window %v)",
+				dims, n, from, to, viaRun, inside, mc.rect)
+		}
+	}
 	for base := 0; base < n; base += 64 {
 		rows := min(n-base, 64)
 		live := uint64(math.MaxUint64) >> uint(64-rows)
 		cand := mc.cand & live
-		var wantI, wantW, wantC, wantCW, wantCC, wantContain, wantEq uint64
+		var wantI, wantW, wantC, wantCW, wantCC, wantContain uint64
 		for j := 0; j < rows; j++ {
 			i, bit := base+j, uint64(1)<<uint(j)
+			pt := mc.pts[dp.Payload(i)]
 			inter, within, cover, contain, eq := true, true, true, true, true
 			for d := 0; d < dims; d++ {
-				lo, hi, p := mc.bmin[i][d], mc.bmax[i][d], mc.pts[i][d]
+				lo, hi, p := mc.bmin[i][d], mc.bmax[i][d], pt[d]
 				inter = inter && lo <= rmax[d] && hi >= rmin[d]
 				within = within && lo >= rmin[d] && hi <= rmax[d]
 				cover = cover && lo <= rmin[d] && hi >= rmax[d]
 				contain = contain && p >= rmin[d] && p <= rmax[d]
 				eq = eq && p == mc.probe[d]
+			}
+			if dp.DCols().PointAt(i, mc.probe) != eq || decoded.DCols().PointAt(i, mc.probe) != eq {
+				t.Fatalf("dims %d, %d rows: PointAt(%d, %v) differs from the per-dimension loop's %v", dims, n, i, mc.probe, eq)
 			}
 			if inter {
 				wantI |= bit
@@ -146,9 +189,6 @@ func (mc maskCase) check(t *testing.T) {
 			if contain {
 				wantContain |= bit
 			}
-			if eq {
-				wantEq |= bit
-			}
 		}
 		c := node.Cols()
 		m := c.Intersect64(mc.rect, base)
@@ -161,10 +201,8 @@ func (mc maskCase) check(t *testing.T) {
 			{"Cover64 of Intersect64", c.Cover64(mc.rect, base, m), wantC},
 			{"Within64 of a candidate set", c.Within64(mc.rect, base, cand), wantCW},
 			{"Cover64 of a candidate set", c.Cover64(mc.rect, base, cand), wantCC},
-			{"ContainMask64", dp.DCols().ContainMask64(mc.rect, base), wantContain},
-			{"ContainMask64 of the decoded page", decoded.DCols().ContainMask64(mc.rect, base), wantContain},
-			{"EqualMask64", dp.DCols().EqualMask64(mc.probe, base), wantEq},
-			{"EqualMask64 of the decoded page", decoded.DCols().EqualMask64(mc.probe, base), wantEq},
+			{"ContainMask64", dp.DCols().ContainMask64(mc.rect, base, n), wantContain},
+			{"ContainMask64 of the decoded page", decoded.DCols().ContainMask64(mc.rect, base, n), wantContain},
 		} {
 			if got.got != got.want {
 				t.Fatalf("dims %d, %d rows, base %d: %s = %064b, the per-row loop gives %064b (window %v, probe %v)",

@@ -95,8 +95,9 @@ type Item struct {
 // DataPage is a leaf page holding the points of one level-0 region. Its
 // items are its columns (see datacols.go): one row per dimension and a
 // payload row. Read them through DCols, Payload, AppendPoint, Item,
-// ReadItems or AppendItems, and edit them with Append, RemoveAt and
-// MoveTo; Reserve lays them out for a capacity.
+// ReadItems or AppendItems, and edit them with Insert, RemoveAt and
+// MoveTo; Reserve lays them out for a capacity. The items are in
+// first-coordinate order (DataCols).
 type DataPage struct {
 	Region region.BitString
 
@@ -126,11 +127,12 @@ func (p *DataPage) Clone() *DataPage {
 }
 
 // The page envelope is magic, kind and format version, then the body,
-// then a CRC. Version 2 stores a data page's items column-major; a page
-// of version 1 (row-major items) is refused, not misread.
+// then a CRC. Version 3 stores a data page's items column-major in
+// first-coordinate order; a page of version 1 (row-major items) or 2
+// (column-major in insertion order) is refused, not misread.
 const (
 	magic      = 0xB7EE
-	fmtVersion = 2
+	fmtVersion = 3
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -287,7 +289,8 @@ func DecodeIndexCols(b []byte, dims int) (*IndexNode, error) {
 // dataHeader opens an encoded data page for its decoders: it checks the
 // envelope and the kind, parses dimensionality, region and item count,
 // and verifies that the body holds that many items, leaving r at the
-// first word of the first row. The region key is checked but not
+// first word of the first row. Each decoder checks the items' order
+// (disorder) as it reads the first row. The region key is checked but not
 // decoded: key holds its words as stored, and bits its length.
 func dataHeader(b []byte) (r reader, dims int, key []byte, bits, count int, err error) {
 	r, err = newReader(b)
@@ -308,6 +311,22 @@ func dataHeader(b []byte) (r reader, dims int, key []byte, bits, count int, err 
 	}
 	r.need(count * (dims + 1) * 8)
 	return r, dims, key, bits, count, r.err
+}
+
+// disorder returns ErrCorrupt naming the first item of row, a data page's
+// row 0, whose first coordinate is below its predecessor's, or nil when
+// the row does not decrease.
+func disorder(row []uint64) error {
+	for i := 1; i < len(row); i++ {
+		if row[i] < row[i-1] {
+			return belowPredecessor(i, row[i], row[i-1])
+		}
+	}
+	return nil
+}
+
+func belowPredecessor(i int, x, prev uint64) error {
+	return fmt.Errorf("%w: item %d's first coordinate %d is below item %d's %d", ErrCorrupt, i, x, i-1, prev)
 }
 
 // DecodeData is DecodeDataCols plus Items, the page's items as values,
@@ -331,7 +350,8 @@ func DecodeData(b []byte) (*DataPage, int, error) {
 // dst, for a reader that keeps nothing of it past its scan: dst's slab is
 // reused when it holds the rows and the region key, which it keeps past
 // the rows, so the decode allocates nothing once the slab is large
-// enough. A failed decode leaves dst as it was.
+// enough. A failed decode leaves dst's fields as they were, though the
+// words of its slab may hold part of the refused page.
 func DecodeDataCols(b []byte, dst *DataPage) (*DataPage, int, error) {
 	r, dims, key, bits, count, err := dataHeader(b)
 	if err != nil {
@@ -348,6 +368,9 @@ func DecodeDataCols(b []byte, dst *DataPage) (*DataPage, int, error) {
 		words, slab = slab[n:n+nw], slab[:n]
 	}
 	getWords(slab, r.buf[r.off:]) // dataHeader checked that the body holds them
+	if err := disorder(slab[:count]); err != nil {
+		return nil, 0, err
+	}
 	getWords(words, key)
 	if dst == nil {
 		dst = new(DataPage)
@@ -389,10 +412,14 @@ func AppendDataItems(b []byte, dst []Item, coords []uint64) ([]Item, []uint64, e
 	}
 	coords = coords[:base+count*dims]
 	body := r.buf[r.off : r.off+8*(dims+1)*count] // row d's item i is word d*count+i
+	items := len(dst)
 	for i := 0; i < count; i++ {
 		pt := coords[base+i*dims : base+(i+1)*dims : base+(i+1)*dims]
 		for d := range pt {
 			pt[d] = binary.LittleEndian.Uint64(body[8*(d*count+i):])
+		}
+		if i > 0 && pt[0] < coords[base+(i-1)*dims] {
+			return dst[:items], coords[:base], belowPredecessor(i, pt[0], coords[base+(i-1)*dims])
 		}
 		dst = append(dst, Item{Point: pt, Payload: binary.LittleEndian.Uint64(body[8*(dims*count+i):])})
 	}

@@ -59,6 +59,7 @@ func TestDataRoundTrip(t *testing.T) {
 			items[i] = Item{Point: pt, Payload: rng.Uint64()}
 		}
 		p := pageOf(randBits(rng, 80), dims, 32, items)
+		items = ordered(items)
 		blob := EncodeData(p, dims)
 		got, gotDims, err := DecodeData(blob)
 		if err != nil {

@@ -68,12 +68,27 @@ func (il *Interleaver) CheckDims(n int) error {
 // (mask-and-shift bit spreading rather than a per-bit loop); higher
 // dimensionalities take the generic path.
 func (il *Interleaver) Interleave(p geometry.Point) (Address, error) {
+	return il.InterleaveTo(nil, p)
+}
+
+// InterleaveTo is Interleave with the address's words written into dst,
+// which the address then holds, when dst is long enough; otherwise, as
+// with dst nil, into words of its own. A caller that interleaves many
+// points cuts their addresses from one slab this way.
+func (il *Interleaver) InterleaveTo(dst []uint64, p geometry.Point) (Address, error) {
 	if len(p) != il.dims {
 		return Address{}, il.CheckDims(len(p))
 	}
 	total := il.TotalBits()
+	nw := (total + 63) / 64
+	if len(dst) < nw {
+		dst = make([]uint64, nw)
+	} else {
+		dst = dst[:nw:nw]
+		clear(dst)
+	}
 	a := Address{
-		bits:       make([]uint64, (total+63)/64),
+		bits:       dst,
 		dims:       il.dims,
 		bitsPerDim: il.bitsPerDim,
 	}

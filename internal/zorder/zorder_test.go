@@ -193,3 +193,37 @@ func TestInterleaveFastPathMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestInterleaveToFillsTheSlab: InterleaveTo writes the address Interleave
+// gives into the words it is handed, clearing what they held, and into
+// words of its own when handed too few.
+func TestInterleaveToFillsTheSlab(t *testing.T) {
+	for _, dims := range []int{1, 2, 3, 5} {
+		il, err := NewInterleaver(dims, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := make(geometry.Point, dims)
+		for d := range p {
+			p[d] = 0x9e3779b97f4a7c15 * uint64(d+1)
+		}
+		want, err := il.Interleave(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slab := make([]uint64, 2*dims)
+		for i := range slab {
+			slab[i] = ^uint64(0)
+		}
+		got, err := il.InterleaveTo(slab[dims:], p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Compare(want) != 0 || &got.Words()[0] != &slab[dims] {
+			t.Fatalf("dims %d: InterleaveTo gives %v in its own words, want %v in the slab", dims, got, want)
+		}
+		if short, err := il.InterleaveTo(slab[:dims-1], p); err != nil || short.Compare(want) != 0 {
+			t.Fatalf("dims %d: InterleaveTo into %d words gives %v, %v; want %v", dims, dims-1, short, err, want)
+		}
+	}
+}
